@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-micro bench-pipeline bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 metrics-smoke chaos fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro bench-pipeline bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 metrics-smoke chaos fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The macro benchmark is a module of its own (benchmark/go.mod), outside
+# `./...`: vet it and run its harness tests (~6 s) here, so a change to an
+# internal/ API it uses breaks CI and not only the benchmark driver.
+macro-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Bench smoke: every benchmark once (N=1 is exact for the deterministic
 # virtual-time experiments), short mode to skip the heavy preload suites.
@@ -25,8 +31,11 @@ bench-json:
 
 # Micro-benchmarks for the crypto/wire/merkle hot paths (allocation
 # counts included; the *Legacy benchmarks reproduce the pre-pipeline
-# implementations for comparison, and the BlockAck* benchmarks sweep
-# block sizes to show the digest-signed ack's flat cost).
+# implementations for comparison, the BlockAck* benchmarks sweep block
+# sizes to show the digest-signed ack's flat cost, SignMsgMerge1MB and
+# VerifyMsgPutBatch time hash-once signatures over the largest and the
+# most frequent bodies, and VerifyMemoMiss/VerifyMemoHit the first and
+# every later check of one certificate).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle
 
@@ -142,4 +151,4 @@ doc-check:
 	fi; \
 	echo "doc-check: all packages documented"
 
-ci: fmt-check vet doc-check build test race bench bench-micro bench-json bench-pr10 metrics-smoke
+ci: fmt-check vet doc-check build test race macro-check bench bench-micro bench-json bench-pr10 metrics-smoke

@@ -230,13 +230,13 @@ func BenchmarkAblationFreshness(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockAckSizeSweep regenerates P2: block-ack signature cost vs
-// block size (digest-signed vs legacy full-body).
+// BenchmarkBlockAckSizeSweep regenerates P2: digest-signed block-ack
+// signature cost vs block size.
 func BenchmarkBlockAckSizeSweep(b *testing.B) {
 	runExperiment(b, "P2", func(t *bench.Table, b *testing.B) {
-		b.ReportMetric(cell(t, 0, 3), "digest_sign_1KB_us")
-		b.ReportMetric(cell(t, len(t.Rows)-1, 3), "digest_sign_100KB_us")
-		b.ReportMetric(cell(t, len(t.Rows)-1, 1), "legacy_sign_100KB_us")
+		b.ReportMetric(cell(t, 0, 1), "digest_sign_1KB_us")
+		b.ReportMetric(cell(t, len(t.Rows)-1, 1), "digest_sign_100KB_us")
+		b.ReportMetric(cell(t, len(t.Rows)-1, 2), "digest_verify_100KB_us")
 	})
 }
 

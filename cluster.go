@@ -71,8 +71,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		VerifyWorkers: -1, // negative = GOMAXPROCS, sized by the pool
 	})
 	// The chaos net shapes every link of the shared in-process transport,
-	// so its counters carry the cluster-wide label rather than a node's.
+	// and every node verifies against the one key registry, so their
+	// counters carry the cluster-wide label rather than a node's.
 	cfg.Chaos.AttachMetrics(cfg.Metrics, "cluster")
+	c.reg.AttachMetrics(cfg.Metrics, "cluster")
 
 	ck, err := wcrypto.GenerateKey(CloudID)
 	if err != nil {

@@ -97,6 +97,7 @@ func main() {
 		log.Fatal(err)
 	}
 	faultNet.AttachMetrics(metrics, *id)
+	reg.AttachMetrics(metrics, *id)
 	t := transport.NewTCP(node, transport.TCPConfig{
 		Listen: *listen, Peers: peerMap, Fault: faultNet,
 		Lanes: *schedLanes, LaneDepth: *maxInflight,

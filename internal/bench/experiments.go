@@ -526,7 +526,7 @@ var Experiments = []struct {
 	{"S1", ShardScaling, "Shard scaling: put throughput vs edge count"},
 	{"R1", ReadScanBench, "Verified range scans: latency/row throughput vs range width vs shard count"},
 	{"P1", CryptoPipeline, "Crypto pipeline: wall-clock put hot path, serial vs pipelined"},
-	{"P2", BlockAckSizeSweep, "Block-ack signature cost vs block size (digest vs legacy body signing)"},
+	{"P2", BlockAckSizeSweep, "Block-ack signature cost vs block size (digest-signed ack, flat in block size)"},
 	{"D1", DurableSyncSweep, "Durable put path: group-commit (SyncEvery) fsync-amortization sweep"},
 	{"AV1", AvailabilityFailover, "Availability: 3-replica shard through killed-leader / convicted-follower transitions"},
 	{"CH1", ChaosSoak, "Chaos soak: seeded drop/dup/delay + leader partition, healing cost and invariants"},

@@ -274,8 +274,6 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	res := getCheck{uncertified: make(map[uint64][]byte)}
 	p := &m.Proof
 
-	var bestVer uint64
-	var bestVal []byte
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
 		Reg:   c.reg,
 		Edge:  c.cfg.Chain, // blocks and certificates carry the chain identity
@@ -283,18 +281,7 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 		Excludes: func(s *wire.BlockSummary) bool {
 			return s.ExcludesKey(key)
 		},
-		OnBlock: func(blk *wire.Block) {
-			for j := range blk.Entries {
-				e := &blk.Entries[j]
-				if len(e.Key) == 0 || !bytes.Equal(e.Key, key) {
-					continue
-				}
-				ver := blk.StartPos + uint64(j) + 1
-				if ver > bestVer {
-					bestVer, bestVal = ver, e.Value
-				}
-			}
-		},
+		Key: key,
 	}, p.L0Blocks, p.L0Certs, p.L0Pruned, p.L0PrunedCerts)
 	if err != nil {
 		return res, fmt.Errorf("%w: %v", errL0Window, err)
@@ -323,9 +310,9 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 		}
 	}
 
-	if bestVer > 0 {
+	if win.HitVer > 0 {
 		// Winner must come from L0.
-		if !m.Found || m.Ver != bestVer || !bytes.Equal(m.Value, bestVal) {
+		if !m.Found || m.Ver != win.HitVer || !bytes.Equal(m.Value, win.HitVal) {
 			return res, fmt.Errorf("returned value contradicts L0 contents")
 		}
 		advance()
@@ -333,12 +320,12 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	}
 
 	// No L0 hit: level evidence decides.
-	if len(p.Roots) == 0 && len(p.Levels) == 0 && len(p.Global.CloudSig) == 0 {
+	levelEvidence := len(p.Roots) > 0 || len(p.Levels) > 0
+	if !levelEvidence && len(p.Global.CloudSig) == 0 {
 		// No merged state exists yet, so nothing has ever been compacted:
-		// the L0 window must be the log itself, from block 0 — otherwise
-		// a dropped leading block could hide the key's only version.
-		if win.Slots > 0 && win.FirstID != 0 {
-			return res, fmt.Errorf("%w: no signed index state, yet L0 window starts at block %d", errL0Window, win.FirstID)
+		// the L0 window must be the log itself, from block 0.
+		if err := win.CheckFrontier(&p.Global, levelEvidence); err != nil {
+			return res, fmt.Errorf("%w: %v", errL0Window, err)
 		}
 		// Absence is then the only valid answer.
 		if m.Found {
@@ -363,9 +350,8 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	// served L0 window must start, so the edge cannot drop its oldest
 	// uncompacted blocks — which could hold the key's freshest version —
 	// and still claim completeness.
-	if win.Slots > 0 && win.FirstID != p.Global.L0From {
-		return res, fmt.Errorf("%w: L0 window starts at block %d, signed compaction frontier is %d",
-			errL0Window, win.FirstID, p.Global.L0From)
+	if err := win.CheckFrontier(&p.Global, levelEvidence); err != nil {
+		return res, fmt.Errorf("%w: %v", errL0Window, err)
 	}
 	if c.cfg.FreshnessWindow > 0 && now-p.Global.Ts > c.cfg.FreshnessWindow {
 		return res, ErrStale

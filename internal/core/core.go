@@ -462,10 +462,11 @@ func gossipSigner(reg *wcrypto.Registry, g *wire.Gossip) wire.NodeID {
 // judgeGetWindow re-runs the L0-window checks of a get response on behalf
 // of the Judge: window contiguity, cert/digest binding (inner cloud
 // signatures verified against the adjudicating cloud's own identity), the
-// compaction-frontier pinning, and exclusion soundness of every pruned
-// reference against the echoed key. Freshness and the value derivation
-// are exempt — the former is time-relative, the latter is covered by the
-// digest-contradiction path.
+// compaction-frontier rule the client applies (L0WindowCheck.CheckFrontier: an
+// L0 hit carries no index state and needs none), and exclusion soundness
+// of every pruned reference against the echoed key. Freshness and the
+// value derivation are exempt — the former is time-relative, the latter
+// is covered by the digest-contradiction path.
 func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.GetResponse) error {
 	p := &resp.Proof
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
@@ -475,6 +476,7 @@ func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.Ge
 		Excludes: func(s *wire.BlockSummary) bool {
 			return s.ExcludesKey(resp.Key)
 		},
+		Key: resp.Key,
 	}, p.L0Blocks, p.L0Certs, p.L0Pruned, p.L0PrunedCerts)
 	if err != nil {
 		return err
@@ -483,14 +485,8 @@ func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.Ge
 		if err := wcrypto.VerifyMsg(reg, self, &p.Global, p.Global.CloudSig); err != nil {
 			return fmt.Errorf("global root: %v", err)
 		}
-		if win.Slots > 0 && win.FirstID != p.Global.L0From {
-			return fmt.Errorf("L0 window starts at block %d, signed compaction frontier is %d",
-				win.FirstID, p.Global.L0From)
-		}
-	} else if len(p.Roots) == 0 && len(p.Levels) == 0 && win.Slots > 0 && win.FirstID != 0 {
-		return fmt.Errorf("no signed index state, yet L0 window starts at block %d", win.FirstID)
 	}
-	return nil
+	return win.CheckFrontier(&p.Global, len(p.Roots) > 0 || len(p.Levels) > 0)
 }
 
 // judgeDigest compares evidence block content against the certified digest.

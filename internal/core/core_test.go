@@ -193,6 +193,39 @@ func TestJudgeGetLie(t *testing.T) {
 	}
 }
 
+// TestJudgeGetL0HitNeedsNoIndexState: an honest edge answers a get whose
+// freshest version sits in the uncompacted window with the window alone —
+// no roots, no signed global (mlsm.AssembleGet) — and the client accepts
+// that shape. After the first compaction the window no longer starts at
+// block 0, and the Judge used to read "no index state" as "nothing was
+// ever compacted" and convict. The frontier rule exempts an L0 hit for
+// client and Judge alike; a window that does not hold the key is still
+// held to it.
+func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
+	keys, reg := testKeys(t)
+	ct := NewCertTable()
+	blk := wire.Block{
+		Edge: "edge-1", ID: 45, StartPos: 90,
+		Entries: []wire.Entry{{Client: "c1", Seq: 1, Key: []byte("hot"), Value: []byte("v")}},
+	}
+	ct.Certify("edge-1", 45, wcrypto.BlockDigest(&blk), 1)
+
+	dispute := func(key string) wire.Verdict {
+		resp := &wire.GetResponse{
+			ReqID: 1, Key: []byte(key),
+			Proof: wire.GetProof{L0Blocks: []wire.Block{blk}, L0Certs: []wire.BlockProof{{}}},
+		}
+		resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
+		return Judge(reg, ct, "cloud", "c1", BuildGetLieDispute(keys["c1"], "edge-1", 45, resp))
+	}
+	if v := dispute("hot"); v.Guilty {
+		t.Fatalf("honest L0-hit get convicted: %s", v.Reason)
+	}
+	if v := dispute("cold"); !v.Guilty {
+		t.Fatalf("window past block 0 without the key or index state acquitted: %s", v.Reason)
+	}
+}
+
 func TestJudgeOmission(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()

@@ -774,8 +774,8 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 	// digest already cached at block cut — and every responder carries
 	// the same signature regardless of block size. Faulty nodes tamper
 	// per victim and therefore sign per responder (the generic path
-	// recomputes the tampered digest); the SerialCrypto A/B baseline
-	// reproduces the legacy per-responder full-body signature.
+	// recomputes the tampered digest), and so does the SerialCrypto A/B
+	// baseline.
 	var sharedSig []byte
 	if n.cfg.Fault == nil && !n.cfg.SerialCrypto && len(responders) > 0 {
 		sharedSig = wcrypto.SignBlockAck(n.key, blk.ID, digest)
@@ -788,9 +788,6 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 			sendBlk = n.cfg.Fault.maybeTamperAdd(r.client, sendBlk)
 		}
 		sig := sharedSig
-		if sig == nil && n.cfg.SerialCrypto {
-			sig = wcrypto.SignLegacyBlockAck(n.key, blk.ID, &sendBlk)
-		}
 		if r.isPut {
 			resp := &wire.PutResponse{BID: blk.ID, Block: sendBlk, EdgeSig: sig}
 			if sig == nil {

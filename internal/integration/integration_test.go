@@ -13,6 +13,7 @@ import (
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/faultnet"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -39,7 +40,8 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
-	noPrune   bool // disable read-evidence pruning (E1 before/after shape)
+	noPrune   bool          // disable read-evidence pruning (E1 before/after shape)
+	net       *faultnet.Net // link faults; nil = a clean network
 }
 
 func newWorld(t *testing.T, o worldOpts) *world {
@@ -91,6 +93,7 @@ func newWorld(t *testing.T, o worldOpts) *world {
 	sm := sim.New(sim.Config{
 		TickEvery:   5 * ms,
 		DefaultLink: sim.Link{Latency: 1 * ms},
+		Fault:       o.net,
 	})
 	sm.Add(cl)
 	sm.Add(ed)

@@ -78,6 +78,7 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 		`wedge_disputes_total{node="cloud",verdict="guilty"} 0`,
 		`wedge_disputes_total{node="cloud",verdict="not_guilty"} 0`,
 		"wedge_edge_writes_total",
+		`wedge_wcrypto_bad_signatures_total{node="cluster"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -100,6 +101,14 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 	}
 	if reg.CounterValue("wedge_certifies_total") == 0 {
 		t.Error("wedge_certifies_total did not move")
+	}
+	// Every node of the façade verifies against one key registry: the
+	// edge checks each block proof once (a miss) and the client's check of
+	// the forwarded copy is answered from the memo (a hit).
+	for _, name := range []string{"wedge_wcrypto_verify_memo_misses_total", "wedge_wcrypto_verify_memo_hits_total"} {
+		if reg.CounterValue(name) == 0 {
+			t.Errorf("%s did not move", name)
+		}
 	}
 
 	if code, body := get("/healthz"); code != http.StatusOK || body != "ok\n" {

@@ -7,6 +7,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/faultnet"
 	"wedgechain/internal/wire"
 )
 
@@ -200,4 +201,51 @@ func TestPrunedGetFullWindowAccounting(t *testing.T) {
 		t.Fatalf("pruned evidence (%d B) not smaller than full (%d B)", prunedBytes, fullBytes)
 	}
 	t.Logf("evidence bytes: pruned=%d full=%d (%.1fx)", prunedBytes, fullBytes, float64(fullBytes)/float64(prunedBytes))
+}
+
+// TestHonestL0HitGetSurvivesDispute: after the first compaction an honest
+// edge answers a get for a freshly written key with the uncompacted
+// window alone (an L0 hit ships no index state), the window no longer
+// starts at block 0, and the block holding the key is not certified yet.
+// The client parks the get in Phase I; the edge's forwarded proof is then
+// lost, the proof timeout fires and the client disputes. The Judge re-runs
+// the client's window checks — including the client's L0-hit exemption
+// from the frontier rule — finds the evidence matching the certified
+// digest, and must not convict.
+func TestHonestL0HitGetSurvivesDispute(t *testing.T) {
+	net := faultnet.New(1)
+	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 2, net: net})
+	w.preloadKeys(t, 12)
+	if w.edge.Stats().Merges == 0 {
+		t.Fatal("no merges happened; test parameters wrong")
+	}
+
+	// Two puts cut a block at the edge one hop from now; the get queued
+	// behind them is served from that still-uncertified block. Its
+	// response reaches c1 two hops from now; everything the edge sends c1
+	// after that — the forwarded block proof above all — is lost.
+	t0 := w.sim.Now()
+	w.put(w.c2, "hot", "fresh")
+	w.put(w.c2, "hot2", "fresh2")
+	op := w.get(w.c1, "hot")
+	net.Partition("edge-1", "c1", t0+2*ms+ms/2, t0+s)
+	w.sim.RunUntil(t0 + s) // past the proof timeout: only ticks are pending meanwhile
+	w.settle(t, 2*s)
+
+	if w.c1.Stats().Disputes == 0 {
+		t.Fatal("get never disputed; test parameters wrong")
+	}
+	if resp := w.edge.AssembleGet([]byte("hot"), 999); len(resp.Proof.Roots) != 0 || resp.Proof.L0Blocks[0].ID == 0 {
+		t.Fatalf("get is not an L0 hit past block 0: %d roots, window from block %d",
+			len(resp.Proof.Roots), resp.Proof.L0Blocks[0].ID)
+	}
+	if reason, banned := w.cloud.Flagged("edge-1"); banned {
+		t.Fatalf("honest edge convicted: %s", reason)
+	}
+	if op.Verdict == nil || op.Verdict.Guilty {
+		t.Fatalf("verdict = %+v, want not guilty", op.Verdict)
+	}
+	if !op.Found || string(op.GotValue) != "fresh" {
+		t.Fatalf("get answered %q found=%v", op.GotValue, op.Found)
+	}
 }

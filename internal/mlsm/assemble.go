@@ -109,16 +109,7 @@ func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index, prune bool) 
 		if !full {
 			continue // an excluded block cannot hold the key
 		}
-		for i := range blk.Entries {
-			e := &blk.Entries[i]
-			if len(e.Key) == 0 || !bytes.Equal(e.Key, key) {
-				continue
-			}
-			ver := blk.StartPos + uint64(i) + 1
-			if ver > bestVer {
-				bestVer, bestVal = ver, e.Value
-			}
-		}
+		freshestIn(blk, key, &bestVer, &bestVal)
 	}
 	if bestVer > 0 {
 		// Freshest version is in L0: deeper levels are older by

@@ -30,6 +30,9 @@ type L0WindowParams struct {
 	// pruned block whose summary does not exclude the request is an
 	// unsound prune, provable from the signed response alone.
 	Excludes func(*wire.BlockSummary) bool
+	// Key, for a get, is the requested key: the check then reports the
+	// freshest version of it a full block of the window holds.
+	Key []byte
 	// OnBlock, when set, is called for every full block in window order
 	// (verifiers collect candidate versions here).
 	OnBlock func(*wire.Block)
@@ -49,6 +52,37 @@ type L0WindowCheck struct {
 	L0End uint64
 	// Slots counts window positions, full and pruned together.
 	Slots int
+	// HitVer and HitVal are the freshest version of L0WindowParams.Key
+	// held by a full block of the window; HitVer is 0 when none holds it
+	// or no key was given.
+	HitVer uint64
+	HitVal []byte
+}
+
+// CheckFrontier enforces where a verified window must start, given the
+// index state the response carries: at the cloud-signed compaction
+// frontier when a signed global root is present, and at block 0 when the
+// response claims nothing was ever compacted (no roots, no level
+// evidence) — otherwise a dropped leading block could hide the key's
+// freshest version. A window that holds the key is exempt: every block
+// before it is older than the hit, so the edge ships no index state with
+// an L0 hit (AssembleGet) and none is needed. Client and Judge both call
+// this, so what the client accepts the Judge cannot convict.
+func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence bool) error {
+	if c.Slots == 0 || c.HitVer > 0 {
+		return nil
+	}
+	if len(global.CloudSig) > 0 {
+		if c.FirstID != global.L0From {
+			return fmt.Errorf("L0 window starts at block %d, signed compaction frontier is %d",
+				c.FirstID, global.L0From)
+		}
+		return nil
+	}
+	if !levelEvidence && c.FirstID != 0 {
+		return fmt.Errorf("no signed index state, yet L0 window starts at block %d", c.FirstID)
+	}
+	return nil
 }
 
 // VerifyL0Window re-derives every claim a served L0 window makes:
@@ -123,6 +157,9 @@ func VerifyL0Window(p L0WindowParams, blocks []wire.Block, certs []wire.BlockPro
 			if err := checkCert(blk.ID, digest, &certs[bi]); err != nil {
 				return res, err
 			}
+			if p.Key != nil {
+				freshestIn(blk, p.Key, &res.HitVer, &res.HitVal)
+			}
 			if p.OnBlock != nil {
 				p.OnBlock(blk)
 			}
@@ -143,4 +180,18 @@ func VerifyL0Window(p L0WindowParams, blocks []wire.Block, certs []wire.BlockPro
 		}
 	}
 	return res, nil
+}
+
+// freshestIn raises (*ver, *val) to blk's newest version of key, if it
+// holds one newer than *ver. A version is the entry's log position + 1.
+func freshestIn(blk *wire.Block, key []byte, ver *uint64, val *[]byte) {
+	for i := range blk.Entries {
+		e := &blk.Entries[i]
+		if len(e.Key) == 0 || !bytes.Equal(e.Key, key) {
+			continue
+		}
+		if v := blk.StartPos + uint64(i) + 1; v > *ver {
+			*ver, *val = v, e.Value
+		}
+	}
 }

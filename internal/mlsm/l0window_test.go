@@ -231,3 +231,45 @@ func TestVerifyL0WindowLargeRun(t *testing.T) {
 		t.Fatalf("window shape: %+v", win)
 	}
 }
+
+// TestCheckFrontier pins the one rule on where a get's window must start
+// (shared by the client and the Judge): the signed compaction frontier
+// when a signed root is present, block 0 when the response claims nothing
+// was ever compacted, and no constraint when a full block holds the key.
+func TestCheckFrontier(t *testing.T) {
+	f := newWindowFixture(t)
+	tail := func(key string) L0WindowCheck { // window = blocks 1..2 only
+		p := f.params(key)
+		p.Key = []byte(key)
+		win, err := VerifyL0Window(p, f.blocks[1:], f.certs[1:], nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	signed := func(l0From uint64) *wire.SignedRoot {
+		return &wire.SignedRoot{L0From: l0From, CloudSig: []byte{1}}
+	}
+	hit, miss := tail("mango"), tail("apple")
+	if hit.HitVer != 2 || string(hit.HitVal) != "v" || miss.HitVer != 0 {
+		t.Fatalf("hit = (%d, %q), miss = %d", hit.HitVer, hit.HitVal, miss.HitVer)
+	}
+	for _, c := range []struct {
+		name          string
+		win           L0WindowCheck
+		global        *wire.SignedRoot
+		levelEvidence bool
+		ok            bool
+	}{
+		{"miss, no index state, window past block 0", miss, &wire.SignedRoot{}, false, false},
+		{"hit, no index state, window past block 0", hit, &wire.SignedRoot{}, false, true},
+		{"miss at the signed frontier", miss, signed(1), true, true},
+		{"miss behind the signed frontier", miss, signed(0), true, false},
+		{"hit behind the signed frontier", hit, signed(0), true, true},
+		{"empty window", L0WindowCheck{}, signed(7), true, true},
+	} {
+		if err := c.win.CheckFrontier(c.global, c.levelEvidence); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+}

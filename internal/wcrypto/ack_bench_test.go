@@ -1,7 +1,7 @@
 package wcrypto_test
 
 // Block-ack signature cost across block sizes: the digest-signed format
-// must be flat while the legacy full-body format grows with the block.
+// must be flat in the size of the block.
 // `make bench-micro` runs these; the P2 experiment reports the same sweep
 // as a table, and both use bench.AckSweepBlock so the axis has a single
 // definition. (External test package: bench imports wcrypto, so the
@@ -40,19 +40,6 @@ func BenchmarkBlockAckSignDigest(b *testing.B) {
 	}
 }
 
-func BenchmarkBlockAckSignLegacy(b *testing.B) {
-	k := wcrypto.DeterministicKey("edge-1")
-	for _, s := range ackSizes {
-		blk := ackBenchBlock(s.target)
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				wcrypto.SignLegacyBlockAck(k, blk.ID, blk)
-			}
-		})
-	}
-}
-
 func BenchmarkBlockAckVerifyDigest(b *testing.B) {
 	k := wcrypto.DeterministicKey("edge-1")
 	reg := wcrypto.NewRegistry()
@@ -64,6 +51,7 @@ func BenchmarkBlockAckVerifyDigest(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				reg.ForgetVerified()
 				if err := wcrypto.VerifyBlockAck(reg, k.ID, blk.ID, digest, sig); err != nil {
 					b.Fatal(err)
 				}

@@ -9,7 +9,9 @@ import (
 
 // Micro-benchmarks for the crypto hot paths: raw sign/verify, the pooled
 // signable-body encoding against the legacy allocating path, and the
-// verify pool against inline verification.
+// verify pool against inline verification. A loop that checks one fixed
+// signature calls ForgetVerified every iteration, so it times a first
+// verification; BenchmarkVerifyMemoHit times the repeat.
 
 func benchEntry(k KeyPair, seq uint64) wire.Entry {
 	e := wire.Entry{
@@ -41,6 +43,7 @@ func BenchmarkVerifyEntry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		reg.ForgetVerified()
 		if err := VerifyMsg(reg, k.ID, &e, e.Sig); err != nil {
 			b.Fatal(err)
 		}
@@ -72,9 +75,10 @@ func BenchmarkSignableBodyPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkPreVerifyBatchSession verifies a session-signed 100-entry
-// batch (one Ed25519 verification); BenchmarkPreVerifyBatchPerEntry the
-// same batch in the pre-PR per-entry format (100 verifications).
+// BenchmarkVerifyMsgPutBatch verifies a session-signed 100-entry batch
+// (one hash of the 15 KB body, one Ed25519 verification);
+// BenchmarkPreVerifyBatchPerEntry the same batch in the pre-PR per-entry
+// format (100 verifications).
 func benchBatch(signed bool) (*Registry, wire.Envelope) {
 	k := DeterministicKey("c1")
 	reg := NewRegistry()
@@ -93,11 +97,12 @@ func benchBatch(signed bool) (*Registry, wire.Envelope) {
 	return reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: batch}
 }
 
-func BenchmarkPreVerifyBatchSession(b *testing.B) {
+func BenchmarkVerifyMsgPutBatch(b *testing.B) {
 	reg, env := benchBatch(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		reg.ForgetVerified()
 		if !PreVerify(reg, env) {
 			b.Fatal("verify failed")
 		}
@@ -109,8 +114,68 @@ func BenchmarkPreVerifyBatchPerEntry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		reg.ForgetVerified()
 		if !PreVerify(reg, env) {
 			b.Fatal("verify failed")
+		}
+	}
+}
+
+// BenchmarkSignMsgMerge1MB signs a compaction request of about 1 MB —
+// the largest body the edge signs: one SHA-256 pass over it, then
+// Ed25519 over 32 bytes.
+func BenchmarkSignMsgMerge1MB(b *testing.B) {
+	k := DeterministicKey("edge-1")
+	m := &wire.MergeRequest{Edge: k.ID, ReqID: 1, FromLevel: 1}
+	for p := 0; p < 60; p++ {
+		page := wire.Page{Level: 1, Seq: uint64(p), Ts: 1}
+		for i := 0; i < 100; i++ {
+			page.KVs = append(page.KVs, wire.KV{
+				Key: []byte(fmt.Sprintf("k%08d", p*100+i)), Value: make([]byte, 128), Ver: uint64(i + 1)})
+		}
+		m.SrcPages = append(m.SrcPages, page)
+	}
+	b.SetBytes(int64(len(m.SignableBytes())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SignMsg(k, m)
+	}
+}
+
+// benchProof is the statement clients see again and again: a cloud-signed
+// block certificate.
+func benchProof() (*Registry, *wire.BlockProof) {
+	k := DeterministicKey("cloud")
+	reg := NewRegistry()
+	reg.Register(k.ID, k.Pub)
+	p := &wire.BlockProof{Edge: "edge-1", BID: 7, Digest: Digest([]byte("blk"))}
+	p.CloudSig = SignMsg(k, p)
+	return reg, p
+}
+
+// BenchmarkVerifyMemoMiss is the first verification of a certificate
+// (hash, lookup, Ed25519, insert); BenchmarkVerifyMemoHit is every later
+// one against the same registry (hash, lookup).
+func BenchmarkVerifyMemoMiss(b *testing.B) {
+	reg, p := benchProof()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.ForgetVerified()
+		if err := VerifyMsg(reg, "cloud", p, p.CloudSig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkVerifyMemoHit(b *testing.B) {
+	reg, p := benchProof()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := VerifyMsg(reg, "cloud", p, p.CloudSig); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -119,8 +184,12 @@ func BenchmarkVerifyPoolThroughput(b *testing.B) {
 	k := DeterministicKey("c1")
 	reg := NewRegistry()
 	reg.Register(k.ID, k.Pub)
-	e := benchEntry(k, 1)
-	env := wire.Envelope{From: k.ID, To: "edge-1", Msg: &wire.PutRequest{Entry: e}}
+	// Distinct requests, more of them than the memo remembers: every
+	// verification the pool performs is a first verification.
+	envs := make([]wire.Envelope, min(b.N, 2*MemoCap))
+	for i := range envs {
+		envs[i] = wire.Envelope{From: k.ID, To: "edge-1", Msg: &wire.PutRequest{Entry: benchEntry(k, uint64(i+1))}}
+	}
 	done := make(chan struct{}, 1)
 	n := 0
 	pool := NewVerifyPool(reg, -1, 256, func(out wire.Envelope) {
@@ -135,7 +204,7 @@ func BenchmarkVerifyPoolThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Submit(env)
+		pool.Submit(envs[i%len(envs)])
 	}
 	<-done
 }

@@ -2,6 +2,15 @@
 // identities and signatures, SHA-256 digests, and the key registry that
 // binds node identities to public keys.
 //
+// Two rules hold for every signature in the system, both enforced inside
+// the only two functions that call crypto/ed25519 (KeyPair.Sign and
+// Registry.Verify). Hash once: Ed25519 runs over the 32-byte SHA-256
+// digest of a fixed context tag followed by the signable body, so a body
+// of any size costs one hash per signer and one per verifier. Verify
+// once: a Registry remembers the (public key, body digest, signature)
+// triples that passed, so a byte-identical statement presented again
+// costs a hash and a lookup instead of a curve operation.
+//
 // Identities being known and bound to keys is the premise of lazy
 // certification (Section II-D of the paper): a malicious edge cannot deny
 // its signed statements, cannot forge others', and cannot re-enter under a
@@ -16,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"wedgechain/internal/obs"
 	"wedgechain/internal/wire"
 )
 
@@ -54,17 +64,62 @@ func DeterministicKey(id wire.NodeID) KeyPair {
 	return KeyPair{ID: id, Pub: priv.Public().(ed25519.PublicKey), Priv: priv}
 }
 
+// signTag is the context tag every signed digest starts from. It
+// separates WedgeChain statements from any other use of a node's key and
+// names the scheme: changing the tag, the hash or a body encoding is a
+// format break (TestSignatureGoldenVector pins all three).
+const signTag = "wedgechain/sig/v2\x00"
+
+// signedDigest returns SHA-256(signTag ‖ msg), the 32 bytes Ed25519
+// actually signs.
+func signedDigest(msg []byte) (d [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write([]byte(signTag))
+	h.Write(msg)
+	h.Sum(d[:0])
+	return d
+}
+
 // Sign signs msg with the pair's private key.
 func (k KeyPair) Sign(msg []byte) []byte {
-	return ed25519.Sign(k.Priv, msg)
+	d := signedDigest(msg)
+	return ed25519.Sign(k.Priv, d[:])
 }
+
+// verified identifies one signature check completely: Ed25519
+// verification is a deterministic function of these three values, so a
+// triple that passed once passes always.
+type verified struct {
+	pub    [ed25519.PublicKeySize]byte
+	digest [sha256.Size]byte
+	sig    [ed25519.SignatureSize]byte
+}
+
+// memoGen is the capacity of one generation of a registry's
+// verified-signature memo; two generations are kept, so a registry
+// remembers at most 2*memoGen triples (0.5 MB of keys, about 1 MB with
+// the map's slack).
+const memoGen = 2048
 
 // Registry maps node identities to public keys. It is safe for concurrent
 // use. Every node holds (a copy of) the registry; in the paper's model the
 // application owner distributes it out of band.
+//
+// A registry also memoises the signature checks that succeeded against
+// it (successes only: a forgery is never recorded). The memo is keyed by
+// the public-key bytes, not the identity, so rebinding an identity with
+// Register can never be answered from entries verified under the old key.
+// It is allocated on first insert and holds two generations of at most
+// memoGen triples: when the current one fills it becomes the previous one
+// and the oldest is dropped.
 type Registry struct {
-	mu   sync.RWMutex
-	keys map[wire.NodeID]ed25519.PublicKey
+	mu        sync.RWMutex
+	keys      map[wire.NodeID]ed25519.PublicKey
+	cur, prev map[verified]struct{}
+
+	// Mirrors of the verification outcomes (see AttachMetrics); nil-safe
+	// no-ops until attached.
+	mHits, mMisses, mBad *obs.Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -106,16 +161,71 @@ func (r *Registry) IDs() []wire.NodeID {
 	return out
 }
 
+// AttachMetrics mirrors the registry's verification outcomes into reg as
+// wedge_wcrypto_*_total series labeled {node}: signatures answered from
+// the verified-signature memo, signatures that took an Ed25519
+// verification and passed, and signatures rejected.
+func (r *Registry) AttachMetrics(reg *obs.Registry, node string) {
+	if reg == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mHits = reg.CounterVec("wedge_wcrypto_verify_memo_hits_total", "signature checks answered from the verified-signature memo", "node").With(node)
+	r.mMisses = reg.CounterVec("wedge_wcrypto_verify_memo_misses_total", "signature checks that ran Ed25519 and passed", "node").With(node)
+	r.mBad = reg.CounterVec("wedge_wcrypto_bad_signatures_total", "signature checks that failed", "node").With(node)
+}
+
 // Verify checks sig over msg against id's registered key.
 func (r *Registry) Verify(id wire.NodeID, msg, sig []byte) error {
-	pub, ok := r.Lookup(id)
+	r.mu.RLock()
+	pub, ok := r.keys[id]
+	hits, misses, bad := r.mHits, r.mMisses, r.mBad
+	r.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("wcrypto: unknown identity %q", id)
 	}
-	if len(sig) != ed25519.SignatureSize || !ed25519.Verify(pub, msg, sig) {
+	if len(sig) != ed25519.SignatureSize || len(pub) != ed25519.PublicKeySize {
+		bad.Inc()
 		return fmt.Errorf("wcrypto: bad signature from %q", id)
 	}
+	// The body is hashed outside the lock: it can be a megabyte.
+	v := verified{digest: signedDigest(msg)}
+	copy(v.pub[:], pub)
+	copy(v.sig[:], sig)
+	r.mu.RLock()
+	_, hit := r.cur[v]
+	if !hit {
+		_, hit = r.prev[v]
+	}
+	r.mu.RUnlock()
+	if hit {
+		hits.Inc()
+		return nil
+	}
+	if !ed25519.Verify(pub, v.digest[:], sig) {
+		bad.Inc()
+		return fmt.Errorf("wcrypto: bad signature from %q", id)
+	}
+	misses.Inc()
+	r.mu.Lock()
+	r.remember(v)
+	r.mu.Unlock()
 	return nil
+}
+
+// remember records a triple that passed Ed25519. The caller holds r.mu.
+func (r *Registry) remember(v verified) {
+	if len(r.cur) >= memoGen {
+		// Rotate: the previous generation is forgotten and its storage
+		// reused, so a busy registry stops allocating after two fills.
+		r.cur, r.prev = r.prev, r.cur
+		clear(r.cur)
+	}
+	if r.cur == nil {
+		r.cur = make(map[verified]struct{})
+	}
+	r.cur[v] = struct{}{}
 }
 
 // Signable is any message type carrying a signature over its canonical
@@ -244,18 +354,13 @@ func SignScanResponse(k KeyPair, m *wire.ScanResponse, l0Digests [][]byte) []byt
 	return sig
 }
 
-// SignLegacyBlockAck reproduces the pre-digest wire format — a signature
-// over BID plus the block's full re-encoded body — so the serial-crypto
-// A/B baseline and the block-size sweep can measure what the old scheme
-// cost. Production paths never call it.
-func SignLegacyBlockAck(k KeyPair, bid uint64, b *wire.Block) []byte {
+// PageHash returns the digest of a page's canonical encoding — a Merkle
+// leaf component. The encoding is only ever hashed, so it is written into
+// a pooled buffer rather than a fresh one per page.
+func PageHash(p *wire.Page) []byte {
 	e := wire.GetEncoder()
-	e.U64(bid)
-	b.EncodeTo(e)
-	sig := k.Sign(e.Bytes())
+	p.EncodeTo(e)
+	d := Digest(e.Bytes())
 	wire.PutEncoder(e)
-	return sig
+	return d
 }
-
-// PageHash returns the digest of a page's canonical encoding.
-func PageHash(p *wire.Page) []byte { return Digest(p.Canonical()) }

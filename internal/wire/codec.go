@@ -339,15 +339,24 @@ func (d *Decoder) Str() string {
 // ID reads a node identity.
 func (d *Decoder) ID() NodeID { return NodeID(d.Str()) }
 
-// Count reads a element count for a slice, bounded to avoid hostile
-// allocations.
-func (d *Decoder) Count() int {
+// Count reads an element count for a slice. Decoding runs on bytes no
+// signature has vouched for yet, and callers allocate the slice before
+// reading its elements, so a count the remaining input cannot satisfy —
+// every element encodes to at least one byte — fails here as truncation.
+func (d *Decoder) Count() int { return d.count(1) }
+
+// count is Count for elements that encode to at least minSize bytes each.
+func (d *Decoder) count(minSize int) int {
 	n := d.U32()
 	if d.err != nil {
 		return 0
 	}
 	if n > maxLen {
 		d.err = fmt.Errorf("wire: count %d exceeds limit", n)
+		return 0
+	}
+	if int(n) > (len(d.buf)-d.off)/minSize {
+		d.fail()
 		return 0
 	}
 	return int(n)
@@ -371,27 +380,13 @@ func decodeSlice[T any](d *Decoder, fn func(*T, *Decoder)) []T {
 // decodeBlobs reads a counted sequence of length-prefixed byte strings,
 // decoding an empty sequence as nil.
 func decodeBlobs(d *Decoder) [][]byte {
-	n := d.Count()
+	n := d.count(4) // each blob carries its length
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = d.Blob()
-	}
-	return out
-}
-
-// decodeU64s reads a counted sequence of uint64s, decoding an empty
-// sequence as nil.
-func decodeU64s(d *Decoder) []uint64 {
-	n := d.Count()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.U64()
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -137,4 +139,75 @@ func TestBlobLengthLimit(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("Blob accepted absurd length")
 	}
+}
+
+// TestCountBoundedByRemainingInput: decoding runs before any signature is
+// checked, and the slice helpers allocate before they read an element. A
+// 20-byte frame claiming 2^30 elements must fail as truncated input
+// without allocating for the claim.
+func TestCountBoundedByRemainingInput(t *testing.T) {
+	var e Encoder
+	e.U16(uint16(KindCloudPutBatch))
+	e.ID("a")
+	e.ID("b")
+	e.U32(1 << 30) // entry count
+	e.U32(0)       // four stray bytes: 20 in all
+	frame := e.Bytes()
+	if len(frame) != 20 {
+		t.Fatalf("frame is %d bytes", len(frame))
+	}
+	decoders := map[string]func() error{
+		"envelope": func() error { _, err := DecodeEnvelope(frame); return err },
+		"slice": func() error {
+			d := NewDecoder(frame[12:])
+			decodeSlice(d, (*Entry).DecodeFrom)
+			return d.Err()
+		},
+		"blobs": func() error {
+			d := NewDecoder(frame[12:])
+			decodeBlobs(d)
+			return d.Err()
+		},
+	}
+	for name, decode := range decoders {
+		if err := decode(); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = decode()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+			t.Errorf("%s: allocated %d bytes for a 20-byte frame", name, got)
+		}
+	}
+
+	// The bound is exact: a count the input can hold still decodes.
+	var ok Encoder
+	ok.U32(2)
+	ok.Blob([]byte("x"))
+	ok.Blob(nil)
+	d := NewDecoder(ok.Bytes())
+	if got := decodeBlobs(d); len(got) != 2 || d.Finish() != nil {
+		t.Fatalf("decodeBlobs = %q, err %v", got, d.Finish())
+	}
+}
+
+// FuzzDecodeEnvelope: no input may panic the decoder, and whatever it
+// accepts is canonical — re-encoding reproduces the input. The seed
+// corpus is one encoded envelope of every kind (plain `go test` runs the
+// seeds).
+func FuzzDecodeEnvelope(f *testing.F) {
+	for _, m := range sampleMessages() {
+		f.Add(EncodeEnvelope(Envelope{From: "a", To: "b", Msg: m}))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		env, err := DecodeEnvelope(b)
+		if err != nil {
+			return
+		}
+		if re := EncodeEnvelope(env); !bytes.Equal(re, b) {
+			t.Fatalf("%v: accepted input is not canonical:\n in %x\nout %x", env.Msg.MsgKind(), b, re)
+		}
+	})
 }

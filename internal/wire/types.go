@@ -300,14 +300,6 @@ func (p *Page) DecodeFrom(d *Decoder) {
 	p.KVs = decodeSlice(d, (*KV).DecodeFrom)
 }
 
-// Canonical returns the page's canonical encoding, the preimage of the
-// page hash used as a Merkle leaf component.
-func (p *Page) Canonical() []byte {
-	var e Encoder
-	p.EncodeTo(&e)
-	return e.Bytes()
-}
-
 // Contains reports whether key falls in the page's half-open range.
 func (p *Page) Contains(key []byte) bool {
 	if p.Lo != nil && bytes.Compare(key, p.Lo) < 0 {

@@ -78,6 +78,12 @@ require edge 'wedge_edge_certified_blocks_total{node="edge-1"} [1-9]'
 require edge 'wedge_trust_lag_seconds_count{node="edge-1",stage="edge"} [1-9]'
 require edge 'wedge_transport_frames_sent_total{node="edge-1"} [1-9]'
 require edge 'wedge_transport_lane_drops_total{node="edge-1"}'
+# Signature checks: a certified write costs the edge first verifications
+# (the client's request, the cloud's proof); nothing has repeated or
+# failed yet, so the hit and bad-signature series only have to exist.
+require edge 'wedge_wcrypto_verify_memo_misses_total{node="edge-1"} [1-9]'
+require edge 'wedge_wcrypto_verify_memo_hits_total{node="edge-1"}'
+require edge 'wedge_wcrypto_bad_signatures_total{node="edge-1"}'
 # Cloud: certification, proof cache, disputes by verdict.
 require cloud 'wedge_certifies_total{node="cloud"} [1-9]'
 require cloud 'wedge_certify_seconds_count{node="cloud"} [1-9]'
@@ -85,6 +91,9 @@ require cloud 'wedge_cloud_proof_cache_hits_total{node="cloud"}'
 require cloud 'wedge_disputes_total{node="cloud",verdict="guilty"}'
 require cloud 'wedge_disputes_total{node="cloud",verdict="not_guilty"}'
 require cloud 'wedge_transport_frames_sent_total{node="cloud"} [1-9]'
+require cloud 'wedge_wcrypto_verify_memo_misses_total{node="cloud"} [1-9]'
+require cloud 'wedge_wcrypto_verify_memo_hits_total{node="cloud"}'
+require cloud 'wedge_wcrypto_bad_signatures_total{node="cloud"}'
 
 echo "metrics-smoke: profiling the live edge (1s)"
 curl -fsS -o "$WORK/profile.pb.gz" "http://$EDGE_METRICS/debug/pprof/profile?seconds=1"
