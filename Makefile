@@ -29,15 +29,17 @@ bench:
 bench-json:
 	$(GO) run ./cmd/wedge-bench -run all -quick -json BENCH_quick.json
 
-# Micro-benchmarks for the crypto/wire/merkle hot paths (allocation
-# counts included; the *Legacy benchmarks reproduce the pre-pipeline
-# implementations for comparison, the BlockAck* benchmarks sweep block
-# sizes to show the digest-signed ack's flat cost, SignMsgMerge1MB and
-# VerifyMsgPutBatch time hash-once signatures over the largest and the
-# most frequent bodies, and VerifyMemoMiss/VerifyMemoHit the first and
-# every later check of one certificate).
+# Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
+# (allocation counts included; the *Legacy benchmarks reproduce the
+# pre-pipeline implementations for comparison, the BlockAck* benchmarks
+# sweep block sizes to show the digest-signed ack's flat cost,
+# SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time the
+# signatures over the largest and the most frequent messages,
+# VerifyMemoMiss/VerifyMemoHit the first and every later check of one
+# certificate, MergeSorted/MergeL0 the compaction both sides now run, and
+# CertifiedThrough the frontier lookup every proof makes).
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
 
 # P1 crypto-pipeline experiment (wall-clock serial vs pipelined put hot
 # path) as a machine-readable artifact. Not part of `ci`: bench-pr3 runs

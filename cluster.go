@@ -176,7 +176,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			FlushEvery:      cfg.FlushEvery.Nanoseconds(),
 			L0Threshold:     cfg.L0Threshold,
 			LevelThresholds: cfg.LevelThresholds,
-			PageCap:         cfg.PageCap,
 			Fault:           cfg.EdgeFaults[id],
 			Followers:       followers[id],
 			HeartbeatEvery:  heartbeatEvery,
@@ -200,7 +199,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				FlushEvery:      cfg.FlushEvery.Nanoseconds(),
 				L0Threshold:     cfg.L0Threshold,
 				LevelThresholds: cfg.LevelThresholds,
-				PageCap:         cfg.PageCap,
 				Fault:           cfg.EdgeFaults[fid],
 				HeartbeatEvery:  heartbeatEvery,
 				MaxUncertified:  cfg.MaxUncertified,

@@ -55,7 +55,7 @@ func main() {
 		// goroutine per peer.
 		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
 		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
-		certRetry   = flag.Duration("cert-retry", 0, "re-submit certification after the frontier stalls this long (0 = 1s default in groups, negative disables)")
+		certRetry   = flag.Duration("cert-retry", 0, "re-submit certification after the frontier stalls this long, and a merge request unanswered this long (0 = 1s default in groups, negative disables)")
 		catchUp     = flag.Duration("catchup-every", 0, "follower gap-driven catch-up period (0 = 500ms default in groups, negative disables)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
 		chaos       = cli.RegisterChaos()

@@ -79,8 +79,8 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 	fw.edge = edge.New(edge.Config{
 		ID: edgeID, Cloud: cloudID,
 		BatchSize: 100, L0Threshold: 2,
-		LevelThresholds: []int{2, 4, 8}, PageCap: 100,
-		Fault: fault,
+		LevelThresholds: []int{2, 4, 8},
+		Fault:           fault,
 	}, keys[edgeID], reg)
 	mk := func(id wire.NodeID) *client.Core {
 		return client.New(client.Config{

@@ -51,8 +51,10 @@ type CostParams struct {
 	// MergeBase and MergePerByte model the cloud-side compaction.
 	MergeBase    int64
 	MergePerByte float64
-	// ApplyBase and ApplyPerByte model the Edge-baseline edge applying
-	// a state push.
+	// ApplyBase and ApplyPerByte model an edge installing index state it
+	// was sent or has to derive: the Edge-baseline edge applying a state
+	// push, a WedgeChain follower a mirrored merge, a WedgeChain leader
+	// re-running the merge whose roots the cloud signed.
 	ApplyBase    int64
 	ApplyPerByte float64
 	// Batch is the experiment's batch size B (certification cost is
@@ -83,6 +85,10 @@ func DefaultCosts(batch int) CostParams {
 
 // Fn builds the simulator cost function for the given role assignment.
 func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
+	// mergeInputs is the size of the merge request each edge has in
+	// flight. A merge response carries roots, not pages: the leader pays
+	// for re-running the merge over those inputs when the answer arrives.
+	mergeInputs := map[wire.NodeID]int{}
 	return func(node wire.NodeID, in wire.Envelope, outs []wire.Envelope) int64 {
 		role := roles[node]
 		cost := p.Base
@@ -128,7 +134,10 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			}
 		case *wire.MergeResponse:
 			if role == REdge && m.OK {
-				cost += p.ApplyBase + int64(p.ApplyPerByte*float64(wire.EncodedSize(in)))
+				// A mirrored response brings its pages; the cloud's own
+				// brings none and the inputs are merged again here.
+				cost += p.ApplyBase + int64(p.ApplyPerByte*float64(wire.EncodedSize(in)+mergeInputs[node]))
+				delete(mergeInputs, node)
 			}
 		}
 
@@ -139,6 +148,8 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			case *wire.BlockCertify:
 				// WedgeChain edge cut a block.
 				cost += p.CutBaseEdge + p.CutPerOp*int64(p.Batch)
+			case *wire.MergeRequest:
+				mergeInputs[node] = wire.EncodedSize(out)
 			case *wire.EBStatePush:
 				// Edge-baseline cloud committed a batch (and possibly
 				// compacted: pages ride along and cost per byte).

@@ -297,7 +297,6 @@ func BuildWorld(cfg WorldCfg) *World {
 				FlushEvery:      cfg.FlushEvery,
 				L0Threshold:     cfg.L0Threshold,
 				LevelThresholds: cfg.LevelThresholds,
-				PageCap:         cfg.Batch,
 				FullDataCert:    cfg.FullDataCert,
 				NoL0Prune:       cfg.NoL0Prune,
 				SyncEvery:       syncEvery,

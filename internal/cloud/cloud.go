@@ -6,7 +6,8 @@
 // The cloud never holds block payloads for certification — only digests
 // (data-free coordination). For merges it receives page data transiently,
 // verifies it against its own leaf tables, merges, signs the new roots and
-// discards the data, retaining hashes only.
+// discards the data, retaining hashes only; its answer carries the roots
+// and no pages (the edge re-derives them).
 package cloud
 
 import (
@@ -126,6 +127,14 @@ type edgeState struct {
 	trees      []*merkle.Tree
 	epoch      uint64
 	pageSeq    uint64
+	// lastMerge is the response to the latest successful merge and
+	// lastMergeSig the EdgeSig of its request. The cloud's state has moved
+	// past that request, so a repeat of it (the edge re-sends when the
+	// answer is lost) is answered with lastMerge, never merged twice. The
+	// signature, not ReqID alone, identifies the request: a promoted
+	// leader numbers its requests from its own counter.
+	lastMerge    *wire.MergeResponse
+	lastMergeSig []byte
 }
 
 // Node is the cloud node state machine. Not safe for concurrent use.
@@ -328,7 +337,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return out
 	case *wire.MergeRequest:
 		n.m.bytesFromEdge.Add(uint64(wire.EncodedSize(env)))
-		return n.handleMerge(now, env.From, m, env.Verified)
+		return n.handleMerge(now, env.From, m)
 	case *wire.Dispute:
 		return n.handleDispute(now, env.From, m)
 	case *wire.ReplicaHeartbeat:
@@ -679,8 +688,12 @@ func (n *Node) attachProof(chain wire.NodeID, bid uint64, to wire.NodeID) []wire
 // handleMerge implements the merge protocol of Section V-B: verify the
 // shipped pages against certified digests and leaf tables, perform the LSM
 // merge, rebuild the level Merkle tree, and sign the new roots and global
-// root with a freshness timestamp.
-func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest, verified bool) []wire.Envelope {
+// root with a freshness timestamp. Every shipped block and page is hashed
+// once: the digests and leaves computed up front serve the signature check
+// (the request is signed over them), the certified-digest comparison and
+// the leaf-table check. The response carries no pages — the edge holds the
+// inputs and re-derives them.
+func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []wire.Envelope {
 	reject := func(reason string) []wire.Envelope {
 		n.m.mergeRejects.Inc()
 		resp := &wire.MergeResponse{Edge: m.Edge, ReqID: m.ReqID, OK: false, Reason: reason, FromLevel: m.FromLevel}
@@ -694,12 +707,18 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest, ve
 	if _, banned := n.punish.Banned(from); banned {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig); err != nil {
-			return reject("bad edge signature")
-		}
-	}
 	st := n.edge(m.Edge)
+	if st.lastMerge != nil && st.lastMerge.ReqID == m.ReqID && bytes.Equal(st.lastMergeSig, m.EdgeSig) {
+		return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: st.lastMerge}}
+	}
+	l0Digests := make([][]byte, len(m.L0Blocks))
+	for i := range m.L0Blocks {
+		l0Digests[i] = wcrypto.RecomputedBlockDigest(&m.L0Blocks[i])
+	}
+	srcLeaves, dstLeaves := mlsm.PageLeaves(m.SrcPages), mlsm.PageLeaves(m.DstPages)
+	if err := wcrypto.VerifyMergeRequest(n.reg, from, m, l0Digests, srcLeaves, dstLeaves); err != nil {
+		return reject("bad edge signature")
+	}
 	lvl := int(m.FromLevel)
 	if lvl < 0 || lvl >= n.cfg.Levels {
 		return reject("source level out of range")
@@ -724,9 +743,10 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest, ve
 			if !ok {
 				return reject(fmt.Sprintf("L0 block %d not certified", blk.ID))
 			}
-			if !bytes.Equal(wcrypto.RecomputedBlockDigest(blk), certified) {
+			if !bytes.Equal(l0Digests[i], certified) {
 				// The edge shipped content contradicting its own
-				// certified digest: caught lying.
+				// certified digest, and signed for it: the digest in the
+				// signed body commits this block id. Caught lying.
 				v := wire.Verdict{
 					Edge: from, BID: blk.ID, Kind: wire.DisputeAddLie, Guilty: true,
 					Reason: fmt.Sprintf("merge shipped block %d contradicting certified digest", blk.ID),
@@ -742,27 +762,24 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest, ve
 		consumedTo = want - 1
 		n.certs.AddEntries(m.Edge, entries)
 	} else {
-		if err := n.verifyLevel(st, lvl, m.SrcPages); err != nil {
+		if err := n.verifyLevel(st, lvl, srcLeaves); err != nil {
 			return reject(err.Error())
 		}
 		srcKVs = mlsm.PagesKVs(m.SrcPages)
 	}
-	if err := n.verifyLevel(st, lvl+1, m.DstPages); err != nil {
+	if err := n.verifyLevel(st, lvl+1, dstLeaves); err != nil {
 		return reject(err.Error())
 	}
 
-	newPages := mlsm.Merge(srcKVs, m.DstPages, uint32(lvl+1), n.cfg.PageCap, st.pageSeq, now)
-	st.pageSeq += uint64(len(newPages))
+	pageSeq := st.pageSeq
+	merged := mlsm.Merge(srcKVs, m.DstPages, uint32(lvl+1), n.cfg.PageCap, pageSeq, now)
+	st.pageSeq += uint64(len(merged))
 
 	// Refresh leaf tables: target level gets the merged pages; a source
 	// level > 0 becomes empty.
 	target := lvl // 0-based slot for level lvl+1
-	leaves := make([][]byte, len(newPages))
-	for i := range newPages {
-		leaves[i] = mlsm.PageLeaf(&newPages[i])
-	}
-	st.leaves[target] = leaves
-	st.trees[target] = merkle.New(leaves)
+	st.leaves[target] = mlsm.PageLeaves(merged)
+	st.trees[target] = merkle.New(st.leaves[target])
 	if lvl > 0 {
 		st.leaves[lvl-1] = nil
 		st.trees[lvl-1] = merkle.New(nil)
@@ -802,28 +819,32 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest, ve
 		ReqID:      m.ReqID,
 		OK:         true,
 		FromLevel:  m.FromLevel,
-		NewPages:   newPages,
+		PageSeq:    pageSeq,
+		PageCap:    uint32(n.cfg.PageCap),
 		Roots:      roots,
 		Global:     global,
 		ConsumedTo: consumedTo,
 	}
 	resp.CloudSig = wcrypto.SignMsg(n.key, resp)
+	// Copied: a decoded request's signature aliases its half-megabyte frame.
+	st.lastMerge, st.lastMergeSig = resp, append([]byte(nil), m.EdgeSig...)
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }
 
 // verifyLevel checks that the pages the edge shipped for level lvl
-// (1-based) are exactly the pages the cloud's leaf table remembers: same
-// count, same hashes, same order. An empty table expects no pages.
-func (n *Node) verifyLevel(st *edgeState, lvl int, pages []wire.Page) error {
+// (1-based), given by their recomputed leaves, are exactly the pages the
+// cloud's leaf table remembers: same count, same hashes, same order. An
+// empty table expects no pages.
+func (n *Node) verifyLevel(st *edgeState, lvl int, leaves [][]byte) error {
 	if lvl < 1 || lvl > n.cfg.Levels {
 		return fmt.Errorf("level %d out of range", lvl)
 	}
 	want := st.leaves[lvl-1]
-	if len(pages) != len(want) {
-		return fmt.Errorf("level %d: %d pages shipped, %d on record", lvl, len(pages), len(want))
+	if len(leaves) != len(want) {
+		return fmt.Errorf("level %d: %d pages shipped, %d on record", lvl, len(leaves), len(want))
 	}
-	for i := range pages {
-		if !bytes.Equal(mlsm.PageLeaf(&pages[i]), want[i]) {
+	for i := range leaves {
+		if !bytes.Equal(leaves[i], want[i]) {
 			return fmt.Errorf("level %d: page %d does not match recorded hash", lvl, i)
 		}
 	}

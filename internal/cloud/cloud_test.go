@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"wedgechain/internal/core"
@@ -148,20 +149,49 @@ func (f *fixture) merge(t *testing.T, m *wire.MergeRequest) *wire.MergeResponse 
 	return resp
 }
 
+// derivePages re-runs a merge the way the edge does: over the request it
+// kept, with the page numbering, capacity and timestamp the response
+// carries under the cloud's signature.
+func derivePages(req *wire.MergeRequest, resp *wire.MergeResponse) []wire.Page {
+	srcKVs := mlsm.PagesKVs(req.SrcPages)
+	for i := range req.L0Blocks {
+		srcKVs = append(srcKVs, mlsm.BlockKVs(&req.L0Blocks[i])...)
+	}
+	return mlsm.Merge(srcKVs, req.DstPages, req.FromLevel+1, int(resp.PageCap), resp.PageSeq, resp.Global.Ts)
+}
+
 func TestMergeL0ProducesSignedRoots(t *testing.T) {
 	f := newFixture(t, Config{Levels: 2, PageCap: 2})
 	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
 	b1 := f.buildCertifiedBlock(t, 1, "c", "a")
 
-	resp := f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0, b1}})
+	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0, b1}}
+	resp := f.merge(t, req)
 	if !resp.OK {
 		t.Fatalf("merge rejected: %s", resp.Reason)
 	}
 	if resp.ConsumedTo != 1 {
 		t.Fatalf("ConsumedTo = %d", resp.ConsumedTo)
 	}
-	if err := mlsm.CheckLevel(resp.NewPages); err != nil {
+	// The response is data-free: roots and the merge's three scalars under
+	// the cloud's signature, no pages.
+	if len(resp.NewPages) != 0 {
+		t.Fatalf("cloud shipped %d pages", len(resp.NewPages))
+	}
+	if resp.PageCap != 2 || resp.PageSeq != 0 || resp.Global.Ts != 5 {
+		t.Fatalf("merge scalars = cap %d seq %d ts %d", resp.PageCap, resp.PageSeq, resp.Global.Ts)
+	}
+	if err := wcrypto.VerifyMsg(f.reg, "cloud", resp, resp.CloudSig); err != nil {
+		t.Fatalf("response signature: %v", err)
+	}
+	// The pages the edge derives obey the level invariants and hash to
+	// the signed level root.
+	pages := derivePages(req, resp)
+	if err := mlsm.CheckLevel(pages); err != nil {
 		t.Fatalf("merged pages invalid: %v", err)
+	}
+	if !bytes.Equal(mlsm.LevelTree(pages).Root(), resp.Roots[0]) {
+		t.Fatal("derived pages do not hash to the signed level root")
 	}
 	if err := wcrypto.VerifyMsg(f.reg, "cloud", &resp.Global, resp.Global.CloudSig); err != nil {
 		t.Fatalf("global root signature: %v", err)
@@ -170,7 +200,7 @@ func TestMergeL0ProducesSignedRoots(t *testing.T) {
 		t.Fatal("roots do not fold to global")
 	}
 	// Latest version of "a" must have won (position-based versions).
-	for _, kv := range mlsm.PagesKVs(resp.NewPages) {
+	for _, kv := range mlsm.PagesKVs(pages) {
 		if string(kv.Key) == "a" && !bytes.Equal(kv.Value, []byte("v-a")) {
 			t.Fatalf("unexpected value for a: %q", kv.Value)
 		}
@@ -199,6 +229,12 @@ func TestMergeConvictsTamperedBlock(t *testing.T) {
 	if _, banned := f.node.Flagged("edge-1"); !banned {
 		t.Fatal("history rewrite not convicted")
 	}
+	// The request was signed over the tampered block's digest, which
+	// commits the block id: the conviction is the add-lie it always was.
+	vs := f.node.VerdictsFor("edge-1")
+	if len(vs) != 1 || vs[0].Kind != wire.DisputeAddLie || vs[0].BID != 0 || !vs[0].Guilty {
+		t.Fatalf("verdicts = %+v", vs)
+	}
 }
 
 func TestMergeRejectsOutOfOrderBlocks(t *testing.T) {
@@ -211,21 +247,118 @@ func TestMergeRejectsOutOfOrderBlocks(t *testing.T) {
 	}
 }
 
+// forgePage returns pages with one record of the first page rewritten.
+func forgePage(pages []wire.Page) []wire.Page {
+	forged := append([]wire.Page(nil), pages...)
+	forged[0].KVs = append([]wire.KV(nil), forged[0].KVs...)
+	forged[0].KVs[0].Value = []byte("forged")
+	return forged
+}
+
 func TestMergeRejectsForgedLevelPages(t *testing.T) {
 	f := newFixture(t, Config{Levels: 2, PageCap: 2})
 	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
-	resp := f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}})
+	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
+	resp := f.merge(t, req)
 	if !resp.OK {
 		t.Fatalf("setup merge rejected: %s", resp.Reason)
 	}
-	// Now forge level-1 pages for the next merge.
-	forged := append([]wire.Page(nil), resp.NewPages...)
-	forged[0].KVs = append([]wire.KV(nil), forged[0].KVs...)
-	forged[0].KVs[0].Value = []byte("forged")
+	level1 := derivePages(req, resp)
+
+	// A forged destination page: signed for (f.merge signs over what
+	// ships), so the signature holds and the leaf table refuses it.
 	b1 := f.buildCertifiedBlock(t, 1, "c")
-	resp2 := f.merge(t, &wire.MergeRequest{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: forged})
-	if resp2.OK {
-		t.Fatal("forged destination pages accepted")
+	resp2 := f.merge(t, &wire.MergeRequest{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: forgePage(level1)})
+	if resp2.OK || !strings.Contains(resp2.Reason, "does not match recorded hash") {
+		t.Fatalf("forged destination pages: ok=%v reason=%q", resp2.OK, resp2.Reason)
+	}
+	// The same for a forged source page of a level-to-level merge.
+	resp3 := f.merge(t, &wire.MergeRequest{ReqID: 3, FromLevel: 1, SrcPages: forgePage(level1)})
+	if resp3.OK || !strings.Contains(resp3.Reason, "does not match recorded hash") {
+		t.Fatalf("forged source pages: ok=%v reason=%q", resp3.OK, resp3.Reason)
+	}
+	// Honest pages still merge: nothing above moved the cloud's state.
+	resp4 := f.merge(t, &wire.MergeRequest{ReqID: 4, FromLevel: 1, SrcPages: level1})
+	if !resp4.OK {
+		t.Fatalf("honest level merge rejected: %s", resp4.Reason)
+	}
+}
+
+// TestMergeSignatureBindsShippedData: the request is signed over digests
+// and leaves, and the cloud checks the signature against the ones it
+// recomputes from the shipped bytes — so a request signed over the honest
+// commitments while shipping other data (a block or a page swapped after
+// signing) fails the signature check itself.
+func TestMergeSignatureBindsShippedData(t *testing.T) {
+	f := newFixture(t, Config{Levels: 2, PageCap: 2})
+	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
+	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
+	level1 := derivePages(req, f.merge(t, req))
+	b1 := f.buildCertifiedBlock(t, 1, "c")
+
+	send := func(m *wire.MergeRequest) *wire.MergeResponse {
+		t.Helper()
+		out := f.node.Receive(5, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
+		if len(out) != 1 {
+			t.Fatalf("merge outputs = %d", len(out))
+		}
+		return out[0].Msg.(*wire.MergeResponse)
+	}
+	honest := &wire.MergeRequest{Edge: "edge-1", ReqID: 2, L0Blocks: []wire.Block{b1}, DstPages: level1}
+	sig := wcrypto.SignMergeRequest(f.keys["edge-1"], honest,
+		[][]byte{wcrypto.BlockDigest(&b1)}, nil, mlsm.PageLeaves(level1))
+
+	swappedPage := *honest
+	swappedPage.DstPages = forgePage(level1)
+	swappedPage.EdgeSig = sig
+	if resp := send(&swappedPage); resp.OK || resp.Reason != "bad edge signature" {
+		t.Fatalf("page swapped under the signature: ok=%v reason=%q", resp.OK, resp.Reason)
+	}
+	tampered := b1
+	tampered.Entries = append([]wire.Entry(nil), b1.Entries...)
+	tampered.Entries[0].Value = []byte("rewritten")
+	swappedBlock := *honest
+	swappedBlock.L0Blocks = []wire.Block{tampered}
+	swappedBlock.EdgeSig = sig
+	if resp := send(&swappedBlock); resp.OK || resp.Reason != "bad edge signature" {
+		t.Fatalf("block swapped under the signature: ok=%v reason=%q", resp.OK, resp.Reason)
+	}
+	if _, banned := f.node.Flagged("edge-1"); banned {
+		t.Fatal("an unsigned-for block convicted the edge: anyone could have forged it")
+	}
+	// The signature over held commitments is the one the generic path
+	// computes from the data: the honest request verifies and merges.
+	honest.EdgeSig = sig
+	if resp := send(honest); !resp.OK {
+		t.Fatalf("honest request rejected: %s", resp.Reason)
+	}
+}
+
+// TestMergeDuplicateRequestReplaysResponse: the edge re-sends a request
+// whose answer is overdue. The cloud has moved past its inputs, so it must
+// answer with the response it already signed — not reject it as out of
+// order, and never merge twice.
+func TestMergeDuplicateRequestReplaysResponse(t *testing.T) {
+	f := newFixture(t, Config{Levels: 2, PageCap: 2})
+	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
+	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
+	first := f.merge(t, req)
+	again := f.merge(t, req)
+	if !again.OK || !bytes.Equal(again.CloudSig, first.CloudSig) {
+		t.Fatalf("duplicate request: ok=%v reason=%q", again.OK, again.Reason)
+	}
+	if st := f.node.Stats(); st.Merges != 1 || st.MergeRejects != 0 {
+		t.Fatalf("merges=%d rejects=%d after a duplicate, want 1/0", st.Merges, st.MergeRejects)
+	}
+	// Same number, other request (a promoted leader counts from its own
+	// counter): not a duplicate, judged on its merits.
+	b1 := f.buildCertifiedBlock(t, 1, "c")
+	other := f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: derivePages(req, first)})
+	if !other.OK || other.ConsumedTo != 1 {
+		t.Fatalf("distinct request with a reused id: ok=%v reason=%q", other.OK, other.Reason)
+	}
+	if st := f.node.Stats(); st.Merges != 2 {
+		t.Fatalf("merges=%d, want 2", st.Merges)
 	}
 }
 

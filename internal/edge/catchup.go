@@ -298,7 +298,7 @@ func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 		}
 	}
 	n.pendingAcks = nil
-	n.mergeBusy = false
+	n.merging = nil
 	n.reqs = reqRing{}
 	n.reqs.advance(n.log.NextPos())
 	n.blockClients = bidRing[reqInfo]{}
@@ -332,7 +332,7 @@ func (n *Node) Restart(now int64) {
 	n.blockClients = bidRing[reqInfo]{}
 	n.readWaiters = bidRing[wire.NodeID]{}
 	n.l0From = 0
-	n.mergeBusy = false
+	n.merging = nil
 	n.pendingAcks = nil
 	n.pendingSince = 0
 	n.lastArrival = 0

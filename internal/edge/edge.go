@@ -61,8 +61,10 @@ type Config struct {
 	// when the certified frontier has not advanced for this many
 	// nanoseconds — lost BlockCertify or BlockProof frames heal instead
 	// of wedging Phase II (the cloud answers duplicates with the cached
-	// proof, so retries are idempotent). Defaults to 1s for replica-group
-	// members; 0 keeps the default, negative disables.
+	// proof, so retries are idempotent). A merge request whose response is
+	// overdue by the same period is re-sent too (the cloud answers a repeat
+	// with the response it already signed). Defaults to 1s for
+	// replica-group members; 0 keeps the default, negative disables.
 	CertRetryEvery int64
 	// CatchUpEvery is how often a follower with a detected replication
 	// gap (stashed out-of-order blocks or early certificates) asks its
@@ -84,8 +86,6 @@ type Config struct {
 	L0Threshold int
 	// LevelThresholds are the page budgets of levels 1..n.
 	LevelThresholds []int
-	// PageCap is the records-per-page target for merged pages.
-	PageCap int
 	// ReserveTTL bounds how long a reserved log position stays open.
 	ReserveTTL int64
 	// FullDataCert ships full block bodies with certification requests
@@ -157,9 +157,6 @@ func (c *Config) fill() {
 	if len(c.LevelThresholds) == 0 {
 		c.LevelThresholds = []int{10, 100, 1000}
 	}
-	if c.PageCap <= 0 {
-		c.PageCap = c.BatchSize
-	}
 	if c.ReserveTTL <= 0 {
 		c.ReserveTTL = int64(5e9)
 	}
@@ -221,10 +218,17 @@ type Node struct {
 	blockClients bidRing[reqInfo]     // bid -> distinct (client, kind) to notify
 	readWaiters  bidRing[wire.NodeID] // bid -> clients awaiting a forwarded proof
 	l0From       uint64               // first uncompacted block id
-	mergeBusy    bool
 	nextReq      uint64
 	lastArrival  int64
 	store        *wlog.Store // nil = in-memory only
+
+	// merging is the merge request in flight (at most one), kept whole:
+	// the response carries no pages, so the merged level is re-derived
+	// from these inputs — blocks and pages the log and index hold anyway —
+	// and tickHealing re-sends it when the answer is overdue since
+	// mergeSentAt.
+	merging     *wire.MergeRequest
+	mergeSentAt int64
 
 	// Group commit (SyncEvery > 0): outputs of persisted-but-unsynced
 	// blocks, withheld until the shared fsync.
@@ -558,7 +562,8 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
-// certification retry and the follower's gap-driven catch-up.
+// certification retry and overdue-merge retry, and the follower's
+// gap-driven catch-up.
 func (n *Node) tickHealing(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	if !n.follower && n.cfg.CertRetryEvery > 0 &&
@@ -584,6 +589,14 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 				out = append(out, retry...)
 			}
 		}
+	}
+	if n.merging != nil && n.cfg.CertRetryEvery > 0 && now-n.mergeSentAt >= n.cfg.CertRetryEvery {
+		// The request or its response was lost. If the cloud never saw
+		// the request it merges now; if it did, it replays the response it
+		// already signed — a repeat never merges twice.
+		n.m.mergeRetries.Inc()
+		n.logf("merge response overdue; re-sending request", "req", n.merging.ReqID)
+		out = append(out, n.sendMerge(now, n.merging))
 	}
 	if n.follower && n.leader != "" && n.cfg.CatchUpEvery > 0 &&
 		(len(n.pendingRepl) > 0 || len(n.pendingCerts) > 0) &&
@@ -964,56 +977,61 @@ func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest
 // maybeStartMerge initiates at most one compaction: L0 into L1 when enough
 // certified blocks accumulated, else the shallowest over-threshold level
 // into its successor. The merge runs asynchronously at the cloud and does
-// not block reads or writes (Section V-B).
+// not block reads or writes (Section V-B). The request is signed over
+// commitments the node already holds — cut-time block digests, the index
+// trees' leaves — so starting a merge hashes no block or page.
 func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
-	if n.mergeBusy || n.follower {
+	if n.merging != nil || n.follower {
 		return nil
 	}
 	if n.cfg.Fault != nil && n.cfg.Fault.FreezeIndex {
 		return nil
 	}
+	req := &wire.MergeRequest{Edge: n.cfg.Chain}
+	var l0Digests, srcLeaves [][]byte
 	// L0 -> L1.
 	certThrough, ok := n.log.CertifiedThrough()
 	if ok && certThrough+1 >= n.l0From+uint64(n.cfg.L0Threshold) {
-		req := &wire.MergeRequest{
-			Edge:      n.cfg.Chain,
-			ReqID:     n.nextReqID(),
-			FromLevel: 0,
-			DstPages:  n.idx.Pages(1),
-		}
 		for bid := n.l0From; bid <= certThrough; bid++ {
 			blk, err := n.log.Block(bid)
 			if err != nil {
 				panic(fmt.Sprintf("edge: certified block missing: %v", err))
 			}
+			digest, err := n.log.Digest(bid)
+			if err != nil {
+				panic(fmt.Sprintf("edge: certified block has no digest: %v", err))
+			}
 			req.L0Blocks = append(req.L0Blocks, *blk)
+			l0Digests = append(l0Digests, digest)
 		}
-		return n.sendMerge(req)
+	} else {
+		// Level i -> i+1.
+		lvl := 1
+		for lvl < n.idx.Levels() && !n.idx.OverThreshold(lvl) {
+			lvl++
+		}
+		if lvl >= n.idx.Levels() {
+			return nil
+		}
+		req.FromLevel = uint32(lvl)
+		req.SrcPages, srcLeaves = n.idx.Pages(lvl), n.idx.Leaves(lvl)
 	}
-	// Level i -> i+1.
-	for lvl := 1; lvl < n.idx.Levels(); lvl++ {
-		if !n.idx.OverThreshold(lvl) {
-			continue
-		}
-		req := &wire.MergeRequest{
-			Edge:      n.cfg.Chain,
-			ReqID:     n.nextReqID(),
-			FromLevel: uint32(lvl),
-			SrcPages:  n.idx.Pages(lvl),
-			DstPages:  n.idx.Pages(lvl + 1),
-		}
-		return n.sendMerge(req)
-	}
-	return nil
+	dst := int(req.FromLevel) + 1
+	req.DstPages = n.idx.Pages(dst)
+	req.ReqID = n.nextReqID()
+	req.EdgeSig = wcrypto.SignMergeRequest(n.key, req, l0Digests, srcLeaves, n.idx.Leaves(dst))
+	n.merging = req
+	n.m.merges.Inc()
+	return []wire.Envelope{n.sendMerge(now, req)}
 }
 
-func (n *Node) sendMerge(req *wire.MergeRequest) []wire.Envelope {
-	req.EdgeSig = wcrypto.SignMsg(n.key, req)
-	n.mergeBusy = true
-	n.m.merges.Inc()
+// sendMerge ships the in-flight merge request — first send or re-send —
+// and restarts its retry timer.
+func (n *Node) sendMerge(now int64, req *wire.MergeRequest) wire.Envelope {
+	n.mergeSentAt = now
 	env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: req}
 	n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
-	return []wire.Envelope{env}
+	return env
 }
 
 func (n *Node) nextReqID() uint64 {
@@ -1021,8 +1039,13 @@ func (n *Node) nextReqID() uint64 {
 	return n.nextReq
 }
 
-// handleMergeResponse installs the cloud's merged pages and roots, then
-// cascades to the next over-threshold level if any.
+// handleMergeResponse installs the level a merge produced and adopts the
+// cloud-signed roots, then cascades to the next over-threshold level if
+// any. The cloud's response carries no pages: the leader re-runs the merge
+// over its in-flight request with the three values the cloud signed, and
+// mirrors the response to its followers with the derived pages attached (a
+// follower's log may lag the inputs). Either way the pages are outside
+// CloudSig and InstallLevel binds them to it through the signed root.
 func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeResponse, verified bool) []wire.Envelope {
 	// Followers accept merge responses forwarded by their leader; the
 	// cloud's signature (always re-verified on the forwarded hop, since
@@ -1037,7 +1060,17 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 			return nil
 		}
 	}
-	n.mergeBusy = false
+	var req *wire.MergeRequest
+	if !n.follower {
+		// Only the answer to the request in flight counts: a duplicate (the
+		// request was re-sent and both answers arrived) or a replay of an
+		// older response finds nothing to derive from.
+		req = n.merging
+		if req == nil || m.Edge != req.Edge || m.ReqID != req.ReqID || m.FromLevel != req.FromLevel {
+			return nil
+		}
+		n.merging = nil
+	}
 	if !m.OK {
 		n.logf("cloud rejected merge", "reason", m.Reason)
 		return nil
@@ -1045,8 +1078,16 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 	if n.cfg.Fault != nil && n.cfg.Fault.FreezeIndex {
 		return nil // stale-snapshot attack: refuse to advance
 	}
+	pages := m.NewPages
+	if req != nil {
+		srcKVs := mlsm.PagesKVs(req.SrcPages)
+		for i := range req.L0Blocks {
+			srcKVs = append(srcKVs, mlsm.BlockKVs(&req.L0Blocks[i])...)
+		}
+		pages = mlsm.Merge(srcKVs, req.DstPages, m.FromLevel+1, int(m.PageCap), m.PageSeq, m.Global.Ts)
+	}
 	target := int(m.FromLevel) + 1
-	if err := n.idx.InstallLevel(target, m.NewPages, m.Roots, m.Global); err != nil {
+	if err := n.idx.InstallLevel(target, pages, m.Roots, m.Global); err != nil {
 		n.logf("merge install failed", "err", err)
 		return nil
 	}
@@ -1057,12 +1098,14 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 		return nil
 	}
 	var out []wire.Envelope
-	if !n.follower {
+	if !n.follower && len(n.cfg.Followers) > 0 {
 		// Mirror the install: followers run the same path off the same
 		// cloud-signed response, so a promoted follower starts with the
 		// chain's current LSMerkle instead of an empty index.
+		mirror := *m
+		mirror.NewPages = pages
 		for _, f := range n.cfg.Followers {
-			out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: m})
+			out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: &mirror})
 		}
 	}
 	return append(out, n.maybeStartMerge(now)...)

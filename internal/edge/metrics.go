@@ -27,6 +27,7 @@ type metrics struct {
 	bytesToCloud *obs.Counter
 	shed         *obs.Counter
 	certRetries  *obs.Counter
+	mergeRetries *obs.Counter
 	catchUps     *obs.Counter
 	shedSignals  *obs.Counter
 	truncated    *obs.Counter
@@ -68,6 +69,7 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.bytesToCloud = c("wedge_edge_cloud_bytes_total", "bytes sent on the edge-cloud coordination channel")
 	m.shed = c("wedge_edge_shed_writes_total", "writes shed by the MaxUncertified backpressure cap")
 	m.certRetries = c("wedge_edge_cert_retries_total", "stall-gated certification retries")
+	m.mergeRetries = c("wedge_edge_merge_retries_total", "overdue merge requests re-sent to the cloud")
 	m.catchUps = c("wedge_edge_catchups_total", "catch-up requests issued while recovering a gap")
 	m.shedSignals = c("wedge_edge_shed_signals_total", "signed Overloaded signals sent to clients")
 	m.truncated = c("wedge_edge_truncated_blocks_total", "uncertified blocks discarded on demotion")

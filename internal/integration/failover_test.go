@@ -8,6 +8,7 @@ import (
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
+	"wedgechain/internal/obs"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -33,6 +34,10 @@ type rworldOpts struct {
 	certTO      int64
 	fault       *faultnet.Net // chaos schedules applied to every sim frame
 	retryEvery  int64         // client transport-retry period (0 = off)
+	l0Thresh    int           // L0 merge trigger (default 100: no compaction)
+	metrics     *obs.Registry // registry the edges' series live in
+	// wrapCloud, when set, stands between the sim and the cloud node.
+	wrapCloud func(*cloud.Node) core.Handler
 }
 
 func newRWorld(t *testing.T, o rworldOpts) *rworld {
@@ -45,6 +50,9 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 	}
 	if o.certTO == 0 {
 		o.certTO = 1 * s
+	}
+	if o.l0Thresh == 0 {
+		o.l0Thresh = 100
 	}
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
@@ -70,11 +78,11 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 			Cloud:           "cloud",
 			BatchSize:       2,
 			FlushEvery:      100 * ms,
-			L0Threshold:     100,
+			L0Threshold:     o.l0Thresh,
 			LevelThresholds: []int{2, 4, 8},
-			PageCap:         4,
 			HeartbeatEvery:  50 * ms,
 			Fault:           fault,
+			Metrics:         o.metrics,
 		}
 		if follower {
 			cfg.Follower = true
@@ -104,7 +112,11 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		DefaultLink: sim.Link{Latency: 1 * ms},
 		Fault:       o.fault,
 	})
-	w.sim.Add(cl)
+	if o.wrapCloud != nil {
+		w.sim.Add(o.wrapCloud(cl))
+	} else {
+		w.sim.Add(cl)
+	}
 	w.sim.Add(w.leader)
 	w.sim.Add(w.r1)
 	w.sim.Add(w.r2)

@@ -75,7 +75,6 @@ func newWorld(t *testing.T, o worldOpts) *world {
 		BatchSize:       o.batch,
 		L0Threshold:     o.l0Thresh,
 		LevelThresholds: []int{2, 4, 8},
-		PageCap:         4,
 		NoL0Prune:       o.noPrune,
 		Fault:           o.fault,
 	}, keys["edge-1"], reg)

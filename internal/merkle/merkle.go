@@ -89,6 +89,15 @@ func (t *Tree) Len() int {
 	return len(t.levels[0])
 }
 
+// Leaves returns the leaf row the tree was built over. The result must not
+// be modified.
+func (t *Tree) Leaves() [][]byte {
+	if len(t.levels) == 0 {
+		return nil
+	}
+	return t.levels[0]
+}
+
 // Root returns the tree root (EmptyRoot for an empty tree). The result
 // must not be modified.
 func (t *Tree) Root() []byte {

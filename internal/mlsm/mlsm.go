@@ -9,15 +9,18 @@
 // global root (the hash of all level roots) is signed by the cloud with a
 // timestamp for freshness checks.
 //
-// The merge (compaction) computation lives here as pure functions so that
-// the trusted cloud performs it and the untrusted edge merely installs the
-// results; both sides share one implementation.
+// The merge (compaction) computation lives here as pure functions: the
+// trusted cloud performs it and signs the resulting roots, and the
+// untrusted edge repeats it over the inputs it still holds and installs
+// pages that hash to those roots; both sides share one implementation.
 package mlsm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wedgechain/internal/merkle"
@@ -31,24 +34,21 @@ var (
 	ErrBadPages   = errors.New("mlsm: pages violate level invariants")
 )
 
-// PageLeaf returns the Merkle leaf hash committing a page: the hash of its
-// range bounds and content hash. Committing the bounds inside the leaf is
-// what lets clients verify non-existence from a single intersecting page.
-func PageLeaf(p *wire.Page) []byte {
-	var e wire.Encoder
-	e.OptBlob(p.Lo)
-	e.OptBlob(p.Hi)
-	e.Blob(wcrypto.PageHash(p))
-	return merkle.LeafHash(e.Bytes())
+// PageLeaf returns the Merkle leaf hash committing a page (wire.Page.Leaf).
+func PageLeaf(p *wire.Page) []byte { return p.Leaf() }
+
+// PageLeaves returns the leaf of every page, in order.
+func PageLeaves(pages []wire.Page) [][]byte {
+	leaves := make([][]byte, len(pages))
+	for i := range pages {
+		leaves[i] = pages[i].Leaf()
+	}
+	return leaves
 }
 
 // LevelTree builds the Merkle tree over a level's pages in order.
 func LevelTree(pages []wire.Page) *merkle.Tree {
-	leaves := make([][]byte, len(pages))
-	for i := range pages {
-		leaves[i] = PageLeaf(&pages[i])
-	}
-	return merkle.New(leaves)
+	return merkle.New(PageLeaves(pages))
 }
 
 // GlobalRoot folds the per-level roots (levels 1..n, in order) into the
@@ -96,15 +96,27 @@ func dedupeSorted(kvs []wire.KV) []wire.KV {
 	return out
 }
 
-// sortKVs sorts by key, then by descending version for stable dedupe.
+// sortKVs sorts by key, then by descending version. Versions are unique
+// log positions, so equal elements are identical records and the sort need
+// not be stable.
 func sortKVs(kvs []wire.KV) {
-	sort.SliceStable(kvs, func(i, j int) bool {
-		c := bytes.Compare(kvs[i].Key, kvs[j].Key)
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(kvs, func(a, b wire.KV) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return kvs[i].Ver > kvs[j].Ver
+		return cmp.Compare(b.Ver, a.Ver)
 	})
+}
+
+// strictlySorted reports whether kvs is in strictly increasing key order —
+// sorted with no duplicate keys, as the records of a level always are.
+func strictlySorted(kvs []wire.KV) bool {
+	for i := 1; i < len(kvs); i++ {
+		if bytes.Compare(kvs[i-1].Key, kvs[i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeRuns merges two key-sorted deduped runs, preferring the higher
@@ -138,30 +150,40 @@ func mergeRuns(a, b []wire.KV) []wire.KV {
 // PagesKVs concatenates the records of consecutive pages of one level.
 // Pages are key-sorted and ranges contiguous, so the result is sorted.
 func PagesKVs(pages []wire.Page) []wire.KV {
-	var out []wire.KV
+	n := 0
+	for i := range pages {
+		n += len(pages[i].KVs)
+	}
+	out := make([]wire.KV, 0, n)
 	for i := range pages {
 		out = append(out, pages[i].KVs...)
 	}
 	return out
 }
 
-// Merge is the compaction computation (performed by the cloud): merge the
-// source records (newer) into the destination level's pages (older),
-// producing the replacement pages for the destination level. Page ranges
-// partition the keyspace: the first page's Lo and last page's Hi are nil
-// (±infinity) and interior boundaries are shared, the contiguity invariant
-// clients rely on.
+// Merge is the compaction computation: merge the source records (newer)
+// into the destination level's pages (older), producing the replacement
+// pages for the destination level. It is a pure function of its arguments:
+// the cloud runs it and signs the resulting roots, the edge runs it again
+// over the same inputs with the pageCap, seqStart and ts the cloud chose,
+// and gets the same pages byte for byte. Page ranges partition the
+// keyspace: the first page's Lo and last page's Hi are nil (±infinity) and
+// interior boundaries are shared, the contiguity invariant clients rely on.
 //
-// srcKVs may be unsorted and contain duplicates (it is typically the
-// concatenation of L0 block KVs); dst pages must obey level invariants.
-// seqStart numbers the new pages; ts stamps them.
+// srcKVs may be unsorted and contain duplicates (the concatenation of L0
+// block KVs) and is sorted only then: the records of a source level
+// arrive sorted already. dst pages must obey level invariants. Neither
+// input is modified; the returned pages share one backing array.
 func Merge(srcKVs []wire.KV, dst []wire.Page, level uint32, pageCap int, seqStart uint64, ts int64) []wire.Page {
 	if pageCap <= 0 {
 		pageCap = 1
 	}
-	src := append([]wire.KV(nil), srcKVs...)
-	sortKVs(src)
-	src = dedupeSorted(src)
+	src := srcKVs
+	if !strictlySorted(src) {
+		src = append([]wire.KV(nil), srcKVs...)
+		sortKVs(src)
+		src = dedupeSorted(src)
+	}
 	merged := mergeRuns(src, PagesKVs(dst))
 
 	// Split into pages of at most pageCap records.
@@ -175,7 +197,7 @@ func Merge(srcKVs []wire.KV, dst []wire.Page, level uint32, pageCap int, seqStar
 			Level: level,
 			Seq:   seqStart + uint64(len(pages)),
 			Ts:    ts,
-			KVs:   append([]wire.KV(nil), merged[start:end]...),
+			KVs:   merged[start:end:end],
 		})
 	}
 	if len(pages) == 0 {
@@ -274,6 +296,11 @@ func (x *Index) PageCount(level int) int { return len(x.levels[level-1]) }
 // Roots returns the level roots in order. Callers must not modify.
 func (x *Index) Roots() [][]byte { return x.roots }
 
+// Leaves returns the Merkle leaves of level (1-based), one per page in
+// order — the commitments a merge request is signed over. Callers must not
+// modify.
+func (x *Index) Leaves(level int) [][]byte { return x.trees[level-1].Leaves() }
+
 // Global returns the current signed global root (zero before any merge).
 func (x *Index) Global() wire.SignedRoot { return x.global }
 
@@ -283,10 +310,13 @@ func (x *Index) OverThreshold(level int) bool {
 	return len(x.levels[level-1]) > x.thresholds[level-1]
 }
 
-// InstallLevel replaces level (1-based) with the merged pages returned by
-// the cloud, updates the Merkle tree, and adopts the new roots and signed
-// global root. When the merge consumed a source level > 0, the caller then
-// clears it with ClearLevel.
+// InstallLevel replaces level (1-based) with the pages of a merge — derived
+// by the leader from the cloud's response, or mirrored to a follower — and
+// adopts the cloud-signed roots and global root. The pages carry no
+// signature of their own: they are accepted only if they obey the level
+// invariants and hash to the signed root of their level, and the index is
+// left untouched otherwise. When the merge consumed a source level > 0, the
+// caller then clears it with ClearLevel.
 func (x *Index) InstallLevel(level int, pages []wire.Page, roots [][]byte, global wire.SignedRoot) error {
 	if level < 1 || level > len(x.levels) {
 		return fmt.Errorf("%w: %d", ErrLevelRange, level)
@@ -297,11 +327,12 @@ func (x *Index) InstallLevel(level int, pages []wire.Page, roots [][]byte, globa
 	if len(roots) != len(x.roots) {
 		return fmt.Errorf("%w: %d roots for %d levels", ErrBadPages, len(roots), len(x.roots))
 	}
-	x.levels[level-1] = append([]wire.Page(nil), pages...)
-	x.trees[level-1] = LevelTree(x.levels[level-1])
-	if !bytes.Equal(x.trees[level-1].Root(), roots[level-1]) {
+	tree := LevelTree(pages)
+	if !bytes.Equal(tree.Root(), roots[level-1]) {
 		return fmt.Errorf("%w: cloud level root does not match installed pages", ErrBadPages)
 	}
+	x.levels[level-1] = append([]wire.Page(nil), pages...)
+	x.trees[level-1] = tree
 	x.roots = make([][]byte, len(roots))
 	for i := range roots {
 		x.roots[i] = append([]byte(nil), roots[i]...)

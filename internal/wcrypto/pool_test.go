@@ -133,3 +133,19 @@ func TestVerifyPoolSessionBatch(t *testing.T) {
 		t.Fatal("tampered session batch verified")
 	}
 }
+
+// TestPreVerifyLeavesMergeRequestToHandler: a merge request is signed over
+// digests and leaves the cloud's handler computes anyway, so the pool must
+// not hash the shipped blocks and pages a first time on its behalf — even
+// a validly signed request goes to the handler unverified.
+func TestPreVerifyLeavesMergeRequestToHandler(t *testing.T) {
+	reg, keys := poolFixture(t, 1)
+	m := &wire.MergeRequest{Edge: "c1", ReqID: 1, L0Blocks: []wire.Block{{Edge: "c1"}}}
+	m.EdgeSig = SignMsg(keys["c1"], m)
+	if err := VerifyMsg(reg, "c1", m, m.EdgeSig); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	if PreVerify(reg, wire.Envelope{From: "c1", To: "cloud", Msg: m}) {
+		t.Fatal("PreVerify checked a merge request")
+	}
+}

@@ -354,13 +354,27 @@ func SignScanResponse(k KeyPair, m *wire.ScanResponse, l0Digests [][]byte) []byt
 	return sig
 }
 
-// PageHash returns the digest of a page's canonical encoding — a Merkle
-// leaf component. The encoding is only ever hashed, so it is written into
-// a pooled buffer rather than a fresh one per page.
-func PageHash(p *wire.Page) []byte {
+// SignMergeRequest signs a merge request over commitments the caller
+// already holds — the edge's cut-time block digests and its index trees'
+// leaves. Only for requests whose blocks and pages actually hash to them;
+// anything else must sign through SignMsg so the signature matches what
+// ships.
+func SignMergeRequest(k KeyPair, m *wire.MergeRequest, l0Digests, srcLeaves, dstLeaves [][]byte) []byte {
 	e := wire.GetEncoder()
-	p.EncodeTo(e)
-	d := Digest(e.Bytes())
+	m.AppendBodyWithDigests(e, l0Digests, srcLeaves, dstLeaves)
+	sig := k.Sign(e.Bytes())
 	wire.PutEncoder(e)
-	return d
+	return sig
+}
+
+// VerifyMergeRequest checks a merge request's signature given the
+// commitments the caller computed from the blocks and pages it received —
+// the digests and leaves the cloud needs anyway, so no shipped byte is
+// hashed a second time inside VerifyMsg.
+func VerifyMergeRequest(r *Registry, signer wire.NodeID, m *wire.MergeRequest, l0Digests, srcLeaves, dstLeaves [][]byte) error {
+	e := wire.GetEncoder()
+	m.AppendBodyWithDigests(e, l0Digests, srcLeaves, dstLeaves)
+	err := r.Verify(signer, e.Bytes(), m.EdgeSig)
+	wire.PutEncoder(e)
+	return err
 }

@@ -313,11 +313,6 @@ func (*MergeRequest) MsgKind() Kind { return KindMergeRequest }
 
 // EncodeTo implements Message.
 func (m *MergeRequest) EncodeTo(e *Encoder) {
-	m.AppendBody(e)
-	e.Blob(m.EdgeSig)
-}
-
-func (m *MergeRequest) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.ReqID)
 	e.U32(m.FromLevel)
@@ -332,6 +327,41 @@ func (m *MergeRequest) AppendBody(e *Encoder) {
 	e.U32(uint32(len(m.DstPages)))
 	for i := range m.DstPages {
 		m.DstPages[i].EncodeTo(e)
+	}
+	e.Blob(m.EdgeSig)
+}
+
+// AppendBody appends the signable body, recomputing every commitment from
+// the shipped blocks and pages (see AppendBodyWithDigests).
+func (m *MergeRequest) AppendBody(e *Encoder) {
+	m.AppendBodyWithDigests(e, nil, nil, nil)
+}
+
+// AppendBodyWithDigests appends the signable body: the header plus one
+// 32-byte commitment per shipped block (its digest, which commits the block
+// id) and page (its Merkle leaf) — never the bodies. The edge passes the
+// commitments it holds; the cloud the ones it computed from the bytes it
+// received, which it needs anyway. A nil list is recomputed from the
+// shipped data, which is what a verifier holding no commitments must do.
+func (m *MergeRequest) AppendBodyWithDigests(e *Encoder, l0Digests, srcLeaves, dstLeaves [][]byte) {
+	e.ID(m.Edge)
+	e.U64(m.ReqID)
+	e.U32(m.FromLevel)
+	appendL0Digests(e, m.L0Blocks, l0Digests)
+	appendPageLeaves(e, m.SrcPages, srcLeaves)
+	appendPageLeaves(e, m.DstPages, dstLeaves)
+}
+
+// appendPageLeaves appends one Merkle leaf per page: the caller's when
+// given, recomputed from the page otherwise.
+func appendPageLeaves(e *Encoder, pages []Page, leaves [][]byte) {
+	e.U32(uint32(len(pages)))
+	for i := range pages {
+		if leaves != nil {
+			e.Blob(leaves[i])
+		} else {
+			e.Blob(pages[i].Leaf())
+		}
 	}
 }
 
@@ -353,15 +383,27 @@ func (m *MergeRequest) SignableBytes() []byte {
 	return e.Bytes()
 }
 
-// MergeResponse returns the merged pages for FromLevel+1, the refreshed
-// level roots, and the new signed global root. OK is false (with Reason)
-// when verification failed — which itself flags the edge.
+// MergeResponse is the cloud's data-free answer to a MergeRequest: the
+// refreshed level roots, the new signed global root, and the three values
+// the cloud chose for the merge — PageSeq (number of the first merged
+// page), PageCap (records per page) and Global.Ts (the pages' timestamp).
+// With them the edge re-runs the merge over the inputs it still holds, and
+// the root check at install binds the derived pages to CloudSig. OK is
+// false (with Reason) when verification failed — which itself flags the
+// edge.
+//
+// NewPages is not covered by CloudSig. The cloud leaves it empty; a leader
+// mirroring the response fills it for its followers, whose logs may lag the
+// merge inputs, and the same root check rejects anything but the pages the
+// cloud derived.
 type MergeResponse struct {
 	Edge       NodeID
 	ReqID      uint64
 	OK         bool
 	Reason     string
 	FromLevel  uint32
+	PageSeq    uint64
+	PageCap    uint32
 	NewPages   []Page
 	Roots      [][]byte // all level roots after the merge
 	Global     SignedRoot
@@ -375,19 +417,22 @@ func (*MergeResponse) MsgKind() Kind { return KindMergeResponse }
 // EncodeTo implements Message.
 func (m *MergeResponse) EncodeTo(e *Encoder) {
 	m.AppendBody(e)
+	e.U32(uint32(len(m.NewPages)))
+	for i := range m.NewPages {
+		m.NewPages[i].EncodeTo(e)
+	}
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the signable body: every field but NewPages.
 func (m *MergeResponse) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.ReqID)
 	e.Bool(m.OK)
 	e.Str(m.Reason)
 	e.U32(m.FromLevel)
-	e.U32(uint32(len(m.NewPages)))
-	for i := range m.NewPages {
-		m.NewPages[i].EncodeTo(e)
-	}
+	e.U64(m.PageSeq)
+	e.U32(m.PageCap)
 	e.U32(uint32(len(m.Roots)))
 	for _, r := range m.Roots {
 		e.Blob(r)
@@ -403,10 +448,12 @@ func (m *MergeResponse) DecodeFrom(d *Decoder) {
 	m.OK = d.Bool()
 	m.Reason = d.Str()
 	m.FromLevel = d.U32()
-	m.NewPages = decodeSlice(d, (*Page).DecodeFrom)
+	m.PageSeq = d.U64()
+	m.PageCap = d.U32()
 	m.Roots = decodeBlobs(d)
 	m.Global.DecodeFrom(d)
 	m.ConsumedTo = d.U64()
+	m.NewPages = decodeSlice(d, (*Page).DecodeFrom)
 	m.CloudSig = d.Blob()
 }
 

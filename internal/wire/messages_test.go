@@ -111,6 +111,7 @@ func sampleMessages() []Message {
 		},
 		&MergeResponse{
 			Edge: "edge-1", ReqID: 1, OK: true, FromLevel: 0,
+			PageSeq: 41, PageCap: 100,
 			NewPages:   []Page{samplePage(1), samplePage(1)},
 			Roots:      [][]byte{randBytes(32)},
 			Global:     global,
@@ -259,6 +260,61 @@ func TestSignableBytesExcludeSignature(t *testing.T) {
 	m3 := &BlockCertify{Edge: "e", BID: 2, Digest: []byte{1, 2}}
 	if bytes.Equal(m1.SignableBytes(), m3.SignableBytes()) {
 		t.Fatal("SignableBytes ignores BID")
+	}
+}
+
+// TestMergeBodiesAreCommitments: a merge request is signed over one hash
+// per block and page, each changing when its block or page does, and held
+// commitments give the same body as recomputed ones; a merge response is
+// signed over everything but its pages.
+func TestMergeBodiesAreCommitments(t *testing.T) {
+	blk, src, dst := sampleBlock(), samplePage(1), samplePage(2)
+	req := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
+	body := req.SignableBytes()
+	if want := 4 + 6 + 8 + 4 + 3*(4+36); len(body) != want {
+		t.Fatalf("request body is %d bytes, want %d: it must hold no block or page bytes", len(body), want)
+	}
+	var held Encoder
+	req.AppendBodyWithDigests(&held, [][]byte{blk.BodyDigest()}, [][]byte{src.Leaf()}, [][]byte{dst.Leaf()})
+	if !bytes.Equal(held.Bytes(), body) {
+		t.Fatal("held commitments and recomputed ones give different bodies")
+	}
+	mutations := map[string]func(m *MergeRequest){
+		"block entry": func(m *MergeRequest) {
+			m.L0Blocks[0].Entries = append([]Entry(nil), blk.Entries...)
+			m.L0Blocks[0].Entries[0].Value = []byte("x")
+		},
+		"block id":    func(m *MergeRequest) { m.L0Blocks[0].ID++ },
+		"src record":  func(m *MergeRequest) { m.SrcPages[0].KVs = append([]KV{{Key: []byte("k")}}, src.KVs...) },
+		"dst bound":   func(m *MergeRequest) { m.DstPages[0].Hi = []byte("zzz") },
+		"src and dst": func(m *MergeRequest) { m.SrcPages, m.DstPages = m.DstPages, m.SrcPages },
+		"request id":  func(m *MergeRequest) { m.ReqID++ },
+	}
+	for name, mutate := range mutations {
+		m := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
+		mutate(m)
+		if bytes.Equal(m.SignableBytes(), body) {
+			t.Errorf("request body ignores a changed %s", name)
+		}
+	}
+
+	resp := &MergeResponse{Edge: "edge-1", ReqID: 1, OK: true, PageSeq: 7, PageCap: 100, Roots: [][]byte{randBytes(32)}, ConsumedTo: 3}
+	signed := resp.SignableBytes()
+	resp.NewPages = []Page{src, dst}
+	if !bytes.Equal(resp.SignableBytes(), signed) {
+		t.Fatal("response body depends on its pages")
+	}
+	for name, mutate := range map[string]func(m *MergeResponse){
+		"page seq": func(m *MergeResponse) { m.PageSeq++ },
+		"page cap": func(m *MergeResponse) { m.PageCap++ },
+		"ts":       func(m *MergeResponse) { m.Global.Ts++ },
+		"root":     func(m *MergeResponse) { m.Roots = [][]byte{randBytes(32)} },
+	} {
+		m := *resp
+		mutate(&m)
+		if bytes.Equal(m.SignableBytes(), signed) {
+			t.Errorf("response body ignores a changed %s", name)
+		}
 	}
 }
 

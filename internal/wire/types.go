@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+
+	"wedgechain/internal/merkle"
 )
 
 // Entry is a single client-proposed datum: a log record for add() or a
@@ -298,6 +300,24 @@ func (p *Page) DecodeFrom(d *Decoder) {
 	p.Hi = d.OptBlob()
 	p.Ts = d.I64()
 	p.KVs = decodeSlice(d, (*KV).DecodeFrom)
+}
+
+// Leaf returns the Merkle leaf hash committing the page: the hash of its
+// range bounds and of the hash of its canonical encoding. Committing the
+// bounds inside the leaf is what lets clients verify non-existence from a
+// single intersecting page. It lives here, beside Block.BodyDigest, so
+// signable bodies can stand a page in by its leaf.
+func (p *Page) Leaf() []byte {
+	e := GetEncoder()
+	p.EncodeTo(e)
+	content := sha256.Sum256(e.Bytes())
+	e.Reset()
+	e.OptBlob(p.Lo)
+	e.OptBlob(p.Hi)
+	e.Blob(content[:])
+	leaf := merkle.LeafHash(e.Bytes())
+	PutEncoder(e)
+	return leaf
 }
 
 // Contains reports whether key falls in the page's half-open range.

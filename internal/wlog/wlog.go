@@ -54,6 +54,11 @@ type Log struct {
 
 	certifiedEntries uint64 // total entries across certified blocks
 	certifiedBlocks  uint64
+	// certNext is a lower bound on the contiguous certified prefix: blocks
+	// 0..certNext-1 are all certified. Certificates are only ever removed
+	// by TruncateUncertified, which keeps exactly that prefix, so the bound
+	// never has to move down; CertifiedThrough advances it.
+	certNext uint64
 
 	// seen maps client -> seq -> absolute position + 1 (0 is unused so the
 	// zero value means "never accepted"). Recording the position — not just
@@ -345,16 +350,21 @@ func (l *Log) Cert(bid uint64) (wire.BlockProof, bool) {
 // CertifiedThrough returns the highest block id B such that all blocks
 // 0..B are certified, or false when block 0 is uncertified. L0 compaction
 // consumes only certified prefixes.
+//
+// Every proof, merge trigger and healing tick asks, so the answer resumes
+// from the certNext cursor instead of walking the log from block 0: the
+// total work over a log's life is one step per block.
 func (l *Log) CertifiedThrough() (uint64, bool) {
-	var last uint64
-	found := false
-	for bid := uint64(0); bid < uint64(len(l.blocks)); bid++ {
-		if _, ok := l.certs[bid]; !ok {
+	for l.certNext < uint64(len(l.blocks)) {
+		if _, ok := l.certs[l.certNext]; !ok {
 			break
 		}
-		last, found = bid, true
+		l.certNext++
 	}
-	return last, found
+	if l.certNext == 0 {
+		return 0, false
+	}
+	return l.certNext - 1, true
 }
 
 // unmarkSeen forgets (client, seq) if it still maps to position pos —
@@ -402,6 +412,7 @@ func (l *Log) TruncateUncertified() int {
 		delete(l.digests, bid)
 	}
 	l.blocks = l.blocks[:keep]
+	l.certNext = keep
 	if keep == 0 {
 		l.bufStart = 0
 	} else {

@@ -348,3 +348,126 @@ func TestTruncateUncertifiedNothingCertified(t *testing.T) {
 		t.Fatalf("log not empty: blocks=%d next=%d", l.NumBlocks(), l.NextPos())
 	}
 }
+
+// certifiedPrefix is CertifiedThrough by its definition: walk from block 0.
+func certifiedPrefix(l *Log) uint64 {
+	var n uint64
+	for n < l.NumBlocks() {
+		if _, ok := l.Cert(n); !ok {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// checkCertCursor asserts that CertifiedThrough answers by the definition
+// and that its cursor rests exactly on the certified prefix afterwards.
+func checkCertCursor(t *testing.T, l *Log, when string) {
+	t.Helper()
+	want := certifiedPrefix(l)
+	got, ok := l.CertifiedThrough()
+	if ok != (want > 0) || (ok && got != want-1) {
+		t.Fatalf("%s: CertifiedThrough = %d,%v; certified prefix is %d blocks", when, got, ok, want)
+	}
+	if l.certNext != want {
+		t.Fatalf("%s: cursor at %d, certified prefix is %d blocks", when, l.certNext, want)
+	}
+}
+
+// TestCertifiedThroughCursor: the cursor that replaced the walk from block
+// 0 must agree with the definition under out-of-order certificates, across
+// truncation below and above it, and on a log rebuilt by recovery.
+func TestCertifiedThroughCursor(t *testing.T) {
+	l := New("edge-1", 1)
+	cut := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(entry("c", l.NextPos()+1), 0); err != nil {
+				t.Fatal(err)
+			}
+			l.TryCut(0, false)
+		}
+	}
+	cut(8)
+	checkCertCursor(t, l, "nothing certified")
+	for _, bid := range []uint64{3, 1, 0} { // out of order, gap at 2
+		certify(t, l, bid)
+		checkCertCursor(t, l, "out-of-order certificates")
+	}
+	certify(t, l, 2) // closes the gap: the cursor jumps over 3
+	checkCertCursor(t, l, "gap closed")
+
+	// Truncation above the cursor: blocks 4..7 go, 6 with its certificate;
+	// the cursor (read before the truncation, at 4) stays.
+	certify(t, l, 6)
+	if removed := l.TruncateUncertified(); removed != 4 {
+		t.Fatalf("removed = %d, want 4", removed)
+	}
+	checkCertCursor(t, l, "truncated above the cursor")
+
+	// Truncation below a stale cursor position is impossible by
+	// construction — certificates are never removed under it — but a
+	// cursor that lags (never read since the certificates arrived) must be
+	// brought up to the kept prefix, not left behind it.
+	cut(3) // blocks 4, 5, 6
+	certify(t, l, 4)
+	certify(t, l, 6)
+	if removed := l.TruncateUncertified(); removed != 2 {
+		t.Fatalf("removed = %d, want 2", removed)
+	}
+	if l.certNext != 5 {
+		t.Fatalf("cursor at %d after truncating to 5 certified blocks", l.certNext)
+	}
+	checkCertCursor(t, l, "truncated with a lagging cursor")
+
+	// Nothing certified at all: truncation empties the log and the cursor.
+	empty := New("edge-1", 1)
+	empty.Append(entry("c", 1), 0)
+	empty.TryCut(0, false)
+	empty.TruncateUncertified()
+	checkCertCursor(t, empty, "truncated to empty")
+
+	// The log keeps growing from the truncation point.
+	cut(2)
+	certify(t, l, 5)
+	checkCertCursor(t, l, "regrown after truncation")
+}
+
+// TestCertifiedThroughCursorAfterRecovery: recovery replays certificates
+// through SetCert in file order; the cursor starts at zero and must find
+// the recovered prefix (3 of 5 here) on first use.
+func TestCertifiedThroughCursorAfterRecovery(t *testing.T) {
+	keys, reg := persistKeys(t)
+	dir := t.TempDir()
+	buildSegment(t, dir, keys, 5, 3)
+	l, st, _, _, err := Recover(dir, "edge-1", 10, reg, "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkCertCursor(t, l, "recovered log")
+	if ct, ok := l.CertifiedThrough(); !ok || ct != 2 {
+		t.Fatalf("CertifiedThrough = %d,%v want 2,true", ct, ok)
+	}
+}
+
+// BenchmarkCertifiedThrough asks a fully certified 10,000-block log for
+// its certified frontier — what every proof, merge trigger and healing
+// tick does.
+func BenchmarkCertifiedThrough(b *testing.B) {
+	l := New("edge-1", 1)
+	for i := uint64(0); i < 10000; i++ {
+		l.Append(entry("c", i+1), 0)
+		l.TryCut(0, false)
+		d, _ := l.Digest(i)
+		if err := l.SetCert(wire.BlockProof{Edge: "edge-1", BID: i, Digest: d}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ct, ok := l.CertifiedThrough(); !ok || ct != 9999 {
+			b.Fatalf("CertifiedThrough = %d,%v", ct, ok)
+		}
+	}
+}

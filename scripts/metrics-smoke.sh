@@ -78,6 +78,8 @@ require edge 'wedge_edge_certified_blocks_total{node="edge-1"} [1-9]'
 require edge 'wedge_trust_lag_seconds_count{node="edge-1",stage="edge"} [1-9]'
 require edge 'wedge_transport_frames_sent_total{node="edge-1"} [1-9]'
 require edge 'wedge_transport_lane_drops_total{node="edge-1"}'
+# Compaction healing: no merge has been lost, the series only has to exist.
+require edge 'wedge_edge_merge_retries_total{node="edge-1"}'
 # Signature checks: a certified write costs the edge first verifications
 # (the client's request, the cloud's proof); nothing has repeated or
 # failed yet, so the hit and bad-signature series only have to exist.
