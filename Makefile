@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race macro-check bench bench-micro bench-pipeline bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 metrics-smoke chaos fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro experiments metrics-smoke flagdoc-check loc chaos fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -25,14 +25,20 @@ macro-check:
 bench:
 	$(GO) test -bench . -benchtime 1x -short -run '^$$' .
 
-# Quick-scale paper tables as a machine-readable CI artifact.
-bench-json:
-	$(GO) run ./cmd/wedge-bench -run all -quick -json BENCH_quick.json
+# Experiments (`wedge-bench -list`) into one machine-readable artifact,
+# BENCH_quick.json (git-ignored; CI uploads it). The default — every
+# experiment at quick scale — is the CI run; `make experiments IDS=D1,CH1
+# SCALE=` runs two at full scale. Fails when an experiment reports an
+# error: a lost certified write, an honest conviction, an arm that could
+# not run.
+IDS ?= all
+SCALE ?= -quick
+experiments:
+	$(GO) run ./cmd/wedge-bench -run $(IDS) $(SCALE) -json BENCH_quick.json
 
 # Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
-# (allocation counts included; the *Legacy benchmarks reproduce the
-# pre-pipeline implementations for comparison, the BlockAck* benchmarks
-# sweep block sizes to show the digest-signed ack's flat cost,
+# (allocation counts included; the BlockAck* benchmarks sweep block sizes
+# to show the digest-signed ack's flat cost,
 # SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time the
 # signatures over the largest and the most frequent messages,
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
@@ -41,82 +47,21 @@ bench-json:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
 
-# P1 crypto-pipeline experiment (wall-clock serial vs pipelined put hot
-# path) as a machine-readable artifact. Not part of `ci`: bench-pr3 runs
-# the same P1 binary as part of its P1,P2,D1 sweep, so chaining both
-# would measure P1 twice; BENCH_pr2.json stays the committed PR-2 record.
-bench-pipeline:
-	$(GO) run ./cmd/wedge-bench -run P1 -json BENCH_pr2.json
-
-# PR-3 artifact: put hot path (P1) + block-ack size sweep (P2, flat
-# digest signing) + durable SyncEvery sweep (D1, fsync amortization).
-# Not part of `ci`: bench-pr4 runs the same P1 binary, so chaining both
-# would measure P1 twice; BENCH_pr3.json stays the committed PR-3 record.
-bench-pr3:
-	$(GO) run ./cmd/wedge-bench -run P1,P2,D1 -json BENCH_pr3.json
-
-# PR-4 artifact: put hot path (P1, regression guard) + verified range
-# scans (R1, latency/row throughput vs range width vs shard count).
-# Not part of `ci`: bench-pr5 runs the same P1 binary, so chaining both
-# would measure P1 twice; BENCH_pr4.json stays the committed PR-4 record.
-bench-pr4:
-	$(GO) run ./cmd/wedge-bench -run P1,R1 -json BENCH_pr4.json
-
-# PR-5 artifact: put hot path (P1, regression guard) + read-evidence
-# pruning (E1, bytes/read and get throughput vs L0 window, pruned vs
-# full-window before/after). Not part of `ci`: bench-pr6 runs the same P1
-# binary, so chaining both would measure P1 twice; BENCH_pr5.json stays
-# the committed PR-5 record.
-bench-pr5:
-	$(GO) run ./cmd/wedge-bench -run P1,E1 -json BENCH_pr5.json
-
-# PR-6 artifact: put hot path (P1, regression guard) + replica-group
-# availability (AV1, wall-clock throughput through a killed-leader
-# transition, plus a stale-serving promoted follower convicted end to
-# end). Not part of `ci`: bench-pr7 runs the same P1 binary, so chaining
-# both would measure P1 twice; BENCH_pr6.json stays the committed PR-6
-# record.
-bench-pr6:
-	$(GO) run ./cmd/wedge-bench -run P1,AV1 -json BENCH_pr6.json
-
-# PR-7 artifact: put hot path (P1, regression guard) + chaos soak (CH1,
-# wall-clock healing under seeded drop/dup/delay and a mid-run leader
-# partition; asserts no certified write lost and no honest conviction).
-# Not part of `ci`: bench-pr9 runs the same P1 binary, so chaining both
-# would measure P1 twice; BENCH_pr7.json stays the committed PR-7 record.
-bench-pr7:
-	$(GO) run ./cmd/wedge-bench -run P1,CH1 -json BENCH_pr7.json
-
-# PR-8 artifact: put hot path (P1, regression guard) + front door (C1,
-# wall-clock session multiplexing at flat goroutine count, admission-
-# control shedding with zero lost certified writes, and the light
-# client's sampled-verification CPU savings).
-bench-pr8:
-	$(GO) run ./cmd/wedge-bench -run P1,C1 -json BENCH_pr8.json
-
-# PR-9 artifact: put hot path (P1, regression guard) + observability
-# (OB1: instrumentation overhead on the put hot path with the registry
-# on vs off, and end-to-end trust-lag p50/p99 on a live cluster, clean
-# vs seeded chaos — the headline wedge_trust_lag_seconds series).
-# Not part of `ci`: bench-pr10 runs the same P1 binary, so chaining both
-# would measure P1 twice; BENCH_pr9.json stays the committed PR-9 record.
-bench-pr9:
-	$(GO) run ./cmd/wedge-bench -run P1,OB1 -json BENCH_pr9.json
-
-# PR-10 artifact: put hot path (P1, regression guard) + certification at
-# scale (CL1: batched-certificate throughput per-block vs batched across
-# 1/4 chains, dispute-flood cost with the verdict cache on vs off, and
-# full-stack trust lag with batching + precheck workers + the
-# anti-entropy auditor, asserting zero honest convictions and zero audit
-# mismatches).
-bench-pr10:
-	$(GO) run ./cmd/wedge-bench -run P1,CL1 -json BENCH_pr10.json
-
 # Live-deployment telemetry check: boot a TCP cloud + edge pair with
 # -metrics-addr, push a certified write, scrape both /metrics endpoints
 # for the required series, and pull a short pprof CPU profile.
 metrics-smoke:
 	sh scripts/metrics-smoke.sh
+
+# Every flag of the three deployment binaries has a row in its
+# docs/RUNBOOK.md table, and every row names a flag the binary still has.
+flagdoc-check:
+	sh scripts/flagdoc-check.sh
+
+# Non-test Go lines per package outside benchmark/, and their total — the
+# number the code diet (ROADMAP item 3) is judged by.
+loc:
+	@sh scripts/loc.sh
 
 # Long chaos soak: several seeds, long schedules, double partition
 # windows, full invariant audit per seed. Deterministic — a failing seed
@@ -153,4 +98,4 @@ doc-check:
 	fi; \
 	echo "doc-check: all packages documented"
 
-ci: fmt-check vet doc-check build test race macro-check bench bench-micro bench-json bench-pr10 metrics-smoke
+ci: fmt-check vet doc-check build test race macro-check bench bench-micro experiments metrics-smoke flagdoc-check

@@ -183,14 +183,12 @@ func BenchmarkSecVIEDataset(b *testing.B) {
 }
 
 // BenchmarkEvidencePruning regenerates E1: read-evidence bytes and get
-// throughput vs uncompacted L0 window depth, pruned vs full window.
+// throughput vs uncompacted L0 window depth.
 func BenchmarkEvidencePruning(b *testing.B) {
 	runExperiment(b, "E1", func(t *bench.Table, b *testing.B) {
 		last := len(t.Rows) - 1
-		b.ReportMetric(cell(t, last-1, 3), "deep_miss_pruned_B")
-		b.ReportMetric(cell(t, last, 3), "deep_miss_full_B")
-		b.ReportMetric(cell(t, last-1, 5), "deep_pruned_gets_per_s")
-		b.ReportMetric(cell(t, last, 5), "deep_full_gets_per_s")
+		b.ReportMetric(cell(t, last, 2), "deep_miss_pruned_B")
+		b.ReportMetric(cell(t, last, 4), "deep_pruned_gets_per_s")
 	})
 }
 
@@ -227,16 +225,6 @@ func BenchmarkAblationFreshness(b *testing.B) {
 	runExperiment(b, "A4", func(t *bench.Table, b *testing.B) {
 		b.ReportMetric(cell(t, 0, 1), "rejected_100ms_window")
 		b.ReportMetric(cell(t, len(t.Rows)-1, 1), "rejected_2s_window")
-	})
-}
-
-// BenchmarkBlockAckSizeSweep regenerates P2: digest-signed block-ack
-// signature cost vs block size.
-func BenchmarkBlockAckSizeSweep(b *testing.B) {
-	runExperiment(b, "P2", func(t *bench.Table, b *testing.B) {
-		b.ReportMetric(cell(t, 0, 1), "digest_sign_1KB_us")
-		b.ReportMetric(cell(t, len(t.Rows)-1, 1), "digest_sign_100KB_us")
-		b.ReportMetric(cell(t, len(t.Rows)-1, 2), "digest_verify_100KB_us")
 	})
 }
 

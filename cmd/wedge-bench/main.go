@@ -8,14 +8,19 @@
 //	wedge-bench -run F4a            # one experiment, full scale
 //	wedge-bench -run all -quick     # everything, reduced rounds
 //	wedge-bench -run S1 -json -     # machine-readable results on stdout
-//	wedge-bench -run P1,P2,D1 -json BENCH_pr3.json   # several ids, one report
+//	wedge-bench -run D1,CH1 -json out.json   # several ids, one report
 //	wedge-bench -run all -quick -json bench.json   # CI artifact
+//
+// The exit status is 1 when any experiment reports an error (a lost
+// write, an honest conviction, an arm that could not run); the tables and
+// the -json report are still written.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,15 +29,11 @@ import (
 	"wedgechain/internal/obs"
 )
 
-// jsonResult is one experiment's machine-readable output.
+// jsonResult is one experiment's machine-readable output: its table plus
+// how long it took.
 type jsonResult struct {
-	ID          string             `json:"id"`
-	Title       string             `json:"title"`
-	Header      []string           `json:"header"`
-	Rows        [][]string         `json:"rows"`
-	Notes       []string           `json:"notes,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	WallSeconds float64            `json:"wall_seconds"`
+	*bench.Table
+	WallSeconds float64 `json:"wall_seconds"`
 }
 
 // jsonReport is the top-level -json document, a stable schema suitable
@@ -91,55 +92,65 @@ func main() {
 		tablesOut = os.Stderr
 	}
 
-	runOne := func(id string, fn func(bench.Scale) *bench.Table) {
+	failed, err := runExperiments(*run, scale, tablesOut, &report)
+	if err == nil && *jsonPath != "" {
+		// Written even when experiments failed: the report says which.
+		err = writeReport(*jsonPath, &report, tablesOut)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "%d experiment(s) reported errors\n", failed)
+		os.Exit(1)
+	}
+}
+
+func writeReport(path string, report *jsonReport, tablesOut io.Writer) error {
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding results: %w", err)
+	}
+	blob = append(blob, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(blob)
+		return err
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	fmt.Fprintf(tablesOut, "wrote %s (%d experiments)\n", path, len(report.Results))
+	return nil
+}
+
+// runExperiments runs the experiments named by ids — "all" or a
+// comma-separated list, several ids landing in one report — printing each
+// table to out and appending it to report. It returns how many of them
+// reported errors; an unknown id is an error of its own.
+func runExperiments(ids string, scale bench.Scale, out io.Writer, report *jsonReport) (failed int, err error) {
+	names := bench.IDs()
+	if ids != "all" {
+		names = strings.Split(ids, ",")
+	}
+	for _, id := range names {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
+		}
+		fn, ok := bench.Lookup(id)
+		if !ok {
+			return failed, fmt.Errorf("unknown experiment %q; use -list", id)
+		}
 		start := time.Now()
 		t := fn(scale)
 		wall := time.Since(start).Seconds()
-		t.Print(tablesOut)
-		fmt.Fprintf(tablesOut, "  [%s completed in %.1fs wall time]\n", id, wall)
-		report.Results = append(report.Results, jsonResult{
-			ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows,
-			Notes: t.Notes, Metrics: t.Metrics, WallSeconds: wall,
-		})
-	}
-
-	if *run == "all" {
-		for _, e := range bench.Experiments {
-			runOne(e.ID, e.Fn)
-		}
-	} else {
-		// A comma-separated list runs several experiments into one
-		// report (e.g. -run P1,P2,D1 for the PR-3 artifact).
-		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			fn, ok := bench.Lookup(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(1)
-			}
-			runOne(id, fn)
+		t.Print(out)
+		fmt.Fprintf(out, "  [%s completed in %.1fs wall time]\n", id, wall)
+		report.Results = append(report.Results, jsonResult{Table: t, WallSeconds: wall})
+		if len(t.Errors) > 0 {
+			failed++
 		}
 	}
-
-	if *jsonPath == "" {
-		return
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "encoding results: %v\n", err)
-		os.Exit(1)
-	}
-	blob = append(blob, '\n')
-	if *jsonPath == "-" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(tablesOut, "wrote %s (%d experiments)\n", *jsonPath, len(report.Results))
+	return failed, nil
 }

@@ -7,13 +7,12 @@ import (
 
 	wedge "wedgechain"
 	"wedgechain/internal/cloud"
-	"wedgechain/internal/core"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
 // CertScale (CL1) measures the cloud's certification hot paths at scale
-// — the PR-10 tentpole. Three wall-clock arms:
+// — the PR-10 tentpole. Two wall-clock arms:
 //
 //  1. Aggregate certification throughput across concurrent chains,
 //     per-block (pre-PR) vs batched: the per-block arm pays one Ed25519
@@ -22,12 +21,7 @@ import (
 //     per run out, cutting the signature work per certified block by
 //     ~the batch factor. The acceptance bar is >= 2x at 4 chains.
 //
-//  2. Dispute flood: the same well-signed lie re-filed N times, verdict
-//     cache on vs off. With the cache every re-filing past the first is
-//     answered from the memoized signed verdict — one Judge decode per
-//     distinct lie, however long the flood.
-//
-//  3. Full-stack trust lag through the façade with every PR-10 knob on
+//  2. Full-stack trust lag through the façade with every PR-10 knob on
 //     (batched certificates, precheck workers, anti-entropy auditor)
 //     against the per-block baseline, asserting the chaos-suite
 //     invariants: zero lost certified writes, zero honest convictions,
@@ -66,25 +60,7 @@ func CertScale(scale Scale) *Table {
 	}
 	t.Metrics["cert_speedup_4chain"] = speedup4
 
-	// Arm 2: dispute flood.
-	flood := 2_000 / int(scale)
-	if flood < 500 {
-		flood = 500
-	}
-	offRate, offDecodes := runDisputeFloodArm(flood, false)
-	onRate, onDecodes := runDisputeFloodArm(flood, true)
-	t.Rows = append(t.Rows,
-		[]string{"dispute flood, cache off", fmt.Sprint(flood),
-			f1(float64(flood) / offRate * 1e3), f1(offRate / 1e3), "1.00x",
-			fmt.Sprintf("%d Judge decodes", offDecodes)},
-		[]string{"dispute flood, cache on", fmt.Sprint(flood),
-			f1(float64(flood) / onRate * 1e3), f1(onRate / 1e3), fmt.Sprintf("%.2fx", onRate/offRate),
-			fmt.Sprintf("%d Judge decode (1 per distinct lie)", onDecodes)},
-	)
-	t.Metrics["dispute_cache_speedup"] = onRate / offRate
-	t.Metrics["dispute_judge_decodes_cached"] = float64(onDecodes)
-
-	// Arm 3: full-stack trust lag, baseline vs all PR-10 knobs.
+	// Arm 2: full-stack trust lag, baseline vs all PR-10 knobs.
 	writes := 120 / int(scale)
 	if writes < 30 {
 		writes = 30
@@ -96,7 +72,7 @@ func CertScale(scale Scale) *Table {
 		}
 		p50, p99, err := runCertScaleCluster(writes, batched)
 		if err != nil {
-			t.Rows = append(t.Rows, []string{label, fmt.Sprint(writes), "-", "-", "-", "ERROR: " + err.Error()})
+			t.failRow(label, err)
 			continue
 		}
 		t.Rows = append(t.Rows, []string{label, fmt.Sprint(writes), "-", "-", "-",
@@ -109,8 +85,7 @@ func CertScale(scale Scale) *Table {
 	t.Notes = append(t.Notes,
 		"arm 1 drives raw cloud.Node state machines wall-clock: unverified envelopes (inline Ed25519) pumped round-robin across chains until Stats().Certifies reaches the target; Kops/s = certified blocks per second",
 		fmt.Sprintf("arm 1 per-block arm = pre-PR wire shape (BlockCertify/BlockProof); batched arm = BlockCertifyBatch in, one signed BlockCertBatch per %d blocks out", certScaleBatch),
-		"arm 2 re-files one well-signed lying dispute; cache-off re-decodes evidence per filing, cache-on answers re-filings from the memoized signed verdict after one decode",
-		"arm 3 runs the façade with CertBatch=8, CertWorkers=2, AuditEvery=20ms vs defaults: every write reaches Phase II, zero verdicts, zero audit mismatches (checked, run fails otherwise)",
+		"arm 2 runs the façade with CertBatch=8, CertWorkers=2, AuditEvery=20ms vs defaults: every write reaches Phase II, zero verdicts, zero audit mismatches (checked, run fails otherwise)",
 	)
 	return t
 }
@@ -183,41 +158,6 @@ func runCertThroughputArm(chains, total, batch int) float64 {
 	return float64(total) / elapsed.Seconds()
 }
 
-// runDisputeFloodArm certifies one block, then re-files the same
-// well-signed lying dispute flood times. Returns disputes per second and
-// the Judge decode count.
-func runDisputeFloodArm(flood int, cached bool) (float64, uint64) {
-	w := newCertWorld(1)
-	client := wcrypto.DeterministicKey("c1")
-	w.reg.Register("c1", client.Pub)
-	vc := 0 // default cache
-	if !cached {
-		vc = -1
-	}
-	cn := cloud.New(cloud.Config{ID: "cloud", VerdictCache: vc}, w.cloud, w.reg)
-	defer cn.Close()
-
-	honest := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{{Client: "c1", Seq: 1, Value: []byte("honest")}}}
-	cert := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: wcrypto.BlockDigest(&honest)}
-	cert.EdgeSig = wcrypto.SignMsg(w.edges[0], cert)
-	cn.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: cert})
-
-	lied := honest
-	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
-	lied.Entries[0].Value = []byte("tampered")
-	ev := &wire.AddResponse{BID: 0, Block: lied}
-	ev.EdgeSig = wcrypto.SignMsg(w.edges[0], ev)
-	d := core.BuildAddLieDispute(client, "edge-1", ev)
-	env := wire.Envelope{From: "c1", To: "cloud", Msg: d}
-
-	start := time.Now()
-	for i := 0; i < flood; i++ {
-		cn.Receive(2, env)
-	}
-	elapsed := time.Since(start)
-	return float64(flood) / elapsed.Seconds(), cn.Stats().JudgeDecodes
-}
-
 // runCertScaleCluster drives writes through the façade and returns trust
 // lag percentiles, failing on any lost write, verdict, or audit
 // mismatch.
@@ -237,18 +177,8 @@ func runCertScaleCluster(writes int, batched bool) (p50, p99 float64, err error)
 		return 0, 0, err
 	}
 	defer cluster.Close()
-	c, err := cluster.NewClient("cl1-writer", "")
-	if err != nil {
+	if p50, p99, err = trustLag(cluster, "cl1", writes); err != nil {
 		return 0, 0, err
-	}
-	for i := 0; i < writes; i++ {
-		rc, err := c.Add([]byte(fmt.Sprintf("cl1-%d", i)))
-		if err == nil {
-			err = rc.WaitPhaseII(20 * time.Second)
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("write %d: %w", i, err)
-		}
 	}
 	reg := cluster.Metrics()
 	if vs := cluster.Verdicts(); len(vs) != 0 {
@@ -262,5 +192,5 @@ func runCertScaleCluster(writes int, batched bool) (p50, p99 float64, err error)
 			return 0, 0, fmt.Errorf("no certificate batches signed")
 		}
 	}
-	return reg.Quantile("wedge_trust_lag_seconds", 0.50), reg.Quantile("wedge_trust_lag_seconds", 0.99), nil
+	return p50, p99, nil
 }

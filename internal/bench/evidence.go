@@ -11,12 +11,11 @@ import (
 // evidenceWindows is the E1 x axis: uncompacted L0 blocks at serve time.
 var evidenceWindows = []int{1, 16, 64}
 
-// EvidencePruning (E1) prices the pruned-read-evidence refactor: point
-// gets and range scans served under controlled uncompacted L0 windows of
-// 1/16/64 blocks, measured with pruning on (each window block whose
-// digest-committed key summary excludes the request ships as a ~60-byte
-// pruned reference) and off (the pre-PR-5 shape: the whole window
-// re-ships in full on every read).
+// EvidencePruning (E1) prices pruned read evidence: point gets and range
+// scans served under controlled uncompacted L0 windows of 1/16/64 blocks,
+// where each window block whose digest-committed key summary excludes the
+// request ships as a ~60-byte pruned reference. (The whole-window shape it
+// replaced is recorded in ROADMAP's performance baseline.)
 //
 // Three read shapes per window:
 //
@@ -36,29 +35,22 @@ func EvidencePruning(scale Scale) *Table {
 	t := &Table{
 		ID:    "E1",
 		Title: "Read evidence pruning: bytes/read and get throughput vs uncompacted L0 window (B=100, 1 shard)",
-		Header: []string{"L0 window", "Mode", "Get hit (B)", "Get miss (B)",
+		Header: []string{"L0 window", "Get hit (B)", "Get miss (B)",
 			"Scan 100 (B)", "Gets/s (90% miss)"},
 	}
 	for _, window := range evidenceWindows {
-		for _, noPrune := range []bool{false, true} {
-			r := runEvidence(scale, window, noPrune)
-			mode := "pruned"
-			if noPrune {
-				mode = "full window"
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(window),
-				mode,
-				fmt.Sprint(r.getHitBytes),
-				fmt.Sprint(r.getMissBytes),
-				fmt.Sprint(r.scanBytes),
-				f1(r.getsPerSec),
-			})
-		}
+		r := runEvidence(scale, window)
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(window),
+			fmt.Sprint(r.getHitBytes),
+			fmt.Sprint(r.getMissBytes),
+			fmt.Sprint(r.scanBytes),
+			f1(r.getsPerSec),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"window blocks certified but uncompacted; each block writes one 100-key band, so summaries prune by interval and fingerprint",
-		"every sampled response verified end-to-end before being counted; pruned and full modes return identical results",
+		"every sampled response verified end-to-end before being counted",
 	)
 	return t
 }
@@ -73,7 +65,7 @@ type evidenceResult struct {
 // runEvidence builds one world with a compacted preload plus a controlled
 // uncompacted window of `window` blocks, then measures evidence sizes and
 // closed-loop get throughput.
-func runEvidence(scale Scale, window int, noPrune bool) evidenceResult {
+func runEvidence(scale Scale, window int) evidenceResult {
 	const batch = 100
 	const l0Threshold = 10
 	// The window overwrites bands [0, window*batch). The preload's own
@@ -94,7 +86,6 @@ func runEvidence(scale Scale, window int, noPrune bool) evidenceResult {
 		Place:      defaultPlace,
 		Rounds:     1,
 		FlushEvery: int64(10e6),
-		NoL0Prune:  noPrune,
 	})
 	w.Preload()
 

@@ -522,17 +522,15 @@ var Experiments = []struct {
 	{"F7a", Fig7aCloudLoc, "Figure 7(a): latency vs cloud location"},
 	{"F7b", Fig7bEdgeLoc, "Figure 7(b): latency vs edge location"},
 	{"DS1", SecVIEDataset, "Section VI-E: dataset size sweep"},
-	{"E1", EvidencePruning, "Read evidence pruning: bytes/read and throughput vs L0 window, pruned vs full"},
+	{"E1", EvidencePruning, "Read evidence pruning: bytes/read and throughput vs L0 window"},
 	{"S1", ShardScaling, "Shard scaling: put throughput vs edge count"},
 	{"R1", ReadScanBench, "Verified range scans: latency/row throughput vs range width vs shard count"},
-	{"P1", CryptoPipeline, "Crypto pipeline: wall-clock put hot path, serial vs pipelined"},
-	{"P2", BlockAckSizeSweep, "Block-ack signature cost vs block size (digest-signed ack, flat in block size)"},
 	{"D1", DurableSyncSweep, "Durable put path: group-commit (SyncEvery) fsync-amortization sweep"},
 	{"AV1", AvailabilityFailover, "Availability: 3-replica shard through killed-leader / convicted-follower transitions"},
 	{"CH1", ChaosSoak, "Chaos soak: seeded drop/dup/delay + leader partition, healing cost and invariants"},
 	{"C1", FrontDoor, "Front door: session multiplexing, admission control, light-client sampling"},
-	{"OB1", Observability, "Observability: instrumentation overhead on the put hot path, trust-lag p50/p99 clean vs chaos"},
-	{"CL1", CertScale, "Certification at scale: batched certificates, verdict cache under dispute flood, auditor-on trust lag"},
+	{"OB1", Observability, "Observability: trust-lag p50/p99 on a live cluster, clean vs chaos"},
+	{"CL1", CertScale, "Certification at scale: batched certificates, auditor-on trust lag"},
 	{"A1", AblationDataFree, "Ablation: data-free certification"},
 	{"A2", AblationGossip, "Ablation: gossip period vs omission detection"},
 	{"A3", AblationBaselineIndex, "Ablation: Edge-baseline index policy"},

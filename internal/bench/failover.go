@@ -31,7 +31,8 @@ func AvailabilityFailover(scale Scale) *Table {
 	for _, stale := range []bool{false, true} {
 		row, err := runFailoverArm(writes, stale)
 		if err != nil {
-			row = []string{failoverScenario(stale), "-", "-", "-", "-", "-", "-", "error: " + err.Error()}
+			t.failRow(failoverScenario(stale), err)
+			continue
 		}
 		t.Rows = append(t.Rows, row)
 	}

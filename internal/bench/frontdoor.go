@@ -50,11 +50,10 @@ func FrontDoor(scale Scale) *Table {
 	} {
 		row, err := a.run()
 		if err != nil {
-			row = []string{a.name, "-", "-", "-", "-", "-", "-", "-", "-", "error: " + err.Error()}
-		} else {
-			row = append([]string{a.name}, row...)
+			t.failRow(a.name, err)
+			continue
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{a.name}, row...))
 	}
 	t.Notes = append(t.Notes,
 		"Goroutines+ is runtime.NumGoroutine growth from creating the sessions: ~1 per session in the baseline, ~hub count under the mux",

@@ -8,62 +8,20 @@ import (
 	"wedgechain/internal/obs"
 )
 
-// Observability (OB1) measures what the trust-lag telemetry itself costs
-// and reports the headline SLO it produces.
-//
-// Arm one re-runs the P1 pipelined put hot path twice — registry off
-// (nil: counters on throwaway atomics, no histograms, no clock reads)
-// and registry on (every serve/certify/trust-lag histogram live) — and
-// reports the throughput delta. The hot path is allocation-free by
-// construction (see BenchmarkHistogramObserve), so the overhead must
-// stay within run-to-run noise (~5%).
-//
-// Arm two runs a façade cluster wall-clock and reads the
-// wedge_trust_lag_seconds histogram off Cluster.Metrics(): the
-// client-observed Phase I → Phase II lag, clean versus under seeded
-// chaos noise (CH1's 3% drop / 5% dup / ≤10ms delay mix, seed 42).
-// Lazy trust's pitch is that faults move the trust lag, not the ack
-// latency — this is the experiment that shows the lag moving.
+// Observability (OB1) reports the headline SLO the telemetry produces: a
+// façade cluster runs wall-clock and the wedge_trust_lag_seconds histogram
+// is read off Cluster.Metrics() — the client-observed Phase I → Phase II
+// lag, clean versus under seeded chaos noise (CH1's 3% drop / 5% dup /
+// ≤10ms delay mix, seed 42). Lazy trust's pitch is that faults move the
+// trust lag, not the ack latency — this is the experiment that shows the
+// lag moving.
 func Observability(scale Scale) *Table {
 	t := &Table{
 		ID:      "OB1",
-		Title:   "Observability: instrumentation overhead and the trust-lag SLO",
-		Header:  []string{"Arm", "Ops", "Throughput (Kops/s)", "Overhead", "trust-lag p50 (ms)", "trust-lag p99 (ms)"},
+		Title:   "Observability: the trust-lag SLO, clean vs chaos noise",
+		Header:  []string{"Arm", "Writes", "trust-lag p50 (ms)", "trust-lag p99 (ms)"},
 		Metrics: map[string]float64{},
 	}
-
-	// Arm one: P1's pipelined hot path, registry off vs on.
-	total := 60_000 / int(scale)
-	if total < 10_000 {
-		total = 10_000
-	}
-	total -= total % pipeBatch
-	w := buildPipelineWorkload(total)
-	// Best of two runs per mode: the hot path is deterministic, so the
-	// faster run is the less-perturbed one and the delta isolates the
-	// instrumentation from scheduler noise.
-	best := func(reg *obs.Registry) pipelineResult {
-		r := runPipeline(w, total, true, reg)
-		if again := runPipeline(w, total, true, reg); again.throughput > r.throughput {
-			r = again
-		}
-		return r
-	}
-	off := best(nil)
-	reg := obs.NewRegistry()
-	on := best(reg)
-	overhead := (off.throughput - on.throughput) / off.throughput
-	t.Rows = append(t.Rows,
-		[]string{"P1 put hot path, registry off", fmt.Sprint(total), f1(off.throughput / 1e3), "-", "-", "-"},
-		[]string{"P1 put hot path, registry on", fmt.Sprint(total), f1(on.throughput / 1e3),
-			fmt.Sprintf("%.1f%%", overhead*100), "-", "-"})
-	t.Metrics["p1_registry_off_ops_per_sec"] = off.throughput
-	t.Metrics["p1_registry_on_ops_per_sec"] = on.throughput
-	t.Metrics["p1_overhead_frac"] = overhead
-	// Sanity: the instrumented edge actually fed the registry.
-	t.Metrics["p1_on_trust_lag_count"] = obsCount(reg, "wedge_trust_lag_seconds")
-
-	// Arm two: client-observed trust lag, clean vs chaos noise.
 	writes := scale.rounds(60)
 	if writes < 12 {
 		writes = 12
@@ -75,19 +33,18 @@ func Observability(scale Scale) *Table {
 			arm = "cluster trust lag, chaos noise"
 			key = "noise"
 		}
-		row, p50, p99, n, err := runTrustLagArm(writes, noisy)
+		p50, p99, n, err := runTrustLagArm(writes, noisy)
 		if err != nil {
-			t.Rows = append(t.Rows, []string{arm, "-", "-", "-", "-", "error: " + err.Error()})
+			t.failRow(arm, err)
 			continue
 		}
-		t.Rows = append(t.Rows, append([]string{arm}, row...))
+		t.Rows = append(t.Rows, []string{arm, fmt.Sprint(writes), f2(p50 * 1e3), f2(p99 * 1e3)})
 		t.Metrics["trust_lag_p50_ms_"+key] = p50 * 1e3
 		t.Metrics["trust_lag_p99_ms_"+key] = p99 * 1e3
 		t.Metrics["trust_lag_samples_"+key] = n
 	}
 	t.Notes = append(t.Notes,
-		"arm one replays P1's pre-signed pipelined traffic; 'registry on' adds every histogram the edge and cloud register (acceptance: within ~5%, i.e. run-to-run noise)",
-		"arm two reads the wedge_trust_lag_seconds histogram off Cluster.Metrics() (edge and client stages merged) on CH1's 3-replica shard; noise arm injects 3% drop / 5% dup / <=10ms delay on every link (seed 42)",
+		"reads the wedge_trust_lag_seconds histogram off Cluster.Metrics() (edge and client stages merged) on CH1's 3-replica shard; noise arm injects 3% drop / 5% dup / <=10ms delay on every link (seed 42)",
 	)
 	return t
 }
@@ -103,17 +60,45 @@ func obsCount(reg *obs.Registry, name string) float64 {
 	return total
 }
 
-// runTrustLagArm drives writes through a façade cluster (wall-clock) and
-// reads the trust-lag histogram from the cluster registry.
-func runTrustLagArm(writes int, noisy bool) (row []string, p50, p99, samples float64, err error) {
+// noiseNet is the background fault mix CH1 and OB1 share, seed 42: 3%
+// drop, 5% duplicate, <=10ms delay on every link.
+func noiseNet() *wedge.ChaosNet {
+	net := wedge.NewChaos(42)
+	net.Add(wedge.ChaosRule{Faults: wedge.LinkFaults{
+		Drop:     0.03,
+		Dup:      0.05,
+		DelayMax: (10 * time.Millisecond).Nanoseconds(),
+	}})
+	return net
+}
+
+// trustLag drives writes closed-loop through one client of the cluster,
+// each to Phase II, and reads the wedge_trust_lag_seconds quantiles off
+// the cluster's registry.
+func trustLag(cluster *wedge.Cluster, tag string, writes int) (p50, p99 float64, err error) {
+	c, err := cluster.NewClient(tag+"-writer", "")
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i < writes; i++ {
+		rc, err := c.Add([]byte(fmt.Sprintf("%s-%d", tag, i)))
+		if err == nil {
+			err = rc.WaitPhaseII(20 * time.Second)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("write %d: %w", i, err)
+		}
+	}
+	reg := cluster.Metrics()
+	return reg.Quantile("wedge_trust_lag_seconds", 0.50), reg.Quantile("wedge_trust_lag_seconds", 0.99), nil
+}
+
+// runTrustLagArm measures trust lag on CH1's shard shape, clean or under
+// chaos noise, and reports how many samples the histogram holds.
+func runTrustLagArm(writes int, noisy bool) (p50, p99, samples float64, err error) {
 	var net *wedge.ChaosNet
 	if noisy {
-		net = wedge.NewChaos(42)
-		net.Add(wedge.ChaosRule{Faults: wedge.LinkFaults{
-			Drop:     0.03,
-			Dup:      0.05,
-			DelayMax: (10 * time.Millisecond).Nanoseconds(),
-		}})
+		net = noiseNet()
 	}
 	// ReplicasPerShard: 3 matches CH1's shard shape and — load-bearing
 	// under chaos — makes the edge "grouped", which turns on its default
@@ -130,28 +115,14 @@ func runTrustLagArm(writes int, noisy bool) (row []string, p50, p99, samples flo
 		Chaos:            net,
 	})
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer cluster.Close()
-	c, err := cluster.NewClient("ob1-writer", "")
-	if err != nil {
-		return nil, 0, 0, 0, err
+	if p50, p99, err = trustLag(cluster, "ob1", writes); err != nil {
+		return 0, 0, 0, err
 	}
-	for i := 0; i < writes; i++ {
-		rc, err := c.Add([]byte(fmt.Sprintf("ob1-%d", i)))
-		if err == nil {
-			err = rc.WaitPhaseII(20 * time.Second)
-		}
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("write %d: %w", i, err)
-		}
+	if samples = obsCount(cluster.Metrics(), "wedge_trust_lag_seconds"); samples == 0 {
+		return 0, 0, 0, fmt.Errorf("no trust-lag samples recorded")
 	}
-	reg := cluster.Metrics()
-	p50 = reg.Quantile("wedge_trust_lag_seconds", 0.50)
-	p99 = reg.Quantile("wedge_trust_lag_seconds", 0.99)
-	samples = obsCount(reg, "wedge_trust_lag_seconds")
-	if samples == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("no trust-lag samples recorded")
-	}
-	return []string{fmt.Sprint(writes), "-", "-", f2(p50 * 1e3), f2(p99 * 1e3)}, p50, p99, samples, nil
+	return p50, p99, samples, nil
 }

@@ -9,14 +9,30 @@ import (
 // Table is one experiment's printable result: the rows/series the paper's
 // corresponding table or figure reports.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
 	// Metrics carries registry-derived scalars (e.g. trust-lag quantiles)
 	// into the -json artifact alongside the printable rows.
-	Metrics map[string]float64
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Errors lists what the experiment found wrong — a lost write, an
+	// honest conviction, an arm that could not run. The table still prints
+	// and still lands in -json; wedge-bench exits 1 when any is non-empty.
+	Errors []string `json:"errors,omitempty"`
+}
+
+// failRow records an arm that failed: a row showing the error in the last
+// column, and an entry in Errors.
+func (t *Table) failRow(arm string, err error) {
+	row := make([]string, len(t.Header))
+	for i := range row {
+		row[i] = "-"
+	}
+	row[0], row[len(row)-1] = arm, "error: "+err.Error()
+	t.Rows = append(t.Rows, row)
+	t.Errors = append(t.Errors, arm+": "+err.Error())
 }
 
 // Print renders the table in aligned plain text.
@@ -51,6 +67,9 @@ func (t *Table) Print(w io.Writer) {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
+	}
+	for _, e := range t.Errors {
+		fmt.Fprintf(w, "  ERROR: %s\n", e)
 	}
 }
 

@@ -74,9 +74,6 @@ type WorldCfg struct {
 	// meaning "unset") maps to data-free on. Set FullDataCert for the
 	// A1 ablation.
 	FullDataCert bool
-	// NoL0Prune disables exclusion-summary pruning of read evidence —
-	// the E1 experiment's "before" arm.
-	NoL0Prune bool
 	// Durable gives every edge a persistent store (real segment files,
 	// real fsyncs). A durable world must state its fsync discipline:
 	// SyncEvery is either SyncPerBlock or a positive group-commit window
@@ -298,7 +295,6 @@ func BuildWorld(cfg WorldCfg) *World {
 				L0Threshold:     cfg.L0Threshold,
 				LevelThresholds: cfg.LevelThresholds,
 				FullDataCert:    cfg.FullDataCert,
-				NoL0Prune:       cfg.NoL0Prune,
 				SyncEvery:       syncEvery,
 				Metrics:         cfg.Metrics,
 			}

@@ -207,7 +207,7 @@ func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 		op, req := f.launchScan(t, []byte("h"), []byte("p")) // covers "hidden" and "other"
 		blocks, certs := pruneBlocks(f.fixture)
 		resp, _ := scan.Assemble(req.Start, req.End, req.ReqID,
-			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx, false)
+			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx)
 		resp.Proof.L0Pruned = []wire.PrunedBlock{wire.PruneBlock(&blocks[0])}
 		resp.Proof.L0PrunedCerts = certs[:1]
 		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
@@ -244,7 +244,7 @@ func TestScanTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 		pb := wire.PruneBlock(&blocks[0])
 		pb.Summary = wire.BlockSummary{}
 		resp, _ := scan.Assemble(req.Start, req.End, req.ReqID,
-			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx, false)
+			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx)
 		resp.Proof.L0Pruned = []wire.PrunedBlock{pb}
 		resp.Proof.L0PrunedCerts = certs[:1]
 		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)

@@ -51,7 +51,7 @@ func (f *scanFixture) launchScan(t *testing.T, start, end []byte) (*Op, *wire.Sc
 
 // honestScanResponse assembles and signs the edge's answer to req.
 func (f *scanFixture) honestScanResponse(req *wire.ScanRequest) *wire.ScanResponse {
-	resp, _ := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx, true)
+	resp, _ := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx)
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	return resp
 }
@@ -165,7 +165,7 @@ func poisonedScan(t *testing.T, f *scanFixture) (op *Op, honest, poisoned *wire.
 	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: digest}
 	cert.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &cert)
 
-	honest, _ = scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, f.idx, true)
+	honest, _ = scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, f.idx)
 	honest.EdgeSig = wcrypto.SignScanResponse(f.keys["edge-1"], honest, [][]byte{digest})
 
 	bad := *honest

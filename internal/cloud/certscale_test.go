@@ -92,20 +92,6 @@ func TestDisputeFloodHitsVerdictCache(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheDisabled: VerdictCache < 0 restores the decode-per-
-// dispute behavior.
-func TestVerdictCacheDisabled(t *testing.T) {
-	f := newFixture(t, Config{VerdictCache: -1})
-	honest := f.buildCertifiedBlock(t, 0, "a")
-	for i := 0; i < 3; i++ {
-		f.dispute(t, f.lyingDispute(honest, "same-lie"))
-	}
-	s := f.node.Stats()
-	if s.JudgeDecodes != 3 || s.VerdictCacheHits != 0 {
-		t.Fatalf("JudgeDecodes = %d, VerdictCacheHits = %d; want 3, 0", s.JudgeDecodes, s.VerdictCacheHits)
-	}
-}
-
 // TestForgedDisputeCannotTouchCache: a bad claimant signature is rejected
 // before any cache access and never seeds a verdict.
 func TestForgedDisputeCannotTouchCache(t *testing.T) {

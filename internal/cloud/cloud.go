@@ -61,11 +61,6 @@ type Config struct {
 	// checkpoints and compares them with the roots the cloud signed.
 	// 0 disables the auditor (the default).
 	AuditEvery int64
-	// VerdictCache caps the adjudication cache (entries): disputes with
-	// byte-identical evidence replay the cached signed verdict instead
-	// of re-decoding and re-judging. 0 selects the default (1024);
-	// negative disables the cache.
-	VerdictCache int
 	// Logger receives operational events; nil disables logging.
 	Logger *olog.Logger
 	// Metrics, when non-nil, is the registry this node's series live in.
@@ -92,9 +87,6 @@ func (c *Config) fill() {
 	}
 	if c.CertBatch < 1 {
 		c.CertBatch = 1
-	}
-	if c.VerdictCache == 0 {
-		c.VerdictCache = 1024
 	}
 }
 
@@ -161,8 +153,8 @@ type Node struct {
 
 	// Certification scale-out (pipeline.go, auditor.go). pipe is nil
 	// with CertWorkers 0; pendingRuns holds each chain's outbound
-	// certificate batch under construction; vcache is nil when the
-	// verdict cache is disabled; aud is nil unless AuditEvery > 0.
+	// certificate batch under construction; aud is nil unless
+	// AuditEvery > 0.
 	pipe        *certPipeline
 	pendingRuns map[wire.NodeID]*certRun
 	vcache      *verdictCache
@@ -219,10 +211,8 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		chains:      make(map[wire.NodeID]*chainState),
 		nodeChain:   make(map[wire.NodeID]wire.NodeID),
 		pendingRuns: make(map[wire.NodeID]*certRun),
+		vcache:      newVerdictCache(),
 		m:           newMetrics(cfg.Metrics, string(cfg.ID)),
-	}
-	if cfg.VerdictCache > 0 {
-		n.vcache = newVerdictCache(cfg.VerdictCache)
 	}
 	if cfg.CertWorkers > 0 {
 		n.pipe = newCertPipeline(reg, cfg.CertWorkers)
@@ -613,42 +603,38 @@ func (n *Node) VerdictsFor(edge wire.NodeID) []wire.Verdict {
 // disputed block it is attached, so an honest edge's slow certification
 // still lets the client finish Phase II.
 //
-// With the verdict cache on, adjudications are memoized by evidence
-// digest: a flood of byte-identical accusations costs one Judge decode
-// for the first and a cache hit for every replay, from any claimant
-// whose signature verifies. Conviction side effects (punishment,
-// broadcast) ran when the verdict was first issued; a replay only
-// re-delivers the same signed ruling.
+// Adjudications are memoized by evidence digest: a flood of
+// byte-identical accusations costs one Judge decode for the first and a
+// cache hit for every replay, from any claimant whose signature verifies.
+// Conviction side effects (punishment, broadcast) ran when the verdict
+// was first issued; a replay only re-delivers the same signed ruling.
 func (n *Node) handleDispute(now int64, from wire.NodeID, d *wire.Dispute) []wire.Envelope {
 	// The accused is a node; certificates, scan artifacts and gossip are
 	// keyed by its chain. For ungrouped edges the two coincide and
 	// JudgeForChain degenerates to the legacy Judge.
 	chain := n.chainOf(d.Edge)
-	var key string
-	if n.vcache != nil {
-		// Claimant gate before any cache access: only well-signed
-		// disputes may read or seed memoized verdicts, so a forged
-		// accusation can neither poison the cache nor probe it.
-		if err := wcrypto.VerifyMsg(n.reg, from, d, d.ClientSig); err != nil {
-			v := wire.Verdict{Edge: d.Edge, BID: d.BID, Kind: d.Kind,
-				Reason: "dispute rejected: bad client signature"}
+	// Claimant gate before any cache access: only well-signed disputes
+	// may read or seed memoized verdicts, so a forged accusation can
+	// neither poison the cache nor probe it.
+	if err := wcrypto.VerifyMsg(n.reg, from, d, d.ClientSig); err != nil {
+		v := wire.Verdict{Edge: d.Edge, BID: d.BID, Kind: d.Kind,
+			Reason: "dispute rejected: bad client signature"}
+		n.m.disputesNotGuilty.Inc()
+		v.CloudSig = wcrypto.SignMsg(n.key, &v)
+		out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: &v}}
+		return append(out, n.attachProof(chain, d.BID, from)...)
+	}
+	key := verdictKey(d)
+	if cv, ok := n.vcache.get(key); ok {
+		n.m.verdictCacheHits.Inc()
+		if cv.verdict.Guilty {
+			n.m.disputesGuilty.Inc()
+		} else {
 			n.m.disputesNotGuilty.Inc()
-			v.CloudSig = wcrypto.SignMsg(n.key, &v)
-			out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: &v}}
-			return append(out, n.attachProof(chain, d.BID, from)...)
 		}
-		key = verdictKey(d)
-		if cv, ok := n.vcache.get(key); ok {
-			n.m.verdictCacheHits.Inc()
-			if cv.verdict.Guilty {
-				n.m.disputesGuilty.Inc()
-			} else {
-				n.m.disputesNotGuilty.Inc()
-			}
-			v := cv.verdict
-			out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: &v}}
-			return append(out, n.attachProof(chain, d.BID, from)...)
-		}
+		v := cv.verdict
+		out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: &v}}
+		return append(out, n.attachProof(chain, d.BID, from)...)
 	}
 	n.m.judgeDecodes.Inc()
 	v := core.JudgeForChain(n.reg, n.certs, n.cfg.ID, from, d, chain)
@@ -658,9 +644,7 @@ func (n *Node) handleDispute(now int64, from wire.NodeID, d *wire.Dispute) []wir
 		n.m.disputesNotGuilty.Inc()
 	}
 	v.CloudSig = wcrypto.SignMsg(n.key, &v)
-	if n.vcache != nil {
-		n.vcache.put(key, &cachedVerdict{verdict: v})
-	}
+	n.vcache.put(key, &cachedVerdict{verdict: v})
 	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: &v}}
 	if v.Guilty {
 		n.convict(v)

@@ -230,21 +230,22 @@ type cachedVerdict struct {
 // verdictCache memoizes adjudications by evidence digest (the dispute's
 // signable body: kind, accused, bid, evidence — not the claimant's
 // signature, so the same lie re-filed by any client replays the same
-// verdict). Entries are evicted FIFO at cap; the cache is consulted
-// only after the claimant's signature verifies, so a forged accusation
-// can neither poison it nor read it.
+// verdict). Entries are evicted FIFO at verdictCacheCap; the cache is
+// consulted only after the claimant's signature verifies, so a forged
+// accusation can neither poison it nor read it.
 type verdictCache struct {
-	cap     int
 	entries map[string]*cachedVerdict
 	order   []string
 }
 
-func newVerdictCache(cap int) *verdictCache {
-	return &verdictCache{cap: cap, entries: make(map[string]*cachedVerdict)}
+const verdictCacheCap = 1024
+
+func newVerdictCache() *verdictCache {
+	return &verdictCache{entries: make(map[string]*cachedVerdict)}
 }
 
 func verdictKey(d *wire.Dispute) string {
-	return string(wcrypto.Digest(d.SignableBytes()))
+	return string(wcrypto.Digest(wire.BodyBytes(d)))
 }
 
 func (c *verdictCache) get(key string) (*cachedVerdict, bool) {
@@ -256,7 +257,7 @@ func (c *verdictCache) put(key string, v *cachedVerdict) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	if len(c.order) >= c.cap {
+	if len(c.order) >= verdictCacheCap {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.entries, oldest)

@@ -106,14 +106,6 @@ type Config struct {
 	// certifies are kept — under FullDataCert, group commit, or fault
 	// injection (see certBatching). 0 or 1 disables.
 	CertBatch int
-	// SerialCrypto reproduces the pre-pipeline hot path — one signature
-	// per (client, kind) responder instead of one shared block-ack
-	// signature. Only the P1 before/after benchmark sets it.
-	SerialCrypto bool
-	// NoL0Prune disables exclusion-summary pruning of read evidence:
-	// every get and scan re-ships the whole uncompacted L0 window in
-	// full, as before PR 5. Only the E1 before/after benchmark sets it.
-	NoL0Prune bool
 	// Fault, when non-nil, makes the node byzantine. See Fault.
 	Fault *Fault
 	// Logger receives operational events; nil disables logging.
@@ -454,31 +446,28 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	case *wire.PutRequest:
 		return n.handleWrite(now, env.From, m.Entry, true, env.Verified)
 	case *wire.PutBatch:
-		verified := env.Verified
-		if len(m.BatchSig) > 0 {
-			// Session-signed batch: the signer must BE the sender.
-			// Entries are accepted on the batch signature alone, so
-			// binding m.Client to the envelope sender (plus the
-			// per-entry e.Client == from check below) is what stops a
-			// registered client from forging writes attributed to
-			// another identity. This structural check runs even for
-			// pool-verified envelopes — the pool only checks signatures.
-			if m.Client != env.From {
-				n.logf("rejecting batch signed by a different identity", "from", env.From, "signer", m.Client)
+		// The batch signer must BE the sender. Entries are accepted on the
+		// batch signature alone, so binding m.Client to the envelope sender
+		// (plus the per-entry e.Client == from check in handleWrite) is what
+		// stops a registered client from forging writes attributed to
+		// another identity. This structural check runs even for
+		// pool-verified envelopes — the pool only checks signatures.
+		if m.Client != env.From {
+			n.logf("rejecting batch signed by a different identity", "from", env.From, "signer", m.Client)
+			return nil
+		}
+		if !env.Verified {
+			// An absent BatchSig fails here too: per-entry signatures do
+			// not admit a batch.
+			if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
+				n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
 				return nil
-			}
-			if !verified {
-				if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
-					n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
-					return nil
-				}
-				verified = true
 			}
 		}
 		var out []wire.Envelope
 		for i := range m.Entries {
 			isPut := len(m.Entries[i].Key) > 0
-			out = append(out, n.handleWrite(now, env.From, m.Entries[i], isPut, verified)...)
+			out = append(out, n.handleWrite(now, env.From, m.Entries[i], isPut, true)...)
 		}
 		return out
 	case *wire.ReadRequest:
@@ -787,10 +776,9 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 	// digest already cached at block cut — and every responder carries
 	// the same signature regardless of block size. Faulty nodes tamper
 	// per victim and therefore sign per responder (the generic path
-	// recomputes the tampered digest), and so does the SerialCrypto A/B
-	// baseline.
+	// recomputes the tampered digest).
 	var sharedSig []byte
-	if n.cfg.Fault == nil && !n.cfg.SerialCrypto && len(responders) > 0 {
+	if n.cfg.Fault == nil && len(responders) > 0 {
 		sharedSig = wcrypto.SignBlockAck(n.key, blk.ID, digest)
 	}
 

@@ -311,10 +311,7 @@ func TestFlushTickCutsPartialBlock(t *testing.T) {
 
 func TestPutBatchCutsAlignedBlock(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 3})
-	batch := &wire.PutBatch{}
-	for i := uint64(1); i <= 3; i++ {
-		batch.Entries = append(batch.Entries, f.entry("c1", i, "k", "v"))
-	}
+	batch := sessionBatch(f, "c1", []uint64{1, 2, 3})
 	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: batch})
 	k := kindsOf(out)
 	if k[wire.KindPutResponse] != 1 || k[wire.KindBlockCertify] != 1 {

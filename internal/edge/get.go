@@ -76,12 +76,12 @@ func (n *Node) buildGet(m *wire.GetRequest) (*wire.GetResponse, [][]byte, bool) 
 		// then splice those blocks back in as pruned references so the
 		// window still looks contiguous and accounted for.
 		rest, victims := splitSummaryVictims(src, key)
-		resp, _ := mlsm.AssembleGet(m.Key, m.ReqID, rest, n.idx, !n.cfg.NoL0Prune)
+		resp, _ := mlsm.AssembleGet(m.Key, m.ReqID, rest, n.idx, true)
 		pv, pvCerts := prunedVictims(victims, key, tamper)
 		mergePruned(&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, pv, pvCerts)
 		return resp, nil, true
 	}
-	resp, digests := mlsm.AssembleGet(m.Key, m.ReqID, src, n.idx, !n.cfg.NoL0Prune)
+	resp, digests := mlsm.AssembleGet(m.Key, m.ReqID, src, n.idx, true)
 	return resp, digests, false
 }
 

@@ -1,8 +1,10 @@
 package edge
 
 import (
+	"bytes"
 	"testing"
 
+	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -23,10 +25,11 @@ func feedThroughPool(t *testing.T, n *Node, reg *wcrypto.Registry, envs []wire.E
 	return outs
 }
 
-// TestPoolFedEdgeMatchesSerial feeds an identical stream — including a
-// forged signature — to a serially driven edge and a pool-fronted edge,
-// and asserts byte-identical observable behaviour: same accepted writes,
-// same emitted responses, and identical rejection of the bad signature.
+// TestPoolFedEdgeMatchesSerial feeds an identical stream — single adds, a
+// session-signed batch and a forged signature — to a serially driven edge
+// and a pool-fronted edge, and asserts byte-identical observable
+// behaviour: same accepted writes, same emitted responses, and identical
+// rejection of the bad signature.
 func TestPoolFedEdgeMatchesSerial(t *testing.T) {
 	build := func() (*fixture, []wire.Envelope) {
 		f := newFixture(t, Config{BatchSize: 2})
@@ -40,6 +43,7 @@ func TestPoolFedEdgeMatchesSerial(t *testing.T) {
 			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: forged}},
 			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c1", 3, "", "c")}},
 			wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c2", 2, "", "d")}},
+			wire.Envelope{From: "c1", To: "edge-1", Msg: sessionBatch(f, "c1", []uint64{4, 5})},
 		)
 		return f, envs
 	}
@@ -56,8 +60,8 @@ func TestPoolFedEdgeMatchesSerial(t *testing.T) {
 	if s, p := serial.node.Stats(), pooled.node.Stats(); s.Writes != p.Writes || s.BlocksCut != p.BlocksCut {
 		t.Fatalf("stats diverged: serial %+v pooled %+v", s, p)
 	}
-	if serial.node.Stats().Writes != 4 {
-		t.Fatalf("forged entry accepted: %d writes", serial.node.Stats().Writes)
+	if serial.node.Stats().Writes != 6 {
+		t.Fatalf("writes = %d, want 6 (everything but the forged entry)", serial.node.Stats().Writes)
 	}
 	if len(serialOuts) != len(pooledOuts) {
 		t.Fatalf("output count diverged: serial %d pooled %d", len(serialOuts), len(pooledOuts))
@@ -90,6 +94,36 @@ func TestSessionBatchAccepted(t *testing.T) {
 	}
 	if f.node.Stats().Writes != 3 {
 		t.Fatalf("writes = %d, want 3", f.node.Stats().Writes)
+	}
+}
+
+// TestPutBatchWithoutSessionSignatureDropped: per-entry signatures do not
+// admit a batch. A batch of individually signed entries with no BatchSig —
+// with or without a claimed signer — is dropped whole, inline and behind a
+// verify pool alike: no write counted, no block cut, one log line.
+func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
+	for _, signer := range []wire.NodeID{"", "c1"} {
+		for _, pooled := range []bool{false, true} {
+			var logged bytes.Buffer
+			f := newFixture(t, Config{BatchSize: 3, Logger: olog.NewUnstamped(&logged, olog.LevelInfo)})
+			b := &wire.PutBatch{Client: signer}
+			for seq := uint64(1); seq <= 3; seq++ {
+				b.Entries = append(b.Entries, f.entry("c1", seq, "k", "v"))
+			}
+			env := wire.Envelope{From: "c1", To: "edge-1", Msg: b}
+			var out []wire.Envelope
+			if pooled {
+				out = feedThroughPool(t, f.node, f.reg, []wire.Envelope{env})
+			} else {
+				out = f.node.Receive(1, env)
+			}
+			if s := f.node.Stats(); len(out) != 0 || s.Writes != 0 || s.BlocksCut != 0 || f.node.Log().BufferLen() != 0 {
+				t.Fatalf("signer %q pooled %v: unsigned batch admitted: %d outputs, %+v", signer, pooled, len(out), s)
+			}
+			if n := bytes.Count(logged.Bytes(), []byte("\n")); n != 1 {
+				t.Fatalf("signer %q pooled %v: %d log lines, want 1:\n%s", signer, pooled, n, logged.String())
+			}
+		}
 	}
 }
 

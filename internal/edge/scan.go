@@ -73,12 +73,12 @@ func (n *Node) buildScan(m *wire.ScanRequest) (*wire.ScanResponse, [][]byte, boo
 		// Summary-pruning attack on the scan path: hide the blocks
 		// holding key behind pruned references (see buildGet).
 		rest, victims := splitSummaryVictims(src, key)
-		resp, _ := scan.Assemble(m.Start, m.End, m.ReqID, rest, n.idx, !n.cfg.NoL0Prune)
+		resp, _ := scan.Assemble(m.Start, m.End, m.ReqID, rest, n.idx)
 		pv, pvCerts := prunedVictims(victims, key, tamper)
 		mergePruned(&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, pv, pvCerts)
 		return resp, nil, true
 	}
-	resp, digests := scan.Assemble(m.Start, m.End, m.ReqID, src, n.idx, !n.cfg.NoL0Prune)
+	resp, digests := scan.Assemble(m.Start, m.End, m.ReqID, src, n.idx)
 	tampered := n.applyScanFault(resp)
 	return resp, digests, tampered
 }

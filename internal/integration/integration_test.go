@@ -40,7 +40,6 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
-	noPrune   bool          // disable read-evidence pruning (E1 before/after shape)
 	net       *faultnet.Net // link faults; nil = a clean network
 }
 
@@ -75,7 +74,6 @@ func newWorld(t *testing.T, o worldOpts) *world {
 		BatchSize:       o.batch,
 		L0Threshold:     o.l0Thresh,
 		LevelThresholds: []int{2, 4, 8},
-		NoL0Prune:       o.noPrune,
 		Fault:           o.fault,
 	}, keys["edge-1"], reg)
 	mkClient := func(id wire.NodeID) *client.Core {

@@ -178,29 +178,35 @@ func TestPrunedWindowPhaseI(t *testing.T) {
 }
 
 // TestPrunedGetFullWindowAccounting cross-checks the evidence shrink the
-// E1 experiment measures: with a deep window, the pruned get response is
-// materially smaller than the unpruned one for an L0-miss key.
+// E1 experiment measures: with a deep window, the get response for an
+// L0-miss key accounts for every window block, ships none of them in
+// full, and is smaller than the blocks it stands in for.
 func TestPrunedGetFullWindowAccounting(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100})
 	w.preloadKeys(t, 12)
 	pruned := w.edge.AssembleGet([]byte("zz-miss"), 1)
 	prunedBytes := wire.EncodedSize(wire.Envelope{From: "edge-1", To: "c1", Msg: pruned})
 
-	w2 := newWorld(t, worldOpts{batch: 2, l0Thresh: 100, noPrune: true})
-	w2.preloadKeys(t, 12)
-	full := w2.edge.AssembleGet([]byte("zz-miss"), 1)
-	fullBytes := wire.EncodedSize(wire.Envelope{From: "edge-1", To: "c1", Msg: full})
-
-	if len(full.Proof.L0Pruned) != 0 {
-		t.Fatal("NoL0Prune edge still pruned")
+	log := w.edge.Log()
+	window, windowBytes := 0, 0
+	for bid := w.edge.L0From(); bid < log.NumBlocks(); bid++ {
+		blk, err := log.Block(bid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window++
+		windowBytes += len(blk.Canonical())
 	}
 	if len(pruned.Proof.L0Blocks) != 0 {
 		t.Fatalf("L0-miss get still ships %d full blocks", len(pruned.Proof.L0Blocks))
 	}
-	if prunedBytes >= fullBytes {
-		t.Fatalf("pruned evidence (%d B) not smaller than full (%d B)", prunedBytes, fullBytes)
+	if len(pruned.Proof.L0Pruned) != window || window < 6 {
+		t.Fatalf("%d pruned references for a %d-block window", len(pruned.Proof.L0Pruned), window)
 	}
-	t.Logf("evidence bytes: pruned=%d full=%d (%.1fx)", prunedBytes, fullBytes, float64(fullBytes)/float64(prunedBytes))
+	if prunedBytes >= windowBytes {
+		t.Fatalf("pruned evidence (%d B) not smaller than the window's blocks (%d B)", prunedBytes, windowBytes)
+	}
+	t.Logf("evidence bytes: pruned=%d window blocks=%d (%.1fx)", prunedBytes, windowBytes, float64(windowBytes)/float64(prunedBytes))
 }
 
 // TestHonestL0HitGetSurvivesDispute: after the first compaction an honest

@@ -45,12 +45,12 @@ var ErrStale = errors.New("scan: snapshot outside freshness window")
 // protocol, run by the edge. For each non-empty level it includes every
 // page overlapping the range (the boundary pages included, since their
 // committed bounds prove completeness at both ends) under one Merkle
-// range proof. With prune set, window blocks whose digest-committed key
-// interval is disjoint from the range ship as pruned references instead
-// of full blocks. The returned digests are the cut-time digests (from
+// range proof. Window blocks whose digest-committed key interval is
+// disjoint from the range ship as pruned references instead of full
+// blocks. The returned digests are the cut-time digests (from
 // l0.Digests) of the blocks kept in full, in L0Blocks order; nil when
 // l0.Digests was nil.
-func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index, prune bool) (*wire.ScanResponse, [][]byte) {
+func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index) (*wire.ScanResponse, [][]byte) {
 	resp := &wire.ScanResponse{ReqID: reqID, Start: start, End: end}
 	excludes := func(s *wire.BlockSummary) bool { return s.ExcludesRange(start, end) }
 	var fullDigests [][]byte
@@ -61,7 +61,7 @@ func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index
 			cert = l0.Certs[bi]
 		}
 		full := mlsm.AppendL0(&resp.Proof.L0Blocks, &resp.Proof.L0Certs,
-			&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, blk, cert, prune, excludes)
+			&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, blk, cert, true, excludes)
 		if full && l0.Digests != nil {
 			fullDigests = append(fullDigests, l0.Digests[bi])
 		}

@@ -74,7 +74,7 @@ func (f *fixture) params() Params {
 }
 
 func (f *fixture) assemble(start, end []byte) *wire.ScanResponse {
-	resp, _ := Assemble(start, end, 7, f.l0, f.idx, true)
+	resp, _ := Assemble(start, end, 7, f.l0, f.idx)
 	return resp
 }
 
@@ -174,7 +174,7 @@ func TestScanNewestWins(t *testing.T) {
 func TestScanNoMergedState(t *testing.T) {
 	f := newFixture(t)
 	empty := mlsm.NewIndex([]int{20, 100})
-	resp, _ := Assemble(key(0), key(50), 7, f.l0, empty, true)
+	resp, _ := Assemble(key(0), key(50), 7, f.l0, empty)
 	res, err := Verify(f.params(), resp)
 	if err != nil {
 		t.Fatal(err)
@@ -208,20 +208,20 @@ func TestScanFrontierBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0 := mlsm.L0Source{Blocks: f.l0.Blocks[1:], Certs: f.l0.Certs[1:]}
-	resp, _ := Assemble(nil, nil, 7, l0, idx, true)
+	resp, _ := Assemble(nil, nil, 7, l0, idx)
 	if _, err := Verify(f.params(), resp); err != nil {
 		t.Fatalf("window starting at the signed frontier rejected: %v", err)
 	}
 
 	// Re-serving the already-compacted block 0 under the L0From=1 root.
-	stale, _ := Assemble(nil, nil, 7, f.l0, idx, true)
+	stale, _ := Assemble(nil, nil, 7, f.l0, idx)
 	if _, err := Verify(f.params(), stale); err == nil {
 		t.Fatal("window starting before the signed frontier accepted")
 	}
 
 	// No signed state: the window must start at block 0.
 	empty := mlsm.NewIndex([]int{20, 100})
-	noState, _ := Assemble(nil, nil, 7, l0, empty, true)
+	noState, _ := Assemble(nil, nil, 7, l0, empty)
 	if _, err := Verify(f.params(), noState); err == nil {
 		t.Fatal("no-merged-state window starting past block 0 accepted")
 	}

@@ -52,7 +52,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	})
 	s.Add(&recorder{id: "a"})
 	s.Add(dst)
-	size := int64(wire.Size(ping("a", "b")))
+	size := int64(wire.EncodedSize(ping("a", "b")))
 	txNs := size * 1e9 / 1000
 	s.Inject([]wire.Envelope{ping("a", "b"), ping("a", "b")})
 	s.RunUntil(10e9)

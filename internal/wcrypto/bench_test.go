@@ -8,10 +8,10 @@ import (
 )
 
 // Micro-benchmarks for the crypto hot paths: raw sign/verify, the pooled
-// signable-body encoding against the legacy allocating path, and the
-// verify pool against inline verification. A loop that checks one fixed
-// signature calls ForgetVerified every iteration, so it times a first
-// verification; BenchmarkVerifyMemoHit times the repeat.
+// signable-body encoding, and the verify pool against inline
+// verification. A loop that checks one fixed signature calls
+// ForgetVerified every iteration, so it times a first verification;
+// BenchmarkVerifyMemoHit times the repeat.
 
 func benchEntry(k KeyPair, seq uint64) wire.Entry {
 	e := wire.Entry{
@@ -50,19 +50,8 @@ func BenchmarkVerifyEntry(b *testing.B) {
 	}
 }
 
-// BenchmarkSignableBytesLegacy measures the pre-PR allocating signable
-// encoding (a fresh buffer per call); BenchmarkSignableBodyPooled the
-// pooled path SignMsg/VerifyMsg now use.
-func BenchmarkSignableBytesLegacy(b *testing.B) {
-	k := DeterministicKey("c1")
-	e := benchEntry(k, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.SignableBytes()
-	}
-}
-
+// BenchmarkSignableBodyPooled measures the pooled signable encoding
+// SignMsg/VerifyMsg use.
 func BenchmarkSignableBodyPooled(b *testing.B) {
 	k := DeterministicKey("c1")
 	ent := benchEntry(k, 1)
@@ -76,41 +65,22 @@ func BenchmarkSignableBodyPooled(b *testing.B) {
 }
 
 // BenchmarkVerifyMsgPutBatch verifies a session-signed 100-entry batch
-// (one hash of the 15 KB body, one Ed25519 verification);
-// BenchmarkPreVerifyBatchPerEntry the same batch in the pre-PR per-entry
-// format (100 verifications).
-func benchBatch(signed bool) (*Registry, wire.Envelope) {
+// (one hash of the 15 KB body, one Ed25519 verification).
+func benchBatch() (*Registry, wire.Envelope) {
 	k := DeterministicKey("c1")
 	reg := NewRegistry()
 	reg.Register(k.ID, k.Pub)
 	batch := &wire.PutBatch{Client: k.ID}
 	for i := 0; i < 100; i++ {
-		e := wire.Entry{Client: k.ID, Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%08d", i)), Value: make([]byte, 100)}
-		if !signed {
-			e.Sig = SignMsg(k, &e)
-		}
-		batch.Entries = append(batch.Entries, e)
+		batch.Entries = append(batch.Entries, wire.Entry{
+			Client: k.ID, Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%08d", i)), Value: make([]byte, 100)})
 	}
-	if signed {
-		batch.BatchSig = SignMsg(k, batch)
-	}
+	batch.BatchSig = SignMsg(k, batch)
 	return reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: batch}
 }
 
 func BenchmarkVerifyMsgPutBatch(b *testing.B) {
-	reg, env := benchBatch(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg.ForgetVerified()
-		if !PreVerify(reg, env) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-func BenchmarkPreVerifyBatchPerEntry(b *testing.B) {
-	reg, env := benchBatch(false)
+	reg, env := benchBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

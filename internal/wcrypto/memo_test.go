@@ -23,10 +23,10 @@ func TestSignatureGoldenVector(t *testing.T) {
 	)
 	k := DeterministicKey("cloud")
 	bp := &wire.BlockProof{Edge: "edge-1", BID: 9, Digest: Digest([]byte("b"))}
-	if got := hex.EncodeToString(bp.SignableBytes()); got != body {
+	if got := hex.EncodeToString(wire.BodyBytes(bp)); got != body {
 		t.Fatalf("BlockProof body encoding drifted:\n got %s\nwant %s", got, body)
 	}
-	if d := signedDigest(bp.SignableBytes()); hex.EncodeToString(d[:]) != digest {
+	if d := signedDigest(wire.BodyBytes(bp)); hex.EncodeToString(d[:]) != digest {
 		t.Fatalf("signed digest drifted (tag or hash changed): %x", d)
 	}
 	if got := hex.EncodeToString(SignMsg(k, bp)); got != sig {
@@ -85,7 +85,7 @@ func TestMergeGoldenVectors(t *testing.T) {
 		{"MergeResponse", resp, cloud, goldenRespBody, goldenRespSig},
 	}
 	for _, c := range cases {
-		if got := hex.EncodeToString(c.m.SignableBytes()); got != c.body {
+		if got := hex.EncodeToString(wire.BodyBytes(c.m)); got != c.body {
 			t.Errorf("%s body drifted:\n got %s\nwant %s", c.name, got, c.body)
 		}
 		if got := hex.EncodeToString(SignMsg(c.key, c.m)); got != c.sig {
@@ -99,7 +99,7 @@ func TestMergeGoldenVectors(t *testing.T) {
 	}
 	// The request body holds no block or page bytes (22-byte header, three
 	// counts, two length-prefixed hashes), the response none of its pages'.
-	if n := len(req.SignableBytes()); n != 22+3*4+2*36 {
+	if n := len(wire.BodyBytes(req)); n != 22+3*4+2*36 {
 		t.Errorf("MergeRequest body is %d bytes", n)
 	}
 	stripped := *resp

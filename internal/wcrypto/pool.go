@@ -22,16 +22,9 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 	case *wire.PutRequest:
 		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
 	case *wire.PutBatch:
-		if len(m.BatchSig) > 0 {
-			// Session-signed batch: one signature covers every entry.
-			return VerifyMsg(r, m.Client, m, m.BatchSig) == nil
-		}
-		for i := range m.Entries {
-			if VerifyMsg(r, m.Entries[i].Client, &m.Entries[i], m.Entries[i].Sig) != nil {
-				return false
-			}
-		}
-		return len(m.Entries) > 0
+		// One session signature covers every entry; a batch without one
+		// fails here like any bad signature.
+		return VerifyMsg(r, m.Client, m, m.BatchSig) == nil
 	case *wire.ReserveRequest:
 		return VerifyMsg(r, m.Client, m, m.ClientSig) == nil
 	case *wire.BlockProof:

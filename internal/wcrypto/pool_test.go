@@ -111,9 +111,9 @@ func TestVerifyPoolSynchronousMode(t *testing.T) {
 	pool.Close() // no-op, must not hang
 }
 
-// TestVerifyPoolSessionBatch checks PreVerify's two batch modes: a
-// session signature authenticates the whole batch in one check, and
-// tampering with any entry breaks it.
+// TestVerifyPoolSessionBatch checks PreVerify on batches: a session
+// signature authenticates the whole batch in one check, tampering with any
+// entry breaks it, and per-entry signatures without one admit nothing.
 func TestVerifyPoolSessionBatch(t *testing.T) {
 	reg, keys := poolFixture(t, 1)
 	k := keys["c1"]
@@ -131,6 +131,16 @@ func TestVerifyPoolSessionBatch(t *testing.T) {
 	tampered.Entries[3].Value = []byte("evil")
 	if PreVerify(reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: &tampered}) {
 		t.Fatal("tampered session batch verified")
+	}
+	perEntry := &wire.PutBatch{Entries: append([]wire.Entry(nil), batch.Entries...)}
+	for i := range perEntry.Entries {
+		perEntry.Entries[i].Sig = SignMsg(k, &perEntry.Entries[i])
+	}
+	for _, client := range []wire.NodeID{"", k.ID} {
+		perEntry.Client = client
+		if PreVerify(reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: perEntry}) {
+			t.Fatalf("batch without BatchSig (Client %q) verified on its entry signatures", client)
+		}
 	}
 }
 

@@ -230,27 +230,13 @@ func (r *Registry) remember(v verified) {
 
 // Signable is any message type carrying a signature over its canonical
 // body encoding.
-type Signable interface {
-	SignableBytes() []byte
-}
-
-// signableBody writes m's signable body into a pooled encoder when the
-// message supports appending (every wire message does), falling back to
-// the allocating SignableBytes path otherwise. The caller must
-// wire.PutEncoder the returned encoder; it is nil on the fallback path.
-func signableBody(m Signable) (*wire.Encoder, []byte) {
-	if a, ok := m.(wire.BodyAppender); ok {
-		e := wire.GetEncoder()
-		a.AppendBody(e)
-		return e, e.Bytes()
-	}
-	return nil, m.SignableBytes()
-}
+type Signable = wire.BodyAppender
 
 // SignMsg returns the signature for a signable message body.
 func SignMsg(k KeyPair, m Signable) []byte {
-	e, body := signableBody(m)
-	sig := k.Sign(body)
+	e := wire.GetEncoder()
+	m.AppendBody(e)
+	sig := k.Sign(e.Bytes())
 	wire.PutEncoder(e)
 	return sig
 }
@@ -258,8 +244,9 @@ func SignMsg(k KeyPair, m Signable) []byte {
 // VerifyMsg checks a signable message's signature against signer's
 // registered key.
 func VerifyMsg(r *Registry, signer wire.NodeID, m Signable, sig []byte) error {
-	e, body := signableBody(m)
-	err := r.Verify(signer, body, sig)
+	e := wire.GetEncoder()
+	m.AppendBody(e)
+	err := r.Verify(signer, e.Bytes(), sig)
 	wire.PutEncoder(e)
 	return err
 }

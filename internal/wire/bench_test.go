@@ -2,9 +2,7 @@ package wire
 
 import "testing"
 
-// Micro-benchmarks for the wire layer's hot paths. The legacy variants
-// reproduce the pre-pipeline implementations so the allocation wins are
-// visible in one `make bench-micro` run.
+// Micro-benchmarks for the wire layer's hot paths (`make bench-micro`).
 
 func benchEnvelope() Envelope {
 	return Envelope{From: "c1", To: "edge-1", Msg: &AddResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}}
@@ -45,16 +43,6 @@ func BenchmarkDecodeEnvelopeOwned(b *testing.B) {
 		if _, err := DecodeEnvelopeOwned(buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEnvelopeSizeLegacy is the pre-PR Size implementation: encode
-// the whole envelope and take len().
-func BenchmarkEnvelopeSizeLegacy(b *testing.B) {
-	env := benchEnvelope()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = len(EncodeEnvelope(env))
 	}
 }
 

@@ -189,9 +189,6 @@ func NewDecoderZeroCopy(b []byte) *Decoder { return &Decoder{buf: b, zeroCopy: t
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // Finish reports an error if input remains unconsumed or a decode error
 // occurred. Canonical decoding must consume the entire message.
 func (d *Decoder) Finish() error {
@@ -339,13 +336,29 @@ func (d *Decoder) Str() string {
 // ID reads a node identity.
 func (d *Decoder) ID() NodeID { return NodeID(d.Str()) }
 
-// Count reads an element count for a slice. Decoding runs on bytes no
-// signature has vouched for yet, and callers allocate the slice before
-// reading its elements, so a count the remaining input cannot satisfy —
-// every element encodes to at least one byte — fails here as truncation.
-func (d *Decoder) Count() int { return d.count(1) }
+// Minimum encoded sizes of the element types slices are decoded into: the
+// fixed-width fields plus one length or count prefix per variable-length
+// field — what the zero value encodes to (TestMinSizesMatchZeroValues).
+const (
+	minBlobSize            = 4                         // length prefix; also a NodeID or a uint32
+	minEntrySize           = 4 + 8 + 4 + 4 + 8 + 8 + 4 // Client Seq Key Value Ts Pos Sig
+	minKVSize              = 4 + 4 + 8                 // Key Value Ver
+	minBlockSize           = 4 + 8 + 8 + 8 + 4         // Edge ID StartPos Ts len(Entries)
+	minPageSize            = 4 + 8 + 1 + 1 + 8 + 4     // Level Seq Lo Hi Ts len(KVs)
+	minBlockProofSize      = 4 + 8 + 4 + 4             // Edge BID Digest CloudSig
+	minSummarySize         = 4 + 1 + 1 + 4             // Keys MinKey MaxKey len(Fps)
+	minPrunedBlockSize     = 4 + 8 + 8 + 8 + 4 + minSummarySize
+	minLevelProofSize      = 4 + minPageSize + 4 + 4 + 4 // Level Page Index Width len(Path)
+	minLevelRangeProofSize = 4 + 4 + 4 + 4 + 4 + 4       // Level First Width len(Pages) len(Left) len(Right)
+	minCatchUpItemSize     = minBlockSize + 4 + 4        // Block ServerSig cert flag
+)
 
-// count is Count for elements that encode to at least minSize bytes each.
+// count reads the element count of a slice whose elements encode to at
+// least minSize bytes each. Decoding runs on bytes no signature has
+// vouched for yet, and callers allocate the slice before reading its
+// elements, so a count the remaining input cannot hold fails here as
+// truncation: what a frame can make a decoder allocate is bounded by the
+// frame's own size.
 func (d *Decoder) count(minSize int) int {
 	n := d.U32()
 	if d.err != nil {
@@ -362,11 +375,12 @@ func (d *Decoder) count(minSize int) int {
 	return int(n)
 }
 
-// decodeSlice reads a counted sequence of T using the element decoder fn
-// (typically a method expression such as (*Block).DecodeFrom). An empty
-// sequence decodes as nil so round-tripped messages compare equal.
-func decodeSlice[T any](d *Decoder, fn func(*T, *Decoder)) []T {
-	n := d.Count()
+// decodeSlice reads a counted sequence of T, each at least minSize bytes
+// encoded, using the element decoder fn (typically a method expression such
+// as (*Block).DecodeFrom). An empty sequence decodes as nil so round-tripped
+// messages compare equal.
+func decodeSlice[T any](d *Decoder, minSize int, fn func(*T, *Decoder)) []T {
+	n := d.count(minSize)
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
@@ -377,16 +391,13 @@ func decodeSlice[T any](d *Decoder, fn func(*T, *Decoder)) []T {
 	return out
 }
 
+// decodeIDs reads a counted sequence of node identities.
+func decodeIDs(d *Decoder) []NodeID {
+	return decodeSlice(d, minBlobSize, func(id *NodeID, d *Decoder) { *id = d.ID() })
+}
+
 // decodeBlobs reads a counted sequence of length-prefixed byte strings,
 // decoding an empty sequence as nil.
 func decodeBlobs(d *Decoder) [][]byte {
-	n := d.count(4) // each blob carries its length
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = d.Blob()
-	}
-	return out
+	return decodeSlice(d, minBlobSize, func(b *[]byte, d *Decoder) { *b = d.Blob() })
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -141,6 +142,35 @@ func TestBlobLengthLimit(t *testing.T) {
 	}
 }
 
+// allocatedBytes reports the heap bytes f allocates: the smallest of a few
+// readings, since the process-wide counter also sees whatever the runtime
+// and other tests' goroutines allocate meanwhile.
+func allocatedBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// countCase is one counted sequence the decoder allocates for: elements of
+// at least min bytes, inside a container that reads head zero bytes before
+// the count and tail after the elements.
+type countCase struct {
+	name       string
+	min        int
+	head, tail int
+	decode     func(*Decoder)
+}
+
+func sliceCase[T any](name string, min int, fn func(*T, *Decoder)) countCase {
+	return countCase{name, min, 0, 0, func(d *Decoder) { decodeSlice(d, min, fn) }}
+}
+
 // TestCountBoundedByRemainingInput: decoding runs before any signature is
 // checked, and the slice helpers allocate before they read an element. A
 // 20-byte frame claiming 2^30 elements must fail as truncated input
@@ -160,7 +190,7 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 		"envelope": func() error { _, err := DecodeEnvelope(frame); return err },
 		"slice": func() error {
 			d := NewDecoder(frame[12:])
-			decodeSlice(d, (*Entry).DecodeFrom)
+			decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 			return d.Err()
 		},
 		"blobs": func() error {
@@ -173,11 +203,7 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 		if err := decode(); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_ = decode()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		if got := allocatedBytes(func() { _ = decode() }); got >= 1<<10 {
 			t.Errorf("%s: allocated %d bytes for a 20-byte frame", name, got)
 		}
 	}
@@ -190,6 +216,46 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 	d := NewDecoder(ok.Bytes())
 	if got := decodeBlobs(d); len(got) != 2 || d.Finish() != nil {
 		t.Fatalf("decodeBlobs = %q, err %v", got, d.Finish())
+	}
+
+	// The bound is per element type. Every element's zero value encodes to
+	// min zero bytes, so k elements decode from exactly min*k zero bytes
+	// (the constant is not too large) and one byte fewer fails before the
+	// slice is allocated (nor too small to bound it).
+	const k = 4096
+	elems := []countCase{
+		sliceCase("Entry", minEntrySize, (*Entry).DecodeFrom),
+		sliceCase("KV", minKVSize, (*KV).DecodeFrom),
+		sliceCase("Block", minBlockSize, (*Block).DecodeFrom),
+		sliceCase("Page", minPageSize, (*Page).DecodeFrom),
+		sliceCase("BlockProof", minBlockProofSize, (*BlockProof).DecodeFrom),
+		sliceCase("PrunedBlock", minPrunedBlockSize, (*PrunedBlock).DecodeFrom),
+		sliceCase("LevelProof", minLevelProofSize, (*LevelProof).DecodeFrom),
+		sliceCase("LevelRangeProof", minLevelRangeProofSize, (*LevelRangeProof).DecodeFrom),
+		{"CatchUpItem", minCatchUpItemSize, 4 + 4 + 8 + 8, 0, (&CatchUpBlocks{}).DecodeFrom},
+		{"blob", minBlobSize, 0, 0, func(d *Decoder) { decodeBlobs(d) }},
+		{"fingerprint", minBlobSize, 4 + 1 + 1, 0, (&BlockSummary{}).DecodeFrom},
+		{"NodeID", minBlobSize, 8 + 8, 4 + 4, (&ShardMap{}).DecodeFrom},
+	}
+	for _, c := range elems {
+		in := make([]byte, c.head+4+c.min*k+c.tail)
+		binary.BigEndian.PutUint32(in[c.head:], k)
+		short := in[:len(in)-c.tail-1]
+		d := NewDecoder(in)
+		c.decode(d)
+		if err := d.Finish(); err != nil {
+			t.Errorf("%s: %d zero elements in %d bytes: %v", c.name, k, c.min*k, err)
+		}
+		got := allocatedBytes(func() {
+			d = NewDecoder(short)
+			c.decode(d)
+		})
+		if !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("%s: %d elements claimed in %d bytes: err = %v, want ErrTruncated", c.name, k, c.min*k-1, d.Err())
+		}
+		if got >= 1<<10 {
+			t.Errorf("%s: allocated %d bytes before rejecting the count", c.name, got)
+		}
 	}
 }
 

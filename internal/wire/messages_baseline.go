@@ -170,6 +170,7 @@ func (m *EBStatePush) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *EBStatePush) AppendBody(e *Encoder) {
 	e.U64(m.Epoch)
 	m.Block.EncodeTo(e)
@@ -192,17 +193,10 @@ func (m *EBStatePush) DecodeFrom(d *Decoder) {
 	m.Block.DecodeFrom(d)
 	m.Proof.DecodeFrom(d)
 	m.L0From = d.U64()
-	m.Pages = decodeSlice(d, (*Page).DecodeFrom)
+	m.Pages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
 	m.Roots = decodeBlobs(d)
 	m.Global.DecodeFrom(d)
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *EBStatePush) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // EBStateAck confirms the edge has durably applied a state push, releasing
@@ -217,21 +211,17 @@ func (*EBStateAck) MsgKind() Kind { return KindEBStateAck }
 
 // EncodeTo implements Message.
 func (m *EBStateAck) EncodeTo(e *Encoder) {
-	e.U64(m.Epoch)
+	m.AppendBody(e)
 	e.Blob(m.EdgeSig)
 }
+
+// AppendBody appends the bytes the edge signs.
+func (m *EBStateAck) AppendBody(e *Encoder) { e.U64(m.Epoch) }
 
 // DecodeFrom implements Message.
 func (m *EBStateAck) DecodeFrom(d *Decoder) {
 	m.Epoch = d.U64()
 	m.EdgeSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *EBStateAck) SignableBytes() []byte {
-	var e Encoder
-	e.U64(m.Epoch)
-	return e.Bytes()
 }
 
 // Ping measures link round-trip time (Table I reproduction).

@@ -2,26 +2,23 @@ package wire
 
 // Batched write requests. The paper batches add and put requests in all
 // experiments ("each batch consists of 100 put operations"); these
-// messages carry a client's whole batch in one request. Each entry still
-// carries its own client signature, so servers verify entries exactly as
-// they do for single-entry requests.
+// messages carry a client's whole batch in one request.
 
 // PutBatch submits a batch of writes to a WedgeChain edge node. Entries
 // with a key are puts; entries without are log adds.
 //
-// Two authentication modes coexist. In the original per-entry mode
-// (Client empty, BatchSig nil) every entry carries its own client
-// signature and the edge verifies each one. In session-signed mode the
-// client signs the whole batch once — BatchSig covers Client and every
+// The client signs the whole batch once — BatchSig covers Client and every
 // entry byte-for-byte — and the per-entry signatures may be empty: one
 // Ed25519 verification authenticates the batch, amortizing the dominant
-// per-write crypto cost across the paper's batch size B. Splicing is not
-// possible: an entry lifted out of a signed batch has no individual
-// signature, and any reorder, subset or substitution breaks BatchSig.
+// per-write crypto cost across the paper's batch size B. A batch without
+// BatchSig is rejected. Splicing is not possible: an entry lifted out of a
+// signed batch has no individual signature, and any reorder, subset or
+// substitution breaks BatchSig. (The baselines' CloudPutBatch and
+// EBPutBatch below carry per-entry signatures instead.)
 type PutBatch struct {
-	Client   NodeID // batch signer; must match every entry in signed mode
+	Client   NodeID // batch signer; must match every entry
 	Entries  []Entry
-	BatchSig []byte // nil = per-entry signatures
+	BatchSig []byte
 }
 
 // MsgKind implements Message.
@@ -45,15 +42,8 @@ func (m *PutBatch) AppendBody(e *Encoder) {
 // DecodeFrom implements Message.
 func (m *PutBatch) DecodeFrom(d *Decoder) {
 	m.Client = d.ID()
-	m.Entries = decodeSlice(d, (*Entry).DecodeFrom)
+	m.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 	m.BatchSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the client signs in session-signed mode.
-func (m *PutBatch) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // CloudPutBatch submits a batch of writes to the Cloud-only server.
@@ -74,7 +64,7 @@ func (m *CloudPutBatch) EncodeTo(e *Encoder) {
 
 // DecodeFrom implements Message.
 func (m *CloudPutBatch) DecodeFrom(d *Decoder) {
-	m.Entries = decodeSlice(d, (*Entry).DecodeFrom)
+	m.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 }
 
 // EBPutBatch submits a batch of writes to the Edge-baseline cloud.
@@ -98,5 +88,5 @@ func (m *EBPutBatch) EncodeTo(e *Encoder) {
 // DecodeFrom implements Message.
 func (m *EBPutBatch) DecodeFrom(d *Decoder) {
 	m.Edge = d.ID()
-	m.Entries = decodeSlice(d, (*Entry).DecodeFrom)
+	m.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 }

@@ -28,6 +28,7 @@ func (m *CatchUpRequest) EncodeTo(e *Encoder) {
 	e.Blob(m.Sig)
 }
 
+// AppendBody appends the bytes the requesting node signs.
 func (m *CatchUpRequest) AppendBody(e *Encoder) {
 	e.ID(m.Chain)
 	e.ID(m.Node)
@@ -42,13 +43,6 @@ func (m *CatchUpRequest) DecodeFrom(d *Decoder) {
 	m.From = d.U64()
 	m.Ts = d.I64()
 	m.Sig = d.Blob()
-}
-
-// SignableBytes returns the bytes the requesting node signs.
-func (m *CatchUpRequest) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // CatchUpItem is one block of a catch-up response. ServerSig is the
@@ -108,7 +102,7 @@ func (m *CatchUpBlocks) DecodeFrom(d *Decoder) {
 	m.Leader = d.ID()
 	m.From = d.U64()
 	m.Through = d.U64()
-	n := d.Count()
+	n := d.count(minCatchUpItemSize)
 	if d.Err() != nil || n == 0 {
 		m.Items = nil
 		return
@@ -149,6 +143,7 @@ func (m *GroupJoin) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *GroupJoin) AppendBody(e *Encoder) {
 	e.ID(m.Chain)
 	e.ID(m.Node)
@@ -165,13 +160,6 @@ func (m *GroupJoin) DecodeFrom(d *Decoder) {
 	m.Epoch = d.U64()
 	m.Ts = d.I64()
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *GroupJoin) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // FrontierRequest asks the cloud for a chain's certified frontier. The

@@ -35,6 +35,7 @@ func (m *BlockCertifyBatch) EncodeTo(e *Encoder) {
 	e.Blob(m.EdgeSig)
 }
 
+// AppendBody appends the bytes the edge signs.
 func (m *BlockCertifyBatch) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.Start)
@@ -50,13 +51,6 @@ func (m *BlockCertifyBatch) DecodeFrom(d *Decoder) {
 	m.Start = d.U64()
 	m.Digests = decodeBlobs(d)
 	m.EdgeSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *BlockCertifyBatch) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // BlockCertBatch is the cloud's batched certification proof: one cloud
@@ -80,6 +74,7 @@ func (m *BlockCertBatch) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *BlockCertBatch) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.Start)
@@ -95,11 +90,4 @@ func (m *BlockCertBatch) DecodeFrom(d *Decoder) {
 	m.Start = d.U64()
 	m.Digests = decodeBlobs(d)
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *BlockCertBatch) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }

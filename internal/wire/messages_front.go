@@ -45,10 +45,3 @@ func (m *Overloaded) DecodeFrom(d *Decoder) {
 	m.Backlog = d.U64()
 	m.EdgeSig = d.Blob()
 }
-
-// SignableBytes returns the bytes the edge signs.
-func (m *Overloaded) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
-}

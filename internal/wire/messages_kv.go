@@ -53,13 +53,6 @@ func (m *PutResponse) DecodeFrom(d *Decoder) {
 	m.encSize = 0
 }
 
-// SignableBytes returns the bytes the edge signs.
-func (m *PutResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
-}
-
 func (m *PutResponse) encodedSizeMemo() int { return m.encSize }
 
 func (m *PutResponse) memoizeEncodedSize(n int) {
@@ -200,11 +193,11 @@ func (gp *GetProof) AppendSignable(e *Encoder, digests [][]byte) {
 
 // DecodeFrom reads the proof.
 func (gp *GetProof) DecodeFrom(d *Decoder) {
-	gp.L0Blocks = decodeSlice(d, (*Block).DecodeFrom)
-	gp.L0Certs = decodeSlice(d, (*BlockProof).DecodeFrom)
-	gp.L0Pruned = decodeSlice(d, (*PrunedBlock).DecodeFrom)
-	gp.L0PrunedCerts = decodeSlice(d, (*BlockProof).DecodeFrom)
-	gp.Levels = decodeSlice(d, (*LevelProof).DecodeFrom)
+	gp.L0Blocks = decodeSlice(d, minBlockSize, (*Block).DecodeFrom)
+	gp.L0Certs = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
+	gp.L0Pruned = decodeSlice(d, minPrunedBlockSize, (*PrunedBlock).DecodeFrom)
+	gp.L0PrunedCerts = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
+	gp.Levels = decodeSlice(d, minLevelProofSize, (*LevelProof).DecodeFrom)
 	gp.Roots = decodeBlobs(d)
 	gp.Global.DecodeFrom(d)
 }
@@ -273,13 +266,6 @@ func (m *GetResponse) DecodeFrom(d *Decoder) {
 	m.Proof.DecodeFrom(d)
 	m.EdgeSig = d.Blob()
 	m.encSize = 0
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *GetResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 func (m *GetResponse) encodedSizeMemo() int { return m.encSize }
@@ -370,17 +356,10 @@ func (m *MergeRequest) DecodeFrom(d *Decoder) {
 	m.Edge = d.ID()
 	m.ReqID = d.U64()
 	m.FromLevel = d.U32()
-	m.L0Blocks = decodeSlice(d, (*Block).DecodeFrom)
-	m.SrcPages = decodeSlice(d, (*Page).DecodeFrom)
-	m.DstPages = decodeSlice(d, (*Page).DecodeFrom)
+	m.L0Blocks = decodeSlice(d, minBlockSize, (*Block).DecodeFrom)
+	m.SrcPages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
+	m.DstPages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
 	m.EdgeSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *MergeRequest) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // MergeResponse is the cloud's data-free answer to a MergeRequest: the
@@ -453,13 +432,6 @@ func (m *MergeResponse) DecodeFrom(d *Decoder) {
 	m.Roots = decodeBlobs(d)
 	m.Global.DecodeFrom(d)
 	m.ConsumedTo = d.U64()
-	m.NewPages = decodeSlice(d, (*Page).DecodeFrom)
+	m.NewPages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *MergeResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }

@@ -74,13 +74,6 @@ func (m *AddResponse) DecodeFrom(d *Decoder) {
 	m.encSize = 0
 }
 
-// SignableBytes returns the bytes the edge signs.
-func (m *AddResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
-}
-
 func (m *AddResponse) encodedSizeMemo() int { return m.encSize }
 
 func (m *AddResponse) memoizeEncodedSize(n int) {
@@ -114,6 +107,7 @@ func (m *BlockCertify) EncodeTo(e *Encoder) {
 	e.Blob(m.EdgeSig)
 }
 
+// AppendBody appends the bytes the edge signs.
 func (m *BlockCertify) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.BID)
@@ -128,13 +122,6 @@ func (m *BlockCertify) DecodeFrom(d *Decoder) {
 	m.Digest = d.Blob()
 	m.Body = d.Blob()
 	m.EdgeSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *BlockCertify) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // BlockProof is the cloud's signed certification of block BID's digest — the
@@ -156,6 +143,7 @@ func (m *BlockProof) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *BlockProof) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.BID)
@@ -168,13 +156,6 @@ func (m *BlockProof) DecodeFrom(d *Decoder) {
 	m.BID = d.U64()
 	m.Digest = d.Blob()
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *BlockProof) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // ReadRequest asks an edge node for block BID.
@@ -265,13 +246,6 @@ func (m *ReadResponse) DecodeFrom(d *Decoder) {
 	m.encSize = 0
 }
 
-// SignableBytes returns the bytes the edge signs.
-func (m *ReadResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
-}
-
 func (m *ReadResponse) encodedSizeMemo() int { return m.encSize }
 
 func (m *ReadResponse) memoizeEncodedSize(n int) {
@@ -300,6 +274,7 @@ func (m *Gossip) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *Gossip) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.I64(m.Ts)
@@ -314,13 +289,6 @@ func (m *Gossip) DecodeFrom(d *Decoder) {
 	m.LogSize = d.U64()
 	m.Blocks = d.U64()
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *Gossip) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // DisputeKind classifies what the client accuses the edge of.
@@ -387,6 +355,7 @@ func (m *Dispute) EncodeTo(e *Encoder) {
 	e.Blob(m.ClientSig)
 }
 
+// AppendBody appends the bytes the client signs.
 func (m *Dispute) AppendBody(e *Encoder) {
 	e.U8(uint8(m.Kind))
 	e.ID(m.Edge)
@@ -403,13 +372,6 @@ func (m *Dispute) DecodeFrom(d *Decoder) {
 	m.Evidence = d.Blob()
 	m.Evidence2 = d.Blob()
 	m.ClientSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the client signs.
-func (m *Dispute) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // Verdict is the cloud's signed ruling on a dispute. Guilty verdicts are
@@ -433,6 +395,7 @@ func (m *Verdict) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *Verdict) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.BID)
@@ -449,13 +412,6 @@ func (m *Verdict) DecodeFrom(d *Decoder) {
 	m.Guilty = d.Bool()
 	m.Reason = d.Str()
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *Verdict) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // ReserveRequest implements the replay-protection extension of Section IV-E:
@@ -477,6 +433,7 @@ func (m *ReserveRequest) EncodeTo(e *Encoder) {
 	e.Blob(m.ClientSig)
 }
 
+// AppendBody appends the bytes the client signs.
 func (m *ReserveRequest) AppendBody(e *Encoder) {
 	e.ID(m.Client)
 	e.U32(m.Count)
@@ -489,13 +446,6 @@ func (m *ReserveRequest) DecodeFrom(d *Decoder) {
 	m.Count = d.U32()
 	m.ReqID = d.U64()
 	m.ClientSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the client signs.
-func (m *ReserveRequest) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // ReserveResponse grants absolute log positions [Start, Start+Count) to the
@@ -516,6 +466,7 @@ func (m *ReserveResponse) EncodeTo(e *Encoder) {
 	e.Blob(m.EdgeSig)
 }
 
+// AppendBody appends the bytes the edge signs.
 func (m *ReserveResponse) AppendBody(e *Encoder) {
 	e.U64(m.ReqID)
 	e.U64(m.Start)
@@ -528,11 +479,4 @@ func (m *ReserveResponse) DecodeFrom(d *Decoder) {
 	m.Start = d.U64()
 	m.Count = d.U32()
 	m.EdgeSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *ReserveResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }

@@ -49,13 +49,6 @@ func (m *ReplicateBlock) DecodeFrom(d *Decoder) {
 	m.encSize = 0
 }
 
-// SignableBytes returns the bytes the leader signs.
-func (m *ReplicateBlock) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
-}
-
 func (m *ReplicateBlock) encodedSizeMemo() int { return m.encSize }
 
 func (m *ReplicateBlock) memoizeEncodedSize(n int) {
@@ -89,6 +82,7 @@ func (m *ReplicaHeartbeat) EncodeTo(e *Encoder) {
 	e.Blob(m.Sig)
 }
 
+// AppendBody appends the bytes the replica signs.
 func (m *ReplicaHeartbeat) AppendBody(e *Encoder) {
 	e.ID(m.Node)
 	e.ID(m.Chain)
@@ -105,13 +99,6 @@ func (m *ReplicaHeartbeat) DecodeFrom(d *Decoder) {
 	m.Certified = d.U64()
 	m.Ts = d.I64()
 	m.Sig = d.Blob()
-}
-
-// SignableBytes returns the bytes the replica signs.
-func (m *ReplicaHeartbeat) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 // LeadershipTransfer is the cloud's signed record that chain leadership
@@ -140,6 +127,7 @@ func (m *LeadershipTransfer) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *LeadershipTransfer) AppendBody(e *Encoder) {
 	e.ID(m.Chain)
 	e.U64(m.Epoch)
@@ -159,21 +147,8 @@ func (m *LeadershipTransfer) DecodeFrom(d *Decoder) {
 	m.Epoch = d.U64()
 	m.Prev = d.ID()
 	m.NewLeader = d.ID()
-	n := d.Count()
-	if d.Err() == nil && n > 0 {
-		m.Followers = make([]NodeID, n)
-		for i := range m.Followers {
-			m.Followers[i] = d.ID()
-		}
-	}
+	m.Followers = decodeIDs(d)
 	m.Reason = d.Str()
 	m.Ts = d.I64()
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *LeadershipTransfer) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }

@@ -78,7 +78,7 @@ func (lp *LevelRangeProof) DecodeFrom(d *Decoder) {
 	lp.Level = d.U32()
 	lp.First = d.U32()
 	lp.Width = d.U32()
-	lp.Pages = decodeSlice(d, (*Page).DecodeFrom)
+	lp.Pages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
 	lp.Left = decodeBlobs(d)
 	lp.Right = decodeBlobs(d)
 }
@@ -198,11 +198,11 @@ func appendPrunedSignable(e *Encoder, pruned []PrunedBlock, certs []BlockProof) 
 
 // DecodeFrom reads the proof.
 func (sp *ScanProof) DecodeFrom(d *Decoder) {
-	sp.L0Blocks = decodeSlice(d, (*Block).DecodeFrom)
-	sp.L0Certs = decodeSlice(d, (*BlockProof).DecodeFrom)
-	sp.L0Pruned = decodeSlice(d, (*PrunedBlock).DecodeFrom)
-	sp.L0PrunedCerts = decodeSlice(d, (*BlockProof).DecodeFrom)
-	sp.Levels = decodeSlice(d, (*LevelRangeProof).DecodeFrom)
+	sp.L0Blocks = decodeSlice(d, minBlockSize, (*Block).DecodeFrom)
+	sp.L0Certs = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
+	sp.L0Pruned = decodeSlice(d, minPrunedBlockSize, (*PrunedBlock).DecodeFrom)
+	sp.L0PrunedCerts = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
+	sp.Levels = decodeSlice(d, minLevelRangeProofSize, (*LevelRangeProof).DecodeFrom)
 	sp.Roots = decodeBlobs(d)
 	sp.Global.DecodeFrom(d)
 }
@@ -257,13 +257,6 @@ func (m *ScanResponse) DecodeFrom(d *Decoder) {
 	m.Proof.DecodeFrom(d)
 	m.EdgeSig = d.Blob()
 	m.encSize = 0
-}
-
-// SignableBytes returns the bytes the edge signs.
-func (m *ScanResponse) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }
 
 func (m *ScanResponse) encodedSizeMemo() int { return m.encSize }

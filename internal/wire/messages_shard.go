@@ -29,6 +29,7 @@ func (m *ShardMap) EncodeTo(e *Encoder) {
 	e.Blob(m.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (m *ShardMap) AppendBody(e *Encoder) {
 	e.U64(m.Version)
 	e.U64(m.Epoch)
@@ -49,35 +50,7 @@ func (m *ShardMap) AppendBody(e *Encoder) {
 func (m *ShardMap) DecodeFrom(d *Decoder) {
 	m.Version = d.U64()
 	m.Epoch = d.U64()
-	n := d.Count()
-	if d.Err() == nil && n > 0 {
-		m.Edges = make([]NodeID, n)
-		for i := range m.Edges {
-			m.Edges[i] = d.ID()
-		}
-	}
-	n = d.Count()
-	if d.Err() == nil && n > 0 {
-		m.Followers = make([][]NodeID, n)
-		for i := range m.Followers {
-			k := d.Count()
-			if d.Err() != nil {
-				return
-			}
-			if k > 0 {
-				m.Followers[i] = make([]NodeID, k)
-				for j := range m.Followers[i] {
-					m.Followers[i][j] = d.ID()
-				}
-			}
-		}
-	}
+	m.Edges = decodeIDs(d)
+	m.Followers = decodeSlice(d, minBlobSize, func(fs *[]NodeID, d *Decoder) { *fs = decodeIDs(d) })
 	m.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (m *ShardMap) SignableBytes() []byte {
-	var e Encoder
-	m.AppendBody(&e)
-	return e.Bytes()
 }

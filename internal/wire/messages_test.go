@@ -251,15 +251,29 @@ func TestDecodeEnvelopeRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestSignableBytesExcludeSignature(t *testing.T) {
+// Every message kind that carries a signature, and the two signed types
+// embedded in messages, must be signable: a new one that forgets AppendBody
+// stops this package's tests from compiling.
+var _ = [...]BodyAppender{
+	(*Entry)(nil), (*SignedRoot)(nil),
+	(*AddResponse)(nil), (*BlockCertify)(nil), (*BlockProof)(nil), (*ReadResponse)(nil),
+	(*Gossip)(nil), (*Dispute)(nil), (*Verdict)(nil), (*ReserveRequest)(nil), (*ReserveResponse)(nil),
+	(*PutResponse)(nil), (*GetResponse)(nil), (*MergeRequest)(nil), (*MergeResponse)(nil),
+	(*EBStatePush)(nil), (*EBStateAck)(nil), (*PutBatch)(nil), (*ShardMap)(nil), (*ScanResponse)(nil),
+	(*ReplicateBlock)(nil), (*ReplicaHeartbeat)(nil), (*LeadershipTransfer)(nil),
+	(*CatchUpRequest)(nil), (*GroupJoin)(nil), (*Overloaded)(nil),
+	(*BlockCertifyBatch)(nil), (*BlockCertBatch)(nil),
+}
+
+func TestSignableBodyExcludesSignature(t *testing.T) {
 	m1 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, EdgeSig: []byte{9}}
 	m2 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, EdgeSig: []byte{8, 8, 8}}
-	if !bytes.Equal(m1.SignableBytes(), m2.SignableBytes()) {
-		t.Fatal("SignableBytes depends on signature")
+	if !bytes.Equal(BodyBytes(m1), BodyBytes(m2)) {
+		t.Fatal("signable body depends on signature")
 	}
 	m3 := &BlockCertify{Edge: "e", BID: 2, Digest: []byte{1, 2}}
-	if bytes.Equal(m1.SignableBytes(), m3.SignableBytes()) {
-		t.Fatal("SignableBytes ignores BID")
+	if bytes.Equal(BodyBytes(m1), BodyBytes(m3)) {
+		t.Fatal("signable body ignores BID")
 	}
 }
 
@@ -270,7 +284,7 @@ func TestSignableBytesExcludeSignature(t *testing.T) {
 func TestMergeBodiesAreCommitments(t *testing.T) {
 	blk, src, dst := sampleBlock(), samplePage(1), samplePage(2)
 	req := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
-	body := req.SignableBytes()
+	body := BodyBytes(req)
 	if want := 4 + 6 + 8 + 4 + 3*(4+36); len(body) != want {
 		t.Fatalf("request body is %d bytes, want %d: it must hold no block or page bytes", len(body), want)
 	}
@@ -293,15 +307,15 @@ func TestMergeBodiesAreCommitments(t *testing.T) {
 	for name, mutate := range mutations {
 		m := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
 		mutate(m)
-		if bytes.Equal(m.SignableBytes(), body) {
+		if bytes.Equal(BodyBytes(m), body) {
 			t.Errorf("request body ignores a changed %s", name)
 		}
 	}
 
 	resp := &MergeResponse{Edge: "edge-1", ReqID: 1, OK: true, PageSeq: 7, PageCap: 100, Roots: [][]byte{randBytes(32)}, ConsumedTo: 3}
-	signed := resp.SignableBytes()
+	signed := BodyBytes(resp)
 	resp.NewPages = []Page{src, dst}
-	if !bytes.Equal(resp.SignableBytes(), signed) {
+	if !bytes.Equal(BodyBytes(resp), signed) {
 		t.Fatal("response body depends on its pages")
 	}
 	for name, mutate := range map[string]func(m *MergeResponse){
@@ -312,7 +326,7 @@ func TestMergeBodiesAreCommitments(t *testing.T) {
 	} {
 		m := *resp
 		mutate(&m)
-		if bytes.Equal(m.SignableBytes(), signed) {
+		if bytes.Equal(BodyBytes(&m), signed) {
 			t.Errorf("response body ignores a changed %s", name)
 		}
 	}
@@ -369,8 +383,8 @@ func TestBlockCanonicalStable(t *testing.T) {
 func TestMessageSizeAccounting(t *testing.T) {
 	small := Envelope{From: "a", To: "b", Msg: &BlockCertify{Edge: "e", BID: 1, Digest: randBytes(32), EdgeSig: randBytes(64)}}
 	big := Envelope{From: "a", To: "b", Msg: &AddResponse{BID: 1, Block: sampleBlock(), EdgeSig: randBytes(64)}}
-	if Size(small) >= Size(big) {
+	if EncodedSize(small) >= EncodedSize(big) {
 		t.Fatalf("digest-only certify (%d B) should be smaller than block response (%d B)",
-			Size(small), Size(big))
+			EncodedSize(small), EncodedSize(big))
 	}
 }

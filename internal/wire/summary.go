@@ -106,11 +106,7 @@ func (s *BlockSummary) DecodeFrom(d *Decoder) {
 	s.Keys = d.U32()
 	s.MinKey = d.OptBlob()
 	s.MaxKey = d.OptBlob()
-	n := d.Count()
-	s.Fps = nil
-	for i := 0; i < n; i++ {
-		s.Fps = append(s.Fps, d.U32())
-	}
+	s.Fps = decodeSlice(d, minBlobSize, func(fp *uint32, d *Decoder) { *fp = d.U32() })
 }
 
 // ExcludesKey reports whether a block carrying this summary provably

@@ -18,7 +18,7 @@ type Entry struct {
 	Value  []byte // payload
 	Ts     int64  // client timestamp, virtual nanoseconds
 	Pos    uint64 // reserved absolute log position + 1; 0 = unreserved
-	Sig    []byte // client signature over SignableBytes
+	Sig    []byte // client signature over AppendBody's bytes
 }
 
 // EncodeTo appends the entry's canonical encoding including the signature.
@@ -27,6 +27,8 @@ func (en *Entry) EncodeTo(e *Encoder) {
 	e.Blob(en.Sig)
 }
 
+// AppendBody appends the bytes the client signs: everything except the
+// signature itself.
 func (en *Entry) AppendBody(e *Encoder) {
 	e.ID(en.Client)
 	e.U64(en.Seq)
@@ -45,14 +47,6 @@ func (en *Entry) DecodeFrom(d *Decoder) {
 	en.Ts = d.I64()
 	en.Pos = d.U64()
 	en.Sig = d.Blob()
-}
-
-// SignableBytes returns the bytes the client signs: everything except the
-// signature itself.
-func (en *Entry) SignableBytes() []byte {
-	var e Encoder
-	en.AppendBody(&e)
-	return e.Bytes()
 }
 
 // Equal reports whether two entries are identical, including signatures.
@@ -122,7 +116,7 @@ func (b *Block) DecodeFrom(d *Decoder) {
 	b.ID = d.U64()
 	b.StartPos = d.U64()
 	b.Ts = d.I64()
-	b.Entries = decodeSlice(d, (*Entry).DecodeFrom)
+	b.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 	b.cache = nil
 }
 
@@ -299,7 +293,7 @@ func (p *Page) DecodeFrom(d *Decoder) {
 	p.Lo = d.OptBlob()
 	p.Hi = d.OptBlob()
 	p.Ts = d.I64()
-	p.KVs = decodeSlice(d, (*KV).DecodeFrom)
+	p.KVs = decodeSlice(d, minKVSize, (*KV).DecodeFrom)
 }
 
 // Leaf returns the Merkle leaf hash committing the page: the hash of its
@@ -355,6 +349,7 @@ func (r *SignedRoot) EncodeTo(e *Encoder) {
 	e.Blob(r.CloudSig)
 }
 
+// AppendBody appends the bytes the cloud signs.
 func (r *SignedRoot) AppendBody(e *Encoder) {
 	e.ID(r.Edge)
 	e.U64(r.Epoch)
@@ -371,11 +366,4 @@ func (r *SignedRoot) DecodeFrom(d *Decoder) {
 	r.Ts = d.I64()
 	r.L0From = d.U64()
 	r.CloudSig = d.Blob()
-}
-
-// SignableBytes returns the bytes the cloud signs.
-func (r *SignedRoot) SignableBytes() []byte {
-	var e Encoder
-	r.AppendBody(&e)
-	return e.Bytes()
 }

@@ -144,12 +144,21 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint16(k))
 }
 
-// BodyAppender is implemented by signed messages (and entries) that can
-// append their signable body — everything except the signature — to an
-// existing encoder. Signing and verification use it to reuse pooled
-// buffers instead of allocating a fresh one per SignableBytes call.
+// BodyAppender is implemented by everything that carries a signature —
+// messages, entries, signed roots: AppendBody appends the signable body,
+// everything except the signature, to an existing encoder, so signing and
+// verification run on pooled buffers.
 type BodyAppender interface {
 	AppendBody(e *Encoder)
+}
+
+// BodyBytes returns m's signable body in a fresh buffer, for callers that
+// keep the bytes (tests, digest keys); signing and verification go through
+// wcrypto, which pools the encoder.
+func BodyBytes(m BodyAppender) []byte {
+	var e Encoder
+	m.AppendBody(&e)
+	return e.Bytes()
 }
 
 // Message is any protocol message with a canonical encoding.
@@ -385,9 +394,3 @@ func EncodedSize(env Envelope) int {
 	appendEnvelope(&e, env)
 	return e.n
 }
-
-// Size reports the encoded size of an envelope in bytes.
-//
-// Deprecated: use EncodedSize, which counts widths instead of encoding the
-// whole envelope.
-func Size(env Envelope) int { return EncodedSize(env) }
