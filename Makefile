@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race macro-check bench bench-micro experiments metrics-smoke flagdoc-check loc chaos fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments metrics-smoke flagdoc-check loc chaos fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -37,15 +37,28 @@ experiments:
 	$(GO) run ./cmd/wedge-bench -run $(IDS) $(SCALE) -json BENCH_quick.json
 
 # Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
-# (allocation counts included; the BlockAck* benchmarks sweep block sizes
-# to show the digest-signed ack's flat cost,
-# SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time the
-# signatures over the largest and the most frequent messages,
+# (allocation counts included; BlockDigest at B = 10/100/1000 is what a
+# receiver of a whole block pays once, BlockFreeze what the edge pays at a
+# cut, SliceVerify what a reader pays per block of the L0 window, the
+# BlockAck* benchmarks sweep block sizes to show the digest-signed ack's
+# flat cost, SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time
+# the signatures over the largest and the most frequent messages,
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
 # certificate, MergeSorted/MergeL0 the compaction both sides now run, and
 # CertifiedThrough the frontier lookup every proof makes).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
+
+# Every Fuzz* target outside benchmark/ for 10 s each, found by name so a
+# new target is smoked the day it is written: decoders and verifiers run on
+# bytes no signature has vouched for yet.
+fuzz-smoke:
+	@for d in $$(grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$(grep -h -o '^func Fuzz[A-Za-z0-9_]*' $$d/*_test.go | sed 's/^func //'); do \
+			echo "fuzz-smoke: $$d $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$d || exit 1; \
+		done; \
+	done
 
 # Live-deployment telemetry check: boot a TCP cloud + edge pair with
 # -metrics-addr, push a certified write, scrape both /metrics endpoints
@@ -98,4 +111,4 @@ doc-check:
 	fi; \
 	echo "doc-check: all packages documented"
 
-ci: fmt-check vet doc-check build test race macro-check bench bench-micro experiments metrics-smoke flagdoc-check
+ci: fmt-check vet doc-check build test race macro-check bench bench-micro fuzz-smoke experiments metrics-smoke flagdoc-check

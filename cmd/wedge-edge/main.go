@@ -33,7 +33,7 @@ func main() {
 		flush   = flag.Duration("flush", 100*time.Millisecond, "partial block flush interval")
 		l0      = flag.Int("l0", 10, "L0 blocks before compaction")
 		levels  = flag.String("levels", "10,100,1000", "level page thresholds")
-		evil    = flag.String("evil", "", "byzantine mode: tamper-add=<victim>|omit=<bid>|double-certify|drop-certify|false-exclude=<key>|tamper-summary=<key>|equivocate-repl|promote-stale=<bid>")
+		evil    = flag.String("evil", "", "byzantine mode: tamper-add=<victim>|omit=<bid>|double-certify|drop-certify|false-exclude=<key>|tamper-slice=<key>|equivocate-repl|promote-stale=<bid>")
 		dataDir = flag.String("data", "", "directory for the durable log segment (empty = in-memory)")
 		syncWin = flag.Duration("group-commit", 0, "group-commit fsync window: blocks persisted within it share one fsync (0 = fsync per block)")
 
@@ -183,9 +183,9 @@ func parseFault(s string) (*edge.Fault, error) {
 	case s == "drop-certify":
 		f.DropCertify = true
 	case strings.HasPrefix(s, "false-exclude="):
-		f.SummaryFalseExclude = []byte(strings.TrimPrefix(s, "false-exclude="))
-	case strings.HasPrefix(s, "tamper-summary="):
-		f.SummaryTamperKey = []byte(strings.TrimPrefix(s, "tamper-summary="))
+		f.SliceFalseExclude = []byte(strings.TrimPrefix(s, "false-exclude="))
+	case strings.HasPrefix(s, "tamper-slice="):
+		f.SliceTamperKey = []byte(strings.TrimPrefix(s, "tamper-slice="))
 	case s == "equivocate-repl":
 		f.EquivocateReplication = true
 	case strings.HasPrefix(s, "promote-stale="):

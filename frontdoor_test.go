@@ -16,7 +16,7 @@ func TestFacadeLightForcedSampleConvicts(t *testing.T) {
 	victim := []byte("pk-victim")
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 2, L0Threshold: 1000,
-		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SummaryFalseExclude: victim}},
+		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SliceFalseExclude: victim}},
 	})
 	cl, err := c.NewClientWith("c1", EdgeID(1), ClientOptions{Light: true, Sample: 1})
 	if err != nil {

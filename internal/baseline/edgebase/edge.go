@@ -82,7 +82,9 @@ func (e *Edge) handlePush(now int64, from wire.NodeID, m *wire.EBStatePush) []wi
 		return nil
 	}
 	if m.Block.ID == uint64(len(e.blocks)) {
-		e.blocks = append(e.blocks, m.Block)
+		blk := m.Block
+		blk.Freeze() // keeps the key index gets cut their slices from
+		e.blocks = append(e.blocks, blk)
 		e.certs = append(e.certs, m.Proof)
 	}
 	e.l0From = m.L0From
@@ -124,12 +126,7 @@ func (e *Edge) handleGet(now int64, from wire.NodeID, m *wire.GetRequest) []wire
 		src.Blocks = append(src.Blocks, e.blocks[bid])
 		src.Certs = append(src.Certs, e.certs[bid])
 	}
-	// No pruning: the Edge-baseline is the paper-calibrated comparison
-	// arm, and its committed benchmark records price the pre-PR-5
-	// evidence shape (every L0 block in full). Pruning is a WedgeChain
-	// optimization; giving it to the baseline would silently shift the
-	// comparison.
-	resp, _ := mlsm.AssembleGet(m.Key, m.ReqID, src, e.idx, false)
+	resp := mlsm.AssembleGet(m.Key, m.ReqID, src, e.idx)
 	resp.EdgeSig = wcrypto.SignMsg(e.key, resp)
 	return []wire.Envelope{{From: e.cfg.ID, To: from, Msg: resp}}
 }

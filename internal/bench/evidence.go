@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
@@ -11,45 +12,60 @@ import (
 // evidenceWindows is the E1 x axis: uncompacted L0 blocks at serve time.
 var evidenceWindows = []int{1, 16, 64}
 
-// EvidencePruning (E1) prices pruned read evidence: point gets and range
+// EvidencePruning (E1) prices sliced read evidence: point gets and range
 // scans served under controlled uncompacted L0 windows of 1/16/64 blocks,
-// where each window block whose digest-committed key summary excludes the
-// request ships as a ~60-byte pruned reference. (The whole-window shape it
-// replaced is recorded in ROADMAP's performance baseline.)
+// where each window block ships as a slice — the rows the request asked
+// for, two flanks and a Merkle range proof. (The whole-window and
+// summary-pruned shapes it replaced are recorded in ROADMAP's performance
+// baseline.)
+//
+// Two window layouts per size. In "band" each window block writes its own
+// 100-key band, so a request touches at most one block — the layout the
+// interval summaries were tuned on. In "random" each block writes 100 keys
+// drawn from the whole keyspace, which is what the macro benchmark's
+// workloads do: every block's key interval covers every request, and only
+// evidence by key keeps the response small.
 //
 // Three read shapes per window:
 //
-//   - get hit: the key's freshest version is in one window block — that
-//     block ships full, the rest of the window prunes;
-//   - get miss: the key resolves in the merged levels — the entire
-//     window prunes to summaries;
-//   - scan miss: a 100-key range over compacted keyspace disjoint from
-//     the window's key band — the window prunes via its [Min,Max]
-//     intervals.
+//   - get hit: the key's freshest version is in a window block — its
+//     slice carries the row, every other slice a bracketing pair;
+//   - get miss: the key resolves in the merged levels — every slice is a
+//     bracketing pair;
+//   - scan 100: a 100-key range; the slices carry whatever rows the
+//     window holds in it (none in band, about one per two blocks in
+//     random), the levels the compacted rest.
 //
 // Every sampled response is fully verified client-side (signature,
-// window binding, exclusion soundness, level proofs), so the byte counts
-// are for real, accepted evidence. Throughput drives a closed-loop
+// window binding, bracketing, level proofs), so the byte counts are for
+// real, accepted evidence. Throughput drives a closed-loop
 // 90%-miss/10%-hit get mix through the simulator.
 func EvidencePruning(scale Scale) *Table {
 	t := &Table{
 		ID:    "E1",
-		Title: "Read evidence pruning: bytes/read and get throughput vs uncompacted L0 window (B=100, 1 shard)",
-		Header: []string{"L0 window", "Get hit (B)", "Get miss (B)",
+		Title: "Read evidence by key: bytes/read and get throughput vs uncompacted L0 window (B=100, 1 shard)",
+		Header: []string{"L0 window", "Keys", "Get hit (B)", "Get miss (B)",
 			"Scan 100 (B)", "Gets/s (90% miss)"},
 	}
-	for _, window := range evidenceWindows {
-		r := runEvidence(scale, window)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(window),
-			fmt.Sprint(r.getHitBytes),
-			fmt.Sprint(r.getMissBytes),
-			fmt.Sprint(r.scanBytes),
-			f1(r.getsPerSec),
-		})
+	for _, random := range []bool{false, true} {
+		layout := "band"
+		if random {
+			layout = "random"
+		}
+		for _, window := range evidenceWindows {
+			r := runEvidence(scale, window, random)
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprint(window),
+				layout,
+				fmt.Sprint(r.getHitBytes),
+				fmt.Sprint(r.getMissBytes),
+				fmt.Sprint(r.scanBytes),
+				f1(r.getsPerSec),
+			})
+		}
 	}
 	t.Notes = append(t.Notes,
-		"window blocks certified but uncompacted; each block writes one 100-key band, so summaries prune by interval and fingerprint",
+		"window blocks certified but uncompacted; band: block j writes keys [100j, 100j+100); random: every block writes 100 keys drawn from the whole keyspace",
 		"every sampled response verified end-to-end before being counted",
 	)
 	return t
@@ -63,16 +79,17 @@ type evidenceResult struct {
 }
 
 // runEvidence builds one world with a compacted preload plus a controlled
-// uncompacted window of `window` blocks, then measures evidence sizes and
-// closed-loop get throughput.
-func runEvidence(scale Scale, window int) evidenceResult {
+// uncompacted window of `window` blocks — one key band per block, or keys
+// drawn at random from the compacted keyspace — then measures evidence
+// sizes and closed-loop get throughput.
+func runEvidence(scale Scale, window int, random bool) evidenceResult {
 	const batch = 100
 	const l0Threshold = 10
 	// The window overwrites bands [0, window*batch). The preload's own
 	// tail can leave up to l0Threshold blocks (1000 keys) uncompacted —
-	// they ride along as extra pruned window positions — so misses and
-	// scans must address the compacted middle: above the window bands,
-	// below the possibly-uncompacted tail, with room for the scan range.
+	// they ride along as extra window positions — so misses and scans must
+	// address the compacted middle: above the window bands, below the
+	// possibly-uncompacted tail, with room for the scan range.
 	preload := scale.preload(20_000)
 	if min := window*batch + 2*l0Threshold*batch; preload < min {
 		preload = min
@@ -90,16 +107,28 @@ func runEvidence(scale Scale, window int) evidenceResult {
 	w.Preload()
 
 	// Freeze compaction, then grow the window: block j overwrites the
-	// 100-key band [j*batch, (j+1)*batch), so each block's key summary
-	// covers one narrow interval of the preloaded keyspace.
+	// 100-key band [j*batch, (j+1)*batch), or 100 keys drawn from the
+	// compacted keyspace [0, preload-l0Threshold*batch).
 	w.EdgeNode.SetL0Threshold(1 << 30)
 	session := w.WedgeSessions[0]
 	val := make([]byte, 100)
+	compacted := preload - l0Threshold*batch
+	rng := rand.New(rand.NewSource(7))
+	written := make(map[int]bool)
+	hitIdx := window*batch/2 + 3
 	for j := 0; j < window; j++ {
 		keys := make([][]byte, batch)
 		values := make([][]byte, batch)
 		for i := 0; i < batch; i++ {
-			keys[i] = workload.KeyName(j*batch + i)
+			k := j*batch + i
+			if random {
+				k = rng.Intn(compacted)
+				if j == window/2 && i == 3 {
+					hitIdx = k
+				}
+			}
+			written[k] = true
+			keys[i] = workload.KeyName(k)
 			values[i] = val
 		}
 		ops, envs := session.PutBatch(w.Sim.Now(), keys, values)
@@ -127,25 +156,34 @@ func runEvidence(scale Scale, window int) evidenceResult {
 		return wire.EncodedSize(wire.Envelope{From: w.EdgeNode.ID(), To: cc.ID(), Msg: m})
 	}
 
-	// Keys: hits live in the window's bands; misses and the scan range in
-	// the compacted middle, clear of the preload's uncompacted tail.
-	compactedLo, compactedHi := window*batch, preload-l0Threshold*batch
-	mid := (compactedLo + compactedHi) / 2
-	hitKey := workload.KeyName(window*batch/2 + 3)
+	// Keys: the hit is a key the window wrote; the miss a compacted key it
+	// did not; the scan range sits in the compacted middle, clear of the
+	// preload's uncompacted tail (and, in band, of the window's bands).
+	mid := (window*batch + compacted) / 2
+	for written[mid] {
+		mid++
+	}
+	hitKey := workload.KeyName(hitIdx)
 	missKey := workload.KeyName(mid)
 	scanLo := mid + 200
 
 	res := evidenceResult{}
-	hit := w.EdgeNode.AssembleGet(hitKey, 1)
+	hit, err := w.EdgeNode.AssembleGet(hitKey, 1)
+	if err != nil {
+		panic(fmt.Sprintf("bench: E1 hit get not served: %v", err))
+	}
 	if err := cc.VerifyGetResponse(now, hitKey, hit); err != nil {
 		panic(fmt.Sprintf("bench: E1 hit get failed verification: %v", err))
 	}
-	if !hit.Found || len(hit.Proof.L0Blocks) == 0 {
+	if !hit.Found || len(hit.Proof.Levels) != 0 {
 		panic("bench: E1 hit key did not resolve in the L0 window")
 	}
 	res.getHitBytes = size(hit)
 
-	miss := w.EdgeNode.AssembleGet(missKey, 2)
+	miss, err := w.EdgeNode.AssembleGet(missKey, 2)
+	if err != nil {
+		panic(fmt.Sprintf("bench: E1 miss get not served: %v", err))
+	}
 	if err := cc.VerifyGetResponse(now, missKey, miss); err != nil {
 		panic(fmt.Sprintf("bench: E1 miss get failed verification: %v", err))
 	}
@@ -155,7 +193,10 @@ func runEvidence(scale Scale, window int) evidenceResult {
 	res.getMissBytes = size(miss)
 
 	start, end := workload.KeyName(scanLo), workload.KeyName(scanLo+100)
-	scanResp := w.EdgeNode.AssembleScan(start, end, 3)
+	scanResp, err := w.EdgeNode.AssembleScan(start, end, 3)
+	if err != nil {
+		panic(fmt.Sprintf("bench: E1 scan not served: %v", err))
+	}
 	if err := cc.VerifyScanResponse(now, start, end, scanResp); err != nil {
 		panic(fmt.Sprintf("bench: E1 scan failed verification: %v", err))
 	}
@@ -163,15 +204,22 @@ func runEvidence(scale Scale, window int) evidenceResult {
 
 	// Closed-loop gets, 90% miss / 10% hit, through the simulator.
 	rounds := scale.rounds(300)
-	rng := rand.New(rand.NewSource(7))
+	hits := make([]int, 0, len(written))
+	for k := range written {
+		hits = append(hits, k)
+	}
+	sort.Ints(hits)
 	started := w.Sim.Now()
 	for i := 0; i < rounds; i++ {
-		var key []byte
+		var k int
 		if rng.Intn(10) == 0 {
-			key = workload.KeyName(rng.Intn(window * batch))
+			k = hits[rng.Intn(len(hits))]
 		} else {
-			key = workload.KeyName(window*batch + rng.Intn(preload-window*batch))
+			for k = rng.Intn(preload); written[k]; {
+				k = rng.Intn(preload)
+			}
 		}
+		key := workload.KeyName(k)
 		op, envs := session.Get(w.Sim.Now(), key)
 		w.Sim.Inject(envs)
 		ok := w.Sim.RunWhile(func() bool { return !op.Done }, w.Sim.Now()+int64(600e9))

@@ -522,7 +522,7 @@ var Experiments = []struct {
 	{"F7a", Fig7aCloudLoc, "Figure 7(a): latency vs cloud location"},
 	{"F7b", Fig7bEdgeLoc, "Figure 7(b): latency vs edge location"},
 	{"DS1", SecVIEDataset, "Section VI-E: dataset size sweep"},
-	{"E1", EvidencePruning, "Read evidence pruning: bytes/read and throughput vs L0 window"},
+	{"E1", EvidencePruning, "Read evidence by key: bytes/read and throughput vs L0 window, band and random keys"},
 	{"S1", ShardScaling, "Shard scaling: put throughput vs edge count"},
 	{"R1", ReadScanBench, "Verified range scans: latency/row throughput vs range width vs shard count"},
 	{"D1", DurableSyncSweep, "Durable put path: group-commit (SyncEvery) fsync-amortization sweep"},

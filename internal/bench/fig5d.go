@@ -52,7 +52,10 @@ func Fig5dReadPath(scale Scale) *Table {
 	now := w.Sim.Now()
 	for i, key := range keys {
 		start := time.Now()
-		resp := edgeNode.AssembleGet(key, uint64(i))
+		resp, err := edgeNode.AssembleGet(key, uint64(i))
+		if err != nil {
+			panic(fmt.Sprintf("bench: F5d get not served: %v", err))
+		}
 		serveDur += time.Since(start)
 
 		start = time.Now()

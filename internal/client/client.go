@@ -516,15 +516,15 @@ func (c *Core) SetReserveHandler(f Reservations) { c.onReserve = f }
 func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.AddResponse:
-		return c.handleAddResponse(now, env.From, m, env.Verified)
+		return c.handleAddResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.PutResponse:
-		return c.handlePutResponse(now, env.From, m, env.Verified)
+		return c.handlePutResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.BlockProof:
 		return c.handleProof(now, env.From, m, env.Verified)
 	case *wire.BlockCertBatch:
 		return c.handleCertBatch(now, env.From, m, env.Verified)
 	case *wire.ReadResponse:
-		return c.handleReadResponse(now, env.From, m, env.Verified)
+		return c.handleReadResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.GetResponse:
 		return c.handleGetResponse(now, env.From, m, env.Verified)
 	case *wire.ScanResponse:
@@ -631,7 +631,7 @@ func (c *Core) phaseII(now int64, op *Op) {
 
 // handleAddResponse implements Algorithm 1 lines 3-5: verify the edge's
 // signature, verify my entry is in the block, mark Phase I.
-func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddResponse, verified bool) []wire.Envelope {
+func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddResponse, digest []byte) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -641,10 +641,10 @@ func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddRespons
 	}
 	// One hash serves both checks: the recomputed digest is the signable
 	// body of the block-ack signature AND the value compared against the
-	// cloud's certification later, so the signature check costs O(1) on
-	// top of the digest the client needs anyway.
-	digest := wcrypto.RecomputedBlockDigest(&m.Block)
-	if !verified {
+	// cloud's certification later. A verify stage that checked the
+	// signature hands the digest it hashed along with the envelope.
+	if digest == nil {
+		digest = m.Block.BodyDigest()
 		if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
 			c.m.verifyFailures.Inc()
 			return nil
@@ -672,7 +672,7 @@ func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddRespons
 	return nil
 }
 
-func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse, verified bool) []wire.Envelope {
+func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse, digest []byte) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -680,10 +680,10 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 		c.m.verifyFailures.Inc()
 		return nil
 	}
-	// As in handleAddResponse: the recomputed digest doubles as the
-	// signable body, so signature verification is size-independent.
-	digest := wcrypto.RecomputedBlockDigest(&m.Block)
-	if !verified {
+	// As in handleAddResponse: one digest serves the signature check and
+	// the later certification match.
+	if digest == nil {
+		digest = m.Block.BodyDigest()
 		if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
 			c.m.verifyFailures.Inc()
 			return nil

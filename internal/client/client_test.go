@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wedgechain/internal/core"
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -287,7 +288,7 @@ func TestVerifyGetResponseL0Value(t *testing.T) {
 
 	resp := &wire.GetResponse{
 		ReqID: 1, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: 1,
-		Proof: wire.GetProof{L0Blocks: []wire.Block{blk}, L0Certs: []wire.BlockProof{*proof}},
+		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{*proof}}.Window(wire.PointRange([]byte("k")))},
 	}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err != nil {
@@ -309,10 +310,10 @@ func TestVerifyGetResponseRejectsNonConsecutiveL0(t *testing.T) {
 	b2 := wire.Block{Edge: "edge-1", ID: 2} // gap hides block 1
 	resp := &wire.GetResponse{
 		ReqID: 1,
-		Proof: wire.GetProof{
-			L0Blocks: []wire.Block{b0, b2},
-			L0Certs:  []wire.BlockProof{*f.signedProof(&b0), *f.signedProof(&b2)},
-		},
+		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{
+			Blocks: []wire.Block{b0, b2},
+			Certs:  []wire.BlockProof{*f.signedProof(&b0), *f.signedProof(&b2)},
+		}.Window(wire.PointRange([]byte("k")))},
 	}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err == nil {
@@ -325,7 +326,7 @@ func TestVerifyGetResponseRejectsForeignBlocks(t *testing.T) {
 	blk := wire.Block{Edge: "edge-other", ID: 0}
 	resp := &wire.GetResponse{
 		ReqID: 1,
-		Proof: wire.GetProof{L0Blocks: []wire.Block{blk}, L0Certs: []wire.BlockProof{{}}},
+		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))},
 	}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err == nil {
@@ -342,7 +343,7 @@ func TestVerifyGetResponseUncertifiedIsPhaseI(t *testing.T) {
 	op, _ := f.c.Get(10, []byte("k"))
 	resp := &wire.GetResponse{
 		ReqID: op.ReqID, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: 1,
-		Proof: wire.GetProof{L0Blocks: []wire.Block{blk}, L0Certs: []wire.BlockProof{{}}},
+		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))},
 	}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: resp})

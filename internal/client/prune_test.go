@@ -11,14 +11,22 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// pruneBlocks builds two certified single-entry blocks: block 0 writes
-// "hidden", block 1 writes "other". Returns blocks and certs.
+// pruneBlocks builds two certified blocks: block 0 writes "hidden" twice
+// around "apple" and a log entry, block 1 writes "other" and "zoo".
+// Returns blocks and certs.
 func pruneBlocks(f *fixture) ([]wire.Block, []wire.BlockProof) {
+	put := func(seq int, k, v string) wire.Entry {
+		return wire.Entry{Client: "c2", Seq: uint64(seq), Key: []byte(k), Value: []byte(v)}
+	}
 	var blocks []wire.Block
 	var certs []wire.BlockProof
-	for i, k := range []string{"hidden", "other"} {
-		e := wire.Entry{Client: "c2", Seq: uint64(i + 1), Key: []byte(k), Value: []byte("v" + k)}
-		blk := wire.Block{Edge: "edge-1", ID: uint64(i), StartPos: uint64(i), Entries: []wire.Entry{e}}
+	pos := uint64(0)
+	for i, entries := range [][]wire.Entry{
+		{put(1, "hidden", "vold"), put(2, "apple", "a"), {Client: "c2", Seq: 3, Value: []byte("log")}, put(4, "hidden", "vhidden")},
+		{put(5, "other", "vother"), put(6, "zoo", "z")},
+	} {
+		blk := wire.Block{Edge: "edge-1", ID: uint64(i), StartPos: pos, Entries: entries}
+		pos += uint64(len(entries))
 		blk.Freeze()
 		cert := wire.BlockProof{Edge: "edge-1", BID: blk.ID, Digest: wcrypto.BlockDigest(&blk)}
 		cert.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &cert)
@@ -57,27 +65,75 @@ func judgeWith(f *fixture, d *wire.Dispute, certified ...*wire.Block) wire.Verdi
 	return core.Judge(f.reg, certs, "cloud", "c1", d)
 }
 
-// TestGetHonestPruningVerifies pins the honest pruned get end to end,
-// inline and pooled: the edge prunes the irrelevant block, the client
-// verifies the exclusion and settles with the right answer.
+// getOver assembles the edge's answer to a get over the given window and
+// lets lie, if any, rework the window before the edge signs: the answer
+// (found, value, version) is what the shipped window shows, so every lie
+// passes at face value.
+func getOver(f *fixture, req *wire.GetRequest, blocks []wire.Block, certs []wire.BlockProof, lie func([]wire.L0Slice) []wire.L0Slice) *wire.GetResponse {
+	resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: blocks, Certs: certs}, mlsm.NewIndex([]int{10}))
+	if lie != nil {
+		resp.Proof.L0Pruned = lie(resp.Proof.L0Pruned)
+		resp.Found, resp.Value, resp.Ver = false, nil, 0
+		for _, s := range resp.Proof.L0Pruned {
+			for _, r := range s.Rows {
+				if v := s.StartPos + uint64(r.Index) + 1; v > resp.Ver {
+					resp.Found, resp.Value, resp.Ver = true, r.Entry.Value, v
+				}
+			}
+		}
+	}
+	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	return resp
+}
+
+// stopShort replaces the slice of blk in window with the honest slice of
+// the range [start, key): it folds to the block's digest and says nothing
+// of key.
+func stopShort(window []wire.L0Slice, blk *wire.Block, start []byte, key string) []wire.L0Slice {
+	i := int(blk.ID - window[0].ID)
+	sig := window[i].CertSig
+	window[i] = blk.Slice(start, []byte(key))
+	window[i].CertSig = sig
+	return window
+}
+
+// doctored replaces the slice of blk in window with one cut for [start,
+// end) out of a copy of the block that never held key.
+func doctored(window []wire.L0Slice, blk *wire.Block, start, end []byte, key string) []wire.L0Slice {
+	cp := *blk
+	cp.Invalidate()
+	cp.Entries = nil
+	for _, e := range blk.Entries {
+		if string(e.Key) != key {
+			cp.Entries = append(cp.Entries, e)
+		}
+	}
+	i := int(blk.ID - window[0].ID)
+	sig := window[i].CertSig
+	window[i] = cp.Slice(start, end)
+	window[i].CertSig = sig
+	return window
+}
+
+// TestGetHonestPruningVerifies pins the honest sliced get end to end,
+// inline and pooled: the block without the key answers with a bracketing
+// pair, the client verifies it and settles with the right answer.
 func TestGetHonestPruningVerifies(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("other"))
-		req := envs[0].Msg.(*wire.GetRequest)
-		resp, _ := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: blocks, Certs: certs},
-			mlsm.NewIndex([]int{10}), true)
-		if len(resp.Proof.L0Pruned) != 1 || resp.Proof.L0Pruned[0].ID != 0 {
-			t.Fatalf("pooled=%v: block 0 not pruned: %+v", pooled, resp.Proof)
+		resp := getOver(f, envs[0].Msg.(*wire.GetRequest), blocks, certs, nil)
+		w := resp.Proof.L0Pruned
+		if len(w) != 2 || len(w[0].Rows) != 0 || w[0].Left == nil || w[0].Right != nil {
+			t.Fatalf("pooled=%v: block 0 should answer with its last leaf only: %+v", pooled, w[0])
 		}
-		if len(resp.Proof.L0Blocks) != 1 {
-			t.Fatalf("pooled=%v: block 1 should ship full", pooled)
+		if len(w[1].Rows) != 1 || w[1].Left != nil || w[1].Right == nil || len(w[1].Right.Hash) != 32 {
+			t.Fatalf("pooled=%v: block 1 should ship the row and one flank: %+v", pooled, w[1])
 		}
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 		deliverGet(t, f, pooled, resp)
 		if !op.Done || op.Err != nil || !op.Found || string(op.GotValue) != "vother" {
-			t.Fatalf("pooled=%v: honest pruned get rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("pooled=%v: honest sliced get rejected: %+v err=%v", pooled, op, op.Err)
 		}
 		if op.Phase != core.PhaseII {
 			t.Fatalf("pooled=%v: phase = %v", pooled, op.Phase)
@@ -86,23 +142,24 @@ func TestGetHonestPruningVerifies(t *testing.T) {
 }
 
 // TestGetFalseExclusionConvictsInlineAndPooled: the edge hides the block
-// holding the requested key behind its honest (digest-bound) summary.
-// The exclusion-soundness check refutes it inline, the signed response
-// is filed, and the Judge — holding the certified digests — convicts.
+// holding the requested key behind an honest (digest-bound) slice that
+// stops short of it. The bracket check refutes it inline, the signed
+// response is filed, and the Judge — holding the certified digests —
+// convicts.
 func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
 		req := envs[0].Msg.(*wire.GetRequest)
-		// The lie: prune block 0 (which holds "hidden") with its honest
-		// summary and claim the key does not exist.
-		resp := &wire.GetResponse{ReqID: req.ReqID, Key: req.Key}
-		resp.Proof.L0Blocks = blocks[1:]
-		resp.Proof.L0Certs = certs[1:]
-		resp.Proof.L0Pruned = []wire.PrunedBlock{wire.PruneBlock(&blocks[0])}
-		resp.Proof.L0PrunedCerts = certs[:1]
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+		// The lie: block 0 (which holds "hidden") answers for the range
+		// below the key, and the edge claims the key does not exist.
+		resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
+			return stopShort(w, &blocks[0], req.Key, "hidden")
+		})
+		if resp.Found {
+			t.Fatalf("pooled=%v: the lie still shows the key", pooled)
+		}
 
 		outs := deliverGet(t, f, pooled, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
@@ -126,28 +183,24 @@ func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 	}
 }
 
-// TestGetTamperedSummaryConvictsInlineAndPooled: the edge doctors the
-// pruned summary so the key looks excluded. The claimed digest then
-// contradicts the shipped certificate — detected inline, convicted by
-// the Judge re-running the same binding check.
+// TestGetTamperedSummaryConvictsInlineAndPooled: the edge cuts the slice
+// out of a doctored block so the key looks absent. The digest it folds to
+// then contradicts the shipped certificate — detected inline, convicted
+// by the Judge re-running the same binding check.
 func TestGetTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
 		req := envs[0].Msg.(*wire.GetRequest)
-		pb := wire.PruneBlock(&blocks[0])
-		pb.Summary = wire.BlockSummary{} // "writes no keys at all"
-		resp := &wire.GetResponse{ReqID: req.ReqID, Key: req.Key}
-		resp.Proof.L0Blocks = blocks[1:]
-		resp.Proof.L0Certs = certs[1:]
-		resp.Proof.L0Pruned = []wire.PrunedBlock{pb}
-		resp.Proof.L0PrunedCerts = certs[:1]
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+		start, end := wire.PointRange(req.Key)
+		resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
+			return doctored(w, &blocks[0], start, end, "hidden")
+		})
 
 		outs := deliverGet(t, f, pooled, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: tampered summary not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("pooled=%v: doctored slice not rejected: %+v err=%v", pooled, op, op.Err)
 		}
 		if len(outs) != 1 {
 			t.Fatalf("pooled=%v: no dispute filed", pooled)
@@ -161,29 +214,25 @@ func TestGetTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 }
 
 // TestGetTamperedUncertifiedSummaryPinsAndConvicts: with no certificate
-// to bind against, a tampered pruned summary passes structural checks but
-// pins its claimed digest; the honest block proof contradicts the pin,
-// the dispute names the block, and the Judge convicts against the
+// to bind against, a slice of a doctored block passes structural checks
+// but pins the digest it folds to; the honest block proof contradicts the
+// pin, the dispute names the block, and the Judge convicts against the
 // certification table.
 func TestGetTamperedUncertifiedSummaryPinsAndConvicts(t *testing.T) {
 	f := newFixture(t)
 	blocks, _ := pruneBlocks(f)
 	op, envs := f.c.Get(10, []byte("hidden"))
 	req := envs[0].Msg.(*wire.GetRequest)
-	pb := wire.PruneBlock(&blocks[0])
-	pb.Summary = wire.BlockSummary{}
-	resp := &wire.GetResponse{ReqID: req.ReqID, Key: req.Key}
-	resp.Proof.L0Blocks = blocks[1:]
-	resp.Proof.L0Certs = []wire.BlockProof{{}} // block 1 uncertified too
-	resp.Proof.L0Pruned = []wire.PrunedBlock{pb}
-	resp.Proof.L0PrunedCerts = []wire.BlockProof{{}}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	start, end := wire.PointRange(req.Key)
+	resp := getOver(f, req, blocks, nil, func(w []wire.L0Slice) []wire.L0Slice {
+		return doctored(w, &blocks[0], start, end, "hidden")
+	})
 
 	deliverGet(t, f, false, resp)
 	if op.Done || op.Phase != core.PhaseI {
-		t.Fatalf("uncertified tampered summary should park in Phase I: %+v", op)
+		t.Fatalf("uncertified doctored slice should park in Phase I: %+v", op)
 	}
-	// The honest proof for block 0 contradicts the pinned claimed digest.
+	// The honest proof for block 0 contradicts the pinned digest.
 	outs := f.c.Receive(30, wire.Envelope{From: "cloud", To: "c1", Msg: f.signedProof(&blocks[0])})
 	if len(outs) != 1 {
 		t.Fatalf("proof contradiction filed no dispute: %v", outs)
@@ -198,19 +247,27 @@ func TestGetTamperedUncertifiedSummaryPinsAndConvicts(t *testing.T) {
 	}
 }
 
+// scanOver is getOver for a scan against the fixture's merged index.
+func scanOver(f *scanFixture, req *wire.ScanRequest, blocks []wire.Block, certs []wire.BlockProof, lie func([]wire.L0Slice) []wire.L0Slice) *wire.ScanResponse {
+	resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: blocks, Certs: certs}, f.idx)
+	if lie != nil {
+		resp.Proof.L0Pruned = lie(resp.Proof.L0Pruned)
+	}
+	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	return resp
+}
+
 // TestScanFalseExclusionConvictsInlineAndPooled mirrors the get case on
-// the scan path: a pruned block whose honest summary overlaps the
-// scanned range is an unsound prune, detected and convicted.
+// the scan path: a slice that stops short of a key inside the scanned
+// range does not bracket it, detected and convicted.
 func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("h"), []byte("p")) // covers "hidden" and "other"
 		blocks, certs := pruneBlocks(f.fixture)
-		resp, _ := scan.Assemble(req.Start, req.End, req.ReqID,
-			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx)
-		resp.Proof.L0Pruned = []wire.PrunedBlock{wire.PruneBlock(&blocks[0])}
-		resp.Proof.L0PrunedCerts = certs[:1]
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+		resp := scanOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
+			return stopShort(w, &blocks[0], req.Start, "hidden")
+		})
 
 		outs := f.deliver(t, pooled, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
@@ -223,11 +280,7 @@ func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 		if d.Kind != wire.DisputeScanLie {
 			t.Fatalf("pooled=%v: wrong dispute kind %v", pooled, d.Kind)
 		}
-		certTable := core.NewCertTable()
-		for i := range blocks {
-			certTable.Certify("edge-1", blocks[i].ID, wcrypto.RecomputedBlockDigest(&blocks[i]), 0)
-		}
-		verdict := core.Judge(f.reg, certTable, "cloud", "c1", d)
+		verdict := judgeWith(f.fixture, d, &blocks[0], &blocks[1])
 		if !verdict.Guilty {
 			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
 		}
@@ -235,23 +288,20 @@ func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 }
 
 // TestScanTamperedSummaryConvictsInlineAndPooled: the scan twin of the
-// tampered-summary get — the doctored summary breaks the cert binding.
+// doctored-block get — the slice folds to a digest the certificate does
+// not name.
 func TestScanTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("h"), []byte("p"))
 		blocks, certs := pruneBlocks(f.fixture)
-		pb := wire.PruneBlock(&blocks[0])
-		pb.Summary = wire.BlockSummary{}
-		resp, _ := scan.Assemble(req.Start, req.End, req.ReqID,
-			mlsm.L0Source{Blocks: blocks[1:], Certs: certs[1:]}, f.idx)
-		resp.Proof.L0Pruned = []wire.PrunedBlock{pb}
-		resp.Proof.L0PrunedCerts = certs[:1]
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+		resp := scanOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
+			return doctored(w, &blocks[0], req.Start, req.End, "hidden")
+		})
 
 		outs := f.deliver(t, pooled, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: tampered scan summary not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("pooled=%v: doctored scan slice not rejected: %+v err=%v", pooled, op, op.Err)
 		}
 		if len(outs) != 1 {
 			t.Fatalf("pooled=%v: no dispute filed", pooled)
@@ -260,6 +310,137 @@ func TestScanTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 		if !verdict.Guilty {
 			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
 		}
+	}
+}
+
+// TestL0SliceLiesConvict is the adversarial matrix: every way of lying
+// with a slice, as a get and as a scan, over certified and over
+// uncertified blocks. Certified, the client refuses the response, files
+// it, and the Judge convicts. Uncertified, the lie either fails the same
+// way or — where only a certificate could tell — parks the read in Phase
+// I on a pinned digest that the honest block proof then contradicts; the
+// dispute names the block and the Judge convicts.
+func TestL0SliceLiesConvict(t *testing.T) {
+	var blocks []wire.Block // set per run; the lies close over it
+	elsewhere := wire.Entry{Client: "c9", Seq: 1, Key: []byte("hidden"), Value: []byte("from another block")}
+	lies := []struct {
+		name string
+		lie  func(w []wire.L0Slice, start, end []byte) []wire.L0Slice
+	}{
+		{"omitted in-range row", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Rows = w[0].Rows[:1] // the older version only
+			return w
+		}},
+		{"omitted row, count adjusted", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Rows = w[0].Rows[:1]
+			w[0].Count--
+			return w
+		}},
+		{"row from another block", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Rows[1].Entry = elsewhere
+			return w
+		}},
+		{"forged value under an honest key", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Rows[1].Entry.Value = []byte("forged")
+			return w
+		}},
+		{"flank that does not bracket", func(w []wire.L0Slice, start, _ []byte) []wire.L0Slice {
+			return stopShort(w, &blocks[0], start, "hidden")
+		}},
+		{"slice of a doctored block", func(w []wire.L0Slice, start, end []byte) []wire.L0Slice {
+			return doctored(w, &blocks[0], start, end, "hidden")
+		}},
+		{"forged flank", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			f := *w[0].Left
+			f.Hash = append([]byte(nil), f.Hash...)
+			f.Hash[0] ^= 1
+			w[0].Left = &f
+			return w
+		}},
+		{"shifted begin", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Begin++
+			return w
+		}},
+		{"index at count", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Rows[1].Index = w[0].Count
+			return w
+		}},
+		{"wrong count", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			w[0].Count++
+			return w
+		}},
+		{"duplicate position", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			return append(w[:1:1], w[0], w[1])
+		}},
+		{"stale window", func(w []wire.L0Slice, _, _ []byte) []wire.L0Slice {
+			return w[1:] // the block holding the key is no longer served
+		}},
+	}
+	for _, l := range lies {
+		for _, kind := range []string{"get", "scan"} {
+			for _, certified := range []bool{true, false} {
+				name := l.name + "/" + kind + "/uncertified"
+				if certified {
+					name = l.name + "/" + kind + "/certified"
+				}
+				t.Run(name, func(t *testing.T) {
+					f := newScanFixture(t)
+					var certs []wire.BlockProof
+					blocks, certs = pruneBlocks(f.fixture)
+					if !certified {
+						certs = nil
+					}
+					var op *Op
+					var msg wire.Message
+					if kind == "get" {
+						var envs []wire.Envelope
+						op, envs = f.c.Get(10, []byte("hidden"))
+						req := envs[0].Msg.(*wire.GetRequest)
+						start, end := wire.PointRange(req.Key)
+						msg = getOver(f.fixture, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice { return l.lie(w, start, end) })
+					} else {
+						var req *wire.ScanRequest
+						op, req = f.launchScan(t, []byte("h"), []byte("i")) // "hidden" only
+						msg = scanOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice { return l.lie(w, req.Start, req.End) })
+					}
+					outs := f.deliver(t, false, msg)
+					if len(outs) == 0 {
+						// Nothing to refute it with yet: the read must be
+						// waiting on the blocks' certificates, and the
+						// honest ones must bring the lie out.
+						if certified || op.Done || op.Phase != core.PhaseI {
+							t.Fatalf("lie accepted: done=%v phase=%v err=%v", op.Done, op.Phase, op.Err)
+						}
+						for i := range blocks {
+							outs = append(outs, f.c.Receive(30, wire.Envelope{From: "cloud", To: "c1", Msg: f.signedProof(&blocks[i])})...)
+						}
+					} else if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
+						t.Fatalf("lie disputed but not refused: done=%v err=%v", op.Done, op.Err)
+					}
+					if len(outs) != 1 {
+						t.Fatalf("%d disputes filed", len(outs))
+					}
+					d, ok := outs[0].Msg.(*wire.Dispute)
+					if !ok || outs[0].To != "cloud" {
+						t.Fatalf("not a dispute to the cloud: %+v", outs[0])
+					}
+					if v := judgeWith(f.fixture, d, &blocks[0], &blocks[1]); !v.Guilty {
+						t.Fatalf("judge acquitted: %s", v.Reason)
+					}
+				})
+			}
+		}
+	}
+
+	// The same window, honest, convicts nobody: a dispute over it is thrown
+	// out with the evidence matching what was certified.
+	f := newScanFixture(t)
+	blocks, certs := pruneBlocks(f.fixture)
+	_, envs := f.c.Get(10, []byte("hidden"))
+	resp := getOver(f.fixture, envs[0].Msg.(*wire.GetRequest), blocks, certs, nil)
+	d := core.BuildGetLieDispute(f.keys["c1"], "edge-1", 0, resp)
+	if v := judgeWith(f.fixture, d, &blocks[0], &blocks[1]); v.Guilty {
+		t.Fatalf("honest window convicted: %s", v.Reason)
 	}
 }
 
@@ -285,8 +466,8 @@ func TestGetProofTimeoutDisputesPendingBid(t *testing.T) {
 
 	op, envs := f.c.Get(10, []byte("hidden"))
 	req := envs[0].Msg.(*wire.GetRequest)
-	resp, _ := mlsm.AssembleGet(req.Key, req.ReqID,
-		mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{{}}}, idx, true)
+	resp := mlsm.AssembleGet(req.Key, req.ReqID,
+		mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{{}}}, idx)
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	deliverGet(t, f, false, resp)
 	if op.Done || op.Phase != core.PhaseI {
@@ -315,12 +496,9 @@ func TestGetVerdictAttachesToSettledDispute(t *testing.T) {
 	blocks, certs := pruneBlocks(f)
 	op, envs := f.c.Get(10, []byte("hidden"))
 	req := envs[0].Msg.(*wire.GetRequest)
-	resp := &wire.GetResponse{ReqID: req.ReqID, Key: req.Key}
-	resp.Proof.L0Blocks = blocks[1:]
-	resp.Proof.L0Certs = certs[1:]
-	resp.Proof.L0Pruned = []wire.PrunedBlock{wire.PruneBlock(&blocks[0])}
-	resp.Proof.L0PrunedCerts = certs[:1]
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
+		return stopShort(w, &blocks[0], req.Key, "hidden")
+	})
 	outs := deliverGet(t, f, false, resp)
 	if !op.Done || !op.DisputeFiled() || op.Verdict != nil {
 		t.Fatalf("setup: %+v", op)

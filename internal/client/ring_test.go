@@ -156,9 +156,9 @@ func TestByBIDReleasesResolvedDependency(t *testing.T) {
 	b0, b1 := mk(0, "k"), mk(1, "other")
 	op, envs := f.c.Get(10, []byte("k"))
 	req := envs[0].Msg.(*wire.GetRequest)
-	resp, _ := mlsm.AssembleGet(req.Key, req.ReqID,
+	resp := mlsm.AssembleGet(req.Key, req.ReqID,
 		mlsm.L0Source{Blocks: []wire.Block{b0, b1}, Certs: []wire.BlockProof{{}, {}}},
-		mlsm.NewIndex([]int{10}), false)
+		mlsm.NewIndex([]int{10}))
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: resp})
 	if op.Phase != core.PhaseI || f.c.byBID.len() != 2 {

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -51,7 +50,7 @@ func (f *scanFixture) launchScan(t *testing.T, start, end []byte) (*Op, *wire.Sc
 
 // honestScanResponse assembles and signs the edge's answer to req.
 func (f *scanFixture) honestScanResponse(req *wire.ScanRequest) *wire.ScanResponse {
-	resp, _ := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx)
+	resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx)
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	return resp
 }
@@ -151,9 +150,9 @@ func TestScanWrongRangeEchoRejectedWithoutDispute(t *testing.T) {
 	}
 }
 
-// poisonedScan builds an honest digest-signed scan response over one L0
-// block, then a cache-poisoned twin: same signature, same cached digest,
-// tampered entry — deliverable only by reference (in-process transports).
+// poisonedScan builds an honest scan response over one L0 block, then a
+// poisoned twin: same signature, one served row tampered after signing —
+// deliverable only by reference (in-process transports).
 func poisonedScan(t *testing.T, f *scanFixture) (op *Op, honest, poisoned *wire.ScanResponse) {
 	t.Helper()
 	op, req := f.launchScan(t, nil, nil)
@@ -165,24 +164,26 @@ func poisonedScan(t *testing.T, f *scanFixture) (op *Op, honest, poisoned *wire.
 	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: digest}
 	cert.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &cert)
 
-	honest, _ = scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, f.idx)
-	honest.EdgeSig = wcrypto.SignScanResponse(f.keys["edge-1"], honest, [][]byte{digest})
-
+	honest = scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, f.idx)
+	honest.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], honest)
 	bad := *honest
-	bad.Proof.L0Blocks = append([]wire.Block(nil), honest.Proof.L0Blocks...)
-	pb := &bad.Proof.L0Blocks[0]
-	pb.Entries = append([]wire.Entry(nil), pb.Entries...)
-	pb.Entries[0].Value = []byte("evil") // cache still serves the honest bytes
-	if !bytes.Equal(pb.CachedDigest(), digest) {
-		t.Fatal("test setup: cache should still serve the honest digest")
-	}
+	bad.Proof.L0Pruned = poisonedWindow(honest.Proof.L0Pruned)
 	return op, honest, &bad
 }
 
+// poisonedWindow copies a one-slice window and gives its only row another
+// value.
+func poisonedWindow(window []wire.L0Slice) []wire.L0Slice {
+	w := append([]wire.L0Slice(nil), window...)
+	w[0].Rows = append([]wire.SliceRow(nil), w[0].Rows...)
+	w[0].Rows[0].Entry.Value = []byte("evil")
+	return w
+}
+
 // TestCachePoisonedScanRejectedInlineAndPooled extends the PR-3 parity
-// suite to the scan path: the scan signature covers recomputed L0 digests,
-// so a tampered block behind a poisoned frozen cache must fail the
-// signature check identically inline and through the pool.
+// suite to the scan path: the scan signature covers the slices as shipped,
+// so a row tampered behind an honest signature must fail the signature
+// check identically inline and through the pool.
 func TestCachePoisonedScanRejectedInlineAndPooled(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		// Honest digest-signed response sails through.
@@ -208,8 +209,7 @@ func TestCachePoisonedScanRejectedInlineAndPooled(t *testing.T) {
 	}
 }
 
-// poisonedGet mirrors poisonedScan for the get path, whose signable body
-// now also represents L0 blocks by their digests.
+// poisonedGet mirrors poisonedScan for the get path.
 func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.GetResponse) {
 	t.Helper()
 	op, envs := f.c.Get(10, []byte("k"))
@@ -221,17 +221,10 @@ func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.GetRe
 	digest := wcrypto.BlockDigest(&blk)
 	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: digest}
 	cert.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &cert)
-	honest, _ = mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}), true)
-	honest.EdgeSig = wcrypto.SignGetResponse(f.keys["edge-1"], honest, [][]byte{digest})
-
+	honest = mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}))
+	honest.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], honest)
 	bad := *honest
-	bad.Proof.L0Blocks = append([]wire.Block(nil), honest.Proof.L0Blocks...)
-	pb := &bad.Proof.L0Blocks[0]
-	pb.Entries = append([]wire.Entry(nil), pb.Entries...)
-	pb.Entries[0].Value = []byte("evil")
-	if !bytes.Equal(pb.CachedDigest(), digest) {
-		t.Fatal("test setup: cache should still serve the honest digest")
-	}
+	bad.Proof.L0Pruned = poisonedWindow(honest.Proof.L0Pruned)
 	return op, honest, &bad
 }
 
@@ -293,9 +286,9 @@ func TestGetRejectsDroppedLeadingL0Block(t *testing.T) {
 	b1, c1 := mkBlock(1, "other")
 	_, _ = b0, c0
 	// The edge serves only block 1, hiding block 0's write of "victim".
-	resp, _ := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{
+	resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{
 		Blocks: []wire.Block{b1}, Certs: []wire.BlockProof{c1},
-	}, mlsm.NewIndex([]int{10}), true)
+	}, mlsm.NewIndex([]int{10}))
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: resp})
 	if !op.Done || !errors.Is(op.Err, ErrBadResponse) {

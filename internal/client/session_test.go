@@ -115,7 +115,8 @@ func TestSessionL0FrontierMonotonic(t *testing.T) {
 			blocks = append(blocks, b)
 			certs = append(certs, p)
 		}
-		resp := &wire.GetResponse{ReqID: 1, Key: []byte("k"), Proof: wire.GetProof{L0Blocks: blocks, L0Certs: certs}}
+		window := mlsm.L0Source{Blocks: blocks, Certs: certs}.Window(wire.PointRange([]byte("k")))
+		resp := &wire.GetResponse{ReqID: 1, Key: []byte("k"), Proof: wire.GetProof{L0Pruned: window}}
 		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 		return resp
 	}

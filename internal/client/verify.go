@@ -15,15 +15,15 @@ import (
 
 // errL0Window marks get-verification failures rooted in the served L0
 // window — a non-contiguous window, a broken cert/digest binding, or a
-// pruned reference whose summary does not exclude the key. These defects
-// are cloud-provable (the response echoes the signed key, so the Judge
+// slice whose flanks do not bracket the key. These defects are
+// cloud-provable (the response echoes the signed key, so the Judge
 // re-runs the same checks), which is what upgrades them from mere
 // rejection to a dispute.
 var errL0Window = errors.New("L0 window evidence defect")
 
 // handleReadResponse processes the three read cases of Section IV-D:
 // denial, Phase II read, Phase I read.
-func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadResponse, verified bool) []wire.Envelope {
+func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadResponse, digest []byte) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -31,8 +31,9 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 	if !ok || op.Done || op.Kind != KindRead {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
+	if digest == nil {
+		digest = m.Block.BodyDigest()
+		if err := wcrypto.VerifyReadResponse(c.reg, c.cfg.Edge, m, digest); err != nil {
 			c.m.verifyFailures.Inc()
 			return nil
 		}
@@ -62,7 +63,6 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 		return nil
 	}
 	op.Block = &m.Block
-	digest := wcrypto.RecomputedBlockDigest(&m.Block)
 	if m.HasProof {
 		// Phase II read: proof must be cloud-signed and match.
 		p := m.Proof
@@ -189,8 +189,8 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 	if err != nil {
 		c.m.verifyFailures.Inc()
 		if errors.Is(err, errL0Window) {
-			// Defective L0 window in an edge-signed response — a false or
-			// tampered exclusion summary, a broken digest binding, a
+			// Defective L0 window in an edge-signed response — a slice that
+			// does not bracket the key, a broken digest binding, a
 			// non-contiguous window. The response echoes the signed key,
 			// so the cloud can re-run these exact checks: settle the
 			// operation and accuse the edge with the proof itself.
@@ -257,12 +257,11 @@ type getCheck struct {
 
 // verifyGet re-derives every claim in a get response:
 //
-//  1. The L0 window — full blocks and pruned exclusion references merged
-//     by id — is one consecutive run from the signed compaction frontier;
-//     full blocks belong to this edge and match their cloud-signed
-//     certificates; pruned references rebind to certified (or pinned)
-//     digests and their summaries exclude the key (mlsm.VerifyL0Window,
-//     the same checks the cloud's Judge re-runs on dispute evidence).
+//  1. The L0 window — one slice per block — is one consecutive run from
+//     the signed compaction frontier; every slice belongs to this chain,
+//     brackets the key, and folds to a digest its cloud-signed certificate
+//     names or that is pinned for the later one (mlsm.VerifyL0Window, the
+//     same checks the cloud's Judge re-runs on dispute evidence).
 //  2. The freshest L0 version of the key, if any, must be the returned
 //     value (deeper levels are older by construction).
 //  3. Otherwise the level roots must fold to the signed global root, the
@@ -274,15 +273,14 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	res := getCheck{uncertified: make(map[uint64][]byte)}
 	p := &m.Proof
 
+	start, end := wire.PointRange(key)
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
 		Reg:   c.reg,
 		Edge:  c.cfg.Chain, // blocks and certificates carry the chain identity
 		Cloud: c.cfg.Cloud,
-		Excludes: func(s *wire.BlockSummary) bool {
-			return s.ExcludesKey(key)
-		},
-		Key: key,
-	}, p.L0Blocks, p.L0Certs, p.L0Pruned, p.L0PrunedCerts)
+		Start: start,
+		End:   end,
+	}, p.L0Pruned)
 	if err != nil {
 		return res, fmt.Errorf("%w: %v", errL0Window, err)
 	}
@@ -310,9 +308,9 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 		}
 	}
 
-	if win.HitVer > 0 {
+	if hit, ok := win.Freshest(); ok {
 		// Winner must come from L0.
-		if !m.Found || m.Ver != win.HitVer || !bytes.Equal(m.Value, win.HitVal) {
+		if !m.Found || m.Ver != hit.Ver || !bytes.Equal(m.Value, hit.Value) {
 			return res, fmt.Errorf("returned value contradicts L0 contents")
 		}
 		advance()
@@ -324,7 +322,7 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	if !levelEvidence && len(p.Global.CloudSig) == 0 {
 		// No merged state exists yet, so nothing has ever been compacted:
 		// the L0 window must be the log itself, from block 0.
-		if err := win.CheckFrontier(&p.Global, levelEvidence); err != nil {
+		if err := win.CheckFrontier(&p.Global, levelEvidence, false); err != nil {
 			return res, fmt.Errorf("%w: %v", errL0Window, err)
 		}
 		// Absence is then the only valid answer.
@@ -350,7 +348,7 @@ func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, 
 	// served L0 window must start, so the edge cannot drop its oldest
 	// uncompacted blocks — which could hold the key's freshest version —
 	// and still claim completeness.
-	if err := win.CheckFrontier(&p.Global, levelEvidence); err != nil {
+	if err := win.CheckFrontier(&p.Global, levelEvidence, false); err != nil {
 		return res, fmt.Errorf("%w: %v", errL0Window, err)
 	}
 	if c.cfg.FreshnessWindow > 0 && now-p.Global.Ts > c.cfg.FreshnessWindow {

@@ -434,9 +434,8 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, s
 	}
 	if !bodyOK {
 		// Full-data mode: the shipped body must decode to a block whose
-		// recomputed digest (which commits the derived key summary and
-		// entries hash) is the claimed one; a mismatch is an immediately
-		// provable lie.
+		// recomputed digest (the key-ordered Merkle root over its entries)
+		// is the claimed one; a mismatch is an immediately provable lie.
 		v := wire.Verdict{
 			Edge: from, BID: m.BID, Kind: wire.DisputeAddLie, Guilty: true,
 			Reason: "certify body does not hash to claimed digest",
@@ -534,9 +533,9 @@ func (n *Node) proofFanout(chain, from wire.NodeID, proof *wire.BlockProof) []wi
 
 // fullDataBodyMatches decodes a full-data certify body (the block's
 // canonical encoding) and checks that the block's recomputed digest is
-// the one the request claims. The digest is derived (summary + entries
-// hash), not a flat hash of the body bytes, so the check must go through
-// the block fields.
+// the one the request claims. The digest is derived (a Merkle root over
+// the entries in key order), not a flat hash of the body bytes, so the
+// check must go through the block fields.
 func fullDataBodyMatches(m *wire.BlockCertify) bool {
 	var blk wire.Block
 	d := wire.NewDecoder(m.Body)

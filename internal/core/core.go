@@ -334,29 +334,21 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 			return verdict
 		}
 		// Structural re-verification of the served L0 window with the
-		// same shared checks the client ran (mlsm.VerifyL0Window): union
-		// contiguity, cert/digest binding of full and pruned blocks, and
-		// exclusion soundness of every pruned reference against the key
-		// the response echoes under the edge's signature. Omission via a
-		// false or tampered exclusion summary is therefore the edge's own
-		// provable lie, exactly like a bad Merkle page on the scan path.
+		// same shared checks the client ran (mlsm.VerifyL0Window): window
+		// contiguity, every slice bracketing the key the response echoes
+		// under the edge's signature, and the cert/digest binding of what
+		// each slice folds to. Omission by a slice whose flanks do not
+		// bracket is therefore the edge's own provable lie, exactly like a
+		// bad Merkle page on the scan path.
 		if err := judgeGetWindow(reg, self, chain, resp); err != nil {
 			verdict.Guilty = true
 			verdict.Reason = fmt.Sprintf("get L0 window does not verify: %v", err)
 			return verdict
 		}
 		// The window holds up structurally; the accusation must then name
-		// a block whose promised content (or claimed pruned digest) the
-		// certified digest refutes.
-		for i := range resp.Proof.L0Blocks {
-			if resp.Proof.L0Blocks[i].ID == d.BID {
-				return judgeDigest(certs, chain, verdict, &resp.Proof.L0Blocks[i])
-			}
-		}
-		for i := range resp.Proof.L0Pruned {
-			if resp.Proof.L0Pruned[i].ID == d.BID {
-				return judgeClaimedDigest(certs, chain, verdict, resp.Proof.L0Pruned[i].Digest())
-			}
+		// a block whose served slice the certified digest refutes.
+		if v, ok := judgeSlice(certs, chain, verdict, resp.Proof.L0Pruned); ok {
+			return v
 		}
 		verdict.Reason = "dispute rejected: disputed block not in evidence"
 		return verdict
@@ -382,17 +374,9 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 			return verdict
 		}
 		// The proof holds up structurally; the accusation must then name
-		// an L0 block whose promised content (or claimed pruned digest)
-		// the certified digest refutes.
-		for i := range resp.Proof.L0Blocks {
-			if resp.Proof.L0Blocks[i].ID == d.BID {
-				return judgeDigest(certs, chain, verdict, &resp.Proof.L0Blocks[i])
-			}
-		}
-		for i := range resp.Proof.L0Pruned {
-			if resp.Proof.L0Pruned[i].ID == d.BID {
-				return judgeClaimedDigest(certs, chain, verdict, resp.Proof.L0Pruned[i].Digest())
-			}
+		// an L0 block whose served slice the certified digest refutes.
+		if v, ok := judgeSlice(certs, chain, verdict, resp.Proof.L0Pruned); ok {
+			return v
 		}
 		verdict.Reason = "not guilty: scan proof verifies and disputed block not in evidence"
 		return verdict
@@ -460,24 +444,19 @@ func gossipSigner(reg *wcrypto.Registry, g *wire.Gossip) wire.NodeID {
 }
 
 // judgeGetWindow re-runs the L0-window checks of a get response on behalf
-// of the Judge: window contiguity, cert/digest binding (inner cloud
-// signatures verified against the adjudicating cloud's own identity), the
-// compaction-frontier rule the client applies (L0WindowCheck.CheckFrontier: an
-// L0 hit carries no index state and needs none), and exclusion soundness
-// of every pruned reference against the echoed key. Freshness and the
-// value derivation are exempt — the former is time-relative, the latter
-// is covered by the digest-contradiction path.
+// of the Judge: window contiguity, every slice bracketing the echoed key,
+// cert/digest binding (inner cloud signatures verified against the
+// adjudicating cloud's own identity), and the compaction-frontier rule the
+// client applies (L0WindowCheck.CheckFrontier: an L0 hit carries no index
+// state and needs none). Freshness and the value derivation are exempt —
+// the former is time-relative, the latter is covered by the
+// digest-contradiction path.
 func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.GetResponse) error {
 	p := &resp.Proof
+	start, end := wire.PointRange(resp.Key)
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg:   reg,
-		Edge:  edge,
-		Cloud: self,
-		Excludes: func(s *wire.BlockSummary) bool {
-			return s.ExcludesKey(resp.Key)
-		},
-		Key: resp.Key,
-	}, p.L0Blocks, p.L0Certs, p.L0Pruned, p.L0PrunedCerts)
+		Reg: reg, Edge: edge, Cloud: self, Start: start, End: end,
+	}, p.L0Pruned)
 	if err != nil {
 		return err
 	}
@@ -486,7 +465,26 @@ func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.Ge
 			return fmt.Errorf("global root: %v", err)
 		}
 	}
-	return win.CheckFrontier(&p.Global, len(p.Roots) > 0 || len(p.Levels) > 0)
+	_, hit := win.Freshest()
+	return win.CheckFrontier(&p.Global, len(p.Roots) > 0 || len(p.Levels) > 0, hit)
+}
+
+// judgeSlice finds the disputed block in a window that already verified
+// and compares the digest its slice folds to against the certified one.
+func judgeSlice(certs *CertTable, chain wire.NodeID, verdict wire.Verdict, window []wire.L0Slice) (wire.Verdict, bool) {
+	for i := range window {
+		if window[i].ID != verdict.BID {
+			continue
+		}
+		digest, err := window[i].Digest()
+		if err != nil {
+			verdict.Guilty = true
+			verdict.Reason = fmt.Sprintf("block %d slice does not fold: %v", verdict.BID, err)
+			return verdict, true
+		}
+		return judgeClaimedDigest(certs, chain, verdict, digest), true
+	}
+	return verdict, false
 }
 
 // judgeDigest compares evidence block content against the certified digest.
@@ -494,9 +492,9 @@ func judgeDigest(certs *CertTable, chain wire.NodeID, verdict wire.Verdict, blk 
 	return judgeClaimedDigest(certs, chain, verdict, wcrypto.RecomputedBlockDigest(blk))
 }
 
-// judgeClaimedDigest compares a digest recomputed from evidence — a full
-// block's content or a pruned reference's claimed fields — against the
-// certified digest for (chain, bid).
+// judgeClaimedDigest compares a digest recomputed from evidence — a whole
+// block's content or what a slice folds to — against the certified digest
+// for (chain, bid).
 func judgeClaimedDigest(certs *CertTable, chain wire.NodeID, verdict wire.Verdict, got []byte) wire.Verdict {
 	certified, ok := certs.Lookup(chain, verdict.BID)
 	if !ok {

@@ -180,9 +180,10 @@ func TestJudgeGetLie(t *testing.T) {
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
 	lied.Entries[0].Value = []byte("stale")
+	key := lied.Entries[0].Key
 	resp := &wire.GetResponse{
-		ReqID: 1,
-		Proof: wire.GetProof{L0Blocks: []wire.Block{lied}, L0Certs: []wire.BlockProof{{}}},
+		ReqID: 1, Key: key,
+		Proof: wire.GetProof{L0Pruned: []wire.L0Slice{lied.Slice(wire.PointRange(key))}},
 	}
 	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
 
@@ -213,7 +214,7 @@ func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 	dispute := func(key string) wire.Verdict {
 		resp := &wire.GetResponse{
 			ReqID: 1, Key: []byte(key),
-			Proof: wire.GetProof{L0Blocks: []wire.Block{blk}, L0Certs: []wire.BlockProof{{}}},
+			Proof: wire.GetProof{L0Pruned: []wire.L0Slice{blk.Slice(wire.PointRange([]byte(key)))}},
 		}
 		resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
 		return Judge(reg, ct, "cloud", "c1", BuildGetLieDispute(keys["c1"], "edge-1", 45, resp))

@@ -168,7 +168,7 @@ func (n *Node) handleCatchUpBlocks(now int64, from wire.NodeID, m *wire.CatchUpB
 			}
 		}
 		repl := &wire.ReplicateBlock{Chain: m.Chain, Leader: m.Leader, Block: it.Block, LeaderSig: it.ServerSig}
-		out = append(out, n.installReplicated(repl)...)
+		out = append(out, n.installReplicated(repl, digest)...)
 		if it.HasCert {
 			if _, ok := n.log.Cert(bid); !ok {
 				out = append(out, n.followerApplyCert(it.Cert)...)
@@ -176,10 +176,7 @@ func (n *Node) handleCatchUpBlocks(now int64, from wire.NodeID, m *wire.CatchUpB
 		}
 	}
 	// Live replication stashed while the gap existed may now be contiguous.
-	for cur := n.pendingRepl[n.log.NumBlocks()]; cur != nil; cur = n.pendingRepl[n.log.NumBlocks()] {
-		delete(n.pendingRepl, cur.Block.ID)
-		out = append(out, n.installReplicated(cur)...)
-	}
+	out = append(out, n.installStashed()...)
 	if n.log.NumBlocks() < m.Through {
 		out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
 	}
@@ -279,7 +276,7 @@ func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 		n.replSigs = make(map[uint64][]byte)
 		n.poisoned = make(map[uint64]bool)
 	}
-	n.pendingRepl = make(map[uint64]*wire.ReplicateBlock)
+	n.pendingRepl = make(map[uint64]stashedBlock)
 	if removed := n.log.TruncateUncertified(); removed > 0 {
 		n.m.truncated.Add(uint64(removed))
 		n.logf("truncated uncertified tail on demotion",
@@ -340,7 +337,7 @@ func (n *Node) Restart(now int64) {
 	n.leader = ""
 	n.epoch = 0
 	n.lastHB = 0
-	n.pendingRepl = make(map[uint64]*wire.ReplicateBlock)
+	n.pendingRepl = make(map[uint64]stashedBlock)
 	n.pendingCerts = make(map[uint64]wire.BlockProof)
 	n.replSigs = make(map[uint64][]byte)
 	n.poisoned = make(map[uint64]bool)

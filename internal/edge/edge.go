@@ -239,7 +239,7 @@ type Node struct {
 	// certificates waiting for their block, plus the leader's replication
 	// signature per installed block — the convicting evidence if the
 	// mirrored digest ever contradicts the cloud's certificate.
-	pendingRepl  map[uint64]*wire.ReplicateBlock
+	pendingRepl  map[uint64]stashedBlock
 	pendingCerts map[uint64]wire.BlockProof
 	replSigs     map[uint64][]byte
 	// poisoned marks mirrored blocks whose digest a cloud certificate
@@ -326,7 +326,7 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	}
 	if cfg.Follower {
 		n.leader = cfg.Leader
-		n.pendingRepl = make(map[uint64]*wire.ReplicateBlock)
+		n.pendingRepl = make(map[uint64]stashedBlock)
 		n.pendingCerts = make(map[uint64]wire.BlockProof)
 		n.replSigs = make(map[uint64][]byte)
 		n.poisoned = make(map[uint64]bool)
@@ -503,7 +503,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	case *wire.MergeResponse:
 		return n.handleMergeResponse(now, env.From, m, env.Verified)
 	case *wire.ReplicateBlock:
-		return n.handleReplicate(now, env.From, m, env.Verified)
+		return n.handleReplicate(now, env.From, m, env.VerifiedDigest())
 	case *wire.LeadershipTransfer:
 		return n.handleTransfer(now, env.From, m, env.Verified)
 	case *wire.CatchUpRequest:
@@ -1081,6 +1081,7 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 	}
 	if m.FromLevel == 0 {
 		n.l0From = m.ConsumedTo + 1
+		n.log.ReleaseIndexes(n.l0From)
 	} else if err := n.idx.ClearLevel(int(m.FromLevel)); err != nil {
 		n.logf("clearing merged level failed", "err", err)
 		return nil

@@ -57,14 +57,14 @@ type Fault struct {
 	// narrower proof. The boundary-coverage check catches the hidden
 	// tail.
 	ScanTruncate bool
-	// SummaryFalseExclude: get and scan responses prune every L0 block
-	// containing this key — omission via pruning — while shipping the
-	// honest, digest-bound summaries. The response then serves the stale
-	// (deeper-level or absent) answer. The summaries rebind to the
-	// certified digests, but they visibly cover the key, so the client's
-	// exclusion-soundness check refutes the prune inline and the signed
-	// response convicts through DisputeGetLie/DisputeScanLie.
-	SummaryFalseExclude []byte
+	// SliceFalseExclude: get and scan responses cut the slice of every L0
+	// block containing this key short of it — omission by slice — while
+	// shipping honest leaves and an honest range proof: the slice for the
+	// part of the request below the key. It folds to the certified digest,
+	// but its right flank is the key's own leaf, which lies inside the
+	// request, so the client's bracket check refutes it inline and the
+	// signed response convicts through DisputeGetLie/DisputeScanLie.
+	SliceFalseExclude []byte
 	// KillMidBatch / KillAtBID: the node dies the instant it cuts block
 	// KillAtBID — the block exists in its log but is never persisted,
 	// acknowledged, replicated or certified, and the node answers nothing
@@ -87,14 +87,14 @@ type Fault struct {
 	// and freshness machinery.
 	PromoteStale     bool
 	PromoteStaleFrom uint64
-	// SummaryTamperKey: like SummaryFalseExclude, but the pruned
-	// summaries are doctored (recomputed without the victim entries) so
-	// the key genuinely appears excluded. The claimed digest recomputed
-	// from the tampered summary then matches nothing the cloud certified:
-	// for certified blocks the shipped certificate contradicts it inline;
-	// for uncertified ones the pinned digest is refuted by the later
-	// block proof. Either way the signed response convicts.
-	SummaryTamperKey []byte
+	// SliceTamperKey: like SliceFalseExclude, but the slices are cut out
+	// of a doctored block (the victim entries removed), so the flanks do
+	// bracket the request and the key genuinely appears absent. The digest
+	// the slice folds to then matches nothing the cloud certified: for
+	// certified blocks the shipped certificate contradicts it inline; for
+	// uncertified ones the pinned digest is refuted by the later block
+	// proof. Either way the signed response convicts.
+	SliceTamperKey []byte
 	// TamperCatchUp: catch-up responses ship altered block content,
 	// signed over the tampered digest so the per-item transfer signature
 	// verifies — the lying-sync-peer attack. For certified blocks the
@@ -104,19 +104,61 @@ type Fault struct {
 	TamperCatchUp bool
 }
 
-// summaryFaultKey returns the key targeted by the summary-pruning faults
-// and whether the pruned summaries should be tampered.
-func (f *Fault) summaryFaultKey() (key []byte, tamper, on bool) {
+// sliceVictim returns the key the slice faults hide and whether the lie is
+// the doctored-block one (SliceTamperKey) or the stop-short one.
+func (f *Fault) sliceVictim() (victim []byte, tamper bool) {
 	if f == nil {
-		return nil, false, false
+		return nil, false
 	}
-	if len(f.SummaryFalseExclude) > 0 {
-		return f.SummaryFalseExclude, false, true
+	if len(f.SliceFalseExclude) > 0 {
+		return f.SliceFalseExclude, false
 	}
-	if len(f.SummaryTamperKey) > 0 {
-		return f.SummaryTamperKey, true, true
+	return f.SliceTamperKey, true
+}
+
+// hideVictim returns the L0 source a slice fault answers from: every block
+// holding the victim key replaced by a copy without those entries, so the
+// assembled answer is the stale one the lie is for and, for
+// SliceTamperKey, the slices are already the doctored ones.
+func (f *Fault) hideVictim(src mlsm.L0Source) mlsm.L0Source {
+	victim, _ := f.sliceVictim()
+	if len(victim) == 0 {
+		return src
 	}
-	return nil, false, false
+	out := mlsm.L0Source{Blocks: append([]wire.Block(nil), src.Blocks...), Certs: src.Certs}
+	for i := range out.Blocks {
+		blk := &out.Blocks[i]
+		kept := make([]wire.Entry, 0, len(blk.Entries))
+		for j := range blk.Entries {
+			if !bytes.Equal(blk.Entries[j].Key, victim) {
+				kept = append(kept, blk.Entries[j])
+			}
+		}
+		if len(kept) != len(blk.Entries) {
+			blk.Invalidate() // the copy must not cut from the honest index
+			blk.Entries = kept
+		}
+	}
+	return out
+}
+
+// stopShort finishes the SliceFalseExclude lie on a window assembled from
+// hideVictim(src) for a read of [start, end): where an honest block holds
+// the victim inside the request, its slice becomes the honest one for the
+// part of the request below the victim.
+func (f *Fault) stopShort(src mlsm.L0Source, window []wire.L0Slice, start, end []byte) {
+	victim, tamper := f.sliceVictim()
+	if len(victim) == 0 || tamper || wire.KeyBefore(victim, start) || wire.KeyAfter(victim, end) {
+		return
+	}
+	for i := range window {
+		if int(window[i].Count) == len(src.Blocks[i].Entries) {
+			continue // the block never held the victim
+		}
+		certSig := window[i].CertSig
+		window[i] = src.Blocks[i].Slice(start, victim)
+		window[i].CertSig = certSig
+	}
 }
 
 // maybeTamperAdd returns the block to embed in an add/put response for
@@ -135,73 +177,6 @@ func (f *Fault) maybeTamperRead(client wire.NodeID, blk wire.Block) wire.Block {
 		return blk
 	}
 	return tamperBlock(blk, client)
-}
-
-// splitSummaryVictims partitions an L0 source into the blocks containing
-// key (the victims the summary faults hide) and the rest, preserving
-// order and digest alignment.
-func splitSummaryVictims(src mlsm.L0Source, key []byte) (rest mlsm.L0Source, victims mlsm.L0Source) {
-	for i := range src.Blocks {
-		blk := &src.Blocks[i]
-		has := false
-		for j := range blk.Entries {
-			if bytes.Equal(blk.Entries[j].Key, key) && len(key) > 0 {
-				has = true
-				break
-			}
-		}
-		dst := &rest
-		if has {
-			dst = &victims
-		}
-		dst.Blocks = append(dst.Blocks, *blk)
-		dst.Certs = append(dst.Certs, src.Certs[i])
-		if src.Digests != nil {
-			dst.Digests = append(dst.Digests, src.Digests[i])
-		}
-	}
-	return rest, victims
-}
-
-// prunedVictims converts the victim blocks into pruned references: honest
-// (digest-bound, visibly covering the key) for the false-exclusion fault,
-// or doctored to exclude the key (and hence bound to no certified digest)
-// for the tamper fault.
-func prunedVictims(victims mlsm.L0Source, key []byte, tamper bool) ([]wire.PrunedBlock, []wire.BlockProof) {
-	var pruned []wire.PrunedBlock
-	for i := range victims.Blocks {
-		blk := &victims.Blocks[i]
-		pb := wire.PruneBlock(blk)
-		if tamper {
-			kept := make([]wire.Entry, 0, len(blk.Entries))
-			for j := range blk.Entries {
-				if !bytes.Equal(blk.Entries[j].Key, key) {
-					kept = append(kept, blk.Entries[j])
-				}
-			}
-			pb.Summary = wire.ComputeBlockSummary(kept)
-		}
-		pruned = append(pruned, pb)
-	}
-	return pruned, victims.Certs
-}
-
-// mergePruned splices extra pruned references (and their aligned certs)
-// into a proof's pruned window, keeping both slices id-ordered so the
-// union contiguity walk sees one consecutive run.
-func mergePruned(pruned *[]wire.PrunedBlock, certs *[]wire.BlockProof, extra []wire.PrunedBlock, extraCerts []wire.BlockProof) {
-	for i := range extra {
-		pos := len(*pruned)
-		for pos > 0 && (*pruned)[pos-1].ID > extra[i].ID {
-			pos--
-		}
-		*pruned = append(*pruned, wire.PrunedBlock{})
-		copy((*pruned)[pos+1:], (*pruned)[pos:])
-		(*pruned)[pos] = extra[i]
-		*certs = append(*certs, wire.BlockProof{})
-		copy((*certs)[pos+1:], (*certs)[pos:])
-		(*certs)[pos] = extraCerts[i]
-	}
 }
 
 // tamperBlock deep-copies blk and alters an entry that does not belong to

@@ -109,29 +109,31 @@ func (n *Node) heartbeat(now int64) wire.Envelope {
 // lands); duplicates are compared by digest, and a divergent duplicate
 // that contradicts an existing cloud certificate convicts the leader on
 // the spot.
-func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock, verified bool) []wire.Envelope {
+func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock, digest []byte) []wire.Envelope {
 	if !n.follower || m.Chain != n.cfg.Chain || from != n.leader || m.Leader != from {
 		return nil
 	}
 	if m.Block.Edge != n.cfg.Chain {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, m.Leader, m, m.LeaderSig); err != nil {
-			n.logf("dropping replicated block with bad leader signature", "bid", m.Block.ID, "err", err)
+	bid := m.Block.ID
+	if digest == nil {
+		// No verify stage hashed the block: one digest serves the signature
+		// check, the duplicate comparison and the install.
+		digest = m.Block.BodyDigest()
+		if err := wcrypto.VerifyBlockAck(n.reg, m.Leader, bid, digest, m.LeaderSig); err != nil {
+			n.logf("dropping replicated block with bad leader signature", "bid", bid, "err", err)
 			return nil
 		}
 	}
-	bid := m.Block.ID
 	next := n.log.NumBlocks()
 	if bid < next {
 		// Duplicate. Same digest: idempotent redelivery. Divergent digest
 		// with a certificate on file: the leader signed two different
 		// blocks under one id — equivocation, convicted with the copy that
 		// contradicts the certificate.
-		got := wcrypto.BlockDigest(&m.Block)
 		have, err := n.log.Digest(bid)
-		if err == nil && !bytes.Equal(got, have) {
+		if err == nil && !bytes.Equal(digest, have) {
 			if _, certified := n.log.Cert(bid); certified {
 				return n.convictLeader(bid, m.Block, m.LeaderSig,
 					"replicated duplicate contradicts certificate; convicting leader")
@@ -150,27 +152,39 @@ func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlo
 			return nil
 		}
 		n.evictStash()
-		cp := *m
-		n.pendingRepl[bid] = &cp
+		n.pendingRepl[bid] = stashedBlock{m, digest}
 		return nil
 	}
-	var out []wire.Envelope
-	for cur := m; cur != nil; {
-		out = append(out, n.installReplicated(cur)...)
-		cur = n.pendingRepl[n.log.NumBlocks()]
-		if cur != nil {
-			delete(n.pendingRepl, cur.Block.ID)
-		}
-	}
-	return out
+	return append(n.installReplicated(m, digest), n.installStashed()...)
 }
 
-// installReplicated mirrors one in-order replicated block, persists it
-// when the follower runs a durable store, and applies any certificate
-// that raced ahead of it.
-func (n *Node) installReplicated(m *wire.ReplicateBlock) []wire.Envelope {
+// stashedBlock is a replicated block that arrived ahead of its
+// predecessor, with the digest its leader signature was checked over.
+type stashedBlock struct {
+	m      *wire.ReplicateBlock
+	digest []byte
+}
+
+// installStashed installs the stashed blocks the mirrored log has caught
+// up with.
+func (n *Node) installStashed() []wire.Envelope {
+	var out []wire.Envelope
+	for {
+		bid := n.log.NumBlocks()
+		st, ok := n.pendingRepl[bid]
+		if !ok {
+			return out
+		}
+		delete(n.pendingRepl, bid)
+		out = append(out, n.installReplicated(st.m, st.digest)...)
+	}
+}
+
+// installReplicated mirrors one in-order replicated block under the digest
+// its signature was checked over, persists it when the follower runs a
+// durable store, and applies any certificate that raced ahead of it.
+func (n *Node) installReplicated(m *wire.ReplicateBlock, digest []byte) []wire.Envelope {
 	bid := m.Block.ID
-	digest := wcrypto.BlockDigest(&m.Block)
 	if err := n.log.InstallBlock(&m.Block, digest); err != nil {
 		n.logf("mirror install failed", "bid", bid, "err", err)
 		return nil

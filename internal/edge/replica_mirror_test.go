@@ -159,3 +159,43 @@ func TestReplicateReorderedFramesInstallInOrder(t *testing.T) {
 		t.Fatalf("blocks after late duplicate = %d, want 3", got)
 	}
 }
+
+// TestReplicatedBlockHashedOnce: a follower hashes each replicated block
+// it installs exactly once — in the verify stage when there is one, in the
+// handler otherwise — whether the block arrives in order or waits in the
+// stash, and installing it (which freezes the mirror's copy under the
+// verified digest) does not hash it again.
+func TestReplicatedBlockHashedOnce(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		p := newReplicaPair(t)
+		frames := []*wire.ReplicateBlock{p.cutBlock(t, 1, 1), p.cutBlock(t, 2, 10), p.cutBlock(t, 3, 20)}
+		before := wire.DigestCalls()
+		for _, i := range []int{0, 2, 1} { // block 2 arrives early and is stashed
+			env, err := wire.DecodeEnvelope(wire.EncodeEnvelope(wire.Envelope{From: "edge-1", To: "edge-1.r1", Msg: frames[i]}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			receive := func(e wire.Envelope) { p.follower.Receive(5, e) }
+			if staged {
+				wcrypto.NewVerifyPool(p.reg, 0, 0, receive).Submit(env)
+			} else {
+				receive(env)
+			}
+		}
+		if got := p.follower.LogBlocks(); got != 3 {
+			t.Fatalf("staged=%v: mirrored %d blocks, want 3", staged, got)
+		}
+		if got := wire.DigestCalls() - before; got != 3 {
+			t.Fatalf("staged=%v: %d digests computed for 3 replicated blocks", staged, got)
+		}
+		for bid := uint64(0); bid < 3; bid++ {
+			blk, err := p.leader.log.Block(bid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err := p.follower.log.Digest(bid); err != nil || string(d) != string(blk.BodyDigest()) {
+				t.Fatalf("staged=%v: mirrored digest of block %d is %x (err %v)", staged, bid, d, err)
+			}
+		}
+	}
+}

@@ -3,17 +3,18 @@ package edge
 import (
 	"bytes"
 
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
-// handleScan serves verified range scans: every uncompacted L0 block plus
-// one Merkle page-range proof per non-empty level, covering all pages
-// that overlap [Start, End) including the boundary pages whose committed
-// bounds prove completeness at both ends. The client derives the result
-// from this evidence (package scan), so the response carries no separate
-// result list to lie about.
+// handleScan serves verified range scans: one slice per uncompacted L0
+// block plus one Merkle page-range proof per non-empty level, covering all
+// pages that overlap [Start, End) including the boundary pages whose
+// committed bounds prove completeness at both ends. The client derives the
+// result from this evidence (package scan), so the response carries no
+// separate result list to lie about.
 func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wire.Envelope {
 	if n.follower {
 		return nil
@@ -24,76 +25,39 @@ func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wi
 		// one (the client core rejects it before signing anything).
 		return nil
 	}
-	resp, digests, tampered := n.buildScan(m)
-	// Phase I scans: register the caller for proof forwarding on every
-	// uncertified block it relied on — full blocks and pruned references
-	// alike (the client pins a digest for both and waits for the proof).
-	for i := range resp.Proof.L0Blocks {
-		if len(resp.Proof.L0Certs[i].CloudSig) == 0 {
-			n.readWaiters.add(resp.Proof.L0Blocks[i].ID, from)
-		}
+	resp, err := n.AssembleScan(m.Start, m.End, m.ReqID)
+	if err != nil {
+		n.logf("scan not served", "err", err)
+		return nil
 	}
-	for i := range resp.Proof.L0Pruned {
-		if len(resp.Proof.L0PrunedCerts[i].CloudSig) == 0 {
-			n.readWaiters.add(resp.Proof.L0Pruned[i].ID, from)
-		}
-	}
-	if tampered {
-		// The lie must verify at face value: recompute digests over the
-		// tampered content so the signature matches what ships.
-		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
-	} else {
-		// Honest serve: sign with the digests cached at block cut —
-		// size-independent in both block size and L0 window depth.
-		resp.EdgeSig = wcrypto.SignScanResponse(n.key, resp, digests)
-	}
+	n.awaitProofs(from, resp.Proof.L0Pruned)
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }
 
 // AssembleScan builds and signs a scan response locally, outside any
-// transport — the edge half of the scan read path, for benchmarks and
-// direct measurement.
-func (n *Node) AssembleScan(start, end []byte, reqID uint64) *wire.ScanResponse {
-	resp, digests, tampered := n.buildScan(&wire.ScanRequest{Start: start, End: end, ReqID: reqID})
-	if tampered {
-		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
-	} else {
-		resp.EdgeSig = wcrypto.SignScanResponse(n.key, resp, digests)
+// transport — what handleScan sends, and the edge half of the scan read
+// path for benchmarks and direct measurement.
+func (n *Node) AssembleScan(start, end []byte, reqID uint64) (*wire.ScanResponse, error) {
+	src, err := n.l0Window()
+	if err != nil {
+		return nil, err
 	}
-	return resp
-}
-
-// buildScan assembles the unsigned scan response, the cut-time digests of
-// the L0 blocks it kept in full, and whether a byzantine fault altered
-// the evidence (in which case the cached digests no longer bind and the
-// caller must sign generically).
-func (n *Node) buildScan(m *wire.ScanRequest) (*wire.ScanResponse, [][]byte, bool) {
-	src := n.l0Window()
-	if key, tamper, on := n.cfg.Fault.summaryFaultKey(); on {
-		// Summary-pruning attack on the scan path: hide the blocks
-		// holding key behind pruned references (see buildGet).
-		rest, victims := splitSummaryVictims(src, key)
-		resp, _ := scan.Assemble(m.Start, m.End, m.ReqID, rest, n.idx)
-		pv, pvCerts := prunedVictims(victims, key, tamper)
-		mergePruned(&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, pv, pvCerts)
-		return resp, nil, true
-	}
-	resp, digests := scan.Assemble(m.Start, m.End, m.ReqID, src, n.idx)
-	tampered := n.applyScanFault(resp)
-	return resp, digests, tampered
+	resp := scan.Assemble(start, end, reqID, n.cfg.Fault.hideVictim(src), n.idx)
+	n.cfg.Fault.stopShort(src, resp.Proof.L0Pruned, start, end)
+	n.applyScanFault(src, resp)
+	resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
+	return resp, nil
 }
 
 // applyScanFault injects the configured scan lies into an assembled
-// response, reporting whether anything was altered. Every lie is built so
-// the victim's signature check passes — detection happens through the
-// completeness proof (omission, truncation) or through lazy certification
-// (injection into an uncertified block).
-func (n *Node) applyScanFault(resp *wire.ScanResponse) bool {
+// response. Every lie is built so the victim's signature check passes —
+// detection happens through the completeness proof (omission, truncation)
+// or through lazy certification (injection into an uncertified block).
+func (n *Node) applyScanFault(src mlsm.L0Source, resp *wire.ScanResponse) {
 	f := n.cfg.Fault
 	if f == nil {
-		return false
+		return
 	}
-	tampered := false
 	if len(f.ScanOmitKey) > 0 {
 		// Omission attack: drop the record from whichever level page
 		// holds it. The page's leaf hash no longer matches the certified
@@ -108,7 +72,6 @@ func (n *Node) applyScanFault(resp *wire.ScanResponse) bool {
 						kvs = append(kvs, p.KVs[:ki]...)
 						kvs = append(kvs, p.KVs[ki+1:]...)
 						p.KVs = kvs
-						tampered = true
 						break
 					}
 				}
@@ -117,21 +80,21 @@ func (n *Node) applyScanFault(resp *wire.ScanResponse) bool {
 	}
 	if len(f.ScanInjectKey) > 0 {
 		// Injection attack: forge an entry inside an uncertified L0 block
-		// — the one place a lie passes structural verification, because
-		// no certificate pins the content yet. Lazy certification catches
-		// it: the cloud's proof carries the honest digest, contradicting
-		// the digest the client pinned from this response.
-		for i := len(resp.Proof.L0Blocks) - 1; i >= 0; i-- {
-			if len(resp.Proof.L0Certs[i].CloudSig) > 0 {
+		// and cut the slice out of the forgery — the one place a lie
+		// passes structural verification, because no certificate pins the
+		// content yet. Lazy certification catches it: the cloud's proof
+		// carries the honest digest, contradicting the digest the client
+		// pinned from this response.
+		window := resp.Proof.L0Pruned
+		for i := len(window) - 1; i >= 0; i-- {
+			if len(window[i].CertSig) > 0 {
 				continue
 			}
-			blk := &resp.Proof.L0Blocks[i]
-			blk.Invalidate() // the copy must not ship the honest cached bytes
-			entries := make([]wire.Entry, 0, len(blk.Entries)+1)
-			entries = append(entries, blk.Entries...)
-			entries = append(entries, wire.Entry{Client: "forged-client", Key: f.ScanInjectKey, Value: f.ScanInjectValue})
-			blk.Entries = entries
-			tampered = true
+			forged := src.Blocks[i]
+			forged.Invalidate() // the copy must not cut from the honest index
+			forged.Entries = append(append([]wire.Entry(nil), forged.Entries...),
+				wire.Entry{Client: "forged-client", Key: f.ScanInjectKey, Value: f.ScanInjectValue})
+			window[i] = forged.Slice(resp.Start, resp.End)
 			break
 		}
 	}
@@ -150,8 +113,6 @@ func (n *Node) applyScanFault(resp *wire.ScanResponse) bool {
 				continue
 			}
 			resp.Proof.Levels[li] = narrow
-			tampered = true
 		}
 	}
-	return tampered
 }

@@ -11,15 +11,15 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// TestGetServesPrunedWindow drives the honest pruned read end to end in
+// TestGetServesPrunedWindow drives the honest sliced read end to end in
 // the simulator: a deep uncompacted L0 window, gets and scans that only
 // touch a few of its blocks, answers still correct and Phase II — and the
-// edge demonstrably shipping pruned references instead of full blocks.
+// edge demonstrably shipping the rows asked for instead of the blocks.
 func TestGetServesPrunedWindow(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100}) // window never compacts
 	model := w.preloadKeys(t, 12)                        // k00..k11 all stay in L0
 
-	// Every key still resolves correctly through the pruned window.
+	// Every key still resolves correctly through the sliced window.
 	for k, v := range model {
 		op := w.get(w.c1, k)
 		w.settle(t, 2*s)
@@ -30,36 +30,44 @@ func TestGetServesPrunedWindow(t *testing.T) {
 			t.Fatalf("get %s phase = %v", k, op.Phase)
 		}
 	}
-	// Absent key: verified absence through a fully pruned window.
+	// Absent key: verified absence through a window of bracketing pairs.
 	op := w.get(w.c2, "zz-missing")
 	w.settle(t, 2*s)
 	if op.Err != nil || op.Found {
 		t.Fatalf("absent key: %+v err=%v", op, op.Err)
 	}
 
-	// The serve path actually prunes: a point get ships at most a couple
-	// of blocks in full out of the six-block window.
-	resp := w.edge.AssembleGet([]byte("k03"), 999)
-	if len(resp.Proof.L0Blocks)+len(resp.Proof.L0Pruned) < 6 {
-		t.Fatalf("window not fully accounted: %d full + %d pruned",
-			len(resp.Proof.L0Blocks), len(resp.Proof.L0Pruned))
+	// The serve path actually slices: a point get accounts for the whole
+	// six-block window and ships one row of it.
+	rows := func(window []wire.L0Slice) (n int) {
+		for i := range window {
+			n += len(window[i].Rows)
+		}
+		return n
 	}
-	if len(resp.Proof.L0Pruned) == 0 {
-		t.Fatal("no blocks pruned from a point get over a deep window")
+	resp, err := w.edge.AssembleGet([]byte("k03"), 999)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(resp.Proof.L0Blocks) > 2 {
-		t.Fatalf("%d blocks shipped in full for a point get", len(resp.Proof.L0Blocks))
+	if len(resp.Proof.L0Pruned) < 6 {
+		t.Fatalf("window not fully accounted: %d slices", len(resp.Proof.L0Pruned))
+	}
+	if n := rows(resp.Proof.L0Pruned); n != 1 {
+		t.Fatalf("%d rows shipped for a point get", n)
 	}
 
-	// Scans over a sub-range prune the disjoint blocks too.
-	sresp := w.edge.AssembleScan([]byte("k00"), []byte("k02"), 998)
-	if len(sresp.Proof.L0Pruned) == 0 {
-		t.Fatal("no blocks pruned from a narrow scan over a deep window")
+	// Scans over a sub-range ship that sub-range.
+	sresp, err := w.edge.AssembleScan([]byte("k00"), []byte("k02"), 998)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rows(sresp.Proof.L0Pruned); n != 2 {
+		t.Fatalf("%d rows shipped for a two-key scan over a deep window", n)
 	}
 	sop := w.scan(w.c1, "k00", "k02", 0)
 	w.settle(t, 2*s)
 	if sop.Err != nil || len(sop.ScanKVs) != 2 {
-		t.Fatalf("narrow scan over pruned window: kvs=%v err=%v", sop.ScanKVs, sop.Err)
+		t.Fatalf("narrow scan over sliced window: kvs=%v err=%v", sop.ScanKVs, sop.Err)
 	}
 }
 
@@ -86,27 +94,27 @@ func convictGet(t *testing.T, fault *edge.Fault, key string, wantErr error) *cli
 }
 
 // TestGetFalseExclusionConvicts: the edge hides the freshest version of
-// the key behind an honest summary that visibly covers it. The client's
-// exclusion-soundness check refutes the prune and the signed response
-// convicts at the cloud.
+// the key behind an honest slice that stops short of it. The client's
+// bracket check refutes the slice and the signed response convicts at the
+// cloud.
 func TestGetFalseExclusionConvicts(t *testing.T) {
-	op := convictGet(t, &edge.Fault{SummaryFalseExclude: []byte("k03")}, "k03", client.ErrBadResponse)
+	op := convictGet(t, &edge.Fault{SliceFalseExclude: []byte("k03")}, "k03", client.ErrBadResponse)
 	if op.Verdict == nil || !op.Verdict.Guilty {
 		t.Fatalf("verdict not attached to the disputing client's op: %+v", op.Verdict)
 	}
 }
 
-// TestGetTamperedSummaryConvicts: the edge doctors the pruned summary so
-// the key looks excluded; the claimed digest contradicts the certificate
-// shipped beside it.
+// TestGetTamperedSummaryConvicts: the edge cuts the slice out of a
+// doctored block so the key looks absent; the digest it folds to
+// contradicts the certificate shipped with it.
 func TestGetTamperedSummaryConvicts(t *testing.T) {
-	convictGet(t, &edge.Fault{SummaryTamperKey: []byte("k03")}, "k03", client.ErrBadResponse)
+	convictGet(t, &edge.Fault{SliceTamperKey: []byte("k03")}, "k03", client.ErrBadResponse)
 }
 
 // TestScanFalseExclusionConvicts / TestScanTamperedSummaryConvicts: the
 // same two lies on the scan path, over a range covering the hidden key.
 func TestScanFalseExclusionConvicts(t *testing.T) {
-	fault := &edge.Fault{SummaryFalseExclude: []byte("k03")}
+	fault := &edge.Fault{SliceFalseExclude: []byte("k03")}
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100, fault: fault})
 	w.preloadKeys(t, 6)
 	op := w.scan(w.c1, "k01", "k05", 0)
@@ -120,7 +128,7 @@ func TestScanFalseExclusionConvicts(t *testing.T) {
 }
 
 func TestScanTamperedSummaryConvicts(t *testing.T) {
-	fault := &edge.Fault{SummaryTamperKey: []byte("k03")}
+	fault := &edge.Fault{SliceTamperKey: []byte("k03")}
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100, fault: fault})
 	w.preloadKeys(t, 6)
 	op := w.scan(w.c1, "k01", "k05", 0)
@@ -133,13 +141,13 @@ func TestScanTamperedSummaryConvicts(t *testing.T) {
 	}
 }
 
-// TestGetTamperedUncertifiedSummaryConvictsLazily: the tampered summary
+// TestGetTamperedUncertifiedSummaryConvictsLazily: the doctored slice
 // hides inside a not-yet-certified window position, so structural checks
-// pass and the get parks in Phase I with the claimed digest pinned; the
-// cloud's certificate then contradicts the pin and the dispute convicts
-// — lazy certification extended to pruned evidence.
+// pass and the get parks in Phase I with the digest it folds to pinned;
+// the cloud's certificate then contradicts the pin and the dispute
+// convicts — lazy certification extended to sliced evidence.
 func TestGetTamperedUncertifiedSummaryConvictsLazily(t *testing.T) {
-	fault := &edge.Fault{SummaryTamperKey: []byte("k01")}
+	fault := &edge.Fault{SliceTamperKey: []byte("k01")}
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100, fault: fault})
 	// Two puts cut one block; the get is injected in the same breath so
 	// it reaches the edge before the certificate returns from the cloud.
@@ -148,7 +156,7 @@ func TestGetTamperedUncertifiedSummaryConvictsLazily(t *testing.T) {
 	op := w.get(w.c1, "k01")
 	w.settle(t, 3*s)
 	if op.Err == nil || !errors.Is(op.Err, client.ErrEdgeLied) {
-		t.Fatalf("lazily caught summary lie settled with %v, want ErrEdgeLied", op.Err)
+		t.Fatalf("lazily caught slice lie settled with %v, want ErrEdgeLied", op.Err)
 	}
 	if _, banned := w.cloud.Flagged("edge-1"); !banned {
 		t.Fatal("edge not convicted")
@@ -158,34 +166,37 @@ func TestGetTamperedUncertifiedSummaryConvictsLazily(t *testing.T) {
 	}
 }
 
-// TestPrunedWindowPhaseI: an honest pruned reference to an uncertified
-// block parks the read in Phase I and completes Phase II when the proof
-// arrives — pruning must not skip the lazy-certification dependency.
+// TestPrunedWindowPhaseI: an honest slice of an uncertified block parks
+// the read in Phase I and completes Phase II when the proof arrives —
+// slicing must not skip the lazy-certification dependency.
 func TestPrunedWindowPhaseI(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100})
 	w.put(w.c1, "k01", "v01")
 	w.put(w.c2, "k02", "v02")
-	// The get races the certificate; the key "zz" is excluded by the
-	// fresh block's summary, so the window ships it pruned.
+	// The get races the certificate; the fresh block does not hold "zz",
+	// so its slice is a lone flank.
 	op := w.get(w.c1, "zz")
 	w.settle(t, 3*s)
 	if op.Err != nil || op.Found {
-		t.Fatalf("absent-key get over uncertified pruned window: %+v err=%v", op, op.Err)
+		t.Fatalf("absent-key get over uncertified window: %+v err=%v", op, op.Err)
 	}
 	if op.Phase != core.PhaseII {
-		t.Fatalf("pruned Phase I dependency never resolved: phase=%v", op.Phase)
+		t.Fatalf("Phase I dependency never resolved: phase=%v", op.Phase)
 	}
 }
 
 // TestPrunedGetFullWindowAccounting cross-checks the evidence shrink the
 // E1 experiment measures: with a deep window, the get response for an
-// L0-miss key accounts for every window block, ships none of them in
-// full, and is smaller than the blocks it stands in for.
+// L0-miss key accounts for every window block, ships no row of any, and
+// is smaller than the blocks it stands in for.
 func TestPrunedGetFullWindowAccounting(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100})
 	w.preloadKeys(t, 12)
-	pruned := w.edge.AssembleGet([]byte("zz-miss"), 1)
-	prunedBytes := wire.EncodedSize(wire.Envelope{From: "edge-1", To: "c1", Msg: pruned})
+	miss, err := w.edge.AssembleGet([]byte("zz-miss"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missBytes := wire.EncodedSize(wire.Envelope{From: "edge-1", To: "c1", Msg: miss})
 
 	log := w.edge.Log()
 	window, windowBytes := 0, 0
@@ -197,16 +208,18 @@ func TestPrunedGetFullWindowAccounting(t *testing.T) {
 		window++
 		windowBytes += len(blk.Canonical())
 	}
-	if len(pruned.Proof.L0Blocks) != 0 {
-		t.Fatalf("L0-miss get still ships %d full blocks", len(pruned.Proof.L0Blocks))
+	for i := range miss.Proof.L0Pruned {
+		if n := len(miss.Proof.L0Pruned[i].Rows); n != 0 {
+			t.Fatalf("L0-miss get still ships %d rows of block %d", n, miss.Proof.L0Pruned[i].ID)
+		}
 	}
-	if len(pruned.Proof.L0Pruned) != window || window < 6 {
-		t.Fatalf("%d pruned references for a %d-block window", len(pruned.Proof.L0Pruned), window)
+	if len(miss.Proof.L0Pruned) != window || window < 6 {
+		t.Fatalf("%d slices for a %d-block window", len(miss.Proof.L0Pruned), window)
 	}
-	if prunedBytes >= windowBytes {
-		t.Fatalf("pruned evidence (%d B) not smaller than the window's blocks (%d B)", prunedBytes, windowBytes)
+	if missBytes >= windowBytes {
+		t.Fatalf("sliced evidence (%d B) not smaller than the window's blocks (%d B)", missBytes, windowBytes)
 	}
-	t.Logf("evidence bytes: pruned=%d window blocks=%d (%.1fx)", prunedBytes, windowBytes, float64(windowBytes)/float64(prunedBytes))
+	t.Logf("evidence bytes: slices=%d window blocks=%d (%.1fx)", missBytes, windowBytes, float64(windowBytes)/float64(missBytes))
 }
 
 // TestHonestL0HitGetSurvivesDispute: after the first compaction an honest
@@ -241,9 +254,9 @@ func TestHonestL0HitGetSurvivesDispute(t *testing.T) {
 	if w.c1.Stats().Disputes == 0 {
 		t.Fatal("get never disputed; test parameters wrong")
 	}
-	if resp := w.edge.AssembleGet([]byte("hot"), 999); len(resp.Proof.Roots) != 0 || resp.Proof.L0Blocks[0].ID == 0 {
-		t.Fatalf("get is not an L0 hit past block 0: %d roots, window from block %d",
-			len(resp.Proof.Roots), resp.Proof.L0Blocks[0].ID)
+	if resp, err := w.edge.AssembleGet([]byte("hot"), 999); err != nil || len(resp.Proof.Roots) != 0 || resp.Proof.L0Pruned[0].ID == 0 {
+		t.Fatalf("get is not an L0 hit past block 0: err %v, %d roots, window from block %d",
+			err, len(resp.Proof.Roots), resp.Proof.L0Pruned[0].ID)
 	}
 	if reason, banned := w.cloud.Flagged("edge-1"); banned {
 		t.Fatalf("honest edge convicted: %s", reason)

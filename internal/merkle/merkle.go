@@ -19,9 +19,9 @@ import (
 // HashSize is the byte length of every tree node.
 const HashSize = sha256.Size
 
-var (
-	leafPrefix     = []byte{0x00}
-	interiorPrefix = []byte{0x01}
+const (
+	leafPrefix     = 0x00
+	interiorPrefix = 0x01
 )
 
 // ErrBadProof reports that an audit path failed to reproduce the root.
@@ -29,56 +29,125 @@ var ErrBadProof = errors.New("merkle: proof does not verify")
 
 // LeafHash hashes raw leaf content into a leaf node.
 func LeafHash(content []byte) []byte {
+	leaf := make([]byte, HashSize)
+	LeafInto(leaf, content)
+	return leaf
+}
+
+// LeafInto writes LeafHash(content) into dst[:HashSize] without allocating
+// for the short contents block digests hash by the hundred.
+func LeafInto(dst, content []byte) {
+	var buf [120]byte
+	if len(content) < len(buf) {
+		buf[0] = leafPrefix
+		sum := sha256.Sum256(buf[:1+copy(buf[1:], content)])
+		copy(dst, sum[:])
+		return
+	}
 	h := sha256.New()
-	h.Write(leafPrefix)
+	h.Write([]byte{leafPrefix})
 	h.Write(content)
-	return h.Sum(nil)
+	h.Sum(dst[:0])
+}
+
+// interiorInto writes the parent of two child nodes into dst[:HashSize];
+// dst may alias either child.
+func interiorInto(dst, left, right []byte) {
+	var buf [1 + 2*HashSize]byte
+	buf[0] = interiorPrefix
+	copy(buf[1:], left)
+	copy(buf[1+HashSize:], right)
+	sum := sha256.Sum256(buf[:])
+	copy(dst, sum[:])
 }
 
 // interiorHash combines two child nodes.
 func interiorHash(left, right []byte) []byte {
-	h := sha256.New()
-	h.Write(interiorPrefix)
-	h.Write(left)
-	h.Write(right)
-	return h.Sum(nil)
+	node := make([]byte, HashSize)
+	interiorInto(node, left, right)
+	return node
 }
 
 // Tree is an immutable Merkle tree over a sequence of leaf hashes.
 // Construct with New; the zero value is an empty tree whose root is
 // EmptyRoot.
 type Tree struct {
-	// levels[0] is the leaf row; levels[len-1] is the single root.
+	// levels[0] is the leaf row; levels[len-1] is the single root. Every
+	// node of every row lives in one backing array.
 	levels [][][]byte
 }
 
 // EmptyRoot is the canonical root of a tree with no leaves.
 func EmptyRoot() []byte { return LeafHash(nil) }
 
-// New builds a tree over the given leaf hashes (as produced by LeafHash).
-// The input slice is not retained.
+// New builds a tree over the given leaf hashes (as produced by LeafHash,
+// HashSize bytes each). Neither the slice nor the hashes are retained.
 func New(leaves [][]byte) *Tree {
 	t := &Tree{}
 	if len(leaves) == 0 {
 		return t
 	}
-	row := make([][]byte, len(leaves))
-	copy(row, leaves)
+	total, rows := 0, 0
+	for w := len(leaves); ; w = (w + 1) / 2 {
+		total += w
+		rows++
+		if w == 1 {
+			break
+		}
+	}
+	store := make([]byte, total*HashSize)
+	nodes := make([][]byte, total)
+	for i := range nodes {
+		nodes[i] = store[i*HashSize : (i+1)*HashSize : (i+1)*HashSize]
+	}
+	t.levels = make([][][]byte, 0, rows)
+	row := nodes[:len(leaves):len(leaves)]
+	for i, l := range leaves {
+		if len(l) != HashSize {
+			panic(fmt.Sprintf("merkle: leaf %d is %d bytes, want %d", i, len(l), HashSize))
+		}
+		copy(row[i], l)
+	}
+	nodes = nodes[len(leaves):]
 	t.levels = append(t.levels, row)
 	for len(row) > 1 {
-		next := make([][]byte, 0, (len(row)+1)/2)
-		for i := 0; i < len(row); i += 2 {
-			if i+1 < len(row) {
-				next = append(next, interiorHash(row[i], row[i+1]))
+		w := (len(row) + 1) / 2
+		next := nodes[:w:w]
+		nodes = nodes[w:]
+		for i := range next {
+			if 2*i+1 < len(row) {
+				interiorInto(next[i], row[2*i], row[2*i+1])
 			} else {
 				// Odd node promoted unchanged.
-				next = append(next, row[i])
+				copy(next[i], row[2*i])
 			}
 		}
 		t.levels = append(t.levels, next)
 		row = next
 	}
 	return t
+}
+
+// PackedRoot returns the root of the tree over the leaf hashes laid end to
+// end in leaves (len(leaves) a multiple of HashSize), folding them in
+// place: leaves is scratch afterwards and the result aliases it. It is
+// New(...).Root() for a caller that needs no proofs, without the tree.
+func PackedRoot(leaves []byte) []byte {
+	n := len(leaves) / HashSize
+	if n == 0 {
+		return EmptyRoot()
+	}
+	at := func(i int) []byte { return leaves[i*HashSize : (i+1)*HashSize] }
+	for ; n > 1; n = (n + 1) / 2 {
+		for i := 0; 2*i < n; i++ {
+			if 2*i+1 < n {
+				interiorInto(at(i), at(2*i), at(2*i+1))
+			} else {
+				copy(at(i), at(2*i))
+			}
+		}
+	}
+	return at(0)
 }
 
 // Len returns the number of leaves.

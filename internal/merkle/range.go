@@ -43,13 +43,29 @@ func (t *Tree) RangeProof(begin, end int) (left, right [][]byte, err error) {
 // and right flank paths, reproduce root. Like Verify, it reimplements the
 // odd-promotion rule independently of Tree so clients need no tree state.
 func VerifyRange(root []byte, leaves [][]byte, begin, n int, left, right [][]byte) error {
+	got, err := RangeRoot(leaves, begin, n, left, right)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, root) {
+		return ErrBadProof
+	}
+	return nil
+}
+
+// RangeRoot is the fold inside VerifyRange: the root that the leaf hashes
+// at positions [begin, begin+len(leaves)) of an n-leaf tree and the two
+// flank paths commit to. A verifier that holds no root to compare against
+// — a block digest is derived from this root, not checked against one —
+// calls it directly; a proof of the wrong shape is ErrBadProof.
+func RangeRoot(leaves [][]byte, begin, n int, left, right [][]byte) ([]byte, error) {
 	if n <= 0 || begin < 0 || len(leaves) == 0 || begin+len(leaves) > n {
-		return fmt.Errorf("merkle: leaf range [%d,%d) invalid for %d leaves", begin, begin+len(leaves), n)
+		return nil, fmt.Errorf("merkle: leaf range [%d,%d) invalid for %d leaves", begin, begin+len(leaves), n)
 	}
 	row := make([][]byte, 0, len(leaves)+2)
 	for _, l := range leaves {
 		if len(l) != HashSize {
-			return ErrBadProof
+			return nil, ErrBadProof
 		}
 		row = append(row, l)
 	}
@@ -58,7 +74,7 @@ func VerifyRange(root []byte, leaves [][]byte, begin, n int, left, right [][]byt
 	for width > 1 {
 		if lo%2 == 1 {
 			if li >= len(left) || len(left[li]) != HashSize {
-				return ErrBadProof
+				return nil, ErrBadProof
 			}
 			row = append(row, nil)
 			copy(row[1:], row)
@@ -68,7 +84,7 @@ func VerifyRange(root []byte, leaves [][]byte, begin, n int, left, right [][]byt
 		}
 		if hi%2 == 1 && hi < width {
 			if ri >= len(right) || len(right[ri]) != HashSize {
-				return ErrBadProof
+				return nil, ErrBadProof
 			}
 			row = append(row, right[ri])
 			ri++
@@ -89,11 +105,8 @@ func VerifyRange(root []byte, leaves [][]byte, begin, n int, left, right [][]byt
 		hi = (hi + 1) / 2
 		width = (width + 1) / 2
 	}
-	if li != len(left) || ri != len(right) {
-		return ErrBadProof
+	if li != len(left) || ri != len(right) || len(row) != 1 {
+		return nil, ErrBadProof
 	}
-	if len(row) != 1 || !bytes.Equal(row[0], root) {
-		return ErrBadProof
-	}
-	return nil
+	return row[0], nil
 }

@@ -48,76 +48,51 @@ func (x *Index) InstallAll(pages []wire.Page, roots [][]byte, global wire.Signed
 	return nil
 }
 
-// L0Source supplies the uncompacted level-0 pages (log blocks), their
-// certificates, and optionally their cut-time digests for read assembly.
-// Certificates with an empty CloudSig mark Phase I (uncertified) blocks.
-// Digests, when non-nil, is aligned with Blocks; assembly returns the
-// digests of the blocks it kept in full so the edge can sign without
-// re-hashing.
+// L0Source supplies the uncompacted level-0 pages (log blocks) and their
+// certificates for read assembly, oldest first. Certificates with an empty
+// CloudSig mark Phase I (uncertified) blocks; a missing tail of Certs
+// counts as uncertified.
 type L0Source struct {
-	Blocks  []wire.Block
-	Certs   []wire.BlockProof
-	Digests [][]byte
+	Blocks []wire.Block
+	Certs  []wire.BlockProof
 }
 
-// AppendL0 places one source block into a proof's L0 window: pruned to
-// its digest-committed key summary when prune is set and the summary
-// excludes the request, shipped in full otherwise. Returns whether the
-// block was kept in full.
-func AppendL0(blocks *[]wire.Block, certs *[]wire.BlockProof,
-	pruned *[]wire.PrunedBlock, prunedCerts *[]wire.BlockProof,
-	blk *wire.Block, cert wire.BlockProof, prune bool, excludes func(*wire.BlockSummary) bool) bool {
-	if prune {
-		pb := wire.PruneBlock(blk)
-		if excludes(&pb.Summary) {
-			*pruned = append(*pruned, pb)
-			*prunedCerts = append(*prunedCerts, cert)
-			return false
+// Window cuts the source into the L0 window of a read of [start, end): one
+// slice per block, carrying the block's certificate where it has one.
+func (l0 L0Source) Window(start, end []byte) []wire.L0Slice {
+	if len(l0.Blocks) == 0 {
+		return nil
+	}
+	window := make([]wire.L0Slice, len(l0.Blocks))
+	for i := range l0.Blocks {
+		window[i] = l0.Blocks[i].Slice(start, end)
+		if i < len(l0.Certs) {
+			window[i].CertSig = l0.Certs[i].CloudSig
 		}
 	}
-	*blocks = append(*blocks, *blk)
-	*certs = append(*certs, cert)
-	return true
+	return window
 }
 
 // AssembleGet builds the unsigned get response for key against the given
 // L0 snapshot and merged index — the proof-construction algorithm of
 // Section V-B shared by the WedgeChain edge and the Edge-baseline edge.
-// With prune set, window blocks whose key summary excludes key ship as
-// pruned references instead of full blocks. The returned digests are the
-// cut-time digests (from l0.Digests) of the blocks kept in full, in
-// L0Blocks order — what the edge's size-independent signing needs; nil
-// when l0.Digests was nil.
-func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index, prune bool) (*wire.GetResponse, [][]byte) {
+// Every window block ships as its slice for the key.
+func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index) *wire.GetResponse {
 	resp := &wire.GetResponse{ReqID: reqID, Key: key}
-	excludes := func(s *wire.BlockSummary) bool { return s.ExcludesKey(key) }
-
-	var fullDigests [][]byte
-	var bestVer uint64
-	var bestVal []byte
-	for bi := range l0.Blocks {
-		blk := &l0.Blocks[bi]
-		var cert wire.BlockProof
-		if bi < len(l0.Certs) {
-			cert = l0.Certs[bi]
+	resp.Proof.L0Pruned = l0.Window(wire.PointRange(key))
+	for i := range resp.Proof.L0Pruned {
+		s := &resp.Proof.L0Pruned[i]
+		for j := range s.Rows {
+			if v := s.StartPos + uint64(s.Rows[j].Index) + 1; v > resp.Ver {
+				resp.Ver, resp.Value = v, s.Rows[j].Entry.Value
+			}
 		}
-		full := AppendL0(&resp.Proof.L0Blocks, &resp.Proof.L0Certs,
-			&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, blk, cert, prune, excludes)
-		if full && l0.Digests != nil {
-			fullDigests = append(fullDigests, l0.Digests[bi])
-		}
-		if !full {
-			continue // an excluded block cannot hold the key
-		}
-		freshestIn(blk, key, &bestVer, &bestVal)
 	}
-	if bestVer > 0 {
+	if resp.Ver > 0 {
 		// Freshest version is in L0: deeper levels are older by
 		// construction, so no level evidence is required.
 		resp.Found = true
-		resp.Value = bestVal
-		resp.Ver = bestVer
-		return resp, fullDigests
+		return resp
 	}
 
 	hitLevel, pageIdx, kv, found := idx.Lookup(key)
@@ -149,5 +124,5 @@ func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index, prune bool) 
 		resp.Value = kv.Value
 		resp.Ver = kv.Ver
 	}
-	return resp, fullDigests
+	return resp
 }

@@ -28,7 +28,7 @@ func TestAssembleGetPrefersL0OverLevels(t *testing.T) {
 		Entries: []wire.Entry{{Client: "c", Key: []byte("k"), Value: []byte("newer")}},
 	}
 	src := L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{{}}}
-	resp, _ := AssembleGet([]byte("k"), 1, src, x, true)
+	resp := AssembleGet([]byte("k"), 1, src, x)
 	if !resp.Found || !bytes.Equal(resp.Value, []byte("newer")) {
 		t.Fatalf("resp = found=%v %q", resp.Found, resp.Value)
 	}
@@ -50,7 +50,7 @@ func TestAssembleGetNewestL0VersionWins(t *testing.T) {
 		Blocks: []wire.Block{mk(0, 0, "v0"), mk(1, 1, "v1"), mk(2, 2, "v2")},
 		Certs:  make([]wire.BlockProof, 3),
 	}
-	resp, _ := AssembleGet([]byte("k"), 1, src, x, true)
+	resp := AssembleGet([]byte("k"), 1, src, x)
 	if !resp.Found || string(resp.Value) != "v2" {
 		t.Fatalf("resp = %q, want v2", resp.Value)
 	}
@@ -58,7 +58,7 @@ func TestAssembleGetNewestL0VersionWins(t *testing.T) {
 
 func TestAssembleGetLevelHitCarriesProofChain(t *testing.T) {
 	x := installedIndex(t, []wire.KV{kv("a", 1), kv("k", 5), kv("z", 2)})
-	resp, _ := AssembleGet([]byte("k"), 1, L0Source{}, x, true)
+	resp := AssembleGet([]byte("k"), 1, L0Source{}, x)
 	if !resp.Found || resp.Ver != 5 {
 		t.Fatalf("resp = found=%v ver=%d", resp.Found, resp.Ver)
 	}
@@ -79,7 +79,7 @@ func TestAssembleGetLevelHitCarriesProofChain(t *testing.T) {
 
 func TestAssembleGetAbsenceProof(t *testing.T) {
 	x := installedIndex(t, []wire.KV{kv("a", 1), kv("z", 2)})
-	resp, _ := AssembleGet([]byte("mmm"), 1, L0Source{}, x, true)
+	resp := AssembleGet([]byte("mmm"), 1, L0Source{}, x)
 	if resp.Found {
 		t.Fatal("missing key found")
 	}
@@ -99,7 +99,7 @@ func TestAssembleGetAbsenceProof(t *testing.T) {
 
 func TestAssembleGetEmptyEverything(t *testing.T) {
 	x := NewIndex([]int{4})
-	resp, _ := AssembleGet([]byte("k"), 7, L0Source{}, x, true)
+	resp := AssembleGet([]byte("k"), 7, L0Source{}, x)
 	if resp.Found || resp.ReqID != 7 {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -172,7 +172,7 @@ func TestAssembleGetManyKeysSweep(t *testing.T) {
 	x := installedIndex(t, kvs)
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("key-%03d", i))
-		resp, _ := AssembleGet(key, uint64(i), L0Source{}, x, true)
+		resp := AssembleGet(key, uint64(i), L0Source{}, x)
 		if !resp.Found || resp.Ver != uint64(i+1) {
 			t.Fatalf("key %s: found=%v ver=%d", key, resp.Found, resp.Ver)
 		}

@@ -9,40 +9,27 @@ import (
 )
 
 // This file implements the shared verification of a served L0 window —
-// the uncompacted block suffix a read response must account for. Since
-// evidence pruning, a window position is either a full block or a pruned
-// reference whose digest-committed key summary proves the block cannot
-// hold the requested key or range. The client (get and scan verification)
-// and the cloud's dispute Judge all run this one implementation, so an
-// exclusion the client would reject is exactly an exclusion the Judge
-// convicts.
+// the uncompacted block suffix a read response must account for, one
+// wire.L0Slice per block. The client (get and scan verification) and the
+// cloud's dispute Judge all run this one implementation, so a slice the
+// client would reject is exactly a slice the Judge convicts.
 
 // L0WindowParams configures a window verification: whose evidence is
-// judged against which registry, and the exclusion predicate pruned
-// references must satisfy (ExcludesKey for gets, ExcludesRange for
-// scans).
+// judged against which registry, for which request.
 type L0WindowParams struct {
 	Reg   *wcrypto.Registry
 	Edge  wire.NodeID
 	Cloud wire.NodeID
-	// Excludes reports whether a key summary rules the requested key or
-	// range out of a block. Every pruned reference must satisfy it — a
-	// pruned block whose summary does not exclude the request is an
-	// unsound prune, provable from the signed response alone.
-	Excludes func(*wire.BlockSummary) bool
-	// Key, for a get, is the requested key: the check then reports the
-	// freshest version of it a full block of the window holds.
-	Key []byte
-	// OnBlock, when set, is called for every full block in window order
-	// (verifiers collect candidate versions here).
-	OnBlock func(*wire.Block)
+	// Start and End bound the half-open key range the response answers
+	// (nil = unbounded); a get for key k answers wire.PointRange(k).
+	Start, End []byte
 }
 
 // L0WindowCheck is the outcome of a successful window verification.
 type L0WindowCheck struct {
-	// Uncertified maps each window block id lacking a certificate — full
-	// or pruned — to the locally recomputed (or claimed) digest the
-	// later-arriving block proof must match.
+	// Uncertified maps each window block id lacking a certificate to the
+	// digest its slice folds to: the later-arriving block proof must
+	// match it.
 	Uncertified map[uint64][]byte
 	// FirstID is the id of the window's first position; meaningless when
 	// Slots == 0.
@@ -50,26 +37,37 @@ type L0WindowCheck struct {
 	// L0End is one past the highest window block id (0 for an empty
 	// window) — the session-consistency watermark.
 	L0End uint64
-	// Slots counts window positions, full and pruned together.
+	// Slots counts window positions.
 	Slots int
-	// HitVer and HitVal are the freshest version of L0WindowParams.Key
-	// held by a full block of the window; HitVer is 0 when none holds it
-	// or no key was given.
-	HitVer uint64
-	HitVal []byte
+	// Rows are the in-range key-value records of the window, oldest block
+	// first; Ver is the record's log position + 1.
+	Rows []wire.KV
+}
+
+// Freshest returns the newest of Rows — for a get, the key's freshest L0
+// version — and false when the window holds no row.
+func (c *L0WindowCheck) Freshest() (wire.KV, bool) {
+	var best wire.KV
+	for _, kv := range c.Rows {
+		if kv.Ver > best.Ver {
+			best = kv
+		}
+	}
+	return best, best.Ver > 0
 }
 
 // CheckFrontier enforces where a verified window must start, given the
 // index state the response carries: at the cloud-signed compaction
 // frontier when a signed global root is present, and at block 0 when the
 // response claims nothing was ever compacted (no roots, no level
-// evidence) — otherwise a dropped leading block could hide the key's
-// freshest version. A window that holds the key is exempt: every block
-// before it is older than the hit, so the edge ships no index state with
-// an L0 hit (AssembleGet) and none is needed. Client and Judge both call
-// this, so what the client accepts the Judge cannot convict.
-func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence bool) error {
-	if c.Slots == 0 || c.HitVer > 0 {
+// evidence) — otherwise a dropped leading block could hide a key's
+// freshest version. A get whose window holds the key (l0Hit) is exempt:
+// every block before the hit is older than it, so the edge ships no index
+// state with an L0 hit (AssembleGet) and none is needed. Gets, scans and
+// the Judge all call this, so what a client accepts the Judge cannot
+// convict.
+func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence, l0Hit bool) error {
+	if c.Slots == 0 || l0Hit {
 		return nil
 	}
 	if len(global.CloudSig) > 0 {
@@ -87,111 +85,108 @@ func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence boo
 
 // VerifyL0Window re-derives every claim a served L0 window makes:
 //
-//   - full blocks and pruned references, merged by block id, form one
-//     strictly consecutive run (no window position can be silently
-//     dropped between representations);
-//   - every full block belongs to the expected edge and matches its
-//     cloud-signed certificate (or has its recomputed digest pinned for
-//     the later proof);
-//   - every pruned reference rebinds to a digest: the claimed digest is
-//     recomputed from the shipped fields and checked against the
-//     certificate (or pinned), so a summary tampered on the wire fails
-//     exactly like a tampered block body;
-//   - every pruned reference's summary actually excludes the requested
-//     key or range (exclusion soundness).
+//   - the slices' block ids form one strictly consecutive run (no window
+//     position silently dropped, none served twice) and every slice names
+//     the expected edge;
+//   - within a slice, (key, index) strictly increases from the left flank
+//     through the rows to the right flank, every index is below the
+//     block's entry count, every row's key is inside the requested range,
+//     the left flank's key sorts before it and the right flank's at or
+//     past its end (the flanks bracket the request), and a flank is
+//     missing only where the order ends: the left at position 0, the
+//     right at Count;
+//   - the slice folds, with its range proof, to a block digest that its
+//     cloud-signed certificate names — or that is pinned for the later
+//     one — so a row forged, dropped or borrowed from another block fails
+//     exactly like a tampered block body.
 //
 // Any defect is an error naming the offending block — in an edge-signed
 // response, the edge's own lie.
-func VerifyL0Window(p L0WindowParams, blocks []wire.Block, certs []wire.BlockProof,
-	pruned []wire.PrunedBlock, prunedCerts []wire.BlockProof) (L0WindowCheck, error) {
+func VerifyL0Window(p L0WindowParams, window []wire.L0Slice) (L0WindowCheck, error) {
 	res := L0WindowCheck{Uncertified: make(map[uint64][]byte)}
-	if len(certs) != len(blocks) {
-		return res, fmt.Errorf("cert/block count mismatch")
-	}
-	if len(prunedCerts) != len(pruned) {
-		return res, fmt.Errorf("cert/pruned-block count mismatch")
-	}
-
-	checkCert := func(bid uint64, digest []byte, cert *wire.BlockProof) error {
-		if len(cert.CloudSig) > 0 {
-			if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, cert, cert.CloudSig); err != nil {
-				return fmt.Errorf("L0 cert %d: %v", bid, err)
-			}
-			if cert.Edge != p.Edge || cert.BID != bid || !bytes.Equal(cert.Digest, digest) {
-				return fmt.Errorf("L0 cert %d does not match block", bid)
-			}
-			return nil
-		}
-		res.Uncertified[bid] = digest
-		return nil
-	}
-
-	// Merge-walk the full and pruned runs by id: the union must be one
-	// strictly consecutive sequence. Ties (the same id in both runs) fail
-	// the consecutiveness check on the second occurrence.
-	bi, pi := 0, 0
-	for bi < len(blocks) || pi < len(pruned) {
-		takeBlock := bi < len(blocks) &&
-			(pi >= len(pruned) || blocks[bi].ID <= pruned[pi].ID)
-		var id uint64
-		if takeBlock {
-			id = blocks[bi].ID
-		} else {
-			id = pruned[pi].ID
-		}
+	for i := range window {
+		s := &window[i]
 		if res.Slots == 0 {
-			res.FirstID = id
-		} else if id != res.FirstID+uint64(res.Slots) {
-			return res, fmt.Errorf("L0 window ids not consecutive at block %d", id)
+			res.FirstID = s.ID
+		} else if s.ID != res.FirstID+uint64(res.Slots) {
+			return res, fmt.Errorf("L0 window ids not consecutive at block %d", s.ID)
 		}
 		res.Slots++
-		if id+1 > res.L0End {
-			res.L0End = id + 1
+		res.L0End = s.ID + 1
+		if s.Edge != p.Edge {
+			return res, fmt.Errorf("L0 block %d from wrong edge", s.ID)
 		}
-		if takeBlock {
-			blk := &blocks[bi]
-			if blk.Edge != p.Edge {
-				return res, fmt.Errorf("L0 block %d from wrong edge", blk.ID)
+		if err := checkSlice(s, p.Start, p.End); err != nil {
+			return res, fmt.Errorf("L0 block %d: %v", s.ID, err)
+		}
+		digest, err := s.Digest()
+		if err != nil {
+			return res, fmt.Errorf("L0 block %d: %v", s.ID, err)
+		}
+		if len(s.CertSig) > 0 {
+			cert := s.Cert(digest)
+			if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, &cert, cert.CloudSig); err != nil {
+				return res, fmt.Errorf("L0 cert %d does not match block: %v", s.ID, err)
 			}
-			digest := wcrypto.RecomputedBlockDigest(blk)
-			if err := checkCert(blk.ID, digest, &certs[bi]); err != nil {
-				return res, err
-			}
-			if p.Key != nil {
-				freshestIn(blk, p.Key, &res.HitVer, &res.HitVal)
-			}
-			if p.OnBlock != nil {
-				p.OnBlock(blk)
-			}
-			bi++
 		} else {
-			pb := &pruned[pi]
-			if pb.Edge != p.Edge {
-				return res, fmt.Errorf("pruned L0 block %d from wrong edge", pb.ID)
-			}
-			digest := pb.Digest()
-			if err := checkCert(pb.ID, digest, &prunedCerts[pi]); err != nil {
-				return res, err
-			}
-			if p.Excludes != nil && !p.Excludes(&pb.Summary) {
-				return res, fmt.Errorf("pruned L0 block %d: summary does not exclude the requested key/range", pb.ID)
-			}
-			pi++
+			res.Uncertified[s.ID] = digest
+		}
+		for j := range s.Rows {
+			r := &s.Rows[j]
+			res.Rows = append(res.Rows, wire.KV{Key: r.Entry.Key, Value: r.Entry.Value, Ver: s.StartPos + uint64(r.Index) + 1})
 		}
 	}
 	return res, nil
 }
 
-// freshestIn raises (*ver, *val) to blk's newest version of key, if it
-// holds one newer than *ver. A version is the entry's log position + 1.
-func freshestIn(blk *wire.Block, key []byte, ver *uint64, val *[]byte) {
-	for i := range blk.Entries {
-		e := &blk.Entries[i]
-		if len(e.Key) == 0 || !bytes.Equal(e.Key, key) {
-			continue
+// checkSlice checks the part of a slice's claim that needs no hashing:
+// leaf order, index bounds, and that the flanks bracket [start, end).
+func checkSlice(s *wire.L0Slice, start, end []byte) error {
+	shipped := uint64(len(s.Rows))
+	var prevKey []byte
+	prevIdx, first := uint32(0), true
+	ordered := func(key []byte, idx uint32) error {
+		if idx >= s.Count {
+			return fmt.Errorf("entry index %d in a block of %d", idx, s.Count)
 		}
-		if v := blk.StartPos + uint64(i) + 1; v > *ver {
-			*ver, *val = v, e.Value
+		if !first {
+			if c := bytes.Compare(prevKey, key); c > 0 || (c == 0 && prevIdx >= idx) {
+				return fmt.Errorf("leaves out of (key, index) order at index %d", idx)
+			}
+		}
+		prevKey, prevIdx, first = key, idx, false
+		return nil
+	}
+	if f := s.Left; f != nil {
+		shipped++
+		if err := ordered(f.Key, f.Index); err != nil {
+			return err
+		}
+		if !wire.KeyBefore(f.Key, start) {
+			return fmt.Errorf("left flank does not bracket the request")
+		}
+	} else if s.Begin != 0 {
+		return fmt.Errorf("left flank missing at position %d", s.Begin)
+	}
+	for i := range s.Rows {
+		r := &s.Rows[i]
+		if err := ordered(r.Entry.Key, r.Index); err != nil {
+			return err
+		}
+		if wire.KeyBefore(r.Entry.Key, start) || wire.KeyAfter(r.Entry.Key, end) {
+			return fmt.Errorf("row %d outside the requested range", r.Index)
 		}
 	}
+	if f := s.Right; f != nil {
+		shipped++
+		if err := ordered(f.Key, f.Index); err != nil {
+			return err
+		}
+		if !wire.KeyAfter(f.Key, end) {
+			return fmt.Errorf("right flank does not bracket the request")
+		}
+	} else if uint64(s.Begin)+shipped != uint64(s.Count) {
+		return fmt.Errorf("right flank missing at position %d of %d", uint64(s.Begin)+shipped, s.Count)
+	}
+	return nil
 }

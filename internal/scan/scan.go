@@ -42,30 +42,13 @@ var ErrStale = errors.New("scan: snapshot outside freshness window")
 
 // Assemble builds the unsigned scan response for [start, end) against the
 // given L0 snapshot and merged index — the proof-construction half of the
-// protocol, run by the edge. For each non-empty level it includes every
-// page overlapping the range (the boundary pages included, since their
-// committed bounds prove completeness at both ends) under one Merkle
-// range proof. Window blocks whose digest-committed key interval is
-// disjoint from the range ship as pruned references instead of full
-// blocks. The returned digests are the cut-time digests (from
-// l0.Digests) of the blocks kept in full, in L0Blocks order; nil when
-// l0.Digests was nil.
-func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index) (*wire.ScanResponse, [][]byte) {
+// protocol, run by the edge. Every window block ships as its slice for the
+// range; for each non-empty level it includes every page overlapping the
+// range (the boundary pages included, since their committed bounds prove
+// completeness at both ends) under one Merkle range proof.
+func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index) *wire.ScanResponse {
 	resp := &wire.ScanResponse{ReqID: reqID, Start: start, End: end}
-	excludes := func(s *wire.BlockSummary) bool { return s.ExcludesRange(start, end) }
-	var fullDigests [][]byte
-	for bi := range l0.Blocks {
-		blk := &l0.Blocks[bi]
-		var cert wire.BlockProof
-		if bi < len(l0.Certs) {
-			cert = l0.Certs[bi]
-		}
-		full := mlsm.AppendL0(&resp.Proof.L0Blocks, &resp.Proof.L0Certs,
-			&resp.Proof.L0Pruned, &resp.Proof.L0PrunedCerts, blk, cert, true, excludes)
-		if full && l0.Digests != nil {
-			fullDigests = append(fullDigests, l0.Digests[bi])
-		}
-	}
+	resp.Proof.L0Pruned = l0.Window(start, end)
 	for lvl := 1; lvl <= idx.Levels(); lvl++ {
 		a, b := idx.PageRange(lvl, start, end)
 		if a < 0 {
@@ -81,7 +64,7 @@ func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index
 		resp.Proof.Roots = idx.Roots()
 		resp.Proof.Global = g
 	}
-	return resp, fullDigests
+	return resp
 }
 
 // Params configures verification: whose evidence is being judged, against
@@ -117,8 +100,8 @@ type Result struct {
 	L0End uint64
 }
 
-// Verify re-derives every claim in a scan response: L0 block chain
-// integrity and certificates, the signed global root, per-level Merkle
+// Verify re-derives every claim in a scan response: the L0 window's
+// slices and certificates, the signed global root, per-level Merkle
 // range proofs, page-run contiguity, boundary coverage at both ends, and
 // finally the result itself. It returns ErrStale for an out-of-window
 // snapshot and a descriptive error for every structural defect.
@@ -139,43 +122,28 @@ func Verify(p Params, m *wire.ScanResponse) (Result, error) {
 		return true
 	}
 
-	// The L0 window: full blocks and pruned exclusion references, one
-	// consecutive run. Pruned references must rebind to a certified (or
-	// pinned) digest and their summaries must exclude the whole range —
-	// the shared window checks the cloud's Judge re-runs verbatim.
-	var cand []wire.KV
+	// The L0 window, one slice per block: the shared window checks the
+	// cloud's Judge re-runs verbatim.
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg:   p.Reg,
-		Edge:  p.Edge,
-		Cloud: p.Cloud,
-		Excludes: func(s *wire.BlockSummary) bool {
-			return s.ExcludesRange(start, end)
-		},
-		OnBlock: func(blk *wire.Block) {
-			for j := range blk.Entries {
-				e := &blk.Entries[j]
-				if len(e.Key) == 0 || !inRange(e.Key) {
-					continue
-				}
-				cand = append(cand, wire.KV{Key: e.Key, Value: e.Value, Ver: blk.StartPos + uint64(j) + 1})
-			}
-		},
-	}, pr.L0Blocks, pr.L0Certs, pr.L0Pruned, pr.L0PrunedCerts)
+		Reg: p.Reg, Edge: p.Edge, Cloud: p.Cloud, Start: start, End: end,
+	}, pr.L0Pruned)
 	if err != nil {
 		return res, err
 	}
+	cand := win.Rows
 	res.Uncertified = win.Uncertified
 	res.L0End = win.L0End
 
-	if len(pr.Roots) == 0 && len(pr.Levels) == 0 && len(pr.Global.CloudSig) == 0 {
+	levelEvidence := len(pr.Roots) > 0 || len(pr.Levels) > 0
+	if !levelEvidence && len(pr.Global.CloudSig) == 0 {
 		// No merged state exists yet, so nothing has ever been compacted:
 		// the L0 window must be the log itself, from block 0. This also
 		// defuses a rollback attack — an edge with merged state that
 		// presents the no-merged-state shape must replay its full
 		// certified history (consecutiveness plus per-block certificates
 		// pin it), which contains every compacted record anyway.
-		if win.Slots > 0 && win.FirstID != 0 {
-			return res, fmt.Errorf("no signed index state, yet L0 window starts at block %d", win.FirstID)
+		if err := win.CheckFrontier(&pr.Global, levelEvidence, false); err != nil {
+			return res, err
 		}
 		res.KVs = mlsm.MergeNewest(cand)
 		return res, nil
@@ -197,9 +165,8 @@ func Verify(p Params, m *wire.ScanResponse) (Result, error) {
 	// blocks without the mismatch showing here. (An entirely empty window
 	// can still hide the newest blocks — that is the stale-snapshot
 	// attack, bounded by the freshness window and session watermarks.)
-	if win.Slots > 0 && win.FirstID != pr.Global.L0From {
-		return res, fmt.Errorf("L0 window starts at block %d, signed compaction frontier is %d",
-			win.FirstID, pr.Global.L0From)
+	if err := win.CheckFrontier(&pr.Global, levelEvidence, false); err != nil {
+		return res, err
 	}
 	res.Epoch = pr.Global.Epoch
 	if p.FreshnessWindow > 0 && p.Now-pr.Global.Ts > p.FreshnessWindow {

@@ -74,7 +74,7 @@ func (f *fixture) params() Params {
 }
 
 func (f *fixture) assemble(start, end []byte) *wire.ScanResponse {
-	resp, _ := Assemble(start, end, 7, f.l0, f.idx)
+	resp := Assemble(start, end, 7, f.l0, f.idx)
 	return resp
 }
 
@@ -174,7 +174,7 @@ func TestScanNewestWins(t *testing.T) {
 func TestScanNoMergedState(t *testing.T) {
 	f := newFixture(t)
 	empty := mlsm.NewIndex([]int{20, 100})
-	resp, _ := Assemble(key(0), key(50), 7, f.l0, empty)
+	resp := Assemble(key(0), key(50), 7, f.l0, empty)
 	res, err := Verify(f.params(), resp)
 	if err != nil {
 		t.Fatal(err)
@@ -208,20 +208,20 @@ func TestScanFrontierBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0 := mlsm.L0Source{Blocks: f.l0.Blocks[1:], Certs: f.l0.Certs[1:]}
-	resp, _ := Assemble(nil, nil, 7, l0, idx)
+	resp := Assemble(nil, nil, 7, l0, idx)
 	if _, err := Verify(f.params(), resp); err != nil {
 		t.Fatalf("window starting at the signed frontier rejected: %v", err)
 	}
 
 	// Re-serving the already-compacted block 0 under the L0From=1 root.
-	stale, _ := Assemble(nil, nil, 7, f.l0, idx)
+	stale := Assemble(nil, nil, 7, f.l0, idx)
 	if _, err := Verify(f.params(), stale); err == nil {
 		t.Fatal("window starting before the signed frontier accepted")
 	}
 
 	// No signed state: the window must start at block 0.
 	empty := mlsm.NewIndex([]int{20, 100})
-	noState, _ := Assemble(nil, nil, 7, l0, empty)
+	noState := Assemble(nil, nil, 7, l0, empty)
 	if _, err := Verify(f.params(), noState); err == nil {
 		t.Fatal("no-merged-state window starting past block 0 accepted")
 	}
@@ -306,8 +306,7 @@ func TestScanAdversarial(t *testing.T) {
 		{"drop leading certified L0 block", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
 			// The remaining window is consecutive and fully certified,
 			// but no longer starts at the signed compaction frontier.
-			resp.Proof.L0Blocks = resp.Proof.L0Blocks[1:]
-			resp.Proof.L0Certs = resp.Proof.L0Certs[1:]
+			resp.Proof.L0Pruned = resp.Proof.L0Pruned[1:]
 		}},
 		{"tampered uncertified L0 entry is pinned", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
 			// Not a structural failure: verification passes but must pin
@@ -324,10 +323,8 @@ func TestScanAdversarial(t *testing.T) {
 			}
 			c.mutate(t, f, resp)
 			if c.name == "tampered uncertified L0 entry is pinned" {
-				blk := &resp.Proof.L0Blocks[1]
-				blk.Invalidate()
-				blk.Entries = append([]wire.Entry(nil), blk.Entries...)
-				blk.Entries[1].Value = []byte("forged")
+				rows := resp.Proof.L0Pruned[1].Rows
+				rows[len(rows)-1].Entry.Value = []byte("forged")
 				res, err := Verify(f.params(), resp)
 				if err != nil {
 					t.Fatalf("uncertified tampering should defer to Phase II: %v", err)

@@ -16,6 +16,42 @@ import (
 // single-threaded handlers, so a pre-verified envelope is exactly as
 // trustworthy as one verified inline.
 func PreVerify(r *Registry, env wire.Envelope) bool {
+	ok, _ := preVerify(r, env)
+	return ok
+}
+
+// preVerify is PreVerify that also hands back the one expensive value it
+// derived from received bytes: the digest of the block a block-carrying
+// message was signed over, nil for every other kind and on failure. The
+// pool passes it on in Envelope.BlockDigest.
+func preVerify(r *Registry, env wire.Envelope) (ok bool, blockDigest []byte) {
+	switch m := env.Msg.(type) {
+	case *wire.AddResponse:
+		return preVerifyBlockAck(r, env.From, m.BID, &m.Block, m.EdgeSig)
+	case *wire.PutResponse:
+		return preVerifyBlockAck(r, env.From, m.BID, &m.Block, m.EdgeSig)
+	case *wire.ReplicateBlock:
+		return preVerifyBlockAck(r, m.Leader, m.Block.ID, &m.Block, m.LeaderSig)
+	case *wire.ReadResponse:
+		d := m.Block.BodyDigest()
+		if VerifyReadResponse(r, env.From, m, d) != nil {
+			return false, nil
+		}
+		return true, d
+	}
+	return preVerifySig(r, env), nil
+}
+
+func preVerifyBlockAck(r *Registry, signer wire.NodeID, bid uint64, blk *wire.Block, sig []byte) (bool, []byte) {
+	d := blk.BodyDigest()
+	if VerifyBlockAck(r, signer, bid, d, sig) != nil {
+		return false, nil
+	}
+	return true, d
+}
+
+// preVerifySig covers the kinds whose check yields nothing worth keeping.
+func preVerifySig(r *Registry, env wire.Envelope) bool {
 	switch m := env.Msg.(type) {
 	case *wire.AddRequest:
 		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
@@ -58,8 +94,6 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 		// to compute anyway: checking it here would hash every shipped
 		// byte twice, so the handler decides.
 		return false
-	case *wire.ReplicateBlock:
-		return VerifyMsg(r, m.Leader, m, m.LeaderSig) == nil
 	case *wire.ReplicaHeartbeat:
 		return VerifyMsg(r, m.Node, m, m.Sig) == nil
 	case *wire.LeadershipTransfer:
@@ -72,15 +106,10 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 		// Signed by the cloud, sent by the cloud; the edge additionally
 		// requires the sender to be its configured cloud.
 		return VerifyMsg(r, env.From, m, m.CloudSig) == nil
-	// Client-bound responses: the edge's signature is checked against the
-	// envelope sender; the client core additionally requires the sender
-	// to be its bound edge before trusting the flag.
-	case *wire.AddResponse:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
-	case *wire.PutResponse:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
-	case *wire.ReadResponse:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
+	// Client-bound responses (the block-carrying ones are in preVerify):
+	// the edge's signature is checked against the envelope sender; the
+	// client core additionally requires the sender to be its bound edge
+	// before trusting the flag.
 	case *wire.GetResponse:
 		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
 	case *wire.ScanResponse:
@@ -93,8 +122,7 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 // verifyJob is one envelope travelling through the pool: workers verify it
 // out of order, the dispatcher releases it in submission order.
 type verifyJob struct {
-	env  wire.Envelope
-	ok   bool
+	env  wire.Envelope // Verified and BlockDigest are the worker's result
 	done chan struct{}
 }
 
@@ -170,7 +198,7 @@ func (p *VerifyPool) worker() {
 		j := p.queue[p.next]
 		p.next++
 		p.mu.Unlock()
-		j.ok = PreVerify(p.reg, j.env)
+		j.env.Verified, j.env.BlockDigest = preVerify(p.reg, j.env)
 		close(j.done)
 		p.mu.Lock()
 	}
@@ -191,7 +219,6 @@ func (p *VerifyPool) dispatch() {
 		p.compactLocked()
 		p.mu.Unlock()
 		<-j.done
-		j.env.Verified = j.ok
 		p.sink(j.env)
 		p.mu.Lock()
 	}
@@ -228,7 +255,7 @@ func (p *VerifyPool) compactLocked() {
 // the network's prerogative.
 func (p *VerifyPool) Submit(env wire.Envelope) {
 	if p.workers == 0 {
-		env.Verified = PreVerify(p.reg, env)
+		env.Verified, env.BlockDigest = preVerify(p.reg, env)
 		p.sink(env)
 		return
 	}

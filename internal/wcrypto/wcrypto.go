@@ -251,11 +251,10 @@ func VerifyMsg(r *Registry, signer wire.NodeID, m Signable, sig []byte) error {
 	return err
 }
 
-// BlockDigest returns the block's digest — the hash of its digest
-// preimage, which commits the header fields, the key summary derived from
-// the entries, and the hash of the encoded entries (wire.Block.BodyDigest)
-// — cached on the block so digesting, persisting and certifying a freshly
-// cut block derive it exactly once. Use it only on blocks the caller owns
+// BlockDigest returns the block's digest — the hash of its header fields,
+// entry count and the Merkle root over its entries in key order
+// (wire.Block.BodyDigest) — cached on the block so digesting, persisting
+// and certifying a freshly cut block derive it exactly once. Use it only on blocks the caller owns
 // (its own log, decoded wire input); when judging a block that arrived by
 // reference from another node, use RecomputedBlockDigest.
 func BlockDigest(b *wire.Block) []byte {
@@ -317,28 +316,15 @@ func SignReadResponse(k KeyPair, m *wire.ReadResponse, digest []byte) []byte {
 	return sig
 }
 
-// SignGetResponse signs a get response using L0 block digests the caller
-// already holds (the edge's cut-time caches), skipping the per-block
-// re-hash the generic SignMsg path would pay — the read-path mirror of
-// SignBlockAck. Only for responses whose L0 blocks actually hash to the
-// given digests — the honest serve path; tampering faults must sign
-// through SignMsg so the signature matches what ships.
-func SignGetResponse(k KeyPair, m *wire.GetResponse, l0Digests [][]byte) []byte {
+// VerifyReadResponse checks a read response's signature given the digest
+// the caller computed from the block it received — VerifyBlockAck's
+// counterpart for reads.
+func VerifyReadResponse(r *Registry, signer wire.NodeID, m *wire.ReadResponse, digest []byte) error {
 	e := wire.GetEncoder()
-	m.AppendBodyWithDigests(e, l0Digests)
-	sig := k.Sign(e.Bytes())
+	m.AppendBodyWithDigest(e, digest)
+	err := r.Verify(signer, e.Bytes(), m.EdgeSig)
 	wire.PutEncoder(e)
-	return sig
-}
-
-// SignScanResponse is SignGetResponse's scan counterpart: one signature
-// over the scan proof with every L0 block stood in by its cached digest.
-func SignScanResponse(k KeyPair, m *wire.ScanResponse, l0Digests [][]byte) []byte {
-	e := wire.GetEncoder()
-	m.AppendBodyWithDigests(e, l0Digests)
-	sig := k.Sign(e.Bytes())
-	wire.PutEncoder(e)
-	return sig
+	return err
 }
 
 // SignMergeRequest signs a merge request over commitments the caller

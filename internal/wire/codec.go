@@ -340,17 +340,17 @@ func (d *Decoder) ID() NodeID { return NodeID(d.Str()) }
 // fixed-width fields plus one length or count prefix per variable-length
 // field — what the zero value encodes to (TestMinSizesMatchZeroValues).
 const (
-	minBlobSize            = 4                         // length prefix; also a NodeID or a uint32
-	minEntrySize           = 4 + 8 + 4 + 4 + 8 + 8 + 4 // Client Seq Key Value Ts Pos Sig
-	minKVSize              = 4 + 4 + 8                 // Key Value Ver
-	minBlockSize           = 4 + 8 + 8 + 8 + 4         // Edge ID StartPos Ts len(Entries)
-	minPageSize            = 4 + 8 + 1 + 1 + 8 + 4     // Level Seq Lo Hi Ts len(KVs)
-	minBlockProofSize      = 4 + 8 + 4 + 4             // Edge BID Digest CloudSig
-	minSummarySize         = 4 + 1 + 1 + 4             // Keys MinKey MaxKey len(Fps)
-	minPrunedBlockSize     = 4 + 8 + 8 + 8 + 4 + minSummarySize
-	minLevelProofSize      = 4 + minPageSize + 4 + 4 + 4 // Level Page Index Width len(Path)
-	minLevelRangeProofSize = 4 + 4 + 4 + 4 + 4 + 4       // Level First Width len(Pages) len(Left) len(Right)
-	minCatchUpItemSize     = minBlockSize + 4 + 4        // Block ServerSig cert flag
+	minBlobSize            = 4                                             // length prefix; also a NodeID or a uint32
+	minEntrySize           = 4 + 8 + 4 + 4 + 8 + 8 + 4                     // Client Seq Key Value Ts Pos Sig
+	minKVSize              = 4 + 4 + 8                                     // Key Value Ver
+	minBlockSize           = 4 + 8 + 8 + 8 + 4                             // Edge ID StartPos Ts len(Entries)
+	minPageSize            = 4 + 8 + 1 + 1 + 8 + 4                         // Level Seq Lo Hi Ts len(KVs)
+	minBlockProofSize      = 4 + 8 + 4 + 4                                 // Edge BID Digest CloudSig
+	minSliceRowSize        = 4 + minEntrySize                              // Index Entry
+	minL0SliceSize         = 4 + 8 + 8 + 8 + 4 + 4 + 1 + 4 + 1 + 4 + 4 + 4 // Edge ID StartPos Ts Count Begin Left len(Rows) Right len(PathLeft) len(PathRight) CertSig
+	minLevelProofSize      = 4 + minPageSize + 4 + 4 + 4                   // Level Page Index Width len(Path)
+	minLevelRangeProofSize = 4 + 4 + 4 + 4 + 4 + 4                         // Level First Width len(Pages) len(Left) len(Right)
+	minCatchUpItemSize     = minBlockSize + 4 + 4                          // Block ServerSig cert flag
 )
 
 // count reads the element count of a slice whose elements encode to at

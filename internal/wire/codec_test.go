@@ -229,12 +229,12 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 		sliceCase("Block", minBlockSize, (*Block).DecodeFrom),
 		sliceCase("Page", minPageSize, (*Page).DecodeFrom),
 		sliceCase("BlockProof", minBlockProofSize, (*BlockProof).DecodeFrom),
-		sliceCase("PrunedBlock", minPrunedBlockSize, (*PrunedBlock).DecodeFrom),
+		sliceCase("L0Slice", minL0SliceSize, (*L0Slice).DecodeFrom),
 		sliceCase("LevelProof", minLevelProofSize, (*LevelProof).DecodeFrom),
 		sliceCase("LevelRangeProof", minLevelRangeProofSize, (*LevelRangeProof).DecodeFrom),
 		{"CatchUpItem", minCatchUpItemSize, 4 + 4 + 8 + 8, 0, (&CatchUpBlocks{}).DecodeFrom},
 		{"blob", minBlobSize, 0, 0, func(d *Decoder) { decodeBlobs(d) }},
-		{"fingerprint", minBlobSize, 4 + 1 + 1, 0, (&BlockSummary{}).DecodeFrom},
+		{"SliceRow", minSliceRowSize, 4 + 8 + 8 + 8 + 4 + 4 + 1, 1 + 4 + 4 + 4, (&L0Slice{}).DecodeFrom},
 		{"NodeID", minBlobSize, 8 + 8, 4 + 4, (&ShardMap{}).DecodeFrom},
 	}
 	for _, c := range elems {

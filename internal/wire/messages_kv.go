@@ -118,37 +118,28 @@ func (lp *LevelProof) DecodeFrom(d *Decoder) {
 // GetProof is the complete authenticity evidence attached to a get
 // response, per Section V-B "Reading":
 //
-//   - every L0 page (block) of the uncompacted window that might hold the
-//     key, with its Phase II certificate where available (missing
-//     certificates put the read in Phase I commit);
-//   - a pruned reference (digest-committed key summary, no entries) for
-//     every window block whose summary provably excludes the key, so the
-//     window stays contiguous without re-shipping irrelevant blocks;
+//   - one slice per block of the uncompacted L0 window, consecutive ids:
+//     the rows holding the key (none on a miss), the leaf on either side,
+//     and the range proof folding them to the block's digest; the slice
+//     carries the block's Phase II certificate where available (a missing
+//     one puts the read in Phase I commit);
 //   - for each level between L1 and the level that resolved the key, the
 //     single intersecting page with its Merkle audit path;
 //   - all level roots, so the client can recompute the global root;
 //   - the cloud-signed global root with its freshness timestamp.
 type GetProof struct {
-	L0Blocks      []Block
-	L0Certs       []BlockProof // aligned with L0Blocks; empty Digest = uncertified
-	L0Pruned      []PrunedBlock
-	L0PrunedCerts []BlockProof // aligned with L0Pruned; empty CloudSig = uncertified
-	Levels        []LevelProof
-	Roots         [][]byte // level roots 1..n in order
-	Global        SignedRoot
+	// L0Blocks is always nil and never encoded: it waits for the
+	// [benchmark] follow-up that stops benchmark/load.go taking its length.
+	L0Blocks []Block
+	L0Pruned []L0Slice // the window, one slice per block (the name predates slices; the benchmark harness reads its length)
+	Levels   []LevelProof
+	Roots    [][]byte // level roots 1..n in order
+	Global   SignedRoot
 }
 
 // EncodeTo appends the proof's canonical encoding.
 func (gp *GetProof) EncodeTo(e *Encoder) {
-	e.U32(uint32(len(gp.L0Blocks)))
-	for i := range gp.L0Blocks {
-		gp.L0Blocks[i].EncodeTo(e)
-	}
-	e.U32(uint32(len(gp.L0Certs)))
-	for i := range gp.L0Certs {
-		gp.L0Certs[i].EncodeTo(e)
-	}
-	appendPrunedWindow(e, gp.L0Pruned, gp.L0PrunedCerts)
+	appendL0Window(e, gp.L0Pruned)
 	e.U32(uint32(len(gp.Levels)))
 	for i := range gp.Levels {
 		gp.Levels[i].EncodeTo(e)
@@ -160,43 +151,19 @@ func (gp *GetProof) EncodeTo(e *Encoder) {
 	gp.Global.EncodeTo(e)
 }
 
-// AppendSignable appends the proof's signable form, in which every L0
-// block — full or pruned — is represented by its 32-byte digest instead
-// of its body: the same size-independent signing scheme the block
-// acknowledgements use, so the get path's signature cost no longer grows
-// with the uncompacted L0 window. Full and pruned digests sit in separate
-// sections, which binds the chosen representation: converting a served
-// block into a pruned reference (or back) changes the signable body, so
-// nobody but the signing edge can re-shape its evidence. digests supplies
-// per-block digests in L0Blocks order (the edge's cut-time cache); nil
-// recomputes each from the block fields, which is what verifiers must do
-// so a poisoned cache can never satisfy the check. Pruned digests are
-// always recomputed from the shipped fields — they hash a ~hundred-byte
-// preimage, not the entries.
-func (gp *GetProof) AppendSignable(e *Encoder, digests [][]byte) {
-	appendL0Digests(e, gp.L0Blocks, digests)
-	e.U32(uint32(len(gp.L0Certs)))
-	for i := range gp.L0Certs {
-		gp.L0Certs[i].EncodeTo(e)
+// appendL0Window appends a proof's L0 window (shared by GetProof and
+// ScanProof).
+func appendL0Window(e *Encoder, window []L0Slice) {
+	e.U32(uint32(len(window)))
+	for i := range window {
+		window[i].EncodeTo(e)
 	}
-	appendPrunedSignable(e, gp.L0Pruned, gp.L0PrunedCerts)
-	e.U32(uint32(len(gp.Levels)))
-	for i := range gp.Levels {
-		gp.Levels[i].EncodeTo(e)
-	}
-	e.U32(uint32(len(gp.Roots)))
-	for _, r := range gp.Roots {
-		e.Blob(r)
-	}
-	gp.Global.EncodeTo(e)
 }
 
 // DecodeFrom reads the proof.
 func (gp *GetProof) DecodeFrom(d *Decoder) {
-	gp.L0Blocks = decodeSlice(d, minBlockSize, (*Block).DecodeFrom)
-	gp.L0Certs = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
-	gp.L0Pruned = decodeSlice(d, minPrunedBlockSize, (*PrunedBlock).DecodeFrom)
-	gp.L0PrunedCerts = decodeSlice(d, minBlockProofSize, (*BlockProof).DecodeFrom)
+	gp.L0Blocks = nil
+	gp.L0Pruned = decodeSlice(d, minL0SliceSize, (*L0Slice).DecodeFrom)
 	gp.Levels = decodeSlice(d, minLevelProofSize, (*LevelProof).DecodeFrom)
 	gp.Roots = decodeBlobs(d)
 	gp.Global.DecodeFrom(d)
@@ -205,9 +172,9 @@ func (gp *GetProof) DecodeFrom(d *Decoder) {
 // GetResponse answers a GetRequest with the value (or a verifiable
 // non-existence statement) plus the full GetProof. Key echoes the
 // requested key under the edge's signature, making the response
-// self-contained dispute evidence: the cloud can re-run the pruned-window
-// exclusion checks against the signed key without ever seeing the request
-// (the same role Start/End play on scan responses).
+// self-contained dispute evidence: the cloud can re-run the window checks
+// against the signed key without ever seeing the request (the same role
+// Start/End play on scan responses).
 type GetResponse struct {
 	ReqID   uint64
 	Key     []byte
@@ -216,8 +183,6 @@ type GetResponse struct {
 	Ver     uint64
 	Proof   GetProof
 	EdgeSig []byte
-
-	encSize int // cached encoded size; see sizeMemoized
 }
 
 // MsgKind implements Message.
@@ -225,35 +190,22 @@ func (*GetResponse) MsgKind() Kind { return KindGetResponse }
 
 // EncodeTo implements Message.
 func (m *GetResponse) EncodeTo(e *Encoder) {
+	m.AppendBody(e)
+	e.Blob(m.EdgeSig)
+}
+
+// AppendBody appends the signable body: every field but the signature.
+// The slices are signed as shipped — a slice's digest alone would let
+// anyone swap in another honest slice of the same block, cut for a
+// different key, and frame the edge with a window that no longer brackets
+// the request.
+func (m *GetResponse) AppendBody(e *Encoder) {
 	e.U64(m.ReqID)
 	e.Blob(m.Key)
 	e.Bool(m.Found)
 	e.Blob(m.Value)
 	e.U64(m.Ver)
 	m.Proof.EncodeTo(e)
-	e.Blob(m.EdgeSig)
-}
-
-// AppendBody appends the signable body. Unlike the wire encoding, the
-// signable body represents each L0 block by its recomputed 32-byte digest
-// (GetProof.AppendSignable), making the edge's get signature — like the
-// block acknowledgements — O(1) in block size.
-func (m *GetResponse) AppendBody(e *Encoder) {
-	m.AppendBodyWithDigests(e, nil)
-}
-
-// AppendBodyWithDigests appends the signable body using L0 digests the
-// caller already holds — the edge's serve path, where every block's digest
-// was cached at block cut. Verifiers never use this entry point: they go
-// through AppendBody, which recomputes the digests from the blocks they
-// received, so a tampered body fails the signature check.
-func (m *GetResponse) AppendBodyWithDigests(e *Encoder, digests [][]byte) {
-	e.U64(m.ReqID)
-	e.Blob(m.Key)
-	e.Bool(m.Found)
-	e.Blob(m.Value)
-	e.U64(m.Ver)
-	m.Proof.AppendSignable(e, digests)
 }
 
 // DecodeFrom implements Message.
@@ -265,18 +217,6 @@ func (m *GetResponse) DecodeFrom(d *Decoder) {
 	m.Ver = d.U64()
 	m.Proof.DecodeFrom(d)
 	m.EdgeSig = d.Blob()
-	m.encSize = 0
-}
-
-func (m *GetResponse) encodedSizeMemo() int { return m.encSize }
-
-func (m *GetResponse) memoizeEncodedSize(n int) {
-	for i := range m.Proof.L0Blocks {
-		if !m.Proof.L0Blocks[i].frozen() {
-			return
-		}
-	}
-	m.encSize = n
 }
 
 // MergeRequest ships the pages undergoing an LSMerkle compaction from the
@@ -333,7 +273,14 @@ func (m *MergeRequest) AppendBodyWithDigests(e *Encoder, l0Digests, srcLeaves, d
 	e.ID(m.Edge)
 	e.U64(m.ReqID)
 	e.U32(m.FromLevel)
-	appendL0Digests(e, m.L0Blocks, l0Digests)
+	e.U32(uint32(len(m.L0Blocks)))
+	for i := range m.L0Blocks {
+		if l0Digests != nil {
+			e.Blob(l0Digests[i])
+		} else {
+			e.Blob(m.L0Blocks[i].BodyDigest())
+		}
+	}
 	appendPageLeaves(e, m.SrcPages, srcLeaves)
 	appendPageLeaves(e, m.DstPages, dstLeaves)
 }

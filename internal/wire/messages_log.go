@@ -219,10 +219,10 @@ func (m *ReadResponse) AppendBody(e *Encoder) {
 }
 
 // AppendBodyWithDigest appends the signable body using a block digest the
-// caller already holds — the edge's read path signs with the digest cached
-// at block cut instead of re-hashing the block per read. Verifiers never
-// use this entry point: they go through AppendBody, which recomputes the
-// digest from the block they received.
+// caller already holds: the edge's read path signs with the digest cached
+// at block cut instead of re-hashing the block per read, and a verifier
+// passes the digest it recomputed from the block it received, which it
+// needs again for the certificate match (wcrypto.VerifyReadResponse).
 func (m *ReadResponse) AppendBodyWithDigest(e *Encoder, digest []byte) {
 	e.U64(m.ReqID)
 	e.U64(m.BID)

@@ -36,19 +36,21 @@ func sampleBlock() Block {
 	return b
 }
 
-func samplePruned(id uint64) PrunedBlock {
-	return PrunedBlock{
-		Edge:        "edge-1",
-		ID:          id,
-		StartPos:    id * 100,
-		Ts:          888,
-		EntriesHash: randBytes(32),
-		Summary: BlockSummary{
-			Keys:   3,
-			MinKey: []byte("aaa"),
-			MaxKey: []byte("zzz"),
-			Fps:    []uint32{7, 9, 4000000000},
-		},
+// sampleSlice is a decodable (not a verifiable) slice: every field set.
+func sampleSlice(id uint64) L0Slice {
+	return L0Slice{
+		Edge:      "edge-1",
+		ID:        id,
+		StartPos:  id * 100,
+		Ts:        888,
+		Count:     9,
+		Begin:     3,
+		Left:      &SliceFlank{Key: []byte("aaa"), Index: 7, Hash: randBytes(32)},
+		Rows:      []SliceRow{{Index: 2, Entry: sampleEntry(2)}, {Index: 5, Entry: sampleEntry(5)}},
+		Right:     &SliceFlank{Key: []byte("zzz"), Index: 0, Hash: randBytes(32)},
+		PathLeft:  [][]byte{randBytes(32)},
+		PathRight: [][]byte{randBytes(32), randBytes(32)},
+		CertSig:   randBytes(64),
 	}
 }
 
@@ -89,10 +91,7 @@ func sampleMessages() []Message {
 		&GetResponse{
 			ReqID: 4, Key: []byte("k"), Found: true, Value: randBytes(10), Ver: 2,
 			Proof: GetProof{
-				L0Blocks:      []Block{blk},
-				L0Certs:       []BlockProof{proof},
-				L0Pruned:      []PrunedBlock{samplePruned(13)},
-				L0PrunedCerts: []BlockProof{{}},
+				L0Pruned: []L0Slice{sampleSlice(13), {Edge: "edge-1", ID: 14}},
 				Levels: []LevelProof{{
 					Level: 1, Page: samplePage(1), Index: 2, Width: 4,
 					Path: [][]byte{randBytes(32), randBytes(32)},
@@ -146,10 +145,7 @@ func sampleMessages() []Message {
 		&ScanResponse{
 			ReqID: 11, Start: []byte("a"), End: nil,
 			Proof: ScanProof{
-				L0Blocks:      []Block{blk},
-				L0Certs:       []BlockProof{proof},
-				L0Pruned:      []PrunedBlock{samplePruned(13), samplePruned(14)},
-				L0PrunedCerts: []BlockProof{proof, {}},
+				L0Pruned: []L0Slice{sampleSlice(13), sampleSlice(14)},
 				Levels: []LevelRangeProof{{
 					Level: 1, First: 2, Width: 9,
 					Pages: []Page{samplePage(1), samplePage(1)},

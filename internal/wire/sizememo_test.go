@@ -20,10 +20,6 @@ func TestEncodedSizeMemoMatchesRecount(t *testing.T) {
 		&AddResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)},
 		&PutResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)},
 		&ReadResponse{ReqID: 1, BID: 12, OK: true, Block: frozen, HasProof: true, Proof: proof, EdgeSig: randBytes(64)},
-		&GetResponse{ReqID: 1, Found: true, Value: randBytes(10), Ver: 2,
-			Proof: GetProof{L0Blocks: []Block{frozen}, L0Certs: []BlockProof{proof}}, EdgeSig: randBytes(64)},
-		&ScanResponse{ReqID: 1, Start: []byte("a"), End: []byte("z"),
-			Proof: ScanProof{L0Blocks: []Block{frozen}, L0Certs: []BlockProof{proof}}, EdgeSig: randBytes(64)},
 	}
 	for _, m := range msgs {
 		env := Envelope{From: "edge-1", To: "c1", Msg: m}

@@ -67,21 +67,24 @@ type Block struct {
 	Ts       int64 // edge timestamp at block cut
 	Entries  []Entry
 
-	// cache holds the block's canonical encoding, digest, key summary
-	// and entries hash, populated only by an explicit Freeze — the
-	// block-cut path calls it exactly once, before the block is shared.
-	// Frozen blocks are immutable by contract; struct copies share the
-	// cache, and the rare code that mutates a frozen copy (fault
-	// injection) must call Invalidate first. Unfrozen blocks never
-	// cache, so the idiomatic copy-then-mutate pattern stays safe.
+	// cache holds the block's canonical encoding, digest and key index,
+	// populated only by an explicit Freeze — the block-cut path calls it
+	// exactly once, before the block is shared. Frozen blocks are
+	// immutable by contract; struct copies share the cache, and the rare
+	// code that mutates a frozen copy (fault injection) must call
+	// Invalidate first. Unfrozen blocks never cache, so the idiomatic
+	// copy-then-mutate pattern stays safe.
 	cache *blockCache
 }
 
 type blockCache struct {
-	canon       []byte
-	digest      []byte
-	summary     BlockSummary
-	entriesHash []byte
+	canon  []byte
+	digest []byte
+	// index is the key order and Merkle tree the digest was folded from,
+	// which read slices are cut out of. Only the node that owns the block
+	// touches it: present from Freeze until ReleaseIndex, rebuilt by Slice
+	// if it is needed again.
+	index *keyIndex
 }
 
 // EncodeTo appends the block's canonical encoding, serving cached bytes
@@ -121,11 +124,10 @@ func (b *Block) DecodeFrom(d *Decoder) {
 }
 
 // Canonical returns the block's canonical encoding — the wire and persist
-// format. The block digest is NOT the hash of these bytes: it hashes the
-// digest preimage (BodyDigest), which additionally commits the key summary
-// and splits out the entries hash so pruned references can rebind to it.
-// Frozen blocks return the cached encoding; unfrozen blocks recompute on
-// every call.
+// format, entries in log order. The block digest is NOT the hash of these
+// bytes: it commits a Merkle root over the entries in key order
+// (BodyDigest). Frozen blocks return the cached encoding; unfrozen blocks
+// recompute on every call.
 func (b *Block) Canonical() []byte {
 	if b.cache != nil && b.cache.canon != nil {
 		return b.cache.canon
@@ -135,51 +137,55 @@ func (b *Block) Canonical() []byte {
 	return e.Bytes()
 }
 
-// Freeze computes and caches the block's canonical encoding, key
-// summary, entries hash and digest. The caller asserts the block will
-// never be mutated again: the log calls it exactly once when a block is
-// cut (or restored), after which digest, persist, certification,
-// response encoding and read pruning all reuse the same derivations —
-// BlockDigest finds the digest already cached and nothing on the cut
-// path hashes the entries twice.
+// Freeze computes and caches the block's canonical encoding, key index
+// and digest. The caller asserts the block will never be mutated again:
+// the log calls it exactly once when a block is cut (or restored), after
+// which persist, certification, response encoding and read slices all
+// reuse the same derivations and nothing on the cut path hashes an entry
+// twice.
 func (b *Block) Freeze() {
-	if b.cache != nil && b.cache.canon != nil {
+	if b.frozen() {
 		return
 	}
-	var e Encoder
-	b.EncodeToUncached(&e)
-	c := &blockCache{
-		canon:       e.Bytes(),
-		summary:     ComputeBlockSummary(b.Entries),
-		entriesHash: b.computeEntriesHash(),
-	}
-	pe := GetEncoder()
-	appendBlockDigestPreimage(pe, b.Edge, b.ID, b.StartPos, b.Ts, &c.summary, c.entriesHash)
-	sum := sha256.Sum256(pe.Bytes())
-	PutEncoder(pe)
-	c.digest = sum[:]
-	b.cache = c
+	ix := buildKeyIndex(b.Entries)
+	b.freeze(ix, blockDigest(b.Edge, b.ID, b.StartPos, b.Ts, uint32(len(b.Entries)), ix.tree.Root()))
 }
 
-// computeEntriesHash hashes the entries' canonical encoding (count plus
-// each entry) — the entries half of the block digest preimage.
-func (b *Block) computeEntriesHash() []byte {
-	e := GetEncoder()
-	e.U32(uint32(len(b.Entries)))
-	for i := range b.Entries {
-		b.Entries[i].EncodeTo(e)
+// FreezeWithDigest freezes a block whose digest the caller has already
+// recomputed from these very fields — a follower installing a replicated
+// block it just verified — so the entries are not hashed a second time. No
+// key index is kept; Slice builds one if this node ever serves the block.
+func (b *Block) FreezeWithDigest(digest []byte) {
+	if !b.frozen() {
+		b.freeze(nil, digest)
 	}
-	sum := sha256.Sum256(e.Bytes())
-	PutEncoder(e)
-	return sum[:]
+}
+
+func (b *Block) freeze(ix *keyIndex, digest []byte) {
+	// Size first: growing a buffer to a 25 KB block by doubling allocates
+	// four times the block.
+	size := Encoder{counting: true}
+	b.EncodeToUncached(&size)
+	e := Encoder{buf: make([]byte, 0, size.n)}
+	b.EncodeToUncached(&e)
+	b.cache = &blockCache{canon: e.Bytes(), digest: digest, index: ix}
+}
+
+// ReleaseIndex drops the key index of a frozen block that has left the
+// L0 window: reads no longer cut slices out of it, and the index is the
+// one part of the cache that is not needed for the life of the log.
+func (b *Block) ReleaseIndex() {
+	if b.cache != nil {
+		b.cache.index = nil
+	}
 }
 
 // BodyDigest returns the block's digest recomputed from its fields: the
-// SHA-256 of the digest preimage — header fields, the key summary derived
-// from the entries, and the hash of the encoded entries. Splitting the
-// preimage this way keeps the digest recomputable from a PrunedBlock's
-// fields alone, which is what lets read responses replace excluded blocks
-// with their summaries without weakening the digest's bite.
+// SHA-256 of Edge, ID, StartPos, Ts, the entry count and the Merkle root
+// over the entries in (key, index) order (see L0Slice for the leaf). A
+// receiver of the whole block sorts and folds; a reader of a slice folds
+// the rows it was sent with a range proof to the same root, which is what
+// lets a read ship the rows it proves instead of the block.
 //
 // It never consults the frozen cache: signable bodies embed this digest,
 // and a signature check must bind to the bytes the verifier actually
@@ -188,25 +194,11 @@ func (b *Block) computeEntriesHash() []byte {
 // the cut-time digest avoid the recompute via AppendBlockAckBody with the
 // cached digest (the two agree for any block whose cache is honest).
 func (b *Block) BodyDigest() []byte {
-	s := ComputeBlockSummary(b.Entries)
-	eh := b.computeEntriesHash()
-	e := GetEncoder()
-	appendBlockDigestPreimage(e, b.Edge, b.ID, b.StartPos, b.Ts, &s, eh)
-	sum := sha256.Sum256(e.Bytes())
-	PutEncoder(e)
-	return sum[:]
-}
-
-// FrozenSummary returns the key summary and entries hash cached at
-// Freeze, or ok == false for an unfrozen block. The edge's serve paths
-// use it to price pruning decisions and pruned references at a lookup;
-// verification paths must derive from the entries instead (a cache that
-// travelled with the block proves nothing).
-func (b *Block) FrozenSummary() (s BlockSummary, entriesHash []byte, ok bool) {
-	if b.cache == nil || b.cache.entriesHash == nil {
-		return BlockSummary{}, nil, false
-	}
-	return b.cache.summary, b.cache.entriesHash, true
+	digestCalls.Add(1)
+	n := len(b.Entries)
+	leaves := make([]byte, n*merkle.HashSize)
+	hashLeaves(b.Entries, keyOrder(b.Entries), nil, leaves)
+	return blockDigest(b.Edge, b.ID, b.StartPos, b.Ts, uint32(n), merkle.PackedRoot(leaves))
 }
 
 // CachedDigest returns the block's cached digest, or nil if none has been

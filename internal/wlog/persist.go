@@ -28,15 +28,25 @@ import (
 // recomputed and certificates re-verified against the cloud's key, so a
 // corrupted store surfaces as an error instead of silent state divergence.
 
-// Record kinds in the segment file.
+// Record kinds in the segment file. A block record does not store the
+// block's digest — recovery recomputes it — so the kind is what names the
+// digest format the segment's certificates were issued under: kind 1 held
+// blocks of the flat-hash digest, and is answered with ErrFormat.
 const (
-	recBlock byte = 1
-	recCert  byte = 2
+	recBlockV1 byte = 1
+	recCert    byte = 2
+	recBlock   byte = 3
 )
 
 // ErrCorrupt reports an unrecoverable store inconsistency (as opposed to
 // a torn tail, which is repaired silently).
 var ErrCorrupt = errors.New("wlog: corrupt segment")
+
+// ErrFormat reports a segment written under an earlier block-digest
+// format. Its blocks are intact, but their recomputed digests would match
+// none of the stored certificates — which must not be mistaken for
+// tampering (ErrCorrupt). There is no compatibility path.
+var ErrFormat = errors.New("wlog: segment written under an earlier digest format")
 
 // Store persists a log to a single segment file. It is not safe for
 // concurrent use; the owning node serializes access.
@@ -235,6 +245,9 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 			break // torn payload: truncate here
 		}
 		switch hdr[0] {
+		case recBlockV1:
+			f.Close()
+			return nil, nil, 0, 0, fmt.Errorf("%w: block record of kind %d", ErrFormat, recBlockV1)
 		case recBlock:
 			var b wire.Block
 			d := wire.NewDecoder(payload)

@@ -225,6 +225,33 @@ func TestRecoverRejectsUnknownRecordKind(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsOlderDigestFormat: a segment written before the block
+// digest became a key-ordered Merkle root stores its blocks under record
+// kind 1. Its bytes are intact — what changed is the digest they hash to,
+// so its certificates would no longer match — and recovery must say so
+// with ErrFormat, not report tampering.
+func TestRecoverRejectsOlderDigestFormat(t *testing.T) {
+	keys, reg := persistKeys(t)
+	dir := t.TempDir()
+	buildSegment(t, dir, keys, 2, 1)
+	path := filepath.Join(dir, "wedgelog.seg")
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg[0] != recBlock {
+		t.Fatalf("segment starts with record kind %d", seg[0])
+	}
+	seg[0] = recBlockV1 // what the previous format wrote there
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, err = Recover(dir, "edge-1", 10, reg, "cloud")
+	if !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("older-format segment: err = %v, want ErrFormat", err)
+	}
+}
+
 func TestResetToShrinksSegment(t *testing.T) {
 	keys, reg := persistKeys(t)
 	dir := t.TempDir()

@@ -66,6 +66,10 @@ type Log struct {
 	// resend with the block that already holds the entry instead of a bare
 	// rejection.
 	seen map[wire.NodeID]map[uint64]uint64
+
+	// released is the first block id that may still hold a key index
+	// (see ReleaseIndexes).
+	released uint64
 }
 
 // New returns an empty log for the given edge identity cutting blocks of
@@ -199,9 +203,9 @@ func (l *Log) InstallBlock(blk *wire.Block, digest []byte) error {
 	cp := *blk
 	cp.Entries = append([]wire.Entry(nil), blk.Entries...)
 	cp.Invalidate()
-	cp.Freeze()
+	cp.FreezeWithDigest(append([]byte(nil), digest...))
 	l.blocks = append(l.blocks, cp)
-	l.digests[cp.ID] = append([]byte(nil), digest...)
+	l.digests[cp.ID] = cp.CachedDigest()
 	for i := range cp.Entries {
 		e := &cp.Entries[i]
 		if !IsNoop(e) {
@@ -313,6 +317,17 @@ func (l *Log) Block(bid uint64) (*wire.Block, error) {
 	return &l.blocks[bid], nil
 }
 
+// ReleaseIndexes drops the key index of every block below before — the
+// blocks that have left the L0 window and will not be sliced for a read
+// again — so what a cut block keeps for the life of the log is its bytes
+// and digest, not its tree. Total work over a log's life is one step per
+// block.
+func (l *Log) ReleaseIndexes(before uint64) {
+	for ; l.released < before && l.released < uint64(len(l.blocks)); l.released++ {
+		l.blocks[l.released].ReleaseIndex()
+	}
+}
+
 // Digest returns the digest of block bid.
 func (l *Log) Digest(bid uint64) ([]byte, error) {
 	d, ok := l.digests[bid]
@@ -413,6 +428,7 @@ func (l *Log) TruncateUncertified() int {
 	}
 	l.blocks = l.blocks[:keep]
 	l.certNext = keep
+	l.released = min(l.released, keep)
 	if keep == 0 {
 		l.bufStart = 0
 	} else {

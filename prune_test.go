@@ -61,7 +61,7 @@ func TestFacadeFalseExclusionConvicts(t *testing.T) {
 	victim := []byte("pk-victim")
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 2, L0Threshold: 1000,
-		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SummaryFalseExclude: victim}},
+		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SliceFalseExclude: victim}},
 	})
 	cl, err := c.NewClient("c1", EdgeID(1))
 	if err != nil {
@@ -85,7 +85,7 @@ func TestFacadeTamperedSummaryConvicts(t *testing.T) {
 	victim := []byte("pk-victim")
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 2, L0Threshold: 1000,
-		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SummaryTamperKey: victim}},
+		EdgeFaults: map[NodeID]*Fault{EdgeID(1): {SliceTamperKey: victim}},
 	})
 	cl, err := c.NewClient("c1", EdgeID(1))
 	if err != nil {
