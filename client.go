@@ -20,6 +20,9 @@ var (
 	ErrStale       = client.ErrStale
 	ErrUnavailable = client.ErrUnavailable
 	ErrOverloaded  = client.ErrOverloaded
+	// ErrReserveTooLarge reports a Reserve of more positions than an edge
+	// grants in one request.
+	ErrReserveTooLarge = client.ErrReserveTooLarge
 )
 
 // Receipt tracks a write through its two commitments. It is returned once
@@ -288,13 +291,13 @@ func (c *Client) AddAt(payload []byte, pos uint64) (*Receipt, error) {
 }
 
 // Reserve grants count consecutive log positions for idempotent adds
-// (Section IV-E).
+// (Section IV-E); more than an edge grants at once is ErrReserveTooLarge.
 func (c *Client) Reserve(count uint32, timeout time.Duration) (uint64, error) {
 	ch := make(chan uint64, 1)
-	banned := make(chan struct{}, 1)
+	failed := make(chan error, 1)
 	if err := c.do(func(now int64) []wire.Envelope {
 		if c.session.Home().Banned() != nil {
-			banned <- struct{}{}
+			failed <- ErrEdgeBanned
 			return nil
 		}
 		c.session.SetReserveHandler(func(start uint64, n uint32) {
@@ -303,15 +306,19 @@ func (c *Client) Reserve(count uint32, timeout time.Duration) (uint64, error) {
 			default:
 			}
 		})
-		return c.session.Reserve(now, count)
+		envs, err := c.session.Reserve(now, count)
+		if err != nil {
+			failed <- err
+		}
+		return envs
 	}); err != nil {
 		return 0, err
 	}
 	select {
 	case start := <-ch:
 		return start, nil
-	case <-banned:
-		return 0, ErrEdgeBanned
+	case err := <-failed:
+		return 0, err
 	case <-time.After(timeout):
 		return 0, ErrTimeout
 	}

@@ -124,10 +124,6 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			if role == RClient {
 				cost += p.VerifyClient
 			}
-		case *wire.AddResponse:
-			if role == RClient {
-				cost += p.VerifyBatch
-			}
 		case *wire.PutResponse:
 			if role == RClient {
 				cost += p.VerifyBatch

@@ -52,6 +52,9 @@ var (
 	// exhaustion surfaces this instead of ErrUnavailable so callers can
 	// tell "come back later" from "gone".
 	ErrOverloaded = errors.New("client: edge overloaded; retry later")
+	// ErrReserveTooLarge reports a reservation of more than
+	// wire.MaxReserve positions; nothing was sent.
+	ErrReserveTooLarge = errors.New("client: reservation exceeds wire.MaxReserve positions")
 )
 
 // Kind identifies an operation type.
@@ -117,7 +120,6 @@ type Op struct {
 
 	// Evidence held for dispute filing.
 	digest      []byte // digest of the block accepted at Phase I
-	addEvidence *wire.AddResponse
 	putEvidence *wire.PutResponse
 	readEv      *wire.ReadResponse
 	getEv       *wire.GetResponse
@@ -130,7 +132,9 @@ type Op struct {
 	// Transport-retry state (Config.RetryEvery): sends so far and the
 	// deadline for the next re-send. overloaded marks an op the edge
 	// explicitly shed (signed Overloaded), so exhaustion settles with
-	// ErrOverloaded instead of ErrUnavailable.
+	// ErrOverloaded instead of ErrUnavailable. pos is the wire.Entry.Pos an
+	// AddAt signed for (reserved position + 1), which every re-send keeps.
+	pos        uint64
 	attempts   int
 	nextResend int64
 	overloaded bool
@@ -229,11 +233,11 @@ type Core struct {
 	reqID uint64
 	// Per-op indexes: write ops by entry seq, read/get/scan ops by
 	// request id, Phase I ops by the block id whose proof they await.
-	// Monotonic keys in flat position-indexed rings (see keyRing) — the
-	// former maps never shrank and hashed on the hot path.
-	bySeq   keyRing[*Op]
-	byReq   keyRing[*Op]
-	byBID   keyRing[[]*Op]
+	// Monotonic keys, so flat position-indexed windows (core.Window): no
+	// hashing on the hot path, and settled ops leave the structure.
+	bySeq   core.Window[*Op]
+	byReq   core.Window[*Op]
+	byBID   core.Window[[]*Op]
 	accused []*Op        // ops with a filed dispute awaiting a verdict
 	gossip  *wire.Gossip // latest gossip for my edge
 
@@ -379,37 +383,34 @@ func (c *Core) makeEntryUnsigned(now int64, key, value []byte, pos uint64) wire.
 	return e
 }
 
-// Add starts a log append. The returned op reaches Phase I when the edge's
-// signed block arrives and Phase II when the cloud's proof does.
+// Add starts a log append — a write without a key. The returned op
+// reaches Phase I when the edge's signed block arrives and Phase II when
+// the cloud's proof does.
 func (c *Core) Add(now int64, payload []byte) (*Op, []wire.Envelope) {
-	return c.addAt(now, payload, 0)
+	return c.write(now, &Op{Kind: KindAdd, Value: payload})
 }
 
 // AddAt starts a log append signed for a reserved absolute position
 // (pos is the value returned by Reserve).
 func (c *Core) AddAt(now int64, payload []byte, pos uint64) (*Op, []wire.Envelope) {
-	return c.addAt(now, payload, pos+1)
-}
-
-func (c *Core) addAt(now int64, payload []byte, pos uint64) (*Op, []wire.Envelope) {
-	if c.banned != nil {
-		return c.launchBanned(&Op{Kind: KindAdd, Edge: c.cfg.Edge, Value: payload, StartedAt: now})
-	}
-	e := c.makeEntry(now, nil, payload, pos)
-	op := &Op{Kind: KindAdd, Seq: e.Seq, Edge: c.cfg.Edge, Value: payload, StartedAt: now}
-	c.bySeq.set(e.Seq, op)
-	c.pending++
-	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.AddRequest{Entry: e, WantBlock: true}}}
+	return c.write(now, &Op{Kind: KindAdd, Value: payload, pos: pos + 1})
 }
 
 // Put starts a key-value write through the LSMerkle index.
 func (c *Core) Put(now int64, key, value []byte) (*Op, []wire.Envelope) {
+	return c.write(now, &Op{Kind: KindPut, Key: key, Value: value})
+}
+
+// write launches the single write every API above is: one signed entry in
+// one PutRequest, keyed or not, positioned or not.
+func (c *Core) write(now int64, op *Op) (*Op, []wire.Envelope) {
+	op.Edge, op.StartedAt = c.cfg.Edge, now
 	if c.banned != nil {
-		return c.launchBanned(&Op{Kind: KindPut, Edge: c.cfg.Edge, Key: key, Value: value, StartedAt: now})
+		return c.launchBanned(op)
 	}
-	e := c.makeEntry(now, key, value, 0)
-	op := &Op{Kind: KindPut, Seq: e.Seq, Edge: c.cfg.Edge, Key: key, Value: value, StartedAt: now}
-	c.bySeq.set(e.Seq, op)
+	e := c.makeEntry(now, op.Key, op.Value, op.pos)
+	op.Seq = e.Seq
+	c.bySeq.Set(e.Seq, op)
 	c.pending++
 	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.PutRequest{Entry: e}}}
 }
@@ -432,7 +433,7 @@ func (c *Core) PutBatch(now int64, keys, values [][]byte) ([]*Op, []wire.Envelop
 		// len(keys) Ed25519 operations with one on both sides.
 		e := c.makeEntryUnsigned(now, keys[i], values[i], 0)
 		op := &Op{Kind: KindPut, Seq: e.Seq, Edge: c.cfg.Edge, Key: keys[i], Value: values[i], StartedAt: now}
-		c.bySeq.set(e.Seq, op)
+		c.bySeq.Set(e.Seq, op)
 		c.pending++
 		ops = append(ops, op)
 		batch.Entries = append(batch.Entries, e)
@@ -448,7 +449,7 @@ func (c *Core) Read(now int64, bid uint64) (*Op, []wire.Envelope) {
 	}
 	c.reqID++
 	op := &Op{Kind: KindRead, ReqID: c.reqID, Edge: c.cfg.Edge, BID: bid, StartedAt: now}
-	c.byReq.set(c.reqID, op)
+	c.byReq.Set(c.reqID, op)
 	c.pending++
 	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.ReadRequest{BID: bid, ReqID: c.reqID}}}
 }
@@ -460,7 +461,7 @@ func (c *Core) Get(now int64, key []byte) (*Op, []wire.Envelope) {
 	}
 	c.reqID++
 	op := &Op{Kind: KindGet, ReqID: c.reqID, Edge: c.cfg.Edge, Key: key, StartedAt: now}
-	c.byReq.set(c.reqID, op)
+	c.byReq.Set(c.reqID, op)
 	c.pending++
 	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.GetRequest{Key: key, ReqID: c.reqID}}}
 }
@@ -485,7 +486,7 @@ func (c *Core) Scan(now int64, start, end []byte, limit int) (*Op, []wire.Envelo
 	}
 	c.reqID++
 	op.ReqID = c.reqID
-	c.byReq.set(c.reqID, op)
+	c.byReq.Set(c.reqID, op)
 	c.pending++
 	req := &wire.ScanRequest{Start: start, End: end, Limit: uint32(limit), ReqID: c.reqID}
 	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: req}}
@@ -494,15 +495,19 @@ func (c *Core) Scan(now int64, start, end []byte, limit int) (*Op, []wire.Envelo
 // Reserve asks the edge for count reserved log positions. The response is
 // surfaced through OnReserve. A convicted edge's chain is frozen, so no
 // request is sent once the edge is banned — callers should check Banned
-// rather than wait out the reservation timeout.
-func (c *Core) Reserve(now int64, count uint32) []wire.Envelope {
+// rather than wait out the reservation timeout. A count the edge would
+// refuse is refused here with ErrReserveTooLarge.
+func (c *Core) Reserve(now int64, count uint32) ([]wire.Envelope, error) {
+	if count > wire.MaxReserve {
+		return nil, ErrReserveTooLarge
+	}
 	if c.banned != nil {
-		return nil
+		return nil, nil
 	}
 	c.reqID++
 	m := &wire.ReserveRequest{Client: c.cfg.ID, Count: count, ReqID: c.reqID}
 	m.ClientSig = wcrypto.SignMsg(c.key, m)
-	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: m}}
+	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: m}}, nil
 }
 
 // Reservations delivers granted reservations to the application.
@@ -515,8 +520,6 @@ func (c *Core) SetReserveHandler(f Reservations) { c.onReserve = f }
 // Receive implements the message-driven half of the state machine.
 func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
-	case *wire.AddResponse:
-		return c.handleAddResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.PutResponse:
 		return c.handlePutResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.BlockProof:
@@ -556,7 +559,7 @@ func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // runs the transport-retry pass for ops the edge never acknowledged.
 func (c *Core) Tick(now int64) []wire.Envelope {
 	var out []wire.Envelope
-	c.byBID.each(func(_ uint64, ops []*Op) {
+	c.byBID.Each(func(_ uint64, ops []*Op) {
 		for _, op := range ops {
 			if op.Done || op.disputed || op.Phase != core.PhaseI {
 				continue
@@ -580,13 +583,13 @@ func (c *Core) settle(op *Op, err error) {
 	op.Done = true
 	op.Err = err
 	c.pending--
-	// Settled ops leave the key-indexed rings so their bases can chase
-	// the live window (late duplicate responses then simply miss).
+	// Settled ops leave the key-indexed windows so their bases can chase
+	// the live ops (late duplicate responses then simply miss).
 	if op.Seq != 0 {
-		c.bySeq.delete(op.Seq)
+		c.bySeq.Delete(op.Seq)
 	}
 	if op.ReqID != 0 {
-		c.byReq.delete(op.ReqID)
+		c.byReq.Delete(op.ReqID)
 	}
 	if c.OnDone != nil {
 		c.OnDone(op)
@@ -595,8 +598,8 @@ func (c *Core) settle(op *Op, err error) {
 
 // addByBID registers op as awaiting the proof of bid.
 func (c *Core) addByBID(bid uint64, op *Op) {
-	ops, _ := c.byBID.get(bid)
-	c.byBID.set(bid, append(ops, op))
+	ops, _ := c.byBID.Get(bid)
+	c.byBID.Set(bid, append(ops, op))
 }
 
 func (c *Core) phaseI(now int64, op *Op, bid uint64, digest []byte) {
@@ -629,9 +632,10 @@ func (c *Core) phaseII(now int64, op *Op) {
 	c.settle(op, nil)
 }
 
-// handleAddResponse implements Algorithm 1 lines 3-5: verify the edge's
-// signature, verify my entry is in the block, mark Phase I.
-func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddResponse, digest []byte) []wire.Envelope {
+// handlePutResponse implements Algorithm 1 lines 3-5 for every write: verify
+// the edge's signature, verify my entries are in the block as I sent them,
+// mark Phase I.
+func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse, digest []byte) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -655,50 +659,12 @@ func (c *Core) handleAddResponse(now int64, from wire.NodeID, m *wire.AddRespons
 		if e.Client != c.cfg.ID {
 			continue
 		}
-		op, ok := c.bySeq.get(e.Seq)
-		if !ok || op.Kind != KindAdd || op.Phase >= core.PhaseI {
-			continue
-		}
-		if !bytes.Equal(e.Value, op.Value) {
-			// The block misrepresents my entry: reject outright.
-			c.m.verifyFailures.Inc()
-			c.settle(op, ErrBadResponse)
-			continue
-		}
-		op.addEvidence = m
-		op.Edge = from // the node whose signature backs the evidence
-		c.phaseI(now, op, m.BID, digest)
-	}
-	return nil
-}
-
-func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse, digest []byte) []wire.Envelope {
-	if from != c.cfg.Edge {
-		return nil
-	}
-	if m.Block.ID != m.BID || m.Block.Edge != c.cfg.Chain {
-		c.m.verifyFailures.Inc()
-		return nil
-	}
-	// As in handleAddResponse: one digest serves the signature check and
-	// the later certification match.
-	if digest == nil {
-		digest = m.Block.BodyDigest()
-		if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
-	}
-	for i := range m.Block.Entries {
-		e := &m.Block.Entries[i]
-		if e.Client != c.cfg.ID {
-			continue
-		}
-		op, ok := c.bySeq.get(e.Seq)
-		if !ok || op.Kind != KindPut || op.Phase >= core.PhaseI {
+		op, ok := c.bySeq.Get(e.Seq)
+		if !ok || op.Phase >= core.PhaseI {
 			continue
 		}
 		if !bytes.Equal(e.Value, op.Value) || !bytes.Equal(e.Key, op.Key) {
+			// The block misrepresents my entry: reject outright.
 			c.m.verifyFailures.Inc()
 			c.settle(op, ErrBadResponse)
 			continue
@@ -757,7 +723,7 @@ func (c *Core) handleCertBatch(now int64, from wire.NodeID, b *wire.BlockCertBat
 // signature over the pair.
 func (c *Core) applyCertified(now int64, bid uint64, digest []byte) []wire.Envelope {
 	var out []wire.Envelope
-	ops, _ := c.byBID.get(bid)
+	ops, _ := c.byBID.Get(bid)
 	remaining := ops[:0]
 	for _, op := range ops {
 		if op.Done {
@@ -770,7 +736,7 @@ func (c *Core) applyCertified(now int64, bid uint64, digest []byte) []wire.Envel
 			// Re-register only while the op still pends on THIS bid (a
 			// contradiction dispute keeps the pin for re-delivery); a
 			// resolved dependency must release the slot, or a Done op
-			// would pin the ring's base forever.
+			// would pin the window's base forever.
 			if _, still := op.pendingBIDs[bid]; still && !op.Done && op.Phase != core.PhaseII {
 				remaining = append(remaining, op)
 			}
@@ -786,9 +752,9 @@ func (c *Core) applyCertified(now int64, bid uint64, digest []byte) []wire.Envel
 		remaining = append(remaining, op)
 	}
 	if len(remaining) == 0 {
-		c.byBID.delete(bid)
+		c.byBID.Delete(bid)
 	} else {
-		c.byBID.set(bid, remaining)
+		c.byBID.Set(bid, remaining)
 	}
 	return out
 }
@@ -842,14 +808,8 @@ func (c *Core) fileDispute(op *Op) []wire.Envelope {
 	}
 	var d *wire.Dispute
 	switch {
-	case op.addEvidence != nil:
-		d = core.BuildAddLieDispute(c.key, op.Edge, op.addEvidence)
 	case op.putEvidence != nil:
-		// Put evidence shares the add-lie shape: promised block content.
-		ar := &wire.AddResponse{BID: op.putEvidence.BID, Block: op.putEvidence.Block, EdgeSig: op.putEvidence.EdgeSig}
-		// A PutResponse signature covers the same body encoding as an
-		// AddResponse (BID + Block), so the evidence transfers.
-		d = core.BuildAddLieDispute(c.key, op.Edge, ar)
+		d = core.BuildAddLieDispute(c.key, op.Edge, op.putEvidence)
 	case op.readEv != nil && op.readEv.OK:
 		d = core.BuildReadLieDispute(c.key, op.Edge, op.readEv)
 	case op.readEv != nil && !op.readEv.OK && c.gossip != nil:
@@ -954,13 +914,13 @@ func (c *Core) handleVerdict(now int64, v *wire.Verdict) []wire.Envelope {
 			}
 		}
 		c.accused = nil
-		c.bySeq.each(func(_ uint64, op *Op) {
+		c.bySeq.Each(func(_ uint64, op *Op) {
 			if !op.Done {
 				op.Verdict = v
 				c.settle(op, ErrEdgeBanned)
 			}
 		})
-		c.byReq.each(func(_ uint64, op *Op) {
+		c.byReq.Each(func(_ uint64, op *Op) {
 			if !op.Done {
 				op.Verdict = v
 				c.settle(op, ErrEdgeBanned)

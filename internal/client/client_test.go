@@ -33,7 +33,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{c: c, keys: keys, reg: reg}
 }
 
-// blockWith packages the entry from an AddRequest envelope into a block.
+// blockWith packages the entries of write requests into a block.
 func blockWith(bid uint64, entries ...wire.Entry) wire.Block {
 	return wire.Block{Edge: "edge-1", ID: bid, StartPos: 0, Entries: entries}
 }
@@ -44,19 +44,15 @@ func entryOf(t *testing.T, envs []wire.Envelope) wire.Entry {
 	if len(envs) != 1 {
 		t.Fatalf("envelopes = %d", len(envs))
 	}
-	switch m := envs[0].Msg.(type) {
-	case *wire.AddRequest:
-		return m.Entry
-	case *wire.PutRequest:
-		return m.Entry
-	default:
-		t.Fatalf("unexpected message %T", m)
-		return wire.Entry{}
+	m, ok := envs[0].Msg.(*wire.PutRequest)
+	if !ok {
+		t.Fatalf("unexpected message %T", envs[0].Msg)
 	}
+	return m.Entry
 }
 
-func (f *fixture) signedAddResponse(blk wire.Block) *wire.AddResponse {
-	resp := &wire.AddResponse{BID: blk.ID, Block: blk}
+func (f *fixture) signedAddResponse(blk wire.Block) *wire.PutResponse {
+	resp := &wire.PutResponse{BID: blk.ID, Block: blk}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	return resp
 }

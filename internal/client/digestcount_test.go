@@ -41,8 +41,8 @@ func digestsDuring(t *testing.T, reg *wcrypto.Registry, env wire.Envelope, recei
 }
 
 // TestReceivedBlockHashedOnce pins the cost of receiving evidence: a block
-// that arrives whole under a signature over its digest (AddResponse,
-// PutResponse, ReadResponse) is hashed exactly once however it is
+// that arrives whole under a signature over its digest (PutResponse,
+// ReadResponse) is hashed exactly once however it is
 // delivered — the verify stage hands the digest it checked the signature
 // over to the handler — and a get or scan folds each slice of its window
 // exactly once.
@@ -63,7 +63,6 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 		msg  wire.Message
 		want uint64
 	}{
-		{"AddResponse", &wire.AddResponse{BID: blk.ID, Block: *blk, EdgeSig: ackSig}, 1},
 		{"PutResponse", &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: ackSig}, 1},
 		{"ReadResponse", read, 1},
 		{"GetResponse", get, uint64(len(blocks))},

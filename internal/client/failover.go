@@ -62,9 +62,11 @@ func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 //   - Writes are re-signed and re-submitted. If the entry already sits in
 //     a block the new leader inherited, the replay defence re-acks from
 //     that block (and re-attaches or re-subscribes its proof); otherwise
-//     the entry is appended fresh. Reserved positions from the old leader
-//     are not carried over: an AddAt whose reservation died with the old
-//     leader re-submits as a plain append.
+//     the entry is appended fresh. An AddAt re-submits for the position it
+//     reserved, never for another: reservations die with the old leader,
+//     so a successor that does not hold the slot refuses the entry and the
+//     op fails (ErrUnavailable under RetryEvery) instead of landing where
+//     the caller did not ask.
 //   - Phase I ops get their proof clock restarted, so time lost to the
 //     outage does not count against the proof timeout.
 //   - Reads, gets and scans are re-requested under their original request
@@ -93,7 +95,7 @@ func (c *Core) rebind(now int64) []wire.Envelope {
 			out = append(out, env)
 		}
 	}
-	c.bySeq.each(resend)
-	c.byReq.each(resend)
+	c.bySeq.Each(resend)
+	c.byReq.Each(resend)
 	return out
 }

@@ -22,7 +22,7 @@ import (
 // re-serve under their original request id.
 
 // tickRetry runs the retry pass: collect due ops first, then settle or
-// re-send — settling mutates the rings being iterated.
+// re-send — settling mutates the windows being iterated.
 func (c *Core) tickRetry(now int64) []wire.Envelope {
 	var due []*Op
 	collect := func(_ uint64, op *Op) {
@@ -39,8 +39,8 @@ func (c *Core) tickRetry(now int64) []wire.Envelope {
 			due = append(due, op)
 		}
 	}
-	c.bySeq.each(collect)
-	c.byReq.each(collect)
+	c.bySeq.Each(collect)
+	c.byReq.Each(collect)
 	var out []wire.Envelope
 	for _, op := range due {
 		if op.attempts >= c.cfg.MaxAttempts {
@@ -119,7 +119,7 @@ func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded,
 	if hint <= 0 {
 		hint = c.cfg.RetryEvery
 	}
-	// Collect first: settling mutates the rings being iterated.
+	// Collect first: settling mutates the windows being iterated.
 	var hit []*Op
 	collect := func(_ uint64, op *Op) {
 		if op.Done || op.disputed || op.Phase != core.PhaseNone {
@@ -127,8 +127,8 @@ func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded,
 		}
 		hit = append(hit, op)
 	}
-	c.bySeq.each(collect)
-	c.byReq.each(collect)
+	c.bySeq.Each(collect)
+	c.byReq.Each(collect)
 	for _, op := range hit {
 		op.overloaded = true
 		if c.cfg.RetryEvery <= 0 {
@@ -154,20 +154,17 @@ func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded,
 
 // resendOp rebuilds the wire request for an unsettled op and aims it at
 // the current edge. Writes are re-signed with a fresh timestamp (the seq
-// is what the replay defence keys on); reads keep their original request
+// is what the replay defence keys on) for the position they reserved, if
+// any; reads keep their original request
 // id so a late first response and the re-serve settle the same op. Shared
 // by the retry pass and post-failover rebind.
 func (c *Core) resendOp(now int64, op *Op) (wire.Envelope, bool) {
 	var msg wire.Message
 	switch op.Kind {
 	case KindAdd, KindPut:
-		e := wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now}
+		e := wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now, Pos: op.pos}
 		e.Sig = wcrypto.SignMsg(c.key, &e)
-		if op.Kind == KindPut {
-			msg = &wire.PutRequest{Entry: e}
-		} else {
-			msg = &wire.AddRequest{Entry: e, WantBlock: true}
-		}
+		msg = &wire.PutRequest{Entry: e}
 	case KindRead:
 		msg = &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}
 	case KindGet:

@@ -30,7 +30,7 @@ func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanRespo
 	if from != c.cfg.Edge {
 		return nil
 	}
-	op, ok := c.byReq.get(m.ReqID)
+	op, ok := c.byReq.Get(m.ReqID)
 	if !ok || op.Done || op.Kind != KindScan {
 		return nil
 	}

@@ -190,7 +190,7 @@ func (s *Sharded) AddAt(now int64, payload []byte, pos uint64) (*Op, []wire.Enve
 }
 
 // Reserve requests reserved positions on the home shard's log.
-func (s *Sharded) Reserve(now int64, count uint32) []wire.Envelope {
+func (s *Sharded) Reserve(now int64, count uint32) ([]wire.Envelope, error) {
 	return s.Home().Reserve(now, count)
 }
 

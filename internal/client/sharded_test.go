@@ -194,8 +194,8 @@ func TestShardedLogOpsUseHomeShard(t *testing.T) {
 	if len(envs) != 1 || envs[0].To != home {
 		t.Fatalf("read routed to %q, want home %q", envs[0].To, home)
 	}
-	envs = f.s.Reserve(30, 2)
-	if len(envs) != 1 || envs[0].To != home {
+	envs, err := f.s.Reserve(30, 2)
+	if err != nil || len(envs) != 1 || envs[0].To != home {
 		t.Fatalf("reserve routed to %q, want home %q", envs[0].To, home)
 	}
 	if _, _, err := f.s.ReadFrom(40, "edge-2", 0); err != nil {

@@ -27,7 +27,7 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 	if from != c.cfg.Edge {
 		return nil
 	}
-	op, ok := c.byReq.get(m.ReqID)
+	op, ok := c.byReq.Get(m.ReqID)
 	if !ok || op.Done || op.Kind != KindRead {
 		return nil
 	}
@@ -120,7 +120,7 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 	if from != c.cfg.Edge {
 		return nil
 	}
-	op, ok := c.byReq.get(m.ReqID)
+	op, ok := c.byReq.Get(m.ReqID)
 	if !ok || op.Done || op.Kind != KindGet {
 		return nil
 	}

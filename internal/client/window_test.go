@@ -10,18 +10,23 @@ import (
 	"wedgechain/internal/wire"
 )
 
+// The four TestKeyRing* tests below keep their names from the client's own
+// ring, now core.Window (whose model test is internal/core's
+// TestWindowMatchesMapModel): they pin the behaviours the client's
+// bySeq/byReq/byBID indexes lean on.
+
 // TestKeyRingWrap is the ring-wrap regression test: keys are set and
 // deleted in a sliding window far wider than the initial capacity, so
 // the base chases through several wraparounds and at least one grow,
 // and every lookup must stay exact.
 func TestKeyRingWrap(t *testing.T) {
-	var r keyRing[int]
+	var r core.Window[int]
 	const span = 1000
-	const window = 100 // > keyRingMinCap, forces a grow
+	const window = 100 // wider than the initial ring: forces a grow
 	for k := uint64(1); k <= span; k++ {
-		r.set(k, int(k)*3)
+		r.Set(k, int(k)*3)
 		if k > window {
-			r.delete(k - window)
+			r.Delete(k - window)
 		}
 		// Spot-check the whole live window after each step.
 		lo := uint64(1)
@@ -29,17 +34,17 @@ func TestKeyRingWrap(t *testing.T) {
 			lo = k - window + 1
 		}
 		for q := lo; q <= k; q++ {
-			v, ok := r.get(q)
+			v, ok := r.Get(q)
 			if !ok || v != int(q)*3 {
 				t.Fatalf("k=%d: get(%d) = (%d, %v)", k, q, v, ok)
 			}
 		}
-		if _, ok := r.get(lo - 1); ok && lo > 1 {
+		if _, ok := r.Get(lo - 1); ok && lo > 1 {
 			t.Fatalf("k=%d: deleted key %d still present", k, lo-1)
 		}
 	}
-	if r.len() != window {
-		t.Fatalf("live = %d, want %d", r.len(), window)
+	if r.Len() != window {
+		t.Fatalf("live = %d, want %d", r.Len(), window)
 	}
 }
 
@@ -47,25 +52,25 @@ func TestKeyRingWrap(t *testing.T) {
 // must not advance past live keys, and must catch up once the prefix
 // clears.
 func TestKeyRingOutOfOrderDelete(t *testing.T) {
-	var r keyRing[string]
+	var r core.Window[string]
 	for k := uint64(10); k < 20; k++ {
-		r.set(k, fmt.Sprint(k))
+		r.Set(k, fmt.Sprint(k))
 	}
 	for k := uint64(15); k < 20; k++ {
-		r.delete(k)
+		r.Delete(k)
 	}
-	if v, ok := r.get(10); !ok || v != "10" {
+	if v, ok := r.Get(10); !ok || v != "10" {
 		t.Fatalf("leading key lost: %q %v", v, ok)
 	}
 	for k := uint64(10); k < 15; k++ {
-		r.delete(k)
+		r.Delete(k)
 	}
-	if r.len() != 0 {
-		t.Fatalf("live = %d", r.len())
+	if r.Len() != 0 {
+		t.Fatalf("live = %d", r.Len())
 	}
 	// Window restarts cleanly far away.
-	r.set(1_000_000, "far")
-	if v, ok := r.get(1_000_000); !ok || v != "far" {
+	r.Set(1_000_000, "far")
+	if v, ok := r.Get(1_000_000); !ok || v != "far" {
 		t.Fatal("window restart failed")
 	}
 }
@@ -74,70 +79,66 @@ func TestKeyRingOutOfOrderDelete(t *testing.T) {
 // advanced, a set at an older key must rebase backward instead of being
 // dropped (a late-delivered read response pinning an old block id).
 func TestKeyRingRebase(t *testing.T) {
-	var r keyRing[int]
+	var r core.Window[int]
 	for k := uint64(100); k < 140; k++ {
-		r.set(k, int(k))
+		r.Set(k, int(k))
 	}
 	for k := uint64(100); k < 120; k++ {
-		r.delete(k) // base advances to 120
+		r.Delete(k) // base advances to 120
 	}
-	r.set(50, 555) // straggler far behind the base
-	if v, ok := r.get(50); !ok || v != 555 {
+	r.Set(50, 555) // straggler far behind the base
+	if v, ok := r.Get(50); !ok || v != 555 {
 		t.Fatalf("straggler lost: %d %v", v, ok)
 	}
 	for k := uint64(120); k < 140; k++ {
-		if v, ok := r.get(k); !ok || v != int(k) {
+		if v, ok := r.Get(k); !ok || v != int(k) {
 			t.Fatalf("rebase corrupted key %d: %d %v", k, v, ok)
 		}
 	}
 	seen := map[uint64]bool{}
-	r.each(func(k uint64, v int) { seen[k] = true })
+	r.Each(func(k uint64, v int) { seen[k] = true })
 	if len(seen) != 21 || !seen[50] || !seen[139] {
 		t.Fatalf("each saw %d keys: %v", len(seen), seen)
 	}
 }
 
 // TestKeyRingSpanBounded: one stuck low key plus ever-growing high keys
-// must not grow the ring with the span — far keys spill to the overflow
-// map and stay fully functional, bounding worst-case memory at the old
-// map behavior.
+// must not strand either — far keys spill to the overflow map and stay
+// fully functional (the model test bounds the ring's size).
 func TestKeyRingSpanBounded(t *testing.T) {
-	var r keyRing[int]
-	r.set(1, 111) // stuck op: never deleted
-	far := uint64(keyRingMaxCap) * 40
+	var r core.Window[int]
+	r.Set(1, 111)           // stuck op: never deleted
+	far := uint64(40 << 16) // far past the ring's span bound
 	for k := far; k < far+100; k++ {
-		r.set(k, int(k))
+		r.Set(k, int(k))
 	}
-	if len(r.slots) > keyRingMaxCap {
-		t.Fatalf("ring grew to %d slots chasing the span", len(r.slots))
-	}
-	if v, ok := r.get(1); !ok || v != 111 {
+	if v, ok := r.Get(1); !ok || v != 111 {
 		t.Fatal("stuck key lost")
 	}
 	for k := far; k < far+100; k++ {
-		if v, ok := r.get(k); !ok || v != int(k) {
+		if v, ok := r.Get(k); !ok || v != int(k) {
 			t.Fatalf("overflowed key %d lost: %d %v", k, v, ok)
 		}
 	}
-	if r.len() != 101 {
-		t.Fatalf("live = %d", r.len())
+	if r.Len() != 101 {
+		t.Fatalf("live = %d", r.Len())
 	}
 	seen := 0
-	r.each(func(k uint64, v int) { seen++ })
+	r.Each(func(k uint64, v int) { seen++ })
 	if seen != 101 {
 		t.Fatalf("each visited %d", seen)
 	}
 	// Updates and deletes reach overflow entries; the stuck key too.
-	r.set(far, -1)
-	if v, _ := r.get(far); v != -1 {
+	r.Set(far, -1)
+	if v, _ := r.Get(far); v != -1 {
 		t.Fatal("overflow update lost")
 	}
 	for k := far; k < far+100; k++ {
-		r.delete(k)
+		r.Delete(k)
 	}
-	r.delete(1)
-	if r.len() != 0 {
-		t.Fatalf("live = %d after deletes", r.len())
+	r.Delete(1)
+	if r.Len() != 0 {
+		t.Fatalf("live = %d after deletes", r.Len())
 	}
 }
 
@@ -161,22 +162,22 @@ func TestByBIDReleasesResolvedDependency(t *testing.T) {
 		mlsm.NewIndex([]int{10}))
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: resp})
-	if op.Phase != core.PhaseI || f.c.byBID.len() != 2 {
-		t.Fatalf("setup: phase=%v bids=%d", op.Phase, f.c.byBID.len())
+	if op.Phase != core.PhaseI || f.c.byBID.Len() != 2 {
+		t.Fatalf("setup: phase=%v bids=%d", op.Phase, f.c.byBID.Len())
 	}
 	f.c.Receive(30, wire.Envelope{From: "cloud", To: "c1", Msg: f.signedProof(&b0)})
 	if op.Done {
 		t.Fatal("op settled with a dependency outstanding")
 	}
-	if f.c.byBID.len() != 1 {
-		t.Fatalf("resolved bid still registered: %d live", f.c.byBID.len())
+	if f.c.byBID.Len() != 1 {
+		t.Fatalf("resolved bid still registered: %d live", f.c.byBID.Len())
 	}
 	f.c.Receive(40, wire.Envelope{From: "cloud", To: "c1", Msg: f.signedProof(&b1)})
 	if !op.Done || op.Err != nil || op.Phase != core.PhaseII {
 		t.Fatalf("op did not settle: %+v", op)
 	}
-	if f.c.byBID.len() != 0 {
-		t.Fatalf("byBID not empty after settlement: %d", f.c.byBID.len())
+	if f.c.byBID.Len() != 0 {
+		t.Fatalf("byBID not empty after settlement: %d", f.c.byBID.Len())
 	}
 }
 
@@ -186,7 +187,7 @@ func TestByBIDReleasesResolvedDependency(t *testing.T) {
 // lockstep, each settled by its proof, with correctness asserted per op.
 func TestClientRingsSurviveDeepPipeline(t *testing.T) {
 	f := newFixture(t)
-	const n = 300 // >> keyRingMinCap
+	const n = 300 // far wider than the initial ring
 	type launched struct {
 		op  *Op
 		blk wire.Block

@@ -47,7 +47,7 @@ func (f *fixture) lyingDispute(honest wire.Block, tamper string) *wire.Dispute {
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
 	lied.Entries[0].Value = []byte(tamper)
-	ev := &wire.AddResponse{BID: honest.ID, Block: lied}
+	ev := &wire.PutResponse{BID: honest.ID, Block: lied}
 	ev.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], ev)
 	return core.BuildAddLieDispute(f.keys["c1"], "edge-1", ev)
 }

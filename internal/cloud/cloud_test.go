@@ -388,7 +388,7 @@ func TestDisputeVerdictAndProofAttachment(t *testing.T) {
 
 	// Honest evidence: not guilty, proof attached so the client can
 	// finish Phase II.
-	ev := &wire.AddResponse{BID: 0, Block: blk}
+	ev := &wire.PutResponse{BID: 0, Block: blk}
 	ev.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], ev)
 	d := core.BuildAddLieDispute(f.keys["c1"], "edge-1", ev)
 	out := f.node.Receive(9, wire.Envelope{From: "c1", To: "cloud", Msg: d})

@@ -186,9 +186,10 @@ func (p *Punishments) VerdictsFor(edge wire.NodeID) []wire.Verdict {
 	return out
 }
 
-// BuildAddLieDispute packages a signed AddResponse whose block never
-// matched the certified digest as dispute evidence.
-func BuildAddLieDispute(key wcrypto.KeyPair, edge wire.NodeID, resp *wire.AddResponse) *wire.Dispute {
+// BuildAddLieDispute packages a signed PutResponse — or a block-ack
+// signature over a replicated or catch-up block, dressed as one — whose
+// block never matched the certified digest as dispute evidence.
+func BuildAddLieDispute(key wcrypto.KeyPair, edge wire.NodeID, resp *wire.PutResponse) *wire.Dispute {
 	d := &wire.Dispute{
 		Kind:     wire.DisputeAddLie,
 		Edge:     edge,
@@ -294,9 +295,9 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 	}
 	switch d.Kind {
 	case wire.DisputeAddLie:
-		resp, ok := ev.(*wire.AddResponse)
+		resp, ok := ev.(*wire.PutResponse)
 		if !ok {
-			verdict.Reason = "dispute rejected: evidence is not an add-response"
+			verdict.Reason = "dispute rejected: evidence is not a put-response"
 			return verdict
 		}
 		if err := wcrypto.VerifyMsg(reg, d.Edge, resp, resp.EdgeSig); err != nil {

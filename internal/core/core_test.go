@@ -74,9 +74,9 @@ func TestPunishmentsBanOnce(t *testing.T) {
 	}
 }
 
-// buildEvidence creates a signed AddResponse for a block.
-func buildEvidence(keys map[wire.NodeID]wcrypto.KeyPair, blk wire.Block) *wire.AddResponse {
-	resp := &wire.AddResponse{BID: blk.ID, Block: blk}
+// buildEvidence creates a signed PutResponse for a block.
+func buildEvidence(keys map[wire.NodeID]wcrypto.KeyPair, blk wire.Block) *wire.PutResponse {
+	resp := &wire.PutResponse{BID: blk.ID, Block: blk}
 	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
 	return resp
 }
@@ -132,7 +132,7 @@ func TestJudgeRejectsForgedEvidence(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	// A client cannot frame the edge: evidence signed by someone else.
-	resp := &wire.AddResponse{BID: 0, Block: testBlock()}
+	resp := &wire.PutResponse{BID: 0, Block: testBlock()}
 	resp.EdgeSig = wcrypto.SignMsg(keys["evil"], resp)
 	d := BuildAddLieDispute(keys["c1"], "edge-1", resp)
 	v := Judge(reg, ct, "cloud", "c1", d)

@@ -266,7 +266,8 @@ func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin, v
 // memory and in the durable segment — and refetched through certified
 // catch-up. The certified prefix is identical everywhere by construction
 // and stays. Role state from the old life (withheld group-commit acks,
-// request rings, an in-flight merge claim) is dropped with it.
+// the submitter and proof-waiter tables, an in-flight merge claim) is
+// dropped with it.
 func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 	n.follower = true
 	n.leader = leader
@@ -296,14 +297,7 @@ func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 	}
 	n.pendingAcks = nil
 	n.merging = nil
-	n.reqs = reqRing{}
-	n.reqs.advance(n.log.NextPos())
-	n.blockClients = bidRing[reqInfo]{}
-	n.readWaiters = bidRing[wire.NodeID]{}
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		n.blockClients.advanceTo(ct + 1)
-		n.readWaiters.advanceTo(ct + 1)
-	}
+	n.resetTables()
 	out := []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: &wire.FrontierRequest{Chain: n.cfg.Chain}}}
 	out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
 	return out
@@ -325,9 +319,7 @@ func (n *Node) Restart(now int64) {
 			n.logf("resetting durable segment on restart failed", "err", err)
 		}
 	}
-	n.reqs = reqRing{}
-	n.blockClients = bidRing[reqInfo]{}
-	n.readWaiters = bidRing[wire.NodeID]{}
+	n.resetTables()
 	n.l0From = 0
 	n.merging = nil
 	n.pendingAcks = nil

@@ -145,20 +145,15 @@ func (n *Node) handleCertBatch(now int64, from wire.NodeID, b *wire.BlockCertBat
 		}
 		n.m.certified.Inc()
 		n.m.markCertified(bid, now)
-		for _, r := range n.blockClients.take(bid) {
-			note(r.client)
-		}
-		for _, c := range n.readWaiters.take(bid) {
+		waiting, _ := n.waiters.Take(bid)
+		for _, c := range waiting {
 			note(c)
 		}
 	}
 	for _, c := range notify {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: b})
 	}
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		n.blockClients.advanceTo(ct + 1)
-		n.readWaiters.advanceTo(ct + 1)
-	}
+	n.advanceWaiters()
 	out = append(out, n.maybeStartMerge(now)...)
 	return out
 }

@@ -32,7 +32,7 @@ func TestEdgeBatchesCertifies(t *testing.T) {
 	write := func(seq uint64) {
 		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
 		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		out := n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+		out := n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 		for _, env := range out {
 			if m, ok := env.Msg.(*wire.BlockCertify); ok {
 				t.Fatalf("batching edge sent a single certify: %+v", m)
@@ -106,7 +106,7 @@ func TestEdgeReadServesRetainedBatch(t *testing.T) {
 	n := New(Config{ID: "edge-1", Cloud: "cloud", BatchSize: 1, CertBatch: 2}, keys["edge-1"], reg)
 	e := wire.Entry{Client: "c1", Seq: 1, Value: []byte("v")}
 	e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-	n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+	n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 	d, err := n.log.Digest(0)
 	if err != nil {
 		t.Fatal(err)

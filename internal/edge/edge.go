@@ -15,6 +15,7 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"wedgechain/internal/core"
@@ -190,13 +191,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// reqInfo remembers which client submitted the entry at a log position and
-// through which interface, so block cut can route the right response kind.
-type reqInfo struct {
-	client wire.NodeID
-	isPut  bool
-}
-
 // Node is an edge node state machine. Not safe for concurrent use; the
 // transport serializes calls.
 type Node struct {
@@ -206,13 +200,16 @@ type Node struct {
 	log *wlog.Log
 	idx *mlsm.Index
 
-	reqs         reqRing              // log position -> submitter (flat ring, no map)
-	blockClients bidRing[reqInfo]     // bid -> distinct (client, kind) to notify
-	readWaiters  bidRing[wire.NodeID] // bid -> clients awaiting a forwarded proof
-	l0From       uint64               // first uncompacted block id
-	nextReq      uint64
-	lastArrival  int64
-	store        *wlog.Store // nil = in-memory only
+	reqs core.Window[wire.NodeID] // log position -> submitter, until the position is cut
+	// waiters holds, per uncertified block, the distinct clients its
+	// certificate is forwarded to: those that wrote an entry of it and
+	// those served it by a read, get, scan or re-ack. Its floor chases the
+	// certified frontier — a certified block registers no waiter.
+	waiters     core.Window[[]wire.NodeID]
+	l0From      uint64 // first uncompacted block id
+	nextReq     uint64
+	lastArrival int64
+	store       *wlog.Store // nil = in-memory only
 
 	// merging is the merge request in flight (at most one), kept whole:
 	// the response carries no pages, so the merged level is re-derived
@@ -349,15 +346,7 @@ func NewPersistent(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry, dataD
 	}
 	n.log = log
 	n.store = store
-	// Recovered blocks were acknowledged in a previous life; start the
-	// request ring at the log's frontier so it never spans cut history,
-	// and the bid rings at the certified frontier — blocks behind it can
-	// never register waiters.
-	n.reqs.advance(log.NextPos())
-	if ct, ok := log.CertifiedThrough(); ok {
-		n.blockClients.advanceTo(ct + 1)
-		n.readWaiters.advanceTo(ct + 1)
-	}
+	n.resetTables()
 	return n, blocks, nil
 }
 
@@ -441,10 +430,8 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return nil
 	}
 	switch m := env.Msg.(type) {
-	case *wire.AddRequest:
-		return n.handleWrite(now, env.From, m.Entry, false, env.Verified)
 	case *wire.PutRequest:
-		return n.handleWrite(now, env.From, m.Entry, true, env.Verified)
+		return n.handleWrite(now, env.From, m.Entry, env.Verified)
 	case *wire.PutBatch:
 		// The batch signer must BE the sender. Entries are accepted on the
 		// batch signature alone, so binding m.Client to the envelope sender
@@ -466,8 +453,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		}
 		var out []wire.Envelope
 		for i := range m.Entries {
-			isPut := len(m.Entries[i].Key) > 0
-			out = append(out, n.handleWrite(now, env.From, m.Entries[i], isPut, true)...)
+			out = append(out, n.handleWrite(now, env.From, m.Entries[i], true)...)
 		}
 		return out
 	case *wire.ReadRequest:
@@ -595,11 +581,12 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 	return out
 }
 
-// handleWrite processes add() and put(). The entry must be signed by a
-// known client; invalid or replayed entries are dropped (the client's
-// timeout machinery owns retries, mirroring the paper's idempotence
-// discussion).
-func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, isPut, verified bool) []wire.Envelope {
+// handleWrite appends one entry — a put, or a log add when it has no key
+// (the index skips keyless entries; the log treats both alike). The entry
+// must be signed by a known client; invalid or replayed entries are
+// dropped (the client's timeout machinery owns retries, mirroring the
+// paper's idempotence discussion).
+func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, verified bool) []wire.Envelope {
 	if n.follower || e.Client != from {
 		return nil
 	}
@@ -636,14 +623,14 @@ func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, isPut, ver
 			// already in the log — committed by this node or inherited from
 			// the previous leader — so re-acknowledge from the block that
 			// holds it instead of leaving the client to time out.
-			return n.reackDuplicate(from, e, isPut)
+			return n.reackDuplicate(from, e)
 		}
 		n.logf("rejecting write", "client", from, "err", err)
 		return nil
 	}
 	n.m.writes.Inc()
 	n.lastArrival = now
-	n.reqs.set(pos, reqInfo{client: e.Client, isPut: isPut})
+	n.reqs.Set(pos, e.Client)
 	blk := n.log.TryCut(now, false)
 	if blk == nil {
 		return nil
@@ -742,66 +729,44 @@ func (n *Node) flushPending() []wire.Envelope {
 // blockOutputs builds the Phase I responses and certification request for
 // a cut (and persisted) block.
 func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
-	// Group responders: one response per (client, kind) pair. Distinct
-	// pairs are few (bounded by active clients), so a linear scan over
-	// the responders slice dedups without the former per-flush map.
-	responders := make([]reqInfo, 0, 8)
+	// One response per client. Distinct clients are few (bounded by the
+	// active sessions), so a linear scan dedups without a per-cut map.
+	responders := make([]wire.NodeID, 0, 8)
 	for i := range blk.Entries {
-		info, ok := n.reqs.take(blk.StartPos + uint64(i))
-		if !ok {
-			continue // reservation no-op
-		}
-		dup := false
-		for _, r := range responders {
-			if r == info {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			responders = append(responders, info)
+		client, ok := n.reqs.Take(blk.StartPos + uint64(i))
+		if ok && !slices.Contains(responders, client) { // !ok: reservation no-op
+			responders = append(responders, client)
 		}
 	}
-	n.reqs.advance(blk.StartPos + uint64(len(blk.Entries)))
-	n.blockClients.set(blk.ID, responders)
+	// Positions whose acknowledgements were dropped (a block whose persist
+	// failed) must not leak into later blocks.
+	n.reqs.Advance(blk.StartPos + uint64(len(blk.Entries)))
+	n.waiters.Set(blk.ID, responders)
 
 	digest, err := n.log.Digest(blk.ID)
 	if err != nil {
 		panic(fmt.Sprintf("edge: freshly cut block has no digest: %v", err))
 	}
 
-	// Amortized, size-independent signing: AddResponse and PutResponse
-	// share a byte-identical signable body (BID + block digest), so the
-	// honest path signs the 44-byte acknowledgement body once — over the
-	// digest already cached at block cut — and every responder carries
-	// the same signature regardless of block size. Faulty nodes tamper
-	// per victim and therefore sign per responder (the generic path
-	// recomputes the tampered digest).
+	// Amortized, size-independent signing: the honest path signs the
+	// 44-byte acknowledgement body (BID + block digest) once — over the
+	// digest already cached at block cut — and every responder carries the
+	// same signature regardless of block size. Faulty nodes tamper per
+	// victim and therefore sign per responder (the generic path recomputes
+	// the tampered digest).
 	var sharedSig []byte
 	if n.cfg.Fault == nil && len(responders) > 0 {
 		sharedSig = wcrypto.SignBlockAck(n.key, blk.ID, digest)
 	}
 
 	var out []wire.Envelope
-	for _, r := range responders {
-		sendBlk := *blk
+	for _, client := range responders {
+		resp := &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: sharedSig}
 		if n.cfg.Fault != nil {
-			sendBlk = n.cfg.Fault.maybeTamperAdd(r.client, sendBlk)
+			resp.Block = n.cfg.Fault.maybeTamperAdd(client, resp.Block)
+			resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
 		}
-		sig := sharedSig
-		if r.isPut {
-			resp := &wire.PutResponse{BID: blk.ID, Block: sendBlk, EdgeSig: sig}
-			if sig == nil {
-				resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
-			}
-			out = append(out, wire.Envelope{From: n.cfg.ID, To: r.client, Msg: resp})
-		} else {
-			resp := &wire.AddResponse{BID: blk.ID, Block: sendBlk, EdgeSig: sig}
-			if sig == nil {
-				resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
-			}
-			out = append(out, wire.Envelope{From: n.cfg.ID, To: r.client, Msg: resp})
-		}
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: client, Msg: resp})
 	}
 
 	// Replica-group mirroring: every cut block streams to the followers,
@@ -871,24 +836,41 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof, veri
 	n.m.certified.Inc()
 	n.m.markCertified(p.BID, now)
 	var out []wire.Envelope
-	fwd := func(to wire.NodeID) {
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: cloneProof(p)})
+	waiting, _ := n.waiters.Take(p.BID)
+	for _, c := range waiting {
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: cloneProof(p)})
 	}
-	for _, r := range n.blockClients.take(p.BID) {
-		fwd(r.client)
-	}
-	for _, c := range n.readWaiters.take(p.BID) {
-		fwd(c)
-	}
-	// Certified blocks can never register new waiters, so both rings'
-	// bases chase the certified frontier — the live window stays as small
-	// as the uncertified suffix.
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		n.blockClients.advanceTo(ct + 1)
-		n.readWaiters.advanceTo(ct + 1)
-	}
+	n.advanceWaiters()
 	out = append(out, n.maybeStartMerge(now)...)
 	return out
+}
+
+// awaitProof registers client for the forwarded certificate of block bid,
+// once however often it asks. A bid behind the table's floor is certified
+// already and registers nothing.
+func (n *Node) awaitProof(bid uint64, client wire.NodeID) {
+	if ws, _ := n.waiters.Get(bid); !slices.Contains(ws, client) {
+		n.waiters.Set(bid, append(ws, client))
+	}
+}
+
+// advanceWaiters moves the waiter table's floor to the certified frontier,
+// so the live window stays as small as the uncertified suffix.
+func (n *Node) advanceWaiters() {
+	if ct, ok := n.log.CertifiedThrough(); ok {
+		n.waiters.Advance(ct + 1)
+	}
+}
+
+// resetTables starts both tables over on a log this node did not cut —
+// recovered, mirrored, or truncated: what it holds was acknowledged by
+// someone else, so nothing behind the log's frontier or the certified
+// frontier has a submitter or a waiter here.
+func (n *Node) resetTables() {
+	n.reqs = core.Window[wire.NodeID]{}
+	n.reqs.Advance(n.log.NextPos())
+	n.waiters = core.Window[[]wire.NodeID]{}
+	n.advanceWaiters()
 }
 
 // handleRead serves read(bid) with the paper's three cases: not available
@@ -921,7 +903,7 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 			batch = b
 		} else {
 			// Phase I read: remember the reader for proof forwarding.
-			n.readWaiters.add(m.BID, from)
+			n.awaitProof(m.BID, from)
 		}
 	}
 	if resp.OK && !tampered(n.cfg.Fault, from) {
@@ -949,6 +931,10 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 // handleReserve grants log positions for the idempotence extension.
 func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest, verified bool) []wire.Envelope {
 	if n.follower || m.Client != from {
+		return nil
+	}
+	if m.Count > wire.MaxReserve {
+		n.logf("rejecting oversized reservation", "client", from, "count", m.Count)
 		return nil
 	}
 	if !verified {

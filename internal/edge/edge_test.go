@@ -2,8 +2,10 @@ package edge
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -41,7 +43,7 @@ func (f *fixture) add(t *testing.T, now int64, client wire.NodeID, seq uint64, v
 	t.Helper()
 	return f.node.Receive(now, wire.Envelope{
 		From: client, To: "edge-1",
-		Msg: &wire.AddRequest{Entry: f.entry(client, seq, "", value)},
+		Msg: &wire.PutRequest{Entry: f.entry(client, seq, "", value)},
 	})
 }
 
@@ -63,8 +65,8 @@ func TestWriteBuffersUntilBatch(t *testing.T) {
 	}
 	out := f.add(t, 3, "c2", 1, "c")
 	k := kindsOf(out)
-	if k[wire.KindAddResponse] != 2 {
-		t.Fatalf("want 2 add responses (one per client), got %v", k)
+	if k[wire.KindPutResponse] != 2 {
+		t.Fatalf("want 2 responses (one per client), got %v", k)
 	}
 	if k[wire.KindBlockCertify] != 1 {
 		t.Fatalf("want 1 certify, got %v", k)
@@ -75,7 +77,7 @@ func TestWriteRejectsBadSignature(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	e := f.entry("c1", 1, "", "data")
 	e.Sig[0] ^= 1
-	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 	if out != nil {
 		t.Fatal("forged entry accepted")
 	}
@@ -87,7 +89,7 @@ func TestWriteRejectsBadSignature(t *testing.T) {
 func TestWriteRejectsSpoofedSender(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	e := f.entry("c1", 1, "", "data")
-	out := f.node.Receive(1, wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+	out := f.node.Receive(1, wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 	if out != nil || f.node.Log().BufferLen() != 0 {
 		t.Fatal("spoofed sender accepted")
 	}
@@ -97,12 +99,12 @@ func TestCertifyIsDataFree(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	out := f.add(t, 1, "c1", 1, "payload-of-some-size-xxxxxxxxxxxxxxxxxxxxxx")
 	var certify *wire.BlockCertify
-	var resp *wire.AddResponse
+	var resp *wire.PutResponse
 	for _, env := range out {
 		switch m := env.Msg.(type) {
 		case *wire.BlockCertify:
 			certify = m
-		case *wire.AddResponse:
+		case *wire.PutResponse:
 			resp = m
 		}
 	}
@@ -297,6 +299,86 @@ func TestReserveGrantsPositions(t *testing.T) {
 	}
 }
 
+// TestReserveRefusesOversizedCount: a reservation is one log slot per
+// position, allocated at once and held until filled or expired, so a count
+// past wire.MaxReserve is refused like any malformed request — no answer,
+// no slot — and the bound itself is granted.
+func TestReserveRefusesOversizedCount(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 4})
+	reserve := func(count uint32) []wire.Envelope {
+		req := &wire.ReserveRequest{Client: "c1", Count: count, ReqID: 7}
+		req.ClientSig = wcrypto.SignMsg(f.keys["c1"], req)
+		return f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: req})
+	}
+	for _, count := range []uint32{wire.MaxReserve + 1, 1 << 20} {
+		if out := reserve(count); out != nil || f.node.Log().BufferLen() != 0 {
+			t.Fatalf("Count %d: %d outputs, %d slots buffered", count, len(out), f.node.Log().BufferLen())
+		}
+	}
+	if out := reserve(wire.MaxReserve); len(out) != 1 || f.node.Log().BufferLen() != wire.MaxReserve {
+		t.Fatalf("Count %d: %d outputs, %d slots buffered", wire.MaxReserve, len(out), f.node.Log().BufferLen())
+	}
+}
+
+// TestMixedBlockOneAckOneProofPerClient: a put and a log add are one
+// write. A block holding keyed and keyless entries — all from one client,
+// or from two — answers each client with one PutResponse and forwards each
+// one BlockProof, also to a client that read the block besides writing it;
+// the keyless entries are in the log and in no get or scan.
+func TestMixedBlockOneAckOneProofPerClient(t *testing.T) {
+	perClient := func(envs []wire.Envelope, kind wire.Kind) map[wire.NodeID]int {
+		n := map[wire.NodeID]int{}
+		for _, e := range envs {
+			if e.Msg.MsgKind() == kind {
+				n[e.To]++
+			}
+		}
+		return n
+	}
+	for _, writers := range [][]wire.NodeID{{"c1", "c1", "c1", "c1"}, {"c1", "c1", "c2", "c2"}} {
+		f := newFixture(t, Config{BatchSize: 4, L0Threshold: 100})
+		var out []wire.Envelope
+		for i, c := range writers {
+			key := "" // odd positions are log adds
+			if i%2 == 0 {
+				key = fmt.Sprintf("k%d", i)
+			}
+			out = f.node.Receive(int64(i+1), wire.Envelope{From: c, To: "edge-1",
+				Msg: &wire.PutRequest{Entry: f.entry(c, uint64(i+1), key, fmt.Sprintf("v%d", i))}})
+		}
+		want := map[wire.NodeID]int{}
+		for _, c := range writers {
+			want[c] = 1
+		}
+		if got := perClient(out, wire.KindPutResponse); fmt.Sprint(got) != fmt.Sprint(want) || len(out) != len(want)+1 {
+			t.Fatalf("writers %v: acks %v among %v, want %v and one certify", writers, got, kindsOf(out), want)
+		}
+
+		// c1 reads the uncertified block it wrote: a get hit, and a scan of
+		// everything that finds the keyed entries only.
+		get := f.node.Receive(5, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.GetRequest{Key: []byte("k0"), ReqID: 1}})
+		if r, ok := get[0].Msg.(*wire.GetResponse); !ok || !r.Found || string(r.Value) != "v0" {
+			t.Fatalf("writers %v: get k0 = %+v", writers, get[0].Msg)
+		}
+		sc := f.node.Receive(6, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{ReqID: 2}})
+		res, err := scan.Verify(scan.Params{Reg: f.reg, Edge: "edge-1", Cloud: "cloud"}, sc[0].Msg.(*wire.ScanResponse))
+		if err != nil || len(res.KVs) != 2 || string(res.KVs[0].Key) != "k0" || string(res.KVs[1].Key) != "k2" {
+			t.Fatalf("writers %v: scan = %v, %v; want k0 and k2", writers, res.KVs, err)
+		}
+		if blk, _ := f.node.Log().Block(0); len(blk.Entries) != 4 || len(blk.Entries[1].Key) != 0 || string(blk.Entries[1].Value) != "v1" {
+			t.Fatalf("writers %v: logged block = %+v", writers, blk)
+		}
+
+		out = f.node.Receive(7, wire.Envelope{From: "cloud", To: "edge-1", Msg: f.certifyBlock(t, 0)})
+		if got := perClient(out, wire.KindBlockProof); fmt.Sprint(got) != fmt.Sprint(want) || len(out) != len(want) {
+			t.Fatalf("writers %v: proofs %v among %v, want %v", writers, got, kindsOf(out), want)
+		}
+		if f.node.waiters.Len() != 0 {
+			t.Fatalf("writers %v: %d blocks still waited on", writers, f.node.waiters.Len())
+		}
+	}
+}
+
 func TestFlushTickCutsPartialBlock(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 10, FlushEvery: 100})
 	f.add(t, 1000, "c1", 1, "only")
@@ -304,7 +386,7 @@ func TestFlushTickCutsPartialBlock(t *testing.T) {
 		t.Fatal("flushed before interval")
 	}
 	out := f.node.Tick(1200)
-	if kindsOf(out)[wire.KindAddResponse] != 1 {
+	if kindsOf(out)[wire.KindPutResponse] != 1 {
 		t.Fatalf("flush outputs = %v", kindsOf(out))
 	}
 }

@@ -36,7 +36,7 @@ func (n *Node) handleGet(now int64, from wire.NodeID, m *wire.GetRequest) []wire
 func (n *Node) awaitProofs(reader wire.NodeID, window []wire.L0Slice) {
 	for i := range window {
 		if len(window[i].CertSig) == 0 {
-			n.readWaiters.add(window[i].ID, reader)
+			n.awaitProof(window[i].ID, reader)
 		}
 	}
 }

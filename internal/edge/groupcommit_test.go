@@ -34,7 +34,7 @@ func TestGroupCommitWithholdsAcksUntilSharedSync(t *testing.T) {
 	write := func(now int64, seq uint64) []wire.Envelope {
 		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
 		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		return n1.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+		return n1.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 	}
 
 	// Three blocks cut inside the window: acknowledgements withheld.
@@ -51,7 +51,7 @@ func TestGroupCommitWithholdsAcksUntilSharedSync(t *testing.T) {
 	// Window expires: one Tick releases every withheld output.
 	out := n1.Tick(500)
 	k := kindsOf(out)
-	if k[wire.KindAddResponse] != 3 || k[wire.KindBlockCertify] != 3 {
+	if k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 3 {
 		t.Fatalf("flush released %v, want 3 add responses + 3 certifies", k)
 	}
 	if got := n1.store.Syncs() - syncsBefore; got != 1 {
@@ -63,7 +63,7 @@ func TestGroupCommitWithholdsAcksUntilSharedSync(t *testing.T) {
 	if out := write(1000, 4); out != nil {
 		t.Fatalf("write 4 acknowledged before its window closed: %v", kindsOf(out))
 	}
-	if k := kindsOf(n1.Tick(1200)); k[wire.KindAddResponse] != 1 {
+	if k := kindsOf(n1.Tick(1200)); k[wire.KindPutResponse] != 1 {
 		t.Fatalf("second flush released %v, want 1 add response", k)
 	}
 

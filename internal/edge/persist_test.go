@@ -32,7 +32,7 @@ func TestEdgeRestartRecoversLog(t *testing.T) {
 	write := func(n *Node, seq uint64, val string) {
 		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}
 		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		outs := n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+		outs := n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 		if len(outs) == 0 {
 			t.Fatalf("write %d produced no outputs", seq)
 		}
@@ -70,14 +70,14 @@ func TestEdgeRestartRecoversLog(t *testing.T) {
 	write2 := func(seq uint64, val string) []wire.Envelope {
 		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}
 		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		return n2.Receive(4, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e}})
+		return n2.Receive(4, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
 	}
 	reack := write2(1, "first")
 	if len(reack) == 0 {
 		t.Fatal("pre-crash replay got no re-acknowledgement")
 	}
-	if ack, ok := reack[0].Msg.(*wire.AddResponse); !ok || ack.BID != 0 {
-		t.Fatalf("replay re-ack = %T, want AddResponse for block 0", reack[0].Msg)
+	if ack, ok := reack[0].Msg.(*wire.PutResponse); !ok || ack.BID != 0 {
+		t.Fatalf("replay re-ack = %T, want PutResponse for block 0", reack[0].Msg)
 	}
 	if n2.Log().NumBlocks() != 2 {
 		t.Fatalf("replay appended a block: %d blocks", n2.Log().NumBlocks())

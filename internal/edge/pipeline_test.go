@@ -34,15 +34,15 @@ func TestPoolFedEdgeMatchesSerial(t *testing.T) {
 	build := func() (*fixture, []wire.Envelope) {
 		f := newFixture(t, Config{BatchSize: 2})
 		envs := []wire.Envelope{
-			{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c1", 1, "", "a")}},
-			{From: "c2", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c2", 1, "", "b")}},
+			{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 1, "", "a")}},
+			{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c2", 1, "", "b")}},
 		}
 		forged := f.entry("c1", 2, "", "evil")
 		forged.Sig[0] ^= 1
 		envs = append(envs,
-			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: forged}},
-			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c1", 3, "", "c")}},
-			wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.AddRequest{Entry: f.entry("c2", 2, "", "d")}},
+			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: forged}},
+			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 3, "", "c")}},
+			wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c2", 2, "", "d")}},
 			wire.Envelope{From: "c1", To: "edge-1", Msg: sessionBatch(f, "c1", []uint64{4, 5})},
 		)
 		return f, envs

@@ -253,8 +253,7 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 // pendingWindow bounds how far above the mirrored tip a follower stashes
 // out-of-order replicated blocks and early certificates. Anything further
 // ahead is dropped and refetched through certified catch-up — the same
-// base-chasing discipline the bidRing applies to blockClients/readWaiters,
-// so a fast (or hostile) leader can never grow the stash maps without
+// floor-chasing discipline the proof-waiter table follows, so a fast (or hostile) leader can never grow the stash maps without
 // bound.
 const pendingWindow = 1024
 
@@ -276,8 +275,8 @@ func (n *Node) evictStash() {
 }
 
 // convictLeader packages a leader-signed replicated block that contradicts
-// the cloud's certificate as a standard add-response lie: the replication
-// signature covers exactly the block-ack body an AddResponse carries, so
+// the cloud's certificate as a standard add lie: the replication
+// signature covers exactly the block-ack body a PutResponse carries, so
 // the existing Judge convicts with zero new adjudication code. At most one
 // dispute is filed per block id — certificates and duplicates can be
 // redelivered indefinitely, and repeats carry no new evidence.
@@ -290,7 +289,7 @@ func (n *Node) convictLeader(bid uint64, blk wire.Block, sig []byte, why string)
 	}
 	n.accused[bid] = true
 	n.logf(why, "bid", bid)
-	resp := &wire.AddResponse{BID: bid, Block: blk, EdgeSig: sig}
+	resp := &wire.PutResponse{BID: bid, Block: blk, EdgeSig: sig}
 	d := core.BuildAddLieDispute(n.key, n.leader, resp)
 	return []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: d}}
 }
@@ -328,13 +327,8 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 		}
 	}
 	// The mirrored history was acknowledged (and partly certified) under
-	// the previous leader: start the request ring at the log frontier and
-	// the waiter rings at the certified frontier, exactly like recovery.
-	n.reqs.advance(n.log.NextPos())
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		n.blockClients.advanceTo(ct + 1)
-		n.readWaiters.advanceTo(ct + 1)
-	}
+	// the previous leader, exactly like a recovered log.
+	n.resetTables()
 	if f := n.cfg.Fault; f != nil && f.PromoteStale {
 		// Stale-serve fault: pretend the mirrored log ends just before
 		// PromoteStaleFrom. Reads of the tail are denied and the get/scan
@@ -394,7 +388,7 @@ func (n *Node) certifyTail(now int64) []wire.Envelope {
 // inherited from the previous one. The acknowledgement is rebuilt from
 // the containing block; if the block is certified the proof rides along,
 // otherwise the client is registered for proof forwarding.
-func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry, isPut bool) []wire.Envelope {
+func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry) []wire.Envelope {
 	pos, ok := n.log.SeenPos(e.Client, e.Seq)
 	if !ok {
 		return nil
@@ -413,25 +407,19 @@ func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry, isPut bool) []wire
 	if !ok {
 		// Still buffered: re-register the responder so the eventual block
 		// cut acknowledges this retry.
-		n.reqs.set(pos, reqInfo{client: e.Client, isPut: isPut})
+		n.reqs.Set(pos, e.Client)
 		return nil
 	}
 	digest, err := n.log.Digest(blk.ID)
 	if err != nil {
 		return nil
 	}
-	sig := wcrypto.SignBlockAck(n.key, blk.ID, digest)
-	var msg wire.Message
-	if isPut {
-		msg = &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: sig}
-	} else {
-		msg = &wire.AddResponse{BID: blk.ID, Block: *blk, EdgeSig: sig}
-	}
-	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: msg}}
+	ack := &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: wcrypto.SignBlockAck(n.key, blk.ID, digest)}
+	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: ack}}
 	if cert, ok := n.log.Cert(blk.ID); ok {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: cloneProof(&cert)})
 	} else {
-		n.readWaiters.add(blk.ID, from)
+		n.awaitProof(blk.ID, from)
 	}
 	return out
 }

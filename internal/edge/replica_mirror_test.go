@@ -60,7 +60,7 @@ func (p *replicaPair) cutBlock(t *testing.T, now int64, seq uint64) *wire.Replic
 		e := wire.Entry{Client: "c1", Seq: seq + i, Value: []byte{byte(seq), byte(i)}}
 		e.Sig = wcrypto.SignMsg(p.keys["c1"], &e)
 		out := p.leader.Receive(now, wire.Envelope{
-			From: "c1", To: "edge-1", Msg: &wire.AddRequest{Entry: e},
+			From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e},
 		})
 		for _, env := range out {
 			if m, ok := env.Msg.(*wire.ReplicateBlock); ok {

@@ -40,6 +40,7 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
+	retry     int64         // client RetryEvery; 0 = no transport retry
 	net       *faultnet.Net // link faults; nil = a clean network
 }
 
@@ -83,6 +84,7 @@ func newWorld(t *testing.T, o worldOpts) *world {
 			Cloud:           "cloud",
 			ProofTimeout:    o.proofTO,
 			FreshnessWindow: o.freshness,
+			RetryEvery:      o.retry,
 		}, keys[id], reg)
 	}
 	c1, c2 := mkClient("c1"), mkClient("c2")
@@ -427,7 +429,11 @@ func TestReservationMakesAddsIdempotent(t *testing.T) {
 	var start uint64
 	var granted bool
 	w.c1.SetReserveHandler(func(s uint64, n uint32) { start, granted = s, true })
-	w.sim.Inject(w.c1.Reserve(w.sim.Now(), 1))
+	reserve, err := w.c1.Reserve(w.sim.Now(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sim.Inject(reserve)
 	w.settle(t, 1*s)
 	if !granted {
 		t.Fatal("reservation not granted")
@@ -458,6 +464,40 @@ func TestReservationMakesAddsIdempotent(t *testing.T) {
 	}
 	if w.edge.Log().NumBlocks() != before {
 		t.Fatal("replay created new blocks")
+	}
+}
+
+// TestResentReservedAddLandsInItsSlot: the first send of an AddAt is lost;
+// the client's retry re-sends it for the position it reserved, so it fills
+// that slot — behind which later appends were already queued — instead of
+// joining the end of the log while the reservation blocks every cut until
+// it expires into a no-op.
+func TestResentReservedAddLandsInItsSlot(t *testing.T) {
+	w := newWorld(t, worldOpts{batch: 3, retry: 50 * ms})
+	var start uint64
+	w.c1.SetReserveHandler(func(s uint64, n uint32) { start = s })
+	reserve, err := w.c1.Reserve(w.sim.Now(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sim.Inject(reserve)
+	w.settle(t, 1*s)
+	op, _ := w.c1.AddAt(w.sim.Now(), []byte("reserved-entry"), start) // never injected: lost
+	w.add(w.c2, "later-1")
+	w.add(w.c2, "later-2")
+	w.sim.RunUntil(w.sim.Now() + 1*s) // past the retry deadline, short of ReserveTTL
+	if op.Phase != core.PhaseII {
+		t.Fatalf("reserved add phase = %v (err=%v) after %d re-sends", op.Phase, op.Err, w.c1.Stats().Resends)
+	}
+	blk, err := w.edge.Log().Block(op.BID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := blk.Entries[start-blk.StartPos]; string(got.Value) != "reserved-entry" || got.Pos != start+1 {
+		t.Fatalf("entry in the reserved slot = %+v", got)
+	}
+	if len(blk.Entries) != 3 || w.edge.Log().BufferLen() != 0 {
+		t.Fatalf("block holds %d entries, %d still buffered: the entry landed elsewhere", len(blk.Entries), w.edge.Log().BufferLen())
 	}
 }
 

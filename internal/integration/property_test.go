@@ -9,6 +9,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/wire"
 )
 
 // TestPropertyGetsMatchModelMap drives random interleavings of puts and
@@ -128,6 +129,11 @@ func TestPropertyEveryLieConvicted(t *testing.T) {
 			case "tamper-add", "tamper-read", "drop-certify":
 				if victim.Verdict == nil || !victim.Verdict.Guilty {
 					t.Fatalf("%s: victim verdict = %+v", lie, victim.Verdict)
+				}
+				// A tampered add is convicted on its PutResponse: the
+				// evidence shape every write's acknowledgement has.
+				if lie == "tamper-add" && victim.Verdict.Kind != wire.DisputeAddLie {
+					t.Fatalf("%s: convicted as %v", lie, victim.Verdict.Kind)
 				}
 			}
 		})

@@ -26,8 +26,6 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 // pool passes it on in Envelope.BlockDigest.
 func preVerify(r *Registry, env wire.Envelope) (ok bool, blockDigest []byte) {
 	switch m := env.Msg.(type) {
-	case *wire.AddResponse:
-		return preVerifyBlockAck(r, env.From, m.BID, &m.Block, m.EdgeSig)
 	case *wire.PutResponse:
 		return preVerifyBlockAck(r, env.From, m.BID, &m.Block, m.EdgeSig)
 	case *wire.ReplicateBlock:
@@ -53,8 +51,6 @@ func preVerifyBlockAck(r *Registry, signer wire.NodeID, bid uint64, blk *wire.Bl
 // preVerifySig covers the kinds whose check yields nothing worth keeping.
 func preVerifySig(r *Registry, env wire.Envelope) bool {
 	switch m := env.Msg.(type) {
-	case *wire.AddRequest:
-		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
 	case *wire.PutRequest:
 		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
 	case *wire.PutBatch:

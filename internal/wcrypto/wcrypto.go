@@ -279,9 +279,8 @@ func RecomputedBlockDigest(b *wire.Block) []byte {
 // SignBlockAck signs the size-independent block acknowledgement body
 // (BID + digest) for a block whose digest the caller already holds — the
 // edge's hot path, where the digest was cached at block cut. The resulting
-// signature verifies through the generic VerifyMsg path on AddResponse and
-// PutResponse, whose signable bodies recompute the digest from the block
-// they carry.
+// signature verifies through the generic VerifyMsg path on PutResponse,
+// whose signable body recomputes the digest from the block it carries.
 func SignBlockAck(k KeyPair, bid uint64, digest []byte) []byte {
 	e := wire.GetEncoder()
 	wire.AppendBlockAckBody(e, bid, digest)

@@ -176,8 +176,8 @@ func ackBlock(entries int) *wire.Block {
 // TestSignBlockAckMatchesGenericVerify pins the digest-signing contract:
 // the edge signs with the cached digest (SignBlockAck) and the signature
 // verifies through every path a receiver uses — the generic VerifyMsg on
-// AddResponse and PutResponse (which recompute the digest from the block)
-// and the digest-in-hand VerifyBlockAck.
+// PutResponse (which recomputes the digest from the block) and the
+// digest-in-hand VerifyBlockAck.
 func TestSignBlockAckMatchesGenericVerify(t *testing.T) {
 	k := DeterministicKey("edge-1")
 	reg := NewRegistry()
@@ -185,10 +185,6 @@ func TestSignBlockAckMatchesGenericVerify(t *testing.T) {
 	blk := ackBlock(3)
 
 	sig := SignBlockAck(k, blk.ID, blk.CachedDigest())
-	add := &wire.AddResponse{BID: blk.ID, Block: *blk, EdgeSig: sig}
-	if err := VerifyMsg(reg, k.ID, add, add.EdgeSig); err != nil {
-		t.Fatalf("AddResponse rejects digest-signed ack: %v", err)
-	}
 	put := &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: sig}
 	if err := VerifyMsg(reg, k.ID, put, put.EdgeSig); err != nil {
 		t.Fatalf("PutResponse rejects digest-signed ack: %v", err)
@@ -221,10 +217,6 @@ func TestAckSignatureBindsBlockBody(t *testing.T) {
 		t.Fatal("test setup: cache not poisoned")
 	}
 
-	add := &wire.AddResponse{BID: blk.ID, Block: poisoned, EdgeSig: sig}
-	if err := VerifyMsg(reg, k.ID, add, add.EdgeSig); err == nil {
-		t.Fatal("AddResponse with poisoned cache verified")
-	}
 	put := &wire.PutResponse{BID: blk.ID, Block: poisoned, EdgeSig: sig}
 	if err := VerifyMsg(reg, k.ID, put, put.EdgeSig); err == nil {
 		t.Fatal("PutResponse with poisoned cache verified")

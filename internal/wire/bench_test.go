@@ -9,7 +9,7 @@ import (
 // Micro-benchmarks for the wire layer's hot paths (`make bench-micro`).
 
 func benchEnvelope() Envelope {
-	return Envelope{From: "c1", To: "edge-1", Msg: &AddResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}}
+	return Envelope{From: "c1", To: "edge-1", Msg: &PutResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}}
 }
 
 func BenchmarkEncodeEnvelope(b *testing.B) {

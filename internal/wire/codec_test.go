@@ -267,6 +267,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(EncodeEnvelope(Envelope{From: "a", To: "b", Msg: m}))
 	}
+	for _, frame := range retiredFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)
 		if err != nil {

@@ -47,10 +47,10 @@ func (m *CatchUpRequest) DecodeFrom(d *Decoder) {
 
 // CatchUpItem is one block of a catch-up response. ServerSig is the
 // serving leader's signature over the block-ack body (BID ‖ digest) —
-// the same convicting evidence shape as AddResponse and ReplicateBlock —
+// the same convicting evidence shape as PutResponse and ReplicateBlock —
 // so the server vouches for what it ships: if the shipped block
 // contradicts a cloud certificate, the receiver repackages Block and
-// ServerSig as an AddResponse and files a DisputeAddLie. Certified
+// ServerSig as a PutResponse and files a DisputeAddLie. Certified
 // blocks carry their certificate so the receiver can verify and advance
 // its certified prefix without a cloud round-trip per block.
 type CatchUpItem struct {

@@ -1,10 +1,13 @@
 package wire
 
-// Messages of the LSMerkle key-value protocol (Section V).
+// The write path and the LSMerkle key-value protocol (Section V).
 
-// PutRequest applies a key-value write through the edge node's LSMerkle
-// index. The write is batched into a WedgeChain log block which doubles as
-// an L0 page, so puts inherit the lazy-certification lifecycle of adds.
+// PutRequest asks an edge node to append a signed entry to its log — the
+// one write message. An entry with a key is a key-value write through the
+// LSMerkle index (its log block doubles as an L0 page); an entry without
+// one is a plain log append, and one with Pos set lands in a reserved
+// position. The entry carries the client signature, so the request needs
+// none.
 type PutRequest struct {
 	Entry Entry
 }
@@ -18,8 +21,9 @@ func (m *PutRequest) EncodeTo(e *Encoder) { m.Entry.EncodeTo(e) }
 // DecodeFrom implements Message.
 func (m *PutRequest) DecodeFrom(d *Decoder) { m.Entry.DecodeFrom(d) }
 
-// PutResponse mirrors AddResponse for the key-value interface: the signed
-// block containing the put, establishing Phase I commit.
+// PutResponse is the edge node's signed promise that the client's entries
+// are part of block BID. It is the client's Phase I commit evidence: if the
+// certified block BID turns out to differ, this message convicts the edge.
 type PutResponse struct {
 	BID     uint64
 	Block   Block
@@ -39,8 +43,7 @@ func (m *PutResponse) EncodeTo(e *Encoder) {
 }
 
 // AppendBody appends the signable body: the size-independent block-ack
-// body (BID + block digest), byte-identical to AddResponse's so the edge's
-// one shared block-ack signature covers both response kinds.
+// body (BID + block digest), not the shipped encoding.
 func (m *PutResponse) AppendBody(e *Encoder) {
 	AppendBlockAckBody(e, m.BID, m.Block.BodyDigest())
 }

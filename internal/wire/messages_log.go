@@ -2,30 +2,8 @@ package wire
 
 // Messages of the WedgeChain logging protocol (Section IV).
 
-// AddRequest asks an edge node to append a signed entry to its log. The
-// entry itself carries the client signature, so the request needs none.
-type AddRequest struct {
-	Entry     Entry
-	WantBlock bool // if set, the edge returns the full block in AddResponse
-}
-
-// MsgKind implements Message.
-func (*AddRequest) MsgKind() Kind { return KindAddRequest }
-
-// EncodeTo implements Message.
-func (m *AddRequest) EncodeTo(e *Encoder) {
-	m.Entry.EncodeTo(e)
-	e.Bool(m.WantBlock)
-}
-
-// DecodeFrom implements Message.
-func (m *AddRequest) DecodeFrom(d *Decoder) {
-	m.Entry.DecodeFrom(d)
-	m.WantBlock = d.Bool()
-}
-
 // AppendBlockAckBody appends the signable body shared by every block
-// acknowledgement (AddResponse, PutResponse, and the block portion of
+// acknowledgement (PutResponse, ReplicateBlock, and the block portion of
 // ReadResponse): the block id plus the 32-byte block digest. Signing and
 // verifying this body is O(1) in block size — the full block still ships
 // on the wire, but the signature covers only its digest, which the digest's
@@ -36,50 +14,6 @@ func (m *AddRequest) DecodeFrom(d *Decoder) {
 func AppendBlockAckBody(e *Encoder, bid uint64, digest []byte) {
 	e.U64(bid)
 	e.Blob(digest)
-}
-
-// AddResponse is the edge node's signed promise that the client's entry is
-// part of block BID. It is the client's Phase I commit evidence: if the
-// certified block BID turns out not to contain the entry, this message
-// convicts the edge.
-type AddResponse struct {
-	BID     uint64
-	Block   Block // the block containing the entry
-	EdgeSig []byte
-
-	encSize int // cached encoded size; see sizeMemoized
-}
-
-// MsgKind implements Message.
-func (*AddResponse) MsgKind() Kind { return KindAddResponse }
-
-// EncodeTo implements Message.
-func (m *AddResponse) EncodeTo(e *Encoder) {
-	e.U64(m.BID)
-	m.Block.EncodeTo(e)
-	e.Blob(m.EdgeSig)
-}
-
-// AppendBody appends the signable body: the size-independent block-ack
-// body (BID + block digest), not the shipped encoding.
-func (m *AddResponse) AppendBody(e *Encoder) {
-	AppendBlockAckBody(e, m.BID, m.Block.BodyDigest())
-}
-
-// DecodeFrom implements Message.
-func (m *AddResponse) DecodeFrom(d *Decoder) {
-	m.BID = d.U64()
-	m.Block.DecodeFrom(d)
-	m.EdgeSig = d.Blob()
-	m.encSize = 0
-}
-
-func (m *AddResponse) encodedSizeMemo() int { return m.encSize }
-
-func (m *AddResponse) memoizeEncodedSize(n int) {
-	if m.Block.frozen() {
-		m.encSize = n
-	}
 }
 
 // BlockCertify is the data-free certification request from edge to cloud:
@@ -297,7 +231,7 @@ type DisputeKind uint8
 // Dispute kinds.
 const (
 	// DisputeAddLie: the edge promised the entry is in block BID
-	// (AddResponse evidence) but the certified block differs.
+	// (PutResponse evidence) but the certified block differs.
 	DisputeAddLie DisputeKind = iota + 1
 	// DisputeReadLie: the edge served block contents for BID
 	// (ReadResponse evidence) that differ from the certified block.
@@ -335,13 +269,13 @@ func (k DisputeKind) String() string {
 
 // Dispute carries a client's accusation with the signed edge response as
 // evidence. Evidence is the canonical EncodeMessage bytes of the signed
-// AddResponse or ReadResponse, so the cloud can independently verify the
+// PutResponse or ReadResponse, so the cloud can independently verify the
 // edge's signature over exactly what the client received.
 type Dispute struct {
 	Kind      DisputeKind
 	Edge      NodeID
 	BID       uint64
-	Evidence  []byte // EncodeMessage(AddResponse|ReadResponse)
+	Evidence  []byte // EncodeMessage of the signed edge response
 	Evidence2 []byte // omission: EncodeMessage(Gossip) proving the position is filled
 	ClientSig []byte
 }
@@ -413,6 +347,12 @@ func (m *Verdict) DecodeFrom(d *Decoder) {
 	m.Reason = d.Str()
 	m.CloudSig = d.Blob()
 }
+
+// MaxReserve is the most log positions one ReserveRequest may ask for. An
+// open reservation holds every later cut back until it is filled or
+// expires, so the edge refuses a larger Count and the client never sends
+// one.
+const MaxReserve = 1024
 
 // ReserveRequest implements the replay-protection extension of Section IV-E:
 // the client reserves Count consecutive log positions, then signs each entry

@@ -8,10 +8,10 @@ package wire
 
 // ReplicateBlock ships a frozen block from a shard leader to a follower.
 // LeaderSig signs the block-ack body (BID ‖ digest) — byte-for-byte the
-// same signable body as AddResponse/PutResponse — so replication is
+// same signable body as PutResponse — so replication is
 // Phase I evidence against the leader: a follower that later receives a
 // cloud certificate for the same BID with a different digest repackages
-// the replicated block and this signature as an AddResponse and files a
+// the replicated block and this signature as a PutResponse and files a
 // DisputeAddLie, convicting the equivocating leader through the existing
 // judge with no new adjudication code.
 type ReplicateBlock struct {
@@ -35,7 +35,7 @@ func (m *ReplicateBlock) EncodeTo(e *Encoder) {
 }
 
 // AppendBody appends the signable body: the size-independent block-ack
-// body shared with AddResponse/PutResponse.
+// body shared with PutResponse.
 func (m *ReplicateBlock) AppendBody(e *Encoder) {
 	AppendBlockAckBody(e, m.Block.ID, m.Block.BodyDigest())
 }

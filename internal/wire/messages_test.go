@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,8 +76,6 @@ func sampleMessages() []Message {
 	proof := BlockProof{Edge: "edge-1", BID: 12, Digest: randBytes(32), CloudSig: randBytes(64)}
 	global := SignedRoot{Edge: "edge-1", Epoch: 3, Root: randBytes(32), Ts: 123, CloudSig: randBytes(64)}
 	return []Message{
-		&AddRequest{Entry: sampleEntry(1), WantBlock: true},
-		&AddResponse{BID: 12, Block: blk, EdgeSig: randBytes(64)},
 		&BlockCertify{Edge: "edge-1", BID: 12, Digest: randBytes(32), EdgeSig: randBytes(64)},
 		&proof,
 		&ReadRequest{BID: 12, ReqID: 9},
@@ -214,8 +214,68 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	}
 	// Every kind in the registry must be covered by this test.
 	for k := KindInvalid + 1; k < kindEnd; k++ {
-		if !seen[k] {
+		if kinds[k].new != nil && !seen[k] {
 			t.Errorf("kind %v has no round-trip coverage", k)
+		}
+	}
+}
+
+// retiredFrames returns envelopes as binaries before kinds 1 and 2 were
+// retired framed them: a log-append request (an entry and a flag byte) and
+// its response (the PutResponse body).
+func retiredFrames() [][]byte {
+	req := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutRequest{Entry: sampleEntry(1)}})
+	req = append(req, 1)
+	resp := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}})
+	binary.BigEndian.PutUint16(req, 1)
+	binary.BigEndian.PutUint16(resp, 2)
+	return [][]byte{req, resp}
+}
+
+// TestKindNumbersPinned holds every kind to its number on the wire: a kind
+// is added at the end, a retired number (1, 2) stays unnamed and
+// undecodable, and nothing is ever renumbered.
+func TestKindNumbersPinned(t *testing.T) {
+	pinned := map[string]Kind{
+		"BlockCertify": 3, "BlockProof": 4, "ReadRequest": 5, "ReadResponse": 6,
+		"Gossip": 7, "Dispute": 8, "Verdict": 9, "ReserveRequest": 10, "ReserveResponse": 11,
+		"PutRequest": 12, "PutResponse": 13, "GetRequest": 14, "GetResponse": 15,
+		"MergeRequest": 16, "MergeResponse": 17,
+		"CloudPutRequest": 18, "CloudPutResponse": 19, "CloudGetRequest": 20, "CloudGetResponse": 21,
+		"EBPutRequest": 22, "EBPutResponse": 23, "EBStatePush": 24, "EBStateAck": 25,
+		"Ping": 26, "Pong": 27, "PutBatch": 28, "CloudPutBatch": 29, "EBPutBatch": 30,
+		"ShardMap": 31, "ScanRequest": 32, "ScanResponse": 33,
+		"ReplicateBlock": 34, "ReplicaHeartbeat": 35, "LeadershipTransfer": 36,
+		"CatchUpRequest": 37, "CatchUpBlocks": 38, "GroupJoin": 39, "FrontierRequest": 40,
+		"Overloaded": 41, "BlockCertifyBatch": 42, "BlockCertBatch": 43,
+	}
+	byNumber := map[Kind]string{}
+	for name, k := range pinned {
+		byNumber[k] = name
+	}
+	// String is total: the harness calls it for every value it may see.
+	for k := Kind(0); k < 64; k++ {
+		want, live := byNumber[k]
+		if !live {
+			want = fmt.Sprintf("Kind(%d)", uint16(k))
+		}
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint16(k), got, want)
+		}
+		m, err := newMessage(k)
+		if live != (err == nil) {
+			t.Errorf("newMessage(%d): err = %v, live = %v", uint16(k), err, live)
+		}
+		if err == nil && m.MsgKind() != k {
+			t.Errorf("row %d constructs a %v", uint16(k), m.MsgKind())
+		}
+	}
+	if int(kindEnd) != len(pinned)+3 {
+		t.Errorf("kindEnd = %d with %d kinds pinned: pin the new kind's number here", kindEnd, len(pinned))
+	}
+	for i, frame := range retiredFrames() {
+		if _, err := DecodeEnvelope(frame); err == nil {
+			t.Errorf("frame of retired kind %d decoded", i+1)
 		}
 	}
 }
@@ -239,7 +299,7 @@ func TestDecodeEnvelopeRejectsTrailing(t *testing.T) {
 }
 
 func TestDecodeEnvelopeRejectsTruncation(t *testing.T) {
-	enc := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &AddResponse{BID: 1, Block: sampleBlock()}})
+	enc := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutResponse{BID: 1, Block: sampleBlock()}})
 	for cut := 1; cut < len(enc); cut += 7 {
 		if _, err := DecodeEnvelope(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -252,7 +312,7 @@ func TestDecodeEnvelopeRejectsTruncation(t *testing.T) {
 // stops this package's tests from compiling.
 var _ = [...]BodyAppender{
 	(*Entry)(nil), (*SignedRoot)(nil),
-	(*AddResponse)(nil), (*BlockCertify)(nil), (*BlockProof)(nil), (*ReadResponse)(nil),
+	(*BlockCertify)(nil), (*BlockProof)(nil), (*ReadResponse)(nil),
 	(*Gossip)(nil), (*Dispute)(nil), (*Verdict)(nil), (*ReserveRequest)(nil), (*ReserveResponse)(nil),
 	(*PutResponse)(nil), (*GetResponse)(nil), (*MergeRequest)(nil), (*MergeResponse)(nil),
 	(*EBStatePush)(nil), (*EBStateAck)(nil), (*PutBatch)(nil), (*ShardMap)(nil), (*ScanResponse)(nil),
@@ -378,7 +438,7 @@ func TestBlockCanonicalStable(t *testing.T) {
 
 func TestMessageSizeAccounting(t *testing.T) {
 	small := Envelope{From: "a", To: "b", Msg: &BlockCertify{Edge: "e", BID: 1, Digest: randBytes(32), EdgeSig: randBytes(64)}}
-	big := Envelope{From: "a", To: "b", Msg: &AddResponse{BID: 1, Block: sampleBlock(), EdgeSig: randBytes(64)}}
+	big := Envelope{From: "a", To: "b", Msg: &PutResponse{BID: 1, Block: sampleBlock(), EdgeSig: randBytes(64)}}
 	if EncodedSize(small) >= EncodedSize(big) {
 		t.Fatalf("digest-only certify (%d B) should be smaller than block response (%d B)",
 			EncodedSize(small), EncodedSize(big))

@@ -17,7 +17,6 @@ func TestEncodedSizeMemoMatchesRecount(t *testing.T) {
 	frozen.Freeze()
 	proof := BlockProof{Edge: "edge-1", BID: 12, Digest: randBytes(32), CloudSig: randBytes(64)}
 	msgs := []Message{
-		&AddResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)},
 		&PutResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)},
 		&ReadResponse{ReqID: 1, BID: 12, OK: true, Block: frozen, HasProof: true, Proof: proof, EdgeSig: randBytes(64)},
 	}
@@ -46,7 +45,7 @@ func TestEncodedSizeMemoMatchesRecount(t *testing.T) {
 // tampering — must keep recounting, so a later mutation can never be
 // served a stale size.
 func TestEncodedSizeMemoRefusesUnfrozen(t *testing.T) {
-	m := &AddResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}
+	m := &PutResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}
 	env := Envelope{From: "edge-1", To: "c1", Msg: m}
 	before := EncodedSize(env)
 	if m.encodedSizeMemo() != 0 {
@@ -63,7 +62,7 @@ func TestEncodedSizeMemoRefusesUnfrozen(t *testing.T) {
 func TestEncodedSizeMemoResetOnDecode(t *testing.T) {
 	frozen := sampleBlock()
 	frozen.Freeze()
-	m := &AddResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)}
+	m := &PutResponse{BID: 12, Block: frozen, EdgeSig: randBytes(64)}
 	EncodedSize(Envelope{From: "a", To: "b", Msg: m})
 	if m.encodedSizeMemo() == 0 {
 		t.Fatal("setup: memo not populated")
@@ -73,7 +72,7 @@ func TestEncodedSizeMemoResetOnDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Msg.(*AddResponse).encodedSizeMemo() != 0 {
+	if got.Msg.(*PutResponse).encodedSizeMemo() != 0 {
 		t.Fatal("decode left a stale size memo")
 	}
 }
@@ -84,7 +83,7 @@ func TestEncodedSizeMemoResetOnDecode(t *testing.T) {
 func BenchmarkEncodedSizeFrozenMemo(b *testing.B) {
 	blk := sampleBlock()
 	blk.Freeze()
-	env := Envelope{From: "edge-1", To: "c1", Msg: &AddResponse{BID: 12, Block: blk, EdgeSig: randBytes(64)}}
+	env := Envelope{From: "edge-1", To: "c1", Msg: &PutResponse{BID: 12, Block: blk, EdgeSig: randBytes(64)}}
 	EncodedSize(env) // warm the memo
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +96,7 @@ func BenchmarkEncodedSizeFrozenMemo(b *testing.B) {
 func BenchmarkEncodedSizeFrozenRecount(b *testing.B) {
 	blk := sampleBlock()
 	blk.Freeze()
-	m := &AddResponse{BID: 12, Block: blk, EdgeSig: randBytes(64)}
+	m := &PutResponse{BID: 12, Block: blk, EdgeSig: randBytes(64)}
 	env := Envelope{From: "edge-1", To: "c1", Msg: m}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -13,13 +13,17 @@ type NodeID string
 // Kind discriminates message types on the wire.
 type Kind uint16
 
-// Message kinds. Values are part of the wire format; append only.
+// Message kinds. Values are part of the wire format: append only, and a
+// retired value is never reused (TestKindNumbersPinned holds every number).
 const (
 	KindInvalid Kind = iota
 
+	// 1 and 2 are retired: they were the log-append request and response
+	// before an append became a PutRequest whose entry has no key.
+	_
+	_
+
 	// Logging protocol (Section IV).
-	KindAddRequest
-	KindAddResponse
 	KindBlockCertify
 	KindBlockProof
 	KindReadRequest
@@ -30,7 +34,8 @@ const (
 	KindReserveRequest
 	KindReserveResponse
 
-	// LSMerkle key-value protocol (Section V).
+	// LSMerkle key-value protocol (Section V); PutRequest/PutResponse are
+	// the write path of the logging protocol too.
 	KindPutRequest
 	KindPutResponse
 	KindGetRequest
@@ -86,60 +91,71 @@ const (
 	kindEnd // sentinel; keep last
 )
 
-var kindNames = map[Kind]string{
-	KindAddRequest:       "AddRequest",
-	KindAddResponse:      "AddResponse",
-	KindBlockCertify:     "BlockCertify",
-	KindBlockProof:       "BlockProof",
-	KindReadRequest:      "ReadRequest",
-	KindReadResponse:     "ReadResponse",
-	KindGossip:           "Gossip",
-	KindDispute:          "Dispute",
-	KindVerdict:          "Verdict",
-	KindReserveRequest:   "ReserveRequest",
-	KindReserveResponse:  "ReserveResponse",
-	KindPutRequest:       "PutRequest",
-	KindPutResponse:      "PutResponse",
-	KindGetRequest:       "GetRequest",
-	KindGetResponse:      "GetResponse",
-	KindMergeRequest:     "MergeRequest",
-	KindMergeResponse:    "MergeResponse",
-	KindCloudPutRequest:  "CloudPutRequest",
-	KindCloudPutResponse: "CloudPutResponse",
-	KindCloudGetRequest:  "CloudGetRequest",
-	KindCloudGetResponse: "CloudGetResponse",
-	KindEBPutRequest:     "EBPutRequest",
-	KindEBPutResponse:    "EBPutResponse",
-	KindEBStatePush:      "EBStatePush",
-	KindEBStateAck:       "EBStateAck",
-	KindPing:             "Ping",
-	KindPong:             "Pong",
-	KindPutBatch:         "PutBatch",
-	KindCloudPutBatch:    "CloudPutBatch",
-	KindEBPutBatch:       "EBPutBatch",
-	KindShardMap:         "ShardMap",
-	KindScanRequest:      "ScanRequest",
-	KindScanResponse:     "ScanResponse",
+// kindOf builds a kind's table row: its name and the constructor of the
+// empty message DecodeFrom fills.
+func kindOf[T any, P interface {
+	*T
+	Message
+}](name string) kindInfo {
+	return kindInfo{name: name, new: func() Message { return P(new(T)) }}
+}
 
-	KindReplicateBlock:     "ReplicateBlock",
-	KindReplicaHeartbeat:   "ReplicaHeartbeat",
-	KindLeadershipTransfer: "LeadershipTransfer",
+type kindInfo struct {
+	name string
+	new  func() Message
+}
 
-	KindCatchUpRequest:  "CatchUpRequest",
-	KindCatchUpBlocks:   "CatchUpBlocks",
-	KindGroupJoin:       "GroupJoin",
-	KindFrontierRequest: "FrontierRequest",
-
-	KindOverloaded: "Overloaded",
-
-	KindBlockCertifyBatch: "BlockCertifyBatch",
-	KindBlockCertBatch:    "BlockCertBatch",
+// kinds is the one declaration of every live kind beside its constant; a
+// value without a row — retired, or never assigned — has no name and does
+// not decode.
+var kinds = [kindEnd]kindInfo{
+	KindBlockCertify:       kindOf[BlockCertify]("BlockCertify"),
+	KindBlockProof:         kindOf[BlockProof]("BlockProof"),
+	KindReadRequest:        kindOf[ReadRequest]("ReadRequest"),
+	KindReadResponse:       kindOf[ReadResponse]("ReadResponse"),
+	KindGossip:             kindOf[Gossip]("Gossip"),
+	KindDispute:            kindOf[Dispute]("Dispute"),
+	KindVerdict:            kindOf[Verdict]("Verdict"),
+	KindReserveRequest:     kindOf[ReserveRequest]("ReserveRequest"),
+	KindReserveResponse:    kindOf[ReserveResponse]("ReserveResponse"),
+	KindPutRequest:         kindOf[PutRequest]("PutRequest"),
+	KindPutResponse:        kindOf[PutResponse]("PutResponse"),
+	KindGetRequest:         kindOf[GetRequest]("GetRequest"),
+	KindGetResponse:        kindOf[GetResponse]("GetResponse"),
+	KindMergeRequest:       kindOf[MergeRequest]("MergeRequest"),
+	KindMergeResponse:      kindOf[MergeResponse]("MergeResponse"),
+	KindCloudPutRequest:    kindOf[CloudPutRequest]("CloudPutRequest"),
+	KindCloudPutResponse:   kindOf[CloudPutResponse]("CloudPutResponse"),
+	KindCloudGetRequest:    kindOf[CloudGetRequest]("CloudGetRequest"),
+	KindCloudGetResponse:   kindOf[CloudGetResponse]("CloudGetResponse"),
+	KindEBPutRequest:       kindOf[EBPutRequest]("EBPutRequest"),
+	KindEBPutResponse:      kindOf[EBPutResponse]("EBPutResponse"),
+	KindEBStatePush:        kindOf[EBStatePush]("EBStatePush"),
+	KindEBStateAck:         kindOf[EBStateAck]("EBStateAck"),
+	KindPing:               kindOf[Ping]("Ping"),
+	KindPong:               kindOf[Pong]("Pong"),
+	KindPutBatch:           kindOf[PutBatch]("PutBatch"),
+	KindCloudPutBatch:      kindOf[CloudPutBatch]("CloudPutBatch"),
+	KindEBPutBatch:         kindOf[EBPutBatch]("EBPutBatch"),
+	KindShardMap:           kindOf[ShardMap]("ShardMap"),
+	KindScanRequest:        kindOf[ScanRequest]("ScanRequest"),
+	KindScanResponse:       kindOf[ScanResponse]("ScanResponse"),
+	KindReplicateBlock:     kindOf[ReplicateBlock]("ReplicateBlock"),
+	KindReplicaHeartbeat:   kindOf[ReplicaHeartbeat]("ReplicaHeartbeat"),
+	KindLeadershipTransfer: kindOf[LeadershipTransfer]("LeadershipTransfer"),
+	KindCatchUpRequest:     kindOf[CatchUpRequest]("CatchUpRequest"),
+	KindCatchUpBlocks:      kindOf[CatchUpBlocks]("CatchUpBlocks"),
+	KindGroupJoin:          kindOf[GroupJoin]("GroupJoin"),
+	KindFrontierRequest:    kindOf[FrontierRequest]("FrontierRequest"),
+	KindOverloaded:         kindOf[Overloaded]("Overloaded"),
+	KindBlockCertifyBatch:  kindOf[BlockCertifyBatch]("BlockCertifyBatch"),
+	KindBlockCertBatch:     kindOf[BlockCertBatch]("BlockCertBatch"),
 }
 
 // String returns the human-readable name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < kindEnd && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint16(k))
 }
@@ -173,96 +189,10 @@ type Message interface {
 
 // newMessage constructs an empty message of the given kind for decoding.
 func newMessage(k Kind) (Message, error) {
-	switch k {
-	case KindAddRequest:
-		return &AddRequest{}, nil
-	case KindAddResponse:
-		return &AddResponse{}, nil
-	case KindBlockCertify:
-		return &BlockCertify{}, nil
-	case KindBlockProof:
-		return &BlockProof{}, nil
-	case KindReadRequest:
-		return &ReadRequest{}, nil
-	case KindReadResponse:
-		return &ReadResponse{}, nil
-	case KindGossip:
-		return &Gossip{}, nil
-	case KindDispute:
-		return &Dispute{}, nil
-	case KindVerdict:
-		return &Verdict{}, nil
-	case KindReserveRequest:
-		return &ReserveRequest{}, nil
-	case KindReserveResponse:
-		return &ReserveResponse{}, nil
-	case KindPutRequest:
-		return &PutRequest{}, nil
-	case KindPutResponse:
-		return &PutResponse{}, nil
-	case KindGetRequest:
-		return &GetRequest{}, nil
-	case KindGetResponse:
-		return &GetResponse{}, nil
-	case KindMergeRequest:
-		return &MergeRequest{}, nil
-	case KindMergeResponse:
-		return &MergeResponse{}, nil
-	case KindCloudPutRequest:
-		return &CloudPutRequest{}, nil
-	case KindCloudPutResponse:
-		return &CloudPutResponse{}, nil
-	case KindCloudGetRequest:
-		return &CloudGetRequest{}, nil
-	case KindCloudGetResponse:
-		return &CloudGetResponse{}, nil
-	case KindEBPutRequest:
-		return &EBPutRequest{}, nil
-	case KindEBPutResponse:
-		return &EBPutResponse{}, nil
-	case KindEBStatePush:
-		return &EBStatePush{}, nil
-	case KindEBStateAck:
-		return &EBStateAck{}, nil
-	case KindPing:
-		return &Ping{}, nil
-	case KindPong:
-		return &Pong{}, nil
-	case KindPutBatch:
-		return &PutBatch{}, nil
-	case KindCloudPutBatch:
-		return &CloudPutBatch{}, nil
-	case KindEBPutBatch:
-		return &EBPutBatch{}, nil
-	case KindShardMap:
-		return &ShardMap{}, nil
-	case KindScanRequest:
-		return &ScanRequest{}, nil
-	case KindScanResponse:
-		return &ScanResponse{}, nil
-	case KindReplicateBlock:
-		return &ReplicateBlock{}, nil
-	case KindReplicaHeartbeat:
-		return &ReplicaHeartbeat{}, nil
-	case KindLeadershipTransfer:
-		return &LeadershipTransfer{}, nil
-	case KindCatchUpRequest:
-		return &CatchUpRequest{}, nil
-	case KindCatchUpBlocks:
-		return &CatchUpBlocks{}, nil
-	case KindGroupJoin:
-		return &GroupJoin{}, nil
-	case KindFrontierRequest:
-		return &FrontierRequest{}, nil
-	case KindOverloaded:
-		return &Overloaded{}, nil
-	case KindBlockCertifyBatch:
-		return &BlockCertifyBatch{}, nil
-	case KindBlockCertBatch:
-		return &BlockCertBatch{}, nil
-	default:
+	if k >= kindEnd || kinds[k].new == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %d", uint16(k))
 	}
+	return kinds[k].new(), nil
 }
 
 // Envelope is a routed message: the unit the transports and the simulator
@@ -280,8 +210,8 @@ type Envelope struct {
 	// optimization hint, never a correctness requirement.
 	Verified bool
 	// BlockDigest accompanies Verified on the messages that carry one
-	// whole block under a signature over its digest (AddResponse,
-	// PutResponse, ReadResponse, ReplicateBlock): the digest the stage
+	// whole block under a signature over its digest (PutResponse,
+	// ReadResponse, ReplicateBlock): the digest the stage
 	// recomputed from the received fields and checked the signature over,
 	// so the handler does not hash the block a second time. It rides the
 	// envelope, not the message: in-process transports deliver one message

@@ -189,6 +189,9 @@ func TestClusterReservationAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cl.Reserve(1<<20, 5*time.Second); !errors.Is(err, ErrReserveTooLarge) {
+		t.Fatalf("oversized Reserve = %v, want ErrReserveTooLarge", err)
+	}
 	start, err := cl.Reserve(1, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
