@@ -19,20 +19,18 @@ func sampleValue(c *Cluster, name string) float64 {
 	return total
 }
 
-// TestClusterBatchedCertification runs the full stack with every PR-10
-// knob on — batched certificates both directions, precheck workers, the
-// verdict cache default, and a fast anti-entropy auditor — and checks
-// that Phase II completes for every write, reads round-trip, certificate
-// batches actually flowed, the auditor swept cleanly, and nobody honest
-// was convicted.
+// TestClusterBatchedCertification runs the full stack with batched
+// certificates both directions, the verdict cache default and a fast
+// anti-entropy auditor, and checks that Phase II completes for every
+// write, reads round-trip, certificate batches actually flowed, the
+// auditor swept cleanly, and nobody honest was convicted.
 func TestClusterBatchedCertification(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Edges:       1,
-		BatchSize:   2,
-		CertBatch:   4,
-		CertWorkers: 2,
-		AuditEvery:  20 * time.Millisecond,
-		FlushEvery:  5 * time.Millisecond,
+		Edges:      1,
+		BatchSize:  2,
+		CertBatch:  4,
+		AuditEvery: 20 * time.Millisecond,
+		FlushEvery: 5 * time.Millisecond,
 	})
 	cl, err := c.NewClient("c1", EdgeID(1))
 	if err != nil {

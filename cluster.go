@@ -140,7 +140,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		GossipEvery:  cfg.GossipEvery.Nanoseconds(),
 		LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
 		CertTimeout:  cfg.CertTimeout.Nanoseconds(),
-		CertWorkers:  cfg.CertWorkers,
 		CertBatch:    cfg.CertBatch,
 		AuditEvery:   cfg.AuditEvery.Nanoseconds(),
 		Metrics:      cfg.Metrics,
@@ -149,13 +148,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// edge. For direct gossip, clients are registered below.
 	}, ck, c.reg)
 	if cfg.ReplicasPerShard > 1 {
-		// Declare the groups and hand over the signed map before the
-		// transport starts, so the failure detectors and map re-signing
-		// know every chain from the first tick.
+		// Declare the groups before the transport starts, so the failure
+		// detectors know every chain from the first tick.
 		for _, lid := range edgeIDs {
 			c.cloud.RegisterGroup(lid, lid, followers[lid])
 		}
-		c.cloud.InstallShardMap(c.wireMap)
 	}
 	c.net.Add(c.cloud)
 

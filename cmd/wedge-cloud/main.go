@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -24,7 +25,6 @@ import (
 	"wedgechain/cmd/internal/cli"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/transport"
 	"wedgechain/internal/wire"
 )
@@ -44,9 +44,8 @@ func main() {
 		certTO = flag.Duration("cert-timeout", 3*time.Second, "certification-stall bound before leadership transfer")
 
 		// Certification at scale (see docs/RUNBOOK.md).
-		certWorkers = flag.Int("cert-workers", 0, "certification precheck workers (0 = inline prechecks)")
-		certBatch   = flag.Int("cert-batch", 1, "blocks covered per batched certificate signature (<=1 = per-block proofs)")
-		auditEvery  = flag.Duration("audit-every", 0, "anti-entropy audit sweep period (0 disables)")
+		certBatch  = flag.Int("cert-batch", 1, "blocks covered per batched certificate signature (<=1 = per-block proofs)")
+		auditEvery = flag.Duration("audit-every", 0, "anti-entropy audit sweep period (0 disables)")
 
 		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
 		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
@@ -67,7 +66,7 @@ func main() {
 	for p := range peerMap {
 		gossipTo = append(gossipTo, p)
 	}
-	logger := olog.New(os.Stderr, olog.LevelInfo)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	metrics := obs.Default()
 	ccfg := cloud.Config{
 		ID:           wire.NodeID(*id),
@@ -77,7 +76,6 @@ func main() {
 		GossipTo:     gossipTo,
 		LeaseTimeout: lease.Nanoseconds(),
 		CertTimeout:  certTO.Nanoseconds(),
-		CertWorkers:  *certWorkers,
 		CertBatch:    *certBatch,
 		AuditEvery:   auditEvery.Nanoseconds(),
 		Logger:       logger,

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -18,7 +19,6 @@ import (
 	"wedgechain/cmd/internal/cli"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/transport"
 	"wedgechain/internal/wire"
 )
@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	logger := olog.New(os.Stderr, olog.LevelInfo)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	metrics := obs.Default()
 	cfg := edge.Config{
 		ID:              wire.NodeID(*id),

@@ -92,8 +92,6 @@ func (s *Server) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return out
 	case *wire.CloudGetRequest:
 		return s.handleGet(now, env.From, m)
-	case *wire.Ping:
-		return []wire.Envelope{{From: s.cfg.ID, To: env.From, Msg: &wire.Pong{Seq: m.Seq, Ts: m.Ts}}}
 	default:
 		return nil
 	}

@@ -64,8 +64,6 @@ func (e *Edge) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return e.handleGet(now, env.From, m)
 	case *wire.ReadRequest:
 		return e.handleRead(now, env.From, m)
-	case *wire.Ping:
-		return []wire.Envelope{{From: e.cfg.ID, To: env.From, Msg: &wire.Pong{Seq: m.Seq, Ts: m.Ts}}}
 	default:
 		return nil
 	}

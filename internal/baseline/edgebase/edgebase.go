@@ -124,8 +124,6 @@ func (c *Cloud) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return out
 	case *wire.EBStateAck:
 		return c.handleAck(now, env.From, m)
-	case *wire.Ping:
-		return []wire.Envelope{{From: c.cfg.ID, To: env.From, Msg: &wire.Pong{Seq: m.Seq, Ts: m.Ts}}}
 	default:
 		return nil
 	}

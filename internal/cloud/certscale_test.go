@@ -13,8 +13,8 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// Certification-at-scale tests: batched certificates, the precheck
-// pipeline, the verdict cache, and the anti-entropy auditor.
+// Certification-at-scale tests: batched certificates, same-turn
+// certification, the verdict cache, and the anti-entropy auditor.
 
 // TestCertifyHistogramObservesBothPaths pins the satellite fix: the
 // certify-latency histogram must record a sample whether or not the
@@ -229,26 +229,33 @@ func TestCertifyBatchBadSignatureRejected(t *testing.T) {
 	}
 }
 
-// TestCertWorkersPipelineDrains: with a worker pool the prechecks run off
-// the node goroutine; Receive+Tick eventually apply every certification
-// in bid order, and defaults stay byte-compatible (per-block proofs).
-func TestCertWorkersPipelineDrains(t *testing.T) {
+// TestCertifyAnsweredInSameTurn: certification runs on the node's own
+// turn, so the certificate is among the outputs of the Receive that
+// carried the certify — pre-verified or checked inline, single or batch.
+// CertWorkers is set to show that nothing reads it.
+func TestCertifyAnsweredInSameTurn(t *testing.T) {
 	f := newFixture(t, Config{CertWorkers: 2})
-	defer f.node.Close()
-	const blocks = 16
-	for i := 0; i < blocks; i++ {
-		f.certify(t, uint64(i), wcrypto.Digest([]byte{byte(i)}))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.node.Stats().Certifies < blocks {
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline drained %d/%d certifies", f.node.Stats().Certifies, blocks)
+	for bid, verified := range []bool{true, false} {
+		m := &wire.BlockCertify{Edge: "edge-1", BID: uint64(bid), Digest: wcrypto.Digest([]byte{byte(bid)})}
+		m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+		out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m, Verified: verified})
+		if len(out) != 1 {
+			t.Fatalf("verified=%v: %d outputs, want the proof", verified, len(out))
 		}
-		f.node.Tick(2)
-		time.Sleep(time.Millisecond)
+		if p, ok := out[0].Msg.(*wire.BlockProof); !ok || p.BID != uint64(bid) {
+			t.Fatalf("verified=%v: output %T %+v, want the proof for block %d", verified, out[0].Msg, out[0].Msg, bid)
+		}
 	}
-	if s := f.node.Stats(); s.ProofSigns != blocks {
-		t.Fatalf("ProofSigns = %d, want %d (CertBatch default keeps per-block proofs)", s.ProofSigns, blocks)
+
+	fb := newFixture(t, Config{CertWorkers: 2, CertBatch: 4})
+	m := &wire.BlockCertifyBatch{Edge: "edge-1", Start: 0}
+	for i := 0; i < 4; i++ {
+		m.Digests = append(m.Digests, wcrypto.Digest([]byte{byte(i)}))
+	}
+	m.EdgeSig = wcrypto.SignMsg(fb.keys["edge-1"], m)
+	out := fb.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m, Verified: true})
+	if b := batchOf(out); b == nil || b.Start != 0 || len(b.Digests) != 4 {
+		t.Fatalf("batch that fills a run: outputs %v, want one BlockCertBatch of 4", out)
 	}
 }
 

@@ -13,13 +13,13 @@ package cloud
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/merkle"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -45,11 +45,9 @@ type Config struct {
 	// (crashed after replication, or deliberately starving Phase II) and
 	// fails over.
 	CertTimeout int64
-	// CertWorkers sizes the certification precheck pipeline: signature
-	// checks and full-data decodes run on this many worker goroutines,
-	// per-chain FIFO, while certs.Certify stays on the node goroutine.
-	// 0 (the default) keeps the fully inline, deterministic path; a
-	// node with workers must be Close()d.
+	// CertWorkers is read by nothing: certification runs on the node's
+	// own turn, behind the transport's verify stage. The field remains
+	// only because the macro benchmark's harness still sets it.
 	CertWorkers int
 	// CertBatch caps the contiguous run of accepted certifications one
 	// cloud signature covers (wire.BlockCertBatch). <= 1 (the default)
@@ -62,7 +60,7 @@ type Config struct {
 	// 0 disables the auditor (the default).
 	AuditEvery int64
 	// Logger receives operational events; nil disables logging.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// Metrics, when non-nil, is the registry this node's series live in.
 	// Counters and histograms back Stats() and observe either way; a
 	// nil registry just keeps them private.
@@ -81,9 +79,6 @@ func (c *Config) fill() {
 	}
 	if c.CertTimeout <= 0 {
 		c.CertTimeout = int64(3e9)
-	}
-	if c.CertWorkers < 0 {
-		c.CertWorkers = 0
 	}
 	if c.CertBatch < 1 {
 		c.CertBatch = 1
@@ -145,17 +140,13 @@ type Node struct {
 	// tracked (the legacy single-node shard).
 	chains    map[wire.NodeID]*chainState
 	nodeChain map[wire.NodeID]wire.NodeID
-	shardMap  *wire.ShardMap // current signed routing map, re-signed on transfer
-	mapChains []wire.NodeID  // per-shard chain identity (the map's original Edges)
 
 	lastGossip int64
 	m          *metrics
 
-	// Certification scale-out (pipeline.go, auditor.go). pipe is nil
-	// with CertWorkers 0; pendingRuns holds each chain's outbound
-	// certificate batch under construction; aud is nil unless
-	// AuditEvery > 0.
-	pipe        *certPipeline
+	// Certification scale-out (certbatch.go, auditor.go). pendingRuns
+	// holds each chain's outbound certificate batch under construction;
+	// aud is nil unless AuditEvery > 0.
 	pendingRuns map[wire.NodeID]*certRun
 	vcache      *verdictCache
 	aud         *auditor
@@ -197,8 +188,8 @@ type Stats struct {
 	AuditMismatches uint64
 }
 
-// New constructs a cloud node. Nodes with CertWorkers > 0 or
-// AuditEvery > 0 own goroutines and must be Close()d.
+// New constructs a cloud node. A node with AuditEvery > 0 owns the
+// auditor's goroutine and must be Close()d.
 func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	cfg.fill()
 	n := &Node{
@@ -214,9 +205,6 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		vcache:      newVerdictCache(),
 		m:           newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
-	if cfg.CertWorkers > 0 {
-		n.pipe = newCertPipeline(reg, cfg.CertWorkers)
-	}
 	if cfg.AuditEvery > 0 {
 		n.aud = newAuditor(n.m.auditRounds, n.m.auditMismatches, n.logf)
 		n.aud.start(time.Duration(cfg.AuditEvery))
@@ -224,13 +212,9 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	return n
 }
 
-// Close stops the certification pipeline workers and the anti-entropy
-// auditor. Idempotent; a node built without either is a no-op.
+// Close stops the anti-entropy auditor. Idempotent; a no-op on a node
+// built without one.
 func (n *Node) Close() {
-	if n.pipe != nil {
-		n.pipe.close()
-		n.pipe = nil
-	}
 	if n.aud != nil {
 		n.aud.stopAuditor()
 	}
@@ -313,16 +297,14 @@ func (n *Node) edge(id wire.NodeID) *edgeState {
 func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.BlockCertify:
-		// Both branches of the old enabled-gate observed here skipped
-		// the histogram on the fast path; the histogram is now always
-		// allocated, so every certify observes.
+		// Every certify observes, pre-verified or not.
 		t0 := time.Now()
-		out := n.certifyIngress(now, env.From, &certJob{from: env.From, single: m, verified: env.Verified})
+		out := n.applyCertify(now, env.From, m, env.Verified)
 		n.m.certify.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.BlockCertifyBatch:
 		t0 := time.Now()
-		out := n.certifyIngress(now, env.From, &certJob{from: env.From, batch: m, verified: env.Verified})
+		out := n.applyCertifyBatch(now, env.From, m, env.Verified)
 		n.m.certify.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.MergeRequest:
@@ -334,8 +316,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return n.handleHeartbeat(now, env.From, m, env.Verified)
 	case *wire.FrontierRequest:
 		return n.handleFrontier(now, env.From, m)
-	case *wire.Ping:
-		return []wire.Envelope{{From: n.cfg.ID, To: env.From, Msg: &wire.Pong{Seq: m.Seq, Ts: m.Ts}}}
 	default:
 		return nil
 	}
@@ -347,11 +327,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // banned shard — while sibling shards' gossip continues undisturbed.
 func (n *Node) Tick(now int64) []wire.Envelope {
 	out := n.tickFailover(now)
-	if n.pipe != nil {
-		// Drain prechecked certifications: a lull in traffic must not
-		// strand completed jobs in the pipeline.
-		out = append(out, n.drainPipe(now)...)
-	}
 	// Flush partial certificate batches: a pending run waits at most
 	// one tick for more accepts before its signature is spent.
 	out = append(out, n.flushRuns()...)
@@ -382,43 +357,13 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 	return out
 }
 
-// certifyIngress is the certification front door. With CertWorkers 0
-// the precheck (signature, full-data decode) runs inline and the job
-// applies immediately — the legacy serial path. With workers the job
-// enters the pipeline and whatever prechecked jobs are ready apply now;
-// the rest surface on later Receives or the next Tick.
-func (n *Node) certifyIngress(now int64, from wire.NodeID, j *certJob) []wire.Envelope {
-	if n.pipe == nil {
-		j.precheck(n.reg)
-		return n.applyCert(now, j)
-	}
-	n.pipe.enqueue(j)
-	return n.drainPipe(now)
-}
-
-// drainPipe applies every prechecked job whose chain lane has it at the
-// head. Node goroutine only.
-func (n *Node) drainPipe(now int64) []wire.Envelope {
-	var out []wire.Envelope
-	for _, j := range n.pipe.ready() {
-		out = append(out, n.applyCert(now, j)...)
-	}
-	return out
-}
-
-func (n *Node) applyCert(now int64, j *certJob) []wire.Envelope {
-	if j.single != nil {
-		return n.applyCertify(now, j.from, j.single, j.sigOK, j.bodyOK)
-	}
-	return n.applyCertifyBatch(now, j.from, j.batch, j.sigOK)
-}
-
 // applyCertify implements the cloud algorithm of Section IV-D: sign the
 // first digest reported for (edge, bid); flag the edge on any conflicting
-// report. Certification is data-free — this handler never sees the block.
-// sigOK and bodyOK carry the precheck results (inline or pipelined); all
-// state-dependent checks happen here, on the node goroutine.
-func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, sigOK, bodyOK bool) []wire.Envelope {
+// report. Certification is data-free — this handler never sees the block,
+// unless the edge runs full-data certification and ships it. verified
+// means a verify stage in front of the node already checked the edge's
+// signature; otherwise it is checked here.
+func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, verified bool) []wire.Envelope {
 	// m.Edge names the chain; only the chain's current leader may certify
 	// under it. For ungrouped chains leaderOf is the identity map, so the
 	// legacy from == m.Edge check is preserved exactly.
@@ -428,11 +373,11 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, s
 	if _, banned := n.punish.Banned(from); banned {
 		return nil
 	}
-	if !sigOK {
+	if !verified && wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
 		n.logf("dropping certify with bad signature", "edge", from)
 		return nil
 	}
-	if !bodyOK {
+	if len(m.Body) > 0 && !fullDataBodyMatches(m) {
 		// Full-data mode: the shipped body must decode to a block whose
 		// recomputed digest (the key-ordered Merkle root over its entries)
 		// is the claimed one; a mismatch is an immediately provable lie.
@@ -453,11 +398,11 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, s
 // conflicting digest inside a batch convicts just as a single certify
 // would — and freezes the rest of the run, since the edge is banned the
 // moment the verdict lands.
-func (n *Node) applyCertifyBatch(now int64, from wire.NodeID, m *wire.BlockCertifyBatch, sigOK bool) []wire.Envelope {
+func (n *Node) applyCertifyBatch(now int64, from wire.NodeID, m *wire.BlockCertifyBatch, verified bool) []wire.Envelope {
 	if from != n.leaderOf(m.Edge) {
 		return nil
 	}
-	if !sigOK {
+	if !verified && wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
 		n.logf("dropping certify batch with bad signature", "edge", from)
 		return nil
 	}

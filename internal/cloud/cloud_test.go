@@ -460,3 +460,44 @@ func TestMergeConvictsCachePoisonedBlock(t *testing.T) {
 		t.Fatal("cache poisoning not convicted")
 	}
 }
+
+// TestTransferReachesGossipTargetsWithoutShardMap: clients rebind on the
+// signed LeadershipTransfer, so a transfer sends it to the group and to
+// every gossip target and sends no ShardMap; neither does re-admitting the
+// demoted leader.
+func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
+	f := newFixture(t, Config{LeaseTimeout: 100, GossipTo: []wire.NodeID{"c1", "c2"}})
+	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2"})
+	f.node.Tick(1) // the lease starts at the first observation
+	out := f.node.Tick(500)
+	got := map[wire.NodeID]int{}
+	for _, env := range out {
+		tr, ok := env.Msg.(*wire.LeadershipTransfer)
+		if !ok {
+			t.Fatalf("transfer tick sent %T to %s", env.Msg, env.To)
+		}
+		if tr.NewLeader != "edge-2" {
+			t.Fatalf("transfer promotes %s, want edge-2", tr.NewLeader)
+		}
+		if err := wcrypto.VerifyMsg(f.reg, "cloud", tr, tr.CloudSig); err != nil {
+			t.Fatalf("transfer signature: %v", err)
+		}
+		got[env.To]++
+	}
+	for _, to := range []wire.NodeID{"edge-2", "edge-1", "c1", "c2"} {
+		if got[to] != 1 {
+			t.Fatalf("transfers per recipient = %v, want one each to edge-2, edge-1, c1, c2", got)
+		}
+	}
+
+	hb := &wire.ReplicaHeartbeat{Chain: "edge-1", Node: "edge-1"}
+	out = f.node.Receive(600, wire.Envelope{From: "edge-1", To: "cloud", Msg: hb, Verified: true})
+	if len(out) != 2 {
+		t.Fatalf("rejoin outputs = %d, want a GroupJoin to the node and to the leader", len(out))
+	}
+	for _, env := range out {
+		if _, ok := env.Msg.(*wire.GroupJoin); !ok {
+			t.Fatalf("rejoin sent %T to %s", env.Msg, env.To)
+		}
+	}
+}

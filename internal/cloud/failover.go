@@ -12,8 +12,8 @@ import (
 // liveness and replication progress the cloud tracks through signed
 // heartbeats. When the leader's lease expires, certification stalls, or
 // the leader is convicted, the cloud signs a LeadershipTransfer promoting
-// the follower with the longest certified log prefix and re-signs the
-// shard map under a bumped epoch. The cloud arbitrates but never serves:
+// the follower with the longest certified log prefix; clients rebind on
+// that transfer. The cloud arbitrates but never serves:
 // the promoted node is as untrusted as its predecessor, policed by the
 // same lazy certification.
 
@@ -31,7 +31,6 @@ type chainState struct {
 	followers []wire.NodeID
 	epoch     uint64
 	members   map[wire.NodeID]*memberState
-	shardIdx  int   // index in the installed shard map; -1 = unmapped
 	leaseBase int64 // fallback lease start while a node has never heartbeated
 	staleNow  int64 // first observation of an uncertified replicated backlog; 0 = none
 	dead      bool  // no promotable follower remained
@@ -45,43 +44,11 @@ func (n *Node) RegisterGroup(chain, leader wire.NodeID, followers []wire.NodeID)
 		leader:    leader,
 		followers: append([]wire.NodeID(nil), followers...),
 		members:   make(map[wire.NodeID]*memberState),
-		shardIdx:  -1,
 	}
 	n.chains[chain] = st
 	n.nodeChain[leader] = chain
 	for _, f := range followers {
 		n.nodeChain[f] = chain
-	}
-	if n.shardMap != nil {
-		for i, c := range n.mapChains {
-			if c == chain {
-				st.shardIdx = i
-			}
-		}
-	}
-}
-
-// InstallShardMap hands the cloud the signed routing map so it can
-// re-sign it under a bumped epoch on every leadership transfer. The map's
-// Edges at install time are the per-shard chain identities. Must run on
-// the node's transport goroutine (or before the transport starts).
-func (n *Node) InstallShardMap(sm *wire.ShardMap) {
-	cp := *sm
-	cp.Edges = append([]wire.NodeID(nil), sm.Edges...)
-	cp.Followers = make([][]wire.NodeID, len(cp.Edges))
-	for i := range sm.Followers {
-		if i < len(cp.Followers) {
-			cp.Followers[i] = append([]wire.NodeID(nil), sm.Followers[i]...)
-		}
-	}
-	n.shardMap = &cp
-	n.mapChains = append([]wire.NodeID(nil), sm.Edges...)
-	for chain, st := range n.chains {
-		for i, c := range n.mapChains {
-			if c == chain {
-				st.shardIdx = i
-			}
-		}
 	}
 }
 
@@ -176,12 +143,10 @@ func (n *Node) maybeRejoin(now int64, from wire.NodeID, chain wire.NodeID, st *c
 			break
 		}
 	}
-	var out []wire.Envelope
 	if !inGroup {
 		st.followers = append(st.followers, from)
 		n.m.rejoins.Inc()
 		n.logf("re-admitting ex-member as follower", "chain", chain, "node", from, "epoch", st.epoch)
-		out = append(out, n.resignShardMap(st)...)
 	} else if m.Blocks >= n.certs.Blocks(chain) || now-mem.lastJoin < n.cfg.LeaseTimeout {
 		// In the group and current (or recently nudged): nothing to heal.
 		return nil
@@ -189,10 +154,10 @@ func (n *Node) maybeRejoin(now int64, from wire.NodeID, chain wire.NodeID, st *c
 	mem.lastJoin = now
 	join := &wire.GroupJoin{Chain: chain, Node: from, Leader: st.leader, Epoch: st.epoch, Ts: now}
 	join.CloudSig = wcrypto.SignMsg(n.key, join)
-	out = append(out,
-		wire.Envelope{From: n.cfg.ID, To: from, Msg: join},
-		wire.Envelope{From: n.cfg.ID, To: st.leader, Msg: join})
-	return out
+	return []wire.Envelope{
+		{From: n.cfg.ID, To: from, Msg: join},
+		{From: n.cfg.ID, To: st.leader, Msg: join},
+	}
 }
 
 // handleFrontier answers a single-chain frontier query with the same
@@ -246,8 +211,9 @@ func (n *Node) tickFailover(now int64) []wire.Envelope {
 
 // transfer signs and broadcasts a leadership transfer for chain: the
 // promotable follower with the longest certified prefix (ties broken by
-// the longer mirrored log) becomes leader under a bumped epoch, and the
-// shard map is re-signed to match. With no candidate left the chain is
+// the longer mirrored log) becomes leader under a bumped epoch; the
+// transfer reaches the group and every gossip target, and clients rebind
+// on it. With no candidate left the chain is
 // declared dead — clients keep their verdicts and the shard stays frozen,
 // which is the correct failure mode for a fully compromised group.
 func (n *Node) transfer(now int64, chain wire.NodeID, st *chainState, reason string) []wire.Envelope {
@@ -312,27 +278,6 @@ func (n *Node) transfer(now int64, chain wire.NodeID, st *chainState, reason str
 	}
 	for _, to := range n.cfg.GossipTo {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: t})
-	}
-	out = append(out, n.resignShardMap(st)...)
-	return out
-}
-
-// resignShardMap updates the installed routing map for a transferred
-// chain — the shard's slot now names the new leader and the surviving
-// followers — bumps the map epoch, re-signs, and broadcasts it to the
-// gossip targets.
-func (n *Node) resignShardMap(st *chainState) []wire.Envelope {
-	if n.shardMap == nil || st.shardIdx < 0 {
-		return nil
-	}
-	n.shardMap.Edges[st.shardIdx] = st.leader
-	n.shardMap.Followers[st.shardIdx] = append([]wire.NodeID(nil), st.followers...)
-	n.shardMap.Epoch++
-	n.shardMap.CloudSig = wcrypto.SignMsg(n.key, n.shardMap)
-	var out []wire.Envelope
-	for _, to := range n.cfg.GossipTo {
-		cp := *n.shardMap
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: &cp})
 	}
 	return out
 }

@@ -401,9 +401,9 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 			verdict.Reason = "dispute rejected: second evidence is not gossip"
 			return verdict
 		}
-		// Gossip must carry a valid cloud signature; the registry knows
-		// the cloud's identity from the gossip itself.
-		if err := wcrypto.VerifyMsg(reg, gossipSigner(reg, gossip), gossip, gossip.CloudSig); err != nil {
+		// Gossip must carry the adjudicating cloud's own signature, like
+		// every other inner cloud statement the Judge accepts.
+		if err := wcrypto.VerifyMsg(reg, self, gossip, gossip.CloudSig); err != nil {
 			verdict.Reason = "dispute rejected: gossip not signed by cloud"
 			return verdict
 		}
@@ -426,22 +426,6 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 		verdict.Reason = "dispute rejected: unknown kind"
 		return verdict
 	}
-}
-
-// gossipSigner finds the identity whose key verifies the gossip. The cloud
-// is the only signer of gossip in a deployment; we locate it by trying the
-// registry's known cloud identity convention ("cloud"), falling back to a
-// scan. Kept simple: deployments name the cloud node "cloud".
-func gossipSigner(reg *wcrypto.Registry, g *wire.Gossip) wire.NodeID {
-	if reg.Known("cloud") {
-		return "cloud"
-	}
-	for _, id := range reg.IDs() {
-		if err := wcrypto.VerifyMsg(reg, id, g, g.CloudSig); err == nil {
-			return id
-		}
-	}
-	return "cloud"
 }
 
 // judgeGetWindow re-runs the L0-window checks of a get response on behalf

@@ -262,6 +262,35 @@ func TestJudgeOmission(t *testing.T) {
 	}
 }
 
+// TestJudgeOmissionRejectsGossipNotSignedByCloud: under a cloud that is
+// not named "cloud", a client signs its own "gossip" claiming ten
+// certified blocks and pairs it with an honest edge's genuine denial of a
+// block it does not have. Gossip is a statement of the adjudicating cloud,
+// so only that cloud's signature makes it evidence.
+func TestJudgeOmissionRejectsGossipNotSignedByCloud(t *testing.T) {
+	reg := wcrypto.NewRegistry()
+	keys := map[wire.NodeID]wcrypto.KeyPair{}
+	for _, id := range []wire.NodeID{"cloud-b", "edge-1", "c1"} {
+		keys[id] = wcrypto.DeterministicKey(id)
+		reg.Register(id, keys[id].Pub)
+	}
+	denial := &wire.ReadResponse{ReqID: 1, BID: 5, OK: false, Ts: 150}
+	denial.EdgeSig = wcrypto.SignMsg(keys["edge-1"], denial)
+
+	forged := &wire.Gossip{Edge: "edge-1", Ts: 50, Blocks: 10}
+	forged.CloudSig = wcrypto.SignMsg(keys["c1"], forged)
+	v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, forged))
+	if v.Guilty || v.Reason != "dispute rejected: gossip not signed by cloud" {
+		t.Fatalf("client-signed gossip: guilty=%v reason=%q", v.Guilty, v.Reason)
+	}
+
+	genuine := &wire.Gossip{Edge: "edge-1", Ts: 50, Blocks: 10}
+	genuine.CloudSig = wcrypto.SignMsg(keys["cloud-b"], genuine)
+	if v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, genuine)); !v.Guilty {
+		t.Fatalf("cloud-signed gossip acquitted: %s", v.Reason)
+	}
+}
+
 func TestJudgeRejectsUndecodableEvidence(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()

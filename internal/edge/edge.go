@@ -15,13 +15,13 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"time"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 	"wedgechain/internal/wlog"
@@ -110,7 +110,7 @@ type Config struct {
 	// Fault, when non-nil, makes the node byzantine. See Fault.
 	Fault *Fault
 	// Logger receives operational events; nil disables logging.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// Metrics, when non-nil, is the registry this node's series live in
 	// (shared by a process or a sim world). Setting it also enables the
 	// timing histograms — serve latency, trust lag, block sizes — that
@@ -503,8 +503,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		// it as a trusted statement of the chain's certified frontier and
 		// starts catching up when its mirror has fallen behind.
 		return n.handleGossip(now, env.From, m, env.Verified)
-	case *wire.Ping:
-		return []wire.Envelope{{From: n.cfg.ID, To: env.From, Msg: &wire.Pong{Seq: m.Seq, Ts: m.Ts}}}
 	default:
 		return nil
 	}

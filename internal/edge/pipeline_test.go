@@ -2,9 +2,9 @@ package edge
 
 import (
 	"bytes"
+	"log/slog"
 	"testing"
 
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -105,7 +105,7 @@ func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
 	for _, signer := range []wire.NodeID{"", "c1"} {
 		for _, pooled := range []bool{false, true} {
 			var logged bytes.Buffer
-			f := newFixture(t, Config{BatchSize: 3, Logger: olog.NewUnstamped(&logged, olog.LevelInfo)})
+			f := newFixture(t, Config{BatchSize: 3, Logger: unstampedLogger(&logged)})
 			b := &wire.PutBatch{Client: signer}
 			for seq := uint64(1); seq <= 3; seq++ {
 				b.Entries = append(b.Entries, f.entry("c1", seq, "k", "v"))
@@ -120,11 +120,24 @@ func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
 			if s := f.node.Stats(); len(out) != 0 || s.Writes != 0 || s.BlocksCut != 0 || f.node.Log().BufferLen() != 0 {
 				t.Fatalf("signer %q pooled %v: unsigned batch admitted: %d outputs, %+v", signer, pooled, len(out), s)
 			}
-			if n := bytes.Count(logged.Bytes(), []byte("\n")); n != 1 {
-				t.Fatalf("signer %q pooled %v: %d log lines, want 1:\n%s", signer, pooled, n, logged.String())
+			if n := bytes.Count(logged.Bytes(), []byte("\n")); n != 1 || !bytes.HasPrefix(logged.Bytes(), []byte(`level=INFO msg="rejecting batch `)) {
+				t.Fatalf("signer %q pooled %v: %d log lines, want 1 rejection:\n%s", signer, pooled, n, logged.String())
 			}
 		}
 	}
+}
+
+// unstampedLogger writes slog text lines to buf without the time
+// attribute, so a test can count and compare them.
+func unstampedLogger(buf *bytes.Buffer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if len(groups) == 0 && a.Key == slog.TimeKey {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
 }
 
 func TestSessionBatchRejectsTampering(t *testing.T) {

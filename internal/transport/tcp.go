@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"wedgechain/internal/core"
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/obs/olog"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -66,7 +66,7 @@ type TCPConfig struct {
 	Obs *obs.Registry
 	// Log receives the endpoint's structured warnings (lane-full drops).
 	// nil is silent — the default, keeping tests quiet.
-	Log *olog.Logger
+	Log *slog.Logger
 }
 
 // Stats counts an endpoint's frame-level events. All counters are
@@ -492,7 +492,7 @@ func (t *TCP) enqueue(env wire.Envelope) {
 	default: // lane full: peer is slow or dead; drop
 		t.stLaneDrops.Add(1)
 		t.connMu.Lock()
-		if _, logged := t.dropLogged[env.To]; !logged {
+		if _, logged := t.dropLogged[env.To]; !logged && t.cfg.Log != nil {
 			t.dropLogged[env.To] = struct{}{}
 			t.cfg.Log.Warn("writer lane full; dropping frames",
 				"peer", string(env.To),

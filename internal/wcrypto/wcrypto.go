@@ -22,7 +22,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"sync"
 
 	"wedgechain/internal/obs"
@@ -140,25 +139,6 @@ func (r *Registry) Lookup(id wire.NodeID) (ed25519.PublicKey, bool) {
 	defer r.mu.RUnlock()
 	pub, ok := r.keys[id]
 	return pub, ok
-}
-
-// Known reports whether id has a registered key — i.e. whether it is an
-// authenticated participant.
-func (r *Registry) Known(id wire.NodeID) bool {
-	_, ok := r.Lookup(id)
-	return ok
-}
-
-// IDs returns all registered identities in sorted order.
-func (r *Registry) IDs() []wire.NodeID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]wire.NodeID, 0, len(r.keys))
-	for id := range r.keys {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // AttachMetrics mirrors the registry's verification outcomes into reg as

@@ -140,24 +140,6 @@ func TestBlockDigestBindsContent(t *testing.T) {
 	}
 }
 
-func TestRegistryIDsSorted(t *testing.T) {
-	reg := NewRegistry()
-	for _, id := range []wire.NodeID{"zeta", "alpha", "mid"} {
-		k := DeterministicKey(id)
-		reg.Register(id, k.Pub)
-	}
-	ids := reg.IDs()
-	want := []wire.NodeID{"alpha", "mid", "zeta"}
-	if len(ids) != len(want) {
-		t.Fatalf("IDs() = %v", ids)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs() = %v, want %v", ids, want)
-		}
-	}
-}
-
 // ackBlock builds a frozen block with a cached digest, as the edge's log
 // produces at block cut.
 func ackBlock(entries int) *wire.Block {

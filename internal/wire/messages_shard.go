@@ -1,17 +1,18 @@
 package wire
 
 // ShardMap is the cluster's authoritative keyspace partition and replica
-// topology: shard i of len(Edges) is the chain whose current leader is
-// Edges[i], and Followers[i] (aligned with Edges, possibly empty) lists
-// the nodes mirroring that chain's log. A key routes to the shard selected
-// by the stable partitioner in internal/shard. The cloud signs the map so
-// clients can verify their routing table came from the trusted party
-// rather than from an edge steering traffic toward itself.
+// topology at cluster start: shard i of len(Edges) is the chain whose
+// initial leader is Edges[i], and Followers[i] (aligned with Edges,
+// possibly empty) lists the nodes mirroring that chain's log. A key routes
+// to the shard selected by the stable partitioner in internal/shard. The
+// cloud signs the map so clients can verify their routing table came from
+// the trusted party rather than from an edge steering traffic toward
+// itself.
 //
 // Version identifies the partition itself (shard count and chain
-// membership); Epoch counts leadership changes — the cloud re-signs the
-// map with a higher Epoch after every LeadershipTransfer, and receivers
-// ignore any map whose Epoch is not newer than the one they hold.
+// membership); Epoch is the leadership epoch the map was signed at.
+// Leadership changes travel as signed LeadershipTransfers, on which
+// clients rebind; the map is not re-issued.
 type ShardMap struct {
 	Version   uint64
 	Epoch     uint64

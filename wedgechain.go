@@ -168,11 +168,6 @@ type Config struct {
 	// hint; clients pace their re-sends by it and surface ErrOverloaded
 	// if the edge never reopens. 0 disables.
 	MaxUncertified int
-	// CertWorkers sizes the cloud's certification precheck pool: edge
-	// signature checks and full-data digest recomputes fan out to workers
-	// (per-chain FIFO) while the serial apply stage stays on the cloud's
-	// node goroutine. 0 keeps prechecks inline.
-	CertWorkers int
 	// CertBatch, when > 1, amortizes certification in both directions:
 	// edges ship up to CertBatch contiguous cut blocks per signed certify
 	// request, and the cloud covers contiguous certified runs with one
@@ -298,9 +293,6 @@ func (c *Config) Validate() error {
 	}
 	if c.VerifySample < 0 {
 		return fmt.Errorf("wedgechain: VerifySample must be >= 0, got %d", c.VerifySample)
-	}
-	if c.CertWorkers < 0 {
-		return fmt.Errorf("wedgechain: CertWorkers must be >= 0, got %d", c.CertWorkers)
 	}
 	if c.CertBatch < 0 {
 		return fmt.Errorf("wedgechain: CertBatch must be >= 0, got %d", c.CertBatch)
