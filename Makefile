@@ -39,12 +39,14 @@ experiments:
 # Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
 # (allocation counts included; BlockDigest at B = 10/100/1000 is what a
 # receiver of a whole block pays once, BlockFreeze what the edge pays at a
-# cut, SliceVerify what a reader pays per block of the L0 window, the
-# BlockAck* benchmarks sweep block sizes to show the digest-signed ack's
-# flat cost, SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time
-# the signatures over the largest and the most frequent messages,
+# cut, SliceVerify what a reader pays per block of the L0 window and
+# PageSliceVerify per level page, the BlockAck* benchmarks sweep block
+# sizes to show the digest-signed ack's flat cost,
+# SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time the
+# signatures over the largest and the most frequent messages,
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
-# certificate, MergeSorted/MergeL0 the compaction both sides now run, and
+# certificate, MergeSorted/MergeL0 the compaction both sides now run,
+# LevelTree the hashing per record a merge pays to commit a level, and
 # CertifiedThrough the frontier lookup every proof makes).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
@@ -75,7 +77,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 5) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 23061
+LOC_CEILING := 22950
 loc:
 	@sh scripts/loc.sh
 loc-check:

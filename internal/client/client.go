@@ -15,7 +15,6 @@ import (
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -247,11 +246,6 @@ type Core struct {
 	sessEpoch uint64
 	sessL0End uint64
 
-	// leafCache memoizes proven scan page leaves per (level root, page
-	// seq), so repeated scans over a stable index skip re-hashing pages
-	// that have not changed (see scan.LeafCache for why a hit is sound).
-	leafCache *scan.LeafCache
-
 	// OnDone, when set, fires once per op as it fully settles.
 	OnDone func(*Op)
 	// OnPhaseI fires when an op reaches Phase I.
@@ -299,11 +293,10 @@ type Stats struct {
 func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Core {
 	cfg.fill()
 	return &Core{
-		cfg:       cfg,
-		key:       key,
-		reg:       reg,
-		leafCache: scan.NewLeafCache(),
-		m:         newMetrics(cfg.Metrics, string(cfg.ID), string(cfg.Chain)),
+		cfg: cfg,
+		key: key,
+		reg: reg,
+		m:   newMetrics(cfg.Metrics, string(cfg.ID), string(cfg.Chain)),
 	}
 }
 

@@ -20,14 +20,18 @@ type scanFixture struct {
 	idx *mlsm.Index
 }
 
-func newScanFixture(t *testing.T) *scanFixture {
+func newScanFixture(t *testing.T) *scanFixture { return newIndexFixture(t, 8, 2) }
+
+// newIndexFixture is newScanFixture with n keys k00, k01, … in pages of
+// pageCap records.
+func newIndexFixture(t *testing.T, n, pageCap int) *scanFixture {
 	t.Helper()
 	f := newFixture(t)
 	var kvs []wire.KV
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		kvs = append(kvs, wire.KV{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("v%02d", i)), Ver: uint64(i + 1)})
 	}
-	pages := mlsm.Merge(kvs, nil, 1, 2, 0, 50)
+	pages := mlsm.Merge(kvs, nil, 1, pageCap, 0, 50)
 	idx := mlsm.NewIndex([]int{10, 100})
 	roots := [][]byte{mlsm.LevelTree(pages).Root(), mlsm.LevelTree(nil).Root()}
 	global := wire.SignedRoot{Edge: "edge-1", Epoch: 1, Root: mlsm.GlobalRoot(roots), Ts: 5}

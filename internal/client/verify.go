@@ -7,19 +7,10 @@ import (
 	"time"
 
 	"wedgechain/internal/core"
-	"wedgechain/internal/merkle"
-	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
-
-// errL0Window marks get-verification failures rooted in the served L0
-// window — a non-contiguous window, a broken cert/digest binding, or a
-// slice whose flanks do not bracket the key. These defects are
-// cloud-provable (the response echoes the signed key, so the Judge
-// re-runs the same checks), which is what upgrades them from mere
-// rejection to a dispute.
-var errL0Window = errors.New("L0 window evidence defect")
 
 // handleReadResponse processes the three read cases of Section IV-D:
 // denial, Phase II read, Phase I read.
@@ -168,57 +159,99 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 		return nil
 	}
 	verifyStart := time.Now()
-	res, err := c.verifyGet(now, op.Key, m)
+	res, err := c.verifyGet(now, m)
 	verifyDur := time.Since(verifyStart)
 	c.m.fullVerifies.Inc()
 	c.m.verifyNanos.Add(uint64(verifyDur))
 	if c.m.enabled {
 		c.m.verifyFull.Observe(verifyDur.Seconds())
 	}
-	if err == ErrStale || err == ErrRegression {
-		staleErr := err
-		c.m.staleRejected.Inc()
-		if op.retries >= c.cfg.MaxRetries {
-			c.settle(op, staleErr)
-			return nil
-		}
-		op.retries++
-		c.m.retries.Inc()
-		return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.GetRequest{Key: op.Key, ReqID: op.ReqID}}}
-	}
 	if err != nil {
-		c.m.verifyFailures.Inc()
-		if errors.Is(err, errL0Window) {
-			// Defective L0 window in an edge-signed response — a slice that
-			// does not bracket the key, a broken digest binding, a
-			// non-contiguous window. The response echoes the signed key,
-			// so the cloud can re-run these exact checks: settle the
-			// operation and accuse the edge with the proof itself.
-			c.m.liesDetected.Inc()
-			out := c.fileGetDispute(op, 0)
-			c.settle(op, fmt.Errorf("%w: %v", ErrBadResponse, err))
-			return out
-		}
-		c.settle(op, fmt.Errorf("%w: %v", ErrBadResponse, err))
-		return nil
+		retry := &wire.GetRequest{Key: op.Key, ReqID: op.ReqID}
+		return c.rejectRead(op, err, retry, func() []wire.Envelope { return c.fileGetDispute(op, 0) })
 	}
 	op.Found = m.Found
 	op.GotValue = m.Value
 	op.GotVer = m.Ver
-	op.pendingBIDs = res.uncertified
-	if len(res.uncertified) == 0 {
+	c.awaitRead(now, op, res.Uncertified)
+	return nil
+}
+
+// rejectRead answers a get or scan whose verification failed. A stale
+// snapshot, or one behind what this session already observed, is retried
+// with req. Any other defect is in edge-signed, self-contained evidence —
+// the response echoes what it answers — so the op settles and the
+// response is filed with the cloud, whose Judge re-runs the same
+// verifier.
+func (c *Core) rejectRead(op *Op, err error, req wire.Message, dispute func() []wire.Envelope) []wire.Envelope {
+	if err == ErrStale || err == ErrRegression {
+		c.m.staleRejected.Inc()
+		if op.retries >= c.cfg.MaxRetries {
+			c.settle(op, err)
+			return nil
+		}
+		op.retries++
+		c.m.retries.Inc()
+		return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: req}}
+	}
+	c.m.verifyFailures.Inc()
+	c.m.liesDetected.Inc()
+	out := dispute()
+	c.settle(op, fmt.Errorf("%w: %v", ErrBadResponse, err))
+	return out
+}
+
+// awaitRead completes a verified get or scan: at once when its whole L0
+// window was certified, else in Phase I until every uncertified block's
+// proof matches the digest pinned for it.
+func (c *Core) awaitRead(now int64, op *Op, uncertified map[uint64][]byte) {
+	op.pendingBIDs = uncertified
+	if len(uncertified) == 0 {
 		c.phaseI(now, op, 0, nil)
 		c.phaseII(now, op)
-		return nil
+		return
 	}
-	// Phase I get: register for every uncertified block's proof.
 	op.Phase = core.PhaseI
 	op.PhaseIAt = now
 	if c.OnPhaseI != nil {
 		c.OnPhaseI(op)
 	}
-	for bid := range res.uncertified {
+	for bid := range uncertified {
 		c.addByBID(bid, op)
+	}
+}
+
+// readParams configures the shared read verifier for this session.
+func (c *Core) readParams(now int64) scan.Params {
+	return scan.Params{
+		Reg:             c.reg,
+		Edge:            c.cfg.Chain, // blocks, certs and roots carry the chain identity
+		Cloud:           c.cfg.Cloud,
+		Now:             now,
+		FreshnessWindow: c.cfg.FreshnessWindow,
+	}
+}
+
+// admitSnapshot maps a read verification's outcome to the retry
+// conditions — ErrStale for a snapshot outside the freshness window and,
+// with session consistency (Section V-D alternative), ErrRegression for
+// one behind what this session already observed, ordered
+// lexicographically by (index epoch, L0 frontier) — and moves the session
+// watermarks up to a snapshot it admits.
+func (c *Core) admitSnapshot(res scan.Result, err error) error {
+	if errors.Is(err, scan.ErrStale) {
+		return ErrStale
+	}
+	if err != nil || !c.cfg.Session {
+		return err
+	}
+	switch {
+	case res.Epoch < c.sessEpoch || (res.Epoch == c.sessEpoch && res.L0End < c.sessL0End):
+		return ErrRegression
+	case res.Epoch > c.sessEpoch:
+		c.sessEpoch, c.sessL0End = res.Epoch, res.L0End
+	default:
+		c.sessL0End = res.L0End
 	}
 	return nil
 }
@@ -246,196 +279,19 @@ func (c *Core) VerifyGetResponse(now int64, key []byte, m *wire.GetResponse) err
 	if !bytes.Equal(m.Key, key) {
 		return fmt.Errorf("response answers a different key than requested")
 	}
-	_, err := c.verifyGet(now, key, m)
+	_, err := c.verifyGet(now, m)
 	return err
 }
 
-// getCheck is the result of structural get verification.
-type getCheck struct {
-	uncertified map[uint64][]byte // bid -> locally computed digest
-}
-
-// verifyGet re-derives every claim in a get response:
-//
-//  1. The L0 window — one slice per block — is one consecutive run from
-//     the signed compaction frontier; every slice belongs to this chain,
-//     brackets the key, and folds to a digest its cloud-signed certificate
-//     names or that is pinned for the later one (mlsm.VerifyL0Window, the
-//     same checks the cloud's Judge re-runs on dispute evidence).
-//  2. The freshest L0 version of the key, if any, must be the returned
-//     value (deeper levels are older by construction).
-//  3. Otherwise the level roots must fold to the signed global root, the
-//     global root must be inside the freshness window, every non-empty
-//     level up to the winning level must present its intersecting page
-//     with a valid Merkle path, pages must contain the key's range, and
-//     levels above the winner must not contain the key.
-func (c *Core) verifyGet(now int64, key []byte, m *wire.GetResponse) (getCheck, error) {
-	res := getCheck{uncertified: make(map[uint64][]byte)}
-	p := &m.Proof
-
-	start, end := wire.PointRange(key)
-	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg:   c.reg,
-		Edge:  c.cfg.Chain, // blocks and certificates carry the chain identity
-		Cloud: c.cfg.Cloud,
-		Start: start,
-		End:   end,
-	}, p.L0Pruned)
-	if err != nil {
-		return res, fmt.Errorf("%w: %v", errL0Window, err)
-	}
-	res.uncertified = win.Uncertified
-	l0End := win.L0End
-
-	// Session consistency (Section V-D alternative): the snapshot must
-	// not regress behind what this session has already observed, ordered
-	// lexicographically by (index epoch, L0 frontier).
-	if c.cfg.Session {
-		epoch := p.Global.Epoch
-		if epoch < c.sessEpoch || (epoch == c.sessEpoch && l0End < c.sessL0End) {
-			return res, ErrRegression
-		}
-	}
-	advance := func() {
-		if !c.cfg.Session {
-			return
-		}
-		if p.Global.Epoch > c.sessEpoch {
-			c.sessEpoch = p.Global.Epoch
-			c.sessL0End = l0End
-		} else if l0End > c.sessL0End {
-			c.sessL0End = l0End
-		}
-	}
-
-	if hit, ok := win.Freshest(); ok {
-		// Winner must come from L0.
-		if !m.Found || m.Ver != hit.Ver || !bytes.Equal(m.Value, hit.Value) {
-			return res, fmt.Errorf("returned value contradicts L0 contents")
-		}
-		advance()
-		return res, nil
-	}
-
-	// No L0 hit: level evidence decides.
-	levelEvidence := len(p.Roots) > 0 || len(p.Levels) > 0
-	if !levelEvidence && len(p.Global.CloudSig) == 0 {
-		// No merged state exists yet, so nothing has ever been compacted:
-		// the L0 window must be the log itself, from block 0.
-		if err := win.CheckFrontier(&p.Global, levelEvidence, false); err != nil {
-			return res, fmt.Errorf("%w: %v", errL0Window, err)
-		}
-		// Absence is then the only valid answer.
-		if m.Found {
-			return res, fmt.Errorf("found claimed without any level evidence")
-		}
-		advance()
-		return res, nil
-	}
-	if len(p.Global.CloudSig) == 0 {
-		return res, fmt.Errorf("level evidence without signed global root")
-	}
-	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, &p.Global, p.Global.CloudSig); err != nil {
-		return res, fmt.Errorf("global root: %v", err)
-	}
-	if p.Global.Edge != c.cfg.Chain {
-		return res, fmt.Errorf("global root for wrong chain")
-	}
-	if !bytes.Equal(mlsm.GlobalRoot(p.Roots), p.Global.Root) {
-		return res, fmt.Errorf("level roots do not fold to global root")
-	}
-	// The signed compaction frontier (SignedRoot.L0From) pins where the
-	// served L0 window must start, so the edge cannot drop its oldest
-	// uncompacted blocks — which could hold the key's freshest version —
-	// and still claim completeness.
-	if err := win.CheckFrontier(&p.Global, levelEvidence, false); err != nil {
-		return res, fmt.Errorf("%w: %v", errL0Window, err)
-	}
-	if c.cfg.FreshnessWindow > 0 && now-p.Global.Ts > c.cfg.FreshnessWindow {
-		return res, ErrStale
-	}
-
-	proofs := make(map[int]*wire.LevelProof)
-	for i := range p.Levels {
-		lp := &p.Levels[i]
-		proofs[int(lp.Level)] = lp
-	}
-	empty := merkle.EmptyRoot()
-
-	checkLevel := func(lvl int) (*wire.LevelProof, error) {
-		root := p.Roots[lvl-1]
-		if bytes.Equal(root, empty) {
-			if proofs[lvl] != nil {
-				return nil, fmt.Errorf("level %d: proof against empty level", lvl)
-			}
-			return nil, nil
-		}
-		lp := proofs[lvl]
-		if lp == nil {
-			return nil, fmt.Errorf("level %d: missing proof", lvl)
-		}
-		if int(lp.Page.Level) != lvl {
-			return nil, fmt.Errorf("level %d: page from level %d", lvl, lp.Page.Level)
-		}
-		leaf := mlsm.PageLeaf(&lp.Page)
-		if err := merkle.Verify(root, leaf, int(lp.Index), int(lp.Width), lp.Path); err != nil {
-			return nil, fmt.Errorf("level %d: %v", lvl, err)
-		}
-		if !lp.Page.Contains(key) {
-			return nil, fmt.Errorf("level %d: page does not cover key", lvl)
-		}
-		return lp, nil
-	}
-
-	findInPage := func(lp *wire.LevelProof) (wire.KV, bool) {
-		for i := range lp.Page.KVs {
-			if bytes.Equal(lp.Page.KVs[i].Key, key) {
-				return lp.Page.KVs[i], true
-			}
-		}
-		return wire.KV{}, false
-	}
-
-	if m.Found {
-		// Locate the winning level: the shallowest level whose verified
-		// page holds the key; all shallower levels must lack it.
-		winner := 0
-		for lvl := 1; lvl <= len(p.Roots); lvl++ {
-			lp, err := checkLevel(lvl)
-			if err != nil {
-				return res, err
-			}
-			if lp == nil {
-				continue
-			}
-			if kv, ok := findInPage(lp); ok {
-				if !bytes.Equal(kv.Value, m.Value) || kv.Ver != m.Ver {
-					return res, fmt.Errorf("level %d value contradicts response", lvl)
-				}
-				winner = lvl
-				break
-			}
-		}
-		if winner == 0 {
-			return res, fmt.Errorf("found claimed but no level contains the key")
-		}
-		advance()
-		return res, nil
-	}
-
-	// Not found: every level must prove absence.
-	for lvl := 1; lvl <= len(p.Roots); lvl++ {
-		lp, err := checkLevel(lvl)
-		if err != nil {
-			return res, err
-		}
-		if lp == nil {
-			continue
-		}
-		if _, ok := findInPage(lp); ok {
-			return res, fmt.Errorf("level %d contains key claimed absent", lvl)
-		}
-	}
-	advance()
-	return res, nil
+// verifyGet re-derives every claim in a get response with the verifier
+// scans use (scan.VerifyGet, which the cloud's Judge re-runs on dispute
+// evidence), reading it as the scan of the one key: the L0 window is one
+// consecutive run from the signed compaction frontier whose slices
+// bracket the key and fold to certified or pinned digests; unless the key
+// is in it, every non-empty level down to the first holding the key ships
+// its intersecting page, cut to the key and folded to the signed level
+// root; and the answer is the newest version this evidence shows.
+func (c *Core) verifyGet(now int64, m *wire.GetResponse) (scan.Result, error) {
+	res, err := scan.VerifyGet(c.readParams(now), m)
+	return res, c.admitSnapshot(res, err)
 }

@@ -5,9 +5,9 @@
 //
 // The cloud never holds block payloads for certification — only digests
 // (data-free coordination). For merges it receives page data transiently,
-// verifies it against its own leaf tables, merges, signs the new roots and
-// discards the data, retaining hashes only; its answer carries the roots
-// and no pages (the edge re-derives them).
+// verifies it against the hashes it kept of its levels, merges, signs the
+// new roots and discards the data, retaining hashes only; its answer
+// carries the roots and no pages (the edge re-derives them).
 package cloud
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"wedgechain/internal/core"
-	"wedgechain/internal/merkle"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/wcrypto"
@@ -105,13 +104,12 @@ func (c *Config) Validate() error {
 
 // edgeState is the cloud's bookkeeping for one edge node: certified
 // digests (held in the shared CertTable), block proofs for re-delivery,
-// and per-level Merkle leaf tables mirroring the edge's index structure
-// without its data.
+// and per-level hashes mirroring the edge's index structure without its
+// data.
 type edgeState struct {
 	proofs     map[uint64]*wire.BlockProof
-	l0Consumed uint64     // next uncompacted block id
-	leaves     [][][]byte // per level (0-based = level 1): ordered page leaf hashes
-	trees      []*merkle.Tree
+	l0Consumed uint64         // next uncompacted block id
+	levels     []*mlsm.Hashes // per level (0-based = level 1): hashes, no pages
 	epoch      uint64
 	pageSeq    uint64
 	// lastMerge is the response to the latest successful merge and
@@ -280,11 +278,10 @@ func (n *Node) edge(id wire.NodeID) *edgeState {
 	if s == nil {
 		s = &edgeState{
 			proofs: make(map[uint64]*wire.BlockProof),
-			leaves: make([][][]byte, n.cfg.Levels),
-			trees:  make([]*merkle.Tree, n.cfg.Levels),
+			levels: make([]*mlsm.Hashes, n.cfg.Levels),
 		}
-		for i := range s.trees {
-			s.trees[i] = merkle.New(nil)
+		for i := range s.levels {
+			s.levels[i] = mlsm.HashLevel(nil)
 		}
 		n.edges[id] = s
 	}
@@ -614,13 +611,15 @@ func (n *Node) attachProof(chain wire.NodeID, bid uint64, to wire.NodeID) []wire
 }
 
 // handleMerge implements the merge protocol of Section V-B: verify the
-// shipped pages against certified digests and leaf tables, perform the LSM
-// merge, rebuild the level Merkle tree, and sign the new roots and global
-// root with a freshness timestamp. Every shipped block and page is hashed
-// once: the digests and leaves computed up front serve the signature check
-// (the request is signed over them), the certified-digest comparison and
-// the leaf-table check. The response carries no pages — the edge holds the
-// inputs and re-derives them.
+// shipped pages against certified digests and the hashes the cloud kept of
+// its levels, perform the LSM merge, hash the level it derives, and sign
+// the new roots and global root with a freshness timestamp. Every shipped
+// block and record is hashed once: the digests and leaves computed up front
+// serve the signature check (the request is signed over them), the
+// certified-digest comparison, the check against the kept hashes and the
+// derived level, which takes over the leaf of every record it carries. The
+// response carries no pages — the edge holds the inputs and re-derives
+// them.
 func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []wire.Envelope {
 	reject := func(reason string) []wire.Envelope {
 		n.m.mergeRejects.Inc()
@@ -639,17 +638,22 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 	if st.lastMerge != nil && st.lastMerge.ReqID == m.ReqID && bytes.Equal(st.lastMergeSig, m.EdgeSig) {
 		return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: st.lastMerge}}
 	}
+	lvl := int(m.FromLevel)
+	if lvl < 0 || lvl >= n.cfg.Levels {
+		return reject("source level out of range")
+	}
 	l0Digests := make([][]byte, len(m.L0Blocks))
 	for i := range m.L0Blocks {
 		l0Digests[i] = wcrypto.RecomputedBlockDigest(&m.L0Blocks[i])
 	}
-	srcLeaves, dstLeaves := mlsm.PageLeaves(m.SrcPages), mlsm.PageLeaves(m.DstPages)
+	src := &mlsm.Hashes{} // an L0 merge ships blocks, no source pages
+	if lvl > 0 {
+		src = st.levels[lvl-1]
+	}
+	srcLeaves, srcRecs, srcErr := src.Check(m.SrcPages)
+	dstLeaves, dstRecs, dstErr := st.levels[lvl].Check(m.DstPages)
 	if err := wcrypto.VerifyMergeRequest(n.reg, from, m, l0Digests, srcLeaves, dstLeaves); err != nil {
 		return reject("bad edge signature")
-	}
-	lvl := int(m.FromLevel)
-	if lvl < 0 || lvl >= n.cfg.Levels {
-		return reject("source level out of range")
 	}
 
 	var srcKVs []wire.KV
@@ -690,35 +694,32 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 		consumedTo = want - 1
 		n.certs.AddEntries(m.Edge, entries)
 	} else {
-		if err := n.verifyLevel(st, lvl, srcLeaves); err != nil {
-			return reject(err.Error())
-		}
 		srcKVs = mlsm.PagesKVs(m.SrcPages)
 	}
-	if err := n.verifyLevel(st, lvl+1, dstLeaves); err != nil {
-		return reject(err.Error())
+	if srcErr != nil {
+		return reject(fmt.Sprintf("level %d: %v", lvl, srcErr))
+	}
+	if dstErr != nil {
+		return reject(fmt.Sprintf("level %d: %v", lvl+1, dstErr))
 	}
 
 	pageSeq := st.pageSeq
 	merged := mlsm.Merge(srcKVs, m.DstPages, uint32(lvl+1), n.cfg.PageCap, pageSeq, now)
 	st.pageSeq += uint64(len(merged))
 
-	// Refresh leaf tables: target level gets the merged pages; a source
-	// level > 0 becomes empty.
-	target := lvl // 0-based slot for level lvl+1
-	st.leaves[target] = mlsm.PageLeaves(merged)
-	st.trees[target] = merkle.New(st.leaves[target])
+	// Refresh the kept hashes: the target level gets the merged pages'; a
+	// source level > 0 becomes empty.
+	st.levels[lvl] = mlsm.HashLevel(merged, srcRecs, dstRecs)
 	if lvl > 0 {
-		st.leaves[lvl-1] = nil
-		st.trees[lvl-1] = merkle.New(nil)
+		st.levels[lvl-1] = mlsm.HashLevel(nil)
 	}
 	if lvl == 0 {
 		st.l0Consumed = consumedTo + 1
 	}
 
-	roots := make([][]byte, n.cfg.Levels)
-	for i := range roots {
-		roots[i] = st.trees[i].Root()
+	roots := make([][]byte, len(st.levels))
+	for i, h := range st.levels {
+		roots[i] = h.Root
 	}
 	st.epoch++
 	global := wire.SignedRoot{
@@ -731,12 +732,12 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 	global.CloudSig = wcrypto.SignMsg(n.key, &global)
 
 	if n.aud != nil {
-		// Snapshot the leaf tables for the background auditor. Outer
+		// Snapshot the page leaves for the background auditor. Outer
 		// slices are copied; the leaf hashes themselves are immutable
 		// (every merge replaces a level's slice wholesale).
-		snap := make([][][]byte, len(st.leaves))
-		for i, lv := range st.leaves {
-			snap[i] = append([][]byte(nil), lv...)
+		snap := make([][][]byte, len(st.levels))
+		for i, h := range st.levels {
+			snap[i] = append([][]byte(nil), h.Leaves...)
 		}
 		n.aud.offer(auditCheckpoint{edge: m.Edge, epoch: st.epoch, leaves: snap, root: global.Root})
 	}
@@ -757,24 +758,4 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 	// Copied: a decoded request's signature aliases its half-megabyte frame.
 	st.lastMerge, st.lastMergeSig = resp, append([]byte(nil), m.EdgeSig...)
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
-}
-
-// verifyLevel checks that the pages the edge shipped for level lvl
-// (1-based), given by their recomputed leaves, are exactly the pages the
-// cloud's leaf table remembers: same count, same hashes, same order. An
-// empty table expects no pages.
-func (n *Node) verifyLevel(st *edgeState, lvl int, leaves [][]byte) error {
-	if lvl < 1 || lvl > n.cfg.Levels {
-		return fmt.Errorf("level %d out of range", lvl)
-	}
-	want := st.leaves[lvl-1]
-	if len(leaves) != len(want) {
-		return fmt.Errorf("level %d: %d pages shipped, %d on record", lvl, len(leaves), len(want))
-	}
-	for i := range leaves {
-		if !bytes.Equal(leaves[i], want[i]) {
-			return fmt.Errorf("level %d: page %d does not match recorded hash", lvl, i)
-		}
-	}
-	return nil
 }

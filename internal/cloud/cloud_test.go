@@ -266,7 +266,7 @@ func TestMergeRejectsForgedLevelPages(t *testing.T) {
 	level1 := derivePages(req, resp)
 
 	// A forged destination page: signed for (f.merge signs over what
-	// ships), so the signature holds and the leaf table refuses it.
+	// ships), so the signature holds and the kept hashes refuse it.
 	b1 := f.buildCertifiedBlock(t, 1, "c")
 	resp2 := f.merge(t, &wire.MergeRequest{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: forgePage(level1)})
 	if resp2.OK || !strings.Contains(resp2.Reason, "does not match recorded hash") {
@@ -281,6 +281,42 @@ func TestMergeRejectsForgedLevelPages(t *testing.T) {
 	resp4 := f.merge(t, &wire.MergeRequest{ReqID: 4, FromLevel: 1, SrcPages: level1})
 	if !resp4.OK {
 		t.Fatalf("honest level merge rejected: %s", resp4.Reason)
+	}
+}
+
+// TestMergeRefusesCutPages: a page cut for a read folds to the leaf of the
+// whole page, so its leaf, and the signature over it, cannot tell it apart
+// — but merging it would drop the records it leaves out. The cloud checks
+// shipped pages record by record and refuses a cut one, as a source or as
+// a destination.
+func TestMergeRefusesCutPages(t *testing.T) {
+	f := newFixture(t, Config{Levels: 2, PageCap: 2})
+	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
+	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
+	level1 := derivePages(req, f.merge(t, req))
+
+	idx := mlsm.NewIndex([]int{10, 10})
+	roots := [][]byte{mlsm.LevelTree(level1).Root(), mlsm.LevelTree(nil).Root()}
+	if err := idx.InstallLevel(1, level1, roots, wire.SignedRoot{}); err != nil {
+		t.Fatal(err)
+	}
+	lp, err := idx.LevelProof(1, 0, []byte("0")) // below every key: one record ships
+	if err != nil || lp.Page.Whole() || !bytes.Equal(lp.Page.Leaf(), mlsm.PageLeaf(&level1[0])) {
+		t.Fatalf("setup: cut %+v err %v", lp.Page, err)
+	}
+	cut := append([]wire.Page(nil), level1...)
+	cut[0] = lp.Page
+	b1 := f.buildCertifiedBlock(t, 1, "c")
+	for _, m := range []*wire.MergeRequest{
+		{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: cut},
+		{ReqID: 3, FromLevel: 1, SrcPages: cut},
+	} {
+		if resp := f.merge(t, m); resp.OK || !strings.Contains(resp.Reason, "page 0 does not match recorded hash") {
+			t.Fatalf("cut page merged: ok=%v reason=%q", resp.OK, resp.Reason)
+		}
+	}
+	if resp := f.merge(t, &wire.MergeRequest{ReqID: 4, FromLevel: 1, SrcPages: level1}); !resp.OK {
+		t.Fatalf("whole pages rejected: %s", resp.Reason)
 	}
 }
 
@@ -306,7 +342,7 @@ func TestMergeSignatureBindsShippedData(t *testing.T) {
 	}
 	honest := &wire.MergeRequest{Edge: "edge-1", ReqID: 2, L0Blocks: []wire.Block{b1}, DstPages: level1}
 	sig := wcrypto.SignMergeRequest(f.keys["edge-1"], honest,
-		[][]byte{wcrypto.BlockDigest(&b1)}, nil, mlsm.PageLeaves(level1))
+		[][]byte{wcrypto.BlockDigest(&b1)}, nil, mlsm.LevelTree(level1).Leaves())
 
 	swappedPage := *honest
 	swappedPage.DstPages = forgePage(level1)

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"wedgechain/internal/mlsm"
 	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -269,6 +268,9 @@ func BuildOmissionDispute(key wcrypto.KeyPair, edge wire.NodeID, denial *wire.Re
 //     from the certified digest, or when no digest was ever certified for
 //     that block id (the edge promised a block it never reported; disputes
 //     arrive only after the client's generous proof timeout).
+//   - get-lie / scan-lie: guilty when the response fails the read verifier
+//     the client ran (scan.VerifyGet / scan.Verify, freshness exempt), or
+//     when the disputed block's slice folds to a digest the table refutes.
 //   - omission: guilty when the edge's signed denial is timestamped at or
 //     after cloud gossip covering the denied block.
 func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *wire.Dispute) wire.Verdict {
@@ -334,16 +336,15 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 			verdict.Reason = "dispute rejected: evidence not signed by edge"
 			return verdict
 		}
-		// Structural re-verification of the served L0 window with the
-		// same shared checks the client ran (mlsm.VerifyL0Window): window
-		// contiguity, every slice bracketing the key the response echoes
-		// under the edge's signature, and the cert/digest binding of what
-		// each slice folds to. Omission by a slice whose flanks do not
-		// bracket is therefore the edge's own provable lie, exactly like a
-		// bad Merkle page on the scan path.
-		if err := judgeGetWindow(reg, self, chain, resp); err != nil {
+		// Structural re-verification with the verifier the client ran
+		// (scan.VerifyGet: the scan of the key the response echoes under
+		// the edge's signature). Any defect — an L0 slice or a level page
+		// that does not bracket the key, a broken fold or digest binding,
+		// an answer the evidence does not derive — is the edge's own lie.
+		// Freshness is exempt, as for scans.
+		if _, err := scan.VerifyGet(scan.Params{Reg: reg, Edge: chain, Cloud: self}, resp); err != nil {
 			verdict.Guilty = true
-			verdict.Reason = fmt.Sprintf("get L0 window does not verify: %v", err)
+			verdict.Reason = fmt.Sprintf("get proof does not verify: %v", err)
 			return verdict
 		}
 		// The window holds up structurally; the accusation must then name
@@ -426,32 +427,6 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 		verdict.Reason = "dispute rejected: unknown kind"
 		return verdict
 	}
-}
-
-// judgeGetWindow re-runs the L0-window checks of a get response on behalf
-// of the Judge: window contiguity, every slice bracketing the echoed key,
-// cert/digest binding (inner cloud signatures verified against the
-// adjudicating cloud's own identity), and the compaction-frontier rule the
-// client applies (L0WindowCheck.CheckFrontier: an L0 hit carries no index
-// state and needs none). Freshness and the value derivation are exempt —
-// the former is time-relative, the latter is covered by the
-// digest-contradiction path.
-func judgeGetWindow(reg *wcrypto.Registry, self, edge wire.NodeID, resp *wire.GetResponse) error {
-	p := &resp.Proof
-	start, end := wire.PointRange(resp.Key)
-	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg: reg, Edge: edge, Cloud: self, Start: start, End: end,
-	}, p.L0Pruned)
-	if err != nil {
-		return err
-	}
-	if len(p.Global.CloudSig) > 0 {
-		if err := wcrypto.VerifyMsg(reg, self, &p.Global, p.Global.CloudSig); err != nil {
-			return fmt.Errorf("global root: %v", err)
-		}
-	}
-	_, hit := win.Freshest()
-	return win.CheckFrontier(&p.Global, len(p.Roots) > 0 || len(p.Levels) > 0, hit)
 }
 
 // judgeSlice finds the disputed block in a window that already verified

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -212,10 +213,7 @@ func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 	ct.Certify("edge-1", 45, wcrypto.BlockDigest(&blk), 1)
 
 	dispute := func(key string) wire.Verdict {
-		resp := &wire.GetResponse{
-			ReqID: 1, Key: []byte(key),
-			Proof: wire.GetProof{L0Pruned: []wire.L0Slice{blk.Slice(wire.PointRange([]byte(key)))}},
-		}
+		resp := mlsm.AssembleGet([]byte(key), 1, mlsm.L0Source{Blocks: []wire.Block{blk}}, mlsm.NewIndex([]int{10}))
 		resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
 		return Judge(reg, ct, "cloud", "c1", BuildGetLieDispute(keys["c1"], "edge-1", 45, resp))
 	}

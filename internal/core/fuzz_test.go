@@ -92,7 +92,7 @@ func FuzzL0Slice(f *testing.F) {
 		if m, err := wire.DecodeMessage(data); err == nil {
 			switch resp := m.(type) {
 			case *wire.GetResponse:
-				_ = judgeGetWindow(reg, "cloud", "edge-1", resp)
+				_, _ = scan.VerifyGet(scan.Params{Reg: reg, Edge: "edge-1", Cloud: "cloud"}, resp)
 			case *wire.ScanResponse:
 				_, _ = scan.Verify(scan.Params{Reg: reg, Edge: "edge-1", Cloud: "cloud"}, resp)
 			}

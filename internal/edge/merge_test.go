@@ -137,8 +137,8 @@ func TestLeaderDerivesAndMirrorsMergedPages(t *testing.T) {
 
 // TestFollowerRefusesForgedMirroredPages: the pages a leader attaches are
 // outside the cloud's signature, so the follower accepts them only if they
-// hash to the signed root: altered or missing pages change nothing, the
-// honest mirror installs.
+// hash to the signed root: altered, cut or missing pages change nothing,
+// the honest mirror installs.
 func TestFollowerRefusesForgedMirroredPages(t *testing.T) {
 	r := newMergeRig(t)
 	resp, _ := only[*wire.MergeResponse](t, r.cloud.Receive(r.now, r.startMerge(t, "a", "b", "c", "a")))
@@ -160,6 +160,16 @@ func TestFollowerRefusesForgedMirroredPages(t *testing.T) {
 	altered.NewPages[0].KVs[0].Value = []byte("forged")
 	deliver(&altered)
 	untouched("altered page")
+
+	// A page cut for a read folds to the signed leaf but lacks records.
+	lp, err := r.leader.Index().LevelProof(1, 0, []byte("0")) // below every key: one record ships
+	if err != nil || lp.Page.Whole() {
+		t.Fatalf("setup: cut %+v err %v", lp.Page, err)
+	}
+	cut := *mirror
+	cut.NewPages = append([]wire.Page{lp.Page}, mirror.NewPages[1:]...)
+	deliver(&cut)
+	untouched("cut page")
 
 	short := *mirror
 	short.NewPages = mirror.NewPages[:len(mirror.NewPages)-1]

@@ -60,8 +60,8 @@ func (n *Node) applyScanFault(src mlsm.L0Source, resp *wire.ScanResponse) {
 	}
 	if len(f.ScanOmitKey) > 0 {
 		// Omission attack: drop the record from whichever level page
-		// holds it. The page's leaf hash no longer matches the certified
-		// tree, so the client's Merkle range check fails.
+		// holds it. The cut no longer folds to the page's leaf in the
+		// certified tree, so the client's Merkle range check fails.
 		for li := range resp.Proof.Levels {
 			pages := resp.Proof.Levels[li].Pages
 			for pi := range pages {
@@ -108,7 +108,7 @@ func (n *Node) applyScanFault(src mlsm.L0Source, resp *wire.ScanResponse) {
 			if len(lp.Pages) < 2 {
 				continue
 			}
-			narrow, err := n.idx.LevelRangeProof(int(lp.Level), int(lp.First), int(lp.First)+len(lp.Pages)-1)
+			narrow, err := n.idx.LevelRangeProof(int(lp.Level), int(lp.First), int(lp.First)+len(lp.Pages)-1, resp.Start, resp.End)
 			if err != nil {
 				continue
 			}

@@ -50,6 +50,15 @@ func LeafInto(dst, content []byte) {
 	h.Sum(dst[:0])
 }
 
+// LeafSum writes LeafHash(buf[1:]) into dst[:HashSize], overwriting
+// buf[0] with the leaf prefix: a caller that encodes a leaf's content
+// itself leaves one byte free in front and is spared LeafInto's copy.
+func LeafSum(dst, buf []byte) {
+	buf[0] = leafPrefix
+	sum := sha256.Sum256(buf)
+	copy(dst, sum[:])
+}
+
 // interiorInto writes the parent of two child nodes into dst[:HashSize];
 // dst may alias either child.
 func interiorInto(dst, left, right []byte) {
@@ -69,12 +78,12 @@ func interiorHash(left, right []byte) []byte {
 }
 
 // Tree is an immutable Merkle tree over a sequence of leaf hashes.
-// Construct with New; the zero value is an empty tree whose root is
-// EmptyRoot.
+// Construct with New or NewPacked; the zero value is an empty tree whose
+// root is EmptyRoot.
 type Tree struct {
-	// levels[0] is the leaf row; levels[len-1] is the single root. Every
-	// node of every row lives in one backing array.
-	levels [][][]byte
+	// rows[0] is the leaf row and rows[len-1] the single root; each row
+	// holds its nodes end to end.
+	rows [][]byte
 }
 
 // EmptyRoot is the canonical root of a tree with no leaves.
@@ -83,49 +92,52 @@ func EmptyRoot() []byte { return LeafHash(nil) }
 // New builds a tree over the given leaf hashes (as produced by LeafHash,
 // HashSize bytes each). Neither the slice nor the hashes are retained.
 func New(leaves [][]byte) *Tree {
-	t := &Tree{}
-	if len(leaves) == 0 {
-		return t
-	}
-	total, rows := 0, 0
-	for w := len(leaves); ; w = (w + 1) / 2 {
-		total += w
-		rows++
-		if w == 1 {
-			break
-		}
-	}
-	store := make([]byte, total*HashSize)
-	nodes := make([][]byte, total)
-	for i := range nodes {
-		nodes[i] = store[i*HashSize : (i+1)*HashSize : (i+1)*HashSize]
-	}
-	t.levels = make([][][]byte, 0, rows)
-	row := nodes[:len(leaves):len(leaves)]
+	flat := make([]byte, len(leaves)*HashSize)
 	for i, l := range leaves {
 		if len(l) != HashSize {
 			panic(fmt.Sprintf("merkle: leaf %d is %d bytes, want %d", i, len(l), HashSize))
 		}
-		copy(row[i], l)
+		copy(flat[i*HashSize:], l)
 	}
-	nodes = nodes[len(leaves):]
-	t.levels = append(t.levels, row)
-	for len(row) > 1 {
-		w := (len(row) + 1) / 2
-		next := nodes[:w:w]
-		nodes = nodes[w:]
-		for i := range next {
-			if 2*i+1 < len(row) {
-				interiorInto(next[i], row[2*i], row[2*i+1])
+	return NewPacked(flat)
+}
+
+// NewPacked builds a tree over leaf hashes laid end to end (len(leaves) a
+// multiple of HashSize) and keeps them as its leaf row: the caller must
+// not modify them afterwards.
+func NewPacked(leaves []byte) *Tree {
+	t := &Tree{}
+	n := len(leaves) / HashSize
+	if n == 0 {
+		return t
+	}
+	interior := 0
+	for w := n; w > 1; w = (w + 1) / 2 {
+		interior += (w + 1) / 2
+	}
+	store := make([]byte, interior*HashSize)
+	row := leaves[: n*HashSize : n*HashSize]
+	t.rows = append(t.rows, row)
+	for w := n; w > 1; w = (w + 1) / 2 {
+		next := store[: (w+1)/2*HashSize : (w+1)/2*HashSize]
+		store = store[len(next):]
+		for i := 0; 2*i < w; i++ {
+			if 2*i+1 < w {
+				interiorInto(node(next, i), node(row, 2*i), node(row, 2*i+1))
 			} else {
 				// Odd node promoted unchanged.
-				copy(next[i], row[2*i])
+				copy(node(next, i), node(row, 2*i))
 			}
 		}
-		t.levels = append(t.levels, next)
+		t.rows = append(t.rows, next)
 		row = next
 	}
 	return t
+}
+
+// node returns node i of a row.
+func node(row []byte, i int) []byte {
+	return row[i*HashSize : (i+1)*HashSize : (i+1)*HashSize]
 }
 
 // PackedRoot returns the root of the tree over the leaf hashes laid end to
@@ -137,43 +149,52 @@ func PackedRoot(leaves []byte) []byte {
 	if n == 0 {
 		return EmptyRoot()
 	}
-	at := func(i int) []byte { return leaves[i*HashSize : (i+1)*HashSize] }
 	for ; n > 1; n = (n + 1) / 2 {
 		for i := 0; 2*i < n; i++ {
 			if 2*i+1 < n {
-				interiorInto(at(i), at(2*i), at(2*i+1))
+				interiorInto(node(leaves, i), node(leaves, 2*i), node(leaves, 2*i+1))
 			} else {
-				copy(at(i), at(2*i))
+				copy(node(leaves, i), node(leaves, 2*i))
 			}
 		}
 	}
-	return at(0)
+	return node(leaves, 0)
 }
 
 // Len returns the number of leaves.
 func (t *Tree) Len() int {
-	if len(t.levels) == 0 {
+	if len(t.rows) == 0 {
 		return 0
 	}
-	return len(t.levels[0])
+	return len(t.rows[0]) / HashSize
 }
 
-// Leaves returns the leaf row the tree was built over. The result must not
-// be modified.
+// Leaves returns the leaf row the tree was built over, one hash per leaf.
+// The hashes must not be modified.
 func (t *Tree) Leaves() [][]byte {
-	if len(t.levels) == 0 {
+	out := make([][]byte, t.Len())
+	for i := range out {
+		out[i] = node(t.rows[0], i)
+	}
+	return out
+}
+
+// LeafRow returns the leaf row the tree was built over, hashes end to
+// end. The result must not be modified.
+func (t *Tree) LeafRow() []byte {
+	if len(t.rows) == 0 {
 		return nil
 	}
-	return t.levels[0]
+	return t.rows[0]
 }
 
 // Root returns the tree root (EmptyRoot for an empty tree). The result
 // must not be modified.
 func (t *Tree) Root() []byte {
-	if len(t.levels) == 0 {
+	if len(t.rows) == 0 {
 		return EmptyRoot()
 	}
-	return t.levels[len(t.levels)-1][0]
+	return node(t.rows[len(t.rows)-1], 0)
 }
 
 // Proof returns the audit path for leaf i: the sibling hashes from the
@@ -185,16 +206,9 @@ func (t *Tree) Proof(i int) ([][]byte, error) {
 	}
 	var path [][]byte
 	idx := i
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		row := t.levels[lvl]
-		var sib int
-		if idx%2 == 0 {
-			sib = idx + 1
-		} else {
-			sib = idx - 1
-		}
-		if sib < len(row) {
-			path = append(path, row[sib])
+	for _, row := range t.rows[:len(t.rows)-1] {
+		if sib := idx ^ 1; sib < len(row)/HashSize {
+			path = append(path, node(row, sib))
 		}
 		idx /= 2
 	}

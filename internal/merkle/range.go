@@ -20,14 +20,13 @@ func (t *Tree) RangeProof(begin, end int) (left, right [][]byte, err error) {
 		return nil, nil, fmt.Errorf("merkle: leaf range [%d,%d) invalid for %d leaves", begin, end, t.Len())
 	}
 	lo, hi := begin, end
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		row := t.levels[lvl]
+	for _, row := range t.rows[:len(t.rows)-1] {
 		if lo%2 == 1 {
-			left = append(left, row[lo-1])
+			left = append(left, node(row, lo-1))
 			lo--
 		}
-		if hi%2 == 1 && hi < len(row) {
-			right = append(right, row[hi])
+		if hi%2 == 1 && hi < len(row)/HashSize {
+			right = append(right, node(row, hi))
 			hi++
 		}
 		// hi odd with hi == len(row): the range's last node is the odd

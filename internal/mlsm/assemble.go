@@ -35,16 +35,12 @@ func (x *Index) InstallAll(pages []wire.Page, roots [][]byte, global wire.Signed
 	}
 	for i, lp := range byLevel {
 		x.levels[i] = lp
-		x.trees[i] = LevelTree(lp)
+		x.pageTrees[i], x.trees[i] = commitLevel(lp)
 		if !bytes.Equal(x.trees[i].Root(), roots[i]) {
 			return fmt.Errorf("%w: level %d root mismatch", ErrBadPages, i+1)
 		}
 	}
-	x.roots = make([][]byte, len(roots))
-	for i := range roots {
-		x.roots[i] = append([]byte(nil), roots[i]...)
-	}
-	x.global = global
+	x.adopt(roots, global)
 	return nil
 }
 
@@ -95,25 +91,18 @@ func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index) *wire.GetRes
 		return resp
 	}
 
-	hitLevel, pageIdx, kv, found := idx.Lookup(key)
+	// Every level down to the one holding the key ships its page for the
+	// key; an empty level has none (its root is EmptyRoot, checked
+	// client-side).
+	hitLevel, _, kv, found := idx.Lookup(key)
 	last := idx.Levels()
 	if found {
 		last = hitLevel
 	}
 	for lvl := 1; lvl <= last; lvl++ {
-		pi := pageIdx
-		if lvl != hitLevel || !found {
-			pi = idx.FindPage(lvl, key)
+		if lp, err := idx.LevelProof(lvl, idx.FindPage(lvl, key), key); err == nil {
+			resp.Proof.Levels = append(resp.Proof.Levels, lp)
 		}
-		if pi < 0 {
-			continue // empty level: root is EmptyRoot, checked client-side
-		}
-		lp, err := idx.LevelProof(lvl, pi)
-		if err != nil {
-			continue
-		}
-		lp.Width = uint32(idx.LevelLen(lvl))
-		resp.Proof.Levels = append(resp.Proof.Levels, lp)
 	}
 	if g := idx.Global(); len(g.CloudSig) > 0 {
 		resp.Proof.Roots = idx.Roots()

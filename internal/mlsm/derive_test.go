@@ -27,7 +27,7 @@ func referenceMerge(srcKVs []wire.KV, dst []wire.Page, level uint32, pageCap int
 	for start := 0; start < len(merged); start += pageCap {
 		end := min(start+pageCap, len(merged))
 		pages = append(pages, wire.Page{Level: level, Seq: seqStart + uint64(len(pages)), Ts: ts,
-			KVs: append([]wire.KV(nil), merged[start:end]...)})
+			Count: uint32(end - start), KVs: append([]wire.KV(nil), merged[start:end]...)})
 	}
 	if len(pages) == 0 {
 		pages = append(pages, wire.Page{Level: level, Seq: seqStart, Ts: ts})
@@ -187,6 +187,44 @@ func BenchmarkMergeSorted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPages = Merge(src, dst, 2, 100, 0, 1)
+	}
+}
+
+// BenchmarkLevelTree is the merge's hashing price: committing a
+// 10,000-record level of 128-byte values (LevelTree, every page leaf from
+// its records), reported per record — what the cloud pays once per page
+// it receives or produces in a merge.
+func BenchmarkLevelTree(b *testing.B) {
+	pages := benchLevel(10000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LevelTree(pages)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/10000, "ns/record")
+}
+
+// BenchmarkPageSliceVerify is what a reader pays per level of a get (cf.
+// BenchmarkSliceVerify, per L0 block): the key's page of a 100-page level,
+// cut to the key's row and its two neighbours, folded to its leaf, and the
+// leaf folded to the level root.
+func BenchmarkPageSliceVerify(b *testing.B) {
+	pages := benchLevel(10000, 1)
+	roots := [][]byte{LevelTree(pages).Root()}
+	x := NewIndex([]int{1000})
+	if err := x.InstallLevel(1, pages, roots, wire.SignedRoot{}); err != nil {
+		b.Fatal(err)
+	}
+	lp, err := x.LevelProof(1, 50, pages[50].KVs[37].Key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := merkle.Verify(roots[0], PageLeaf(&lp.Page), int(lp.Index), int(lp.Width), lp.Path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -44,30 +44,16 @@ type L0WindowCheck struct {
 	Rows []wire.KV
 }
 
-// Freshest returns the newest of Rows — for a get, the key's freshest L0
-// version — and false when the window holds no row.
-func (c *L0WindowCheck) Freshest() (wire.KV, bool) {
-	var best wire.KV
-	for _, kv := range c.Rows {
-		if kv.Ver > best.Ver {
-			best = kv
-		}
-	}
-	return best, best.Ver > 0
-}
-
 // CheckFrontier enforces where a verified window must start, given the
 // index state the response carries: at the cloud-signed compaction
 // frontier when a signed global root is present, and at block 0 when the
 // response claims nothing was ever compacted (no roots, no level
 // evidence) — otherwise a dropped leading block could hide a key's
-// freshest version. A get whose window holds the key (l0Hit) is exempt:
-// every block before the hit is older than it, so the edge ships no index
-// state with an L0 hit (AssembleGet) and none is needed. Gets, scans and
-// the Judge all call this, so what a client accepts the Judge cannot
-// convict.
-func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence, l0Hit bool) error {
-	if c.Slots == 0 || l0Hit {
+// freshest version. (A get whose window holds the key needs neither: every
+// block before the hit is older than it, so the edge ships no index state
+// with an L0 hit and the verifier asks for none.)
+func (c *L0WindowCheck) CheckFrontier(global *wire.SignedRoot, levelEvidence bool) error {
+	if c.Slots == 0 {
 		return nil
 	}
 	if len(global.CloudSig) > 0 {

@@ -74,7 +74,7 @@ func TestVerifyL0WindowHonestPruning(t *testing.T) {
 	if win.Slots != 3 || win.FirstID != 0 || win.L0End != 3 {
 		t.Fatalf("window shape: %+v", win)
 	}
-	if hit, ok := win.Freshest(); !ok || hit.Ver != 5 || string(hit.Value) != "new" || len(win.Rows) != 2 {
+	if newest := MergeNewest(win.Rows); len(win.Rows) != 2 || newest[0].Ver != 5 || string(newest[0].Value) != "new" {
 		t.Fatalf("rows = %+v", win.Rows)
 	}
 	// Every slice folds to its block's digest; the uncertified one is pinned.
@@ -208,7 +208,7 @@ func TestVerifyL0WindowTamperedUncertifiedSummaryPins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("uncertified doctored slice should defer to Phase II: %v", err)
 	}
-	if _, hit := win.Freshest(); hit {
+	if len(win.Rows) != 0 {
 		t.Fatal("the doctored slice still shows the key")
 	}
 	if bytes.Equal(win.Uncertified[2], wcrypto.BlockDigest(&f.blocks[2])) {
@@ -272,42 +272,30 @@ func TestVerifyL0WindowLargeRun(t *testing.T) {
 // TestCheckFrontier pins the one rule on where a window must start
 // (shared by gets, scans and the Judge): the signed compaction frontier
 // when a signed root is present, block 0 when the response claims nothing
-// was ever compacted, and no constraint on a get whose window holds the
-// key.
+// was ever compacted.
 func TestCheckFrontier(t *testing.T) {
 	f := newWindowFixture(t)
-	tail := func(key string) (L0WindowCheck, bool) { // window = blocks 1..2 only
-		p, window := f.get(key)
-		win, err := VerifyL0Window(p, window[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, hit := win.Freshest()
-		return win, hit
+	p, window := f.get("apple")
+	win, err := VerifyL0Window(p, window[1:]) // window = blocks 1..2 only
+	if err != nil {
+		t.Fatal(err)
 	}
 	signed := func(l0From uint64) *wire.SignedRoot {
 		return &wire.SignedRoot{L0From: l0From, CloudSig: []byte{1}}
-	}
-	win, hit := tail("mango")
-	if _, miss := tail("apple"); !hit || miss {
-		t.Fatalf("hit = %v, miss = %v", hit, miss)
 	}
 	for _, c := range []struct {
 		name          string
 		win           L0WindowCheck
 		global        *wire.SignedRoot
 		levelEvidence bool
-		l0Hit         bool
 		ok            bool
 	}{
-		{"miss, no index state, window past block 0", win, &wire.SignedRoot{}, false, false, false},
-		{"hit, no index state, window past block 0", win, &wire.SignedRoot{}, false, true, true},
-		{"miss at the signed frontier", win, signed(1), true, false, true},
-		{"miss behind the signed frontier", win, signed(0), true, false, false},
-		{"hit behind the signed frontier", win, signed(0), true, true, true},
-		{"empty window", L0WindowCheck{}, signed(7), true, false, true},
+		{"no index state, window past block 0", win, &wire.SignedRoot{}, false, false},
+		{"at the signed frontier", win, signed(1), true, true},
+		{"behind the signed frontier", win, signed(0), true, false},
+		{"empty window", L0WindowCheck{}, signed(7), true, true},
 	} {
-		if err := c.win.CheckFrontier(c.global, c.levelEvidence, c.l0Hit); (err == nil) != c.ok {
+		if err := c.win.CheckFrontier(c.global, c.levelEvidence); (err == nil) != c.ok {
 			t.Errorf("%s: err = %v", c.name, err)
 		}
 	}

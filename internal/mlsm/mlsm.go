@@ -37,20 +37,6 @@ var (
 // PageLeaf returns the Merkle leaf hash committing a page (wire.Page.Leaf).
 func PageLeaf(p *wire.Page) []byte { return p.Leaf() }
 
-// PageLeaves returns the leaf of every page, in order.
-func PageLeaves(pages []wire.Page) [][]byte {
-	leaves := make([][]byte, len(pages))
-	for i := range pages {
-		leaves[i] = pages[i].Leaf()
-	}
-	return leaves
-}
-
-// LevelTree builds the Merkle tree over a level's pages in order.
-func LevelTree(pages []wire.Page) *merkle.Tree {
-	return merkle.New(PageLeaves(pages))
-}
-
 // GlobalRoot folds the per-level roots (levels 1..n, in order) into the
 // single global root the cloud signs.
 func GlobalRoot(roots [][]byte) []byte {
@@ -197,6 +183,7 @@ func Merge(srcKVs []wire.KV, dst []wire.Page, level uint32, pageCap int, seqStar
 			Level: level,
 			Seq:   seqStart + uint64(len(pages)),
 			Ts:    ts,
+			Count: uint32(end - start),
 			KVs:   merged[start:end:end],
 		})
 	}
@@ -218,7 +205,8 @@ func Merge(srcKVs []wire.KV, dst []wire.Page, level uint32, pageCap int, seqStar
 	return pages
 }
 
-// CheckLevel validates a level's invariants: key-sorted records inside
+// CheckLevel validates a level's invariants: whole pages (a cut is read
+// evidence, never a merge input or output), key-sorted records inside
 // pages, records inside their page range, ranges contiguous from -inf to
 // +inf, and no duplicate keys across the level.
 func CheckLevel(pages []wire.Page) error {
@@ -235,6 +223,9 @@ func CheckLevel(pages []wire.Page) error {
 	havePrev := false
 	for i := range pages {
 		p := &pages[i]
+		if !p.Whole() {
+			return fmt.Errorf("%w: page %d is cut", ErrBadPages, i)
+		}
 		if i > 0 && !bytes.Equal(pages[i-1].Hi, p.Lo) {
 			return fmt.Errorf("%w: gap between pages %d and %d", ErrBadPages, i-1, i)
 		}
@@ -253,12 +244,15 @@ func CheckLevel(pages []wire.Page) error {
 }
 
 // Index is the edge-resident state for LSMerkle levels 1..n: the pages,
-// their Merkle trees, the level roots and the cloud-signed global root.
-// L0 state lives in the edge node itself (the uncompacted suffix of the
-// wlog). Index is not safe for concurrent use.
+// each page's tree over its records (which reads are cut from, as blocks
+// keep theirs), the level trees over the page leaves, the level roots and
+// the cloud-signed global root. L0 state lives in the edge node itself
+// (the uncompacted suffix of the wlog). Index is not safe for concurrent
+// use.
 type Index struct {
 	thresholds []int // max pages per level, for levels 1..n
 	levels     [][]wire.Page
+	pageTrees  [][]*merkle.Tree
 	trees      []*merkle.Tree
 	roots      [][]byte
 	global     wire.SignedRoot
@@ -271,6 +265,7 @@ func NewIndex(thresholds []int) *Index {
 	x := &Index{
 		thresholds: append([]int(nil), thresholds...),
 		levels:     make([][]wire.Page, n),
+		pageTrees:  make([][]*merkle.Tree, n),
 		trees:      make([]*merkle.Tree, n),
 		roots:      make([][]byte, n),
 	}
@@ -327,18 +322,27 @@ func (x *Index) InstallLevel(level int, pages []wire.Page, roots [][]byte, globa
 	if len(roots) != len(x.roots) {
 		return fmt.Errorf("%w: %d roots for %d levels", ErrBadPages, len(roots), len(x.roots))
 	}
-	tree := LevelTree(pages)
+	runs := []*Records{x.records(level)}
+	if level > 1 {
+		runs = append(runs, x.records(level-1))
+	}
+	pageTrees, tree := commitLevel(pages, runs...)
 	if !bytes.Equal(tree.Root(), roots[level-1]) {
 		return fmt.Errorf("%w: cloud level root does not match installed pages", ErrBadPages)
 	}
 	x.levels[level-1] = append([]wire.Page(nil), pages...)
-	x.trees[level-1] = tree
+	x.pageTrees[level-1], x.trees[level-1] = pageTrees, tree
+	x.adopt(roots, global)
+	return nil
+}
+
+// adopt takes a copy of the cloud-signed level roots and global root.
+func (x *Index) adopt(roots [][]byte, global wire.SignedRoot) {
 	x.roots = make([][]byte, len(roots))
 	for i := range roots {
 		x.roots[i] = append([]byte(nil), roots[i]...)
 	}
 	x.global = global
-	return nil
 }
 
 // ClearLevel empties level (1-based) after its pages were merged downward.
@@ -349,7 +353,7 @@ func (x *Index) ClearLevel(level int) error {
 	if level < 1 || level > len(x.levels) {
 		return fmt.Errorf("%w: %d", ErrLevelRange, level)
 	}
-	x.levels[level-1] = nil
+	x.levels[level-1], x.pageTrees[level-1] = nil, nil
 	x.trees[level-1] = merkle.New(nil)
 	if !bytes.Equal(x.trees[level-1].Root(), x.roots[level-1]) {
 		return fmt.Errorf("%w: cleared level root mismatch", ErrBadPages)
@@ -406,9 +410,9 @@ func (x *Index) PageRange(level int, start, end []byte) (int, int) {
 }
 
 // LevelRangeProof assembles the multi-page Merkle range proof for pages
-// [a, b) of level (1-based): the pages themselves plus the two flank
-// paths (merkle.RangeProof).
-func (x *Index) LevelRangeProof(level, a, b int) (wire.LevelRangeProof, error) {
+// [a, b) of level (1-based), each cut for a read of [start, end): the
+// pages plus the two flank paths (merkle.RangeProof).
+func (x *Index) LevelRangeProof(level, a, b int, start, end []byte) (wire.LevelRangeProof, error) {
 	if level < 1 || level > len(x.levels) {
 		return wire.LevelRangeProof{}, fmt.Errorf("%w: %d", ErrLevelRange, level)
 	}
@@ -420,14 +424,18 @@ func (x *Index) LevelRangeProof(level, a, b int) (wire.LevelRangeProof, error) {
 	if err != nil {
 		return wire.LevelRangeProof{}, err
 	}
-	return wire.LevelRangeProof{
+	lp := wire.LevelRangeProof{
 		Level: uint32(level),
 		First: uint32(a),
 		Width: uint32(x.trees[level-1].Len()),
-		Pages: append([]wire.Page(nil), pages[a:b]...),
+		Pages: make([]wire.Page, b-a),
 		Left:  left,
 		Right: right,
-	}, nil
+	}
+	for i := range lp.Pages {
+		lp.Pages[i] = pages[a+i].Cut(x.pageTrees[level-1][a+i], start, end)
+	}
+	return lp, nil
 }
 
 // MergeNewest sorts candidate records by key and keeps the highest
@@ -460,8 +468,8 @@ func (x *Index) Lookup(key []byte) (level, pageIdx int, kv wire.KV, found bool) 
 }
 
 // LevelProof assembles the Merkle membership proof for page pageIdx of
-// level (1-based).
-func (x *Index) LevelProof(level, pageIdx int) (wire.LevelProof, error) {
+// level (1-based), the page cut for a get of key.
+func (x *Index) LevelProof(level, pageIdx int, key []byte) (wire.LevelProof, error) {
 	if level < 1 || level > len(x.levels) {
 		return wire.LevelProof{}, fmt.Errorf("%w: %d", ErrLevelRange, level)
 	}
@@ -473,16 +481,15 @@ func (x *Index) LevelProof(level, pageIdx int) (wire.LevelProof, error) {
 	if err != nil {
 		return wire.LevelProof{}, err
 	}
+	start, end := wire.PointRange(key)
 	return wire.LevelProof{
 		Level: uint32(level),
-		Page:  pages[pageIdx],
+		Page:  pages[pageIdx].Cut(x.pageTrees[level-1][pageIdx], start, end),
 		Index: uint32(pageIdx),
+		Width: uint32(len(pages)),
 		Path:  path,
 	}, nil
 }
-
-// LevelLen returns the number of leaves in level's tree (1-based level).
-func (x *Index) LevelLen(level int) int { return x.trees[level-1].Len() }
 
 // TotalRecords counts records across levels 1..n (for tests and stats).
 func (x *Index) TotalRecords() int {

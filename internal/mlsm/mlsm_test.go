@@ -2,6 +2,7 @@ package mlsm
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -152,6 +153,12 @@ func TestCheckLevelRejectsViolations(t *testing.T) {
 	if err := CheckLevel(out); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
+	// A page cut for a read.
+	cut := append([]wire.Page(nil), good...)
+	cut[1].Begin, cut[1].KVs = 1, cut[1].KVs[1:]
+	if err := CheckLevel(cut); err == nil {
+		t.Fatal("cut page accepted")
+	}
 	// Duplicate keys across the level.
 	dup := Merge([]wire.KV{kv("a", 1), kv("b", 2)}, nil, 1, 1, 0, 1)
 	dup[1].KVs[0].Key = []byte("a")
@@ -162,7 +169,7 @@ func TestCheckLevelRejectsViolations(t *testing.T) {
 }
 
 func TestPageLeafBindsRangeAndContent(t *testing.T) {
-	p := wire.Page{Level: 1, Seq: 1, Lo: []byte("a"), Hi: []byte("m"), KVs: []wire.KV{kv("b", 1)}}
+	p := wire.Page{Level: 1, Seq: 1, Lo: []byte("a"), Hi: []byte("m"), Count: 1, KVs: []wire.KV{kv("b", 1)}}
 	l1 := PageLeaf(&p)
 	p2 := p
 	p2.Hi = []byte("z") // widen the claimed range
@@ -173,6 +180,42 @@ func TestPageLeafBindsRangeAndContent(t *testing.T) {
 	p3.KVs = []wire.KV{kv("b", 2)}
 	if bytes.Equal(l1, PageLeaf(&p3)) {
 		t.Fatal("leaf ignores content")
+	}
+}
+
+// TestPageLeafGoldenVector pins the page leaf: LeafHash(Level ‖ Seq ‖ Lo ‖
+// Hi ‖ Ts ‖ Count ‖ root), root the Merkle root over the records in key
+// order, each record's leaf LeafHash(KV encoding), odd nodes promoted. The
+// vector was computed by an independent implementation over a five-record
+// page. The cloud's fold, the edge's commit and three cuts of the page — a
+// get's, a miss's, a scan's — agree on it. If this fails the page
+// commitment drifted — a format break: level roots, signed global roots
+// and merge-request signatures from the other side of the change stop
+// matching.
+func TestPageLeafGoldenVector(t *testing.T) {
+	const leaf = "29303eb305bdfba2f3d02303985026f4b2dd648817de939f6efa89513c3693e0"
+	page := wire.Page{Level: 2, Seq: 17, Lo: []byte("b"), Hi: []byte("q"), Ts: 4321, Count: 5, KVs: []wire.KV{
+		{Key: []byte("b"), Value: []byte("1"), Ver: 3},
+		{Key: []byte("d"), Value: []byte("22"), Ver: 9},
+		{Key: []byte("f"), Ver: 4},
+		{Key: []byte("k"), Value: []byte("kv"), Ver: 12},
+		{Key: []byte("p"), Value: []byte("pp"), Ver: 1},
+	}}
+	if got := hex.EncodeToString(PageLeaf(&page)); got != leaf {
+		t.Fatalf("page leaf drifted:\n got %s\nwant %s", got, leaf)
+	}
+	trees, level := commitLevel([]wire.Page{page})
+	if got := hex.EncodeToString(level.Leaves()[0]); got != leaf {
+		t.Fatalf("committed leaf drifted: %s", got)
+	}
+	for _, r := range [][2]string{{"d", "d\x00"}, {"c", "c\x00"}, {"g", "p"}} {
+		cut := page.Cut(trees[0], []byte(r[0]), []byte(r[1]))
+		if cut.Whole() {
+			t.Fatalf("[%q, %q) shipped the whole page", r[0], r[1])
+		}
+		if got := hex.EncodeToString(PageLeaf(&cut)); got != leaf {
+			t.Fatalf("cut [%q, %q) folds to %s", r[0], r[1], got)
+		}
 	}
 }
 
@@ -284,12 +327,12 @@ func TestLevelProofVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi := range pages {
-		lp, err := x.LevelProof(1, pi)
+		lp, err := x.LevelProof(1, pi, pages[pi].KVs[0].Key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		leaf := PageLeaf(&lp.Page)
-		if err := merkle.Verify(roots[0], leaf, int(lp.Index), x.LevelLen(1), lp.Path); err != nil {
+		if err := merkle.Verify(roots[0], leaf, int(lp.Index), int(lp.Width), lp.Path); err != nil {
 			t.Fatalf("page %d proof: %v", pi, err)
 		}
 	}

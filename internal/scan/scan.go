@@ -4,19 +4,25 @@
 // was omitted.
 //
 // The completeness argument stacks three facts. Every page leaf commits
-// the page's [Lo, Hi) bounds (mlsm.PageLeaf), a level's pages partition
-// the keyspace contiguously (mlsm.CheckLevel, enforced by the trusted
-// cloud at merge time before it signs the level roots), and a Merkle
-// range proof (merkle.VerifyRange) pins a presented page run to
-// consecutive leaf positions. A verified run whose first page contains
-// the scan's start and whose last page covers its end therefore contains
-// every certified record of the range at that level; adding every
-// uncompacted L0 block (whose certificates — or later-arriving proofs —
-// pin their content) covers the unmerged suffix. The client derives the
-// result from this evidence rather than trusting a result list, so the
-// edge's only possible lie is a defective proof, and a defective signed
-// proof is self-incriminating: the cloud re-runs this same Verify during
-// adjudication.
+// the page's [Lo, Hi) bounds and the root over its records (mlsm.PageLeaf),
+// a level's pages partition the keyspace contiguously (mlsm.CheckLevel,
+// enforced by the trusted cloud at merge time before it signs the level
+// roots), and a Merkle range proof (merkle.VerifyRange) pins a presented
+// page run to consecutive leaf positions. A verified run whose first page
+// contains the scan's start and whose last page covers its end therefore
+// contains every certified record of the range at that level. Each page
+// ships cut to its records in range and the one on either side, folded to
+// its root by a range proof of its own, so the flanks bracket the request
+// inside the page the way the boundary pages bracket it inside the level.
+// Adding every uncompacted L0 block (whose certificates — or
+// later-arriving proofs — pin their content) covers the unmerged suffix.
+// The client derives the result from this evidence rather than trusting a
+// result list, so the edge's only possible lie is a defective proof, and a
+// defective signed proof is self-incriminating: the cloud re-runs this
+// same verifier during adjudication.
+//
+// A get is the scan of one key (wire.PointRange): VerifyGet runs the same
+// verifier over a get response, stopping at the key's newest version.
 //
 // Both the WedgeChain edge (assembly) and the client and cloud
 // (verification) use this one implementation, mirroring how package mlsm
@@ -45,7 +51,8 @@ var ErrStale = errors.New("scan: snapshot outside freshness window")
 // protocol, run by the edge. Every window block ships as its slice for the
 // range; for each non-empty level it includes every page overlapping the
 // range (the boundary pages included, since their committed bounds prove
-// completeness at both ends) under one Merkle range proof.
+// completeness at both ends), each cut to the range, under one Merkle
+// range proof.
 func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index) *wire.ScanResponse {
 	resp := &wire.ScanResponse{ReqID: reqID, Start: start, End: end}
 	resp.Proof.L0Pruned = l0.Window(start, end)
@@ -54,7 +61,7 @@ func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index
 		if a < 0 {
 			continue // empty level: its root is EmptyRoot, checked by verifiers
 		}
-		lp, err := idx.LevelRangeProof(lvl, a, b)
+		lp, err := idx.LevelRangeProof(lvl, a, b, start, end)
 		if err != nil {
 			continue
 		}
@@ -78,86 +85,117 @@ type Params struct {
 	Cloud           wire.NodeID
 	Now             int64
 	FreshnessWindow int64
-	// Cache, when non-nil, memoizes proven page leaves so repeated scans
-	// over a stable index skip re-hashing unchanged pages. Clients own
-	// one per session; the adjudicating cloud verifies cold.
-	Cache *LeafCache
 }
 
 // Result is the outcome of a successful verification.
 type Result struct {
-	// KVs is the derived scan result: every certified (or Phase I
-	// promised) record in [start, end), newest version per key, ordered
-	// by key. No limit is applied — truncation is the caller's choice.
+	// KVs is the derived result: every certified (or Phase I promised)
+	// record in the range, newest version per key, ordered by key — for a
+	// get, the key's newest version or nothing. No limit is applied —
+	// truncation is the caller's choice.
 	KVs []wire.KV
 	// Uncertified maps each L0 block id lacking a certificate to the
 	// locally recomputed digest the later-arriving proof must match.
 	Uncertified map[uint64][]byte
 	// Epoch is the index epoch of the snapshot (0 when no merged state
-	// existed yet) and L0End one past the highest served L0 block id —
-	// the session-consistency watermark pair.
+	// existed yet, or a get resolved in L0) and L0End one past the highest
+	// served L0 block id — the session-consistency watermark pair.
 	Epoch uint64
 	L0End uint64
 }
 
+// read is the evidence of one read of [start, end): what a scan response
+// carries, and what a get response carries for wire.PointRange(key).
+type read struct {
+	start, end []byte
+	window     []wire.L0Slice
+	levels     []wire.LevelRangeProof
+	roots      [][]byte
+	global     *wire.SignedRoot
+	// point marks a get: it stops at the key's newest version — its L0
+	// hit, or the first level holding it — and ships nothing below that.
+	point bool
+}
+
 // Verify re-derives every claim in a scan response: the L0 window's
 // slices and certificates, the signed global root, per-level Merkle
-// range proofs, page-run contiguity, boundary coverage at both ends, and
-// finally the result itself. It returns ErrStale for an out-of-window
-// snapshot and a descriptive error for every structural defect.
+// range proofs, page-run contiguity, boundary coverage at both ends, each
+// page's cut, and finally the result itself. It returns ErrStale for an
+// out-of-window snapshot and a descriptive error for every structural
+// defect.
 func Verify(p Params, m *wire.ScanResponse) (Result, error) {
-	res := Result{Uncertified: make(map[uint64][]byte)}
-	start, end := m.Start, m.End
-	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
-		return res, fmt.Errorf("empty key range")
+	if m.Start != nil && m.End != nil && bytes.Compare(m.Start, m.End) >= 0 {
+		return Result{}, fmt.Errorf("empty key range")
 	}
 	pr := &m.Proof
-	inRange := func(k []byte) bool {
-		if start != nil && bytes.Compare(k, start) < 0 {
-			return false
-		}
-		if end != nil && bytes.Compare(k, end) >= 0 {
-			return false
-		}
-		return true
-	}
+	return verify(p, read{start: m.Start, end: m.End, window: pr.L0Pruned, levels: pr.Levels, roots: pr.Roots, global: &pr.Global})
+}
 
-	// The L0 window, one slice per block: the shared window checks the
-	// cloud's Judge re-runs verbatim.
+// VerifyGet verifies a get response as the scan of wire.PointRange of the
+// key it echoes — the one verifier, at every level — and checks that the
+// answer it carries is the one its evidence derives.
+func VerifyGet(p Params, m *wire.GetResponse) (Result, error) {
+	pr := &m.Proof
+	levels := make([]wire.LevelRangeProof, len(pr.Levels))
+	for i := range pr.Levels {
+		levels[i] = pr.Levels[i].Range()
+	}
+	start, end := wire.PointRange(m.Key)
+	res, err := verify(p, read{start: start, end: end, window: pr.L0Pruned, levels: levels, roots: pr.Roots, global: &pr.Global, point: true})
+	if err != nil {
+		return res, err
+	}
+	var kv wire.KV
+	if len(res.KVs) > 0 {
+		kv = res.KVs[0]
+	}
+	if m.Found != (len(res.KVs) > 0) || m.Ver != kv.Ver || !bytes.Equal(m.Value, kv.Value) {
+		return res, fmt.Errorf("answer contradicts the evidence")
+	}
+	return res, nil
+}
+
+func verify(p Params, r read) (Result, error) {
+	// The L0 window, one slice per block: the shared window checks.
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg: p.Reg, Edge: p.Edge, Cloud: p.Cloud, Start: start, End: end,
-	}, pr.L0Pruned)
+		Reg: p.Reg, Edge: p.Edge, Cloud: p.Cloud, Start: r.start, End: r.end,
+	}, r.window)
+	res := Result{Uncertified: win.Uncertified, L0End: win.L0End}
 	if err != nil {
 		return res, err
 	}
 	cand := win.Rows
-	res.Uncertified = win.Uncertified
-	res.L0End = win.L0End
+	if r.point && len(cand) > 0 {
+		// A get whose key is in the window: every block before the hit,
+		// and every level, is older than it, so no index state is needed.
+		res.KVs = mlsm.MergeNewest(cand)
+		return res, nil
+	}
 
-	levelEvidence := len(pr.Roots) > 0 || len(pr.Levels) > 0
-	if !levelEvidence && len(pr.Global.CloudSig) == 0 {
+	levelEvidence := len(r.roots) > 0 || len(r.levels) > 0
+	if !levelEvidence && len(r.global.CloudSig) == 0 {
 		// No merged state exists yet, so nothing has ever been compacted:
 		// the L0 window must be the log itself, from block 0. This also
 		// defuses a rollback attack — an edge with merged state that
 		// presents the no-merged-state shape must replay its full
 		// certified history (consecutiveness plus per-block certificates
 		// pin it), which contains every compacted record anyway.
-		if err := win.CheckFrontier(&pr.Global, levelEvidence, false); err != nil {
+		if err := win.CheckFrontier(r.global, levelEvidence); err != nil {
 			return res, err
 		}
 		res.KVs = mlsm.MergeNewest(cand)
 		return res, nil
 	}
-	if len(pr.Global.CloudSig) == 0 {
+	if len(r.global.CloudSig) == 0 {
 		return res, fmt.Errorf("level evidence without signed global root")
 	}
-	if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, &pr.Global, pr.Global.CloudSig); err != nil {
+	if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, r.global, r.global.CloudSig); err != nil {
 		return res, fmt.Errorf("global root: %v", err)
 	}
-	if pr.Global.Edge != p.Edge {
+	if r.global.Edge != p.Edge {
 		return res, fmt.Errorf("global root for wrong edge")
 	}
-	if !bytes.Equal(mlsm.GlobalRoot(pr.Roots), pr.Global.Root) {
+	if !bytes.Equal(mlsm.GlobalRoot(r.roots), r.global.Root) {
 		return res, fmt.Errorf("level roots do not fold to global root")
 	}
 	// The signed compaction frontier pins where the served L0 window must
@@ -165,27 +203,28 @@ func Verify(p Params, m *wire.ScanResponse) (Result, error) {
 	// blocks without the mismatch showing here. (An entirely empty window
 	// can still hide the newest blocks — that is the stale-snapshot
 	// attack, bounded by the freshness window and session watermarks.)
-	if err := win.CheckFrontier(&pr.Global, levelEvidence, false); err != nil {
+	if err := win.CheckFrontier(r.global, levelEvidence); err != nil {
 		return res, err
 	}
-	res.Epoch = pr.Global.Epoch
-	if p.FreshnessWindow > 0 && p.Now-pr.Global.Ts > p.FreshnessWindow {
+	res.Epoch = r.global.Epoch
+	if p.FreshnessWindow > 0 && p.Now-r.global.Ts > p.FreshnessWindow {
 		return res, ErrStale
 	}
 
-	proofs := make(map[int]*wire.LevelRangeProof, len(pr.Levels))
-	for i := range pr.Levels {
-		lp := &pr.Levels[i]
+	proofs := make(map[int]*wire.LevelRangeProof, len(r.levels))
+	for i := range r.levels {
+		lp := &r.levels[i]
 		if proofs[int(lp.Level)] != nil {
 			return res, fmt.Errorf("level %d: duplicate proof", lp.Level)
 		}
 		proofs[int(lp.Level)] = lp
 	}
 	empty := merkle.EmptyRoot()
-	for lvl := 1; lvl <= len(pr.Roots); lvl++ {
+	// A get stops below the first level that holds its key.
+	for lvl := 1; lvl <= len(r.roots) && !(r.point && len(cand) > 0); lvl++ {
 		lp := proofs[lvl]
 		delete(proofs, lvl)
-		if bytes.Equal(pr.Roots[lvl-1], empty) {
+		if bytes.Equal(r.roots[lvl-1], empty) {
 			if lp != nil {
 				return res, fmt.Errorf("level %d: proof against empty level", lvl)
 			}
@@ -194,61 +233,42 @@ func Verify(p Params, m *wire.ScanResponse) (Result, error) {
 		if lp == nil {
 			return res, fmt.Errorf("level %d: missing proof", lvl)
 		}
-		kvs, err := verifyLevelRange(lvl, pr.Roots[lvl-1], lp, start, end, inRange, p.Cache)
+		kvs, err := verifyLevelRange(lvl, r.roots[lvl-1], lp, r.start, r.end)
 		if err != nil {
 			return res, err
 		}
 		cand = append(cand, kvs...)
 	}
 	if len(proofs) != 0 {
-		return res, fmt.Errorf("proof for nonexistent level")
+		return res, fmt.Errorf("proof for a level the read does not reach")
 	}
 	res.KVs = mlsm.MergeNewest(cand)
 	return res, nil
 }
 
-// verifyLevelRange checks one level's page-range proof — Merkle fold,
-// page-run contiguity, boundary coverage — and collects its in-range
-// records. Page-internal invariants (sorted, in-bounds records) need no
-// re-check: the leaf hash commits the page bytes, and the trusted cloud
-// validated the invariants before signing the level root.
-//
-// With a cache, a shipped page that is byte-equal to a page previously
-// proven against the same level root reuses its memoized leaf instead of
-// re-hashing (equality is a memcmp, an order of magnitude cheaper than
-// SHA-256 over the page). A page that differs in any way — including the
-// tampered pages of omission attacks — misses the cache and is re-hashed,
-// so cached and cold verification accept and convict identically.
-func verifyLevelRange(lvl int, root []byte, lp *wire.LevelRangeProof, start, end []byte, inRange func([]byte) bool, cache *LeafCache) ([]wire.KV, error) {
+// verifyLevelRange checks one level's page-range proof — each page's cut,
+// the Merkle fold, page-run contiguity, boundary coverage — and collects
+// its in-range records. Page-internal invariants (sorted, in-bounds
+// records) need no re-check: the leaf commits the records at their sorted
+// positions, and the trusted cloud validated the invariants before
+// signing the level root.
+func verifyLevelRange(lvl int, root []byte, lp *wire.LevelRangeProof, start, end []byte) ([]wire.KV, error) {
 	if len(lp.Pages) == 0 {
 		return nil, fmt.Errorf("level %d: proof without pages", lvl)
 	}
 	leaves := make([][]byte, len(lp.Pages))
-	fresh := make([]bool, len(lp.Pages))
 	for i := range lp.Pages {
-		if int(lp.Pages[i].Level) != lvl {
-			return nil, fmt.Errorf("level %d: page from level %d", lvl, lp.Pages[i].Level)
+		pg := &lp.Pages[i]
+		if int(pg.Level) != lvl {
+			return nil, fmt.Errorf("level %d: page from level %d", lvl, pg.Level)
 		}
-		if cache != nil {
-			if leaf, ok := cache.lookup(lvl, root, &lp.Pages[i]); ok {
-				leaves[i] = leaf
-				continue
-			}
-			fresh[i] = true
+		if err := checkCut(pg, start, end); err != nil {
+			return nil, fmt.Errorf("level %d page %d: %v", lvl, pg.Seq, err)
 		}
-		leaves[i] = mlsm.PageLeaf(&lp.Pages[i])
+		leaves[i] = pg.Leaf()
 	}
 	if err := merkle.VerifyRange(root, leaves, int(lp.First), int(lp.Width), lp.Left, lp.Right); err != nil {
 		return nil, fmt.Errorf("level %d: %v", lvl, err)
-	}
-	if cache != nil {
-		// Insert only pages the fold just proved against the root — a
-		// response that fails verification must never warm the cache.
-		for i := range lp.Pages {
-			if fresh[i] {
-				cache.insert(lvl, root, &lp.Pages[i], leaves[i])
-			}
-		}
 	}
 	for i := 1; i < len(lp.Pages); i++ {
 		hi, lo := lp.Pages[i-1].Hi, lp.Pages[i].Lo
@@ -273,11 +293,27 @@ func verifyLevelRange(lvl int, root []byte, lp *wire.LevelRangeProof, start, end
 	}
 	var kvs []wire.KV
 	for i := range lp.Pages {
-		for j := range lp.Pages[i].KVs {
-			if kv := &lp.Pages[i].KVs[j]; inRange(kv.Key) {
-				kvs = append(kvs, *kv)
+		for _, kv := range lp.Pages[i].KVs {
+			if !wire.KeyBefore(kv.Key, start) && !wire.KeyAfter(kv.Key, end) {
+				kvs = append(kvs, kv)
 			}
 		}
 	}
 	return kvs, nil
+}
+
+// checkCut checks the part of a cut page's claim that needs no hashing:
+// the shipped run brackets [start, end) — its first record lies before
+// start unless the run starts the page, its last at or past end unless it
+// ends the page. The fold then proves the run is the page's, so every
+// record of the page in range is in it.
+func checkCut(p *wire.Page, start, end []byte) error {
+	n := len(p.KVs)
+	if p.Begin > 0 && (n == 0 || !wire.KeyBefore(p.KVs[0].Key, start)) {
+		return fmt.Errorf("left flank missing at position %d", p.Begin)
+	}
+	if next := uint64(p.Begin) + uint64(n); next < uint64(p.Count) && (n == 0 || !wire.KeyAfter(p.KVs[n-1].Key, end)) {
+		return fmt.Errorf("right flank missing at position %d of %d", next, p.Count)
+	}
+	return nil
 }

@@ -268,11 +268,20 @@ func TestScanAdversarial(t *testing.T) {
 		{"tamper value", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
 			resp.Proof.Levels[0].Pages[0].KVs[0].Value = []byte("evil")
 		}},
+		{"truncate page records", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[1]
+			p.KVs = p.KVs[:1]
+		}},
+		{"shift page bounds", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[1]
+			p.Lo = append([]byte(nil), p.Lo...)
+			p.Lo[len(p.Lo)-1]++
+		}},
 		{"truncate right boundary page", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
 			// The edge recomputes an honest narrower proof — Merkle-valid,
 			// but the last page's committed Hi now falls short of end.
 			lp := &resp.Proof.Levels[0]
-			narrow, err := f.idx.LevelRangeProof(1, int(lp.First), int(lp.First)+len(lp.Pages)-1)
+			narrow, err := f.idx.LevelRangeProof(1, int(lp.First), int(lp.First)+len(lp.Pages)-1, start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +289,7 @@ func TestScanAdversarial(t *testing.T) {
 		}},
 		{"truncate left boundary page", func(t *testing.T, f *fixture, resp *wire.ScanResponse) {
 			lp := &resp.Proof.Levels[0]
-			narrow, err := f.idx.LevelRangeProof(1, int(lp.First)+1, int(lp.First)+len(lp.Pages))
+			narrow, err := f.idx.LevelRangeProof(1, int(lp.First)+1, int(lp.First)+len(lp.Pages), start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,6 +346,62 @@ func TestScanAdversarial(t *testing.T) {
 			}
 			if _, err := Verify(f.params(), resp); err == nil {
 				t.Fatal("tampered scan response accepted")
+			}
+		})
+	}
+}
+
+// TestLeafCachePoisoningParity: a page the verifier has already proven
+// buys a tampered copy of it nothing. Verify keeps no state between
+// calls, so a response mutated after an honest scan of the same range was
+// accepted is rejected with exactly the error a fresh verifier returns.
+// The name is kept from the page-leaf memo this property once guarded.
+func TestLeafCachePoisoningParity(t *testing.T) {
+	mutations := []struct {
+		name   string
+		mutate func(resp *wire.ScanResponse)
+	}{
+		{"omit record from proven page", func(resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[1]
+			p.KVs = append([]wire.KV(nil), p.KVs[:1]...)
+		}},
+		{"tamper value in proven page", func(resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[0]
+			p.KVs = append([]wire.KV(nil), p.KVs...)
+			p.KVs[0].Value = []byte("evil")
+		}},
+		{"inject record into proven page", func(resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[1]
+			p.KVs = append(append([]wire.KV(nil), p.KVs...), wire.KV{Key: []byte("kxxxx"), Value: []byte("x"), Ver: 999})
+		}},
+		{"shift proven page bounds", func(resp *wire.ScanResponse) {
+			p := &resp.Proof.Levels[0].Pages[1]
+			p.Lo = append([]byte(nil), p.Lo...)
+			p.Lo[len(p.Lo)-1]++
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			f := newFixture(t)
+			p := f.params()
+			cold := f.assemble(key(5), key(30))
+			m.mutate(cold)
+			_, coldErr := Verify(p, cold)
+			if coldErr == nil {
+				t.Fatal("fresh verification accepted the mutation; test is vacuous")
+			}
+			// Prove the honest pages first, then present the tampered copy.
+			if _, err := Verify(p, f.assemble(key(5), key(30))); err != nil {
+				t.Fatalf("honest scan failed: %v", err)
+			}
+			resp := f.assemble(key(5), key(30))
+			m.mutate(resp)
+			_, warmErr := Verify(p, resp)
+			if warmErr == nil {
+				t.Fatal("tampered page accepted after its honest copy was proven")
+			}
+			if warmErr.Error() != coldErr.Error() {
+				t.Fatalf("verdict depends on earlier scans: %v after an honest scan, %v fresh", warmErr, coldErr)
 			}
 		})
 	}

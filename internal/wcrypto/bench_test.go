@@ -101,6 +101,7 @@ func benchMerge(k KeyPair) (m *wire.MergeRequest, leaves [][]byte) {
 			page.KVs = append(page.KVs, wire.KV{
 				Key: []byte(fmt.Sprintf("k%08d", p*100+i)), Value: make([]byte, 128), Ver: uint64(i + 1)})
 		}
+		page.Count = uint32(len(page.KVs))
 		m.SrcPages = append(m.SrcPages, page)
 		leaves = append(leaves, page.Leaf())
 	}

@@ -82,7 +82,7 @@ func goldenMerge() (*wire.MergeRequest, *wire.MergeResponse) {
 		{Client: "c1", Seq: 1, Key: []byte("a"), Value: []byte("1"), Sig: []byte("s1")},
 		{Client: "c1", Seq: 2, Key: []byte("b"), Value: []byte("2"), Sig: []byte("s2")},
 	}}
-	dst := wire.Page{Level: 1, Seq: 3, Ts: 50, KVs: []wire.KV{{Key: []byte("a"), Value: []byte("0"), Ver: 2}}}
+	dst := wire.Page{Level: 1, Seq: 3, Ts: 50, Count: 1, KVs: []wire.KV{{Key: []byte("a"), Value: []byte("0"), Ver: 2}}}
 	req := &wire.MergeRequest{Edge: "edge-1", ReqID: 9, L0Blocks: []wire.Block{blk}, DstPages: []wire.Page{dst}}
 	resp := &wire.MergeResponse{
 		Edge: "edge-1", ReqID: 9, OK: true, PageSeq: 4, PageCap: 100,
@@ -95,8 +95,8 @@ func goldenMerge() (*wire.MergeRequest, *wire.MergeResponse) {
 }
 
 const (
-	goldenReqBody  = "00000006656467652d3100000000000000090000000000000001000000206ff849a7a1d4a26969bd66f7466b9bc5d15e0dbe5452b9cc5c5ddb69cfbf32e10000000000000001000000201cdb74829f93a1489f08e0cbc84cd7772e601417d1c04d3c36ec281f846caa95"
-	goldenReqSig   = "35295c6feac390c06bfee0d425f205cbf7944d22b051fadf80ba3f02e21a5a3a682e5e310108a8762dd205e91014a13f2cdc2df469e06b2f0be11ecbb05a4406"
+	goldenReqBody  = "00000006656467652d3100000000000000090000000000000001000000206ff849a7a1d4a26969bd66f7466b9bc5d15e0dbe5452b9cc5c5ddb69cfbf32e1000000000000000100000020cee0462e4331e9cea0e73448ba5c6673a7f21e499e605c60dfeee6e243b49749"
+	goldenReqSig   = "e7d638f074c0a8928a966a4e6b03cad350bc794d0d2c06d76773ae756b3815e7bc260fa72b26972fd31c07770e4be071915a24cc29a04229acd94d2d02d60102"
 	goldenRespBody = "00000006656467652d310000000000000009010000000000000000000000000000000400000064000000020000002082f3e9c695dc6b8d1b11818d5701919e286de8d47f7c3eb3100c485f79e5782800000020db77fd01af957221a4989b64b3770a83a3c56068405b9f0e9408feae57fd17e400000006656467652d31000000000000000200000020cd0aa9856147b6c5b4ff2b7dfee5da20aa38253099ef1b4a64aced233c9afe29000000000000006300000000000000050000000267730000000000000004"
 	goldenRespSig  = "9255cc8c6ea12d5b34ddfdbfb21048b386f195b6adb1b492c4db22a10119ee0447d5245b9a8a5f04d9710a5fbc76c6bc549c353d7f0f19efbb897a2cf8d82b0b"
 )

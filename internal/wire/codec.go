@@ -344,7 +344,7 @@ const (
 	minEntrySize           = 4 + 8 + 4 + 4 + 8 + 8 + 4                     // Client Seq Key Value Ts Pos Sig
 	minKVSize              = 4 + 4 + 8                                     // Key Value Ver
 	minBlockSize           = 4 + 8 + 8 + 8 + 4                             // Edge ID StartPos Ts len(Entries)
-	minPageSize            = 4 + 8 + 1 + 1 + 8 + 4                         // Level Seq Lo Hi Ts len(KVs)
+	minPageSize            = 4 + 8 + 1 + 1 + 8 + 4 + 4 + 4 + 4 + 4         // Level Seq Lo Hi Ts Count Begin len(KVs) len(PathLeft) len(PathRight)
 	minBlockProofSize      = 4 + 8 + 4 + 4                                 // Edge BID Digest CloudSig
 	minSliceRowSize        = 4 + minEntrySize                              // Index Entry
 	minL0SliceSize         = 4 + 8 + 8 + 8 + 4 + 4 + 1 + 4 + 1 + 4 + 4 + 4 // Edge ID StartPos Ts Count Begin Left len(Rows) Right len(PathLeft) len(PathRight) CertSig
@@ -400,4 +400,12 @@ func decodeIDs(d *Decoder) []NodeID {
 // decoding an empty sequence as nil.
 func decodeBlobs(d *Decoder) [][]byte {
 	return decodeSlice(d, minBlobSize, func(b *[]byte, d *Decoder) { *b = d.Blob() })
+}
+
+// appendBlobs appends the counted sequence decodeBlobs reads.
+func appendBlobs(e *Encoder, bs [][]byte) {
+	e.U32(uint32(len(bs)))
+	for _, b := range bs {
+		e.Blob(b)
+	}
 }

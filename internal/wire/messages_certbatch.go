@@ -39,10 +39,7 @@ func (m *BlockCertifyBatch) EncodeTo(e *Encoder) {
 func (m *BlockCertifyBatch) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.Start)
-	e.U32(uint32(len(m.Digests)))
-	for _, d := range m.Digests {
-		e.Blob(d)
-	}
+	appendBlobs(e, m.Digests)
 }
 
 // DecodeFrom implements Message.
@@ -78,10 +75,7 @@ func (m *BlockCertBatch) EncodeTo(e *Encoder) {
 func (m *BlockCertBatch) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.Start)
-	e.U32(uint32(len(m.Digests)))
-	for _, d := range m.Digests {
-		e.Blob(d)
-	}
+	appendBlobs(e, m.Digests)
 }
 
 // DecodeFrom implements Message.

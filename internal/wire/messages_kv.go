@@ -86,9 +86,9 @@ func (m *GetRequest) DecodeFrom(d *Decoder) {
 }
 
 // LevelProof proves one page's membership in its level's Merkle tree: the
-// page itself, its leaf index, and the audit path (bottom-up sibling
-// hashes). The client recomputes the leaf hash from the page bytes and
-// folds the path to the level root.
+// page itself (cut to the key it answers for), its leaf index, and the
+// audit path (bottom-up sibling hashes). The client folds the page to its
+// leaf and the path to the level root.
 type LevelProof struct {
 	Level uint32
 	Page  Page
@@ -103,10 +103,27 @@ func (lp *LevelProof) EncodeTo(e *Encoder) {
 	lp.Page.EncodeTo(e)
 	e.U32(lp.Index)
 	e.U32(lp.Width)
-	e.U32(uint32(len(lp.Path)))
-	for _, h := range lp.Path {
-		e.Blob(h)
+	appendBlobs(e, lp.Path)
+}
+
+// Range returns the proof as the one-page LevelRangeProof that gets and
+// scans share a verifier over: a leaf's audit path is a range proof whose
+// flanks are the siblings to its left and to its right. Path elements the
+// tree has no place for land past the right flank, where the fold refuses
+// them.
+func (lp *LevelProof) Range() LevelRangeProof {
+	r := LevelRangeProof{Level: lp.Level, First: lp.Index, Width: lp.Width, Pages: []Page{lp.Page}}
+	path := lp.Path
+	for i, w := lp.Index, lp.Width; w > 1 && len(path) > 0; i, w = i/2, (w+1)/2 {
+		switch {
+		case i%2 == 1:
+			r.Left, path = append(r.Left, path[0]), path[1:]
+		case i+1 < w:
+			r.Right, path = append(r.Right, path[0]), path[1:]
+		}
 	}
+	r.Right = append(r.Right, path...)
+	return r
 }
 
 // DecodeFrom reads the proof.
@@ -127,7 +144,8 @@ func (lp *LevelProof) DecodeFrom(d *Decoder) {
 //     carries the block's Phase II certificate where available (a missing
 //     one puts the read in Phase I commit);
 //   - for each level between L1 and the level that resolved the key, the
-//     single intersecting page with its Merkle audit path;
+//     single intersecting page, cut to the key's record or the two that
+//     bracket it, with its Merkle audit path;
 //   - all level roots, so the client can recompute the global root;
 //   - the cloud-signed global root with its freshness timestamp.
 type GetProof struct {
@@ -147,10 +165,7 @@ func (gp *GetProof) EncodeTo(e *Encoder) {
 	for i := range gp.Levels {
 		gp.Levels[i].EncodeTo(e)
 	}
-	e.U32(uint32(len(gp.Roots)))
-	for _, r := range gp.Roots {
-		e.Blob(r)
-	}
+	appendBlobs(e, gp.Roots)
 	gp.Global.EncodeTo(e)
 }
 
@@ -175,7 +190,7 @@ func (gp *GetProof) DecodeFrom(d *Decoder) {
 // GetResponse answers a GetRequest with the value (or a verifiable
 // non-existence statement) plus the full GetProof. Key echoes the
 // requested key under the edge's signature, making the response
-// self-contained dispute evidence: the cloud can re-run the window checks
+// self-contained dispute evidence: the cloud can re-run the verification
 // against the signed key without ever seeing the request (the same role
 // Start/End play on scan responses).
 type GetResponse struct {
@@ -226,7 +241,8 @@ func (m *GetResponse) DecodeFrom(d *Decoder) {
 // edge to the cloud. For FromLevel == 0 the sources are log blocks (L0
 // pages); otherwise they are the pages of FromLevel. DstPages are the
 // current pages of FromLevel+1. The cloud verifies everything against its
-// own certified digests and leaf tables before merging.
+// own certified digests and the hashes it kept of its levels before
+// merging.
 type MergeRequest struct {
 	Edge      NodeID
 	ReqID     uint64
@@ -362,10 +378,7 @@ func (m *MergeResponse) AppendBody(e *Encoder) {
 	e.U32(m.FromLevel)
 	e.U64(m.PageSeq)
 	e.U32(m.PageCap)
-	e.U32(uint32(len(m.Roots)))
-	for _, r := range m.Roots {
-		e.Blob(r)
-	}
+	appendBlobs(e, m.Roots)
 	m.Global.EncodeTo(e)
 	e.U64(m.ConsumedTo)
 }

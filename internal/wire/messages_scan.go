@@ -63,14 +63,8 @@ func (lp *LevelRangeProof) EncodeTo(e *Encoder) {
 	for i := range lp.Pages {
 		lp.Pages[i].EncodeTo(e)
 	}
-	e.U32(uint32(len(lp.Left)))
-	for _, h := range lp.Left {
-		e.Blob(h)
-	}
-	e.U32(uint32(len(lp.Right)))
-	for _, h := range lp.Right {
-		e.Blob(h)
-	}
+	appendBlobs(e, lp.Left)
+	appendBlobs(e, lp.Right)
 }
 
 // DecodeFrom reads the proof.
@@ -112,10 +106,7 @@ func (sp *ScanProof) EncodeTo(e *Encoder) {
 	for i := range sp.Levels {
 		sp.Levels[i].EncodeTo(e)
 	}
-	e.U32(uint32(len(sp.Roots)))
-	for _, r := range sp.Roots {
-		e.Blob(r)
-	}
+	appendBlobs(e, sp.Roots)
 	sp.Global.EncodeTo(e)
 }
 

@@ -67,6 +67,7 @@ func samplePage(level uint32) Page {
 	for i := 0; i < 4; i++ {
 		p.KVs = append(p.KVs, KV{Key: randBytes(6), Value: randBytes(20), Ver: uint64(i)})
 	}
+	p.Count = uint32(len(p.KVs))
 	return p
 }
 

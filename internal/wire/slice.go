@@ -22,6 +22,15 @@ package wire
 // certificate (or pins it for the later one) exactly as it would the
 // whole block, so the edge saves the bandwidth without gaining a way to
 // lie: a row it leaves out breaks the fold or the bracket.
+//
+// A level page commits the same way, one Merkle root over its records in
+// key order, each record's leaf merkle.LeafHash(KV encoding):
+//
+//	page leaf = merkle.LeafHash(Level ‖ Seq ‖ Lo ‖ Hi ‖ Ts ‖ Count ‖ root)
+//
+// and a read ships it cut (Page.Cut) to the records in range, one record
+// on either side and a range proof. The cut folds to the same leaf as the
+// whole page, so the level's Merkle proof binds it unchanged.
 
 import (
 	"bytes"
@@ -142,12 +151,17 @@ func buildKeyIndex(entries []Entry) *keyIndex {
 	ix := &keyIndex{order: keyOrder(entries), hashes: make([]byte, n*merkle.HashSize)}
 	flat := make([]byte, n*merkle.HashSize)
 	hashLeaves(entries, ix.order, ix.hashes, flat)
-	leaves := make([][]byte, n)
-	for p := range leaves {
-		leaves[p] = flat[p*merkle.HashSize : (p+1)*merkle.HashSize]
-	}
-	ix.tree = merkle.New(leaves)
+	ix.tree = merkle.NewPacked(flat)
 	return ix
+}
+
+// rows views hashes laid end to end as one slice per hash.
+func rows(flat []byte) [][]byte {
+	out := make([][]byte, len(flat)/merkle.HashSize)
+	for i := range out {
+		out[i] = flat[i*merkle.HashSize : (i+1)*merkle.HashSize]
+	}
+	return out
 }
 
 // keyIndex returns the block's key index: the one a frozen block keeps,
@@ -238,14 +252,8 @@ func (s *L0Slice) EncodeTo(e *Encoder) {
 		s.Rows[i].Entry.EncodeTo(e)
 	}
 	encodeFlank(e, s.Right)
-	e.U32(uint32(len(s.PathLeft)))
-	for _, h := range s.PathLeft {
-		e.Blob(h)
-	}
-	e.U32(uint32(len(s.PathRight)))
-	for _, h := range s.PathRight {
-		e.Blob(h)
-	}
+	appendBlobs(e, s.PathLeft)
+	appendBlobs(e, s.PathRight)
 	e.Blob(s.CertSig)
 }
 
@@ -296,11 +304,7 @@ func (s *L0Slice) Digest() ([]byte, error) {
 		}
 		return blockDigest(s.Edge, s.ID, s.StartPos, s.Ts, 0, merkle.EmptyRoot()), nil
 	}
-	flat := make([]byte, shipped*merkle.HashSize)
-	leaves := make([][]byte, shipped)
-	for p := range leaves {
-		leaves[p] = flat[p*merkle.HashSize : (p+1)*merkle.HashSize]
-	}
+	leaves := rows(make([]byte, shipped*merkle.HashSize))
 	e := GetEncoder()
 	p := 0
 	if f := s.Left; f != nil {
@@ -360,4 +364,77 @@ func (b *Block) Slice(start, end []byte) L0Slice {
 	// n > 0 leaves at least one leaf to ship, so the range is never empty.
 	s.PathLeft, s.PathRight, _ = ix.tree.RangeProof(first, last)
 	return s
+}
+
+// LeafInto writes the record's leaf in its page's Merkle tree —
+// merkle.LeafHash of the record's encoding — into dst, using e as scratch.
+func (kv *KV) LeafInto(dst []byte, e *Encoder) {
+	e.Reset()
+	e.U8(0) // room for the leaf prefix
+	kv.EncodeTo(e)
+	merkle.LeafSum(dst, e.Bytes())
+}
+
+// Whole reports whether the page ships every record it commits.
+func (p *Page) Whole() bool {
+	return p.Begin == 0 && int(p.Count) == len(p.KVs) && len(p.PathLeft)+len(p.PathRight) == 0
+}
+
+// Leaf returns the Merkle leaf committing the page: its header, record
+// count and the root over its records (see the top of this file).
+// Committing the bounds is what lets clients verify non-existence from a
+// single intersecting page. A whole page folds its records in place; a cut
+// one folds them with its range proof and, if that proof does not fold,
+// has no leaf (nil, which no level tree holds).
+func (p *Page) Leaf() []byte {
+	flat := make([]byte, len(p.KVs)*merkle.HashSize)
+	e := GetEncoder()
+	for i := range p.KVs {
+		p.KVs[i].LeafInto(flat[i*merkle.HashSize:], e)
+	}
+	PutEncoder(e)
+	if p.Whole() {
+		return p.LeafOf(merkle.PackedRoot(flat))
+	}
+	root, err := merkle.RangeRoot(rows(flat), int(p.Begin), int(p.Count), p.PathLeft, p.PathRight)
+	if err != nil {
+		return nil
+	}
+	return p.LeafOf(root)
+}
+
+// LeafOf returns the page's leaf given the root its records fold to — for
+// a node that holds its records' leaves already and folds them itself.
+func (p *Page) LeafOf(root []byte) []byte {
+	e := GetEncoder()
+	e.U32(p.Level)
+	e.U64(p.Seq)
+	e.OptBlob(p.Lo)
+	e.OptBlob(p.Hi)
+	e.I64(p.Ts)
+	e.U32(p.Count)
+	e.Blob(root)
+	leaf := merkle.LeafHash(e.Bytes())
+	PutEncoder(e)
+	return leaf
+}
+
+// Cut returns the page cut for a read of [start, end) (nil bounds are
+// infinite; a get asks for PointRange(key)): the records in range plus the
+// one on either side where the page has one, and the range proof — from
+// tree, the Merkle tree over the page's record leaves — folding them to
+// the page's root. With no record in range the two neighbours prove it
+// empty.
+func (p *Page) Cut(tree *merkle.Tree, start, end []byte) Page {
+	c, n := *p, len(p.KVs)
+	if n == 0 {
+		return c
+	}
+	lo := sort.Search(n, func(i int) bool { return !KeyBefore(p.KVs[i].Key, start) })
+	hi := lo + sort.Search(n-lo, func(i int) bool { return KeyAfter(p.KVs[lo+i].Key, end) })
+	lo, hi = max(lo-1, 0), min(hi+1, n)
+	c.Begin, c.KVs = uint32(lo), p.KVs[lo:hi:hi]
+	// n > 0 leaves at least one record to ship, so the range is never empty.
+	c.PathLeft, c.PathRight, _ = tree.RangeProof(lo, hi)
+	return c
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"crypto/sha256"
 
 	"wedgechain/internal/merkle"
 )
@@ -256,13 +255,24 @@ func (kv *KV) DecodeFrom(d *Decoder) {
 // Hi == nil means +infinity. Consecutive pages in a level satisfy
 // prev.Hi == next.Lo, so the level's pages partition the keyspace — the
 // contiguity invariant clients use to verify non-existence proofs.
+//
+// A page commits a Merkle root over its Count records in key order (see
+// Leaf), so a read ships it cut (Cut): KVs is then the run of records at
+// sorted positions [Begin, Begin+len(KVs)) and PathLeft/PathRight the
+// range proof folding them to that root. A whole page — what merges ship
+// and levels hold — is the cut with every record: Begin 0, Count
+// len(KVs), no paths.
 type Page struct {
-	Level uint32
-	Seq   uint64 // unique page number assigned by the cloud at merge time
-	Lo    []byte // inclusive lower bound; nil = -infinity
-	Hi    []byte // exclusive upper bound; nil = +infinity
-	Ts    int64  // cloud timestamp of the merge that created the page
-	KVs   []KV
+	Level     uint32
+	Seq       uint64 // unique page number assigned by the cloud at merge time
+	Lo        []byte // inclusive lower bound; nil = -infinity
+	Hi        []byte // exclusive upper bound; nil = +infinity
+	Ts        int64  // cloud timestamp of the merge that created the page
+	Count     uint32 // records in the whole page
+	Begin     uint32 // sorted position of KVs[0]
+	KVs       []KV
+	PathLeft  [][]byte // range-proof flank paths of a cut, bottom-up
+	PathRight [][]byte
 }
 
 // EncodeTo appends the page's canonical encoding.
@@ -272,10 +282,14 @@ func (p *Page) EncodeTo(e *Encoder) {
 	e.OptBlob(p.Lo)
 	e.OptBlob(p.Hi)
 	e.I64(p.Ts)
+	e.U32(p.Count)
+	e.U32(p.Begin)
 	e.U32(uint32(len(p.KVs)))
 	for i := range p.KVs {
 		p.KVs[i].EncodeTo(e)
 	}
+	appendBlobs(e, p.PathLeft)
+	appendBlobs(e, p.PathRight)
 }
 
 // DecodeFrom reads the page.
@@ -285,25 +299,11 @@ func (p *Page) DecodeFrom(d *Decoder) {
 	p.Lo = d.OptBlob()
 	p.Hi = d.OptBlob()
 	p.Ts = d.I64()
+	p.Count = d.U32()
+	p.Begin = d.U32()
 	p.KVs = decodeSlice(d, minKVSize, (*KV).DecodeFrom)
-}
-
-// Leaf returns the Merkle leaf hash committing the page: the hash of its
-// range bounds and of the hash of its canonical encoding. Committing the
-// bounds inside the leaf is what lets clients verify non-existence from a
-// single intersecting page. It lives here, beside Block.BodyDigest, so
-// signable bodies can stand a page in by its leaf.
-func (p *Page) Leaf() []byte {
-	e := GetEncoder()
-	p.EncodeTo(e)
-	content := sha256.Sum256(e.Bytes())
-	e.Reset()
-	e.OptBlob(p.Lo)
-	e.OptBlob(p.Hi)
-	e.Blob(content[:])
-	leaf := merkle.LeafHash(e.Bytes())
-	PutEncoder(e)
-	return leaf
+	p.PathLeft = decodeBlobs(d)
+	p.PathRight = decodeBlobs(d)
 }
 
 // Contains reports whether key falls in the page's half-open range.
