@@ -332,7 +332,7 @@ func (c *Client) Read(bid uint64, timeout time.Duration) (*Block, Phase, error) 
 }
 
 // ReadFrom fetches block bid from a specific shard's log. Read addresses
-// the session's home shard; ReadFrom lets auditors walk any shard's
+// the session's home shard; ReadFrom lets a reader walk any shard's
 // chain.
 func (c *Client) ReadFrom(edgeID NodeID, bid uint64, timeout time.Duration) (*Block, Phase, error) {
 	ch := make(chan *Receipt, 1)

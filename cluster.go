@@ -141,7 +141,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
 		CertTimeout:  cfg.CertTimeout.Nanoseconds(),
 		CertBatch:    cfg.CertBatch,
-		AuditEvery:   cfg.AuditEvery.Nanoseconds(),
 		Metrics:      cfg.Metrics,
 		// Gossip recipients are added as clients join; the cloud config
 		// is static, so gossip goes to edges and clients pull via their
@@ -212,7 +211,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Close stops the cluster's goroutines.
+// Close stops the cluster's goroutines. Every one belongs to the
+// transport: the nodes themselves run only on its turns.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,10 +221,6 @@ func (c *Cluster) Close() {
 	}
 	c.closed = true
 	c.net.Close()
-	// The cloud may own goroutines (certification precheck workers, the
-	// anti-entropy auditor); stop them after the transport so no Receive
-	// or Tick races the shutdown.
-	c.cloud.Close()
 }
 
 // Punished reports whether the cloud has convicted and banned edgeID,
@@ -396,50 +392,20 @@ func (c *Cluster) ChainEpoch(chain NodeID) uint64 {
 	return <-ch
 }
 
-// SessionHub groups many client sessions behind one transport node: every
-// attached session shares the hub's single goroutine and inbox instead of
-// owning its own, so a front door can multiplex thousands of sessions at a
-// flat goroutine count. Build one with NewSessionHub and attach sessions
-// by passing it in ClientOptions. The synchronous Client API is unchanged
-// — per-session work is serialized on the hub goroutine, trading a shared
-// lane for the per-session goroutine.
-type SessionHub struct {
-	hub *transport.Hub
-}
-
-// Sessions returns the number of sessions attached to the hub.
-func (h *SessionHub) Sessions() int { return h.hub.Len() }
-
-// NewSessionHub registers a named session hub with the cluster transport.
-func (c *Cluster) NewSessionHub(name string) (*SessionHub, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("wedgechain: cluster closed")
-	}
-	h := transport.NewHub(NodeID(name))
-	c.net.Add(h)
-	return &SessionHub{hub: h}, nil
-}
-
-// ClientOptions tunes a session created by NewClientWith beyond the
-// cluster-level defaults.
+// ClientOptions tunes a session created by NewClientWith.
 type ClientOptions struct {
-	// Hub attaches the session to a shared SessionHub instead of giving
-	// it a dedicated transport goroutine. Nil keeps the one-goroutine-
-	// per-client default.
-	Hub *SessionHub
-	// Light switches this session into light verification even when the
-	// cluster's LightVerify default is off.
+	// Light switches the session into light verification: a get response
+	// is accepted on the edge's signature plus the cloud-signed gossiped
+	// frontier, and only a seeded random sample of responses (1 in
+	// Sample) pays for full structural proof verification. A sampled lie
+	// convicts exactly as in full mode — the lazy-trust guarantee is
+	// amortized, not weakened. The sampling seed derives from the session
+	// name, so distinct sessions audit distinct request subsets while any
+	// single run stays reproducible.
 	Light bool
-	// Sample overrides the light-mode audit denominator (1 in Sample
-	// responses fully verified; 1 audits everything). 0 inherits the
-	// cluster's VerifySample (or 16).
+	// Sample is the light-mode audit denominator (default 16; 1 audits
+	// every response). Ignored unless Light is set.
 	Sample int
-	// Seed fixes the light-mode sampling seed. 0 derives one from the
-	// session name, so distinct sessions audit distinct request subsets
-	// while any single run stays reproducible.
-	Seed uint64
 }
 
 // NewClient creates an authenticated client session.
@@ -454,9 +420,8 @@ func (c *Cluster) NewClient(name string, edgeID NodeID) (*Client, error) {
 	return c.NewClientWith(name, edgeID, ClientOptions{})
 }
 
-// NewClientWith creates a client session with explicit options: hub
-// multiplexing and/or light verification. NewClient is the zero-options
-// shorthand.
+// NewClientWith creates a client session with explicit options (light
+// verification). NewClient is the zero-options shorthand.
 func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) (*Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -501,20 +466,11 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	c.keys[id] = k
 	c.reg.Register(id, k.Pub)
 
-	light := opts.Light || c.cfg.LightVerify
-	sample := opts.Sample
-	if sample <= 0 {
-		sample = c.cfg.VerifySample
-	}
-	seed := opts.Seed
-	if light && seed == 0 {
-		// Deterministic per-name seed: each session audits its own
-		// request subset, and re-running the same program replays the
-		// same audits.
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		seed = h.Sum64()
-	}
+	// Deterministic per-name seed: each light session audits its own
+	// request subset, and re-running the same program replays the same
+	// audits.
+	h := fnv.New64a()
+	h.Write([]byte(name))
 	session := client.NewSharded(client.Config{
 		ID:              id,
 		Cloud:           CloudID,
@@ -523,9 +479,9 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		Session:         c.cfg.SessionConsistency,
 		RetryEvery:      c.cfg.RetryEvery.Nanoseconds(),
 		MaxAttempts:     c.cfg.MaxAttempts,
-		Light:           light,
-		SampleEvery:     sample,
-		SampleSeed:      seed,
+		Light:           opts.Light,
+		SampleEvery:     opts.Sample,
+		SampleSeed:      h.Sum64(),
 		Metrics:         c.cfg.Metrics,
 	}, ring, k, c.reg)
 	cl := newClient(c, id, session)
@@ -535,14 +491,7 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		core.OnDone = cl.onDone
 	}
 	c.clients[id] = cl
-	if opts.Hub != nil {
-		if !c.net.AddSession(opts.Hub.hub.ID(), &clientHandler{cl}) {
-			delete(c.clients, id)
-			return nil, fmt.Errorf("wedgechain: session hub %q is not registered with this cluster", opts.Hub.hub.ID())
-		}
-	} else {
-		c.net.Add(&clientHandler{cl})
-	}
+	c.net.Add(&clientHandler{cl})
 	c.net.Do(CloudID, func(now int64) []wire.Envelope {
 		c.cloud.AddGossipTarget(id)
 		// Replay existing convictions to the new session: the verdict

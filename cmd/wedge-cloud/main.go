@@ -44,8 +44,7 @@ func main() {
 		certTO = flag.Duration("cert-timeout", 3*time.Second, "certification-stall bound before leadership transfer")
 
 		// Certification at scale (see docs/RUNBOOK.md).
-		certBatch  = flag.Int("cert-batch", 1, "blocks covered per batched certificate signature (<=1 = per-block proofs)")
-		auditEvery = flag.Duration("audit-every", 0, "anti-entropy audit sweep period (0 disables)")
+		certBatch = flag.Int("cert-batch", 1, "blocks covered per batched certificate signature (<=1 = per-block proofs)")
 
 		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
 		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
@@ -77,7 +76,6 @@ func main() {
 		LeaseTimeout: lease.Nanoseconds(),
 		CertTimeout:  certTO.Nanoseconds(),
 		CertBatch:    *certBatch,
-		AuditEvery:   auditEvery.Nanoseconds(),
 		Logger:       logger,
 		Metrics:      metrics,
 	}
@@ -85,7 +83,6 @@ func main() {
 		log.Fatal(err)
 	}
 	node := cloud.New(ccfg, key, reg)
-	defer node.Close()
 	if err := registerGroups(node, *groups); err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func demoOmissionConviction() {
 	}
 	defer cluster.Close()
 
-	c, err := cluster.NewClient("auditor", "")
+	c, err := cluster.NewClient("ledger-reader", "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package wedgechain
 
 import (
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,44 +90,84 @@ func TestFacadeLightClientSkipsAndStaysCorrect(t *testing.T) {
 	}
 }
 
-// TestFacadeSessionHubMux hosts several clients behind one SessionHub —
-// one transport endpoint, one goroutine — and runs each through a full
-// certified write and verified read.
-func TestFacadeSessionHubMux(t *testing.T) {
-	c := newTestCluster(t, Config{Edges: 1, BatchSize: 2, L0Threshold: 1000})
-	hub, err := c.NewSessionHub("hub-1")
-	if err != nil {
+// TestFacadeShedLosesNoAckedWrite is admission control end to end: 16
+// sessions hammer an edge whose uncertified backlog is capped at two blocks
+// while certification crawls over a 5 ms cloud link. The edge sheds with
+// signed overload signals; the sessions pace their re-sends by them and
+// surface ErrOverloaded once those run out, and the writers retry. Every
+// write the edge did acknowledge must still reach Phase II, and nobody is
+// convicted — shedding may reject, never lose.
+func TestFacadeShedLosesNoAckedWrite(t *testing.T) {
+	c := newTestCluster(t, Config{
+		Edges: 1, BatchSize: 1, FlushEvery: time.Millisecond,
+		MaxUncertified: 2, RetryEvery: 20 * time.Millisecond, MaxAttempts: 6,
+		Latency: func(from, to NodeID) time.Duration {
+			if from == CloudID || to == CloudID {
+				return 5 * time.Millisecond
+			}
+			return 0
+		},
+	})
+	const writers, perWriter = 16, 8
+	clients := make([]*Client, writers)
+	for i := range clients {
+		var err error
+		if clients[i], err = c.NewClient(fmt.Sprintf("w%d", i), EdgeID(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var acked []*Receipt
+	var overloaded, unavailable atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				key := []byte(fmt.Sprintf("shed-%d-%d", w, i))
+				for attempt := 0; ; attempt++ {
+					rc, err := clients[w].Put(key, key)
+					if err == nil {
+						mu.Lock()
+						acked = append(acked, rc)
+						mu.Unlock()
+						break
+					}
+					switch {
+					case attempt == 20:
+						errs <- fmt.Errorf("writer %d put %d still shed after %d tries: %w", w, i, attempt+1, err)
+						return
+					case errors.Is(err, ErrOverloaded):
+						overloaded.Add(1)
+					case errors.Is(err, ErrUnavailable):
+						unavailable.Add(1)
+					default:
+						errs <- fmt.Errorf("writer %d put %d: %w", w, i, err)
+						return
+					}
+					time.Sleep(25 * time.Millisecond)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	const k = 6
-	clients := make([]*Client, k)
-	for i := range clients {
-		cl, err := c.NewClientWith(fmt.Sprintf("h%d", i), EdgeID(1), ClientOptions{Hub: hub})
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-		clients[i] = cl
+	if overloaded.Load() == 0 {
+		t.Fatal("no write failed with ErrOverloaded: admission control never engaged")
 	}
-	receipts := make([]*Receipt, k)
-	for i, cl := range clients {
-		r, err := cl.Put([]byte(fmt.Sprintf("hk-%d", i)), []byte(fmt.Sprintf("hv-%d", i)))
-		if err != nil {
-			t.Fatalf("hub put %d: %v", i, err)
-		}
-		receipts[i] = r
-	}
-	for i, r := range receipts {
-		if err := r.WaitPhaseII(10 * time.Second); err != nil {
-			t.Fatalf("hub session %d never certified: %v", i, err)
+	for i, rc := range acked {
+		if err := rc.WaitPhaseII(30 * time.Second); err != nil {
+			t.Fatalf("acked write %d never certified: %v", i, err)
 		}
 	}
-	// Cross-read: every session verifies every other session's write
-	// through the shared endpoint.
-	for i, cl := range clients {
-		j := (i + 1) % k
-		v, found, _, err := cl.Get([]byte(fmt.Sprintf("hk-%d", j)))
-		if err != nil || !found || string(v) != fmt.Sprintf("hv-%d", j) {
-			t.Fatalf("hub cross-get %d->%d: v=%q found=%v err=%v", i, j, v, found, err)
-		}
+	if v := c.Verdicts(); len(v) != 0 {
+		t.Fatalf("verdicts under shedding: %+v", v)
 	}
+	t.Logf("%d writes acked and certified; %d ErrOverloaded, %d ErrUnavailable",
+		len(acked), overloaded.Load(), unavailable.Load())
 }

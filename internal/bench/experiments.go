@@ -528,9 +528,8 @@ var Experiments = []struct {
 	{"D1", DurableSyncSweep, "Durable put path: group-commit (SyncEvery) fsync-amortization sweep"},
 	{"AV1", AvailabilityFailover, "Availability: 3-replica shard through killed-leader / convicted-follower transitions"},
 	{"CH1", ChaosSoak, "Chaos soak: seeded drop/dup/delay + leader partition, healing cost and invariants"},
-	{"C1", FrontDoor, "Front door: session multiplexing, admission control, light-client sampling"},
 	{"OB1", Observability, "Observability: trust-lag p50/p99 on a live cluster, clean vs chaos"},
-	{"CL1", CertScale, "Certification at scale: batched certificates, auditor-on trust lag"},
+	{"CL1", CertScale, "Certification at scale: batched certificates, batched trust lag"},
 	{"A1", AblationDataFree, "Ablation: data-free certification"},
 	{"A2", AblationGossip, "Ablation: gossip period vs omission detection"},
 	{"A3", AblationBaselineIndex, "Ablation: Edge-baseline index policy"},

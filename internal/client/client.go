@@ -283,7 +283,7 @@ type Stats struct {
 	Overloads uint64
 	// Light-client accounting: get responses fully structurally verified
 	// vs accepted on the sampling fast path, and the wall-clock cost of
-	// the full verifications — the C1 experiment's CPU-reduction metric.
+	// the full verifications.
 	FullVerifies uint64
 	SampledSkips uint64
 	VerifyNanos  uint64

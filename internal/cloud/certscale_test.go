@@ -3,18 +3,14 @@ package cloud
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"wedgechain/internal/core"
-	"wedgechain/internal/merkle"
-	"wedgechain/internal/mlsm"
-	"wedgechain/internal/obs"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
 // Certification-at-scale tests: batched certificates, same-turn
-// certification, the verdict cache, and the anti-entropy auditor.
+// certification and the verdict cache.
 
 // TestCertifyHistogramObservesBothPaths pins the satellite fix: the
 // certify-latency histogram must record a sample whether or not the
@@ -256,51 +252,5 @@ func TestCertifyAnsweredInSameTurn(t *testing.T) {
 	out := fb.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m, Verified: true})
 	if b := batchOf(out); b == nil || b.Start != 0 || len(b.Digests) != 4 {
 		t.Fatalf("batch that fills a run: outputs %v, want one BlockCertBatch of 4", out)
-	}
-}
-
-// TestAuditorDetectsMismatch unit-tests the sweep: a checkpoint whose
-// signed root matches its leaves passes; a corrupted one is flagged.
-func TestAuditorDetectsMismatch(t *testing.T) {
-	reg := obs.NewRegistry()
-	rounds := reg.CounterVec("wedge_audit_rounds_total", "t", "node").With("cloud")
-	mismatches := reg.CounterVec("wedge_audit_mismatches_total", "t", "node").With("cloud")
-	a := newAuditor(rounds, mismatches, func(string, ...any) {})
-
-	leaves := [][][]byte{{wcrypto.Digest([]byte("l0"))}, {wcrypto.Digest([]byte("l1"))}}
-	roots := make([][]byte, len(leaves))
-	for i, lv := range leaves {
-		roots[i] = merkle.New(lv).Root()
-	}
-	good := auditCheckpoint{edge: "edge-1", epoch: 1, leaves: leaves, root: mlsm.GlobalRoot(roots)}
-	a.offer(good)
-	if got := a.sweep(); got != 0 {
-		t.Fatalf("clean checkpoint flagged: %d mismatches", got)
-	}
-	bad := good
-	bad.root = wcrypto.Digest([]byte("corrupted"))
-	a.offer(bad)
-	if got := a.sweep(); got != 1 {
-		t.Fatalf("corrupt checkpoint mismatches = %d, want 1", got)
-	}
-	if rounds.Value() != 2 || mismatches.Value() != 1 {
-		t.Fatalf("rounds = %d, mismatches = %d", rounds.Value(), mismatches.Value())
-	}
-}
-
-// TestAuditNowAfterMerge drives the real checkpoint path: a merge offers
-// a snapshot, AuditNow recomputes it, and the signed root reproduces.
-func TestAuditNowAfterMerge(t *testing.T) {
-	f := newFixture(t, Config{Levels: 2, PageCap: 2, AuditEvery: int64(time.Hour)})
-	defer f.node.Close()
-	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
-	b1 := f.buildCertifiedBlock(t, 1, "c", "d")
-	f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0, b1}})
-	if got := f.node.AuditNow(); got != 0 {
-		t.Fatalf("merge checkpoint failed audit: %d mismatches", got)
-	}
-	s := f.node.Stats()
-	if s.AuditRounds != 1 || s.AuditMismatches != 0 {
-		t.Fatalf("AuditRounds = %d, AuditMismatches = %d", s.AuditRounds, s.AuditMismatches)
 	}
 }

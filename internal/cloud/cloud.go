@@ -53,11 +53,6 @@ type Config struct {
 	// signs every proof individually — the pre-batching behaviour,
 	// byte for byte.
 	CertBatch int
-	// AuditEvery paces the background anti-entropy auditor (ns): each
-	// period it recomputes Merkle roots over the latest merge
-	// checkpoints and compares them with the roots the cloud signed.
-	// 0 disables the auditor (the default).
-	AuditEvery int64
 	// Logger receives operational events; nil disables logging.
 	Logger *slog.Logger
 	// Metrics, when non-nil, is the registry this node's series live in.
@@ -95,9 +90,6 @@ func (c *Config) Validate() error {
 	if c.GossipEvery < 0 || c.LeaseTimeout < 0 || c.CertTimeout < 0 {
 		return fmt.Errorf("cloud: negative interval (GossipEvery %d, LeaseTimeout %d, CertTimeout %d)",
 			c.GossipEvery, c.LeaseTimeout, c.CertTimeout)
-	}
-	if c.AuditEvery < 0 {
-		return fmt.Errorf("cloud: negative AuditEvery %d", c.AuditEvery)
 	}
 	return nil
 }
@@ -142,12 +134,10 @@ type Node struct {
 	lastGossip int64
 	m          *metrics
 
-	// Certification scale-out (certbatch.go, auditor.go). pendingRuns
-	// holds each chain's outbound certificate batch under construction;
-	// aud is nil unless AuditEvery > 0.
+	// Certification scale-out (certbatch.go). pendingRuns holds each
+	// chain's outbound certificate batch under construction.
 	pendingRuns map[wire.NodeID]*certRun
 	vcache      *verdictCache
-	aud         *auditor
 }
 
 // Stats is a point-in-time snapshot of the node's operational
@@ -178,19 +168,13 @@ type Stats struct {
 	// decodes grow with the number of distinct lies.
 	VerdictCacheHits uint64
 	JudgeDecodes     uint64
-	// AuditRounds and AuditMismatches mirror the anti-entropy auditor:
-	// sweeps completed, and checkpoints whose recomputed Merkle root
-	// contradicted the root the cloud signed (always 0 in a healthy
-	// deployment).
-	AuditRounds     uint64
-	AuditMismatches uint64
 }
 
-// New constructs a cloud node. A node with AuditEvery > 0 owns the
-// auditor's goroutine and must be Close()d.
+// New constructs a cloud node. It starts no goroutine: the node runs only
+// when its transport calls Receive or Tick.
 func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	cfg.fill()
-	n := &Node{
+	return &Node{
 		cfg:         cfg,
 		key:         key,
 		reg:         reg,
@@ -203,20 +187,11 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		vcache:      newVerdictCache(),
 		m:           newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
-	if cfg.AuditEvery > 0 {
-		n.aud = newAuditor(n.m.auditRounds, n.m.auditMismatches, n.logf)
-		n.aud.start(time.Duration(cfg.AuditEvery))
-	}
-	return n
 }
 
-// Close stops the anti-entropy auditor. Idempotent; a no-op on a node
-// built without one.
-func (n *Node) Close() {
-	if n.aud != nil {
-		n.aud.stopAuditor()
-	}
-}
+// Close does nothing: a node owns no goroutine or file. It remains only
+// because the macro benchmark's harness still calls it.
+func (n *Node) Close() {}
 
 // ID implements core.Handler.
 func (n *Node) ID() wire.NodeID { return n.cfg.ID }
@@ -246,8 +221,6 @@ func (n *Node) Stats() Stats {
 
 		VerdictCacheHits: n.m.verdictCacheHits.Value(),
 		JudgeDecodes:     n.m.judgeDecodes.Value(),
-		AuditRounds:      n.m.auditRounds.Value(),
-		AuditMismatches:  n.m.auditMismatches.Value(),
 	}
 }
 
@@ -730,17 +703,6 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 		L0From: st.l0Consumed, // signed compaction frontier: pins where served L0 windows must start
 	}
 	global.CloudSig = wcrypto.SignMsg(n.key, &global)
-
-	if n.aud != nil {
-		// Snapshot the page leaves for the background auditor. Outer
-		// slices are copied; the leaf hashes themselves are immutable
-		// (every merge replaces a level's slice wholesale).
-		snap := make([][][]byte, len(st.levels))
-		for i, h := range st.levels {
-			snap[i] = append([][]byte(nil), h.Leaves...)
-		}
-		n.aud.offer(auditCheckpoint{edge: m.Edge, epoch: st.epoch, leaves: snap, root: global.Root})
-	}
 
 	n.m.merges.Inc()
 	resp := &wire.MergeResponse{

@@ -2,11 +2,16 @@ package cloud
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
+	"runtime"
 	"strings"
 	"testing"
 
 	"wedgechain/internal/core"
+	"wedgechain/internal/merkle"
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/obs"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -35,6 +40,22 @@ func (f *fixture) certify(t *testing.T, bid uint64, digest []byte) []wire.Envelo
 	m := &wire.BlockCertify{Edge: "edge-1", BID: bid, Digest: digest}
 	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
 	return f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
+}
+
+// TestNewStartsNoGoroutine pins that the trusted node runs only on its
+// transport's turns: constructing one, with every periodic duty and a
+// registry configured, leaves the goroutine count unchanged.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	f := newFixture(t, Config{
+		GossipEvery: 1, GossipTo: []wire.NodeID{"c1"}, CertBatch: 8,
+		Metrics: obs.NewRegistry(), Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	f.certify(t, 0, wcrypto.Digest([]byte("block-0")))
+	f.node.Tick(2)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d -> %d after cloud.New", before, after)
+	}
 }
 
 func TestCertifyIssuesSignedProof(t *testing.T) {
@@ -198,6 +219,16 @@ func TestMergeL0ProducesSignedRoots(t *testing.T) {
 	}
 	if !bytes.Equal(mlsm.GlobalRoot(resp.Roots), resp.Global.Root) {
 		t.Fatal("roots do not fold to global")
+	}
+	// The signed global root is reproducible from the leaves the cloud
+	// kept: Merkle trees rebuilt over every level's leaf hashes fold to it.
+	kept := f.node.edges["edge-1"].levels
+	rebuilt := make([][]byte, len(kept))
+	for i, h := range kept {
+		rebuilt[i] = merkle.New(h.Leaves).Root()
+	}
+	if !bytes.Equal(mlsm.GlobalRoot(rebuilt), resp.Global.Root) {
+		t.Fatal("signed global root does not match the roots rebuilt from the kept leaves")
 	}
 	// Latest version of "a" must have won (position-based versions).
 	for _, kv := range mlsm.PagesKVs(pages) {

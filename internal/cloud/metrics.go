@@ -27,8 +27,6 @@ type metrics struct {
 	rejoins           *obs.Counter
 	verdictCacheHits  *obs.Counter
 	judgeDecodes      *obs.Counter
-	auditRounds       *obs.Counter
-	auditMismatches   *obs.Counter
 
 	certify      *obs.Histogram // wall-clock handleCertify latency
 	batchEntries *obs.Histogram // triples per signed certificate batch
@@ -65,8 +63,6 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.rejoins = c("wedge_cloud_rejoins_total", "ex-members re-admitted to their replica group")
 	m.verdictCacheHits = c("wedge_verdict_cache_hits_total", "disputes answered from the verdict cache (no Judge decode)")
 	m.judgeDecodes = c("wedge_cloud_judge_decodes_total", "full Judge adjudications (evidence decoded and re-verified)")
-	m.auditRounds = c("wedge_audit_rounds_total", "anti-entropy audit sweeps completed")
-	m.auditMismatches = c("wedge_audit_mismatches_total", "audited checkpoints whose recomputed root mismatched")
 	m.certify = reg.HistogramVec("wedge_certify_seconds",
 		"wall-clock certification latency at the cloud", obs.LatencyBuckets, "node").With(node)
 	m.batchEntries = reg.HistogramVec("wedge_cert_batch_entries",

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -178,74 +177,6 @@ func TestLaneOfStability(t *testing.T) {
 				t.Fatalf("laneOf(%q, %d) = %d out of range", addr, n, a)
 			}
 		}
-	}
-}
-
-// TestHubRoutesSessions drives K sessions behind one Hub on the local
-// transport: envelopes reach the right session by address, and Do on a
-// session identity runs on the hub's goroutine through the alias.
-func TestHubRoutesSessions(t *testing.T) {
-	l := NewLocal(LocalConfig{TickEvery: time.Millisecond})
-	defer l.Close()
-	driver := newOrderEcho("driver")
-	l.Add(driver)
-	hub := NewHub("hub-1")
-	l.Add(hub)
-
-	const k = 5
-	sessions := make([]*orderEcho, k)
-	for i := range sessions {
-		sessions[i] = newOrderEcho(wire.NodeID(fmt.Sprintf("s%d", i)))
-		if !l.AddSession("hub-1", sessions[i]) {
-			t.Fatalf("AddSession refused session %d", i)
-		}
-	}
-	if hub.Len() != k {
-		t.Fatalf("hub holds %d sessions, want %d", hub.Len(), k)
-	}
-	if l.AddSession("driver", newOrderEcho("sx")) {
-		t.Fatal("AddSession accepted a non-hub host")
-	}
-
-	for i, s := range sessions {
-		l.Send([]wire.Envelope{{From: "driver", To: s.id, Msg: &wire.Ping{Seq: uint64(i)}}})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		driver.mu.Lock()
-		pongs := 0
-		for _, n := range driver.pongs {
-			pongs += n
-		}
-		driver.mu.Unlock()
-		if pongs >= k {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d sessions answered through the hub", pongs, k)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i, s := range sessions {
-		s.mu.Lock()
-		got := s.perFrom["driver"]
-		s.mu.Unlock()
-		if len(got) != 1 || got[0] != uint64(i) {
-			t.Fatalf("session %s received %v, want [%d]", s.id, got, i)
-		}
-	}
-
-	ran := make(chan struct{})
-	if !l.Do(sessions[2].id, func(now int64) []wire.Envelope {
-		close(ran)
-		return nil
-	}) {
-		t.Fatal("Do refused a hub-hosted session identity")
-	}
-	select {
-	case <-ran:
-	case <-time.After(time.Second):
-		t.Fatal("Do thunk never ran on the hub goroutine")
 	}
 }
 

@@ -99,29 +99,6 @@ func (l *Local) Add(h core.Handler) {
 	go l.run(n)
 }
 
-// AddSession attaches a handler to an already-Added Hub node and aliases
-// the handler's identity onto the hub's inbox: envelopes addressed to it
-// are delivered to the hub (which routes them), and Do(h.ID(), fn) runs
-// fn on the hub's goroutine. Many sessions thereby share one goroutine
-// instead of one each. Returns false if hub does not name a Hub node.
-func (l *Local) AddSession(hub wire.NodeID, h core.Handler) bool {
-	l.mu.Lock()
-	n := l.nodes[hub]
-	if n == nil {
-		l.mu.Unlock()
-		return false
-	}
-	hb, ok := n.h.(*Hub)
-	if !ok {
-		l.mu.Unlock()
-		return false
-	}
-	l.nodes[h.ID()] = n
-	l.mu.Unlock()
-	hb.Attach(h)
-	return true
-}
-
 func (l *Local) run(n *localNode) {
 	defer l.wg.Done()
 	ticker := time.NewTicker(l.cfg.TickEvery)

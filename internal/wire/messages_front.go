@@ -1,6 +1,6 @@
 package wire
 
-// Front-door admission control (million-session front door).
+// Front-door admission control.
 
 // Overloaded is an edge's signed load-shed signal: instead of silently
 // dropping a write when the uncertified backlog is at its admission cap,

@@ -37,7 +37,7 @@ func TestKeyGenerators(t *testing.T) {
 	}
 }
 
-// TestZipfKeysDeterministic pins the property the front-door experiment
+// TestZipfKeysDeterministic pins the property the macro benchmark
 // leans on: the same (n, s, seed) triple replays an identical key
 // sequence run to run, and a different seed diverges.
 func TestZipfKeysDeterministic(t *testing.T) {

@@ -139,9 +139,8 @@ type Config struct {
 	LevelThresholds []int
 	PageCap         int
 	// GossipEvery is the cloud's omission-detection gossip period
-	// (default 1s; 0 keeps the default — use NoGossip to disable).
+	// (default 1s; 0 keeps the default).
 	GossipEvery time.Duration
-	NoGossip    bool
 	// ProofTimeout is how long clients wait for Phase II before filing
 	// a dispute (default 10s).
 	ProofTimeout time.Duration
@@ -173,22 +172,6 @@ type Config struct {
 	// request, and the cloud covers contiguous certified runs with one
 	// batched certificate signature. 0 or 1 keeps per-block certification.
 	CertBatch int
-	// AuditEvery paces the cloud's background anti-entropy auditor, which
-	// recomputes Merkle roots over signed merge checkpoints and flags any
-	// mismatch on wedge_audit_mismatches_total. 0 disables.
-	AuditEvery time.Duration
-	// LightVerify switches client sessions into light mode by default:
-	// a get response is accepted on the edge's signature plus the
-	// cloud-signed gossiped frontier, and only a seeded random sample of
-	// responses (1 in VerifySample) pays for full structural proof
-	// verification. A sampled lie convicts exactly as in full mode — the
-	// lazy-trust guarantee is amortized, not weakened. Per-session
-	// overrides go through NewClientWith.
-	LightVerify bool
-	// VerifySample is light mode's audit-rate denominator (default 16;
-	// 1 audits every response). Ignored unless LightVerify or a
-	// per-session Light option is set.
-	VerifySample int
 	// Latency injects one-way delay between any two nodes; nil = none.
 	// Use it to emulate WAN topologies in-process.
 	Latency func(from, to NodeID) time.Duration
@@ -243,14 +226,8 @@ func (c *Config) fill() {
 	if c.GossipEvery <= 0 {
 		c.GossipEvery = time.Second
 	}
-	if c.NoGossip {
-		c.GossipEvery = 0
-	}
 	if c.ProofTimeout <= 0 {
 		c.ProofTimeout = 10 * time.Second
-	}
-	if c.LightVerify && c.VerifySample <= 0 {
-		c.VerifySample = 16
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -279,7 +256,6 @@ func (c *Config) Validate() error {
 		{"ProofTimeout", c.ProofTimeout},
 		{"FreshnessWindow", c.FreshnessWindow},
 		{"RetryEvery", c.RetryEvery},
-		{"AuditEvery", c.AuditEvery},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("wedgechain: %s must not be negative, got %v", d.name, d.v)
@@ -290,9 +266,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("wedgechain: MaxUncertified must be >= 0, got %d", c.MaxUncertified)
-	}
-	if c.VerifySample < 0 {
-		return fmt.Errorf("wedgechain: VerifySample must be >= 0, got %d", c.VerifySample)
 	}
 	if c.CertBatch < 0 {
 		return fmt.Errorf("wedgechain: CertBatch must be >= 0, got %d", c.CertBatch)
