@@ -140,7 +140,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		GossipEvery:  cfg.GossipEvery.Nanoseconds(),
 		LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
 		CertTimeout:  cfg.CertTimeout.Nanoseconds(),
-		CertBatch:    cfg.CertBatch,
 		Metrics:      cfg.Metrics,
 		// Gossip recipients are added as clients join; the cloud config
 		// is static, so gossip goes to edges and clients pull via their
@@ -176,7 +175,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Followers:       followers[id],
 			HeartbeatEvery:  heartbeatEvery,
 			MaxUncertified:  cfg.MaxUncertified,
-			CertBatch:       cfg.CertBatch,
 			Metrics:         cfg.Metrics,
 		}
 		if err := ecfg.Validate(); err != nil {

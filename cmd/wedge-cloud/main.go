@@ -43,9 +43,6 @@ func main() {
 		lease  = flag.Duration("lease", time.Second, "leader lease: heartbeat silence beyond this transfers leadership")
 		certTO = flag.Duration("cert-timeout", 3*time.Second, "certification-stall bound before leadership transfer")
 
-		// Certification at scale (see docs/RUNBOOK.md).
-		certBatch = flag.Int("cert-batch", 1, "blocks covered per batched certificate signature (<=1 = per-block proofs)")
-
 		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
 		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
@@ -75,7 +72,6 @@ func main() {
 		GossipTo:     gossipTo,
 		LeaseTimeout: lease.Nanoseconds(),
 		CertTimeout:  certTO.Nanoseconds(),
-		CertBatch:    *certBatch,
 		Logger:       logger,
 		Metrics:      metrics,
 	}

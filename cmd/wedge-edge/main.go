@@ -46,10 +46,6 @@ func main() {
 		// Robustness knobs (see docs/RUNBOOK.md "Chaos recipes").
 		maxUncert = flag.Int("max-uncertified", 0, "shed writes while more than this many blocks await certification (0 = no cap)")
 
-		// Certification at scale (see docs/RUNBOOK.md): group contiguous
-		// certify digests into one signed BlockCertifyBatch to the cloud.
-		certBatch = flag.Int("cert-batch", 1, "blocks per batched certification request (<=1 = per-block; ignored with -group-commit, -evil or full-data certification)")
-
 		// Frame scheduler (see docs/RUNBOOK.md "Front door"): outbound
 		// frames share a bounded pool of writer lanes instead of one
 		// goroutine per peer.
@@ -90,7 +86,6 @@ func main() {
 		Follower:        *follower,
 		HeartbeatEvery:  heartbeat.Nanoseconds(),
 		MaxUncertified:  *maxUncert,
-		CertBatch:       *certBatch,
 		CertRetryEvery:  certRetry.Nanoseconds(),
 		CatchUpEvery:    catchUp.Nanoseconds(),
 		Fault:           fault,

@@ -529,7 +529,6 @@ var Experiments = []struct {
 	{"AV1", AvailabilityFailover, "Availability: 3-replica shard through killed-leader / convicted-follower transitions"},
 	{"CH1", ChaosSoak, "Chaos soak: seeded drop/dup/delay + leader partition, healing cost and invariants"},
 	{"OB1", Observability, "Observability: trust-lag p50/p99 on a live cluster, clean vs chaos"},
-	{"CL1", CertScale, "Certification at scale: batched certificates, batched trust lag"},
 	{"A1", AblationDataFree, "Ablation: data-free certification"},
 	{"A2", AblationGossip, "Ablation: gossip period vs omission detection"},
 	{"A3", AblationBaselineIndex, "Ablation: Edge-baseline index policy"},

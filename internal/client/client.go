@@ -517,8 +517,6 @@ func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return c.handlePutResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.BlockProof:
 		return c.handleProof(now, env.From, m, env.Verified)
-	case *wire.BlockCertBatch:
-		return c.handleCertBatch(now, env.From, m, env.Verified)
 	case *wire.ReadResponse:
 		return c.handleReadResponse(now, env.From, m, env.VerifiedDigest())
 	case *wire.GetResponse:
@@ -684,37 +682,7 @@ func (c *Core) handleProof(now int64, from wire.NodeID, p *wire.BlockProof, veri
 			return nil
 		}
 	}
-	return c.applyCertified(now, p.BID, p.Digest)
-}
-
-// handleCertBatch applies a batched cloud certificate: one cloud
-// signature covering a contiguous run of (bid, digest) pairs, each of
-// which upgrades (or contradicts) pending operations exactly as an
-// individual proof would. Like proofs, batches may arrive straight from
-// the cloud or forwarded by the edge; the forwarded copy is verified
-// inline.
-func (c *Core) handleCertBatch(now int64, from wire.NodeID, b *wire.BlockCertBatch, verified bool) []wire.Envelope {
-	if b.Edge != c.cfg.Chain || len(b.Digests) == 0 {
-		return nil
-	}
-	if !verified || from != c.cfg.Cloud {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, b, b.CloudSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
-	}
-	var out []wire.Envelope
-	for i, d := range b.Digests {
-		out = append(out, c.applyCertified(now, b.Start+uint64(i), d)...)
-	}
-	return out
-}
-
-// applyCertified settles every pending operation on one certified
-// (bid, digest) pair — the shared core of handleProof and
-// handleCertBatch, running after the caller has verified the cloud's
-// signature over the pair.
-func (c *Core) applyCertified(now int64, bid uint64, digest []byte) []wire.Envelope {
+	bid, digest := p.BID, p.Digest
 	var out []wire.Envelope
 	ops, _ := c.byBID.Get(bid)
 	remaining := ops[:0]

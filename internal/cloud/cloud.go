@@ -48,10 +48,9 @@ type Config struct {
 	// own turn, behind the transport's verify stage. The field remains
 	// only because the macro benchmark's harness still sets it.
 	CertWorkers int
-	// CertBatch caps the contiguous run of accepted certifications one
-	// cloud signature covers (wire.BlockCertBatch). <= 1 (the default)
-	// signs every proof individually — the pre-batching behaviour,
-	// byte for byte.
+	// CertBatch is read by nothing: every certificate is one signed
+	// BlockProof. The field remains only because the macro benchmark's
+	// harness still sets it.
 	CertBatch int
 	// Logger receives operational events; nil disables logging.
 	Logger *slog.Logger
@@ -73,9 +72,6 @@ func (c *Config) fill() {
 	}
 	if c.CertTimeout <= 0 {
 		c.CertTimeout = int64(3e9)
-	}
-	if c.CertBatch < 1 {
-		c.CertBatch = 1
 	}
 }
 
@@ -133,11 +129,7 @@ type Node struct {
 
 	lastGossip int64
 	m          *metrics
-
-	// Certification scale-out (certbatch.go). pendingRuns holds each
-	// chain's outbound certificate batch under construction.
-	pendingRuns map[wire.NodeID]*certRun
-	vcache      *verdictCache
+	vcache     *verdictCache
 }
 
 // Stats is a point-in-time snapshot of the node's operational
@@ -146,9 +138,9 @@ type Node struct {
 type Stats struct {
 	Certifies uint64
 	// ProofSigns counts Ed25519 signatures spent on block proofs. The
-	// cloud signs each (edge, bid) proof exactly once: duplicate certify
-	// attempts and dispute re-delivery reuse the cached signed proof, so
-	// ProofSigns == Certifies is an invariant tests pin.
+	// cloud signs each (edge, bid) proof once, when it first certifies
+	// the block: duplicate certify attempts and dispute re-delivery reuse
+	// the cached signed proof, so ProofSigns == Certifies always.
 	ProofSigns    uint64
 	Conflicts     uint64
 	Merges        uint64
@@ -175,17 +167,16 @@ type Stats struct {
 func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	cfg.fill()
 	return &Node{
-		cfg:         cfg,
-		key:         key,
-		reg:         reg,
-		certs:       core.NewCertTable(),
-		punish:      core.NewPunishments(),
-		edges:       make(map[wire.NodeID]*edgeState),
-		chains:      make(map[wire.NodeID]*chainState),
-		nodeChain:   make(map[wire.NodeID]wire.NodeID),
-		pendingRuns: make(map[wire.NodeID]*certRun),
-		vcache:      newVerdictCache(),
-		m:           newMetrics(cfg.Metrics, string(cfg.ID)),
+		cfg:       cfg,
+		key:       key,
+		reg:       reg,
+		certs:     core.NewCertTable(),
+		punish:    core.NewPunishments(),
+		edges:     make(map[wire.NodeID]*edgeState),
+		chains:    make(map[wire.NodeID]*chainState),
+		nodeChain: make(map[wire.NodeID]wire.NodeID),
+		vcache:    newVerdictCache(),
+		m:         newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
 }
 
@@ -272,11 +263,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		out := n.applyCertify(now, env.From, m, env.Verified)
 		n.m.certify.Observe(time.Since(t0).Seconds())
 		return out
-	case *wire.BlockCertifyBatch:
-		t0 := time.Now()
-		out := n.applyCertifyBatch(now, env.From, m, env.Verified)
-		n.m.certify.Observe(time.Since(t0).Seconds())
-		return out
 	case *wire.MergeRequest:
 		n.m.bytesFromEdge.Add(uint64(wire.EncodedSize(env)))
 		return n.handleMerge(now, env.From, m)
@@ -297,9 +283,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // banned shard — while sibling shards' gossip continues undisturbed.
 func (n *Node) Tick(now int64) []wire.Envelope {
 	out := n.tickFailover(now)
-	// Flush partial certificate batches: a pending run waits at most
-	// one tick for more accepts before its signature is spent.
-	out = append(out, n.flushRuns()...)
 	if n.cfg.GossipEvery <= 0 || now-n.lastGossip < n.cfg.GossipEvery {
 		return out
 	}
@@ -362,33 +345,9 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, v
 	return n.certifyOne(now, m.Edge, from, m.BID, m.Digest)
 }
 
-// applyCertifyBatch certifies each triple of an amortized request in
-// bid order. One edge signature covered the whole run; each triple then
-// passes through exactly the per-block certification logic, so a
-// conflicting digest inside a batch convicts just as a single certify
-// would — and freezes the rest of the run, since the edge is banned the
-// moment the verdict lands.
-func (n *Node) applyCertifyBatch(now int64, from wire.NodeID, m *wire.BlockCertifyBatch, verified bool) []wire.Envelope {
-	if from != n.leaderOf(m.Edge) {
-		return nil
-	}
-	if !verified && wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
-		n.logf("dropping certify batch with bad signature", "edge", from)
-		return nil
-	}
-	var out []wire.Envelope
-	for i, d := range m.Digests {
-		if _, banned := n.punish.Banned(from); banned {
-			break
-		}
-		out = append(out, n.certifyOne(now, m.Edge, from, m.Start+uint64(i), d)...)
-	}
-	return out
-}
-
-// certifyOne records one (chain, bid, digest) certification and routes
-// its proof: individually signed (CertBatch <= 1, duplicates) or
-// accumulated into the chain's pending batch run.
+// certifyOne records one (chain, bid, digest) certification and fans out
+// its signed proof: signed on first accept, re-sent from the cache on a
+// duplicate.
 func (n *Node) certifyOne(now int64, chain, from wire.NodeID, bid uint64, digest []byte) []wire.Envelope {
 	st := n.edge(chain)
 	// Data-free certification cannot know the entry count; edges report
@@ -399,16 +358,11 @@ func (n *Node) certifyOne(now int64, chain, from wire.NodeID, bid uint64, digest
 	switch n.certs.Certify(chain, bid, digest, 0) {
 	case core.CertAccepted:
 		n.m.certifies.Inc()
-		if n.cfg.CertBatch > 1 {
-			return n.appendCert(chain, from, bid, digest)
-		}
 		proof := n.signedProof(st, chain, bid, digest)
 		return n.proofFanout(chain, from, proof)
 	case core.CertDuplicate:
 		// Re-delivery: the digest matched the certified one, so the
-		// cached proof is returned — lazily signed on first re-request
-		// when the original certificate went out in a batch — without
-		// spending a signature per re-delivery.
+		// cached proof is returned without spending a signature.
 		n.m.proofCacheHits.Inc()
 		proof := n.signedProof(st, chain, bid, digest)
 		return n.proofFanout(chain, from, proof)
@@ -568,12 +522,8 @@ func (n *Node) handleDispute(now int64, from wire.NodeID, d *wire.Dispute) []wir
 }
 
 // attachProof re-delivers the certificate for a disputed block when one
-// exists. In batched mode the individual proof may never have been
-// signed — the certificate went out inside a BlockCertBatch — so it is
-// lazily signed here from the certified digest: dispute re-delivery
-// always yields the single-cert shape, whatever shape certification
-// used. In unbatched mode every certified bid already carries a cached
-// signed proof, so this spends no extra signatures.
+// exists. Every certified bid already carries its cached signed proof,
+// so this spends no signature.
 func (n *Node) attachProof(chain wire.NodeID, bid uint64, to wire.NodeID) []wire.Envelope {
 	digest, ok := n.certs.Lookup(chain, bid)
 	if !ok {

@@ -48,7 +48,7 @@ func (f *fixture) certify(t *testing.T, bid uint64, digest []byte) []wire.Envelo
 func TestNewStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	f := newFixture(t, Config{
-		GossipEvery: 1, GossipTo: []wire.NodeID{"c1"}, CertBatch: 8,
+		GossipEvery: 1, GossipTo: []wire.NodeID{"c1"},
 		Metrics: obs.NewRegistry(), Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	f.certify(t, 0, wcrypto.Digest([]byte("block-0")))
@@ -77,9 +77,14 @@ func TestCertifyIssuesSignedProof(t *testing.T) {
 	}
 }
 
+// TestCertifyDuplicateResendsProof: a duplicate certify and a client's
+// proof-timeout dispute over the certified block both re-deliver the
+// proof signed at the first certify; no second signature is spent.
 func TestCertifyDuplicateResendsProof(t *testing.T) {
 	f := newFixture(t, Config{})
-	d := wcrypto.Digest([]byte("block-0"))
+	blk := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{{Client: "c1", Seq: 1, Key: []byte("a"), Value: []byte("v-a")}}}
+	blk.Entries[0].Sig = wcrypto.SignMsg(f.keys["c1"], &blk.Entries[0])
+	d := wcrypto.BlockDigest(&blk)
 	first := f.certify(t, 0, d)
 	second := f.certify(t, 0, d)
 	p1 := first[0].Msg.(*wire.BlockProof)
@@ -89,6 +94,24 @@ func TestCertifyDuplicateResendsProof(t *testing.T) {
 	}
 	if f.node.Stats().Certifies != 1 {
 		t.Fatalf("certify counted twice: %d", f.node.Stats().Certifies)
+	}
+
+	// The client holds the edge's honest ack and its proof timed out: the
+	// dispute is not guilty and carries the cached proof.
+	ev := &wire.PutResponse{BID: 0, Block: blk}
+	ev.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], ev)
+	out := f.dispute(t, core.BuildAddLieDispute(f.keys["c1"], "edge-1", ev))
+	if len(out) != 2 {
+		t.Fatalf("dispute outputs = %d, want verdict+proof", len(out))
+	}
+	if v := out[0].Msg.(*wire.Verdict); v.Guilty {
+		t.Fatalf("honest edge convicted: %+v", v)
+	}
+	if p3, ok := out[1].Msg.(*wire.BlockProof); !ok || !bytes.Equal(p3.CloudSig, p1.CloudSig) {
+		t.Fatalf("dispute re-delivered %T %+v, want the cached proof", out[1].Msg, out[1].Msg)
+	}
+	if s := f.node.Stats(); s.ProofSigns != 1 || s.ProofSigns != s.Certifies {
+		t.Fatalf("ProofSigns = %d, Certifies = %d; want 1, 1", s.ProofSigns, s.Certifies)
 	}
 }
 

@@ -28,13 +28,8 @@ type metrics struct {
 	verdictCacheHits  *obs.Counter
 	judgeDecodes      *obs.Counter
 
-	certify      *obs.Histogram // wall-clock handleCertify latency
-	batchEntries *obs.Histogram // triples per signed certificate batch
+	certify *obs.Histogram // wall-clock applyCertify latency
 }
-
-// batchBuckets bounds the wedge_cert_batch_entries histogram: batch
-// sizes are small powers of two (CertBatch caps the run).
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 func newMetrics(reg *obs.Registry, node string) *metrics {
 	m := &metrics{}
@@ -45,7 +40,7 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 		return reg.CounterVec(name, help, "node").With(node)
 	}
 	m.certifies = c("wedge_certifies_total", "block digests certified (first accept)")
-	m.proofSigns = c("wedge_cloud_proof_signs_total", "signatures spent on block proofs (== certifies when batching is off)")
+	m.proofSigns = c("wedge_cloud_proof_signs_total", "signatures spent on block proofs (one per certified block)")
 	m.proofCacheHits = c("wedge_cloud_proof_cache_hits_total", "duplicate certifies answered from the signed-proof cache")
 	m.conflicts = c("wedge_cloud_conflicts_total", "conflicting digest certifies (equivocation convictions)")
 	m.merges = c("wedge_cloud_merges_total", "LSMerkle merges performed")
@@ -65,7 +60,5 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.judgeDecodes = c("wedge_cloud_judge_decodes_total", "full Judge adjudications (evidence decoded and re-verified)")
 	m.certify = reg.HistogramVec("wedge_certify_seconds",
 		"wall-clock certification latency at the cloud", obs.LatencyBuckets, "node").With(node)
-	m.batchEntries = reg.HistogramVec("wedge_cert_batch_entries",
-		"certified triples covered per signed certificate batch", batchBuckets, "node").With(node)
 	return m
 }

@@ -91,11 +91,7 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 			digest = wcrypto.BlockDigest(&item.Block)
 		}
 		item.ServerSig = wcrypto.SignBlockAck(n.key, bid, digest)
-		// Only individually signed certificates can ride catch-up — the
-		// receiver verifies each item's CloudSig. A batch-covered cert
-		// (certbatch.go) is omitted; the follower heals it from the
-		// cloud's gossip-driven path instead.
-		if cert, ok := n.log.Cert(bid); ok && len(cert.CloudSig) > 0 {
+		if cert, ok := n.log.Cert(bid); ok {
 			item.HasCert = true
 			item.Cert = cert
 		}

@@ -99,13 +99,9 @@ type Config struct {
 	// shared sync completes — so nothing is ever acknowledged before it
 	// is durable. 0 fsyncs inline per block.
 	SyncEvery int64
-	// CertBatch, when > 1, batches certification requests: up to CertBatch
-	// contiguous cut blocks ship to the cloud as one signed
-	// BlockCertifyBatch instead of individual BlockCertify messages,
-	// amortizing the signature (and the cloud's verification) across the
-	// run. Partial runs flush on the next Tick. Ignored — per-block
-	// certifies are kept — under FullDataCert, group commit, or fault
-	// injection (see certBatching). 0 or 1 disables.
+	// CertBatch is read by nothing: every cut block is certified by its
+	// own BlockCertify. The field remains only because the macro
+	// benchmark's harness still sets it.
 	CertBatch int
 	// Fault, when non-nil, makes the node byzantine. See Fault.
 	Fault *Fault
@@ -185,9 +181,6 @@ func (c *Config) Validate() error {
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("edge: config: MaxUncertified must be >= 0, got %d", c.MaxUncertified)
 	}
-	if c.CertBatch < 0 {
-		return fmt.Errorf("edge: config: CertBatch must be >= 0, got %d", c.CertBatch)
-	}
 	return nil
 }
 
@@ -259,16 +252,6 @@ type Node struct {
 	certStallSince   int64
 	lastCatchUp      int64
 	lastShedLog      int64
-
-	// Certification batching (certbatch.go): the contiguous run of cut
-	// blocks awaiting one batched certify request, plus recently received
-	// cloud certificate batches retained per covered bid — batch-covered
-	// log certificates carry no individual CloudSig, so the batch itself
-	// is the verifiable proof the read path hands to clients.
-	certPendStart   uint64
-	certPendDigests [][]byte
-	certBatches     map[uint64]*wire.BlockCertBatch
-	certBatchOrder  []uint64
 
 	// lastOverload rate-limits the signed Overloaded shed signal per
 	// client: a shed batch triggers one signature, not one per entry.
@@ -484,8 +467,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return n.handleReserve(now, env.From, m, env.Verified)
 	case *wire.BlockProof:
 		return n.handleProof(now, env.From, m, env.Verified)
-	case *wire.BlockCertBatch:
-		return n.handleCertBatch(now, env.From, m, env.Verified)
 	case *wire.MergeResponse:
 		return n.handleMergeResponse(now, env.From, m, env.Verified)
 	case *wire.ReplicateBlock:
@@ -528,10 +509,7 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 		n.lastHB = now
 		out = append(out, n.heartbeat(now))
 	}
-	out = append(out, n.tickHealing(now)...)
-	// A partial certify run waits at most one tick.
-	out = append(out, n.flushCertifyRun()...)
-	return out
+	return append(out, n.tickHealing(now)...)
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
@@ -774,9 +752,6 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 	out = append(out, n.replicate(blk, digest, sharedSig)...)
 
 	// Data-free certification: only the digest travels to the cloud.
-	if n.certBatching() {
-		return append(out, n.queueCertify(blk.ID, digest)...)
-	}
 	if n.cfg.Fault == nil || !n.cfg.Fault.DropCertify {
 		cert := &wire.BlockCertify{Edge: n.cfg.Chain, BID: blk.ID, Digest: digest}
 		if n.cfg.FullDataCert {
@@ -880,7 +855,6 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 	}
 	n.m.reads.Inc()
 	resp := &wire.ReadResponse{ReqID: m.ReqID, BID: m.BID, Ts: now}
-	var batch *wire.BlockCertBatch
 	blk, err := n.log.Block(m.BID)
 	omit := n.cfg.Fault != nil && n.cfg.Fault.OmitBlocks[m.BID]
 	if err != nil || omit {
@@ -891,14 +865,9 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 		if n.cfg.Fault != nil {
 			resp.Block = n.cfg.Fault.maybeTamperRead(from, resp.Block)
 		}
-		// An embedded proof must be individually verifiable by the client,
-		// so a batch-covered certificate (empty CloudSig) cannot ride the
-		// response — the covering batch ships as its own envelope instead.
-		if cert, ok := n.log.Cert(m.BID); ok && len(cert.CloudSig) > 0 && !tampered(n.cfg.Fault, from) {
+		if cert, ok := n.log.Cert(m.BID); ok && !tampered(n.cfg.Fault, from) {
 			resp.HasProof = true
 			resp.Proof = cert
-		} else if b, ok := n.certBatches[m.BID]; ok && !tampered(n.cfg.Fault, from) {
-			batch = b
 		} else {
 			// Phase I read: remember the reader for proof forwarding.
 			n.awaitProof(m.BID, from)
@@ -917,13 +886,7 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 	} else {
 		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
 	}
-	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
-	if batch != nil {
-		// The Phase I response lands first, then the batch upgrades it —
-		// the same order a forwarded proof would arrive in.
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: batch})
-	}
-	return out
+	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }
 
 // handleReserve grants log positions for the idempotence extension.

@@ -239,10 +239,7 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 	// bounded by the uncertified tail instead of growing per block
 	// forever.
 	delete(n.replSigs, p.BID)
-	// Batch-derived certificates (certbatch.go) carry no individual cloud
-	// signature and recovery verifies one per durable record, so only
-	// individually signed certificates persist.
-	if n.store != nil && len(p.CloudSig) > 0 {
+	if n.store != nil {
 		if err := n.store.AppendCert(&p); err != nil {
 			n.logf("persisting mirrored certificate failed", "bid", p.BID, "err", err)
 		}

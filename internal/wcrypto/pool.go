@@ -68,13 +68,6 @@ func preVerifySig(r *Registry, env wire.Envelope) bool {
 			return false
 		}
 		return VerifyMsg(r, env.From, m, m.CloudSig) == nil
-	case *wire.BlockCertBatch:
-		if env.From == m.Edge {
-			// Same edge-forwarding caveat as BlockProof: the signer is
-			// the cloud, not the forwarding edge.
-			return false
-		}
-		return VerifyMsg(r, env.From, m, m.CloudSig) == nil
 	case *wire.MergeResponse:
 		return VerifyMsg(r, env.From, m, m.CloudSig) == nil
 	// Edge-to-cloud requests: signed by the sending node's key. The Edge
@@ -82,8 +75,6 @@ func preVerifySig(r *Registry, env wire.Envelope) bool {
 	// node — the cloud's handler enforces that the sender currently leads
 	// that chain.
 	case *wire.BlockCertify:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
-	case *wire.BlockCertifyBatch:
 		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
 	case *wire.MergeRequest:
 		// The signature is over digests and leaves the cloud's handler has

@@ -1,24 +1,14 @@
 package wire
 
-// Batched certification messages: the amortized-signature trick the
-// write acks use (one signature over a digest-derived body, regardless
-// of payload count) applied to the certification channel in both
-// directions. A batch covers the contiguous run of block ids
-// [Start, Start+len(Digests)) for one chain; contiguity is structural —
-// there is no per-entry bid on the wire — so a batch can never describe
-// a gap, and each triple (chain, bid, digest) is recovered by index.
-//
-// Batches are strictly an optimization over BlockCertify/BlockProof:
-// every verifier accepts either shape, and dispute re-delivery always
-// falls back to individually signed proofs (a client must be able to
-// hand a third party evidence about one block without shipping its
-// neighbours).
+// Batched certification messages. Nothing sends these kinds, and every
+// node ignores them on receipt: a certificate is one BlockCertify up and
+// one BlockProof down. The types stay only because the macro benchmark's
+// harness still names them when it classifies certification traffic.
+// A batch covers the contiguous run of block ids [Start,
+// Start+len(Digests)) for one chain.
 
-// BlockCertifyBatch is the amortized certification request from edge to
-// cloud: one edge signature covers a contiguous run of block digests.
-// Like BlockCertify it is data-free — digests only, never block
-// contents (there is no full-data batch shape; the A1 full-data
-// ablation keeps per-block requests).
+// BlockCertifyBatch is a certification request from edge to cloud under
+// one edge signature over a contiguous run of block digests. Unsent.
 type BlockCertifyBatch struct {
 	Edge    NodeID
 	Start   uint64
@@ -50,11 +40,8 @@ func (m *BlockCertifyBatch) DecodeFrom(d *Decoder) {
 	m.EdgeSig = d.Blob()
 }
 
-// BlockCertBatch is the cloud's batched certification proof: one cloud
-// signature certifies the digest of every block in the contiguous run
-// [Start, Start+len(Digests)). Wire-compatible supersetting of
-// BlockProof — edges, followers and clients apply each covered (chain,
-// bid, digest) triple exactly as they would a single proof.
+// BlockCertBatch is a cloud certificate under one cloud signature over a
+// contiguous run of block digests. Unsent.
 type BlockCertBatch struct {
 	Edge     NodeID
 	Start    uint64

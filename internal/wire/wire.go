@@ -83,8 +83,8 @@ const (
 	// Front-door admission control (appended).
 	KindOverloaded
 
-	// Batched certification (appended): one signature covers a
-	// contiguous run of block digests, in each direction.
+	// Batched certification (appended). Nothing sends or reads these
+	// kinds; see messages_certbatch.go.
 	KindBlockCertifyBatch
 	KindBlockCertBatch
 

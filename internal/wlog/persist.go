@@ -201,10 +201,7 @@ func (s *Store) ResetTo(l *Log) error {
 		if err := s.append(recBlock, blk.Canonical(), false); err != nil {
 			return err
 		}
-		// Only individually signed certificates are durable — recovery
-		// verifies each record's CloudSig, and a batch-derived certificate
-		// (empty sig) is re-obtainable from the cloud after restart.
-		if p, ok := l.Cert(bid); ok && len(p.CloudSig) > 0 {
+		if p, ok := l.Cert(bid); ok {
 			if err := s.AppendCertBuffered(&p); err != nil {
 				return err
 			}
@@ -231,6 +228,12 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, 0, 0, err
+	}
+	size := info.Size()
 
 	r := bufio.NewReader(f)
 	var validLen int64
@@ -240,6 +243,12 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 			break // clean EOF or torn header: truncate here
 		}
 		n := binary.BigEndian.Uint32(hdr[1:])
+		if validLen+5+int64(n) > size {
+			// The length claims bytes the segment does not hold: a torn
+			// or corrupted tail. Checked before allocating, so a bad
+			// length cannot cost up to 4 GiB.
+			break
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload: truncate here
@@ -291,7 +300,7 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 	f.Close()
 
 	// Repair a torn tail before reopening for append.
-	if info, err := os.Stat(path); err == nil && info.Size() > validLen {
+	if size > validLen {
 		if err := os.Truncate(path, validLen); err != nil {
 			return nil, nil, 0, 0, fmt.Errorf("wlog: truncating torn tail: %w", err)
 		}

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
-func persistKeys(t *testing.T) (map[wire.NodeID]wcrypto.KeyPair, *wcrypto.Registry) {
+func persistKeys(t testing.TB) (map[wire.NodeID]wcrypto.KeyPair, *wcrypto.Registry) {
 	t.Helper()
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
@@ -25,7 +26,7 @@ func persistKeys(t *testing.T) (map[wire.NodeID]wcrypto.KeyPair, *wcrypto.Regist
 
 // buildSegment writes n blocks (with certs for the first certified) into
 // dir and returns the blocks.
-func buildSegment(t *testing.T, dir string, keys map[wire.NodeID]wcrypto.KeyPair, n, certified int) []wire.Block {
+func buildSegment(t testing.TB, dir string, keys map[wire.NodeID]wcrypto.KeyPair, n, certified int) []wire.Block {
 	t.Helper()
 	st, err := OpenStore(dir, true)
 	if err != nil {
@@ -315,5 +316,46 @@ func TestResetToEmptyLog(t *testing.T) {
 	st.Close()
 	if info, err := os.Stat(filepath.Join(dir, "wedgelog.seg")); err != nil || info.Size() != 0 {
 		t.Fatalf("segment not emptied: %v %d", err, info.Size())
+	}
+}
+
+// TestRecoverTornLengthAllocatesNothing: a final record header whose length
+// claims more bytes than the segment holds (a torn or flipped length) is a
+// torn tail. Recovery keeps every record before it, truncates the header,
+// and never allocates the claimed length.
+func TestRecoverTornLengthAllocatesNothing(t *testing.T) {
+	keys, reg := persistKeys(t)
+	dir := t.TempDir()
+	buildSegment(t, dir, keys, 3, 2)
+	path := filepath.Join(dir, "wedgelog.seg")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{recBlock, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, st, blocks, certs, err := Recover(dir, "edge-1", 10, reg, "cloud")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("recovery allocated %d bytes", alloc)
+	}
+	if blocks != 3 || certs != 2 || l.NumBlocks() != 3 || l.CertifiedBlocks() != 2 {
+		t.Fatalf("recovered %d blocks / %d certs, want 3/2", blocks, certs)
+	}
+	if info2, _ := os.Stat(path); info2.Size() != info.Size() {
+		t.Fatalf("segment is %d bytes after recovery, want %d", info2.Size(), info.Size())
 	}
 }

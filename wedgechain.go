@@ -167,11 +167,6 @@ type Config struct {
 	// hint; clients pace their re-sends by it and surface ErrOverloaded
 	// if the edge never reopens. 0 disables.
 	MaxUncertified int
-	// CertBatch, when > 1, amortizes certification in both directions:
-	// edges ship up to CertBatch contiguous cut blocks per signed certify
-	// request, and the cloud covers contiguous certified runs with one
-	// batched certificate signature. 0 or 1 keeps per-block certification.
-	CertBatch int
 	// Latency injects one-way delay between any two nodes; nil = none.
 	// Use it to emulate WAN topologies in-process.
 	Latency func(from, to NodeID) time.Duration
@@ -266,9 +261,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("wedgechain: MaxUncertified must be >= 0, got %d", c.MaxUncertified)
-	}
-	if c.CertBatch < 0 {
-		return fmt.Errorf("wedgechain: CertBatch must be >= 0, got %d", c.CertBatch)
 	}
 	lease := c.LeaseTimeout
 	if lease <= 0 {
