@@ -2,7 +2,6 @@ package wedgechain
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -137,7 +136,7 @@ type Client struct {
 	cluster *Cluster
 	session *client.Sharded
 
-	// waiters is touched only on the client's transport goroutine.
+	// waiters is touched only under the session's mutex.
 	waiters map[*client.Op]*Receipt
 }
 
@@ -165,15 +164,9 @@ func (c *Client) HomeEdge() NodeID { return c.session.Home().Edge() }
 // Pending reports the number of unsettled operations per shard edge —
 // one shard's backlog (or conviction) is visible without conflating it
 // with its siblings.
-func (c *Client) Pending() (map[NodeID]int, error) {
-	ch := make(chan map[NodeID]int, 1)
-	if err := c.do(func(now int64) []wire.Envelope {
-		ch <- c.session.Pending()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return <-ch, nil
+func (c *Client) Pending() (p map[NodeID]int, err error) {
+	err = c.cluster.on(c.id, func() { p = c.session.Pending() })
+	return p, err
 }
 
 // ClientStats re-exports the per-shard protocol counters (verifications,
@@ -183,24 +176,13 @@ type ClientStats = client.Stats
 // Stats returns this client's protocol counters per shard edge. Chaos
 // harnesses read Resends to confirm the retry machinery absorbed the
 // injected faults.
-func (c *Client) Stats() (map[NodeID]ClientStats, error) {
-	ch := make(chan map[NodeID]ClientStats, 1)
-	if err := c.do(func(now int64) []wire.Envelope {
-		ch <- c.session.StatsByEdge()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return <-ch, nil
+func (c *Client) Stats() (st map[NodeID]ClientStats, err error) {
+	err = c.cluster.on(c.id, func() { st = c.session.StatsByEdge() })
+	return st, err
 }
 
-// do runs fn on the client's transport goroutine.
-func (c *Client) do(fn func(now int64) []wire.Envelope) error {
-	if !c.cluster.net.Do(c.id, fn) {
-		return fmt.Errorf("wedgechain: cluster closed")
-	}
-	return nil
-}
+// do runs fn under the session's mutex and sends what it returns.
+func (c *Client) do(fn func(now int64) []wire.Envelope) error { return c.cluster.do(c.id, fn) }
 
 func (c *Client) register(op *client.Op) *Receipt {
 	r := newReceipt()
@@ -222,8 +204,8 @@ func (c *Client) register(op *client.Op) *Receipt {
 	return r
 }
 
-// Callbacks run on the client's transport goroutine; each publishes a
-// snapshot before signalling.
+// Callbacks run under the session's mutex; each publishes a snapshot
+// before signalling.
 func (c *Client) onPhaseI(op *client.Op) {
 	if r, ok := c.waiters[op]; ok {
 		r.snapshot(op)
@@ -249,15 +231,14 @@ func (c *Client) onDone(op *client.Op) {
 // startWrite launches a write and blocks until Phase I commit (or
 // terminal failure / timeout).
 func (c *Client) startWrite(launch func(now int64) (*client.Op, []wire.Envelope), timeout time.Duration) (*Receipt, error) {
-	ch := make(chan *Receipt, 1)
+	var r *Receipt
 	if err := c.do(func(now int64) []wire.Envelope {
 		op, envs := launch(now)
-		ch <- c.register(op)
+		r = c.register(op)
 		return envs
 	}); err != nil {
 		return nil, err
 	}
-	r := <-ch
 	select {
 	case <-r.phase1:
 		return r, nil
@@ -294,10 +275,10 @@ func (c *Client) AddAt(payload []byte, pos uint64) (*Receipt, error) {
 // (Section IV-E); more than an edge grants at once is ErrReserveTooLarge.
 func (c *Client) Reserve(count uint32, timeout time.Duration) (uint64, error) {
 	ch := make(chan uint64, 1)
-	failed := make(chan error, 1)
+	var failed error
 	if err := c.do(func(now int64) []wire.Envelope {
 		if c.session.Home().Banned() != nil {
-			failed <- ErrEdgeBanned
+			failed = ErrEdgeBanned
 			return nil
 		}
 		c.session.SetReserveHandler(func(start uint64, n uint32) {
@@ -306,19 +287,18 @@ func (c *Client) Reserve(count uint32, timeout time.Duration) (uint64, error) {
 			default:
 			}
 		})
-		envs, err := c.session.Reserve(now, count)
-		if err != nil {
-			failed <- err
-		}
+		var envs []wire.Envelope
+		envs, failed = c.session.Reserve(now, count)
 		return envs
 	}); err != nil {
 		return 0, err
 	}
+	if failed != nil {
+		return 0, failed
+	}
 	select {
 	case start := <-ch:
 		return start, nil
-	case err := <-failed:
-		return 0, err
 	case <-time.After(timeout):
 		return 0, ErrTimeout
 	}
@@ -335,24 +315,21 @@ func (c *Client) Read(bid uint64, timeout time.Duration) (*Block, Phase, error) 
 // the session's home shard; ReadFrom lets a reader walk any shard's
 // chain.
 func (c *Client) ReadFrom(edgeID NodeID, bid uint64, timeout time.Duration) (*Block, Phase, error) {
-	ch := make(chan *Receipt, 1)
-	errCh := make(chan error, 1)
+	var r *Receipt
+	var failed error
 	if err := c.do(func(now int64) []wire.Envelope {
 		op, envs, err := c.session.ReadFrom(now, edgeID, bid)
 		if err != nil {
-			errCh <- err
+			failed = err
 			return nil
 		}
-		ch <- c.register(op)
+		r = c.register(op)
 		return envs
 	}); err != nil {
 		return nil, PhaseNone, err
 	}
-	var r *Receipt
-	select {
-	case err := <-errCh:
-		return nil, PhaseNone, err
-	case r = <-ch:
+	if failed != nil {
+		return nil, PhaseNone, failed
 	}
 	select {
 	case <-r.settled:
@@ -374,19 +351,16 @@ func (c *Client) ReadFrom(edgeID NodeID, bid uint64, timeout time.Duration) (*Bl
 // returned slice is therefore a *verified* result: nothing certified was
 // omitted, nothing uncertified was injected.
 func (c *Client) Scan(start, end []byte, limit int) ([]KV, Phase, error) {
-	ch := make(chan []*Receipt, 1)
+	var rs []*Receipt
 	if err := c.do(func(now int64) []wire.Envelope {
 		ops, envs := c.session.Scan(now, start, end, limit)
-		rs := make([]*Receipt, len(ops))
-		for i, op := range ops {
-			rs[i] = c.register(op)
+		for _, op := range ops {
+			rs = append(rs, c.register(op))
 		}
-		ch <- rs
 		return envs
 	}); err != nil {
 		return nil, PhaseNone, err
 	}
-	rs := <-ch
 	deadline := time.After(30 * time.Second)
 	for _, r := range rs {
 		select {
@@ -417,15 +391,14 @@ func (c *Client) Scan(start, end []byte, limit int) ([]KV, Phase, error) {
 // that relied on not-yet-certified blocks (Phase I) from fully certified
 // ones (Phase II).
 func (c *Client) Get(key []byte) (value []byte, found bool, phase Phase, err error) {
-	ch := make(chan *Receipt, 1)
+	var r *Receipt
 	if err := c.do(func(now int64) []wire.Envelope {
 		op, envs := c.session.Get(now, key)
-		ch <- c.register(op)
+		r = c.register(op)
 		return envs
 	}); err != nil {
 		return nil, false, PhaseNone, err
 	}
-	r := <-ch
 	select {
 	case <-r.settled:
 	case <-time.After(30 * time.Second):

@@ -1,6 +1,8 @@
 package wedgechain
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -8,6 +10,7 @@ import (
 
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
+	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/shard"
@@ -26,26 +29,34 @@ func EdgeID(i int) NodeID { return NodeID(fmt.Sprintf("edge-%d", i)) }
 // of the i-th edge's chain.
 func FollowerID(i, k int) NodeID { return NodeID(fmt.Sprintf("edge-%d.r%d", i, k)) }
 
-// Cluster is an in-process WedgeChain deployment: one trusted cloud node,
-// one or more untrusted edge nodes, and any number of clients, connected
-// by the channel transport (optionally with injected WAN latency).
+// Cluster is a WedgeChain deployment inside one process: one trusted cloud
+// node, one or more untrusted edge nodes, and any number of clients, each
+// served by its own TCP endpoint on loopback — the transport the cmd/
+// binaries deploy, with the same framing, writer lanes and verify stage.
 type Cluster struct {
 	cfg Config
 	reg *wcrypto.Registry
-	net *transport.Local
 
 	// shardMap routes keys across the first cfg.Shards edges; wireMap is
 	// its cloud-signed serialization, verified by every client session.
 	shardMap *shard.Map
 	wireMap  *wire.ShardMap
 
-	mu      sync.Mutex
-	keys    map[NodeID]wcrypto.KeyPair
-	cloud   *cloud.Node
-	edges   map[NodeID]*edge.Node
-	clients map[NodeID]*Client
-	closed  bool
+	// cloud and edges are fixed by NewCluster.
+	cloud *cloud.Node
+	edges map[NodeID]*edge.Node
+
+	// ctx ends every endpoint's Serve and served waits for them. Close
+	// cancels ctx under mu, so no endpoint is added after it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	served sync.WaitGroup
+
+	mu    sync.Mutex
+	nodes map[NodeID]*transport.TCP // every node's endpoint, clients included
 }
+
+var errClosed = errors.New("wedgechain: cluster closed")
 
 // NewCluster assembles and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -54,45 +65,36 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.fill()
 	c := &Cluster{
-		cfg:     cfg,
-		reg:     wcrypto.NewRegistry(),
-		keys:    make(map[NodeID]wcrypto.KeyPair),
-		edges:   make(map[NodeID]*edge.Node),
-		clients: make(map[NodeID]*Client),
+		cfg:   cfg,
+		reg:   wcrypto.NewRegistry(),
+		edges: make(map[NodeID]*edge.Node),
+		nodes: make(map[NodeID]*transport.TCP),
 	}
-	c.net = transport.NewLocal(transport.LocalConfig{
-		TickEvery: 5 * time.Millisecond,
-		Latency:   cfg.Latency,
-		Fault:     cfg.Chaos,
-		// Pre-verify signatures in parallel in front of every node so
-		// the single-threaded state machines spend their time on
-		// protocol work, not Ed25519.
-		Registry:      c.reg,
-		VerifyWorkers: -1, // negative = GOMAXPROCS, sized by the pool
-	})
-	// The chaos net shapes every link of the shared in-process transport,
-	// and every node verifies against the one key registry, so their
-	// counters carry the cluster-wide label rather than a node's.
+	// The chaos net shapes every endpoint's links and every node verifies
+	// against the one key registry, so their counters carry the
+	// cluster-wide label rather than a node's.
 	cfg.Chaos.AttachMetrics(cfg.Metrics, "cluster")
 	c.reg.AttachMetrics(cfg.Metrics, "cluster")
 
-	ck, err := wcrypto.GenerateKey(CloudID)
-	if err != nil {
-		return nil, err
-	}
-	c.keys[CloudID] = ck
-	c.reg.Register(CloudID, ck.Pub)
-
-	edgeIDs := make([]NodeID, 0, cfg.Edges)
-	for i := 1; i <= cfg.Edges; i++ {
-		id := EdgeID(i)
+	keys := make(map[NodeID]wcrypto.KeyPair)
+	newKey := func(id NodeID) error {
 		k, err := wcrypto.GenerateKey(id)
 		if err != nil {
+			return err
+		}
+		keys[id] = k
+		c.reg.Register(id, k.Pub)
+		return nil
+	}
+	if err := newKey(CloudID); err != nil {
+		return nil, err
+	}
+	edgeIDs := make([]NodeID, 0, cfg.Edges)
+	for i := 1; i <= cfg.Edges; i++ {
+		if err := newKey(EdgeID(i)); err != nil {
 			return nil, err
 		}
-		c.keys[id] = k
-		c.reg.Register(id, k.Pub)
-		edgeIDs = append(edgeIDs, id)
+		edgeIDs = append(edgeIDs, EdgeID(i))
 	}
 
 	// Replica groups: each edge's chain gets ReplicasPerShard-1 follower
@@ -100,19 +102,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// the initial leader's id; followers mirror its log and stand by for
 	// a cloud-signed promotion.
 	followers := make(map[NodeID][]NodeID)
-	if cfg.ReplicasPerShard > 1 {
-		for i := 1; i <= cfg.Edges; i++ {
-			lid := EdgeID(i)
-			for k := 1; k < cfg.ReplicasPerShard; k++ {
-				fid := FollowerID(i, k)
-				fk, err := wcrypto.GenerateKey(fid)
-				if err != nil {
-					return nil, err
-				}
-				c.keys[fid] = fk
-				c.reg.Register(fid, fk.Pub)
-				followers[lid] = append(followers[lid], fid)
+	for i := 1; i <= cfg.Edges; i++ {
+		for k := 1; k < cfg.ReplicasPerShard; k++ {
+			fid := FollowerID(i, k)
+			if err := newKey(fid); err != nil {
+				return nil, err
 			}
+			followers[EdgeID(i)] = append(followers[EdgeID(i)], fid)
 		}
 	}
 
@@ -131,7 +127,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			c.wireMap.Followers[i] = append([]NodeID(nil), followers[e]...)
 		}
 	}
-	c.wireMap.CloudSig = wcrypto.SignMsg(ck, c.wireMap)
+	c.wireMap.CloudSig = wcrypto.SignMsg(keys[CloudID], c.wireMap)
 
 	c.cloud = cloud.New(cloud.Config{
 		ID:           CloudID,
@@ -141,18 +137,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
 		CertTimeout:  cfg.CertTimeout.Nanoseconds(),
 		Metrics:      cfg.Metrics,
-		// Gossip recipients are added as clients join; the cloud config
-		// is static, so gossip goes to edges and clients pull via their
-		// edge. For direct gossip, clients are registered below.
-	}, ck, c.reg)
+		// Clients join as gossip targets in NewClientWith.
+	}, keys[CloudID], c.reg)
 	if cfg.ReplicasPerShard > 1 {
-		// Declare the groups before the transport starts, so the failure
+		// Declare the groups before the endpoints start, so the failure
 		// detectors know every chain from the first tick.
 		for _, lid := range edgeIDs {
 			c.cloud.RegisterGroup(lid, lid, followers[lid])
 		}
 	}
-	c.net.Add(c.cloud)
+	hosted := []core.Handler{c.cloud}
 
 	// Heartbeat at a quarter of the lease so a live leader can never be
 	// mistaken for a dead one by scheduling jitter alone.
@@ -163,107 +157,127 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			heartbeatEvery = cfg.HeartbeatEvery.Nanoseconds()
 		}
 	}
-	for _, id := range edgeIDs {
-		ecfg := edge.Config{
-			ID:              id,
-			Cloud:           CloudID,
-			BatchSize:       cfg.BatchSize,
-			FlushEvery:      cfg.FlushEvery.Nanoseconds(),
-			L0Threshold:     cfg.L0Threshold,
-			LevelThresholds: cfg.LevelThresholds,
-			Fault:           cfg.EdgeFaults[id],
-			Followers:       followers[id],
-			HeartbeatEvery:  heartbeatEvery,
-			MaxUncertified:  cfg.MaxUncertified,
-			Metrics:         cfg.Metrics,
-		}
+	addEdge := func(ecfg edge.Config) error {
+		ecfg.Cloud = CloudID
+		ecfg.BatchSize = cfg.BatchSize
+		ecfg.FlushEvery = cfg.FlushEvery.Nanoseconds()
+		ecfg.L0Threshold = cfg.L0Threshold
+		ecfg.LevelThresholds = cfg.LevelThresholds
+		ecfg.Fault = cfg.EdgeFaults[ecfg.ID]
+		ecfg.HeartbeatEvery = heartbeatEvery
+		ecfg.MaxUncertified = cfg.MaxUncertified
+		ecfg.Metrics = cfg.Metrics
 		if err := ecfg.Validate(); err != nil {
+			return err
+		}
+		en := edge.New(ecfg, keys[ecfg.ID], c.reg)
+		c.edges[ecfg.ID] = en
+		hosted = append(hosted, en)
+		return nil
+	}
+	for _, id := range edgeIDs {
+		if err := addEdge(edge.Config{ID: id, Followers: followers[id]}); err != nil {
 			return nil, err
 		}
-		en := edge.New(ecfg, c.keys[id], c.reg)
-		c.edges[id] = en
-		c.net.Add(en)
 		for _, fid := range followers[id] {
-			fcfg := edge.Config{
-				ID:              fid,
-				Chain:           id,
-				Follower:        true,
-				Cloud:           CloudID,
-				BatchSize:       cfg.BatchSize,
-				FlushEvery:      cfg.FlushEvery.Nanoseconds(),
-				L0Threshold:     cfg.L0Threshold,
-				LevelThresholds: cfg.LevelThresholds,
-				Fault:           cfg.EdgeFaults[fid],
-				HeartbeatEvery:  heartbeatEvery,
-				MaxUncertified:  cfg.MaxUncertified,
-				Metrics:         cfg.Metrics,
-			}
-			if err := fcfg.Validate(); err != nil {
+			if err := addEdge(edge.Config{ID: fid, Chain: id, Follower: true}); err != nil {
 				return nil, err
 			}
-			fn := edge.New(fcfg, c.keys[fid], c.reg)
-			c.edges[fid] = fn
-			c.net.Add(fn)
+		}
+	}
+
+	// Cloud first, so every later endpoint can reach it from its first
+	// tick.
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	for _, h := range hosted {
+		if err := c.host(h); err != nil {
+			c.Close()
+			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// Close stops the cluster's goroutines. Every one belongs to the
-// transport: the nodes themselves run only on its turns.
+// host serves h on its own loopback endpoint until Close, configured as
+// the deployment binaries configure theirs, and binds its address on every
+// endpoint and theirs on it. Callers hold mu or own c exclusively.
+func (c *Cluster) host(h core.Handler) error {
+	t := transport.NewTCP(h, transport.TCPConfig{
+		Listen:    "127.0.0.1:0",
+		TickEvery: 5 * time.Millisecond,
+		Fault:     c.cfg.Chaos,
+		// Pre-verify signatures in parallel in front of the node so its
+		// single-threaded state machine spends its time on protocol work,
+		// not Ed25519.
+		Registry:      c.reg,
+		VerifyWorkers: -1, // negative = GOMAXPROCS, sized by the pool
+		Obs:           c.cfg.Metrics,
+	})
+	err := t.Listen()
+	c.served.Add(1)
+	go func() {
+		defer c.served.Done()
+		t.Serve(c.ctx) // Serve owns teardown, even after a failed Listen
+	}()
+	if err != nil {
+		return err
+	}
+	c.nodes[h.ID()] = t
+	for id, peer := range c.nodes {
+		t.SetPeer(id, peer.Addr().String())
+		peer.SetPeer(h.ID(), t.Addr().String())
+	}
+	return nil
+}
+
+// Close stops every node's endpoint and waits for each Serve to return.
+// The nodes own no goroutine: they run only on their endpoints' turns.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
+	c.cancel()
+	c.mu.Unlock()
+	c.served.Wait()
+}
+
+// do runs fn under node id's session mutex, on the caller's goroutine, and
+// sends what it returns. fn must not call back into the same node.
+func (c *Cluster) do(id NodeID, fn func(now int64) []wire.Envelope) error {
+	c.mu.Lock()
+	t := c.nodes[id]
+	c.mu.Unlock()
+	if c.ctx.Err() != nil {
+		return errClosed
 	}
-	c.closed = true
-	c.net.Close()
+	t.DoSession(id, fn)
+	return nil
+}
+
+// on runs fn under node id's session mutex.
+func (c *Cluster) on(id NodeID, fn func()) error {
+	return c.do(id, func(int64) []wire.Envelope {
+		fn()
+		return nil
+	})
 }
 
 // Punished reports whether the cloud has convicted and banned edgeID,
 // with the conviction reason.
-func (c *Cluster) Punished(edgeID NodeID) (string, bool) {
-	type result struct {
-		reason string
-		ok     bool
-	}
-	ch := make(chan result, 1)
-	ok := c.net.Do(CloudID, func(now int64) []wire.Envelope {
-		r, banned := c.cloud.Flagged(edgeID)
-		ch <- result{r, banned}
-		return nil
-	})
-	if !ok {
-		return "", false
-	}
-	r := <-ch
-	return r.reason, r.ok
+func (c *Cluster) Punished(edgeID NodeID) (reason string, banned bool) {
+	c.on(CloudID, func() { reason, banned = c.cloud.Flagged(edgeID) })
+	return reason, banned
 }
 
 // Verdicts returns all guilty verdicts the cloud has issued.
-func (c *Cluster) Verdicts() []Verdict {
-	ch := make(chan []Verdict, 1)
-	if !c.net.Do(CloudID, func(now int64) []wire.Envelope {
-		ch <- append([]Verdict(nil), c.cloud.Punishments().Verdicts()...)
-		return nil
-	}) {
-		return nil
-	}
-	return <-ch
+func (c *Cluster) Verdicts() (vs []Verdict) {
+	c.on(CloudID, func() { vs = append(vs, c.cloud.Punishments().Verdicts()...) })
+	return vs
 }
 
 // VerdictsFor returns the guilty verdicts issued against one edge — in a
 // sharded cluster, the conviction history of that shard alone.
-func (c *Cluster) VerdictsFor(edgeID NodeID) []Verdict {
-	ch := make(chan []Verdict, 1)
-	if !c.net.Do(CloudID, func(now int64) []wire.Envelope {
-		ch <- c.cloud.VerdictsFor(edgeID)
-		return nil
-	}) {
-		return nil
-	}
-	return <-ch
+func (c *Cluster) VerdictsFor(edgeID NodeID) (vs []Verdict) {
+	c.on(CloudID, func() { vs = c.cloud.VerdictsFor(edgeID) })
+	return vs
 }
 
 // Metrics returns the registry holding every node's wedge_* series —
@@ -278,24 +292,15 @@ func (c *Cluster) Shards() int { return c.shardMap.Shards() }
 func (c *Cluster) ShardMap() *wire.ShardMap { return c.wireMap }
 
 // EdgeStats returns one edge node's operational counters, read on that
-// edge's own goroutine. In a sharded cluster this is the per-shard view:
-// writes, blocks cut, certifications, reads, and merges for that shard
-// alone.
-func (c *Cluster) EdgeStats(edgeID NodeID) (edge.Stats, error) {
-	c.mu.Lock()
+// edge's turn. In a sharded cluster this is the per-shard view: writes,
+// blocks cut, certifications, reads, and merges for that shard alone.
+func (c *Cluster) EdgeStats(edgeID NodeID) (st edge.Stats, err error) {
 	en, ok := c.edges[edgeID]
-	c.mu.Unlock()
 	if !ok {
-		return edge.Stats{}, fmt.Errorf("wedgechain: unknown edge %q (have edge-1..edge-%d)", edgeID, c.cfg.Edges)
+		return st, fmt.Errorf("wedgechain: unknown edge %q (have edge-1..edge-%d)", edgeID, c.cfg.Edges)
 	}
-	ch := make(chan edge.Stats, 1)
-	if !c.net.Do(edgeID, func(now int64) []wire.Envelope {
-		ch <- en.Stats()
-		return nil
-	}) {
-		return edge.Stats{}, fmt.Errorf("wedgechain: cluster closed")
-	}
-	return <-ch, nil
+	err = c.on(edgeID, func() { st = en.Stats() })
+	return st, err
 }
 
 // KillEdge simulates a process crash of one node — leader or follower:
@@ -305,19 +310,11 @@ func (c *Cluster) EdgeStats(edgeID NodeID) (edge.Stats, error) {
 // re-route on the signed transfer without failing their in-flight
 // operations.
 func (c *Cluster) KillEdge(id NodeID) error {
-	c.mu.Lock()
 	en, ok := c.edges[id]
-	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("wedgechain: unknown node %q", id)
 	}
-	if !c.net.Do(id, func(now int64) []wire.Envelope {
-		en.Kill()
-		return nil
-	}) {
-		return fmt.Errorf("wedgechain: cluster closed")
-	}
-	return nil
+	return c.on(id, en.Kill)
 }
 
 // RestartEdge revives a killed node as a blank follower — the simulated
@@ -326,68 +323,41 @@ func (c *Cluster) KillEdge(id NodeID) error {
 // and certified catch-up rebuilds its mirror; once caught up it is again
 // a promotion candidate.
 func (c *Cluster) RestartEdge(id NodeID) error {
-	c.mu.Lock()
 	en, ok := c.edges[id]
-	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("wedgechain: unknown node %q", id)
 	}
-	if !c.net.Do(id, func(now int64) []wire.Envelope {
+	return c.do(id, func(now int64) []wire.Envelope {
 		en.Restart(now)
 		return nil
-	}) {
-		return fmt.Errorf("wedgechain: cluster closed")
-	}
-	return nil
+	})
 }
 
 // ReplicaFrontier reports a node's local block frontier and contiguous
 // certified prefix — served blocks on a leader, mirrored blocks on a
 // follower. Chaos harnesses poll it to observe catch-up convergence.
 func (c *Cluster) ReplicaFrontier(id NodeID) (blocks, certified uint64, err error) {
-	c.mu.Lock()
 	en, ok := c.edges[id]
-	c.mu.Unlock()
 	if !ok {
 		return 0, 0, fmt.Errorf("wedgechain: unknown node %q", id)
 	}
-	type frontier struct{ blocks, certified uint64 }
-	ch := make(chan frontier, 1)
-	if !c.net.Do(id, func(now int64) []wire.Envelope {
-		ch <- frontier{en.LogBlocks(), en.CertifiedBlocks()}
-		return nil
-	}) {
-		return 0, 0, fmt.Errorf("wedgechain: cluster closed")
-	}
-	f := <-ch
-	return f.blocks, f.certified, nil
+	err = c.on(id, func() { blocks, certified = en.LogBlocks(), en.CertifiedBlocks() })
+	return blocks, certified, err
 }
 
 // ChainLeader reports which node the cloud currently recognizes as the
 // leader of chain (the chain id is the initial leader's id, e.g.
 // "edge-1"). Unreplicated chains lead themselves.
-func (c *Cluster) ChainLeader(chain NodeID) NodeID {
-	ch := make(chan NodeID, 1)
-	if !c.net.Do(CloudID, func(now int64) []wire.Envelope {
-		ch <- c.cloud.ChainLeader(chain)
-		return nil
-	}) {
-		return ""
-	}
-	return <-ch
+func (c *Cluster) ChainLeader(chain NodeID) (leader NodeID) {
+	c.on(CloudID, func() { leader = c.cloud.ChainLeader(chain) })
+	return leader
 }
 
 // ChainEpoch reports the chain's current leadership epoch (0 until the
 // first transfer).
-func (c *Cluster) ChainEpoch(chain NodeID) uint64 {
-	ch := make(chan uint64, 1)
-	if !c.net.Do(CloudID, func(now int64) []wire.Envelope {
-		ch <- c.cloud.ChainEpoch(chain)
-		return nil
-	}) {
-		return 0
-	}
-	return <-ch
+func (c *Cluster) ChainEpoch(chain NodeID) (epoch uint64) {
+	c.on(CloudID, func() { epoch = c.cloud.ChainEpoch(chain) })
+	return epoch
 }
 
 // ClientOptions tunes a session created by NewClientWith.
@@ -421,20 +391,20 @@ func (c *Cluster) NewClient(name string, edgeID NodeID) (*Client, error) {
 // NewClientWith creates a client session with explicit options (light
 // verification). NewClient is the zero-options shorthand.
 func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) (*Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("wedgechain: cluster closed")
-	}
 	if edgeID == "" {
 		edgeID = EdgeID(1)
 	}
 	if _, ok := c.edges[edgeID]; !ok {
 		return nil, fmt.Errorf("wedgechain: unknown edge %q (have edge-1..edge-%d)", edgeID, c.cfg.Edges)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx.Err() != nil {
+		return nil, errClosed
+	}
 	id := NodeID(name)
-	if _, dup := c.clients[id]; dup {
-		return nil, fmt.Errorf("wedgechain: duplicate client %q", name)
+	if _, dup := c.nodes[id]; dup {
+		return nil, fmt.Errorf("wedgechain: duplicate client or node name %q", name)
 	}
 
 	// Trust the routing table only after checking the cloud's signature
@@ -461,7 +431,6 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	if err != nil {
 		return nil, err
 	}
-	c.keys[id] = k
 	c.reg.Register(id, k.Pub)
 
 	// Deterministic per-name seed: each light session audits its own
@@ -483,14 +452,17 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		Metrics:         c.cfg.Metrics,
 	}, ring, k, c.reg)
 	cl := newClient(c, id, session)
-	for _, core := range session.Cores() {
-		core.OnPhaseI = cl.onPhaseI
-		core.OnPhaseII = cl.onPhaseII
-		core.OnDone = cl.onDone
+	for _, cc := range session.Cores() {
+		cc.OnPhaseI = cl.onPhaseI
+		cc.OnPhaseII = cl.onPhaseII
+		cc.OnDone = cl.onDone
 	}
-	c.clients[id] = cl
-	c.net.Add(&clientHandler{cl})
-	c.net.Do(CloudID, func(now int64) []wire.Envelope {
+	// The session's endpoint knows every peer before the cloud's replay
+	// below is its first frame.
+	if err := c.host(session); err != nil {
+		return nil, err
+	}
+	c.nodes[CloudID].DoSession(CloudID, func(now int64) []wire.Envelope {
 		c.cloud.AddGossipTarget(id)
 		// Replay existing convictions to the new session: the verdict
 		// broadcast at conviction time predates this client, and banned
@@ -505,13 +477,3 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	})
 	return cl, nil
 }
-
-// clientHandler adapts the façade client for transport registration,
-// keeping the sync API off the Handler surface.
-type clientHandler struct{ c *Client }
-
-func (h *clientHandler) ID() wire.NodeID { return h.c.id }
-func (h *clientHandler) Receive(now int64, env wire.Envelope) []wire.Envelope {
-	return h.c.session.Receive(now, env)
-}
-func (h *clientHandler) Tick(now int64) []wire.Envelope { return h.c.session.Tick(now) }

@@ -1,4 +1,4 @@
-// Quickstart: bring up a WedgeChain cluster in-process, log entries with
+// Quickstart: bring up a WedgeChain cluster in one process, log entries with
 // Phase I / Phase II commitment, write and read key-value pairs with
 // verified proofs.
 package main
@@ -13,18 +13,17 @@ import (
 
 func main() {
 	// One untrusted edge node, one trusted cloud node, small blocks so
-	// everything commits quickly. A 30ms simulated WAN separates edge
-	// and cloud — Phase I never pays it, Phase II always does.
+	// everything commits quickly. A 30ms WAN delay on every frame to and
+	// from the cloud — Phase I never pays it, Phase II always does.
+	wan := wedgechain.NewChaos(1)
+	delay := wedgechain.LinkFaults{DelayMin: int64(30 * time.Millisecond), DelayMax: int64(30 * time.Millisecond)}
+	wan.Add(wedgechain.ChaosRule{From: wedgechain.CloudID, Faults: delay})
+	wan.Add(wedgechain.ChaosRule{To: wedgechain.CloudID, Faults: delay})
 	cluster, err := wedgechain.NewCluster(wedgechain.Config{
 		Edges:      1,
 		BatchSize:  2,
 		FlushEvery: 25 * time.Millisecond,
-		Latency: func(from, to wedgechain.NodeID) time.Duration {
-			if from == wedgechain.CloudID || to == wedgechain.CloudID {
-				return 30 * time.Millisecond
-			}
-			return time.Millisecond
-		},
+		Chaos:      wan,
 	})
 	if err != nil {
 		log.Fatal(err)

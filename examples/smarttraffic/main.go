@@ -22,18 +22,17 @@ const (
 )
 
 func main() {
-	// Edge nodes are ~2ms from sensors; the government data center is
+	// Edge nodes are next to the sensors; the government data center is
 	// 80ms away — exactly the asymmetry WedgeChain exploits.
+	wan := wedgechain.NewChaos(1)
+	oneWay := wedgechain.LinkFaults{DelayMin: int64(40 * time.Millisecond), DelayMax: int64(40 * time.Millisecond)}
+	wan.Add(wedgechain.ChaosRule{From: wedgechain.CloudID, Faults: oneWay})
+	wan.Add(wedgechain.ChaosRule{To: wedgechain.CloudID, Faults: oneWay})
 	cluster, err := wedgechain.NewCluster(wedgechain.Config{
 		Edges:      districts,
 		BatchSize:  10,
 		FlushEvery: 50 * time.Millisecond,
-		Latency: func(from, to wedgechain.NodeID) time.Duration {
-			if from == wedgechain.CloudID || to == wedgechain.CloudID {
-				return 40 * time.Millisecond // one-way to the data center
-			}
-			return time.Millisecond
-		},
+		Chaos:      wan,
 	})
 	if err != nil {
 		log.Fatal(err)

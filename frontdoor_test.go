@@ -101,12 +101,7 @@ func TestFacadeShedLosesNoAckedWrite(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 1, FlushEvery: time.Millisecond,
 		MaxUncertified: 2, RetryEvery: 20 * time.Millisecond, MaxAttempts: 6,
-		Latency: func(from, to NodeID) time.Duration {
-			if from == CloudID || to == CloudID {
-				return 5 * time.Millisecond
-			}
-			return 0
-		},
+		Chaos: cloudDelay(5 * time.Millisecond),
 	})
 	const writers, perWriter = 16, 8
 	clients := make([]*Client, writers)

@@ -8,7 +8,7 @@ import (
 )
 
 // ChaosSoak (CH1) runs a 3-replica shard under the deterministic chaos
-// network — wall-clock over the façade's real concurrent transport — and
+// network — wall-clock over the façade's loopback TCP endpoints — and
 // measures what the healing machinery costs and guarantees. Arm one is
 // the clean baseline. Arm two adds seeded background faults (drop,
 // duplicate, delay) on every link: client transport retries and the
@@ -178,10 +178,7 @@ func runChaosArm(writes int, arm chaosArm) ([]string, error) {
 	}
 
 	// Invariant 1: nothing acked-then-certified is lost. The audit reads
-	// through the writer's session, which has followed every transfer: an
-	// idle session that lost the cloud's one transfer broadcast to the
-	// drop schedule stays bound to the demoted leader, and its silence
-	// would be counted here as loss.
+	// through the writer's session, which has followed every transfer.
 	lost := 0
 	for _, a := range certified {
 		blk, phase, err := w.Read(a.bid, 20*time.Second)

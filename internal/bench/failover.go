@@ -8,9 +8,9 @@ import (
 )
 
 // AvailabilityFailover (AV1) measures a 3-replica shard's write
-// availability across leadership transitions, wall-clock over the real
-// concurrent transport (the façade cluster; safe to import here because
-// the façade never imports bench). Arm one kills an honest leader
+// availability across leadership transitions, wall-clock over the
+// façade's loopback TCP endpoints (safe to import here because the façade
+// never imports bench). Arm one kills an honest leader
 // mid-stream: the cloud's lease expires, a follower is promoted, and the
 // closed-loop writer resumes after a bounded stall with zero failed
 // operations. Arm two plants a stale-serving fault on the follower that

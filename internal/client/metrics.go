@@ -76,8 +76,8 @@ func newMetrics(reg *obs.Registry, node, chain string) *metrics {
 func isWrite(k Kind) bool { return k == KindAdd || k == KindPut }
 
 // markPhaseI records the ack latency of a write reaching Phase I. The
-// timestamps are handler time (virtual ns in the sim, wall ns on
-// Local/TCP), consistent within one world.
+// timestamps are handler time (virtual ns in the sim, wall ns over TCP),
+// consistent within one world.
 func (m *metrics) markPhaseI(op *Op) {
 	if !m.enabled || !isWrite(op.Kind) {
 		return

@@ -233,12 +233,23 @@ func (s *Sharded) StatsByEdge() map[wire.NodeID]Stats {
 }
 
 // Receive demultiplexes a delivery to the core owning the shard it
-// concerns. Edge responses route by sender; cloud proofs and gossip
-// carry the chain they concern; leadership transfers route by chain and
-// re-key the sender index to the promoted node. Verdicts are node-scoped
-// — the node may be a demoted leader no index remembers — so they fan
-// out, as does anything else, with each core filtering by its own state.
+// concerns. Leadership transfers route by chain, whoever sent them (the
+// cloud, or a demoted leader answering with the transfer it adopted), and
+// re-key the sender index to the promoted node. Edge responses route by
+// sender; cloud proofs and gossip carry the chain they concern. Verdicts
+// are node-scoped — the node may be a demoted leader no index remembers —
+// so they fan out, as does anything else, with each core filtering by its
+// own state.
 func (s *Sharded) Receive(now int64, env wire.Envelope) []wire.Envelope {
+	if m, ok := env.Msg.(*wire.LeadershipTransfer); ok {
+		c, ok := s.byChain[m.Chain]
+		if !ok {
+			return nil
+		}
+		out := c.Receive(now, env)
+		s.byEdge[c.Edge()] = c // responses now arrive from the new leader
+		return out
+	}
 	if c, ok := s.byEdge[env.From]; ok {
 		return c.Receive(now, env)
 	}
@@ -248,14 +259,6 @@ func (s *Sharded) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		concerns = m.Edge
 	case *wire.Gossip:
 		concerns = m.Edge
-	case *wire.LeadershipTransfer:
-		c, ok := s.byChain[m.Chain]
-		if !ok {
-			return nil
-		}
-		out := c.Receive(now, env)
-		s.byEdge[c.Edge()] = c // responses now arrive from the new leader
-		return out
 	default:
 		var out []wire.Envelope
 		for _, c := range s.cores {

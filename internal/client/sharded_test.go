@@ -222,3 +222,16 @@ func TestShardedVerdictRoutesToConcernedShard(t *testing.T) {
 		t.Fatalf("unexpected output %v", out)
 	}
 }
+
+// A transfer announced by the demoted leader itself routes by chain, like
+// the cloud's copy, and re-keys the sender index to the promoted node.
+func TestShardedTransferFromOldLeaderRekeys(t *testing.T) {
+	f := newShardedFixture(t, 2)
+	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 1, Prev: "edge-1", NewLeader: "edge-1.r1"}
+	tr.CloudSig = wcrypto.SignMsg(f.keys["cloud"], tr)
+	f.s.Receive(10, wire.Envelope{From: "edge-1", To: "c1", Msg: tr})
+	c := f.s.byChain["edge-1"]
+	if c.Edge() != "edge-1.r1" || f.s.byEdge["edge-1.r1"] != c {
+		t.Fatalf("core bound to %q, sender index %v", c.Edge(), f.s.byEdge)
+	}
+}

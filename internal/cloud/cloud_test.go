@@ -554,7 +554,7 @@ func TestMergeConvictsCachePoisonedBlock(t *testing.T) {
 // TestTransferReachesGossipTargetsWithoutShardMap: clients rebind on the
 // signed LeadershipTransfer, so a transfer sends it to the group and to
 // every gossip target and sends no ShardMap; neither does re-admitting the
-// demoted leader.
+// demoted leader, which gets the transfer again beside its GroupJoin.
 func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
 	f := newFixture(t, Config{LeaseTimeout: 100, GossipTo: []wire.NodeID{"c1", "c2"}})
 	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2"})
@@ -582,12 +582,20 @@ func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
 
 	hb := &wire.ReplicaHeartbeat{Chain: "edge-1", Node: "edge-1"}
 	out = f.node.Receive(600, wire.Envelope{From: "edge-1", To: "cloud", Msg: hb, Verified: true})
-	if len(out) != 2 {
-		t.Fatalf("rejoin outputs = %d, want a GroupJoin to the node and to the leader", len(out))
-	}
+	got = map[wire.NodeID]int{}
 	for _, env := range out {
-		if _, ok := env.Msg.(*wire.GroupJoin); !ok {
+		switch m := env.Msg.(type) {
+		case *wire.GroupJoin:
+			got[env.To]++
+		case *wire.LeadershipTransfer:
+			if env.To != "edge-1" || m.Epoch != 1 {
+				t.Fatalf("rejoin sent epoch-%d transfer to %s", m.Epoch, env.To)
+			}
+		default:
 			t.Fatalf("rejoin sent %T to %s", env.Msg, env.To)
 		}
+	}
+	if len(out) != 3 || got["edge-1"] != 1 || got["edge-2"] != 1 {
+		t.Fatalf("rejoin outputs = %d, GroupJoins %v; want a GroupJoin to the node and to the leader plus the transfer", len(out), got)
 	}
 }

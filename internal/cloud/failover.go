@@ -34,6 +34,8 @@ type chainState struct {
 	leaseBase int64 // fallback lease start while a node has never heartbeated
 	staleNow  int64 // first observation of an uncertified replicated backlog; 0 = none
 	dead      bool  // no promotable follower remained
+	// last is the transfer that installed leader; nil before the first.
+	last *wire.LeadershipTransfer
 }
 
 // RegisterGroup declares chain's replica group: its initial leader and
@@ -154,10 +156,17 @@ func (n *Node) maybeRejoin(now int64, from wire.NodeID, chain wire.NodeID, st *c
 	mem.lastJoin = now
 	join := &wire.GroupJoin{Chain: chain, Node: from, Leader: st.leader, Epoch: st.epoch, Ts: now}
 	join.CloudSig = wcrypto.SignMsg(n.key, join)
-	return []wire.Envelope{
+	out := []wire.Envelope{
 		{From: n.cfg.ID, To: from, Msg: join},
 		{From: n.cfg.ID, To: st.leader, Msg: join},
 	}
+	if !inGroup && st.last != nil {
+		// An ex-leader cut off from the cloud when it was demoted never
+		// got its transfer; it answers sessions still addressing it with
+		// this copy.
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: st.last})
+	}
+	return out
 }
 
 // handleFrontier answers a single-chain frontier query with the same
@@ -266,6 +275,7 @@ func (n *Node) transfer(now int64, chain wire.NodeID, st *chainState, reason str
 		Ts:        now,
 	}
 	t.CloudSig = wcrypto.SignMsg(n.key, t)
+	st.last = t
 
 	out := []wire.Envelope{{From: n.cfg.ID, To: cand, Msg: t}}
 	for _, f := range remaining {

@@ -56,8 +56,8 @@ func (p Phase) String() string {
 
 // Handler is a protocol node: a deterministic, single-threaded state
 // machine driven by message delivery and time ticks. The discrete-event
-// simulator, the in-process transport and the TCP transport all drive the
-// same Handler implementations, so measured behaviour and deployed
+// simulator and the TCP transport both drive the same Handler
+// implementations, so measured behaviour and deployed
 // behaviour come from identical protocol code.
 type Handler interface {
 	// ID returns the node's identity.

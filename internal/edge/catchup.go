@@ -324,6 +324,7 @@ func (n *Node) Restart(now int64) {
 	n.follower = true
 	n.leader = ""
 	n.epoch = 0
+	n.transfer = nil
 	n.lastHB = 0
 	n.pendingRepl = make(map[uint64]stashedBlock)
 	n.pendingCerts = make(map[uint64]wire.BlockProof)

@@ -5,7 +5,7 @@
 //
 // The node is a deterministic state machine (core.Handler): all I/O happens
 // through Receive and Tick, so the same code runs under the discrete-event
-// simulator, the in-process transport and TCP.
+// simulator and over TCP.
 //
 // Byzantine behaviour is injected through the Fault hooks — the honest code
 // path never lies, but tests and examples use faults to demonstrate that
@@ -225,6 +225,10 @@ type Node struct {
 	epoch    uint64
 	killed   bool
 	lastHB   int64
+	// transfer is the newest cloud-signed transfer naming another
+	// leader; while a follower, the node answers client requests with it
+	// (announceLeader).
+	transfer *wire.LeadershipTransfer
 	// Follower-side mirroring: out-of-order replicated blocks and early
 	// certificates waiting for their block, plus the leader's replication
 	// signature per installed block — the convicting evidence if the
@@ -412,6 +416,12 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	if n.killed {
 		return nil
 	}
+	switch env.Msg.(type) {
+	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.GetRequest, *wire.ScanRequest, *wire.ReserveRequest:
+		if n.follower {
+			return n.announceLeader(env.From)
+		}
+	}
 	switch m := env.Msg.(type) {
 	case *wire.PutRequest:
 		return n.handleWrite(now, env.From, m.Entry, env.Verified)
@@ -563,7 +573,7 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 // dropped (the client's timeout machinery owns retries, mirroring the
 // paper's idempotence discussion).
 func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, verified bool) []wire.Envelope {
-	if n.follower || e.Client != from {
+	if e.Client != from {
 		return nil
 	}
 	if n.cfg.MaxUncertified > 0 {
@@ -850,9 +860,6 @@ func (n *Node) resetTables() {
 // (signed denial), Phase II read (block + proof), Phase I read (block, no
 // proof yet; the proof is forwarded when it arrives).
 func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wire.Envelope {
-	if n.follower {
-		return nil
-	}
 	n.m.reads.Inc()
 	resp := &wire.ReadResponse{ReqID: m.ReqID, BID: m.BID, Ts: now}
 	blk, err := n.log.Block(m.BID)
@@ -891,7 +898,7 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 
 // handleReserve grants log positions for the idempotence extension.
 func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest, verified bool) []wire.Envelope {
-	if n.follower || m.Client != from {
+	if m.Client != from {
 		return nil
 	}
 	if m.Count > wire.MaxReserve {

@@ -17,9 +17,6 @@ import (
 // Merkle audit path, all level roots, and the signed global root, letting
 // the client verify both the value and its recency.
 func (n *Node) handleGet(now int64, from wire.NodeID, m *wire.GetRequest) []wire.Envelope {
-	if n.follower {
-		return nil
-	}
 	n.m.gets.Inc()
 	resp, err := n.AssembleGet(m.Key, m.ReqID)
 	if err != nil {

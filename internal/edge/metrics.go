@@ -93,8 +93,8 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 
 // markCut records a freshly cut block: size histogram plus the
 // trust-lag start stamp. now is handler time — virtual nanoseconds
-// under the sim, wall nanoseconds under Local/TCP transports — so the
-// lag histogram is meaningful in both worlds.
+// under the sim, wall nanoseconds over TCP — so the lag histogram is
+// meaningful in both worlds.
 func (m *metrics) markCut(bid uint64, now int64, entries int) {
 	if !m.enabled {
 		return

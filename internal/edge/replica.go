@@ -295,7 +295,8 @@ func (n *Node) convictLeader(bid uint64, blk wire.Block, sig []byte, why string)
 // node flips to serving mode, inherits the chain's mirrored log and
 // LSMerkle, re-certifies any uncertified tail, and (if faulty) starts
 // hiding the tail it was told to serve. Demoted or bystander replicas
-// re-point their mirror at the new leader.
+// re-point their mirror at the new leader and keep the transfer to
+// announce it.
 func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer, verified bool) []wire.Envelope {
 	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
 		return nil
@@ -305,6 +306,12 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 			n.logf("dropping transfer with bad cloud signature", "err", err)
 			return nil
 		}
+	}
+	if m.NewLeader != n.cfg.ID && (n.transfer == nil || m.Epoch > n.transfer.Epoch) {
+		// Kept even when a GroupJoin already moved the epoch this far:
+		// the cloud re-sends a rejoining ex-leader its transfer after the
+		// join.
+		n.transfer = m
 	}
 	if m.Epoch <= n.epoch {
 		return nil
@@ -342,6 +349,18 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 	}
 	n.logf("promoted to leader", "chain", n.cfg.Chain, "epoch", m.Epoch, "followers", len(n.cfg.Followers))
 	return n.certifyTail(now)
+}
+
+// announceLeader answers a client request that reached this follower with
+// the cloud-signed transfer it adopted. The cloud sends a transfer to each
+// session once; a session whose copy was lost still addresses the demoted
+// leader, and this copy rebinds it instead of leaving it to time out. A
+// follower that holds no transfer stays silent.
+func (n *Node) announceLeader(to wire.NodeID) []wire.Envelope {
+	if n.transfer == nil {
+		return nil
+	}
+	return []wire.Envelope{{From: n.cfg.ID, To: to, Msg: n.transfer}}
 }
 
 // certifyTail re-submits certification for every mirrored-but-uncertified

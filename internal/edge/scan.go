@@ -16,9 +16,6 @@ import (
 // result from this evidence (package scan), so the response carries no
 // separate result list to lie about.
 func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wire.Envelope {
-	if n.follower {
-		return nil
-	}
 	n.m.scans.Inc()
 	if m.Start != nil && m.End != nil && bytes.Compare(m.Start, m.End) >= 0 {
 		// Nothing to prove about an empty range; honest clients never send

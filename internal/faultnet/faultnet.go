@@ -1,6 +1,6 @@
 // Package faultnet is a deterministic fault-injection layer for the
 // wedgechain transports. A Net sits at a transport's egress choke point
-// (sim.send, transport.Local.route, transport.TCP.send) and decides, per
+// (sim.send, transport.TCP.send) and decides, per
 // frame, whether the frame is dropped, delayed, duplicated or delivered
 // cleanly. Decisions come from seeded per-link PRNG streams, so a chaos
 // run with a fixed seed replays the exact same fault schedule regardless

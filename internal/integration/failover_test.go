@@ -330,3 +330,57 @@ func TestFailoverStaleFollowerConvicted(t *testing.T) {
 		t.Fatalf("client epoch = %d, want 2", got)
 	}
 }
+
+// A session that loses the cloud's one LeadershipTransfer frame is not
+// stranded: its next request reaches the demoted ex-leader, which answers
+// with the cloud-signed transfer, and the session rebinds and completes on
+// the new leader. The ex-leader holds the transfer either way it learned
+// of its demotion: sent by the cloud at the transfer (its heartbeats were
+// lost, but it still heard the cloud), or re-sent when it rejoined after a
+// full partition from the cloud.
+func TestTransferReannouncedByDemotedLeader(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		partition bool
+	}{{"heartbeats-lost", false}, {"partitioned", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := faultnet.New(7)
+			w := newRWorld(t, rworldOpts{fault: net})
+			op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
+			w.settle(t, 1*s)
+			if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
+				t.Fatalf("warmup phases = %v / %v", op0.Phase, op1.Phase)
+			}
+
+			// Across the failover window every frame from the cloud to c1
+			// is lost, the transfer included.
+			from, to := w.sim.Now(), w.sim.Now()+1*s
+			lost := faultnet.LinkFaults{Drop: 1}
+			net.Add(faultnet.Rule{From: "cloud", To: "c1", FromT: from, ToT: to, Faults: lost})
+			net.Add(faultnet.Rule{From: "edge-1", To: "cloud", FromT: from, ToT: to, Faults: lost})
+			if tc.partition {
+				net.Add(faultnet.Rule{From: "cloud", To: "edge-1", FromT: from, ToT: to, Faults: lost})
+			}
+			w.settle(t, 2*s)
+			newLeader := w.cloud.ChainLeader("edge-1")
+			if newLeader == "edge-1" || !w.leader.IsFollower() {
+				t.Fatalf("no failover: leader %q, ex-leader follower=%v", newLeader, w.leader.IsFollower())
+			}
+			if w.c1.Edge() != "edge-1" || w.c2.Edge() != newLeader {
+				t.Fatalf("bindings c1=%q c2=%q, want edge-1 and %q", w.c1.Edge(), w.c2.Edge(), newLeader)
+			}
+
+			op2, op3 := w.add(w.c1, "m2"), w.add(w.c1, "m3")
+			w.settle(t, 2*s)
+			for i, op := range []*client.Op{op2, op3} {
+				if op.Err != nil || op.Phase != core.PhaseII {
+					t.Fatalf("op%d phase = %v err = %v", i+2, op.Phase, op.Err)
+				}
+			}
+			if w.c1.Edge() != newLeader || w.c1.Stats().Failovers != 1 {
+				t.Fatalf("c1 bound to %q after %d failovers, want %q after 1",
+					w.c1.Edge(), w.c1.Stats().Failovers, newLeader)
+			}
+		})
+	}
+}

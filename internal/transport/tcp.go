@@ -1,3 +1,9 @@
+// Package transport runs the protocol state machines over TCP: each
+// endpoint serves one or more core.Handler sessions behind a listener,
+// with length-prefixed framing, a shared pool of writer lanes and an
+// optional parallel signature-verification stage. The cmd/ binaries, the
+// embedding façade and the macro benchmark all use it; virtual time runs
+// the same handlers on internal/sim instead.
 package transport
 
 import (

@@ -129,86 +129,6 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestLocalTransportDelivery(t *testing.T) {
-	l := NewLocal(LocalConfig{TickEvery: 5 * time.Millisecond})
-	defer l.Close()
-	a, b := newEcho("a"), newEcho("b")
-	l.Add(a)
-	l.Add(b)
-
-	const n = 100
-	for i := 0; i < n; i++ {
-		l.Send([]wire.Envelope{{From: "a", To: "b", Msg: &wire.Ping{Seq: uint64(i)}}})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, _, pongs := a.counts()
-		if pongs >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d pongs", pongs, n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	dups, total, _ := b.counts()
-	if total != n || dups != 0 {
-		t.Fatalf("b saw %d distinct (%d dups), want %d distinct", total, dups, n)
-	}
-}
-
-func TestLocalLatencyInjection(t *testing.T) {
-	l := NewLocal(LocalConfig{
-		TickEvery: time.Millisecond,
-		Latency: func(from, to wire.NodeID) time.Duration {
-			return 50 * time.Millisecond
-		},
-	})
-	defer l.Close()
-	a, b := newEcho("a"), newEcho("b")
-	l.Add(a)
-	l.Add(b)
-
-	start := time.Now()
-	l.Send([]wire.Envelope{{From: "a", To: "b", Msg: &wire.Ping{Seq: 1}}})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, _, pongs := a.counts()
-		if pongs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pong never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if rtt := time.Since(start); rtt < 100*time.Millisecond {
-		t.Fatalf("round trip %v, want >= 100ms (2x injected latency)", rtt)
-	}
-}
-
-func TestLocalDoRunsOnNodeGoroutine(t *testing.T) {
-	l := NewLocal(LocalConfig{TickEvery: time.Millisecond})
-	defer l.Close()
-	a := newEcho("a")
-	l.Add(a)
-	done := make(chan struct{})
-	if !l.Do("a", func(now int64) []wire.Envelope {
-		close(done)
-		return nil
-	}) {
-		t.Fatal("Do refused")
-	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Do thunk never ran")
-	}
-	if l.Do("missing", func(int64) []wire.Envelope { return nil }) {
-		t.Fatal("Do accepted unknown node")
-	}
-}
-
 // TestRedialResendsAfterPeerRestart is the regression test for the
 // redial frame-loss bug: when a peer restarts on the same identity and
 // address, the sender's cached connection is dead. A write into that

@@ -12,14 +12,15 @@
 // key-value gets from the edge with cryptographic proofs.
 //
 // This package is the embedding façade: it assembles a full cluster
-// (cloud, edges, clients) over an in-process transport and exposes a
-// synchronous client API. The building blocks live under internal/: the
-// protocol state machines (internal/edge, internal/cloud,
-// internal/client), the lazy-certification core (internal/core), the
-// LSMerkle structure (internal/mlsm), the discrete-event evaluation
-// substrate (internal/sim, internal/bench), and the paper's baselines
+// (cloud, edges, clients) inside one process, each node on its own
+// loopback TCP endpoint, and exposes a synchronous client API. The
+// building blocks live under internal/: the protocol state machines
+// (internal/edge, internal/cloud, internal/client), the
+// lazy-certification core (internal/core), the LSMerkle structure
+// (internal/mlsm), the discrete-event evaluation substrate
+// (internal/sim, internal/bench), and the paper's baselines
 // (internal/baseline). The cmd/ binaries deploy the same state machines
-// over TCP.
+// over the same transport, one process per node.
 //
 // Quickstart:
 //
@@ -129,10 +130,8 @@ type Config struct {
 	// BatchSize is the entries per block (default 100).
 	BatchSize int
 	// FlushEvery force-cuts partial blocks after this idle duration
-	// (default 50ms; 0 keeps the default — use NoFlush to disable).
+	// (default 50ms; 0 keeps the default, negative disables).
 	FlushEvery time.Duration
-	// NoFlush disables partial-block flushing.
-	NoFlush bool
 	// L0Threshold, LevelThresholds and PageCap configure LSMerkle
 	// (defaults: 10, [10, 100, 1000], BatchSize).
 	L0Threshold     int
@@ -167,14 +166,12 @@ type Config struct {
 	// hint; clients pace their re-sends by it and surface ErrOverloaded
 	// if the edge never reopens. 0 disables.
 	MaxUncertified int
-	// Latency injects one-way delay between any two nodes; nil = none.
-	// Use it to emulate WAN topologies in-process.
-	Latency func(from, to NodeID) time.Duration
-	// Chaos, when set, subjects every frame the in-process transport
-	// carries to the chaos network's seeded fault schedules — drops,
-	// delays, duplicates and partitions per link. Combine with
-	// RetryEvery, MaxUncertified and replicated shards to exercise the
-	// healing paths; see internal/integration/chaos_test.go.
+	// Chaos, when set, subjects every frame between two nodes to the
+	// chaos network's seeded fault schedules — drops, delays, duplicates
+	// and partitions per link. A WAN is a delay-only rule on the links to
+	// and from CloudID. Combine with RetryEvery, MaxUncertified and
+	// replicated shards to exercise the healing paths; see
+	// internal/integration/chaos_test.go.
 	Chaos *ChaosNet
 	// EdgeFaults makes selected edges byzantine (for demonstrations and
 	// tests of the detect-and-punish machinery).
@@ -203,11 +200,11 @@ func (c *Config) fill() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
 	}
-	if c.FlushEvery <= 0 {
+	switch {
+	case c.FlushEvery == 0:
 		c.FlushEvery = 50 * time.Millisecond
-	}
-	if c.NoFlush {
-		c.FlushEvery = 0
+	case c.FlushEvery < 0:
+		c.FlushEvery = 0 // the edge reads 0 as disabled
 	}
 	if c.L0Threshold <= 0 {
 		c.L0Threshold = 10
@@ -246,7 +243,6 @@ func (c *Config) Validate() error {
 		{"LeaseTimeout", c.LeaseTimeout},
 		{"CertTimeout", c.CertTimeout},
 		{"HeartbeatEvery", c.HeartbeatEvery},
-		{"FlushEvery", c.FlushEvery},
 		{"GossipEvery", c.GossipEvery},
 		{"ProofTimeout", c.ProofTimeout},
 		{"FreshnessWindow", c.FreshnessWindow},
