@@ -148,14 +148,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	hosted := []core.Handler{c.cloud}
 
-	// Heartbeat at a quarter of the lease so a live leader can never be
-	// mistaken for a dead one by scheduling jitter alone.
 	var heartbeatEvery int64
 	if cfg.ReplicasPerShard > 1 {
-		heartbeatEvery = (cfg.LeaseTimeout / 4).Nanoseconds()
-		if cfg.HeartbeatEvery > 0 {
-			heartbeatEvery = cfg.HeartbeatEvery.Nanoseconds()
-		}
+		heartbeatEvery = cfg.HeartbeatEvery.Nanoseconds()
 	}
 	addEdge := func(ecfg edge.Config) error {
 		ecfg.Cloud = CloudID
@@ -371,8 +366,8 @@ type ClientOptions struct {
 	// name, so distinct sessions audit distinct request subsets while any
 	// single run stays reproducible.
 	Light bool
-	// Sample is the light-mode audit denominator (default 16; 1 audits
-	// every response). Ignored unless Light is set.
+	// Sample is the light-mode audit denominator (0 = the client layer's
+	// default; 1 audits every response). Ignored unless Light is set.
 	Sample int
 }
 

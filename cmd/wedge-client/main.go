@@ -36,38 +36,33 @@ import (
 )
 
 func main() {
-	var (
-		id      = flag.String("id", "c1", "client identity")
-		listen  = flag.String("listen", ":9003", "listen address for responses")
-		peers   = flag.String("peers", "", "peer map: id=host:port,...")
-		edgeID  = flag.String("edge", "edge-1", "edge node owning this client's partition")
-		chain   = flag.String("chain", "", "chain identity the edge serves (defaults to -edge; set when -edge names a promoted follower)")
-		cloudID = flag.String("cloud", "cloud", "cloud node identity")
-		wait2   = flag.Bool("wait2", false, "also wait for Phase II certification")
-		timeout = flag.Duration("timeout", 30*time.Second, "operation timeout")
+	node := cli.RegisterNode("c1", ":9003", false)
+	ccfg := client.Defaults()
+	flag.StringVar((*string)(&ccfg.Edge), "edge", "edge-1", "edge node owning this client's partition")
+	flag.StringVar((*string)(&ccfg.Chain), "chain", "", "chain identity the edge serves (defaults to -edge; set when -edge names a promoted follower)")
+	flag.StringVar((*string)(&ccfg.Cloud), "cloud", "cloud", "cloud node identity")
+	wait2 := flag.Bool("wait2", false, "also wait for Phase II certification")
+	timeout := flag.Duration("timeout", 30*time.Second, "operation timeout")
 
-		// Transport retry (see docs/RUNBOOK.md "Chaos recipes"): re-send
-		// unacknowledged ops with backoff+jitter instead of hanging; after
-		// -max-attempts total sends the op fails with a typed unavailable
-		// error.
-		retryEvery  = flag.Duration("retry-every", 0, "re-send an unacknowledged op after this long (0 disables retry)")
-		maxAttempts = flag.Int("max-attempts", 0, "total sends per op when -retry-every is set (0 = default 4)")
+	// Transport retry (see docs/RUNBOOK.md "Chaos recipes"): re-send
+	// unacknowledged ops with backoff+jitter instead of hanging; after
+	// -max-attempts total sends the op fails with a typed unavailable
+	// error.
+	cli.DurationVar(&ccfg.RetryEvery, "retry-every", "re-send an unacknowledged op after this `duration` (0 disables retry)")
+	flag.IntVar(&ccfg.MaxAttempts, "max-attempts", ccfg.MaxAttempts, "total sends per op when -retry-every is set")
 
-		// Front door (see docs/RUNBOOK.md "Front door"): frame-scheduler
-		// sizing, session multiplexing, and light verification.
-		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
-		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
-		sessions    = flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
-		lightMode   = flag.Bool("light", false, "light verification: trust the gossiped certified frontier and fully verify only a sample of responses")
-		sampleRate  = flag.String("sample", "1/16", `light-mode audit rate: "1/N" or "N" fully verifies one in N responses`)
-	)
+	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing
+	// and light verification.
+	sessions := flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
+	flag.BoolVar(&ccfg.Light, "light", false, "light verification: trust the gossiped certified frontier and fully verify only a sample of responses")
+	sampleRate := flag.String("sample", fmt.Sprintf("1/%d", ccfg.SampleEvery), `light-mode audit rate: "1/N" or "N" fully verifies one in N responses`)
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		log.Fatal("missing operation: add|read|put|get|scan")
 	}
-	sampleEvery, err := cli.ParseSample(*sampleRate)
-	if err != nil {
+	var err error
+	if ccfg.SampleEvery, err = cli.ParseSample(*sampleRate); err != nil {
 		log.Fatal(err)
 	}
 	if *sessions < 1 {
@@ -77,27 +72,13 @@ func main() {
 		log.Fatal("-sessions-per-conn > 1 supports only get: other operations sign as the session identity, which must be provisioned at the edge")
 	}
 
-	peerMap, err := cli.ParsePeers(*peers)
+	key, reg, err := node.Keys()
 	if err != nil {
 		log.Fatal(err)
 	}
-	key, reg := cli.Registry(wire.NodeID(*id), peerMap)
-	ccfg := client.Config{
-		ID:          wire.NodeID(*id),
-		Edge:        wire.NodeID(*edgeID),
-		Chain:       wire.NodeID(*chain),
-		Cloud:       wire.NodeID(*cloudID),
-		RetryEvery:  retryEvery.Nanoseconds(),
-		MaxAttempts: *maxAttempts,
-		Light:       *lightMode,
-		SampleEvery: sampleEvery,
-	}
+	ccfg.ID = wire.NodeID(node.ID)
 	cc := client.New(ccfg, key, reg)
-
-	t := transport.NewTCP(cc, transport.TCPConfig{
-		Listen: *listen, Peers: peerMap,
-		Lanes: *schedLanes, LaneDepth: *maxInflight,
-	})
+	t := transport.NewTCP(cc, node.TCP)
 
 	// Extra sessions share the primary's socket: the transport routes
 	// inbound frames to them by envelope address, and every remote node
@@ -106,7 +87,7 @@ func main() {
 	extras := make([]*client.Core, 0, *sessions-1)
 	for i := 2; i <= *sessions; i++ {
 		scfg := ccfg
-		scfg.ID = wire.NodeID(fmt.Sprintf("%s.s%d", *id, i))
+		scfg.ID = wire.NodeID(fmt.Sprintf("%s.s%d", node.ID, i))
 		skey := wcrypto.DeterministicKey(scfg.ID)
 		reg.Register(scfg.ID, skey.Pub)
 		sc := client.New(scfg, skey, reg)

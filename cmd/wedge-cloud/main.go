@@ -11,107 +11,53 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"wedgechain/cmd/internal/cli"
 	"wedgechain/internal/cloud"
-	"wedgechain/internal/obs"
-	"wedgechain/internal/transport"
+	"wedgechain/internal/edge"
 	"wedgechain/internal/wire"
 )
 
 func main() {
-	var (
-		id      = flag.String("id", "cloud", "node identity")
-		listen  = flag.String("listen", ":9001", "listen address")
-		peers   = flag.String("peers", "", "peer map: id=host:port,...")
-		levels  = flag.Int("levels", 3, "LSMerkle levels (excluding L0)")
-		pageCap = flag.Int("pagecap", 100, "records per merged page")
-		gossip  = flag.Duration("gossip", time.Second, "gossip period (0 disables)")
-
-		// Replica-group failover (see docs/RUNBOOK.md "Replication & failover").
-		groups = flag.String("groups", "", "replica groups: leader=f1,f2[;leader2=...] (chain id = initial leader id)")
-		lease  = flag.Duration("lease", time.Second, "leader lease: heartbeat silence beyond this transfers leadership")
-		certTO = flag.Duration("cert-timeout", 3*time.Second, "certification-stall bound before leadership transfer")
-
-		schedLanes  = flag.Int("sched-lanes", 0, "writer lanes in the shared frame scheduler (0 = default 4)")
-		maxInflight = flag.Int("max-inflight", 0, "max frames queued per writer lane before shedding (0 = default 4096)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
-
-		// Outbound chaos injection (see docs/RUNBOOK.md "Chaos recipes").
-		chaos = cli.RegisterChaos()
-	)
+	node := cli.RegisterNode("cloud", ":9001", true)
+	ccfg := cloud.Defaults()
+	thresholds := edge.Defaults().LevelThresholds
+	cli.IntsVar(&thresholds, "levels", "comma-separated `list` of level page thresholds, as given to wedge-edge -levels (one cloud level per entry)")
+	flag.IntVar(&ccfg.PageCap, "pagecap", ccfg.PageCap, "records per merged page")
+	cli.DurationVar(&ccfg.GossipEvery, "gossip", "gossip period, a `duration` (negative disables)")
+	// Replica-group failover (see docs/RUNBOOK.md "Replication & failover").
+	groups := flag.String("groups", "", "replica groups: leader=f1,f2[;leader2=...] (chain id = initial leader id)")
+	cli.DurationVar(&ccfg.LeaseTimeout, "lease", "leader lease: heartbeat silence beyond this `duration` transfers leadership")
+	cli.DurationVar(&ccfg.CertTimeout, "cert-timeout", "certification-stall bound (a `duration`) before leadership transfer")
 	flag.Parse()
 
-	peerMap, err := cli.ParsePeers(*peers)
+	key, reg, err := node.Keys()
 	if err != nil {
 		log.Fatal(err)
 	}
-	key, reg := cli.Registry(wire.NodeID(*id), peerMap)
-
-	var gossipTo []wire.NodeID
-	for p := range peerMap {
-		gossipTo = append(gossipTo, p)
+	for p := range node.TCP.Peers {
+		ccfg.GossipTo = append(ccfg.GossipTo, p)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	metrics := obs.Default()
-	ccfg := cloud.Config{
-		ID:           wire.NodeID(*id),
-		Levels:       *levels,
-		PageCap:      *pageCap,
-		GossipEvery:  gossip.Nanoseconds(),
-		GossipTo:     gossipTo,
-		LeaseTimeout: lease.Nanoseconds(),
-		CertTimeout:  certTO.Nanoseconds(),
-		Logger:       logger,
-		Metrics:      metrics,
-	}
+	ccfg.ID = wire.NodeID(node.ID)
+	ccfg.Levels = len(thresholds)
+	ccfg.Logger, ccfg.Metrics = node.Log, node.Metrics
 	if err := ccfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	node := cloud.New(ccfg, key, reg)
-	if err := registerGroups(node, *groups); err != nil {
+	n := cloud.New(ccfg, key, reg)
+	if err := registerGroups(n, *groups); err != nil {
 		log.Fatal(err)
 	}
-
-	faultNet, err := chaos.Net()
-	if err != nil {
-		log.Fatal(err)
-	}
-	faultNet.AttachMetrics(metrics, *id)
-	reg.AttachMetrics(metrics, *id)
-	t := transport.NewTCP(node, transport.TCPConfig{
-		Listen: *listen, Peers: peerMap, Fault: faultNet,
-		Lanes: *schedLanes, LaneDepth: *maxInflight,
-		Registry: reg, VerifyWorkers: -1, // negative = GOMAXPROCS
-		Obs: metrics, Log: logger,
-	})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *metricsAddr != "" {
-		ms, err := obs.StartServer(*metricsAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ms.Close()
-		log.Printf("wedge-cloud %s metrics on http://%s/metrics (pprof at /debug/pprof/)", *id, ms.Addr)
-	}
-	log.Printf("wedge-cloud %s listening on %s", *id, *listen)
-	if err := t.Serve(ctx); err != nil {
+	if err := node.Serve("wedge-cloud", "", n, reg); err != nil {
 		log.Fatal(err)
 	}
 	// Graceful shutdown (SIGINT/SIGTERM): accepted conns are closed by
 	// Serve's exit path; an exit status of 0 marks an orderly stop.
-	log.Printf("wedge-cloud %s: graceful shutdown (conns closed)", *id)
+	log.Printf("wedge-cloud %s: graceful shutdown (conns closed)", node.ID)
 }
 
 // registerGroups parses "leader=f1,f2[;leader2=...]" and declares each

@@ -32,8 +32,12 @@ func buildCloudOnlyLocal(keys int) *cloudonly.Server {
 	return srv
 }
 
+// faultBatch is B in the fault worlds.
+const faultBatch = 100
+
 // faultWorld builds a two-client WedgeChain world with a byzantine edge,
-// the paper topology, and the calibrated cost model.
+// the paper topology, and the calibrated cost model. Like the paper's
+// worlds it runs no flush timer; a negative gossipEvery turns gossip off.
 type faultWorld struct {
 	sim    *sim.Sim
 	cloud  *cloud.Node
@@ -51,7 +55,7 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 		reg.Register(id, k.Pub)
 	}
 	roles := map[wire.NodeID]Role{cloudID: RCloud, edgeID: REdge, "c1": RClient, "c2": RClient}
-	costs := DefaultCosts(100)
+	costs := DefaultCosts(faultBatch)
 
 	links := map[[2]wire.NodeID]sim.Link{}
 	add := func(a, b wire.NodeID, da, db DC, bw float64) {
@@ -71,15 +75,16 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 		Links:       links,
 		Cost:        costs.Fn(roles),
 	})
+	levels := []int{2, 4, 8}
 	fw.cloud = cloud.New(cloud.Config{
-		ID: cloudID, Levels: 3, PageCap: 100,
+		ID: cloudID, Levels: len(levels), PageCap: faultBatch,
 		GossipEvery: gossipEvery,
 		GossipTo:    []wire.NodeID{"c1", "c2"},
 	}, keys[cloudID], reg)
 	fw.edge = edge.New(edge.Config{
 		ID: edgeID, Cloud: cloudID,
-		BatchSize: 100, L0Threshold: 2,
-		LevelThresholds: []int{2, 4, 8},
+		BatchSize: faultBatch, FlushEvery: -1, L0Threshold: 2,
+		LevelThresholds: levels,
 		Fault:           fault,
 	}, keys[edgeID], reg)
 	mk := func(id wire.NodeID) *client.Core {
@@ -101,7 +106,7 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 // writeBatch pushes one full batch of adds from the writer and settles.
 func (fw *faultWorld) writeBatch() {
 	var last *client.Op
-	for i := 0; i < 100; i++ {
+	for i := 0; i < faultBatch; i++ {
 		op, envs := fw.writer.Add(fw.sim.Now(), []byte(fmt.Sprintf("payload-%d", i)))
 		fw.sim.Inject(envs)
 		last = op
@@ -143,7 +148,7 @@ func runOmission(gossipEvery int64) (detection int64, gossipMsgs uint64) {
 // freshness window. The edge's snapshot is ~1s old when gets are issued.
 func runFreshness(window int64) (rejected, accepted int) {
 	fault := &edge.Fault{}
-	fw := buildFaultWorld(fault, 0, window)
+	fw := buildFaultWorld(fault, -1, window)
 	// Build merged state honestly: 3 batches trip the L0 threshold (2).
 	for i := 0; i < 3; i++ {
 		fw.writeBatch()

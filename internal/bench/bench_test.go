@@ -1,9 +1,10 @@
 package bench
 
 import (
-	"wedgechain/internal/wire"
-
 	"testing"
+
+	"wedgechain/internal/edge"
+	"wedgechain/internal/wire"
 )
 
 func TestRTTMatrixMatchesTableI(t *testing.T) {
@@ -125,7 +126,7 @@ func TestDataFreeSavesCoordinationBytes(t *testing.T) {
 	small.Run(int64(600e9))
 	full := BuildWorld(WorldCfg{
 		System: Wedge, Clients: 1, Batch: 100, Place: defaultPlace,
-		WritesPerRound: 100, Rounds: 5, FullDataCert: true,
+		WritesPerRound: 100, Rounds: 5, Edge: edge.Config{FullDataCert: true},
 	})
 	full.Run(int64(600e9))
 	if small.EdgeCloudBytes() >= full.EdgeCloudBytes() {

@@ -19,20 +19,17 @@ import (
 // "silently measure per-block fsync and call it the durable number".
 const SyncPerBlock = int64(-1)
 
-// durableSyncEvery validates and maps a bench-world SyncEvery to the
-// edge.Config value. It is the single gate every durable bench world goes
-// through; an unset window panics instead of producing numbers that
-// silently omit the fsync-amortization dimension.
+// durableSyncEvery is the single gate every durable bench world's
+// SyncEvery goes through: SyncPerBlock (the edge reads a negative window as
+// a zero one) or a positive window passes, and an unset window panics
+// instead of producing numbers that silently omit the fsync-amortization
+// dimension.
 func durableSyncEvery(syncEvery int64) int64 {
-	switch {
-	case syncEvery == SyncPerBlock:
-		return 0 // edge.Config: 0 = inline fsync per block
-	case syncEvery > 0:
-		return syncEvery
-	default:
+	if syncEvery == 0 {
 		panic("bench: durable world without an explicit SyncEvery; " +
 			"set SyncPerBlock or a group-commit window so durable numbers state their fsync discipline")
 	}
+	return syncEvery
 }
 
 // DurableSyncSweep (D1) measures the durable put hot path (wall-clock, real

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"wedgechain/internal/edge"
 )
 
 // TestDurableWorldRequiresSyncEvery pins the loud-failure contract: a
@@ -26,7 +28,7 @@ func TestDurableWorldRequiresSyncEvery(t *testing.T) {
 		Place:          defaultPlace,
 		WritesPerRound: 10,
 		Rounds:         3,
-		Durable:        true, // SyncEvery deliberately unset
+		Durable:        true, // Edge.SyncEvery deliberately unset
 	})
 }
 
@@ -42,7 +44,7 @@ func TestDurableWorldGroupCommits(t *testing.T) {
 		WritesPerRound: 10,
 		Rounds:         3,
 		Durable:        true,
-		SyncEvery:      int64(50e6), // 50ms virtual window
+		Edge:           edge.Config{SyncEvery: int64(50e6)}, // 50ms virtual window
 	})
 	defer w.Close()
 	w.Run(int64(600e9))
@@ -70,7 +72,7 @@ func TestDurableWorldPerBlockFsync(t *testing.T) {
 		WritesPerRound: 10,
 		Rounds:         3,
 		Durable:        true,
-		SyncEvery:      SyncPerBlock,
+		Edge:           edge.Config{SyncEvery: SyncPerBlock},
 	})
 	defer w.Close()
 	w.Run(int64(600e9))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"wedgechain/internal/edge"
 	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
 )
@@ -95,14 +96,14 @@ func runEvidence(scale Scale, window int, random bool) evidenceResult {
 		preload = min
 	}
 	w := BuildWorld(WorldCfg{
-		System:     Wedge,
-		Clients:    1,
-		Batch:      batch,
-		KeySpace:   preload,
-		Preload:    preload,
-		Place:      defaultPlace,
-		Rounds:     1,
-		FlushEvery: int64(10e6),
+		System:   Wedge,
+		Clients:  1,
+		Batch:    batch,
+		KeySpace: preload,
+		Preload:  preload,
+		Place:    defaultPlace,
+		Rounds:   1,
+		Edge:     edge.Config{FlushEvery: int64(10e6)},
 	})
 	w.Preload()
 

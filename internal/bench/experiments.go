@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"wedgechain/internal/edge"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wire"
 )
@@ -399,7 +400,7 @@ func AblationDataFree(scale Scale) *Table {
 			WritesPerRound: 1000,
 			Rounds:         batches,
 			WarmupRounds:   0,
-			FullDataCert:   full,
+			Edge:           edge.Config{FullDataCert: full},
 		})
 		var p2 int
 		var p2done int64
@@ -468,7 +469,7 @@ func AblationBaselineIndex(scale Scale) *Table {
 			WarmupRounds:   2,
 		}
 		if eager {
-			cfg.L0Threshold = 1
+			cfg.Edge.L0Threshold = 1
 		}
 		w := BuildWorld(cfg)
 		w.Run(int64(3600e9))

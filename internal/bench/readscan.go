@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"wedgechain/internal/client"
+	"wedgechain/internal/edge"
 	"wedgechain/internal/workload"
 )
 
@@ -60,15 +61,15 @@ func ReadScanBench(scale Scale) *Table {
 // latency (ms), scans/s, rows/s and rows per scan.
 func runScans(shards, preload, width, rounds int) (mean, scansPerSec, rowsPerSec, rowsPerScan float64) {
 	w := BuildWorld(WorldCfg{
-		System:     Wedge,
-		Shards:     shards,
-		Clients:    1,
-		Batch:      100,
-		KeySpace:   preload,
-		Preload:    preload,
-		Place:      defaultPlace,
-		Rounds:     1,
-		FlushEvery: int64(10e6),
+		System:   Wedge,
+		Shards:   shards,
+		Clients:  1,
+		Batch:    100,
+		KeySpace: preload,
+		Preload:  preload,
+		Place:    defaultPlace,
+		Rounds:   1,
+		Edge:     edge.Config{FlushEvery: int64(10e6)},
 	})
 	w.Preload()
 	session := w.WedgeSessions[0]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wedgechain/internal/client"
+	"wedgechain/internal/edge"
 	"wedgechain/internal/workload"
 )
 
@@ -15,15 +16,15 @@ import (
 func TestVerifiedScansOverPreloadedWorld(t *testing.T) {
 	const preload = 2000
 	w := BuildWorld(WorldCfg{
-		System:     Wedge,
-		Shards:     2,
-		Clients:    1,
-		Batch:      100,
-		KeySpace:   preload,
-		Preload:    preload,
-		Place:      defaultPlace,
-		Rounds:     1,
-		FlushEvery: int64(10e6),
+		System:   Wedge,
+		Shards:   2,
+		Clients:  1,
+		Batch:    100,
+		KeySpace: preload,
+		Preload:  preload,
+		Place:    defaultPlace,
+		Rounds:   1,
+		Edge:     edge.Config{FlushEvery: int64(10e6)},
 	})
 	w.Preload()
 	session := w.WedgeSessions[0]

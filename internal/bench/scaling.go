@@ -1,6 +1,10 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+
+	"wedgechain/internal/edge"
+)
 
 // shardSweep is the S1 x axis: the edge counts of the scaling curve.
 var shardSweep = []int{1, 2, 4, 8}
@@ -33,7 +37,7 @@ func ShardScaling(scale Scale) *Table {
 			WritesPerRound: 100,
 			Rounds:         rounds,
 			WarmupRounds:   1,
-			FlushEvery:     int64(10e6),
+			Edge:           edge.Config{FlushEvery: int64(10e6)},
 		})
 		w.Run(int64(3600e9))
 		tput := w.Throughput()

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"wedgechain/internal/edge"
+)
 
 // TestShardScalingRaisesThroughput pins the tentpole property: the same
 // write workload sustains higher aggregate put throughput on 4 shard
@@ -18,7 +22,7 @@ func TestShardScalingRaisesThroughput(t *testing.T) {
 			WritesPerRound: 100,
 			Rounds:         3,
 			WarmupRounds:   1,
-			FlushEvery:     int64(10e6),
+			Edge:           edge.Config{FlushEvery: int64(10e6)},
 		})
 		w.Run(int64(3600e9))
 		return w

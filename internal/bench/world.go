@@ -43,8 +43,11 @@ type WorldCfg struct {
 	// (WedgeChain only; the baselines have no sharding story). Each
 	// client session multiplexes every shard, routing puts and gets by
 	// key. 0 or 1 reproduces the paper's single-edge deployment.
-	Shards    int
-	Clients   int
+	Shards  int
+	Clients int
+	// Batch is the entries per block (0 = the edge layer's default). Every
+	// system cuts blocks of Batch entries, and it sizes the cost model,
+	// the merged pages and the preload bursts.
 	Batch     int
 	ValueSize int
 	// KeySpace is the partition's key range; Preload keys are written
@@ -57,37 +60,29 @@ type WorldCfg struct {
 	ReadsPerRound  int
 	Rounds         int
 	WarmupRounds   int
-	// L0Threshold and LevelThresholds configure LSMerkle; zero values
-	// use the paper's configuration (10, 10, 100, 1000).
-	L0Threshold     int
-	LevelThresholds []int
-	// FlushEvery force-cuts partial edge blocks after this idle period
-	// (virtual ns; 0 disables). Sharded worlds need it: a burst of B
-	// writes splits into sub-batches of roughly B/Shards entries, which
-	// would otherwise never fill a block.
-	FlushEvery int64
-	// Gossip and Freshness configure the cloud gossip period and the
-	// client freshness window (0 = off).
-	Gossip    int64
-	Freshness int64
-	// DataFreeCert disables full-block certification; default (false
-	// meaning "unset") maps to data-free on. Set FullDataCert for the
-	// A1 ablation.
-	FullDataCert bool
+	// Edge, Cloud and Client are the templates the WedgeChain nodes are
+	// built from; the world sets identities, peers, Batch and Metrics.
+	// The paper's worlds run no flush timer and no gossip, so a zero
+	// Edge.FlushEvery or Cloud.GossipEvery means off here. Sharded worlds
+	// set a flush period: a burst of B writes splits into sub-batches of
+	// about B/Shards entries that would otherwise never fill a block. The
+	// baselines take their thresholds and freshness window from these too.
+	Edge   edge.Config
+	Cloud  cloud.Config
+	Client client.Config
 	// Durable gives every edge a persistent store (real segment files,
 	// real fsyncs). A durable world must state its fsync discipline:
-	// SyncEvery is either SyncPerBlock or a positive group-commit window
-	// (virtual ns). Leaving it zero panics — durable numbers measured
-	// with the group-commit dimension silently unset are not numbers.
-	Durable   bool
-	SyncEvery int64
+	// Edge.SyncEvery is either SyncPerBlock or a positive group-commit
+	// window (virtual ns). Leaving it zero panics — durable numbers
+	// measured with the group-commit dimension silently unset are not
+	// numbers.
+	Durable bool
 	// DataDir roots the durable stores; empty uses a fresh temp dir.
 	DataDir string
 	Seed    int64
 	// Metrics threads an observability registry into every node of the
-	// world (WedgeChain systems only). Nil falls back to LiveMetrics;
-	// nil again keeps the timing histograms off — the default for the
-	// virtual-time experiments, whose clocks are simulated anyway.
+	// world (WedgeChain systems only). Nil falls back to LiveMetrics; nil
+	// again gives each node a private registry.
 	Metrics *obs.Registry
 }
 
@@ -108,7 +103,7 @@ func (c *WorldCfg) fill() {
 		c.Clients = 1
 	}
 	if c.Batch <= 0 {
-		c.Batch = 100
+		c.Batch = edge.Defaults().BatchSize
 	}
 	if c.ValueSize <= 0 {
 		c.ValueSize = 100
@@ -119,11 +114,14 @@ func (c *WorldCfg) fill() {
 	if c.Rounds <= 0 {
 		c.Rounds = 10
 	}
-	if c.L0Threshold <= 0 {
-		c.L0Threshold = 10
+	if len(c.Edge.LevelThresholds) == 0 {
+		c.Edge.LevelThresholds = edge.Defaults().LevelThresholds
 	}
-	if len(c.LevelThresholds) == 0 {
-		c.LevelThresholds = []int{10, 100, 1000}
+	if c.Edge.FlushEvery == 0 {
+		c.Edge.FlushEvery = -1
+	}
+	if c.Cloud.GossipEvery == 0 {
+		c.Cloud.GossipEvery = -1
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -245,37 +243,31 @@ func BuildWorld(cfg WorldCfg) *World {
 		cid := clientID(i)
 		switch cfg.System {
 		case Wedge:
-			s := client.NewSharded(client.Config{
-				ID: cid, Cloud: cloudID,
-				FreshnessWindow: cfg.Freshness,
-				Metrics:         cfg.Metrics,
-			}, ring, keys[cid], reg)
+			ccfg := cfg.Client
+			ccfg.ID, ccfg.Cloud, ccfg.Metrics = cid, cloudID, cfg.Metrics
+			s := client.NewSharded(ccfg, ring, keys[cid], reg)
 			w.WedgeSessions = append(w.WedgeSessions, s)
 			w.WedgeClients = append(w.WedgeClients, s.Cores()...)
 			return workload.ShardedConn{Sharded: s}
 		case CloudOnly:
 			return workload.CloudOnlyConn{Client: cloudonly.NewClient(cid, cloudID, keys[cid])}
 		default:
-			return workload.EBConn{Client: edgebase.NewClient(cid, edgeID, cloudID, keys[cid], reg, cfg.Freshness)}
+			return workload.EBConn{Client: edgebase.NewClient(cid, edgeID, cloudID, keys[cid], reg, cfg.Client.FreshnessWindow)}
 		}
 	}
 
 	switch cfg.System {
 	case Wedge:
-		w.CloudNode = cloud.New(cloud.Config{
-			ID:          cloudID,
-			Levels:      len(cfg.LevelThresholds),
-			PageCap:     cfg.Batch,
-			GossipEvery: cfg.Gossip,
-			GossipTo:    gossipTo,
-			Metrics:     cfg.Metrics,
-		}, keys[cloudID], reg)
-		var syncEvery int64
+		ccfg := cfg.Cloud
+		ccfg.ID, ccfg.GossipTo, ccfg.Metrics = cloudID, gossipTo, cfg.Metrics
+		ccfg.Levels = len(cfg.Edge.LevelThresholds)
+		ccfg.PageCap = cfg.Batch
+		w.CloudNode = cloud.New(ccfg, keys[cloudID], reg)
 		var dataDir string
 		if cfg.Durable {
 			// Validated up front: a durable world with SyncEvery unset
 			// panics here rather than producing misleading numbers.
-			syncEvery = durableSyncEvery(cfg.SyncEvery)
+			cfg.Edge.SyncEvery = durableSyncEvery(cfg.Edge.SyncEvery)
 			dataDir = cfg.DataDir
 			if dataDir == "" {
 				d, err := os.MkdirTemp("", "wedge-durable-world-*")
@@ -287,17 +279,9 @@ func BuildWorld(cfg WorldCfg) *World {
 			}
 		}
 		for _, eid := range edgeIDs {
-			ecfg := edge.Config{
-				ID:              eid,
-				Cloud:           cloudID,
-				BatchSize:       cfg.Batch,
-				FlushEvery:      cfg.FlushEvery,
-				L0Threshold:     cfg.L0Threshold,
-				LevelThresholds: cfg.LevelThresholds,
-				FullDataCert:    cfg.FullDataCert,
-				SyncEvery:       syncEvery,
-				Metrics:         cfg.Metrics,
-			}
+			ecfg := cfg.Edge
+			ecfg.ID, ecfg.Cloud, ecfg.Metrics = eid, cloudID, cfg.Metrics
+			ecfg.BatchSize = cfg.Batch
 			var en *edge.Node
 			if cfg.Durable {
 				var err error
@@ -319,13 +303,13 @@ func BuildWorld(cfg WorldCfg) *World {
 		w.Sim.Add(edgebase.NewCloud(edgebase.CloudConfig{
 			ID: cloudID, Edge: edgeID,
 			BatchSize:       cfg.Batch,
-			L0Threshold:     cfg.L0Threshold,
-			LevelThresholds: cfg.LevelThresholds,
+			L0Threshold:     cfg.Edge.L0Threshold,
+			LevelThresholds: cfg.Edge.LevelThresholds,
 			PageCap:         cfg.Batch,
 		}, keys[cloudID], reg))
 		w.Sim.Add(edgebase.NewEdge(edgebase.EdgeConfig{
 			ID: edgeID, Cloud: cloudID,
-			LevelThresholds: cfg.LevelThresholds,
+			LevelThresholds: cfg.Edge.LevelThresholds,
 		}, keys[edgeID], reg))
 	}
 

@@ -159,7 +159,8 @@ type Config struct {
 	// Edge, which is always right for unreplicated deployments.
 	Chain wire.NodeID
 	// ProofTimeout is how long a Phase I operation waits for its block
-	// proof before filing a dispute with the cloud (ns).
+	// proof before filing a dispute with the cloud (ns); 0 = the layer
+	// default.
 	ProofTimeout int64
 	// FreshnessWindow bounds get staleness (Section V-D); 0 disables.
 	FreshnessWindow int64
@@ -169,9 +170,6 @@ type Config struct {
 	// rejects any get served from an older snapshot, giving monotonic
 	// reads without synchronized clocks.
 	Session bool
-	// MaxRetries bounds automatic retries of stale gets and
-	// gossip-contradicted read denials.
-	MaxRetries int
 	// RetryEvery enables transparent re-send of operations the edge never
 	// acknowledged: an op still short of Phase I after RetryEvery ns is
 	// re-sent with exponential backoff and jitter (see retry.go), and
@@ -179,8 +177,8 @@ type Config struct {
 	// disables — the legacy behaviour, where an unanswered op waits out
 	// the proof timeout.
 	RetryEvery int64
-	// MaxAttempts bounds total sends per op when RetryEvery > 0
-	// (default 4, counting the initial send).
+	// MaxAttempts bounds total sends per op when RetryEvery > 0, counting
+	// the initial send; 0 = the layer default.
 	MaxAttempts int
 	// Light enables the sampling light-client mode: once a cloud-signed
 	// gossiped frontier is held, only a seeded 1-in-SampleEvery sample of
@@ -191,19 +189,24 @@ type Config struct {
 	// predict which response will be audited. Until the first gossip
 	// arrives every response is fully verified.
 	Light bool
-	// SampleEvery is the light-mode sampling denominator (default 16 —
-	// roughly 1/16 of responses audited). 1 forces every response to be
-	// audited (used by conviction tests).
+	// SampleEvery is the light-mode sampling denominator (0 = the layer
+	// default); 1 forces every response to be audited (used by conviction
+	// tests).
 	SampleEvery int
 	// SampleSeed seeds the deterministic per-request sampling decision.
 	SampleSeed uint64
-	// Metrics, when set, is the registry this core's counters and
-	// op-tracing histograms (trust lag, ack latency, verify CPU) register
-	// into. The counters behind Stats() are atomic either way; a nil
-	// registry only disables the histograms.
+	// Metrics is the registry this core's counters and op-tracing
+	// histograms (trust lag, ack latency, verify CPU) register into; nil
+	// keeps them on a private registry.
 	Metrics *obs.Registry
 }
 
+// maxRetries bounds automatic retries of stale gets and
+// gossip-contradicted read denials.
+const maxRetries = 2
+
+// fill replaces every zero knob with the layer default. It is the one
+// place those defaults are written.
 func (c *Config) fill() {
 	if c.Chain == "" {
 		c.Chain = c.Edge
@@ -211,15 +214,19 @@ func (c *Config) fill() {
 	if c.ProofTimeout <= 0 {
 		c.ProofTimeout = int64(10e9)
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryEvery > 0 && c.MaxAttempts <= 0 {
+	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.Light && c.SampleEvery <= 0 {
+	if c.SampleEvery <= 0 {
 		c.SampleEvery = 16
 	}
+}
+
+// Defaults returns a zero Config with every knob at its layer default:
+// the values a binary's flags start from.
+func Defaults() (c Config) {
+	c.fill()
+	return c
 }
 
 // Core is the client state machine. Not safe for concurrent use.

@@ -7,13 +7,11 @@ import (
 // metrics is the client core's registry-backed instrumentation. One
 // instance per Core: families are labeled {node, chain}, so a sharded
 // session's cores (same client id, one chain per shard) keep distinct
-// series and per-core Stats() snapshots stay per-core. Counters are
-// always live (they are the storage behind Stats()); the op-tracing
-// histograms — trust lag, ack latency, verify CPU — exist only when
-// Config.Metrics names a real registry.
+// series and per-core Stats() snapshots stay per-core. Counters (the
+// storage behind Stats()) and the op-tracing histograms — trust lag, ack
+// latency, verify CPU — live on a private registry when Config.Metrics is
+// nil.
 type metrics struct {
-	enabled bool
-
 	disputes       *obs.Counter
 	liesDetected   *obs.Counter
 	staleRejected  *obs.Counter
@@ -37,7 +35,7 @@ type metrics struct {
 }
 
 func newMetrics(reg *obs.Registry, node, chain string) *metrics {
-	m := &metrics{enabled: reg != nil}
+	m := &metrics{}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -55,9 +53,6 @@ func newMetrics(reg *obs.Registry, node, chain string) *metrics {
 	m.fullVerifies = c("wedge_client_full_verifies_total", "get responses fully structurally verified")
 	m.sampledSkips = c("wedge_client_sampled_skips_total", "get responses accepted on the light-client sampling fast path")
 	m.verifyNanos = c("wedge_client_verify_cpu_nanos_total", "wall-clock nanoseconds spent in full verification")
-	if !m.enabled {
-		return m
-	}
 	m.trustLag = reg.HistogramVec("wedge_trust_lag_seconds",
 		"time an acked write spent uncertified (stage=edge: block cut to certificate; stage=client: Phase I ack to Phase II proof)",
 		obs.LatencyBuckets, "node", "stage").With(node, "client")
@@ -79,7 +74,7 @@ func isWrite(k Kind) bool { return k == KindAdd || k == KindPut }
 // timestamps are handler time (virtual ns in the sim, wall ns over TCP),
 // consistent within one world.
 func (m *metrics) markPhaseI(op *Op) {
-	if !m.enabled || !isWrite(op.Kind) {
+	if !isWrite(op.Kind) {
 		return
 	}
 	m.ack.Observe(float64(op.PhaseIAt-op.StartedAt) / 1e9)
@@ -87,7 +82,7 @@ func (m *metrics) markPhaseI(op *Op) {
 
 // markPhaseII records the trust lag of a write reaching Phase II.
 func (m *metrics) markPhaseII(op *Op) {
-	if !m.enabled || !isWrite(op.Kind) {
+	if !isWrite(op.Kind) {
 		return
 	}
 	m.trustLag.Observe(float64(op.PhaseIIAt-op.PhaseIAt) / 1e9)

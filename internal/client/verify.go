@@ -96,7 +96,7 @@ func (c *Core) handleDenial(now int64, op *Op, m *wire.ReadResponse) []wire.Enve
 		return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Cloud, Msg: d}}
 	}
 	// Denial predates the gossip: retry the read.
-	if op.retries >= c.cfg.MaxRetries {
+	if op.retries >= maxRetries {
 		c.settle(op, ErrUnavailable)
 		return nil
 	}
@@ -143,19 +143,14 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 		// expected-conviction guarantee of lazy trust is unchanged, only
 		// amortized. Session watermarks do not advance here — only fully
 		// verified responses may move them.
-		var t0 time.Time
-		if c.m.enabled {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		c.m.sampledSkips.Inc()
 		op.Found = m.Found
 		op.GotValue = m.Value
 		op.GotVer = m.Ver
 		c.phaseI(now, op, 0, nil)
 		c.phaseII(now, op)
-		if c.m.enabled {
-			c.m.verifyLight.Observe(time.Since(t0).Seconds())
-		}
+		c.m.verifyLight.Observe(time.Since(t0).Seconds())
 		return nil
 	}
 	verifyStart := time.Now()
@@ -163,9 +158,7 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 	verifyDur := time.Since(verifyStart)
 	c.m.fullVerifies.Inc()
 	c.m.verifyNanos.Add(uint64(verifyDur))
-	if c.m.enabled {
-		c.m.verifyFull.Observe(verifyDur.Seconds())
-	}
+	c.m.verifyFull.Observe(verifyDur.Seconds())
 	if err != nil {
 		retry := &wire.GetRequest{Key: op.Key, ReqID: op.ReqID}
 		return c.rejectRead(op, err, retry, func() []wire.Envelope { return c.fileGetDispute(op, 0) })
@@ -186,7 +179,7 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 func (c *Core) rejectRead(op *Op, err error, req wire.Message, dispute func() []wire.Envelope) []wire.Envelope {
 	if err == ErrStale || err == ErrRegression {
 		c.m.staleRejected.Inc()
-		if op.retries >= c.cfg.MaxRetries {
+		if op.retries >= maxRetries {
 			c.settle(op, err)
 			return nil
 		}

@@ -23,15 +23,15 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// Config parameterizes the cloud node.
+// Config parameterizes the cloud node. A zero knob means the layer
+// default (fill); a negative GossipEvery turns gossip off.
 type Config struct {
 	ID wire.NodeID
 	// Levels is the number of LSMerkle levels (excluding L0) per edge.
 	Levels int
 	// PageCap is the records-per-page target for merged pages.
 	PageCap int
-	// GossipEvery emits signed log-size gossip at this period (ns);
-	// 0 disables gossip.
+	// GossipEvery emits signed log-size gossip at this period (ns).
 	GossipEvery int64
 	// GossipTo lists gossip recipients (clients, typically).
 	GossipTo []wire.NodeID
@@ -54,12 +54,14 @@ type Config struct {
 	CertBatch int
 	// Logger receives operational events; nil disables logging.
 	Logger *slog.Logger
-	// Metrics, when non-nil, is the registry this node's series live in.
-	// Counters and histograms back Stats() and observe either way; a
-	// nil registry just keeps them private.
+	// Metrics is the registry this node's series live in; nil keeps them
+	// on a private registry.
 	Metrics *obs.Registry
 }
 
+// fill replaces every zero knob with the layer default. It is the one
+// place those defaults are written, and it is idempotent: a negative
+// GossipEvery passes through untouched.
 func (c *Config) fill() {
 	if c.Levels <= 0 {
 		c.Levels = 3
@@ -67,12 +69,22 @@ func (c *Config) fill() {
 	if c.PageCap <= 0 {
 		c.PageCap = 100
 	}
+	if c.GossipEvery == 0 {
+		c.GossipEvery = int64(1e9)
+	}
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = int64(1e9)
 	}
 	if c.CertTimeout <= 0 {
 		c.CertTimeout = int64(3e9)
 	}
+}
+
+// Defaults returns a zero Config with every knob at its layer default:
+// the values a binary's flags start from.
+func Defaults() (c Config) {
+	c.fill()
+	return c
 }
 
 // Validate rejects configurations that would silently misbehave at
@@ -83,9 +95,9 @@ func (c *Config) Validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("cloud: config requires an ID")
 	}
-	if c.GossipEvery < 0 || c.LeaseTimeout < 0 || c.CertTimeout < 0 {
-		return fmt.Errorf("cloud: negative interval (GossipEvery %d, LeaseTimeout %d, CertTimeout %d)",
-			c.GossipEvery, c.LeaseTimeout, c.CertTimeout)
+	if c.LeaseTimeout < 0 || c.CertTimeout < 0 {
+		return fmt.Errorf("cloud: negative interval (LeaseTimeout %d, CertTimeout %d)",
+			c.LeaseTimeout, c.CertTimeout)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/merkle"
@@ -44,7 +45,8 @@ func (f *fixture) certify(t *testing.T, bid uint64, digest []byte) []wire.Envelo
 
 // TestNewStartsNoGoroutine pins that the trusted node runs only on its
 // transport's turns: constructing one, with every periodic duty and a
-// registry configured, leaves the goroutine count unchanged.
+// registry configured, adds no goroutine. (A goroutine left by an earlier
+// test may exit meanwhile, so the count may fall.)
 func TestNewStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	f := newFixture(t, Config{
@@ -53,7 +55,7 @@ func TestNewStartsNoGoroutine(t *testing.T) {
 	})
 	f.certify(t, 0, wcrypto.Digest([]byte("block-0")))
 	f.node.Tick(2)
-	if after := runtime.NumGoroutine(); after != before {
+	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines %d -> %d after cloud.New", before, after)
 	}
 }
@@ -472,6 +474,34 @@ func TestGossipTickCoversCertifiedBlocks(t *testing.T) {
 	}
 }
 
+// TestConfigZeroMeansLayerDefault pins the zero rule: fill maps a zero
+// GossipEvery to the layer default (1s) and leaves a negative one, which
+// turns gossip off; Validate accepts the negative value.
+func TestConfigZeroMeansLayerDefault(t *testing.T) {
+	const def = int64(time.Second)
+	if got := Defaults().GossipEvery; got != def {
+		t.Fatalf("default GossipEvery = %v, want 1s", time.Duration(got))
+	}
+	on := newFixture(t, Config{GossipTo: []wire.NodeID{"c1"}})
+	on.certify(t, 0, wcrypto.Digest([]byte("b0")))
+	if out := on.node.Tick(def - 1); out != nil {
+		t.Fatalf("gossip before the default period: %d messages", len(out))
+	}
+	if out := on.node.Tick(def); len(out) != 1 {
+		t.Fatalf("zero GossipEvery: default-period tick sent %d messages, want 1 gossip", len(out))
+	}
+
+	off := Config{ID: "cloud", GossipEvery: -1, GossipTo: []wire.NodeID{"c1"}}
+	if err := off.Validate(); err != nil {
+		t.Fatalf("negative GossipEvery rejected: %v", err)
+	}
+	f := newFixture(t, off)
+	f.certify(t, 0, wcrypto.Digest([]byte("b0")))
+	if out := f.node.Tick(int64(time.Hour)); out != nil {
+		t.Fatalf("negative GossipEvery still gossiped: %d messages", len(out))
+	}
+}
+
 func TestDisputeVerdictAndProofAttachment(t *testing.T) {
 	f := newFixture(t, Config{})
 	blk := f.buildCertifiedBlock(t, 0, "a")
@@ -556,7 +586,7 @@ func TestMergeConvictsCachePoisonedBlock(t *testing.T) {
 // every gossip target and sends no ShardMap; neither does re-admitting the
 // demoted leader, which gets the transfer again beside its GroupJoin.
 func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
-	f := newFixture(t, Config{LeaseTimeout: 100, GossipTo: []wire.NodeID{"c1", "c2"}})
+	f := newFixture(t, Config{LeaseTimeout: 100, GossipEvery: -1, GossipTo: []wire.NodeID{"c1", "c2"}})
 	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2"})
 	f.node.Tick(1) // the lease starts at the first observation
 	out := f.node.Tick(500)

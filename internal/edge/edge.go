@@ -45,18 +45,14 @@ type Config struct {
 	// leads the chain: every cut block is replicated to them and every
 	// cloud merge response is forwarded.
 	Followers []wire.NodeID
-	// Follower starts the node as a mirroring follower of Leader: it
+	// Follower starts the node as a mirroring follower of Chain: it
 	// installs replicated blocks, audits their digests against cloud
 	// certificates, heartbeats the cloud, and serves no client traffic
 	// until a signed LeadershipTransfer promotes it.
 	Follower bool
-	// Leader is the chain's current leader, meaningful only in follower
-	// mode; defaults to Chain (the initial leader's node id IS the chain).
-	Leader wire.NodeID
 	// HeartbeatEvery is the replica-liveness heartbeat period in
-	// nanoseconds. Defaults to 200ms when the node is part of a replica
-	// group (Follower set or Followers non-empty); 0 disables heartbeats
-	// (legacy ungrouped shards).
+	// nanoseconds. 0 = the layer default in a replica group (Follower set
+	// or Followers non-empty), and no heartbeat outside one.
 	HeartbeatEvery int64
 	// CertRetryEvery re-submits certification for the uncertified backlog
 	// when the certified frontier has not advanced for this many
@@ -64,40 +60,42 @@ type Config struct {
 	// of wedging Phase II (the cloud answers duplicates with the cached
 	// proof, so retries are idempotent). A merge request whose response is
 	// overdue by the same period is re-sent too (the cloud answers a repeat
-	// with the response it already signed). Defaults to 1s for
-	// replica-group members; 0 keeps the default, negative disables.
+	// with the response it already signed). 0 = the layer default, which
+	// is on in replica groups only; negative disables.
 	CertRetryEvery int64
 	// CatchUpEvery is how often a follower with a detected replication
 	// gap (stashed out-of-order blocks or early certificates) asks its
-	// leader for the missing run. Defaults to 500ms for replica-group
-	// members; 0 keeps the default, negative disables.
+	// leader for the missing run. 0 = the layer default, which is on in
+	// replica groups only; negative disables.
 	CatchUpEvery int64
 	// MaxUncertified sheds client writes while more than this many cut
 	// blocks await certification — explicit backpressure instead of an
 	// unbounded uncertified backlog when the cloud link degrades. 0
 	// disables shedding.
 	MaxUncertified int
-	// BatchSize is the entries per block (the paper's batch size B).
+	// BatchSize is the entries per block (the paper's batch size B); 0 =
+	// the layer default.
 	BatchSize int
 	// FlushEvery force-cuts a partial block after this many idle
-	// nanoseconds; 0 disables flushing.
+	// nanoseconds. 0 = the layer default; negative disables flushing.
 	FlushEvery int64
 	// L0Threshold is the number of certified, uncompacted blocks that
-	// triggers an L0 -> L1 merge (the paper's level-0 page threshold).
+	// triggers an L0 -> L1 merge (the paper's level-0 page threshold);
+	// 0 = the layer default.
 	L0Threshold int
-	// LevelThresholds are the page budgets of levels 1..n.
+	// LevelThresholds are the page budgets of levels 1..n; empty = the
+	// layer default.
 	LevelThresholds []int
-	// ReserveTTL bounds how long a reserved log position stays open.
-	ReserveTTL int64
 	// FullDataCert ships full block bodies with certification requests
 	// instead of digests only — the ablation disabling the paper's
 	// data-free coordination (used to quantify its savings).
 	FullDataCert bool
-	// SyncEvery batches block durability (group commit): blocks persisted
-	// within this window share one fsync, and their Phase I
+	// SyncEvery is the group-commit window of a persistent node: blocks
+	// persisted within it share one fsync, and their Phase I
 	// acknowledgements and certification requests are withheld until the
 	// shared sync completes — so nothing is ever acknowledged before it
-	// is durable. 0 fsyncs inline per block.
+	// is durable. 0 (or negative) is a zero window: each block's sync
+	// runs in the turn that cut it.
 	SyncEvery int64
 	// CertBatch is read by nothing: every cut block is certified by its
 	// own BlockCertify. The field remains only because the macro
@@ -107,38 +105,37 @@ type Config struct {
 	Fault *Fault
 	// Logger receives operational events; nil disables logging.
 	Logger *slog.Logger
-	// Metrics, when non-nil, is the registry this node's series live in
-	// (shared by a process or a sim world). Setting it also enables the
-	// timing histograms — serve latency, trust lag, block sizes — that
-	// the counters-only default skips. Counters back Stats() either way.
+	// Metrics is the registry this node's series live in (shared by a
+	// process or a sim world); nil keeps them on a private registry.
 	Metrics *obs.Registry
 }
 
+// reserveTTL bounds how long a reserved log position stays open (ns).
+const reserveTTL = int64(5e9)
+
+// fill replaces every zero knob with the layer default. It is the one
+// place those defaults are written, and it is idempotent: a negative
+// value (a mechanism turned off) passes through untouched.
 func (c *Config) fill() {
 	if c.Chain == "" {
 		c.Chain = c.ID
 	}
-	if c.Follower && c.Leader == "" {
-		c.Leader = c.Chain
-	}
-	if c.HeartbeatEvery <= 0 && (c.Follower || len(c.Followers) > 0) {
-		c.HeartbeatEvery = int64(2e8)
-	}
-	grouped := c.Follower || len(c.Followers) > 0
-	if c.CertRetryEvery == 0 && grouped {
-		c.CertRetryEvery = int64(1e9)
-	}
-	if c.CertRetryEvery < 0 {
-		c.CertRetryEvery = 0
-	}
-	if c.CatchUpEvery == 0 && grouped {
-		c.CatchUpEvery = int64(5e8)
-	}
-	if c.CatchUpEvery < 0 {
-		c.CatchUpEvery = 0
+	if c.Follower || len(c.Followers) > 0 {
+		if c.HeartbeatEvery == 0 {
+			c.HeartbeatEvery = int64(2e8)
+		}
+		if c.CertRetryEvery == 0 {
+			c.CertRetryEvery = int64(1e9)
+		}
+		if c.CatchUpEvery == 0 {
+			c.CatchUpEvery = int64(5e8)
+		}
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
+	}
+	if c.FlushEvery == 0 {
+		c.FlushEvery = int64(1e8)
 	}
 	if c.L0Threshold <= 0 {
 		c.L0Threshold = 10
@@ -146,9 +143,14 @@ func (c *Config) fill() {
 	if len(c.LevelThresholds) == 0 {
 		c.LevelThresholds = []int{10, 100, 1000}
 	}
-	if c.ReserveTTL <= 0 {
-		c.ReserveTTL = int64(5e9)
-	}
+}
+
+// Defaults returns a zero Config with every knob at its layer default:
+// the values a binary's flags start from. Knobs that run only in replica
+// groups stay 0 here, which New reads as their group default.
+func Defaults() (c Config) {
+	c.fill()
+	return c
 }
 
 // Validate rejects configurations that would misbehave silently at
@@ -171,9 +173,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("edge: config: BatchSize must be >= 0, got %d", c.BatchSize)
-	}
-	if c.FlushEvery < 0 {
-		return fmt.Errorf("edge: config: FlushEvery must be >= 0, got %d", c.FlushEvery)
 	}
 	if c.HeartbeatEvery < 0 {
 		return fmt.Errorf("edge: config: HeartbeatEvery must be >= 0, got %d", c.HeartbeatEvery)
@@ -212,8 +211,8 @@ type Node struct {
 	merging     *wire.MergeRequest
 	mergeSentAt int64
 
-	// Group commit (SyncEvery > 0): outputs of persisted-but-unsynced
-	// blocks, withheld until the shared fsync.
+	// Group commit: outputs of persisted-but-unsynced blocks, withheld
+	// until the shared fsync.
 	pendingAcks  []wire.Envelope
 	pendingSince int64
 
@@ -309,7 +308,7 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		m:        newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
 	if cfg.Follower {
-		n.leader = cfg.Leader
+		n.leader = cfg.Chain
 		n.pendingRepl = make(map[uint64]stashedBlock)
 		n.pendingCerts = make(map[uint64]wire.BlockProof)
 		n.replSigs = make(map[uint64][]byte)
@@ -450,25 +449,16 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		}
 		return out
 	case *wire.ReadRequest:
-		if !n.m.enabled {
-			return n.handleRead(now, env.From, m)
-		}
 		t0 := time.Now()
 		out := n.handleRead(now, env.From, m)
 		n.m.serveRead.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.GetRequest:
-		if !n.m.enabled {
-			return n.handleGet(now, env.From, m)
-		}
 		t0 := time.Now()
 		out := n.handleGet(now, env.From, m)
 		n.m.serveGet.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.ScanRequest:
-		if !n.m.enabled {
-			return n.handleScan(now, env.From, m)
-		}
 		t0 := time.Now()
 		out := n.handleScan(now, env.From, m)
 		n.m.serveScan.Observe(time.Since(t0).Seconds())
@@ -657,9 +647,10 @@ func (n *Node) shedSignal(now int64, client wire.NodeID, seq, backlog uint64) []
 }
 
 // emitBlock persists a freshly cut block and produces its Phase I
-// responses plus the data-free certification request. Under group commit
-// (SyncEvery > 0) the outputs are withheld until the shared fsync covers
-// the block, so nothing reaches a client or the cloud before durability.
+// responses plus the data-free certification request. A persistent node
+// withholds the outputs until the group-commit fsync covers the block
+// (SyncEvery after the oldest withheld one; a zero window syncs in this
+// turn), so nothing reaches a client or the cloud before durability.
 func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 	n.m.blocksCut.Inc()
 	n.m.markCut(blk.ID, now, len(blk.Entries))
@@ -669,19 +660,12 @@ func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 		n.killed = true
 		return nil
 	}
-	if n.store == nil || n.cfg.SyncEvery <= 0 {
-		if n.store != nil {
-			if err := n.store.AppendBlock(blk); err != nil {
-				// Durability failed: acknowledge nothing. Clients' timeout
-				// machinery owns retries; an unacknowledged block is safe.
-				n.logf("persist failed; withholding acknowledgements", "bid", blk.ID, "err", err)
-				return nil
-			}
-		}
+	if n.store == nil {
 		return n.blockOutputs(now, blk)
 	}
-	// Group commit: buffer the record and withhold outputs for the window.
 	if err := n.store.AppendBlockBuffered(blk); err != nil {
+		// Durability failed: acknowledge nothing. Clients' timeout
+		// machinery owns retries; an unacknowledged block is safe.
 		n.logf("persist failed; withholding acknowledgements", "bid", blk.ID, "err", err)
 		return nil
 	}
@@ -804,15 +788,9 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof, veri
 		return nil
 	}
 	if n.store != nil {
-		// Certificates are re-obtainable from the cloud, so under group
-		// commit they ride the next shared sync instead of forcing one.
-		var err error
-		if n.cfg.SyncEvery > 0 {
-			err = n.store.AppendCertBuffered(p)
-		} else {
-			err = n.store.AppendCert(p)
-		}
-		if err != nil {
+		// Certificates are re-obtainable from the cloud, so they ride the
+		// next shared sync instead of forcing one.
+		if err := n.store.AppendCertBuffered(p); err != nil {
 			n.logf("persisting certificate failed", "bid", p.BID, "err", err)
 		}
 	}
@@ -910,7 +888,7 @@ func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest
 			return nil
 		}
 	}
-	start := n.log.Reserve(m.Client, int(m.Count), now+n.cfg.ReserveTTL)
+	start := n.log.Reserve(m.Client, int(m.Count), now+reserveTTL)
 	resp := &wire.ReserveResponse{ReqID: m.ReqID, Start: start, Count: m.Count}
 	resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}

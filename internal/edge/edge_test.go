@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
@@ -388,6 +389,34 @@ func TestFlushTickCutsPartialBlock(t *testing.T) {
 	out := f.node.Tick(1200)
 	if kindsOf(out)[wire.KindPutResponse] != 1 {
 		t.Fatalf("flush outputs = %v", kindsOf(out))
+	}
+}
+
+// TestConfigZeroMeansLayerDefault pins the zero rule: fill maps a zero
+// FlushEvery to the layer default (100ms) and leaves a negative one, which
+// turns the flush timer off; Validate accepts the negative value.
+func TestConfigZeroMeansLayerDefault(t *testing.T) {
+	const def = int64(100 * time.Millisecond)
+	if got := Defaults().FlushEvery; got != def {
+		t.Fatalf("default FlushEvery = %v, want 100ms", time.Duration(got))
+	}
+	on := newFixture(t, Config{BatchSize: 10})
+	on.add(t, 0, "c1", 1, "partial")
+	if out := on.node.Tick(def - 1); out != nil {
+		t.Fatalf("flushed before the default period: %v", kindsOf(out))
+	}
+	if k := kindsOf(on.node.Tick(def)); k[wire.KindPutResponse] != 1 {
+		t.Fatalf("zero FlushEvery: default-period tick released %v, want the partial block", k)
+	}
+
+	off := Config{ID: "edge-1", BatchSize: 10, FlushEvery: -1}
+	if err := off.Validate(); err != nil {
+		t.Fatalf("negative FlushEvery rejected: %v", err)
+	}
+	f := newFixture(t, off)
+	f.add(t, 0, "c1", 1, "partial")
+	if out := f.node.Tick(int64(time.Hour)); out != nil {
+		t.Fatalf("negative FlushEvery still flushed: %v", kindsOf(out))
 	}
 }
 

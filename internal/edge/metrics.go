@@ -4,19 +4,11 @@ import (
 	"wedgechain/internal/obs"
 )
 
-// metrics is the edge node's registry-backed instrumentation. Counters
-// are ALWAYS live — they are the atomic storage behind Stats(), which
-// fixes the old racy plain-struct snapshot — but when no registry was
-// configured they live on a private throwaway registry and nothing
-// else pays for them. Timing histograms (serve latency, trust lag,
-// block sizes) exist only when Config.Metrics names a real registry:
-// their handles stay nil otherwise, so the disabled hot path costs one
-// nil check instead of a clock read.
+// metrics is the edge node's registry-backed instrumentation: counters
+// (the atomic storage behind Stats()) and timing histograms (serve
+// latency, trust lag, block sizes). With no registry configured they live
+// on a private one.
 type metrics struct {
-	// enabled reports that Config.Metrics was set: histograms are live
-	// and the handlers may spend clock reads on them.
-	enabled bool
-
 	writes       *obs.Counter
 	blocksCut    *obs.Counter
 	certified    *obs.Counter
@@ -40,8 +32,8 @@ type metrics struct {
 	trustLag     *obs.Histogram // block cut -> certificate installed
 
 	// cutAt stamps each cut block's handler time for the trust-lag
-	// histogram. Only populated when enabled; bounded by the
-	// uncertified backlog plus cutAtCap as a backstop.
+	// histogram, bounded by the uncertified backlog plus cutAtCap as a
+	// backstop.
 	cutAt map[uint64]int64
 }
 
@@ -52,7 +44,7 @@ type metrics struct {
 const cutAtCap = 1 << 16
 
 func newMetrics(reg *obs.Registry, node string) *metrics {
-	m := &metrics{enabled: reg != nil}
+	m := &metrics{}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -74,9 +66,6 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.shedSignals = c("wedge_edge_shed_signals_total", "signed Overloaded signals sent to clients")
 	m.truncated = c("wedge_edge_truncated_blocks_total", "uncertified blocks discarded on demotion")
 	m.replicated = c("wedge_edge_replicated_blocks_total", "block copies streamed to followers (fan-out)")
-	if !m.enabled {
-		return m
-	}
 	h := func(name, help string, buckets []float64) *obs.Histogram {
 		return reg.HistogramVec(name, help, buckets, "node").With(node)
 	}
@@ -96,9 +85,6 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 // under the sim, wall nanoseconds over TCP — so the lag histogram is
 // meaningful in both worlds.
 func (m *metrics) markCut(bid uint64, now int64, entries int) {
-	if !m.enabled {
-		return
-	}
 	m.blockEntries.Observe(float64(entries))
 	if len(m.cutAt) >= cutAtCap {
 		m.cutAt = make(map[uint64]int64)
@@ -108,9 +94,6 @@ func (m *metrics) markCut(bid uint64, now int64, entries int) {
 
 // markCertified closes the trust-lag interval opened by markCut.
 func (m *metrics) markCertified(bid uint64, now int64) {
-	if !m.enabled {
-		return
-	}
 	if t0, ok := m.cutAt[bid]; ok {
 		m.trustLag.Observe(float64(now-t0) / 1e9)
 		delete(m.cutAt, bid)

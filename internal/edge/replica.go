@@ -193,7 +193,11 @@ func (n *Node) installReplicated(m *wire.ReplicateBlock, digest []byte) []wire.E
 	if n.store != nil {
 		blk, err := n.log.Block(bid)
 		if err == nil {
-			if perr := n.store.AppendBlock(blk); perr != nil {
+			perr := n.store.AppendBlockBuffered(blk)
+			if perr == nil {
+				perr = n.store.Sync()
+			}
+			if perr != nil {
 				n.logf("persisting mirrored block failed", "bid", bid, "err", perr)
 			}
 		}
@@ -240,7 +244,11 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 	// forever.
 	delete(n.replSigs, p.BID)
 	if n.store != nil {
-		if err := n.store.AppendCert(&p); err != nil {
+		err := n.store.AppendCertBuffered(&p)
+		if err == nil {
+			err = n.store.Sync()
+		}
+		if err != nil {
 			n.logf("persisting mirrored certificate failed", "bid", p.BID, "err", err)
 		}
 	}

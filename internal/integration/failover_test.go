@@ -54,6 +54,9 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 	if o.l0Thresh == 0 {
 		o.l0Thresh = 100
 	}
+	if o.gossip == 0 {
+		o.gossip = -1 // no gossip unless the test asks for it
+	}
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
 	for _, id := range []wire.NodeID{"cloud", "edge-1", "edge-1.r1", "edge-1.r2", "c1", "c2"} {

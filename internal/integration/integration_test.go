@@ -55,6 +55,9 @@ func newWorld(t *testing.T, o worldOpts) *world {
 	if o.proofTO == 0 {
 		o.proofTO = 200 * ms
 	}
+	if o.gossip == 0 {
+		o.gossip = -1 // no gossip unless the test asks for it
+	}
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
 	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1", "c2"} {
@@ -74,6 +77,7 @@ func newWorld(t *testing.T, o worldOpts) *world {
 		Cloud:           "cloud",
 		BatchSize:       o.batch,
 		L0Threshold:     o.l0Thresh,
+		FlushEvery:      -1,
 		LevelThresholds: []int{2, 4, 8},
 		Fault:           o.fault,
 	}, keys["edge-1"], reg)
@@ -192,8 +196,8 @@ func TestPhaseIReadGetsForwardedProof(t *testing.T) {
 		keys[id] = k
 		r2.Register(id, k.Pub)
 	}
-	cl := cloud.New(cloud.Config{ID: "cloud", Levels: 3, PageCap: 4}, keys["cloud"], r2)
-	ed := edge.New(edge.Config{ID: "edge-1", Cloud: "cloud", BatchSize: 2, L0Threshold: 100, LevelThresholds: []int{2, 4, 8}}, keys["edge-1"], r2)
+	cl := cloud.New(cloud.Config{ID: "cloud", Levels: 3, PageCap: 4, GossipEvery: -1}, keys["cloud"], r2)
+	ed := edge.New(edge.Config{ID: "edge-1", Cloud: "cloud", BatchSize: 2, FlushEvery: -1, L0Threshold: 100, LevelThresholds: []int{2, 4, 8}}, keys["edge-1"], r2)
 	c1 := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud", ProofTimeout: 10 * s}, keys["c1"], r2)
 	c2 := client.New(client.Config{ID: "c2", Edge: "edge-1", Cloud: "cloud", ProofTimeout: 10 * s}, keys["c2"], r2)
 	slow := sim.New(sim.Config{

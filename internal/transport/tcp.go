@@ -197,23 +197,35 @@ func (c *peerConn) isDead() bool {
 	}
 }
 
+// fill replaces every zero knob with the layer default.
+func (c *TCPConfig) fill() {
+	if c.TickEvery <= 0 {
+		c.TickEvery = 50 * time.Millisecond
+	}
+	if c.DialTimeout <= 0 {
+		c.DialTimeout = 5 * time.Second
+	}
+	if c.WriteTimeout <= 0 {
+		c.WriteTimeout = 10 * time.Second
+	}
+	if c.Lanes <= 0 {
+		c.Lanes = 4
+	}
+	if c.LaneDepth <= 0 {
+		c.LaneDepth = 4096
+	}
+}
+
+// TCPDefaults returns a zero TCPConfig with every knob at its layer
+// default: the values a binary's flags start from.
+func TCPDefaults() (c TCPConfig) {
+	c.fill()
+	return c
+}
+
 // NewTCP wraps a handler for TCP service.
 func NewTCP(h core.Handler, cfg TCPConfig) *TCP {
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 50 * time.Millisecond
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = 4
-	}
-	if cfg.LaneDepth <= 0 {
-		cfg.LaneDepth = 4096
-	}
+	cfg.fill()
 	peers := make(map[wire.NodeID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		peers[id] = addr

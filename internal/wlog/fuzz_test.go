@@ -68,10 +68,10 @@ func recoverSeeds(f *testing.F, keys map[wire.NodeID]wcrypto.KeyPair, reg *wcryp
 	b := wire.Block{Edge: "edge-1", ID: 2, StartPos: 2, Entries: []wire.Entry{e}}
 	p := wire.BlockProof{Edge: "edge-1", BID: 2, Digest: wcrypto.BlockDigest(&b)}
 	p.CloudSig = wcrypto.SignMsg(keys["cloud"], &p)
-	if err := st.AppendBlock(&b); err != nil {
+	if err := st.AppendBlockBuffered(&b); err != nil {
 		f.Fatal(err)
 	}
-	if err := st.AppendCert(&p); err != nil {
+	if err := st.AppendCertBuffered(&p); err != nil {
 		f.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

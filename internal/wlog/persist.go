@@ -22,7 +22,7 @@ import (
 // Torn tails (a partial final record after a crash) are truncated on
 // recovery — exactly the blocks whose Phase I responses may not have been
 // sent yet, so nothing acknowledged is lost: a block is only acknowledged
-// after Append returns, and Append syncs when Durable is set.
+// after the Sync covering its record returns.
 //
 // Records are self-authenticating on recovery: block digests are
 // recomputed and certificates re-verified against the cloud's key, so a
@@ -51,11 +51,10 @@ var ErrFormat = errors.New("wlog: segment written under an earlier digest format
 // Store persists a log to a single segment file. It is not safe for
 // concurrent use; the owning node serializes access.
 //
-// Two durability disciplines coexist: AppendBlock/AppendCert fsync each
-// record (when the store is durable), while the Buffered variants plus an
-// explicit Sync implement group commit — the owning node appends several
-// records inside a flush window and pays one fsync for all of them,
-// withholding acknowledgements until the shared Sync returns.
+// Appends are buffered and Sync is the durability barrier (group commit):
+// the owning node appends the records of a flush window and pays one
+// fsync for all of them, withholding acknowledgements until the shared
+// Sync returns.
 type Store struct {
 	f    *os.File
 	w    *bufio.Writer
@@ -66,8 +65,8 @@ type Store struct {
 }
 
 // OpenStore opens (or creates) the segment file under dir. When durable
-// is set, every record is fsynced before returning — the production
-// setting; tests and benchmarks may trade durability for speed.
+// is set, Sync fsyncs — the production setting; tests and benchmarks may
+// trade durability for speed.
 func OpenStore(dir string, durable bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wlog: creating store dir: %w", err)
@@ -93,7 +92,7 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-func (s *Store) append(kind byte, payload []byte, syncNow bool) error {
+func (s *Store) append(kind byte, payload []byte) error {
 	var hdr [5]byte
 	hdr[0] = kind
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
@@ -104,40 +103,14 @@ func (s *Store) append(kind byte, payload []byte, syncNow bool) error {
 		return err
 	}
 	s.dirty = true
-	if !syncNow {
-		return nil
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if s.sync {
-		s.syncs++
-		if err := s.f.Sync(); err != nil {
-			return err
-		}
-	}
-	s.dirty = false
 	return nil
-}
-
-// AppendBlock durably records a cut block (flush + fsync per record).
-func (s *Store) AppendBlock(b *wire.Block) error {
-	return s.append(recBlock, b.Canonical(), true)
 }
 
 // AppendBlockBuffered records a cut block without forcing it to disk; the
 // caller owns durability via a later Sync and must not acknowledge the
 // block before that Sync returns.
 func (s *Store) AppendBlockBuffered(b *wire.Block) error {
-	return s.append(recBlock, b.Canonical(), false)
-}
-
-// AppendCert durably records a cloud certificate.
-func (s *Store) AppendCert(p *wire.BlockProof) error {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	p.EncodeTo(e)
-	return s.append(recCert, e.Bytes(), true)
+	return s.append(recBlock, b.Canonical())
 }
 
 // AppendCertBuffered records a certificate without forcing it to disk.
@@ -147,7 +120,7 @@ func (s *Store) AppendCertBuffered(p *wire.BlockProof) error {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	p.EncodeTo(e)
-	return s.append(recCert, e.Bytes(), false)
+	return s.append(recCert, e.Bytes())
 }
 
 // Sync flushes buffered records and fsyncs them (durable stores): the
@@ -198,7 +171,7 @@ func (s *Store) ResetTo(l *Log) error {
 		if err != nil {
 			return err
 		}
-		if err := s.append(recBlock, blk.Canonical(), false); err != nil {
+		if err := s.AppendBlockBuffered(blk); err != nil {
 			return err
 		}
 		if p, ok := l.Cert(bid); ok {

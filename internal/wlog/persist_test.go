@@ -41,14 +41,14 @@ func buildSegment(t testing.TB, dir string, keys map[wire.NodeID]wcrypto.KeyPair
 		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
 		b := wire.Block{Edge: "edge-1", ID: uint64(i), StartPos: pos, Entries: []wire.Entry{e}}
 		pos++
-		if err := st.AppendBlock(&b); err != nil {
+		if err := st.AppendBlockBuffered(&b); err != nil {
 			t.Fatal(err)
 		}
 		blocks = append(blocks, b)
 		if i < certified {
 			p := wire.BlockProof{Edge: "edge-1", BID: b.ID, Digest: wcrypto.BlockDigest(&b)}
 			p.CloudSig = wcrypto.SignMsg(keys["cloud"], &p)
-			if err := st.AppendCert(&p); err != nil {
+			if err := st.AppendCertBuffered(&p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,7 +128,7 @@ func TestRecoverAppendsContinue(t *testing.T) {
 	if blk == nil || blk.ID != 2 {
 		t.Fatalf("post-recovery block = %+v", blk)
 	}
-	if err := st.AppendBlock(blk); err != nil {
+	if err := st.AppendBlockBuffered(blk); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -177,7 +177,7 @@ func TestRecoverRejectsForeignBlocks(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := OpenStore(dir, true)
 	b := wire.Block{Edge: "edge-OTHER", ID: 0}
-	st.AppendBlock(&b)
+	st.AppendBlockBuffered(&b)
 	st.Close()
 	_ = keys
 	if _, _, _, _, err := Recover(dir, "edge-1", 10, reg, "cloud"); !errors.Is(err, ErrCorrupt) {
@@ -190,10 +190,10 @@ func TestRecoverRejectsForgedCert(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := OpenStore(dir, true)
 	b := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{{Client: "c1", Seq: 1}}}
-	st.AppendBlock(&b)
+	st.AppendBlockBuffered(&b)
 	p := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: wcrypto.BlockDigest(&b)}
 	p.CloudSig = wcrypto.SignMsg(keys["edge-1"], &p) // edge forging the cloud
-	st.AppendCert(&p)
+	st.AppendCertBuffered(&p)
 	st.Close()
 	if _, _, _, _, err := Recover(dir, "edge-1", 10, reg, "cloud"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged cert: err = %v", err)
@@ -207,7 +207,7 @@ func TestRecoverRejectsOutOfOrderBlocks(t *testing.T) {
 	e := wire.Entry{Client: "c1", Seq: 1}
 	e.Sig = wcrypto.SignMsg(keys["c1"], &e)
 	b := wire.Block{Edge: "edge-1", ID: 5, Entries: []wire.Entry{e}}
-	st.AppendBlock(&b)
+	st.AppendBlockBuffered(&b)
 	st.Close()
 	if _, _, _, _, err := Recover(dir, "edge-1", 10, reg, "cloud"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-order block: err = %v", err)
@@ -274,7 +274,7 @@ func TestResetToShrinksSegment(t *testing.T) {
 	e := wire.Entry{Client: "c1", Seq: 100, Value: []byte("new history")}
 	e.Sig = wcrypto.SignMsg(keys["c1"], &e)
 	nb := wire.Block{Edge: "edge-1", ID: 2, StartPos: 2, Entries: []wire.Entry{e}}
-	if err := st.AppendBlock(&nb); err != nil {
+	if err := st.AppendBlockBuffered(&nb); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

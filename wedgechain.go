@@ -22,7 +22,9 @@
 // (internal/baseline). The cmd/ binaries deploy the same state machines
 // over the same transport, one process per node.
 //
-// Quickstart:
+// Quickstart (every Config knob left zero takes its layer's default, so
+// this cluster cuts blocks of 4 and flushes a partial one after the edge's
+// default idle period):
 //
 //	cluster, _ := wedgechain.NewCluster(wedgechain.Config{Edges: 1, BatchSize: 4})
 //	defer cluster.Close()
@@ -38,6 +40,7 @@ import (
 	"fmt"
 	"time"
 
+	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
@@ -89,7 +92,9 @@ type KV = wire.KV
 // Verdict re-exports the cloud's dispute ruling.
 type Verdict = wire.Verdict
 
-// Config parameterizes a cluster.
+// Config parameterizes a cluster. A zero knob takes its layer's default
+// (internal/edge, internal/cloud, internal/client); a negative FlushEvery
+// or GossipEvery turns that timer off.
 type Config struct {
 	// Edges is the number of edge nodes ("edge-1".."edge-N"). Each edge
 	// owns one partition; clients bind to a single edge (Section III)
@@ -117,31 +122,30 @@ type Config struct {
 	// follower id.
 	ReplicasPerShard int
 	// LeaseTimeout is how long the cloud tolerates leader-heartbeat
-	// silence before transferring leadership (default 1s; replicated
-	// shards only).
+	// silence before transferring leadership (replicated shards only).
 	LeaseTimeout time.Duration
 	// CertTimeout is how long a replicated-but-uncertified backlog may
-	// stall before the cloud transfers leadership (default 3s).
+	// stall before the cloud transfers leadership.
 	CertTimeout time.Duration
-	// HeartbeatEvery overrides the replica heartbeat period (default
-	// LeaseTimeout/4; replicated shards only). Must stay shorter than
-	// LeaseTimeout or a live leader would look dead to the cloud.
+	// HeartbeatEvery is the replica heartbeat period (0 = LeaseTimeout/4;
+	// replicated shards only). Must stay shorter than LeaseTimeout or a
+	// live leader would look dead to the cloud.
 	HeartbeatEvery time.Duration
-	// BatchSize is the entries per block (default 100).
+	// BatchSize is the entries per block.
 	BatchSize int
 	// FlushEvery force-cuts partial blocks after this idle duration
-	// (default 50ms; 0 keeps the default, negative disables).
+	// (negative disables).
 	FlushEvery time.Duration
 	// L0Threshold, LevelThresholds and PageCap configure LSMerkle
-	// (defaults: 10, [10, 100, 1000], BatchSize).
+	// (PageCap 0 = BatchSize).
 	L0Threshold     int
 	LevelThresholds []int
 	PageCap         int
 	// GossipEvery is the cloud's omission-detection gossip period
-	// (default 1s; 0 keeps the default).
+	// (negative disables).
 	GossipEvery time.Duration
 	// ProofTimeout is how long clients wait for Phase II before filing
-	// a dispute (default 10s).
+	// a dispute.
 	ProofTimeout time.Duration
 	// FreshnessWindow bounds get staleness (Section V-D); 0 disables.
 	FreshnessWindow time.Duration
@@ -155,8 +159,8 @@ type Config struct {
 	// and settles with an unavailable error after MaxAttempts total
 	// sends. 0 disables — unanswered ops then wait out the proof timeout.
 	RetryEvery time.Duration
-	// MaxAttempts bounds total sends per operation when RetryEvery > 0
-	// (default 4, counting the initial send).
+	// MaxAttempts bounds total sends per operation when RetryEvery > 0,
+	// counting the initial send.
 	MaxAttempts int
 	// MaxUncertified caps a leader's uncertified block backlog: past the
 	// cap new writes are shed (not acknowledged) until certification
@@ -184,6 +188,8 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// fill applies the rules that span layers; every other zero knob passes
+// through to its layer, which owns the default.
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -191,39 +197,35 @@ func (c *Config) fill() {
 	if c.Edges < c.Shards {
 		c.Edges = c.Shards
 	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = time.Second
-	}
-	if c.CertTimeout <= 0 {
-		c.CertTimeout = 3 * time.Second
-	}
+	// The cloud merges the pages the edges cut and sizes its levels by
+	// the edges' thresholds, so both read the edge layer's values.
+	def := edge.Defaults()
 	if c.BatchSize <= 0 {
-		c.BatchSize = 100
-	}
-	switch {
-	case c.FlushEvery == 0:
-		c.FlushEvery = 50 * time.Millisecond
-	case c.FlushEvery < 0:
-		c.FlushEvery = 0 // the edge reads 0 as disabled
-	}
-	if c.L0Threshold <= 0 {
-		c.L0Threshold = 10
+		c.BatchSize = def.BatchSize
 	}
 	if len(c.LevelThresholds) == 0 {
-		c.LevelThresholds = []int{10, 100, 1000}
+		c.LevelThresholds = def.LevelThresholds
 	}
 	if c.PageCap <= 0 {
 		c.PageCap = c.BatchSize
 	}
-	if c.GossipEvery <= 0 {
-		c.GossipEvery = time.Second
-	}
-	if c.ProofTimeout <= 0 {
-		c.ProofTimeout = 10 * time.Second
+	if c.HeartbeatEvery == 0 {
+		// A quarter of the lease, so a live leader can never be mistaken
+		// for a dead one by scheduling jitter alone.
+		c.HeartbeatEvery = c.lease() / 4
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
+}
+
+// lease is the cloud's leader lease: LeaseTimeout, or the cloud layer's
+// default.
+func (c *Config) lease() time.Duration {
+	if c.LeaseTimeout > 0 {
+		return c.LeaseTimeout
+	}
+	return time.Duration(cloud.Defaults().LeaseTimeout)
 }
 
 // Validate rejects configurations fill() cannot repair — combinations
@@ -233,9 +235,6 @@ func (c *Config) Validate() error {
 	if c.ReplicasPerShard < 0 {
 		return fmt.Errorf("wedgechain: ReplicasPerShard must be >= 0, got %d", c.ReplicasPerShard)
 	}
-	if c.ReplicasPerShard > 1 && c.CertTimeout < 0 {
-		return fmt.Errorf("wedgechain: replicated shards require a certification-stall timeout; CertTimeout %v disables the detector that replaces a leader which replicates but never certifies", c.CertTimeout)
-	}
 	for _, d := range []struct {
 		name string
 		v    time.Duration
@@ -243,7 +242,6 @@ func (c *Config) Validate() error {
 		{"LeaseTimeout", c.LeaseTimeout},
 		{"CertTimeout", c.CertTimeout},
 		{"HeartbeatEvery", c.HeartbeatEvery},
-		{"GossipEvery", c.GossipEvery},
 		{"ProofTimeout", c.ProofTimeout},
 		{"FreshnessWindow", c.FreshnessWindow},
 		{"RetryEvery", c.RetryEvery},
@@ -258,12 +256,8 @@ func (c *Config) Validate() error {
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("wedgechain: MaxUncertified must be >= 0, got %d", c.MaxUncertified)
 	}
-	lease := c.LeaseTimeout
-	if lease <= 0 {
-		lease = time.Second
-	}
-	if c.HeartbeatEvery > 0 && c.HeartbeatEvery >= lease {
-		return fmt.Errorf("wedgechain: HeartbeatEvery (%v) must be shorter than LeaseTimeout (%v) — a live leader would miss its lease on schedule alone", c.HeartbeatEvery, lease)
+	if c.HeartbeatEvery > 0 && c.HeartbeatEvery >= c.lease() {
+		return fmt.Errorf("wedgechain: HeartbeatEvery (%v) must be shorter than LeaseTimeout (%v) — a live leader would miss its lease on schedule alone", c.HeartbeatEvery, c.lease())
 	}
 	return nil
 }
