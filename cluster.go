@@ -32,7 +32,7 @@ func FollowerID(i, k int) NodeID { return NodeID(fmt.Sprintf("edge-%d.r%d", i, k
 // Cluster is a WedgeChain deployment inside one process: one trusted cloud
 // node, one or more untrusted edge nodes, and any number of clients, each
 // served by its own TCP endpoint on loopback — the transport the cmd/
-// binaries deploy, with the same framing, writer lanes and verify stage.
+// binaries deploy, with the same framing, writer lanes and delivery order.
 type Cluster struct {
 	cfg Config
 	reg *wcrypto.Registry
@@ -201,12 +201,7 @@ func (c *Cluster) host(h core.Handler) error {
 		Listen:    "127.0.0.1:0",
 		TickEvery: 5 * time.Millisecond,
 		Fault:     c.cfg.Chaos,
-		// Pre-verify signatures in parallel in front of the node so its
-		// single-threaded state machine spends its time on protocol work,
-		// not Ed25519.
-		Registry:      c.reg,
-		VerifyWorkers: -1, // negative = GOMAXPROCS, sized by the pool
-		Obs:           c.cfg.Metrics,
+		Obs:       c.cfg.Metrics,
 	})
 	err := t.Listen()
 	c.served.Add(1)

@@ -84,7 +84,7 @@ func (n *NodeFlags) Keys() (wcrypto.KeyPair, *wcrypto.Registry, error) {
 
 // Serve runs a serving node's h on its endpoint until SIGINT or SIGTERM,
 // an orderly stop (nil). Outbound frames take the chaos flags' faults,
-// signatures are pre-verified against reg on every core, and metrics are
+// reg's signature-check counters join the node's metrics, and metrics are
 // served on -metrics-addr when it is set. role completes the log line.
 func (n *NodeFlags) Serve(bin, role string, h core.Handler, reg *wcrypto.Registry) error {
 	faultNet, err := n.chaos.Net()
@@ -94,8 +94,7 @@ func (n *NodeFlags) Serve(bin, role string, h core.Handler, reg *wcrypto.Registr
 	faultNet.AttachMetrics(n.Metrics, n.ID)
 	reg.AttachMetrics(n.Metrics, n.ID)
 	cfg := n.TCP
-	cfg.Fault, cfg.Registry, cfg.Obs, cfg.Log = faultNet, reg, n.Metrics, n.Log
-	cfg.VerifyWorkers = -1 // negative = GOMAXPROCS
+	cfg.Fault, cfg.Obs, cfg.Log = faultNet, n.Metrics, n.Log
 	t := transport.NewTCP(h, cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

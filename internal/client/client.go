@@ -521,23 +521,23 @@ func (c *Core) SetReserveHandler(f Reservations) { c.onReserve = f }
 func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.PutResponse:
-		return c.handlePutResponse(now, env.From, m, env.VerifiedDigest())
+		return c.handlePutResponse(now, env.From, m)
 	case *wire.BlockProof:
-		return c.handleProof(now, env.From, m, env.Verified)
+		return c.handleProof(now, env.From, m)
 	case *wire.ReadResponse:
-		return c.handleReadResponse(now, env.From, m, env.VerifiedDigest())
+		return c.handleReadResponse(now, env.From, m)
 	case *wire.GetResponse:
-		return c.handleGetResponse(now, env.From, m, env.Verified)
+		return c.handleGetResponse(now, env.From, m)
 	case *wire.ScanResponse:
-		return c.handleScanResponse(now, env.From, m, env.Verified)
+		return c.handleScanResponse(now, env.From, m)
 	case *wire.Gossip:
 		return c.handleGossip(now, m)
 	case *wire.Overloaded:
-		return c.handleOverloaded(now, env.From, m, env.Verified)
+		return c.handleOverloaded(now, env.From, m)
 	case *wire.Verdict:
 		return c.handleVerdict(now, m)
 	case *wire.LeadershipTransfer:
-		return c.handleTransfer(now, env.From, m, env.Verified)
+		return c.handleTransfer(now, env.From, m)
 	case *wire.ReserveResponse:
 		// A convicted edge's reservations are positions on a frozen
 		// chain; drop them.
@@ -633,7 +633,7 @@ func (c *Core) phaseII(now int64, op *Op) {
 // handlePutResponse implements Algorithm 1 lines 3-5 for every write: verify
 // the edge's signature, verify my entries are in the block as I sent them,
 // mark Phase I.
-func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse, digest []byte) []wire.Envelope {
+func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -643,14 +643,11 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 	}
 	// One hash serves both checks: the recomputed digest is the signable
 	// body of the block-ack signature AND the value compared against the
-	// cloud's certification later. A verify stage that checked the
-	// signature hands the digest it hashed along with the envelope.
-	if digest == nil {
-		digest = m.Block.BodyDigest()
-		if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	// cloud's certification later.
+	digest := m.Block.BodyDigest()
+	if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	for i := range m.Block.Entries {
 		e := &m.Block.Entries[i]
@@ -676,18 +673,15 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 
 // handleProof upgrades every Phase I operation on the block to Phase II —
 // or detects the lie when the certified digest contradicts the evidence.
-// The pre-verified flag is only trusted when the proof came straight from
-// the cloud (the pool checks signatures against the envelope sender);
-// edge-forwarded proofs are verified inline.
-func (c *Core) handleProof(now int64, from wire.NodeID, p *wire.BlockProof, verified bool) []wire.Envelope {
+// The proof is checked against the cloud's key whoever delivered it: the
+// cloud itself, or the edge forwarding it.
+func (c *Core) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wire.Envelope {
 	if p.Edge != c.cfg.Chain {
 		return nil
 	}
-	if !verified || from != c.cfg.Cloud {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, p, p.CloudSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, p, p.CloudSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	bid, digest := p.BID, p.Digest
 	var out []wire.Envelope

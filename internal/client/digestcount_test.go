@@ -20,32 +20,11 @@ func overTheWire(t *testing.T, from wire.NodeID, m wire.Message) wire.Envelope {
 	return env
 }
 
-// digestsDuring counts the block digests computed from contents while a
-// delivery runs: with no verify stage (the handler hashes and verifies),
-// through the inline stage, and through pool workers.
-func digestsDuring(t *testing.T, reg *wcrypto.Registry, env wire.Envelope, receive func(wire.Envelope)) (direct, inline, pooled uint64) {
-	t.Helper()
-	count := func(deliver func()) uint64 {
-		before := wire.DigestCalls()
-		deliver()
-		return wire.DigestCalls() - before
-	}
-	direct = count(func() { receive(env) })
-	inline = count(func() { wcrypto.NewVerifyPool(reg, 0, 0, receive).Submit(env) })
-	pooled = count(func() {
-		pool := wcrypto.NewVerifyPool(reg, 2, 2, receive)
-		pool.Submit(env)
-		pool.Close() // drains: the envelope has been delivered
-	})
-	return direct, inline, pooled
-}
-
 // TestReceivedBlockHashedOnce pins the cost of receiving evidence: a block
 // that arrives whole under a signature over its digest (PutResponse,
-// ReadResponse) is hashed exactly once however it is
-// delivered — the verify stage hands the digest it checked the signature
-// over to the handler — and a get or scan folds each slice of its window
-// exactly once.
+// ReadResponse) is hashed exactly once — one digest serves the signature
+// check and the pinned evidence — and a get or scan folds each slice of
+// its window exactly once.
 func TestReceivedBlockHashedOnce(t *testing.T) {
 	f := newFixture(t)
 	blocks, certs := pruneBlocks(f)
@@ -68,51 +47,39 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 		{"GetResponse", get, uint64(len(blocks))},
 	} {
 		env := overTheWire(t, "edge-1", c.msg)
-		direct, inline, pooled := digestsDuring(t, f.reg, env, func(e wire.Envelope) {
-			// A fresh client per delivery, with the operation the message
-			// answers outstanding, so every delivery does the full work.
-			fc := newFixture(t)
-			switch c.name {
-			case "ReadResponse":
-				fc.c.Read(1, blk.ID)
-			case "GetResponse":
-				fc.c.Get(1, []byte("hidden"))
-			}
-			fc.c.Receive(20, e)
-			if c.name == "GetResponse" && fc.c.Stats().FullVerifies != 1 {
-				t.Errorf("%s: the get was not verified", c.name)
-			}
-			if fc.c.Stats().VerifyFailures != 0 {
-				t.Errorf("%s: delivery failed verification", c.name)
-			}
-		})
-		if direct != c.want || inline != c.want || pooled != c.want {
-			t.Errorf("%s: digests computed = %d direct, %d inline stage, %d pooled; want %d each",
-				c.name, direct, inline, pooled, c.want)
+		// A fresh client, with the operation the message answers
+		// outstanding, so the delivery does the full work.
+		fc := newFixture(t)
+		switch c.name {
+		case "ReadResponse":
+			fc.c.Read(1, blk.ID)
+		case "GetResponse":
+			fc.c.Get(1, []byte("hidden"))
+		}
+		before := wire.DigestCalls()
+		fc.c.Receive(20, env)
+		if got := wire.DigestCalls() - before; got != c.want {
+			t.Errorf("%s: digests computed = %d, want %d", c.name, got, c.want)
+		}
+		if c.name == "GetResponse" && fc.c.Stats().FullVerifies != 1 {
+			t.Errorf("%s: the get was not verified", c.name)
+		}
+		if fc.c.Stats().VerifyFailures != 0 {
+			t.Errorf("%s: delivery failed verification", c.name)
 		}
 	}
 }
 
-// TestVerifiedDigestIsTheHandlersDigest: the digest a verify stage hands
-// over is the one the operation pins for Phase II, and a handler given
-// none computes the same.
+// TestVerifiedDigestIsTheHandlersDigest: the digest the handler checked
+// the edge's signature over is the one the operation pins for Phase II.
 func TestVerifiedDigestIsTheHandlersDigest(t *testing.T) {
-	for _, staged := range []bool{false, true} {
-		f := newFixture(t)
-		op, envs := f.c.Put(10, []byte("k"), []byte("v"))
-		blk := blockWith(0, entryOf(t, envs))
-		resp := &wire.PutResponse{BID: 0, Block: blk}
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-		env := overTheWire(t, "edge-1", resp)
-		if staged {
-			wcrypto.NewVerifyPool(f.reg, 0, 0, func(e wire.Envelope) { env = e }).Submit(env)
-			if !env.Verified || env.BlockDigest == nil {
-				t.Fatalf("stage did not hand a digest over: %+v", env)
-			}
-		}
-		f.c.Receive(20, env)
-		if op.Phase != core.PhaseI || string(op.digest) != string(blk.BodyDigest()) {
-			t.Fatalf("staged=%v: phase %v, pinned digest %x", staged, op.Phase, op.digest)
-		}
+	f := newFixture(t)
+	op, envs := f.c.Put(10, []byte("k"), []byte("v"))
+	blk := blockWith(0, entryOf(t, envs))
+	resp := &wire.PutResponse{BID: 0, Block: blk}
+	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	f.c.Receive(20, overTheWire(t, "edge-1", resp))
+	if op.Phase != core.PhaseI || string(op.digest) != string(blk.BodyDigest()) {
+		t.Fatalf("phase %v, pinned digest %x", op.Phase, op.digest)
 	}
 }

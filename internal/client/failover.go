@@ -23,17 +23,15 @@ import (
 // remember the demoted node (its conviction must settle old disputes
 // without freezing the chain), lift any ban recorded against it, and
 // re-send every unsettled operation to the new leader.
-func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer, verified bool) []wire.Envelope {
+func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer) []wire.Envelope {
 	if m.Chain != c.cfg.Chain {
 		return nil
 	}
-	// The pool pre-verifies transfers against the envelope sender; trust
-	// that only when the sender is the cloud itself.
-	if !verified || from != c.cfg.Cloud {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, m, m.CloudSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	// Checked against the cloud's key whoever delivered it: the cloud, or
+	// a demoted node re-announcing it.
+	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, m, m.CloudSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	if m.Epoch <= c.epoch {
 		return nil // stale or replayed transfer

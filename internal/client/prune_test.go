@@ -36,23 +36,23 @@ func pruneBlocks(f *fixture) ([]wire.Block, []wire.BlockProof) {
 	return blocks, certs
 }
 
-// deliverGet pushes one get response inline or through a VerifyPool.
-func deliverGet(t *testing.T, f *fixture, pooled bool, m *wire.GetResponse) []wire.Envelope {
+// deliverGet pushes one get response to the client, as the sender built
+// it or, framed, re-decoded as a TCP peer receives it.
+func deliverGet(t *testing.T, f *fixture, framed bool, m *wire.GetResponse) []wire.Envelope {
 	t.Helper()
-	env := wire.Envelope{From: "edge-1", To: "c1", Msg: m}
-	if !pooled {
-		return f.c.Receive(20, env)
+	return f.c.Receive(20, deliverable(t, framed, m))
+}
+
+// deliverable is the envelope the client receives for msg from edge-1:
+// the message itself, or a framed copy with nothing cached by the sender.
+// Tests named ...AndPooled run both legs; their second leg once went
+// through a parallel verification stage.
+func deliverable(t *testing.T, framed bool, msg wire.Message) wire.Envelope {
+	t.Helper()
+	if framed {
+		return overTheWire(t, "edge-1", msg)
 	}
-	var outs []wire.Envelope
-	done := make(chan struct{})
-	pool := wcrypto.NewVerifyPool(f.reg, 4, 4, func(e wire.Envelope) {
-		outs = f.c.Receive(20, e)
-		close(done)
-	})
-	pool.Submit(env)
-	<-done
-	pool.Close()
-	return outs
+	return wire.Envelope{From: "edge-1", To: "c1", Msg: msg}
 }
 
 // judgeWith adjudicates a dispute with the named block certified in the
@@ -116,27 +116,27 @@ func doctored(window []wire.L0Slice, blk *wire.Block, start, end []byte, key str
 }
 
 // TestGetHonestPruningVerifies pins the honest sliced get end to end,
-// inline and pooled: the block without the key answers with a bracketing
+// as built and framed: the block without the key answers with a bracketing
 // pair, the client verifies it and settles with the right answer.
 func TestGetHonestPruningVerifies(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("other"))
 		resp := getOver(f, envs[0].Msg.(*wire.GetRequest), blocks, certs, nil)
 		w := resp.Proof.L0Pruned
 		if len(w) != 2 || len(w[0].Rows) != 0 || w[0].Left == nil || w[0].Right != nil {
-			t.Fatalf("pooled=%v: block 0 should answer with its last leaf only: %+v", pooled, w[0])
+			t.Fatalf("framed=%v: block 0 should answer with its last leaf only: %+v", framed, w[0])
 		}
 		if len(w[1].Rows) != 1 || w[1].Left != nil || w[1].Right == nil || len(w[1].Right.Hash) != 32 {
-			t.Fatalf("pooled=%v: block 1 should ship the row and one flank: %+v", pooled, w[1])
+			t.Fatalf("framed=%v: block 1 should ship the row and one flank: %+v", framed, w[1])
 		}
-		deliverGet(t, f, pooled, resp)
+		deliverGet(t, f, framed, resp)
 		if !op.Done || op.Err != nil || !op.Found || string(op.GotValue) != "vother" {
-			t.Fatalf("pooled=%v: honest sliced get rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("framed=%v: honest sliced get rejected: %+v err=%v", framed, op, op.Err)
 		}
 		if op.Phase != core.PhaseII {
-			t.Fatalf("pooled=%v: phase = %v", pooled, op.Phase)
+			t.Fatalf("framed=%v: phase = %v", framed, op.Phase)
 		}
 	}
 }
@@ -147,7 +147,7 @@ func TestGetHonestPruningVerifies(t *testing.T) {
 // response is filed, and the Judge — holding the certified digests —
 // convicts.
 func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
@@ -158,27 +158,27 @@ func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 			return stopShort(w, &blocks[0], req.Key, "hidden")
 		})
 		if resp.Found {
-			t.Fatalf("pooled=%v: the lie still shows the key", pooled)
+			t.Fatalf("framed=%v: the lie still shows the key", framed)
 		}
 
-		outs := deliverGet(t, f, pooled, resp)
+		outs := deliverGet(t, f, framed, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: false exclusion not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("framed=%v: false exclusion not rejected: %+v err=%v", framed, op, op.Err)
 		}
 		st := f.c.Stats()
 		if st.VerifyFailures == 0 || st.LiesDetected == 0 || st.Disputes != 1 {
-			t.Fatalf("pooled=%v: stats = %+v", pooled, st)
+			t.Fatalf("framed=%v: stats = %+v", framed, st)
 		}
 		if len(outs) != 1 || outs[0].To != "cloud" {
-			t.Fatalf("pooled=%v: dispute not sent to cloud: %v", pooled, outs)
+			t.Fatalf("framed=%v: dispute not sent to cloud: %v", framed, outs)
 		}
 		d, ok := outs[0].Msg.(*wire.Dispute)
 		if !ok || d.Kind != wire.DisputeGetLie {
-			t.Fatalf("pooled=%v: wrong dispute: %+v", pooled, outs[0].Msg)
+			t.Fatalf("framed=%v: wrong dispute: %+v", framed, outs[0].Msg)
 		}
 		verdict := judgeWith(f, d, &blocks[0], &blocks[1])
 		if !verdict.Guilty {
-			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
+			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}
 	}
 }
@@ -188,7 +188,7 @@ func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 // then contradicts the shipped certificate — detected inline, convicted
 // by the Judge re-running the same binding check.
 func TestGetTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
@@ -198,17 +198,17 @@ func TestGetTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 			return doctored(w, &blocks[0], start, end, "hidden")
 		})
 
-		outs := deliverGet(t, f, pooled, resp)
+		outs := deliverGet(t, f, framed, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: doctored slice not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("framed=%v: doctored slice not rejected: %+v err=%v", framed, op, op.Err)
 		}
 		if len(outs) != 1 {
-			t.Fatalf("pooled=%v: no dispute filed", pooled)
+			t.Fatalf("framed=%v: no dispute filed", framed)
 		}
 		d := outs[0].Msg.(*wire.Dispute)
 		verdict := judgeWith(f, d, &blocks[0], &blocks[1])
 		if !verdict.Guilty {
-			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
+			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}
 	}
 }
@@ -261,7 +261,7 @@ func scanOver(f *scanFixture, req *wire.ScanRequest, blocks []wire.Block, certs 
 // the scan path: a slice that stops short of a key inside the scanned
 // range does not bracket it, detected and convicted.
 func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("h"), []byte("p")) // covers "hidden" and "other"
 		blocks, certs := pruneBlocks(f.fixture)
@@ -269,20 +269,20 @@ func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 			return stopShort(w, &blocks[0], req.Start, "hidden")
 		})
 
-		outs := f.deliver(t, pooled, resp)
+		outs := f.deliver(t, framed, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: false scan exclusion not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("framed=%v: false scan exclusion not rejected: %+v err=%v", framed, op, op.Err)
 		}
 		if len(outs) != 1 {
-			t.Fatalf("pooled=%v: no dispute filed", pooled)
+			t.Fatalf("framed=%v: no dispute filed", framed)
 		}
 		d := outs[0].Msg.(*wire.Dispute)
 		if d.Kind != wire.DisputeScanLie {
-			t.Fatalf("pooled=%v: wrong dispute kind %v", pooled, d.Kind)
+			t.Fatalf("framed=%v: wrong dispute kind %v", framed, d.Kind)
 		}
 		verdict := judgeWith(f.fixture, d, &blocks[0], &blocks[1])
 		if !verdict.Guilty {
-			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
+			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}
 	}
 }
@@ -291,7 +291,7 @@ func TestScanFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 // doctored-block get — the slice folds to a digest the certificate does
 // not name.
 func TestScanTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("h"), []byte("p"))
 		blocks, certs := pruneBlocks(f.fixture)
@@ -299,16 +299,16 @@ func TestScanTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 			return doctored(w, &blocks[0], req.Start, req.End, "hidden")
 		})
 
-		outs := f.deliver(t, pooled, resp)
+		outs := f.deliver(t, framed, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: doctored scan slice not rejected: %+v err=%v", pooled, op, op.Err)
+			t.Fatalf("framed=%v: doctored scan slice not rejected: %+v err=%v", framed, op, op.Err)
 		}
 		if len(outs) != 1 {
-			t.Fatalf("pooled=%v: no dispute filed", pooled)
+			t.Fatalf("framed=%v: no dispute filed", framed)
 		}
 		verdict := judgeWith(f.fixture, outs[0].Msg.(*wire.Dispute), &blocks[0], &blocks[1])
 		if !verdict.Guilty {
-			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
+			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}
 	}
 }

@@ -104,15 +104,13 @@ func retryJitter(key, attempt uint64, span int64) int64 {
 // their next re-send pushed past the hint (plus jitter). Marked ops that
 // exhaust their retries settle with ErrOverloaded; ops the edge accepts
 // on a later re-send proceed normally.
-func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded, verified bool) []wire.Envelope {
+func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded) []wire.Envelope {
 	if from != c.cfg.Edge || c.banned != nil {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	c.m.overloads.Inc()
 	hint := m.RetryAfter

@@ -59,50 +59,36 @@ func (f *scanFixture) honestScanResponse(req *wire.ScanRequest) *wire.ScanRespon
 	return resp
 }
 
-// deliver pushes one envelope to the client either inline or through a
-// concurrent VerifyPool, returning after the client processed it and
-// collecting anything the client sent in response.
-func (f *scanFixture) deliver(t *testing.T, pooled bool, msg wire.Message) []wire.Envelope {
+// deliver pushes one envelope to the client, as built or framed (see
+// deliverable), returning what the client sent in response.
+func (f *scanFixture) deliver(t *testing.T, framed bool, msg wire.Message) []wire.Envelope {
 	t.Helper()
-	env := wire.Envelope{From: "edge-1", To: "c1", Msg: msg}
-	if !pooled {
-		return f.c.Receive(20, env)
-	}
-	var outs []wire.Envelope
-	done := make(chan struct{})
-	pool := wcrypto.NewVerifyPool(f.reg, 4, 4, func(e wire.Envelope) {
-		outs = f.c.Receive(20, e)
-		close(done)
-	})
-	pool.Submit(env)
-	<-done
-	pool.Close()
-	return outs
+	return f.c.Receive(20, deliverable(t, framed, msg))
 }
 
-// TestScanVerifiedInlineAndPooled pins the honest path through both
-// delivery modes: the derived result is complete and ordered, and the op
+// TestScanVerifiedInlineAndPooled pins the honest path as built and
+// framed: the derived result is complete and ordered, and the op
 // reaches Phase II with no uncertified dependencies.
 func TestScanVerifiedInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("k02"), []byte("k06"))
-		f.deliver(t, pooled, f.honestScanResponse(req))
+		f.deliver(t, framed, f.honestScanResponse(req))
 		if !op.Done || op.Err != nil || op.Phase != core.PhaseII {
-			t.Fatalf("pooled=%v: op did not settle cleanly: %+v", pooled, op)
+			t.Fatalf("framed=%v: op did not settle cleanly: %+v", framed, op)
 		}
 		if len(op.ScanKVs) != 4 || string(op.ScanKVs[0].Key) != "k02" || string(op.ScanKVs[3].Key) != "k05" {
-			t.Fatalf("pooled=%v: result = %v", pooled, op.ScanKVs)
+			t.Fatalf("framed=%v: result = %v", framed, op.ScanKVs)
 		}
 	}
 }
 
-// TestScanOmissionParityAndConviction drives a mid-range omission through
-// the inline and pooled paths: both must reject identically, file the
+// TestScanOmissionParityAndConviction drives a mid-range omission as
+// built and framed: both must reject identically, file the
 // signed response as dispute evidence, and that evidence must convict the
 // edge when adjudicated by the cloud's own Judge.
 func TestScanOmissionParityAndConviction(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		f := newScanFixture(t)
 		op, req := f.launchScan(t, []byte("k01"), []byte("k07"))
 		resp := f.honestScanResponse(req)
@@ -112,24 +98,24 @@ func TestScanOmissionParityAndConviction(t *testing.T) {
 		p.KVs = append([]wire.KV(nil), p.KVs[:1]...)
 		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 
-		outs := f.deliver(t, pooled, resp)
+		outs := f.deliver(t, framed, resp)
 		if !op.Done || !errors.Is(op.Err, ErrBadResponse) {
-			t.Fatalf("pooled=%v: omission not rejected: %+v", pooled, op)
+			t.Fatalf("framed=%v: omission not rejected: %+v", framed, op)
 		}
 		st := f.c.Stats()
 		if st.VerifyFailures == 0 || st.LiesDetected == 0 || st.Disputes != 1 {
-			t.Fatalf("pooled=%v: stats = %+v", pooled, st)
+			t.Fatalf("framed=%v: stats = %+v", framed, st)
 		}
 		if len(outs) != 1 || outs[0].To != "cloud" {
-			t.Fatalf("pooled=%v: dispute not sent to cloud: %v", pooled, outs)
+			t.Fatalf("framed=%v: dispute not sent to cloud: %v", framed, outs)
 		}
 		d, ok := outs[0].Msg.(*wire.Dispute)
 		if !ok || d.Kind != wire.DisputeScanLie {
-			t.Fatalf("pooled=%v: wrong dispute: %+v", pooled, outs[0].Msg)
+			t.Fatalf("framed=%v: wrong dispute: %+v", framed, outs[0].Msg)
 		}
 		verdict := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d)
 		if !verdict.Guilty {
-			t.Fatalf("pooled=%v: judge acquitted: %s", pooled, verdict.Reason)
+			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}
 	}
 }
@@ -187,28 +173,28 @@ func poisonedWindow(window []wire.L0Slice) []wire.L0Slice {
 // TestCachePoisonedScanRejectedInlineAndPooled extends the PR-3 parity
 // suite to the scan path: the scan signature covers the slices as shipped,
 // so a row tampered behind an honest signature must fail the signature
-// check identically inline and through the pool.
+// check, as built and framed.
 func TestCachePoisonedScanRejectedInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, framed := range []bool{false, true} {
 		// Honest digest-signed response sails through.
 		f := newScanFixture(t)
 		op, honest, _ := poisonedScan(t, f)
-		f.deliver(t, pooled, honest)
+		f.deliver(t, framed, honest)
 		if !op.Done || op.Err != nil {
-			t.Fatalf("pooled=%v: honest digest-signed scan rejected: %+v", pooled, op)
+			t.Fatalf("framed=%v: honest digest-signed scan rejected: %+v", framed, op)
 		}
 		if f.c.Stats().VerifyFailures != 0 {
-			t.Fatalf("pooled=%v: spurious verify failure", pooled)
+			t.Fatalf("framed=%v: spurious verify failure", framed)
 		}
 		// The poisoned twin is rejected before any state advances.
 		f = newScanFixture(t)
 		op, _, poisoned := poisonedScan(t, f)
-		f.deliver(t, pooled, poisoned)
+		f.deliver(t, framed, poisoned)
 		if op.Done || op.Phase != core.PhaseNone {
-			t.Fatalf("pooled=%v: cache-poisoned scan advanced the op: %+v", pooled, op)
+			t.Fatalf("framed=%v: cache-poisoned scan advanced the op: %+v", framed, op)
 		}
 		if f.c.Stats().VerifyFailures == 0 {
-			t.Fatalf("pooled=%v: verify failure not counted", pooled)
+			t.Fatalf("framed=%v: verify failure not counted", framed)
 		}
 	}
 }
@@ -234,36 +220,21 @@ func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.GetRe
 
 // TestCachePoisonedGetRejectedInlineAndPooled: same parity for gets.
 func TestCachePoisonedGetRejectedInlineAndPooled(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		deliver := func(f *fixture, m *wire.GetResponse) {
-			env := wire.Envelope{From: "edge-1", To: "c1", Msg: m}
-			if !pooled {
-				f.c.Receive(20, env)
-				return
-			}
-			done := make(chan struct{})
-			pool := wcrypto.NewVerifyPool(f.reg, 4, 4, func(e wire.Envelope) {
-				f.c.Receive(20, e)
-				close(done)
-			})
-			pool.Submit(env)
-			<-done
-			pool.Close()
-		}
+	for _, framed := range []bool{false, true} {
 		f := newFixture(t)
 		op, honest, _ := poisonedGet(t, f)
-		deliver(f, honest)
+		deliverGet(t, f, framed, honest)
 		if !op.Done || op.Err != nil || !op.Found || string(op.GotValue) != "v" {
-			t.Fatalf("pooled=%v: honest digest-signed get rejected: %+v", pooled, op)
+			t.Fatalf("framed=%v: honest digest-signed get rejected: %+v", framed, op)
 		}
 		f = newFixture(t)
 		op, _, poisoned := poisonedGet(t, f)
-		deliver(f, poisoned)
+		deliverGet(t, f, framed, poisoned)
 		if op.Done || op.Phase != core.PhaseNone {
-			t.Fatalf("pooled=%v: cache-poisoned get advanced the op: %+v", pooled, op)
+			t.Fatalf("framed=%v: cache-poisoned get advanced the op: %+v", framed, op)
 		}
 		if f.c.Stats().VerifyFailures == 0 {
-			t.Fatalf("pooled=%v: verify failure not counted", pooled)
+			t.Fatalf("framed=%v: verify failure not counted", framed)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func sameBound(a, b []byte) bool {
 // scan). A structurally defective proof is a provable lie, filed with the
 // cloud, and convicts the edge; stale or session-regressing snapshots
 // retry instead, exactly like gets.
-func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanResponse, verified bool) []wire.Envelope {
+func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -32,11 +32,9 @@ func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanRespo
 	if !ok || op.Done || op.Kind != KindScan {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	op.scanEv = m
 	op.Edge = from // the node whose signature backs the evidence

@@ -14,7 +14,7 @@ import (
 
 // handleReadResponse processes the three read cases of Section IV-D:
 // denial, Phase II read, Phase I read.
-func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadResponse, digest []byte) []wire.Envelope {
+func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -22,12 +22,10 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 	if !ok || op.Done || op.Kind != KindRead {
 		return nil
 	}
-	if digest == nil {
-		digest = m.Block.BodyDigest()
-		if err := wcrypto.VerifyReadResponse(c.reg, c.cfg.Edge, m, digest); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	digest := m.Block.BodyDigest()
+	if err := wcrypto.VerifyReadResponse(c.reg, c.cfg.Edge, m, digest); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	if op.Phase >= core.PhaseI && op.readEv != nil {
 		// Re-serve of a read that already holds Phase I evidence (the
@@ -39,7 +37,7 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 		// the evidence is never overwritten here.
 		if m.OK && m.HasProof {
 			p := m.Proof
-			return c.handleProof(now, from, &p, false)
+			return c.handleProof(now, from, &p)
 		}
 		return nil
 	}
@@ -107,7 +105,7 @@ func (c *Core) handleDenial(now int64, op *Op, m *wire.ReadResponse) []wire.Enve
 
 // handleGetResponse performs the full LSMerkle proof verification of
 // Section V-B and the freshness check of Section V-D.
-func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetResponse, verified bool) []wire.Envelope {
+func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
 	}
@@ -115,11 +113,9 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 	if !ok || op.Done || op.Kind != KindGet {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
-			c.m.verifyFailures.Inc()
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
 	}
 	op.getEv = m
 	op.Edge = from // the node whose signature backs the evidence
@@ -133,9 +129,8 @@ func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetRespons
 	}
 	if c.cfg.Light && c.gossip != nil && !c.sampleHit(m.ReqID) {
 		// Light-client fast path: the edge's signature on the response has
-		// been checked (inline or by the verify pool) and a cloud-signed
-		// gossiped frontier vouches that certification is chasing this
-		// edge's log, so the structural proof verification — the dominant
+		// been checked and a cloud-signed gossiped frontier vouches that
+		// certification is chasing this edge's log, so the structural proof verification — the dominant
 		// client CPU cost — is skipped for all but a seeded sample of
 		// responses. The edge cannot tell which request will be audited,
 		// so any lie it serves is caught with probability 1/SampleEvery

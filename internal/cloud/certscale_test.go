@@ -12,23 +12,27 @@ import (
 // Certification-at-scale tests: the certify-latency histogram, same-turn
 // certification and the verdict cache.
 
-// TestCertifyHistogramObservesBothPaths pins the satellite fix: the
-// certify-latency histogram must record a sample whether or not the
-// envelope arrived pre-verified (the old fast path returned before
-// Observe).
+// TestCertifyHistogramObservesBothPaths: the certify-latency histogram
+// records a sample for a certify the cloud signs and for one it drops on
+// a bad signature.
 func TestCertifyHistogramObservesBothPaths(t *testing.T) {
 	f := newFixture(t, Config{}) // Metrics nil: private-registry fallback
 	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: wcrypto.Digest([]byte("b0"))}
 	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
-	f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m, Verified: true})
+	if out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m}); len(out) != 1 {
+		t.Fatalf("signed certify: %d outputs, want the proof", len(out))
+	}
 	if got := f.node.m.certify.Count(); got != 1 {
-		t.Fatalf("certify histogram count after pre-verified path = %d, want 1", got)
+		t.Fatalf("certify histogram count after a signed certify = %d, want 1", got)
 	}
 	m2 := &wire.BlockCertify{Edge: "edge-1", BID: 1, Digest: wcrypto.Digest([]byte("b1"))}
 	m2.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m2)
-	f.node.Receive(2, wire.Envelope{From: "edge-1", To: "cloud", Msg: m2})
+	m2.EdgeSig[0] ^= 1
+	if out := f.node.Receive(2, wire.Envelope{From: "edge-1", To: "cloud", Msg: m2}); len(out) != 0 {
+		t.Fatalf("badly signed certify answered: %v", out)
+	}
 	if got := f.node.m.certify.Count(); got != 2 {
-		t.Fatalf("certify histogram count after inline-verify path = %d, want 2", got)
+		t.Fatalf("certify histogram count after a badly signed certify = %d, want 2", got)
 	}
 }
 
@@ -107,19 +111,19 @@ func TestForgedDisputeCannotTouchCache(t *testing.T) {
 
 // TestCertifyAnsweredInSameTurn: certification runs on the node's own
 // turn, so the certificate is among the outputs of the Receive that
-// carried the certify, pre-verified or checked inline. CertWorkers and
-// CertBatch are set to show that nothing reads them.
+// carried the certify, its signature checked on that turn too.
+// CertWorkers and CertBatch are set to show that nothing reads them.
 func TestCertifyAnsweredInSameTurn(t *testing.T) {
 	f := newFixture(t, Config{CertWorkers: 2, CertBatch: 4})
-	for bid, verified := range []bool{true, false} {
-		m := &wire.BlockCertify{Edge: "edge-1", BID: uint64(bid), Digest: wcrypto.Digest([]byte{byte(bid)})}
+	for bid := uint64(0); bid < 2; bid++ {
+		m := &wire.BlockCertify{Edge: "edge-1", BID: bid, Digest: wcrypto.Digest([]byte{byte(bid)})}
 		m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
-		out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m, Verified: verified})
+		out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
 		if len(out) != 1 {
-			t.Fatalf("verified=%v: %d outputs, want the proof", verified, len(out))
+			t.Fatalf("block %d: %d outputs, want the proof", bid, len(out))
 		}
-		if p, ok := out[0].Msg.(*wire.BlockProof); !ok || p.BID != uint64(bid) {
-			t.Fatalf("verified=%v: output %T %+v, want the proof for block %d", verified, out[0].Msg, out[0].Msg, bid)
+		if p, ok := out[0].Msg.(*wire.BlockProof); !ok || p.BID != bid {
+			t.Fatalf("block %d: output %T %+v, want its proof", bid, out[0].Msg, out[0].Msg)
 		}
 	}
 }

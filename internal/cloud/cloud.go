@@ -44,8 +44,8 @@ type Config struct {
 	// (crashed after replication, or deliberately starving Phase II) and
 	// fails over.
 	CertTimeout int64
-	// CertWorkers is read by nothing: certification runs on the node's
-	// own turn, behind the transport's verify stage. The field remains
+	// CertWorkers is read by nothing: certification, signature check
+	// included, runs on the node's own turn. The field remains
 	// only because the macro benchmark's harness still sets it.
 	CertWorkers int
 	// CertBatch is read by nothing: every certificate is one signed
@@ -264,15 +264,13 @@ func (n *Node) edge(id wire.NodeID) *edgeState {
 	return s
 }
 
-// Receive implements core.Handler. env.Verified marks signatures already
-// checked by a trusted wcrypto.VerifyPool stage in front of this node;
-// handlers then skip only the signature re-check.
+// Receive implements core.Handler. Every handler checks the signatures of
+// what it receives itself, on the node's own turn.
 func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.BlockCertify:
-		// Every certify observes, pre-verified or not.
 		t0 := time.Now()
-		out := n.applyCertify(now, env.From, m, env.Verified)
+		out := n.applyCertify(now, env.From, m)
 		n.m.certify.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.MergeRequest:
@@ -281,7 +279,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	case *wire.Dispute:
 		return n.handleDispute(now, env.From, m)
 	case *wire.ReplicaHeartbeat:
-		return n.handleHeartbeat(now, env.From, m, env.Verified)
+		return n.handleHeartbeat(now, env.From, m)
 	case *wire.FrontierRequest:
 		return n.handleFrontier(now, env.From, m)
 	default:
@@ -325,10 +323,8 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 // applyCertify implements the cloud algorithm of Section IV-D: sign the
 // first digest reported for (edge, bid); flag the edge on any conflicting
 // report. Certification is data-free — this handler never sees the block,
-// unless the edge runs full-data certification and ships it. verified
-// means a verify stage in front of the node already checked the edge's
-// signature; otherwise it is checked here.
-func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, verified bool) []wire.Envelope {
+// unless the edge runs full-data certification and ships it.
+func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify) []wire.Envelope {
 	// m.Edge names the chain; only the chain's current leader may certify
 	// under it. For ungrouped chains leaderOf is the identity map, so the
 	// legacy from == m.Edge check is preserved exactly.
@@ -338,7 +334,7 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify, v
 	if _, banned := n.punish.Banned(from); banned {
 		return nil
 	}
-	if !verified && wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
+	if wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
 		n.logf("dropping certify with bad signature", "edge", from)
 		return nil
 	}

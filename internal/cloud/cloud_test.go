@@ -611,7 +611,8 @@ func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
 	}
 
 	hb := &wire.ReplicaHeartbeat{Chain: "edge-1", Node: "edge-1"}
-	out = f.node.Receive(600, wire.Envelope{From: "edge-1", To: "cloud", Msg: hb, Verified: true})
+	hb.Sig = wcrypto.SignMsg(f.keys["edge-1"], hb)
+	out = f.node.Receive(600, wire.Envelope{From: "edge-1", To: "cloud", Msg: hb})
 	got = map[wire.NodeID]int{}
 	for _, env := range out {
 		switch m := env.Msg.(type) {

@@ -88,7 +88,7 @@ func (n *Node) ChainEpoch(chain wire.NodeID) uint64 {
 // frontier against the chain's certified block count: a backlog that
 // persists past CertTimeout means the leader replicates but does not
 // certify — crashed mid-protocol or starving Phase II on purpose.
-func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeartbeat, verified bool) []wire.Envelope {
+func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeartbeat) []wire.Envelope {
 	if m.Node != from || n.nodeChain[from] != m.Chain {
 		return nil
 	}
@@ -96,11 +96,9 @@ func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeart
 	if !ok {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, from, m, m.Sig); err != nil {
-			n.logf("dropping heartbeat with bad signature", "node", from, "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, from, m, m.Sig); err != nil {
+		n.logf("dropping heartbeat with bad signature", "node", from, "err", err)
+		return nil
 	}
 	n.m.heartbeats.Inc()
 	mem := st.members[from]

@@ -8,8 +8,8 @@ import (
 // the edge, counters and histograms are always live (counters are the
 // atomic storage behind Stats(), making mid-run polling race-free) and
 // fall back to a private registry when Config.Metrics is nil — the
-// certification-latency histogram included, so both the pre-verified
-// fast path and the inline-verify path observe unconditionally.
+// certification-latency histogram included, which observes every
+// certify, accepted or not.
 type metrics struct {
 	certifies         *obs.Counter
 	proofSigns        *obs.Counter

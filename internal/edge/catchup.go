@@ -49,15 +49,13 @@ func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
 // same chain. Each item is signed over the digest of exactly the bytes
 // shipped, and certified blocks carry their proof so the receiver can
 // advance its certified prefix without per-block cloud round-trips.
-func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUpRequest, verified bool) []wire.Envelope {
+func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUpRequest) []wire.Envelope {
 	if n.follower || m.Chain != n.cfg.Chain || m.Node != from {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, m.Node, m, m.Sig); err != nil {
-			n.logf("dropping catch-up request with bad signature", "from", from, "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, m.Node, m, m.Sig); err != nil {
+		n.logf("dropping catch-up request with bad signature", "from", from, "err", err)
+		return nil
 	}
 	through := n.log.NumBlocks()
 	if m.From >= through {
@@ -102,9 +100,7 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 }
 
 // verifyCatchUpCert checks a certificate riding a catch-up item: right
-// chain, right block, valid cloud signature. Items arrive without pool
-// pre-verification (the signatures are per-item), so everything is checked
-// here.
+// chain, right block, valid cloud signature.
 func (n *Node) verifyCatchUpCert(it *wire.CatchUpItem, bid uint64) bool {
 	c := &it.Cert
 	if c.Edge != n.cfg.Chain || c.BID != bid {
@@ -187,7 +183,7 @@ func (n *Node) handleCatchUpBlocks(now int64, from wire.NodeID, m *wire.CatchUpB
 // uncertified block, so the served run rides the missing certificates over
 // blocks the mirror already holds. Clients consume the same message for
 // freshness; an edge only acts on it as a follower.
-func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip, verified bool) []wire.Envelope {
+func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip) []wire.Envelope {
 	if !n.follower || from != n.cfg.Cloud || m.Edge != n.cfg.Chain ||
 		n.leader == "" || n.cfg.CatchUpEvery <= 0 {
 		return nil
@@ -196,10 +192,8 @@ func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip, verifie
 		now-n.lastCatchUp < n.cfg.CatchUpEvery {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
+		return nil
 	}
 	catchFrom := n.log.NumBlocks()
 	if m.Blocks > n.log.CertifiedBlocks() {
@@ -222,15 +216,13 @@ func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip, verifie
 // and starts catching up; the leader adds the node back to its replication
 // fan-out. Stale admissions (older epoch) are ignored so a delayed join
 // can never demote a newer view.
-func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin, verified bool) []wire.Envelope {
+func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin) []wire.Envelope {
 	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-			n.logf("dropping group join with bad cloud signature", "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
+		n.logf("dropping group join with bad cloud signature", "err", err)
+		return nil
 	}
 	if m.Epoch < n.epoch {
 		return nil
@@ -325,6 +317,7 @@ func (n *Node) Restart(now int64) {
 	n.leader = ""
 	n.epoch = 0
 	n.transfer = nil
+	n.early = nil
 	n.lastHB = 0
 	n.pendingRepl = make(map[uint64]stashedBlock)
 	n.pendingCerts = make(map[uint64]wire.BlockProof)

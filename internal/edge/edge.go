@@ -228,6 +228,12 @@ type Node struct {
 	// leader; while a follower, the node answers client requests with it
 	// (announceLeader).
 	transfer *wire.LeadershipTransfer
+	// early holds client requests that reached this follower while it held
+	// no transfer to point them at: a rebound client can hear of this
+	// node's promotion before the node does, because the cloud's copy
+	// travels on another connection. The first transfer to arrive settles
+	// them (heldEarly). At most maxEarly are kept.
+	early []wire.Envelope
 	// Follower-side mirroring: out-of-order replicated blocks and early
 	// certificates waiting for their block, plus the leader's replication
 	// signature per installed block — the convicting evidence if the
@@ -407,10 +413,8 @@ func (n *Node) logf(msg string, args ...any) {
 	}
 }
 
-// Receive implements core.Handler. env.Verified marks signatures already
-// checked by a trusted verification stage (wcrypto.VerifyPool) in front of
-// this node; handlers then skip only the signature re-check — every
-// structural check still runs here.
+// Receive implements core.Handler. Every handler checks the signatures of
+// what it receives itself, on the node's own turn.
 func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	if n.killed {
 		return nil
@@ -418,30 +422,27 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch env.Msg.(type) {
 	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.GetRequest, *wire.ScanRequest, *wire.ReserveRequest:
 		if n.follower {
-			return n.announceLeader(env.From)
+			return n.announceLeader(env)
 		}
 	}
 	switch m := env.Msg.(type) {
 	case *wire.PutRequest:
-		return n.handleWrite(now, env.From, m.Entry, env.Verified)
+		return n.handleWrite(now, env.From, m.Entry, false)
 	case *wire.PutBatch:
 		// The batch signer must BE the sender. Entries are accepted on the
 		// batch signature alone, so binding m.Client to the envelope sender
 		// (plus the per-entry e.Client == from check in handleWrite) is what
 		// stops a registered client from forging writes attributed to
-		// another identity. This structural check runs even for
-		// pool-verified envelopes — the pool only checks signatures.
+		// another identity.
 		if m.Client != env.From {
 			n.logf("rejecting batch signed by a different identity", "from", env.From, "signer", m.Client)
 			return nil
 		}
-		if !env.Verified {
-			// An absent BatchSig fails here too: per-entry signatures do
-			// not admit a batch.
-			if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
-				n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
-				return nil
-			}
+		// An absent BatchSig fails here too: per-entry signatures do not
+		// admit a batch.
+		if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
+			n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
+			return nil
 		}
 		var out []wire.Envelope
 		for i := range m.Entries {
@@ -464,26 +465,26 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		n.m.serveScan.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.ReserveRequest:
-		return n.handleReserve(now, env.From, m, env.Verified)
+		return n.handleReserve(now, env.From, m)
 	case *wire.BlockProof:
-		return n.handleProof(now, env.From, m, env.Verified)
+		return n.handleProof(now, env.From, m)
 	case *wire.MergeResponse:
-		return n.handleMergeResponse(now, env.From, m, env.Verified)
+		return n.handleMergeResponse(now, env.From, m)
 	case *wire.ReplicateBlock:
-		return n.handleReplicate(now, env.From, m, env.VerifiedDigest())
+		return n.handleReplicate(now, env.From, m)
 	case *wire.LeadershipTransfer:
-		return n.handleTransfer(now, env.From, m, env.Verified)
+		return n.handleTransfer(now, env.From, m)
 	case *wire.CatchUpRequest:
-		return n.handleCatchUpRequest(now, env.From, m, env.Verified)
+		return n.handleCatchUpRequest(now, env.From, m)
 	case *wire.CatchUpBlocks:
 		return n.handleCatchUpBlocks(now, env.From, m)
 	case *wire.GroupJoin:
-		return n.handleGroupJoin(now, env.From, m, env.Verified)
+		return n.handleGroupJoin(now, env.From, m)
 	case *wire.Gossip:
 		// Client-facing freshness gossip; a follower additionally reads
 		// it as a trusted statement of the chain's certified frontier and
 		// starts catching up when its mirror has fallen behind.
-		return n.handleGossip(now, env.From, m, env.Verified)
+		return n.handleGossip(now, env.From, m)
 	default:
 		return nil
 	}
@@ -559,10 +560,11 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 
 // handleWrite appends one entry — a put, or a log add when it has no key
 // (the index skips keyless entries; the log treats both alike). The entry
-// must be signed by a known client; invalid or replayed entries are
+// must be signed by a known client, by its own signature or, inside a
+// batch, by the batch's (batchSigned); invalid or replayed entries are
 // dropped (the client's timeout machinery owns retries, mirroring the
 // paper's idempotence discussion).
-func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, verified bool) []wire.Envelope {
+func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, batchSigned bool) []wire.Envelope {
 	if e.Client != from {
 		return nil
 	}
@@ -586,7 +588,7 @@ func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, verified b
 			return n.shedSignal(now, from, e.Seq, n.log.NumBlocks()-frontier)
 		}
 	}
-	if !verified {
+	if !batchSigned {
 		if err := wcrypto.VerifyMsg(n.reg, e.Client, &e, e.Sig); err != nil {
 			n.logf("rejecting write with bad signature", "client", from, "err", err)
 			return nil
@@ -767,15 +769,13 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 
 // handleProof installs the cloud's block-proof (Phase II) and forwards it
 // to every client that contributed to or read the block.
-func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof, verified bool) []wire.Envelope {
+func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wire.Envelope {
 	if from != n.cfg.Cloud {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, p, p.CloudSig); err != nil {
-			n.logf("dropping block-proof with bad cloud signature", "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, p, p.CloudSig); err != nil {
+		n.logf("dropping block-proof with bad cloud signature", "err", err)
+		return nil
 	}
 	if n.follower {
 		// Follower path: the certificate audits the mirrored log instead of
@@ -875,7 +875,7 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 }
 
 // handleReserve grants log positions for the idempotence extension.
-func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest, verified bool) []wire.Envelope {
+func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest) []wire.Envelope {
 	if m.Client != from {
 		return nil
 	}
@@ -883,10 +883,8 @@ func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest
 		n.logf("rejecting oversized reservation", "client", from, "count", m.Count)
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.ClientSig); err != nil {
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.ClientSig); err != nil {
+		return nil
 	}
 	start := n.log.Reserve(m.Client, int(m.Count), now+reserveTTL)
 	resp := &wire.ReserveResponse{ReqID: m.ReqID, Start: start, Count: m.Count}
@@ -966,19 +964,15 @@ func (n *Node) nextReqID() uint64 {
 // mirrors the response to its followers with the derived pages attached (a
 // follower's log may lag the inputs). Either way the pages are outside
 // CloudSig and InstallLevel binds them to it through the signed root.
-func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeResponse, verified bool) []wire.Envelope {
+func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeResponse) []wire.Envelope {
 	// Followers accept merge responses forwarded by their leader; the
-	// cloud's signature (always re-verified on the forwarded hop, since
-	// the pool checks it against the wrong sender) keeps the leader from
-	// forging an install.
+	// cloud's signature keeps the leader from forging an install.
 	if from != n.cfg.Cloud && !(n.follower && from == n.leader) {
 		return nil
 	}
-	if !verified || from != n.cfg.Cloud {
-		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-			n.logf("dropping merge response with bad signature", "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
+		n.logf("dropping merge response with bad signature", "err", err)
+		return nil
 	}
 	var req *wire.MergeRequest
 	if !n.follower {

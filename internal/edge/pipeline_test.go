@@ -9,69 +9,17 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// feedThroughPool runs the same envelopes through a concurrent verify
-// pool fronting the node, preserving submission order, and returns every
-// output the node emitted.
-func feedThroughPool(t *testing.T, n *Node, reg *wcrypto.Registry, envs []wire.Envelope) []wire.Envelope {
+// framed re-decodes env the way a TCP peer receives it, so the node holds
+// its own message with nothing cached by the sender. Tests named
+// ...AndPooled run an as-built leg and a framed one; the second leg once
+// went through a parallel verification stage.
+func framed(t *testing.T, env wire.Envelope) wire.Envelope {
 	t.Helper()
-	var outs []wire.Envelope
-	pool := wcrypto.NewVerifyPool(reg, 4, 8, func(env wire.Envelope) {
-		outs = append(outs, n.Receive(1, env)...)
-	})
-	for _, env := range envs {
-		pool.Submit(env)
+	out, err := wire.DecodeEnvelope(wire.EncodeEnvelope(env))
+	if err != nil {
+		t.Fatal(err)
 	}
-	pool.Close()
-	return outs
-}
-
-// TestPoolFedEdgeMatchesSerial feeds an identical stream — single adds, a
-// session-signed batch and a forged signature — to a serially driven edge
-// and a pool-fronted edge, and asserts byte-identical observable
-// behaviour: same accepted writes, same emitted responses, and identical
-// rejection of the bad signature.
-func TestPoolFedEdgeMatchesSerial(t *testing.T) {
-	build := func() (*fixture, []wire.Envelope) {
-		f := newFixture(t, Config{BatchSize: 2})
-		envs := []wire.Envelope{
-			{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 1, "", "a")}},
-			{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c2", 1, "", "b")}},
-		}
-		forged := f.entry("c1", 2, "", "evil")
-		forged.Sig[0] ^= 1
-		envs = append(envs,
-			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: forged}},
-			wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 3, "", "c")}},
-			wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c2", 2, "", "d")}},
-			wire.Envelope{From: "c1", To: "edge-1", Msg: sessionBatch(f, "c1", []uint64{4, 5})},
-		)
-		return f, envs
-	}
-
-	serial, serialEnvs := build()
-	var serialOuts []wire.Envelope
-	for _, env := range serialEnvs {
-		serialOuts = append(serialOuts, serial.node.Receive(1, env)...)
-	}
-
-	pooled, pooledEnvs := build()
-	pooledOuts := feedThroughPool(t, pooled.node, pooled.reg, pooledEnvs)
-
-	if s, p := serial.node.Stats(), pooled.node.Stats(); s.Writes != p.Writes || s.BlocksCut != p.BlocksCut {
-		t.Fatalf("stats diverged: serial %+v pooled %+v", s, p)
-	}
-	if serial.node.Stats().Writes != 6 {
-		t.Fatalf("writes = %d, want 6 (everything but the forged entry)", serial.node.Stats().Writes)
-	}
-	if len(serialOuts) != len(pooledOuts) {
-		t.Fatalf("output count diverged: serial %d pooled %d", len(serialOuts), len(pooledOuts))
-	}
-	for i := range serialOuts {
-		if serialOuts[i].To != pooledOuts[i].To || serialOuts[i].Msg.MsgKind() != pooledOuts[i].Msg.MsgKind() {
-			t.Fatalf("output %d diverged: serial %v->%s pooled %v->%s",
-				i, serialOuts[i].Msg.MsgKind(), serialOuts[i].To, pooledOuts[i].Msg.MsgKind(), pooledOuts[i].To)
-		}
-	}
+	return out
 }
 
 // sessionBatch builds a session-signed batch of puts for client c.
@@ -99,11 +47,11 @@ func TestSessionBatchAccepted(t *testing.T) {
 
 // TestPutBatchWithoutSessionSignatureDropped: per-entry signatures do not
 // admit a batch. A batch of individually signed entries with no BatchSig —
-// with or without a claimed signer — is dropped whole, inline and behind a
-// verify pool alike: no write counted, no block cut, one log line.
+// with or without a claimed signer — is dropped whole, as built and
+// framed alike: no write counted, no block cut, one log line.
 func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
 	for _, signer := range []wire.NodeID{"", "c1"} {
-		for _, pooled := range []bool{false, true} {
+		for _, isFramed := range []bool{false, true} {
 			var logged bytes.Buffer
 			f := newFixture(t, Config{BatchSize: 3, Logger: unstampedLogger(&logged)})
 			b := &wire.PutBatch{Client: signer}
@@ -111,17 +59,15 @@ func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
 				b.Entries = append(b.Entries, f.entry("c1", seq, "k", "v"))
 			}
 			env := wire.Envelope{From: "c1", To: "edge-1", Msg: b}
-			var out []wire.Envelope
-			if pooled {
-				out = feedThroughPool(t, f.node, f.reg, []wire.Envelope{env})
-			} else {
-				out = f.node.Receive(1, env)
+			if isFramed {
+				env = framed(t, env)
 			}
+			out := f.node.Receive(1, env)
 			if s := f.node.Stats(); len(out) != 0 || s.Writes != 0 || s.BlocksCut != 0 || f.node.Log().BufferLen() != 0 {
-				t.Fatalf("signer %q pooled %v: unsigned batch admitted: %d outputs, %+v", signer, pooled, len(out), s)
+				t.Fatalf("signer %q framed %v: unsigned batch admitted: %d outputs, %+v", signer, isFramed, len(out), s)
 			}
 			if n := bytes.Count(logged.Bytes(), []byte("\n")); n != 1 || !bytes.HasPrefix(logged.Bytes(), []byte(`level=INFO msg="rejecting batch `)) {
-				t.Fatalf("signer %q pooled %v: %d log lines, want 1 rejection:\n%s", signer, pooled, n, logged.String())
+				t.Fatalf("signer %q framed %v: %d log lines, want 1 rejection:\n%s", signer, isFramed, n, logged.String())
 			}
 		}
 	}
@@ -178,12 +124,6 @@ func TestSessionBatchSignerMustBeSender(t *testing.T) {
 	if out != nil || f.node.Stats().Writes != 0 {
 		t.Fatal("batch signed by c2 accepted as writes from c1")
 	}
-	// The same spoof with a pool-verified envelope must also fail: the
-	// structural signer==sender check is independent of Verified.
-	env := wire.Envelope{From: "c1", To: "edge-1", Msg: b, Verified: true}
-	if out := f.node.Receive(1, env); out != nil || f.node.Stats().Writes != 0 {
-		t.Fatal("pool-verified spoofed batch accepted")
-	}
 }
 
 // TestSessionBatchForeignEntriesDropped asserts a signed batch cannot
@@ -205,11 +145,9 @@ func TestSessionBatchForeignEntriesDropped(t *testing.T) {
 // TestForgedProofDigestRejectedSerialAndPooled is the edge leg of
 // digest-signing adversarial parity: a validly cloud-signed block proof
 // whose digest does not match the edge's own block must be rejected — and
-// rejected identically whether the envelope is verified inline or
-// pre-verified by a concurrent pool (the digest cross-check is structural
-// and independent of Envelope.Verified).
+// rejected identically as built and framed.
 func TestForgedProofDigestRejectedSerialAndPooled(t *testing.T) {
-	run := func(pooled bool) Stats {
+	run := func(isFramed bool) Stats {
 		f := newFixture(t, Config{BatchSize: 1})
 		f.add(t, 1, "c1", 1, "a") // cuts block 0
 		forged := &wire.BlockProof{
@@ -218,18 +156,17 @@ func TestForgedProofDigestRejectedSerialAndPooled(t *testing.T) {
 		}
 		forged.CloudSig = wcrypto.SignMsg(f.keys["cloud"], forged)
 		env := wire.Envelope{From: "cloud", To: "edge-1", Msg: forged}
-		if pooled {
-			feedThroughPool(t, f.node, f.reg, []wire.Envelope{env})
-		} else {
-			f.node.Receive(2, env)
+		if isFramed {
+			env = framed(t, env)
 		}
+		f.node.Receive(2, env)
 		return f.node.Stats()
 	}
-	serial, pooled := run(false), run(true)
-	if serial.Certified != 0 || pooled.Certified != 0 {
-		t.Fatalf("forged-digest proof certified: serial %d pooled %d", serial.Certified, pooled.Certified)
+	built, framed := run(false), run(true)
+	if built.Certified != 0 || framed.Certified != 0 {
+		t.Fatalf("forged-digest proof certified: built %d framed %d", built.Certified, framed.Certified)
 	}
-	if serial != pooled {
-		t.Fatalf("stats diverged: serial %+v pooled %+v", serial, pooled)
+	if built != framed {
+		t.Fatalf("stats diverged: built %+v framed %+v", built, framed)
 	}
 }

@@ -109,7 +109,7 @@ func (n *Node) heartbeat(now int64) wire.Envelope {
 // lands); duplicates are compared by digest, and a divergent duplicate
 // that contradicts an existing cloud certificate convicts the leader on
 // the spot.
-func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock, digest []byte) []wire.Envelope {
+func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock) []wire.Envelope {
 	if !n.follower || m.Chain != n.cfg.Chain || from != n.leader || m.Leader != from {
 		return nil
 	}
@@ -117,14 +117,12 @@ func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlo
 		return nil
 	}
 	bid := m.Block.ID
-	if digest == nil {
-		// No verify stage hashed the block: one digest serves the signature
-		// check, the duplicate comparison and the install.
-		digest = m.Block.BodyDigest()
-		if err := wcrypto.VerifyBlockAck(n.reg, m.Leader, bid, digest, m.LeaderSig); err != nil {
-			n.logf("dropping replicated block with bad leader signature", "bid", bid, "err", err)
-			return nil
-		}
+	// One digest serves the signature check, the duplicate comparison and
+	// the install.
+	digest := m.Block.BodyDigest()
+	if err := wcrypto.VerifyBlockAck(n.reg, m.Leader, bid, digest, m.LeaderSig); err != nil {
+		n.logf("dropping replicated block with bad leader signature", "bid", bid, "err", err)
+		return nil
 	}
 	next := n.log.NumBlocks()
 	if bid < next {
@@ -305,15 +303,13 @@ func (n *Node) convictLeader(bid uint64, blk wire.Block, sig []byte, why string)
 // hiding the tail it was told to serve. Demoted or bystander replicas
 // re-point their mirror at the new leader and keep the transfer to
 // announce it.
-func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer, verified bool) []wire.Envelope {
+func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer) []wire.Envelope {
 	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
 		return nil
 	}
-	if !verified {
-		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-			n.logf("dropping transfer with bad cloud signature", "err", err)
-			return nil
-		}
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
+		n.logf("dropping transfer with bad cloud signature", "err", err)
+		return nil
 	}
 	if m.NewLeader != n.cfg.ID && (n.transfer == nil || m.Epoch > n.transfer.Epoch) {
 		// Kept even when a GroupJoin already moved the epoch this far:
@@ -327,7 +323,7 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 	n.epoch = m.Epoch
 	if m.NewLeader != n.cfg.ID {
 		n.logf("demoted to follower", "chain", n.cfg.Chain, "epoch", m.Epoch, "leader", m.NewLeader)
-		return n.demote(now, m.NewLeader)
+		return append(n.demote(now, m.NewLeader), n.heldEarly(now)...)
 	}
 
 	n.follower = false
@@ -356,19 +352,40 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 		f.HideL0From = f.PromoteStaleFrom
 	}
 	n.logf("promoted to leader", "chain", n.cfg.Chain, "epoch", m.Epoch, "followers", len(n.cfg.Followers))
-	return n.certifyTail(now)
+	return append(n.certifyTail(now), n.heldEarly(now)...)
+}
+
+// maxEarly bounds the client requests a follower holds for its first
+// transfer (Node.early).
+const maxEarly = 64
+
+// heldEarly settles the client requests held for this node's first
+// transfer: a promoted node handles them now, on this turn, and a node
+// that still follows answers each with the transfer it now holds.
+func (n *Node) heldEarly(now int64) []wire.Envelope {
+	held := n.early
+	n.early = nil
+	var out []wire.Envelope
+	for _, env := range held {
+		out = append(out, n.Receive(now, env)...)
+	}
+	return out
 }
 
 // announceLeader answers a client request that reached this follower with
 // the cloud-signed transfer it adopted. The cloud sends a transfer to each
 // session once; a session whose copy was lost still addresses the demoted
 // leader, and this copy rebinds it instead of leaving it to time out. A
-// follower that holds no transfer stays silent.
-func (n *Node) announceLeader(to wire.NodeID) []wire.Envelope {
+// follower that holds no transfer keeps the request for its first one
+// (Node.early).
+func (n *Node) announceLeader(req wire.Envelope) []wire.Envelope {
 	if n.transfer == nil {
+		if len(n.early) < maxEarly {
+			n.early = append(n.early, req)
+		}
 		return nil
 	}
-	return []wire.Envelope{{From: n.cfg.ID, To: to, Msg: n.transfer}}
+	return []wire.Envelope{{From: n.cfg.ID, To: req.From, Msg: n.transfer}}
 }
 
 // certifyTail re-submits certification for every mirrored-but-uncertified

@@ -14,8 +14,7 @@ import (
 // BlockProof down. The batched kinds still decode, but nothing reads them:
 // a correctly signed BlockCertifyBatch reaching the cloud, and a correctly
 // signed BlockCertBatch reaching the leader, a follower and a client,
-// answer nothing and certify nothing, and the verify stage in front of each
-// spends no signature check on them.
+// answer nothing, certify nothing and spend no signature check.
 func TestBatchCertKindsInert(t *testing.T) {
 	// The leader never certifies, so block 0 stays acked, mirrored and
 	// uncertified: exactly what a batch over it would have certified.
@@ -35,14 +34,9 @@ func TestBatchCertKindsInert(t *testing.T) {
 	cert := &wire.BlockCertBatch{Edge: "edge-1", Digests: [][]byte{d}}
 	cert.CloudSig = wcrypto.SignMsg(wcrypto.DeterministicKey("cloud"), cert)
 
-	// The verify stage gets a registry of its own, so every check it makes
-	// shows in its counters.
-	reg := wcrypto.NewRegistry()
-	for _, id := range []wire.NodeID{"cloud", "edge-1"} {
-		reg.Register(id, wcrypto.DeterministicKey(id).Pub)
-	}
+	// Counted from here on: every signature check any node makes.
 	m := obs.NewRegistry()
-	reg.AttachMetrics(m, "stage")
+	w.reg.AttachMetrics(m, "world")
 
 	certifies := w.cloud.Stats().Certifies
 	for _, c := range []struct {
@@ -54,24 +48,13 @@ func TestBatchCertKindsInert(t *testing.T) {
 		{w.r1, wire.Envelope{From: "cloud", To: "edge-1.r1", Msg: cert}},
 		{w.c1, wire.Envelope{From: "cloud", To: "c1", Msg: cert}},
 	} {
-		var out []wire.Envelope
-		wcrypto.NewVerifyPool(reg, 0, 0, func(env wire.Envelope) {
-			if env.Verified {
-				t.Errorf("%s: verify stage passed a %T", c.env.To, env.Msg)
-			}
-			out = c.node.Receive(w.sim.Now(), env)
-		}).Submit(c.env)
-		// Marked verified, as a stage that did check it would: still nothing.
-		pre := c.env
-		pre.Verified = true
-		out = append(out, c.node.Receive(w.sim.Now(), pre)...)
-		if len(out) != 0 {
+		if out := c.node.Receive(w.sim.Now(), c.env); len(out) != 0 {
 			t.Errorf("%s answered a %T: %v", c.env.To, c.env.Msg, out)
 		}
 	}
 	for _, name := range []string{"wedge_wcrypto_verify_memo_hits_total", "wedge_wcrypto_verify_memo_misses_total", "wedge_wcrypto_bad_signatures_total"} {
 		if got := m.CounterValue(name); got != 0 {
-			t.Errorf("verify stage %s = %d, want 0", name, got)
+			t.Errorf("%s = %d, want 0", name, got)
 		}
 	}
 	if got := w.cloud.Stats().Certifies; got != certifies {

@@ -23,6 +23,7 @@ type rworld struct {
 	leader *edge.Node
 	r1, r2 *edge.Node
 	c1, c2 *client.Core
+	reg    *wcrypto.Registry // the key registry every node checks against
 }
 
 type rworldOpts struct {
@@ -95,6 +96,7 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		return edge.New(cfg, keys[id], reg)
 	}
 	w := &rworld{
+		reg:    reg,
 		cloud:  cl,
 		leader: mkEdge("edge-1", false, o.leaderFault),
 		r1:     mkEdge("edge-1.r1", true, o.r1Fault),
@@ -228,6 +230,41 @@ func TestFailoverKillLeaderMidBatch(t *testing.T) {
 	}
 	if r.Block == nil || len(r.Block.Entries) != 2 {
 		t.Fatalf("mirrored block = %+v", r.Block)
+	}
+}
+
+// TestPromotionLearnedAfterClientResend: the cloud's frames to the
+// followers are slow across the failover window, so a rebound client's
+// re-sends reach the promoted replica before its own transfer does. The
+// replica holds them until the transfer arrives and handles them then;
+// the clients here never retry, so a dropped re-send would strand its
+// write.
+func TestPromotionLearnedAfterClientResend(t *testing.T) {
+	net := faultnet.New(11)
+	w := newRWorld(t, rworldOpts{
+		leaderFault: &edge.Fault{KillMidBatch: true, KillAtBID: 1},
+		fault:       net,
+	})
+	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
+	w.settle(t, 1*s)
+	if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
+		t.Fatalf("warmup phases = %v / %v", op0.Phase, op1.Phase)
+	}
+
+	slow := faultnet.LinkFaults{DelayMin: 50 * ms, DelayMax: 50 * ms}
+	from, to := w.sim.Now(), w.sim.Now()+1*s
+	for _, f := range []wire.NodeID{"edge-1.r1", "edge-1.r2"} {
+		net.Add(faultnet.Rule{From: "cloud", To: f, FromT: from, ToT: to, Faults: slow})
+	}
+	op2, op3 := w.add(w.c1, "m2"), w.add(w.c2, "m3") // the cut kills the leader
+	w.settle(t, 4*s)
+	if !w.leader.Killed() || w.promoted(t).IsFollower() {
+		t.Fatalf("no failover: leader killed %v, chain leader %q", w.leader.Killed(), w.cloud.ChainLeader("edge-1"))
+	}
+	for i, op := range []*client.Op{op2, op3} {
+		if op.Err != nil || op.Phase != core.PhaseII {
+			t.Fatalf("op%d phase = %v err = %v, want Phase II", i+2, op.Phase, op.Err)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package transport runs the protocol state machines over TCP: each
 // endpoint serves one or more core.Handler sessions behind a listener,
-// with length-prefixed framing, a shared pool of writer lanes and an
-// optional parallel signature-verification stage. The cmd/ binaries, the
-// embedding façade and the macro benchmark all use it; virtual time runs
-// the same handlers on internal/sim instead.
+// with length-prefixed framing and a shared pool of writer lanes. A
+// session handles each frame on its own turn, checking its signatures
+// there, and its outputs leave in the order it emitted them. The cmd/
+// binaries, the embedding façade and the macro benchmark all use it;
+// virtual time runs the same handlers on internal/sim instead.
 package transport
 
 import (
@@ -14,6 +15,8 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -52,13 +55,10 @@ type TCPConfig struct {
 	// LaneDepth is each lane's frame queue capacity; 0 defaults to 4096.
 	// A full lane drops the frame (counted in Stats.LaneDrops).
 	LaneDepth int
-	// Registry and VerifyWorkers enable a parallel signature
-	// verification stage between the socket readers and the handler:
-	// frames from any number of connections are pre-verified in
-	// parallel and delivered in submission order with Envelope.Verified
-	// set, taking the per-message signature cost off the handler mutex.
-	// Zero workers or a nil registry disables the stage; negative
-	// workers means GOMAXPROCS.
+	// Registry and VerifyWorkers are read by nothing: every session
+	// checks signatures against its own registry on its own turn. They
+	// stay only because the macro benchmark (benchmark/cluster.go) still
+	// sets them.
 	Registry      *wcrypto.Registry
 	VerifyWorkers int
 	// Fault injects deterministic link faults (drop/delay/duplicate/
@@ -92,17 +92,18 @@ type Stats struct {
 // TCP serves one or more handlers ("sessions") over real sockets. Inbound
 // frames are routed by Envelope.To to the session with that identity and
 // delivered under a per-session mutex (preserving single-threaded handler
-// semantics). Outbound frames are drained by a small fixed pool of writer
-// lanes — not one goroutine per peer — so the goroutine count stays flat
-// no matter how many peers or sessions the endpoint serves. Peers hash to
-// lanes by address: one peer's frames stay FIFO, and a slow or dead peer
-// can stall only its own lane (bounded by DialTimeout/WriteTimeout), never
-// the handlers, the verify pool, or other lanes.
+// semantics): a session's turn is one Receive, Tick or Do, and the turn
+// hands its outputs to the writer lanes before the next turn starts.
+// Outbound frames are drained by a small fixed pool of writer lanes — not
+// one goroutine per peer — so the goroutine count stays flat no matter how
+// many peers or sessions the endpoint serves. Peers hash to lanes by
+// address: one peer's frames stay FIFO, and a slow or dead peer can stall
+// only its own lane (bounded by DialTimeout/WriteTimeout), never the
+// handlers or other lanes.
 type TCP struct {
-	cfg    TCPConfig
-	verify *wcrypto.VerifyPool // nil = verify inline in the handler
-	stopc  chan struct{}       // closed when Serve exits; stops lanes
-	stop1  sync.Once
+	cfg   TCPConfig
+	stopc chan struct{} // closed when Serve exits; stops lanes
+	stop1 sync.Once
 
 	// sessions routes inbound frames by destination identity. primary is
 	// the handler NewTCP was created with (the Do target).
@@ -116,6 +117,11 @@ type TCP struct {
 
 	lanes    []*writeLane
 	laneOnce sync.Once // lanes start on first outbound frame
+
+	// delayMu guards delayQ: frames held back by an injected delay, in
+	// release order.
+	delayMu sync.Mutex
+	delayQ  []delayedFrame
 
 	// Frame counters: registry-backed so /metrics and Stats() read the
 	// same atomics (see TCPConfig.Obs).
@@ -257,16 +263,13 @@ func NewTCP(h core.Handler, cfg TCPConfig) *TCP {
 		"frames dropped for lack of a peer address", "node").With(node)
 	t.stRedials = reg.CounterVec("wedge_transport_redials_total",
 		"outbound connection (re)establishments", "node").With(node)
-	if cfg.Registry != nil && cfg.VerifyWorkers != 0 {
-		t.verify = wcrypto.NewVerifyPool(cfg.Registry, cfg.VerifyWorkers, 0, t.deliverVerified)
-	}
 	return t
 }
 
 // AddSession hosts another handler on this endpoint. Inbound frames are
 // routed by Envelope.To, so any number of client sessions share one
-// listener, one verify pool, and the fixed writer-lane pool instead of a
-// transport (and its goroutines) each. Sessions must be added before
+// listener and the fixed writer-lane pool instead of a transport (and its
+// goroutines) each. Sessions must be added before
 // traffic for their identity arrives; frames for unknown identities are
 // dropped as misrouted.
 func (t *TCP) AddSession(h core.Handler) {
@@ -329,9 +332,8 @@ func (t *TCP) Listen() error {
 }
 
 // Serve listens and processes frames until ctx is done. On exit the
-// verification pool (if any) is drained and stopped and the writer lanes
-// are released; frames still in flight are dropped, which shutdown makes
-// moot.
+// writer lanes are released; frames still in flight are dropped, which
+// shutdown makes moot.
 func (t *TCP) Serve(ctx context.Context) error {
 	defer t.stop1.Do(func() { close(t.stopc) })
 	defer func() {
@@ -341,9 +343,6 @@ func (t *TCP) Serve(ctx context.Context) error {
 		}
 		t.acceptMu.Unlock()
 	}()
-	if t.verify != nil {
-		defer t.verify.Close()
-	}
 	if err := t.Listen(); err != nil {
 		return err
 	}
@@ -371,10 +370,7 @@ func (t *TCP) Serve(ctx context.Context) error {
 				}
 				t.sessMu.RUnlock()
 				for _, s := range sess {
-					s.mu.Lock()
-					outs := s.h.Tick(now)
-					s.mu.Unlock()
-					t.sendAll(outs)
+					t.turn(s, func(int64) []wire.Envelope { return s.h.Tick(now) })
 				}
 			}
 		}
@@ -395,31 +391,10 @@ func (t *TCP) Serve(ctx context.Context) error {
 	}
 }
 
-// Deliver processes one envelope as if it arrived from the network,
-// routing it through the verification stage when one is configured.
-func (t *TCP) Deliver(env wire.Envelope) {
-	if t.verify != nil {
-		t.verify.Submit(env)
-		return
-	}
-	t.deliverVerified(env)
-}
-
-func (t *TCP) deliverVerified(env wire.Envelope) {
-	s := t.session(env.To)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	outs := s.h.Receive(time.Now().UnixNano(), env)
-	s.mu.Unlock()
-	t.sendAll(outs)
-}
-
-// Do runs fn under the primary session's mutex and routes its outputs —
-// the hook synchronous clients use to start operations.
+// Do runs fn as a turn of the primary session — under its mutex, its
+// outputs routed — the hook synchronous clients use to start operations.
 func (t *TCP) Do(fn func(now int64) []wire.Envelope) {
-	t.doOn(t.primary, fn)
+	t.turn(t.primary, fn)
 }
 
 // DoSession runs fn under the named session's mutex and routes its
@@ -429,15 +404,19 @@ func (t *TCP) DoSession(id wire.NodeID, fn func(now int64) []wire.Envelope) bool
 	if s == nil {
 		return false
 	}
-	t.doOn(s, fn)
+	t.turn(s, fn)
 	return true
 }
 
-func (t *TCP) doOn(s *tcpSession, fn func(now int64) []wire.Envelope) {
+// turn runs fn under s's mutex and hands its outputs to the writer lanes
+// before releasing it, so a session's frames leave in the order its turns
+// emitted them. Handing off never blocks (see send).
+func (t *TCP) turn(s *tcpSession, fn func(now int64) []wire.Envelope) {
 	s.mu.Lock()
-	outs := fn(time.Now().UnixNano())
-	s.mu.Unlock()
-	t.sendAll(outs)
+	defer s.mu.Unlock()
+	for _, env := range fn(time.Now().UnixNano()) {
+		t.send(env)
+	}
 }
 
 func (t *TCP) read(ctx context.Context, conn net.Conn) {
@@ -452,19 +431,14 @@ func (t *TCP) read(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if t.session(env.To) == nil {
+		s := t.session(env.To)
+		if s == nil {
 			continue // misrouted
 		}
-		t.Deliver(env)
+		t.turn(s, func(now int64) []wire.Envelope { return s.h.Receive(now, env) })
 		if ctx.Err() != nil {
 			return
 		}
-	}
-}
-
-func (t *TCP) sendAll(envs []wire.Envelope) {
-	for _, env := range envs {
-		t.send(env)
 	}
 }
 
@@ -474,7 +448,8 @@ func (t *TCP) sendAll(envs []wire.Envelope) {
 // network assumption).
 func (t *TCP) send(env wire.Envelope) {
 	if t.cfg.Fault != nil && env.From != env.To {
-		act := t.cfg.Fault.Apply(time.Now().UnixNano(), env.From, env.To)
+		now := time.Now()
+		act := t.cfg.Fault.Apply(now.UnixNano(), env.From, env.To)
 		if act.Drop {
 			return
 		}
@@ -483,12 +458,44 @@ func (t *TCP) send(env wire.Envelope) {
 				t.enqueue(env)
 				continue
 			}
-			env := env
-			time.AfterFunc(time.Duration(extra), func() { t.enqueue(env) })
+			t.delay(delayedFrame{due: now.Add(time.Duration(extra)), env: env})
 		}
 		return
 	}
 	t.enqueue(env)
+}
+
+// delayedFrame is a frame an injected delay holds back until due.
+type delayedFrame struct {
+	due time.Time
+	env wire.Envelope
+}
+
+// delay queues f for release at its due time. The queue releases in due
+// order, ties in the order they were queued: a constant link delay shifts
+// a node's frames without reordering them, and only a delay range or a
+// duplicate reorders, as the fault asked.
+func (t *TCP) delay(f delayedFrame) {
+	t.delayMu.Lock()
+	i := sort.Search(len(t.delayQ), func(i int) bool { return t.delayQ[i].due.After(f.due) })
+	t.delayQ = slices.Insert(t.delayQ, i, f)
+	t.delayMu.Unlock()
+	time.AfterFunc(time.Until(f.due), t.releaseDue)
+}
+
+// releaseDue hands every frame whose delay has elapsed to its writer lane,
+// in queue order. Each queued frame schedules one call at its due time, so
+// none waits past it.
+func (t *TCP) releaseDue() {
+	t.delayMu.Lock()
+	defer t.delayMu.Unlock()
+	now := time.Now()
+	n := 0
+	for n < len(t.delayQ) && !t.delayQ[n].due.After(now) {
+		t.enqueue(t.delayQ[n].env)
+		n++
+	}
+	t.delayQ = slices.Delete(t.delayQ, 0, n)
 }
 
 // enqueue routes the envelope to the lane owning its peer's address. The

@@ -8,8 +8,7 @@ import (
 )
 
 // Micro-benchmarks for the crypto hot paths: raw sign/verify, the pooled
-// signable-body encoding, and the verify pool against inline
-// verification. A loop that checks one fixed signature calls
+// signable-body encoding and per-kind signature checks. A loop that checks one fixed signature calls
 // ForgetVerified every iteration, so it times a first verification;
 // BenchmarkVerifyMemoHit times the repeat.
 
@@ -182,33 +181,4 @@ func BenchmarkVerifyMemoHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkVerifyPoolThroughput(b *testing.B) {
-	k := DeterministicKey("c1")
-	reg := NewRegistry()
-	reg.Register(k.ID, k.Pub)
-	// Distinct requests, more of them than the memo remembers: every
-	// verification the pool performs is a first verification.
-	envs := make([]wire.Envelope, min(b.N, 2*MemoCap))
-	for i := range envs {
-		envs[i] = wire.Envelope{From: k.ID, To: "edge-1", Msg: &wire.PutRequest{Entry: benchEntry(k, uint64(i+1))}}
-	}
-	done := make(chan struct{}, 1)
-	n := 0
-	pool := NewVerifyPool(reg, -1, 256, func(out wire.Envelope) {
-		if !out.Verified {
-			panic("verify failed")
-		}
-		if n++; n == b.N {
-			done <- struct{}{}
-		}
-	})
-	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Submit(envs[i%len(envs)])
-	}
-	<-done
 }

@@ -300,15 +300,15 @@ func TestMemoStaysWithinItsCap(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentUse hammers one registry the way a node does: verify
-// pool workers and the handler goroutine check overlapping statements,
-// valid and forged, while another goroutine rebinds an unrelated identity.
-// Run under -race (make race).
+// TestMemoConcurrentUse hammers one registry from several goroutines at
+// once — nodes hosted in one process may share it — checking overlapping
+// statements, valid and forged, while another goroutine rebinds an
+// unrelated identity. Run under -race (make race).
 func TestMemoConcurrentUse(t *testing.T) {
 	f := newMemoFixture()
 	const statements = 64
 	type signed struct {
-		env wire.Envelope
+		bp  *wire.BlockProof
 		bad bool
 	}
 	var all []signed
@@ -319,34 +319,25 @@ func TestMemoConcurrentUse(t *testing.T) {
 		if bad {
 			bp.CloudSig[0] ^= 1
 		}
-		all = append(all, signed{wire.Envelope{From: f.key.ID, To: "c1", Msg: bp}, bad})
+		all = append(all, signed{bp, bad})
 	}
 
-	var mu sync.Mutex
-	delivered := 0
-	pool := NewVerifyPool(f.reg, 4, 0, func(env wire.Envelope) {
-		bp := env.Msg.(*wire.BlockProof)
-		if want := bp.BID%8 != 7; env.Verified != want {
-			t.Errorf("pool: block %d verified=%v, want %v", bp.BID, env.Verified, want)
-		}
-		mu.Lock()
-		delivered++
-		mu.Unlock()
-	})
 	const rounds = 20
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // the handler goroutine, verifying inline
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			for _, s := range all {
-				bp := s.env.Msg.(*wire.BlockProof)
-				if err := VerifyMsg(f.reg, f.key.ID, bp, bp.CloudSig); (err != nil) != s.bad {
-					t.Errorf("inline: block %d err=%v, bad=%v", bp.BID, err, s.bad)
+	for v := 0; v < 2; v++ { // two verifying goroutines
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, s := range all {
+					if err := VerifyMsg(f.reg, f.key.ID, s.bp, s.bp.CloudSig); (err != nil) != s.bad {
+						t.Errorf("block %d err=%v, bad=%v", s.bp.BID, err, s.bad)
+					}
 				}
 			}
-		}
-	}()
+		}()
+	}
+	wg.Add(1)
 	go func() { // key distribution touching the same registry
 		defer wg.Done()
 		for r := 0; r < rounds*statements; r++ {
@@ -354,16 +345,7 @@ func TestMemoConcurrentUse(t *testing.T) {
 			f.reg.Register(k.ID, k.Pub)
 		}
 	}()
-	for r := 0; r < rounds; r++ {
-		for _, s := range all {
-			pool.Submit(s.env)
-		}
-	}
 	wg.Wait()
-	pool.Close()
-	if delivered != rounds*statements {
-		t.Fatalf("pool delivered %d envelopes, want %d", delivered, rounds*statements)
-	}
 	good := statements - statements/8
 	if n := f.reg.MemoLen(); n != good {
 		t.Fatalf("memo holds %d triples, want the %d valid statements", n, good)

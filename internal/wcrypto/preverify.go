@@ -1,0 +1,31 @@
+package wcrypto
+
+import "wedgechain/internal/wire"
+
+// PreVerify checks the signature a message carries against the registry
+// the way its receiving node does on its turn, without touching any node
+// state. Structural checks (sender identity matching, digest consistency,
+// freshness) are not performed, and kinds outside the switch report false.
+//
+// No node calls it: every handler verifies what it receives itself. It
+// stays as the per-kind price of a signature check that the macro
+// benchmark's layer budget times (benchmark/layers.go), and it covers the
+// kinds that budget names.
+func PreVerify(r *Registry, env wire.Envelope) bool {
+	switch m := env.Msg.(type) {
+	case *wire.PutRequest:
+		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
+	case *wire.PutBatch:
+		// One session signature covers every entry; a batch without one
+		// fails here like any bad signature.
+		return VerifyMsg(r, m.Client, m, m.BatchSig) == nil
+	case *wire.BlockCertify:
+		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
+	case *wire.GetResponse:
+		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
+	case *wire.ReplicateBlock:
+		return VerifyBlockAck(r, m.Leader, m.Block.ID, m.Block.BodyDigest(), m.LeaderSig) == nil
+	default:
+		return false
+	}
+}

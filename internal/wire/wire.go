@@ -196,37 +196,12 @@ func newMessage(k Kind) (Message, error) {
 }
 
 // Envelope is a routed message: the unit the transports and the simulator
-// move between nodes.
+// move between nodes. It carries nothing beyond what goes on the wire: the
+// receiving node checks every signature itself.
 type Envelope struct {
 	From NodeID
 	To   NodeID
 	Msg  Message
-
-	// Verified marks the message's signatures as already checked by a
-	// local verification stage (wcrypto.VerifyPool) trusted by the
-	// receiving node. It is hop-local metadata: encoding drops it and
-	// decoding leaves it false, so a remote peer can never assert it.
-	// Handlers treat false as "verify yourself" — the flag is an
-	// optimization hint, never a correctness requirement.
-	Verified bool
-	// BlockDigest accompanies Verified on the messages that carry one
-	// whole block under a signature over its digest (PutResponse,
-	// ReadResponse, ReplicateBlock): the digest the stage
-	// recomputed from the received fields and checked the signature over,
-	// so the handler does not hash the block a second time. It rides the
-	// envelope, not the message: in-process transports deliver one message
-	// struct by reference, a duplicated delivery included.
-	BlockDigest []byte
-}
-
-// VerifiedDigest returns the block digest a verify stage checked the
-// message's signature over, or nil when the handler has to hash the block
-// and verify for itself.
-func (env Envelope) VerifiedDigest() []byte {
-	if !env.Verified {
-		return nil
-	}
-	return env.BlockDigest
 }
 
 // EncodeEnvelope produces the canonical encoding of an envelope, suitable

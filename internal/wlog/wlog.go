@@ -301,7 +301,7 @@ func (l *Log) TryCut(now int64, force bool) *wire.Block {
 	l.bufStart += uint64(take)
 	// Freeze before sharing: persist, certify and response paths reuse
 	// the cached canonical bytes and digest, and concurrent readers
-	// (verify pool, clients on an in-process transport) only ever read
+	// (writer lanes encoding frames that carry the block) only ever read
 	// the fully populated cache.
 	blk.Freeze()
 	l.digests[blk.ID] = wcrypto.BlockDigest(&blk)

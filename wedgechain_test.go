@@ -257,21 +257,34 @@ func TestClusterRunsOnTCPEndpoints(t *testing.T) {
 	if err := r.WaitPhaseII(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sent := map[string]float64{}
-	for _, s := range c.Metrics().Samples() {
-		if s.Name == "wedge_transport_frames_sent_total" {
-			sent[s.Labels] = s.Value
+	// A writer lane counts a frame after its write returns, which can be
+	// after the receiver has already acted on it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sent := map[string]float64{}
+		for _, s := range c.Metrics().Samples() {
+			if s.Name == "wedge_transport_frames_sent_total" {
+				sent[s.Labels] = s.Value
+			}
 		}
-	}
-	for _, node := range []NodeID{CloudID, EdgeID(1)} {
-		if label := fmt.Sprintf("{node=%q}", node); sent[label] == 0 {
-			t.Errorf("no frames sent by %s: %v", node, sent)
+		var silent []NodeID
+		for _, node := range []NodeID{CloudID, EdgeID(1)} {
+			if sent[fmt.Sprintf("{node=%q}", node)] == 0 {
+				silent = append(silent, node)
+			}
 		}
+		if len(silent) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no frames sent by %v: %v", silent, sent)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestClusterCloseGoroutineHygiene: the façade owns every node's
-// listener, writer lanes, verify pool and connection monitors, and Close
+// listener, writer lanes, delay timers and connection monitors, and Close
 // takes them all down, chaos-delayed frames included.
 func TestClusterCloseGoroutineHygiene(t *testing.T) {
 	before := runtime.NumGoroutine()
