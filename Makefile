@@ -46,8 +46,11 @@ experiments:
 # signatures over the largest and the most frequent messages,
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
 # certificate, MergeSorted/MergeL0 the compaction both sides now run,
-# LevelTree the hashing per record a merge pays to commit a level, and
-# CertifiedThrough the frontier lookup every proof makes).
+# LevelTree the hashing per record a merge pays to commit a level,
+# CertifiedThrough the frontier lookup every proof makes, and
+# LogResidentBytesPerBlock the live heap a cut 100-entry block costs the
+# edge with half the log below the compaction frontier — the layer
+# counterpart of the macro benchmark's heap_bytes_per_put).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
 
@@ -77,7 +80,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 5) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21033
+LOC_CEILING := 21115
 loc:
 	@sh scripts/loc.sh
 loc-check:

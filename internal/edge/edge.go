@@ -1007,7 +1007,7 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 	}
 	if m.FromLevel == 0 {
 		n.l0From = m.ConsumedTo + 1
-		n.log.ReleaseIndexes(n.l0From)
+		n.log.Release(n.l0From)
 	} else if err := n.idx.ClearLevel(int(m.FromLevel)); err != nil {
 		n.logf("clearing merged level failed", "err", err)
 		return nil

@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -219,6 +220,34 @@ func TestReadThreeCases(t *testing.T) {
 	}
 	if err := wcrypto.VerifyMsg(f.reg, "edge-1", resp, resp.EdgeSig); err != nil {
 		t.Fatalf("denial not signed: %v", err)
+	}
+}
+
+// A client picks its own seqs, so one far beyond the rest must cost the
+// edge what any put costs — not a seen table stretched to reach it — and
+// still be deduplicated: its resend is re-acknowledged from its block.
+func TestFarSeqPutHandledInBoundedMemory(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	for seq := uint64(1); seq <= 8; seq++ {
+		f.add(t, int64(seq), "c1", seq, "v")
+	}
+	far := &wire.PutRequest{Entry: f.entry("c1", 1<<62, "", "far")}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := f.node.Receive(10, wire.Envelope{From: "c1", To: "edge-1", Msg: far})
+	runtime.ReadMemStats(&after)
+	if kindsOf(out)[wire.KindPutResponse] != 1 {
+		t.Fatalf("far-seq put not acknowledged: %v", kindsOf(out))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("handling one far-seq put allocated %d bytes", grew)
+	}
+	out = f.node.Receive(11, wire.Envelope{From: "c1", To: "edge-1", Msg: far})
+	if len(out) == 0 {
+		t.Fatal("far-seq resend not re-acknowledged")
+	}
+	if ack, ok := out[0].Msg.(*wire.PutResponse); !ok || ack.BID != 8 {
+		t.Fatalf("far-seq resend answered with %v, want the ack of block 8", kindsOf(out))
 	}
 }
 

@@ -19,79 +19,88 @@ import (
 // A follower that crashes, loses its in-memory mirror, and restarts blank
 // catches the chain back up through certified catch-up — and is then a
 // first-class promotion candidate when the leader dies.
+// The catch-up runs with the leader's blocks in its L0 window and, again,
+// released below its compaction frontier.
 func TestCatchUpRestartedFollower(t *testing.T) {
-	w := newRWorld(t, rworldOpts{})
+	for _, tc := range l0Cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newRWorld(t, rworldOpts{l0Thresh: tc.l0Thresh})
 
-	// Block 0 commits, certifies, and is mirrored by both followers.
-	op0 := w.add(w.c1, "m0")
-	op1 := w.add(w.c2, "m1")
-	w.settle(t, 1*s)
-	if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
-		t.Fatalf("warmup phases = %v / %v (err=%v / %v)", op0.Phase, op1.Phase, op0.Err, op1.Err)
-	}
+			// Block 0 commits, certifies, and is mirrored by both followers.
+			op0 := w.add(w.c1, "m0")
+			op1 := w.add(w.c2, "m1")
+			w.settle(t, 1*s)
+			if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
+				t.Fatalf("warmup phases = %v / %v (err=%v / %v)", op0.Phase, op1.Phase, op0.Err, op1.Err)
+			}
 
-	// r1 crashes; block 1 commits without it.
-	w.r1.Kill()
-	w.add(w.c1, "m2")
-	w.add(w.c2, "m3")
-	w.settle(t, 1*s)
-	if got := w.leader.LogBlocks(); got != 2 {
-		t.Fatalf("leader blocks = %d, want 2", got)
-	}
+			// r1 crashes; block 1 commits without it.
+			w.r1.Kill()
+			w.add(w.c1, "m2")
+			w.add(w.c2, "m3")
+			w.settle(t, 1*s)
+			if got := w.leader.LogBlocks(); got != 2 {
+				t.Fatalf("leader blocks = %d, want 2", got)
+			}
+			// In the released case the leader serves the catch-up from blocks it
+			// keeps only as canonical bytes.
+			requireReleased(t, w.leader, tc.l0Thresh, 0)
 
-	// r1 restarts blank: no log, no leader, epoch zero. Its heartbeats
-	// advertise the empty frontier; the cloud nudges it back with a signed
-	// GroupJoin and certified catch-up refills the mirror.
-	w.r1.Restart(w.sim.Now())
-	if got := w.r1.LogBlocks(); got != 0 {
-		t.Fatalf("restarted follower blocks = %d, want 0", got)
-	}
-	w.settle(t, 2*s)
+			// r1 restarts blank: no log, no leader, epoch zero. Its heartbeats
+			// advertise the empty frontier; the cloud nudges it back with a signed
+			// GroupJoin and certified catch-up refills the mirror.
+			w.r1.Restart(w.sim.Now())
+			if got := w.r1.LogBlocks(); got != 0 {
+				t.Fatalf("restarted follower blocks = %d, want 0", got)
+			}
+			w.settle(t, 2*s)
 
-	if got := w.r1.Leader(); got != "edge-1" {
-		t.Fatalf("restarted follower leader = %q, want edge-1", got)
-	}
-	if got := w.r1.LogBlocks(); got != 2 {
-		t.Fatalf("caught-up follower blocks = %d, want 2", got)
-	}
-	if got := w.r1.CertifiedBlocks(); got != 2 {
-		t.Fatalf("caught-up follower certified = %d, want 2", got)
-	}
-	if got := w.r1.Stats().CatchUps; got == 0 {
-		t.Fatal("restarted follower never requested catch-up")
-	}
-	if _, banned := w.cloud.Flagged("edge-1"); banned {
-		t.Fatal("honest leader convicted during catch-up")
-	}
-	if _, banned := w.cloud.Flagged("edge-1.r1"); banned {
-		t.Fatal("restarted follower convicted during catch-up")
-	}
+			if got := w.r1.Leader(); got != "edge-1" {
+				t.Fatalf("restarted follower leader = %q, want edge-1", got)
+			}
+			if got := w.r1.LogBlocks(); got != 2 {
+				t.Fatalf("caught-up follower blocks = %d, want 2", got)
+			}
+			if got := w.r1.CertifiedBlocks(); got != 2 {
+				t.Fatalf("caught-up follower certified = %d, want 2", got)
+			}
+			if got := w.r1.Stats().CatchUps; got == 0 {
+				t.Fatal("restarted follower never requested catch-up")
+			}
+			if _, banned := w.cloud.Flagged("edge-1"); banned {
+				t.Fatal("honest leader convicted during catch-up")
+			}
+			if _, banned := w.cloud.Flagged("edge-1.r1"); banned {
+				t.Fatal("restarted follower convicted during catch-up")
+			}
 
-	// The rejoined follower is promotable: kill the leader and the cloud
-	// picks r1 (full certified prefix, first in order) as the new leader.
-	w.leader.Kill()
-	w.settle(t, 2*s)
-	if got := w.cloud.ChainLeader("edge-1"); got != "edge-1.r1" {
-		t.Fatalf("chain leader = %q, want edge-1.r1", got)
-	}
-	if w.r1.IsFollower() {
-		t.Fatal("promoted restarted follower still in follower mode")
-	}
+			// The rejoined follower is promotable: kill the leader and the cloud
+			// picks r1 (full certified prefix, first in order) as the new leader.
+			w.leader.Kill()
+			w.settle(t, 2*s)
+			if got := w.cloud.ChainLeader("edge-1"); got != "edge-1.r1" {
+				t.Fatalf("chain leader = %q, want edge-1.r1", got)
+			}
+			if w.r1.IsFollower() {
+				t.Fatal("promoted restarted follower still in follower mode")
+			}
 
-	// …and serves: a fresh write certifies, the pre-crash history reads
-	// back Phase II.
-	op4 := w.add(w.c1, "m4")
-	op5 := w.add(w.c2, "m5")
-	r := w.read(w.c2, 1)
-	w.settle(t, 2*s)
-	if op4.Phase != core.PhaseII || op5.Phase != core.PhaseII {
-		t.Fatalf("post-promotion phases = %v / %v (err=%v / %v)", op4.Phase, op5.Phase, op4.Err, op5.Err)
-	}
-	if r.Phase != core.PhaseII || r.Err != nil {
-		t.Fatalf("catch-up-history read phase = %v err = %v", r.Phase, r.Err)
-	}
-	if r.Block == nil || len(r.Block.Entries) != 2 {
-		t.Fatalf("catch-up-history block = %+v", r.Block)
+			// …and serves: a fresh write certifies, the pre-crash history reads
+			// back Phase II.
+			op4 := w.add(w.c1, "m4")
+			op5 := w.add(w.c2, "m5")
+			r := w.read(w.c2, 1)
+			w.settle(t, 2*s)
+			if op4.Phase != core.PhaseII || op5.Phase != core.PhaseII {
+				t.Fatalf("post-promotion phases = %v / %v (err=%v / %v)", op4.Phase, op5.Phase, op4.Err, op5.Err)
+			}
+			if r.Phase != core.PhaseII || r.Err != nil {
+				t.Fatalf("catch-up-history read phase = %v err = %v", r.Phase, r.Err)
+			}
+			if r.Block == nil || len(r.Block.Entries) != 2 {
+				t.Fatalf("catch-up-history block = %+v", r.Block)
+			}
+		})
 	}
 }
 

@@ -159,24 +159,47 @@ func TestHonestAddReachesBothPhases(t *testing.T) {
 	}
 }
 
+// l0Cases are the two states a read of block 0 meets: still in the L0
+// window, and released — an L0 merge moved the compaction frontier past
+// it, so the edge keeps only its canonical bytes and decodes it per read.
+var l0Cases = []struct {
+	name     string
+	l0Thresh int
+}{{"in-L0", 100}, {"released", 1}}
+
+// requireReleased fails unless an L0 merge moved the edge's compaction
+// frontier past block bid (when the case expects one).
+func requireReleased(t *testing.T, ed *edge.Node, l0Thresh int, bid uint64) {
+	t.Helper()
+	if l0Thresh == 1 && ed.L0From() <= bid {
+		t.Fatalf("compaction frontier %d has not passed block %d", ed.L0From(), bid)
+	}
+}
+
 func TestAgreementTwoReadersSameBlock(t *testing.T) {
-	w := newWorld(t, worldOpts{})
-	w.add(w.c1, "m0")
-	w.add(w.c1, "m1")
-	w.settle(t, 2*s)
+	for _, tc := range l0Cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, worldOpts{l0Thresh: tc.l0Thresh})
+			w.add(w.c1, "m0")
+			w.add(w.c1, "m1")
+			w.settle(t, 2*s)
+			requireReleased(t, w.edge, tc.l0Thresh, 0)
 
-	r1 := w.read(w.c1, 0)
-	r2 := w.read(w.c2, 0)
-	w.settle(t, 2*s)
+			r1 := w.read(w.c1, 0)
+			r2 := w.read(w.c2, 0)
+			w.settle(t, 2*s)
 
-	if r1.Phase != core.PhaseII || r2.Phase != core.PhaseII {
-		t.Fatalf("read phases = %v / %v", r1.Phase, r2.Phase)
-	}
-	if r1.Block == nil || r2.Block == nil {
-		t.Fatal("missing blocks")
-	}
-	if !bytes.Equal(r1.Block.Canonical(), r2.Block.Canonical()) {
-		t.Fatal("agreement violated: two Phase II readers saw different blocks")
+			// Phase II: each reader verified the block against its certificate.
+			if r1.Phase != core.PhaseII || r2.Phase != core.PhaseII {
+				t.Fatalf("read phases = %v / %v (err=%v / %v)", r1.Phase, r2.Phase, r1.Err, r2.Err)
+			}
+			if r1.Block == nil || r2.Block == nil || len(r1.Block.Entries) != 2 {
+				t.Fatal("missing blocks")
+			}
+			if !bytes.Equal(r1.Block.Canonical(), r2.Block.Canonical()) {
+				t.Fatal("agreement violated: two Phase II readers saw different blocks")
+			}
+		})
 	}
 }
 
@@ -323,23 +346,28 @@ func TestTamperedAddIsDetectedAndPunished(t *testing.T) {
 }
 
 func TestTamperedReadIsDetectedAndPunished(t *testing.T) {
-	fault := &edge.Fault{}
-	w := newWorld(t, worldOpts{fault: fault})
-	w.add(w.c1, "m0")
-	w.add(w.c1, "m1")
-	w.settle(t, 2*s)
+	for _, tc := range l0Cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fault := &edge.Fault{}
+			w := newWorld(t, worldOpts{fault: fault, l0Thresh: tc.l0Thresh})
+			w.add(w.c1, "m0")
+			w.add(w.c1, "m1")
+			w.settle(t, 2*s)
+			requireReleased(t, w.edge, tc.l0Thresh, 0)
 
-	fault.TamperReadVictim = "c2"
-	rop := w.read(w.c2, 0)
-	// Use RunUntil: the lie only surfaces through the client's proof
-	// timeout, which Drain's quiet-period heuristic would skip past.
-	w.sim.RunUntil(w.sim.Now() + 5*s)
+			fault.TamperReadVictim = "c2"
+			rop := w.read(w.c2, 0)
+			// Use RunUntil: the lie only surfaces through the client's proof
+			// timeout, which Drain's quiet-period heuristic would skip past.
+			w.sim.RunUntil(w.sim.Now() + 5*s)
 
-	if !errors.Is(rop.Err, client.ErrEdgeLied) {
-		t.Fatalf("read err = %v, want ErrEdgeLied (phase=%v)", rop.Err, rop.Phase)
-	}
-	if _, flagged := w.cloud.Flagged("edge-1"); !flagged {
-		t.Fatal("cloud did not punish the edge")
+			if !errors.Is(rop.Err, client.ErrEdgeLied) {
+				t.Fatalf("read err = %v, want ErrEdgeLied (phase=%v)", rop.Err, rop.Phase)
+			}
+			if _, flagged := w.cloud.Flagged("edge-1"); !flagged {
+				t.Fatal("cloud did not punish the edge")
+			}
+		})
 	}
 }
 

@@ -233,17 +233,16 @@ func VerifyMsg(r *Registry, signer wire.NodeID, m Signable, sig []byte) error {
 
 // BlockDigest returns the block's digest — the hash of its header fields,
 // entry count and the Merkle root over its entries in key order
-// (wire.Block.BodyDigest) — cached on the block so digesting, persisting
-// and certifying a freshly cut block derive it exactly once. Use it only on blocks the caller owns
+// (wire.Block.BodyDigest) — served from the digest a frozen block was
+// frozen with, so digesting, persisting and certifying a freshly cut
+// block derive it exactly once. Use it only on blocks the caller owns
 // (its own log, decoded wire input); when judging a block that arrived by
 // reference from another node, use RecomputedBlockDigest.
 func BlockDigest(b *wire.Block) []byte {
 	if d := b.CachedDigest(); d != nil {
 		return d
 	}
-	d := b.BodyDigest()
-	b.SetCachedDigest(d)
-	return d
+	return b.BodyDigest()
 }
 
 // RecomputedBlockDigest recomputes a block's digest from its fields,

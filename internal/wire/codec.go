@@ -121,6 +121,18 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// blobView appends b as Blob does and returns the copy it wrote, capped so
+// an append to it cannot run into the next field; empty b comes back as
+// it was.
+func (e *Encoder) blobView(b []byte) []byte {
+	e.Blob(b)
+	if len(b) == 0 {
+		return b
+	}
+	n := len(e.buf)
+	return e.buf[n-len(b) : n : n]
+}
+
 // OptBlob appends a presence flag followed by a length-prefixed byte string,
 // preserving the nil / non-nil distinction (used for ±infinity range
 // sentinels in LSMerkle pages).

@@ -333,6 +333,7 @@ func (s *L0Slice) Digest() ([]byte, error) {
 // block cuts from the key index it keeps — building it first if it was
 // released or never built; an unfrozen block builds one for the call.
 func (b *Block) Slice(start, end []byte) L0Slice {
+	b = b.Decoded()
 	ix := b.keyIndex()
 	n := len(ix.order)
 	s := L0Slice{Edge: b.Edge, ID: b.ID, StartPos: b.StartPos, Ts: b.Ts, Count: uint32(n)}

@@ -119,10 +119,10 @@ func TestPrunedDigestMatchesBlockDigest(t *testing.T) {
 	if !bytes.Equal(frozen.CachedDigest(), want) {
 		t.Fatal("Freeze digest diverges from BodyDigest")
 	}
-	frozen.ReleaseIndex()
+	frozen.Release()
 	hit := frozen.Slice(PointRange(blk.Entries[2].Key))
 	if len(hit.Rows) != 1 || !bytes.Equal(mustDigest(t, &hit), want) {
-		t.Fatal("slice cut after ReleaseIndex diverges")
+		t.Fatal("slice cut after Release diverges")
 	}
 
 	// Any tampering of the shipped fields changes the claimed digest (or

@@ -37,6 +37,18 @@ func (en *Entry) AppendBody(e *Encoder) {
 	e.U64(en.Pos)
 }
 
+// encodeOwned appends what EncodeTo does, in the same order, and re-points
+// Key, Value and Sig at the copies it wrote; e must already have room.
+func (en *Entry) encodeOwned(e *Encoder) {
+	e.ID(en.Client)
+	e.U64(en.Seq)
+	en.Key = e.blobView(en.Key)
+	en.Value = e.blobView(en.Value)
+	e.I64(en.Ts)
+	e.U64(en.Pos)
+	en.Sig = e.blobView(en.Sig)
+}
+
 // DecodeFrom reads the entry.
 func (en *Entry) DecodeFrom(d *Decoder) {
 	en.Client = d.ID()
@@ -79,10 +91,11 @@ type Block struct {
 type blockCache struct {
 	canon  []byte
 	digest []byte
+	count  int // entries, still known once Release drops them
 	// index is the key order and Merkle tree the digest was folded from,
 	// which read slices are cut out of. Only the node that owns the block
-	// touches it: present from Freeze until ReleaseIndex, rebuilt by Slice
-	// if it is needed again.
+	// touches it: present from Freeze until Release, rebuilt by Slice if
+	// it is needed again.
 	index *keyIndex
 }
 
@@ -102,14 +115,18 @@ func (b *Block) EncodeTo(e *Encoder) {
 // reference, so a stale or adversarial cache must never be able to
 // satisfy a digest check.
 func (b *Block) EncodeToUncached(e *Encoder) {
+	b.encodeHeader(e)
+	for i := range b.Entries {
+		b.Entries[i].EncodeTo(e)
+	}
+}
+
+func (b *Block) encodeHeader(e *Encoder) {
 	e.ID(b.Edge)
 	e.U64(b.ID)
 	e.U64(b.StartPos)
 	e.I64(b.Ts)
 	e.U32(uint32(len(b.Entries)))
-	for i := range b.Entries {
-		b.Entries[i].EncodeTo(e)
-	}
 }
 
 // DecodeFrom reads the block.
@@ -142,6 +159,7 @@ func (b *Block) Canonical() []byte {
 // which persist, certification, response encoding and read slices all
 // reuse the same derivations and nothing on the cut path hashes an entry
 // twice.
+// It also takes the entries over: see freeze.
 func (b *Block) Freeze() {
 	if b.frozen() {
 		return
@@ -154,29 +172,61 @@ func (b *Block) Freeze() {
 // recomputed from these very fields — a follower installing a replicated
 // block it just verified — so the entries are not hashed a second time. No
 // key index is kept; Slice builds one if this node ever serves the block.
+// The entries are taken over as by Freeze.
 func (b *Block) FreezeWithDigest(digest []byte) {
 	if !b.frozen() {
 		b.freeze(nil, digest)
 	}
 }
 
+// freeze writes the canonical encoding and re-points every entry's byte
+// fields at the offsets it wrote them to, so the block keeps one copy of
+// its bytes and not the frame or record its entries were decoded from.
+// Entries then alias the bytes that go on the wire and to disk: nothing
+// may write through an entry's byte slices.
 func (b *Block) freeze(ix *keyIndex, digest []byte) {
 	// Size first: growing a buffer to a 25 KB block by doubling allocates
 	// four times the block.
 	size := Encoder{counting: true}
 	b.EncodeToUncached(&size)
 	e := Encoder{buf: make([]byte, 0, size.n)}
-	b.EncodeToUncached(&e)
-	b.cache = &blockCache{canon: e.Bytes(), digest: digest, index: ix}
+	b.encodeHeader(&e)
+	for i := range b.Entries {
+		b.Entries[i].encodeOwned(&e)
+	}
+	b.cache = &blockCache{canon: e.Bytes(), digest: digest, count: len(b.Entries), index: ix}
 }
 
-// ReleaseIndex drops the key index of a frozen block that has left the
-// L0 window: reads no longer cut slices out of it, and the index is the
-// one part of the cache that is not needed for the life of the log.
-func (b *Block) ReleaseIndex() {
-	if b.cache != nil {
+// Release drops a frozen block's decoded entries and key index — a block
+// that has left the L0 window is served whole, if ever, and no longer
+// sliced — keeping its canonical bytes, digest and entry count. Decoded
+// brings the entries back on demand.
+func (b *Block) Release() {
+	if b.frozen() {
 		b.cache.index = nil
+		b.Entries = nil
 	}
+}
+
+// Len returns the number of entries in the block, released or not.
+func (b *Block) Len() int {
+	if b.frozen() {
+		return b.cache.count
+	}
+	return len(b.Entries)
+}
+
+// Decoded returns the block with its entries: b itself unless Release
+// dropped them, else a copy that shares b's cache and whose entries are
+// decoded zero-copy from the canonical bytes.
+func (b *Block) Decoded() *Block {
+	if b.Entries != nil || b.Len() == 0 {
+		return b
+	}
+	var cp Block
+	cp.DecodeFrom(NewDecoderZeroCopy(b.cache.canon))
+	cp.cache = b.cache
+	return &cp
 }
 
 // BodyDigest returns the block's digest recomputed from its fields: the
@@ -200,23 +250,14 @@ func (b *Block) BodyDigest() []byte {
 	return blockDigest(b.Edge, b.ID, b.StartPos, b.Ts, uint32(n), merkle.PackedRoot(leaves))
 }
 
-// CachedDigest returns the block's cached digest, or nil if none has been
-// recorded. Hashing stays in internal/wcrypto; this is only the cache.
+// CachedDigest returns the digest a frozen block was frozen with, or nil
+// for an unfrozen block. Hashing stays in internal/wcrypto; this is only
+// the cache.
 func (b *Block) CachedDigest() []byte {
 	if b.cache == nil {
 		return nil
 	}
 	return b.cache.digest
-}
-
-// SetCachedDigest records the digest of the block's canonical encoding.
-// It sticks only on frozen blocks — an unfrozen block may still be
-// mutated, and a cached digest would go stale with it.
-func (b *Block) SetCachedDigest(d []byte) {
-	if b.cache == nil || b.cache.canon == nil {
-		return
-	}
-	b.cache.digest = d
 }
 
 // Invalidate drops the cached encoding and digest, un-freezing the block.

@@ -166,15 +166,11 @@ func (s *Store) ResetTo(l *Log) error {
 	}
 	s.w.Reset(s.f)
 	s.dirty = false
-	for bid := uint64(0); bid < l.NumBlocks(); bid++ {
-		blk, err := l.Block(bid)
-		if err != nil {
+	for bid := range l.blocks {
+		if err := s.AppendBlockBuffered(&l.blocks[bid]); err != nil {
 			return err
 		}
-		if err := s.AppendBlockBuffered(blk); err != nil {
-			return err
-		}
-		if p, ok := l.Cert(bid); ok {
+		if p, ok := l.Cert(uint64(bid)); ok {
 			if err := s.AppendCertBuffered(&p); err != nil {
 				return err
 			}
@@ -232,7 +228,7 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 			return nil, nil, 0, 0, fmt.Errorf("%w: block record of kind %d", ErrFormat, recBlockV1)
 		case recBlock:
 			var b wire.Block
-			d := wire.NewDecoder(payload)
+			d := wire.NewDecoderZeroCopy(payload)
 			b.DecodeFrom(d)
 			if err := d.Finish(); err != nil {
 				f.Close()
@@ -294,15 +290,7 @@ func (l *Log) restoreBlock(b wire.Block) error {
 	if b.StartPos != l.bufStart {
 		return fmt.Errorf("%w: block %d position %d (want %d)", ErrCorrupt, b.ID, b.StartPos, l.bufStart)
 	}
-	b.Freeze() // recovered blocks are immutable; share one encoding
-	l.digests[b.ID] = wcrypto.BlockDigest(&b)
-	l.blocks = append(l.blocks, b)
-	l.bufStart += uint64(len(b.Entries))
-	for i := range b.Entries {
-		e := &b.Entries[i]
-		if !IsNoop(e) {
-			l.markSeen(*e, b.StartPos+uint64(i))
-		}
-	}
+	b.Freeze() // immutable from here; the entries move off the record buffer
+	l.appendBlock(b)
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
@@ -48,9 +47,8 @@ type Log struct {
 	buf      []slot
 	bufStart uint64 // absolute position of buf[0]
 
-	blocks  []wire.Block               // blocks[i] has ID == uint64(i)
-	digests map[uint64][]byte          // block id -> digest
-	certs   map[uint64]wire.BlockProof // block id -> cloud certificate
+	blocks []wire.Block               // blocks[i] has ID == uint64(i), frozen
+	certs  map[uint64]wire.BlockProof // block id -> cloud certificate
 
 	certifiedEntries uint64 // total entries across certified blocks
 	certifiedBlocks  uint64
@@ -65,10 +63,10 @@ type Log struct {
 	// a boolean — lets a promoted leader answer a client's post-failover
 	// resend with the block that already holds the entry instead of a bare
 	// rejection.
-	seen map[wire.NodeID]map[uint64]uint64
+	seen map[wire.NodeID]*seqTable
 
-	// released is the first block id that may still hold a key index
-	// (see ReleaseIndexes).
+	// released is the first block id that may still hold decoded entries
+	// and a key index (see Release).
 	released uint64
 }
 
@@ -81,9 +79,8 @@ func New(edge wire.NodeID, batchSize int) *Log {
 	return &Log{
 		edge:      edge,
 		batchSize: batchSize,
-		digests:   make(map[uint64][]byte),
 		certs:     make(map[uint64]wire.BlockProof),
-		seen:      make(map[wire.NodeID]map[uint64]uint64),
+		seen:      make(map[wire.NodeID]*seqTable),
 	}
 }
 
@@ -114,7 +111,7 @@ func (l *Log) CertifiedBlocks() uint64 { return l.certifiedBlocks }
 // free position. Duplicate (client, seq) pairs are rejected, implementing
 // the replay defence. The returned position is absolute.
 func (l *Log) Append(e wire.Entry, now int64) (pos uint64, err error) {
-	if s := l.seen[e.Client]; s != nil && s[e.Seq] > 0 {
+	if _, dup := l.SeenPos(e.Client, e.Seq); dup {
 		return 0, fmt.Errorf("%w: %s/%d", ErrDuplicateEntry, e.Client, e.Seq)
 	}
 	if e.Pos > 0 {
@@ -136,36 +133,78 @@ func (l *Log) Append(e wire.Entry, now int64) (pos uint64, err error) {
 		s.entry = e
 		s.filled = true
 		s.enqueuedAt = now
-		l.markSeen(e, p)
+		l.markSeen(&e, p)
 		return p, nil
 	}
 	pos = l.bufStart + uint64(len(l.buf))
 	l.buf = append(l.buf, slot{entry: e, filled: true, enqueuedAt: now})
-	l.markSeen(e, pos)
+	l.markSeen(&e, pos)
 	return pos, nil
 }
 
-func (l *Log) markSeen(e wire.Entry, pos uint64) {
-	s := l.seen[e.Client]
-	if s == nil {
-		s = make(map[uint64]uint64)
-		l.seen[e.Client] = s
+func (l *Log) markSeen(e *wire.Entry, pos uint64) {
+	t := l.seen[e.Client]
+	if t == nil {
+		t = new(seqTable)
+		l.seen[e.Client] = t
 	}
-	s[e.Seq] = pos + 1
+	t.set(e.Seq, pos+1)
 }
 
 // SeenPos reports the absolute position at which (client, seq) was
 // accepted, if it ever was — the lookup behind duplicate re-acking.
 func (l *Log) SeenPos(client wire.NodeID, seq uint64) (uint64, bool) {
-	p := l.seen[client][seq]
+	t := l.seen[client]
+	if t == nil {
+		return 0, false
+	}
+	p := t.get(seq)
 	if p == 0 {
 		return 0, false
 	}
 	return p - 1, true
 }
 
+// seqTable is one client's accepted seqs, each mapped to position + 1 (0 =
+// never accepted): a slice indexed by seq for the seqs a client numbers
+// densely, and a map for a seq that lands more than seenSlack past the
+// slice's end, so no seq a client picks can stretch the slice.
+type seqTable struct {
+	dense  []uint64
+	sparse map[uint64]uint64
+}
+
+const seenSlack = 64
+
+func (t *seqTable) get(seq uint64) uint64 {
+	if seq < uint64(len(t.dense)) && t.dense[seq] != 0 {
+		return t.dense[seq]
+	}
+	return t.sparse[seq]
+}
+
+// set records v for seq; v == 0 forgets it.
+func (t *seqTable) set(seq, v uint64) {
+	if n := uint64(len(t.dense)); seq >= n && seq-n < seenSlack && v != 0 {
+		t.dense = append(t.dense, make([]uint64, seq-n+1)...)
+	}
+	switch {
+	case seq < uint64(len(t.dense)):
+		t.dense[seq] = v
+		delete(t.sparse, seq) // it may have landed there before the slice grew
+	case v == 0:
+		delete(t.sparse, seq)
+	default:
+		if t.sparse == nil {
+			t.sparse = make(map[uint64]uint64)
+		}
+		t.sparse[seq] = v
+	}
+}
+
 // BlockByPos returns the cut block containing absolute position pos, or
-// false when pos is still buffered (or was never assigned).
+// false when pos is still buffered (or was never assigned). A released
+// block comes back decoded, as from Block.
 func (l *Log) BlockByPos(pos uint64) (*wire.Block, bool) {
 	if pos >= l.bufStart {
 		return nil, false
@@ -184,7 +223,7 @@ func (l *Log) BlockByPos(pos uint64) (*wire.Block, bool) {
 	if len(l.blocks) == 0 || l.blocks[lo].StartPos > pos {
 		return nil, false
 	}
-	return &l.blocks[lo], true
+	return l.blocks[lo].Decoded(), true
 }
 
 // InstallBlock mirrors a block cut elsewhere — the follower half of
@@ -193,6 +232,8 @@ func (l *Log) BlockByPos(pos uint64) (*wire.Block, bool) {
 // caller-verified recomputation over the received content. The installed
 // copy is frozen and its entries are marked seen, so a promoted leader
 // dedups client resends of entries it inherited.
+// Freezing takes blk's entries over, off the frame they arrived in: the
+// caller must be done with the message that carried blk.
 func (l *Log) InstallBlock(blk *wire.Block, digest []byte) error {
 	if blk.ID != uint64(len(l.blocks)) {
 		return fmt.Errorf("%w: install %d, next is %d", ErrNoSuchBlock, blk.ID, len(l.blocks))
@@ -201,19 +242,22 @@ func (l *Log) InstallBlock(blk *wire.Block, digest []byte) error {
 		return fmt.Errorf("wlog: install into a log with buffered entries")
 	}
 	cp := *blk
-	cp.Entries = append([]wire.Entry(nil), blk.Entries...)
 	cp.Invalidate()
 	cp.FreezeWithDigest(append([]byte(nil), digest...))
-	l.blocks = append(l.blocks, cp)
-	l.digests[cp.ID] = cp.CachedDigest()
-	for i := range cp.Entries {
-		e := &cp.Entries[i]
-		if !IsNoop(e) {
-			l.markSeen(*e, cp.StartPos+uint64(i))
+	l.appendBlock(cp)
+	return nil
+}
+
+// appendBlock adds a frozen block at the log's tail and marks its entries
+// seen.
+func (l *Log) appendBlock(b wire.Block) {
+	l.blocks = append(l.blocks, b)
+	for i := range b.Entries {
+		if e := &b.Entries[i]; !IsNoop(e) {
+			l.markSeen(e, b.StartPos+uint64(i))
 		}
 	}
-	l.bufStart = cp.StartPos + uint64(len(cp.Entries))
-	return nil
+	l.bufStart = b.StartPos + uint64(len(b.Entries))
 }
 
 // Reserve grants count consecutive absolute positions to client, expiring
@@ -241,7 +285,7 @@ func (l *Log) EntryAt(pos uint64) (wire.Entry, bool) {
 		return wire.Entry{}, false
 	}
 	i := pos - blk.StartPos
-	if i >= uint64(len(blk.Entries)) {
+	if i >= uint64(blk.Len()) {
 		return wire.Entry{}, false
 	}
 	return blk.Entries[i], true
@@ -302,47 +346,45 @@ func (l *Log) TryCut(now int64, force bool) *wire.Block {
 	// Freeze before sharing: persist, certify and response paths reuse
 	// the cached canonical bytes and digest, and concurrent readers
 	// (writer lanes encoding frames that carry the block) only ever read
-	// the fully populated cache.
+	// the fully populated cache. The entries move off their frames.
 	blk.Freeze()
-	l.digests[blk.ID] = wcrypto.BlockDigest(&blk)
 	l.blocks = append(l.blocks, blk)
 	return &l.blocks[blk.ID]
 }
 
-// Block returns the cut block with the given id.
+// Block returns the cut block with the given id; a released block comes
+// back decoded from its canonical bytes (wire.Block.Decoded).
 func (l *Log) Block(bid uint64) (*wire.Block, error) {
 	if bid >= uint64(len(l.blocks)) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchBlock, bid)
 	}
-	return &l.blocks[bid], nil
+	return l.blocks[bid].Decoded(), nil
 }
 
-// ReleaseIndexes drops the key index of every block below before — the
-// blocks that have left the L0 window and will not be sliced for a read
-// again — so what a cut block keeps for the life of the log is its bytes
-// and digest, not its tree. Total work over a log's life is one step per
-// block.
-func (l *Log) ReleaseIndexes(before uint64) {
+// Release drops the decoded entries and key index of every block below
+// before — the blocks that have left the L0 window — so what such a block
+// keeps for the life of the log is its canonical bytes, digest and
+// certificate. Total work over a log's life is one step per block.
+func (l *Log) Release(before uint64) {
 	for ; l.released < before && l.released < uint64(len(l.blocks)); l.released++ {
-		l.blocks[l.released].ReleaseIndex()
+		l.blocks[l.released].Release()
 	}
 }
 
-// Digest returns the digest of block bid.
+// Digest returns the digest of block bid, computed when it was frozen.
 func (l *Log) Digest(bid uint64) ([]byte, error) {
-	d, ok := l.digests[bid]
-	if !ok {
+	if bid >= uint64(len(l.blocks)) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchBlock, bid)
 	}
-	return d, nil
+	return l.blocks[bid].CachedDigest(), nil
 }
 
 // SetCert records the cloud's block-proof for a block, upgrading it to
 // Phase II. The proof's digest must match the locally computed digest.
 func (l *Log) SetCert(p wire.BlockProof) error {
-	d, ok := l.digests[p.BID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlock, p.BID)
+	d, err := l.Digest(p.BID)
+	if err != nil {
+		return err
 	}
 	if !bytes.Equal(d, p.Digest) {
 		return ErrCertDigest
@@ -352,7 +394,7 @@ func (l *Log) SetCert(p wire.BlockProof) error {
 	}
 	l.certs[p.BID] = p
 	l.certifiedBlocks++
-	l.certifiedEntries += uint64(len(l.blocks[p.BID].Entries))
+	l.certifiedEntries += uint64(l.blocks[p.BID].Len())
 	return nil
 }
 
@@ -388,8 +430,8 @@ func (l *Log) unmarkSeen(e *wire.Entry, pos uint64) {
 	if IsNoop(e) {
 		return
 	}
-	if s := l.seen[e.Client]; s != nil && s[e.Seq] == pos+1 {
-		delete(s, e.Seq)
+	if t := l.seen[e.Client]; t != nil && t.get(e.Seq) == pos+1 {
+		t.set(e.Seq, 0)
 	}
 }
 
@@ -415,7 +457,7 @@ func (l *Log) TruncateUncertified() int {
 	l.buf = nil
 	removed := len(l.blocks) - int(keep)
 	for bid := keep; bid < uint64(len(l.blocks)); bid++ {
-		blk := &l.blocks[bid]
+		blk := l.blocks[bid].Decoded()
 		for i := range blk.Entries {
 			l.unmarkSeen(&blk.Entries[i], blk.StartPos+uint64(i))
 		}
@@ -424,7 +466,6 @@ func (l *Log) TruncateUncertified() int {
 			l.certifiedEntries -= uint64(len(blk.Entries))
 			delete(l.certs, bid)
 		}
-		delete(l.digests, bid)
 	}
 	l.blocks = l.blocks[:keep]
 	l.certNext = keep
@@ -433,7 +474,7 @@ func (l *Log) TruncateUncertified() int {
 		l.bufStart = 0
 	} else {
 		last := &l.blocks[keep-1]
-		l.bufStart = last.StartPos + uint64(len(last.Entries))
+		l.bufStart = last.StartPos + uint64(last.Len())
 	}
 	return removed
 }
