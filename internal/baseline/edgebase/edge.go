@@ -1,7 +1,10 @@
 package edgebase
 
 import (
+	"bytes"
+
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -34,7 +37,7 @@ type Edge struct {
 // EdgeStats are counters for the Edge-baseline edge.
 type EdgeStats struct {
 	Pushes uint64
-	Gets   uint64
+	Scans  uint64 // gets among them: a get is a point-range scan
 	Reads  uint64
 }
 
@@ -60,8 +63,8 @@ func (e *Edge) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.EBStatePush:
 		return e.handlePush(now, env.From, m)
-	case *wire.GetRequest:
-		return e.handleGet(now, env.From, m)
+	case *wire.ScanRequest:
+		return e.handleScan(now, env.From, m)
 	case *wire.ReadRequest:
 		return e.handleRead(now, env.From, m)
 	default:
@@ -114,17 +117,21 @@ func (e *Edge) flatPages() []wire.Page {
 	return out
 }
 
-// handleGet serves the same proof-carrying get protocol as the WedgeChain
-// edge; every L0 block here is already certified, so responses are always
-// Phase II equivalents.
-func (e *Edge) handleGet(now int64, from wire.NodeID, m *wire.GetRequest) []wire.Envelope {
-	e.stats.Gets++
+// handleScan serves the same proof-carrying read protocol as the
+// WedgeChain edge — scans, and gets as the scan of one key; every L0 block
+// here is already certified, so responses are always Phase II
+// equivalents.
+func (e *Edge) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wire.Envelope {
+	if m.Start != nil && m.End != nil && bytes.Compare(m.Start, m.End) >= 0 {
+		return nil // an empty range has nothing to prove
+	}
+	e.stats.Scans++
 	var src mlsm.L0Source
 	for bid := e.l0From; bid < uint64(len(e.blocks)); bid++ {
 		src.Blocks = append(src.Blocks, e.blocks[bid])
 		src.Certs = append(src.Certs, e.certs[bid])
 	}
-	resp := mlsm.AssembleGet(m.Key, m.ReqID, src, e.idx)
+	resp := scan.Assemble(m.Start, m.End, m.ReqID, src, e.idx)
 	resp.EdgeSig = wcrypto.SignMsg(e.key, resp)
 	return []wire.Envelope{{From: e.cfg.ID, To: from, Msg: resp}}
 }

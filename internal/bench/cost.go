@@ -94,19 +94,21 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 		cost := p.Base
 
 		switch m := in.Msg.(type) {
-		case *wire.GetRequest, *wire.ReadRequest, *wire.CloudGetRequest:
-			cost += p.ReadServe
-		case *wire.ScanRequest:
-			// Scan assembly walks the L0 window and per-level page
-			// ranges; the base serve cost covers it (proof material is
-			// hashes already cached by the index).
+		case *wire.ReadRequest, *wire.CloudGetRequest, *wire.ScanRequest:
+			// Every read serves at one flat cost: a scan's (and a get's)
+			// assembly walks the L0 window and per-level page ranges over
+			// hashes the index already caches.
 			cost += p.ReadServe
 		case *wire.ScanResponse:
 			if role == RClient {
-				// Verification hashes every proven page and block and
-				// merges the derived records, so it scales with the
-				// evidence shipped, not just a flat check.
-				cost += p.VerifyClient + int64(p.ApplyPerByte*float64(wire.EncodedSize(in)))
+				// A get (a point range) is the paper's flat verify. A
+				// scan's verification hashes every proven page and block
+				// and merges the derived records, so it scales with the
+				// evidence shipped.
+				cost += p.VerifyClient
+				if !wire.IsPointRange(m.Start, m.End) {
+					cost += int64(p.ApplyPerByte * float64(wire.EncodedSize(in)))
+				}
 			}
 		case *wire.BlockCertify:
 			if role == RCloud {
@@ -120,7 +122,7 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			if role == REdge {
 				cost += p.ApplyBase + int64(p.ApplyPerByte*float64(wire.EncodedSize(in)))
 			}
-		case *wire.GetResponse, *wire.ReadResponse:
+		case *wire.ReadResponse:
 			if role == RClient {
 				cost += p.VerifyClient
 			}

@@ -169,23 +169,26 @@ func runEvidence(scale Scale, window int, random bool) evidenceResult {
 	scanLo := mid + 200
 
 	res := evidenceResult{}
-	hit, err := w.EdgeNode.AssembleGet(hitKey, 1)
+	// A get is the scan of its key's point range.
+	hitStart, hitEnd := wire.PointRange(hitKey)
+	hit, err := w.EdgeNode.AssembleScan(hitStart, hitEnd, 1)
 	if err != nil {
 		panic(fmt.Sprintf("bench: E1 hit get not served: %v", err))
 	}
-	if err := cc.VerifyGetResponse(now, hitKey, hit); err != nil {
+	if err := cc.VerifyScanResponse(now, hitStart, hitEnd, hit); err != nil {
 		panic(fmt.Sprintf("bench: E1 hit get failed verification: %v", err))
 	}
-	if !hit.Found || len(hit.Proof.Levels) != 0 {
+	if len(hit.Proof.Levels) != 0 || len(hit.Proof.Roots) != 0 {
 		panic("bench: E1 hit key did not resolve in the L0 window")
 	}
 	res.getHitBytes = size(hit)
 
-	miss, err := w.EdgeNode.AssembleGet(missKey, 2)
+	missStart, missEnd := wire.PointRange(missKey)
+	miss, err := w.EdgeNode.AssembleScan(missStart, missEnd, 2)
 	if err != nil {
 		panic(fmt.Sprintf("bench: E1 miss get not served: %v", err))
 	}
-	if err := cc.VerifyGetResponse(now, missKey, miss); err != nil {
+	if err := cc.VerifyScanResponse(now, missStart, missEnd, miss); err != nil {
 		panic(fmt.Sprintf("bench: E1 miss get failed verification: %v", err))
 	}
 	if len(miss.Proof.Levels) == 0 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wedgechain/internal/client"
+	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
 )
 
@@ -52,14 +53,15 @@ func Fig5dReadPath(scale Scale) *Table {
 	now := w.Sim.Now()
 	for i, key := range keys {
 		start := time.Now()
-		resp, err := edgeNode.AssembleGet(key, uint64(i))
+		lo, hi := wire.PointRange(key)
+		resp, err := edgeNode.AssembleScan(lo, hi, uint64(i))
 		if err != nil {
 			panic(fmt.Sprintf("bench: F5d get not served: %v", err))
 		}
 		serveDur += time.Since(start)
 
 		start = time.Now()
-		if err := cc.VerifyGetResponse(now, key, resp); err != nil {
+		if err := cc.VerifyScanResponse(now, lo, hi, resp); err != nil {
 			panic(fmt.Sprintf("bench: F5d verification failed: %v", err))
 		}
 		verifyDur += time.Since(start)

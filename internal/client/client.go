@@ -121,7 +121,6 @@ type Op struct {
 	digest      []byte // digest of the block accepted at Phase I
 	putEvidence *wire.PutResponse
 	readEv      *wire.ReadResponse
-	getEv       *wire.GetResponse
 	scanEv      *wire.ScanResponse
 	pendingBIDs map[uint64][]byte // get/scan: uncertified bid -> expected digest
 	disputed    bool
@@ -288,9 +287,9 @@ type Stats struct {
 	// Overloads counts signed Overloaded shed signals accepted from the
 	// edge (admission control).
 	Overloads uint64
-	// Light-client accounting: get responses fully structurally verified
-	// vs accepted on the sampling fast path, and the wall-clock cost of
-	// the full verifications.
+	// Light-client accounting: get and scan responses fully structurally
+	// verified vs gets accepted on the sampling fast path, and the
+	// wall-clock cost of the full verifications.
 	FullVerifies uint64
 	SampledSkips uint64
 	VerifyNanos  uint64
@@ -454,16 +453,20 @@ func (c *Core) Read(now int64, bid uint64) (*Op, []wire.Envelope) {
 	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.ReadRequest{BID: bid, ReqID: c.reqID}}}
 }
 
-// Get starts a key-value lookup.
+// Get starts a key-value lookup: the scan of the key's point range
+// (wire.PointRange), limited to its one record. The op settles with
+// Found, GotValue and GotVer.
 func (c *Core) Get(now int64, key []byte) (*Op, []wire.Envelope) {
+	start, end := wire.PointRange(key)
+	op := &Op{Kind: KindGet, Edge: c.cfg.Edge, Key: key, ScanStart: start, ScanEnd: end, ScanLimit: 1, StartedAt: now}
 	if c.banned != nil {
-		return c.launchBanned(&Op{Kind: KindGet, Edge: c.cfg.Edge, Key: key, StartedAt: now})
+		return c.launchBanned(op)
 	}
 	c.reqID++
-	op := &Op{Kind: KindGet, ReqID: c.reqID, Edge: c.cfg.Edge, Key: key, StartedAt: now}
+	op.ReqID = c.reqID
 	c.byReq.Set(c.reqID, op)
 	c.pending++
-	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.GetRequest{Key: key, ReqID: c.reqID}}}
+	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: scanRequest(op)}}
 }
 
 // Scan starts a verified range scan over [start, end) on this core's
@@ -488,8 +491,13 @@ func (c *Core) Scan(now int64, start, end []byte, limit int) (*Op, []wire.Envelo
 	op.ReqID = c.reqID
 	c.byReq.Set(c.reqID, op)
 	c.pending++
-	req := &wire.ScanRequest{Start: start, End: end, Limit: uint32(limit), ReqID: c.reqID}
-	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: req}}
+	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: scanRequest(op)}}
+}
+
+// scanRequest is the wire request of a get or scan op — the first send
+// and every re-send alike.
+func scanRequest(op *Op) *wire.ScanRequest {
+	return &wire.ScanRequest{Start: op.ScanStart, End: op.ScanEnd, Limit: uint32(op.ScanLimit), ReqID: op.ReqID}
 }
 
 // Reserve asks the edge for count reserved log positions. The response is
@@ -526,8 +534,6 @@ func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return c.handleProof(now, env.From, m)
 	case *wire.ReadResponse:
 		return c.handleReadResponse(now, env.From, m)
-	case *wire.GetResponse:
-		return c.handleGetResponse(now, env.From, m)
 	case *wire.ScanResponse:
 		return c.handleScanResponse(now, env.From, m)
 	case *wire.Gossip:
@@ -731,10 +737,7 @@ func (c *Core) resolveProofDep(now int64, op *Op, bid uint64, digest []byte) []w
 	}
 	if !bytes.Equal(want, digest) {
 		c.m.liesDetected.Inc()
-		if op.Kind == KindScan {
-			return c.fileScanDispute(op, bid)
-		}
-		return c.fileGetDispute(op, bid)
+		return c.fileScanDispute(op, bid)
 	}
 	delete(op.pendingBIDs, bid)
 	if len(op.pendingBIDs) == 0 {
@@ -776,12 +779,10 @@ func (c *Core) fileDispute(op *Op) []wire.Envelope {
 		d = core.BuildReadLieDispute(c.key, op.Edge, op.readEv)
 	case op.readEv != nil && !op.readEv.OK && c.gossip != nil:
 		d = core.BuildOmissionDispute(c.key, op.Edge, op.readEv, c.gossip)
-	case op.getEv != nil:
-		// Dispute the lowest still-pending block (gets never set op.BID):
+	case op.scanEv != nil:
+		// Dispute the lowest still-pending block (reads never set op.BID):
 		// the cloud either holds a contradicting certificate or never saw
 		// the block at all.
-		return c.fileGetDispute(op, lowestPending(op))
-	case op.scanEv != nil:
 		return c.fileScanDispute(op, lowestPending(op))
 	default:
 		return nil
@@ -790,13 +791,6 @@ func (c *Core) fileDispute(op *Op) []wire.Envelope {
 	c.accused = append(c.accused, op)
 	c.m.disputes.Inc()
 	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Cloud, Msg: d}}
-}
-
-func (c *Core) fileGetDispute(op *Op, bid uint64) []wire.Envelope {
-	if op.disputed {
-		return nil
-	}
-	return c.accuse(op, bid, core.BuildGetLieDispute(c.key, op.Edge, bid, op.getEv))
 }
 
 // accuse records op as disputed over bid and returns the accusation for

@@ -275,27 +275,40 @@ func TestPutBatchCreatesOnePerPair(t *testing.T) {
 	}
 }
 
+// pointResponse is an edge-signed answer to a get of key: the scan of its
+// point range, carrying the given evidence.
+func (f *fixture) pointResponse(reqID uint64, key string, proof wire.ScanProof) *wire.ScanResponse {
+	start, end := wire.PointRange([]byte(key))
+	resp := &wire.ScanResponse{ReqID: reqID, Start: start, End: end, Proof: proof}
+	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
+	return resp
+}
+
+// verifyGet runs the client's full verification of an answer to a get of
+// key.
+func (f *fixture) verifyGet(now int64, key string, m *wire.ScanResponse) error {
+	start, end := wire.PointRange([]byte(key))
+	return f.c.VerifyScanResponse(now, start, end, m)
+}
+
 func TestVerifyGetResponseL0Value(t *testing.T) {
 	f := newFixture(t)
 	e := wire.Entry{Client: "c1", Seq: 9, Key: []byte("k"), Value: []byte("v")}
 	e.Sig = wcrypto.SignMsg(f.keys["c1"], &e)
 	blk := wire.Block{Edge: "edge-1", ID: 0, StartPos: 0, Entries: []wire.Entry{e}}
 	proof := f.signedProof(&blk)
-
-	resp := &wire.GetResponse{
-		ReqID: 1, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: 1,
-		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{*proof}}.Window(wire.PointRange([]byte("k")))},
+	window := func() []wire.L0Slice {
+		return mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{*proof}}.Window(wire.PointRange([]byte("k")))
 	}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err != nil {
+
+	if err := f.verifyGet(100, "k", f.pointResponse(1, "k", wire.ScanProof{L0Pruned: window()})); err != nil {
 		t.Fatalf("honest get rejected: %v", err)
 	}
 
-	// Value contradicting L0 contents must fail.
-	lied := *resp
-	lied.Value = []byte("forged")
-	lied.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], &lied)
-	if err := f.c.VerifyGetResponse(100, []byte("k"), &lied); err == nil {
+	// A value contradicting the certified block must fail.
+	lied := window()
+	lied[0].Rows[0].Entry.Value = []byte("forged")
+	if err := f.verifyGet(100, "k", f.pointResponse(1, "k", wire.ScanProof{L0Pruned: lied})); err == nil {
 		t.Fatal("contradicting value accepted")
 	}
 }
@@ -304,15 +317,11 @@ func TestVerifyGetResponseRejectsNonConsecutiveL0(t *testing.T) {
 	f := newFixture(t)
 	b0 := wire.Block{Edge: "edge-1", ID: 0}
 	b2 := wire.Block{Edge: "edge-1", ID: 2} // gap hides block 1
-	resp := &wire.GetResponse{
-		ReqID: 1,
-		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{
-			Blocks: []wire.Block{b0, b2},
-			Certs:  []wire.BlockProof{*f.signedProof(&b0), *f.signedProof(&b2)},
-		}.Window(wire.PointRange([]byte("k")))},
-	}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err == nil {
+	window := mlsm.L0Source{
+		Blocks: []wire.Block{b0, b2},
+		Certs:  []wire.BlockProof{*f.signedProof(&b0), *f.signedProof(&b2)},
+	}.Window(wire.PointRange([]byte("k")))
+	if err := f.verifyGet(100, "k", f.pointResponse(1, "k", wire.ScanProof{L0Pruned: window})); err == nil {
 		t.Fatal("L0 gap accepted")
 	}
 }
@@ -320,12 +329,8 @@ func TestVerifyGetResponseRejectsNonConsecutiveL0(t *testing.T) {
 func TestVerifyGetResponseRejectsForeignBlocks(t *testing.T) {
 	f := newFixture(t)
 	blk := wire.Block{Edge: "edge-other", ID: 0}
-	resp := &wire.GetResponse{
-		ReqID: 1,
-		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))},
-	}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-	if err := f.c.VerifyGetResponse(100, []byte("k"), resp); err == nil {
+	window := mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))
+	if err := f.verifyGet(100, "k", f.pointResponse(1, "k", wire.ScanProof{L0Pruned: window})); err == nil {
 		t.Fatal("foreign block accepted")
 	}
 }
@@ -337,12 +342,8 @@ func TestVerifyGetResponseUncertifiedIsPhaseI(t *testing.T) {
 	blk := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{e}}
 
 	op, _ := f.c.Get(10, []byte("k"))
-	resp := &wire.GetResponse{
-		ReqID: op.ReqID, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: 1,
-		Proof: wire.GetProof{L0Pruned: mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))},
-	}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: resp})
+	window := mlsm.L0Source{Blocks: []wire.Block{blk}}.Window(wire.PointRange([]byte("k")))
+	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: f.pointResponse(op.ReqID, "k", wire.ScanProof{L0Pruned: window})})
 	if op.Phase != core.PhaseI || op.Done {
 		t.Fatalf("op = phase %v done %v", op.Phase, op.Done)
 	}
@@ -351,8 +352,8 @@ func TestVerifyGetResponseUncertifiedIsPhaseI(t *testing.T) {
 	if op.Phase != core.PhaseII {
 		t.Fatalf("op phase = %v after proof", op.Phase)
 	}
-	if !bytes.Equal(op.GotValue, []byte("v")) {
-		t.Fatalf("value = %q", op.GotValue)
+	if !op.Found || !bytes.Equal(op.GotValue, []byte("v")) || op.GotVer != 1 {
+		t.Fatalf("answer = %v %q v%d", op.Found, op.GotValue, op.GotVer)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -34,7 +35,8 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 	read := &wire.ReadResponse{ReqID: 1, BID: blk.ID, OK: true, Ts: 5, Block: *blk, HasProof: true, Proof: certs[0]}
 	read.EdgeSig = wcrypto.SignReadResponse(f.keys["edge-1"], read, wcrypto.BlockDigest(blk))
 
-	get := mlsm.AssembleGet([]byte("hidden"), 1, mlsm.L0Source{Blocks: blocks, Certs: certs}, mlsm.NewIndex([]int{10}))
+	start, end := wire.PointRange([]byte("hidden"))
+	get := scan.Assemble(start, end, 1, mlsm.L0Source{Blocks: blocks, Certs: certs}, mlsm.NewIndex([]int{10}))
 	get.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], get)
 
 	for _, c := range []struct {
@@ -44,7 +46,7 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 	}{
 		{"PutResponse", &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: ackSig}, 1},
 		{"ReadResponse", read, 1},
-		{"GetResponse", get, uint64(len(blocks))},
+		{"get", get, uint64(len(blocks))},
 	} {
 		env := overTheWire(t, "edge-1", c.msg)
 		// A fresh client, with the operation the message answers
@@ -53,7 +55,7 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 		switch c.name {
 		case "ReadResponse":
 			fc.c.Read(1, blk.ID)
-		case "GetResponse":
+		case "get":
 			fc.c.Get(1, []byte("hidden"))
 		}
 		before := wire.DigestCalls()
@@ -61,7 +63,7 @@ func TestReceivedBlockHashedOnce(t *testing.T) {
 		if got := wire.DigestCalls() - before; got != c.want {
 			t.Errorf("%s: digests computed = %d, want %d", c.name, got, c.want)
 		}
-		if c.name == "GetResponse" && fc.c.Stats().FullVerifies != 1 {
+		if c.name == "get" && fc.c.Stats().FullVerifies != 1 {
 			t.Errorf("%s: the get was not verified", c.name)
 		}
 		if fc.c.Stats().VerifyFailures != 0 {

@@ -101,12 +101,14 @@ func (f *fixture) lightGossip(ts int64) {
 	f.c.Receive(ts, wire.Envelope{From: "cloud", To: "c1", Msg: g})
 }
 
-// garbageGetResponse is edge-signed but structurally worthless: only a
-// full verification pass can tell.
-func (f *fixture) garbageGetResponse(reqID uint64, key []byte) *wire.GetResponse {
-	resp := &wire.GetResponse{ReqID: reqID, Key: key, Found: true, Value: []byte("v"), Ver: 3}
-	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-	return resp
+// garbageGetResponse is an edge-signed answer to a get of key that shows
+// the value "v" at version 3, but is structurally worthless — its one
+// slice places the row past the block's end: only a full verification
+// pass can tell.
+func (f *fixture) garbageGetResponse(reqID uint64, key []byte) *wire.ScanResponse {
+	slice := wire.L0Slice{Edge: "edge-1", ID: 7, StartPos: 2,
+		Rows: []wire.SliceRow{{Entry: wire.Entry{Client: "c2", Seq: 1, Key: key, Value: []byte("v")}}}}
+	return f.pointResponse(reqID, string(key), wire.ScanProof{L0Pruned: []wire.L0Slice{slice}})
 }
 
 func TestLightClientSkipsUnsampledResponse(t *testing.T) {

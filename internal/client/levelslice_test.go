@@ -35,17 +35,17 @@ func refusedAndConvicted(t *testing.T, f *scanFixture, op *Op, msg wire.Message)
 // TestGetLevelLieConvicts: an edge-signed get whose level page drops the
 // key's row, claiming the key absent. The page no longer folds to its leaf
 // in the signed level, so the client refuses the answer — and, since a get
-// echoes its key under the edge's signature, files it; the Judge re-runs
-// the level verifier and convicts.
+// echoes its point range under the edge's signature, files it; the Judge
+// re-runs the level verifier and convicts.
 func TestGetLevelLieConvicts(t *testing.T) {
 	f := newScanFixture(t)
 	op, envs := f.c.Get(10, []byte("k03"))
-	req := envs[0].Msg.(*wire.GetRequest)
-	resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{}, f.idx)
-	if !resp.Found || len(resp.Proof.Levels) != 1 {
-		t.Fatalf("setup: found=%v levels=%d", resp.Found, len(resp.Proof.Levels))
+	req := envs[0].Msg.(*wire.ScanRequest)
+	resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx)
+	if _, found := scan.PointAnswer(resp); !found || len(resp.Proof.Levels) != 1 {
+		t.Fatalf("setup: found=%v levels=%d", found, len(resp.Proof.Levels))
 	}
-	p := &resp.Proof.Levels[0].Page
+	p := &resp.Proof.Levels[0].Pages[0]
 	var kept []wire.KV
 	for _, kv := range p.KVs {
 		if string(kv.Key) != "k03" {
@@ -53,7 +53,6 @@ func TestGetLevelLieConvicts(t *testing.T) {
 		}
 	}
 	p.KVs = kept
-	resp.Found, resp.Value, resp.Ver = false, nil, 0
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	refusedAndConvicted(t, f, op, resp)
 }
@@ -95,17 +94,16 @@ func TestLevelSliceLiesConvict(t *testing.T) {
 		t.Run(l.name+"/get", func(t *testing.T) {
 			f := newIndexFixture(t, 40, 8)
 			op, envs := f.c.Get(10, []byte("k12"))
-			req := envs[0].Msg.(*wire.GetRequest)
-			resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{}, f.idx)
-			p := &resp.Proof.Levels[0].Page
+			req := envs[0].Msg.(*wire.ScanRequest)
+			resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, f.idx)
+			p := &resp.Proof.Levels[0].Pages[0]
 			if p.Whole() || p.Begin == 0 || int(p.Begin)+len(p.KVs) == int(p.Count) {
 				t.Fatalf("setup: the cut has no flank on one side: %+v", p)
 			}
-			if _, err := scan.VerifyGet(scan.Params{Reg: f.reg, Edge: "edge-1", Cloud: "cloud"}, resp); err != nil {
+			if _, err := scan.Verify(scan.Params{Reg: f.reg, Edge: "edge-1", Cloud: "cloud"}, resp); err != nil {
 				t.Fatalf("honest get rejected: %v", err)
 			}
-			start, end := wire.PointRange(req.Key)
-			l.lie(t, f, p, start, end)
+			l.lie(t, f, p, req.Start, req.End)
 			resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 			refusedAndConvicted(t, f, op, resp)
 		})

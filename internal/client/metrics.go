@@ -50,7 +50,7 @@ func newMetrics(reg *obs.Registry, node, chain string) *metrics {
 	m.failovers = c("wedge_client_failovers_total", "leadership transfers applied")
 	m.resends = c("wedge_client_resends_total", "transport-level retry re-sends")
 	m.overloads = c("wedge_client_overloads_total", "signed Overloaded shed signals accepted")
-	m.fullVerifies = c("wedge_client_full_verifies_total", "get responses fully structurally verified")
+	m.fullVerifies = c("wedge_client_full_verifies_total", "get and scan responses fully structurally verified")
 	m.sampledSkips = c("wedge_client_sampled_skips_total", "get responses accepted on the light-client sampling fast path")
 	m.verifyNanos = c("wedge_client_verify_cpu_nanos_total", "wall-clock nanoseconds spent in full verification")
 	m.trustLag = reg.HistogramVec("wedge_trust_lag_seconds",

@@ -38,7 +38,7 @@ func pruneBlocks(f *fixture) ([]wire.Block, []wire.BlockProof) {
 
 // deliverGet pushes one get response to the client, as the sender built
 // it or, framed, re-decoded as a TCP peer receives it.
-func deliverGet(t *testing.T, f *fixture, framed bool, m *wire.GetResponse) []wire.Envelope {
+func deliverGet(t *testing.T, f *fixture, framed bool, m *wire.ScanResponse) []wire.Envelope {
 	t.Helper()
 	return f.c.Receive(20, deliverable(t, framed, m))
 }
@@ -65,22 +65,13 @@ func judgeWith(f *fixture, d *wire.Dispute, certified ...*wire.Block) wire.Verdi
 	return core.Judge(f.reg, certs, "cloud", "c1", d)
 }
 
-// getOver assembles the edge's answer to a get over the given window and
-// lets lie, if any, rework the window before the edge signs: the answer
-// (found, value, version) is what the shipped window shows, so every lie
-// passes at face value.
-func getOver(f *fixture, req *wire.GetRequest, blocks []wire.Block, certs []wire.BlockProof, lie func([]wire.L0Slice) []wire.L0Slice) *wire.GetResponse {
-	resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: blocks, Certs: certs}, mlsm.NewIndex([]int{10}))
+// getOver assembles the edge's answer to a get (the scan of its point
+// range) over the given window and lets lie, if any, rework the window
+// before the edge signs.
+func getOver(f *fixture, req *wire.ScanRequest, blocks []wire.Block, certs []wire.BlockProof, lie func([]wire.L0Slice) []wire.L0Slice) *wire.ScanResponse {
+	resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: blocks, Certs: certs}, mlsm.NewIndex([]int{10}))
 	if lie != nil {
 		resp.Proof.L0Pruned = lie(resp.Proof.L0Pruned)
-		resp.Found, resp.Value, resp.Ver = false, nil, 0
-		for _, s := range resp.Proof.L0Pruned {
-			for _, r := range s.Rows {
-				if v := s.StartPos + uint64(r.Index) + 1; v > resp.Ver {
-					resp.Found, resp.Value, resp.Ver = true, r.Entry.Value, v
-				}
-			}
-		}
 	}
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	return resp
@@ -123,7 +114,7 @@ func TestGetHonestPruningVerifies(t *testing.T) {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("other"))
-		resp := getOver(f, envs[0].Msg.(*wire.GetRequest), blocks, certs, nil)
+		resp := getOver(f, envs[0].Msg.(*wire.ScanRequest), blocks, certs, nil)
 		w := resp.Proof.L0Pruned
 		if len(w) != 2 || len(w[0].Rows) != 0 || w[0].Left == nil || w[0].Right != nil {
 			t.Fatalf("framed=%v: block 0 should answer with its last leaf only: %+v", framed, w[0])
@@ -151,13 +142,13 @@ func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
-		req := envs[0].Msg.(*wire.GetRequest)
+		req := envs[0].Msg.(*wire.ScanRequest)
 		// The lie: block 0 (which holds "hidden") answers for the range
 		// below the key, and the edge claims the key does not exist.
 		resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
-			return stopShort(w, &blocks[0], req.Key, "hidden")
+			return stopShort(w, &blocks[0], req.Start, "hidden")
 		})
-		if resp.Found {
+		if _, found := scan.PointAnswer(resp); found {
 			t.Fatalf("framed=%v: the lie still shows the key", framed)
 		}
 
@@ -173,7 +164,7 @@ func TestGetFalseExclusionConvictsInlineAndPooled(t *testing.T) {
 			t.Fatalf("framed=%v: dispute not sent to cloud: %v", framed, outs)
 		}
 		d, ok := outs[0].Msg.(*wire.Dispute)
-		if !ok || d.Kind != wire.DisputeGetLie {
+		if !ok || d.Kind != wire.DisputeScanLie {
 			t.Fatalf("framed=%v: wrong dispute: %+v", framed, outs[0].Msg)
 		}
 		verdict := judgeWith(f, d, &blocks[0], &blocks[1])
@@ -192,10 +183,9 @@ func TestGetTamperedSummaryConvictsInlineAndPooled(t *testing.T) {
 		f := newFixture(t)
 		blocks, certs := pruneBlocks(f)
 		op, envs := f.c.Get(10, []byte("hidden"))
-		req := envs[0].Msg.(*wire.GetRequest)
-		start, end := wire.PointRange(req.Key)
+		req := envs[0].Msg.(*wire.ScanRequest)
 		resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
-			return doctored(w, &blocks[0], start, end, "hidden")
+			return doctored(w, &blocks[0], req.Start, req.End, "hidden")
 		})
 
 		outs := deliverGet(t, f, framed, resp)
@@ -222,10 +212,9 @@ func TestGetTamperedUncertifiedSummaryPinsAndConvicts(t *testing.T) {
 	f := newFixture(t)
 	blocks, _ := pruneBlocks(f)
 	op, envs := f.c.Get(10, []byte("hidden"))
-	req := envs[0].Msg.(*wire.GetRequest)
-	start, end := wire.PointRange(req.Key)
+	req := envs[0].Msg.(*wire.ScanRequest)
 	resp := getOver(f, req, blocks, nil, func(w []wire.L0Slice) []wire.L0Slice {
-		return doctored(w, &blocks[0], start, end, "hidden")
+		return doctored(w, &blocks[0], req.Start, req.End, "hidden")
 	})
 
 	deliverGet(t, f, false, resp)
@@ -238,7 +227,7 @@ func TestGetTamperedUncertifiedSummaryPinsAndConvicts(t *testing.T) {
 		t.Fatalf("proof contradiction filed no dispute: %v", outs)
 	}
 	d, ok := outs[0].Msg.(*wire.Dispute)
-	if !ok || d.Kind != wire.DisputeGetLie || d.BID != 0 {
+	if !ok || d.Kind != wire.DisputeScanLie || d.BID != 0 {
 		t.Fatalf("wrong dispute: %+v", outs[0].Msg)
 	}
 	verdict := judgeWith(f, d, &blocks[0], &blocks[1])
@@ -395,9 +384,8 @@ func TestL0SliceLiesConvict(t *testing.T) {
 					if kind == "get" {
 						var envs []wire.Envelope
 						op, envs = f.c.Get(10, []byte("hidden"))
-						req := envs[0].Msg.(*wire.GetRequest)
-						start, end := wire.PointRange(req.Key)
-						msg = getOver(f.fixture, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice { return l.lie(w, start, end) })
+						req := envs[0].Msg.(*wire.ScanRequest)
+						msg = getOver(f.fixture, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice { return l.lie(w, req.Start, req.End) })
 					} else {
 						var req *wire.ScanRequest
 						op, req = f.launchScan(t, []byte("h"), []byte("i")) // "hidden" only
@@ -437,8 +425,8 @@ func TestL0SliceLiesConvict(t *testing.T) {
 	f := newScanFixture(t)
 	blocks, certs := pruneBlocks(f.fixture)
 	_, envs := f.c.Get(10, []byte("hidden"))
-	resp := getOver(f.fixture, envs[0].Msg.(*wire.GetRequest), blocks, certs, nil)
-	d := core.BuildGetLieDispute(f.keys["c1"], "edge-1", 0, resp)
+	resp := getOver(f.fixture, envs[0].Msg.(*wire.ScanRequest), blocks, certs, nil)
+	d := core.BuildScanLieDispute(f.keys["c1"], "edge-1", 0, resp)
 	if v := judgeWith(f.fixture, d, &blocks[0], &blocks[1]); v.Guilty {
 		t.Fatalf("honest window convicted: %s", v.Reason)
 	}
@@ -465,8 +453,8 @@ func TestGetProofTimeoutDisputesPendingBid(t *testing.T) {
 	}
 
 	op, envs := f.c.Get(10, []byte("hidden"))
-	req := envs[0].Msg.(*wire.GetRequest)
-	resp := mlsm.AssembleGet(req.Key, req.ReqID,
+	req := envs[0].Msg.(*wire.ScanRequest)
+	resp := scan.Assemble(req.Start, req.End, req.ReqID,
 		mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{{}}}, idx)
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 	deliverGet(t, f, false, resp)
@@ -478,7 +466,7 @@ func TestGetProofTimeoutDisputesPendingBid(t *testing.T) {
 		t.Fatalf("timeout filed %d disputes", len(outs))
 	}
 	d := outs[0].Msg.(*wire.Dispute)
-	if d.Kind != wire.DisputeGetLie || d.BID != 5 {
+	if d.Kind != wire.DisputeScanLie || d.BID != 5 {
 		t.Fatalf("dispute names bid %d, want 5", d.BID)
 	}
 	// The Judge never saw block 5 certified: promised-but-never-certified.
@@ -495,9 +483,9 @@ func TestGetVerdictAttachesToSettledDispute(t *testing.T) {
 	f := newFixture(t)
 	blocks, certs := pruneBlocks(f)
 	op, envs := f.c.Get(10, []byte("hidden"))
-	req := envs[0].Msg.(*wire.GetRequest)
+	req := envs[0].Msg.(*wire.ScanRequest)
 	resp := getOver(f, req, blocks, certs, func(w []wire.L0Slice) []wire.L0Slice {
-		return stopShort(w, &blocks[0], req.Key, "hidden")
+		return stopShort(w, &blocks[0], req.Start, "hidden")
 	})
 	outs := deliverGet(t, f, false, resp)
 	if !op.Done || !op.DisputeFiled() || op.Verdict != nil {

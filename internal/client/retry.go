@@ -165,10 +165,8 @@ func (c *Core) resendOp(now int64, op *Op) (wire.Envelope, bool) {
 		msg = &wire.PutRequest{Entry: e}
 	case KindRead:
 		msg = &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}
-	case KindGet:
-		msg = &wire.GetRequest{Key: op.Key, ReqID: op.ReqID}
-	case KindScan:
-		msg = &wire.ScanRequest{Start: op.ScanStart, End: op.ScanEnd, Limit: uint32(op.ScanLimit), ReqID: op.ReqID}
+	case KindGet, KindScan:
+		msg = scanRequest(op)
 	default:
 		return wire.Envelope{}, false
 	}

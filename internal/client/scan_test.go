@@ -200,10 +200,10 @@ func TestCachePoisonedScanRejectedInlineAndPooled(t *testing.T) {
 }
 
 // poisonedGet mirrors poisonedScan for the get path.
-func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.GetResponse) {
+func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.ScanResponse) {
 	t.Helper()
 	op, envs := f.c.Get(10, []byte("k"))
-	req := envs[0].Msg.(*wire.GetRequest)
+	req := envs[0].Msg.(*wire.ScanRequest)
 	blk := wire.Block{Edge: "edge-1", ID: 0, StartPos: 0, Entries: []wire.Entry{
 		{Client: "c2", Seq: 1, Key: []byte("k"), Value: []byte("v")},
 	}}
@@ -211,7 +211,7 @@ func poisonedGet(t *testing.T, f *fixture) (op *Op, honest, poisoned *wire.GetRe
 	digest := wcrypto.BlockDigest(&blk)
 	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: digest}
 	cert.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &cert)
-	honest = mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}))
+	honest = scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}))
 	honest.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], honest)
 	bad := *honest
 	bad.Proof.L0Pruned = poisonedWindow(honest.Proof.L0Pruned)
@@ -247,7 +247,7 @@ func TestCachePoisonedGetRejectedInlineAndPooled(t *testing.T) {
 func TestGetRejectsDroppedLeadingL0Block(t *testing.T) {
 	f := newFixture(t)
 	op, envs := f.c.Get(10, []byte("victim"))
-	req := envs[0].Msg.(*wire.GetRequest)
+	req := envs[0].Msg.(*wire.ScanRequest)
 	mkBlock := func(id uint64, key string) (wire.Block, wire.BlockProof) {
 		blk := wire.Block{Edge: "edge-1", ID: id, StartPos: id, Entries: []wire.Entry{
 			{Client: "c2", Seq: id + 1, Key: []byte(key), Value: []byte("v")},
@@ -261,7 +261,7 @@ func TestGetRejectsDroppedLeadingL0Block(t *testing.T) {
 	b1, c1 := mkBlock(1, "other")
 	_, _ = b0, c0
 	// The edge serves only block 1, hiding block 0's write of "victim".
-	resp := mlsm.AssembleGet(req.Key, req.ReqID, mlsm.L0Source{
+	resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{
 		Blocks: []wire.Block{b1}, Certs: []wire.BlockProof{c1},
 	}, mlsm.NewIndex([]int{10}))
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)

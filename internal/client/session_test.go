@@ -6,6 +6,7 @@ import (
 
 	"wedgechain/internal/merkle"
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -14,8 +15,8 @@ import (
 // get responses representing snapshots at epoch 1 and epoch 2.
 type sessionFixture struct {
 	*fixture
-	respOld *wire.GetResponse // epoch 1
-	respNew *wire.GetResponse // epoch 2
+	respOld *wire.ScanResponse // epoch 1
+	respNew *wire.ScanResponse // epoch 2
 }
 
 func newSessionFixture(t *testing.T) *sessionFixture {
@@ -27,21 +28,17 @@ func newSessionFixture(t *testing.T) *sessionFixture {
 		Session:      true,
 	}, f.keys["c1"], f.reg)
 
-	mkResp := func(epoch uint64, ver uint64) *wire.GetResponse {
+	mkResp := func(epoch uint64, ver uint64) *wire.ScanResponse {
 		pages := mlsm.Merge([]wire.KV{{Key: []byte("k"), Value: []byte("v"), Ver: ver}}, nil, 1, 4, epoch*10, int64(epoch))
-		tree := mlsm.LevelTree(pages)
-		roots := [][]byte{tree.Root(), merkle.New(nil).Root()}
+		roots := [][]byte{mlsm.LevelTree(pages).Root(), merkle.New(nil).Root()}
 		global := wire.SignedRoot{Edge: "edge-1", Epoch: epoch, Root: mlsm.GlobalRoot(roots), Ts: int64(epoch)}
 		global.CloudSig = wcrypto.SignMsg(f.keys["cloud"], &global)
-		path, _ := tree.Proof(0)
-		resp := &wire.GetResponse{
-			ReqID: 1, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: ver,
-			Proof: wire.GetProof{
-				Levels: []wire.LevelProof{{Level: 1, Page: pages[0], Index: 0, Width: 1, Path: path}},
-				Roots:  roots,
-				Global: global,
-			},
+		idx := mlsm.NewIndex([]int{10, 100})
+		if err := idx.InstallLevel(1, pages, roots, global); err != nil {
+			t.Fatal(err)
 		}
+		start, end := wire.PointRange([]byte("k"))
+		resp := scan.Assemble(start, end, 1, mlsm.L0Source{}, idx)
 		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
 		return resp
 	}
@@ -50,25 +47,25 @@ func newSessionFixture(t *testing.T) *sessionFixture {
 
 func TestSessionAcceptsMonotonicSnapshots(t *testing.T) {
 	f := newSessionFixture(t)
-	if err := f.c.VerifyGetResponse(10, []byte("k"), f.respOld); err != nil {
+	if err := f.verifyGet(10, "k", f.respOld); err != nil {
 		t.Fatalf("epoch-1 response rejected: %v", err)
 	}
-	if err := f.c.VerifyGetResponse(20, []byte("k"), f.respNew); err != nil {
+	if err := f.verifyGet(20, "k", f.respNew); err != nil {
 		t.Fatalf("epoch-2 response rejected: %v", err)
 	}
 	// Re-serving the same newest snapshot is fine (monotonic, not strict).
-	if err := f.c.VerifyGetResponse(30, []byte("k"), f.respNew); err != nil {
+	if err := f.verifyGet(30, "k", f.respNew); err != nil {
 		t.Fatalf("re-served epoch-2 rejected: %v", err)
 	}
 }
 
 func TestSessionRejectsEpochRegression(t *testing.T) {
 	f := newSessionFixture(t)
-	if err := f.c.VerifyGetResponse(10, []byte("k"), f.respNew); err != nil {
+	if err := f.verifyGet(10, "k", f.respNew); err != nil {
 		t.Fatal(err)
 	}
 	// The edge rolls back to the older (validly signed) snapshot.
-	err := f.c.VerifyGetResponse(20, []byte("k"), f.respOld)
+	err := f.verifyGet(20, "k", f.respOld)
 	if !errors.Is(err, ErrRegression) {
 		t.Fatalf("regressed snapshot: err = %v, want ErrRegression", err)
 	}
@@ -76,7 +73,7 @@ func TestSessionRejectsEpochRegression(t *testing.T) {
 
 func TestSessionRegressionTriggersRetryThenFailure(t *testing.T) {
 	f := newSessionFixture(t)
-	if err := f.c.VerifyGetResponse(10, []byte("k"), f.respNew); err != nil {
+	if err := f.verifyGet(10, "k", f.respNew); err != nil {
 		t.Fatal(err)
 	}
 	op, _ := f.c.Get(20, []byte("k"))
@@ -91,7 +88,7 @@ func TestSessionRegressionTriggersRetryThenFailure(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("outputs = %d, want retry", len(out))
 	}
-	if _, ok := out[0].Msg.(*wire.GetRequest); !ok {
+	if _, ok := out[0].Msg.(*wire.ScanRequest); !ok {
 		t.Fatalf("output = %T", out[0].Msg)
 	}
 	// Exhaust retries: the op settles with ErrRegression.
@@ -105,7 +102,7 @@ func TestSessionRegressionTriggersRetryThenFailure(t *testing.T) {
 
 func TestSessionL0FrontierMonotonic(t *testing.T) {
 	f := newSessionFixture(t)
-	mkL0 := func(ids ...uint64) *wire.GetResponse {
+	mkL0 := func(ids ...uint64) *wire.ScanResponse {
 		var blocks []wire.Block
 		var certs []wire.BlockProof
 		for _, id := range ids {
@@ -116,15 +113,13 @@ func TestSessionL0FrontierMonotonic(t *testing.T) {
 			certs = append(certs, p)
 		}
 		window := mlsm.L0Source{Blocks: blocks, Certs: certs}.Window(wire.PointRange([]byte("k")))
-		resp := &wire.GetResponse{ReqID: 1, Key: []byte("k"), Proof: wire.GetProof{L0Pruned: window}}
-		resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)
-		return resp
+		return f.pointResponse(1, "k", wire.ScanProof{L0Pruned: window})
 	}
-	if err := f.c.VerifyGetResponse(10, []byte("k"), mkL0(0, 1, 2)); err != nil {
+	if err := f.verifyGet(10, "k", mkL0(0, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Same epoch (0, no merges) but fewer blocks: hidden tail.
-	err := f.c.VerifyGetResponse(20, []byte("k"), mkL0(0, 1))
+	err := f.verifyGet(20, "k", mkL0(0, 1))
 	if !errors.Is(err, ErrRegression) {
 		t.Fatalf("L0 regression: err = %v, want ErrRegression", err)
 	}
@@ -133,10 +128,10 @@ func TestSessionL0FrontierMonotonic(t *testing.T) {
 func TestSessionDisabledAcceptsRegression(t *testing.T) {
 	f := newSessionFixture(t)
 	f.c = New(Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, f.keys["c1"], f.reg)
-	if err := f.c.VerifyGetResponse(10, []byte("k"), f.respNew); err != nil {
+	if err := f.verifyGet(10, "k", f.respNew); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.c.VerifyGetResponse(20, []byte("k"), f.respOld); err != nil {
+	if err := f.verifyGet(20, "k", f.respOld); err != nil {
 		t.Fatalf("session off must accept: %v", err)
 	}
 }

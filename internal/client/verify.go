@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/scan"
@@ -103,68 +102,6 @@ func (c *Core) handleDenial(now int64, op *Op, m *wire.ReadResponse) []wire.Enve
 	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}}}
 }
 
-// handleGetResponse performs the full LSMerkle proof verification of
-// Section V-B and the freshness check of Section V-D.
-func (c *Core) handleGetResponse(now int64, from wire.NodeID, m *wire.GetResponse) []wire.Envelope {
-	if from != c.cfg.Edge {
-		return nil
-	}
-	op, ok := c.byReq.Get(m.ReqID)
-	if !ok || op.Done || op.Kind != KindGet {
-		return nil
-	}
-	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
-		c.m.verifyFailures.Inc()
-		return nil
-	}
-	op.getEv = m
-	op.Edge = from // the node whose signature backs the evidence
-	if !bytes.Equal(m.Key, op.Key) {
-		// A valid proof about a different key than requested is worthless
-		// — but not cloud-provable, since requests are unsigned and the
-		// cloud cannot know what was asked. Reject without a dispute.
-		c.m.verifyFailures.Inc()
-		c.settle(op, fmt.Errorf("%w: response answers a different key than requested", ErrBadResponse))
-		return nil
-	}
-	if c.cfg.Light && c.gossip != nil && !c.sampleHit(m.ReqID) {
-		// Light-client fast path: the edge's signature on the response has
-		// been checked and a cloud-signed gossiped frontier vouches that
-		// certification is chasing this edge's log, so the structural proof verification — the dominant
-		// client CPU cost — is skipped for all but a seeded sample of
-		// responses. The edge cannot tell which request will be audited,
-		// so any lie it serves is caught with probability 1/SampleEvery
-		// per response and convicts exactly as a full client's would: the
-		// expected-conviction guarantee of lazy trust is unchanged, only
-		// amortized. Session watermarks do not advance here — only fully
-		// verified responses may move them.
-		t0 := time.Now()
-		c.m.sampledSkips.Inc()
-		op.Found = m.Found
-		op.GotValue = m.Value
-		op.GotVer = m.Ver
-		c.phaseI(now, op, 0, nil)
-		c.phaseII(now, op)
-		c.m.verifyLight.Observe(time.Since(t0).Seconds())
-		return nil
-	}
-	verifyStart := time.Now()
-	res, err := c.verifyGet(now, m)
-	verifyDur := time.Since(verifyStart)
-	c.m.fullVerifies.Inc()
-	c.m.verifyNanos.Add(uint64(verifyDur))
-	c.m.verifyFull.Observe(verifyDur.Seconds())
-	if err != nil {
-		retry := &wire.GetRequest{Key: op.Key, ReqID: op.ReqID}
-		return c.rejectRead(op, err, retry, func() []wire.Envelope { return c.fileGetDispute(op, 0) })
-	}
-	op.Found = m.Found
-	op.GotValue = m.Value
-	op.GotVer = m.Ver
-	c.awaitRead(now, op, res.Uncertified)
-	return nil
-}
-
 // rejectRead answers a get or scan whose verification failed. A stale
 // snapshot, or one behind what this session already observed, is retried
 // with req. Any other defect is in edge-signed, self-contained evidence —
@@ -254,32 +191,4 @@ func (c *Core) sampleHit(reqID uint64) bool {
 		return true
 	}
 	return retryJitter(c.cfg.SampleSeed^reqID, 0x5bf03635, int64(c.cfg.SampleEvery)) == 0
-}
-
-// VerifyGetResponse runs the full client-side verification of a get
-// response (signature + proofs) without mutating operation state — the
-// client half of the best-case read path that Figure 5(d) measures with
-// real crypto.
-func (c *Core) VerifyGetResponse(now int64, key []byte, m *wire.GetResponse) error {
-	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Edge, m, m.EdgeSig); err != nil {
-		return err
-	}
-	if !bytes.Equal(m.Key, key) {
-		return fmt.Errorf("response answers a different key than requested")
-	}
-	_, err := c.verifyGet(now, m)
-	return err
-}
-
-// verifyGet re-derives every claim in a get response with the verifier
-// scans use (scan.VerifyGet, which the cloud's Judge re-runs on dispute
-// evidence), reading it as the scan of the one key: the L0 window is one
-// consecutive run from the signed compaction frontier whose slices
-// bracket the key and fold to certified or pinned digests; unless the key
-// is in it, every non-empty level down to the first holding the key ships
-// its intersecting page, cut to the key and folded to the signed level
-// root; and the answer is the newest version this evidence shows.
-func (c *Core) verifyGet(now int64, m *wire.GetResponse) (scan.Result, error) {
-	res, err := scan.VerifyGet(c.readParams(now), m)
-	return res, c.admitSnapshot(res, err)
 }

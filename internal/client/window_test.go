@@ -6,6 +6,7 @@ import (
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -156,8 +157,8 @@ func TestByBIDReleasesResolvedDependency(t *testing.T) {
 	}
 	b0, b1 := mk(0, "k"), mk(1, "other")
 	op, envs := f.c.Get(10, []byte("k"))
-	req := envs[0].Msg.(*wire.GetRequest)
-	resp := mlsm.AssembleGet(req.Key, req.ReqID,
+	req := envs[0].Msg.(*wire.ScanRequest)
+	resp := scan.Assemble(req.Start, req.End, req.ReqID,
 		mlsm.L0Source{Blocks: []wire.Block{b0, b1}, Certs: []wire.BlockProof{{}, {}}},
 		mlsm.NewIndex([]int{10}))
 	resp.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], resp)

@@ -356,12 +356,13 @@ func TestMergeRefusesCutPages(t *testing.T) {
 	if err := idx.InstallLevel(1, level1, roots, wire.SignedRoot{}); err != nil {
 		t.Fatal(err)
 	}
-	lp, err := idx.LevelProof(1, 0, []byte("0")) // below every key: one record ships
-	if err != nil || lp.Page.Whole() || !bytes.Equal(lp.Page.Leaf(), mlsm.PageLeaf(&level1[0])) {
-		t.Fatalf("setup: cut %+v err %v", lp.Page, err)
+	start, end := wire.PointRange([]byte("0")) // below every key: one record ships
+	lp, err := idx.LevelRangeProof(1, 0, 1, start, end)
+	if err != nil || lp.Pages[0].Whole() || !bytes.Equal(lp.Pages[0].Leaf(), mlsm.PageLeaf(&level1[0])) {
+		t.Fatalf("setup: cut %+v err %v", lp, err)
 	}
 	cut := append([]wire.Page(nil), level1...)
-	cut[0] = lp.Page
+	cut[0] = lp.Pages[0]
 	b1 := f.buildCertifiedBlock(t, 1, "c")
 	for _, m := range []*wire.MergeRequest{
 		{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: cut},

@@ -212,21 +212,8 @@ func BuildReadLieDispute(key wcrypto.KeyPair, edge wire.NodeID, resp *wire.ReadR
 	return d
 }
 
-// BuildGetLieDispute packages a signed GetResponse whose L0 block bid
-// contradicts the certified digest.
-func BuildGetLieDispute(key wcrypto.KeyPair, edge wire.NodeID, bid uint64, resp *wire.GetResponse) *wire.Dispute {
-	d := &wire.Dispute{
-		Kind:     wire.DisputeGetLie,
-		Edge:     edge,
-		BID:      bid,
-		Evidence: wire.EncodeMessage(resp),
-	}
-	d.ClientSig = wcrypto.SignMsg(key, d)
-	return d
-}
-
-// BuildScanLieDispute packages a signed ScanResponse as dispute evidence.
-// Two lies travel under this kind: a structurally defective completeness
+// BuildScanLieDispute packages a signed ScanResponse — a scan's or a
+// get's — as dispute evidence. Two lies travel under this kind: a structurally defective completeness
 // proof (the cloud re-verifies the whole proof; any defect in a signed
 // proof is the edge's own), and an L0 block bid whose content contradicts
 // the certified digest.
@@ -268,9 +255,10 @@ func BuildOmissionDispute(key wcrypto.KeyPair, edge wire.NodeID, denial *wire.Re
 //     from the certified digest, or when no digest was ever certified for
 //     that block id (the edge promised a block it never reported; disputes
 //     arrive only after the client's generous proof timeout).
-//   - get-lie / scan-lie: guilty when the response fails the read verifier
-//     the client ran (scan.VerifyGet / scan.Verify, freshness exempt), or
-//     when the disputed block's slice folds to a digest the table refutes.
+//   - scan-lie (a get is a point-range scan): guilty when the response
+//     fails the read verifier the client ran (scan.Verify, freshness
+//     exempt), or when the disputed block's slice folds to a digest the
+//     table refutes.
 //   - omission: guilty when the edge's signed denial is timestamped at or
 //     after cloud gossip covering the denied block.
 func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *wire.Dispute) wire.Verdict {
@@ -326,34 +314,6 @@ func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.Node
 			return verdict
 		}
 		return judgeDigest(certs, chain, verdict, &resp.Block)
-	case wire.DisputeGetLie:
-		resp, ok := ev.(*wire.GetResponse)
-		if !ok {
-			verdict.Reason = "dispute rejected: evidence is not a get-response"
-			return verdict
-		}
-		if err := wcrypto.VerifyMsg(reg, d.Edge, resp, resp.EdgeSig); err != nil {
-			verdict.Reason = "dispute rejected: evidence not signed by edge"
-			return verdict
-		}
-		// Structural re-verification with the verifier the client ran
-		// (scan.VerifyGet: the scan of the key the response echoes under
-		// the edge's signature). Any defect — an L0 slice or a level page
-		// that does not bracket the key, a broken fold or digest binding,
-		// an answer the evidence does not derive — is the edge's own lie.
-		// Freshness is exempt, as for scans.
-		if _, err := scan.VerifyGet(scan.Params{Reg: reg, Edge: chain, Cloud: self}, resp); err != nil {
-			verdict.Guilty = true
-			verdict.Reason = fmt.Sprintf("get proof does not verify: %v", err)
-			return verdict
-		}
-		// The window holds up structurally; the accusation must then name
-		// a block whose served slice the certified digest refutes.
-		if v, ok := judgeSlice(certs, chain, verdict, resp.Proof.L0Pruned); ok {
-			return v
-		}
-		verdict.Reason = "dispute rejected: disputed block not in evidence"
-		return verdict
 	case wire.DisputeScanLie:
 		resp, ok := ev.(*wire.ScanResponse)
 		if !ok {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wedgechain/internal/mlsm"
+	"wedgechain/internal/scan"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -172,6 +173,15 @@ func TestJudgeReadLie(t *testing.T) {
 	}
 }
 
+// pointScan is the edge-signed answer to a get of key: the scan of its
+// point range over src and idx.
+func pointScan(keys map[wire.NodeID]wcrypto.KeyPair, key []byte, src mlsm.L0Source, idx *mlsm.Index) *wire.ScanResponse {
+	start, end := wire.PointRange(key)
+	resp := scan.Assemble(start, end, 1, src, idx)
+	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
+	return resp
+}
+
 func TestJudgeGetLie(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
@@ -181,28 +191,34 @@ func TestJudgeGetLie(t *testing.T) {
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
 	lied.Entries[0].Value = []byte("stale")
-	key := lied.Entries[0].Key
-	resp := &wire.GetResponse{
-		ReqID: 1, Key: key,
-		Proof: wire.GetProof{L0Pruned: []wire.L0Slice{lied.Slice(wire.PointRange(key))}},
-	}
-	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
+	resp := pointScan(keys, lied.Entries[0].Key, mlsm.L0Source{Blocks: []wire.Block{lied}}, mlsm.NewIndex([]int{10}))
 
-	d := BuildGetLieDispute(keys["c1"], "edge-1", 0, resp)
+	d := BuildScanLieDispute(keys["c1"], "edge-1", 0, resp)
 	v := Judge(reg, ct, "cloud", "c1", d)
-	if !v.Guilty || v.Kind != wire.DisputeGetLie {
+	if !v.Guilty || v.Kind != wire.DisputeScanLie {
 		t.Fatalf("verdict = %+v", v)
+	}
+
+	// The retired get-lie kind keeps its number and convicts nobody, on
+	// any evidence.
+	d.Kind = wire.DisputeGetLie
+	d.ClientSig = wcrypto.SignMsg(keys["c1"], d)
+	if v := Judge(reg, ct, "cloud", "c1", d); v.Guilty {
+		t.Fatalf("retired get-lie kind convicted: %s", v.Reason)
+	}
+	if wire.DisputeGetLie != 4 || wire.DisputeScanLie != 5 {
+		t.Fatalf("dispute kinds renumbered: get-lie %d, scan-lie %d", wire.DisputeGetLie, wire.DisputeScanLie)
 	}
 }
 
 // TestJudgeGetL0HitNeedsNoIndexState: an honest edge answers a get whose
 // freshest version sits in the uncompacted window with the window alone —
-// no roots, no signed global (mlsm.AssembleGet) — and the client accepts
-// that shape. After the first compaction the window no longer starts at
-// block 0, and the Judge used to read "no index state" as "nothing was
-// ever compacted" and convict. The frontier rule exempts an L0 hit for
-// client and Judge alike; a window that does not hold the key is still
-// held to it.
+// no roots, no signed global (scan.Assemble over a point range) — and the
+// client accepts that shape. After the first compaction the window no
+// longer starts at block 0, and the Judge used to read "no index state" as
+// "nothing was ever compacted" and convict. The frontier rule exempts an
+// L0 hit for client and Judge alike; a window that does not hold the key
+// is still held to it.
 func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
@@ -213,9 +229,8 @@ func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 	ct.Certify("edge-1", 45, wcrypto.BlockDigest(&blk), 1)
 
 	dispute := func(key string) wire.Verdict {
-		resp := mlsm.AssembleGet([]byte(key), 1, mlsm.L0Source{Blocks: []wire.Block{blk}}, mlsm.NewIndex([]int{10}))
-		resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
-		return Judge(reg, ct, "cloud", "c1", BuildGetLieDispute(keys["c1"], "edge-1", 45, resp))
+		resp := pointScan(keys, []byte(key), mlsm.L0Source{Blocks: []wire.Block{blk}}, mlsm.NewIndex([]int{10}))
+		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 45, resp))
 	}
 	if v := dispute("hot"); v.Guilty {
 		t.Fatalf("honest L0-hit get convicted: %s", v.Reason)

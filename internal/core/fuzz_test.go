@@ -13,10 +13,10 @@ import (
 // fuzzWindow builds an honest L0 window from fuzz input: every four bytes
 // become an entry (key drawn from a handful so duplicates are common, some
 // entries key-less), cut into blocks of varying size, each certified or
-// not; the request is a get or a scan with bounds drawn from the same
-// bytes. It returns the blocks and certificates, the cloud's table, and
-// the edge-signed get or scan response.
-func fuzzWindow(data []byte, keys map[wire.NodeID]wcrypto.KeyPair) (*CertTable, wire.Message, uint64) {
+// not; the request is a get (a point range) or a scan with bounds drawn
+// from the same bytes. It returns the cloud's table, the edge-signed scan
+// response, and the block to dispute.
+func fuzzWindow(data []byte, keys map[wire.NodeID]wcrypto.KeyPair) (*CertTable, *wire.ScanResponse, uint64) {
 	at := func(i int) byte {
 		if len(data) == 0 {
 			return 0
@@ -52,13 +52,10 @@ func fuzzWindow(data []byte, keys map[wire.NodeID]wcrypto.KeyPair) (*CertTable, 
 	}
 	idx := mlsm.NewIndex([]int{10})
 	disputed := uint64(at(i+1)) % uint64(len(src.Blocks))
-	if at(i+2)%2 == 0 {
-		resp := mlsm.AssembleGet(keyOf(at(i+3)), 1, src, idx)
-		resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
-		return certs, resp, disputed
-	}
 	start, end := keyOf(at(i+3)), keyOf(at(i+4))
-	if start != nil && end != nil && string(start) >= string(end) {
+	if at(i+2)%2 == 0 {
+		start, end = wire.PointRange(start)
+	} else if start != nil && end != nil && string(start) >= string(end) {
 		end = nil
 	}
 	resp := scan.Assemble(start, end, 1, src, idx)
@@ -90,10 +87,7 @@ func FuzzL0Slice(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if m, err := wire.DecodeMessage(data); err == nil {
-			switch resp := m.(type) {
-			case *wire.GetResponse:
-				_, _ = scan.VerifyGet(scan.Params{Reg: reg, Edge: "edge-1", Cloud: "cloud"}, resp)
-			case *wire.ScanResponse:
+			if resp, ok := m.(*wire.ScanResponse); ok {
 				_, _ = scan.Verify(scan.Params{Reg: reg, Edge: "edge-1", Cloud: "cloud"}, resp)
 			}
 		}
@@ -103,14 +97,8 @@ func FuzzL0Slice(f *testing.F) {
 		}
 
 		// Honest evidence from the same bytes: no verdict.
-		certs, m, bid := fuzzWindow(data, keys)
-		var d *wire.Dispute
-		switch resp := m.(type) {
-		case *wire.GetResponse:
-			d = BuildGetLieDispute(keys["c1"], "edge-1", bid, resp)
-		case *wire.ScanResponse:
-			d = BuildScanLieDispute(keys["c1"], "edge-1", bid, resp)
-		}
+		certs, resp, bid := fuzzWindow(data, keys)
+		d := BuildScanLieDispute(keys["c1"], "edge-1", bid, resp)
 		if v := Judge(reg, certs, "cloud", "c1", d); v.Guilty {
 			// An uncertified block was promised and never certified: that
 			// conviction is the protocol's, not a verifier defect.

@@ -420,7 +420,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return nil
 	}
 	switch env.Msg.(type) {
-	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.GetRequest, *wire.ScanRequest, *wire.ReserveRequest:
+	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.ScanRequest, *wire.ReserveRequest:
 		if n.follower {
 			return n.announceLeader(env)
 		}
@@ -454,15 +454,16 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		out := n.handleRead(now, env.From, m)
 		n.m.serveRead.Observe(time.Since(t0).Seconds())
 		return out
-	case *wire.GetRequest:
-		t0 := time.Now()
-		out := n.handleGet(now, env.From, m)
-		n.m.serveGet.Observe(time.Since(t0).Seconds())
-		return out
 	case *wire.ScanRequest:
+		// A point range is a get, and counts as one.
+		count, serve := n.m.scans, n.m.serveScan
+		if wire.IsPointRange(m.Start, m.End) {
+			count, serve = n.m.gets, n.m.serveGet
+		}
+		count.Inc()
 		t0 := time.Now()
 		out := n.handleScan(now, env.From, m)
-		n.m.serveScan.Observe(time.Since(t0).Seconds())
+		serve.Observe(time.Since(t0).Seconds())
 		return out
 	case *wire.ReserveRequest:
 		return n.handleReserve(now, env.From, m)

@@ -386,9 +386,10 @@ func TestMixedBlockOneAckOneProofPerClient(t *testing.T) {
 
 		// c1 reads the uncertified block it wrote: a get hit, and a scan of
 		// everything that finds the keyed entries only.
-		get := f.node.Receive(5, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.GetRequest{Key: []byte("k0"), ReqID: 1}})
-		if r, ok := get[0].Msg.(*wire.GetResponse); !ok || !r.Found || string(r.Value) != "v0" {
-			t.Fatalf("writers %v: get k0 = %+v", writers, get[0].Msg)
+		start, end := wire.PointRange([]byte("k0"))
+		get := f.node.Receive(5, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{Start: start, End: end, Limit: 1, ReqID: 1}})
+		if res, err := scan.Verify(scan.Params{Reg: f.reg, Edge: "edge-1", Cloud: "cloud"}, get[0].Msg.(*wire.ScanResponse)); err != nil || len(res.KVs) != 1 || string(res.KVs[0].Value) != "v0" {
+			t.Fatalf("writers %v: get k0 = %v, %v", writers, res.KVs, err)
 		}
 		sc := f.node.Receive(6, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{ReqID: 2}})
 		res, err := scan.Verify(scan.Params{Reg: f.reg, Edge: "edge-1", Cloud: "cloud"}, sc[0].Msg.(*wire.ScanResponse))
@@ -495,5 +496,22 @@ func TestShedEmitsSignedOverloadSignal(t *testing.T) {
 	}
 	if got := f.node.Stats().ShedSignals; got != 3 {
 		t.Fatalf("ShedSignals = %d, want 3", got)
+	}
+}
+
+// TestGetAndScanCounters: a get is the scan of its key's point range, and
+// still counts as a get — in Stats.Gets and wedge_edge_gets_total — while
+// any other range counts as a scan.
+func TestGetAndScanCounters(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 1, "k", "v")}})
+	start, end := wire.PointRange([]byte("k"))
+	for i, r := range [][2][]byte{{start, end}, {start, end}, {[]byte("a"), []byte("z")}, {nil, nil}, {start, append(end, 0)}} {
+		if out := f.node.Receive(2, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{Start: r[0], End: r[1], ReqID: uint64(i + 1)}}); len(out) != 1 {
+			t.Fatalf("request %d: %d answers", i, len(out))
+		}
+	}
+	if st := f.node.Stats(); st.Gets != 2 || st.Scans != 3 {
+		t.Fatalf("gets %d scans %d, want 2 and 3", st.Gets, st.Scans)
 	}
 }

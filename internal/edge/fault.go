@@ -41,6 +41,8 @@ type Fault struct {
 	// signed) snapshot. Clients detect it through the freshness window
 	// on the global root's timestamp (Section V-D).
 	FreezeIndex bool
+	// The Scan* lies apply to every scan response, a get's included.
+	//
 	// ScanOmitKey: scan responses omit this key from the level page that
 	// holds it (omission attack on range completeness). The tampered page
 	// no longer hashes to its certified leaf, so the client's Merkle
@@ -63,7 +65,7 @@ type Fault struct {
 	// part of the request below the key. It folds to the certified digest,
 	// but its right flank is the key's own leaf, which lies inside the
 	// request, so the client's bracket check refutes it inline and the
-	// signed response convicts through DisputeGetLie/DisputeScanLie.
+	// signed response convicts through DisputeScanLie.
 	SliceFalseExclude []byte
 	// KillMidBatch / KillAtBID: the node dies the instant it cuts block
 	// KillAtBID — the block exists in its log but is never persisted,

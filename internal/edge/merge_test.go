@@ -162,12 +162,13 @@ func TestFollowerRefusesForgedMirroredPages(t *testing.T) {
 	untouched("altered page")
 
 	// A page cut for a read folds to the signed leaf but lacks records.
-	lp, err := r.leader.Index().LevelProof(1, 0, []byte("0")) // below every key: one record ships
-	if err != nil || lp.Page.Whole() {
-		t.Fatalf("setup: cut %+v err %v", lp.Page, err)
+	start, end := wire.PointRange([]byte("0")) // below every key: one record ships
+	lp, err := r.leader.Index().LevelRangeProof(1, 0, 1, start, end)
+	if err != nil || lp.Pages[0].Whole() {
+		t.Fatalf("setup: cut %+v err %v", lp, err)
 	}
 	cut := *mirror
-	cut.NewPages = append([]wire.Page{lp.Page}, mirror.NewPages[1:]...)
+	cut.NewPages = append([]wire.Page{lp.Pages[0]}, mirror.NewPages[1:]...)
 	deliver(&cut)
 	untouched("cut page")
 

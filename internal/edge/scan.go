@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"fmt"
 
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/scan"
@@ -9,14 +10,14 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// handleScan serves verified range scans: one slice per uncompacted L0
-// block plus one Merkle page-range proof per non-empty level, covering all
-// pages that overlap [Start, End) including the boundary pages whose
-// committed bounds prove completeness at both ends. The client derives the
-// result from this evidence (package scan), so the response carries no
-// separate result list to lie about.
+// handleScan serves verified range scans — a get is the scan of its key's
+// point range: one slice per uncompacted L0 block plus one Merkle
+// page-range proof per non-empty level (for a get, down to its answer),
+// covering all pages that overlap [Start, End) including the boundary
+// pages whose committed bounds prove completeness at both ends. The client
+// derives the result from this evidence (package scan), so the response
+// carries no separate result list to lie about.
 func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wire.Envelope {
-	n.m.scans.Inc()
 	if m.Start != nil && m.End != nil && bytes.Compare(m.Start, m.End) >= 0 {
 		// Nothing to prove about an empty range; honest clients never send
 		// one (the client core rejects it before signing anything).
@@ -31,9 +32,20 @@ func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wi
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }
 
+// awaitProofs registers a Phase I reader for proof forwarding on every
+// uncertified block of the window it was served: the client pinned a
+// digest for each and waits for the certificate.
+func (n *Node) awaitProofs(reader wire.NodeID, window []wire.L0Slice) {
+	for i := range window {
+		if len(window[i].CertSig) == 0 {
+			n.awaitProof(window[i].ID, reader)
+		}
+	}
+}
+
 // AssembleScan builds and signs a scan response locally, outside any
-// transport — what handleScan sends, and the edge half of the scan read
-// path for benchmarks and direct measurement.
+// transport — what handleScan sends, and the edge half of the read path
+// (a get's over its point range) for benchmarks and direct measurement.
 func (n *Node) AssembleScan(start, end []byte, reqID uint64) (*wire.ScanResponse, error) {
 	src, err := n.l0Window()
 	if err != nil {
@@ -112,4 +124,31 @@ func (n *Node) applyScanFault(src mlsm.L0Source, resp *wire.ScanResponse) {
 			resp.Proof.Levels[li] = narrow
 		}
 	}
+}
+
+// l0Window snapshots the uncompacted L0 suffix — blocks, and certificates
+// where available — honouring the stale-snapshot fault. A block the log
+// cannot produce is an error and nothing is served: a window with a hole
+// is one an honest client must reject.
+func (n *Node) l0Window() (mlsm.L0Source, error) {
+	lo, hi := n.l0From, n.log.NumBlocks()
+	if n.cfg.Fault != nil && n.cfg.Fault.HideL0 && n.cfg.Fault.HideL0From < hi {
+		// Stale-snapshot attack: pretend recent blocks do not exist.
+		hi = n.cfg.Fault.HideL0From
+		if hi < lo {
+			hi = lo
+		}
+	}
+	var src mlsm.L0Source
+	for bid := lo; bid < hi; bid++ {
+		blk, err := n.log.Block(bid)
+		if err != nil {
+			return mlsm.L0Source{}, fmt.Errorf("L0 window [%d,%d): %w", lo, hi, err)
+		}
+		src.Blocks = append(src.Blocks, *blk)
+		// An absent certificate is the zero one: Phase I evidence only.
+		cert, _ := n.log.Cert(bid)
+		src.Certs = append(src.Certs, cert)
+	}
+	return src, nil
 }

@@ -45,7 +45,8 @@ func TestGetServesPrunedWindow(t *testing.T) {
 		}
 		return n
 	}
-	resp, err := w.edge.AssembleGet([]byte("k03"), 999)
+	start, end := wire.PointRange([]byte("k03"))
+	resp, err := w.edge.AssembleScan(start, end, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,8 @@ func TestPrunedWindowPhaseI(t *testing.T) {
 func TestPrunedGetFullWindowAccounting(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100})
 	w.preloadKeys(t, 12)
-	miss, err := w.edge.AssembleGet([]byte("zz-miss"), 1)
+	start, end := wire.PointRange([]byte("zz-miss"))
+	miss, err := w.edge.AssembleScan(start, end, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,8 @@ func TestHonestL0HitGetSurvivesDispute(t *testing.T) {
 	if w.c1.Stats().Disputes == 0 {
 		t.Fatal("get never disputed; test parameters wrong")
 	}
-	if resp, err := w.edge.AssembleGet([]byte("hot"), 999); err != nil || len(resp.Proof.Roots) != 0 || resp.Proof.L0Pruned[0].ID == 0 {
+	start, end := wire.PointRange([]byte("hot"))
+	if resp, err := w.edge.AssembleScan(start, end, 999); err != nil || len(resp.Proof.Roots) != 0 || resp.Proof.L0Pruned[0].ID == 0 {
 		t.Fatalf("get is not an L0 hit past block 0: err %v, %d roots, window from block %d",
 			err, len(resp.Proof.Roots), resp.Proof.L0Pruned[0].ID)
 	}

@@ -25,22 +25,11 @@ func BenchmarkBuild1000(b *testing.B) {
 	}
 }
 
-func BenchmarkProof1000(b *testing.B) {
-	t := New(benchLeaves(1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := t.Proof(i % 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkVerify1000(b *testing.B) {
 	leaves := benchLeaves(1000)
 	t := New(leaves)
 	root := t.Root()
-	path, err := t.Proof(371)
+	path, err := t.proof(371)
 	if err != nil {
 		b.Fatal(err)
 	}

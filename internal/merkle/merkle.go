@@ -197,27 +197,11 @@ func (t *Tree) Root() []byte {
 	return node(t.rows[len(t.rows)-1], 0)
 }
 
-// Proof returns the audit path for leaf i: the sibling hashes from the
-// leaf row upward. A missing sibling (odd promotion) contributes no path
-// element, mirroring the promotion rule in New.
-func (t *Tree) Proof(i int) ([][]byte, error) {
-	if i < 0 || i >= t.Len() {
-		return nil, fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, t.Len())
-	}
-	var path [][]byte
-	idx := i
-	for _, row := range t.rows[:len(t.rows)-1] {
-		if sib := idx ^ 1; sib < len(row)/HashSize {
-			path = append(path, node(row, sib))
-		}
-		idx /= 2
-	}
-	return path, nil
-}
-
 // Verify checks that the leaf hash at index i, folded with the audit path,
 // reproduces root, for a tree of n leaves. It reimplements the promotion
-// rule independently of Tree so clients need no tree state.
+// rule independently of Tree so clients need no tree state. Readers prove
+// with range proofs (VerifyRange); Verify stays only because the macro
+// benchmark's harness still times it.
 func Verify(root, leaf []byte, i, n int, path [][]byte) error {
 	if i < 0 || i >= n || n <= 0 {
 		return fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, n)

@@ -8,6 +8,25 @@ import (
 	"testing/quick"
 )
 
+// proof returns the audit path for leaf i: the sibling hashes from the
+// leaf row upward. A missing sibling (odd promotion) contributes no path
+// element, mirroring the promotion rule in New. It builds what Verify
+// checks; readers ship range proofs instead.
+func (t *Tree) proof(i int) ([][]byte, error) {
+	if i < 0 || i >= t.Len() {
+		return nil, fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, t.Len())
+	}
+	var path [][]byte
+	idx := i
+	for _, row := range t.rows[:len(t.rows)-1] {
+		if sib := idx ^ 1; sib < len(row)/HashSize {
+			path = append(path, node(row, sib))
+		}
+		idx /= 2
+	}
+	return path, nil
+}
+
 func leaves(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
@@ -32,7 +51,7 @@ func TestSingleLeaf(t *testing.T) {
 	if !bytes.Equal(tr.Root(), ls[0]) {
 		t.Fatal("single-leaf root should be the leaf")
 	}
-	p, err := tr.Proof(0)
+	p, err := tr.proof(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +70,7 @@ func TestAllProofsVerify(t *testing.T) {
 		ls := leaves(n)
 		tr := New(ls)
 		for i := 0; i < n; i++ {
-			p, err := tr.Proof(i)
+			p, err := tr.proof(i)
 			if err != nil {
 				t.Fatalf("n=%d i=%d: Proof: %v", n, i, err)
 			}
@@ -64,10 +83,10 @@ func TestAllProofsVerify(t *testing.T) {
 
 func TestProofIndexOutOfRange(t *testing.T) {
 	tr := New(leaves(4))
-	if _, err := tr.Proof(-1); err == nil {
+	if _, err := tr.proof(-1); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := tr.Proof(4); err == nil {
+	if _, err := tr.proof(4); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
@@ -76,7 +95,7 @@ func TestVerifyRejectsWrongLeaf(t *testing.T) {
 	n := 8
 	ls := leaves(n)
 	tr := New(ls)
-	p, _ := tr.Proof(3)
+	p, _ := tr.proof(3)
 	wrong := LeafHash([]byte("forged"))
 	if err := Verify(tr.Root(), wrong, 3, n, p); err == nil {
 		t.Fatal("forged leaf accepted")
@@ -87,7 +106,7 @@ func TestVerifyRejectsWrongIndex(t *testing.T) {
 	n := 8
 	ls := leaves(n)
 	tr := New(ls)
-	p, _ := tr.Proof(3)
+	p, _ := tr.proof(3)
 	if err := Verify(tr.Root(), ls[3], 5, n, p); err == nil {
 		t.Fatal("wrong index accepted")
 	}
@@ -98,7 +117,7 @@ func TestVerifyRejectsTamperedPath(t *testing.T) {
 	ls := leaves(n)
 	tr := New(ls)
 	for i := 0; i < n; i++ {
-		p, _ := tr.Proof(i)
+		p, _ := tr.proof(i)
 		for j := range p {
 			mut := make([][]byte, len(p))
 			for k := range p {
@@ -115,7 +134,7 @@ func TestVerifyRejectsTamperedPath(t *testing.T) {
 func TestVerifyRejectsWrongRoot(t *testing.T) {
 	ls := leaves(7)
 	tr := New(ls)
-	p, _ := tr.Proof(2)
+	p, _ := tr.proof(2)
 	other := New(leaves(6)).Root()
 	if err := Verify(other, ls[2], 2, 7, p); err == nil {
 		t.Fatal("wrong root accepted")
@@ -125,7 +144,7 @@ func TestVerifyRejectsWrongRoot(t *testing.T) {
 func TestVerifyRejectsPathLengthGames(t *testing.T) {
 	ls := leaves(9)
 	tr := New(ls)
-	p, _ := tr.Proof(4)
+	p, _ := tr.proof(4)
 	if err := Verify(tr.Root(), ls[4], 4, 9, p[:len(p)-1]); err == nil {
 		t.Fatal("short path accepted")
 	}
@@ -172,7 +191,7 @@ func TestProofPropertyRandom(t *testing.T) {
 		}
 		tr := New(ls)
 		i := r.Intn(n)
-		p, err := tr.Proof(i)
+		p, err := tr.proof(i)
 		if err != nil {
 			return false
 		}

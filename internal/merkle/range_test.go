@@ -50,7 +50,7 @@ func TestRangeProofMatchesSingleLeafProof(t *testing.T) {
 		if err := VerifyRange(tr.Root(), leaves[i:i+1], i, n, left, right); err != nil {
 			t.Fatalf("leaf %d: %v", i, err)
 		}
-		path, err := tr.Proof(i)
+		path, err := tr.proof(i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,50 +68,3 @@ func (l0 L0Source) Window(start, end []byte) []wire.L0Slice {
 	}
 	return window
 }
-
-// AssembleGet builds the unsigned get response for key against the given
-// L0 snapshot and merged index — the proof-construction algorithm of
-// Section V-B shared by the WedgeChain edge and the Edge-baseline edge.
-// Every window block ships as its slice for the key.
-func AssembleGet(key []byte, reqID uint64, l0 L0Source, idx *Index) *wire.GetResponse {
-	resp := &wire.GetResponse{ReqID: reqID, Key: key}
-	resp.Proof.L0Pruned = l0.Window(wire.PointRange(key))
-	for i := range resp.Proof.L0Pruned {
-		s := &resp.Proof.L0Pruned[i]
-		for j := range s.Rows {
-			if v := s.StartPos + uint64(s.Rows[j].Index) + 1; v > resp.Ver {
-				resp.Ver, resp.Value = v, s.Rows[j].Entry.Value
-			}
-		}
-	}
-	if resp.Ver > 0 {
-		// Freshest version is in L0: deeper levels are older by
-		// construction, so no level evidence is required.
-		resp.Found = true
-		return resp
-	}
-
-	// Every level down to the one holding the key ships its page for the
-	// key; an empty level has none (its root is EmptyRoot, checked
-	// client-side).
-	hitLevel, _, kv, found := idx.Lookup(key)
-	last := idx.Levels()
-	if found {
-		last = hitLevel
-	}
-	for lvl := 1; lvl <= last; lvl++ {
-		if lp, err := idx.LevelProof(lvl, idx.FindPage(lvl, key), key); err == nil {
-			resp.Proof.Levels = append(resp.Proof.Levels, lp)
-		}
-	}
-	if g := idx.Global(); len(g.CloudSig) > 0 {
-		resp.Proof.Roots = idx.Roots()
-		resp.Proof.Global = g
-	}
-	if found {
-		resp.Found = true
-		resp.Value = kv.Value
-		resp.Ver = kv.Ver
-	}
-	return resp
-}

@@ -207,7 +207,7 @@ func BenchmarkLevelTree(b *testing.B) {
 // BenchmarkPageSliceVerify is what a reader pays per level of a get (cf.
 // BenchmarkSliceVerify, per L0 block): the key's page of a 100-page level,
 // cut to the key's row and its two neighbours, folded to its leaf, and the
-// leaf folded to the level root.
+// leaf folded to the level root by a one-page range proof.
 func BenchmarkPageSliceVerify(b *testing.B) {
 	pages := benchLevel(10000, 1)
 	roots := [][]byte{LevelTree(pages).Root()}
@@ -215,14 +215,16 @@ func BenchmarkPageSliceVerify(b *testing.B) {
 	if err := x.InstallLevel(1, pages, roots, wire.SignedRoot{}); err != nil {
 		b.Fatal(err)
 	}
-	lp, err := x.LevelProof(1, 50, pages[50].KVs[37].Key)
+	start, end := wire.PointRange(pages[50].KVs[37].Key)
+	lp, err := x.LevelRangeProof(1, 50, 51, start, end)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := merkle.Verify(roots[0], PageLeaf(&lp.Page), int(lp.Index), int(lp.Width), lp.Path); err != nil {
+		leaf := PageLeaf(&lp.Pages[0])
+		if err := merkle.VerifyRange(roots[0], [][]byte{leaf}, int(lp.First), int(lp.Width), lp.Left, lp.Right); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -117,12 +117,23 @@ func VerifyL0Window(p L0WindowParams, window []wire.L0Slice) (L0WindowCheck, err
 		} else {
 			res.Uncertified[s.ID] = digest
 		}
+	}
+	res.Rows = WindowKVs(window)
+	return res, nil
+}
+
+// WindowKVs lists the records an L0 window's slices carry, oldest block
+// first, each at the version its log position gives it.
+func WindowKVs(window []wire.L0Slice) []wire.KV {
+	var kvs []wire.KV
+	for i := range window {
+		s := &window[i]
 		for j := range s.Rows {
 			r := &s.Rows[j]
-			res.Rows = append(res.Rows, wire.KV{Key: r.Entry.Key, Value: r.Entry.Value, Ver: s.StartPos + uint64(r.Index) + 1})
+			kvs = append(kvs, wire.KV{Key: r.Entry.Key, Value: r.Entry.Value, Ver: s.StartPos + uint64(r.Index) + 1})
 		}
 	}
-	return res, nil
+	return kvs
 }
 
 // checkSlice checks the part of a slice's claim that needs no hashing:

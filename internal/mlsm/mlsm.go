@@ -447,50 +447,6 @@ func MergeNewest(kvs []wire.KV) []wire.KV {
 	return dedupeSorted(out)
 }
 
-// Lookup searches levels 1..n for key, returning the containing level
-// (1-based), the page index, and the record. Levels are searched top-down
-// so the newest surviving version wins.
-func (x *Index) Lookup(key []byte) (level, pageIdx int, kv wire.KV, found bool) {
-	for lvl := 1; lvl <= len(x.levels); lvl++ {
-		pi := x.FindPage(lvl, key)
-		if pi < 0 {
-			continue
-		}
-		p := &x.levels[lvl-1][pi]
-		j := sort.Search(len(p.KVs), func(i int) bool {
-			return bytes.Compare(p.KVs[i].Key, key) >= 0
-		})
-		if j < len(p.KVs) && bytes.Equal(p.KVs[j].Key, key) {
-			return lvl, pi, p.KVs[j], true
-		}
-	}
-	return 0, 0, wire.KV{}, false
-}
-
-// LevelProof assembles the Merkle membership proof for page pageIdx of
-// level (1-based), the page cut for a get of key.
-func (x *Index) LevelProof(level, pageIdx int, key []byte) (wire.LevelProof, error) {
-	if level < 1 || level > len(x.levels) {
-		return wire.LevelProof{}, fmt.Errorf("%w: %d", ErrLevelRange, level)
-	}
-	pages := x.levels[level-1]
-	if pageIdx < 0 || pageIdx >= len(pages) {
-		return wire.LevelProof{}, fmt.Errorf("mlsm: page %d out of range in level %d", pageIdx, level)
-	}
-	path, err := x.trees[level-1].Proof(pageIdx)
-	if err != nil {
-		return wire.LevelProof{}, err
-	}
-	start, end := wire.PointRange(key)
-	return wire.LevelProof{
-		Level: uint32(level),
-		Page:  pages[pageIdx].Cut(x.pageTrees[level-1][pageIdx], start, end),
-		Index: uint32(pageIdx),
-		Width: uint32(len(pages)),
-		Path:  path,
-	}, nil
-}
-
 // TotalRecords counts records across levels 1..n (for tests and stats).
 func (x *Index) TotalRecords() int {
 	n := 0

@@ -234,6 +234,31 @@ func newTestIndex(t *testing.T) *Index {
 	return NewIndex([]int{2, 4})
 }
 
+// lookup finds key's newest record the way a get does: in the first level
+// whose cut for the key's point range holds it.
+func lookup(t *testing.T, x *Index, key []byte) (level int, rec wire.KV, found bool) {
+	t.Helper()
+	start, end := wire.PointRange(key)
+	for lvl := 1; lvl <= x.Levels(); lvl++ {
+		a, b := x.PageRange(lvl, start, end)
+		if a < 0 {
+			continue
+		}
+		lp, err := x.LevelRangeProof(lvl, a, b, start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range lp.Pages {
+			for _, kv := range p.KVs {
+				if bytes.Equal(kv.Key, key) {
+					return lvl, kv, true
+				}
+			}
+		}
+	}
+	return 0, wire.KV{}, false
+}
+
 func TestIndexInstallAndLookup(t *testing.T) {
 	x := newTestIndex(t)
 	pages := Merge([]wire.KV{kv("a", 1), kv("b", 2), kv("c", 3)}, nil, 1, 2, 0, 1)
@@ -242,11 +267,11 @@ func TestIndexInstallAndLookup(t *testing.T) {
 	if err := x.InstallLevel(1, pages, roots, global); err != nil {
 		t.Fatal(err)
 	}
-	lvl, pi, rec, found := x.Lookup([]byte("b"))
+	lvl, rec, found := lookup(t, x, []byte("b"))
 	if !found || lvl != 1 || rec.Ver != 2 {
-		t.Fatalf("Lookup(b) = %d,%d,%+v,%v", lvl, pi, rec, found)
+		t.Fatalf("lookup(b) = %d,%+v,%v", lvl, rec, found)
 	}
-	if _, _, _, found := x.Lookup([]byte("zz")); found {
+	if _, _, found := lookup(t, x, []byte("zz")); found {
 		t.Fatal("found a missing key")
 	}
 }
@@ -265,13 +290,13 @@ func TestIndexLookupPrefersLowerLevel(t *testing.T) {
 	if err := x.InstallLevel(1, l1, roots2, wire.SignedRoot{Root: GlobalRoot(roots2)}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, rec, found := x.Lookup([]byte("k"))
+	_, rec, found := lookup(t, x, []byte("k"))
 	if !found || rec.Ver != 9 {
-		t.Fatalf("Lookup(k) = %+v,%v want ver 9", rec, found)
+		t.Fatalf("lookup(k) = %+v,%v want ver 9", rec, found)
 	}
-	_, _, rec, found = x.Lookup([]byte("z"))
+	_, rec, found = lookup(t, x, []byte("z"))
 	if !found || rec.Ver != 2 {
-		t.Fatalf("Lookup(z) = %+v,%v want ver 2", rec, found)
+		t.Fatalf("lookup(z) = %+v,%v want ver 2", rec, found)
 	}
 }
 
@@ -310,8 +335,8 @@ func TestIndexOverThresholdAndClear(t *testing.T) {
 	if x.OverThreshold(1) {
 		t.Fatal("cleared level still over threshold")
 	}
-	if _, _, rec, found := x.Lookup([]byte("k3")); !found || rec.Ver != 4 {
-		t.Fatalf("post-compaction Lookup(k3) = %+v,%v", rec, found)
+	if _, rec, found := lookup(t, x, []byte("k3")); !found || rec.Ver != 4 {
+		t.Fatalf("post-compaction lookup(k3) = %+v,%v", rec, found)
 	}
 }
 
@@ -327,12 +352,13 @@ func TestLevelProofVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi := range pages {
-		lp, err := x.LevelProof(1, pi, pages[pi].KVs[0].Key)
+		start, end := wire.PointRange(pages[pi].KVs[0].Key)
+		lp, err := x.LevelRangeProof(1, pi, pi+1, start, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaf := PageLeaf(&lp.Page)
-		if err := merkle.Verify(roots[0], leaf, int(lp.Index), int(lp.Width), lp.Path); err != nil {
+		leaf := PageLeaf(&lp.Pages[0])
+		if err := merkle.VerifyRange(roots[0], [][]byte{leaf}, int(lp.First), int(lp.Width), lp.Left, lp.Right); err != nil {
 			t.Fatalf("page %d proof: %v", pi, err)
 		}
 	}

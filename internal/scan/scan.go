@@ -21,8 +21,10 @@
 // defective signed proof is self-incriminating: the cloud re-runs this
 // same verifier during adjudication.
 //
-// A get is the scan of one key (wire.PointRange): VerifyGet runs the same
-// verifier over a get response, stopping at the key's newest version.
+// A get is the scan of one key: a ScanRequest over wire.PointRange(key).
+// Assemble and Verify recognise that range (wire.IsPointRange) and stop at
+// the key's newest version — its L0 hit, or the first level holding it —
+// so a get ships nothing below its answer.
 //
 // Both the WedgeChain edge (assembly) and the client and cloud
 // (verification) use this one implementation, mirroring how package mlsm
@@ -52,10 +54,16 @@ var ErrStale = errors.New("scan: snapshot outside freshness window")
 // range; for each non-empty level it includes every page overlapping the
 // range (the boundary pages included, since their committed bounds prove
 // completeness at both ends), each cut to the range, under one Merkle
-// range proof.
+// range proof. A point range (a get) stops at its answer: a window that
+// holds the key ships alone — every level is older — and otherwise the
+// levels stop at the first whose cut holds the key.
 func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index) *wire.ScanResponse {
 	resp := &wire.ScanResponse{ReqID: reqID, Start: start, End: end}
 	resp.Proof.L0Pruned = l0.Window(start, end)
+	point := wire.IsPointRange(start, end)
+	if point && len(mlsm.WindowKVs(resp.Proof.L0Pruned)) > 0 {
+		return resp
+	}
 	for lvl := 1; lvl <= idx.Levels(); lvl++ {
 		a, b := idx.PageRange(lvl, start, end)
 		if a < 0 {
@@ -66,6 +74,9 @@ func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index
 			continue
 		}
 		resp.Proof.Levels = append(resp.Proof.Levels, lp)
+		if point && len(levelKVs(&lp, start, end)) > 0 {
+			break
+		}
 	}
 	if g := idx.Global(); len(g.CloudSig) > 0 {
 		resp.Proof.Roots = idx.Roots()
@@ -104,98 +115,61 @@ type Result struct {
 	L0End uint64
 }
 
-// read is the evidence of one read of [start, end): what a scan response
-// carries, and what a get response carries for wire.PointRange(key).
-type read struct {
-	start, end []byte
-	window     []wire.L0Slice
-	levels     []wire.LevelRangeProof
-	roots      [][]byte
-	global     *wire.SignedRoot
-	// point marks a get: it stops at the key's newest version — its L0
-	// hit, or the first level holding it — and ships nothing below that.
-	point bool
-}
-
 // Verify re-derives every claim in a scan response: the L0 window's
 // slices and certificates, the signed global root, per-level Merkle
 // range proofs, page-run contiguity, boundary coverage at both ends, each
-// page's cut, and finally the result itself. It returns ErrStale for an
+// page's cut, and finally the result itself. A point range (a get) stops
+// at the key's newest version — its L0 hit, or the first level holding
+// it — and reads no evidence below that. It returns ErrStale for an
 // out-of-window snapshot and a descriptive error for every structural
 // defect.
 func Verify(p Params, m *wire.ScanResponse) (Result, error) {
 	if m.Start != nil && m.End != nil && bytes.Compare(m.Start, m.End) >= 0 {
 		return Result{}, fmt.Errorf("empty key range")
 	}
-	pr := &m.Proof
-	return verify(p, read{start: m.Start, end: m.End, window: pr.L0Pruned, levels: pr.Levels, roots: pr.Roots, global: &pr.Global})
-}
-
-// VerifyGet verifies a get response as the scan of wire.PointRange of the
-// key it echoes — the one verifier, at every level — and checks that the
-// answer it carries is the one its evidence derives.
-func VerifyGet(p Params, m *wire.GetResponse) (Result, error) {
-	pr := &m.Proof
-	levels := make([]wire.LevelRangeProof, len(pr.Levels))
-	for i := range pr.Levels {
-		levels[i] = pr.Levels[i].Range()
-	}
-	start, end := wire.PointRange(m.Key)
-	res, err := verify(p, read{start: start, end: end, window: pr.L0Pruned, levels: levels, roots: pr.Roots, global: &pr.Global, point: true})
-	if err != nil {
-		return res, err
-	}
-	var kv wire.KV
-	if len(res.KVs) > 0 {
-		kv = res.KVs[0]
-	}
-	if m.Found != (len(res.KVs) > 0) || m.Ver != kv.Ver || !bytes.Equal(m.Value, kv.Value) {
-		return res, fmt.Errorf("answer contradicts the evidence")
-	}
-	return res, nil
-}
-
-func verify(p Params, r read) (Result, error) {
+	start, end, pr := m.Start, m.End, &m.Proof
+	point := wire.IsPointRange(start, end)
 	// The L0 window, one slice per block: the shared window checks.
 	win, err := mlsm.VerifyL0Window(mlsm.L0WindowParams{
-		Reg: p.Reg, Edge: p.Edge, Cloud: p.Cloud, Start: r.start, End: r.end,
-	}, r.window)
+		Reg: p.Reg, Edge: p.Edge, Cloud: p.Cloud, Start: start, End: end,
+	}, pr.L0Pruned)
 	res := Result{Uncertified: win.Uncertified, L0End: win.L0End}
 	if err != nil {
 		return res, err
 	}
 	cand := win.Rows
-	if r.point && len(cand) > 0 {
+	if point && len(cand) > 0 {
 		// A get whose key is in the window: every block before the hit,
 		// and every level, is older than it, so no index state is needed.
 		res.KVs = mlsm.MergeNewest(cand)
 		return res, nil
 	}
 
-	levelEvidence := len(r.roots) > 0 || len(r.levels) > 0
-	if !levelEvidence && len(r.global.CloudSig) == 0 {
+	levelEvidence := len(pr.Roots) > 0 || len(pr.Levels) > 0
+	global := &pr.Global
+	if !levelEvidence && len(global.CloudSig) == 0 {
 		// No merged state exists yet, so nothing has ever been compacted:
 		// the L0 window must be the log itself, from block 0. This also
 		// defuses a rollback attack — an edge with merged state that
 		// presents the no-merged-state shape must replay its full
 		// certified history (consecutiveness plus per-block certificates
 		// pin it), which contains every compacted record anyway.
-		if err := win.CheckFrontier(r.global, levelEvidence); err != nil {
+		if err := win.CheckFrontier(global, levelEvidence); err != nil {
 			return res, err
 		}
 		res.KVs = mlsm.MergeNewest(cand)
 		return res, nil
 	}
-	if len(r.global.CloudSig) == 0 {
+	if len(global.CloudSig) == 0 {
 		return res, fmt.Errorf("level evidence without signed global root")
 	}
-	if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, r.global, r.global.CloudSig); err != nil {
+	if err := wcrypto.VerifyMsg(p.Reg, p.Cloud, global, global.CloudSig); err != nil {
 		return res, fmt.Errorf("global root: %v", err)
 	}
-	if r.global.Edge != p.Edge {
+	if global.Edge != p.Edge {
 		return res, fmt.Errorf("global root for wrong edge")
 	}
-	if !bytes.Equal(mlsm.GlobalRoot(r.roots), r.global.Root) {
+	if !bytes.Equal(mlsm.GlobalRoot(pr.Roots), global.Root) {
 		return res, fmt.Errorf("level roots do not fold to global root")
 	}
 	// The signed compaction frontier pins where the served L0 window must
@@ -203,17 +177,17 @@ func verify(p Params, r read) (Result, error) {
 	// blocks without the mismatch showing here. (An entirely empty window
 	// can still hide the newest blocks — that is the stale-snapshot
 	// attack, bounded by the freshness window and session watermarks.)
-	if err := win.CheckFrontier(r.global, levelEvidence); err != nil {
+	if err := win.CheckFrontier(global, levelEvidence); err != nil {
 		return res, err
 	}
-	res.Epoch = r.global.Epoch
-	if p.FreshnessWindow > 0 && p.Now-r.global.Ts > p.FreshnessWindow {
+	res.Epoch = global.Epoch
+	if p.FreshnessWindow > 0 && p.Now-global.Ts > p.FreshnessWindow {
 		return res, ErrStale
 	}
 
-	proofs := make(map[int]*wire.LevelRangeProof, len(r.levels))
-	for i := range r.levels {
-		lp := &r.levels[i]
+	proofs := make(map[int]*wire.LevelRangeProof, len(pr.Levels))
+	for i := range pr.Levels {
+		lp := &pr.Levels[i]
 		if proofs[int(lp.Level)] != nil {
 			return res, fmt.Errorf("level %d: duplicate proof", lp.Level)
 		}
@@ -221,10 +195,10 @@ func verify(p Params, r read) (Result, error) {
 	}
 	empty := merkle.EmptyRoot()
 	// A get stops below the first level that holds its key.
-	for lvl := 1; lvl <= len(r.roots) && !(r.point && len(cand) > 0); lvl++ {
+	for lvl := 1; lvl <= len(pr.Roots) && !(point && len(cand) > 0); lvl++ {
 		lp := proofs[lvl]
 		delete(proofs, lvl)
-		if bytes.Equal(r.roots[lvl-1], empty) {
+		if bytes.Equal(pr.Roots[lvl-1], empty) {
 			if lp != nil {
 				return res, fmt.Errorf("level %d: proof against empty level", lvl)
 			}
@@ -233,7 +207,7 @@ func verify(p Params, r read) (Result, error) {
 		if lp == nil {
 			return res, fmt.Errorf("level %d: missing proof", lvl)
 		}
-		kvs, err := verifyLevelRange(lvl, r.roots[lvl-1], lp, r.start, r.end)
+		kvs, err := verifyLevelRange(lvl, pr.Roots[lvl-1], lp, start, end)
 		if err != nil {
 			return res, err
 		}
@@ -291,6 +265,12 @@ func verifyLevelRange(lvl int, root []byte, lp *wire.LevelRangeProof, start, end
 	} else if last.Hi != nil && bytes.Compare(last.Hi, end) < 0 {
 		return nil, fmt.Errorf("level %d: right boundary truncated", lvl)
 	}
+	return levelKVs(lp, start, end), nil
+}
+
+// levelKVs collects the records of a level proof's pages that fall in
+// [start, end); the flanks fall outside.
+func levelKVs(lp *wire.LevelRangeProof, start, end []byte) []wire.KV {
 	var kvs []wire.KV
 	for i := range lp.Pages {
 		for _, kv := range lp.Pages[i].KVs {
@@ -299,7 +279,22 @@ func verifyLevelRange(lvl int, root []byte, lp *wire.LevelRangeProof, start, end
 			}
 		}
 	}
-	return kvs, nil
+	return kvs
+}
+
+// PointAnswer reads a get's answer out of a point-range response without
+// verifying any of it — what a light client settles on when it skips
+// verification: the newest window row, by the newest-wins rule Verify
+// applies, else the key's record in the first level cut that holds it.
+func PointAnswer(m *wire.ScanResponse) (wire.KV, bool) {
+	kvs := mlsm.WindowKVs(m.Proof.L0Pruned)
+	for i := 0; len(kvs) == 0 && i < len(m.Proof.Levels); i++ {
+		kvs = levelKVs(&m.Proof.Levels[i], m.Start, m.End)
+	}
+	if kvs = mlsm.MergeNewest(kvs); len(kvs) == 0 {
+		return wire.KV{}, false
+	}
+	return kvs[0], true
 }
 
 // checkCut checks the part of a cut page's claim that needs no hashing:

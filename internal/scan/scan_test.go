@@ -406,3 +406,57 @@ func TestLeafCachePoisoningParity(t *testing.T) {
 		})
 	}
 }
+
+// TestPointScanEvidenceShape pins what a get ships over the three-level
+// world: an L0 hit ships no levels, roots or global root; a level hit ships
+// the levels down to it and none below; a miss ships every level. Each
+// verifies to the log's answer, which is also what PointAnswer reads out
+// of the evidence unverified — and a level page that drops the key is
+// refused.
+func TestPointScanEvidenceShape(t *testing.T) {
+	w := newFuzzWorld(t)
+	for _, c := range []struct {
+		key    string
+		levels []uint32
+	}{
+		{"k04", nil},               // in blocks 3 and 4, the L0 window
+		{"k05", []uint32{1, 2}},    // newest in level 2; level 3 holds an older version
+		{"k06", []uint32{1, 2, 3}}, // nowhere
+	} {
+		resp := w.point(c.key)
+		var got []uint32
+		for _, lp := range resp.Proof.Levels {
+			got = append(got, lp.Level)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.levels) {
+			t.Fatalf("%s: levels %v, want %v", c.key, got, c.levels)
+		}
+		if l0Hit := c.levels == nil; l0Hit != (len(resp.Proof.Roots) == 0 && len(resp.Proof.Global.CloudSig) == 0) {
+			t.Fatalf("%s: roots/global shipped = %v, want %v", c.key, !l0Hit, l0Hit)
+		}
+		res, err := Verify(w.params, resp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		start, end := wire.PointRange([]byte(c.key))
+		if want := w.answer(start, end, 5); !sameKVs(res.KVs, want) {
+			t.Fatalf("%s: verified %v, the log says %v", c.key, res.KVs, want)
+		}
+		kv, found := PointAnswer(resp)
+		if found != (len(res.KVs) == 1) || found && !sameKVs([]wire.KV{kv}, res.KVs) {
+			t.Fatalf("%s: PointAnswer %v/%v, Verify %v", c.key, kv, found, res.KVs)
+		}
+	}
+
+	lie := w.point("k05")
+	pg := &lie.Proof.Levels[1].Pages[0]
+	for i := range pg.KVs {
+		if string(pg.KVs[i].Key) == "k05" {
+			pg.KVs = append(pg.KVs[:i:i], pg.KVs[i+1:]...)
+			break
+		}
+	}
+	if _, err := Verify(w.params, lie); err == nil {
+		t.Fatal("level page without the key accepted")
+	}
+}

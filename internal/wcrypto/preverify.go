@@ -10,7 +10,7 @@ import "wedgechain/internal/wire"
 // No node calls it: every handler verifies what it receives itself. It
 // stays as the per-kind price of a signature check that the macro
 // benchmark's layer budget times (benchmark/layers.go), and it covers the
-// kinds that budget names.
+// kinds that budget names which nodes still send.
 func PreVerify(r *Registry, env wire.Envelope) bool {
 	switch m := env.Msg.(type) {
 	case *wire.PutRequest:
@@ -20,8 +20,6 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 		// fails here like any bad signature.
 		return VerifyMsg(r, m.Client, m, m.BatchSig) == nil
 	case *wire.BlockCertify:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
-	case *wire.GetResponse:
 		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
 	case *wire.ReplicateBlock:
 		return VerifyBlockAck(r, m.Leader, m.Block.ID, m.Block.BodyDigest(), m.LeaderSig) == nil

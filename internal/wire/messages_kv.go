@@ -64,179 +64,6 @@ func (m *PutResponse) memoizeEncodedSize(n int) {
 	}
 }
 
-// GetRequest looks a key up in the edge's LSMerkle index.
-type GetRequest struct {
-	Key   []byte
-	ReqID uint64
-}
-
-// MsgKind implements Message.
-func (*GetRequest) MsgKind() Kind { return KindGetRequest }
-
-// EncodeTo implements Message.
-func (m *GetRequest) EncodeTo(e *Encoder) {
-	e.Blob(m.Key)
-	e.U64(m.ReqID)
-}
-
-// DecodeFrom implements Message.
-func (m *GetRequest) DecodeFrom(d *Decoder) {
-	m.Key = d.Blob()
-	m.ReqID = d.U64()
-}
-
-// LevelProof proves one page's membership in its level's Merkle tree: the
-// page itself (cut to the key it answers for), its leaf index, and the
-// audit path (bottom-up sibling hashes). The client folds the page to its
-// leaf and the path to the level root.
-type LevelProof struct {
-	Level uint32
-	Page  Page
-	Index uint32
-	Width uint32 // total leaves in the level tree, needed to fold the path
-	Path  [][]byte
-}
-
-// EncodeTo appends the proof's canonical encoding.
-func (lp *LevelProof) EncodeTo(e *Encoder) {
-	e.U32(lp.Level)
-	lp.Page.EncodeTo(e)
-	e.U32(lp.Index)
-	e.U32(lp.Width)
-	appendBlobs(e, lp.Path)
-}
-
-// Range returns the proof as the one-page LevelRangeProof that gets and
-// scans share a verifier over: a leaf's audit path is a range proof whose
-// flanks are the siblings to its left and to its right. Path elements the
-// tree has no place for land past the right flank, where the fold refuses
-// them.
-func (lp *LevelProof) Range() LevelRangeProof {
-	r := LevelRangeProof{Level: lp.Level, First: lp.Index, Width: lp.Width, Pages: []Page{lp.Page}}
-	path := lp.Path
-	for i, w := lp.Index, lp.Width; w > 1 && len(path) > 0; i, w = i/2, (w+1)/2 {
-		switch {
-		case i%2 == 1:
-			r.Left, path = append(r.Left, path[0]), path[1:]
-		case i+1 < w:
-			r.Right, path = append(r.Right, path[0]), path[1:]
-		}
-	}
-	r.Right = append(r.Right, path...)
-	return r
-}
-
-// DecodeFrom reads the proof.
-func (lp *LevelProof) DecodeFrom(d *Decoder) {
-	lp.Level = d.U32()
-	lp.Page.DecodeFrom(d)
-	lp.Index = d.U32()
-	lp.Width = d.U32()
-	lp.Path = decodeBlobs(d)
-}
-
-// GetProof is the complete authenticity evidence attached to a get
-// response, per Section V-B "Reading":
-//
-//   - one slice per block of the uncompacted L0 window, consecutive ids:
-//     the rows holding the key (none on a miss), the leaf on either side,
-//     and the range proof folding them to the block's digest; the slice
-//     carries the block's Phase II certificate where available (a missing
-//     one puts the read in Phase I commit);
-//   - for each level between L1 and the level that resolved the key, the
-//     single intersecting page, cut to the key's record or the two that
-//     bracket it, with its Merkle audit path;
-//   - all level roots, so the client can recompute the global root;
-//   - the cloud-signed global root with its freshness timestamp.
-type GetProof struct {
-	// L0Blocks is always nil and never encoded: it waits for the
-	// [benchmark] follow-up that stops benchmark/load.go taking its length.
-	L0Blocks []Block
-	L0Pruned []L0Slice // the window, one slice per block (the name predates slices; the benchmark harness reads its length)
-	Levels   []LevelProof
-	Roots    [][]byte // level roots 1..n in order
-	Global   SignedRoot
-}
-
-// EncodeTo appends the proof's canonical encoding.
-func (gp *GetProof) EncodeTo(e *Encoder) {
-	appendL0Window(e, gp.L0Pruned)
-	e.U32(uint32(len(gp.Levels)))
-	for i := range gp.Levels {
-		gp.Levels[i].EncodeTo(e)
-	}
-	appendBlobs(e, gp.Roots)
-	gp.Global.EncodeTo(e)
-}
-
-// appendL0Window appends a proof's L0 window (shared by GetProof and
-// ScanProof).
-func appendL0Window(e *Encoder, window []L0Slice) {
-	e.U32(uint32(len(window)))
-	for i := range window {
-		window[i].EncodeTo(e)
-	}
-}
-
-// DecodeFrom reads the proof.
-func (gp *GetProof) DecodeFrom(d *Decoder) {
-	gp.L0Blocks = nil
-	gp.L0Pruned = decodeSlice(d, minL0SliceSize, (*L0Slice).DecodeFrom)
-	gp.Levels = decodeSlice(d, minLevelProofSize, (*LevelProof).DecodeFrom)
-	gp.Roots = decodeBlobs(d)
-	gp.Global.DecodeFrom(d)
-}
-
-// GetResponse answers a GetRequest with the value (or a verifiable
-// non-existence statement) plus the full GetProof. Key echoes the
-// requested key under the edge's signature, making the response
-// self-contained dispute evidence: the cloud can re-run the verification
-// against the signed key without ever seeing the request (the same role
-// Start/End play on scan responses).
-type GetResponse struct {
-	ReqID   uint64
-	Key     []byte
-	Found   bool
-	Value   []byte
-	Ver     uint64
-	Proof   GetProof
-	EdgeSig []byte
-}
-
-// MsgKind implements Message.
-func (*GetResponse) MsgKind() Kind { return KindGetResponse }
-
-// EncodeTo implements Message.
-func (m *GetResponse) EncodeTo(e *Encoder) {
-	m.AppendBody(e)
-	e.Blob(m.EdgeSig)
-}
-
-// AppendBody appends the signable body: every field but the signature.
-// The slices are signed as shipped — a slice's digest alone would let
-// anyone swap in another honest slice of the same block, cut for a
-// different key, and frame the edge with a window that no longer brackets
-// the request.
-func (m *GetResponse) AppendBody(e *Encoder) {
-	e.U64(m.ReqID)
-	e.Blob(m.Key)
-	e.Bool(m.Found)
-	e.Blob(m.Value)
-	e.U64(m.Ver)
-	m.Proof.EncodeTo(e)
-}
-
-// DecodeFrom implements Message.
-func (m *GetResponse) DecodeFrom(d *Decoder) {
-	m.ReqID = d.U64()
-	m.Key = d.Blob()
-	m.Found = d.Bool()
-	m.Value = d.Blob()
-	m.Ver = d.U64()
-	m.Proof.DecodeFrom(d)
-	m.EdgeSig = d.Blob()
-}
-
 // MergeRequest ships the pages undergoing an LSMerkle compaction from the
 // edge to the cloud. For FromLevel == 0 the sources are log blocks (L0
 // pages); otherwise they are the pages of FromLevel. DstPages are the

@@ -239,13 +239,15 @@ const (
 	// DisputeOmission: the edge denied availability of a position that
 	// cloud gossip proves is filled (ReadResponse + Gossip evidence).
 	DisputeOmission
-	// DisputeGetLie: a get response carried L0 block content for BID
-	// that differs from the certified block (GetResponse evidence).
+	// DisputeGetLie is retired: a get is a point-range scan and is
+	// disputed as one. The number stays taken so DisputeScanLie keeps its
+	// value; the Judge finds no guilt under it.
 	DisputeGetLie
-	// DisputeScanLie: a scan response is provably defective — its signed
-	// completeness proof fails structural verification, or it carried L0
-	// block content for BID that differs from the certified block
-	// (ScanResponse evidence; the cloud re-verifies the whole proof).
+	// DisputeScanLie: a scan response — a get's too — is provably
+	// defective: its signed completeness proof fails structural
+	// verification, or it carried L0 block content for BID that differs
+	// from the certified block (ScanResponse evidence; the cloud
+	// re-verifies the whole proof).
 	DisputeScanLie
 )
 

@@ -93,7 +93,7 @@ func (lp *LevelRangeProof) DecodeFrom(d *Decoder) {
 // L0 and the levels prove the same way: in-range rows, the two flanks
 // that bracket them, one Merkle range proof.
 type ScanProof struct {
-	L0Pruned []L0Slice // the window, one slice per block (named as in GetProof)
+	L0Pruned []L0Slice // the window, one slice per block (the name predates slices)
 	Levels   []LevelRangeProof
 	Roots    [][]byte // level roots 1..n in order
 	Global   SignedRoot
@@ -108,6 +108,14 @@ func (sp *ScanProof) EncodeTo(e *Encoder) {
 	}
 	appendBlobs(e, sp.Roots)
 	sp.Global.EncodeTo(e)
+}
+
+// appendL0Window appends a proof's L0 window.
+func appendL0Window(e *Encoder, window []L0Slice) {
+	e.U32(uint32(len(window)))
+	for i := range window {
+		window[i].EncodeTo(e)
+	}
 }
 
 // DecodeFrom reads the proof.
@@ -139,8 +147,11 @@ func (m *ScanResponse) EncodeTo(e *Encoder) {
 	e.Blob(m.EdgeSig)
 }
 
-// AppendBody appends the signable body: every field but the signature
-// (see GetResponse.AppendBody for why slices are signed as shipped).
+// AppendBody appends the signable body: every field but the signature.
+// The slices are signed as shipped — a slice's digest alone would let
+// anyone swap in another honest slice of the same block, cut for a
+// different range, and frame the edge with a window that no longer
+// brackets the request.
 func (m *ScanResponse) AppendBody(e *Encoder) {
 	e.U64(m.ReqID)
 	e.OptBlob(m.Start)

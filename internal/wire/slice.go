@@ -66,12 +66,18 @@ func KeyAfter(key, end []byte) bool {
 }
 
 // PointRange returns the half-open range holding exactly key — [key,
-// key‖0x00), the successor being the next byte string in order — so a get
-// is the scan of one key and hit, miss and range share one evidence shape.
+// key‖0x00), the successor being the next byte string in order. A get is
+// the scan of this range, so hit, miss and range share one evidence shape.
 func PointRange(key []byte) (start, end []byte) {
 	end = make([]byte, len(key)+1)
 	copy(end, key)
 	return end[:len(key):len(key)], end
+}
+
+// IsPointRange reports whether [start, end) is a PointRange — the range of
+// the one key start — and so whether a read of it is a get.
+func IsPointRange(start, end []byte) bool {
+	return start != nil && len(end) == len(start)+1 && end[len(start)] == 0 && bytes.HasPrefix(end, start)
 }
 
 // keyOrder returns the in-block indexes of entries in (key, index) order.

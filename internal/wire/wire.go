@@ -38,8 +38,8 @@ const (
 	// the write path of the logging protocol too.
 	KindPutRequest
 	KindPutResponse
-	KindGetRequest
-	KindGetResponse
+	KindGetRequest  // retired: a get is a point-range scan (messages_get.go)
+	KindGetResponse // retired
 	KindMergeRequest
 	KindMergeResponse
 
