@@ -77,10 +77,10 @@ flagdoc-check:
 	sh scripts/flagdoc-check.sh
 
 # Non-test Go lines per package outside benchmark/, and their total — the
-# number the code diet (ROADMAP item 5) is judged by. loc-check is the
+# number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20852
+LOC_CEILING := 20739
 loc:
 	@sh scripts/loc.sh
 loc-check:

@@ -1,8 +1,6 @@
 package edge
 
 import (
-	"bytes"
-
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -12,18 +10,20 @@ import (
 // Certified catch-up: how a node that missed history rejoins the group
 // without trusting whoever serves it. A restarted follower (blank log) or
 // a demoted ex-leader (uncertified tail truncated) asks the current leader
-// for the blocks it is missing. Every shipped block carries the serving
-// leader's transfer signature over the block-ack body — the same 44-byte
-// promise client acknowledgements and the replication stream carry — and
-// certified blocks additionally carry their cloud certificate. The
-// receiver verifies each block against the certificate before installing
-// it, so a lying sync peer does not poison the mirror: shipped content
-// that contradicts a certificate is itself convicting evidence, filed
-// through the standard add-lie dispute with zero new adjudication code.
+// for the blocks it is missing, and the leader re-sends them as the same
+// ReplicateBlock frames live replication ships: each signed over the
+// block-ack body — the 44-byte promise client acknowledgements carry —
+// and, for certified blocks, carrying the cloud certificate. The follower
+// installs them through handleReplicate, the one install path, which
+// checks each block against its certificate before installing it, so a
+// lying sync peer does not poison the mirror: shipped content that
+// contradicts a certificate is itself convicting evidence, filed through
+// the standard add-lie dispute with zero new adjudication code.
 
-// catchUpRun bounds how many blocks one CatchUpBlocks message carries.
-// The receiver re-requests while still behind Through, so a long gap
-// drains as a sequence of bounded messages instead of one giant frame.
+// catchUpRun bounds how many ReplicateBlock frames one catch-up request
+// draws. The receiver asks for the next run once it has installed this
+// one and is still behind the frames' Through, so a long gap drains as a
+// sequence of bounded runs.
 const catchUpRun = 16
 
 // requestCatchUp builds the signed request for every block from `from` up
@@ -32,6 +32,7 @@ const catchUpRun = 16
 // own rate limiting via lastCatchUp.
 func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
 	n.lastCatchUp = now
+	n.catchUpEnd = from + catchUpRun
 	n.m.catchUps.Inc()
 	req := &wire.CatchUpRequest{
 		Chain: n.cfg.Chain,
@@ -43,12 +44,28 @@ func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
 	return wire.Envelope{From: n.cfg.ID, To: n.leader, Msg: req}
 }
 
+// nextCatchUpRun asks for the next run once the mirror has reached the end
+// of the one it asked for and is still short of the leader's block count
+// (through, from the latest frame).
+func (n *Node) nextCatchUpRun(now int64, through uint64) []wire.Envelope {
+	tip := n.log.NumBlocks()
+	if n.catchUpEnd == 0 || tip < n.catchUpEnd {
+		return nil
+	}
+	n.catchUpEnd = 0
+	if tip >= through {
+		return nil
+	}
+	return []wire.Envelope{n.requestCatchUp(now, tip)}
+}
+
 // handleCatchUpRequest serves a bounded run of blocks to a node that is
-// behind. Only the current leader serves; blocks are public (any client
-// can read them), so the only gate is a valid requester signature on the
-// same chain. Each item is signed over the digest of exactly the bytes
-// shipped, and certified blocks carry their proof so the receiver can
-// advance its certified prefix without per-block cloud round-trips.
+// behind, as ReplicateBlock frames. Only the current leader serves; blocks
+// are public (any client can read them), so the only gate is a valid
+// requester signature on the same chain. Each frame is signed over the
+// digest of exactly the bytes shipped, and certified blocks carry their
+// certificate so the receiver can advance its certified prefix without
+// per-block cloud round-trips.
 func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUpRequest) []wire.Envelope {
 	if n.follower || m.Chain != n.cfg.Chain || m.Node != from {
 		return nil
@@ -58,119 +75,30 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 		return nil
 	}
 	through := n.log.NumBlocks()
-	if m.From >= through {
-		return nil
-	}
-	resp := &wire.CatchUpBlocks{
-		Chain:   n.cfg.Chain,
-		Leader:  n.cfg.ID,
-		From:    m.From,
-		Through: through,
-	}
-	end := m.From + catchUpRun
-	if end > through {
-		end = through
-	}
+	end := min(m.From+catchUpRun, through)
+	var out []wire.Envelope
 	for bid := m.From; bid < end; bid++ {
 		blk, err := n.log.Block(bid)
 		if err != nil {
-			return nil
+			break
 		}
 		digest, err := n.log.Digest(bid)
 		if err != nil {
-			return nil
+			break
 		}
-		item := wire.CatchUpItem{Block: *blk}
+		frame := &wire.ReplicateBlock{Chain: n.cfg.Chain, Leader: n.cfg.ID, Block: *blk, Through: through}
 		if f := n.cfg.Fault; f != nil && f.TamperCatchUp {
 			// Lying sync peer: alter the content and sign the tampered
 			// digest, so the transfer signature verifies and the cloud
 			// certificate is what refutes it.
-			item.Block = tamperBlock(*blk, "")
-			digest = wcrypto.BlockDigest(&item.Block)
+			frame.Block = tamperBlock(*blk, "")
+			digest = wcrypto.BlockDigest(&frame.Block)
 		}
-		item.ServerSig = wcrypto.SignBlockAck(n.key, bid, digest)
+		frame.LeaderSig = wcrypto.SignBlockAck(n.key, bid, digest)
 		if cert, ok := n.log.Cert(bid); ok {
-			item.HasCert = true
-			item.Cert = cert
+			frame.Cert = &cert
 		}
-		resp.Items = append(resp.Items, item)
-	}
-	env := wire.Envelope{From: n.cfg.ID, To: from, Msg: resp}
-	return []wire.Envelope{env}
-}
-
-// verifyCatchUpCert checks a certificate riding a catch-up item: right
-// chain, right block, valid cloud signature.
-func (n *Node) verifyCatchUpCert(it *wire.CatchUpItem, bid uint64) bool {
-	c := &it.Cert
-	if c.Edge != n.cfg.Chain || c.BID != bid {
-		return false
-	}
-	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, c, c.CloudSig); err != nil {
-		n.logf("dropping catch-up certificate with bad cloud signature", "bid", bid, "err", err)
-		return false
-	}
-	return true
-}
-
-// handleCatchUpBlocks installs a served run into the mirrored log. Every
-// block is verified against its transfer signature, and — when certified —
-// against the cloud's certificate, BEFORE installation: a shipped block
-// that contradicts its own certificate convicts the serving peer and stops
-// the run. Gaps or verification failures simply stop; the follower's
-// gap-driven timer re-requests.
-func (n *Node) handleCatchUpBlocks(now int64, from wire.NodeID, m *wire.CatchUpBlocks) []wire.Envelope {
-	if !n.follower || m.Chain != n.cfg.Chain || from != n.leader || m.Leader != from {
-		return nil
-	}
-	var out []wire.Envelope
-	for i := range m.Items {
-		it := &m.Items[i]
-		bid := it.Block.ID
-		if it.Block.Edge != n.cfg.Chain {
-			break
-		}
-		if bid < n.log.NumBlocks() {
-			// Already mirrored; at most heal a certificate we are missing.
-			if it.HasCert && n.verifyCatchUpCert(it, bid) {
-				if _, ok := n.log.Cert(bid); !ok {
-					out = append(out, n.followerApplyCert(it.Cert)...)
-				}
-			}
-			continue
-		}
-		if bid > n.log.NumBlocks() {
-			break // gap inside the run; the re-request fills it
-		}
-		digest := wcrypto.BlockDigest(&it.Block)
-		if err := wcrypto.VerifyBlockAck(n.reg, m.Leader, bid, digest, it.ServerSig); err != nil {
-			n.logf("dropping catch-up block with bad transfer signature", "bid", bid, "err", err)
-			break
-		}
-		if it.HasCert {
-			if !n.verifyCatchUpCert(it, bid) {
-				break
-			}
-			if !bytes.Equal(it.Cert.Digest, digest) {
-				// The peer shipped content contradicting the cloud's
-				// certificate; its own transfer signature is the evidence.
-				out = append(out, n.convictLeader(bid, it.Block, it.ServerSig,
-					"catch-up block contradicts certificate; convicting sync peer")...)
-				break
-			}
-		}
-		repl := &wire.ReplicateBlock{Chain: m.Chain, Leader: m.Leader, Block: it.Block, LeaderSig: it.ServerSig}
-		out = append(out, n.installReplicated(repl, digest)...)
-		if it.HasCert {
-			if _, ok := n.log.Cert(bid); !ok {
-				out = append(out, n.followerApplyCert(it.Cert)...)
-			}
-		}
-	}
-	// Live replication stashed while the gap existed may now be contiguous.
-	out = append(out, n.installStashed()...)
-	if n.log.NumBlocks() < m.Through {
-		out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: frame})
 	}
 	return out
 }
@@ -215,7 +143,10 @@ func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip) []wire.
 // it to both sides: the rejoining node learns the current leader and epoch
 // and starts catching up; the leader adds the node back to its replication
 // fan-out. Stale admissions (older epoch) are ignored so a delayed join
-// can never demote a newer view.
+// can never demote a newer view. Only the rejoining node adopts the
+// join's epoch, as it starts following the join's leader: a join can
+// overtake the transfer that promotes its leader, and a leader-to-be that
+// took the epoch from the join would ignore that transfer as stale.
 func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin) []wire.Envelope {
 	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
 		return nil
@@ -227,11 +158,11 @@ func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin) [
 	if m.Epoch < n.epoch {
 		return nil
 	}
-	n.epoch = m.Epoch
 	if m.Node == n.cfg.ID {
 		if m.Leader == n.cfg.ID {
 			return nil
 		}
+		n.epoch = m.Epoch
 		n.logf("rejoining replica group", "chain", n.cfg.Chain, "epoch", m.Epoch, "leader", m.Leader)
 		return n.demote(now, m.Leader)
 	}
@@ -327,5 +258,6 @@ func (n *Node) Restart(now int64) {
 	n.lastCertFrontier = 0
 	n.certStallSince = now
 	n.lastCatchUp = now
+	n.catchUpEnd = 0
 	n.logf("restarted as blank follower", "chain", n.cfg.Chain)
 }

@@ -256,10 +256,12 @@ type Node struct {
 	// Self-healing timers. certStallSince tracks how long the certified
 	// frontier (lastCertFrontier) has been stuck with an uncertified
 	// backlog — the leader's stall-gated cert retry trigger. lastCatchUp
-	// rate-limits a follower's gap-driven catch-up requests.
+	// rate-limits a follower's gap-driven catch-up requests; catchUpEnd is
+	// the end of the run it last asked for (0 once that run is in).
 	lastCertFrontier uint64
 	certStallSince   int64
 	lastCatchUp      int64
+	catchUpEnd       uint64
 	lastShedLog      int64
 
 	// lastOverload rate-limits the signed Overloaded shed signal per
@@ -477,8 +479,6 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return n.handleTransfer(now, env.From, m)
 	case *wire.CatchUpRequest:
 		return n.handleCatchUpRequest(now, env.From, m)
-	case *wire.CatchUpBlocks:
-		return n.handleCatchUpBlocks(now, env.From, m)
 	case *wire.GroupJoin:
 		return n.handleGroupJoin(now, env.From, m)
 	case *wire.Gossip:

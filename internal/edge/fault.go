@@ -97,12 +97,12 @@ type Fault struct {
 	// uncertified ones the pinned digest is refuted by the later block
 	// proof. Either way the signed response convicts.
 	SliceTamperKey []byte
-	// TamperCatchUp: catch-up responses ship altered block content,
-	// signed over the tampered digest so the per-item transfer signature
-	// verifies — the lying-sync-peer attack. For certified blocks the
-	// certificate riding in the same item contradicts the content and the
-	// receiver convicts on the spot; for uncertified ones the eventual
-	// cloud certificate refutes the installed mirror and convicts then.
+	// TamperCatchUp: catch-up frames ship altered block content, signed
+	// over the tampered digest so each frame's leader signature verifies
+	// — the lying-sync-peer attack. For certified blocks the certificate
+	// riding in the same frame contradicts the content and the receiver
+	// convicts on the spot; for uncertified ones the eventual cloud
+	// certificate refutes the installed mirror and convicts then.
 	TamperCatchUp bool
 }
 

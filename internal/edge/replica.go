@@ -81,6 +81,7 @@ func (n *Node) replicate(blk *wire.Block, digest, sharedSig []byte) []wire.Envel
 			Leader:    n.cfg.ID,
 			Block:     sendBlk,
 			LeaderSig: sig,
+			Through:   blk.ID + 1,
 		}})
 	}
 	return out
@@ -105,10 +106,13 @@ func (n *Node) heartbeat(now int64) wire.Envelope {
 }
 
 // handleReplicate installs a leader-replicated block into the mirrored
-// log. Blocks may arrive out of order (stashed until their predecessor
-// lands); duplicates are compared by digest, and a divergent duplicate
-// that contradicts an existing cloud certificate convicts the leader on
-// the spot.
+// log: live replication and catch-up runs alike. A certificate riding the
+// frame is checked first: content that contradicts it convicts the leader
+// with the frame's own signature, and a matching one waits for its block
+// or certifies the mirrored copy. Blocks may arrive out of order (stashed
+// until their predecessor lands); duplicates are compared by digest, and a
+// divergent duplicate that contradicts an existing cloud certificate
+// convicts the leader on the spot.
 func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock) []wire.Envelope {
 	if !n.follower || m.Chain != n.cfg.Chain || from != n.leader || m.Leader != from {
 		return nil
@@ -117,13 +121,40 @@ func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlo
 		return nil
 	}
 	bid := m.Block.ID
-	// One digest serves the signature check, the duplicate comparison and
-	// the install.
+	// One digest serves the signature check, the certificate and duplicate
+	// comparisons and the install.
 	digest := m.Block.BodyDigest()
 	if err := wcrypto.VerifyBlockAck(n.reg, m.Leader, bid, digest, m.LeaderSig); err != nil {
 		n.logf("dropping replicated block with bad leader signature", "bid", bid, "err", err)
 		return nil
 	}
+	var out []wire.Envelope
+	if c := m.Cert; c != nil {
+		if c.Edge != n.cfg.Chain || c.BID != bid {
+			return nil
+		}
+		if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, c, c.CloudSig); err != nil {
+			n.logf("dropping replicated block with bad certificate", "bid", bid, "err", err)
+			return nil
+		}
+		if !bytes.Equal(c.Digest, digest) {
+			return n.convictLeader(bid, m.Block, m.LeaderSig,
+				"replicated block contradicts its certificate; convicting leader")
+		}
+		if _, certified := n.log.Cert(bid); !certified {
+			// Copied: a kept certificate must not pin the frame it rode in.
+			out = n.followerApplyCert(*cloneProof(c))
+		}
+	}
+	out = append(out, n.mirror(m, digest)...)
+	return append(out, n.nextCatchUpRun(now, m.Through)...)
+}
+
+// mirror places a replicated block whose signature checked out over
+// digest: installed when it is next, stashed when it is ahead, compared
+// when it is a duplicate.
+func (n *Node) mirror(m *wire.ReplicateBlock, digest []byte) []wire.Envelope {
+	bid := m.Block.ID
 	next := n.log.NumBlocks()
 	if bid < next {
 		// Duplicate. Same digest: idempotent redelivery. Divergent digest
@@ -256,8 +287,8 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 // pendingWindow bounds how far above the mirrored tip a follower stashes
 // out-of-order replicated blocks and early certificates. Anything further
 // ahead is dropped and refetched through certified catch-up — the same
-// floor-chasing discipline the proof-waiter table follows, so a fast (or hostile) leader can never grow the stash maps without
-// bound.
+// floor-chasing discipline the proof-waiter table follows, so a fast (or
+// hostile) leader can never grow the stash maps without bound.
 const pendingWindow = 1024
 
 // evictStash drops stash entries the mirrored log has outgrown: a bid

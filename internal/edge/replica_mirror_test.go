@@ -186,3 +186,78 @@ func TestReplicatedBlockHashedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicateFrameCarriesCertificate: a certificate riding a replication
+// frame, as catch-up ships them, is checked before the block is placed. A
+// matching one certifies the mirrored copy of a block already in, or the
+// block as it installs; a forged one drops the frame; one the content
+// contradicts convicts the leader with the frame's own signature and
+// installs nothing.
+func TestReplicateFrameCarriesCertificate(t *testing.T) {
+	p := newReplicaPair(t)
+	r0, r1, r2 := p.cutBlock(t, 1, 1), p.cutBlock(t, 2, 10), p.cutBlock(t, 3, 20)
+	withCert := func(m *wire.ReplicateBlock, digest []byte, signer wire.NodeID) *wire.ReplicateBlock {
+		c := &wire.BlockProof{Edge: "edge-1", BID: m.Block.ID, Digest: digest}
+		c.CloudSig = wcrypto.SignMsg(p.keys[signer], c)
+		cp := *m
+		cp.Cert = c
+		return &cp
+	}
+	counts := func(blocks, certified uint64) {
+		t.Helper()
+		if got := p.follower.LogBlocks(); got != blocks {
+			t.Fatalf("mirrored %d blocks, want %d", got, blocks)
+		}
+		if got := p.follower.CertifiedBlocks(); got != certified {
+			t.Fatalf("certified %d blocks, want %d", got, certified)
+		}
+	}
+
+	assertNoDispute(t, p.deliver(r0))
+	assertNoDispute(t, p.deliver(withCert(r0, wcrypto.BlockDigest(&r0.Block), "cloud")))
+	counts(1, 1)
+
+	assertNoDispute(t, p.deliver(withCert(r1, wcrypto.BlockDigest(&r1.Block), "edge-1")))
+	counts(1, 1)
+	assertNoDispute(t, p.deliver(withCert(r1, wcrypto.BlockDigest(&r1.Block), "cloud")))
+	counts(2, 2)
+
+	out := p.deliver(withCert(r2, wcrypto.BlockDigest(&r0.Block), "cloud"))
+	if len(out) != 1 || out[0].To != "cloud" || out[0].Msg.MsgKind() != wire.KindDispute {
+		t.Fatalf("contradicted certificate sent %v, want one dispute to the cloud", out)
+	}
+	d := out[0].Msg.(*wire.Dispute)
+	ev, err := wire.DecodeMessage(d.Evidence)
+	if err != nil || d.Edge != "edge-1" || d.BID != 2 {
+		t.Fatalf("dispute against %q over block %d (evidence err %v), want edge-1 over 2", d.Edge, d.BID, err)
+	}
+	if resp, ok := ev.(*wire.PutResponse); !ok || string(resp.EdgeSig) != string(r2.LeaderSig) {
+		t.Fatalf("evidence %T is not the frame's own signature", ev)
+	}
+	counts(2, 2)
+}
+
+// TestJoinOvertakingTransferDoesNotBlockPromotion: the cloud sends a
+// GroupJoin to the chain's leader as well as to the rejoining node, and on
+// a reordering network the join can reach the leader-to-be before the
+// transfer that promotes it. The join must not consume the epoch: the
+// transfer that follows still promotes the node.
+func TestJoinOvertakingTransferDoesNotBlockPromotion(t *testing.T) {
+	p := newReplicaPair(t)
+	fromCloud := func(m wire.Message) {
+		p.follower.Receive(1, wire.Envelope{From: "cloud", To: "edge-1.r1", Msg: m})
+	}
+	join := &wire.GroupJoin{Chain: "edge-1", Node: "edge-1.r2", Leader: "edge-1.r1", Epoch: 2, Ts: 1}
+	join.CloudSig = wcrypto.SignMsg(p.keys["cloud"], join)
+	fromCloud(join)
+	xfer := &wire.LeadershipTransfer{
+		Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-1.r1",
+		Followers: []wire.NodeID{"edge-1.r2"}, Reason: "crash", Ts: 1,
+	}
+	xfer.CloudSig = wcrypto.SignMsg(p.keys["cloud"], xfer)
+	fromCloud(xfer)
+	if p.follower.IsFollower() || p.follower.Leader() != "edge-1.r1" || p.follower.Epoch() != 2 {
+		t.Fatalf("after join then transfer: follower=%v leader=%q epoch=%d, want the promoted leader at epoch 2",
+			p.follower.IsFollower(), p.follower.Leader(), p.follower.Epoch())
+	}
+}

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"fmt"
 	"testing"
 
 	"wedgechain/internal/core"
@@ -101,6 +102,43 @@ func TestCatchUpRestartedFollower(t *testing.T) {
 				t.Fatalf("catch-up-history block = %+v", r.Block)
 			}
 		})
+	}
+}
+
+// A blank follower that misses more history than one catch-up run holds
+// drains it run after run: each time its mirror reaches the end of the run
+// it asked for while the frames' Through says the leader holds more, it
+// asks for the next run at once instead of waiting for its catch-up timer.
+// Three runs of certified blocks land within one CatchUpEvery of the first
+// request, one request per run.
+func TestCatchUpSpansRuns(t *testing.T) {
+	const blocks = 40 // three runs of at most 16
+	w := newRWorld(t, rworldOpts{})
+	for i := 0; i < blocks; i++ {
+		w.add(w.c1, fmt.Sprintf("a%d", i))
+		w.add(w.c2, fmt.Sprintf("b%d", i))
+		w.settle(t, 10*ms)
+	}
+	w.settle(t, 1*s)
+	if got := w.leader.CertifiedBlocks(); got != blocks {
+		t.Fatalf("leader certified %d blocks, want %d", got, blocks)
+	}
+
+	w.r1.Restart(w.sim.Now())
+	if !w.sim.RunWhile(func() bool { return w.r1.Stats().CatchUps == 0 }, w.sim.Now()+2*s) {
+		t.Fatal("restarted follower never asked to catch up")
+	}
+	first := w.sim.Now()
+	caughtUp := func() bool { return w.r1.CertifiedBlocks() == blocks }
+	if !w.sim.RunWhile(func() bool { return !caughtUp() }, first+500*ms) {
+		t.Fatalf("after one CatchUpEvery: %d blocks mirrored, %d certified, want %d",
+			w.r1.LogBlocks(), w.r1.CertifiedBlocks(), blocks)
+	}
+	if got := w.r1.LogBlocks(); got != blocks {
+		t.Fatalf("mirrored %d blocks, want %d", got, blocks)
+	}
+	if got := w.r1.Stats().CatchUps; got != 3 {
+		t.Fatalf("%d catch-up requests for three runs", got)
 	}
 }
 

@@ -230,18 +230,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// LinearBuckets returns n bucket upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // LatencyBuckets is the default seconds ladder for WedgeChain latency
 // histograms: 50 µs to ~400 s in powers of two. Wide enough for both
 // the sim's virtual clock and wall-clock TCP deployments.

@@ -362,7 +362,6 @@ const (
 	minL0SliceSize         = 4 + 8 + 8 + 8 + 4 + 4 + 1 + 4 + 1 + 4 + 4 + 4 // Edge ID StartPos Ts Count Begin Left len(Rows) Right len(PathLeft) len(PathRight) CertSig
 	minLevelProofSize      = 4 + minPageSize + 4 + 4 + 4                   // Level Page Index Width len(Path)
 	minLevelRangeProofSize = 4 + 4 + 4 + 4 + 4 + 4                         // Level First Width len(Pages) len(Left) len(Right)
-	minCatchUpItemSize     = minBlockSize + 4 + 4                          // Block ServerSig cert flag
 )
 
 // count reads the element count of a slice whose elements encode to at

@@ -232,7 +232,6 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 		sliceCase("L0Slice", minL0SliceSize, (*L0Slice).DecodeFrom),
 		sliceCase("LevelProof", minLevelProofSize, (*LevelProof).DecodeFrom),
 		sliceCase("LevelRangeProof", minLevelRangeProofSize, (*LevelRangeProof).DecodeFrom),
-		{"CatchUpItem", minCatchUpItemSize, 4 + 4 + 8 + 8, 0, (&CatchUpBlocks{}).DecodeFrom},
 		{"blob", minBlobSize, 0, 0, func(d *Decoder) { decodeBlobs(d) }},
 		{"SliceRow", minSliceRowSize, 4 + 8 + 8 + 8 + 4 + 4 + 1, 1 + 4 + 4 + 4, (&L0Slice{}).DecodeFrom},
 		{"NodeID", minBlobSize, 8 + 8, 4 + 4, (&ShardMap{}).DecodeFrom},

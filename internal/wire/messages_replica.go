@@ -1,12 +1,15 @@
 package wire
 
+import "errors"
+
 // Messages of the replica-group extension: a shard's chain is served by a
 // small group of edge nodes — one leader, the rest followers mirroring the
 // leader's frozen-block log — and the trusted cloud arbitrates leadership.
 // The chain identity (the NodeID blocks, certificates, and gossip are keyed
 // by) stays stable across leader changes; only the serving node changes.
 
-// ReplicateBlock ships a frozen block from a shard leader to a follower.
+// ReplicateBlock ships a frozen block from a shard leader to a follower,
+// live as the leader cuts it or as one frame of a catch-up run.
 // LeaderSig signs the block-ack body (BID ‖ digest) — byte-for-byte the
 // same signable body as PutResponse — so replication is
 // Phase I evidence against the leader: a follower that later receives a
@@ -14,11 +17,22 @@ package wire
 // the replicated block and this signature as a PutResponse and files a
 // DisputeAddLie, convicting the equivocating leader through the existing
 // judge with no new adjudication code.
+//
+// Through is the leader's block count when it sent the frame (BID+1 on a
+// live frame): a follower that has installed the catch-up run it asked
+// for and is still short of Through asks for the next one. Cert, when
+// present, is the block's cloud certificate (catch-up ships it with
+// every certified block), so the follower checks the content against it
+// before installing and advances its certified prefix without a cloud
+// round-trip. Neither field is signed by the leader: Through is a hint,
+// and the certificate carries the cloud's own signature.
 type ReplicateBlock struct {
 	Chain     NodeID // chain (shard) identity the block belongs to
 	Leader    NodeID // serving node that cut and signed the block
 	Block     Block
 	LeaderSig []byte
+	Through   uint64
+	Cert      *BlockProof // nil when the frame carries no certificate
 
 	encSize int // cached encoded size; see sizeMemoized
 }
@@ -32,6 +46,13 @@ func (m *ReplicateBlock) EncodeTo(e *Encoder) {
 	e.ID(m.Leader)
 	m.Block.EncodeTo(e)
 	e.Blob(m.LeaderSig)
+	e.U64(m.Through)
+	if m.Cert == nil {
+		e.U32(0)
+		return
+	}
+	e.U32(1)
+	m.Cert.EncodeTo(e)
 }
 
 // AppendBody appends the signable body: the size-independent block-ack
@@ -46,6 +67,18 @@ func (m *ReplicateBlock) DecodeFrom(d *Decoder) {
 	m.Leader = d.ID()
 	m.Block.DecodeFrom(d)
 	m.LeaderSig = d.Blob()
+	m.Through = d.U64()
+	m.Cert = nil
+	switch d.U32() {
+	case 0:
+	case 1:
+		m.Cert = new(BlockProof)
+		m.Cert.DecodeFrom(d)
+	default:
+		if d.err == nil {
+			d.err = errors.New("wire: invalid certificate flag")
+		}
+	}
 	m.encSize = 0
 }
 

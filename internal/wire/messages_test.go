@@ -165,13 +165,7 @@ func sampleMessages() []Message {
 			Followers: []NodeID{"edge-1.r2"}, Reason: "crash", Ts: 456, CloudSig: randBytes(64),
 		},
 		&CatchUpRequest{Chain: "edge-1", Node: "edge-1.r2", From: 7, Ts: 99, Sig: randBytes(64)},
-		&CatchUpBlocks{
-			Chain: "edge-1", Leader: "edge-1.r1", From: 7, Through: 9,
-			Items: []CatchUpItem{
-				{Block: blk, ServerSig: randBytes(64), HasCert: true, Cert: proof},
-				{Block: blk, ServerSig: randBytes(64)},
-			},
-		},
+		&ReplicateBlock{Chain: "edge-1", Leader: "edge-1.r1", Block: blk, LeaderSig: randBytes(64), Through: 19, Cert: &proof},
 		&GroupJoin{Chain: "edge-1", Node: "edge-1.r2", Leader: "edge-1.r1", Epoch: 3, Ts: 17, CloudSig: randBytes(64)},
 		&FrontierRequest{Chain: "edge-1"},
 		&Overloaded{Seq: 42, ReqID: 7, RetryAfter: 1e8, Backlog: 9, EdgeSig: randBytes(64)},
@@ -221,20 +215,41 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// retiredFrames returns envelopes as binaries before kinds 1 and 2 were
-// retired framed them: a log-append request (an entry and a flag byte) and
-// its response (the PutResponse body).
+// retiredFrames returns envelopes as binaries before kinds 1, 2 and 38
+// were retired framed them: a log-append request (an entry and a flag
+// byte), its response (the PutResponse body), and a catch-up response
+// (chain, leader, first block id, the leader's block count, then items of
+// block, transfer signature, certificate flag and certificate).
 func retiredFrames() [][]byte {
 	req := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutRequest{Entry: sampleEntry(1)}})
 	req = append(req, 1)
 	resp := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutResponse{BID: 12, Block: sampleBlock(), EdgeSig: randBytes(64)}})
 	binary.BigEndian.PutUint16(req, 1)
 	binary.BigEndian.PutUint16(resp, 2)
-	return [][]byte{req, resp}
+
+	var e Encoder
+	e.U16(38)
+	e.ID("a")
+	e.ID("b")
+	e.ID("edge-1")
+	e.ID("edge-1.r1")
+	e.U64(12)
+	e.U64(14)
+	e.U32(2)
+	blk := sampleBlock()
+	blk.EncodeTo(&e)
+	e.Blob(randBytes(64))
+	e.U32(1)
+	(&BlockProof{Edge: "edge-1", BID: 12, Digest: randBytes(32), CloudSig: randBytes(64)}).EncodeTo(&e)
+	blk.ID = 13
+	blk.EncodeTo(&e)
+	e.Blob(randBytes(64))
+	e.U32(0)
+	return [][]byte{req, resp, e.Bytes()}
 }
 
 // TestKindNumbersPinned holds every kind to its number on the wire: a kind
-// is added at the end, a retired number (1, 2) stays unnamed and
+// is added at the end, a retired number (1, 2, 38) stays unnamed and
 // undecodable, and nothing is ever renumbered.
 func TestKindNumbersPinned(t *testing.T) {
 	pinned := map[string]Kind{
@@ -247,9 +262,10 @@ func TestKindNumbersPinned(t *testing.T) {
 		"Ping": 26, "Pong": 27, "PutBatch": 28, "CloudPutBatch": 29, "EBPutBatch": 30,
 		"ShardMap": 31, "ScanRequest": 32, "ScanResponse": 33,
 		"ReplicateBlock": 34, "ReplicaHeartbeat": 35, "LeadershipTransfer": 36,
-		"CatchUpRequest": 37, "CatchUpBlocks": 38, "GroupJoin": 39, "FrontierRequest": 40,
+		"CatchUpRequest": 37, "GroupJoin": 39, "FrontierRequest": 40,
 		"Overloaded": 41, "BlockCertifyBatch": 42, "BlockCertBatch": 43,
 	}
+	retired := map[Kind]bool{1: true, 2: true, 38: true}
 	byNumber := map[Kind]string{}
 	for name, k := range pinned {
 		byNumber[k] = name
@@ -257,6 +273,9 @@ func TestKindNumbersPinned(t *testing.T) {
 	// String is total: the harness calls it for every value it may see.
 	for k := Kind(0); k < 64; k++ {
 		want, live := byNumber[k]
+		if live && retired[k] {
+			t.Errorf("kind %d is both pinned and retired", uint16(k))
+		}
 		if !live {
 			want = fmt.Sprintf("Kind(%d)", uint16(k))
 		}
@@ -271,12 +290,16 @@ func TestKindNumbersPinned(t *testing.T) {
 			t.Errorf("row %d constructs a %v", uint16(k), m.MsgKind())
 		}
 	}
-	if int(kindEnd) != len(pinned)+3 {
+	if int(kindEnd) != 1+len(pinned)+len(retired) {
 		t.Errorf("kindEnd = %d with %d kinds pinned: pin the new kind's number here", kindEnd, len(pinned))
 	}
-	for i, frame := range retiredFrames() {
+	for _, frame := range retiredFrames() {
+		k := Kind(binary.BigEndian.Uint16(frame))
+		if !retired[k] {
+			t.Errorf("retired frame of kind %d, which is not in the retired set", uint16(k))
+		}
 		if _, err := DecodeEnvelope(frame); err == nil {
-			t.Errorf("frame of retired kind %d decoded", i+1)
+			t.Errorf("frame of retired kind %d decoded", uint16(k))
 		}
 	}
 }

@@ -76,7 +76,9 @@ const (
 
 	// Chaos recovery and certified catch-up (appended).
 	KindCatchUpRequest
-	KindCatchUpBlocks
+	// 38 is retired: it was the catch-up response before a catch-up run
+	// became ReplicateBlock frames.
+	_
 	KindGroupJoin
 	KindFrontierRequest
 
@@ -144,7 +146,6 @@ var kinds = [kindEnd]kindInfo{
 	KindReplicaHeartbeat:   kindOf[ReplicaHeartbeat]("ReplicaHeartbeat"),
 	KindLeadershipTransfer: kindOf[LeadershipTransfer]("LeadershipTransfer"),
 	KindCatchUpRequest:     kindOf[CatchUpRequest]("CatchUpRequest"),
-	KindCatchUpBlocks:      kindOf[CatchUpBlocks]("CatchUpBlocks"),
 	KindGroupJoin:          kindOf[GroupJoin]("GroupJoin"),
 	KindFrontierRequest:    kindOf[FrontierRequest]("FrontierRequest"),
 	KindOverloaded:         kindOf[Overloaded]("Overloaded"),

@@ -22,12 +22,6 @@ func (s wedgeStatus) Settled() bool {
 }
 func (s wedgeStatus) Err() error { return s.op.Err }
 
-// PutOp implements Conn.
-func (w WedgeConn) PutOp(now int64, key, value []byte) (Status, []wire.Envelope) {
-	op, envs := w.Put(now, key, value)
-	return wedgeStatus{op}, envs
-}
-
 // PutBurst implements Conn.
 func (w WedgeConn) PutBurst(now int64, keys, values [][]byte) ([]Status, []wire.Envelope) {
 	ops, envs := w.PutBatch(now, keys, values)
@@ -49,12 +43,6 @@ func (w WedgeConn) GetOp(now int64, key []byte) (Status, []wire.Envelope) {
 // pipeline settles independently.
 type ShardedConn struct {
 	*client.Sharded
-}
-
-// PutOp implements Conn.
-func (w ShardedConn) PutOp(now int64, key, value []byte) (Status, []wire.Envelope) {
-	op, envs := w.Put(now, key, value)
-	return wedgeStatus{op}, envs
 }
 
 // PutBurst implements Conn.
@@ -83,12 +71,6 @@ type coStatus struct{ op *cloudonly.Op }
 func (s coStatus) Settled() bool { return s.op.Done }
 func (s coStatus) Err() error    { return nil }
 
-// PutOp implements Conn.
-func (c CloudOnlyConn) PutOp(now int64, key, value []byte) (Status, []wire.Envelope) {
-	op, envs := c.Put(now, key, value)
-	return coStatus{op}, envs
-}
-
 // PutBurst implements Conn.
 func (c CloudOnlyConn) PutBurst(now int64, keys, values [][]byte) ([]Status, []wire.Envelope) {
 	ops, envs := c.PutBatch(now, keys, values)
@@ -114,12 +96,6 @@ type ebStatus struct{ op *edgebase.Op }
 
 func (s ebStatus) Settled() bool { return s.op.Done }
 func (s ebStatus) Err() error    { return s.op.Err }
-
-// PutOp implements Conn.
-func (c EBConn) PutOp(now int64, key, value []byte) (Status, []wire.Envelope) {
-	op, envs := c.Put(now, key, value)
-	return ebStatus{op}, envs
-}
 
 // PutBurst implements Conn.
 func (c EBConn) PutBurst(now int64, keys, values [][]byte) ([]Status, []wire.Envelope) {

@@ -73,7 +73,6 @@ func KeyName(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 // is tracked separately by the experiment.
 type Conn interface {
 	core.Handler
-	PutOp(now int64, key, value []byte) (Status, []wire.Envelope)
 	// PutBurst submits a whole write batch in one request, the paper's
 	// batched submission mode.
 	PutBurst(now int64, keys, values [][]byte) ([]Status, []wire.Envelope)

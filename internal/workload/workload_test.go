@@ -134,11 +134,6 @@ func (c *fakeConn) Receive(now int64, env wire.Envelope) []wire.Envelope {
 }
 func (c *fakeConn) Tick(now int64) []wire.Envelope { return nil }
 
-func (c *fakeConn) PutOp(now int64, key, value []byte) (Status, []wire.Envelope) {
-	sts, envs := c.PutBurst(now, [][]byte{key}, [][]byte{value})
-	return sts[0], envs
-}
-
 func (c *fakeConn) PutBurst(now int64, keys, values [][]byte) ([]Status, []wire.Envelope) {
 	batch := &wire.CloudPutBatch{}
 	sts := make([]Status, len(keys))
