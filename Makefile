@@ -47,12 +47,14 @@ experiments:
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
 # certificate, MergeSorted/MergeL0 the compaction both sides now run,
 # LevelTree the hashing per record a merge pays to commit a level,
-# CertifiedThrough the frontier lookup every proof makes, and
+# CloudMerge the cloud's whole merge handler from the frame (an L0 merge of
+# ten 100-entry blocks into 1,000 records, a 1,000-record level into
+# 5,000), CertifiedThrough the frontier lookup every proof makes, and
 # LogResidentBytesPerBlock the live heap a cut 100-entry block costs the
 # edge with half the log below the compaction frontier — the layer
 # counterpart of the macro benchmark's heap_bytes_per_put).
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog ./internal/cloud
 
 # Every Fuzz* target outside benchmark/ for 10 s each, found by name so a
 # new target is smoked the day it is written: decoders and verifiers run on
@@ -80,7 +82,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20739
+LOC_CEILING := 20738
 loc:
 	@sh scripts/loc.sh
 loc-check:

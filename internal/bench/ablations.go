@@ -7,6 +7,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -73,7 +74,7 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 		TickEvery:   int64(1e6),
 		DefaultLink: sim.Link{Latency: int64(5e5), Bandwidth: lanBW},
 		Links:       links,
-		Cost:        costs.Fn(roles),
+		Cost:        costs.Fn(roles, func(wire.NodeID) *mlsm.Index { return fw.edge.Index() }),
 	})
 	levels := []int{2, 4, 8}
 	fw.cloud = cloud.New(cloud.Config{

@@ -53,7 +53,7 @@ func TestMeasuredRTTMatchesConfig(t *testing.T) {
 func TestCostModelChargesBatchCommit(t *testing.T) {
 	p := DefaultCosts(100)
 	roles := map[wire.NodeID]Role{"edge-1": REdge, "cloud": RCloud, "c1": RClient}
-	fn := p.Fn(roles)
+	fn := p.Fn(roles, nil)
 
 	write := wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutBatch{}}
 	// A buffered write (no outputs) costs only the base.
@@ -71,7 +71,7 @@ func TestCostModelChargesBatchCommit(t *testing.T) {
 	cert := wire.Envelope{From: "edge-1", To: "cloud", Msg: &wire.BlockCertify{}}
 	c100 := fn("cloud", cert, nil)
 	p2 := DefaultCosts(1000)
-	c1000 := p2.Fn(roles)("cloud", cert, nil)
+	c1000 := p2.Fn(roles, nil)("cloud", cert, nil)
 	if c1000 <= c100 {
 		t.Fatalf("cert cost not increasing with batch: %d vs %d", c100, c1000)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wire"
 )
@@ -84,11 +85,10 @@ func DefaultCosts(batch int) CostParams {
 }
 
 // Fn builds the simulator cost function for the given role assignment.
-func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
-	// mergeInputs is the size of the merge request each edge has in
-	// flight. A merge response carries roots, not pages: the leader pays
-	// for re-running the merge over those inputs when the answer arrives.
-	mergeInputs := map[wire.NodeID]int{}
+// index returns a WedgeChain edge's LSMerkle index: the levels a merge
+// reads and derives are priced by their size there, though only L0 data
+// crosses the link.
+func (p CostParams) Fn(roles map[wire.NodeID]Role, index func(wire.NodeID) *mlsm.Index) sim.CostFn {
 	return func(node wire.NodeID, in wire.Envelope, outs []wire.Envelope) int64 {
 		role := roles[node]
 		cost := p.Base
@@ -116,7 +116,12 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			}
 		case *wire.MergeRequest:
 			if role == RCloud {
-				cost += p.MergeBase + int64(p.MergePerByte*float64(wire.EncodedSize(in)))
+				x, lvl := index(in.From), int(m.FromLevel)
+				n := wire.EncodedSize(in) + levelBytes(x, lvl+1)
+				if lvl > 0 {
+					n += levelBytes(x, lvl)
+				}
+				cost += p.MergeBase + int64(p.MergePerByte*float64(n))
 			}
 		case *wire.EBStatePush:
 			if role == REdge {
@@ -133,9 +138,12 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 		case *wire.MergeResponse:
 			if role == REdge && m.OK {
 				// A mirrored response brings its pages; the cloud's own
-				// brings none and the inputs are merged again here.
-				cost += p.ApplyBase + int64(p.ApplyPerByte*float64(wire.EncodedSize(in)+mergeInputs[node]))
-				delete(mergeInputs, node)
+				// brings none and the level is derived again here.
+				n := wire.EncodedSize(in)
+				if len(m.NewPages) == 0 {
+					n += levelBytes(index(node), int(m.FromLevel)+1)
+				}
+				cost += p.ApplyBase + int64(p.ApplyPerByte*float64(n))
 			}
 		}
 
@@ -146,8 +154,6 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 			case *wire.BlockCertify:
 				// WedgeChain edge cut a block.
 				cost += p.CutBaseEdge + p.CutPerOp*int64(p.Batch)
-			case *wire.MergeRequest:
-				mergeInputs[node] = wire.EncodedSize(out)
 			case *wire.EBStatePush:
 				// Edge-baseline cloud committed a batch (and possibly
 				// compacted: pages ride along and cost per byte).
@@ -163,4 +169,10 @@ func (p CostParams) Fn(roles map[wire.NodeID]Role) sim.CostFn {
 		}
 		return cost
 	}
+}
+
+// levelBytes is the encoded size of x's level: what a mirrored merge
+// response carrying its pages weighs.
+func levelBytes(x *mlsm.Index, level int) int {
+	return wire.EncodedSize(wire.Envelope{Msg: &wire.MergeResponse{NewPages: x.Pages(level)}})
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"wedgechain/internal/baseline/cloudonly"
 	"wedgechain/internal/baseline/edgebase"
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/mlsm"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/shard"
 	"wedgechain/internal/sim"
@@ -150,6 +152,12 @@ type World struct {
 	ownDataDir  string // temp dir backing a durable world, removed on Close
 }
 
+// edgeIndex returns the LSMerkle index of the WedgeChain edge id.
+func (w *World) edgeIndex(id wire.NodeID) *mlsm.Index {
+	i := slices.IndexFunc(w.EdgeNodes, func(en *edge.Node) bool { return en.ID() == id })
+	return w.EdgeNodes[i].Index()
+}
+
 // Close releases a durable world's resources: edge stores are synced and
 // closed, and a temp data dir owned by the world is removed. In-memory
 // worlds are no-ops.
@@ -226,7 +234,7 @@ func BuildWorld(cfg WorldCfg) *World {
 		TickEvery:   int64(1e6),
 		DefaultLink: sim.Link{Latency: int64(5e5), Bandwidth: lanBW},
 		Links:       links,
-		Cost:        costs.Fn(w.roles),
+		Cost:        costs.Fn(w.roles, w.edgeIndex),
 	})
 
 	var gossipTo []wire.NodeID

@@ -4,10 +4,11 @@
 // detection, and the adjudicator of disputes.
 //
 // The cloud never holds block payloads for certification — only digests
-// (data-free coordination). For merges it receives page data transiently,
-// verifies it against the hashes it kept of its levels, merges, signs the
-// new roots and discards the data, retaining hashes only; its answer
-// carries the roots and no pages (the edge re-derives them).
+// (data-free coordination). For merges it receives certified L0 blocks,
+// verifies them against their certified digests, merges them into the
+// keys, versions and record leaves it kept of each level, signs the new
+// roots and discards the values; no level page crosses the link either
+// way, and its answer carries the roots (the edge re-derives the pages).
 package cloud
 
 import (
@@ -104,12 +105,11 @@ func (c *Config) Validate() error {
 
 // edgeState is the cloud's bookkeeping for one edge node: certified
 // digests (held in the shared CertTable), block proofs for re-delivery,
-// and per-level hashes mirroring the edge's index structure without its
-// data.
+// and per level the edge's index structure without its values.
 type edgeState struct {
 	proofs     map[uint64]*wire.BlockProof
 	l0Consumed uint64         // next uncompacted block id
-	levels     []*mlsm.Hashes // per level (0-based = level 1): hashes, no pages
+	levels     []*mlsm.Hashes // per level (0-based = level 1): keys, versions, leaves
 	epoch      uint64
 	pageSeq    uint64
 	// lastMerge is the response to the latest successful merge and
@@ -542,15 +542,13 @@ func (n *Node) attachProof(chain wire.NodeID, bid uint64, to wire.NodeID) []wire
 }
 
 // handleMerge implements the merge protocol of Section V-B: verify the
-// shipped pages against certified digests and the hashes the cloud kept of
-// its levels, perform the LSM merge, hash the level it derives, and sign
-// the new roots and global root with a freshness timestamp. Every shipped
-// block and record is hashed once: the digests and leaves computed up front
-// serve the signature check (the request is signed over them), the
-// certified-digest comparison, the check against the kept hashes and the
-// derived level, which takes over the leaf of every record it carries. The
-// response carries no pages — the edge holds the inputs and re-derives
-// them.
+// shipped L0 blocks against their certified digests, merge them — or the
+// source level — into the destination level as the cloud kept them (keys,
+// versions and record leaves, no values), hash the level it derives, and
+// sign the new roots and global root with a freshness timestamp. Each
+// shipped block is hashed once, its digest serving the signature check
+// and the certified-digest comparison, and only records new from L0 are
+// hashed. The response carries no pages: the edge re-derives them.
 func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []wire.Envelope {
 	reject := func(reason string) []wire.Envelope {
 		n.m.mergeRejects.Inc()
@@ -573,20 +571,21 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 	if lvl < 0 || lvl >= n.cfg.Levels {
 		return reject("source level out of range")
 	}
+	// Level content is the cloud's own: a request names a level, and only
+	// an L0 merge ships data.
+	if len(m.SrcPages)+len(m.DstPages) > 0 || (lvl > 0 && len(m.L0Blocks) > 0) {
+		return reject("merge request carries level content")
+	}
 	l0Digests := make([][]byte, len(m.L0Blocks))
 	for i := range m.L0Blocks {
 		l0Digests[i] = wcrypto.RecomputedBlockDigest(&m.L0Blocks[i])
 	}
-	src := &mlsm.Hashes{} // an L0 merge ships blocks, no source pages
-	if lvl > 0 {
-		src = st.levels[lvl-1]
-	}
-	srcLeaves, srcRecs, srcErr := src.Check(m.SrcPages)
-	dstLeaves, dstRecs, dstErr := st.levels[lvl].Check(m.DstPages)
-	if err := wcrypto.VerifyMergeRequest(n.reg, from, m, l0Digests, srcLeaves, dstLeaves); err != nil {
+	if err := wcrypto.VerifyMergeRequest(n.reg, from, m, l0Digests); err != nil {
 		return reject("bad edge signature")
 	}
 
+	dst := st.levels[lvl]
+	runs := []*mlsm.Records{dst.Records()}
 	var srcKVs []wire.KV
 	var consumedTo uint64
 	if lvl == 0 {
@@ -625,26 +624,21 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 		consumedTo = want - 1
 		n.certs.AddEntries(m.Edge, entries)
 	} else {
-		srcKVs = mlsm.PagesKVs(m.SrcPages)
-	}
-	if srcErr != nil {
-		return reject(fmt.Sprintf("level %d: %v", lvl, srcErr))
-	}
-	if dstErr != nil {
-		return reject(fmt.Sprintf("level %d: %v", lvl+1, dstErr))
+		src := st.levels[lvl-1]
+		srcKVs = mlsm.PagesKVs(src.Pages())
+		runs = append(runs, src.Records())
 	}
 
 	pageSeq := st.pageSeq
-	merged := mlsm.Merge(srcKVs, m.DstPages, uint32(lvl+1), n.cfg.PageCap, pageSeq, now)
+	merged := mlsm.Merge(srcKVs, dst.Pages(), uint32(lvl+1), n.cfg.PageCap, pageSeq, now)
 	st.pageSeq += uint64(len(merged))
 
-	// Refresh the kept hashes: the target level gets the merged pages'; a
+	// Refresh what is kept: the target level becomes the merged one; a
 	// source level > 0 becomes empty.
-	st.levels[lvl] = mlsm.HashLevel(merged, srcRecs, dstRecs)
+	st.levels[lvl] = mlsm.HashLevel(merged, runs...)
 	if lvl > 0 {
 		st.levels[lvl-1] = mlsm.HashLevel(nil)
-	}
-	if lvl == 0 {
+	} else {
 		st.l0Consumed = consumedTo + 1
 	}
 
@@ -675,7 +669,7 @@ func (n *Node) handleMerge(now int64, from wire.NodeID, m *wire.MergeRequest) []
 		ConsumedTo: consumedTo,
 	}
 	resp.CloudSig = wcrypto.SignMsg(n.key, resp)
-	// Copied: a decoded request's signature aliases its half-megabyte frame.
+	// Copied: a decoded request's signature aliases its frame.
 	st.lastMerge, st.lastMergeSig = resp, append([]byte(nil), m.EdgeSig...)
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }

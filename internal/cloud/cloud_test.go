@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ type fixture struct {
 	reg  *wcrypto.Registry
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
@@ -36,7 +35,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return &fixture{node: New(cfg, keys["cloud"], reg), keys: keys, reg: reg}
 }
 
-func (f *fixture) certify(t *testing.T, bid uint64, digest []byte) []wire.Envelope {
+func (f *fixture) certify(t testing.TB, bid uint64, digest []byte) []wire.Envelope {
 	t.Helper()
 	m := &wire.BlockCertify{Edge: "edge-1", BID: bid, Digest: digest}
 	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
@@ -168,7 +167,7 @@ func TestFullDataCertifyBodyMismatchConvicts(t *testing.T) {
 }
 
 // buildBlock makes a signed-entry block and certifies it.
-func (f *fixture) buildCertifiedBlock(t *testing.T, bid uint64, keys ...string) wire.Block {
+func (f *fixture) buildCertifiedBlock(t testing.TB, bid uint64, keys ...string) wire.Block {
 	t.Helper()
 	blk := wire.Block{Edge: "edge-1", ID: bid, StartPos: bid * 2}
 	for i, k := range keys {
@@ -180,7 +179,7 @@ func (f *fixture) buildCertifiedBlock(t *testing.T, bid uint64, keys ...string) 
 	return blk
 }
 
-func (f *fixture) merge(t *testing.T, m *wire.MergeRequest) *wire.MergeResponse {
+func (f *fixture) merge(t testing.TB, m *wire.MergeRequest) *wire.MergeResponse {
 	t.Helper()
 	m.Edge = "edge-1"
 	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
@@ -195,15 +194,16 @@ func (f *fixture) merge(t *testing.T, m *wire.MergeRequest) *wire.MergeResponse 
 	return resp
 }
 
-// derivePages re-runs a merge the way the edge does: over the request it
-// kept, with the page numbering, capacity and timestamp the response
+// derivePages re-runs a merge the way the edge does: over the blocks it
+// shipped, or its own source level src, and its own destination level
+// dst, with the page numbering, capacity and timestamp the response
 // carries under the cloud's signature.
-func derivePages(req *wire.MergeRequest, resp *wire.MergeResponse) []wire.Page {
-	srcKVs := mlsm.PagesKVs(req.SrcPages)
+func derivePages(req *wire.MergeRequest, src, dst []wire.Page, resp *wire.MergeResponse) []wire.Page {
+	srcKVs := mlsm.PagesKVs(src)
 	for i := range req.L0Blocks {
 		srcKVs = append(srcKVs, mlsm.BlockKVs(&req.L0Blocks[i])...)
 	}
-	return mlsm.Merge(srcKVs, req.DstPages, req.FromLevel+1, int(resp.PageCap), resp.PageSeq, resp.Global.Ts)
+	return mlsm.Merge(srcKVs, dst, req.FromLevel+1, int(resp.PageCap), resp.PageSeq, resp.Global.Ts)
 }
 
 func TestMergeL0ProducesSignedRoots(t *testing.T) {
@@ -232,7 +232,7 @@ func TestMergeL0ProducesSignedRoots(t *testing.T) {
 	}
 	// The pages the edge derives obey the level invariants and hash to
 	// the signed level root.
-	pages := derivePages(req, resp)
+	pages := derivePages(req, nil, nil, resp)
 	if err := mlsm.CheckLevel(pages); err != nil {
 		t.Fatalf("merged pages invalid: %v", err)
 	}
@@ -311,6 +311,10 @@ func forgePage(pages []wire.Page) []wire.Page {
 	return forged
 }
 
+// TestMergeRejectsForgedLevelPages: level content is the cloud's own. A
+// request that ships level pages is refused whatever they hold, forged or
+// honest, as a source or as a destination, and so is a level merge that
+// ships blocks; the levels the cloud then merges are the ones it kept.
 func TestMergeRejectsForgedLevelPages(t *testing.T) {
 	f := newFixture(t, Config{Levels: 2, PageCap: 2})
 	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
@@ -319,37 +323,56 @@ func TestMergeRejectsForgedLevelPages(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("setup merge rejected: %s", resp.Reason)
 	}
-	level1 := derivePages(req, resp)
+	level1 := derivePages(req, nil, nil, resp)
 
-	// A forged destination page: signed for (f.merge signs over what
-	// ships), so the signature holds and the kept hashes refuse it.
 	b1 := f.buildCertifiedBlock(t, 1, "c")
-	resp2 := f.merge(t, &wire.MergeRequest{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: forgePage(level1)})
-	if resp2.OK || !strings.Contains(resp2.Reason, "does not match recorded hash") {
-		t.Fatalf("forged destination pages: ok=%v reason=%q", resp2.OK, resp2.Reason)
+	for name, m := range map[string]*wire.MergeRequest{
+		"forged destination": {ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: forgePage(level1)},
+		"forged source":      {ReqID: 3, FromLevel: 1, SrcPages: forgePage(level1)},
+		"honest source":      {ReqID: 4, FromLevel: 1, SrcPages: level1},
+		"level merge blocks": {ReqID: 4, FromLevel: 1, L0Blocks: []wire.Block{b1}},
+	} {
+		if resp := f.merge(t, m); resp.OK || resp.Reason != "merge request carries level content" {
+			t.Fatalf("%s: ok=%v reason=%q", name, resp.OK, resp.Reason)
+		}
 	}
-	// The same for a forged source page of a level-to-level merge.
-	resp3 := f.merge(t, &wire.MergeRequest{ReqID: 3, FromLevel: 1, SrcPages: forgePage(level1)})
-	if resp3.OK || !strings.Contains(resp3.Reason, "does not match recorded hash") {
-		t.Fatalf("forged source pages: ok=%v reason=%q", resp3.OK, resp3.Reason)
+	assertKeptLevels(t, f, level1, b1)
+}
+
+// assertKeptLevels checks that the cloud still holds level 1 as level1:
+// an L0 merge of b1 and then a level merge both derive from it, and their
+// roots are those of the pages the edge derives from its own levels.
+func assertKeptLevels(t *testing.T, f *fixture, level1 []wire.Page, b1 wire.Block) {
+	t.Helper()
+	l0 := &wire.MergeRequest{ReqID: 5, FromLevel: 0, L0Blocks: []wire.Block{b1}}
+	resp := f.merge(t, l0)
+	if !resp.OK {
+		t.Fatalf("L0 merge rejected: %s", resp.Reason)
 	}
-	// Honest pages still merge: nothing above moved the cloud's state.
-	resp4 := f.merge(t, &wire.MergeRequest{ReqID: 4, FromLevel: 1, SrcPages: level1})
-	if !resp4.OK {
-		t.Fatalf("honest level merge rejected: %s", resp4.Reason)
+	level1 = derivePages(l0, nil, level1, resp)
+	if !bytes.Equal(mlsm.LevelTree(level1).Root(), resp.Roots[0]) {
+		t.Fatal("L0 merge did not derive from the kept level 1")
+	}
+	down := &wire.MergeRequest{ReqID: 6, FromLevel: 1}
+	if resp = f.merge(t, down); !resp.OK {
+		t.Fatalf("level merge rejected: %s", resp.Reason)
+	}
+	level2 := derivePages(down, level1, nil, resp)
+	if !bytes.Equal(mlsm.LevelTree(nil).Root(), resp.Roots[0]) || !bytes.Equal(mlsm.LevelTree(level2).Root(), resp.Roots[1]) {
+		t.Fatal("level merge did not derive from the kept levels")
 	}
 }
 
 // TestMergeRefusesCutPages: a page cut for a read folds to the leaf of the
-// whole page, so its leaf, and the signature over it, cannot tell it apart
-// — but merging it would drop the records it leaves out. The cloud checks
-// shipped pages record by record and refuses a cut one, as a source or as
-// a destination.
+// whole page, but merging it would drop the records it leaves out. The
+// cloud takes no page from a request, so a cut page is refused like any
+// other, as a source or as a destination, and the levels it merges stay
+// whole.
 func TestMergeRefusesCutPages(t *testing.T) {
 	f := newFixture(t, Config{Levels: 2, PageCap: 2})
 	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
 	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
-	level1 := derivePages(req, f.merge(t, req))
+	level1 := derivePages(req, nil, nil, f.merge(t, req))
 
 	idx := mlsm.NewIndex([]int{10, 10})
 	roots := [][]byte{mlsm.LevelTree(level1).Root(), mlsm.LevelTree(nil).Root()}
@@ -368,25 +391,22 @@ func TestMergeRefusesCutPages(t *testing.T) {
 		{ReqID: 2, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: cut},
 		{ReqID: 3, FromLevel: 1, SrcPages: cut},
 	} {
-		if resp := f.merge(t, m); resp.OK || !strings.Contains(resp.Reason, "page 0 does not match recorded hash") {
+		if resp := f.merge(t, m); resp.OK || resp.Reason != "merge request carries level content" {
 			t.Fatalf("cut page merged: ok=%v reason=%q", resp.OK, resp.Reason)
 		}
 	}
-	if resp := f.merge(t, &wire.MergeRequest{ReqID: 4, FromLevel: 1, SrcPages: level1}); !resp.OK {
-		t.Fatalf("whole pages rejected: %s", resp.Reason)
-	}
+	assertKeptLevels(t, f, level1, b1)
 }
 
-// TestMergeSignatureBindsShippedData: the request is signed over digests
-// and leaves, and the cloud checks the signature against the ones it
-// recomputes from the shipped bytes — so a request signed over the honest
-// commitments while shipping other data (a block or a page swapped after
-// signing) fails the signature check itself.
+// TestMergeSignatureBindsShippedData: the request is signed over its header
+// and block digests, and the cloud checks the signature against the
+// digests it recomputes from the shipped bytes — so a request signed over
+// the honest digests while shipping another block, or naming another
+// level, fails the signature check itself.
 func TestMergeSignatureBindsShippedData(t *testing.T) {
 	f := newFixture(t, Config{Levels: 2, PageCap: 2})
 	b0 := f.buildCertifiedBlock(t, 0, "a", "b")
-	req := &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}}
-	level1 := derivePages(req, f.merge(t, req))
+	f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b0}})
 	b1 := f.buildCertifiedBlock(t, 1, "c")
 
 	send := func(m *wire.MergeRequest) *wire.MergeResponse {
@@ -397,16 +417,9 @@ func TestMergeSignatureBindsShippedData(t *testing.T) {
 		}
 		return out[0].Msg.(*wire.MergeResponse)
 	}
-	honest := &wire.MergeRequest{Edge: "edge-1", ReqID: 2, L0Blocks: []wire.Block{b1}, DstPages: level1}
-	sig := wcrypto.SignMergeRequest(f.keys["edge-1"], honest,
-		[][]byte{wcrypto.BlockDigest(&b1)}, nil, mlsm.LevelTree(level1).Leaves())
+	honest := &wire.MergeRequest{Edge: "edge-1", ReqID: 2, L0Blocks: []wire.Block{b1}}
+	sig := wcrypto.SignMergeRequest(f.keys["edge-1"], honest, [][]byte{wcrypto.BlockDigest(&b1)})
 
-	swappedPage := *honest
-	swappedPage.DstPages = forgePage(level1)
-	swappedPage.EdgeSig = sig
-	if resp := send(&swappedPage); resp.OK || resp.Reason != "bad edge signature" {
-		t.Fatalf("page swapped under the signature: ok=%v reason=%q", resp.OK, resp.Reason)
-	}
 	tampered := b1
 	tampered.Entries = append([]wire.Entry(nil), b1.Entries...)
 	tampered.Entries[0].Value = []byte("rewritten")
@@ -419,11 +432,57 @@ func TestMergeSignatureBindsShippedData(t *testing.T) {
 	if _, banned := f.node.Flagged("edge-1"); banned {
 		t.Fatal("an unsigned-for block convicted the edge: anyone could have forged it")
 	}
-	// The signature over held commitments is the one the generic path
-	// computes from the data: the honest request verifies and merges.
+	level := &wire.MergeRequest{Edge: "edge-1", ReqID: 3, FromLevel: 1}
+	level.EdgeSig = wcrypto.SignMergeRequest(f.keys["edge-1"], level, nil)
+	renamed := *level
+	renamed.FromLevel = 0
+	if resp := send(&renamed); resp.OK || resp.Reason != "bad edge signature" {
+		t.Fatalf("level renamed under the signature: ok=%v reason=%q", resp.OK, resp.Reason)
+	}
+	// The signature over held digests is the one the generic path computes
+	// from the data: the honest request verifies and merges.
 	honest.EdgeSig = sig
 	if resp := send(honest); !resp.OK {
 		t.Fatalf("honest request rejected: %s", resp.Reason)
+	}
+}
+
+// TestKeptLevelOutlivesRequestFrame: the cloud keeps the keys of a merged
+// level, and the decoded blocks they came from alias the frame the request
+// arrived in. Overwriting that frame after the merge must not change the
+// roots of the merges that follow.
+func TestKeptLevelOutlivesRequestFrame(t *testing.T) {
+	roots := func(overwrite bool) [][]byte {
+		f := newFixture(t, Config{Levels: 2, PageCap: 2})
+		b0 := f.buildCertifiedBlock(t, 0, "a", "b", "c")
+		req := &wire.MergeRequest{Edge: "edge-1", ReqID: 1, L0Blocks: []wire.Block{b0}}
+		req.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], req)
+		frame := wire.EncodeEnvelope(wire.Envelope{From: "edge-1", To: "cloud", Msg: req})
+		env, err := wire.DecodeEnvelopeOwned(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := f.node.Receive(5, env); len(out) != 1 || !out[0].Msg.(*wire.MergeResponse).OK {
+			t.Fatalf("merge from a frame: %v", out)
+		}
+		if overwrite {
+			for i := range frame {
+				frame[i] = 'z'
+			}
+		}
+		b1 := f.buildCertifiedBlock(t, 1, "b", "d")
+		l0 := f.merge(t, &wire.MergeRequest{ReqID: 2, L0Blocks: []wire.Block{b1}})
+		down := f.merge(t, &wire.MergeRequest{ReqID: 3, FromLevel: 1})
+		if !l0.OK || !down.OK {
+			t.Fatalf("merges after the frame: %q %q", l0.Reason, down.Reason)
+		}
+		return append(l0.Roots, down.Roots...)
+	}
+	want, got := roots(false), roots(true)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("root %d moved when the request frame was overwritten", i)
+		}
 	}
 }
 
@@ -446,7 +505,7 @@ func TestMergeDuplicateRequestReplaysResponse(t *testing.T) {
 	// Same number, other request (a promoted leader counts from its own
 	// counter): not a duplicate, judged on its merits.
 	b1 := f.buildCertifiedBlock(t, 1, "c")
-	other := f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b1}, DstPages: derivePages(req, first)})
+	other := f.merge(t, &wire.MergeRequest{ReqID: 1, FromLevel: 0, L0Blocks: []wire.Block{b1}})
 	if !other.OK || other.ConsumedTo != 1 {
 		t.Fatalf("distinct request with a reused id: ok=%v reason=%q", other.OK, other.Reason)
 	}

@@ -205,7 +205,7 @@ type Node struct {
 
 	// merging is the merge request in flight (at most one), kept whole:
 	// the response carries no pages, so the merged level is re-derived
-	// from these inputs — blocks and pages the log and index hold anyway —
+	// from its blocks, which the log holds anyway, and the index's levels,
 	// and tickHealing re-sends it when the answer is overdue since
 	// mergeSentAt.
 	merging     *wire.MergeRequest
@@ -896,9 +896,10 @@ func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest
 // maybeStartMerge initiates at most one compaction: L0 into L1 when enough
 // certified blocks accumulated, else the shallowest over-threshold level
 // into its successor. The merge runs asynchronously at the cloud and does
-// not block reads or writes (Section V-B). The request is signed over
-// commitments the node already holds — cut-time block digests, the index
-// trees' leaves — so starting a merge hashes no block or page.
+// not block reads or writes (Section V-B). An L0 merge ships the certified
+// blocks, signed over the digests cached at their cut; a level merge ships
+// only its header, since the cloud merges what it kept of both levels. So
+// starting a merge hashes no block or page.
 func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 	if n.merging != nil || n.follower {
 		return nil
@@ -907,7 +908,7 @@ func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 		return nil
 	}
 	req := &wire.MergeRequest{Edge: n.cfg.Chain}
-	var l0Digests, srcLeaves [][]byte
+	var l0Digests [][]byte
 	// L0 -> L1.
 	certThrough, ok := n.log.CertifiedThrough()
 	if ok && certThrough+1 >= n.l0From+uint64(n.cfg.L0Threshold) {
@@ -933,12 +934,9 @@ func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 			return nil
 		}
 		req.FromLevel = uint32(lvl)
-		req.SrcPages, srcLeaves = n.idx.Pages(lvl), n.idx.Leaves(lvl)
 	}
-	dst := int(req.FromLevel) + 1
-	req.DstPages = n.idx.Pages(dst)
 	req.ReqID = n.nextReqID()
-	req.EdgeSig = wcrypto.SignMergeRequest(n.key, req, l0Digests, srcLeaves, n.idx.Leaves(dst))
+	req.EdgeSig = wcrypto.SignMergeRequest(n.key, req, l0Digests)
 	n.merging = req
 	n.m.merges.Inc()
 	return []wire.Envelope{n.sendMerge(now, req)}
@@ -961,10 +959,12 @@ func (n *Node) nextReqID() uint64 {
 // handleMergeResponse installs the level a merge produced and adopts the
 // cloud-signed roots, then cascades to the next over-threshold level if
 // any. The cloud's response carries no pages: the leader re-runs the merge
-// over its in-flight request with the three values the cloud signed, and
-// mirrors the response to its followers with the derived pages attached (a
-// follower's log may lag the inputs). Either way the pages are outside
-// CloudSig and InstallLevel binds them to it through the signed root.
+// with the three values the cloud signed over its request's blocks or its
+// own levels (one merge is in flight, so they are the ones the cloud
+// merged), and mirrors the response to its followers with the derived
+// pages attached (a follower's log may lag the inputs). Either way the
+// pages are outside CloudSig and InstallLevel binds them to it through the
+// signed root.
 func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeResponse) []wire.Envelope {
 	// Followers accept merge responses forwarded by their leader; the
 	// cloud's signature keeps the leader from forging an install.
@@ -993,15 +993,18 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 	if n.cfg.Fault != nil && n.cfg.Fault.FreezeIndex {
 		return nil // stale-snapshot attack: refuse to advance
 	}
+	target := int(m.FromLevel) + 1
 	pages := m.NewPages
 	if req != nil {
-		srcKVs := mlsm.PagesKVs(req.SrcPages)
+		var srcKVs []wire.KV
+		if m.FromLevel > 0 {
+			srcKVs = mlsm.PagesKVs(n.idx.Pages(int(m.FromLevel)))
+		}
 		for i := range req.L0Blocks {
 			srcKVs = append(srcKVs, mlsm.BlockKVs(&req.L0Blocks[i])...)
 		}
-		pages = mlsm.Merge(srcKVs, req.DstPages, m.FromLevel+1, int(m.PageCap), m.PageSeq, m.Global.Ts)
+		pages = mlsm.Merge(srcKVs, n.idx.Pages(target), uint32(target), int(m.PageCap), m.PageSeq, m.Global.Ts)
 	}
-	target := int(m.FromLevel) + 1
 	if err := n.idx.InstallLevel(target, pages, m.Roots, m.Global); err != nil {
 		n.logf("merge install failed", "err", err)
 		return nil

@@ -88,24 +88,28 @@ func (r *mergeRig) startMerge(t *testing.T, keys ...string) wire.Envelope {
 }
 
 // TestMergeRequestSignedOverHeldCommitments: the leader signs with the
-// digests and leaves it holds; the signature must be the one a verifier
-// recomputes from the shipped blocks and pages alone.
+// digests it holds; the signature must be the one a verifier recomputes
+// from the shipped blocks alone. No request ships level pages: a merge
+// into a non-empty level derives from the leader's own pages.
 func TestMergeRequestSignedOverHeldCommitments(t *testing.T) {
 	r := newMergeRig(t)
 	req, env := only[*wire.MergeRequest](t, []wire.Envelope{r.startMerge(t, "a", "b", "c", "a")})
 	if err := wcrypto.VerifyMsg(r.reg, "edge-1", req, req.EdgeSig); err != nil {
 		t.Fatalf("L0 merge request: %v", err)
 	}
-	// Second merge ships level-1 pages as destination: their leaves come
-	// from the index tree.
 	resp, _ := only[*wire.MergeResponse](t, r.cloud.Receive(r.now, env))
 	r.leader.Receive(r.now, wire.Envelope{From: "cloud", To: "edge-1", Msg: resp})
-	req2, _ := only[*wire.MergeRequest](t, []wire.Envelope{r.startMerge(t, "d", "e", "f", "b")})
-	if len(req2.DstPages) == 0 {
-		t.Fatal("second merge shipped no destination pages")
+	req2, env2 := only[*wire.MergeRequest](t, []wire.Envelope{r.startMerge(t, "d", "e", "f", "b")})
+	if len(req2.SrcPages)+len(req2.DstPages) != 0 {
+		t.Fatal("a merge into a non-empty level shipped level pages")
 	}
 	if err := wcrypto.VerifyMsg(r.reg, "edge-1", req2, req2.EdgeSig); err != nil {
-		t.Fatalf("merge request with destination pages: %v", err)
+		t.Fatalf("merge into a non-empty level: %v", err)
+	}
+	resp2, _ := only[*wire.MergeResponse](t, r.cloud.Receive(r.now, env2))
+	r.leader.Receive(r.now, wire.Envelope{From: "cloud", To: "edge-1", Msg: resp2})
+	if idx := r.leader.Index(); idx.Global().Epoch != 2 || idx.TotalRecords() != 6 || !bytes.Equal(idx.Roots()[0], resp2.Roots[0]) {
+		t.Fatalf("second merge not installed: epoch %d, %d records", idx.Global().Epoch, idx.TotalRecords())
 	}
 }
 

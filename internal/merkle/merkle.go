@@ -169,16 +169,6 @@ func (t *Tree) Len() int {
 	return len(t.rows[0]) / HashSize
 }
 
-// Leaves returns the leaf row the tree was built over, one hash per leaf.
-// The hashes must not be modified.
-func (t *Tree) Leaves() [][]byte {
-	out := make([][]byte, t.Len())
-	for i := range out {
-		out[i] = node(t.rows[0], i)
-	}
-	return out
-}
-
 // LeafRow returns the leaf row the tree was built over, hashes end to
 // end. The result must not be modified.
 func (t *Tree) LeafRow() []byte {

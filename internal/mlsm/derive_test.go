@@ -65,40 +65,88 @@ func randomBlocks(r *rand.Rand, firstID, startPos uint64, n, keyspace int) []wir
 	return blocks
 }
 
-// cloudSide answers a merge request the way the cloud does: it works on
-// the bytes that crossed the link, not on the edge's memory.
-func cloudSide(t *testing.T, req *wire.MergeRequest, pageCap int, pageSeq uint64, ts int64) (pages []wire.Page, root []byte) {
+// keptCloud merges the way the cloud does: over the blocks that crossed
+// the link and what it kept of each level (Hashes: keys, versions and
+// record leaves, no values), never over the edge's pages.
+type keptCloud []*Hashes
+
+func newKeptCloud(levels int) keptCloud {
+	c := make(keptCloud, levels)
+	for i := range c {
+		c[i] = HashLevel(nil)
+	}
+	return c
+}
+
+// merge answers req with the values the cloud would choose and returns
+// the level roots after it.
+func (c keptCloud) merge(t *testing.T, req *wire.MergeRequest, pageCap int, pageSeq uint64, ts int64) [][]byte {
 	t.Helper()
 	m, err := wire.DecodeMessage(wire.EncodeMessage(req))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := m.(*wire.MergeRequest)
-	srcKVs := PagesKVs(got.SrcPages)
+	lvl := int(got.FromLevel)
+	runs := []*Records{c[lvl].Records()}
+	var srcKVs []wire.KV
 	for i := range got.L0Blocks {
 		srcKVs = append(srcKVs, BlockKVs(&got.L0Blocks[i])...)
 	}
-	pages = Merge(srcKVs, got.DstPages, req.FromLevel+1, pageCap, pageSeq, ts)
-	return pages, LevelTree(pages).Root()
+	if lvl > 0 {
+		srcKVs = PagesKVs(c[lvl-1].Pages())
+		runs = append(runs, c[lvl-1].Records())
+	}
+	c[lvl] = HashLevel(Merge(srcKVs, c[lvl].Pages(), uint32(lvl+1), pageCap, pageSeq, ts), runs...)
+	if lvl > 0 {
+		c[lvl-1] = HashLevel(nil)
+	}
+	roots := make([][]byte, len(c))
+	for i, h := range c {
+		roots[i] = h.Root
+	}
+	return roots
+}
+
+// deriveAndInstall is the edge's side of a merge the cloud answered with
+// roots: re-run it over the shipped blocks or its own source level and its
+// own destination level, and install the pages under those roots.
+func deriveAndInstall(idx *Index, req *wire.MergeRequest, roots [][]byte, pageCap int, pageSeq uint64, ts int64) ([]wire.Page, error) {
+	target := int(req.FromLevel) + 1
+	var srcKVs []wire.KV
+	if req.FromLevel > 0 {
+		srcKVs = PagesKVs(idx.Pages(int(req.FromLevel)))
+	}
+	for i := range req.L0Blocks {
+		srcKVs = append(srcKVs, BlockKVs(&req.L0Blocks[i])...)
+	}
+	derived := Merge(srcKVs, idx.Pages(target), uint32(target), pageCap, pageSeq, ts)
+	if err := idx.InstallLevel(target, derived, roots, wire.SignedRoot{Ts: ts}); err != nil {
+		return nil, err
+	}
+	if req.FromLevel > 0 {
+		return derived, idx.ClearLevel(int(req.FromLevel))
+	}
+	return derived, nil
 }
 
 // TestDerivedPagesMatchCloud is the property a data-free merge response
-// rests on: from the request it kept and the three values the cloud
-// signed, the edge derives pages byte-identical to the cloud's, which
-// therefore hash to the cloud's root and install — for L0 and level-to-
-// level merges, duplicate keys, an empty destination, and page capacities
-// of 1 and 100.
+// rests on: from its own levels, the blocks it shipped and the three
+// values the cloud signed, the edge derives the reference merge's pages
+// without modifying its inputs, and they hash to the roots the cloud
+// signed — for L0 and level-to-level merges, duplicate keys, an empty
+// destination, and page capacities of 1 and 100.
 func TestDerivedPagesMatchCloud(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, pageCap := range []int{1, 100} {
 			r := rand.New(rand.NewSource(seed))
-			idx := NewIndex([]int{2, 4})
+			idx, cloud := NewIndex([]int{2, 4}), newKeptCloud(2)
 			var bid, pos, pageSeq uint64
-			roots := [][]byte{idx.Roots()[0], idx.Roots()[1]}
 			for round := 0; round < 4; round++ {
 				// L0 -> L1 on even rounds (the first into an empty
 				// level), L1 -> L2 on odd ones.
 				req := &wire.MergeRequest{Edge: "edge-1", ReqID: uint64(round + 1)}
+				var src []wire.Page
 				if round%2 == 0 {
 					req.L0Blocks = randomBlocks(r, bid, pos, 1+r.Intn(5), 25)
 					bid += uint64(len(req.L0Blocks))
@@ -106,45 +154,103 @@ func TestDerivedPagesMatchCloud(t *testing.T) {
 					pos = last.StartPos + uint64(len(last.Entries))
 				} else {
 					req.FromLevel = 1
-					req.SrcPages = idx.Pages(1)
+					src = idx.Pages(1)
 				}
 				target := int(req.FromLevel) + 1
-				req.DstPages = idx.Pages(target)
-				before := wire.EncodeMessage(req)
+				dst := idx.Pages(target)
+				before := encodePages(append(append([]wire.Page(nil), src...), dst...))
 				ts := int64(1000 + round)
 
-				cloudPages, cloudRoot := cloudSide(t, req, pageCap, pageSeq, ts)
-
-				srcKVs := PagesKVs(req.SrcPages)
+				roots := cloud.merge(t, req, pageCap, pageSeq, ts)
+				derived, err := deriveAndInstall(idx, req, roots, pageCap, pageSeq, ts)
+				if err != nil {
+					t.Fatalf("seed %d cap %d round %d: derived pages do not install under the cloud's roots: %v", seed, pageCap, round, err)
+				}
+				srcKVs := PagesKVs(src)
 				for i := range req.L0Blocks {
 					srcKVs = append(srcKVs, BlockKVs(&req.L0Blocks[i])...)
 				}
-				derived := Merge(srcKVs, req.DstPages, uint32(target), pageCap, pageSeq, ts)
-				if !bytes.Equal(encodePages(derived), encodePages(cloudPages)) {
-					t.Fatalf("seed %d cap %d round %d: derived pages differ from the cloud's", seed, pageCap, round)
-				}
-				if want := referenceMerge(srcKVs, req.DstPages, uint32(target), pageCap, pageSeq, ts); !bytes.Equal(encodePages(derived), encodePages(want)) {
+				if want := referenceMerge(srcKVs, dst, uint32(target), pageCap, pageSeq, ts); !bytes.Equal(encodePages(derived), encodePages(want)) {
 					t.Fatalf("seed %d cap %d round %d: pages differ from the reference merge", seed, pageCap, round)
 				}
-				if !bytes.Equal(wire.EncodeMessage(req), before) {
+				if !bytes.Equal(encodePages(append(append([]wire.Page(nil), src...), dst...)), before) {
 					t.Fatalf("seed %d cap %d round %d: Merge modified its inputs", seed, pageCap, round)
-				}
-				roots[target-1] = cloudRoot
-				if req.FromLevel > 0 {
-					roots[req.FromLevel-1] = LevelTree(nil).Root()
-				}
-				if err := idx.InstallLevel(target, derived, roots, wire.SignedRoot{Epoch: uint64(round + 1)}); err != nil {
-					t.Fatalf("seed %d cap %d round %d: derived pages do not install under the cloud's roots: %v", seed, pageCap, round, err)
-				}
-				if req.FromLevel > 0 {
-					if err := idx.ClearLevel(int(req.FromLevel)); err != nil {
-						t.Fatal(err)
-					}
 				}
 				pageSeq += uint64(len(derived))
 			}
 		}
 	}
+}
+
+// TestCloudMergeOverKeptRecordsMatchesEdge: the cloud merges the keys,
+// versions and record leaves it kept of each level; the edge merges full
+// pages and installs them. Over random shapes — duplicate keys within and
+// across blocks, key-less entries, empty source and destination levels,
+// L0 and level-to-level merges in any order, page capacities 1 to 100 —
+// both must hold the same level: page for page the same header and
+// bounds, record for record the same key and version (the cloud's with no
+// value), the same page leaves and the same roots.
+func TestCloudMergeOverKeptRecordsMatchesEdge(t *testing.T) {
+	const levels = 3
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pageCap := int(seed) // 1 to 100
+		idx, cloud := NewIndex(make([]int, levels)), newKeptCloud(levels)
+		var bid, pos, pageSeq uint64
+		for round := 0; round < 12; round++ {
+			req := &wire.MergeRequest{Edge: "edge-1", ReqID: uint64(round + 1)}
+			if lvl := r.Intn(levels); lvl == 0 {
+				req.L0Blocks = randomBlocks(r, bid, pos, 1+r.Intn(5), 5+r.Intn(300))
+				bid += uint64(len(req.L0Blocks))
+				last := req.L0Blocks[len(req.L0Blocks)-1]
+				pos = last.StartPos + uint64(len(last.Entries))
+			} else {
+				req.FromLevel = uint32(lvl)
+			}
+			ts := int64(1000 + round)
+			roots := cloud.merge(t, req, pageCap, pageSeq, ts)
+			derived, err := deriveAndInstall(idx, req, roots, pageCap, pageSeq, ts)
+			if err != nil {
+				t.Fatalf("seed %d round %d: edge pages do not install under the cloud's roots: %v", seed, round, err)
+			}
+			pageSeq += uint64(len(derived))
+			for lvl := 1; lvl <= levels; lvl++ {
+				if err := sameLevel(cloud[lvl-1], idx, lvl); err != nil {
+					t.Fatalf("seed %d round %d level %d: %v", seed, round, lvl, err)
+				}
+			}
+		}
+	}
+}
+
+// sameLevel reports how the cloud's kept level differs from the edge's.
+func sameLevel(kept *Hashes, idx *Index, lvl int) error {
+	pages, leaves := idx.Pages(lvl), idx.trees[lvl-1].LeafRow()
+	if !bytes.Equal(kept.Root, idx.Roots()[lvl-1]) || !bytes.Equal(kept.Root, idx.trees[lvl-1].Root()) {
+		return fmt.Errorf("roots differ")
+	}
+	if len(kept.Pages()) != len(pages) || len(kept.Leaves)*merkle.HashSize != len(leaves) {
+		return fmt.Errorf("%d pages kept, %d on the edge", len(kept.Pages()), len(pages))
+	}
+	for i, k := range kept.Pages() {
+		p := pages[i]
+		if k.Seq != p.Seq || k.Ts != p.Ts || k.Count != p.Count || !bytes.Equal(k.Lo, p.Lo) || !bytes.Equal(k.Hi, p.Hi) ||
+			(k.Lo == nil) != (p.Lo == nil) || (k.Hi == nil) != (p.Hi == nil) {
+			return fmt.Errorf("page %d header or bounds differ", i)
+		}
+		if !bytes.Equal(kept.Leaves[i], leaves[i*merkle.HashSize:(i+1)*merkle.HashSize]) {
+			return fmt.Errorf("page %d leaves differ", i)
+		}
+		if len(k.KVs) != len(p.KVs) {
+			return fmt.Errorf("page %d: %d records kept, %d on the edge", i, len(k.KVs), len(p.KVs))
+		}
+		for j := range k.KVs {
+			if !bytes.Equal(k.KVs[j].Key, p.KVs[j].Key) || k.KVs[j].Ver != p.KVs[j].Ver || k.KVs[j].Value != nil {
+				return fmt.Errorf("page %d record %d differs", i, j)
+			}
+		}
+	}
+	return nil
 }
 
 // TestInstallLevelLeavesIndexUntouchedOnMismatch: pages that do not hash
@@ -163,7 +269,7 @@ func TestInstallLevelLeavesIndexUntouchedOnMismatch(t *testing.T) {
 	if !bytes.Equal(encodePages(idx.Pages(1)), encodePages(good)) || idx.Global().Epoch != 1 {
 		t.Fatal("failed install changed the index")
 	}
-	if !bytes.Equal(merkle.New(idx.Leaves(1)).Root(), roots[0]) {
+	if !bytes.Equal(idx.trees[0].Root(), roots[0]) {
 		t.Fatal("leaves no longer match the installed level")
 	}
 }

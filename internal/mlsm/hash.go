@@ -2,7 +2,6 @@ package mlsm
 
 import (
 	"bytes"
-	"fmt"
 
 	"wedgechain/internal/merkle"
 	"wedgechain/internal/wire"
@@ -10,15 +9,15 @@ import (
 
 // This file hashes the levels a merge moves: every page's leaf, from the
 // leaves of its records (wire.KV.LeafInto). Both sides pay it — the cloud
-// to check the pages it receives and to sign the level it derives, the
-// edge to install that level — so nothing is hashed twice: a derived page
-// takes over the leaf of every record it carries (Records), and the cloud
-// checks received pages record by record against the hashes it kept of
-// them (Hashes.Check) instead of folding them again.
+// to sign the level it derives, the edge to install that level — and
+// nothing is hashed twice: a derived page takes over the leaf of every
+// record it carries (Records). The cloud keeps no values, only each
+// record's key, version and leaf (Hashes), and merges those.
 
 // LevelTree builds the Merkle tree over a level's pages in order.
 func LevelTree(pages []wire.Page) *merkle.Tree {
-	return merkle.New(HashLevel(pages).Leaves)
+	leaves, _ := hashLevel(pages, nil)
+	return merkle.New(leaves)
 }
 
 // Records is a run of records with their leaves in their pages' trees:
@@ -99,57 +98,71 @@ func commitLevel(pages []wire.Page, runs ...*Records) ([]*merkle.Tree, *merkle.T
 	return pageTrees, merkle.New(leaves)
 }
 
-// Hashes is what a node that keeps no pages holds of a level: every
-// page's leaf and the level root over them, and — so that the pages can
-// be checked when they come back as the inputs of the next merge — each
-// page's record root and record leaves.
+// hashLevel returns the page leaves of a level and each page's record
+// leaves, end to end, folding each page's records without building its
+// tree.
+func hashLevel(pages []wire.Page, runs []*Records) (leaves, records [][]byte) {
+	leaves, records = make([][]byte, len(pages)), hashRecords(pages, runs)
+	var scratch []byte
+	for i := range pages {
+		scratch = append(scratch[:0], records[i]...)
+		leaves[i] = pages[i].LeafOf(merkle.PackedRoot(scratch))
+	}
+	return leaves, records
+}
+
+// Hashes is what the cloud keeps of a level in place of its pages: every
+// page's header and leaf, the level root, and each record's key, version
+// and leaf — no value. A version is a unique log position, so key and
+// version name a record and its leaf stands for its value: the next merge
+// runs over these records (Pages) and takes over their leaves (Records),
+// hashing only the records new from L0. What is kept grows with the
+// level's live keys, not with the data written.
 type Hashes struct {
 	Leaves  [][]byte // page leaves, in order
 	Root    []byte
-	roots   [][]byte
-	records [][]byte // each page's record leaves, end to end
+	pages   []wire.Page // records without values
+	records [][]byte    // each page's record leaves, end to end
 }
 
 // HashLevel hashes consecutive pages of one level, taking the leaf of
-// every record runs hold (see Records) and hashing the rest.
+// every record runs hold (see Records) and hashing the rest, and keeps the
+// pages: in place, values dropped, keys and bounds copied into one buffer
+// that lives as long as the level (the pages handed over may alias a frame).
 func HashLevel(pages []wire.Page, runs ...*Records) *Hashes {
-	h := &Hashes{Leaves: make([][]byte, len(pages)), roots: make([][]byte, len(pages)), records: hashRecords(pages, runs)}
-	var scratch []byte
+	leaves, records := hashLevel(pages, runs)
+	n := 0
 	for i := range pages {
-		scratch = append(scratch[:0], h.records[i]...)
-		h.roots[i] = append([]byte(nil), merkle.PackedRoot(scratch)...)
-		h.Leaves[i] = pages[i].LeafOf(h.roots[i])
+		n += len(pages[i].Lo) + len(pages[i].Hi)
+		for j := range pages[i].KVs {
+			n += len(pages[i].KVs[j].Key)
+		}
 	}
-	h.Root = merkle.RootOf(h.Leaves)
-	return h
+	buf := make([]byte, 0, n) // sized to never grow: copies point into it
+	own := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
+	}
+	for i := range pages {
+		p := &pages[i]
+		p.Lo, p.Hi = own(p.Lo), own(p.Hi)
+		for j := range p.KVs {
+			p.KVs[j].Key, p.KVs[j].Value = own(p.KVs[j].Key), nil
+		}
+	}
+	return &Hashes{Leaves: leaves, Root: merkle.RootOf(leaves), pages: pages, records: records}
 }
 
-// Check returns the leaves of pages shipped as the level h was hashed
-// from, the run of their records, and an error unless they are exactly
-// those pages, whole. A page that is costs one hash per record, whose
-// leaves match the kept ones, and one for its header; a page that is not
-// is folded to the leaf it does commit to, for the caller to judge what
-// was signed.
-func (h *Hashes) Check(pages []wire.Page) ([][]byte, *Records, error) {
-	records := hashRecords(pages, nil)
-	leaves := make([][]byte, len(pages))
-	var err error
-	if len(pages) != len(h.Leaves) {
-		err = fmt.Errorf("%d pages shipped, %d on record", len(pages), len(h.Leaves))
-	}
-	for i := range pages {
-		if i < len(h.Leaves) && pages[i].Whole() && bytes.Equal(records[i], h.records[i]) {
-			if leaves[i] = pages[i].LeafOf(h.roots[i]); bytes.Equal(leaves[i], h.Leaves[i]) {
-				continue
-			}
-		}
-		leaves[i] = pages[i].Leaf()
-		if err == nil {
-			err = fmt.Errorf("page %d does not match recorded hash", i)
-		}
-	}
-	return leaves, &Records{pages: pages, leaves: records}, err
-}
+// Pages returns the level as kept: page headers, and each record's key
+// and version with no value. Callers must not modify.
+func (h *Hashes) Pages() []wire.Page { return h.pages }
+
+// Records returns the run of the kept records and their leaves, for the
+// merge that consumes the level to carry over.
+func (h *Hashes) Records() *Records { return &Records{pages: h.pages, leaves: h.records} }
 
 // records returns the run of level's records with the leaves its page
 // trees hold — what a merge into the level or out of it carries over.

@@ -291,11 +291,6 @@ func (x *Index) PageCount(level int) int { return len(x.levels[level-1]) }
 // Roots returns the level roots in order. Callers must not modify.
 func (x *Index) Roots() [][]byte { return x.roots }
 
-// Leaves returns the Merkle leaves of level (1-based), one per page in
-// order — the commitments a merge request is signed over. Callers must not
-// modify.
-func (x *Index) Leaves(level int) [][]byte { return x.trees[level-1].Leaves() }
-
 // Global returns the current signed global root (zero before any merge).
 func (x *Index) Global() wire.SignedRoot { return x.global }
 

@@ -205,7 +205,7 @@ func TestPageLeafGoldenVector(t *testing.T) {
 		t.Fatalf("page leaf drifted:\n got %s\nwant %s", got, leaf)
 	}
 	trees, level := commitLevel([]wire.Page{page})
-	if got := hex.EncodeToString(level.Leaves()[0]); got != leaf {
+	if got := hex.EncodeToString(level.LeafRow()); got != leaf {
 		t.Fatalf("committed leaf drifted: %s", got)
 	}
 	for _, r := range [][2]string{{"d", "d\x00"}, {"c", "c\x00"}, {"g", "p"}} {

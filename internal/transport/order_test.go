@@ -150,3 +150,51 @@ func TestConstantDelayKeepsOrder(t *testing.T) {
 	}
 	sink.awaitInOrder(t, func() uint64 { return frames })
 }
+
+// slowSink holds each delivery until release is closed.
+type slowSink struct {
+	id               wire.NodeID
+	entered, release chan struct{}
+	done             bool
+}
+
+func (s *slowSink) ID() wire.NodeID { return s.id }
+func (s *slowSink) Receive(int64, wire.Envelope) []wire.Envelope {
+	close(s.entered)
+	<-s.release
+	s.done = true
+	return nil
+}
+func (s *slowSink) Tick(int64) []wire.Envelope { return nil }
+
+// TestServeWaitsForRunningTurn: Serve returns only after the delivery it
+// was running when its context ended has finished, so whatever the
+// handler records lands before the caller reads it.
+func TestServeWaitsForRunningTurn(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &slowSink{id: "sink", entered: make(chan struct{}), release: make(chan struct{})}
+	ep := NewTCP(sink, TCPConfig{Listen: "127.0.0.1:0"})
+	if err := ep.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { ep.Serve(ctx); close(served) }()
+	sender := serveEndpoint(t, ctx, &orderSink{id: "sender"}, TCPConfig{})
+	sender.SetPeer("sink", ep.Addr().String())
+	sender.Do(func(int64) []wire.Envelope {
+		return []wire.Envelope{{From: "sender", To: "sink", Msg: &wire.Ping{Seq: 1}}}
+	})
+	<-sink.entered
+	cancel()
+	select {
+	case <-served:
+		t.Fatal("Serve returned while a delivery was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(sink.release)
+	<-served
+	if !sink.done {
+		t.Fatal("delivery not finished when Serve returned")
+	}
+}

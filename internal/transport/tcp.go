@@ -331,10 +331,13 @@ func (t *TCP) Listen() error {
 	return nil
 }
 
-// Serve listens and processes frames until ctx is done. On exit the
-// writer lanes are released; frames still in flight are dropped, which
-// shutdown makes moot.
+// Serve listens and processes frames until ctx is done. It returns once
+// every turn it started — a delivery or a tick — has finished, so no
+// handler runs after it. On exit the writer lanes are released; frames
+// still in flight are dropped, which shutdown makes moot.
 func (t *TCP) Serve(ctx context.Context) error {
+	var turns sync.WaitGroup // readers and the ticker
+	defer turns.Wait()
 	defer t.stop1.Do(func() { close(t.stopc) })
 	defer func() {
 		t.acceptMu.Lock()
@@ -356,10 +359,12 @@ func (t *TCP) Serve(ctx context.Context) error {
 
 	ticker := time.NewTicker(t.cfg.TickEvery)
 	defer ticker.Stop()
+	turns.Add(1)
 	go func() {
+		defer turns.Done()
 		for {
 			select {
-			case <-ctx.Done():
+			case <-t.stopc:
 				return
 			case <-ticker.C:
 				now := time.Now().UnixNano()
@@ -387,7 +392,8 @@ func (t *TCP) Serve(ctx context.Context) error {
 		t.acceptMu.Lock()
 		t.accepted[conn] = struct{}{}
 		t.acceptMu.Unlock()
-		go t.read(ctx, conn)
+		turns.Add(1)
+		go t.read(ctx, conn, turns.Done)
 	}
 }
 
@@ -419,8 +425,9 @@ func (t *TCP) turn(s *tcpSession, fn func(now int64) []wire.Envelope) {
 	}
 }
 
-func (t *TCP) read(ctx context.Context, conn net.Conn) {
+func (t *TCP) read(ctx context.Context, conn net.Conn, done func()) {
 	defer func() {
+		defer done()
 		conn.Close()
 		t.acceptMu.Lock()
 		delete(t.accepted, conn)

@@ -90,57 +90,56 @@ func BenchmarkVerifyMsgPutBatch(b *testing.B) {
 	}
 }
 
-// benchMerge is a compaction request of about 1 MB — 60 pages of 100
-// records — with the page leaves its sender holds in its index tree.
-func benchMerge(k KeyPair) (m *wire.MergeRequest, leaves [][]byte) {
-	m = &wire.MergeRequest{Edge: k.ID, ReqID: 1, FromLevel: 1}
-	for p := 0; p < 60; p++ {
-		page := wire.Page{Level: 1, Seq: uint64(p), Ts: 1}
+// benchMerge is the largest message the edge sends: an L0 compaction
+// request of 10 certified blocks of 100 puts, about 250 KB, with the
+// digests its sender cached at their cut.
+func benchMerge(k KeyPair) (m *wire.MergeRequest, digests [][]byte) {
+	m = &wire.MergeRequest{Edge: k.ID, ReqID: 1}
+	for b := 0; b < 10; b++ {
+		blk := wire.Block{Edge: k.ID, ID: uint64(b), StartPos: uint64(b * 100), Ts: 1}
 		for i := 0; i < 100; i++ {
-			page.KVs = append(page.KVs, wire.KV{
-				Key: []byte(fmt.Sprintf("k%08d", p*100+i)), Value: make([]byte, 128), Ver: uint64(i + 1)})
+			blk.Entries = append(blk.Entries, wire.Entry{Client: "c1", Seq: uint64(b*100 + i),
+				Key: []byte(fmt.Sprintf("k%08d", b*100+i)), Value: make([]byte, 128), Sig: make([]byte, 64)})
 		}
-		page.Count = uint32(len(page.KVs))
-		m.SrcPages = append(m.SrcPages, page)
-		leaves = append(leaves, page.Leaf())
+		m.L0Blocks = append(m.L0Blocks, blk)
+		digests = append(digests, blk.BodyDigest())
 	}
-	return m, leaves
+	return m, digests
 }
 
 // BenchmarkSignMergeRequest signs the largest message the edge sends, the
-// way the edge does: over the 60 leaves it already holds, not the megabyte
-// they commit (which is what this benchmark's predecessor, SignMsgMerge1MB,
-// hashed).
+// way the edge does: over the 10 digests it already holds, not the blocks
+// they commit.
 func BenchmarkSignMergeRequest(b *testing.B) {
 	k := DeterministicKey("edge-1")
-	m, leaves := benchMerge(k)
+	m, digests := benchMerge(k)
 	b.SetBytes(int64(wire.EncodedSize(wire.Envelope{Msg: m})))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SignMergeRequest(k, m, nil, leaves, nil)
+		SignMergeRequest(k, m, digests)
 	}
 }
 
-// BenchmarkVerifyMergeRequest is the cloud's side: recompute every leaf
-// from the shipped pages — once, for the leaf-table check too — and check
-// the signature over them.
+// BenchmarkVerifyMergeRequest is the cloud's side: recompute every block
+// digest from the shipped blocks — once, for the certified-digest check
+// too — and check the signature over them.
 func BenchmarkVerifyMergeRequest(b *testing.B) {
 	k := DeterministicKey("edge-1")
 	reg := NewRegistry()
 	reg.Register(k.ID, k.Pub)
-	m, leaves := benchMerge(k)
-	m.EdgeSig = SignMergeRequest(k, m, nil, leaves, nil)
+	m, digests := benchMerge(k)
+	m.EdgeSig = SignMergeRequest(k, m, digests)
 	b.SetBytes(int64(wire.EncodedSize(wire.Envelope{Msg: m})))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg.ForgetVerified()
-		got := make([][]byte, len(m.SrcPages))
-		for p := range m.SrcPages {
-			got[p] = m.SrcPages[p].Leaf()
+		got := make([][]byte, len(m.L0Blocks))
+		for j := range m.L0Blocks {
+			got[j] = RecomputedBlockDigest(&m.L0Blocks[j])
 		}
-		if err := VerifyMergeRequest(reg, k.ID, m, nil, got, nil); err != nil {
+		if err := VerifyMergeRequest(reg, k.ID, m, got); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,39 +76,43 @@ func TestBlockDigestGoldenVector(t *testing.T) {
 }
 
 // goldenMerge is a fixed compaction exchange: one L0 block of two puts
-// merged into a level holding one page.
-func goldenMerge() (*wire.MergeRequest, *wire.MergeResponse) {
+// merged into level 1, and a merge of level 1 into level 2.
+func goldenMerge() (l0, level *wire.MergeRequest, resp *wire.MergeResponse) {
 	blk := wire.Block{Edge: "edge-1", ID: 4, StartPos: 8, Ts: 77, Entries: []wire.Entry{
 		{Client: "c1", Seq: 1, Key: []byte("a"), Value: []byte("1"), Sig: []byte("s1")},
 		{Client: "c1", Seq: 2, Key: []byte("b"), Value: []byte("2"), Sig: []byte("s2")},
 	}}
 	dst := wire.Page{Level: 1, Seq: 3, Ts: 50, Count: 1, KVs: []wire.KV{{Key: []byte("a"), Value: []byte("0"), Ver: 2}}}
-	req := &wire.MergeRequest{Edge: "edge-1", ReqID: 9, L0Blocks: []wire.Block{blk}, DstPages: []wire.Page{dst}}
-	resp := &wire.MergeResponse{
+	l0 = &wire.MergeRequest{Edge: "edge-1", ReqID: 9, L0Blocks: []wire.Block{blk}}
+	level = &wire.MergeRequest{Edge: "edge-1", ReqID: 10, FromLevel: 1}
+	resp = &wire.MergeResponse{
 		Edge: "edge-1", ReqID: 9, OK: true, PageSeq: 4, PageCap: 100,
 		NewPages:   []wire.Page{dst}, // outside the signed body
 		Roots:      [][]byte{Digest([]byte("r1")), Digest([]byte("r2"))},
 		Global:     wire.SignedRoot{Edge: "edge-1", Epoch: 2, Root: Digest([]byte("g")), Ts: 99, L0From: 5, CloudSig: []byte("gs")},
 		ConsumedTo: 4,
 	}
-	return req, resp
+	return l0, level, resp
 }
 
 const (
-	goldenReqBody  = "00000006656467652d3100000000000000090000000000000001000000206ff849a7a1d4a26969bd66f7466b9bc5d15e0dbe5452b9cc5c5ddb69cfbf32e1000000000000000100000020cee0462e4331e9cea0e73448ba5c6673a7f21e499e605c60dfeee6e243b49749"
-	goldenReqSig   = "e7d638f074c0a8928a966a4e6b03cad350bc794d0d2c06d76773ae756b3815e7bc260fa72b26972fd31c07770e4be071915a24cc29a04229acd94d2d02d60102"
-	goldenRespBody = "00000006656467652d310000000000000009010000000000000000000000000000000400000064000000020000002082f3e9c695dc6b8d1b11818d5701919e286de8d47f7c3eb3100c485f79e5782800000020db77fd01af957221a4989b64b3770a83a3c56068405b9f0e9408feae57fd17e400000006656467652d31000000000000000200000020cd0aa9856147b6c5b4ff2b7dfee5da20aa38253099ef1b4a64aced233c9afe29000000000000006300000000000000050000000267730000000000000004"
-	goldenRespSig  = "9255cc8c6ea12d5b34ddfdbfb21048b386f195b6adb1b492c4db22a10119ee0447d5245b9a8a5f04d9710a5fbc76c6bc549c353d7f0f19efbb897a2cf8d82b0b"
+	goldenL0Body    = "00000006656467652d3100000000000000090000000000000001000000206ff849a7a1d4a26969bd66f7466b9bc5d15e0dbe5452b9cc5c5ddb69cfbf32e1"
+	goldenL0Sig     = "82fa07373b73dba05a73dcc4087d38b6ffcb7c198a9dedc90c1f2645f5710e32268179311b136813119b6f58df683900443b2d9f37ae1e18f99753cd35192f0b"
+	goldenLevelBody = "00000006656467652d31000000000000000a0000000100000000"
+	goldenLevelSig  = "4dcb5441865ae206872ea56c9b4971df75f2e3f7c626b7c5c1bb94be192c8bb6856e68ec05f040333b31241fcdc298b2b304a38ac6f637a1fabee37d97f2cf01"
+	goldenRespBody  = "00000006656467652d310000000000000009010000000000000000000000000000000400000064000000020000002082f3e9c695dc6b8d1b11818d5701919e286de8d47f7c3eb3100c485f79e5782800000020db77fd01af957221a4989b64b3770a83a3c56068405b9f0e9408feae57fd17e400000006656467652d31000000000000000200000020cd0aa9856147b6c5b4ff2b7dfee5da20aa38253099ef1b4a64aced233c9afe29000000000000006300000000000000050000000267730000000000000004"
+	goldenRespSig   = "9255cc8c6ea12d5b34ddfdbfb21048b386f195b6adb1b492c4db22a10119ee0447d5245b9a8a5f04d9710a5fbc76c6bc549c353d7f0f19efbb897a2cf8d82b0b"
 )
 
-// TestMergeGoldenVectors pins the two compaction bodies. A merge request
-// is signed over one 32-byte commitment per shipped block and page; a
-// merge response over everything but its pages. If a vector drifts, merge
-// messages from binaries on either side of the change stop verifying.
-// (The request signature was checked against an independent Ed25519 and
-// SHA-256 implementation.)
+// TestMergeGoldenVectors pins the compaction bodies. A merge request is
+// signed over its header and one 32-byte digest per shipped block — a
+// level merge ships none; a merge response over everything but its pages.
+// If a vector drifts, merge messages from binaries on either side of the
+// change stop verifying. (The request vectors — block digest, body and
+// signature — were computed by an independent SHA-256 and Ed25519
+// implementation.)
 func TestMergeGoldenVectors(t *testing.T) {
-	req, resp := goldenMerge()
+	l0, level, resp := goldenMerge()
 	edge, cloud := DeterministicKey("edge-1"), DeterministicKey("cloud")
 	cases := []struct {
 		name      string
@@ -116,7 +120,8 @@ func TestMergeGoldenVectors(t *testing.T) {
 		key       KeyPair
 		body, sig string
 	}{
-		{"MergeRequest", req, edge, goldenReqBody, goldenReqSig},
+		{"L0 MergeRequest", l0, edge, goldenL0Body, goldenL0Sig},
+		{"level MergeRequest", level, edge, goldenLevelBody, goldenLevelSig},
 		{"MergeResponse", resp, cloud, goldenRespBody, goldenRespSig},
 	}
 	for _, c := range cases {
@@ -127,14 +132,13 @@ func TestMergeGoldenVectors(t *testing.T) {
 			t.Errorf("%s signature drifted:\n got %s\nwant %s", c.name, got, c.sig)
 		}
 	}
-	// The commitments a signer holds are the ones a verifier recomputes.
-	blk, dst := &req.L0Blocks[0], &req.DstPages[0]
-	if got := SignMergeRequest(edge, req, [][]byte{blk.BodyDigest()}, nil, [][]byte{dst.Leaf()}); hex.EncodeToString(got) != goldenReqSig {
-		t.Errorf("SignMergeRequest over held commitments disagrees with SignMsg: %x", got)
+	// The digests a signer holds are the ones a verifier recomputes.
+	if got := SignMergeRequest(edge, l0, [][]byte{l0.L0Blocks[0].BodyDigest()}); hex.EncodeToString(got) != goldenL0Sig {
+		t.Errorf("SignMergeRequest over held digests disagrees with SignMsg: %x", got)
 	}
-	// The request body holds no block or page bytes (22-byte header, three
-	// counts, two length-prefixed hashes), the response none of its pages'.
-	if n := len(wire.BodyBytes(req)); n != 22+3*4+2*36 {
+	// The request body holds no block bytes (22-byte header, a count, one
+	// length-prefixed hash), the response none of its pages'.
+	if n := len(wire.BodyBytes(l0)); n != 22+4+36 {
 		t.Errorf("MergeRequest body is %d bytes", n)
 	}
 	stripped := *resp

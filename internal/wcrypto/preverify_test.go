@@ -47,9 +47,8 @@ func TestPreVerifySessionBatch(t *testing.T) {
 }
 
 // TestPreVerifyLeavesMergeRequestToHandler: a merge request is signed over
-// digests and leaves only the cloud's handler derives, so PreVerify does
-// not hash the shipped blocks and pages — even a validly signed request
-// reports false.
+// block digests only the cloud's handler derives, so PreVerify does not
+// hash the shipped blocks — even a validly signed request reports false.
 func TestPreVerifyLeavesMergeRequestToHandler(t *testing.T) {
 	reg, k := preverifyFixture()
 	m := &wire.MergeRequest{Edge: "c1", ReqID: 1, L0Blocks: []wire.Block{{Edge: "c1"}}}

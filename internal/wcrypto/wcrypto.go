@@ -305,26 +305,25 @@ func VerifyReadResponse(r *Registry, signer wire.NodeID, m *wire.ReadResponse, d
 	return err
 }
 
-// SignMergeRequest signs a merge request over commitments the caller
-// already holds — the edge's cut-time block digests and its index trees'
-// leaves. Only for requests whose blocks and pages actually hash to them;
-// anything else must sign through SignMsg so the signature matches what
-// ships.
-func SignMergeRequest(k KeyPair, m *wire.MergeRequest, l0Digests, srcLeaves, dstLeaves [][]byte) []byte {
+// SignMergeRequest signs a merge request over the block digests the
+// caller already holds — the edge's cut-time digests. Only for requests
+// whose blocks actually hash to them; anything else must sign through
+// SignMsg so the signature matches what ships.
+func SignMergeRequest(k KeyPair, m *wire.MergeRequest, l0Digests [][]byte) []byte {
 	e := wire.GetEncoder()
-	m.AppendBodyWithDigests(e, l0Digests, srcLeaves, dstLeaves)
+	m.AppendBodyWithDigests(e, l0Digests)
 	sig := k.Sign(e.Bytes())
 	wire.PutEncoder(e)
 	return sig
 }
 
-// VerifyMergeRequest checks a merge request's signature given the
-// commitments the caller computed from the blocks and pages it received —
-// the digests and leaves the cloud needs anyway, so no shipped byte is
-// hashed a second time inside VerifyMsg.
-func VerifyMergeRequest(r *Registry, signer wire.NodeID, m *wire.MergeRequest, l0Digests, srcLeaves, dstLeaves [][]byte) error {
+// VerifyMergeRequest checks a merge request's signature given the block
+// digests the caller computed from the blocks it received — the digests
+// the cloud needs anyway, so no shipped byte is hashed a second time
+// inside VerifyMsg.
+func VerifyMergeRequest(r *Registry, signer wire.NodeID, m *wire.MergeRequest, l0Digests [][]byte) error {
 	e := wire.GetEncoder()
-	m.AppendBodyWithDigests(e, l0Digests, srcLeaves, dstLeaves)
+	m.AppendBodyWithDigests(e, l0Digests)
 	err := r.Verify(signer, e.Bytes(), m.EdgeSig)
 	wire.PutEncoder(e)
 	return err

@@ -260,7 +260,8 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 
 // FuzzDecodeEnvelope: no input may panic the decoder, and whatever it
 // accepts is canonical — re-encoding reproduces the input. The seed
-// corpus is one encoded envelope of every kind (plain `go test` runs the
+// corpus is one encoded envelope of every kind, a merge request both as an
+// L0 merge and as a header-only level merge (plain `go test` runs the
 // seeds).
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, m := range sampleMessages() {

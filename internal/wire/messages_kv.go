@@ -64,12 +64,15 @@ func (m *PutResponse) memoizeEncodedSize(n int) {
 	}
 }
 
-// MergeRequest ships the pages undergoing an LSMerkle compaction from the
-// edge to the cloud. For FromLevel == 0 the sources are log blocks (L0
-// pages); otherwise they are the pages of FromLevel. DstPages are the
-// current pages of FromLevel+1. The cloud verifies everything against its
-// own certified digests and the hashes it kept of its levels before
-// merging.
+// MergeRequest asks the cloud for an LSMerkle compaction. For FromLevel
+// == 0 it carries the certified log blocks (L0 pages) to merge into level
+// 1; a merge of level FromLevel into FromLevel+1 carries only its header,
+// because the cloud merges the keys, versions and record leaves it kept of
+// both levels.
+//
+// SrcPages and DstPages are neither encoded nor signed, and the cloud
+// refuses a request that sets either. They remain only because the macro
+// benchmark's harness still counts their records.
 type MergeRequest struct {
 	Edge      NodeID
 	ReqID     uint64
@@ -92,30 +95,21 @@ func (m *MergeRequest) EncodeTo(e *Encoder) {
 	for i := range m.L0Blocks {
 		m.L0Blocks[i].EncodeTo(e)
 	}
-	e.U32(uint32(len(m.SrcPages)))
-	for i := range m.SrcPages {
-		m.SrcPages[i].EncodeTo(e)
-	}
-	e.U32(uint32(len(m.DstPages)))
-	for i := range m.DstPages {
-		m.DstPages[i].EncodeTo(e)
-	}
 	e.Blob(m.EdgeSig)
 }
 
-// AppendBody appends the signable body, recomputing every commitment from
-// the shipped blocks and pages (see AppendBodyWithDigests).
+// AppendBody appends the signable body, recomputing every block digest
+// from the shipped blocks (see AppendBodyWithDigests).
 func (m *MergeRequest) AppendBody(e *Encoder) {
-	m.AppendBodyWithDigests(e, nil, nil, nil)
+	m.AppendBodyWithDigests(e, nil)
 }
 
 // AppendBodyWithDigests appends the signable body: the header plus one
-// 32-byte commitment per shipped block (its digest, which commits the block
-// id) and page (its Merkle leaf) — never the bodies. The edge passes the
-// commitments it holds; the cloud the ones it computed from the bytes it
-// received, which it needs anyway. A nil list is recomputed from the
-// shipped data, which is what a verifier holding no commitments must do.
-func (m *MergeRequest) AppendBodyWithDigests(e *Encoder, l0Digests, srcLeaves, dstLeaves [][]byte) {
+// 32-byte digest per shipped block, which commits the block id — never
+// the blocks. The edge passes the digests it holds; the cloud the ones it
+// computed from the bytes it received. A nil list is recomputed from the
+// shipped blocks, as a verifier holding no digests must.
+func (m *MergeRequest) AppendBodyWithDigests(e *Encoder, l0Digests [][]byte) {
 	e.ID(m.Edge)
 	e.U64(m.ReqID)
 	e.U32(m.FromLevel)
@@ -127,21 +121,6 @@ func (m *MergeRequest) AppendBodyWithDigests(e *Encoder, l0Digests, srcLeaves, d
 			e.Blob(m.L0Blocks[i].BodyDigest())
 		}
 	}
-	appendPageLeaves(e, m.SrcPages, srcLeaves)
-	appendPageLeaves(e, m.DstPages, dstLeaves)
-}
-
-// appendPageLeaves appends one Merkle leaf per page: the caller's when
-// given, recomputed from the page otherwise.
-func appendPageLeaves(e *Encoder, pages []Page, leaves [][]byte) {
-	e.U32(uint32(len(pages)))
-	for i := range pages {
-		if leaves != nil {
-			e.Blob(leaves[i])
-		} else {
-			e.Blob(pages[i].Leaf())
-		}
-	}
 }
 
 // DecodeFrom implements Message.
@@ -150,8 +129,6 @@ func (m *MergeRequest) DecodeFrom(d *Decoder) {
 	m.ReqID = d.U64()
 	m.FromLevel = d.U32()
 	m.L0Blocks = decodeSlice(d, minBlockSize, (*Block).DecodeFrom)
-	m.SrcPages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
-	m.DstPages = decodeSlice(d, minPageSize, (*Page).DecodeFrom)
 	m.EdgeSig = d.Blob()
 }
 

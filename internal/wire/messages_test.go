@@ -102,13 +102,8 @@ func sampleMessages() []Message {
 			},
 			EdgeSig: randBytes(64),
 		},
-		&MergeRequest{
-			Edge: "edge-1", ReqID: 1, FromLevel: 0,
-			L0Blocks: []Block{blk},
-			SrcPages: nil,
-			DstPages: []Page{samplePage(1)},
-			EdgeSig:  randBytes(64),
-		},
+		&MergeRequest{Edge: "edge-1", ReqID: 1, L0Blocks: []Block{blk}, EdgeSig: randBytes(64)},
+		&MergeRequest{Edge: "edge-1", ReqID: 2, FromLevel: 1, EdgeSig: randBytes(64)}, // a level merge: header only
 		&MergeResponse{
 			Edge: "edge-1", ReqID: 1, OK: true, FromLevel: 0,
 			PageSeq: 41, PageCap: 100,
@@ -357,39 +352,44 @@ func TestSignableBodyExcludesSignature(t *testing.T) {
 	}
 }
 
-// TestMergeBodiesAreCommitments: a merge request is signed over one hash
-// per block and page, each changing when its block or page does, and held
-// commitments give the same body as recomputed ones; a merge response is
-// signed over everything but its pages.
+// TestMergeBodiesAreCommitments: a merge request is signed over its
+// header and one hash per block, each changing when its block does, and
+// held digests give the same body as recomputed ones; level pages are
+// neither encoded nor signed; a merge response is signed over everything
+// but its pages.
 func TestMergeBodiesAreCommitments(t *testing.T) {
 	blk, src, dst := sampleBlock(), samplePage(1), samplePage(2)
-	req := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
+	req := &MergeRequest{Edge: "edge-1", ReqID: 1, L0Blocks: []Block{blk}}
 	body := BodyBytes(req)
-	if want := 4 + 6 + 8 + 4 + 3*(4+36); len(body) != want {
-		t.Fatalf("request body is %d bytes, want %d: it must hold no block or page bytes", len(body), want)
+	if want := 4 + 6 + 8 + 4 + 4 + 36; len(body) != want {
+		t.Fatalf("request body is %d bytes, want %d: it must hold no block bytes", len(body), want)
 	}
 	var held Encoder
-	req.AppendBodyWithDigests(&held, [][]byte{blk.BodyDigest()}, [][]byte{src.Leaf()}, [][]byte{dst.Leaf()})
+	req.AppendBodyWithDigests(&held, [][]byte{blk.BodyDigest()})
 	if !bytes.Equal(held.Bytes(), body) {
-		t.Fatal("held commitments and recomputed ones give different bodies")
+		t.Fatal("held digests and recomputed ones give different bodies")
 	}
 	mutations := map[string]func(m *MergeRequest){
 		"block entry": func(m *MergeRequest) {
 			m.L0Blocks[0].Entries = append([]Entry(nil), blk.Entries...)
 			m.L0Blocks[0].Entries[0].Value = []byte("x")
 		},
-		"block id":    func(m *MergeRequest) { m.L0Blocks[0].ID++ },
-		"src record":  func(m *MergeRequest) { m.SrcPages[0].KVs = append([]KV{{Key: []byte("k")}}, src.KVs...) },
-		"dst bound":   func(m *MergeRequest) { m.DstPages[0].Hi = []byte("zzz") },
-		"src and dst": func(m *MergeRequest) { m.SrcPages, m.DstPages = m.DstPages, m.SrcPages },
-		"request id":  func(m *MergeRequest) { m.ReqID++ },
+		"block id":   func(m *MergeRequest) { m.L0Blocks[0].ID++ },
+		"level":      func(m *MergeRequest) { m.FromLevel++ },
+		"no blocks":  func(m *MergeRequest) { m.L0Blocks = nil },
+		"request id": func(m *MergeRequest) { m.ReqID++ },
 	}
 	for name, mutate := range mutations {
-		m := &MergeRequest{Edge: "edge-1", ReqID: 1, FromLevel: 1, L0Blocks: []Block{blk}, SrcPages: []Page{src}, DstPages: []Page{dst}}
+		m := &MergeRequest{Edge: "edge-1", ReqID: 1, L0Blocks: []Block{blk}}
 		mutate(m)
 		if bytes.Equal(BodyBytes(m), body) {
 			t.Errorf("request body ignores a changed %s", name)
 		}
+	}
+	withPages := *req
+	withPages.SrcPages, withPages.DstPages = []Page{src}, []Page{dst}
+	if !bytes.Equal(BodyBytes(&withPages), body) || !bytes.Equal(EncodeMessage(&withPages), EncodeMessage(req)) {
+		t.Fatal("level pages reach a merge request's body or encoding")
 	}
 
 	resp := &MergeResponse{Edge: "edge-1", ReqID: 1, OK: true, PageSeq: 7, PageCap: 100, Roots: [][]byte{randBytes(32)}, ConsumedTo: 3}
