@@ -260,10 +260,17 @@ func (s *Sim) step() bool {
 		if st.busyUntil > start {
 			start = st.busyUntil
 		}
-		outs := st.h.Receive(start, e.env)
+		// The receiver gets what the wire delivers: its own copy, decoded
+		// from its own buffer as the TCP reader decodes a frame, so a
+		// duplicate never shares a message with the original.
+		env, err := wire.DecodeEnvelopeOwned(wire.EncodeEnvelope(e.env))
+		if err != nil {
+			panic(fmt.Sprintf("sim: %s from %s does not round-trip: %v", e.env.Msg.MsgKind(), e.env.From, err))
+		}
+		outs := st.h.Receive(start, env)
 		var cost int64
 		if s.cfg.Cost != nil {
-			cost = s.cfg.Cost(e.node, e.env, outs)
+			cost = s.cfg.Cost(e.node, env, outs)
 		}
 		fin := start + cost
 		st.busyUntil = fin

@@ -52,8 +52,10 @@ type TCPConfig struct {
 	// connection. More lanes reduce cross-peer head-of-line blocking
 	// (a stalled dial or write delays only its own lane).
 	Lanes int
-	// LaneDepth is each lane's frame queue capacity; 0 defaults to 4096.
-	// A full lane drops the frame (counted in Stats.LaneDrops).
+	// LaneDepth bounds each lane's frames, queued plus the one being
+	// written; 0 defaults to 4096. A frame past it is dropped (counted in
+	// Stats.LaneDrops). It reserves nothing: queue storage follows the
+	// frames actually queued.
 	LaneDepth int
 	// Registry and VerifyWorkers are read by nothing: every session
 	// checks signatures against its own registry on its own turn. They
@@ -80,9 +82,13 @@ type TCPConfig struct {
 type Stats struct {
 	// FramesSent counts frames successfully written to a peer socket.
 	FramesSent uint64
-	// LaneDrops counts frames dropped because their writer lane's queue
-	// was full (a slow or dead peer backing up its lane).
+	// LaneDrops counts frames dropped because their writer lane was full
+	// (a slow or dead peer backing up its lane).
 	LaneDrops uint64
+	// UnreachableDrops counts frames a lane took but could not deliver:
+	// the dial failed, or the write failed and its one resend on a fresh
+	// dial failed too (the peer is down or refusing connections).
+	UnreachableDrops uint64
 	// NoAddrDrops counts frames dropped for lack of a peer address.
 	NoAddrDrops uint64
 	// Redials counts outbound connection (re)establishments.
@@ -127,6 +133,7 @@ type TCP struct {
 	// same atomics (see TCPConfig.Obs).
 	stFramesSent *obs.Counter
 	stLaneDrops  *obs.Counter
+	stUnreach    *obs.Counter
 	stNoAddr     *obs.Counter
 	stRedials    *obs.Counter
 
@@ -147,13 +154,69 @@ type tcpSession struct {
 	h  core.Handler
 }
 
-// writeLane is one shared outbound worker: a bounded queue of addressed
-// frames drained by a dedicated goroutine that owns the connections to
-// every peer hashed onto it. A full queue drops the frame — the
-// protocol's timeout and dispute machinery owns recovery, mirroring the
-// paper's asynchronous network assumption.
+// writeLane is one shared outbound worker: a FIFO of addressed frames
+// drained by a dedicated goroutine that owns the connections to every
+// peer hashed onto it. A lane holding LaneDepth frames, counting the one
+// being written, drops the next — the protocol's timeout and dispute
+// machinery owns recovery, mirroring the paper's asynchronous network
+// assumption. The queue's storage comes from queuePool when a frame
+// reaches an empty lane and goes back when the lane drains, so an idle
+// lane holds none and a busy one allocates nothing per frame.
 type writeLane struct {
-	ch chan laneItem
+	mu   sync.Mutex
+	buf  *[]laneItem // queued frames are (*buf)[head:]; nil when drained
+	head int
+	busy int           // 1 while the writer holds a frame taken off buf
+	wake chan struct{} // 1-buffered: a frame reached an idle lane
+}
+
+var queuePool = sync.Pool{New: func() any { return new([]laneItem) }}
+
+// push queues it unless the lane already holds depth frames.
+func (ln *writeLane) push(it laneItem, depth int) bool {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if ln.buf == nil {
+		ln.buf = queuePool.Get().(*[]laneItem)
+	}
+	q := *ln.buf
+	n := len(q) - ln.head + ln.busy
+	if n >= depth {
+		return false
+	}
+	if len(q) == cap(q) && ln.head > 0 { // reuse the written slots before growing
+		q, ln.head = slices.Delete(q, 0, ln.head), 0
+	}
+	*ln.buf = append(q, it)
+	if n == 0 {
+		select {
+		case ln.wake <- struct{}{}:
+		default:
+		}
+	}
+	return true
+}
+
+// pop ends the writer's previous frame and takes the next; on an empty
+// lane it hands the storage back and reports false.
+func (ln *writeLane) pop() (it laneItem, ok bool) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	ln.busy = 0
+	if ln.buf == nil {
+		return it, false
+	}
+	q := *ln.buf
+	if ln.head == len(q) {
+		*ln.buf = q[:0]
+		queuePool.Put(ln.buf)
+		ln.buf, ln.head = nil, 0
+		return it, false
+	}
+	it, q[ln.head] = q[ln.head], laneItem{}
+	ln.head++
+	ln.busy = 1
+	return it, true
 }
 
 type laneItem struct {
@@ -248,7 +311,7 @@ func NewTCP(h core.Handler, cfg TCPConfig) *TCP {
 		accepted:   make(map[net.Conn]struct{}),
 	}
 	for i := range t.lanes {
-		t.lanes[i] = &writeLane{ch: make(chan laneItem, cfg.LaneDepth)}
+		t.lanes[i] = &writeLane{wake: make(chan struct{}, 1)}
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -258,7 +321,9 @@ func NewTCP(h core.Handler, cfg TCPConfig) *TCP {
 	t.stFramesSent = reg.CounterVec("wedge_transport_frames_sent_total",
 		"frames successfully written to a peer socket", "node").With(node)
 	t.stLaneDrops = reg.CounterVec("wedge_transport_lane_drops_total",
-		"frames dropped because their writer lane's queue was full", "node").With(node)
+		"frames dropped because their writer lane was full", "node").With(node)
+	t.stUnreach = reg.CounterVec("wedge_transport_unreachable_drops_total",
+		"frames dropped because their peer could not be dialed or written to after one resend", "node").With(node)
 	t.stNoAddr = reg.CounterVec("wedge_transport_no_addr_drops_total",
 		"frames dropped for lack of a peer address", "node").With(node)
 	t.stRedials = reg.CounterVec("wedge_transport_redials_total",
@@ -288,10 +353,11 @@ func (t *TCP) session(id wire.NodeID) *tcpSession {
 // Stats returns a snapshot of the endpoint's frame counters.
 func (t *TCP) Stats() Stats {
 	return Stats{
-		FramesSent:  t.stFramesSent.Value(),
-		LaneDrops:   t.stLaneDrops.Value(),
-		NoAddrDrops: t.stNoAddr.Value(),
-		Redials:     t.stRedials.Value(),
+		FramesSent:       t.stFramesSent.Value(),
+		LaneDrops:        t.stLaneDrops.Value(),
+		UnreachableDrops: t.stUnreach.Value(),
+		NoAddrDrops:      t.stNoAddr.Value(),
+		Redials:          t.stRedials.Value(),
 	}
 }
 
@@ -519,9 +585,8 @@ func (t *TCP) enqueue(env wire.Envelope) {
 	}
 	t.laneOnce.Do(t.startLanes)
 	ln := t.lanes[laneOf(addr, len(t.lanes))]
-	select {
-	case ln.ch <- laneItem{to: env.To, env: env}:
-	default: // lane full: peer is slow or dead; drop
+	if !ln.push(laneItem{to: env.To, env: env}, t.cfg.LaneDepth) {
+		// Lane full: peer is slow or dead; drop.
 		t.stLaneDrops.Add(1)
 		t.connMu.Lock()
 		if _, logged := t.dropLogged[env.To]; !logged && t.cfg.Log != nil {
@@ -553,7 +618,7 @@ func laneOf(addr string, n int) int {
 // per distinct address) of every peer hashed onto the lane. It dials on
 // demand (re-resolving the peer address, so SetPeer takes effect), writes
 // each frame under WriteTimeout, and drops frames while a peer is
-// unreachable.
+// unreachable (counted in Stats.UnreachableDrops).
 //
 // Two mechanisms keep a peer restart (same identity, same address) from
 // losing the first frame addressed to the new incarnation:
@@ -575,41 +640,59 @@ func (t *TCP) laneLoop(ln *writeLane) {
 		}
 	}()
 	for {
-		var it laneItem
+		it, ok := ln.pop()
+		if !ok {
+			select {
+			case <-t.stopc:
+				return
+			case <-ln.wake:
+			}
+			continue
+		}
 		select {
 		case <-t.stopc:
 			return
-		case it = <-ln.ch:
+		default:
 		}
-		for attempt := 0; attempt < 2; attempt++ {
-			t.connMu.Lock()
-			addr := t.peers[it.to]
-			t.connMu.Unlock()
-			conn := conns[addr]
-			if conn != nil && conn.isDead() {
-				conn.Close()
-				delete(conns, addr)
-				conn = nil
-			}
-			if conn == nil {
-				c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
-				if err != nil {
-					break // unreachable: drop this frame
-				}
-				conn = newPeerConn(c)
-				conns[addr] = conn
-				t.stRedials.Add(1)
-			}
-			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-			if err := WriteFrame(conn, it.env); err == nil {
-				t.stFramesSent.Add(1)
-				break
-			}
-			// The connection died under us; redial once and resend.
-			conn.Close()
-			delete(conns, addr)
+		if !t.write(conns, it) {
+			t.stUnreach.Add(1)
 		}
 	}
+}
+
+// write delivers one frame over the lane's connections, redialing and
+// resending at most once; false means the peer is unreachable and the
+// frame is lost.
+func (t *TCP) write(conns map[string]*peerConn, it laneItem) bool {
+	for attempt := 0; attempt < 2; attempt++ {
+		t.connMu.Lock()
+		addr := t.peers[it.to]
+		t.connMu.Unlock()
+		conn := conns[addr]
+		if conn != nil && conn.isDead() {
+			conn.Close()
+			delete(conns, addr)
+			conn = nil
+		}
+		if conn == nil {
+			c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+			if err != nil {
+				return false
+			}
+			conn = newPeerConn(c)
+			conns[addr] = conn
+			t.stRedials.Add(1)
+		}
+		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+		if err := WriteFrame(conn, it.env); err == nil {
+			t.stFramesSent.Add(1)
+			return true
+		}
+		// The connection died under us; redial once and resend.
+		conn.Close()
+		delete(conns, addr)
+	}
+	return false
 }
 
 // WriteFrame writes one length-prefixed envelope. The frame is assembled

@@ -2,6 +2,7 @@ package wcrypto
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"wedgechain/internal/wire"
@@ -180,4 +181,38 @@ func BenchmarkVerifyMemoHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRegistryResidentBytes is the memory a busy registry keeps for
+// its memo: 100,000 one-shot triples, and one statement presented again
+// after every 100 of them, then the live heap the registry holds after a
+// collection — the layer counterpart of the macro benchmark's
+// heap_bytes_per_put. The one-shots are recorded through remember
+// (synthetic triples: the bound does not depend on the curve).
+func BenchmarkRegistryResidentBytes(b *testing.B) {
+	const oneShots = 100_000
+	var before, after runtime.MemStats
+	var live float64
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		reg, p := benchProof()
+		for j := 0; j < oneShots; j++ {
+			var v verified
+			v.digest[0], v.digest[1], v.digest[2] = byte(j), byte(j>>8), byte(j>>16)
+			reg.mu.Lock()
+			reg.remember(v)
+			reg.mu.Unlock()
+			if j%100 == 0 {
+				if err := VerifyMsg(reg, "cloud", p, p.CloudSig); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live = float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+		runtime.KeepAlive(reg)
+	}
+	b.ReportMetric(live, "live-B/registry")
 }

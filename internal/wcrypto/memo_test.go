@@ -366,3 +366,130 @@ func TestMemoConcurrentUse(t *testing.T) {
 		t.Fatalf("misses = %d, want between %d and %d", misses, good, 2*good)
 	}
 }
+
+// fillOneShot records n distinct synthetic triples, as n one-shot
+// statements that passed Ed25519 would (the bound is a property of
+// remember; real signatures would cost a curve operation each).
+func (f *memoFixture) fillOneShot(tag string, n int) {
+	for i := 0; i < n; i++ {
+		var v verified
+		copy(v.sig[:], fmt.Sprintf("%s %d", tag, i))
+		f.reg.mu.Lock()
+		f.reg.remember(v)
+		f.reg.mu.Unlock()
+	}
+}
+
+// verifyHit checks the fixture's statement and reports whether the memo
+// answered it.
+func (f *memoFixture) verifyHit(t *testing.T) bool {
+	t.Helper()
+	before, _, _ := f.counts()
+	if err := f.reg.Verify(f.key.ID, f.msg, f.sig); err != nil {
+		t.Fatal(err)
+	}
+	after, _, _ := f.counts()
+	return after == before+1
+}
+
+// TestMemoKeepsWhatIsPresentedAgain: a statement that keeps coming back
+// — here after every 100 one-shot checks — is answered from the memo for
+// ten times a generation and more, while each one-shot triple ages out.
+func TestMemoKeepsWhatIsPresentedAgain(t *testing.T) {
+	f := newMemoFixture()
+	if f.verifyHit(t) {
+		t.Fatal("first check answered from an empty memo")
+	}
+	for i := 0; i < 10*memoGen/100; i++ {
+		f.fillOneShot(fmt.Sprintf("round %d", i), 100)
+		if !f.verifyHit(t) {
+			t.Fatalf("statement re-presented every 100 checks went back to Ed25519 after %d checks", (i+1)*101)
+		}
+		if n := f.reg.MemoLen(); n > MemoCap {
+			t.Fatalf("memo holds %d triples, cap is %d", n, MemoCap)
+		}
+	}
+	if _, misses, _ := f.counts(); misses != 1 {
+		t.Fatalf("%d Ed25519 verifications, want the first only", misses)
+	}
+}
+
+// TestMemoForgetsOneShotsAfterTwoGenerations: a statement presented once
+// is gone from the memo once two generations of other triples have been
+// recorded, and its next check runs Ed25519 again.
+func TestMemoForgetsOneShotsAfterTwoGenerations(t *testing.T) {
+	f := newMemoFixture()
+	f.verifyHit(t)
+	f.fillOneShot("later", 2*memoGen)
+	if f.verifyHit(t) {
+		t.Fatal("a one-shot signature outlived two generations")
+	}
+	if _, misses, _ := f.counts(); misses != 2 {
+		t.Fatalf("misses = %d, want 2 (first check and the check after it aged out)", misses)
+	}
+}
+
+// TestMemoLenNeverExceedsCap mixes one-shot triples with statements
+// presented again from either generation: carrying a statement forward
+// moves it, it never copies it, so MemoLen stays within MemoCap.
+func TestMemoLenNeverExceedsCap(t *testing.T) {
+	f := newMemoFixture()
+	hot := make([]*wire.BlockProof, 8)
+	for i := range hot {
+		hot[i] = &wire.BlockProof{Edge: "edge-1", BID: uint64(i), Digest: Digest([]byte{byte(i)})}
+		hot[i].CloudSig = SignMsg(f.key, hot[i])
+	}
+	for i := 0; i < 6*memoGen; i++ {
+		f.fillOneShot(fmt.Sprint(i), 1)
+		if i%(memoGen/4) == 0 {
+			for _, bp := range hot {
+				if err := VerifyMsg(f.reg, f.key.ID, bp, bp.CloudSig); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := f.reg.MemoLen(); n > MemoCap {
+			t.Fatalf("memo holds %d triples after %d insertions, cap is %d", n, i+1, MemoCap)
+		}
+	}
+	if _, misses, _ := f.counts(); misses != uint64(len(hot)) {
+		t.Fatalf("misses = %d, want %d: each hot statement verified once", misses, len(hot))
+	}
+}
+
+// TestMemoConcurrentCarryForward re-presents statements from several
+// goroutines while another records one-shot triples fast enough to rotate
+// the generations under them, so hits in the previous generation move
+// forward while rotations run. Run under -race (make race).
+func TestMemoConcurrentCarryForward(t *testing.T) {
+	f := newMemoFixture()
+	hot := make([]*wire.BlockProof, 8)
+	for i := range hot {
+		hot[i] = &wire.BlockProof{Edge: "edge-1", BID: uint64(i), Digest: Digest([]byte{byte(i)})}
+		hot[i].CloudSig = SignMsg(f.key, hot[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 200; r++ {
+				for _, bp := range hot {
+					if err := VerifyMsg(f.reg, f.key.ID, bp, bp.CloudSig); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.fillOneShot("rotating", 8*memoGen)
+	}()
+	wg.Wait()
+	if n := f.reg.MemoLen(); n > MemoCap {
+		t.Fatalf("memo holds %d triples, cap is %d", n, MemoCap)
+	}
+}

@@ -78,6 +78,7 @@ require edge 'wedge_edge_certified_blocks_total{node="edge-1"} [1-9]'
 require edge 'wedge_trust_lag_seconds_count{node="edge-1",stage="edge"} [1-9]'
 require edge 'wedge_transport_frames_sent_total{node="edge-1"} [1-9]'
 require edge 'wedge_transport_lane_drops_total{node="edge-1"}'
+require edge 'wedge_transport_unreachable_drops_total{node="edge-1"}'
 # Compaction healing: no merge has been lost, the series only has to exist.
 require edge 'wedge_edge_merge_retries_total{node="edge-1"}'
 # Signature checks: a certified write costs the edge first verifications
@@ -93,6 +94,7 @@ require cloud 'wedge_cloud_proof_cache_hits_total{node="cloud"}'
 require cloud 'wedge_disputes_total{node="cloud",verdict="guilty"}'
 require cloud 'wedge_disputes_total{node="cloud",verdict="not_guilty"}'
 require cloud 'wedge_transport_frames_sent_total{node="cloud"} [1-9]'
+require cloud 'wedge_transport_unreachable_drops_total{node="cloud"}'
 require cloud 'wedge_wcrypto_verify_memo_misses_total{node="cloud"} [1-9]'
 require cloud 'wedge_wcrypto_verify_memo_hits_total{node="cloud"}'
 require cloud 'wedge_wcrypto_bad_signatures_total{node="cloud"}'
