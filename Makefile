@@ -51,11 +51,14 @@ experiments:
 # ten 100-entry blocks into 1,000 records, a 1,000-record level into
 # 5,000), CertifiedThrough the frontier lookup every proof makes, and
 # LogResidentBytesPerBlock the live heap a cut 100-entry block costs the
-# edge with half the log below the compaction frontier, and
-# RegistryResidentBytes the live heap a key registry keeps for its
-# signature memo after 100,000 one-shot checks and one statement checked
-# again after every 100 — the layer counterparts of the macro benchmark's
-# heap_bytes_per_put).
+# edge with half the log below the compaction frontier (memory arm: 37.2
+# KB; durable arm, whose released blocks leave memory for the segment:
+# 24.9 KB, and about 1,040 B per compacted block, 850 B of it the replay
+# table `seen`), and RegistryResidentBytes the live heap a key registry
+# keeps for its signature memo after 100,000 one-shot checks and one
+# statement checked again after every 100 (165,000 B; 558,216 B when the
+# memo kept whole triples) — the layer counterparts of the macro
+# benchmark's heap_bytes_per_put).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog ./internal/cloud
 
@@ -85,7 +88,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20843
+LOC_CEILING := 21085
 loc:
 	@sh scripts/loc.sh
 loc-check:

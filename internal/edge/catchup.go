@@ -80,6 +80,7 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 	for bid := m.From; bid < end; bid++ {
 		blk, err := n.log.Block(bid)
 		if err != nil {
+			n.logf("cannot serve catch-up block", "bid", bid, "err", err)
 			break
 		}
 		digest, err := n.log.Digest(bid)
@@ -231,9 +232,11 @@ func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 // leader, and certified catch-up rebuilds the mirror.
 func (n *Node) Restart(now int64) {
 	n.killed = false
-	n.log = wlog.New(n.cfg.Chain, n.cfg.BatchSize)
+	n.setLog(wlog.New(n.cfg.Chain, n.cfg.BatchSize))
 	n.idx = mlsm.NewIndex(n.cfg.LevelThresholds)
 	if n.store != nil {
+		// ResetTo binds the new log to the store, as Recover bound the
+		// old one.
 		if err := n.store.ResetTo(n.log); err != nil {
 			n.logf("resetting durable segment on restart failed", "err", err)
 		}

@@ -315,6 +315,7 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		leader:   cfg.ID,
 		m:        newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
+	n.setLog(n.log)
 	if cfg.Follower {
 		n.leader = cfg.Chain
 		n.pendingRepl = make(map[uint64]stashedBlock)
@@ -338,10 +339,16 @@ func NewPersistent(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry, dataD
 	if err != nil {
 		return nil, 0, err
 	}
-	n.log = log
+	n.setLog(log)
 	n.store = store
 	n.resetTables()
 	return n, blocks, nil
+}
+
+// setLog makes l the node's log and points its metrics at the node's.
+func (n *Node) setLog(l *wlog.Log) {
+	n.log = l
+	l.Instrument(n.m.segmentReads, n.m.residentLog)
 }
 
 // CloseStore flushes and closes the persistent store, if any. A final
@@ -842,6 +849,13 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 	n.m.reads.Inc()
 	resp := &wire.ReadResponse{ReqID: m.ReqID, BID: m.BID, Ts: now}
 	blk, err := n.log.Block(m.BID)
+	if err != nil && !errors.Is(err, wlog.ErrNoSuchBlock) {
+		// The block exists but cannot be read back intact: a denial would
+		// be a signed omission and the bytes contradict the certificate,
+		// so nothing is signed.
+		n.logf("cannot serve block", "bid", m.BID, "err", err)
+		return nil
+	}
 	omit := n.cfg.Fault != nil && n.cfg.Fault.OmitBlocks[m.BID]
 	if err != nil || omit {
 		resp.OK = false

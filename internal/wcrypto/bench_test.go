@@ -188,7 +188,7 @@ func BenchmarkVerifyMemoHit(b *testing.B) {
 // after every 100 of them, then the live heap the registry holds after a
 // collection — the layer counterpart of the macro benchmark's
 // heap_bytes_per_put. The one-shots are recorded through remember
-// (synthetic triples: the bound does not depend on the curve).
+// (synthetic fingerprints: the bound does not depend on the curve).
 func BenchmarkRegistryResidentBytes(b *testing.B) {
 	const oneShots = 100_000
 	var before, after runtime.MemStats
@@ -198,10 +198,10 @@ func BenchmarkRegistryResidentBytes(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		reg, p := benchProof()
 		for j := 0; j < oneShots; j++ {
-			var v verified
-			v.digest[0], v.digest[1], v.digest[2] = byte(j), byte(j>>8), byte(j>>16)
+			var fp fingerprint
+			fp[0], fp[1], fp[2] = byte(j), byte(j>>8), byte(j>>16)
 			reg.mu.Lock()
-			reg.remember(v)
+			reg.remember(fp)
 			reg.mu.Unlock()
 			if j%100 == 0 {
 				if err := VerifyMsg(reg, "cloud", p, p.CloudSig); err != nil {

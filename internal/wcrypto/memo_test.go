@@ -259,10 +259,10 @@ func TestMemoStaysWithinItsCap(t *testing.T) {
 	f := newMemoFixture()
 	seen := 0
 	for i := 0; i < 10*MemoCap; i++ {
-		var v verified
-		copy(v.sig[:], fmt.Sprintf("statement %d", i))
+		var fp fingerprint
+		copy(fp[:], fmt.Sprintf("statement %d", i))
 		f.reg.mu.Lock()
-		f.reg.remember(v)
+		f.reg.remember(fp)
 		f.reg.mu.Unlock()
 		if n := f.reg.MemoLen(); n > MemoCap {
 			t.Fatalf("memo holds %d triples after %d insertions, cap is %d", n, i+1, MemoCap)
@@ -286,10 +286,10 @@ func TestMemoStaysWithinItsCap(t *testing.T) {
 	}
 	fill := func(tag string, n int) {
 		for i := 0; i < n; i++ {
-			var v verified
-			copy(v.sig[:], fmt.Sprintf("%s %d", tag, i))
+			var fp fingerprint
+			copy(fp[:], fmt.Sprintf("%s %d", tag, i))
 			f.reg.mu.Lock()
-			f.reg.remember(v)
+			f.reg.remember(fp)
 			f.reg.mu.Unlock()
 		}
 	}
@@ -372,10 +372,10 @@ func TestMemoConcurrentUse(t *testing.T) {
 // remember; real signatures would cost a curve operation each).
 func (f *memoFixture) fillOneShot(tag string, n int) {
 	for i := 0; i < n; i++ {
-		var v verified
-		copy(v.sig[:], fmt.Sprintf("%s %d", tag, i))
+		var fp fingerprint
+		copy(fp[:], fmt.Sprintf("%s %d", tag, i))
 		f.reg.mu.Lock()
-		f.reg.remember(v)
+		f.reg.remember(fp)
 		f.reg.mu.Unlock()
 	}
 }

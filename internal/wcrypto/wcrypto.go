@@ -7,9 +7,10 @@
 // Registry.Verify). Hash once: Ed25519 runs over the 32-byte SHA-256
 // digest of a fixed context tag followed by the signable body, so a body
 // of any size costs one hash per signer and one per verifier. Verify
-// once: a Registry remembers the (public key, body digest, signature)
-// triples that passed, so a byte-identical statement presented again
-// costs a hash and a lookup instead of a curve operation.
+// once: a Registry remembers a fingerprint of each (public key, body
+// digest, signature) triple that passed, so a byte-identical statement
+// presented again costs two hashes and a lookup instead of a curve
+// operation.
 //
 // Identities being known and bound to keys is the premise of lazy
 // certification (Section II-D of the paper): a malicious edge cannot deny
@@ -85,19 +86,30 @@ func (k KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.Priv, d[:])
 }
 
-// verified identifies one signature check completely: Ed25519
-// verification is a deterministic function of these three values, so a
-// triple that passed once passes always.
-type verified struct {
-	pub    [ed25519.PublicKeySize]byte
-	digest [sha256.Size]byte
-	sig    [ed25519.SignatureSize]byte
+// fingerprint identifies one signature check: SHA-256 over the 128 bytes
+// pub ‖ digest ‖ sig. Ed25519 verification is a deterministic function of
+// that triple, so a triple that passed once passes always. Another triple
+// with the same fingerprint would be answered as verified, crediting pub
+// with a statement its owner never signed; finding one is a SHA-256
+// second preimage of a triple already verified under pub, and the one
+// party that gains from a false statement under pub, its owner, can sign
+// it instead.
+type fingerprint [sha256.Size]byte
+
+// fingerprintOf returns the fingerprint of a check of sig over digest
+// under pub; pub and sig have their Ed25519 sizes.
+func fingerprintOf(pub ed25519.PublicKey, digest *[sha256.Size]byte, sig []byte) fingerprint {
+	var b [ed25519.PublicKeySize + sha256.Size + ed25519.SignatureSize]byte
+	copy(b[:], pub)
+	copy(b[ed25519.PublicKeySize:], digest[:])
+	copy(b[ed25519.PublicKeySize+sha256.Size:], sig)
+	return sha256.Sum256(b[:])
 }
 
 // memoGen is the capacity of one generation of a registry's
 // verified-signature memo; two generations are kept, so a registry
-// remembers at most 2*memoGen triples (about 0.56 MB at the cap). It is
-// sized from how far apart a statement is presented again, counted in
+// remembers at most 2*memoGen fingerprints (about 0.17 MB at the cap). It
+// is sized from how far apart a statement is presented again, counted in
 // checks against the registry from its first verification to its last
 // memo hit: at most 432 on the macro benchmark's four workloads
 // (mixed_cluster's client sessions), 151 in the façade's tests, examples
@@ -113,17 +125,17 @@ const memoGen = 1024
 //
 // A registry also memoises the signature checks that succeeded against
 // it (successes only: a forgery is never recorded). The memo is keyed by
-// the public-key bytes, not the identity, so rebinding an identity with
-// Register can never be answered from entries verified under the old key.
-// It is allocated on first insert and holds two generations of at most
-// memoGen triples: when the current one fills it becomes the previous one
-// and the oldest is dropped. A statement found in the previous generation
-// moves to the current one, so only what is presented again outlives a
-// rotation.
+// the fingerprint of the public-key bytes, digest and signature, not the
+// identity, so rebinding an identity with Register can never be answered
+// from entries verified under the old key. It is allocated on first
+// insert and holds two generations of at most memoGen fingerprints: when
+// the current one fills it becomes the previous one and the oldest is
+// dropped. A statement found in the previous generation moves to the
+// current one, so only what is presented again outlives a rotation.
 type Registry struct {
 	mu        sync.RWMutex
 	keys      map[wire.NodeID]ed25519.PublicKey
-	cur, prev map[verified]struct{}
+	cur, prev map[fingerprint]struct{}
 
 	// Mirrors of the verification outcomes (see AttachMetrics); nil-safe
 	// no-ops until attached.
@@ -179,38 +191,38 @@ func (r *Registry) Verify(id wire.NodeID, msg, sig []byte) error {
 		return fmt.Errorf("wcrypto: bad signature from %q", id)
 	}
 	// The body is hashed outside the lock: it can be a megabyte.
-	v := verified{digest: signedDigest(msg)}
-	copy(v.pub[:], pub)
-	copy(v.sig[:], sig)
+	digest := signedDigest(msg)
+	fp := fingerprintOf(pub, &digest, sig)
 	r.mu.RLock()
-	_, hit := r.cur[v]
-	_, old := r.prev[v]
+	_, hit := r.cur[fp]
+	_, old := r.prev[fp]
 	r.mu.RUnlock()
 	if old && !hit {
 		// Presented again: carried into the current generation, so a
 		// statement outlives the rotation as long as it keeps coming back.
 		r.mu.Lock()
-		delete(r.prev, v)
-		r.remember(v)
+		delete(r.prev, fp)
+		r.remember(fp)
 		r.mu.Unlock()
 	}
 	if hit || old {
 		hits.Inc()
 		return nil
 	}
-	if !ed25519.Verify(pub, v.digest[:], sig) {
+	if !ed25519.Verify(pub, digest[:], sig) {
 		bad.Inc()
 		return fmt.Errorf("wcrypto: bad signature from %q", id)
 	}
 	misses.Inc()
 	r.mu.Lock()
-	r.remember(v)
+	r.remember(fp)
 	r.mu.Unlock()
 	return nil
 }
 
-// remember records a triple that passed Ed25519. The caller holds r.mu.
-func (r *Registry) remember(v verified) {
+// remember records the fingerprint of a triple that passed Ed25519. The
+// caller holds r.mu.
+func (r *Registry) remember(fp fingerprint) {
 	if len(r.cur) >= memoGen {
 		// Rotate: the previous generation is forgotten and its storage
 		// reused, so a busy registry stops allocating after two fills.
@@ -218,9 +230,9 @@ func (r *Registry) remember(v verified) {
 		clear(r.cur)
 	}
 	if r.cur == nil {
-		r.cur = make(map[verified]struct{})
+		r.cur = make(map[fingerprint]struct{})
 	}
-	r.cur[v] = struct{}{}
+	r.cur[fp] = struct{}{}
 }
 
 // Signable is any message type carrying a signature over its canonical

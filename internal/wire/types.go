@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 
 	"wedgechain/internal/merkle"
 )
@@ -208,9 +209,45 @@ func (b *Block) Release() {
 	}
 }
 
-// Len returns the number of entries in the block, released or not.
-func (b *Block) Len() int {
+// Evict drops what Release drops and the canonical bytes too, keeping
+// the digest and entry count: the owner holds the bytes elsewhere (a
+// durable segment) and brings the block back with Reload. The block gets
+// a cache of its own, so a copy still sharing the old one keeps its
+// bytes.
+func (b *Block) Evict() {
 	if b.frozen() {
+		b.Entries = nil
+		b.cache = &blockCache{digest: b.cache.digest, count: b.cache.count}
+	}
+}
+
+// Evicted reports whether Evict dropped the block's canonical bytes.
+func (b *Block) Evicted() bool { return b.cache != nil && b.cache.canon == nil }
+
+// Reload returns an evicted block rebuilt from canon, its canonical bytes
+// read back from wherever the owner keeps them: decoded zero-copy (canon
+// must not be written afterwards) and its digest, which covers the header
+// too, recomputed and checked against the one b was frozen with, so bytes
+// that changed where they were kept come back as an error, never as a
+// block that contradicts its certificate.
+func (b *Block) Reload(canon []byte) (*Block, error) {
+	cp := new(Block)
+	d := NewDecoderZeroCopy(canon)
+	cp.DecodeFrom(d)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(cp.BodyDigest(), b.CachedDigest()) {
+		return nil, fmt.Errorf("wire: block %d reloads with another digest", b.ID)
+	}
+	cp.cache = &blockCache{canon: canon, digest: b.cache.digest, count: len(cp.Entries)}
+	return cp, nil
+}
+
+// Len returns the number of entries in the block, released, evicted or
+// not.
+func (b *Block) Len() int {
+	if b.cache != nil {
 		return b.cache.count
 	}
 	return len(b.Entries)

@@ -48,6 +48,13 @@ var ErrCorrupt = errors.New("wlog: corrupt segment")
 // tampering (ErrCorrupt). There is no compatibility path.
 var ErrFormat = errors.New("wlog: segment written under an earlier digest format")
 
+// Segment file names under a store's directory: the live segment, and
+// the one ResetTo writes before renaming it over the live one.
+const (
+	segName = "wedgelog.seg"
+	tmpName = "wedgelog.seg.tmp"
+)
+
 // Store persists a log to a single segment file. It is not safe for
 // concurrent use; the owning node serializes access.
 //
@@ -55,13 +62,28 @@ var ErrFormat = errors.New("wlog: segment written under an earlier digest format
 // the owning node appends the records of a flush window and pays one
 // fsync for all of them, withholding acknowledgements until the shared
 // Sync returns.
+//
+// The store remembers where each block record's payload starts, for the
+// blocks written in id order from 0 — on append, in Recover and in
+// ResetTo — so a log bound to it can read an evicted block back.
 type Store struct {
+	dir  string
 	f    *os.File
 	w    *bufio.Writer
 	sync bool
 
+	size   int64  // segment bytes written, buffered ones included
+	synced int64  // segment bytes the last Sync flushed (and fsynced)
+	blocks []span // blocks[id]: where block id's record payload lies
+
 	dirty bool   // buffered records not yet synced
 	syncs uint64 // fsyncs issued (observable for group-commit tests)
+}
+
+// span locates a record payload in the segment.
+type span struct {
+	off int64
+	n   int64
 }
 
 // OpenStore opens (or creates) the segment file under dir. When durable
@@ -71,16 +93,16 @@ func OpenStore(dir string, durable bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wlog: creating store dir: %w", err)
 	}
-	path := filepath.Join(dir, "wedgelog.seg")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wlog: opening segment: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &Store{f: f, w: bufio.NewWriter(f), sync: durable}, nil
+	return &Store{dir: dir, f: f, w: bufio.NewWriter(f), sync: durable, size: size, synced: size}, nil
 }
 
 // Close flushes and closes the segment.
@@ -92,25 +114,32 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-func (s *Store) append(kind byte, payload []byte) error {
+// append writes one record and returns where its payload lies.
+func (s *Store) append(kind byte, payload []byte) (span, error) {
 	var hdr [5]byte
 	hdr[0] = kind
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := s.w.Write(hdr[:]); err != nil {
-		return err
+		return span{}, err
 	}
 	if _, err := s.w.Write(payload); err != nil {
-		return err
+		return span{}, err
 	}
 	s.dirty = true
-	return nil
+	at := span{off: s.size + 5, n: int64(len(payload))}
+	s.size = at.off + at.n
+	return at, nil
 }
 
 // AppendBlockBuffered records a cut block without forcing it to disk; the
 // caller owns durability via a later Sync and must not acknowledge the
 // block before that Sync returns.
 func (s *Store) AppendBlockBuffered(b *wire.Block) error {
-	return s.append(recBlock, b.Canonical())
+	at, err := s.append(recBlock, b.Canonical())
+	if err == nil && b.ID == uint64(len(s.blocks)) {
+		s.blocks = append(s.blocks, at)
+	}
+	return err
 }
 
 // AppendCertBuffered records a certificate without forcing it to disk.
@@ -120,7 +149,8 @@ func (s *Store) AppendCertBuffered(p *wire.BlockProof) error {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	p.EncodeTo(e)
-	return s.append(recCert, e.Bytes())
+	_, err := s.append(recCert, e.Bytes())
+	return err
 }
 
 // Sync flushes buffered records and fsyncs them (durable stores): the
@@ -139,8 +169,28 @@ func (s *Store) Sync() error {
 			return err
 		}
 	}
+	s.synced = s.size
 	s.dirty = false
 	return nil
+}
+
+// covers reports whether block bid's record is in the segment file as of
+// the last Sync, so it can be read back.
+func (s *Store) covers(bid uint64) bool {
+	return bid < uint64(len(s.blocks)) && s.blocks[bid].off+s.blocks[bid].n <= s.synced
+}
+
+// readBlock reads block bid's canonical bytes back from the segment.
+func (s *Store) readBlock(bid uint64) ([]byte, error) {
+	if !s.covers(bid) {
+		return nil, fmt.Errorf("%w: no synced record of block %d", ErrCorrupt, bid)
+	}
+	at := s.blocks[bid]
+	buf := make([]byte, at.n)
+	if _, err := s.f.ReadAt(buf, at.off); err != nil {
+		return nil, fmt.Errorf("wlog: reading block %d back: %w", bid, err)
+	}
+	return buf, nil
 }
 
 // Syncs reports how many fsyncs the store has issued — group-commit tests
@@ -148,26 +198,54 @@ func (s *Store) Sync() error {
 func (s *Store) Syncs() uint64 { return s.syncs }
 
 // ResetTo rewrites the segment to exactly the blocks and certificates l
-// currently holds. A demoted ex-leader truncates its in-memory log to
-// the certified prefix (Log.TruncateUncertified) before re-mirroring the
-// new leader's history; the durable segment must shrink with it, because
-// recovery requires strictly sequential block ids and would reject the
-// refetched blocks re-appended after the old records. The rewrite is
-// flushed (and fsynced on durable stores) before returning.
+// currently holds, and binds l to the store. A demoted ex-leader
+// truncates its in-memory log to the certified prefix
+// (Log.TruncateUncertified) before re-mirroring the new leader's history;
+// the durable segment must shrink with it, because recovery requires
+// strictly sequential block ids and would reject the refetched blocks
+// re-appended after the old records.
+//
+// The new segment is written beside the live one (evicted blocks are read
+// back from the live one), flushed and, on durable stores, fsynced, then
+// renamed over it, and the directory is fsynced: a crash at any point
+// leaves either segment whole, never a torn or empty one. Recover deletes
+// a new segment the crash left behind. On error the live segment is kept.
 func (s *Store) ResetTo(l *Log) error {
-	if err := s.w.Flush(); err != nil {
+	tmp := filepath.Join(s.dir, tmpName)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := s.f.Truncate(0); err != nil {
+	ns := &Store{dir: s.dir, f: f, w: bufio.NewWriter(f), sync: s.sync, syncs: s.syncs}
+	err = ns.write(l)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, segName))
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	s.f.Close()
+	*s = *ns
+	l.store = s
+	if s.sync {
+		// The rename happened; only its durability is in doubt, and the
+		// store writes to the new segment either way.
+		return syncDir(s.dir)
 	}
-	s.w.Reset(s.f)
-	s.dirty = false
+	return nil
+}
+
+// write appends every block and certificate of l to an empty store and
+// syncs it.
+func (s *Store) write(l *Log) error {
 	for bid := range l.blocks {
-		if err := s.AppendBlockBuffered(&l.blocks[bid]); err != nil {
+		blk, err := l.block(uint64(bid))
+		if err != nil {
+			return err
+		}
+		if err := s.AppendBlockBuffered(blk); err != nil {
 			return err
 		}
 		if p, ok := l.Cert(uint64(bid)); ok {
@@ -176,7 +254,18 @@ func (s *Store) ResetTo(l *Log) error {
 			}
 		}
 	}
+	s.dirty = true // a segment of no records is synced too
 	return s.Sync()
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Recover replays the segment into a fresh Log, verifying digests and
@@ -185,14 +274,24 @@ func (s *Store) ResetTo(l *Log) error {
 // A torn final record is truncated. Returns the number of blocks and
 // certificates recovered.
 func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry, cloud wire.NodeID) (*Log, *Store, int, int, error) {
-	path := filepath.Join(dir, "wedgelog.seg")
+	path := filepath.Join(dir, segName)
 	l := New(edge, batchSize)
 	blocks, certs := 0, 0
+	var spans []span
 
+	// A new segment ResetTo was writing when the node stopped: the live
+	// segment is whole, so the half-written one goes.
+	if err := os.Remove(filepath.Join(dir, tmpName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, 0, 0, fmt.Errorf("wlog: removing leftover segment: %w", err)
+	}
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		st, err := OpenStore(dir, true)
-		return l, st, 0, 0, err
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+		l.store = st
+		return l, st, 0, 0, nil
 	}
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -242,6 +341,7 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 				f.Close()
 				return nil, nil, 0, 0, err
 			}
+			spans = append(spans, span{off: validLen + 5, n: int64(n)})
 			blocks++
 		case recCert:
 			var p wire.BlockProof
@@ -278,6 +378,8 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	st.blocks = spans
+	l.store = st
 	return l, st, blocks, certs, nil
 }
 

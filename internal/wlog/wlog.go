@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 
+	"wedgechain/internal/obs"
 	"wedgechain/internal/wire"
 )
 
@@ -68,6 +69,20 @@ type Log struct {
 	// released is the first block id that may still hold decoded entries
 	// and a key index (see Release).
 	released uint64
+
+	// store is the durable segment holding every block of the log, bound
+	// by Recover or Store.ResetTo; nil for an in-memory log. Blocks below
+	// evicted have left memory too and are read back from it (see
+	// Release). resident is the canonical bytes the blocks held in memory
+	// add up to.
+	store    *Store
+	evicted  uint64
+	resident int
+
+	// Mirrors of segment reads and resident bytes (see Instrument);
+	// nil-safe no-ops until attached.
+	mReads    *obs.Counter
+	mResident *obs.Gauge
 }
 
 // New returns an empty log for the given edge identity cutting blocks of
@@ -82,6 +97,19 @@ func New(edge wire.NodeID, batchSize int) *Log {
 		certs:     make(map[uint64]wire.BlockProof),
 		seen:      make(map[wire.NodeID]*seqTable),
 	}
+}
+
+// Instrument mirrors the log into metrics: reads counts blocks read back
+// from the segment, resident tracks the block bytes held in memory.
+func (l *Log) Instrument(reads *obs.Counter, resident *obs.Gauge) {
+	l.mReads, l.mResident = reads, resident
+	resident.Set(float64(l.resident))
+}
+
+// addResident moves the resident byte count by n.
+func (l *Log) addResident(n int) {
+	l.resident += n
+	l.mResident.Set(float64(l.resident))
 }
 
 // Edge returns the owning edge identity.
@@ -203,8 +231,9 @@ func (t *seqTable) set(seq, v uint64) {
 }
 
 // BlockByPos returns the cut block containing absolute position pos, or
-// false when pos is still buffered (or was never assigned). A released
-// block comes back decoded, as from Block.
+// false when pos is still buffered (or was never assigned) or its block
+// cannot be read back. A released block comes back decoded, as from
+// Block.
 func (l *Log) BlockByPos(pos uint64) (*wire.Block, bool) {
 	if pos >= l.bufStart {
 		return nil, false
@@ -223,7 +252,8 @@ func (l *Log) BlockByPos(pos uint64) (*wire.Block, bool) {
 	if len(l.blocks) == 0 || l.blocks[lo].StartPos > pos {
 		return nil, false
 	}
-	return l.blocks[lo].Decoded(), true
+	blk, err := l.block(uint64(lo))
+	return blk, err == nil
 }
 
 // InstallBlock mirrors a block cut elsewhere — the follower half of
@@ -252,6 +282,7 @@ func (l *Log) InstallBlock(blk *wire.Block, digest []byte) error {
 // seen.
 func (l *Log) appendBlock(b wire.Block) {
 	l.blocks = append(l.blocks, b)
+	l.addResident(len(b.Canonical()))
 	for i := range b.Entries {
 		if e := &b.Entries[i]; !IsNoop(e) {
 			l.markSeen(e, b.StartPos+uint64(i))
@@ -349,25 +380,56 @@ func (l *Log) TryCut(now int64, force bool) *wire.Block {
 	// the fully populated cache. The entries move off their frames.
 	blk.Freeze()
 	l.blocks = append(l.blocks, blk)
+	l.addResident(len(blk.Canonical()))
 	return &l.blocks[blk.ID]
 }
 
 // Block returns the cut block with the given id; a released block comes
-// back decoded from its canonical bytes (wire.Block.Decoded).
+// back decoded from its canonical bytes (wire.Block.Decoded), an evicted
+// one read back from the segment with its digest re-derived. Bytes that
+// no longer match the digest are an error wrapping ErrCorrupt.
 func (l *Log) Block(bid uint64) (*wire.Block, error) {
 	if bid >= uint64(len(l.blocks)) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchBlock, bid)
 	}
-	return l.blocks[bid].Decoded(), nil
+	return l.block(bid)
+}
+
+// block returns cut block bid, decoded, reading it back from the segment
+// if Release evicted it.
+func (l *Log) block(bid uint64) (*wire.Block, error) {
+	b := &l.blocks[bid]
+	if !b.Evicted() {
+		return b.Decoded(), nil
+	}
+	canon, err := l.store.readBlock(bid)
+	if err != nil {
+		return nil, err
+	}
+	l.mReads.Inc()
+	blk, err := b.Reload(canon)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return blk, nil
 }
 
 // Release drops the decoded entries and key index of every block below
 // before — the blocks that have left the L0 window — so what such a block
 // keeps for the life of the log is its canonical bytes, digest and
-// certificate. Total work over a log's life is one step per block.
+// certificate. A durable log drops the canonical bytes too, of every
+// released block whose record the store's last Sync covered: the segment
+// holds them, and Block reads them back. A block released before its
+// record was synced leaves memory at a later Release. Total work over a
+// log's life is one step per block.
 func (l *Log) Release(before uint64) {
 	for ; l.released < before && l.released < uint64(len(l.blocks)); l.released++ {
 		l.blocks[l.released].Release()
+	}
+	for ; l.store != nil && l.evicted < l.released && l.store.covers(l.evicted); l.evicted++ {
+		b := &l.blocks[l.evicted]
+		l.addResident(-len(b.Canonical()))
+		b.Evict()
 	}
 }
 
@@ -457,19 +519,27 @@ func (l *Log) TruncateUncertified() int {
 	l.buf = nil
 	removed := len(l.blocks) - int(keep)
 	for bid := keep; bid < uint64(len(l.blocks)); bid++ {
-		blk := l.blocks[bid].Decoded()
-		for i := range blk.Entries {
-			l.unmarkSeen(&blk.Entries[i], blk.StartPos+uint64(i))
+		// A block that cannot be read back keeps its entries marked seen:
+		// a resend of one is refused rather than logged twice.
+		if blk, err := l.block(bid); err == nil {
+			for i := range blk.Entries {
+				l.unmarkSeen(&blk.Entries[i], blk.StartPos+uint64(i))
+			}
+		}
+		b := &l.blocks[bid]
+		if !b.Evicted() {
+			l.addResident(-len(b.Canonical()))
 		}
 		if _, ok := l.certs[bid]; ok {
 			l.certifiedBlocks--
-			l.certifiedEntries -= uint64(len(blk.Entries))
+			l.certifiedEntries -= uint64(b.Len())
 			delete(l.certs, bid)
 		}
 	}
 	l.blocks = l.blocks[:keep]
 	l.certNext = keep
 	l.released = min(l.released, keep)
+	l.evicted = min(l.evicted, keep)
 	if keep == 0 {
 		l.bufStart = 0
 	} else {

@@ -81,6 +81,10 @@ require edge 'wedge_transport_lane_drops_total{node="edge-1"}'
 require edge 'wedge_transport_unreachable_drops_total{node="edge-1"}'
 # Compaction healing: no merge has been lost, the series only has to exist.
 require edge 'wedge_edge_merge_retries_total{node="edge-1"}'
+# The log: this edge runs without -data, so it holds every block it cut
+# and reads none back from a segment; the read series only has to exist.
+require edge 'wedge_wlog_resident_block_bytes{node="edge-1"} [1-9]'
+require edge 'wedge_wlog_segment_reads_total{node="edge-1"}'
 # Signature checks: a certified write costs the edge first verifications
 # (the client's request, the cloud's proof); nothing has repeated or
 # failed yet, so the hit and bad-signature series only have to exist.
