@@ -88,18 +88,20 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21085
+LOC_CEILING := 21134
 loc:
 	@sh scripts/loc.sh
 loc-check:
 	@sh scripts/loc.sh $(LOC_CEILING)
 
 # Long chaos soak: several seeds, long schedules, double partition
-# windows, full invariant audit per seed. Deterministic — a failing seed
-# reproduces with `go test -run 'ChaosSoak/seed-N' ./internal/integration`
-# under WEDGE_CHAOS_SOAK=1.
+# windows, full invariant audit per seed. WEDGE_CHAOS_SEEDS picks the
+# seeds (`WEDGE_CHAOS_SEEDS=1-300 make chaos` is the sweep); the output
+# ends with one line per failing seed and its first failure.
+# Deterministic — a failing seed N reproduces with
+# `WEDGE_CHAOS_SEEDS=N go test -run ChaosSoak ./internal/integration`.
 chaos:
-	WEDGE_CHAOS_SOAK=1 $(GO) test -v -run 'TestChaosSoak' -timeout 20m ./internal/integration/
+	WEDGE_CHAOS_SOAK=1 $(GO) test -count=1 -run 'TestChaosSoak' -timeout 20m ./internal/integration/
 
 fmt:
 	gofmt -w .

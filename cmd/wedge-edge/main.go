@@ -25,7 +25,7 @@ func main() {
 	cli.IntsVar(&cfg.LevelThresholds, "levels", "comma-separated `list` of level page thresholds")
 	evil := flag.String("evil", "", "byzantine mode: tamper-add=<victim>|omit=<bid>|double-certify|drop-certify|false-exclude=<key>|tamper-slice=<key>|equivocate-repl|promote-stale=<bid>")
 	dataDir := flag.String("data", "", "directory for the durable log segment (empty = in-memory)")
-	cli.DurationVar(&cfg.SyncEvery, "group-commit", "group-commit fsync window, a `duration`: blocks persisted within it share one fsync (0 = fsync per block)")
+	cli.DurationVar(&cfg.SyncEvery, "group-commit", "group-commit fsync window, a `duration`: at most one fsync per window, counted from the return of the last one; a block cut past it is synced and acknowledged in its own turn, blocks cut sooner share the next fsync (0 = every block synced in the turn that cut it)")
 
 	// Replica-group role (see docs/RUNBOOK.md "Replication & failover").
 	flag.StringVar((*string)(&cfg.Chain), "chain", "", "chain identity this node serves (defaults to -id; set together with -follower)")

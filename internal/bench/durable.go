@@ -13,7 +13,8 @@ import (
 )
 
 // SyncPerBlock is the explicit "no group commit" setting for durable bench
-// worlds: every block pays its own fsync. Durable configurations must pick
+// worlds: every block is synced in the turn that cut it, one fsync per
+// turn (a turn that cuts several blocks pays one for all). Durable configurations must pick
 // it (or a positive group-commit window) deliberately — a zero SyncEvery in
 // a durable bench config is rejected loudly, because it used to mean
 // "silently measure per-block fsync and call it the durable number".

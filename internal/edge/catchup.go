@@ -215,7 +215,7 @@ func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
 			delete(n.replSigs, bid)
 		}
 	}
-	n.pendingAcks = nil
+	n.pendingAcks, n.heldCuts = nil, nil
 	n.merging = nil
 	n.resetTables()
 	out := []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: &wire.FrontierRequest{Chain: n.cfg.Chain}}}
@@ -244,8 +244,8 @@ func (n *Node) Restart(now int64) {
 	n.resetTables()
 	n.l0From = 0
 	n.merging = nil
-	n.pendingAcks = nil
-	n.pendingSince = 0
+	n.pendingAcks, n.heldCuts = nil, nil
+	n.lastSync = noSync
 	n.lastArrival = 0
 	n.follower = true
 	n.leader = ""

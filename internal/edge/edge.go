@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"slices"
 	"time"
 
@@ -90,11 +91,15 @@ type Config struct {
 	// instead of digests only — the ablation disabling the paper's
 	// data-free coordination (used to quantify its savings).
 	FullDataCert bool
-	// SyncEvery is the group-commit window of a persistent node: blocks
-	// persisted within it share one fsync, and their Phase I
-	// acknowledgements and certification requests are withheld until the
-	// shared sync completes — so nothing is ever acknowledged before it
-	// is durable. 0 (or negative) is a zero window: each block's sync
+	// SyncEvery is the group-commit window of a persistent node: it syncs
+	// at most once per window, counted from the return of the last
+	// successful sync. A block cut when that sync is at least SyncEvery
+	// old (or none has run yet) is synced and released in the turn that
+	// cut it, by one sync at the end of that turn; blocks cut sooner share
+	// the sync that ends the first turn past the window. A block's Phase I
+	// acknowledgements, replication and certification request are
+	// withheld until a sync covers it, so nothing is acknowledged before
+	// it is durable. 0 (or negative) is a zero window: each block's sync
 	// runs in the turn that cut it.
 	SyncEvery int64
 	// CertBatch is read by nothing: every cut block is certified by its
@@ -211,10 +216,15 @@ type Node struct {
 	merging     *wire.MergeRequest
 	mergeSentAt int64
 
-	// Group commit: outputs of persisted-but-unsynced blocks, withheld
-	// until the shared fsync.
-	pendingAcks  []wire.Envelope
-	pendingSince int64
+	// Group commit: outputs of persisted-but-unsynced blocks (and re-acks
+	// of them), withheld until the shared fsync; the cut times of those
+	// blocks; when the last successful sync returned (noSync: none yet);
+	// and the wall-clock start of the current turn, which dates that
+	// return in the turn's time.
+	pendingAcks []wire.Envelope
+	heldCuts    []int64
+	lastSync    int64
+	turnStart   time.Time
 
 	// Replica-group state. follower and leader track the node's current
 	// role under the chain's latest leadership epoch; killed simulates a
@@ -313,6 +323,7 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 		idx:      mlsm.NewIndex(cfg.LevelThresholds),
 		follower: cfg.Follower,
 		leader:   cfg.ID,
+		lastSync: noSync,
 		m:        newMetrics(cfg.Metrics, string(cfg.ID)),
 	}
 	n.setLog(n.log)
@@ -428,6 +439,12 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	if n.killed {
 		return nil
 	}
+	n.turnStart = time.Now()
+	return n.releaseDue(now, n.receive(now, env))
+}
+
+// receive dispatches env to its handler.
+func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch env.Msg.(type) {
 	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.ScanRequest, *wire.ReserveRequest:
 		if n.follower {
@@ -498,17 +515,15 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	}
 }
 
-// Tick implements core.Handler: release group-commit acknowledgements
-// whose sync window elapsed, and flush partial blocks that have waited
-// past FlushEvery.
+// Tick implements core.Handler: flush partial blocks that have waited
+// past FlushEvery, and release group-commit acknowledgements whose sync
+// window elapsed.
 func (n *Node) Tick(now int64) []wire.Envelope {
 	if n.killed {
 		return nil
 	}
+	n.turnStart = time.Now()
 	var out []wire.Envelope
-	if len(n.pendingAcks) > 0 && now-n.pendingSince >= n.cfg.SyncEvery {
-		out = append(out, n.flushPending()...)
-	}
 	if n.cfg.FlushEvery > 0 && n.log.BufferLen() > 0 && now-n.lastArrival >= n.cfg.FlushEvery {
 		if blk := n.log.TryCut(now, true); blk != nil {
 			out = append(out, n.emitBlock(now, blk)...)
@@ -518,7 +533,7 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 		n.lastHB = now
 		out = append(out, n.heartbeat(now))
 	}
-	return append(out, n.tickHealing(now)...)
+	return n.releaseDue(now, append(out, n.tickHealing(now)...))
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
@@ -658,9 +673,10 @@ func (n *Node) shedSignal(now int64, client wire.NodeID, seq, backlog uint64) []
 
 // emitBlock persists a freshly cut block and produces its Phase I
 // responses plus the data-free certification request. A persistent node
-// withholds the outputs until the group-commit fsync covers the block
-// (SyncEvery after the oldest withheld one; a zero window syncs in this
-// turn), so nothing reaches a client or the cloud before durability.
+// withholds the outputs until a group-commit fsync covers the block: the
+// one that ends this turn when the window has elapsed, else the one that
+// ends the first turn past it (releaseDue). Nothing reaches a client, a
+// follower or the cloud before durability.
 func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 	n.m.blocksCut.Inc()
 	n.m.markCut(blk.ID, now, len(blk.Entries))
@@ -679,30 +695,50 @@ func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 		n.logf("persist failed; withholding acknowledgements", "bid", blk.ID, "err", err)
 		return nil
 	}
-	if len(n.pendingAcks) == 0 {
-		n.pendingSince = now
-	}
 	n.pendingAcks = append(n.pendingAcks, n.blockOutputs(now, blk)...)
-	if now-n.pendingSince >= n.cfg.SyncEvery {
-		return n.flushPending()
-	}
+	n.heldCuts = append(n.heldCuts, now)
 	return nil
 }
 
+// noSync is lastSync before a node's first successful group-commit sync.
+const noSync = math.MinInt64
+
+// syncDue reports whether a group-commit sync may run at now: the window
+// since the last successful sync returned has elapsed, or none has run.
+func (n *Node) syncDue(now int64) bool {
+	return n.cfg.SyncEvery <= 0 || n.lastSync == noSync || now-n.lastSync >= n.cfg.SyncEvery
+}
+
+// releaseDue ends a turn: when outputs are withheld and the group-commit
+// window has elapsed, it syncs and puts them ahead of the turn's own out.
+// A node that died in this turn releases nothing more.
+func (n *Node) releaseDue(now int64, out []wire.Envelope) []wire.Envelope {
+	if n.killed || len(n.pendingAcks)+len(n.heldCuts) == 0 || !n.syncDue(now) {
+		return out
+	}
+	return append(n.flushPending(now), out...)
+}
+
 // flushPending issues the shared group-commit fsync and releases every
-// acknowledgement it covers. On sync failure the acknowledgements are
-// dropped — exactly the per-block failure semantics, batched.
-func (n *Node) flushPending() []wire.Envelope {
-	if len(n.pendingAcks) == 0 {
-		return nil
-	}
-	if err := n.store.Sync(); err != nil {
-		n.logf("group-commit sync failed; withholding acknowledgements", "err", err)
-		n.pendingAcks = nil
-		return nil
-	}
+// output it covers. On sync failure the outputs are dropped — exactly the
+// per-block failure semantics, batched — and no window starts. The next
+// window starts when the fsync returns, dated as now plus the wall time
+// the turn has taken: a window no longer than a turn and its fsync would
+// otherwise have elapsed before the next turn begins, giving every block
+// of a burst an fsync of its own.
+func (n *Node) flushPending(now int64) []wire.Envelope {
 	out := n.pendingAcks
 	n.pendingAcks = nil
+	if err := n.store.Sync(); err != nil {
+		n.logf("group-commit sync failed; withholding acknowledgements", "err", err)
+		n.heldCuts = n.heldCuts[:0]
+		return nil
+	}
+	n.lastSync = now + time.Since(n.turnStart).Nanoseconds()
+	for _, at := range n.heldCuts {
+		n.m.ackHold.Observe(float64(now-at) / 1e9)
+	}
+	n.heldCuts = n.heldCuts[:0]
 	return out
 }
 

@@ -3,20 +3,115 @@ package edge
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"wedgechain/internal/obs"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
+// A persistent edge syncs at most once per group-commit window, counted
+// from the return of its last successful sync: a block cut past the window is synced
+// and released in its own turn, blocks cut sooner wait for the first turn
+// of any kind past it, and nothing leaves before a sync covers it.
+
+// The tests' virtual clock runs in milliseconds (ms), against windows of
+// 100 ms. A window starts when its fsync returns, which adds the fsync's
+// real duration to it; the tests leave seconds of slack for that.
+func ms(v int64) int64 { return v * int64(time.Millisecond) }
+
+// gcRig is a persistent edge-1 with one-entry blocks under a group-commit
+// window of windowMS milliseconds, and the client c1 writing to it.
+type gcRig struct {
+	n       *Node
+	cfg     Config
+	dir     string
+	keys    map[wire.NodeID]wcrypto.KeyPair
+	reg     *wcrypto.Registry
+	metrics *obs.Registry
+}
+
+func newGCRig(t *testing.T, windowMS int64) *gcRig {
+	t.Helper()
+	r := &gcRig{keys: map[wire.NodeID]wcrypto.KeyPair{}, reg: wcrypto.NewRegistry(), metrics: obs.NewRegistry(), dir: t.TempDir()}
+	for _, id := range []wire.NodeID{"edge-1", "cloud", "c1"} {
+		k := wcrypto.DeterministicKey(id)
+		r.keys[id] = k
+		r.reg.Register(id, k.Pub)
+	}
+	r.cfg = Config{
+		ID: "edge-1", Cloud: "cloud",
+		BatchSize: 1, L0Threshold: 100,
+		SyncEvery: ms(windowMS),
+		Metrics:   r.metrics,
+	}
+	n, _, err := NewPersistent(r.cfg, r.keys["edge-1"], r.reg, r.dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.n = n
+	return r
+}
+
+// write sends c1's entry seq (a resend when seq was sent before) and
+// returns what the turn released, every release checked for durability.
+func (r *gcRig) write(t *testing.T, now int64, seq uint64) []wire.Envelope {
+	t.Helper()
+	e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
+	e.Sig = wcrypto.SignMsg(r.keys["c1"], &e)
+	return r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}}))
+}
+
+// tick runs one Tick, its releases checked for durability.
+func (r *gcRig) tick(t *testing.T, now int64) []wire.Envelope {
+	t.Helper()
+	return r.durable(t, r.n.Tick(now))
+}
+
+// durable fails the test if out acknowledges, replicates or certifies a
+// block no successful sync covers yet, and returns out.
+func (r *gcRig) durable(t *testing.T, out []wire.Envelope) []wire.Envelope {
+	t.Helper()
+	for _, env := range out {
+		var bid uint64
+		switch m := env.Msg.(type) {
+		case *wire.PutResponse:
+			bid = m.BID
+		case *wire.ReplicateBlock:
+			bid = m.Block.ID
+		case *wire.BlockCertify:
+			bid = m.BID
+		default:
+			continue
+		}
+		if !r.n.store.Covers(bid) {
+			t.Fatalf("%v for block %d released before a sync covers it", env.Msg.MsgKind(), bid)
+		}
+	}
+	return out
+}
+
+// syncs runs f and returns the fsyncs it issued.
+func (r *gcRig) syncs(f func()) uint64 {
+	before := r.n.StoreSyncs()
+	f()
+	return r.n.StoreSyncs() - before
+}
+
+func (r *gcRig) ackHold() *obs.Histogram {
+	return r.metrics.HistogramVec("wedge_edge_ack_hold_seconds", "", obs.LatencyBuckets, "node").With("edge-1")
+}
+
 // TestGroupCommitWithholdsAcksUntilSharedSync drives an edge configured
-// with a group-commit window: blocks cut inside the window produce no
-// acknowledgements, the window-expiry flush releases every withheld
-// acknowledgement after one shared fsync, and a restart recovers every
+// with a group-commit window: a block cut with no sync inside the window
+// is synced and acknowledged in its own turn, blocks cut inside the
+// window produce no acknowledgements until the window-expiry flush
+// releases them after one shared fsync, and a restart recovers every
 // acknowledged block — the durability contract group commit must keep. A
 // zero window is the same path: each block's acknowledgements leave in
 // the turn that cut it, after a sync of its own.
 func TestGroupCommitWithholdsAcksUntilSharedSync(t *testing.T) {
-	for _, window := range []int64{100, 0} { // ns of virtual time
+	for _, window := range []int64{100, 0} { // ms
 		t.Run(fmt.Sprintf("SyncEvery=%d", window), func(t *testing.T) {
 			testGroupCommit(t, window)
 		})
@@ -24,85 +119,199 @@ func TestGroupCommitWithholdsAcksUntilSharedSync(t *testing.T) {
 }
 
 func testGroupCommit(t *testing.T, window int64) {
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"edge-1", "cloud", "c1"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
-	dir := t.TempDir()
-	cfg := Config{
-		ID: "edge-1", Cloud: "cloud",
-		BatchSize: 1, L0Threshold: 100,
-		SyncEvery: window,
-	}
-	n1, _, err := NewPersistent(cfg, keys["edge-1"], reg, dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	write := func(now int64, seq uint64) []wire.Envelope {
-		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
-		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		return n1.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+	r := newGCRig(t, window)
+	// ownTurn writes seq at now and requires its block to be acknowledged
+	// and certified in that turn, after exactly one fsync.
+	ownTurn := func(now int64, seq uint64) {
+		t.Helper()
+		var k map[wire.Kind]int
+		if got := r.syncs(func() { k = kindsOf(r.write(t, now, seq)) }); got != 1 {
+			t.Fatalf("write %d issued %d fsyncs, want 1", seq, got)
+		}
+		if k[wire.KindPutResponse] != 1 || k[wire.KindBlockCertify] != 1 {
+			t.Fatalf("write %d released %v, want its add response + certify in the same turn", seq, k)
+		}
 	}
 
 	if window == 0 {
 		// Every block is acknowledged in its own turn, one fsync each.
-		for seq := uint64(1); seq <= 4; seq++ {
-			before := n1.store.Syncs()
-			k := kindsOf(write(int64(seq), seq))
-			if k[wire.KindPutResponse] != 1 || k[wire.KindBlockCertify] != 1 {
-				t.Fatalf("write %d released %v, want its add response + certify in the same turn", seq, k)
-			}
-			if got := n1.store.Syncs() - before; got != 1 {
-				t.Fatalf("write %d issued %d fsyncs, want 1", seq, got)
-			}
+		for seq := uint64(1); seq <= 5; seq++ {
+			ownTurn(ms(int64(seq)), seq)
 		}
 	} else {
+		// No sync has run yet: the first block is released in its turn.
+		ownTurn(ms(1), 1)
+
 		// Three blocks cut inside the window: acknowledgements withheld.
-		for seq := uint64(1); seq <= 3; seq++ {
-			if out := write(int64(seq), seq); out != nil {
+		for seq := uint64(2); seq <= 4; seq++ {
+			if out := r.write(t, ms(int64(seq)), seq); out != nil {
 				t.Fatalf("write %d acknowledged before group-commit sync: %v", seq, kindsOf(out))
 			}
 		}
-		if got := n1.Stats().BlocksCut; got != 3 {
-			t.Fatalf("blocks cut = %d, want 3", got)
+		if got := r.n.Stats().BlocksCut; got != 4 {
+			t.Fatalf("blocks cut = %d, want 4", got)
 		}
-		syncsBefore := n1.store.Syncs()
 
 		// Window expires: one Tick releases every withheld output.
-		out := n1.Tick(500)
-		k := kindsOf(out)
+		var k map[wire.Kind]int
+		if got := r.syncs(func() { k = kindsOf(r.tick(t, ms(2000))) }); got != 1 {
+			t.Fatalf("flush issued %d fsyncs, want 1 shared", got)
+		}
 		if k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 3 {
 			t.Fatalf("flush released %v, want 3 add responses + 3 certifies", k)
 		}
-		if got := n1.store.Syncs() - syncsBefore; got != 1 {
-			t.Fatalf("flush issued %d fsyncs, want 1 shared", got)
-		}
 
-		// A fourth block opens a fresh window: withheld on arrival,
-		// released by the next window-expiry flush.
-		if out := write(1000, 4); out != nil {
-			t.Fatalf("write 4 acknowledged before its window closed: %v", kindsOf(out))
-		}
-		if k := kindsOf(n1.Tick(1200)); k[wire.KindPutResponse] != 1 {
-			t.Fatalf("second flush released %v, want 1 add response", k)
-		}
+		// A fifth block cut a window after the last sync is synced and
+		// released in its own turn.
+		ownTurn(ms(4000), 5)
+	}
+	// Every block's hold was observed once: none for the blocks released
+	// in their own turn, 1998+1997+1996 ms for the three the Tick released.
+	wantSum := 0.0
+	if window > 0 {
+		wantSum = (1998 + 1997 + 1996) / 1e3
+	}
+	if h := r.ackHold(); h.Count() != 5 || h.Sum() < wantSum*0.999 || h.Sum() > wantSum*1.001 {
+		t.Fatalf("ack hold histogram: %d observations summing to %g s, want 5 summing to %g s", h.Count(), h.Sum(), wantSum)
 	}
 
-	if err := n1.CloseStore(); err != nil {
+	if err := r.n.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart: every acknowledged block must be recovered.
-	n2, recovered, err := NewPersistent(cfg, keys["edge-1"], reg, dir, true)
+	n2, recovered, err := NewPersistent(r.cfg, r.keys["edge-1"], r.reg, r.dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n2.CloseStore()
-	if recovered != 4 {
-		t.Fatalf("recovered %d blocks, want every acknowledged block (4)", recovered)
+	if recovered != 5 {
+		t.Fatalf("recovered %d blocks, want every acknowledged block (5)", recovered)
+	}
+}
+
+// TestGroupCommitOneSyncPerTurn: the blocks one turn cuts share the sync
+// that ends it — a session batch cutting three blocks past the window, or
+// under a zero window, is released in its turn after one fsync.
+func TestGroupCommitOneSyncPerTurn(t *testing.T) {
+	for _, window := range []int64{100, 0} { // ms
+		t.Run(fmt.Sprintf("SyncEvery=%d", window), func(t *testing.T) {
+			r := newGCRig(t, window)
+			defer r.n.CloseStore()
+			b := &wire.PutBatch{Client: "c1"}
+			for seq := uint64(1); seq <= 3; seq++ {
+				b.Entries = append(b.Entries, wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}})
+			}
+			b.BatchSig = wcrypto.SignMsg(r.keys["c1"], b)
+			var k map[wire.Kind]int
+			if got := r.syncs(func() {
+				k = kindsOf(r.durable(t, r.n.Receive(ms(1), wire.Envelope{From: "c1", To: "edge-1", Msg: b})))
+			}); got != 1 || k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 3 {
+				t.Fatalf("a batch cutting 3 blocks released %v after %d fsyncs, want 3 add responses + 3 certifies after 1", k, got)
+			}
+		})
+	}
+}
+
+// TestGroupCommitReleasedByReceivePastWindow: held outputs need no Tick.
+// The first turn past the window — here a scan — syncs once and puts
+// them ahead of its own response.
+func TestGroupCommitReleasedByReceivePastWindow(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.write(t, ms(1), 1)
+	if out := r.write(t, ms(2), 2); out != nil {
+		t.Fatalf("write 2 acknowledged inside the window: %v", kindsOf(out))
+	}
+	scan := func(now int64) []wire.Envelope {
+		return r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{ReqID: uint64(now)}}))
+	}
+	if out := scan(ms(50)); len(out) != 1 || out[0].Msg.MsgKind() != wire.KindScanResponse {
+		t.Fatalf("a scan inside the window released %v, want its response alone", kindsOf(out))
+	}
+	var out []wire.Envelope
+	if got := r.syncs(func() { out = scan(ms(2000)) }); got != 1 {
+		t.Fatalf("the scan past the window issued %d fsyncs, want 1", got)
+	}
+	k := kindsOf(out)
+	if k[wire.KindPutResponse] != 1 || k[wire.KindBlockCertify] != 1 || k[wire.KindScanResponse] != 1 ||
+		out[len(out)-1].Msg.MsgKind() != wire.KindScanResponse {
+		t.Fatalf("the scan past the window released %v, want write 2's outputs ahead of the scan response", k)
+	}
+}
+
+// TestGroupCommitFailedSyncStartsNoWindow: a sync that fails releases
+// nothing and does not restart the window, so the next block is synced
+// in its own turn. A resend of the block whose sync failed is not
+// re-acknowledged until a later sync covers it.
+func TestGroupCommitFailedSyncStartsNoWindow(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.write(t, ms(1), 1) // the last successful sync runs at 1 ms
+	// Closing the segment under the node makes its next sync fail.
+	if err := r.n.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out := r.write(t, ms(2), 2); out != nil {
+		t.Fatalf("write 2 acknowledged inside the window: %v", kindsOf(out))
+	}
+	if out := r.tick(t, ms(2000)); out != nil {
+		t.Fatalf("a failed sync released %v", kindsOf(out))
+	}
+	if out := r.write(t, ms(2010), 2); out != nil {
+		t.Fatalf("a resend of a block whose sync failed was answered: %v", kindsOf(out))
+	}
+	// Repair the segment: the rewrite makes block 1 durable.
+	if err := r.n.store.ResetTo(r.n.Log()); err != nil {
+		t.Fatal(err)
+	}
+	if k := kindsOf(r.write(t, ms(2020), 2)); k[wire.KindPutResponse] != 1 {
+		t.Fatalf("a resend of a durable block released %v, want its re-ack", k)
+	}
+	// Only a successful sync starts a window: at 1 ms, not 2,000 ms.
+	var k map[wire.Kind]int
+	if got := r.syncs(func() { k = kindsOf(r.write(t, ms(2030), 3)) }); got != 1 || k[wire.KindPutResponse] != 1 {
+		t.Fatalf("write 3 after a failed sync released %v with %d fsyncs, want its add response after 1", k, got)
+	}
+}
+
+// TestGroupCommitRestartResetsSyncClock: a restarted node has synced
+// nothing in its new life, so its first block as leader is released in
+// its own turn however recent the old life's last sync was.
+func TestGroupCommitRestartResetsSyncClock(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.write(t, ms(1), 1) // the old life's last sync runs at 1 ms
+	r.n.killed = true
+	r.n.Restart(ms(2))
+	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, NewLeader: "edge-1", Reason: "test", Ts: ms(3)}
+	tr.CloudSig = wcrypto.SignMsg(r.keys["cloud"], tr)
+	r.durable(t, r.n.Receive(ms(3), wire.Envelope{From: "cloud", To: "edge-1", Msg: tr}))
+	if r.n.follower {
+		t.Fatal("the restarted node was not promoted")
+	}
+	var k map[wire.Kind]int
+	if got := r.syncs(func() { k = kindsOf(r.write(t, ms(4), 2)) }); got != 1 || k[wire.KindPutResponse] != 1 {
+		t.Fatalf("first block after restart released %v with %d fsyncs, want its add response after 1", k, got)
+	}
+}
+
+// TestResendNotReackedBeforeSync: a resent write is re-acknowledged at
+// once only from a block a sync covers; a resend of a block whose
+// acknowledgements are still held waits with them for the shared sync.
+func TestResendNotReackedBeforeSync(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.write(t, ms(1), 1)
+	if k := kindsOf(r.write(t, ms(2), 1)); k[wire.KindPutResponse] != 1 {
+		t.Fatalf("a resend of a durable block released %v, want its re-ack", k)
+	}
+	r.write(t, ms(3), 2) // held: the last sync ran at 1 ms
+	if out := r.write(t, ms(4), 2); out != nil {
+		t.Fatalf("a resend of a held block was answered before its sync: %v", kindsOf(out))
+	}
+	var k map[wire.Kind]int
+	if got := r.syncs(func() { k = kindsOf(r.tick(t, ms(2000))) }); got != 1 || k[wire.KindPutResponse] != 2 {
+		t.Fatalf("the flush released %v with %d fsyncs, want the ack and the re-ack after 1", k, got)
 	}
 }

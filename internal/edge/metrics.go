@@ -32,6 +32,7 @@ type metrics struct {
 	serveRead    *obs.Histogram
 	blockEntries *obs.Histogram // entries per cut block
 	trustLag     *obs.Histogram // block cut -> certificate installed
+	ackHold      *obs.Histogram // block cut -> group-commit release (durable)
 
 	// cutAt stamps each cut block's handler time for the trust-lag
 	// histogram, bounded by the uncertified backlog plus cutAtCap as a
@@ -80,6 +81,9 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.trustLag = reg.HistogramVec("wedge_trust_lag_seconds",
 		"time an acked write spent uncertified (stage=edge: block cut to certificate; stage=client: Phase I ack to Phase II proof)",
 		obs.LatencyBuckets, "node", "stage").With(node, "edge")
+	m.ackHold = h("wedge_edge_ack_hold_seconds",
+		"time from a durable node's block cut to the release of its acknowledgements, replication and certify request after the covering sync",
+		obs.LatencyBuckets)
 	m.cutAt = make(map[uint64]int64)
 	return m
 }

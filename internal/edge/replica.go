@@ -459,7 +459,10 @@ func (n *Node) certifyTail(now int64) []wire.Envelope {
 // client retry, or a post-failover resend of an entry the new leader
 // inherited from the previous one. The acknowledgement is rebuilt from
 // the containing block; if the block is certified the proof rides along,
-// otherwise the client is registered for proof forwarding.
+// otherwise the client is registered for proof forwarding. On a
+// persistent node a block no successful sync covers yet (its group commit
+// is pending, or failed) is not durable, so the re-ack joins the held
+// outputs and leaves with the next sync.
 func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry) []wire.Envelope {
 	pos, ok := n.log.SeenPos(e.Client, e.Seq)
 	if !ok {
@@ -488,6 +491,11 @@ func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry) []wire.Envelope {
 	}
 	ack := &wire.PutResponse{BID: blk.ID, Block: *blk, EdgeSig: wcrypto.SignBlockAck(n.key, blk.ID, digest)}
 	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: ack}}
+	if n.store != nil && !n.store.Covers(blk.ID) {
+		n.awaitProof(blk.ID, from)
+		n.pendingAcks = append(n.pendingAcks, out...)
+		return nil
+	}
 	if cert, ok := n.log.Cert(blk.ID); ok {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: cloneProof(&cert)})
 	} else {

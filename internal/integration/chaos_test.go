@@ -2,8 +2,11 @@ package integration
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wedgechain/internal/client"
@@ -36,8 +39,8 @@ type chaosWrite struct {
 
 // chaosRun drives rounds of paired writes (BatchSize 2 — one block per
 // round) through the fault schedule seeded by seed, then verifies the
-// two invariants.
-func chaosRun(t *testing.T, seed int64, rounds int) {
+// two invariants. It returns the first failure.
+func chaosRun(t *testing.T, seed int64, rounds int) error {
 	t.Helper()
 	fn := faultnet.New(seed)
 	// Partitions always precede the background noise rule (Partition
@@ -83,24 +86,24 @@ func chaosRun(t *testing.T, seed int64, rounds int) {
 
 	// The schedule must actually have bitten, or the run proves nothing.
 	if st := fn.Snapshot(); st.Drops == 0 || st.Dups == 0 {
-		t.Fatalf("fault schedule injected nothing: %v", st)
+		return fmt.Errorf("fault schedule injected nothing: %v", st)
 	}
 	if got := w.cloud.Stats().Transfers; got == 0 {
-		t.Fatal("chaos never forced a leadership transfer")
+		return errors.New("chaos never forced a leadership transfer")
 	}
 	if got := w.cloud.Stats().Rejoins; got == 0 {
-		t.Fatal("no node ever rejoined after the partitions")
+		return errors.New("no node ever rejoined after the partitions")
 	}
 
 	// Invariant 2: no honest conviction — the group is all honest nodes.
 	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
 		if _, banned := w.cloud.Flagged(id); banned {
-			t.Fatalf("honest node %s convicted under chaos", id)
+			return fmt.Errorf("honest node %s convicted under chaos", id)
 		}
 	}
 	for i, rec := range writes {
 		if rec.op.Verdict != nil && rec.op.Verdict.Guilty {
-			t.Fatalf("write %d drew a guilty verdict against %s under chaos", i, rec.op.Verdict.Edge)
+			return fmt.Errorf("write %d drew a guilty verdict against %s under chaos", i, rec.op.Verdict.Edge)
 		}
 	}
 
@@ -121,11 +124,11 @@ func chaosRun(t *testing.T, seed int64, rounds int) {
 	}
 	w.settle(t, 5*s)
 	if certified == 0 {
-		t.Fatal("no write certified — chaos run exercised nothing")
+		return errors.New("no write certified — chaos run exercised nothing")
 	}
 	for _, c := range checks {
 		if c.read.Err != nil || c.read.Phase != core.PhaseII || c.read.Block == nil {
-			t.Fatalf("certified write %q lost: read bid=%d phase=%v err=%v",
+			return fmt.Errorf("certified write %q lost: read bid=%d phase=%v err=%v",
 				c.rec.payload, c.rec.op.BID, c.read.Phase, c.read.Err)
 		}
 		found := false
@@ -136,31 +139,70 @@ func chaosRun(t *testing.T, seed int64, rounds int) {
 			}
 		}
 		if !found {
-			t.Fatalf("certified write %q missing from its block %d", c.rec.payload, c.rec.op.BID)
+			return fmt.Errorf("certified write %q missing from its block %d", c.rec.payload, c.rec.op.BID)
 		}
 	}
 	t.Logf("chaos seed=%d rounds=%d: %d/%d writes certified, %v, transfers=%d rejoins=%d",
 		seed, rounds, certified, len(writes), fn.Snapshot(),
 		w.cloud.Stats().Transfers, w.cloud.Stats().Rejoins)
+	return nil
 }
 
 // TestChaosSmoke is the CI arm: one fixed seed, a short schedule, both
 // invariants. Deterministic — a failure reproduces with `go test -run
 // ChaosSmoke ./internal/integration/`.
 func TestChaosSmoke(t *testing.T) {
-	chaosRun(t, 42, 8)
+	if err := chaosRun(t, 42, 8); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestChaosSoak is the long arm: several seeds, longer schedules, double
-// partition windows. Gated behind WEDGE_CHAOS_SOAK=1 (see `make chaos`).
+// TestChaosSoak is the long arm: longer schedules, double partition
+// windows, one subtest per seed. It runs only when asked:
+// WEDGE_CHAOS_SOAK=1 (see `make chaos`) runs four fixed seeds, and
+// WEDGE_CHAOS_SEEDS runs the seeds it names instead: one seed, or an
+// inclusive range such as 1-300. The output ends with one line per
+// failing seed and its first failure.
 func TestChaosSoak(t *testing.T) {
-	if os.Getenv("WEDGE_CHAOS_SOAK") == "" {
-		t.Skip("set WEDGE_CHAOS_SOAK=1 (or run `make chaos`) for the long soak")
+	spec := os.Getenv("WEDGE_CHAOS_SEEDS")
+	if spec == "" && os.Getenv("WEDGE_CHAOS_SOAK") == "" {
+		t.Skip("set WEDGE_CHAOS_SOAK=1 (or run `make chaos`) or WEDGE_CHAOS_SEEDS=1-300 for the long soak")
 	}
-	for _, seed := range []int64{1, 7, 42, 1337} {
-		seed := seed
+	seeds := []int64{1, 7, 42, 1337}
+	if spec != "" {
+		var err error
+		if seeds, err = parseSeeds(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var failures []string
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			chaosRun(t, seed, 40)
+			if err := chaosRun(t, seed, 40); err != nil {
+				failures = append(failures, fmt.Sprintf("seed %d: %v", seed, err))
+				t.Fatal(err)
+			}
 		})
 	}
+	if len(failures) > 0 {
+		t.Logf("%d of %d seeds failed:\n%s", len(failures), len(seeds), strings.Join(failures, "\n"))
+	}
+}
+
+// parseSeeds reads WEDGE_CHAOS_SEEDS: a seed, or an inclusive range lo-hi.
+func parseSeeds(spec string) ([]int64, error) {
+	lo, hi, isRange := strings.Cut(spec, "-")
+	first, err := strconv.ParseInt(lo, 10, 64)
+	last := first
+	if err == nil && isRange {
+		last, err = strconv.ParseInt(hi, 10, 64)
+	}
+	if err != nil || last < first {
+		return nil, fmt.Errorf("WEDGE_CHAOS_SEEDS=%q: want a seed or a range lo-hi", spec)
+	}
+	var seeds []int64
+	for seed := first; seed <= last; seed++ {
+		seeds = append(seeds, seed)
+	}
+	return seeds, nil
 }

@@ -174,15 +174,15 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// covers reports whether block bid's record is in the segment file as of
-// the last Sync, so it can be read back.
-func (s *Store) covers(bid uint64) bool {
+// Covers reports whether block bid's record is in the segment file as of
+// the last successful Sync: durable, and readable back.
+func (s *Store) Covers(bid uint64) bool {
 	return bid < uint64(len(s.blocks)) && s.blocks[bid].off+s.blocks[bid].n <= s.synced
 }
 
 // readBlock reads block bid's canonical bytes back from the segment.
 func (s *Store) readBlock(bid uint64) ([]byte, error) {
-	if !s.covers(bid) {
+	if !s.Covers(bid) {
 		return nil, fmt.Errorf("%w: no synced record of block %d", ErrCorrupt, bid)
 	}
 	at := s.blocks[bid]

@@ -426,7 +426,7 @@ func (l *Log) Release(before uint64) {
 	for ; l.released < before && l.released < uint64(len(l.blocks)); l.released++ {
 		l.blocks[l.released].Release()
 	}
-	for ; l.store != nil && l.evicted < l.released && l.store.covers(l.evicted); l.evicted++ {
+	for ; l.store != nil && l.evicted < l.released && l.store.Covers(l.evicted); l.evicted++ {
 		b := &l.blocks[l.evicted]
 		l.addResident(-len(b.Canonical()))
 		b.Evict()

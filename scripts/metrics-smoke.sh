@@ -1,5 +1,5 @@
 #!/bin/sh
-# metrics-smoke: build the binaries, run a live cloud + edge pair with
+# metrics-smoke: build the binaries, run a live cloud + durable edge pair with
 # -metrics-addr, push one write through the client, then scrape both
 # /metrics endpoints and fail unless every core series is present (and
 # pprof answers a short CPU profile). This is the CI check that the
@@ -36,7 +36,8 @@ EDGE_METRICS=127.0.0.1:19092
 CLOUD_PID=$!
 "$WORK/wedge-edge" -id edge-1 -listen ":$EDGE_PORT" \
     -peers "cloud=localhost:$CLOUD_PORT,c1=localhost:$CLIENT_PORT" \
-    -batch 1 -metrics-addr "$EDGE_METRICS" >"$WORK/edge.log" 2>&1 &
+    -batch 1 -data "$WORK/edge-data" -group-commit 5ms \
+    -metrics-addr "$EDGE_METRICS" >"$WORK/edge.log" 2>&1 &
 EDGE_PID=$!
 
 wait_http() {
@@ -81,10 +82,14 @@ require edge 'wedge_transport_lane_drops_total{node="edge-1"}'
 require edge 'wedge_transport_unreachable_drops_total{node="edge-1"}'
 # Compaction healing: no merge has been lost, the series only has to exist.
 require edge 'wedge_edge_merge_retries_total{node="edge-1"}'
-# The log: this edge runs without -data, so it holds every block it cut
-# and reads none back from a segment; the read series only has to exist.
+# The log: this edge runs durable (-data, -group-commit), but one block
+# never fills its L0 window, so the block stays in memory and nothing is
+# read back from the segment; the read series only has to exist.
 require edge 'wedge_wlog_resident_block_bytes{node="edge-1"} [1-9]'
 require edge 'wedge_wlog_segment_reads_total{node="edge-1"}'
+# Durable acknowledgement: the block was held for its fsync, and its hold
+# observed.
+require edge 'wedge_edge_ack_hold_seconds_count{node="edge-1"} [1-9]'
 # Signature checks: a certified write costs the edge first verifications
 # (the client's request, the cloud's proof); nothing has repeated or
 # failed yet, so the hit and bad-signature series only have to exist.
