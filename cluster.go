@@ -308,10 +308,11 @@ func (c *Cluster) KillEdge(id NodeID) error {
 }
 
 // RestartEdge revives a killed node as a blank follower — the simulated
-// process restart that lost its in-memory state. The node heartbeats, the
-// cloud re-admits it with a signed GroupJoin naming the current leader,
-// and certified catch-up rebuilds its mirror; once caught up it is again
-// a promotion candidate.
+// process restart that lost its in-memory state. The node heartbeats with
+// no view, the cloud answers with a signed view naming the current
+// leader (a new one, re-admitting it, when it is outside the group), and
+// certified catch-up rebuilds its mirror; once caught up it is again a
+// promotion candidate. It never leads from its blank log.
 func (c *Cluster) RestartEdge(id NodeID) error {
 	en, ok := c.edges[id]
 	if !ok {
@@ -343,8 +344,8 @@ func (c *Cluster) ChainLeader(chain NodeID) (leader NodeID) {
 	return leader
 }
 
-// ChainEpoch reports the chain's current leadership epoch (0 until the
-// first transfer).
+// ChainEpoch reports the epoch of the chain's current view (0 until the
+// first): every leadership transfer and every rejoin signs the next one.
 func (c *Cluster) ChainEpoch(chain NodeID) (epoch uint64) {
 	c.on(CloudID, func() { epoch = c.cloud.ChainEpoch(chain) })
 	return epoch

@@ -24,7 +24,7 @@ func ChaosSoak(scale Scale) *Table {
 	t := &Table{
 		ID:     "CH1",
 		Title:  "Chaos soak: 3-replica shard under seeded drop/dup/delay + partition (wall-clock)",
-		Header: []string{"Scenario", "Writes", "Lost", "Unavail", "ops/s", "Transfers", "Drops", "Dups", "Resends", "CatchUps", "Convicted"},
+		Header: []string{"Scenario", "Writes", "Lost", "Unavail", "ops/s", "Epoch", "Drops", "Dups", "Resends", "CatchUps", "Convicted"},
 	}
 	writes := scale.rounds(60)
 	if writes < 12 {

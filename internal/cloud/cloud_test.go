@@ -641,10 +641,26 @@ func TestMergeConvictsCachePoisonedBlock(t *testing.T) {
 	}
 }
 
+// heartbeat delivers node's signed heartbeat at now, reporting blocks
+// held and the view (epoch, leader) it holds.
+func (f *fixture) heartbeat(t *testing.T, now int64, node wire.NodeID, epoch uint64, leader wire.NodeID, blocks uint64) []wire.Envelope {
+	t.Helper()
+	k, ok := f.keys[node]
+	if !ok {
+		k = wcrypto.DeterministicKey(node)
+		f.keys[node] = k
+		f.reg.Register(node, k.Pub)
+	}
+	hb := &wire.ReplicaHeartbeat{Chain: "edge-1", Node: node, Blocks: blocks, Epoch: epoch, Leader: leader, Ts: now}
+	hb.Sig = wcrypto.SignMsg(k, hb)
+	return f.node.Receive(now, wire.Envelope{From: node, To: "cloud", Msg: hb})
+}
+
 // TestTransferReachesGossipTargetsWithoutShardMap: clients rebind on the
 // signed LeadershipTransfer, so a transfer sends it to the group and to
-// every gossip target and sends no ShardMap; neither does re-admitting the
-// demoted leader, which gets the transfer again beside its GroupJoin.
+// every gossip target and sends no ShardMap. Re-admitting the demoted
+// leader is a view of its own: the next epoch under the same leader,
+// listing it as a follower, sent to the group alone.
 func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
 	f := newFixture(t, Config{LeaseTimeout: 100, GossipEvery: -1, GossipTo: []wire.NodeID{"c1", "c2"}})
 	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2"})
@@ -670,23 +686,94 @@ func TestTransferReachesGossipTargetsWithoutShardMap(t *testing.T) {
 		}
 	}
 
-	hb := &wire.ReplicaHeartbeat{Chain: "edge-1", Node: "edge-1"}
-	hb.Sig = wcrypto.SignMsg(f.keys["edge-1"], hb)
-	out = f.node.Receive(600, wire.Envelope{From: "edge-1", To: "cloud", Msg: hb})
+	out = f.heartbeat(t, 600, "edge-1", 1, "edge-2", 0)
 	got = map[wire.NodeID]int{}
 	for _, env := range out {
-		switch m := env.Msg.(type) {
-		case *wire.GroupJoin:
-			got[env.To]++
-		case *wire.LeadershipTransfer:
-			if env.To != "edge-1" || m.Epoch != 1 {
-				t.Fatalf("rejoin sent epoch-%d transfer to %s", m.Epoch, env.To)
-			}
-		default:
-			t.Fatalf("rejoin sent %T to %s", env.Msg, env.To)
+		v, ok := env.Msg.(*wire.LeadershipTransfer)
+		if !ok || v.Epoch != 2 || v.Prev != "edge-2" || v.NewLeader != "edge-2" ||
+			len(v.Followers) != 1 || v.Followers[0] != "edge-1" {
+			t.Fatalf("rejoin sent %+v to %s, want the epoch-2 view of edge-2 leading edge-1", env.Msg, env.To)
+		}
+		got[env.To]++
+	}
+	if len(out) != 2 || got["edge-1"] != 1 || got["edge-2"] != 1 {
+		t.Fatalf("rejoin views per recipient = %v, want one to the member and one to the leader", got)
+	}
+	if st := f.node.Stats(); st.Transfers != 1 || st.Rejoins != 1 {
+		t.Fatalf("transfers %d, rejoins %d; want 1 and 1", st.Transfers, st.Rejoins)
+	}
+}
+
+// TestLeaseRenewedOnlyByLeadingHeartbeat: the named leader's heartbeats
+// renew its lease only while they report it leading at the current
+// epoch. A leader that restarted blank reports no leader: it is sent
+// nothing — the current view would name it — and its lease runs out.
+func TestLeaseRenewedOnlyByLeadingHeartbeat(t *testing.T) {
+	f := newFixture(t, Config{LeaseTimeout: 100, GossipEvery: -1})
+	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2"})
+	f.node.Tick(1)
+	for now := int64(50); now <= 300; now += 50 {
+		if out := f.heartbeat(t, now, "edge-1", 0, "edge-1", 0); len(out) != 0 {
+			t.Fatalf("a current leader's heartbeat was answered with %v", out)
+		}
+		if out := f.node.Tick(now + 1); len(out) != 0 {
+			t.Fatalf("transfer at %d under a renewed lease", now+1)
 		}
 	}
-	if len(out) != 3 || got["edge-1"] != 1 || got["edge-2"] != 1 {
-		t.Fatalf("rejoin outputs = %d, GroupJoins %v; want a GroupJoin to the node and to the leader plus the transfer", len(out), got)
+	for now := int64(350); now <= 400; now += 50 {
+		if out := f.heartbeat(t, now, "edge-1", 0, "", 0); len(out) != 0 {
+			t.Fatalf("a blank restarted leader was answered with %v", out)
+		}
+		f.node.Tick(now + 1)
+	}
+	if f.node.ChainLeader("edge-1") != "edge-2" || f.node.Stats().Transfers != 1 {
+		t.Fatalf("leader %q after %d transfers, want edge-2 after 1: blank heartbeats renewed the lease",
+			f.node.ChainLeader("edge-1"), f.node.Stats().Transfers)
+	}
+}
+
+// TestHeartbeatAnsweredWithCurrentView: a named leader that missed the
+// view promoting it is re-sent that view, at most once per LeaseTimeout,
+// and its lease runs only from a heartbeat that leads at that epoch. An
+// in-group follower whose mirror trails the certified frontier is sent
+// the signed frontier.
+func TestHeartbeatAnsweredWithCurrentView(t *testing.T) {
+	f := newFixture(t, Config{LeaseTimeout: 100, GossipEvery: -1})
+	f.node.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-2", "edge-3"})
+	f.node.Tick(1)
+	f.heartbeat(t, 10, "edge-2", 0, "edge-1", 1)
+	f.node.Tick(200) // edge-1's lease expires: edge-2 (the longer log) leads epoch 1
+	if f.node.ChainLeader("edge-1") != "edge-2" {
+		t.Fatalf("leader = %q, want edge-2", f.node.ChainLeader("edge-1"))
+	}
+	resent := func(now int64) bool {
+		out := f.heartbeat(t, now, "edge-2", 0, "edge-1", 1)
+		if len(out) == 0 {
+			return false
+		}
+		v, ok := out[0].Msg.(*wire.LeadershipTransfer)
+		if len(out) != 1 || !ok || out[0].To != "edge-2" || v.Epoch != 1 || v.NewLeader != "edge-2" {
+			t.Fatalf("heartbeat at %d answered with %v, want the epoch-1 view to edge-2", now, out)
+		}
+		return true
+	}
+	if !resent(250) || resent(300) || !resent(350) {
+		t.Fatal("the missed view was not re-sent once per lease")
+	}
+	if f.heartbeat(t, 352, "edge-2", 1, "edge-2", 1); len(f.node.Tick(400)) != 0 || f.node.ChainLeader("edge-1") != "edge-2" {
+		t.Fatalf("a leading heartbeat at the current epoch did not renew the lease: leader %q", f.node.ChainLeader("edge-1"))
+	}
+
+	d := wcrypto.Digest([]byte("block-0"))
+	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: d}
+	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-2"], m)
+	f.node.Receive(410, wire.Envelope{From: "edge-2", To: "cloud", Msg: m})
+	out := f.heartbeat(t, 420, "edge-3", 1, "edge-2", 0)
+	g, ok := out[0].Msg.(*wire.Gossip)
+	if len(out) != 1 || !ok || out[0].To != "edge-3" || g.Blocks != 1 {
+		t.Fatalf("a follower behind the frontier was answered with %v, want the signed frontier of 1 block", out)
+	}
+	if err := wcrypto.VerifyMsg(f.reg, "cloud", g, g.CloudSig); err != nil {
+		t.Fatal(err)
 	}
 }

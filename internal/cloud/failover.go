@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -10,19 +11,21 @@ import (
 // Cloud-arbitrated failover (the replica-group extension): each shard's
 // chain may be served by a small group — one leader, N followers — whose
 // liveness and replication progress the cloud tracks through signed
-// heartbeats. When the leader's lease expires, certification stalls, or
-// the leader is convicted, the cloud signs a LeadershipTransfer promoting
-// the follower with the longest certified log prefix; clients rebind on
-// that transfer. The cloud arbitrates but never serves:
-// the promoted node is as untrusted as its predecessor, policed by the
-// same lazy certification.
+// heartbeats. The group's membership is a signed view (a
+// LeadershipTransfer) under a per-chain epoch. When the leader's lease
+// expires, certification stalls, or the leader is convicted, the cloud
+// signs the next view, promoting the follower with the longest certified
+// log prefix; clients rebind on it. A rejoin is the next view under the
+// same leader. The cloud arbitrates but never serves: the promoted node
+// is as untrusted as its predecessor, policed by the same lazy
+// certification.
 
 // memberState is the cloud's liveness view of one replica-group member.
 type memberState struct {
-	lastHB    int64
+	leased    int64  // last heartbeat that renewed the lease (the named leader, leading at the current epoch)
 	blocks    uint64 // log frontier the member last reported
 	certified uint64 // contiguous certified prefix the member last reported
-	lastJoin  int64  // last GroupJoin sent for this member (re-send rate limit)
+	answered  int64  // last view or frontier sent in answer to a heartbeat (re-send rate limit)
 }
 
 // chainState is the cloud's leadership view of one replicated chain.
@@ -34,7 +37,8 @@ type chainState struct {
 	leaseBase int64 // fallback lease start while a node has never heartbeated
 	staleNow  int64 // first observation of an uncertified replicated backlog; 0 = none
 	dead      bool  // no promotable follower remained
-	// last is the transfer that installed leader; nil before the first.
+	// last is the newest signed view; nil while the registered group
+	// (epoch 0) stands.
 	last *wire.LeadershipTransfer
 }
 
@@ -75,7 +79,7 @@ func (n *Node) leaderOf(chain wire.NodeID) wire.NodeID {
 // ChainLeader exposes the current leader of a chain (tests, façade).
 func (n *Node) ChainLeader(chain wire.NodeID) wire.NodeID { return n.leaderOf(chain) }
 
-// ChainEpoch exposes the chain's current leadership epoch.
+// ChainEpoch exposes the epoch of the chain's current view.
 func (n *Node) ChainEpoch(chain wire.NodeID) uint64 {
 	if st, ok := n.chains[chain]; ok {
 		return st.epoch
@@ -83,8 +87,11 @@ func (n *Node) ChainEpoch(chain wire.NodeID) uint64 {
 	return 0
 }
 
-// handleHeartbeat records a replica's liveness and replication progress.
-// The certification-stall detector compares the followers' mirrored
+// handleHeartbeat records a replica's liveness and replication progress,
+// and answers it when its sender needs healing (answerHeartbeat). Only the
+// named leader, heartbeating as leader at the current epoch, renews the
+// lease: a leader that missed its view, or restarted blank, lets it run
+// out. The certification-stall detector compares the followers' mirrored
 // frontier against the chain's certified block count: a backlog that
 // persists past CertTimeout means the leader replicates but does not
 // certify — crashed mid-protocol or starving Phase II on purpose.
@@ -103,68 +110,74 @@ func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeart
 	n.m.heartbeats.Inc()
 	mem := st.members[from]
 	if mem == nil {
-		mem = &memberState{}
+		// Never answered: the first answer is not rate-limited.
+		mem = &memberState{answered: now - n.cfg.LeaseTimeout}
 		st.members[from] = mem
 	}
-	mem.lastHB = now
 	mem.blocks = m.Blocks
 	mem.certified = m.Certified
-	if from != st.leader {
-		if m.Blocks > n.certs.Blocks(m.Chain) {
-			if st.staleNow == 0 {
-				st.staleNow = now
-			}
-		} else {
-			st.staleNow = 0
+	if from == st.leader {
+		if m.Leader == from && m.Epoch == st.epoch {
+			mem.leased = now
 		}
+	} else if m.Blocks > n.certs.Blocks(m.Chain) {
+		if st.staleNow == 0 {
+			st.staleNow = now
+		}
+	} else {
+		st.staleNow = 0
 	}
-	return n.maybeRejoin(now, from, m.Chain, st, mem, m)
+	return n.answerHeartbeat(now, from, m.Chain, st, mem, m)
 }
 
-// maybeRejoin re-admits a heartbeating ex-member (a restarted node, or a
-// demoted ex-leader that was dropped from the follower set at transfer)
-// and nudges restarted in-group followers that lost their in-memory view.
-// The cloud signs a GroupJoin naming the current leader and epoch and
-// sends it to BOTH sides: the node learns whom to mirror, the leader adds
-// it back to the replication fan-out. While the member's reported frontier
-// trails the chain's certified prefix the join is re-sent (rate-limited by
-// the lease), healing lost admissions under chaos.
-func (n *Node) maybeRejoin(now int64, from wire.NodeID, chain wire.NodeID, st *chainState, mem *memberState, m *wire.ReplicaHeartbeat) []wire.Envelope {
-	if st.dead || from == st.leader {
+// answerHeartbeat heals the sender's view of its chain. An ex-member (a
+// restarted node, or a leader deposed while cut off from the cloud) is
+// re-admitted by a new view. A member holding another view than the
+// chain's gets the current one: a named leader that missed its promotion
+// adopts it and leads. The exception is a named leader that recognises no
+// leader at all: it restarted blank, must never lead from its empty log,
+// and is left to its lease. An in-group follower whose mirror trails the
+// certified frontier gets the signed frontier, which it turns into
+// catch-up. Answers to a member are rate-limited to one per LeaseTimeout.
+func (n *Node) answerHeartbeat(now int64, from, chain wire.NodeID, st *chainState, mem *memberState, m *wire.ReplicaHeartbeat) []wire.Envelope {
+	if st.dead {
 		return nil
 	}
 	if _, banned := n.punish.Banned(from); banned {
 		return nil
 	}
-	inGroup := false
-	for _, f := range st.followers {
-		if f == from {
-			inGroup = true
-			break
-		}
+	if from != st.leader && !slices.Contains(st.followers, from) {
+		return n.readmit(now, chain, st, from)
 	}
-	if !inGroup {
-		st.followers = append(st.followers, from)
-		n.m.rejoins.Inc()
-		n.logf("re-admitting ex-member as follower", "chain", chain, "node", from, "epoch", st.epoch)
-	} else if m.Blocks >= n.certs.Blocks(chain) || now-mem.lastJoin < n.cfg.LeaseTimeout {
-		// In the group and current (or recently nudged): nothing to heal.
+	current := m.Epoch == st.epoch && m.Leader == st.leader
+	if current && (from == st.leader || m.Blocks >= n.certs.Blocks(chain)) {
 		return nil
 	}
-	mem.lastJoin = now
-	join := &wire.GroupJoin{Chain: chain, Node: from, Leader: st.leader, Epoch: st.epoch, Ts: now}
-	join.CloudSig = wcrypto.SignMsg(n.key, join)
-	out := []wire.Envelope{
-		{From: n.cfg.ID, To: from, Msg: join},
-		{From: n.cfg.ID, To: st.leader, Msg: join},
+	if (from == st.leader && m.Leader == "") || now-mem.answered < n.cfg.LeaseTimeout {
+		return nil
 	}
-	if !inGroup && st.last != nil {
-		// An ex-leader cut off from the cloud when it was demoted never
-		// got its transfer; it answers sessions still addressing it with
-		// this copy.
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: from, Msg: st.last})
+	mem.answered = now
+	switch {
+	case current:
+		return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: n.frontier(now, chain)}}
+	case st.last == nil:
+		// No view was signed yet: the member lost the registered one.
+		return n.readmit(now, chain, st, from)
 	}
-	return out
+	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: st.last}}
+}
+
+// readmit lists member among the chain's followers and signs the new view
+// at the next epoch, under the same leader. It reaches the leader and every
+// follower — the member included — but no gossip target: clients have
+// nothing to rebind.
+func (n *Node) readmit(now int64, chain wire.NodeID, st *chainState, member wire.NodeID) []wire.Envelope {
+	if !slices.Contains(st.followers, member) {
+		st.followers = append(st.followers, member)
+	}
+	n.m.rejoins.Inc()
+	n.logf("re-admitting member as follower", "chain", chain, "node", member, "epoch", st.epoch+1)
+	return n.signView(now, chain, st, st.leader, "rejoin")
 }
 
 // handleFrontier answers a single-chain frontier query with the same
@@ -175,14 +188,19 @@ func (n *Node) handleFrontier(now int64, from wire.NodeID, m *wire.FrontierReque
 	if _, banned := n.punish.Banned(n.leaderOf(m.Chain)); banned {
 		return nil
 	}
+	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: n.frontier(now, m.Chain)}}
+}
+
+// frontier signs the chain's certified frontier as a Gossip statement.
+func (n *Node) frontier(now int64, chain wire.NodeID) *wire.Gossip {
 	g := &wire.Gossip{
-		Edge:    m.Chain,
+		Edge:    chain,
 		Ts:      now,
-		LogSize: n.certs.Entries(m.Chain),
-		Blocks:  n.certs.Blocks(m.Chain),
+		LogSize: n.certs.Entries(chain),
+		Blocks:  n.certs.Blocks(chain),
 	}
 	g.CloudSig = wcrypto.SignMsg(n.key, g)
-	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: g}}
+	return g
 }
 
 // tickFailover runs the per-chain failure detectors: conviction of the
@@ -202,8 +220,8 @@ func (n *Node) tickFailover(now int64) []wire.Envelope {
 			continue
 		}
 		last := st.leaseBase
-		if mem := st.members[st.leader]; mem != nil && mem.lastHB > last {
-			last = mem.lastHB
+		if mem := st.members[st.leader]; mem != nil && mem.leased > last {
+			last = mem.leased
 		}
 		if now-last > n.cfg.LeaseTimeout {
 			out = append(out, n.transfer(now, chain, st, fmt.Sprintf("leader %s lease expired", st.leader))...)
@@ -244,48 +262,46 @@ func (n *Node) transfer(now int64, chain wire.NodeID, st *chainState, reason str
 		n.logf("chain has no promotable follower; marking dead", "chain", chain, "reason", reason)
 		return nil
 	}
-	remaining := make([]wire.NodeID, 0, len(st.followers))
-	for _, f := range st.followers {
-		if f == cand {
-			continue
-		}
-		if _, banned := n.punish.Banned(f); banned {
-			continue
-		}
-		remaining = append(remaining, f)
-	}
-	st.epoch++
 	prev := st.leader
 	st.leader = cand
-	st.followers = remaining
+	st.followers = slices.DeleteFunc(st.followers, func(f wire.NodeID) bool {
+		_, banned := n.punish.Banned(f)
+		return f == cand || banned
+	})
 	st.leaseBase = now
 	st.staleNow = 0
 	n.m.transfers.Inc()
-	n.logf("leadership transfer", "chain", chain, "epoch", st.epoch, "prev", prev, "new", cand, "reason", reason)
-
-	t := &wire.LeadershipTransfer{
-		Chain:     chain,
-		Epoch:     st.epoch,
-		Prev:      prev,
-		NewLeader: cand,
-		Followers: append([]wire.NodeID(nil), remaining...),
-		Reason:    reason,
-		Ts:        now,
-	}
-	t.CloudSig = wcrypto.SignMsg(n.key, t)
-	st.last = t
-
-	out := []wire.Envelope{{From: n.cfg.ID, To: cand, Msg: t}}
-	for _, f := range remaining {
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: t})
-	}
+	n.logf("leadership transfer", "chain", chain, "epoch", st.epoch+1, "prev", prev, "new", cand, "reason", reason)
+	out := n.signView(now, chain, st, prev, reason)
 	// The demoted leader (if merely slow, not dead) learns of its demotion
 	// too, so it stops serving under a stale epoch.
 	if _, banned := n.punish.Banned(prev); !banned {
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: prev, Msg: t})
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: prev, Msg: st.last})
 	}
 	for _, to := range n.cfg.GossipTo {
-		out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: t})
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: st.last})
+	}
+	return out
+}
+
+// signView signs the chain's membership as the view at the next epoch —
+// prev led before it — and addresses it to the leader and every follower.
+func (n *Node) signView(now int64, chain wire.NodeID, st *chainState, prev wire.NodeID, reason string) []wire.Envelope {
+	st.epoch++
+	v := &wire.LeadershipTransfer{
+		Chain:     chain,
+		Epoch:     st.epoch,
+		Prev:      prev,
+		NewLeader: st.leader,
+		Followers: slices.Clone(st.followers),
+		Reason:    reason,
+		Ts:        now,
+	}
+	v.CloudSig = wcrypto.SignMsg(n.key, v)
+	st.last = v
+	out := []wire.Envelope{{From: n.cfg.ID, To: st.leader, Msg: v}}
+	for _, f := range st.followers {
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: v})
 	}
 	return out
 }

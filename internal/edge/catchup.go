@@ -31,8 +31,8 @@ const catchUpRun = 16
 // the run is healing missing certificates over a complete mirror. Callers
 // own rate limiting via lastCatchUp.
 func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
-	n.lastCatchUp = now
-	n.catchUpEnd = from + catchUpRun
+	n.follow.lastCatchUp = now
+	n.follow.catchUpEnd = from + catchUpRun
 	n.m.catchUps.Inc()
 	req := &wire.CatchUpRequest{
 		Chain: n.cfg.Chain,
@@ -41,7 +41,7 @@ func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
 		Ts:    now,
 	}
 	req.Sig = wcrypto.SignMsg(n.key, req)
-	return wire.Envelope{From: n.cfg.ID, To: n.leader, Msg: req}
+	return wire.Envelope{From: n.cfg.ID, To: n.follow.leader, Msg: req}
 }
 
 // nextCatchUpRun asks for the next run once the mirror has reached the end
@@ -49,10 +49,10 @@ func (n *Node) requestCatchUp(now int64, from uint64) wire.Envelope {
 // (through, from the latest frame).
 func (n *Node) nextCatchUpRun(now int64, through uint64) []wire.Envelope {
 	tip := n.log.NumBlocks()
-	if n.catchUpEnd == 0 || tip < n.catchUpEnd {
+	if n.follow.catchUpEnd == 0 || tip < n.follow.catchUpEnd {
 		return nil
 	}
-	n.catchUpEnd = 0
+	n.follow.catchUpEnd = 0
 	if tip >= through {
 		return nil
 	}
@@ -65,9 +65,11 @@ func (n *Node) nextCatchUpRun(now int64, through uint64) []wire.Envelope {
 // requester signature on the same chain. Each frame is signed over the
 // digest of exactly the bytes shipped, and certified blocks carry their
 // certificate so the receiver can advance its certified prefix without
-// per-block cloud round-trips.
+// per-block cloud round-trips. On a persistent node a run stops at the
+// first block no successful sync covers: nothing leaves before it is
+// durable.
 func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUpRequest) []wire.Envelope {
-	if n.follower || m.Chain != n.cfg.Chain || m.Node != from {
+	if n.lead == nil || m.Chain != n.cfg.Chain || m.Node != from {
 		return nil
 	}
 	if err := wcrypto.VerifyMsg(n.reg, m.Node, m, m.Sig); err != nil {
@@ -78,6 +80,9 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 	end := min(m.From+catchUpRun, through)
 	var out []wire.Envelope
 	for bid := m.From; bid < end; bid++ {
+		if n.store != nil && !n.store.Covers(bid) {
+			break
+		}
 		blk, err := n.log.Block(bid)
 		if err != nil {
 			n.logf("cannot serve catch-up block", "bid", bid, "err", err)
@@ -113,12 +118,12 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 // blocks the mirror already holds. Clients consume the same message for
 // freshness; an edge only acts on it as a follower.
 func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip) []wire.Envelope {
-	if !n.follower || from != n.cfg.Cloud || m.Edge != n.cfg.Chain ||
-		n.leader == "" || n.cfg.CatchUpEvery <= 0 {
+	if n.follow == nil || from != n.cfg.Cloud || m.Edge != n.cfg.Chain ||
+		n.follow.leader == "" || n.cfg.CatchUpEvery <= 0 {
 		return nil
 	}
 	if (m.Blocks <= n.log.NumBlocks() && m.Blocks <= n.log.CertifiedBlocks()) ||
-		now-n.lastCatchUp < n.cfg.CatchUpEvery {
+		now-n.follow.lastCatchUp < n.cfg.CatchUpEvery {
 		return nil
 	}
 	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
@@ -140,96 +145,14 @@ func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip) []wire.
 	return []wire.Envelope{n.requestCatchUp(now, catchFrom)}
 }
 
-// handleGroupJoin adopts a cloud-signed rejoin admission. The cloud sends
-// it to both sides: the rejoining node learns the current leader and epoch
-// and starts catching up; the leader adds the node back to its replication
-// fan-out. Stale admissions (older epoch) are ignored so a delayed join
-// can never demote a newer view. Only the rejoining node adopts the
-// join's epoch, as it starts following the join's leader: a join can
-// overtake the transfer that promotes its leader, and a leader-to-be that
-// took the epoch from the join would ignore that transfer as stale.
-func (n *Node) handleGroupJoin(now int64, from wire.NodeID, m *wire.GroupJoin) []wire.Envelope {
-	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
-		return nil
-	}
-	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-		n.logf("dropping group join with bad cloud signature", "err", err)
-		return nil
-	}
-	if m.Epoch < n.epoch {
-		return nil
-	}
-	if m.Node == n.cfg.ID {
-		if m.Leader == n.cfg.ID {
-			return nil
-		}
-		n.epoch = m.Epoch
-		n.logf("rejoining replica group", "chain", n.cfg.Chain, "epoch", m.Epoch, "leader", m.Leader)
-		return n.demote(now, m.Leader)
-	}
-	if !n.follower && m.Leader == n.cfg.ID {
-		for _, f := range n.cfg.Followers {
-			if f == m.Node {
-				return nil
-			}
-		}
-		n.cfg.Followers = append(n.cfg.Followers, m.Node)
-		n.logf("follower rejoined; resuming replication", "chain", n.cfg.Chain, "follower", m.Node)
-	}
-	return nil
-}
-
-// demote re-points the node at leader as a mirroring follower and discards
-// everything the cloud never pinned. The uncertified tail may diverge from
-// the history the new leader replicates (blocks this node cut, or mirrored
-// from a dead leader, that were never certified), so it is truncated — in
-// memory and in the durable segment — and refetched through certified
-// catch-up. The certified prefix is identical everywhere by construction
-// and stays. Role state from the old life (withheld group-commit acks,
-// the submitter and proof-waiter tables, an in-flight merge claim) is
-// dropped with it.
-func (n *Node) demote(now int64, leader wire.NodeID) []wire.Envelope {
-	n.follower = true
-	n.leader = leader
-	n.cfg.Followers = nil
-	if n.pendingRepl == nil {
-		n.pendingCerts = make(map[uint64]wire.BlockProof)
-		n.replSigs = make(map[uint64][]byte)
-		n.poisoned = make(map[uint64]bool)
-	}
-	n.pendingRepl = make(map[uint64]stashedBlock)
-	if removed := n.log.TruncateUncertified(); removed > 0 {
-		n.m.truncated.Add(uint64(removed))
-		n.logf("truncated uncertified tail on demotion",
-			"removed", removed, "keep", n.log.NumBlocks())
-		if n.store != nil {
-			if err := n.store.ResetTo(n.log); err != nil {
-				n.logf("rewriting durable segment after truncation failed", "err", err)
-			}
-		}
-	}
-	// Replication signatures above the kept prefix vouch for truncated
-	// content; the new leader re-signs what catch-up ships.
-	for bid := range n.replSigs {
-		if bid >= n.log.NumBlocks() {
-			delete(n.replSigs, bid)
-		}
-	}
-	n.pendingAcks, n.heldCuts = nil, nil
-	n.merging = nil
-	n.resetTables()
-	out := []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: &wire.FrontierRequest{Chain: n.cfg.Chain}}}
-	out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
-	return out
-}
-
 // Restart revives a killed node as a blank follower, modelling a process
 // that lost its in-memory state (the durable store, when present, is reset
 // with the empty log — the diskless-restart case; a process restart with
 // an intact store goes through NewPersistent instead). The node knows its
-// chain but not who leads it: it heartbeats, the cloud notices a known
-// member reporting from scratch and sends a GroupJoin naming the current
-// leader, and certified catch-up rebuilds the mirror.
+// chain but neither its view nor its leader: its heartbeats report none,
+// the cloud answers with the current view (or re-admits it by a new one),
+// and certified catch-up rebuilds the mirror. A view naming the node
+// itself leader is not adopted from this blank state (adoptView).
 func (n *Node) Restart(now int64) {
 	n.killed = false
 	n.setLog(wlog.New(n.cfg.Chain, n.cfg.BatchSize))
@@ -241,26 +164,13 @@ func (n *Node) Restart(now int64) {
 			n.logf("resetting durable segment on restart failed", "err", err)
 		}
 	}
-	n.resetTables()
 	n.l0From = 0
-	n.merging = nil
-	n.pendingAcks, n.heldCuts = nil, nil
 	n.lastSync = noSync
 	n.lastArrival = 0
-	n.follower = true
-	n.leader = ""
-	n.epoch = 0
-	n.transfer = nil
-	n.early = nil
 	n.lastHB = 0
-	n.pendingRepl = make(map[uint64]stashedBlock)
-	n.pendingCerts = make(map[uint64]wire.BlockProof)
-	n.replSigs = make(map[uint64][]byte)
-	n.poisoned = make(map[uint64]bool)
-	n.accused = make(map[uint64]bool)
-	n.lastCertFrontier = 0
-	n.certStallSince = now
-	n.lastCatchUp = now
-	n.catchUpEnd = 0
+	n.epoch = 0
+	n.replSigs, n.poisoned, n.accused = nil, nil, nil
+	n.lead = nil
+	n.follow = newFollowerRole("", nil)
 	n.logf("restarted as blank follower", "chain", n.cfg.Chain)
 }

@@ -42,14 +42,14 @@ type Config struct {
 	// where node and chain coincide). In a replica group every member
 	// shares the chain while keeping its own node identity and key.
 	Chain wire.NodeID
-	// Followers lists the replica nodes mirroring this node's log while it
-	// leads the chain: every cut block is replicated to them and every
-	// cloud merge response is forwarded.
+	// Followers is the initial view of a node that starts as the chain's
+	// leader: the replica nodes mirroring its log. The cloud's signed views
+	// replace it as the group changes.
 	Followers []wire.NodeID
 	// Follower starts the node as a mirroring follower of Chain: it
 	// installs replicated blocks, audits their digests against cloud
 	// certificates, heartbeats the cloud, and serves no client traffic
-	// until a signed LeadershipTransfer promotes it.
+	// until a signed view (LeadershipTransfer) promotes it.
 	Follower bool
 	// HeartbeatEvery is the replica-liveness heartbeat period in
 	// nanoseconds. 0 = the layer default in a replica group (Follower set
@@ -197,64 +197,35 @@ type Node struct {
 	log *wlog.Log
 	idx *mlsm.Index
 
-	reqs core.Window[wire.NodeID] // log position -> submitter, until the position is cut
-	// waiters holds, per uncertified block, the distinct clients its
-	// certificate is forwarded to: those that wrote an entry of it and
-	// those served it by a read, get, scan or re-ack. Its floor chases the
-	// certified frontier — a certified block registers no waiter.
-	waiters     core.Window[[]wire.NodeID]
 	l0From      uint64 // first uncompacted block id
 	nextReq     uint64
 	lastArrival int64
 	store       *wlog.Store // nil = in-memory only
 
-	// merging is the merge request in flight (at most one), kept whole:
-	// the response carries no pages, so the merged level is re-derived
-	// from its blocks, which the log holds anyway, and the index's levels,
-	// and tickHealing re-sends it when the answer is overdue since
-	// mergeSentAt.
-	merging     *wire.MergeRequest
-	mergeSentAt int64
+	// lastSync is when the last successful group-commit sync returned
+	// (noSync: none yet), and turnStart the wall-clock start of the current
+	// turn, which dates that return in the turn's time.
+	lastSync  int64
+	turnStart time.Time
 
-	// Group commit: outputs of persisted-but-unsynced blocks (and re-acks
-	// of them), withheld until the shared fsync; the cut times of those
-	// blocks; when the last successful sync returned (noSync: none yet);
-	// and the wall-clock start of the current turn, which dates that
-	// return in the turn's time.
-	pendingAcks []wire.Envelope
-	heldCuts    []int64
-	lastSync    int64
-	turnStart   time.Time
+	// Role state: exactly one of lead and follow is set, for the role the
+	// node holds under the view of epoch epoch. Adopting a view is the one
+	// place they change (adoptView). killed simulates a crashed process
+	// (the node answers nothing).
+	lead   *leaderRole
+	follow *followerRole
+	epoch  uint64
+	killed bool
+	lastHB int64
 
-	// Replica-group state. follower and leader track the node's current
-	// role under the chain's latest leadership epoch; killed simulates a
-	// crashed process (the node answers nothing).
-	follower bool
-	leader   wire.NodeID
-	epoch    uint64
-	killed   bool
-	lastHB   int64
-	// transfer is the newest cloud-signed transfer naming another
-	// leader; while a follower, the node answers client requests with it
-	// (announceLeader).
-	transfer *wire.LeadershipTransfer
-	// early holds client requests that reached this follower while it held
-	// no transfer to point them at: a rebound client can hear of this
-	// node's promotion before the node does, because the cloud's copy
-	// travels on another connection. The first transfer to arrive settles
-	// them (heldEarly). At most maxEarly are kept.
-	early []wire.Envelope
-	// Follower-side mirroring: out-of-order replicated blocks and early
-	// certificates waiting for their block, plus the leader's replication
-	// signature per installed block — the convicting evidence if the
-	// mirrored digest ever contradicts the cloud's certificate.
-	pendingRepl  map[uint64]stashedBlock
-	pendingCerts map[uint64]wire.BlockProof
-	replSigs     map[uint64][]byte
-	// poisoned marks mirrored blocks whose digest a cloud certificate
-	// contradicted (the leader equivocated on the replication stream).
-	// Their honest content is unrecoverable here, so a promoted successor
-	// must never re-certify or vouch for them.
+	// Log-history state, which outlives a role. replSigs holds the
+	// leader's replication signature per mirrored, uncertified block — the
+	// convicting evidence if the mirrored digest ever contradicts the
+	// cloud's certificate. poisoned marks mirrored blocks whose digest a
+	// cloud certificate contradicted (the leader equivocated on the
+	// replication stream): their honest content is unrecoverable here, so
+	// a promoted successor must never re-certify or vouch for them.
+	replSigs map[uint64][]byte
 	poisoned map[uint64]bool
 
 	// accused tracks block ids this follower has already filed a
@@ -263,16 +234,7 @@ type Node struct {
 	// each redelivery would flood the cloud with identical evidence.
 	accused map[uint64]bool
 
-	// Self-healing timers. certStallSince tracks how long the certified
-	// frontier (lastCertFrontier) has been stuck with an uncertified
-	// backlog — the leader's stall-gated cert retry trigger. lastCatchUp
-	// rate-limits a follower's gap-driven catch-up requests; catchUpEnd is
-	// the end of the run it last asked for (0 once that run is in).
-	lastCertFrontier uint64
-	certStallSince   int64
-	lastCatchUp      int64
-	catchUpEnd       uint64
-	lastShedLog      int64
+	lastShedLog int64
 
 	// lastOverload rate-limits the signed Overloaded shed signal per
 	// client: a shed batch triggers one signature, not one per entry.
@@ -315,26 +277,7 @@ type Stats struct {
 // New constructs an in-memory edge node with the given key and registry.
 func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 	cfg.fill()
-	n := &Node{
-		cfg:      cfg,
-		key:      key,
-		reg:      reg,
-		log:      wlog.New(cfg.Chain, cfg.BatchSize),
-		idx:      mlsm.NewIndex(cfg.LevelThresholds),
-		follower: cfg.Follower,
-		leader:   cfg.ID,
-		lastSync: noSync,
-		m:        newMetrics(cfg.Metrics, string(cfg.ID)),
-	}
-	n.setLog(n.log)
-	if cfg.Follower {
-		n.leader = cfg.Chain
-		n.pendingRepl = make(map[uint64]stashedBlock)
-		n.pendingCerts = make(map[uint64]wire.BlockProof)
-		n.replSigs = make(map[uint64][]byte)
-		n.poisoned = make(map[uint64]bool)
-	}
-	return n
+	return newNode(cfg, key, reg, wlog.New(cfg.Chain, cfg.BatchSize), nil)
 }
 
 // NewPersistent constructs an edge node whose log is durably stored under
@@ -345,15 +288,33 @@ func New(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry) *Node {
 // from the log via the cloud's merge service, matching the paper's model
 // where the cloud is the index's authority.
 func NewPersistent(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry, dataDir string, durable bool) (*Node, int, error) {
-	n := New(cfg, key, reg)
-	log, store, blocks, _, err := wlog.Recover(dataDir, n.cfg.Chain, n.cfg.BatchSize, reg, n.cfg.Cloud)
+	cfg.fill()
+	log, store, blocks, _, err := wlog.Recover(dataDir, cfg.Chain, cfg.BatchSize, reg, cfg.Cloud)
 	if err != nil {
 		return nil, 0, err
 	}
+	return newNode(cfg, key, reg, log, store), blocks, nil
+}
+
+// newNode builds a node on log (and store, when durable) in the role its
+// config names: the initial view.
+func newNode(cfg Config, key wcrypto.KeyPair, reg *wcrypto.Registry, log *wlog.Log, store *wlog.Store) *Node {
+	n := &Node{
+		cfg:      cfg,
+		key:      key,
+		reg:      reg,
+		idx:      mlsm.NewIndex(cfg.LevelThresholds),
+		store:    store,
+		lastSync: noSync,
+		m:        newMetrics(cfg.Metrics, string(cfg.ID)),
+	}
 	n.setLog(log)
-	n.store = store
-	n.resetTables()
-	return n, blocks, nil
+	if cfg.Follower {
+		n.follow = newFollowerRole(cfg.Chain, nil)
+	} else {
+		n.lead = newLeaderRole(cfg.ID, cfg.Followers, log)
+	}
+	return n
 }
 
 // setLog makes l the node's log and points its metrics at the node's.
@@ -447,7 +408,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch env.Msg.(type) {
 	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.ScanRequest, *wire.ReserveRequest:
-		if n.follower {
+		if n.follow != nil {
 			return n.announceLeader(env)
 		}
 	}
@@ -500,11 +461,9 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 	case *wire.ReplicateBlock:
 		return n.handleReplicate(now, env.From, m)
 	case *wire.LeadershipTransfer:
-		return n.handleTransfer(now, env.From, m)
+		return n.adoptView(now, env.From, m)
 	case *wire.CatchUpRequest:
 		return n.handleCatchUpRequest(now, env.From, m)
-	case *wire.GroupJoin:
-		return n.handleGroupJoin(now, env.From, m)
 	case *wire.Gossip:
 		// Client-facing freshness gossip; a follower additionally reads
 		// it as a trusted statement of the chain's certified frontier and
@@ -541,22 +500,30 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 // gap-driven catch-up.
 func (n *Node) tickHealing(now int64) []wire.Envelope {
 	var out []wire.Envelope
-	if !n.follower && n.cfg.CertRetryEvery > 0 &&
-		(n.cfg.Fault == nil || !n.cfg.Fault.DropCertify) {
+	if f := n.follow; f != nil {
+		if f.leader != "" && n.cfg.CatchUpEvery > 0 &&
+			(len(f.pendingRepl) > 0 || len(f.pendingCerts) > 0) &&
+			now-f.lastCatchUp >= n.cfg.CatchUpEvery {
+			out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
+		}
+		return out
+	}
+	l := n.lead
+	if n.cfg.CertRetryEvery > 0 && (n.cfg.Fault == nil || !n.cfg.Fault.DropCertify) {
 		var frontier uint64
 		if ct, ok := n.log.CertifiedThrough(); ok {
 			frontier = ct + 1
 		}
-		if frontier >= n.log.NumBlocks() || frontier != n.lastCertFrontier {
+		if frontier >= n.log.NumBlocks() || frontier != l.lastCertFrontier {
 			// No backlog, or the frontier moved: (re)arm the stall timer.
-			n.lastCertFrontier = frontier
-			n.certStallSince = now
-		} else if now-n.certStallSince >= n.cfg.CertRetryEvery {
+			l.lastCertFrontier = frontier
+			l.certStallSince = now
+		} else if now-l.certStallSince >= n.cfg.CertRetryEvery {
 			// The backlog is stuck: the certify request or its proof was
 			// lost. Re-submit the whole uncertified tail — the cloud
 			// answers already-certified digests with the cached proof, so
 			// duplicates heal lost proofs instead of causing conflicts.
-			n.certStallSince = now
+			l.certStallSince = now
 			if retry := n.certifyTail(now); len(retry) > 0 {
 				n.m.certRetries.Inc()
 				n.logf("certification stalled; retrying uncertified tail",
@@ -565,18 +532,13 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 			}
 		}
 	}
-	if n.merging != nil && n.cfg.CertRetryEvery > 0 && now-n.mergeSentAt >= n.cfg.CertRetryEvery {
+	if l.merging != nil && n.cfg.CertRetryEvery > 0 && now-l.mergeSentAt >= n.cfg.CertRetryEvery {
 		// The request or its response was lost. If the cloud never saw
 		// the request it merges now; if it did, it replays the response it
 		// already signed — a repeat never merges twice.
 		n.m.mergeRetries.Inc()
-		n.logf("merge response overdue; re-sending request", "req", n.merging.ReqID)
-		out = append(out, n.sendMerge(now, n.merging))
-	}
-	if n.follower && n.leader != "" && n.cfg.CatchUpEvery > 0 &&
-		(len(n.pendingRepl) > 0 || len(n.pendingCerts) > 0) &&
-		now-n.lastCatchUp >= n.cfg.CatchUpEvery {
-		out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
+		n.logf("merge response overdue; re-sending request", "req", l.merging.ReqID)
+		out = append(out, n.sendMerge(now, l.merging))
 	}
 	return out
 }
@@ -631,7 +593,7 @@ func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, batchSigne
 	}
 	n.m.writes.Inc()
 	n.lastArrival = now
-	n.reqs.Set(pos, e.Client)
+	n.lead.reqs.Set(pos, e.Client)
 	blk := n.log.TryCut(now, false)
 	if blk == nil {
 		return nil
@@ -695,8 +657,8 @@ func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 		n.logf("persist failed; withholding acknowledgements", "bid", blk.ID, "err", err)
 		return nil
 	}
-	n.pendingAcks = append(n.pendingAcks, n.blockOutputs(now, blk)...)
-	n.heldCuts = append(n.heldCuts, now)
+	n.lead.pendingAcks = append(n.lead.pendingAcks, n.blockOutputs(now, blk)...)
+	n.lead.heldCuts = append(n.lead.heldCuts, now)
 	return nil
 }
 
@@ -713,7 +675,7 @@ func (n *Node) syncDue(now int64) bool {
 // window has elapsed, it syncs and puts them ahead of the turn's own out.
 // A node that died in this turn releases nothing more.
 func (n *Node) releaseDue(now int64, out []wire.Envelope) []wire.Envelope {
-	if n.killed || len(n.pendingAcks)+len(n.heldCuts) == 0 || !n.syncDue(now) {
+	if n.killed || n.lead == nil || len(n.lead.pendingAcks)+len(n.lead.heldCuts) == 0 || !n.syncDue(now) {
 		return out
 	}
 	return append(n.flushPending(now), out...)
@@ -727,18 +689,19 @@ func (n *Node) releaseDue(now int64, out []wire.Envelope) []wire.Envelope {
 // otherwise have elapsed before the next turn begins, giving every block
 // of a burst an fsync of its own.
 func (n *Node) flushPending(now int64) []wire.Envelope {
-	out := n.pendingAcks
-	n.pendingAcks = nil
+	l := n.lead
+	out := l.pendingAcks
+	l.pendingAcks = nil
 	if err := n.store.Sync(); err != nil {
 		n.logf("group-commit sync failed; withholding acknowledgements", "err", err)
-		n.heldCuts = n.heldCuts[:0]
+		l.heldCuts = l.heldCuts[:0]
 		return nil
 	}
 	n.lastSync = now + time.Since(n.turnStart).Nanoseconds()
-	for _, at := range n.heldCuts {
+	for _, at := range l.heldCuts {
 		n.m.ackHold.Observe(float64(now-at) / 1e9)
 	}
-	n.heldCuts = n.heldCuts[:0]
+	l.heldCuts = l.heldCuts[:0]
 	return out
 }
 
@@ -749,15 +712,15 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 	// active sessions), so a linear scan dedups without a per-cut map.
 	responders := make([]wire.NodeID, 0, 8)
 	for i := range blk.Entries {
-		client, ok := n.reqs.Take(blk.StartPos + uint64(i))
+		client, ok := n.lead.reqs.Take(blk.StartPos + uint64(i))
 		if ok && !slices.Contains(responders, client) { // !ok: reservation no-op
 			responders = append(responders, client)
 		}
 	}
 	// Positions whose acknowledgements were dropped (a block whose persist
 	// failed) must not leak into later blocks.
-	n.reqs.Advance(blk.StartPos + uint64(len(blk.Entries)))
-	n.waiters.Set(blk.ID, responders)
+	n.lead.reqs.Advance(blk.StartPos + uint64(len(blk.Entries)))
+	n.lead.waiters.Set(blk.ID, responders)
 
 	digest, err := n.log.Digest(blk.ID)
 	if err != nil {
@@ -821,7 +784,7 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 		n.logf("dropping block-proof with bad cloud signature", "err", err)
 		return nil
 	}
-	if n.follower {
+	if n.follow != nil {
 		// Follower path: the certificate audits the mirrored log instead of
 		// upgrading acknowledged blocks — a digest mismatch convicts the
 		// leader with its own replication stream.
@@ -841,11 +804,13 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 	n.m.certified.Inc()
 	n.m.markCertified(p.BID, now)
 	var out []wire.Envelope
-	waiting, _ := n.waiters.Take(p.BID)
+	waiting, _ := n.lead.waiters.Take(p.BID)
 	for _, c := range waiting {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: cloneProof(p)})
 	}
-	n.advanceWaiters()
+	// The table's floor chases the certified frontier, so its live window
+	// stays as small as the uncertified suffix.
+	n.lead.waiters.Advance(n.CertifiedBlocks())
 	out = append(out, n.maybeStartMerge(now)...)
 	return out
 }
@@ -854,33 +819,16 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 // once however often it asks. A bid behind the table's floor is certified
 // already and registers nothing.
 func (n *Node) awaitProof(bid uint64, client wire.NodeID) {
-	if ws, _ := n.waiters.Get(bid); !slices.Contains(ws, client) {
-		n.waiters.Set(bid, append(ws, client))
+	if ws, _ := n.lead.waiters.Get(bid); !slices.Contains(ws, client) {
+		n.lead.waiters.Set(bid, append(ws, client))
 	}
-}
-
-// advanceWaiters moves the waiter table's floor to the certified frontier,
-// so the live window stays as small as the uncertified suffix.
-func (n *Node) advanceWaiters() {
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		n.waiters.Advance(ct + 1)
-	}
-}
-
-// resetTables starts both tables over on a log this node did not cut —
-// recovered, mirrored, or truncated: what it holds was acknowledged by
-// someone else, so nothing behind the log's frontier or the certified
-// frontier has a submitter or a waiter here.
-func (n *Node) resetTables() {
-	n.reqs = core.Window[wire.NodeID]{}
-	n.reqs.Advance(n.log.NextPos())
-	n.waiters = core.Window[[]wire.NodeID]{}
-	n.advanceWaiters()
 }
 
 // handleRead serves read(bid) with the paper's three cases: not available
 // (signed denial), Phase II read (block + proof), Phase I read (block, no
-// proof yet; the proof is forwarded when it arrives).
+// proof yet; the proof is forwarded when it arrives). On a persistent node
+// a block no successful sync covers yet is not durable, so its response
+// joins the held outputs and leaves with the next sync.
 func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wire.Envelope {
 	n.m.reads.Inc()
 	resp := &wire.ReadResponse{ReqID: m.ReqID, BID: m.BID, Ts: now}
@@ -922,7 +870,12 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 	} else {
 		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
 	}
-	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
+	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
+	if resp.OK && n.store != nil && !n.store.Covers(m.BID) {
+		n.lead.pendingAcks = append(n.lead.pendingAcks, out...)
+		return nil
+	}
+	return out
 }
 
 // handleReserve grants log positions for the idempotence extension.
@@ -951,7 +904,7 @@ func (n *Node) handleReserve(now int64, from wire.NodeID, m *wire.ReserveRequest
 // only its header, since the cloud merges what it kept of both levels. So
 // starting a merge hashes no block or page.
 func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
-	if n.merging != nil || n.follower {
+	if n.lead == nil || n.lead.merging != nil {
 		return nil
 	}
 	if n.cfg.Fault != nil && n.cfg.Fault.FreezeIndex {
@@ -987,7 +940,7 @@ func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 	}
 	req.ReqID = n.nextReqID()
 	req.EdgeSig = wcrypto.SignMergeRequest(n.key, req, l0Digests)
-	n.merging = req
+	n.lead.merging = req
 	n.m.merges.Inc()
 	return []wire.Envelope{n.sendMerge(now, req)}
 }
@@ -995,7 +948,7 @@ func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 // sendMerge ships the in-flight merge request — first send or re-send —
 // and restarts its retry timer.
 func (n *Node) sendMerge(now int64, req *wire.MergeRequest) wire.Envelope {
-	n.mergeSentAt = now
+	n.lead.mergeSentAt = now
 	env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: req}
 	n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
 	return env
@@ -1018,7 +971,7 @@ func (n *Node) nextReqID() uint64 {
 func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeResponse) []wire.Envelope {
 	// Followers accept merge responses forwarded by their leader; the
 	// cloud's signature keeps the leader from forging an install.
-	if from != n.cfg.Cloud && !(n.follower && from == n.leader) {
+	if from != n.cfg.Cloud && (n.follow == nil || from != n.follow.leader) {
 		return nil
 	}
 	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
@@ -1026,15 +979,15 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 		return nil
 	}
 	var req *wire.MergeRequest
-	if !n.follower {
+	if l := n.lead; l != nil {
 		// Only the answer to the request in flight counts: a duplicate (the
 		// request was re-sent and both answers arrived) or a replay of an
 		// older response finds nothing to derive from.
-		req = n.merging
+		req = l.merging
 		if req == nil || m.Edge != req.Edge || m.ReqID != req.ReqID || m.FromLevel != req.FromLevel {
 			return nil
 		}
-		n.merging = nil
+		l.merging = nil
 	}
 	if !m.OK {
 		n.logf("cloud rejected merge", "reason", m.Reason)
@@ -1067,13 +1020,13 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 		return nil
 	}
 	var out []wire.Envelope
-	if !n.follower && len(n.cfg.Followers) > 0 {
+	if n.lead != nil && len(n.lead.followers) > 0 {
 		// Mirror the install: followers run the same path off the same
 		// cloud-signed response, so a promoted follower starts with the
 		// chain's current LSMerkle instead of an empty index.
 		mirror := *m
 		mirror.NewPages = pages
-		for _, f := range n.cfg.Followers {
+		for _, f := range n.lead.followers {
 			out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: &mirror})
 		}
 	}

@@ -404,8 +404,8 @@ func TestMixedBlockOneAckOneProofPerClient(t *testing.T) {
 		if got := perClient(out, wire.KindBlockProof); fmt.Sprint(got) != fmt.Sprint(want) || len(out) != len(want) {
 			t.Fatalf("writers %v: proofs %v among %v, want %v", writers, got, kindsOf(out), want)
 		}
-		if f.node.waiters.Len() != 0 {
-			t.Fatalf("writers %v: %d blocks still waited on", writers, f.node.waiters.Len())
+		if f.node.lead.waiters.Len() != 0 {
+			t.Fatalf("writers %v: %d blocks still waited on", writers, f.node.lead.waiters.Len())
 		}
 	}
 }

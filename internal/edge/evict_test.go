@@ -179,11 +179,13 @@ func TestRestartedFollowerEvictsBelowItsWindow(t *testing.T) {
 	}
 
 	r.follower.Restart(r.now)
-	join := &wire.GroupJoin{Chain: "edge-1", Node: "edge-1.r1", Leader: "edge-1", Epoch: 0, Ts: r.now}
-	join.CloudSig = wcrypto.SignMsg(r.keys["cloud"], join)
+	// The cloud re-admits the blank node by a view that keeps the leader.
+	view := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 1, Prev: "edge-1", NewLeader: "edge-1",
+		Followers: []wire.NodeID{"edge-1.r1"}, Reason: "rejoin", Ts: r.now}
+	view.CloudSig = wcrypto.SignMsg(r.keys["cloud"], view)
 	readsBefore := r.segmentReads("edge-1")
 	var served int
-	for _, env := range r.pump(t, wire.Envelope{From: "cloud", To: "edge-1.r1", Msg: join}) {
+	for _, env := range r.pump(t, wire.Envelope{From: "cloud", To: "edge-1", Msg: view}, wire.Envelope{From: "cloud", To: "edge-1.r1", Msg: view}) {
 		if m, ok := env.Msg.(*wire.ReplicateBlock); ok && env.To == "edge-1.r1" {
 			if !bytes.Equal(m.Block.Canonical(), cut[m.Block.ID]) {
 				t.Fatalf("catch-up block %d differs from the block as cut", m.Block.ID)

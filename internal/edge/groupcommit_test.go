@@ -21,7 +21,9 @@ import (
 func ms(v int64) int64 { return v * int64(time.Millisecond) }
 
 // gcRig is a persistent edge-1 with one-entry blocks under a group-commit
-// window of windowMS milliseconds, and the client c1 writing to it.
+// window of windowMS milliseconds (each option applied to its config), the
+// client c1 writing to it, and a replica edge-1.r1 that may ask it for
+// catch-up.
 type gcRig struct {
 	n       *Node
 	cfg     Config
@@ -31,10 +33,10 @@ type gcRig struct {
 	metrics *obs.Registry
 }
 
-func newGCRig(t *testing.T, windowMS int64) *gcRig {
+func newGCRig(t *testing.T, windowMS int64, opts ...func(*Config)) *gcRig {
 	t.Helper()
 	r := &gcRig{keys: map[wire.NodeID]wcrypto.KeyPair{}, reg: wcrypto.NewRegistry(), metrics: obs.NewRegistry(), dir: t.TempDir()}
-	for _, id := range []wire.NodeID{"edge-1", "cloud", "c1"} {
+	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "cloud", "c1"} {
 		k := wcrypto.DeterministicKey(id)
 		r.keys[id] = k
 		r.reg.Register(id, k.Pub)
@@ -44,6 +46,9 @@ func newGCRig(t *testing.T, windowMS int64) *gcRig {
 		BatchSize: 1, L0Threshold: 100,
 		SyncEvery: ms(windowMS),
 		Metrics:   r.metrics,
+	}
+	for _, opt := range opts {
+		opt(&r.cfg)
 	}
 	n, _, err := NewPersistent(r.cfg, r.keys["edge-1"], r.reg, r.dir, true)
 	if err != nil {
@@ -68,14 +73,19 @@ func (r *gcRig) tick(t *testing.T, now int64) []wire.Envelope {
 	return r.durable(t, r.n.Tick(now))
 }
 
-// durable fails the test if out acknowledges, replicates or certifies a
-// block no successful sync covers yet, and returns out.
+// durable fails the test if out acknowledges, serves, replicates or
+// certifies a block no successful sync covers yet, and returns out.
 func (r *gcRig) durable(t *testing.T, out []wire.Envelope) []wire.Envelope {
 	t.Helper()
 	for _, env := range out {
 		var bid uint64
 		switch m := env.Msg.(type) {
 		case *wire.PutResponse:
+			bid = m.BID
+		case *wire.ReadResponse:
+			if !m.OK {
+				continue
+			}
 			bid = m.BID
 		case *wire.ReplicateBlock:
 			bid = m.Block.ID
@@ -284,10 +294,13 @@ func TestGroupCommitRestartResetsSyncClock(t *testing.T) {
 	r.write(t, ms(1), 1) // the old life's last sync runs at 1 ms
 	r.n.killed = true
 	r.n.Restart(ms(2))
-	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, NewLeader: "edge-1", Reason: "test", Ts: ms(3)}
-	tr.CloudSig = wcrypto.SignMsg(r.keys["cloud"], tr)
-	r.durable(t, r.n.Receive(ms(3), wire.Envelope{From: "cloud", To: "edge-1", Msg: tr}))
-	if r.n.follower {
+	// A blank node leads only after a view has named it a leader to follow.
+	for epoch, leader := range []wire.NodeID{"edge-2", "edge-1"} {
+		tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: uint64(epoch + 1), NewLeader: leader, Reason: "test", Ts: ms(3)}
+		tr.CloudSig = wcrypto.SignMsg(r.keys["cloud"], tr)
+		r.durable(t, r.n.Receive(ms(3), wire.Envelope{From: "cloud", To: "edge-1", Msg: tr}))
+	}
+	if r.n.IsFollower() {
 		t.Fatal("the restarted node was not promoted")
 	}
 	var k map[wire.Kind]int
@@ -313,5 +326,63 @@ func TestResendNotReackedBeforeSync(t *testing.T) {
 	var k map[wire.Kind]int
 	if got := r.syncs(func() { k = kindsOf(r.tick(t, ms(2000))) }); got != 1 || k[wire.KindPutResponse] != 2 {
 		t.Fatalf("the flush released %v with %d fsyncs, want the ack and the re-ack after 1", k, got)
+	}
+}
+
+// heldBlock writes two blocks: block 0 is synced and released in its turn,
+// block 1 is cut inside the window and held.
+func (r *gcRig) heldBlock(t *testing.T) {
+	t.Helper()
+	r.write(t, ms(1), 1)
+	if out := r.write(t, ms(2), 2); out != nil {
+		t.Fatalf("write 2 acknowledged inside the window: %v", kindsOf(out))
+	}
+}
+
+// TestReadNotServedBeforeSync: a read of a block no sync covers yet is
+// answered with the block's own held outputs, after the shared sync — a
+// crash before it must not leave a reader holding a signed block the node
+// lost.
+func TestReadNotServedBeforeSync(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.heldBlock(t)
+	read := func(now int64, bid uint64) []wire.Envelope {
+		return r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ReadRequest{ReqID: bid, BID: bid}}))
+	}
+	if k := kindsOf(read(ms(3), 0)); k[wire.KindReadResponse] != 1 {
+		t.Fatalf("a read of the synced block released %v, want its response", k)
+	}
+	if out := read(ms(4), 1); out != nil {
+		t.Fatalf("a read of the held block was answered before its sync: %v", kindsOf(out))
+	}
+	if k := kindsOf(r.tick(t, ms(2000))); k[wire.KindReadResponse] != 1 || k[wire.KindPutResponse] != 1 {
+		t.Fatalf("the flush released %v, want the held ack and the read response", k)
+	}
+}
+
+// TestCatchUpRunStopsAtUnsyncedBlock: a catch-up run ships the synced
+// prefix and stops at the first block no sync covers.
+func TestCatchUpRunStopsAtUnsyncedBlock(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.heldBlock(t)
+	req := &wire.CatchUpRequest{Chain: "edge-1", Node: "edge-1.r1", From: 0, Ts: ms(3)}
+	req.Sig = wcrypto.SignMsg(r.keys["edge-1.r1"], req)
+	out := r.durable(t, r.n.Receive(ms(3), wire.Envelope{From: "edge-1.r1", To: "edge-1", Msg: req}))
+	if k := kindsOf(out); len(out) != 1 || k[wire.KindReplicateBlock] != 1 {
+		t.Fatalf("the catch-up run sent %v, want block 0 alone", k)
+	}
+}
+
+// TestStallRetryStopsAtUnsyncedBlock: the stall-gated certification retry
+// re-submits the synced part of the uncertified tail and stops at the
+// first block no sync covers; that block's certify leaves with its sync.
+func TestStallRetryStopsAtUnsyncedBlock(t *testing.T) {
+	r := newGCRig(t, 100, func(c *Config) { c.CertRetryEvery = ms(1) })
+	defer r.n.CloseStore()
+	r.heldBlock(t)
+	if c, _ := only[*wire.BlockCertify](t, r.tick(t, ms(3))); c.BID != 0 {
+		t.Fatalf("the stalled retry certified block %d, want block 0", c.BID)
 	}
 }

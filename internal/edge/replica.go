@@ -2,21 +2,110 @@ package edge
 
 import (
 	"bytes"
+	"slices"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
+	"wedgechain/internal/wlog"
 )
 
 // Replica groups: a shard's chain is served by one leader and mirrored by
 // followers. The leader streams every cut block to the followers signed
 // with the block-ack body (the same 44-byte promise the client
 // acknowledgements carry), the followers audit the stream against the
-// cloud's certificates, and the cloud's signed LeadershipTransfer promotes
-// the follower with the longest certified prefix when the leader crashes,
-// stalls certification, or is convicted. Nothing here adds trust: a
-// follower is just another untrusted edge node, kept honest by the same
-// lazy certification that polices the leader.
+// cloud's certificates, and the cloud's signed view (LeadershipTransfer)
+// promotes the follower with the longest certified prefix when the leader
+// crashes, stalls certification, or is convicted, and re-admits a member
+// that rejoins. Nothing here adds trust: a follower is just another
+// untrusted edge node, kept honest by the same lazy certification that
+// polices the leader.
+
+// leaderRole is the state a node holds only while it leads its chain.
+// Adopting a view that makes the node leader builds it whole; losing the
+// lead drops it whole.
+type leaderRole struct {
+	// followers is the replication fan-out under the adopted view: every
+	// cut block is replicated to them and every merge response mirrored.
+	followers []wire.NodeID
+	reqs      core.Window[wire.NodeID] // log position -> submitter, until the position is cut
+	// waiters holds, per uncertified block, the distinct clients its
+	// certificate is forwarded to: those that wrote an entry of it and
+	// those served it by a read, get, scan or re-ack. Its floor chases the
+	// certified frontier — a certified block registers no waiter.
+	waiters core.Window[[]wire.NodeID]
+	// merging is the merge request in flight (at most one), kept whole:
+	// the response carries no pages, so the merged level is re-derived
+	// from its blocks, which the log holds anyway, and the index's levels,
+	// and tickHealing re-sends it when the answer is overdue since
+	// mergeSentAt.
+	merging     *wire.MergeRequest
+	mergeSentAt int64
+	// Group commit: outputs of persisted-but-unsynced blocks (and re-acks
+	// and reads of them), withheld until the shared fsync, and the cut
+	// times of those blocks.
+	pendingAcks []wire.Envelope
+	heldCuts    []int64
+	// certStallSince tracks how long the certified frontier
+	// (lastCertFrontier) has been stuck with an uncertified backlog — the
+	// stall-gated cert retry trigger.
+	lastCertFrontier uint64
+	certStallSince   int64
+}
+
+// newLeaderRole starts leading on log with the view's followers (self
+// left out). Whatever the log holds was acknowledged before this role —
+// cut in an earlier life, recovered, or mirrored — so nothing behind its
+// frontier has a submitter, and nothing behind the certified frontier a
+// waiter.
+func newLeaderRole(self wire.NodeID, followers []wire.NodeID, log *wlog.Log) *leaderRole {
+	r := &leaderRole{followers: fanOut(self, followers)}
+	r.reqs.Advance(log.NextPos())
+	r.waiters.Advance(log.CertifiedBlocks())
+	return r
+}
+
+// fanOut is a view's followers without self, in a slice of its own.
+func fanOut(self wire.NodeID, followers []wire.NodeID) []wire.NodeID {
+	return slices.DeleteFunc(slices.Clone(followers), func(f wire.NodeID) bool { return f == self })
+}
+
+// followerRole is the state a node holds only while it mirrors its
+// chain's leader. Adopting a view that names another leader builds it
+// whole.
+type followerRole struct {
+	// leader is the node mirrored: empty after a restart, until a view
+	// names one.
+	leader wire.NodeID
+	// view is the newest cloud-signed view adopted while following (nil
+	// under the initial view); the node answers client requests with it
+	// (announceLeader).
+	view *wire.LeadershipTransfer
+	// early holds client requests that reached this follower while it held
+	// no view to point them at: a rebound client can hear of this node's
+	// promotion before the node does, because the cloud's copy travels on
+	// another connection. The next view to arrive settles them. At most
+	// maxEarly are kept.
+	early []wire.Envelope
+	// Out-of-order replicated blocks and early certificates waiting for
+	// their block.
+	pendingRepl  map[uint64]stashedBlock
+	pendingCerts map[uint64]wire.BlockProof
+	// lastCatchUp rate-limits gap-driven catch-up requests; catchUpEnd is
+	// the end of the run last asked for (0 once that run is in).
+	lastCatchUp int64
+	catchUpEnd  uint64
+}
+
+// newFollowerRole starts mirroring leader under view.
+func newFollowerRole(leader wire.NodeID, view *wire.LeadershipTransfer) *followerRole {
+	return &followerRole{
+		leader:       leader,
+		view:         view,
+		pendingRepl:  make(map[uint64]stashedBlock),
+		pendingCerts: make(map[uint64]wire.BlockProof),
+	}
+}
 
 // Kill simulates a process crash: the node stops answering anything.
 // Intended for failover tests and benchmarks; call on the node's
@@ -28,13 +117,18 @@ func (n *Node) Killed() bool { return n.killed }
 
 // IsFollower reports whether the node is currently mirroring rather than
 // serving.
-func (n *Node) IsFollower() bool { return n.follower }
+func (n *Node) IsFollower() bool { return n.follow != nil }
 
 // Leader returns the chain leader this node currently recognizes (itself,
-// when leading).
-func (n *Node) Leader() wire.NodeID { return n.leader }
+// when leading; empty after a restart, until a view names one).
+func (n *Node) Leader() wire.NodeID {
+	if n.follow != nil {
+		return n.follow.leader
+	}
+	return n.cfg.ID
+}
 
-// Epoch returns the highest leadership epoch the node has adopted.
+// Epoch returns the epoch of the highest view the node has adopted.
 func (n *Node) Epoch() uint64 { return n.epoch }
 
 // Chain returns the shard chain identity this node serves.
@@ -60,7 +154,8 @@ func (n *Node) CertifiedBlocks() uint64 {
 // signature, which is the point: the stream itself becomes convicting
 // evidence once the cloud certificate contradicts it.
 func (n *Node) replicate(blk *wire.Block, digest, sharedSig []byte) []wire.Envelope {
-	if len(n.cfg.Followers) == 0 {
+	followers := n.lead.followers
+	if len(followers) == 0 {
 		return nil
 	}
 	sendBlk := *blk
@@ -74,8 +169,8 @@ func (n *Node) replicate(blk *wire.Block, digest, sharedSig []byte) []wire.Envel
 		sig = wcrypto.SignBlockAck(n.key, blk.ID, digest)
 	}
 	var out []wire.Envelope
-	n.m.replicated.Add(uint64(len(n.cfg.Followers)))
-	for _, f := range n.cfg.Followers {
+	n.m.replicated.Add(uint64(len(followers)))
+	for _, f := range followers {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: &wire.ReplicateBlock{
 			Chain:     n.cfg.Chain,
 			Leader:    n.cfg.ID,
@@ -87,19 +182,20 @@ func (n *Node) replicate(blk *wire.Block, digest, sharedSig []byte) []wire.Envel
 	return out
 }
 
-// heartbeat reports liveness and replication progress to the cloud:
-// Blocks is the local log frontier, Certified the length of the
+// heartbeat reports liveness, replication progress and the view held to
+// the cloud: Blocks is the local log frontier, Certified the length of the
 // contiguous certified prefix — the quantity the cloud maximizes when it
-// picks a promotion candidate.
+// picks a promotion candidate — and Epoch and Leader the view, which the
+// cloud answers with the current one when they differ from it.
 func (n *Node) heartbeat(now int64) wire.Envelope {
 	hb := &wire.ReplicaHeartbeat{
-		Node:   n.cfg.ID,
-		Chain:  n.cfg.Chain,
-		Blocks: n.log.NumBlocks(),
-		Ts:     now,
-	}
-	if ct, ok := n.log.CertifiedThrough(); ok {
-		hb.Certified = ct + 1
+		Node:      n.cfg.ID,
+		Chain:     n.cfg.Chain,
+		Blocks:    n.log.NumBlocks(),
+		Certified: n.CertifiedBlocks(),
+		Epoch:     n.epoch,
+		Leader:    n.Leader(),
+		Ts:        now,
 	}
 	hb.Sig = wcrypto.SignMsg(n.key, hb)
 	return wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: hb}
@@ -114,7 +210,7 @@ func (n *Node) heartbeat(now int64) wire.Envelope {
 // divergent duplicate that contradicts an existing cloud certificate
 // convicts the leader on the spot.
 func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlock) []wire.Envelope {
-	if !n.follower || m.Chain != n.cfg.Chain || from != n.leader || m.Leader != from {
+	if n.follow == nil || m.Chain != n.cfg.Chain || from != n.follow.leader || m.Leader != from {
 		return nil
 	}
 	if m.Block.Edge != n.cfg.Chain {
@@ -181,7 +277,7 @@ func (n *Node) mirror(m *wire.ReplicateBlock, digest []byte) []wire.Envelope {
 			return nil
 		}
 		n.evictStash()
-		n.pendingRepl[bid] = stashedBlock{m, digest}
+		n.follow.pendingRepl[bid] = stashedBlock{m, digest}
 		return nil
 	}
 	return append(n.installReplicated(m, digest), n.installStashed()...)
@@ -200,11 +296,11 @@ func (n *Node) installStashed() []wire.Envelope {
 	var out []wire.Envelope
 	for {
 		bid := n.log.NumBlocks()
-		st, ok := n.pendingRepl[bid]
+		st, ok := n.follow.pendingRepl[bid]
 		if !ok {
 			return out
 		}
-		delete(n.pendingRepl, bid)
+		delete(n.follow.pendingRepl, bid)
 		out = append(out, n.installReplicated(st.m, st.digest)...)
 	}
 }
@@ -217,6 +313,9 @@ func (n *Node) installReplicated(m *wire.ReplicateBlock, digest []byte) []wire.E
 	if err := n.log.InstallBlock(&m.Block, digest); err != nil {
 		n.logf("mirror install failed", "bid", bid, "err", err)
 		return nil
+	}
+	if n.replSigs == nil {
+		n.replSigs = make(map[uint64][]byte)
 	}
 	n.replSigs[bid] = append([]byte(nil), m.LeaderSig...)
 	if n.store != nil {
@@ -231,8 +330,8 @@ func (n *Node) installReplicated(m *wire.ReplicateBlock, digest []byte) []wire.E
 			}
 		}
 	}
-	if p, ok := n.pendingCerts[bid]; ok {
-		delete(n.pendingCerts, bid)
+	if p, ok := n.follow.pendingCerts[bid]; ok {
+		delete(n.follow.pendingCerts, bid)
 		return n.followerApplyCert(p)
 	}
 	return nil
@@ -248,7 +347,7 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 			return nil // beyond the stash window; catch-up rides the certs in
 		}
 		n.evictStash()
-		n.pendingCerts[p.BID] = p
+		n.follow.pendingCerts[p.BID] = p
 		return nil
 	}
 	if err := n.log.SetCert(p); err != nil {
@@ -296,14 +395,14 @@ const pendingWindow = 1024
 // or certificate can never be needed again.
 func (n *Node) evictStash() {
 	next := n.log.NumBlocks()
-	for bid := range n.pendingRepl {
+	for bid := range n.follow.pendingRepl {
 		if bid < next {
-			delete(n.pendingRepl, bid)
+			delete(n.follow.pendingRepl, bid)
 		}
 	}
-	for bid := range n.pendingCerts {
+	for bid := range n.follow.pendingCerts {
 		if bid < next {
-			delete(n.pendingCerts, bid)
+			delete(n.follow.pendingCerts, bid)
 		}
 	}
 }
@@ -324,50 +423,56 @@ func (n *Node) convictLeader(bid uint64, blk wire.Block, sig []byte, why string)
 	n.accused[bid] = true
 	n.logf(why, "bid", bid)
 	resp := &wire.PutResponse{BID: bid, Block: blk, EdgeSig: sig}
-	d := core.BuildAddLieDispute(n.key, n.leader, resp)
+	d := core.BuildAddLieDispute(n.key, n.follow.leader, resp)
 	return []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: d}}
 }
 
-// handleTransfer adopts a cloud-signed leadership transfer. The promoted
-// node flips to serving mode, inherits the chain's mirrored log and
-// LSMerkle, re-certifies any uncertified tail, and (if faulty) starts
-// hiding the tail it was told to serve. Demoted or bystander replicas
-// re-point their mirror at the new leader and keep the transfer to
-// announce it.
-func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTransfer) []wire.Envelope {
-	if m.Chain != n.cfg.Chain || from != n.cfg.Cloud {
+// adoptView is the one place a node changes role: it checks a
+// cloud-signed view of the chain and adopts it. The highest epoch wins: a
+// view no newer than the node's is ignored. A view that changes neither
+// the node's role nor its leader records the epoch and, for a sitting
+// leader, the new fan-out — tables, tail and stash stay. Any other view
+// builds the new role whole: promotion or demotion. A node restarted
+// blank never leads from its empty log: it waits for a view naming
+// another leader. Client requests held for a view are settled once one is
+// adopted.
+func (n *Node) adoptView(now int64, from wire.NodeID, v *wire.LeadershipTransfer) []wire.Envelope {
+	leads := v.NewLeader == n.cfg.ID
+	if v.Chain != n.cfg.Chain || from != n.cfg.Cloud || v.Epoch <= n.epoch ||
+		(leads && n.follow != nil && n.follow.leader == "") {
 		return nil
 	}
-	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {
-		n.logf("dropping transfer with bad cloud signature", "err", err)
+	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, v, v.CloudSig); err != nil {
+		n.logf("dropping view with bad cloud signature", "err", err)
 		return nil
 	}
-	if m.NewLeader != n.cfg.ID && (n.transfer == nil || m.Epoch > n.transfer.Epoch) {
-		// Kept even when a GroupJoin already moved the epoch this far:
-		// the cloud re-sends a rejoining ex-leader its transfer after the
-		// join.
-		n.transfer = m
+	n.epoch = v.Epoch
+	var held, out []wire.Envelope
+	if n.follow != nil {
+		held, n.follow.early = n.follow.early, nil
 	}
-	if m.Epoch <= n.epoch {
-		return nil
+	switch {
+	case leads && n.lead != nil:
+		n.lead.followers = fanOut(n.cfg.ID, v.Followers)
+	case !leads && n.follow != nil && n.follow.leader == v.NewLeader:
+		n.follow.view = v
+	case leads:
+		out = n.promote(now, v)
+	default:
+		out = n.demote(now, v)
 	}
-	n.epoch = m.Epoch
-	if m.NewLeader != n.cfg.ID {
-		n.logf("demoted to follower", "chain", n.cfg.Chain, "epoch", m.Epoch, "leader", m.NewLeader)
-		return append(n.demote(now, m.NewLeader), n.heldEarly(now)...)
+	for _, env := range held {
+		out = append(out, n.receive(now, env)...)
 	}
+	return out
+}
 
-	n.follower = false
-	n.leader = n.cfg.ID
-	n.cfg.Followers = nil
-	for _, f := range m.Followers {
-		if f != n.cfg.ID {
-			n.cfg.Followers = append(n.cfg.Followers, f)
-		}
-	}
-	// The mirrored history was acknowledged (and partly certified) under
-	// the previous leader, exactly like a recovered log.
-	n.resetTables()
+// promote makes the node the chain's leader under v: it inherits the
+// mirrored log and LSMerkle, re-certifies any uncertified tail, and (if
+// faulty) starts hiding the tail it was told to serve.
+func (n *Node) promote(now int64, v *wire.LeadershipTransfer) []wire.Envelope {
+	n.follow = nil
+	n.lead = newLeaderRole(n.cfg.ID, v.Followers, n.log)
 	if f := n.cfg.Fault; f != nil && f.PromoteStale {
 		// Stale-serve fault: pretend the mirrored log ends just before
 		// PromoteStaleFrom. Reads of the tail are denied and the get/scan
@@ -382,47 +487,71 @@ func (n *Node) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 		f.HideL0 = true
 		f.HideL0From = f.PromoteStaleFrom
 	}
-	n.logf("promoted to leader", "chain", n.cfg.Chain, "epoch", m.Epoch, "followers", len(n.cfg.Followers))
-	return append(n.certifyTail(now), n.heldEarly(now)...)
+	n.logf("promoted to leader", "chain", n.cfg.Chain, "epoch", v.Epoch, "followers", len(n.lead.followers))
+	return n.certifyTail(now)
 }
 
-// maxEarly bounds the client requests a follower holds for its first
-// transfer (Node.early).
+// demote makes the node a mirroring follower of v's leader and discards
+// everything the cloud never pinned. The uncertified tail may diverge from
+// the history the new leader replicates (blocks this node cut, or mirrored
+// from a dead leader, that were never certified), so it is truncated — in
+// memory and in the durable segment — and refetched through certified
+// catch-up. The certified prefix is identical everywhere by construction
+// and stays. The old role (withheld group-commit acks, the submitter and
+// proof-waiter tables, an in-flight merge claim, or the old leader's
+// stash) goes with it.
+func (n *Node) demote(now int64, v *wire.LeadershipTransfer) []wire.Envelope {
+	n.lead = nil
+	n.follow = newFollowerRole(v.NewLeader, v)
+	n.logf("following new leader", "chain", n.cfg.Chain, "epoch", v.Epoch, "leader", v.NewLeader)
+	if removed := n.log.TruncateUncertified(); removed > 0 {
+		n.m.truncated.Add(uint64(removed))
+		n.logf("truncated uncertified tail on demotion",
+			"removed", removed, "keep", n.log.NumBlocks())
+		if n.store != nil {
+			if err := n.store.ResetTo(n.log); err != nil {
+				n.logf("rewriting durable segment after truncation failed", "err", err)
+			}
+		}
+	}
+	// Replication signatures above the kept prefix vouch for truncated
+	// content; the new leader re-signs what catch-up ships.
+	for bid := range n.replSigs {
+		if bid >= n.log.NumBlocks() {
+			delete(n.replSigs, bid)
+		}
+	}
+	out := []wire.Envelope{{From: n.cfg.ID, To: n.cfg.Cloud, Msg: &wire.FrontierRequest{Chain: n.cfg.Chain}}}
+	return append(out, n.requestCatchUp(now, n.log.NumBlocks()))
+}
+
+// maxEarly bounds the client requests a follower holds for a view
+// (followerRole.early).
 const maxEarly = 64
 
-// heldEarly settles the client requests held for this node's first
-// transfer: a promoted node handles them now, on this turn, and a node
-// that still follows answers each with the transfer it now holds.
-func (n *Node) heldEarly(now int64) []wire.Envelope {
-	held := n.early
-	n.early = nil
-	var out []wire.Envelope
-	for _, env := range held {
-		out = append(out, n.Receive(now, env)...)
-	}
-	return out
-}
-
 // announceLeader answers a client request that reached this follower with
-// the cloud-signed transfer it adopted. The cloud sends a transfer to each
-// session once; a session whose copy was lost still addresses the demoted
-// leader, and this copy rebinds it instead of leaving it to time out. A
-// follower that holds no transfer keeps the request for its first one
-// (Node.early).
+// the cloud-signed view it adopted. The cloud sends a failover's view to
+// each session once; a session whose copy was lost still addresses the
+// demoted leader, and this copy rebinds it instead of leaving it to time
+// out. A follower that holds no view keeps the request for its next one
+// (followerRole.early).
 func (n *Node) announceLeader(req wire.Envelope) []wire.Envelope {
-	if n.transfer == nil {
-		if len(n.early) < maxEarly {
-			n.early = append(n.early, req)
+	f := n.follow
+	if f.view == nil {
+		if len(f.early) < maxEarly {
+			f.early = append(f.early, req)
 		}
 		return nil
 	}
-	return []wire.Envelope{{From: n.cfg.ID, To: req.From, Msg: n.transfer}}
+	return []wire.Envelope{{From: n.cfg.ID, To: req.From, Msg: f.view}}
 }
 
 // certifyTail re-submits certification for every mirrored-but-uncertified
 // block — the cert-timeout failover case, where the dead leader cut and
 // replicated blocks it never (successfully) certified. First-writer-wins
-// at the cloud makes re-submission idempotent.
+// at the cloud makes re-submission idempotent. On a persistent node it
+// stops at the first block no successful sync covers: the cloud must not
+// certify what a crash can still lose.
 func (n *Node) certifyTail(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	start := uint64(0)
@@ -430,6 +559,9 @@ func (n *Node) certifyTail(now int64) []wire.Envelope {
 		start = ct + 1
 	}
 	for bid := start; bid < n.log.NumBlocks(); bid++ {
+		if n.store != nil && !n.store.Covers(bid) {
+			break
+		}
 		if _, ok := n.log.Cert(bid); ok {
 			continue
 		}
@@ -482,7 +614,7 @@ func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry) []wire.Envelope {
 	if !ok {
 		// Still buffered: re-register the responder so the eventual block
 		// cut acknowledges this retry.
-		n.reqs.Set(pos, e.Client)
+		n.lead.reqs.Set(pos, e.Client)
 		return nil
 	}
 	digest, err := n.log.Digest(blk.ID)
@@ -493,7 +625,7 @@ func (n *Node) reackDuplicate(from wire.NodeID, e wire.Entry) []wire.Envelope {
 	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: ack}}
 	if n.store != nil && !n.store.Covers(blk.ID) {
 		n.awaitProof(blk.ID, from)
-		n.pendingAcks = append(n.pendingAcks, out...)
+		n.lead.pendingAcks = append(n.lead.pendingAcks, out...)
 		return nil
 	}
 	if cert, ok := n.log.Cert(blk.ID); ok {

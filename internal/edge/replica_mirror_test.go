@@ -237,27 +237,112 @@ func TestReplicateFrameCarriesCertificate(t *testing.T) {
 	counts(2, 2)
 }
 
-// TestJoinOvertakingTransferDoesNotBlockPromotion: the cloud sends a
-// GroupJoin to the chain's leader as well as to the rejoining node, and on
-// a reordering network the join can reach the leader-to-be before the
-// transfer that promotes it. The join must not consume the epoch: the
-// transfer that follows still promotes the node.
+// signedView is the cloud's view of chain edge-1 at epoch: leader leads
+// followers, after prev.
+func (p *replicaPair) signedView(epoch uint64, prev, leader wire.NodeID, followers ...wire.NodeID) *wire.LeadershipTransfer {
+	v := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: epoch, Prev: prev, NewLeader: leader, Followers: followers, Reason: "test", Ts: 1}
+	v.CloudSig = wcrypto.SignMsg(p.keys["cloud"], v)
+	return v
+}
+
+// fromCloud delivers a message from the cloud to n.
+func fromCloud(n *Node, m wire.Message) []wire.Envelope {
+	return n.Receive(1, wire.Envelope{From: "cloud", To: n.ID(), Msg: m})
+}
+
+// TestJoinOvertakingTransferDoesNotBlockPromotion: the view that re-admits
+// a member reaches the chain's leader as well as the member, and on a
+// reordering network it can reach the leader-to-be before the view that
+// promotes it. The later view promotes the node on its own, and the
+// overtaken one is stale when it arrives.
 func TestJoinOvertakingTransferDoesNotBlockPromotion(t *testing.T) {
 	p := newReplicaPair(t)
-	fromCloud := func(m wire.Message) {
-		p.follower.Receive(1, wire.Envelope{From: "cloud", To: "edge-1.r1", Msg: m})
-	}
-	join := &wire.GroupJoin{Chain: "edge-1", Node: "edge-1.r2", Leader: "edge-1.r1", Epoch: 2, Ts: 1}
-	join.CloudSig = wcrypto.SignMsg(p.keys["cloud"], join)
-	fromCloud(join)
-	xfer := &wire.LeadershipTransfer{
-		Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-1.r1",
-		Followers: []wire.NodeID{"edge-1.r2"}, Reason: "crash", Ts: 1,
-	}
-	xfer.CloudSig = wcrypto.SignMsg(p.keys["cloud"], xfer)
-	fromCloud(xfer)
-	if p.follower.IsFollower() || p.follower.Leader() != "edge-1.r1" || p.follower.Epoch() != 2 {
-		t.Fatalf("after join then transfer: follower=%v leader=%q epoch=%d, want the promoted leader at epoch 2",
+	fromCloud(p.follower, p.signedView(3, "edge-1.r1", "edge-1.r1", "edge-1.r2"))
+	fromCloud(p.follower, p.signedView(2, "edge-1", "edge-1.r1"))
+	if p.follower.IsFollower() || p.follower.Leader() != "edge-1.r1" || p.follower.Epoch() != 3 {
+		t.Fatalf("after the rejoin view then the transfer: follower=%v leader=%q epoch=%d, want the promoted leader at epoch 3",
 			p.follower.IsFollower(), p.follower.Leader(), p.follower.Epoch())
+	}
+	if got := p.follower.lead.followers; len(got) != 1 || got[0] != "edge-1.r2" {
+		t.Fatalf("fan-out = %v, want the re-admitted edge-1.r2", got)
+	}
+}
+
+// TestRejoinViewKeepsLeaderTables: a view that re-admits a member under
+// the sitting leader changes its fan-out and nothing else. A write
+// buffered before it is acknowledged by the cut after it, the new member
+// mirrors that block, and its Phase II proof still reaches the writer.
+func TestRejoinViewKeepsLeaderTables(t *testing.T) {
+	p := newReplicaPair(t)
+	put := func(seq uint64) []wire.Envelope {
+		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
+		e.Sig = wcrypto.SignMsg(p.keys["c1"], &e)
+		return p.leader.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+	}
+	put(1)
+	if out := fromCloud(p.leader, p.signedView(1, "edge-1", "edge-1", "edge-1.r1", "edge-1.r2")); len(out) != 0 {
+		t.Fatalf("the rejoin view made the leader send %v", kindsOf(out))
+	}
+	to := map[wire.NodeID]map[wire.Kind]int{}
+	for _, env := range put(2) {
+		if to[env.To] == nil {
+			to[env.To] = map[wire.Kind]int{}
+		}
+		to[env.To][env.Msg.MsgKind()]++
+	}
+	if to["c1"][wire.KindPutResponse] != 1 || to["edge-1.r1"][wire.KindReplicateBlock] != 1 || to["edge-1.r2"][wire.KindReplicateBlock] != 1 {
+		t.Fatalf("the cut after the view sent %v, want c1 acknowledged and both followers replicated", to)
+	}
+	digest, err := p.leader.Log().Digest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof := &wire.BlockProof{Edge: "edge-1", BID: 0, Digest: digest}
+	proof.CloudSig = wcrypto.SignMsg(p.keys["cloud"], proof)
+	if out := fromCloud(p.leader, proof); len(out) != 1 || out[0].To != "c1" || out[0].Msg.MsgKind() != wire.KindBlockProof {
+		t.Fatalf("the proof sent %v, want it forwarded to c1", kindsOf(out))
+	}
+	if p.leader.IsFollower() || p.leader.Epoch() != 1 {
+		t.Fatalf("leader follower=%v epoch=%d, want leading at epoch 1", p.leader.IsFollower(), p.leader.Epoch())
+	}
+}
+
+// TestFollowerKeepsTailOnSameLeaderView: a follower that already follows
+// the view's leader records the epoch and keeps its mirrored, uncertified
+// tail: no truncation and no catch-up.
+func TestFollowerKeepsTailOnSameLeaderView(t *testing.T) {
+	p := newReplicaPair(t)
+	p.deliver(p.cutBlock(t, 1, 1))
+	p.deliver(p.cutBlock(t, 2, 3))
+	if out := fromCloud(p.follower, p.signedView(1, "edge-1", "edge-1", "edge-1.r1", "edge-1.r2")); len(out) != 0 {
+		t.Fatalf("the view made the follower send %v", kindsOf(out))
+	}
+	if p.follower.LogBlocks() != 2 || p.follower.Stats().Truncated != 0 || p.follower.Epoch() != 1 || p.follower.Leader() != "edge-1" {
+		t.Fatalf("follower holds %d blocks (%d truncated) at epoch %d under %q, want 2 blocks, none truncated, epoch 1 under edge-1",
+			p.follower.LogBlocks(), p.follower.Stats().Truncated, p.follower.Epoch(), p.follower.Leader())
+	}
+}
+
+// TestStaleViewNeverReplacesNewer: a view no newer than the one a node
+// holds changes nothing — neither a follower's leader nor a leader's role.
+func TestStaleViewNeverReplacesNewer(t *testing.T) {
+	p := newReplicaPair(t)
+	fromCloud(p.follower, p.signedView(3, "edge-1", "edge-1.r2", "edge-1.r1"))
+	for _, v := range []*wire.LeadershipTransfer{
+		p.signedView(2, "edge-1", "edge-1"),
+		p.signedView(3, "edge-1.r2", "edge-1.r1"),
+	} {
+		if out := fromCloud(p.follower, v); len(out) != 0 {
+			t.Fatalf("stale view %d made the follower send %v", v.Epoch, kindsOf(out))
+		}
+		if !p.follower.IsFollower() || p.follower.Leader() != "edge-1.r2" || p.follower.Epoch() != 3 {
+			t.Fatalf("after stale view %d: follower=%v leader=%q epoch=%d, want following edge-1.r2 at epoch 3",
+				v.Epoch, p.follower.IsFollower(), p.follower.Leader(), p.follower.Epoch())
+		}
+	}
+	fromCloud(p.leader, p.signedView(2, "edge-1", "edge-1", "edge-1.r1"))
+	fromCloud(p.leader, p.signedView(1, "edge-1", "edge-1.r1"))
+	if p.leader.IsFollower() || p.leader.Epoch() != 2 {
+		t.Fatalf("leader follower=%v epoch=%d after a stale demotion, want leading at epoch 2", p.leader.IsFollower(), p.leader.Epoch())
 	}
 }

@@ -94,21 +94,21 @@ func TestReqRingAdvanceClearsDroppedSlots(t *testing.T) {
 // wait — as a writer, a reader, or both, any number of times.
 func TestBidRingBasics(t *testing.T) {
 	n := newFixture(t, Config{}).node
-	n.waiters.Set(3, []wire.NodeID{"a"}) // the cut registers its writers
+	n.lead.waiters.Set(3, []wire.NodeID{"a"}) // the cut registers its writers
 	n.awaitProof(3, "b")
 	n.awaitProof(3, "a")
 	n.awaitProof(3, "b")
 	n.awaitProof(5, "c")
-	if got, _ := n.waiters.Take(3); !slices.Equal(got, []wire.NodeID{"a", "b"}) {
+	if got, _ := n.lead.waiters.Take(3); !slices.Equal(got, []wire.NodeID{"a", "b"}) {
 		t.Fatalf("Take(3) = %v", got)
 	}
-	if got, ok := n.waiters.Take(3); ok {
+	if got, ok := n.lead.waiters.Take(3); ok {
 		t.Fatalf("second Take(3) = %v", got)
 	}
-	if got, ok := n.waiters.Take(4); ok {
+	if got, ok := n.lead.waiters.Take(4); ok {
 		t.Fatalf("Take of a never-set bid = %v", got)
 	}
-	if got, _ := n.waiters.Take(5); !slices.Equal(got, []wire.NodeID{"c"}) {
+	if got, _ := n.lead.waiters.Take(5); !slices.Equal(got, []wire.NodeID{"c"}) {
 		t.Fatalf("Take(5) = %v", got)
 	}
 }
@@ -116,10 +116,10 @@ func TestBidRingBasics(t *testing.T) {
 func TestBidRingSetAndGrow(t *testing.T) {
 	n := newFixture(t, Config{}).node
 	for bid := uint64(0); bid < 320; bid++ { // several growth steps
-		n.waiters.Set(bid, []wire.NodeID{wire.NodeID(fmt.Sprintf("c%d", bid))})
+		n.lead.waiters.Set(bid, []wire.NodeID{wire.NodeID(fmt.Sprintf("c%d", bid))})
 	}
 	for bid := uint64(0); bid < 320; bid++ {
-		got, _ := n.waiters.Take(bid)
+		got, _ := n.lead.waiters.Take(bid)
 		if len(got) != 1 || got[0] != wire.NodeID(fmt.Sprintf("c%d", bid)) {
 			t.Fatalf("bid %d: Take = %v", bid, got)
 		}
@@ -131,9 +131,9 @@ func TestBidRingAdvance(t *testing.T) {
 	for bid := uint64(0); bid < 10; bid++ {
 		n.awaitProof(bid, "w")
 	}
-	n.waiters.Advance(7)
+	n.lead.waiters.Advance(7)
 	for bid := uint64(0); bid < 7; bid++ {
-		if got, ok := n.waiters.Take(bid); ok {
+		if got, ok := n.lead.waiters.Take(bid); ok {
 			t.Fatalf("bid %d behind the floor leaked: %v", bid, got)
 		}
 	}
@@ -141,18 +141,18 @@ func TestBidRingAdvance(t *testing.T) {
 	// register waiters, and a get over a batch-certified window must not
 	// resurrect a slot no proof will ever drain.
 	n.awaitProof(3, "stale")
-	if n.waiters.Len() != 3 {
-		t.Fatalf("%d bids waited on, want 7, 8, 9", n.waiters.Len())
+	if n.lead.waiters.Len() != 3 {
+		t.Fatalf("%d bids waited on, want 7, 8, 9", n.lead.waiters.Len())
 	}
-	if got, _ := n.waiters.Take(8); len(got) != 1 {
+	if got, _ := n.lead.waiters.Take(8); len(got) != 1 {
 		t.Fatalf("live slot lost across the advance: %v", got)
 	}
-	n.waiters.Advance(1000)
-	if n.waiters.Len() != 0 {
+	n.lead.waiters.Advance(1000)
+	if n.lead.waiters.Len() != 0 {
 		t.Fatal("slots behind a wholesale advance leaked")
 	}
 	n.awaitProof(1001, "fresh")
-	if got, _ := n.waiters.Take(1001); !slices.Equal(got, []wire.NodeID{"fresh"}) {
+	if got, _ := n.lead.waiters.Take(1001); !slices.Equal(got, []wire.NodeID{"fresh"}) {
 		t.Fatalf("registration after the advance = %v", got)
 	}
 }

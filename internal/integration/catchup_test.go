@@ -48,8 +48,8 @@ func TestCatchUpRestartedFollower(t *testing.T) {
 			requireReleased(t, w.leader, tc.l0Thresh, 0)
 
 			// r1 restarts blank: no log, no leader, epoch zero. Its heartbeats
-			// advertise the empty frontier; the cloud nudges it back with a signed
-			// GroupJoin and certified catch-up refills the mirror.
+			// report no view; the cloud answers with a signed view naming the
+			// leader and certified catch-up refills the mirror.
 			w.r1.Restart(w.sim.Now())
 			if got := w.r1.LogBlocks(); got != 0 {
 				t.Fatalf("restarted follower blocks = %d, want 0", got)

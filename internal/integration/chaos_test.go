@@ -11,6 +11,7 @@ import (
 
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
+	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/wire"
 )
@@ -58,10 +59,13 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 		DelayMax: 20 * ms,
 	}})
 
-	w := newRWorld(t, rworldOpts{
+	var w *rworld
+	blame := newBlame(func() *rworld { return w })
+	w = newRWorld(t, rworldOpts{
 		fault:      fn,
 		retryEvery: 150 * ms,
 		gossip:     200 * ms,
+		tap:        blame.see,
 	})
 
 	// Warm the chain so block 0 certifies before the first partition.
@@ -98,12 +102,12 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 	// Invariant 2: no honest conviction — the group is all honest nodes.
 	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
 		if _, banned := w.cloud.Flagged(id); banned {
-			return fmt.Errorf("honest node %s convicted under chaos", id)
+			return fmt.Errorf("honest node %s convicted under chaos: %s", id, blame.of(blame.verdicts[id]))
 		}
 	}
 	for i, rec := range writes {
-		if rec.op.Verdict != nil && rec.op.Verdict.Guilty {
-			return fmt.Errorf("write %d drew a guilty verdict against %s under chaos", i, rec.op.Verdict.Edge)
+		if v := rec.op.Verdict; v != nil && v.Guilty {
+			return fmt.Errorf("write %d drew a guilty verdict against %s under chaos: %s", i, v.Edge, blame.of(*v))
 		}
 	}
 
@@ -146,6 +150,77 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 		seed, rounds, certified, len(writes), fn.Snapshot(),
 		w.cloud.Stats().Transfers, w.cloud.Stats().Rejoins)
 	return nil
+}
+
+// blame records, from the frames the nodes send, what a conviction report
+// names: the first guilty verdict against each node, and for each (node,
+// block) the view under which the node first sent a frame about the
+// block — an acknowledgement, a replicated copy or a certify request. For
+// a block the node cut, that is the view it was cut under.
+type blame struct {
+	world    func() *rworld
+	verdicts map[wire.NodeID]wire.Verdict
+	cuts     map[nodeBlock]cutView
+}
+
+type nodeBlock struct {
+	node wire.NodeID
+	bid  uint64
+}
+
+// cutView is a node's epoch when it first sent a frame about a block, and
+// the cloud's view (epoch and leader) at that moment.
+type cutView struct {
+	epoch, cloudEpoch uint64
+	cloudLeader       wire.NodeID
+}
+
+func newBlame(world func() *rworld) *blame {
+	return &blame{world: world, verdicts: map[wire.NodeID]wire.Verdict{}, cuts: map[nodeBlock]cutView{}}
+}
+
+func (b *blame) see(env wire.Envelope) {
+	var bid uint64
+	switch m := env.Msg.(type) {
+	case *wire.Verdict:
+		if _, seen := b.verdicts[m.Edge]; m.Guilty && !seen {
+			b.verdicts[m.Edge] = *m
+		}
+		return
+	case *wire.PutResponse:
+		bid = m.BID
+	case *wire.ReplicateBlock:
+		bid = m.Block.ID
+	case *wire.BlockCertify:
+		bid = m.BID
+	default:
+		return
+	}
+	k := nodeBlock{env.From, bid}
+	if _, seen := b.cuts[k]; seen {
+		return
+	}
+	w := b.world()
+	for _, n := range []*edge.Node{w.leader, w.r1, w.r2} {
+		if n.ID() == env.From {
+			b.cuts[k] = cutView{epoch: n.Epoch(), cloudEpoch: w.cloud.ChainEpoch("edge-1"), cloudLeader: w.cloud.ChainLeader("edge-1")}
+		}
+	}
+}
+
+// of names v's block and the view its node sent it under, marking a view
+// the cloud had already superseded.
+func (b *blame) of(v wire.Verdict) string {
+	c, ok := b.cuts[nodeBlock{v.Edge, v.BID}]
+	if !ok {
+		return fmt.Sprintf("block %d (%s), never sent by %s", v.BID, v.Reason, v.Edge)
+	}
+	superseded := ""
+	if c.epoch < c.cloudEpoch || c.cloudLeader != v.Edge {
+		superseded = ", superseded"
+	}
+	return fmt.Sprintf("block %d (%s), first sent by %s at epoch %d while the cloud named %s at epoch %d%s",
+		v.BID, v.Reason, v.Edge, c.epoch, c.cloudLeader, c.cloudEpoch, superseded)
 }
 
 // TestChaosSmoke is the CI arm: one fixed seed, a short schedule, both

@@ -39,6 +39,28 @@ type rworldOpts struct {
 	metrics     *obs.Registry // registry the edges' series live in
 	// wrapCloud, when set, stands between the sim and the cloud node.
 	wrapCloud func(*cloud.Node) core.Handler
+	// tap, when set, sees every frame a node sends, as it leaves the node.
+	tap func(env wire.Envelope)
+}
+
+// frameTap stands between the sim and a node and shows see every frame
+// the node sends.
+type frameTap struct {
+	core.Handler
+	see func(env wire.Envelope)
+}
+
+func (f frameTap) Receive(now int64, env wire.Envelope) []wire.Envelope {
+	return f.show(f.Handler.Receive(now, env))
+}
+
+func (f frameTap) Tick(now int64) []wire.Envelope { return f.show(f.Handler.Tick(now)) }
+
+func (f frameTap) show(out []wire.Envelope) []wire.Envelope {
+	for _, env := range out {
+		f.see(env)
+	}
+	return out
 }
 
 func newRWorld(t *testing.T, o rworldOpts) *rworld {
@@ -117,16 +139,16 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		DefaultLink: sim.Link{Latency: 1 * ms},
 		Fault:       o.fault,
 	})
+	var cloudNode core.Handler = cl
 	if o.wrapCloud != nil {
-		w.sim.Add(o.wrapCloud(cl))
-	} else {
-		w.sim.Add(cl)
+		cloudNode = o.wrapCloud(cl)
 	}
-	w.sim.Add(w.leader)
-	w.sim.Add(w.r1)
-	w.sim.Add(w.r2)
-	w.sim.Add(w.c1)
-	w.sim.Add(w.c2)
+	for _, h := range []core.Handler{cloudNode, w.leader, w.r1, w.r2, w.c1, w.c2} {
+		if o.tap != nil {
+			h = frameTap{h, o.tap}
+		}
+		w.sim.Add(h)
+	}
 	return w
 }
 
@@ -268,6 +290,88 @@ func TestPromotionLearnedAfterClientResend(t *testing.T) {
 	}
 }
 
+// TestFailoverHealsLostPromotion: the leader dies mid-batch and, for 600
+// ms from the kill, every frame from the cloud to the followers is lost —
+// the view promoting one of them included. The named leader's heartbeats
+// report the old view, so they renew no lease and are answered with the
+// current view until one lands; the chain serves again, and both writes
+// reach Phase II.
+func TestFailoverHealsLostPromotion(t *testing.T) {
+	net := faultnet.New(5)
+	w := newRWorld(t, rworldOpts{
+		leaderFault: &edge.Fault{KillMidBatch: true, KillAtBID: 1},
+		fault:       net,
+		retryEvery:  150 * ms,
+	})
+	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
+	w.settle(t, 1*s)
+	if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
+		t.Fatalf("warmup phases = %v / %v", op0.Phase, op1.Phase)
+	}
+
+	from, to := w.sim.Now(), w.sim.Now()+600*ms
+	for _, f := range []wire.NodeID{"edge-1.r1", "edge-1.r2"} {
+		net.Add(faultnet.Rule{From: "cloud", To: f, FromT: from, ToT: to, Faults: faultnet.LinkFaults{Drop: 1}})
+	}
+	op2, op3 := w.add(w.c1, "m2"), w.add(w.c2, "m3") // the cut kills the leader
+	w.settle(t, 20*s)
+	requireServing(t, w, op2, op3)
+}
+
+// TestFailoverRestartedLeaderNeverLeadsBlank: the leader crashes and restarts
+// blank 100 ms later, inside its lease. It still is the cloud's named
+// leader, but it reports no view: its heartbeats renew no lease and draw
+// no view naming it. The lease runs out, a follower is promoted, the
+// restarted node follows it, and both writes reach Phase II. The blank
+// node never cuts a block.
+func TestFailoverRestartedLeaderNeverLeadsBlank(t *testing.T) {
+	w := newRWorld(t, rworldOpts{retryEvery: 150 * ms})
+	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
+	w.settle(t, 1*s)
+	if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {
+		t.Fatalf("warmup phases = %v / %v", op0.Phase, op1.Phase)
+	}
+	cut := w.leader.Stats().BlocksCut
+
+	w.leader.Kill()
+	w.settle(t, 100*ms)
+	w.leader.Restart(w.sim.Now())
+	op2, op3 := w.add(w.c1, "m2"), w.add(w.c2, "m3")
+	w.settle(t, 20*s)
+	if w.cloud.ChainLeader("edge-1") == "edge-1" {
+		t.Fatal("the restarted leader is still the chain's leader")
+	}
+	requireServing(t, w, op2, op3)
+	if !w.leader.IsFollower() || w.leader.Leader() != w.cloud.ChainLeader("edge-1") {
+		t.Fatalf("restarted node follower=%v under %q, want following %q",
+			w.leader.IsFollower(), w.leader.Leader(), w.cloud.ChainLeader("edge-1"))
+	}
+	if got := w.leader.Stats().BlocksCut; got != cut {
+		t.Fatalf("the restarted node cut %d blocks from its blank log", got-cut)
+	}
+}
+
+// requireServing fails t unless the cloud's leader serves at the cloud's
+// epoch, the ops reached Phase II, and nobody was convicted.
+func requireServing(t *testing.T, w *rworld, ops ...*client.Op) {
+	t.Helper()
+	lead := w.promoted(t)
+	if lead.IsFollower() || lead.Epoch() != w.cloud.ChainEpoch("edge-1") {
+		t.Fatalf("the cloud names %s leader at epoch %d; it is follower=%v at epoch %d",
+			lead.ID(), w.cloud.ChainEpoch("edge-1"), lead.IsFollower(), lead.Epoch())
+	}
+	for i, op := range ops {
+		if op.Err != nil || op.Phase != core.PhaseII {
+			t.Fatalf("op %d phase = %v err = %v, want Phase II", i, op.Phase, op.Err)
+		}
+	}
+	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
+		if _, banned := w.cloud.Flagged(id); banned {
+			t.Fatalf("honest %s convicted", id)
+		}
+	}
+}
+
 // A leader that equivocates on the replication stream — clients and cloud
 // see one block, followers another — is convicted by its own followers the
 // moment the cloud certificate contradicts the mirror, and the conviction
@@ -373,11 +477,12 @@ func TestFailoverStaleFollowerConvicted(t *testing.T) {
 
 // A session that loses the cloud's one LeadershipTransfer frame is not
 // stranded: its next request reaches the demoted ex-leader, which answers
-// with the cloud-signed transfer, and the session rebinds and completes on
-// the new leader. The ex-leader holds the transfer either way it learned
-// of its demotion: sent by the cloud at the transfer (its heartbeats were
-// lost, but it still heard the cloud), or re-sent when it rejoined after a
-// full partition from the cloud.
+// with the cloud-signed view it holds, and the session rebinds and
+// completes on the new leader. The ex-leader holds a view naming the new
+// leader either way it learned of its demotion: the transfer, sent by the
+// cloud at the failover (its heartbeats were lost, but it still heard the
+// cloud), or the view that re-admitted it after a full partition from the
+// cloud.
 func TestTransferReannouncedByDemotedLeader(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -47,49 +47,6 @@ func (m *CatchUpRequest) DecodeFrom(d *Decoder) {
 	m.Sig = d.Blob()
 }
 
-// GroupJoin is the cloud's signed admission of a recovered node back into
-// a chain's replica group. Sent to both the rejoining node (adopt the
-// current leader and epoch, start catching up) and the leader (start
-// replicating new blocks to the rejoined follower). Epoch carries the
-// chain's current leadership epoch so a stale join can never demote a
-// node's view of a newer regime.
-type GroupJoin struct {
-	Chain    NodeID // chain the node rejoins
-	Node     NodeID // rejoining replica
-	Leader   NodeID // current leader it follows
-	Epoch    uint64 // current leadership epoch
-	Ts       int64
-	CloudSig []byte
-}
-
-// MsgKind implements Message.
-func (*GroupJoin) MsgKind() Kind { return KindGroupJoin }
-
-// EncodeTo implements Message.
-func (m *GroupJoin) EncodeTo(e *Encoder) {
-	m.AppendBody(e)
-	e.Blob(m.CloudSig)
-}
-
-// AppendBody appends the bytes the cloud signs.
-func (m *GroupJoin) AppendBody(e *Encoder) {
-	e.ID(m.Chain)
-	e.ID(m.Node)
-	e.ID(m.Leader)
-	e.U64(m.Epoch)
-	e.I64(m.Ts)
-}
-
-// DecodeFrom implements Message.
-func (m *GroupJoin) DecodeFrom(d *Decoder) {
-	m.Chain = d.ID()
-	m.Node = d.ID()
-	m.Leader = d.ID()
-	m.Epoch = d.U64()
-	m.Ts = d.I64()
-	m.CloudSig = d.Blob()
-}
-
 // FrontierRequest asks the cloud for a chain's certified frontier. The
 // cloud answers with a freshly signed Gossip for the chain — the same
 // artifact the periodic gossip pushes — giving a recovering node an

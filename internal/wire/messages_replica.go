@@ -91,10 +91,13 @@ func (m *ReplicateBlock) memoizeEncodedSize(n int) {
 }
 
 // ReplicaHeartbeat is a replica's periodic signed liveness and progress
-// report to the cloud: how much of the chain's log it holds (Blocks) and
-// how far its certified prefix extends (Certified, the count of leading
-// blocks with cloud certificates). The cloud uses leader heartbeats for
-// lease-based crash detection and follower heartbeats to pick the
+// report to the cloud: how much of the chain's log it holds (Blocks), how
+// far its certified prefix extends (Certified, the count of leading
+// blocks with cloud certificates), and the view it holds — the epoch it
+// adopted and the leader it recognises (itself when leading, empty after
+// a restart). The cloud refreshes the leader's lease only from a
+// heartbeat of the named leader leading at the current epoch, answers a
+// member holding another view with the current one, and picks the
 // promotion candidate with the longest certified prefix — safe precisely
 // because lazy trust makes the certified frontier the durable prefix.
 type ReplicaHeartbeat struct {
@@ -102,6 +105,8 @@ type ReplicaHeartbeat struct {
 	Chain     NodeID // chain it serves
 	Blocks    uint64 // frozen blocks held (mirrored or self-cut)
 	Certified uint64 // length of the certified prefix (blocks 0..Certified-1)
+	Epoch     uint64 // epoch of the view the replica holds
+	Leader    NodeID // leader the replica recognises; empty after a restart
 	Ts        int64
 	Sig       []byte
 }
@@ -121,6 +126,8 @@ func (m *ReplicaHeartbeat) AppendBody(e *Encoder) {
 	e.ID(m.Chain)
 	e.U64(m.Blocks)
 	e.U64(m.Certified)
+	e.U64(m.Epoch)
+	e.ID(m.Leader)
 	e.I64(m.Ts)
 }
 
@@ -130,23 +137,29 @@ func (m *ReplicaHeartbeat) DecodeFrom(d *Decoder) {
 	m.Chain = d.ID()
 	m.Blocks = d.U64()
 	m.Certified = d.U64()
+	m.Epoch = d.U64()
+	m.Leader = d.ID()
 	m.Ts = d.I64()
 	m.Sig = d.Blob()
 }
 
-// LeadershipTransfer is the cloud's signed record that chain leadership
-// moved to a new node: the arbitration artifact of a failover. Epoch
-// strictly increases per chain, so every replica and client can order
-// transfers and ignore stale ones. Clients that verify CloudSig rebind
-// their session to NewLeader and resend in-flight operations; the old
-// leader's signed promises remain convicting evidence against it.
+// LeadershipTransfer is the cloud's signed view of a replicated chain:
+// its leader and followers under a per-chain epoch. It is the one
+// membership message. A failover moves leadership to a new node
+// (NewLeader != Prev); a rejoin re-admits a member under the same leader
+// (NewLeader == Prev) and lists it in Followers. Epoch strictly increases
+// per chain, so every replica and client can order views and ignore stale
+// ones: a replica adopts the highest view it has seen, and clients that
+// verify CloudSig rebind their session to NewLeader and resend in-flight
+// operations. The old leader's signed promises remain convicting evidence
+// against it.
 type LeadershipTransfer struct {
 	Chain     NodeID // chain whose leadership changed
-	Epoch     uint64 // per-chain leadership epoch (initial leader is epoch 1)
-	Prev      NodeID // demoted node
+	Epoch     uint64 // per-chain view epoch (the registered group is epoch 0)
+	Prev      NodeID // leader before this view (NewLeader itself on a rejoin)
 	NewLeader NodeID
-	Followers []NodeID // remaining followers under the new leader
-	Reason    string   // "crash", "conviction", "cert-timeout", ...
+	Followers []NodeID // followers under NewLeader
+	Reason    string   // "lease expired", "convicted", "rejoin", ...
 	Ts        int64
 	CloudSig  []byte
 }

@@ -154,6 +154,7 @@ func sampleMessages() []Message {
 			EdgeSig: randBytes(64),
 		},
 		&ReplicateBlock{Chain: "edge-1", Leader: "edge-1.r1", Block: blk, LeaderSig: randBytes(64)},
+		&ReplicaHeartbeat{Node: "edge-1.r2", Chain: "edge-1", Blocks: 14, Certified: 12, Epoch: 3, Leader: "edge-1.r1", Ts: 321, Sig: randBytes(64)},
 		&ReplicaHeartbeat{Node: "edge-1.r2", Chain: "edge-1", Blocks: 14, Certified: 12, Ts: 321, Sig: randBytes(64)},
 		&LeadershipTransfer{
 			Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-1.r1",
@@ -161,7 +162,10 @@ func sampleMessages() []Message {
 		},
 		&CatchUpRequest{Chain: "edge-1", Node: "edge-1.r2", From: 7, Ts: 99, Sig: randBytes(64)},
 		&ReplicateBlock{Chain: "edge-1", Leader: "edge-1.r1", Block: blk, LeaderSig: randBytes(64), Through: 19, Cert: &proof},
-		&GroupJoin{Chain: "edge-1", Node: "edge-1.r2", Leader: "edge-1.r1", Epoch: 3, Ts: 17, CloudSig: randBytes(64)},
+		&LeadershipTransfer{
+			Chain: "edge-1", Epoch: 3, Prev: "edge-1.r1", NewLeader: "edge-1.r1",
+			Followers: []NodeID{"edge-1.r2", "edge-1"}, Reason: "rejoin", Ts: 17, CloudSig: randBytes(64),
+		},
 		&FrontierRequest{Chain: "edge-1"},
 		&Overloaded{Seq: 42, ReqID: 7, RetryAfter: 1e8, Backlog: 9, EdgeSig: randBytes(64)},
 		&BlockCertifyBatch{
@@ -210,11 +214,12 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// retiredFrames returns envelopes as binaries before kinds 1, 2 and 38
+// retiredFrames returns envelopes as binaries before kinds 1, 2, 38 and 39
 // were retired framed them: a log-append request (an entry and a flag
-// byte), its response (the PutResponse body), and a catch-up response
-// (chain, leader, first block id, the leader's block count, then items of
-// block, transfer signature, certificate flag and certificate).
+// byte), its response (the PutResponse body), a catch-up response (chain,
+// leader, first block id, the leader's block count, then items of block,
+// transfer signature, certificate flag and certificate), and a group join
+// (chain, node, leader, epoch, timestamp, cloud signature).
 func retiredFrames() [][]byte {
 	req := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: &PutRequest{Entry: sampleEntry(1)}})
 	req = append(req, 1)
@@ -240,11 +245,46 @@ func retiredFrames() [][]byte {
 	blk.EncodeTo(&e)
 	e.Blob(randBytes(64))
 	e.U32(0)
-	return [][]byte{req, resp, e.Bytes()}
+
+	var j Encoder
+	j.U16(39)
+	j.ID("cloud")
+	j.ID("edge-1.r2")
+	for _, id := range []NodeID{"edge-1", "edge-1.r2", "edge-1.r1"} {
+		j.ID(id)
+	}
+	j.U64(3)
+	j.I64(17)
+	j.Blob(randBytes(64))
+	return [][]byte{req, resp, e.Bytes(), j.Bytes()}
+}
+
+// TestHeartbeatSignsItsView: a heartbeat's epoch and leader are part of
+// the body its sender signs, so nobody can restate the view a replica
+// reported.
+func TestHeartbeatSignsItsView(t *testing.T) {
+	hb := ReplicaHeartbeat{Node: "edge-1.r1", Chain: "edge-1", Blocks: 4, Certified: 3, Epoch: 2, Leader: "edge-1", Ts: 9}
+	body := BodyBytes(&hb)
+	for name, mutate := range map[string]func(m *ReplicaHeartbeat){
+		"epoch":     func(m *ReplicaHeartbeat) { m.Epoch++ },
+		"leader":    func(m *ReplicaHeartbeat) { m.Leader = "edge-1.r2" },
+		"no leader": func(m *ReplicaHeartbeat) { m.Leader = "" },
+	} {
+		m := hb
+		mutate(&m)
+		if bytes.Equal(BodyBytes(&m), body) {
+			t.Errorf("%s: the signed body does not change", name)
+		}
+	}
+	m := hb
+	m.Sig = randBytes(64)
+	if !bytes.Equal(BodyBytes(&m), body) {
+		t.Error("the signed body depends on the signature")
+	}
 }
 
 // TestKindNumbersPinned holds every kind to its number on the wire: a kind
-// is added at the end, a retired number (1, 2, 38) stays unnamed and
+// is added at the end, a retired number (1, 2, 38, 39) stays unnamed and
 // undecodable, and nothing is ever renumbered.
 func TestKindNumbersPinned(t *testing.T) {
 	pinned := map[string]Kind{
@@ -257,10 +297,10 @@ func TestKindNumbersPinned(t *testing.T) {
 		"Ping": 26, "Pong": 27, "PutBatch": 28, "CloudPutBatch": 29, "EBPutBatch": 30,
 		"ShardMap": 31, "ScanRequest": 32, "ScanResponse": 33,
 		"ReplicateBlock": 34, "ReplicaHeartbeat": 35, "LeadershipTransfer": 36,
-		"CatchUpRequest": 37, "GroupJoin": 39, "FrontierRequest": 40,
+		"CatchUpRequest": 37, "FrontierRequest": 40,
 		"Overloaded": 41, "BlockCertifyBatch": 42, "BlockCertBatch": 43,
 	}
-	retired := map[Kind]bool{1: true, 2: true, 38: true}
+	retired := map[Kind]bool{1: true, 2: true, 38: true, 39: true}
 	byNumber := map[Kind]string{}
 	for name, k := range pinned {
 		byNumber[k] = name
@@ -336,7 +376,7 @@ var _ = [...]BodyAppender{
 	(*PutResponse)(nil), (*GetResponse)(nil), (*MergeRequest)(nil), (*MergeResponse)(nil),
 	(*EBStatePush)(nil), (*EBStateAck)(nil), (*PutBatch)(nil), (*ShardMap)(nil), (*ScanResponse)(nil),
 	(*ReplicateBlock)(nil), (*ReplicaHeartbeat)(nil), (*LeadershipTransfer)(nil),
-	(*CatchUpRequest)(nil), (*GroupJoin)(nil), (*Overloaded)(nil),
+	(*CatchUpRequest)(nil), (*Overloaded)(nil),
 	(*BlockCertifyBatch)(nil), (*BlockCertBatch)(nil),
 }
 

@@ -79,7 +79,9 @@ const (
 	// 38 is retired: it was the catch-up response before a catch-up run
 	// became ReplicateBlock frames.
 	_
-	KindGroupJoin
+	// 39 is retired: it was the group join before a rejoin became a
+	// LeadershipTransfer view.
+	_
 	KindFrontierRequest
 
 	// Front-door admission control (appended).
@@ -146,7 +148,6 @@ var kinds = [kindEnd]kindInfo{
 	KindReplicaHeartbeat:   kindOf[ReplicaHeartbeat]("ReplicaHeartbeat"),
 	KindLeadershipTransfer: kindOf[LeadershipTransfer]("LeadershipTransfer"),
 	KindCatchUpRequest:     kindOf[CatchUpRequest]("CatchUpRequest"),
-	KindGroupJoin:          kindOf[GroupJoin]("GroupJoin"),
 	KindFrontierRequest:    kindOf[FrontierRequest]("FrontierRequest"),
 	KindOverloaded:         kindOf[Overloaded]("Overloaded"),
 	KindBlockCertifyBatch:  kindOf[BlockCertifyBatch]("BlockCertifyBatch"),
