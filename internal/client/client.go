@@ -1,5 +1,5 @@
 // Package client implements the WedgeChain client: the authenticated node
-// that produces signed entries, tracks every operation through Phase I and
+// that produces signed writes, tracks every operation through Phase I and
 // Phase II commitment, verifies all evidence and proofs, and files
 // disputes when the edge lies (Section IV-D Algorithm 1 and Section V-B).
 //
@@ -359,86 +359,68 @@ func (c *Core) launchBanned(op *Op) (*Op, []wire.Envelope) {
 	return op, nil
 }
 
-// makeEntry builds and signs an entry.
-func (c *Core) makeEntry(now int64, key, value []byte, pos uint64) wire.Entry {
-	e := c.makeEntryUnsigned(now, key, value, pos)
-	e.Sig = wcrypto.SignMsg(c.key, &e)
-	return e
-}
-
-// makeEntryUnsigned builds an entry without its individual signature —
-// session-signed batches authenticate entries with one batch signature
-// instead (amortized client signing).
-func (c *Core) makeEntryUnsigned(now int64, key, value []byte, pos uint64) wire.Entry {
-	c.seq++
-	e := wire.Entry{
-		Client: c.cfg.ID,
-		Seq:    c.seq,
-		Key:    key,
-		Value:  value,
-		Ts:     now,
-		Pos:    pos,
-	}
-	return e
-}
-
 // Add starts a log append — a write without a key. The returned op
 // reaches Phase I when the edge's signed block arrives and Phase II when
 // the cloud's proof does.
 func (c *Core) Add(now int64, payload []byte) (*Op, []wire.Envelope) {
-	return c.write(now, &Op{Kind: KindAdd, Value: payload})
+	op := &Op{Kind: KindAdd, Value: payload}
+	return op, c.write(now, []*Op{op})
 }
 
 // AddAt starts a log append signed for a reserved absolute position
 // (pos is the value returned by Reserve).
 func (c *Core) AddAt(now int64, payload []byte, pos uint64) (*Op, []wire.Envelope) {
-	return c.write(now, &Op{Kind: KindAdd, Value: payload, pos: pos + 1})
+	op := &Op{Kind: KindAdd, Value: payload, pos: pos + 1}
+	return op, c.write(now, []*Op{op})
 }
 
 // Put starts a key-value write through the LSMerkle index.
 func (c *Core) Put(now int64, key, value []byte) (*Op, []wire.Envelope) {
-	return c.write(now, &Op{Kind: KindPut, Key: key, Value: value})
-}
-
-// write launches the single write every API above is: one signed entry in
-// one PutRequest, keyed or not, positioned or not.
-func (c *Core) write(now int64, op *Op) (*Op, []wire.Envelope) {
-	op.Edge, op.StartedAt = c.cfg.Edge, now
-	if c.banned != nil {
-		return c.launchBanned(op)
-	}
-	e := c.makeEntry(now, op.Key, op.Value, op.pos)
-	op.Seq = e.Seq
-	c.bySeq.Set(e.Seq, op)
-	c.pending++
-	return op, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.PutRequest{Entry: e}}}
+	op := &Op{Kind: KindPut, Key: key, Value: value}
+	return op, c.write(now, []*Op{op})
 }
 
 // PutBatch starts a batch of key-value writes carried in one request —
 // the paper's batched submission mode. One Op is returned per pair.
 func (c *Core) PutBatch(now int64, keys, values [][]byte) ([]*Op, []wire.Envelope) {
-	ops := make([]*Op, 0, len(keys))
-	if c.banned != nil {
-		for i := range keys {
-			op, _ := c.launchBanned(&Op{Kind: KindPut, Edge: c.cfg.Edge, Key: keys[i], Value: values[i], StartedAt: now})
-			ops = append(ops, op)
-		}
-		return ops, nil
-	}
-	batch := &wire.PutBatch{Client: c.cfg.ID, Entries: make([]wire.Entry, 0, len(keys))}
+	ops := make([]*Op, len(keys))
 	for i := range keys {
-		// Session-signed batch: entries carry no individual signature;
-		// one batch signature below authenticates them all, replacing
-		// len(keys) Ed25519 operations with one on both sides.
-		e := c.makeEntryUnsigned(now, keys[i], values[i], 0)
-		op := &Op{Kind: KindPut, Seq: e.Seq, Edge: c.cfg.Edge, Key: keys[i], Value: values[i], StartedAt: now}
-		c.bySeq.Set(e.Seq, op)
-		c.pending++
-		ops = append(ops, op)
-		batch.Entries = append(batch.Entries, e)
+		ops[i] = &Op{Kind: KindPut, Key: keys[i], Value: values[i]}
 	}
-	batch.BatchSig = wcrypto.SignMsg(c.key, batch)
-	return ops, []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: batch}}
+	return ops, c.write(now, ops)
+}
+
+// write launches ops, keyed or not, positioned or not: each takes the next
+// seq, and all of them leave in one signed batch.
+func (c *Core) write(now int64, ops []*Op) []wire.Envelope {
+	for _, op := range ops {
+		op.Edge, op.StartedAt = c.cfg.Edge, now
+		if c.banned != nil {
+			c.launchBanned(op)
+			continue
+		}
+		c.seq++
+		op.Seq = c.seq
+		c.bySeq.Set(op.Seq, op)
+		c.pending++
+	}
+	if c.banned != nil {
+		return nil
+	}
+	return []wire.Envelope{c.submit(now, ops)}
+}
+
+// submit builds and signs the one write message: a PutBatch holding one
+// entry per op, each under the op's seq and reserved position, stamped
+// now. One signature authenticates the batch; the entries carry none. The
+// first send, every retry and every failover rebind go through here.
+func (c *Core) submit(now int64, ops []*Op) wire.Envelope {
+	b := &wire.PutBatch{Client: c.cfg.ID, Entries: make([]wire.Entry, len(ops))}
+	for i, op := range ops {
+		b.Entries[i] = wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now, Pos: op.pos}
+	}
+	b.BatchSig = wcrypto.SignMsg(c.key, b)
+	return wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: b}
 }
 
 // Read starts a block read.
@@ -664,8 +646,12 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 		if !ok || op.Phase >= core.PhaseI {
 			continue
 		}
-		if !bytes.Equal(e.Value, op.Value) || !bytes.Equal(e.Key, op.Key) {
-			// The block misrepresents my entry: reject outright.
+		if !bytes.Equal(e.Value, op.Value) || !bytes.Equal(e.Key, op.Key) || e.Pos != op.pos ||
+			(op.pos > 0 && m.Block.StartPos+uint64(i) != op.pos-1) {
+			// The block misrepresents my entry, or holds a reserved write
+			// outside its slot: reject outright. Entries carry no signature
+			// of their own, so this is what binds the stored entry to the
+			// one I sent.
 			c.m.verifyFailures.Inc()
 			c.settle(op, ErrBadResponse)
 			continue

@@ -38,17 +38,36 @@ func blockWith(bid uint64, entries ...wire.Entry) wire.Block {
 	return wire.Block{Edge: "edge-1", ID: bid, StartPos: 0, Entries: entries}
 }
 
-// entryOf extracts the signed entry from the envelopes an Add produced.
-func entryOf(t *testing.T, envs []wire.Envelope) wire.Entry {
+// batchOf extracts the one write message from the envelopes a write
+// produced: a PutBatch from c1 whose entries carry no signature.
+func batchOf(t *testing.T, envs []wire.Envelope) *wire.PutBatch {
 	t.Helper()
 	if len(envs) != 1 {
 		t.Fatalf("envelopes = %d", len(envs))
 	}
-	m, ok := envs[0].Msg.(*wire.PutRequest)
+	m, ok := envs[0].Msg.(*wire.PutBatch)
 	if !ok {
 		t.Fatalf("unexpected message %T", envs[0].Msg)
 	}
-	return m.Entry
+	if m.Client != "c1" {
+		t.Fatalf("batch signed by %q", m.Client)
+	}
+	for i := range m.Entries {
+		if len(m.Entries[i].Sig) != 0 {
+			t.Fatalf("entry %d carries a signature of its own", i)
+		}
+	}
+	return m
+}
+
+// entryOf extracts the entry from the batch of one an Add or Put produced.
+func entryOf(t *testing.T, envs []wire.Envelope) wire.Entry {
+	t.Helper()
+	b := batchOf(t, envs)
+	if len(b.Entries) != 1 {
+		t.Fatalf("batch of %d entries, want 1", len(b.Entries))
+	}
+	return b.Entries[0]
 }
 
 func (f *fixture) signedAddResponse(blk wire.Block) *wire.PutResponse {
@@ -294,7 +313,6 @@ func (f *fixture) verifyGet(now int64, key string, m *wire.ScanResponse) error {
 func TestVerifyGetResponseL0Value(t *testing.T) {
 	f := newFixture(t)
 	e := wire.Entry{Client: "c1", Seq: 9, Key: []byte("k"), Value: []byte("v")}
-	e.Sig = wcrypto.SignMsg(f.keys["c1"], &e)
 	blk := wire.Block{Edge: "edge-1", ID: 0, StartPos: 0, Entries: []wire.Entry{e}}
 	proof := f.signedProof(&blk)
 	window := func() []wire.L0Slice {
@@ -338,7 +356,6 @@ func TestVerifyGetResponseRejectsForeignBlocks(t *testing.T) {
 func TestVerifyGetResponseUncertifiedIsPhaseI(t *testing.T) {
 	f := newFixture(t)
 	e := wire.Entry{Client: "c1", Seq: 9, Key: []byte("k"), Value: []byte("v")}
-	e.Sig = wcrypto.SignMsg(f.keys["c1"], &e)
 	blk := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{e}}
 
 	op, _ := f.c.Get(10, []byte("k"))
@@ -354,6 +371,47 @@ func TestVerifyGetResponseUncertifiedIsPhaseI(t *testing.T) {
 	}
 	if !op.Found || !bytes.Equal(op.GotValue, []byte("v")) || op.GotVer != 1 {
 		t.Fatalf("answer = %v %q v%d", op.Found, op.GotValue, op.GotVer)
+	}
+}
+
+// TestPhaseIBindsReservedPosition: an acknowledgement binds a write to the
+// slot it was sent for. An AddAt acked at another slot, or with its Pos
+// rewritten, and a plain Add acked with a Pos it never asked for, fail the
+// op at Phase I; the AddAt acked at its reserved slot passes.
+func TestPhaseIBindsReservedPosition(t *testing.T) {
+	const reserved = 5
+	for _, tc := range []struct {
+		name     string
+		at       bool   // AddAt(reserved) rather than Add
+		startPos uint64 // the acked block's first position
+		index    int    // the entry's index in the block
+		pos      func(uint64) uint64
+		ok       bool
+	}{
+		{"reserved slot", true, reserved - 1, 1, func(p uint64) uint64 { return p }, true},
+		{"other slot", true, 0, 0, func(p uint64) uint64 { return p }, false},
+		{"Pos rewritten", true, reserved, 0, func(uint64) uint64 { return 0 }, false},
+		{"Pos added", false, reserved, 0, func(uint64) uint64 { return reserved + 1 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			op, envs := f.c.Add(10, []byte("payload"))
+			if tc.at {
+				op, envs = f.c.AddAt(10, []byte("payload"), reserved)
+			}
+			e := entryOf(t, envs)
+			e.Pos = tc.pos(e.Pos)
+			entries := make([]wire.Entry, tc.index+1)
+			entries[tc.index] = e
+			blk := wire.Block{Edge: "edge-1", ID: 0, StartPos: tc.startPos, Entries: entries}
+			f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: f.signedAddResponse(blk)})
+			if tc.ok && (op.Phase != core.PhaseI || op.Done) {
+				t.Fatalf("honest ack: phase %v done %v err %v", op.Phase, op.Done, op.Err)
+			}
+			if !tc.ok && (!op.Done || !errors.Is(op.Err, ErrBadResponse)) {
+				t.Fatalf("misplaced write accepted: phase %v done %v err %v", op.Phase, op.Done, op.Err)
+			}
+		})
 	}
 }
 

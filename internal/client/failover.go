@@ -57,10 +57,10 @@ func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 
 // rebind re-sends every unsettled operation to the (new) current edge.
 //
-//   - Writes are re-signed and re-submitted. If the entry already sits in
-//     a block the new leader inherited, the replay defence re-acks from
-//     that block (and re-attaches or re-subscribes its proof); otherwise
-//     the entry is appended fresh. An AddAt re-submits for the position it
+//   - Writes are re-signed and re-submitted, all in one batch. If an
+//     entry already sits in a block the new leader inherited, the replay
+//     defence re-acks from that block (and re-attaches or re-subscribes
+//     its proof); otherwise the entry is appended fresh. An AddAt re-submits for the position it
 //     reserved, never for another: reservations die with the old leader,
 //     so a successor that does not hold the slot refuses the entry and the
 //     op fails (ErrUnavailable under RetryEvery) instead of landing where
@@ -75,8 +75,8 @@ func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 // Disputed ops are left alone — their accusation is already with the
 // cloud and the verdict, not the new leader, settles them.
 func (c *Core) rebind(now int64) []wire.Envelope {
-	var out []wire.Envelope
-	resend := func(_ uint64, op *Op) {
+	var live []*Op
+	collect := func(_ uint64, op *Op) {
 		if op.Done || op.disputed {
 			return
 		}
@@ -89,11 +89,9 @@ func (c *Core) rebind(now int64) []wire.Envelope {
 			op.attempts = 1
 			op.nextResend = now + c.retryDelay(op, 1)
 		}
-		if env, ok := c.resendOp(now, op); ok {
-			out = append(out, env)
-		}
+		live = append(live, op)
 	}
-	c.bySeq.Each(resend)
-	c.byReq.Each(resend)
-	return out
+	c.bySeq.Each(collect)
+	c.byReq.Each(collect)
+	return c.resend(now, live)
 }

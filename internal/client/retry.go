@@ -41,7 +41,7 @@ func (c *Core) tickRetry(now int64) []wire.Envelope {
 	}
 	c.bySeq.Each(collect)
 	c.byReq.Each(collect)
-	var out []wire.Envelope
+	var again []*Op
 	for _, op := range due {
 		if op.attempts >= c.cfg.MaxAttempts {
 			// An op the edge explicitly shed fails as "overloaded, come
@@ -55,12 +55,10 @@ func (c *Core) tickRetry(now int64) []wire.Envelope {
 		}
 		op.attempts++
 		op.nextResend = now + c.retryDelay(op, op.attempts)
-		if env, ok := c.resendOp(now, op); ok {
-			c.m.resends.Inc()
-			out = append(out, env)
-		}
+		c.m.resends.Inc()
+		again = append(again, op)
 	}
-	return out
+	return c.resend(now, again)
 }
 
 // retryDelay is the wait before attempt+1: RetryEvery doubled per prior
@@ -150,25 +148,27 @@ func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded)
 	return nil
 }
 
-// resendOp rebuilds the wire request for an unsettled op and aims it at
-// the current edge. Writes are re-signed with a fresh timestamp (the seq
-// is what the replay defence keys on) for the position they reserved, if
-// any; reads keep their original request
-// id so a late first response and the re-serve settle the same op. Shared
-// by the retry pass and post-failover rebind.
-func (c *Core) resendOp(now int64, op *Op) (wire.Envelope, bool) {
-	var msg wire.Message
-	switch op.Kind {
-	case KindAdd, KindPut:
-		e := wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now, Pos: op.pos}
-		e.Sig = wcrypto.SignMsg(c.key, &e)
-		msg = &wire.PutRequest{Entry: e}
-	case KindRead:
-		msg = &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}
-	case KindGet, KindScan:
-		msg = scanRequest(op)
-	default:
-		return wire.Envelope{}, false
+// resend rebuilds the wire requests for unsettled ops and aims them at
+// the current edge. Writes leave together in one re-signed batch, each
+// under its own seq (what the replay defence keys on) and for the position
+// it reserved, if any; reads keep their original request id so a late
+// first response and the re-serve settle the same op. Shared by the retry
+// pass and post-failover rebind.
+func (c *Core) resend(now int64, ops []*Op) []wire.Envelope {
+	var writes []*Op
+	var out []wire.Envelope
+	for _, op := range ops {
+		switch op.Kind {
+		case KindAdd, KindPut:
+			writes = append(writes, op)
+		case KindRead:
+			out = append(out, wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}})
+		case KindGet, KindScan:
+			out = append(out, wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: scanRequest(op)})
+		}
 	}
-	return wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: msg}, true
+	if len(writes) > 0 {
+		out = append(out, c.submit(now, writes))
+	}
+	return out
 }

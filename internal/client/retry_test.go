@@ -26,8 +26,8 @@ func TestResendKeepsReservedPosition(t *testing.T) {
 		if e.Pos != first.Pos || e.Seq != first.Seq || string(e.Value) != "exactly-once" || len(e.Key) != 0 {
 			t.Fatalf("%s: re-sent entry = %+v, want seq %d at Pos %d", how, e, first.Seq, first.Pos)
 		}
-		if err := wcrypto.VerifyMsg(f.reg, "c1", &e, e.Sig); err != nil {
-			t.Fatalf("%s: re-sent entry not signed for its position: %v", how, err)
+		if b := batchOf(t, out); wcrypto.VerifyMsg(f.reg, "c1", b, b.BatchSig) != nil {
+			t.Fatalf("%s: re-sent batch not signed for its position", how)
 		}
 	}
 	check("retry", f.c.Tick(10_000))
@@ -58,4 +58,67 @@ func TestReserveRefusesOversizedCount(t *testing.T) {
 	if err != nil || len(envs) != 1 {
 		t.Fatalf("Reserve(MaxReserve) = %v, %v", envs, err)
 	}
+}
+
+// TestResendIsOneBatch: the retry pass and a failover rebind re-send every
+// due write as one batch under one signature, each entry under the seq it
+// was first sent with, and a due read beside it as its own request.
+func TestResendIsOneBatch(t *testing.T) {
+	f := overloadFixture(t, Config{RetryEvery: 100, MaxAttempts: 5})
+	var seqs []uint64
+	for i := 0; i < 3; i++ {
+		op, _ := f.c.Put(10, []byte{'k', byte('a' + i)}, []byte("v"))
+		seqs = append(seqs, op.Seq)
+	}
+	ops, _ := f.c.PutBatch(10, [][]byte{[]byte("kx"), []byte("ky")}, [][]byte{[]byte("v"), []byte("v")})
+	for _, op := range ops {
+		seqs = append(seqs, op.Seq)
+	}
+	read, _ := f.c.Read(10, 7)
+	check := func(how string, out []wire.Envelope, to wire.NodeID) {
+		t.Helper()
+		var batches []*wire.PutBatch
+		reads := 0
+		for _, env := range out {
+			if env.To != to {
+				t.Fatalf("%s: %T sent to %s, want %s", how, env.Msg, env.To, to)
+			}
+			switch m := env.Msg.(type) {
+			case *wire.PutBatch:
+				batches = append(batches, m)
+			case *wire.ReadRequest:
+				if m.ReqID != read.ReqID {
+					t.Fatalf("%s: read re-sent under request id %d, want %d", how, m.ReqID, read.ReqID)
+				}
+				reads++
+			default:
+				t.Fatalf("%s: unexpected %T", how, env.Msg)
+			}
+		}
+		if len(batches) != 1 || reads != 1 {
+			t.Fatalf("%s: %d batches and %d reads, want 1 and 1", how, len(batches), reads)
+		}
+		b := batches[0]
+		if err := wcrypto.VerifyMsg(f.reg, "c1", b, b.BatchSig); err != nil {
+			t.Fatalf("%s: batch signature: %v", how, err)
+		}
+		if len(b.Entries) != len(seqs) {
+			t.Fatalf("%s: %d entries re-sent, want %d", how, len(b.Entries), len(seqs))
+		}
+		for i, e := range b.Entries {
+			if e.Seq != seqs[i] || len(e.Sig) != 0 {
+				t.Fatalf("%s: entry %d has seq %d and a %d-byte signature, want seq %d and none", how, i, e.Seq, len(e.Sig), seqs[i])
+			}
+		}
+	}
+	check("retry", f.c.Tick(10_000), "edge-1")
+	if got := f.c.Stats().Resends; got != uint64(len(seqs)+1) {
+		t.Fatalf("resends = %d, want one per re-sent op (%d)", got, len(seqs)+1)
+	}
+
+	f.keys["edge-2"] = wcrypto.DeterministicKey("edge-2")
+	f.reg.Register("edge-2", f.keys["edge-2"].Pub)
+	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-2", Reason: "crash"}
+	tr.CloudSig = wcrypto.SignMsg(f.keys["cloud"], tr)
+	check("rebind", f.c.Receive(20_000, wire.Envelope{From: "cloud", To: "c1", Msg: tr}), "edge-2")
 }

@@ -143,7 +143,7 @@ func TestShardedPhaseIsolationAndDemux(t *testing.T) {
 	opA, envsA := f.s.Put(10, keyA, []byte("va"))
 	opB, envsB := f.s.Put(10, keyB, []byte("vb"))
 
-	entryA := envsA[0].Msg.(*wire.PutRequest).Entry
+	entryA := entryOf(t, envsA)
 	blkA := wire.Block{Edge: "edge-1", ID: 0, Entries: []wire.Entry{entryA}}
 	f.s.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: f.signedPutResponse("edge-1", blkA)})
 	if opA.Phase != core.PhaseI {
@@ -168,7 +168,7 @@ func TestShardedPhaseIsolationAndDemux(t *testing.T) {
 		t.Fatalf("pending = %v, want edge-1:0 edge-2:1", pending)
 	}
 
-	entryB := envsB[0].Msg.(*wire.PutRequest).Entry
+	entryB := entryOf(t, envsB)
 	blkB := wire.Block{Edge: "edge-2", ID: 0, Entries: []wire.Entry{entryB}}
 	f.s.Receive(40, wire.Envelope{From: "edge-2", To: "c1", Msg: f.signedPutResponse("edge-2", blkB)})
 	f.s.Receive(50, wire.Envelope{From: "cloud", To: "c1", Msg: f.edgeSignedProof("edge-2", &blkB)})

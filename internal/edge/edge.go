@@ -407,33 +407,32 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // receive dispatches env to its handler.
 func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch env.Msg.(type) {
-	case *wire.PutRequest, *wire.PutBatch, *wire.ReadRequest, *wire.ScanRequest, *wire.ReserveRequest:
+	case *wire.PutBatch, *wire.ReadRequest, *wire.ScanRequest, *wire.ReserveRequest:
 		if n.follow != nil {
 			return n.announceLeader(env)
 		}
 	}
 	switch m := env.Msg.(type) {
-	case *wire.PutRequest:
-		return n.handleWrite(now, env.From, m.Entry, false)
 	case *wire.PutBatch:
-		// The batch signer must BE the sender. Entries are accepted on the
-		// batch signature alone, so binding m.Client to the envelope sender
-		// (plus the per-entry e.Client == from check in handleWrite) is what
-		// stops a registered client from forging writes attributed to
-		// another identity.
+		// The one write message, and its one admission rule. The batch
+		// signer must BE the sender: entries are accepted on the batch
+		// signature alone, so binding m.Client to the envelope sender (plus
+		// the per-entry e.Client == from check in handleWrite) is what stops
+		// a registered client from forging writes attributed to another
+		// identity.
 		if m.Client != env.From {
 			n.logf("rejecting batch signed by a different identity", "from", env.From, "signer", m.Client)
 			return nil
 		}
-		// An absent BatchSig fails here too: per-entry signatures do not
-		// admit a batch.
+		// An absent BatchSig fails here too: entry signatures admit
+		// nothing.
 		if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
 			n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
 			return nil
 		}
 		var out []wire.Envelope
 		for i := range m.Entries {
-			out = append(out, n.handleWrite(now, env.From, m.Entries[i], true)...)
+			out = append(out, n.handleWrite(now, env.From, m.Entries[i])...)
 		}
 		return out
 	case *wire.ReadRequest:
@@ -543,13 +542,12 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 	return out
 }
 
-// handleWrite appends one entry — a put, or a log add when it has no key
-// (the index skips keyless entries; the log treats both alike). The entry
-// must be signed by a known client, by its own signature or, inside a
-// batch, by the batch's (batchSigned); invalid or replayed entries are
-// dropped (the client's timeout machinery owns retries, mirroring the
-// paper's idempotence discussion).
-func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, batchSigned bool) []wire.Envelope {
+// handleWrite appends one entry of a batch whose signature receive has
+// checked — a put, or a log add when it has no key (the index skips keyless
+// entries; the log treats both alike). Entries attributed to another client
+// and invalid or replayed entries are dropped (the client's timeout
+// machinery owns retries, mirroring the paper's idempotence discussion).
+func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry) []wire.Envelope {
 	if e.Client != from {
 		return nil
 	}
@@ -571,12 +569,6 @@ func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry, batchSigne
 					"backlog", n.log.NumBlocks()-frontier, "cap", n.cfg.MaxUncertified, "shed", n.m.shed.Value())
 			}
 			return n.shedSignal(now, from, e.Seq, n.log.NumBlocks()-frontier)
-		}
-	}
-	if !batchSigned {
-		if err := wcrypto.VerifyMsg(n.reg, e.Client, &e, e.Sig); err != nil {
-			n.logf("rejecting write with bad signature", "client", from, "err", err)
-			return nil
 		}
 	}
 	pos, err := n.log.Append(e, now)

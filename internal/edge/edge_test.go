@@ -32,21 +32,31 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return &fixture{node: New(cfg, keys["edge-1"], reg), keys: keys, reg: reg}
 }
 
+// put is the one write message a test sends edge-1: the entries in a
+// PutBatch that their client k signs once and sends.
+func put(k wcrypto.KeyPair, entries ...wire.Entry) wire.Envelope {
+	b := &wire.PutBatch{Client: k.ID, Entries: entries}
+	b.BatchSig = wcrypto.SignMsg(k, b)
+	return wire.Envelope{From: k.ID, To: "edge-1", Msg: b}
+}
+
+// entry is client's write seq; a key of "" makes it a log add.
 func (f *fixture) entry(client wire.NodeID, seq uint64, key, value string) wire.Entry {
 	e := wire.Entry{Client: client, Seq: seq, Value: []byte(value)}
 	if key != "" {
 		e.Key = []byte(key)
 	}
-	e.Sig = wcrypto.SignMsg(f.keys[client], &e)
 	return e
+}
+
+// put sends client's entries as one batch.
+func (f *fixture) put(now int64, client wire.NodeID, entries ...wire.Entry) []wire.Envelope {
+	return f.node.Receive(now, put(f.keys[client], entries...))
 }
 
 func (f *fixture) add(t *testing.T, now int64, client wire.NodeID, seq uint64, value string) []wire.Envelope {
 	t.Helper()
-	return f.node.Receive(now, wire.Envelope{
-		From: client, To: "edge-1",
-		Msg: &wire.PutRequest{Entry: f.entry(client, seq, "", value)},
-	})
+	return f.put(now, client, f.entry(client, seq, "", value))
 }
 
 func kindsOf(envs []wire.Envelope) map[wire.Kind]int {
@@ -77,9 +87,9 @@ func TestWriteBuffersUntilBatch(t *testing.T) {
 
 func TestWriteRejectsBadSignature(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
-	e := f.entry("c1", 1, "", "data")
-	e.Sig[0] ^= 1
-	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+	env := put(f.keys["c1"], f.entry("c1", 1, "", "data"))
+	env.Msg.(*wire.PutBatch).BatchSig[0] ^= 1
+	out := f.node.Receive(1, env)
 	if out != nil {
 		t.Fatal("forged entry accepted")
 	}
@@ -90,8 +100,9 @@ func TestWriteRejectsBadSignature(t *testing.T) {
 
 func TestWriteRejectsSpoofedSender(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
-	e := f.entry("c1", 1, "", "data")
-	out := f.node.Receive(1, wire.Envelope{From: "c2", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+	env := put(f.keys["c1"], f.entry("c1", 1, "", "data"))
+	env.From = "c2"
+	out := f.node.Receive(1, env)
 	if out != nil || f.node.Log().BufferLen() != 0 {
 		t.Fatal("spoofed sender accepted")
 	}
@@ -231,10 +242,10 @@ func TestFarSeqPutHandledInBoundedMemory(t *testing.T) {
 	for seq := uint64(1); seq <= 8; seq++ {
 		f.add(t, int64(seq), "c1", seq, "v")
 	}
-	far := &wire.PutRequest{Entry: f.entry("c1", 1<<62, "", "far")}
+	far := put(f.keys["c1"], f.entry("c1", 1<<62, "", "far"))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	out := f.node.Receive(10, wire.Envelope{From: "c1", To: "edge-1", Msg: far})
+	out := f.node.Receive(10, far)
 	runtime.ReadMemStats(&after)
 	if kindsOf(out)[wire.KindPutResponse] != 1 {
 		t.Fatalf("far-seq put not acknowledged: %v", kindsOf(out))
@@ -242,7 +253,7 @@ func TestFarSeqPutHandledInBoundedMemory(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Fatalf("handling one far-seq put allocated %d bytes", grew)
 	}
-	out = f.node.Receive(11, wire.Envelope{From: "c1", To: "edge-1", Msg: far})
+	out = f.node.Receive(11, far)
 	if len(out) == 0 {
 		t.Fatal("far-seq resend not re-acknowledged")
 	}
@@ -373,8 +384,7 @@ func TestMixedBlockOneAckOneProofPerClient(t *testing.T) {
 			if i%2 == 0 {
 				key = fmt.Sprintf("k%d", i)
 			}
-			out = f.node.Receive(int64(i+1), wire.Envelope{From: c, To: "edge-1",
-				Msg: &wire.PutRequest{Entry: f.entry(c, uint64(i+1), key, fmt.Sprintf("v%d", i))}})
+			out = f.put(int64(i+1), c, f.entry(c, uint64(i+1), key, fmt.Sprintf("v%d", i)))
 		}
 		want := map[wire.NodeID]int{}
 		for _, c := range writers {
@@ -504,7 +514,7 @@ func TestShedEmitsSignedOverloadSignal(t *testing.T) {
 // any other range counts as a scan.
 func TestGetAndScanCounters(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
-	f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: f.entry("c1", 1, "k", "v")}})
+	f.put(1, "c1", f.entry("c1", 1, "k", "v"))
 	start, end := wire.PointRange([]byte("k"))
 	for i, r := range [][2][]byte{{start, end}, {start, end}, {[]byte("a"), []byte("z")}, {nil, nil}, {start, append(end, 0)}} {
 		if out := f.node.Receive(2, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{Start: r[0], End: r[1], ReqID: uint64(i + 1)}}); len(out) != 1 {

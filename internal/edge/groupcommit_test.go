@@ -62,9 +62,7 @@ func newGCRig(t *testing.T, windowMS int64, opts ...func(*Config)) *gcRig {
 // returns what the turn released, every release checked for durability.
 func (r *gcRig) write(t *testing.T, now int64, seq uint64) []wire.Envelope {
 	t.Helper()
-	e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
-	e.Sig = wcrypto.SignMsg(r.keys["c1"], &e)
-	return r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}}))
+	return r.durable(t, r.n.Receive(now, put(r.keys["c1"], wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}})))
 }
 
 // tick runs one Tick, its releases checked for durability.
@@ -78,24 +76,27 @@ func (r *gcRig) tick(t *testing.T, now int64) []wire.Envelope {
 func (r *gcRig) durable(t *testing.T, out []wire.Envelope) []wire.Envelope {
 	t.Helper()
 	for _, env := range out {
-		var bid uint64
+		var bids []uint64
 		switch m := env.Msg.(type) {
 		case *wire.PutResponse:
-			bid = m.BID
+			bids = append(bids, m.BID)
 		case *wire.ReadResponse:
-			if !m.OK {
-				continue
+			if m.OK {
+				bids = append(bids, m.BID)
 			}
-			bid = m.BID
+		case *wire.ScanResponse:
+			for _, s := range m.Proof.L0Pruned {
+				bids = append(bids, s.ID)
+			}
 		case *wire.ReplicateBlock:
-			bid = m.Block.ID
+			bids = append(bids, m.Block.ID)
 		case *wire.BlockCertify:
-			bid = m.BID
-		default:
-			continue
+			bids = append(bids, m.BID)
 		}
-		if !r.n.store.Covers(bid) {
-			t.Fatalf("%v for block %d released before a sync covers it", env.Msg.MsgKind(), bid)
+		for _, bid := range bids {
+			if !r.n.store.Covers(bid) {
+				t.Fatalf("%v for block %d released before a sync covers it", env.Msg.MsgKind(), bid)
+			}
 		}
 	}
 	return out
@@ -358,6 +359,32 @@ func TestReadNotServedBeforeSync(t *testing.T) {
 	}
 	if k := kindsOf(r.tick(t, ms(2000))); k[wire.KindReadResponse] != 1 || k[wire.KindPutResponse] != 1 {
 		t.Fatalf("the flush released %v, want the held ack and the read response", k)
+	}
+}
+
+// TestScanWindowEndsAtSyncedBlock: a scan's (and so a get's) L0 window ends
+// at the first block no sync covers. Signing rows of a held block would
+// leave a reader holding evidence of a block a crash can still lose; once
+// the shared sync covers it, the next scan's window reaches it.
+func TestScanWindowEndsAtSyncedBlock(t *testing.T) {
+	r := newGCRig(t, 100)
+	defer r.n.CloseStore()
+	r.heldBlock(t)
+	scan := func(now int64, reqID uint64) []uint64 {
+		t.Helper()
+		m, _ := only[*wire.ScanResponse](t, r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{ReqID: reqID}})))
+		var ids []uint64
+		for _, s := range m.Proof.L0Pruned {
+			ids = append(ids, s.ID)
+		}
+		return ids
+	}
+	if ids := scan(ms(3), 1); fmt.Sprint(ids) != "[0]" {
+		t.Fatalf("scan window before the sync = %v, want [0]", ids)
+	}
+	r.tick(t, ms(2000))
+	if ids := scan(ms(2001), 2); fmt.Sprint(ids) != "[0 1]" {
+		t.Fatalf("scan window after the sync = %v, want [0 1]", ids)
 	}
 }
 

@@ -45,8 +45,7 @@ func (r *mergeRig) putBlock(t *testing.T, k1, k2 string) []wire.Envelope {
 		r.now++
 		r.seq++
 		e := wire.Entry{Client: "c1", Seq: r.seq, Key: []byte(k), Value: []byte("v-" + k)}
-		e.Sig = wcrypto.SignMsg(r.keys["c1"], &e)
-		for _, env := range r.leader.Receive(r.now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}}) {
+		for _, env := range r.leader.Receive(r.now, put(r.keys["c1"], e)) {
 			if env.Msg.MsgKind() == wire.KindBlockCertify {
 				certify = env
 			}

@@ -30,9 +30,7 @@ func TestEdgeRestartRecoversLog(t *testing.T) {
 	}
 	// Commit two blocks, certify the first.
 	write := func(n *Node, seq uint64, val string) {
-		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}
-		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		outs := n.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+		outs := n.Receive(1, put(keys["c1"], wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}))
 		if len(outs) == 0 {
 			t.Fatalf("write %d produced no outputs", seq)
 		}
@@ -68,9 +66,7 @@ func TestEdgeRestartRecoversLog(t *testing.T) {
 	// Replays of pre-crash entries are not re-appended: they get a
 	// re-acknowledgement built from the block that already holds them.
 	write2 := func(seq uint64, val string) []wire.Envelope {
-		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}
-		e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-		return n2.Receive(4, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+		return n2.Receive(4, put(keys["c1"], wire.Entry{Client: "c1", Seq: seq, Value: []byte(val)}))
 	}
 	reack := write2(1, "first")
 	if len(reack) == 0 {

@@ -56,7 +56,9 @@ func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
 			f := newFixture(t, Config{BatchSize: 3, Logger: unstampedLogger(&logged)})
 			b := &wire.PutBatch{Client: signer}
 			for seq := uint64(1); seq <= 3; seq++ {
-				b.Entries = append(b.Entries, f.entry("c1", seq, "k", "v"))
+				e := f.entry("c1", seq, "k", "v")
+				e.Sig = wcrypto.SignMsg(f.keys["c1"], &e)
+				b.Entries = append(b.Entries, e)
 			}
 			env := wire.Envelope{From: "c1", To: "edge-1", Msg: b}
 			if isFramed {
@@ -97,14 +99,37 @@ func TestSessionBatchRejectsTampering(t *testing.T) {
 }
 
 // TestSessionBatchEntryCannotBeSpliced lifts an entry out of a signed
-// batch and replays it as a standalone put: without an individual
-// signature it must be rejected.
+// batch and replays it as a batch of one under the original signature:
+// the signature covers the whole batch, so the splice must be rejected.
 func TestSessionBatchEntryCannotBeSpliced(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	b := sessionBatch(f, "c1", []uint64{1, 2})
-	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: b.Entries[0]}})
+	splice := &wire.PutBatch{Client: "c1", Entries: b.Entries[:1], BatchSig: b.BatchSig}
+	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: splice})
 	if out != nil || f.node.Stats().Writes != 0 {
-		t.Fatal("spliced entry without individual signature accepted")
+		t.Fatal("entry spliced out of a signed batch accepted")
+	}
+}
+
+// TestPutRequestNeitherAppendedNorAcked: every write is a PutBatch, so a
+// PutRequest, its entry validly signed on its own, is no write: the edge
+// appends and acknowledges nothing for it, as built and framed.
+func TestPutRequestNeitherAppendedNorAcked(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	e := f.entry("c1", 1, "k", "v")
+	e.Sig = wcrypto.SignMsg(f.keys["c1"], &e)
+	req := wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}}
+	for _, env := range []wire.Envelope{req, framed(t, req)} {
+		if out := f.node.Receive(1, env); len(out) != 0 {
+			t.Fatalf("PutRequest answered with %v", kindsOf(out))
+		}
+	}
+	if s := f.node.Stats(); s.Writes != 0 || s.BlocksCut != 0 || f.node.Log().BufferLen() != 0 || f.node.Log().NumBlocks() != 0 {
+		t.Fatalf("PutRequest appended: %+v", s)
+	}
+	// The same entry in a batch of one is a write.
+	if k := kindsOf(f.put(2, "c1", f.entry("c1", 1, "k", "v"))); k[wire.KindPutResponse] != 1 {
+		t.Fatalf("batch of one not acknowledged: %v", k)
 	}
 }
 

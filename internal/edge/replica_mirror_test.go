@@ -57,11 +57,7 @@ func (p *replicaPair) cutBlock(t *testing.T, now int64, seq uint64) *wire.Replic
 	t.Helper()
 	var repl *wire.ReplicateBlock
 	for i := uint64(0); i < 2; i++ {
-		e := wire.Entry{Client: "c1", Seq: seq + i, Value: []byte{byte(seq), byte(i)}}
-		e.Sig = wcrypto.SignMsg(p.keys["c1"], &e)
-		out := p.leader.Receive(now, wire.Envelope{
-			From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e},
-		})
+		out := p.leader.Receive(now, put(p.keys["c1"], wire.Entry{Client: "c1", Seq: seq + i, Value: []byte{byte(seq), byte(i)}}))
 		for _, env := range out {
 			if m, ok := env.Msg.(*wire.ReplicateBlock); ok {
 				repl = m
@@ -275,9 +271,7 @@ func TestJoinOvertakingTransferDoesNotBlockPromotion(t *testing.T) {
 func TestRejoinViewKeepsLeaderTables(t *testing.T) {
 	p := newReplicaPair(t)
 	put := func(seq uint64) []wire.Envelope {
-		e := wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}
-		e.Sig = wcrypto.SignMsg(p.keys["c1"], &e)
-		return p.leader.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+		return p.leader.Receive(1, put(p.keys["c1"], wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}}))
 	}
 	put(1)
 	if out := fromCloud(p.leader, p.signedView(1, "edge-1", "edge-1", "edge-1.r1", "edge-1.r2")); len(out) != 0 {

@@ -127,11 +127,18 @@ func (n *Node) applyScanFault(src mlsm.L0Source, resp *wire.ScanResponse) {
 }
 
 // l0Window snapshots the uncompacted L0 suffix — blocks, and certificates
-// where available — honouring the stale-snapshot fault. A block the log
-// cannot produce is an error and nothing is served: a window with a hole
-// is one an honest client must reject.
+// where available — honouring the stale-snapshot fault. On a persistent
+// node it ends at the first block no successful sync covers: a crash can
+// still lose that block, and a recovered node may cut the same id with
+// other content. It still reaches the certified frontier, since a block is
+// certified only after its sync. A block the log cannot produce is an
+// error and nothing is served: a window with a hole is one an honest
+// client must reject.
 func (n *Node) l0Window() (mlsm.L0Source, error) {
 	lo, hi := n.l0From, n.log.NumBlocks()
+	for n.store != nil && hi > lo && !n.store.Covers(hi-1) {
+		hi--
+	}
 	if n.cfg.Fault != nil && n.cfg.Fault.HideL0 && n.cfg.Fault.HideL0From < hi {
 		// Stale-snapshot attack: pretend recent blocks do not exist.
 		hi = n.cfg.Fault.HideL0From

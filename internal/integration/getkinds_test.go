@@ -25,9 +25,9 @@ func TestGetKindsInert(t *testing.T) {
 	}
 	leader := edge.New(edge.Config{ID: "edge-1", Cloud: "cloud", BatchSize: 1, Followers: []wire.NodeID{"edge-1.r1"}}, keys["edge-1"], reg)
 	follower := edge.New(edge.Config{ID: "edge-1.r1", Chain: "edge-1", Cloud: "cloud", BatchSize: 1, Follower: true}, keys["edge-1.r1"], reg)
-	e := wire.Entry{Client: "c1", Seq: 1, Key: []byte("k"), Value: []byte("v")}
-	e.Sig = wcrypto.SignMsg(keys["c1"], &e)
-	leader.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.PutRequest{Entry: e}})
+	c := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, keys["c1"], reg)
+	_, put := c.Put(1, []byte("k"), []byte("v"))
+	leader.Receive(1, put[0])
 	// The follower learns who leads, so it points requests there.
 	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 1, NewLeader: "edge-1", Followers: []wire.NodeID{"edge-1.r1"}}
 	tr.CloudSig = wcrypto.SignMsg(keys["cloud"], tr)
@@ -52,7 +52,6 @@ func TestGetKindsInert(t *testing.T) {
 		}
 	}
 
-	c := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, keys["c1"], reg)
 	op, _ := c.Get(4, []byte("k"))
 	resp := &wire.GetResponse{ReqID: op.ReqID, Key: []byte("k"), Found: true, Value: []byte("v"), Ver: 1}
 	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)

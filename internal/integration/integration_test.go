@@ -159,6 +159,29 @@ func TestHonestAddReachesBothPhases(t *testing.T) {
 	}
 }
 
+// TestSinglePutIsBatchOfOne: a single put leaves the client as a batch of
+// one under one session signature, reaches both phases, and the entry its
+// acknowledged and certified block holds carries no signature of its own.
+func TestSinglePutIsBatchOfOne(t *testing.T) {
+	w := newWorld(t, worldOpts{batch: 1})
+	op, envs := w.c1.Put(w.sim.Now(), []byte("k"), []byte("v"))
+	if b, ok := envs[0].Msg.(*wire.PutBatch); len(envs) != 1 || !ok || len(b.Entries) != 1 || len(b.BatchSig) == 0 {
+		t.Fatalf("a put sent %d envelopes, the first a %T, want one signed batch of one", len(envs), envs[0].Msg)
+	}
+	w.sim.Inject(envs)
+	w.settle(t, 2*s)
+	if op.Phase != core.PhaseII || op.Err != nil {
+		t.Fatalf("put: phase %v err %v", op.Phase, op.Err)
+	}
+	blk, err := w.edge.Log().Block(op.BID)
+	if err != nil || len(blk.Entries) != 1 {
+		t.Fatalf("block %d: %v", op.BID, err)
+	}
+	if e := blk.Entries[0]; e.Client != "c1" || string(e.Key) != "k" || len(e.Sig) != 0 {
+		t.Fatalf("stored entry = %+v, want c1's put with an empty Sig", e)
+	}
+}
+
 // l0Cases are the two states a read of block 0 meets: still in the L0
 // window, and released — an L0 merge moved the compaction frontier past
 // it, so the edge keeps only its canonical bytes and decodes it per read.
@@ -533,25 +556,44 @@ func TestResentReservedAddLandsInItsSlot(t *testing.T) {
 	}
 }
 
+// TestValidityOnlyClientEntriesCommit: every committed entry was proposed
+// by an authenticated client. The edge checks a write's batch signature on
+// arrival, and the block keeps no per-entry proof of authorship: what
+// commits is exactly what each client sent, and a batch its sender did
+// not sign, or signed for another client's entries, commits nothing.
 func TestValidityOnlyClientEntriesCommit(t *testing.T) {
 	w := newWorld(t, worldOpts{})
-	w.add(w.c1, "m0")
-	w.add(w.c2, "m1")
+	sent := map[wire.NodeID]*client.Op{"c1": w.add(w.c1, "m0"), "c2": w.add(w.c2, "m1")}
 	w.settle(t, 2*s)
+	c1, c2 := wcrypto.DeterministicKey("c1"), wcrypto.DeterministicKey("c2")
+	forged := &wire.PutBatch{Client: "c2", Entries: []wire.Entry{{Client: "c1", Seq: 99, Value: []byte("forged")}}}
+	forged.BatchSig = wcrypto.SignMsg(c2, forged)
+	unsigned := &wire.PutBatch{Client: "c1", Entries: []wire.Entry{{Client: "c1", Seq: 98, Value: []byte("forged")}}}
+	unsigned.BatchSig = wcrypto.SignMsg(c1, unsigned)
+	unsigned.Entries[0].Value = []byte("tampered")
+	w.sim.Inject([]wire.Envelope{
+		{From: "c1", To: "edge-1", Msg: forged},
+		{From: "c2", To: "edge-1", Msg: forged},
+		{From: "c1", To: "edge-1", Msg: unsigned},
+	})
+	w.settle(t, 2*s)
+	if n, buf := w.edge.Log().NumBlocks(), w.edge.Log().BufferLen(); n != 1 || buf != 0 {
+		t.Fatalf("%d blocks and %d buffered entries, want the honest block alone", n, buf)
+	}
 	blk, err := w.edge.Log().Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := wcrypto.NewRegistry()
-	for _, id := range []wire.NodeID{"c1", "c2"} {
-		k := wcrypto.DeterministicKey(id)
-		reg.Register(id, k.Pub)
-	}
 	for i := range blk.Entries {
 		e := &blk.Entries[i]
-		if err := wcrypto.VerifyMsg(reg, e.Client, e, e.Sig); err != nil {
-			t.Fatalf("committed entry %d fails validity: %v", i, err)
+		op := sent[e.Client]
+		if op == nil || e.Seq != op.Seq || !bytes.Equal(e.Value, op.Value) || len(e.Sig) != 0 {
+			t.Fatalf("committed entry %d = %+v, not one a client sent", i, e)
 		}
+		delete(sent, e.Client)
+	}
+	if len(sent) != 0 {
+		t.Fatalf("writes of %v never committed", sent)
 	}
 }
 

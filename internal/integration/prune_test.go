@@ -189,10 +189,13 @@ func TestPrunedWindowPhaseI(t *testing.T) {
 // TestPrunedGetFullWindowAccounting cross-checks the evidence shrink the
 // E1 experiment measures: with a deep window, the get response for an
 // L0-miss key accounts for every window block, ships no row of any, and
-// is smaller than the blocks it stands in for.
+// is smaller than the blocks it stands in for. A slice of a block the key
+// misses still ships the hashes and keys of two flanking entries and
+// their Merkle paths, so the shrink needs blocks of more than a few
+// entries: 16 here, against E1's 100.
 func TestPrunedGetFullWindowAccounting(t *testing.T) {
-	w := newWorld(t, worldOpts{batch: 2, l0Thresh: 100})
-	w.preloadKeys(t, 12)
+	w := newWorld(t, worldOpts{batch: 16, l0Thresh: 100})
+	w.preloadKeys(t, 96)
 	start, end := wire.PointRange([]byte("zz-miss"))
 	miss, err := w.edge.AssembleScan(start, end, 1)
 	if err != nil {

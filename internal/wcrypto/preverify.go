@@ -9,11 +9,12 @@ import "wedgechain/internal/wire"
 //
 // No node calls it: every handler verifies what it receives itself. It
 // stays as the per-kind price of a signature check that the macro
-// benchmark's layer budget times (benchmark/layers.go), and it covers the
-// kinds that budget names which nodes still send.
+// benchmark's layer budget times (benchmark/layers.go): it is kept only
+// because benchmark/ reads it, and covers the kinds that budget names.
 func PreVerify(r *Registry, env wire.Envelope) bool {
 	switch m := env.Msg.(type) {
 	case *wire.PutRequest:
+		// Kept only because benchmark/ reads it: no node sends the kind.
 		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
 	case *wire.PutBatch:
 		// One session signature covers every entry; a batch without one

@@ -4,17 +4,20 @@ package wire
 // experiments ("each batch consists of 100 put operations"); these
 // messages carry a client's whole batch in one request.
 
-// PutBatch submits a batch of writes to a WedgeChain edge node. Entries
-// with a key are puts; entries without are log adds.
+// PutBatch is the one write message a WedgeChain edge accepts: a single
+// put, add or reserved-position add is a batch of one, the paper's batched
+// submission a batch of n, and a retry or failover re-send a batch of every
+// due write. Entries with a key are puts; entries without are log adds.
 //
 // The client signs the whole batch once — BatchSig covers Client and every
-// entry byte-for-byte — and the per-entry signatures may be empty: one
-// Ed25519 verification authenticates the batch, amortizing the dominant
+// entry byte-for-byte — and the entries carry no signature of their own:
+// one Ed25519 verification authenticates the batch, amortizing the dominant
 // per-write crypto cost across the paper's batch size B. A batch without
 // BatchSig is rejected. Splicing is not possible: an entry lifted out of a
-// signed batch has no individual signature, and any reorder, subset or
-// substitution breaks BatchSig. (The baselines' CloudPutBatch and
-// EBPutBatch below carry per-entry signatures instead.)
+// signed batch has no signature, and any reorder, subset or substitution
+// breaks BatchSig. The edge checks BatchSig on arrival and keeps no proof
+// of authorship in the block. (The baselines' CloudPutBatch and EBPutBatch
+// below carry per-entry signatures instead.)
 type PutBatch struct {
 	Client   NodeID // batch signer; must match every entry
 	Entries  []Entry

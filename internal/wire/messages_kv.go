@@ -1,13 +1,11 @@
 package wire
 
-// The write path and the LSMerkle key-value protocol (Section V).
+// The write acknowledgement and the LSMerkle key-value protocol (Section V).
 
-// PutRequest asks an edge node to append a signed entry to its log — the
-// one write message. An entry with a key is a key-value write through the
-// LSMerkle index (its log block doubles as an L0 page); an entry without
-// one is a plain log append, and one with Pos set lands in a reserved
-// position. The entry carries the client signature, so the request needs
-// none.
+// PutRequest was the single-entry write, its entry signed on its own. No
+// node sends or handles it: every write is a PutBatch. It is kept only
+// because benchmark/ reads it (its trace and layer rows name the kind);
+// the kind number stays reserved either way.
 type PutRequest struct {
 	Entry Entry
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // Entry is a single client-proposed datum: a log record for add() or a
-// key-value write for put(). Clients sign entries; edges and the cloud
-// verify the signature before accepting, which yields the paper's validity
-// guarantee (every logged entry was proposed by an authenticated client).
+// key-value write for put(). A WedgeChain client signs the PutBatch that
+// carries its entries, and the edge checks that signature on arrival; its
+// entries carry an empty Sig, and a stored block holds no per-entry proof
+// of authorship. Only the cloudonly and edgebase baselines sign entries one
+// by one, in Sig.
 type Entry struct {
 	Client NodeID // authenticated producer
 	Seq    uint64 // client-local sequence number (idempotence / replay defence)
@@ -18,7 +20,7 @@ type Entry struct {
 	Value  []byte // payload
 	Ts     int64  // client timestamp, virtual nanoseconds
 	Pos    uint64 // reserved absolute log position + 1; 0 = unreserved
-	Sig    []byte // client signature over AppendBody's bytes
+	Sig    []byte // baselines: client signature over AppendBody's bytes; WedgeChain: empty
 }
 
 // EncodeTo appends the entry's canonical encoding including the signature.

@@ -19,7 +19,7 @@ const (
 	KindInvalid Kind = iota
 
 	// 1 and 2 are retired: they were the log-append request and response
-	// before an append became a PutRequest whose entry has no key.
+	// before an append became a write whose entry has no key.
 	_
 	_
 
@@ -34,8 +34,9 @@ const (
 	KindReserveRequest
 	KindReserveResponse
 
-	// LSMerkle key-value protocol (Section V); PutRequest/PutResponse are
-	// the write path of the logging protocol too.
+	// LSMerkle key-value protocol (Section V). PutResponse acknowledges
+	// every write; PutRequest is sent by no node (every write is a
+	// PutBatch) and is kept only because benchmark/ reads it.
 	KindPutRequest
 	KindPutResponse
 	KindGetRequest  // retired: a get is a point-range scan (messages_get.go)

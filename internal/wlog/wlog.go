@@ -1,11 +1,11 @@
 // Package wlog implements the WedgeChain logging layer kept at each edge
 // node (Section IV of the paper): an append-only log of blocks, where each
-// block is a batch of client-signed entries. The log tracks, per block, the
+// block is a batch of entries from authenticated clients. The log tracks, per block, the
 // digest sent for data-free certification and the cloud-signed block-proof
 // that upgrades the block from Phase I to Phase II commitment.
 //
 // The package also implements the log-position reservation extension
-// (Section IV-E): clients may reserve absolute positions and sign entries
+// (Section IV-E): clients may reserve absolute positions and send entries
 // for them, which makes arbitrary requests idempotent — a replayed entry
 // targets an already-filled position and is rejected.
 package wlog
