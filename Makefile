@@ -42,8 +42,9 @@ experiments:
 # cut, SliceVerify what a reader pays per block of the L0 window and
 # PageSliceVerify per level page, the BlockAck* benchmarks sweep block
 # sizes to show the digest-signed ack's flat cost,
-# SignMergeRequest/VerifyMergeRequest and VerifyMsgPutBatch time the
-# signatures over the largest and the most frequent messages,
+# SignMergeRequest/VerifyMergeRequest time the signature over the largest
+# message, VerifyMACPutBatch the MAC an edge checks per write batch and
+# DerivePairKey the X25519 exchange behind it, paid once per peer,
 # VerifyMemoMiss/VerifyMemoHit the first and every later check of one
 # certificate, MergeSorted/MergeL0 the compaction both sides now run,
 # LevelTree the hashing per record a merge pays to commit a level,
@@ -51,10 +52,11 @@ experiments:
 # ten 100-entry blocks into 1,000 records, a 1,000-record level into
 # 5,000), CertifiedThrough the frontier lookup every proof makes, and
 # LogResidentBytesPerBlock the live heap a cut 100-entry block costs the
-# edge with half the log below the compaction frontier (memory arm: 37.2
-# KB; durable arm, whose released blocks leave memory for the segment:
-# 24.9 KB, and about 1,040 B per compacted block, 850 B of it the replay
-# table `seen`), and RegistryResidentBytes the live heap a key registry
+# edge with half the log below the compaction frontier, built from entries
+# without signatures as clients send them (memory arm: 29.0 KB; durable
+# arm, whose released blocks leave memory for the segment: 20.8 KB, and
+# about 1,040 B per compacted block, 850 B of it the replay table `seen`),
+# and RegistryResidentBytes the live heap a key registry
 # keeps for its signature memo after 100,000 one-shot checks and one
 # statement checked again after every 100 (165,000 B; 558,216 B when the
 # memo kept whole triples) — the layer counterparts of the macro
@@ -88,7 +90,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21105
+LOC_CEILING := 21373
 loc:
 	@sh scripts/loc.sh
 loc-check:

@@ -90,12 +90,13 @@ const (
 	durableBatch   = 100
 )
 
-// durableBursts pre-generates D1's input: the put traffic as session-signed
-// bursts of durableBatch entries, submitted by real client cores round-robin
-// over durableClients identities — so signing cost never pollutes the
-// measured window. It returns the registry holding the clients' keys.
+// durableBursts pre-generates D1's input: the put traffic as MACed bursts
+// of durableBatch entries, submitted by real client cores round-robin over
+// durableClients identities — so MAC cost never pollutes the measured
+// window. It returns the registry holding the clients' and the edge's keys.
 func durableBursts(total int) (*wcrypto.Registry, []wire.Envelope) {
 	reg := wcrypto.NewRegistry()
+	reg.Register("edge-1", wcrypto.DeterministicKey("edge-1").Pub)
 	cores := make([]*client.Core, durableClients)
 	for i := range cores {
 		k := wcrypto.DeterministicKey(wire.NodeID(fmt.Sprintf("c%d", i+1)))
@@ -117,7 +118,7 @@ func durableBursts(total int) (*wcrypto.Registry, []wire.Envelope) {
 	return reg, bursts
 }
 
-// runDurable drives the session-signed put workload through a persistent
+// runDurable drives the MACed put workload through a persistent
 // edge with the given group-commit window and reports measured throughput
 // and the fsync count.
 func runDurable(reg *wcrypto.Registry, bursts []wire.Envelope, total int, syncEvery int64) (tput float64, syncs uint64) {

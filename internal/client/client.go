@@ -1,5 +1,5 @@
 // Package client implements the WedgeChain client: the authenticated node
-// that produces signed writes, tracks every operation through Phase I and
+// that produces MACed writes, tracks every operation through Phase I and
 // Phase II commitment, verifies all evidence and proofs, and files
 // disputes when the edge lies (Section IV-D Algorithm 1 and Section V-B).
 //
@@ -29,8 +29,9 @@ var (
 	ErrStale = errors.New("client: response outside freshness window")
 	// ErrUnavailable reports an operation the edge would not or could
 	// not serve: a read denied with no gossip contradicting the denial,
-	// or (with Config.RetryEvery) an op still unacknowledged after
-	// MaxAttempts jittered re-sends — the load-shed/partition case.
+	// or an op still unacknowledged after MaxAttempts jittered re-sends
+	// (with Config.RetryEvery) or after the proof timeout (without) — the
+	// load-shed/partition case.
 	ErrUnavailable = errors.New("client: block not available")
 	// ErrEdgeLied reports an operation whose evidence contradicts the
 	// certified state; a dispute was filed.
@@ -131,7 +132,7 @@ type Op struct {
 	// deadline for the next re-send. overloaded marks an op the edge
 	// explicitly shed (signed Overloaded), so exhaustion settles with
 	// ErrOverloaded instead of ErrUnavailable. pos is the wire.Entry.Pos an
-	// AddAt signed for (reserved position + 1), which every re-send keeps.
+	// AddAt writes for (reserved position + 1), which every re-send keeps.
 	pos        uint64
 	attempts   int
 	nextResend int64
@@ -173,8 +174,8 @@ type Config struct {
 	// acknowledged: an op still short of Phase I after RetryEvery ns is
 	// re-sent with exponential backoff and jitter (see retry.go), and
 	// after MaxAttempts total sends settles with ErrUnavailable. 0
-	// disables — the legacy behaviour, where an unanswered op waits out
-	// the proof timeout.
+	// disables re-sends: an op still short of Phase I ProofTimeout ns
+	// after it started then settles with ErrUnavailable.
 	RetryEvery int64
 	// MaxAttempts bounds total sends per op when RetryEvery > 0, counting
 	// the initial send; 0 = the layer default.
@@ -267,9 +268,10 @@ type Core struct {
 	epoch   uint64
 	formers map[wire.NodeID]bool
 
-	pending int           // started ops not yet settled
-	banned  *wire.Verdict // guilty verdict against my edge, once known
-	m       *metrics
+	expireAt int64         // with retry off, when the next unanswered op is due (retry.go)
+	pending  int           // started ops not yet settled
+	banned   *wire.Verdict // guilty verdict against my edge, once known
+	m        *metrics
 }
 
 // Stats are client counters.
@@ -350,7 +352,7 @@ func (c *Core) Gossip() *wire.Gossip { return c.gossip }
 func (c *Core) Banned() *wire.Verdict { return c.banned }
 
 // launchBanned settles a would-be operation immediately: the edge is
-// convicted, so no entry is signed, no request is sent, and no tracking
+// convicted, so no batch is built, no request is sent, and no tracking
 // state is kept.
 func (c *Core) launchBanned(op *Op) (*Op, []wire.Envelope) {
 	c.pending++
@@ -367,7 +369,7 @@ func (c *Core) Add(now int64, payload []byte) (*Op, []wire.Envelope) {
 	return op, c.write(now, []*Op{op})
 }
 
-// AddAt starts a log append signed for a reserved absolute position
+// AddAt starts a log append for a reserved absolute position
 // (pos is the value returned by Reserve).
 func (c *Core) AddAt(now int64, payload []byte, pos uint64) (*Op, []wire.Envelope) {
 	op := &Op{Kind: KindAdd, Value: payload, pos: pos + 1}
@@ -391,7 +393,7 @@ func (c *Core) PutBatch(now int64, keys, values [][]byte) ([]*Op, []wire.Envelop
 }
 
 // write launches ops, keyed or not, positioned or not: each takes the next
-// seq, and all of them leave in one signed batch.
+// seq, and all of them leave in one MACed batch.
 func (c *Core) write(now int64, ops []*Op) []wire.Envelope {
 	for _, op := range ops {
 		op.Edge, op.StartedAt = c.cfg.Edge, now
@@ -410,16 +412,20 @@ func (c *Core) write(now int64, ops []*Op) []wire.Envelope {
 	return []wire.Envelope{c.submit(now, ops)}
 }
 
-// submit builds and signs the one write message: a PutBatch holding one
+// submit builds and MACs the one write message: a PutBatch holding one
 // entry per op, each under the op's seq and reserved position, stamped
-// now. One signature authenticates the batch; the entries carry none. The
-// first send, every retry and every failover rebind go through here.
+// now. One MAC under the key this session shares with its current edge
+// authenticates the batch; the entries carry no signature. The first send,
+// every retry and every failover rebind go through here, so a rebound
+// session MACs for its new edge. A batch whose MAC cannot be computed (the
+// edge's key is not registered) leaves without one: the edge drops it and
+// its ops end as unanswered ones do.
 func (c *Core) submit(now int64, ops []*Op) wire.Envelope {
 	b := &wire.PutBatch{Client: c.cfg.ID, Entries: make([]wire.Entry, len(ops))}
 	for i, op := range ops {
 		b.Entries[i] = wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now, Pos: op.pos}
 	}
-	b.BatchSig = wcrypto.SignMsg(c.key, b)
+	b.MAC, _ = wcrypto.MAC(c.reg, c.key, c.cfg.ID, c.cfg.Edge, b)
 	return wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: b}
 }
 
@@ -542,7 +548,8 @@ func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 }
 
 // Tick files disputes for Phase I operations whose proof timed out, and
-// runs the transport-retry pass for ops the edge never acknowledged.
+// runs the transport-retry pass for ops the edge never acknowledged, or,
+// with retry off, settles those the proof timeout has passed.
 func (c *Core) Tick(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	c.byBID.Each(func(_ uint64, ops []*Op) {
@@ -556,7 +563,9 @@ func (c *Core) Tick(now int64) []wire.Envelope {
 			out = append(out, c.fileDispute(op)...)
 		}
 	})
-	if c.cfg.RetryEvery > 0 && c.banned == nil {
+	if c.cfg.RetryEvery <= 0 {
+		c.expire(now)
+	} else if c.banned == nil {
 		out = append(out, c.tickRetry(now)...)
 	}
 	return out

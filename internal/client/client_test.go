@@ -50,7 +50,7 @@ func batchOf(t *testing.T, envs []wire.Envelope) *wire.PutBatch {
 		t.Fatalf("unexpected message %T", envs[0].Msg)
 	}
 	if m.Client != "c1" {
-		t.Fatalf("batch signed by %q", m.Client)
+		t.Fatalf("batch authored by %q", m.Client)
 	}
 	for i := range m.Entries {
 		if len(m.Entries[i].Sig) != 0 {
@@ -58,6 +58,12 @@ func batchOf(t *testing.T, envs []wire.Envelope) *wire.PutBatch {
 		}
 	}
 	return m
+}
+
+// macVerifies reports whether b's MAC checks out at edge, which derives
+// the key it shares with the batch's client from its own secret.
+func (f *fixture) macVerifies(b *wire.PutBatch, edge wire.NodeID) bool {
+	return wcrypto.VerifyMAC(f.reg, f.keys[edge], b.Client, edge, b, b.MAC) == nil
 }
 
 // entryOf extracts the entry from the batch of one an Add or Put produced.

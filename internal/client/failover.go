@@ -57,11 +57,12 @@ func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 
 // rebind re-sends every unsettled operation to the (new) current edge.
 //
-//   - Writes are re-signed and re-submitted, all in one batch. If an
-//     entry already sits in a block the new leader inherited, the replay
-//     defence re-acks from that block (and re-attaches or re-subscribes
-//     its proof); otherwise the entry is appended fresh. An AddAt re-submits for the position it
-//     reserved, never for another: reservations die with the old leader,
+//   - Writes are re-MACed for the new edge and re-submitted, all in one
+//     batch. If an entry already sits in a block the new leader
+//     inherited, the replay defence re-acks from that block (and
+//     re-attaches or re-subscribes its proof); otherwise the entry is
+//     appended fresh. An AddAt re-submits for the position it reserved,
+//     never for another: reservations die with the old leader,
 //     so a successor that does not hold the slot refuses the entry and the
 //     op fails (ErrUnavailable under RetryEvery) instead of landing where
 //     the caller did not ask.

@@ -10,7 +10,7 @@ import (
 // Under a lossy or partitioned network a request (or its response) frame
 // can simply vanish; without retry the op hangs until the proof timeout
 // and surfaces as a dispute against an innocent edge. With RetryEvery set,
-// an op that has not reached Phase I by its deadline is re-signed and
+// an op that has not reached Phase I by its deadline is re-MACed and
 // re-sent with exponential backoff plus deterministic jitter, up to
 // MaxAttempts sends in total; exhaustion settles the op with
 // ErrUnavailable — a typed, bounded failure the application can act on.
@@ -59,6 +59,34 @@ func (c *Core) tickRetry(now int64) []wire.Envelope {
 		again = append(again, op)
 	}
 	return c.resend(now, again)
+}
+
+// expire settles, with retry off, every op still short of Phase I
+// ProofTimeout after it started, with ErrUnavailable: the bound an
+// exhausted retry gives it when retry is on. Ops start in time order, so
+// no op started after a walk is due before the earliest deadline that
+// walk saw, and the next walk waits for it.
+func (c *Core) expire(now int64) {
+	if now < c.expireAt {
+		return
+	}
+	c.expireAt = now + c.cfg.ProofTimeout
+	var due []*Op
+	collect := func(_ uint64, op *Op) {
+		if op.Done || op.disputed || op.Phase != core.PhaseNone {
+			return
+		}
+		if deadline := op.StartedAt + c.cfg.ProofTimeout; deadline > now {
+			c.expireAt = min(c.expireAt, deadline)
+		} else {
+			due = append(due, op)
+		}
+	}
+	c.bySeq.Each(collect)
+	c.byReq.Each(collect)
+	for _, op := range due {
+		c.settle(op, ErrUnavailable)
+	}
 }
 
 // retryDelay is the wait before attempt+1: RetryEvery doubled per prior
@@ -149,7 +177,7 @@ func (c *Core) handleOverloaded(now int64, from wire.NodeID, m *wire.Overloaded)
 }
 
 // resend rebuilds the wire requests for unsettled ops and aims them at
-// the current edge. Writes leave together in one re-signed batch, each
+// the current edge. Writes leave together in one re-MACed batch, each
 // under its own seq (what the replay defence keys on) and for the position
 // it reserved, if any; reads keep their original request id so a late
 // first response and the re-serve settle the same op. Shared by the retry

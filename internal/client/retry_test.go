@@ -26,8 +26,8 @@ func TestResendKeepsReservedPosition(t *testing.T) {
 		if e.Pos != first.Pos || e.Seq != first.Seq || string(e.Value) != "exactly-once" || len(e.Key) != 0 {
 			t.Fatalf("%s: re-sent entry = %+v, want seq %d at Pos %d", how, e, first.Seq, first.Pos)
 		}
-		if b := batchOf(t, out); wcrypto.VerifyMsg(f.reg, "c1", b, b.BatchSig) != nil {
-			t.Fatalf("%s: re-sent batch not signed for its position", how)
+		if b := batchOf(t, out); !f.macVerifies(b, out[0].To) {
+			t.Fatalf("%s: re-sent batch not MACed for its position", how)
 		}
 	}
 	check("retry", f.c.Tick(10_000))
@@ -61,8 +61,9 @@ func TestReserveRefusesOversizedCount(t *testing.T) {
 }
 
 // TestResendIsOneBatch: the retry pass and a failover rebind re-send every
-// due write as one batch under one signature, each entry under the seq it
-// was first sent with, and a due read beside it as its own request.
+// due write as one batch under one MAC for the edge it goes to, each entry
+// under the seq it was first sent with, and a due read beside it as its
+// own request.
 func TestResendIsOneBatch(t *testing.T) {
 	f := overloadFixture(t, Config{RetryEvery: 100, MaxAttempts: 5})
 	var seqs []uint64
@@ -99,8 +100,11 @@ func TestResendIsOneBatch(t *testing.T) {
 			t.Fatalf("%s: %d batches and %d reads, want 1 and 1", how, len(batches), reads)
 		}
 		b := batches[0]
-		if err := wcrypto.VerifyMsg(f.reg, "c1", b, b.BatchSig); err != nil {
-			t.Fatalf("%s: batch signature: %v", how, err)
+		if !f.macVerifies(b, to) {
+			t.Fatalf("%s: batch MAC does not verify at %s", how, to)
+		}
+		if to != "edge-1" && f.macVerifies(b, "edge-1") {
+			t.Fatalf("%s: batch for %s still MACed for edge-1", how, to)
 		}
 		if len(b.Entries) != len(seqs) {
 			t.Fatalf("%s: %d entries re-sent, want %d", how, len(b.Entries), len(seqs))
@@ -121,4 +125,28 @@ func TestResendIsOneBatch(t *testing.T) {
 	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-2", Reason: "crash"}
 	tr.CloudSig = wcrypto.SignMsg(f.keys["cloud"], tr)
 	check("rebind", f.c.Receive(20_000, wire.Envelope{From: "cloud", To: "c1", Msg: tr}), "edge-2")
+}
+
+// TestUnansweredOpSettlesWithoutRetry: with retry off, a write or a get
+// the edge never answers settles with ErrUnavailable once the proof
+// timeout has passed since it started, instead of pending forever.
+func TestUnansweredOpSettlesWithoutRetry(t *testing.T) {
+	f := overloadFixture(t, Config{ProofTimeout: 1000})
+	put, _ := f.c.Put(10, []byte("k"), []byte("v"))
+	get, _ := f.c.Get(10, []byte("k"))
+	f.c.Tick(1009)
+	if put.Done || get.Done || f.c.Pending() != 2 {
+		t.Fatalf("settled before the proof timeout: put %v, get %v", put.Err, get.Err)
+	}
+	for now := int64(1010); now <= 1e12; now *= 10 {
+		f.c.Tick(now)
+	}
+	for _, op := range []*Op{put, get} {
+		if !op.Done || !errors.Is(op.Err, ErrUnavailable) {
+			t.Fatalf("%v op: done %v, err %v, want ErrUnavailable", op.Kind, op.Done, op.Err)
+		}
+	}
+	if n := f.c.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d, want 0", n)
+	}
 }

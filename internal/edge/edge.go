@@ -415,19 +415,20 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
 	case *wire.PutBatch:
 		// The one write message, and its one admission rule. The batch
-		// signer must BE the sender: entries are accepted on the batch
-		// signature alone, so binding m.Client to the envelope sender (plus
-		// the per-entry e.Client == from check in handleWrite) is what stops
-		// a registered client from forging writes attributed to another
+		// author must BE the sender: entries are accepted on the batch MAC
+		// alone, so binding m.Client to the envelope sender (plus the
+		// per-entry e.Client == from check in handleWrite) is what stops a
+		// registered client from forging writes attributed to another
 		// identity.
 		if m.Client != env.From {
-			n.logf("rejecting batch signed by a different identity", "from", env.From, "signer", m.Client)
+			n.logf("rejecting batch authored by a different identity", "from", env.From, "author", m.Client)
 			return nil
 		}
-		// An absent BatchSig fails here too: entry signatures admit
-		// nothing.
-		if err := wcrypto.VerifyMsg(n.reg, m.Client, m, m.BatchSig); err != nil {
-			n.logf("rejecting batch with bad session signature", "client", env.From, "err", err)
+		// The MAC is under the key m.Client shares with this node: a batch
+		// MACed for another edge, signed instead of MACed, or without a MAC
+		// fails here, and entry signatures admit nothing.
+		if err := wcrypto.VerifyMAC(n.reg, n.key, m.Client, n.cfg.ID, m, m.MAC); err != nil {
+			n.logf("rejecting batch with bad MAC", "client", env.From, "err", err)
 			return nil
 		}
 		var out []wire.Envelope
@@ -542,7 +543,7 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 	return out
 }
 
-// handleWrite appends one entry of a batch whose signature receive has
+// handleWrite appends one entry of a batch whose MAC receive has
 // checked — a put, or a log add when it has no key (the index skips keyless
 // entries; the log treats both alike). Entries attributed to another client
 // and invalid or replayed entries are dropped (the client's timeout

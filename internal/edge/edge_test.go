@@ -33,11 +33,26 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 }
 
 // put is the one write message a test sends edge-1: the entries in a
-// PutBatch that their client k signs once and sends.
+// PutBatch that their client k MACs once and sends.
 func put(k wcrypto.KeyPair, entries ...wire.Entry) wire.Envelope {
-	b := &wire.PutBatch{Client: k.ID, Entries: entries}
-	b.BatchSig = wcrypto.SignMsg(k, b)
-	return wire.Envelope{From: k.ID, To: "edge-1", Msg: b}
+	return wire.Envelope{From: k.ID, To: "edge-1", Msg: mac(k, &wire.PutBatch{Client: k.ID, Entries: entries})}
+}
+
+// clientView is what a test client knows of edge-1: its public key, from
+// which wcrypto.MAC derives the key the client shares with it.
+var clientView = func() *wcrypto.Registry {
+	reg := wcrypto.NewRegistry()
+	reg.Register("edge-1", wcrypto.DeterministicKey("edge-1").Pub)
+	return reg
+}()
+
+// mac MACs b as k sends it to edge-1; every test batch is MACed here.
+func mac(k wcrypto.KeyPair, b *wire.PutBatch) *wire.PutBatch {
+	var err error
+	if b.MAC, err = wcrypto.MAC(clientView, k, k.ID, "edge-1", b); err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // entry is client's write seq; a key of "" makes it a log add.
@@ -88,7 +103,7 @@ func TestWriteBuffersUntilBatch(t *testing.T) {
 func TestWriteRejectsBadSignature(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	env := put(f.keys["c1"], f.entry("c1", 1, "", "data"))
-	env.Msg.(*wire.PutBatch).BatchSig[0] ^= 1
+	env.Msg.(*wire.PutBatch).MAC[0] ^= 1
 	out := f.node.Receive(1, env)
 	if out != nil {
 		t.Fatal("forged entry accepted")

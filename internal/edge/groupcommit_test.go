@@ -209,14 +209,13 @@ func TestGroupCommitOneSyncPerTurn(t *testing.T) {
 		t.Run(fmt.Sprintf("SyncEvery=%d", window), func(t *testing.T) {
 			r := newGCRig(t, window)
 			defer r.n.CloseStore()
-			b := &wire.PutBatch{Client: "c1"}
+			var entries []wire.Entry
 			for seq := uint64(1); seq <= 3; seq++ {
-				b.Entries = append(b.Entries, wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}})
+				entries = append(entries, wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}})
 			}
-			b.BatchSig = wcrypto.SignMsg(r.keys["c1"], b)
 			var k map[wire.Kind]int
 			if got := r.syncs(func() {
-				k = kindsOf(r.durable(t, r.n.Receive(ms(1), wire.Envelope{From: "c1", To: "edge-1", Msg: b})))
+				k = kindsOf(r.durable(t, r.n.Receive(ms(1), put(r.keys["c1"], entries...))))
 			}); got != 1 || k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 3 {
 				t.Fatalf("a batch cutting 3 blocks released %v after %d fsyncs, want 3 add responses + 3 certifies after 1", k, got)
 			}

@@ -22,14 +22,13 @@ func framed(t *testing.T, env wire.Envelope) wire.Envelope {
 	return out
 }
 
-// sessionBatch builds a session-signed batch of puts for client c.
+// sessionBatch builds a batch of puts that client c MACs for edge-1.
 func sessionBatch(f *fixture, c wire.NodeID, seqs []uint64) *wire.PutBatch {
 	b := &wire.PutBatch{Client: c}
 	for _, s := range seqs {
 		b.Entries = append(b.Entries, wire.Entry{Client: c, Seq: s, Key: []byte("k"), Value: []byte("v")})
 	}
-	b.BatchSig = wcrypto.SignMsg(f.keys[c], b)
-	return b
+	return mac(f.keys[c], b)
 }
 
 func TestSessionBatchAccepted(t *testing.T) {
@@ -46,7 +45,7 @@ func TestSessionBatchAccepted(t *testing.T) {
 }
 
 // TestPutBatchWithoutSessionSignatureDropped: per-entry signatures do not
-// admit a batch. A batch of individually signed entries with no BatchSig —
+// admit a batch. A batch of individually signed entries with no MAC —
 // with or without a claimed signer — is dropped whole, as built and
 // framed alike: no write counted, no block cut, one log line.
 func TestPutBatchWithoutSessionSignatureDropped(t *testing.T) {
@@ -98,16 +97,65 @@ func TestSessionBatchRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestSessionBatchEntryCannotBeSpliced lifts an entry out of a signed
-// batch and replays it as a batch of one under the original signature:
-// the signature covers the whole batch, so the splice must be rejected.
+// TestSessionBatchEntryCannotBeSpliced lifts an entry out of a MACed
+// batch and replays it as a batch of one under the original MAC: the MAC
+// covers the whole batch, so the splice must be rejected.
 func TestSessionBatchEntryCannotBeSpliced(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	b := sessionBatch(f, "c1", []uint64{1, 2})
-	splice := &wire.PutBatch{Client: "c1", Entries: b.Entries[:1], BatchSig: b.BatchSig}
+	splice := &wire.PutBatch{Client: "c1", Entries: b.Entries[:1], MAC: b.MAC}
 	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: splice})
 	if out != nil || f.node.Stats().Writes != 0 {
-		t.Fatal("entry spliced out of a signed batch accepted")
+		t.Fatal("entry spliced out of a MACed batch accepted")
+	}
+}
+
+// TestBatchMACedForAnotherEdgeRejected: a batch c1 MACed for edge-1 and
+// replayed to edge-2 fails there, because edge-2 shares another key with
+// c1; edge-1 accepts the same batch.
+func TestBatchMACedForAnotherEdgeRejected(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	k2 := wcrypto.DeterministicKey("edge-2")
+	f.reg.Register(k2.ID, k2.Pub)
+	other := New(Config{ID: k2.ID, Cloud: "cloud", BatchSize: 1}, k2, f.reg)
+	env := put(f.keys["c1"], f.entry("c1", 1, "k", "v"))
+	for _, e := range []wire.Envelope{env, framed(t, env)} {
+		e.To = k2.ID
+		if out := other.Receive(1, e); len(out) != 0 || other.Stats().Writes != 0 || other.Log().BufferLen() != 0 {
+			t.Fatalf("edge-2 admitted a batch MACed for edge-1: %v", kindsOf(out))
+		}
+	}
+	if k := kindsOf(f.node.Receive(1, env)); k[wire.KindPutResponse] != 1 {
+		t.Fatalf("edge-1 did not acknowledge its own batch: %v", k)
+	}
+}
+
+// TestBatchMACedUnderAnotherClientKeyRejected: c2 MACs a batch of c1's
+// entries with the key c2 shares with edge-1 and sends it as c1. Author and
+// sender agree, but the MAC is not under k(c1, edge-1).
+func TestBatchMACedUnderAnotherClientKeyRejected(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	b := mac(f.keys["c2"], &wire.PutBatch{Client: "c1", Entries: []wire.Entry{f.entry("c1", 1, "k", "forged")}})
+	if out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: b}); out != nil || f.node.Stats().Writes != 0 {
+		t.Fatal("batch MACed under c2's key accepted as c1's")
+	}
+}
+
+// TestSignedBatchFromOldClientNeitherAppendedNorAcked: a client that still
+// signs its batch with Ed25519 puts a valid signature where the MAC goes.
+// The edge appends and acknowledges nothing, as built and framed.
+func TestSignedBatchFromOldClientNeitherAppendedNorAcked(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 1})
+	b := &wire.PutBatch{Client: "c1", Entries: []wire.Entry{f.entry("c1", 1, "k", "v")}}
+	b.MAC = wcrypto.SignMsg(f.keys["c1"], b)
+	env := wire.Envelope{From: "c1", To: "edge-1", Msg: b}
+	for _, e := range []wire.Envelope{env, framed(t, env)} {
+		if out := f.node.Receive(1, e); len(out) != 0 {
+			t.Fatalf("signed batch answered with %v", kindsOf(out))
+		}
+	}
+	if s := f.node.Stats(); s.Writes != 0 || s.BlocksCut != 0 || f.node.Log().BufferLen() != 0 {
+		t.Fatalf("signed batch appended: %+v", s)
 	}
 }
 
@@ -134,16 +182,16 @@ func TestPutRequestNeitherAppendedNorAcked(t *testing.T) {
 }
 
 // TestSessionBatchSignerMustBeSender closes the cross-identity forgery
-// hole: client c2 signs a batch whose entries are attributed to c1 and
-// ships it with From=c1. The batch signature is valid (it is c2's), but
-// the signer is not the sender, so the whole batch must be rejected —
+// hole: client c2 MACs a batch whose entries are attributed to c1 and
+// ships it with From=c1. The batch MAC is valid (it is c2's), but the
+// author is not the sender, so the whole batch must be rejected —
 // otherwise a registered client could forge writes under any identity.
 func TestSessionBatchSignerMustBeSender(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	b := &wire.PutBatch{Client: "c2", Entries: []wire.Entry{
 		{Client: "c1", Seq: 1, Key: []byte("k"), Value: []byte("forged")},
 	}}
-	b.BatchSig = wcrypto.SignMsg(f.keys["c2"], b)
+	mac(f.keys["c2"], b)
 	// Spoofed envelope sender matching the entries, not the signer.
 	out := f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: b})
 	if out != nil || f.node.Stats().Writes != 0 {
@@ -151,8 +199,8 @@ func TestSessionBatchSignerMustBeSender(t *testing.T) {
 	}
 }
 
-// TestSessionBatchForeignEntriesDropped asserts a signed batch cannot
-// smuggle entries attributed to another client: the batch signature
+// TestSessionBatchForeignEntriesDropped asserts a MACed batch cannot
+// smuggle entries attributed to another client: the batch MAC
 // authenticates the sender, and each entry must belong to it.
 func TestSessionBatchForeignEntriesDropped(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 2})
@@ -160,7 +208,7 @@ func TestSessionBatchForeignEntriesDropped(t *testing.T) {
 		{Client: "c1", Seq: 1, Key: []byte("k"), Value: []byte("v")},
 		{Client: "c2", Seq: 1, Key: []byte("k"), Value: []byte("v")}, // forged attribution
 	}}
-	b.BatchSig = wcrypto.SignMsg(f.keys["c1"], b)
+	mac(f.keys["c1"], b)
 	f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: b})
 	if w := f.node.Stats().Writes; w != 1 {
 		t.Fatalf("writes = %d, want 1 (own entry only)", w)

@@ -160,13 +160,13 @@ func TestHonestAddReachesBothPhases(t *testing.T) {
 }
 
 // TestSinglePutIsBatchOfOne: a single put leaves the client as a batch of
-// one under one session signature, reaches both phases, and the entry its
+// one under one MAC, reaches both phases, and the entry its
 // acknowledged and certified block holds carries no signature of its own.
 func TestSinglePutIsBatchOfOne(t *testing.T) {
 	w := newWorld(t, worldOpts{batch: 1})
 	op, envs := w.c1.Put(w.sim.Now(), []byte("k"), []byte("v"))
-	if b, ok := envs[0].Msg.(*wire.PutBatch); len(envs) != 1 || !ok || len(b.Entries) != 1 || len(b.BatchSig) == 0 {
-		t.Fatalf("a put sent %d envelopes, the first a %T, want one signed batch of one", len(envs), envs[0].Msg)
+	if b, ok := envs[0].Msg.(*wire.PutBatch); len(envs) != 1 || !ok || len(b.Entries) != 1 || len(b.MAC) != wcrypto.MACSize {
+		t.Fatalf("a put sent %d envelopes, the first a %T, want one MACed batch of one", len(envs), envs[0].Msg)
 	}
 	w.sim.Inject(envs)
 	w.settle(t, 2*s)
@@ -557,19 +557,25 @@ func TestResentReservedAddLandsInItsSlot(t *testing.T) {
 }
 
 // TestValidityOnlyClientEntriesCommit: every committed entry was proposed
-// by an authenticated client. The edge checks a write's batch signature on
+// by an authenticated client. The edge checks a write's batch MAC on
 // arrival, and the block keeps no per-entry proof of authorship: what
 // commits is exactly what each client sent, and a batch its sender did
-// not sign, or signed for another client's entries, commits nothing.
+// not MAC, or MACed for another client's entries, commits nothing.
 func TestValidityOnlyClientEntriesCommit(t *testing.T) {
 	w := newWorld(t, worldOpts{})
 	sent := map[wire.NodeID]*client.Op{"c1": w.add(w.c1, "m0"), "c2": w.add(w.c2, "m1")}
 	w.settle(t, 2*s)
 	c1, c2 := wcrypto.DeterministicKey("c1"), wcrypto.DeterministicKey("c2")
+	toEdge := wcrypto.NewRegistry() // what a client knows of edge-1
+	toEdge.Register("edge-1", wcrypto.DeterministicKey("edge-1").Pub)
 	forged := &wire.PutBatch{Client: "c2", Entries: []wire.Entry{{Client: "c1", Seq: 99, Value: []byte("forged")}}}
-	forged.BatchSig = wcrypto.SignMsg(c2, forged)
 	unsigned := &wire.PutBatch{Client: "c1", Entries: []wire.Entry{{Client: "c1", Seq: 98, Value: []byte("forged")}}}
-	unsigned.BatchSig = wcrypto.SignMsg(c1, unsigned)
+	var err1, err2 error
+	forged.MAC, err1 = wcrypto.MAC(toEdge, c2, "c2", "edge-1", forged)
+	unsigned.MAC, err2 = wcrypto.MAC(toEdge, c1, "c1", "edge-1", unsigned)
+	if err1 != nil || err2 != nil {
+		t.Fatal("MACing the test batches failed")
+	}
 	unsigned.Entries[0].Value = []byte("tampered")
 	w.sim.Inject([]wire.Envelope{
 		{From: "c1", To: "edge-1", Msg: forged},

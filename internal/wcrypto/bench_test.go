@@ -64,29 +64,47 @@ func BenchmarkSignableBodyPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyMsgPutBatch verifies a session-signed 100-entry batch
-// (one hash of the 15 KB body, one Ed25519 verification).
-func benchBatch() (*Registry, wire.Envelope) {
-	k := DeterministicKey("c1")
+// benchBatch is a 100-entry batch c1 MACed for edge-1, and the registry
+// edge-1 checks it against.
+func benchBatch() (*Registry, KeyPair, *wire.PutBatch) {
+	c, e := DeterministicKey("c1"), DeterministicKey("edge-1")
 	reg := NewRegistry()
-	reg.Register(k.ID, k.Pub)
-	batch := &wire.PutBatch{Client: k.ID}
+	reg.Register(c.ID, c.Pub)
+	reg.Register(e.ID, e.Pub)
+	batch := &wire.PutBatch{Client: c.ID}
 	for i := 0; i < 100; i++ {
 		batch.Entries = append(batch.Entries, wire.Entry{
-			Client: k.ID, Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%08d", i)), Value: make([]byte, 100)})
+			Client: c.ID, Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%08d", i)), Value: make([]byte, 100)})
 	}
-	batch.BatchSig = SignMsg(k, batch)
-	return reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: batch}
+	var err error
+	if batch.MAC, err = MAC(reg, c, c.ID, e.ID, batch); err != nil {
+		panic(err)
+	}
+	return reg, e, batch
 }
 
-func BenchmarkVerifyMsgPutBatch(b *testing.B) {
-	reg, env := benchBatch()
+// BenchmarkVerifyMACPutBatch is what the edge pays per write batch: the
+// MAC over the 100-entry batch (one HMAC-SHA256 of the 12 KB body) under
+// the pair key its registry already holds.
+func BenchmarkVerifyMACPutBatch(b *testing.B) {
+	reg, e, batch := benchBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg.ForgetVerified()
-		if !PreVerify(reg, env) {
-			b.Fatal("verify failed")
+		if err := VerifyMAC(reg, e, batch.Client, e.ID, batch, batch.MAC); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDerivePairKey is what a party pays once per peer for the pair
+// key: the Edwards-to-Montgomery map of both keys and one X25519.
+func BenchmarkDerivePairKey(b *testing.B) {
+	c, e := DeterministicKey("c1"), DeterministicKey("edge-1")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := derivePairKey(e.Priv, c.Pub, c.ID, e.ID); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

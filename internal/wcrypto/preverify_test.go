@@ -14,34 +14,34 @@ func preverifyFixture() (*Registry, KeyPair) {
 	return reg, k
 }
 
-// TestPreVerifySessionBatch checks PreVerify on batches: a session
-// signature authenticates the whole batch in one check, tampering with any
-// entry breaks it, and per-entry signatures without one admit nothing.
+// TestPreVerifySessionBatch pins PreVerify's PutBatch case: a batch
+// carries a pairwise MAC (VerifyMAC), which a registry of public keys
+// cannot check, so every batch reports false — one MACed for its edge, one
+// signed as older clients did, and one with per-entry signatures only.
 func TestPreVerifySessionBatch(t *testing.T) {
 	reg, k := preverifyFixture()
+	e := DeterministicKey("edge-1")
+	reg.Register(e.ID, e.Pub)
 	batch := &wire.PutBatch{Client: k.ID}
 	for seq := uint64(1); seq <= 10; seq++ {
 		batch.Entries = append(batch.Entries, wire.Entry{Client: k.ID, Seq: seq, Key: []byte("k"), Value: []byte("v")})
 	}
-	batch.BatchSig = SignMsg(k, batch)
-	env := wire.Envelope{From: k.ID, To: "edge-1", Msg: batch}
-	if !PreVerify(reg, env) {
-		t.Fatal("session-signed batch rejected")
+	var err error
+	if batch.MAC, err = MAC(reg, k, k.ID, e.ID, batch); err != nil {
+		t.Fatal(err)
 	}
-	tampered := *batch
-	tampered.Entries = append([]wire.Entry(nil), batch.Entries...)
-	tampered.Entries[3].Value = []byte("evil")
-	if PreVerify(reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: &tampered}) {
-		t.Fatal("tampered session batch verified")
+	if err := VerifyMAC(reg, e, k.ID, e.ID, batch, batch.MAC); err != nil {
+		t.Fatalf("setup: %v", err)
 	}
-	perEntry := &wire.PutBatch{Entries: append([]wire.Entry(nil), batch.Entries...)}
+	signed := *batch
+	signed.MAC = SignMsg(k, &signed)
+	perEntry := &wire.PutBatch{Client: k.ID, Entries: append([]wire.Entry(nil), batch.Entries...)}
 	for i := range perEntry.Entries {
 		perEntry.Entries[i].Sig = SignMsg(k, &perEntry.Entries[i])
 	}
-	for _, client := range []wire.NodeID{"", k.ID} {
-		perEntry.Client = client
-		if PreVerify(reg, wire.Envelope{From: k.ID, To: "edge-1", Msg: perEntry}) {
-			t.Fatalf("batch without BatchSig (Client %q) verified on its entry signatures", client)
+	for name, b := range map[string]*wire.PutBatch{"MACed": batch, "signed": &signed, "per-entry": perEntry} {
+		if PreVerify(reg, wire.Envelope{From: k.ID, To: e.ID, Msg: b}) {
+			t.Fatalf("%s batch pre-verified", name)
 		}
 	}
 }

@@ -1,16 +1,25 @@
 // Package wcrypto is WedgeChain's cryptographic substrate: Ed25519
-// identities and signatures, SHA-256 digests, and the key registry that
-// binds node identities to public keys.
+// identities and signatures, pairwise MACs derived from the same keys,
+// SHA-256 digests, and the key registry that binds node identities to
+// public keys.
 //
-// Two rules hold for every signature in the system, both enforced inside
-// the only two functions that call crypto/ed25519 (KeyPair.Sign and
-// Registry.Verify). Hash once: Ed25519 runs over the 32-byte SHA-256
-// digest of a fixed context tag followed by the signable body, so a body
-// of any size costs one hash per signer and one per verifier. Verify
-// once: a Registry remembers a fingerprint of each (public key, body
-// digest, signature) triple that passed, so a byte-identical statement
-// presented again costs two hashes and a lookup instead of a curve
-// operation.
+// Every statement a third party checks — acks, read responses,
+// certificates, views, heartbeats, disputes, verdicts — is signed. Two
+// rules hold for every signature, both enforced inside the only two
+// functions that call crypto/ed25519 (KeyPair.Sign and Registry.Verify).
+// Hash once: Ed25519 runs over the 32-byte SHA-256 digest of a fixed
+// context tag followed by the signable body, so a body of any size costs
+// one hash per signer and one per verifier. Verify once: a Registry
+// remembers a fingerprint of each (public key, body digest, signature)
+// triple that passed, so a byte-identical statement presented again costs
+// two hashes and a lookup instead of a curve operation.
+//
+// A message only its receiver ever checks — a client's write batch — is
+// MACed instead (mac.go): HMAC-SHA256 under k(C, E), a key client C and
+// edge E each derive from their own Ed25519 secret and the other's
+// registered public key through X25519, and the registry caches next to
+// that public key. A MAC convinces only its receiver, so it never stands
+// where evidence is needed.
 //
 // Identities being known and bound to keys is the premise of lazy
 // certification (Section II-D of the paper): a malicious edge cannot deny
@@ -134,7 +143,7 @@ const memoGen = 1024
 // current one, so only what is presented again outlives a rotation.
 type Registry struct {
 	mu        sync.RWMutex
-	keys      map[wire.NodeID]ed25519.PublicKey
+	keys      map[wire.NodeID]*peer
 	cur, prev map[fingerprint]struct{}
 
 	// Mirrors of the verification outcomes (see AttachMetrics); nil-safe
@@ -142,24 +151,34 @@ type Registry struct {
 	mHits, mMisses, mBad *obs.Counter
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{keys: make(map[wire.NodeID]ed25519.PublicKey)}
+// peer is one registered identity: its public key and the pair keys
+// (mac.go) derived against it, allocated on first derivation.
+type peer struct {
+	pub   ed25519.PublicKey
+	pairs map[pairSlot]*[MACSize]byte
 }
 
-// Register binds id to pub, replacing any previous binding.
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{keys: make(map[wire.NodeID]*peer)}
+}
+
+// Register binds id to pub, replacing any previous binding and with it
+// every pair key derived against the old key.
 func (r *Registry) Register(id wire.NodeID, pub ed25519.PublicKey) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.keys[id] = pub
+	r.keys[id] = &peer{pub: pub}
 }
 
 // Lookup returns the public key bound to id.
 func (r *Registry) Lookup(id wire.NodeID) (ed25519.PublicKey, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	pub, ok := r.keys[id]
-	return pub, ok
+	if p, ok := r.keys[id]; ok {
+		return p.pub, true
+	}
+	return nil, false
 }
 
 // AttachMetrics mirrors the registry's verification outcomes into reg as
@@ -180,12 +199,13 @@ func (r *Registry) AttachMetrics(reg *obs.Registry, node string) {
 // Verify checks sig over msg against id's registered key.
 func (r *Registry) Verify(id wire.NodeID, msg, sig []byte) error {
 	r.mu.RLock()
-	pub, ok := r.keys[id]
+	p, ok := r.keys[id]
 	hits, misses, bad := r.mHits, r.mMisses, r.mBad
 	r.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("wcrypto: unknown identity %q", id)
 	}
+	pub := p.pub
 	if len(sig) != ed25519.SignatureSize || len(pub) != ed25519.PublicKeySize {
 		bad.Inc()
 		return fmt.Errorf("wcrypto: bad signature from %q", id)

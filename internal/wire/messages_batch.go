@@ -9,19 +9,21 @@ package wire
 // submission a batch of n, and a retry or failover re-send a batch of every
 // due write. Entries with a key are puts; entries without are log adds.
 //
-// The client signs the whole batch once — BatchSig covers Client and every
-// entry byte-for-byte — and the entries carry no signature of their own:
-// one Ed25519 verification authenticates the batch, amortizing the dominant
-// per-write crypto cost across the paper's batch size B. A batch without
-// BatchSig is rejected. Splicing is not possible: an entry lifted out of a
-// signed batch has no signature, and any reorder, subset or substitution
-// breaks BatchSig. The edge checks BatchSig on arrival and keeps no proof
-// of authorship in the block. (The baselines' CloudPutBatch and EBPutBatch
-// below carry per-entry signatures instead.)
+// MAC authenticates the whole batch — its kind, Client and every entry
+// byte-for-byte — under the key the client shares with the edge it sends
+// to (wcrypto.MAC), and the entries carry no signature of their own. Only
+// that edge checks it, once, on arrival, and the block keeps no proof of
+// authorship, so no third party ever needs a signature here: one HMAC
+// stands in for an Ed25519 sign and verify. A batch without a valid MAC is
+// rejected; so is one replayed to another edge, which holds another key.
+// Splicing is not possible: an entry lifted out of a batch has no MAC of
+// its own, and any reorder, subset or substitution breaks the batch's.
+// (The baselines' CloudPutBatch and EBPutBatch below carry per-entry
+// signatures instead.)
 type PutBatch struct {
-	Client   NodeID // batch signer; must match every entry
-	Entries  []Entry
-	BatchSig []byte
+	Client  NodeID // batch author; must match every entry
+	Entries []Entry
+	MAC     []byte
 }
 
 // MsgKind implements Message.
@@ -30,10 +32,10 @@ func (*PutBatch) MsgKind() Kind { return KindPutBatch }
 // EncodeTo implements Message.
 func (m *PutBatch) EncodeTo(e *Encoder) {
 	m.AppendBody(e)
-	e.Blob(m.BatchSig)
+	e.Blob(m.MAC)
 }
 
-// AppendBody appends everything the batch signature covers.
+// AppendBody appends everything the batch MAC covers, after its kind.
 func (m *PutBatch) AppendBody(e *Encoder) {
 	e.ID(m.Client)
 	e.U32(uint32(len(m.Entries)))
@@ -46,7 +48,7 @@ func (m *PutBatch) AppendBody(e *Encoder) {
 func (m *PutBatch) DecodeFrom(d *Decoder) {
 	m.Client = d.ID()
 	m.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
-	m.BatchSig = d.Blob()
+	m.MAC = d.Blob()
 }
 
 // CloudPutBatch submits a batch of writes to the Cloud-only server.

@@ -128,7 +128,7 @@ func sampleMessages() []Message {
 		&EBStateAck{Epoch: 2, EdgeSig: randBytes(64)},
 		&Ping{Seq: 1, Ts: 2},
 		&Pong{Seq: 1, Ts: 2},
-		&PutBatch{Client: "client-a", Entries: []Entry{sampleEntry(5), sampleEntry(6)}, BatchSig: randBytes(64)},
+		&PutBatch{Client: "client-a", Entries: []Entry{sampleEntry(5), sampleEntry(6)}, MAC: randBytes(32)},
 		&CloudPutBatch{Entries: []Entry{sampleEntry(7)}},
 		&EBPutBatch{Edge: "edge-2", Entries: []Entry{sampleEntry(8), sampleEntry(9)}},
 		&ShardMap{

@@ -8,8 +8,8 @@ import (
 )
 
 // Entry is a single client-proposed datum: a log record for add() or a
-// key-value write for put(). A WedgeChain client signs the PutBatch that
-// carries its entries, and the edge checks that signature on arrival; its
+// key-value write for put(). A WedgeChain client MACs the PutBatch that
+// carries its entries, and the edge checks that MAC on arrival; its
 // entries carry an empty Sig, and a stored block holds no per-entry proof
 // of authorship. Only the cloudonly and edgebase baselines sign entries one
 // by one, in Sig.

@@ -238,14 +238,13 @@ func BenchmarkLogResidentBytesPerBlock(b *testing.B) {
 
 func benchResident(b *testing.B, durable bool) {
 	const perBlock = 100
-	sig := bytes.Repeat([]byte{0x5A}, 64) // an Ed25519 signature's size
+	keys, reg := persistKeys(b)
 	var st *Store
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	l := New("edge-1", perBlock)
 	if durable {
-		_, reg := persistKeys(b)
 		var err error
 		if l, st, _, _, err = Recover(b.TempDir(), "edge-1", perBlock, reg, "cloud"); err != nil {
 			b.Fatal(err)
@@ -253,13 +252,18 @@ func benchResident(b *testing.B, durable bool) {
 		defer st.Close()
 	}
 	for i := 0; i < b.N; i++ {
-		batch := &wire.PutBatch{Client: "c1", BatchSig: sig}
+		// As a client sends it: entries without a signature, the batch
+		// MACed for edge-1.
+		batch := &wire.PutBatch{Client: "c1"}
 		for j := 0; j < perBlock; j++ {
 			batch.Entries = append(batch.Entries, wire.Entry{
 				Client: "c1", Seq: uint64(i*perBlock + j + 1),
 				Key: []byte(fmt.Sprintf("key-%08d", (i*perBlock+j)%5000)), Value: bytes.Repeat([]byte{byte(j)}, 100),
-				Sig: sig,
 			})
+		}
+		var err error
+		if batch.MAC, err = wcrypto.MAC(reg, keys["c1"], "c1", "edge-1", batch); err != nil {
+			b.Fatal(err)
 		}
 		frame := wire.EncodeEnvelope(wire.Envelope{From: "c1", To: "edge-1", Msg: batch})
 		env, err := wire.DecodeEnvelopeOwned(frame)
