@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments metrics-smoke flagdoc-check loc loc-check chaos fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments quick-diff metrics-smoke flagdoc-check loc loc-check chaos fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ IDS ?= all
 SCALE ?= -quick
 experiments:
 	$(GO) run ./cmd/wedge-bench -run $(IDS) $(SCALE) -json BENCH_quick.json
+
+# Every experiment at quick scale on BASE and on the working tree, table by
+# table: the virtual-time ones must match byte for byte, the wall-clock ones
+# (F5d, D1, AV1, CH1, OB1) are only reported. `make quick-diff BASE=HEAD~1`.
+quick-diff:
+	sh scripts/quick-diff.sh $(BASE)
 
 # Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
 # (allocation counts included; BlockDigest at B = 10/100/1000 is what a
@@ -90,7 +96,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21373
+LOC_CEILING := 21372
 loc:
 	@sh scripts/loc.sh
 loc-check:

@@ -11,6 +11,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/shard"
@@ -20,14 +21,14 @@ import (
 )
 
 // CloudID is the trusted cloud node's identity in façade clusters.
-const CloudID = NodeID("cloud")
+const CloudID = deploy.CloudID
 
 // EdgeID returns the identity of the i-th edge node (1-based).
-func EdgeID(i int) NodeID { return NodeID(fmt.Sprintf("edge-%d", i)) }
+func EdgeID(i int) NodeID { return deploy.EdgeID(i) }
 
 // FollowerID returns the identity of the k-th follower replica (1-based)
 // of the i-th edge's chain.
-func FollowerID(i, k int) NodeID { return NodeID(fmt.Sprintf("edge-%d.r%d", i, k)) }
+func FollowerID(i, k int) NodeID { return deploy.FollowerID(i, k) }
 
 // Cluster is a WedgeChain deployment inside one process: one trusted cloud
 // node, one or more untrusted edge nodes, and any number of clients, each
@@ -35,15 +36,9 @@ func FollowerID(i, k int) NodeID { return NodeID(fmt.Sprintf("edge-%d.r%d", i, k
 // binaries deploy, with the same framing, writer lanes and delivery order.
 type Cluster struct {
 	cfg Config
-	reg *wcrypto.Registry
-
-	// shardMap routes keys across the first cfg.Shards edges; wireMap is
-	// its cloud-signed serialization, verified by every client session.
-	shardMap *shard.Map
-	wireMap  *wire.ShardMap
-
-	// cloud and edges are fixed by NewCluster.
-	cloud *cloud.Node
+	// d holds the keys, the one registry, the cloud-signed shard map and
+	// the nodes; edges indexes its edge nodes by identity.
+	d     *deploy.Deployment
 	edges map[NodeID]*edge.Node
 
 	// ctx ends every endpoint's Serve and served waits for them. Close
@@ -64,9 +59,41 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	cfg.fill()
+	var heartbeatEvery int64 // heartbeats run in replica groups only
+	if cfg.ReplicasPerShard > 1 {
+		heartbeatEvery = cfg.HeartbeatEvery.Nanoseconds()
+	}
+	d, err := deploy.Build(deploy.Topology{
+		Edges:    cfg.Edges,
+		Shards:   cfg.Shards,
+		Replicas: cfg.ReplicasPerShard,
+		// Clients join as gossip targets in NewClientWith.
+		Cloud: cloud.Config{
+			Levels:       len(cfg.LevelThresholds),
+			PageCap:      cfg.PageCap,
+			GossipEvery:  cfg.GossipEvery.Nanoseconds(),
+			LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
+			CertTimeout:  cfg.CertTimeout.Nanoseconds(),
+			Metrics:      cfg.Metrics,
+		},
+		Edge: edge.Config{
+			BatchSize:       cfg.BatchSize,
+			FlushEvery:      cfg.FlushEvery.Nanoseconds(),
+			L0Threshold:     cfg.L0Threshold,
+			LevelThresholds: cfg.LevelThresholds,
+			HeartbeatEvery:  heartbeatEvery,
+			MaxUncertified:  cfg.MaxUncertified,
+			Metrics:         cfg.Metrics,
+		},
+		Faults: cfg.EdgeFaults,
+		Key:    wcrypto.GenerateKey,
+	})
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:   cfg,
-		reg:   wcrypto.NewRegistry(),
+		d:     d,
 		edges: make(map[NodeID]*edge.Node),
 		nodes: make(map[NodeID]*transport.TCP),
 	}
@@ -74,115 +101,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// against the one key registry, so their counters carry the
 	// cluster-wide label rather than a node's.
 	cfg.Chaos.AttachMetrics(cfg.Metrics, "cluster")
-	c.reg.AttachMetrics(cfg.Metrics, "cluster")
-
-	keys := make(map[NodeID]wcrypto.KeyPair)
-	newKey := func(id NodeID) error {
-		k, err := wcrypto.GenerateKey(id)
-		if err != nil {
-			return err
-		}
-		keys[id] = k
-		c.reg.Register(id, k.Pub)
-		return nil
-	}
-	if err := newKey(CloudID); err != nil {
-		return nil, err
-	}
-	edgeIDs := make([]NodeID, 0, cfg.Edges)
-	for i := 1; i <= cfg.Edges; i++ {
-		if err := newKey(EdgeID(i)); err != nil {
-			return nil, err
-		}
-		edgeIDs = append(edgeIDs, EdgeID(i))
-	}
-
-	// Replica groups: each edge's chain gets ReplicasPerShard-1 follower
-	// nodes with their own identities and keys. The chain identity stays
-	// the initial leader's id; followers mirror its log and stand by for
-	// a cloud-signed promotion.
-	followers := make(map[NodeID][]NodeID)
-	for i := 1; i <= cfg.Edges; i++ {
-		for k := 1; k < cfg.ReplicasPerShard; k++ {
-			fid := FollowerID(i, k)
-			if err := newKey(fid); err != nil {
-				return nil, err
-			}
-			followers[EdgeID(i)] = append(followers[EdgeID(i)], fid)
-		}
-	}
-
-	// The shard map spans the first cfg.Shards edges. The cloud signs it
-	// so clients can verify their routing table came from the trusted
-	// party, not from an edge steering traffic toward itself.
-	sm, err := shard.New(edgeIDs[:cfg.Shards])
-	if err != nil {
-		return nil, err
-	}
-	c.shardMap = sm
-	c.wireMap = sm.Wire(1)
-	if cfg.ReplicasPerShard > 1 {
-		c.wireMap.Followers = make([][]NodeID, len(c.wireMap.Edges))
-		for i, e := range c.wireMap.Edges {
-			c.wireMap.Followers[i] = append([]NodeID(nil), followers[e]...)
-		}
-	}
-	c.wireMap.CloudSig = wcrypto.SignMsg(keys[CloudID], c.wireMap)
-
-	c.cloud = cloud.New(cloud.Config{
-		ID:           CloudID,
-		Levels:       len(cfg.LevelThresholds),
-		PageCap:      cfg.PageCap,
-		GossipEvery:  cfg.GossipEvery.Nanoseconds(),
-		LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
-		CertTimeout:  cfg.CertTimeout.Nanoseconds(),
-		Metrics:      cfg.Metrics,
-		// Clients join as gossip targets in NewClientWith.
-	}, keys[CloudID], c.reg)
-	if cfg.ReplicasPerShard > 1 {
-		// Declare the groups before the endpoints start, so the failure
-		// detectors know every chain from the first tick.
-		for _, lid := range edgeIDs {
-			c.cloud.RegisterGroup(lid, lid, followers[lid])
-		}
-	}
-	hosted := []core.Handler{c.cloud}
-
-	var heartbeatEvery int64
-	if cfg.ReplicasPerShard > 1 {
-		heartbeatEvery = cfg.HeartbeatEvery.Nanoseconds()
-	}
-	addEdge := func(ecfg edge.Config) error {
-		ecfg.Cloud = CloudID
-		ecfg.BatchSize = cfg.BatchSize
-		ecfg.FlushEvery = cfg.FlushEvery.Nanoseconds()
-		ecfg.L0Threshold = cfg.L0Threshold
-		ecfg.LevelThresholds = cfg.LevelThresholds
-		ecfg.Fault = cfg.EdgeFaults[ecfg.ID]
-		ecfg.HeartbeatEvery = heartbeatEvery
-		ecfg.MaxUncertified = cfg.MaxUncertified
-		ecfg.Metrics = cfg.Metrics
-		if err := ecfg.Validate(); err != nil {
-			return err
-		}
-		en := edge.New(ecfg, keys[ecfg.ID], c.reg)
-		c.edges[ecfg.ID] = en
-		hosted = append(hosted, en)
-		return nil
-	}
-	for _, id := range edgeIDs {
-		if err := addEdge(edge.Config{ID: id, Followers: followers[id]}); err != nil {
-			return nil, err
-		}
-		for _, fid := range followers[id] {
-			if err := addEdge(edge.Config{ID: fid, Chain: id, Follower: true}); err != nil {
-				return nil, err
-			}
-		}
-	}
+	d.Registry.AttachMetrics(cfg.Metrics, "cluster")
 
 	// Cloud first, so every later endpoint can reach it from its first
 	// tick.
+	hosted := []core.Handler{d.Cloud}
+	for _, en := range d.Edges() {
+		c.edges[en.ID()] = en
+		hosted = append(hosted, en)
+	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, h := range hosted {
 		if err := c.host(h); err != nil {
@@ -253,20 +180,20 @@ func (c *Cluster) on(id NodeID, fn func()) error {
 // Punished reports whether the cloud has convicted and banned edgeID,
 // with the conviction reason.
 func (c *Cluster) Punished(edgeID NodeID) (reason string, banned bool) {
-	c.on(CloudID, func() { reason, banned = c.cloud.Flagged(edgeID) })
+	c.on(CloudID, func() { reason, banned = c.d.Cloud.Flagged(edgeID) })
 	return reason, banned
 }
 
 // Verdicts returns all guilty verdicts the cloud has issued.
 func (c *Cluster) Verdicts() (vs []Verdict) {
-	c.on(CloudID, func() { vs = append(vs, c.cloud.Punishments().Verdicts()...) })
+	c.on(CloudID, func() { vs = append(vs, c.d.Cloud.Punishments().Verdicts()...) })
 	return vs
 }
 
 // VerdictsFor returns the guilty verdicts issued against one edge — in a
 // sharded cluster, the conviction history of that shard alone.
 func (c *Cluster) VerdictsFor(edgeID NodeID) (vs []Verdict) {
-	c.on(CloudID, func() { vs = c.cloud.VerdictsFor(edgeID) })
+	c.on(CloudID, func() { vs = c.d.Cloud.VerdictsFor(edgeID) })
 	return vs
 }
 
@@ -276,10 +203,10 @@ func (c *Cluster) VerdictsFor(edgeID NodeID) (vs []Verdict) {
 func (c *Cluster) Metrics() *obs.Registry { return c.cfg.Metrics }
 
 // Shards returns the cluster's shard count.
-func (c *Cluster) Shards() int { return c.shardMap.Shards() }
+func (c *Cluster) Shards() int { return c.d.Ring.Shards() }
 
 // ShardMap returns the cloud-signed shard map distributed to clients.
-func (c *Cluster) ShardMap() *wire.ShardMap { return c.wireMap }
+func (c *Cluster) ShardMap() *wire.ShardMap { return c.d.ShardMap }
 
 // EdgeStats returns one edge node's operational counters, read on that
 // edge's turn. In a sharded cluster this is the per-shard view: writes,
@@ -340,14 +267,14 @@ func (c *Cluster) ReplicaFrontier(id NodeID) (blocks, certified uint64, err erro
 // leader of chain (the chain id is the initial leader's id, e.g.
 // "edge-1"). Unreplicated chains lead themselves.
 func (c *Cluster) ChainLeader(chain NodeID) (leader NodeID) {
-	c.on(CloudID, func() { leader = c.cloud.ChainLeader(chain) })
+	c.on(CloudID, func() { leader = c.d.Cloud.ChainLeader(chain) })
 	return leader
 }
 
 // ChainEpoch reports the epoch of the chain's current view (0 until the
 // first): every leadership transfer and every rejoin signs the next one.
 func (c *Cluster) ChainEpoch(chain NodeID) (epoch uint64) {
-	c.on(CloudID, func() { epoch = c.cloud.ChainEpoch(chain) })
+	c.on(CloudID, func() { epoch = c.d.Cloud.ChainEpoch(chain) })
 	return epoch
 }
 
@@ -402,11 +329,11 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	// on the shard map — an edge must not be able to steer keys.
 	var ring *shard.Map
 	if c.cfg.Shards > 1 {
-		if err := wcrypto.VerifyMsg(c.reg, CloudID, c.wireMap, c.wireMap.CloudSig); err != nil {
+		if err := wcrypto.VerifyMsg(c.d.Registry, CloudID, c.d.ShardMap, c.d.ShardMap.CloudSig); err != nil {
 			return nil, fmt.Errorf("wedgechain: shard map signature: %w", err)
 		}
 		var err error
-		ring, err = shard.FromWire(c.wireMap)
+		ring, err = shard.FromWire(c.d.ShardMap)
 		if err != nil {
 			return nil, err
 		}
@@ -422,7 +349,7 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	if err != nil {
 		return nil, err
 	}
-	c.reg.Register(id, k.Pub)
+	c.d.Registry.Register(id, k.Pub)
 
 	// Deterministic per-name seed: each light session audits its own
 	// request subset, and re-running the same program replays the same
@@ -441,7 +368,7 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		SampleEvery:     opts.Sample,
 		SampleSeed:      h.Sum64(),
 		Metrics:         c.cfg.Metrics,
-	}, ring, k, c.reg)
+	}, ring, k, c.d.Registry)
 	cl := newClient(c, id, session)
 	for _, cc := range session.Cores() {
 		cc.OnPhaseI = cl.onPhaseI
@@ -454,13 +381,13 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		return nil, err
 	}
 	c.nodes[CloudID].DoSession(CloudID, func(now int64) []wire.Envelope {
-		c.cloud.AddGossipTarget(id)
+		c.d.Cloud.AddGossipTarget(id)
 		// Replay existing convictions to the new session: the verdict
 		// broadcast at conviction time predates this client, and banned
 		// edges are excluded from gossip, so without this a late joiner
 		// would keep trusting an already-frozen shard.
 		var out []wire.Envelope
-		for _, v := range c.cloud.Punishments().Verdicts() {
+		for _, v := range c.d.Cloud.Punishments().Verdicts() {
 			v := v
 			out = append(out, wire.Envelope{From: CloudID, To: id, Msg: &v})
 		}

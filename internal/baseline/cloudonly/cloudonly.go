@@ -82,14 +82,8 @@ func (s *Server) GetLocal(key []byte) ([]byte, bool) {
 // Receive implements core.Handler.
 func (s *Server) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
-	case *wire.CloudPutRequest:
-		return s.handlePut(now, env.From, m)
 	case *wire.CloudPutBatch:
-		var out []wire.Envelope
-		for i := range m.Entries {
-			out = append(out, s.handlePut(now, env.From, &wire.CloudPutRequest{Entry: m.Entries[i]})...)
-		}
-		return out
+		return s.handlePut(now, env.From, m)
 	case *wire.CloudGetRequest:
 		return s.handleGet(now, env.From, m)
 	default:
@@ -100,21 +94,22 @@ func (s *Server) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // Tick implements core.Handler.
 func (s *Server) Tick(now int64) []wire.Envelope { return nil }
 
-func (s *Server) handlePut(now int64, from wire.NodeID, m *wire.CloudPutRequest) []wire.Envelope {
-	e := m.Entry
-	if e.Client != from {
-		return nil
+// handlePut buffers each correctly signed entry of a write batch, cutting
+// a block at every BatchSize entries.
+func (s *Server) handlePut(now int64, from wire.NodeID, m *wire.CloudPutBatch) []wire.Envelope {
+	var out []wire.Envelope
+	for _, e := range m.Entries {
+		if e.Client != from || wcrypto.VerifyMsg(s.reg, e.Client, &e, e.Sig) != nil {
+			continue
+		}
+		s.stats.Writes++
+		s.buf = append(s.buf, e)
+		s.pending = append(s.pending, pendingWrite{client: e.Client, seq: e.Seq})
+		if len(s.buf) == s.cfg.BatchSize {
+			out = append(out, s.cutBatch(now)...)
+		}
 	}
-	if err := wcrypto.VerifyMsg(s.reg, e.Client, &e, e.Sig); err != nil {
-		return nil
-	}
-	s.stats.Writes++
-	s.buf = append(s.buf, e)
-	s.pending = append(s.pending, pendingWrite{client: e.Client, seq: e.Seq})
-	if len(s.buf) < s.cfg.BatchSize {
-		return nil
-	}
-	return s.cutBatch(now)
+	return out
 }
 
 func (s *Server) cutBatch(now int64) []wire.Envelope {
@@ -196,14 +191,10 @@ func NewClient(id, cloud wire.NodeID, key wcrypto.KeyPair) *Client {
 // ID implements core.Handler.
 func (c *Client) ID() wire.NodeID { return c.id }
 
-// Put starts a write.
+// Put starts a write: a batch of one.
 func (c *Client) Put(now int64, key, value []byte) (*Op, []wire.Envelope) {
-	c.seq++
-	e := wire.Entry{Client: c.id, Seq: c.seq, Key: key, Value: value, Ts: now}
-	e.Sig = wcrypto.SignMsg(c.key, &e)
-	op := &Op{Seq: c.seq}
-	c.puts[c.seq] = op
-	return op, []wire.Envelope{{From: c.id, To: c.cloud, Msg: &wire.CloudPutRequest{Entry: e}}}
+	ops, envs := c.PutBatch(now, [][]byte{key}, [][]byte{value})
+	return ops[0], envs
 }
 
 // PutBatch starts a batch of writes carried in one request.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -11,11 +12,9 @@ import (
 
 func newWorld(t *testing.T, batch int) (*sim.Sim, *Server, *Client) {
 	t.Helper()
-	reg := wcrypto.NewRegistry()
-	ck := wcrypto.DeterministicKey("c1")
-	reg.Register("c1", ck.Pub)
+	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
 	srv := NewServer(ServerConfig{ID: "cloud", BatchSize: batch}, reg)
-	cl := NewClient("c1", "cloud", ck)
+	cl := NewClient("c1", "cloud", keys["c1"])
 	s := sim.New(sim.Config{TickEvery: 1e6, DefaultLink: sim.Link{Latency: 1e6}})
 	s.Add(srv)
 	s.Add(cl)
@@ -63,15 +62,14 @@ func TestGetMissingKey(t *testing.T) {
 }
 
 func TestServerRejectsForgedEntries(t *testing.T) {
-	reg := wcrypto.NewRegistry()
-	ck := wcrypto.DeterministicKey("c1")
-	reg.Register("c1", ck.Pub)
+	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
+	ck := keys["c1"]
 	srv := NewServer(ServerConfig{ID: "cloud", BatchSize: 1}, reg)
 
 	e := wire.Entry{Client: "c1", Seq: 1, Key: []byte("k"), Value: []byte("v")}
 	e.Sig = wcrypto.SignMsg(ck, &e)
 	e.Value = []byte("tampered-after-signing")
-	out := srv.Receive(1, wire.Envelope{From: "c1", To: "cloud", Msg: &wire.CloudPutRequest{Entry: e}})
+	out := srv.Receive(1, wire.Envelope{From: "c1", To: "cloud", Msg: &wire.CloudPutBatch{Entries: []wire.Entry{e}}})
 	if out != nil || srv.Stats().Writes != 0 {
 		t.Fatal("forged entry accepted")
 	}

@@ -60,14 +60,10 @@ func NewClient(id, edge, cloud wire.NodeID, key wcrypto.KeyPair, reg *wcrypto.Re
 // ID implements core.Handler.
 func (c *Client) ID() wire.NodeID { return c.id }
 
-// Put starts a write through the cloud.
+// Put starts a write through the cloud: a batch of one.
 func (c *Client) Put(now int64, key, value []byte) (*Op, []wire.Envelope) {
-	c.seq++
-	e := wire.Entry{Client: c.id, Seq: c.seq, Key: key, Value: value, Ts: now}
-	e.Sig = wcrypto.SignMsg(c.key, &e)
-	op := &Op{Seq: c.seq}
-	c.puts[c.seq] = op
-	return op, []wire.Envelope{{From: c.id, To: c.cloud, Msg: &wire.EBPutRequest{Entry: e, Edge: c.edge}}}
+	ops, envs := c.PutBatch(now, [][]byte{key}, [][]byte{value})
+	return ops[0], envs
 }
 
 // PutBatch starts a batch of writes carried in one request.

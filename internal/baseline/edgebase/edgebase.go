@@ -114,14 +114,8 @@ func (c *Cloud) Stats() CloudStats { return c.stats }
 // Receive implements core.Handler.
 func (c *Cloud) Receive(now int64, env wire.Envelope) []wire.Envelope {
 	switch m := env.Msg.(type) {
-	case *wire.EBPutRequest:
-		return c.handlePut(now, env.From, m)
 	case *wire.EBPutBatch:
-		var out []wire.Envelope
-		for i := range m.Entries {
-			out = append(out, c.handlePut(now, env.From, &wire.EBPutRequest{Entry: m.Entries[i], Edge: m.Edge})...)
-		}
-		return out
+		return c.handlePut(now, env.From, m)
 	case *wire.EBStateAck:
 		return c.handleAck(now, env.From, m)
 	default:
@@ -132,21 +126,22 @@ func (c *Cloud) Receive(now int64, env wire.Envelope) []wire.Envelope {
 // Tick implements core.Handler.
 func (c *Cloud) Tick(now int64) []wire.Envelope { return nil }
 
-func (c *Cloud) handlePut(now int64, from wire.NodeID, m *wire.EBPutRequest) []wire.Envelope {
-	e := m.Entry
-	if e.Client != from {
-		return nil
+// handlePut buffers each correctly signed entry of a write batch, cutting
+// and pushing a block at every BatchSize entries.
+func (c *Cloud) handlePut(now int64, from wire.NodeID, m *wire.EBPutBatch) []wire.Envelope {
+	var out []wire.Envelope
+	for _, e := range m.Entries {
+		if e.Client != from || wcrypto.VerifyMsg(c.reg, e.Client, &e, e.Sig) != nil {
+			continue
+		}
+		c.stats.Writes++
+		c.buf = append(c.buf, e)
+		c.writers = append(c.writers, pendingWrite{client: e.Client, seq: e.Seq})
+		if len(c.buf) == c.cfg.BatchSize {
+			out = append(out, c.cutAndPush(now)...)
+		}
 	}
-	if err := wcrypto.VerifyMsg(c.reg, e.Client, &e, e.Sig); err != nil {
-		return nil
-	}
-	c.stats.Writes++
-	c.buf = append(c.buf, e)
-	c.writers = append(c.writers, pendingWrite{client: e.Client, seq: e.Seq})
-	if len(c.buf) < c.cfg.BatchSize {
-		return nil
-	}
-	return c.cutAndPush(now)
+	return out
 }
 
 // cutAndPush certifies a block, compacts if needed, and enqueues the state

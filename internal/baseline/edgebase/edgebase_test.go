@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/sim"
-	"wedgechain/internal/wcrypto"
-	"wedgechain/internal/wire"
 )
 
 type world struct {
@@ -18,13 +17,7 @@ type world struct {
 
 func newWorld(t *testing.T, batch int) *world {
 	t.Helper()
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
+	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
 	w := &world{}
 	w.cloud = NewCloud(CloudConfig{
 		ID: "cloud", Edge: "edge-1",

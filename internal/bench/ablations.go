@@ -6,29 +6,25 @@ import (
 	"wedgechain/internal/baseline/cloudonly"
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/sim"
-	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
 )
 
 // buildCloudOnlyLocal returns a preloaded Cloud-only server for local
 // measurement (Figure 5(d)).
-func buildCloudOnlyLocal(keys int) *cloudonly.Server {
-	reg := wcrypto.NewRegistry()
-	ck := wcrypto.DeterministicKey("c1")
-	reg.Register("c1", ck.Pub)
+func buildCloudOnlyLocal(n int) *cloudonly.Server {
+	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
 	srv := cloudonly.NewServer(cloudonly.ServerConfig{ID: cloudID, BatchSize: 100}, reg)
-	val := make([]byte, 100)
-	seq := uint64(0)
-	for i := 0; i < keys; i++ {
-		seq++
-		e := wire.Entry{Client: "c1", Seq: seq, Key: workload.KeyName(i), Value: val}
-		e.Sig = wcrypto.SignMsg(ck, &e)
-		srv.Receive(0, wire.Envelope{From: "c1", To: cloudID, Msg: &wire.CloudPutRequest{Entry: e}})
+	ks, vs := make([][]byte, n), make([][]byte, n)
+	for i := range ks {
+		ks[i], vs[i] = workload.KeyName(i), make([]byte, 100)
 	}
+	_, envs := cloudonly.NewClient("c1", cloudID, keys["c1"]).PutBatch(0, ks, vs)
+	srv.Receive(0, envs[0])
 	srv.Flush(0)
 	return srv
 }
@@ -48,12 +44,18 @@ type faultWorld struct {
 }
 
 func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorld {
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{cloudID, edgeID, "c1", "c2"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
+	levels := []int{2, 4, 8}
+	d, err := deploy.Build(deploy.Topology{
+		Clients: 2,
+		Cloud:   cloud.Config{Levels: len(levels), PageCap: faultBatch, GossipEvery: gossipEvery},
+		Edge: edge.Config{
+			BatchSize: faultBatch, FlushEvery: -1, L0Threshold: 2,
+			LevelThresholds: levels,
+		},
+		Faults: map[wire.NodeID]*edge.Fault{edgeID: fault},
+	})
+	if err != nil {
+		panic(fmt.Sprintf("bench: fault world: %v", err))
 	}
 	roles := map[wire.NodeID]Role{cloudID: RCloud, edgeID: REdge, "c1": RClient, "c2": RClient}
 	costs := DefaultCosts(faultBatch)
@@ -69,31 +71,19 @@ func buildFaultWorld(fault *edge.Fault, gossipEvery, freshness int64) *faultWorl
 		add(c, cloudID, California, Virginia, wanBW)
 	}
 
-	fw := &faultWorld{}
+	fw := &faultWorld{cloud: d.Cloud, edge: d.Chains[0][0]}
 	fw.sim = sim.New(sim.Config{
 		TickEvery:   int64(1e6),
 		DefaultLink: sim.Link{Latency: int64(5e5), Bandwidth: lanBW},
 		Links:       links,
 		Cost:        costs.Fn(roles, func(wire.NodeID) *mlsm.Index { return fw.edge.Index() }),
 	})
-	levels := []int{2, 4, 8}
-	fw.cloud = cloud.New(cloud.Config{
-		ID: cloudID, Levels: len(levels), PageCap: faultBatch,
-		GossipEvery: gossipEvery,
-		GossipTo:    []wire.NodeID{"c1", "c2"},
-	}, keys[cloudID], reg)
-	fw.edge = edge.New(edge.Config{
-		ID: edgeID, Cloud: cloudID,
-		BatchSize: faultBatch, FlushEvery: -1, L0Threshold: 2,
-		LevelThresholds: levels,
-		Fault:           fault,
-	}, keys[edgeID], reg)
 	mk := func(id wire.NodeID) *client.Core {
 		return client.New(client.Config{
 			ID: id, Edge: edgeID, Cloud: cloudID,
 			ProofTimeout:    int64(2e9),
 			FreshnessWindow: freshness,
-		}, keys[id], reg)
+		}, d.Keys[id], d.Registry)
 	}
 	fw.writer = mk("c1")
 	fw.victim = mk("c2")

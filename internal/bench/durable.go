@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"wedgechain/internal/client"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
-	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
 )
@@ -51,7 +51,7 @@ func DurableSyncSweep(scale Scale) *Table {
 		total = 3_000
 	}
 	total -= total % durableBatch // full blocks only, so every put is acknowledged
-	reg, bursts := durableBursts(total)
+	bursts := durableBursts(total)
 
 	sweep := []struct {
 		name string
@@ -64,7 +64,7 @@ func DurableSyncSweep(scale Scale) *Table {
 	}
 	var base float64
 	for i, s := range sweep {
-		tput, syncs := runDurable(reg, bursts, total, s.win)
+		tput, syncs := runDurable(bursts, total, s.win)
 		if i == 0 {
 			base = tput
 		}
@@ -93,15 +93,13 @@ const (
 // durableBursts pre-generates D1's input: the put traffic as MACed bursts
 // of durableBatch entries, submitted by real client cores round-robin over
 // durableClients identities — so MAC cost never pollutes the measured
-// window. It returns the registry holding the clients' and the edge's keys.
-func durableBursts(total int) (*wcrypto.Registry, []wire.Envelope) {
-	reg := wcrypto.NewRegistry()
-	reg.Register("edge-1", wcrypto.DeterministicKey("edge-1").Pub)
+// window.
+func durableBursts(total int) []wire.Envelope {
+	pairs, reg, _ := deploy.Keys(deploy.Topology{Clients: durableClients})
 	cores := make([]*client.Core, durableClients)
 	for i := range cores {
-		k := wcrypto.DeterministicKey(wire.NodeID(fmt.Sprintf("c%d", i+1)))
-		reg.Register(k.ID, k.Pub)
-		cores[i] = client.New(client.Config{ID: k.ID, Edge: "edge-1", Cloud: "cloud"}, k, reg)
+		id := deploy.ClientID(i + 1)
+		cores[i] = client.New(client.Config{ID: id, Edge: "edge-1", Cloud: "cloud"}, pairs[id], reg)
 	}
 	var bursts []wire.Envelope
 	keys, values := make([][]byte, durableBatch), make([][]byte, durableBatch)
@@ -115,29 +113,32 @@ func durableBursts(total int) (*wcrypto.Registry, []wire.Envelope) {
 		_, envs := cores[(start/durableBatch)%durableClients].PutBatch(int64(start), keys, values)
 		bursts = append(bursts, envs...)
 	}
-	return reg, bursts
+	return bursts
 }
 
 // runDurable drives the MACed put workload through a persistent
 // edge with the given group-commit window and reports measured throughput
 // and the fsync count.
-func runDurable(reg *wcrypto.Registry, bursts []wire.Envelope, total int, syncEvery int64) (tput float64, syncs uint64) {
+func runDurable(bursts []wire.Envelope, total int, syncEvery int64) (tput float64, syncs uint64) {
 	dir, err := os.MkdirTemp("", "wedge-durable-bench-*")
 	if err != nil {
 		panic(fmt.Sprintf("bench: durable temp dir: %v", err))
 	}
 	defer os.RemoveAll(dir)
 
-	en, _, err := edge.NewPersistent(edge.Config{
-		ID:          "edge-1",
-		Cloud:       "cloud",
-		BatchSize:   durableBatch,
-		L0Threshold: 1 << 30, // no compaction: isolate the durable write path
-		SyncEvery:   durableSyncEvery(syncEvery),
-	}, wcrypto.DeterministicKey("edge-1"), reg, dir, true)
+	d, err := deploy.Build(deploy.Topology{
+		Clients: durableClients,
+		Edge: edge.Config{
+			BatchSize:   durableBatch,
+			L0Threshold: 1 << 30, // no compaction: isolate the durable write path
+			SyncEvery:   durableSyncEvery(syncEvery),
+		},
+		DataDir: dir,
+	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: durable edge: %v", err))
 	}
+	en := d.Chains[0][0]
 	defer en.CloseStore()
 
 	acked := 0

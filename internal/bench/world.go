@@ -3,19 +3,17 @@ package bench
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"wedgechain/internal/baseline/cloudonly"
 	"wedgechain/internal/baseline/edgebase"
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/obs"
-	"wedgechain/internal/shard"
 	"wedgechain/internal/sim"
-	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 	"wedgechain/internal/workload"
 )
@@ -171,13 +169,9 @@ func (w *World) Close() {
 }
 
 const (
-	cloudID = wire.NodeID("cloud")
+	cloudID = deploy.CloudID
 	edgeID  = wire.NodeID("edge-1")
 )
-
-func clientID(i int) wire.NodeID { return wire.NodeID(fmt.Sprintf("c%d", i+1)) }
-
-func shardEdgeID(i int) wire.NodeID { return wire.NodeID(fmt.Sprintf("edge-%d", i+1)) }
 
 // BuildWorld constructs the system, topology and drivers for cfg.
 func BuildWorld(cfg WorldCfg) *World {
@@ -188,27 +182,6 @@ func BuildWorld(cfg WorldCfg) *World {
 	}
 	w := &World{Cfg: cfg, roles: map[wire.NodeID]Role{cloudID: RCloud}}
 
-	edgeIDs := make([]wire.NodeID, cfg.Shards)
-	for i := range edgeIDs {
-		edgeIDs[i] = shardEdgeID(i)
-		w.roles[edgeIDs[i]] = REdge
-	}
-
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	ids := append([]wire.NodeID{cloudID}, edgeIDs...)
-	for i := 0; i < cfg.Clients; i++ {
-		ids = append(ids, clientID(i))
-	}
-	for _, id := range ids {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		w.roles[clientID(i)] = RClient
-	}
-
 	// Topology: directional links per role pair. Every shard edge sits
 	// in the same datacenter as the paper's single edge; clients reach
 	// all of them and the cloud coordinates with each over the tight
@@ -218,13 +191,15 @@ func BuildWorld(cfg WorldCfg) *World {
 		links[[2]wire.NodeID{a, b}] = linkFor(da, db, bw)
 		links[[2]wire.NodeID{b, a}] = linkFor(db, da, bw)
 	}
-	for _, eid := range edgeIDs {
-		addPair(eid, cloudID, cfg.Place.Edge, cfg.Place.Cloud, coordBW)
+	for i := 1; i <= cfg.Shards; i++ {
+		w.roles[deploy.EdgeID(i)] = REdge
+		addPair(deploy.EdgeID(i), cloudID, cfg.Place.Edge, cfg.Place.Cloud, coordBW)
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		cid := clientID(i)
-		for _, eid := range edgeIDs {
-			addPair(cid, eid, cfg.Place.Client, cfg.Place.Edge, wanBW)
+		cid := deploy.ClientID(i + 1)
+		w.roles[cid] = RClient
+		for j := 1; j <= cfg.Shards; j++ {
+			addPair(cid, deploy.EdgeID(j), cfg.Place.Client, cfg.Place.Edge, wanBW)
 		}
 		addPair(cid, cloudID, cfg.Place.Client, cfg.Place.Cloud, wanBW)
 	}
@@ -237,77 +212,53 @@ func BuildWorld(cfg WorldCfg) *World {
 		Cost:        costs.Fn(w.roles, w.edgeIndex),
 	})
 
-	var gossipTo []wire.NodeID
-	for i := 0; i < cfg.Clients; i++ {
-		gossipTo = append(gossipTo, clientID(i))
-	}
-
-	ring, err := shard.New(edgeIDs)
-	if err != nil {
-		panic(err) // unreachable: ids are distinct by construction
-	}
-
-	mkConn := func(i int) workload.Conn {
-		cid := clientID(i)
-		switch cfg.System {
-		case Wedge:
-			ccfg := cfg.Client
-			ccfg.ID, ccfg.Cloud, ccfg.Metrics = cid, cloudID, cfg.Metrics
-			s := client.NewSharded(ccfg, ring, keys[cid], reg)
-			w.WedgeSessions = append(w.WedgeSessions, s)
-			w.WedgeClients = append(w.WedgeClients, s.Cores()...)
-			return workload.ShardedConn{Sharded: s}
-		case CloudOnly:
-			return workload.CloudOnlyConn{Client: cloudonly.NewClient(cid, cloudID, keys[cid])}
-		default:
-			return workload.EBConn{Client: edgebase.NewClient(cid, edgeID, cloudID, keys[cid], reg, cfg.Client.FreshnessWindow)}
-		}
-	}
-
+	topo := deploy.Topology{Edges: cfg.Shards, Clients: cfg.Clients}
+	var mkConn func(cid wire.NodeID) workload.Conn
 	switch cfg.System {
 	case Wedge:
-		ccfg := cfg.Cloud
-		ccfg.ID, ccfg.GossipTo, ccfg.Metrics = cloudID, gossipTo, cfg.Metrics
-		ccfg.Levels = len(cfg.Edge.LevelThresholds)
-		ccfg.PageCap = cfg.Batch
-		w.CloudNode = cloud.New(ccfg, keys[cloudID], reg)
-		var dataDir string
+		topo.Cloud, topo.Edge = cfg.Cloud, cfg.Edge
+		topo.Cloud.Metrics, topo.Edge.Metrics = cfg.Metrics, cfg.Metrics
+		topo.Cloud.Levels = len(cfg.Edge.LevelThresholds)
+		topo.Cloud.PageCap, topo.Edge.BatchSize = cfg.Batch, cfg.Batch
 		if cfg.Durable {
 			// Validated up front: a durable world with SyncEvery unset
 			// panics here rather than producing misleading numbers.
-			cfg.Edge.SyncEvery = durableSyncEvery(cfg.Edge.SyncEvery)
-			dataDir = cfg.DataDir
-			if dataDir == "" {
+			topo.Edge.SyncEvery = durableSyncEvery(cfg.Edge.SyncEvery)
+			topo.DataDir = cfg.DataDir
+			if topo.DataDir == "" {
 				d, err := os.MkdirTemp("", "wedge-durable-world-*")
 				if err != nil {
 					panic(fmt.Sprintf("bench: durable world temp dir: %v", err))
 				}
-				dataDir = d
-				w.ownDataDir = d
+				topo.DataDir, w.ownDataDir = d, d
 			}
 		}
-		for _, eid := range edgeIDs {
-			ecfg := cfg.Edge
-			ecfg.ID, ecfg.Cloud, ecfg.Metrics = eid, cloudID, cfg.Metrics
-			ecfg.BatchSize = cfg.Batch
-			var en *edge.Node
-			if cfg.Durable {
-				var err error
-				en, _, err = edge.NewPersistent(ecfg, keys[eid], reg, filepath.Join(dataDir, string(eid)), true)
-				if err != nil {
-					panic(fmt.Sprintf("bench: durable edge %s: %v", eid, err))
-				}
-			} else {
-				en = edge.New(ecfg, keys[eid], reg)
-			}
-			w.EdgeNodes = append(w.EdgeNodes, en)
+		d, err := deploy.Build(topo)
+		if err != nil {
+			panic(fmt.Sprintf("bench: %v", err))
+		}
+		w.CloudNode, w.EdgeNodes = d.Cloud, d.Edges()
+		for _, en := range w.EdgeNodes {
 			w.Sim.Add(en)
 		}
 		w.EdgeNode = w.EdgeNodes[0]
 		w.Sim.Add(w.CloudNode)
+		mkConn = func(cid wire.NodeID) workload.Conn {
+			ccfg := cfg.Client
+			ccfg.ID, ccfg.Cloud, ccfg.Metrics = cid, cloudID, cfg.Metrics
+			s := client.NewSharded(ccfg, d.Ring, d.Keys[cid], d.Registry)
+			w.WedgeSessions = append(w.WedgeSessions, s)
+			w.WedgeClients = append(w.WedgeClients, s.Cores()...)
+			return workload.ShardedConn{Sharded: s}
+		}
 	case CloudOnly:
+		keys, reg, _ := deploy.Keys(topo) // deterministic keys cannot fail
 		w.Sim.Add(cloudonly.NewServer(cloudonly.ServerConfig{ID: cloudID, BatchSize: cfg.Batch}, reg))
+		mkConn = func(cid wire.NodeID) workload.Conn {
+			return workload.CloudOnlyConn{Client: cloudonly.NewClient(cid, cloudID, keys[cid])}
+		}
 	case EdgeBase:
+		keys, reg, _ := deploy.Keys(topo)
 		w.Sim.Add(edgebase.NewCloud(edgebase.CloudConfig{
 			ID: cloudID, Edge: edgeID,
 			BatchSize:       cfg.Batch,
@@ -319,6 +270,9 @@ func BuildWorld(cfg WorldCfg) *World {
 			ID: edgeID, Cloud: cloudID,
 			LevelThresholds: cfg.Edge.LevelThresholds,
 		}, keys[edgeID], reg))
+		mkConn = func(cid wire.NodeID) workload.Conn {
+			return workload.EBConn{Client: edgebase.NewClient(cid, edgeID, cloudID, keys[cid], reg, cfg.Client.FreshnessWindow)}
+		}
 	}
 
 	readSpace := cfg.KeySpace
@@ -326,7 +280,7 @@ func BuildWorld(cfg WorldCfg) *World {
 		readSpace = cfg.Preload
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		conn := mkConn(i)
+		conn := mkConn(deploy.ClientID(i + 1))
 		if i == 0 {
 			w.preloadConn = conn
 		}
@@ -443,7 +397,7 @@ func (w *World) EdgeCloudBytes() uint64 {
 	lb := w.Sim.Stats().LinkBytes
 	var total uint64
 	for i := 0; i < w.Cfg.Shards; i++ {
-		eid := shardEdgeID(i)
+		eid := deploy.EdgeID(i + 1)
 		total += lb[[2]wire.NodeID{eid, cloudID}] + lb[[2]wire.NodeID{cloudID, eid}]
 	}
 	return total

@@ -12,6 +12,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"fmt"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/obs"
@@ -409,7 +410,7 @@ func (c *Core) write(now int64, ops []*Op) []wire.Envelope {
 	if c.banned != nil {
 		return nil
 	}
-	return []wire.Envelope{c.submit(now, ops)}
+	return c.submit(now, ops)
 }
 
 // submit builds and MACs the one write message: a PutBatch holding one
@@ -417,16 +418,24 @@ func (c *Core) write(now int64, ops []*Op) []wire.Envelope {
 // now. One MAC under the key this session shares with its current edge
 // authenticates the batch; the entries carry no signature. The first send,
 // every retry and every failover rebind go through here, so a rebound
-// session MACs for its new edge. A batch whose MAC cannot be computed (the
-// edge's key is not registered) leaves without one: the edge drops it and
-// its ops end as unanswered ones do.
-func (c *Core) submit(now int64, ops []*Op) wire.Envelope {
+// session MACs for its new edge. When the MAC cannot be made (the edge's
+// key is not registered) nothing is sent: every op of the batch settles at
+// once with ErrUnavailable naming the edge, since the edge would drop an
+// unauthenticated batch without a word.
+func (c *Core) submit(now int64, ops []*Op) []wire.Envelope {
 	b := &wire.PutBatch{Client: c.cfg.ID, Entries: make([]wire.Entry, len(ops))}
 	for i, op := range ops {
 		b.Entries[i] = wire.Entry{Client: c.cfg.ID, Seq: op.Seq, Key: op.Key, Value: op.Value, Ts: now, Pos: op.pos}
 	}
-	b.MAC, _ = wcrypto.MAC(c.reg, c.key, c.cfg.ID, c.cfg.Edge, b)
-	return wire.Envelope{From: c.cfg.ID, To: c.cfg.Edge, Msg: b}
+	var err error
+	if b.MAC, err = wcrypto.MAC(c.reg, c.key, c.cfg.ID, c.cfg.Edge, b); err != nil {
+		err = fmt.Errorf("%w: cannot authenticate writes to %s: %v", ErrUnavailable, c.cfg.Edge, err)
+		for _, op := range ops {
+			c.settle(op, err)
+		}
+		return nil
+	}
+	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: b}}
 }
 
 // Read starts a block read.

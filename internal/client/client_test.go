@@ -3,9 +3,11 @@ package client
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/mlsm"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -19,13 +21,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
+	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
 	c := New(Config{
 		ID: "c1", Edge: "edge-1", Cloud: "cloud",
 		ProofTimeout: 1000,
@@ -273,6 +269,19 @@ func TestGossipBadSignatureIgnored(t *testing.T) {
 	f.c.Receive(101, wire.Envelope{From: "cloud", To: "c1", Msg: g})
 	if f.c.Gossip() != nil {
 		t.Fatal("forged gossip accepted")
+	}
+}
+
+// TestPutWithoutEdgeKeyFailsAtOnce: a client whose registry holds no key
+// for its edge cannot MAC a write, so it sends nothing and the put settles
+// in the same call with ErrUnavailable naming the edge, instead of leaving
+// as a batch the edge drops unanswered.
+func TestPutWithoutEdgeKeyFailsAtOnce(t *testing.T) {
+	k := wcrypto.DeterministicKey("c1")
+	c := New(Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, k, wcrypto.NewRegistry())
+	op, envs := c.Put(1, []byte("k"), []byte("v"))
+	if len(envs) != 0 || !op.Done || !errors.Is(op.Err, ErrUnavailable) || !strings.Contains(op.Err.Error(), "edge-1") || c.Pending() != 0 {
+		t.Fatalf("sent %d envelopes, op done %v err %v, %d pending; want nothing sent and ErrUnavailable naming edge-1", len(envs), op.Done, op.Err, c.Pending())
 	}
 }
 

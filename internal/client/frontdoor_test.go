@@ -5,20 +5,16 @@ import (
 	"testing"
 
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
-// overloadFixture builds a core with explicit front-door config.
+// overloadFixture builds a core with explicit front-door config, in a
+// deployment of two edges, so a rebind finds edge-2's key.
 func overloadFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
+	keys, reg, _ := deploy.Keys(deploy.Topology{Edges: 2, Clients: 1})
 	cfg.ID, cfg.Edge, cfg.Cloud = "c1", "edge-1", "cloud"
 	if cfg.ProofTimeout == 0 {
 		cfg.ProofTimeout = int64(1e12)

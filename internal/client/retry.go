@@ -196,7 +196,7 @@ func (c *Core) resend(now int64, ops []*Op) []wire.Envelope {
 		}
 	}
 	if len(writes) > 0 {
-		out = append(out, c.submit(now, writes))
+		out = append(out, c.submit(now, writes)...)
 	}
 	return out
 }

@@ -32,8 +32,6 @@ func TestResendKeepsReservedPosition(t *testing.T) {
 	}
 	check("retry", f.c.Tick(10_000))
 
-	f.keys["edge-2"] = wcrypto.DeterministicKey("edge-2")
-	f.reg.Register("edge-2", f.keys["edge-2"].Pub)
 	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-2", Reason: "crash"}
 	tr.CloudSig = wcrypto.SignMsg(f.keys["cloud"], tr)
 	out := f.c.Receive(20_000, wire.Envelope{From: "cloud", To: "c1", Msg: tr})
@@ -120,8 +118,6 @@ func TestResendIsOneBatch(t *testing.T) {
 		t.Fatalf("resends = %d, want one per re-sent op (%d)", got, len(seqs)+1)
 	}
 
-	f.keys["edge-2"] = wcrypto.DeterministicKey("edge-2")
-	f.reg.Register("edge-2", f.keys["edge-2"].Pub)
 	tr := &wire.LeadershipTransfer{Chain: "edge-1", Epoch: 2, Prev: "edge-1", NewLeader: "edge-2", Reason: "crash"}
 	tr.CloudSig = wcrypto.SignMsg(f.keys["cloud"], tr)
 	check("rebind", f.c.Receive(20_000, wire.Envelope{From: "cloud", To: "c1", Msg: tr}), "edge-2")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/shard"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -18,27 +19,14 @@ type shardedFixture struct {
 
 func newShardedFixture(t *testing.T, shards int) *shardedFixture {
 	t.Helper()
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	ids := []wire.NodeID{"cloud", "c1"}
-	var edges []wire.NodeID
-	for i := 1; i <= shards; i++ {
-		edges = append(edges, wire.NodeID(fmt.Sprintf("edge-%d", i)))
-	}
-	ids = append(ids, edges...)
-	for _, id := range ids {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
-	ring, err := shard.New(edges)
+	d, err := deploy.Build(deploy.Topology{Edges: shards, Clients: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSharded(Config{
 		ID: "c1", Cloud: "cloud", ProofTimeout: 1000,
-	}, ring, keys["c1"], reg)
-	return &shardedFixture{s: s, keys: keys, reg: reg}
+	}, d.Ring, d.Keys["c1"], d.Registry)
+	return &shardedFixture{s: s, keys: d.Keys, reg: d.Registry}
 }
 
 func (f *shardedFixture) signedPutResponse(edge wire.NodeID, blk wire.Block) *wire.PutResponse {

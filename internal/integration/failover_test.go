@@ -6,6 +6,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/obs"
@@ -16,13 +17,12 @@ import (
 
 // rworld is a replicated-shard cluster: one cloud, a three-member replica
 // group for chain "edge-1" (leader edge-1, followers edge-1.r1 and
-// edge-1.r2), and two clients.
+// edge-1.r2), and two clients. It shares world's fields and operation
+// helpers; world's edge is the initial leader.
 type rworld struct {
-	sim    *sim.Sim
-	cloud  *cloud.Node
+	world
 	leader *edge.Node
 	r1, r2 *edge.Node
-	c1, c2 *client.Core
 	reg    *wcrypto.Registry // the key registry every node checks against
 }
 
@@ -80,50 +80,31 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 	if o.gossip == 0 {
 		o.gossip = -1 // no gossip unless the test asks for it
 	}
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "edge-1.r1", "edge-1.r2", "c1", "c2"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
-	}
-	cl := cloud.New(cloud.Config{
-		ID:           "cloud",
-		Levels:       3,
-		PageCap:      4,
-		GossipEvery:  o.gossip,
-		GossipTo:     []wire.NodeID{"c1", "c2"},
-		LeaseTimeout: o.lease,
-		CertTimeout:  o.certTO,
-	}, keys["cloud"], reg)
-	cl.RegisterGroup("edge-1", "edge-1", []wire.NodeID{"edge-1.r1", "edge-1.r2"})
-	mkEdge := func(id wire.NodeID, follower bool, fault *edge.Fault) *edge.Node {
-		cfg := edge.Config{
-			ID:              id,
-			Chain:           "edge-1",
-			Cloud:           "cloud",
+	d, err := deploy.Build(deploy.Topology{
+		Replicas: 3,
+		Clients:  2,
+		Cloud: cloud.Config{
+			Levels:       3,
+			PageCap:      4,
+			GossipEvery:  o.gossip,
+			LeaseTimeout: o.lease,
+			CertTimeout:  o.certTO,
+		},
+		Edge: edge.Config{
 			BatchSize:       2,
 			FlushEvery:      100 * ms,
 			L0Threshold:     o.l0Thresh,
 			LevelThresholds: []int{2, 4, 8},
 			HeartbeatEvery:  50 * ms,
-			Fault:           fault,
 			Metrics:         o.metrics,
-		}
-		if follower {
-			cfg.Follower = true
-		} else {
-			cfg.Followers = []wire.NodeID{"edge-1.r1", "edge-1.r2"}
-		}
-		return edge.New(cfg, keys[id], reg)
+		},
+		Faults: map[wire.NodeID]*edge.Fault{"edge-1": o.leaderFault, "edge-1.r1": o.r1Fault},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := &rworld{
-		reg:    reg,
-		cloud:  cl,
-		leader: mkEdge("edge-1", false, o.leaderFault),
-		r1:     mkEdge("edge-1.r1", true, o.r1Fault),
-		r2:     mkEdge("edge-1.r2", true, nil),
-	}
+	chain := d.Chains[0]
+	w := &rworld{world: world{cloud: d.Cloud, edge: chain[0]}, reg: d.Registry, leader: chain[0], r1: chain[1], r2: chain[2]}
 	mkClient := func(id wire.NodeID) *client.Core {
 		return client.New(client.Config{
 			ID:           id,
@@ -131,7 +112,7 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 			Cloud:        "cloud",
 			ProofTimeout: o.proofTO,
 			RetryEvery:   o.retryEvery,
-		}, keys[id], reg)
+		}, d.Keys[id], d.Registry)
 	}
 	w.c1, w.c2 = mkClient("c1"), mkClient("c2")
 	w.sim = sim.New(sim.Config{
@@ -139,9 +120,9 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		DefaultLink: sim.Link{Latency: 1 * ms},
 		Fault:       o.fault,
 	})
-	var cloudNode core.Handler = cl
+	var cloudNode core.Handler = w.cloud
 	if o.wrapCloud != nil {
-		cloudNode = o.wrapCloud(cl)
+		cloudNode = o.wrapCloud(w.cloud)
 	}
 	for _, h := range []core.Handler{cloudNode, w.leader, w.r1, w.r2, w.c1, w.c2} {
 		if o.tap != nil {
@@ -150,18 +131,6 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		w.sim.Add(h)
 	}
 	return w
-}
-
-func (w *rworld) add(c *client.Core, payload string) *client.Op {
-	op, envs := c.Add(w.sim.Now(), []byte(payload))
-	w.sim.Inject(envs)
-	return op
-}
-
-func (w *rworld) read(c *client.Core, bid uint64) *client.Op {
-	op, envs := c.Read(w.sim.Now(), bid)
-	w.sim.Inject(envs)
-	return op
 }
 
 // settle advances virtual time unconditionally (unlike world.settle's
@@ -175,13 +144,10 @@ func (w *rworld) settle(t *testing.T, limit int64) {
 // promoted returns the replica that currently leads the chain.
 func (w *rworld) promoted(t *testing.T) *edge.Node {
 	t.Helper()
-	switch w.cloud.ChainLeader("edge-1") {
-	case "edge-1":
-		return w.leader
-	case "edge-1.r1":
-		return w.r1
-	case "edge-1.r2":
-		return w.r2
+	for _, en := range []*edge.Node{w.leader, w.r1, w.r2} {
+		if en.ID() == w.cloud.ChainLeader("edge-1") {
+			return en
+		}
 	}
 	t.Fatalf("unknown chain leader %q", w.cloud.ChainLeader("edge-1"))
 	return nil

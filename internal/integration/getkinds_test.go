@@ -5,6 +5,7 @@ import (
 
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -17,15 +18,12 @@ import (
 // claiming an answer settles no get at the client and moves none of its
 // counters.
 func TestGetKindsInert(t *testing.T) {
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "edge-1.r1", "c1"} {
-		keys[id] = wcrypto.DeterministicKey(id)
-		reg.Register(id, keys[id].Pub)
+	d, err := deploy.Build(deploy.Topology{Replicas: 2, Clients: 1, Edge: edge.Config{BatchSize: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	leader := edge.New(edge.Config{ID: "edge-1", Cloud: "cloud", BatchSize: 1, Followers: []wire.NodeID{"edge-1.r1"}}, keys["edge-1"], reg)
-	follower := edge.New(edge.Config{ID: "edge-1.r1", Chain: "edge-1", Cloud: "cloud", BatchSize: 1, Follower: true}, keys["edge-1.r1"], reg)
-	c := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, keys["c1"], reg)
+	keys, leader, follower := d.Keys, d.Chains[0][0], d.Chains[0][1]
+	c := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud"}, keys["c1"], d.Registry)
 	_, put := c.Put(1, []byte("k"), []byte("v"))
 	leader.Receive(1, put[0])
 	// The follower learns who leads, so it points requests there.

@@ -12,6 +12,7 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/sim"
@@ -40,8 +41,9 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
-	retry     int64         // client RetryEvery; 0 = no transport retry
-	net       *faultnet.Net // link faults; nil = a clean network
+	retry     int64                       // client RetryEvery; 0 = no transport retry
+	net       *faultnet.Net               // link faults; nil = a clean network
+	links     map[[2]wire.NodeID]sim.Link // per-link paths; nil = 1 ms everywhere
 }
 
 func newWorld(t *testing.T, o worldOpts) *world {
@@ -58,29 +60,20 @@ func newWorld(t *testing.T, o worldOpts) *world {
 	if o.gossip == 0 {
 		o.gossip = -1 // no gossip unless the test asks for it
 	}
-	reg := wcrypto.NewRegistry()
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1", "c2"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		reg.Register(id, k.Pub)
+	d, err := deploy.Build(deploy.Topology{
+		Clients: 2,
+		Cloud:   cloud.Config{Levels: 3, PageCap: 4, GossipEvery: o.gossip},
+		Edge: edge.Config{
+			BatchSize:       o.batch,
+			L0Threshold:     o.l0Thresh,
+			FlushEvery:      -1,
+			LevelThresholds: []int{2, 4, 8},
+		},
+		Faults: map[wire.NodeID]*edge.Fault{"edge-1": o.fault},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl := cloud.New(cloud.Config{
-		ID:          "cloud",
-		Levels:      3,
-		PageCap:     4,
-		GossipEvery: o.gossip,
-		GossipTo:    []wire.NodeID{"c1", "c2"},
-	}, keys["cloud"], reg)
-	ed := edge.New(edge.Config{
-		ID:              "edge-1",
-		Cloud:           "cloud",
-		BatchSize:       o.batch,
-		L0Threshold:     o.l0Thresh,
-		FlushEvery:      -1,
-		LevelThresholds: []int{2, 4, 8},
-		Fault:           o.fault,
-	}, keys["edge-1"], reg)
 	mkClient := func(id wire.NodeID) *client.Core {
 		return client.New(client.Config{
 			ID:              id,
@@ -89,20 +82,19 @@ func newWorld(t *testing.T, o worldOpts) *world {
 			ProofTimeout:    o.proofTO,
 			FreshnessWindow: o.freshness,
 			RetryEvery:      o.retry,
-		}, keys[id], reg)
+		}, d.Keys[id], d.Registry)
 	}
-	c1, c2 := mkClient("c1"), mkClient("c2")
-
-	sm := sim.New(sim.Config{
+	w := &world{cloud: d.Cloud, edge: d.Chains[0][0], c1: mkClient("c1"), c2: mkClient("c2")}
+	w.sim = sim.New(sim.Config{
 		TickEvery:   5 * ms,
 		DefaultLink: sim.Link{Latency: 1 * ms},
+		Links:       o.links,
 		Fault:       o.net,
 	})
-	sm.Add(cl)
-	sm.Add(ed)
-	sm.Add(c1)
-	sm.Add(c2)
-	return &world{sim: sm, cloud: cl, edge: ed, c1: c1, c2: c2}
+	for _, h := range []core.Handler{w.cloud, w.edge, w.c1, w.c2} {
+		w.sim.Add(h)
+	}
+	return w
 }
 
 func (w *world) add(c *client.Core, payload string) *client.Op {
@@ -229,53 +221,23 @@ func TestAgreementTwoReadersSameBlock(t *testing.T) {
 func TestPhaseIReadGetsForwardedProof(t *testing.T) {
 	// Slow the edge-cloud link so a read lands between Phase I and
 	// Phase II of the block.
-	w := newWorld(t, worldOpts{})
-	reg := wcrypto.NewRegistry()
-	_ = reg
-	sm := w.sim
-	_ = sm
-	// Reconfigure: rebuild world with a slow cloud link.
-	keys := map[wire.NodeID]wcrypto.KeyPair{}
-	r2 := wcrypto.NewRegistry()
-	for _, id := range []wire.NodeID{"cloud", "edge-1", "c1", "c2"} {
-		k := wcrypto.DeterministicKey(id)
-		keys[id] = k
-		r2.Register(id, k.Pub)
-	}
-	cl := cloud.New(cloud.Config{ID: "cloud", Levels: 3, PageCap: 4, GossipEvery: -1}, keys["cloud"], r2)
-	ed := edge.New(edge.Config{ID: "edge-1", Cloud: "cloud", BatchSize: 2, FlushEvery: -1, L0Threshold: 100, LevelThresholds: []int{2, 4, 8}}, keys["edge-1"], r2)
-	c1 := client.New(client.Config{ID: "c1", Edge: "edge-1", Cloud: "cloud", ProofTimeout: 10 * s}, keys["c1"], r2)
-	c2 := client.New(client.Config{ID: "c2", Edge: "edge-1", Cloud: "cloud", ProofTimeout: 10 * s}, keys["c2"], r2)
-	slow := sim.New(sim.Config{
-		TickEvery:   5 * ms,
-		DefaultLink: sim.Link{Latency: 1 * ms},
-		Links: map[[2]wire.NodeID]sim.Link{
-			{"edge-1", "cloud"}: {Latency: 100 * ms},
-			{"cloud", "edge-1"}: {Latency: 100 * ms},
-		},
-	})
-	slow.Add(cl)
-	slow.Add(ed)
-	slow.Add(c1)
-	slow.Add(c2)
-
-	op1, envs := c1.Add(slow.Now(), []byte("m0"))
-	slow.Inject(envs)
-	op2, envs2 := c1.Add(slow.Now(), []byte("m1"))
-	slow.Inject(envs2)
+	w := newWorld(t, worldOpts{l0Thresh: 100, proofTO: 10 * s, links: map[[2]wire.NodeID]sim.Link{
+		{"edge-1", "cloud"}: {Latency: 100 * ms},
+		{"cloud", "edge-1"}: {Latency: 100 * ms},
+	}})
+	op1, op2 := w.add(w.c1, "m0"), w.add(w.c1, "m1")
 	// Run just past Phase I but before the certify round trip completes.
-	slow.RunUntil(slow.Now() + 50*ms)
+	w.sim.RunUntil(w.sim.Now() + 50*ms)
 	if op1.Phase != core.PhaseI {
 		t.Fatalf("op1 phase = %v, want phase-I", op1.Phase)
 	}
-	rop, envs3 := c2.Read(slow.Now(), 0)
-	slow.Inject(envs3)
-	slow.RunUntil(slow.Now() + 50*ms)
+	rop := w.read(w.c2, 0)
+	w.sim.RunUntil(w.sim.Now() + 50*ms)
 	if rop.Phase != core.PhaseI {
 		t.Fatalf("read phase = %v, want phase-I (Phase I read before certification)", rop.Phase)
 	}
 	// Let certification finish; the edge forwards the proof to the reader.
-	slow.RunUntil(slow.Now() + 500*ms)
+	w.sim.RunUntil(w.sim.Now() + 500*ms)
 	if rop.Phase != core.PhaseII {
 		t.Fatalf("read phase = %v, want phase-II after proof forwarding (err=%v)", rop.Phase, rop.Err)
 	}
@@ -565,9 +527,8 @@ func TestValidityOnlyClientEntriesCommit(t *testing.T) {
 	w := newWorld(t, worldOpts{})
 	sent := map[wire.NodeID]*client.Op{"c1": w.add(w.c1, "m0"), "c2": w.add(w.c2, "m1")}
 	w.settle(t, 2*s)
-	c1, c2 := wcrypto.DeterministicKey("c1"), wcrypto.DeterministicKey("c2")
-	toEdge := wcrypto.NewRegistry() // what a client knows of edge-1
-	toEdge.Register("edge-1", wcrypto.DeterministicKey("edge-1").Pub)
+	keys, toEdge, _ := deploy.Keys(deploy.Topology{Clients: 2}) // what the clients know
+	c1, c2 := keys["c1"], keys["c2"]
 	forged := &wire.PutBatch{Client: "c2", Entries: []wire.Entry{{Client: "c1", Seq: 99, Value: []byte("forged")}}}
 	unsigned := &wire.PutBatch{Client: "c1", Entries: []wire.Entry{{Client: "c1", Seq: 98, Value: []byte("forged")}}}
 	var err1, err2 error

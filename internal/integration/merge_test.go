@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
@@ -37,18 +36,6 @@ func (l *lossyCloud) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		kept = append(kept, e)
 	}
 	return kept
-}
-
-func (w *rworld) put(c *client.Core, key, value string) *client.Op {
-	op, envs := c.Put(w.sim.Now(), []byte(key), []byte(value))
-	w.sim.Inject(envs)
-	return op
-}
-
-func (w *rworld) get(c *client.Core, key string) *client.Op {
-	op, envs := c.Get(w.sim.Now(), []byte(key))
-	w.sim.Inject(envs)
-	return op
 }
 
 // sameIndex reports whether two replicas hold the same LSMerkle: same

@@ -6,21 +6,6 @@ package wire
 // the resulting state pushed to the edge synchronously before the client is
 // acknowledged.
 
-// CloudPutRequest sends a write (log add or key-value put) directly to the
-// trusted cloud node. Used by both baselines' write paths.
-type CloudPutRequest struct {
-	Entry Entry
-}
-
-// MsgKind implements Message.
-func (*CloudPutRequest) MsgKind() Kind { return KindCloudPutRequest }
-
-// EncodeTo implements Message.
-func (m *CloudPutRequest) EncodeTo(e *Encoder) { m.Entry.EncodeTo(e) }
-
-// DecodeFrom implements Message.
-func (m *CloudPutRequest) DecodeFrom(d *Decoder) { m.Entry.DecodeFrom(d) }
-
 // CloudPutResponse acknowledges a Cloud-only write. The cloud is trusted,
 // so no proof accompanies the response. Seq echoes the entry's client
 // sequence number for correlation.
@@ -94,29 +79,6 @@ func (m *CloudGetResponse) DecodeFrom(d *Decoder) {
 	m.Found = d.Bool()
 	m.Value = d.Blob()
 	m.Ver = d.U64()
-}
-
-// EBPutRequest is the Edge-baseline write path entry point: the client
-// sends the write to the cloud, which certifies it, updates the index,
-// pushes state to the edge, and only then acknowledges.
-type EBPutRequest struct {
-	Entry Entry
-	Edge  NodeID // edge node whose partition this write belongs to
-}
-
-// MsgKind implements Message.
-func (*EBPutRequest) MsgKind() Kind { return KindEBPutRequest }
-
-// EncodeTo implements Message.
-func (m *EBPutRequest) EncodeTo(e *Encoder) {
-	m.Entry.EncodeTo(e)
-	e.ID(m.Edge)
-}
-
-// DecodeFrom implements Message.
-func (m *EBPutRequest) DecodeFrom(d *Decoder) {
-	m.Entry.DecodeFrom(d)
-	m.Edge = d.ID()
 }
 
 // EBPutResponse acknowledges an Edge-baseline write after the edge holds

@@ -51,7 +51,8 @@ func (m *PutBatch) DecodeFrom(d *Decoder) {
 	m.MAC = d.Blob()
 }
 
-// CloudPutBatch submits a batch of writes to the Cloud-only server.
+// CloudPutBatch carries every write to the Cloud-only server; a single
+// put is a batch of one.
 type CloudPutBatch struct {
 	Entries []Entry
 }
@@ -72,7 +73,8 @@ func (m *CloudPutBatch) DecodeFrom(d *Decoder) {
 	m.Entries = decodeSlice(d, minEntrySize, (*Entry).DecodeFrom)
 }
 
-// EBPutBatch submits a batch of writes to the Edge-baseline cloud.
+// EBPutBatch carries every write to the Edge-baseline cloud; a single put
+// is a batch of one.
 type EBPutBatch struct {
 	Edge    NodeID
 	Entries []Entry

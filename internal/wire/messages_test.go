@@ -113,11 +113,9 @@ func sampleMessages() []Message {
 			ConsumedTo: 12,
 			CloudSig:   randBytes(64),
 		},
-		&CloudPutRequest{Entry: sampleEntry(3)},
 		&CloudPutResponse{BID: 5, OK: true},
 		&CloudGetRequest{Key: []byte("k2"), ReqID: 6},
 		&CloudGetResponse{ReqID: 6, Found: false},
-		&EBPutRequest{Entry: sampleEntry(4), Edge: "edge-2"},
 		&EBPutResponse{BID: 7, OK: true},
 		&EBStatePush{
 			Epoch: 2, Block: blk, Proof: proof,
@@ -256,7 +254,19 @@ func retiredFrames() [][]byte {
 	j.U64(3)
 	j.I64(17)
 	j.Blob(randBytes(64))
-	return [][]byte{req, resp, e.Bytes(), j.Bytes()}
+
+	// 18 and 22: a baseline's single write, one signed entry (and, for the
+	// Edge-baseline, the edge it was for).
+	var cp, eb Encoder
+	entry := sampleEntry(3)
+	for k, f := range map[uint16]*Encoder{18: &cp, 22: &eb} {
+		f.U16(k)
+		f.ID("c1")
+		f.ID("cloud")
+		entry.EncodeTo(f)
+	}
+	eb.ID("edge-2")
+	return [][]byte{req, resp, e.Bytes(), j.Bytes(), cp.Bytes(), eb.Bytes()}
 }
 
 // TestHeartbeatSignsItsView: a heartbeat's epoch and leader are part of
@@ -284,23 +294,23 @@ func TestHeartbeatSignsItsView(t *testing.T) {
 }
 
 // TestKindNumbersPinned holds every kind to its number on the wire: a kind
-// is added at the end, a retired number (1, 2, 38, 39) stays unnamed and
-// undecodable, and nothing is ever renumbered.
+// is added at the end, a retired number (1, 2, 18, 22, 38, 39) stays
+// unnamed and undecodable, and nothing is ever renumbered.
 func TestKindNumbersPinned(t *testing.T) {
 	pinned := map[string]Kind{
 		"BlockCertify": 3, "BlockProof": 4, "ReadRequest": 5, "ReadResponse": 6,
 		"Gossip": 7, "Dispute": 8, "Verdict": 9, "ReserveRequest": 10, "ReserveResponse": 11,
 		"PutRequest": 12, "PutResponse": 13, "GetRequest": 14, "GetResponse": 15,
 		"MergeRequest": 16, "MergeResponse": 17,
-		"CloudPutRequest": 18, "CloudPutResponse": 19, "CloudGetRequest": 20, "CloudGetResponse": 21,
-		"EBPutRequest": 22, "EBPutResponse": 23, "EBStatePush": 24, "EBStateAck": 25,
+		"CloudPutResponse": 19, "CloudGetRequest": 20, "CloudGetResponse": 21,
+		"EBPutResponse": 23, "EBStatePush": 24, "EBStateAck": 25,
 		"Ping": 26, "Pong": 27, "PutBatch": 28, "CloudPutBatch": 29, "EBPutBatch": 30,
 		"ShardMap": 31, "ScanRequest": 32, "ScanResponse": 33,
 		"ReplicateBlock": 34, "ReplicaHeartbeat": 35, "LeadershipTransfer": 36,
 		"CatchUpRequest": 37, "FrontierRequest": 40,
 		"Overloaded": 41, "BlockCertifyBatch": 42, "BlockCertBatch": 43,
 	}
-	retired := map[Kind]bool{1: true, 2: true, 38: true, 39: true}
+	retired := map[Kind]bool{1: true, 2: true, 18: true, 22: true, 38: true, 39: true}
 	byNumber := map[Kind]string{}
 	for name, k := range pinned {
 		byNumber[k] = name

@@ -44,12 +44,14 @@ const (
 	KindMergeRequest
 	KindMergeResponse
 
-	// Baselines (Section II-C / VI).
-	KindCloudPutRequest
+	// Baselines (Section II-C / VI). 18 and 22 are retired: they were the
+	// baselines' single writes before a write became a batch of one
+	// (CloudPutBatch, EBPutBatch).
+	_
 	KindCloudPutResponse
 	KindCloudGetRequest
 	KindCloudGetResponse
-	KindEBPutRequest
+	_
 	KindEBPutResponse
 	KindEBStatePush
 	KindEBStateAck
@@ -129,11 +131,9 @@ var kinds = [kindEnd]kindInfo{
 	KindGetResponse:        kindOf[GetResponse]("GetResponse"),
 	KindMergeRequest:       kindOf[MergeRequest]("MergeRequest"),
 	KindMergeResponse:      kindOf[MergeResponse]("MergeResponse"),
-	KindCloudPutRequest:    kindOf[CloudPutRequest]("CloudPutRequest"),
 	KindCloudPutResponse:   kindOf[CloudPutResponse]("CloudPutResponse"),
 	KindCloudGetRequest:    kindOf[CloudGetRequest]("CloudGetRequest"),
 	KindCloudGetResponse:   kindOf[CloudGetResponse]("CloudGetResponse"),
-	KindEBPutRequest:       kindOf[EBPutRequest]("EBPutRequest"),
 	KindEBPutResponse:      kindOf[EBPutResponse]("EBPutResponse"),
 	KindEBStatePush:        kindOf[EBStatePush]("EBStatePush"),
 	KindEBStateAck:         kindOf[EBStateAck]("EBStateAck"),
