@@ -42,7 +42,10 @@ experiments:
 quick-diff:
 	sh scripts/quick-diff.sh $(BASE)
 
-# Micro-benchmarks for the crypto/wire/merkle/mlsm/wlog hot paths
+# Micro-benchmarks: every package outside benchmark/ with a Benchmark
+# function, found by name as fuzz-smoke finds its targets, except the root
+# package, whose benchmarks regenerate the experiments (`make bench`).
+# Among them the crypto/wire/merkle/mlsm/wlog hot paths
 # (allocation counts included; BlockDigest at B = 10/100/1000 is what a
 # receiver of a whole block pays once, BlockFreeze what the edge pays at a
 # cut, SliceVerify what a reader pays per block of the L0 window and
@@ -66,9 +69,11 @@ quick-diff:
 # keeps for its signature memo after 100,000 one-shot checks and one
 # statement checked again after every 100 (165,000 B; 558,216 B when the
 # memo kept whole triples) — the layer counterparts of the macro
-# benchmark's heap_bytes_per_put).
+# benchmark's heap_bytes_per_put), and GetResponseCertified/PhaseI one
+# client get over four 100-entry blocks, all certified or the newest not:
+# the gap is the edge-signature check only a Phase I read pays.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wcrypto ./internal/wire ./internal/merkle ./internal/mlsm ./internal/wlog ./internal/cloud
+	$(GO) test -run '^$$' -bench . -benchmem $$(grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Benchmark' . | xargs -n1 dirname | sort -u | grep -vx '\.')
 
 # Every Fuzz* target outside benchmark/ for 10 s each, found by name so a
 # new target is smoked the day it is written: decoders and verifiers run on
@@ -96,7 +101,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21372
+LOC_CEILING := 21444
 loc:
 	@sh scripts/loc.sh
 loc-check:

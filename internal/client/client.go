@@ -1,7 +1,10 @@
 // Package client implements the WedgeChain client: the authenticated node
 // that produces MACed writes, tracks every operation through Phase I and
-// Phase II commitment, verifies all evidence and proofs, and files
-// disputes when the edge lies (Section IV-D Algorithm 1 and Section V-B).
+// Phase II commitment, verifies the evidence and proofs it relies on, and
+// files disputes when the edge lies (Section IV-D Algorithm 1 and Section
+// V-B). An edge's signature on a read is checked only where the client
+// may need the response as evidence: a read whose every row is bound to
+// cloud signatures settles without it (verifyRead).
 //
 // Core is a message-driven state machine with no I/O of its own: every API
 // returns the envelopes to send, and Receive/Tick consume deliveries. The

@@ -19,7 +19,7 @@ type fixture struct {
 	reg  *wcrypto.Registry
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	keys, reg, _ := deploy.Keys(deploy.Topology{Clients: 1})
 	c := New(Config{

@@ -12,7 +12,10 @@ import (
 )
 
 // handleReadResponse processes the three read cases of Section IV-D:
-// denial, Phase II read, Phase I read.
+// denial, Phase II read, Phase I read. As for gets and scans
+// (verifyRead), the edge's signature is checked only where the client
+// acts on the edge's word: a Phase II read whose block the cloud's proof
+// binds needs none.
 func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
@@ -22,9 +25,14 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 		return nil
 	}
 	digest := m.Block.BodyDigest()
-	if err := wcrypto.VerifyReadResponse(c.reg, c.cfg.Edge, m, digest); err != nil {
-		c.m.verifyFailures.Inc()
-		return nil
+	p := &m.Proof
+	certified := m.OK && m.HasProof && p.Edge == c.cfg.Chain && p.BID == m.BID && bytes.Equal(p.Digest, digest) &&
+		wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, p, p.CloudSig) == nil
+	if !certified {
+		if err := wcrypto.VerifyReadResponse(c.reg, c.cfg.Edge, m, digest); err != nil {
+			c.m.verifyFailures.Inc()
+			return nil
+		}
 	}
 	if op.Phase >= core.PhaseI && op.readEv != nil {
 		// Re-serve of a read that already holds Phase I evidence (the
@@ -35,8 +43,7 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 		// nodes (old leader promised, new leader serves), which is why
 		// the evidence is never overwritten here.
 		if m.OK && m.HasProof {
-			p := m.Proof
-			return c.handleProof(now, from, &p)
+			return c.handleProof(now, from, p)
 		}
 		return nil
 	}
@@ -53,9 +60,7 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 	op.Block = &m.Block
 	if m.HasProof {
 		// Phase II read: proof must be cloud-signed and match.
-		p := m.Proof
-		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, &p, p.CloudSig); err != nil ||
-			p.Edge != c.cfg.Chain || p.BID != m.BID || !bytes.Equal(p.Digest, digest) {
+		if !certified {
 			c.m.verifyFailures.Inc()
 			c.settle(op, ErrBadResponse)
 			return nil
@@ -157,26 +162,21 @@ func (c *Core) readParams(now int64) scan.Params {
 	}
 }
 
-// admitSnapshot maps a read verification's outcome to the retry
+// snapshotErr maps a read verification's outcome to the retry
 // conditions — ErrStale for a snapshot outside the freshness window and,
 // with session consistency (Section V-D alternative), ErrRegression for
 // one behind what this session already observed, ordered
-// lexicographically by (index epoch, L0 frontier) — and moves the session
-// watermarks up to a snapshot it admits.
-func (c *Core) admitSnapshot(res scan.Result, err error) error {
+// lexicographically by (index epoch, L0 frontier). verifyRead moves the
+// session watermarks up to a snapshot it admits.
+func (c *Core) snapshotErr(res scan.Result, err error) error {
 	if errors.Is(err, scan.ErrStale) {
 		return ErrStale
 	}
 	if err != nil || !c.cfg.Session {
 		return err
 	}
-	switch {
-	case res.Epoch < c.sessEpoch || (res.Epoch == c.sessEpoch && res.L0End < c.sessL0End):
+	if res.Epoch < c.sessEpoch || (res.Epoch == c.sessEpoch && res.L0End < c.sessL0End) {
 		return ErrRegression
-	case res.Epoch > c.sessEpoch:
-		c.sessEpoch, c.sessL0End = res.Epoch, res.L0End
-	default:
-		c.sessL0End = res.L0End
 	}
 	return nil
 }
