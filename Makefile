@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments quick-diff metrics-smoke flagdoc-check loc loc-check chaos fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments quick-diff metrics-smoke flagdoc-check loc loc-check chaos chaos-tcp fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,7 @@ bench:
 
 # Experiments (`wedge-bench -list`) into one machine-readable artifact,
 # BENCH_quick.json (git-ignored; CI uploads it). The default — every
-# experiment at quick scale — is the CI run; `make experiments IDS=D1,CH1
+# experiment at quick scale — is the CI run; `make experiments IDS=S1,R1
 # SCALE=` runs two at full scale. Fails when an experiment reports an
 # error: a lost certified write, an honest conviction, an arm that could
 # not run.
@@ -37,8 +37,8 @@ experiments:
 	$(GO) run ./cmd/wedge-bench -run $(IDS) $(SCALE) -json BENCH_quick.json
 
 # Every experiment at quick scale on BASE and on the working tree, table by
-# table: the virtual-time ones must match byte for byte, the wall-clock ones
-# (F5d, D1, AV1, CH1, OB1) are only reported. `make quick-diff BASE=HEAD~1`.
+# table: the virtual-time ones must match byte for byte, the wall-clock one
+# (F5d) is only reported. `make quick-diff BASE=HEAD~1`.
 quick-diff:
 	sh scripts/quick-diff.sh $(BASE)
 
@@ -101,20 +101,27 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 21444
+LOC_CEILING := 20557
 loc:
 	@sh scripts/loc.sh
 loc-check:
 	@sh scripts/loc.sh $(LOC_CEILING)
 
-# Long chaos soak: several seeds, long schedules, double partition
-# windows, full invariant audit per seed. WEDGE_CHAOS_SEEDS picks the
-# seeds (`WEDGE_CHAOS_SEEDS=1-300 make chaos` is the sweep); the output
+# Long chaos soak on the simulator: several seeds, long schedules, double
+# partition windows, full invariant audit per seed. WEDGE_CHAOS_SEEDS picks
+# the seeds (`WEDGE_CHAOS_SEEDS=1-300 make chaos` is the sweep); the output
 # ends with one line per failing seed and its first failure.
 # Deterministic — a failing seed N reproduces with
-# `WEDGE_CHAOS_SEEDS=N go test -run ChaosSoak ./internal/integration`.
+# `WEDGE_CHAOS_SEEDS=N go test -run 'ChaosSoak$$' ./internal/integration`.
 chaos:
-	WEDGE_CHAOS_SOAK=1 $(GO) test -count=1 -run 'TestChaosSoak' -timeout 20m ./internal/integration/
+	WEDGE_CHAOS_SOAK=1 $(GO) test -count=1 -run 'TestChaosSoak$$' -timeout 20m ./internal/integration/
+
+# The same soak on loopback TCP, one endpoint per node, seeds 1-3: each
+# seed's line reports pass or its first failure and its wall time (about
+# 30 s). Wall-clock scheduling decides which frames the seeded faults hit,
+# so a TCP seed does not reproduce the simulator's run.
+chaos-tcp:
+	WEDGE_CHAOS_SOAK=1 WEDGE_CHAOS_SEEDS=1-3 $(GO) test -count=1 -v -run 'TestChaosSoakTCP$$' -timeout 20m ./internal/integration/
 
 fmt:
 	gofmt -w .

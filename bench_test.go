@@ -227,15 +227,3 @@ func BenchmarkAblationFreshness(b *testing.B) {
 		b.ReportMetric(cell(t, len(t.Rows)-1, 1), "rejected_2s_window")
 	})
 }
-
-// BenchmarkDurableSyncSweep regenerates D1: the durable put path across
-// the group-commit (SyncEvery) dimension, with real fsyncs.
-func BenchmarkDurableSyncSweep(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real-fsync sweep; skipped in -short")
-	}
-	runExperiment(b, "D1", func(t *bench.Table, b *testing.B) {
-		b.ReportMetric(cell(t, 0, 2), "perblock_kops")
-		b.ReportMetric(cell(t, len(t.Rows)-1, 2), "window10ms_kops")
-	})
-}

@@ -1,11 +1,7 @@
 package wedgechain
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"sync"
 	"time"
 
 	"wedgechain/internal/client"
@@ -40,18 +36,9 @@ type Cluster struct {
 	// the nodes; edges indexes its edge nodes by identity.
 	d     *deploy.Deployment
 	edges map[NodeID]*edge.Node
-
-	// ctx ends every endpoint's Serve and served waits for them. Close
-	// cancels ctx under mu, so no endpoint is added after it.
-	ctx    context.Context
-	cancel context.CancelFunc
-	served sync.WaitGroup
-
-	mu    sync.Mutex
-	nodes map[NodeID]*transport.TCP // every node's endpoint, clients included
+	// net hosts every node, clients included.
+	net *deploy.Loopback
 }
-
-var errClosed = errors.New("wedgechain: cluster closed")
 
 // NewCluster assembles and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -67,7 +54,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Edges:    cfg.Edges,
 		Shards:   cfg.Shards,
 		Replicas: cfg.ReplicasPerShard,
-		// Clients join as gossip targets in NewClientWith.
+		// Clients join as gossip targets in NewClient.
 		Cloud: cloud.Config{
 			Levels:       len(cfg.LevelThresholds),
 			PageCap:      cfg.PageCap,
@@ -95,7 +82,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:   cfg,
 		d:     d,
 		edges: make(map[NodeID]*edge.Node),
-		nodes: make(map[NodeID]*transport.TCP),
+		net: deploy.NewLoopback(transport.TCPConfig{
+			TickEvery: 5 * time.Millisecond,
+			Fault:     cfg.Chaos,
+			Obs:       cfg.Metrics,
+		}),
 	}
 	// The chaos net shapes every endpoint's links and every node verifies
 	// against the one key registry, so their counters carry the
@@ -110,9 +101,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.edges[en.ID()] = en
 		hosted = append(hosted, en)
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, h := range hosted {
-		if err := c.host(h); err != nil {
+		if err := c.net.Host(h); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -120,53 +110,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// host serves h on its own loopback endpoint until Close, configured as
-// the deployment binaries configure theirs, and binds its address on every
-// endpoint and theirs on it. Callers hold mu or own c exclusively.
-func (c *Cluster) host(h core.Handler) error {
-	t := transport.NewTCP(h, transport.TCPConfig{
-		Listen:    "127.0.0.1:0",
-		TickEvery: 5 * time.Millisecond,
-		Fault:     c.cfg.Chaos,
-		Obs:       c.cfg.Metrics,
-	})
-	err := t.Listen()
-	c.served.Add(1)
-	go func() {
-		defer c.served.Done()
-		t.Serve(c.ctx) // Serve owns teardown, even after a failed Listen
-	}()
-	if err != nil {
-		return err
-	}
-	c.nodes[h.ID()] = t
-	for id, peer := range c.nodes {
-		t.SetPeer(id, peer.Addr().String())
-		peer.SetPeer(h.ID(), t.Addr().String())
-	}
-	return nil
-}
-
 // Close stops every node's endpoint and waits for each Serve to return.
-// The nodes own no goroutine: they run only on their endpoints' turns.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	c.cancel()
-	c.mu.Unlock()
-	c.served.Wait()
-}
+func (c *Cluster) Close() { c.net.Close() }
 
 // do runs fn under node id's session mutex, on the caller's goroutine, and
 // sends what it returns. fn must not call back into the same node.
 func (c *Cluster) do(id NodeID, fn func(now int64) []wire.Envelope) error {
-	c.mu.Lock()
-	t := c.nodes[id]
-	c.mu.Unlock()
-	if c.ctx.Err() != nil {
-		return errClosed
-	}
-	t.DoSession(id, fn)
-	return nil
+	return c.net.Do(id, fn)
 }
 
 // on runs fn under node id's session mutex.
@@ -234,35 +184,6 @@ func (c *Cluster) KillEdge(id NodeID) error {
 	return c.on(id, en.Kill)
 }
 
-// RestartEdge revives a killed node as a blank follower — the simulated
-// process restart that lost its in-memory state. The node heartbeats with
-// no view, the cloud answers with a signed view naming the current
-// leader (a new one, re-admitting it, when it is outside the group), and
-// certified catch-up rebuilds its mirror; once caught up it is again a
-// promotion candidate. It never leads from its blank log.
-func (c *Cluster) RestartEdge(id NodeID) error {
-	en, ok := c.edges[id]
-	if !ok {
-		return fmt.Errorf("wedgechain: unknown node %q", id)
-	}
-	return c.do(id, func(now int64) []wire.Envelope {
-		en.Restart(now)
-		return nil
-	})
-}
-
-// ReplicaFrontier reports a node's local block frontier and contiguous
-// certified prefix — served blocks on a leader, mirrored blocks on a
-// follower. Chaos harnesses poll it to observe catch-up convergence.
-func (c *Cluster) ReplicaFrontier(id NodeID) (blocks, certified uint64, err error) {
-	en, ok := c.edges[id]
-	if !ok {
-		return 0, 0, fmt.Errorf("wedgechain: unknown node %q", id)
-	}
-	err = c.on(id, func() { blocks, certified = en.LogBlocks(), en.CertifiedBlocks() })
-	return blocks, certified, err
-}
-
 // ChainLeader reports which node the cloud currently recognizes as the
 // leader of chain (the chain id is the initial leader's id, e.g.
 // "edge-1"). Unreplicated chains lead themselves.
@@ -278,22 +199,6 @@ func (c *Cluster) ChainEpoch(chain NodeID) (epoch uint64) {
 	return epoch
 }
 
-// ClientOptions tunes a session created by NewClientWith.
-type ClientOptions struct {
-	// Light switches the session into light verification: a get response
-	// is accepted on the edge's signature plus the cloud-signed gossiped
-	// frontier, and only a seeded random sample of responses (1 in
-	// Sample) pays for full structural proof verification. A sampled lie
-	// convicts exactly as in full mode — the lazy-trust guarantee is
-	// amortized, not weakened. The sampling seed derives from the session
-	// name, so distinct sessions audit distinct request subsets while any
-	// single run stays reproducible.
-	Light bool
-	// Sample is the light-mode audit denominator (0 = the client layer's
-	// default; 1 audits every response). Ignored unless Light is set.
-	Sample int
-}
-
 // NewClient creates an authenticated client session.
 //
 // With Shards <= 1 the session binds to edgeID's partition exactly as in
@@ -303,27 +208,13 @@ type ClientOptions struct {
 // log API bound to the session's home shard. A non-empty edgeID must name
 // an existing edge in either mode.
 func (c *Cluster) NewClient(name string, edgeID NodeID) (*Client, error) {
-	return c.NewClientWith(name, edgeID, ClientOptions{})
-}
-
-// NewClientWith creates a client session with explicit options (light
-// verification). NewClient is the zero-options shorthand.
-func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) (*Client, error) {
 	if edgeID == "" {
 		edgeID = EdgeID(1)
 	}
 	if _, ok := c.edges[edgeID]; !ok {
 		return nil, fmt.Errorf("wedgechain: unknown edge %q (have edge-1..edge-%d)", edgeID, c.cfg.Edges)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctx.Err() != nil {
-		return nil, errClosed
-	}
 	id := NodeID(name)
-	if _, dup := c.nodes[id]; dup {
-		return nil, fmt.Errorf("wedgechain: duplicate client or node name %q", name)
-	}
 
 	// Trust the routing table only after checking the cloud's signature
 	// on the shard map — an edge must not be able to steer keys.
@@ -349,13 +240,6 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 	if err != nil {
 		return nil, err
 	}
-	c.d.Registry.Register(id, k.Pub)
-
-	// Deterministic per-name seed: each light session audits its own
-	// request subset, and re-running the same program replays the same
-	// audits.
-	h := fnv.New64a()
-	h.Write([]byte(name))
 	session := client.NewSharded(client.Config{
 		ID:              id,
 		Cloud:           CloudID,
@@ -364,9 +248,6 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		Session:         c.cfg.SessionConsistency,
 		RetryEvery:      c.cfg.RetryEvery.Nanoseconds(),
 		MaxAttempts:     c.cfg.MaxAttempts,
-		Light:           opts.Light,
-		SampleEvery:     opts.Sample,
-		SampleSeed:      h.Sum64(),
 		Metrics:         c.cfg.Metrics,
 	}, ring, k, c.d.Registry)
 	cl := newClient(c, id, session)
@@ -375,12 +256,14 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		cc.OnPhaseII = cl.onPhaseII
 		cc.OnDone = cl.onDone
 	}
-	// The session's endpoint knows every peer before the cloud's replay
-	// below is its first frame.
-	if err := c.host(session); err != nil {
-		return nil, err
+	// Host refuses a name already hosted, so the key is registered only
+	// for a new session, and the session's endpoint knows every peer
+	// before the cloud's replay below is its first frame.
+	if err := c.net.Host(session); err != nil {
+		return nil, fmt.Errorf("wedgechain: client %q: %w", name, err)
 	}
-	c.nodes[CloudID].DoSession(CloudID, func(now int64) []wire.Envelope {
+	c.d.Registry.Register(id, k.Pub)
+	err = c.do(CloudID, func(now int64) []wire.Envelope {
 		c.d.Cloud.AddGossipTarget(id)
 		// Replay existing convictions to the new session: the verdict
 		// broadcast at conviction time predates this client, and banned
@@ -393,5 +276,8 @@ func (c *Cluster) NewClientWith(name string, edgeID NodeID, opts ClientOptions) 
 		}
 		return out
 	})
+	if err != nil {
+		return nil, err
+	}
 	return cl, nil
 }

@@ -163,20 +163,6 @@ func Registry(self wire.NodeID, peers map[wire.NodeID]string) (wcrypto.KeyPair, 
 	return selfKey, reg
 }
 
-// ParseSample parses a light-mode audit rate: "16" or "1/16" both mean
-// one in 16 responses is fully verified.
-func ParseSample(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if rest, ok := strings.CutPrefix(s, "1/"); ok {
-		s = rest
-	}
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil || v < 1 {
-		return 0, fmt.Errorf(`bad sample rate %q (want "N" or "1/N", N >= 1)`, s)
-	}
-	return v, nil
-}
-
 // ChaosFlags is the shared chaos-injection flag set: every wedge binary
 // that owns a transport can subject its *outbound* frames to a seeded
 // fault schedule, so a multi-process demo cluster degrades exactly like

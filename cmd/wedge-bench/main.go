@@ -8,7 +8,7 @@
 //	wedge-bench -run F4a            # one experiment, full scale
 //	wedge-bench -run all -quick     # everything, reduced rounds
 //	wedge-bench -run S1 -json -     # machine-readable results on stdout
-//	wedge-bench -run D1,CH1 -json out.json   # several ids, one report
+//	wedge-bench -run S1,R1 -json out.json    # several ids, one report
 //	wedge-bench -run all -quick -json bench.json   # CI artifact
 //
 // The exit status is 1 when any experiment reports an error (a lost

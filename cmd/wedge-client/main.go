@@ -51,19 +51,12 @@ func main() {
 	cli.DurationVar(&ccfg.RetryEvery, "retry-every", "re-send an unacknowledged op after this `duration` (0 disables retry)")
 	flag.IntVar(&ccfg.MaxAttempts, "max-attempts", ccfg.MaxAttempts, "total sends per op when -retry-every is set")
 
-	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing
-	// and light verification.
+	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing.
 	sessions := flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
-	flag.BoolVar(&ccfg.Light, "light", false, "light verification: trust the gossiped certified frontier and fully verify only a sample of responses")
-	sampleRate := flag.String("sample", fmt.Sprintf("1/%d", ccfg.SampleEvery), `light-mode audit rate: "1/N" or "N" fully verifies one in N responses`)
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		log.Fatal("missing operation: add|read|put|get|scan")
-	}
-	var err error
-	if ccfg.SampleEvery, err = cli.ParseSample(*sampleRate); err != nil {
-		log.Fatal(err)
 	}
 	if *sessions < 1 {
 		log.Fatal("-sessions-per-conn must be >= 1")

@@ -526,10 +526,6 @@ var Experiments = []struct {
 	{"E1", EvidencePruning, "Read evidence by key: bytes/read and throughput vs L0 window, band and random keys"},
 	{"S1", ShardScaling, "Shard scaling: put throughput vs edge count"},
 	{"R1", ReadScanBench, "Verified range scans: latency/row throughput vs range width vs shard count"},
-	{"D1", DurableSyncSweep, "Durable put path: group-commit (SyncEvery) fsync-amortization sweep"},
-	{"AV1", AvailabilityFailover, "Availability: 3-replica shard through killed-leader / convicted-follower transitions"},
-	{"CH1", ChaosSoak, "Chaos soak: seeded drop/dup/delay + leader partition, healing cost and invariants"},
-	{"OB1", Observability, "Observability: trust-lag p50/p99 on a live cluster, clean vs chaos"},
 	{"A1", AblationDataFree, "Ablation: data-free certification"},
 	{"A2", AblationGossip, "Ablation: gossip period vs omission detection"},
 	{"A3", AblationBaselineIndex, "Ablation: Edge-baseline index policy"},

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"slices"
 
 	"wedgechain/internal/baseline/cloudonly"
@@ -70,16 +69,7 @@ type WorldCfg struct {
 	Edge   edge.Config
 	Cloud  cloud.Config
 	Client client.Config
-	// Durable gives every edge a persistent store (real segment files,
-	// real fsyncs). A durable world must state its fsync discipline:
-	// Edge.SyncEvery is either SyncPerBlock or a positive group-commit
-	// window (virtual ns). Leaving it zero panics — durable numbers
-	// measured with the group-commit dimension silently unset are not
-	// numbers.
-	Durable bool
-	// DataDir roots the durable stores; empty uses a fresh temp dir.
-	DataDir string
-	Seed    int64
+	Seed   int64
 	// Metrics threads an observability registry into every node of the
 	// world (WedgeChain systems only). Nil falls back to LiveMetrics; nil
 	// again gives each node a private registry.
@@ -147,25 +137,12 @@ type World struct {
 
 	roles       map[wire.NodeID]Role
 	preloadConn workload.Conn
-	ownDataDir  string // temp dir backing a durable world, removed on Close
 }
 
 // edgeIndex returns the LSMerkle index of the WedgeChain edge id.
 func (w *World) edgeIndex(id wire.NodeID) *mlsm.Index {
 	i := slices.IndexFunc(w.EdgeNodes, func(en *edge.Node) bool { return en.ID() == id })
 	return w.EdgeNodes[i].Index()
-}
-
-// Close releases a durable world's resources: edge stores are synced and
-// closed, and a temp data dir owned by the world is removed. In-memory
-// worlds are no-ops.
-func (w *World) Close() {
-	for _, en := range w.EdgeNodes {
-		en.CloseStore()
-	}
-	if w.ownDataDir != "" {
-		os.RemoveAll(w.ownDataDir)
-	}
 }
 
 const (
@@ -220,19 +197,6 @@ func BuildWorld(cfg WorldCfg) *World {
 		topo.Cloud.Metrics, topo.Edge.Metrics = cfg.Metrics, cfg.Metrics
 		topo.Cloud.Levels = len(cfg.Edge.LevelThresholds)
 		topo.Cloud.PageCap, topo.Edge.BatchSize = cfg.Batch, cfg.Batch
-		if cfg.Durable {
-			// Validated up front: a durable world with SyncEvery unset
-			// panics here rather than producing misleading numbers.
-			topo.Edge.SyncEvery = durableSyncEvery(cfg.Edge.SyncEvery)
-			topo.DataDir = cfg.DataDir
-			if topo.DataDir == "" {
-				d, err := os.MkdirTemp("", "wedge-durable-world-*")
-				if err != nil {
-					panic(fmt.Sprintf("bench: durable world temp dir: %v", err))
-				}
-				topo.DataDir, w.ownDataDir = d, d
-			}
-		}
 		d, err := deploy.Build(topo)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))

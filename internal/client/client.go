@@ -184,21 +184,6 @@ type Config struct {
 	// MaxAttempts bounds total sends per op when RetryEvery > 0, counting
 	// the initial send; 0 = the layer default.
 	MaxAttempts int
-	// Light enables the sampling light-client mode: once a cloud-signed
-	// gossiped frontier is held, only a seeded 1-in-SampleEvery sample of
-	// get responses is fully structurally verified; the rest are accepted
-	// on the edge's signature alone and settle immediately. A sampled
-	// defect escalates through the ordinary dispute path, so the edge's
-	// expected conviction guarantee is unchanged — it merely cannot
-	// predict which response will be audited. Until the first gossip
-	// arrives every response is fully verified.
-	Light bool
-	// SampleEvery is the light-mode sampling denominator (0 = the layer
-	// default); 1 forces every response to be audited (used by conviction
-	// tests).
-	SampleEvery int
-	// SampleSeed seeds the deterministic per-request sampling decision.
-	SampleSeed uint64
 	// Metrics is the registry this core's counters and op-tracing
 	// histograms (trust lag, ack latency, verify CPU) register into; nil
 	// keeps them on a private registry.
@@ -220,9 +205,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 16
 	}
 }
 
@@ -293,11 +275,9 @@ type Stats struct {
 	// Overloads counts signed Overloaded shed signals accepted from the
 	// edge (admission control).
 	Overloads uint64
-	// Light-client accounting: get and scan responses fully structurally
-	// verified vs gets accepted on the sampling fast path, and the
-	// wall-clock cost of the full verifications.
+	// FullVerifies counts get and scan responses structurally verified,
+	// and VerifyNanos the wall-clock time those verifications took.
 	FullVerifies uint64
-	SampledSkips uint64
 	VerifyNanos  uint64
 }
 
@@ -328,7 +308,6 @@ func (c *Core) Stats() Stats {
 		Resends:        c.m.resends.Value(),
 		Overloads:      c.m.overloads.Value(),
 		FullVerifies:   c.m.fullVerifies.Value(),
-		SampledSkips:   c.m.sampledSkips.Value(),
 		VerifyNanos:    c.m.verifyNanos.Value(),
 	}
 }

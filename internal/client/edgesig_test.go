@@ -170,26 +170,6 @@ func TestDefectiveGetDisputedOnlyWhenSigned(t *testing.T) {
 	}
 }
 
-// TestUnsampledLightGetBadEdgeSigDropped: the light client reads an
-// unsampled answer out of unverified evidence, so it needs the edge's
-// signature: a bad one drops the response.
-func TestUnsampledLightGetBadEdgeSigDropped(t *testing.T) {
-	f := overloadFixture(t, Config{Light: true, SampleEvery: 8})
-	f.lightGossip(5)
-	key := []byte("k1")
-	op, _ := f.c.Get(10, key)
-	for f.c.sampleHit(op.ReqID) {
-		f.c.cfg.SampleSeed++
-	}
-	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: corrupt(f.garbageGetResponse(op.ReqID, key))})
-	if op.Done || op.Phase != core.PhaseNone || f.c.Stats().SampledSkips != 0 {
-		t.Fatalf("forged light answer accepted: done %v phase %v", op.Done, op.Phase)
-	}
-	if f.c.Stats().VerifyFailures != 1 {
-		t.Fatalf("verify failures = %d, want 1", f.c.Stats().VerifyFailures)
-	}
-}
-
 // TestReadByBIDNeedsEdgeSigUnlessCertified: a denial and a Phase I read by
 // BID act on the edge's word and drop with a bad signature; a Phase II
 // read, whose block the cloud's proof binds, is accepted without one.

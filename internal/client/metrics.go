@@ -21,17 +21,15 @@ type metrics struct {
 	resends        *obs.Counter
 	overloads      *obs.Counter
 	fullVerifies   *obs.Counter
-	sampledSkips   *obs.Counter
 	verifyNanos    *obs.Counter
 
 	// Per-phase op tracing: send -> Phase I ack -> Phase II certificate.
 	// trustLag (PhaseII - PhaseI) is the headline lazy-trust SLO; ack is
-	// the client-observed Phase I latency; verifyFull/verifyLight time
-	// the read-verification CPU split the light client trades on.
-	trustLag    *obs.Histogram
-	ack         *obs.Histogram
-	verifyFull  *obs.Histogram
-	verifyLight *obs.Histogram
+	// the client-observed Phase I latency; verify times each read's
+	// verification.
+	trustLag *obs.Histogram
+	ack      *obs.Histogram
+	verify   *obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry, node, chain string) *metrics {
@@ -51,7 +49,6 @@ func newMetrics(reg *obs.Registry, node, chain string) *metrics {
 	m.resends = c("wedge_client_resends_total", "transport-level retry re-sends")
 	m.overloads = c("wedge_client_overloads_total", "signed Overloaded shed signals accepted")
 	m.fullVerifies = c("wedge_client_full_verifies_total", "get and scan responses fully structurally verified")
-	m.sampledSkips = c("wedge_client_sampled_skips_total", "get responses accepted on the light-client sampling fast path")
 	m.verifyNanos = c("wedge_client_verify_cpu_nanos_total", "wall-clock nanoseconds spent in full verification")
 	m.trustLag = reg.HistogramVec("wedge_trust_lag_seconds",
 		"time an acked write spent uncertified (stage=edge: block cut to certificate; stage=client: Phase I ack to Phase II proof)",
@@ -60,10 +57,7 @@ func newMetrics(reg *obs.Registry, node, chain string) *metrics {
 		return reg.HistogramVec(name, help, obs.LatencyBuckets, "node", "chain").With(node, chain)
 	}
 	m.ack = h("wedge_client_ack_seconds", "client-observed Phase I ack latency for writes")
-	vv := reg.HistogramVec("wedge_client_verify_seconds",
-		"per-read verification CPU", obs.LatencyBuckets, "node", "chain", "mode")
-	m.verifyFull = vv.With(node, chain, "full")
-	m.verifyLight = vv.With(node, chain, "light")
+	m.verify = h("wedge_client_verify_seconds", "per-read verification CPU")
 	return m
 }
 

@@ -46,30 +46,6 @@ func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanRespo
 		c.settle(op, fmt.Errorf("%w: response covers a different range than requested", ErrBadResponse))
 		return nil
 	}
-	if op.Kind == KindGet && c.cfg.Light && c.gossip != nil && !c.sampleHit(m.ReqID) {
-		// Light-client fast path: the edge's signature on the response is
-		// checked and a cloud-signed gossiped frontier vouches that
-		// certification is chasing this edge's log, so the structural
-		// proof verification — the dominant client CPU cost — is skipped
-		// for all but a seeded sample of gets, and the answer is read out
-		// of the unverified evidence. The edge cannot tell which request
-		// will be audited, so any lie it serves is caught with probability
-		// 1/SampleEvery per response and convicts exactly as a full
-		// client's would: the expected-conviction guarantee of lazy trust
-		// is unchanged, only amortized. Session watermarks do not advance
-		// here — only fully verified responses may move them.
-		if !c.edgeSigned(m) {
-			return nil
-		}
-		t0 := time.Now()
-		c.m.sampledSkips.Inc()
-		kv, found := scan.PointAnswer(m)
-		op.Found, op.GotValue, op.GotVer = found, kv.Value, kv.Ver
-		c.phaseI(now, op, 0, nil)
-		c.phaseII(now, op)
-		c.m.verifyLight.Observe(time.Since(t0).Seconds())
-		return nil
-	}
 	res, err := c.verifyRead(now, m)
 	if err == errEdgeSig {
 		return nil
@@ -112,7 +88,7 @@ func (c *Core) verifyRead(now int64, m *wire.ScanResponse) (scan.Result, error) 
 	verifyDur := time.Since(verifyStart)
 	c.m.fullVerifies.Inc()
 	c.m.verifyNanos.Add(uint64(verifyDur))
-	c.m.verifyFull.Observe(verifyDur.Seconds())
+	c.m.verify.Observe(verifyDur.Seconds())
 	err = c.snapshotErr(res, err)
 	if (err != nil || len(res.Uncertified) > 0) && !c.edgeSigned(m) {
 		return res, errEdgeSig

@@ -180,15 +180,3 @@ func (c *Core) snapshotErr(res scan.Result, err error) error {
 	}
 	return nil
 }
-
-// sampleHit decides whether a light-mode response is audited: a
-// splitmix64 hash of (seed, request id) picks 1 in SampleEvery requests —
-// deterministic per seed, so runs reproduce, yet unpredictable to the
-// edge, which never learns the seed. SampleEvery <= 1 audits everything
-// (how conviction tests force the sample to hit).
-func (c *Core) sampleHit(reqID uint64) bool {
-	if c.cfg.SampleEvery <= 1 {
-		return true
-	}
-	return retryJitter(c.cfg.SampleSeed^reqID, 0x5bf03635, int64(c.cfg.SampleEvery)) == 0
-}

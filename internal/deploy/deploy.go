@@ -3,7 +3,8 @@
 // followers), and clients, all checking signatures against one key
 // registry. It decides node names, keys, the cloud-signed shard map, group
 // registration and each member's role; a host runs what it returns, the
-// simulator (internal/sim) or one TCP endpoint per node (the façade).
+// simulator (internal/sim) or one loopback TCP endpoint per node
+// (Loopback).
 package deploy
 
 import (

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"wedgechain/internal/client"
+	"wedgechain/internal/cloud"
 	"wedgechain/internal/core"
+	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/wire"
@@ -29,29 +34,87 @@ import (
 //     partitions are indistinguishable from a slow network, and the
 //     dispute machinery must never turn slowness into a guilty verdict.
 //
-// The schedule is a pure function of the seed, so a failure reproduces
-// from the seed alone.
+// Then the group must have converged: every member holds the leader's
+// log.
+// The scenario runs on the simulator, where the schedule is a pure
+// function of the seed, so a failure reproduces from the seed alone, and
+// on loopback TCP, where the seed fixes the fault mix but wall-clock
+// scheduling decides which frames it hits.
 
-// chaosWrite pairs a write op with the payload it carried.
+// chaosWrite pairs a write op with the client that sent it and the
+// payload it carried.
 type chaosWrite struct {
+	c       *client.Core
 	op      *client.Op
 	payload []byte
 }
 
-// chaosRun drives rounds of paired writes (BatchSize 2 — one block per
-// round) through the fault schedule seeded by seed, then verifies the
-// two invariants. It returns the first failure.
-func chaosRun(t *testing.T, seed int64, rounds int) error {
+// write sends payload through c as a turn of c.
+func (w *rworld) write(c *client.Core, payload string) chaosWrite {
+	rec := chaosWrite{c: c, payload: []byte(payload)}
+	w.host.do(c.ID(), func(now int64) []wire.Envelope {
+		op, envs := c.Add(now, rec.payload)
+		rec.op = op
+		return envs
+	})
+	return rec
+}
+
+// writeRounds sends rounds of paired writes, one from each client (BatchSize
+// 2 — one block per round), each round followed by a 400 ms settle.
+func (w *rworld) writeRounds(t *testing.T, rounds int) []chaosWrite {
+	var writes []chaosWrite
+	for i := 0; i < rounds; i++ {
+		writes = append(writes, w.write(w.c1, fmt.Sprintf("chaos-%d-a", i)), w.write(w.c2, fmt.Sprintf("chaos-%d-b", i)))
+		w.settle(t, 400*ms)
+	}
+	return writes
+}
+
+// trustLag returns the p50 and p99 trust lag (Phase I ack to Phase II
+// certificate, in ms) of the writes that reached Phase II, and how many did.
+func (w *rworld) trustLag(writes []chaosWrite) (p50, p99 float64, n int) {
+	var lags []float64
+	for _, rec := range writes {
+		w.on(rec.c.ID(), func() {
+			if rec.op.Phase == core.PhaseII {
+				lags = append(lags, float64(rec.op.PhaseIIAt-rec.op.PhaseIAt)/float64(ms))
+			}
+		})
+	}
+	if len(lags) == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(lags)
+	rank := func(q float64) float64 { return lags[int(math.Ceil(q*float64(len(lags))))-1] }
+	return rank(0.50), rank(0.99), len(lags)
+}
+
+// chaosRun drives rounds of paired writes through the fault schedule
+// seeded by seed, on the simulator or on loopback TCP, then verifies the
+// two invariants and that the group converged. It returns the first
+// failure. The scenario reaches node state only through the host, and
+// dates its partitions from the host's start.
+func chaosRun(t *testing.T, tcp bool, seed int64, rounds int) error {
 	t.Helper()
 	fn := faultnet.New(seed)
+	blame := newBlame()
+	w := newRWorld(t, rworldOpts{
+		fault:      fn,
+		tcp:        tcp,
+		retryEvery: 150 * ms,
+		gossip:     200 * ms,
+		tap:        blame.see,
+	})
 	// Partitions always precede the background noise rule (Partition
 	// prepends; first match wins). The first window cuts the initial
 	// leader off the cloud mid-run (lease expiry, transfer, later
 	// rejoin); the second cuts whoever "edge-1.r1" is by then — usually
 	// the promoted leader, forcing a second transfer and a second rejoin.
-	fn.Partition("edge-1", "cloud", 1*s, 2200*ms)
+	t0 := w.host.start()
+	fn.Partition("edge-1", "cloud", t0+1*s, t0+2200*ms)
 	if rounds > 12 {
-		fn.Partition("edge-1.r1", "cloud", 6*s, 7*s)
+		fn.Partition("edge-1.r1", "cloud", t0+6*s, t0+7*s)
 	}
 	fn.Add(faultnet.Rule{Faults: faultnet.LinkFaults{
 		Drop:     0.05,
@@ -59,29 +122,10 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 		DelayMax: 20 * ms,
 	}})
 
-	var w *rworld
-	blame := newBlame(func() *rworld { return w })
-	w = newRWorld(t, rworldOpts{
-		fault:      fn,
-		retryEvery: 150 * ms,
-		gossip:     200 * ms,
-		tap:        blame.see,
-	})
-
 	// Warm the chain so block 0 certifies before the first partition.
-	var writes []chaosWrite
-	add := func(c *client.Core, payload string) {
-		writes = append(writes, chaosWrite{op: w.add(c, payload), payload: []byte(payload)})
-	}
-	add(w.c1, "warm-0")
-	add(w.c2, "warm-1")
+	writes := []chaosWrite{w.write(w.c1, "warm-0"), w.write(w.c2, "warm-1")}
 	w.settle(t, 500*ms)
-
-	for i := 0; i < rounds; i++ {
-		add(w.c1, fmt.Sprintf("chaos-%d-a", i))
-		add(w.c2, fmt.Sprintf("chaos-%d-b", i))
-		w.settle(t, 400*ms)
-	}
+	writes = append(writes, w.writeRounds(t, rounds)...)
 
 	// Lift the faults and drain: retries flush, the proof timeout settles
 	// stragglers, rejoined nodes finish catch-up.
@@ -92,21 +136,31 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 	if st := fn.Snapshot(); st.Drops == 0 || st.Dups == 0 {
 		return fmt.Errorf("fault schedule injected nothing: %v", st)
 	}
-	if got := w.cloud.Stats().Transfers; got == 0 {
+	var cst cloud.Stats
+	var convicted wire.NodeID // the first member the cloud banned
+	w.on(deploy.CloudID, func() {
+		cst = w.cloud.Stats()
+		for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
+			if _, banned := w.cloud.Flagged(id); banned && convicted == "" {
+				convicted = id
+			}
+		}
+	})
+	if cst.Transfers == 0 {
 		return errors.New("chaos never forced a leadership transfer")
 	}
-	if got := w.cloud.Stats().Rejoins; got == 0 {
+	if cst.Rejoins == 0 {
 		return errors.New("no node ever rejoined after the partitions")
 	}
 
 	// Invariant 2: no honest conviction — the group is all honest nodes.
-	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
-		if _, banned := w.cloud.Flagged(id); banned {
-			return fmt.Errorf("honest node %s convicted under chaos: %s", id, blame.of(blame.verdicts[id]))
-		}
+	if convicted != "" {
+		return fmt.Errorf("honest node %s convicted under chaos: %s", convicted, blame.of(blame.verdict(convicted)))
 	}
 	for i, rec := range writes {
-		if v := rec.op.Verdict; v != nil && v.Guilty {
+		var v *wire.Verdict
+		w.on(rec.c.ID(), func() { v = rec.op.Verdict })
+		if v != nil && v.Guilty {
 			return fmt.Errorf("write %d drew a guilty verdict against %s under chaos: %s", i, v.Edge, blame.of(*v))
 		}
 	}
@@ -115,40 +169,68 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 	// drain once, then check block contents.
 	type check struct {
 		rec  chaosWrite
+		bid  uint64
 		read *client.Op
 	}
 	var checks []check
-	certified := 0
 	for _, rec := range writes {
-		if rec.op.Phase != core.PhaseII {
+		var phase core.Phase
+		var bid uint64
+		w.on(rec.c.ID(), func() { phase, bid = rec.op.Phase, rec.op.BID })
+		if phase != core.PhaseII {
 			continue // never certified from this client's view — see below
 		}
-		certified++
-		checks = append(checks, check{rec: rec, read: w.read(w.c1, rec.op.BID)})
+		c := check{rec: rec, bid: bid}
+		w.host.do(w.c1.ID(), func(now int64) []wire.Envelope {
+			op, envs := w.c1.Read(now, bid)
+			c.read = op
+			return envs
+		})
+		checks = append(checks, c)
 	}
 	w.settle(t, 5*s)
-	if certified == 0 {
+	if len(checks) == 0 {
 		return errors.New("no write certified — chaos run exercised nothing")
 	}
 	for _, c := range checks {
-		if c.read.Err != nil || c.read.Phase != core.PhaseII || c.read.Block == nil {
-			return fmt.Errorf("certified write %q lost: read bid=%d phase=%v err=%v",
-				c.rec.payload, c.rec.op.BID, c.read.Phase, c.read.Err)
-		}
-		found := false
-		for _, e := range c.read.Block.Entries {
-			if bytes.Equal(e.Value, c.rec.payload) {
-				found = true
-				break
+		var err error
+		var phase core.Phase
+		var block, found bool
+		w.on(w.c1.ID(), func() {
+			err, phase, block = c.read.Err, c.read.Phase, c.read.Block != nil
+			if block {
+				found = slices.ContainsFunc(c.read.Block.Entries, func(e wire.Entry) bool { return bytes.Equal(e.Value, c.rec.payload) })
 			}
+		})
+		if err != nil || phase != core.PhaseII || !block {
+			return fmt.Errorf("certified write %q lost: read bid=%d phase=%v err=%v", c.rec.payload, c.bid, phase, err)
 		}
 		if !found {
-			return fmt.Errorf("certified write %q missing from its block %d", c.rec.payload, c.rec.op.BID)
+			return fmt.Errorf("certified write %q missing from its block %d", c.rec.payload, c.bid)
 		}
 	}
-	t.Logf("chaos seed=%d rounds=%d: %d/%d writes certified, %v, transfers=%d rejoins=%d",
-		seed, rounds, certified, len(writes), fn.Snapshot(),
-		w.cloud.Stats().Transfers, w.cloud.Stats().Rejoins)
+
+	// Convergence: after the drain every member holds the leader's log,
+	// and a leader the partitions demoted rebuilt it through certified
+	// catch-up. Certified prefixes are not compared: a member that missed
+	// a certificate frame is never sent it again (ROADMAP item 19).
+	var leader wire.NodeID
+	w.on(deploy.CloudID, func() { leader = w.cloud.ChainLeader("edge-1") })
+	blocks, catchUps := map[wire.NodeID]uint64{}, map[wire.NodeID]uint64{}
+	for _, n := range []*edge.Node{w.leader, w.r1, w.r2} {
+		w.on(n.ID(), func() { blocks[n.ID()], catchUps[n.ID()] = n.LogBlocks(), n.Stats().CatchUps })
+	}
+	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
+		if blocks[id] != blocks[leader] {
+			return fmt.Errorf("%s did not converge: holds %d blocks, leader %s holds %d", id, blocks[id], leader, blocks[leader])
+		}
+	}
+	if leader != "edge-1" && catchUps["edge-1"] == 0 {
+		return errors.New("demoted leader edge-1 rejoined without certified catch-up")
+	}
+	p50, p99, _ := w.trustLag(writes)
+	t.Logf("chaos seed=%d rounds=%d: %d/%d writes certified, trust lag p50 %.1f ms p99 %.1f ms, %v, transfers=%d rejoins=%d",
+		seed, rounds, len(checks), len(writes), p50, p99, fn.Snapshot(), cst.Transfers, cst.Rejoins)
 	return nil
 }
 
@@ -156,11 +238,17 @@ func chaosRun(t *testing.T, seed int64, rounds int) error {
 // names: the first guilty verdict against each node, and for each (node,
 // block) the view under which the node first sent a frame about the
 // block — an acknowledgement, a replicated copy or a certify request. For
-// a block the node cut, that is the view it was cut under.
+// a block the node cut, that is the view it was cut under. The cloud's
+// view is the newest one its LeadershipTransfer frames carried, so blame
+// reads no node's state outside that node's turn; mu guards it against
+// the TCP host's concurrent turns.
 type blame struct {
-	world    func() *rworld
+	mu       sync.Mutex
 	verdicts map[wire.NodeID]wire.Verdict
 	cuts     map[nodeBlock]cutView
+	// epoch and leader are the cloud's view of chain edge-1.
+	epoch  uint64
+	leader wire.NodeID
 }
 
 type nodeBlock struct {
@@ -175,13 +263,20 @@ type cutView struct {
 	cloudLeader       wire.NodeID
 }
 
-func newBlame(world func() *rworld) *blame {
-	return &blame{world: world, verdicts: map[wire.NodeID]wire.Verdict{}, cuts: map[nodeBlock]cutView{}}
+func newBlame() *blame {
+	return &blame{verdicts: map[wire.NodeID]wire.Verdict{}, cuts: map[nodeBlock]cutView{}, leader: "edge-1"}
 }
 
-func (b *blame) see(env wire.Envelope) {
+func (b *blame) see(h core.Handler, env wire.Envelope) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var bid uint64
 	switch m := env.Msg.(type) {
+	case *wire.LeadershipTransfer:
+		if m.Chain == "edge-1" && m.Epoch > b.epoch {
+			b.epoch, b.leader = m.Epoch, m.NewLeader
+		}
+		return
 	case *wire.Verdict:
 		if _, seen := b.verdicts[m.Edge]; m.Guilty && !seen {
 			b.verdicts[m.Edge] = *m
@@ -200,18 +295,24 @@ func (b *blame) see(env wire.Envelope) {
 	if _, seen := b.cuts[k]; seen {
 		return
 	}
-	w := b.world()
-	for _, n := range []*edge.Node{w.leader, w.r1, w.r2} {
-		if n.ID() == env.From {
-			b.cuts[k] = cutView{epoch: n.Epoch(), cloudEpoch: w.cloud.ChainEpoch("edge-1"), cloudLeader: w.cloud.ChainLeader("edge-1")}
-		}
+	if n, ok := h.(*edge.Node); ok && n.ID() == env.From {
+		b.cuts[k] = cutView{epoch: n.Epoch(), cloudEpoch: b.epoch, cloudLeader: b.leader}
 	}
+}
+
+// verdict returns the first guilty verdict seen against id.
+func (b *blame) verdict(id wire.NodeID) wire.Verdict {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.verdicts[id]
 }
 
 // of names v's block and the view its node sent it under, marking a view
 // the cloud had already superseded.
 func (b *blame) of(v wire.Verdict) string {
+	b.mu.Lock()
 	c, ok := b.cuts[nodeBlock{v.Edge, v.BID}]
+	b.mu.Unlock()
 	if !ok {
 		return fmt.Sprintf("block %d (%s), never sent by %s", v.BID, v.Reason, v.Edge)
 	}
@@ -225,9 +326,29 @@ func (b *blame) of(v wire.Verdict) string {
 
 // TestChaosSmoke is the CI arm: one fixed seed, a short schedule, both
 // invariants. Deterministic — a failure reproduces with `go test -run
-// ChaosSmoke ./internal/integration/`.
+// 'ChaosSmoke$' ./internal/integration/`.
 func TestChaosSmoke(t *testing.T) {
-	if err := chaosRun(t, 42, 8); err != nil {
+	if err := chaosRun(t, false, 42, 8); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChaosSmokeTCP runs the smoke's seed and schedule on loopback TCP,
+// where wall-clock scheduling means the seed fixes the fault mix but not
+// which frames it hits; the invariants must hold all the same. A clean
+// arm first logs the trust lag a fault-free group shows on real sockets.
+func TestChaosSmokeTCP(t *testing.T) {
+	t.Run("clean", func(t *testing.T) {
+		w := newRWorld(t, rworldOpts{tcp: true, retryEvery: 150 * ms, gossip: 200 * ms})
+		writes := w.writeRounds(t, 8)
+		w.settle(t, 2*s)
+		p50, p99, n := w.trustLag(writes)
+		if n != len(writes) {
+			t.Fatalf("%d of %d writes certified", n, len(writes))
+		}
+		t.Logf("clean trust lag over %d writes: p50 %.2f ms, p99 %.2f ms", n, p50, p99)
+	})
+	if err := chaosRun(t, true, 42, 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,7 +359,13 @@ func TestChaosSmoke(t *testing.T) {
 // WEDGE_CHAOS_SEEDS runs the seeds it names instead: one seed, or an
 // inclusive range such as 1-300. The output ends with one line per
 // failing seed and its first failure.
-func TestChaosSoak(t *testing.T) {
+func TestChaosSoak(t *testing.T) { chaosSoak(t, false) }
+
+// TestChaosSoakTCP runs the same soak on loopback TCP, about 27 s of wall
+// time per seed (see `make chaos-tcp`).
+func TestChaosSoakTCP(t *testing.T) { chaosSoak(t, true) }
+
+func chaosSoak(t *testing.T, tcp bool) {
 	spec := os.Getenv("WEDGE_CHAOS_SEEDS")
 	if spec == "" && os.Getenv("WEDGE_CHAOS_SOAK") == "" {
 		t.Skip("set WEDGE_CHAOS_SOAK=1 (or run `make chaos`) or WEDGE_CHAOS_SEEDS=1-300 for the long soak")
@@ -253,7 +380,7 @@ func TestChaosSoak(t *testing.T) {
 	var failures []string
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			if err := chaosRun(t, seed, 40); err != nil {
+			if err := chaosRun(t, tcp, seed, 40); err != nil {
 				failures = append(failures, fmt.Sprintf("seed %d: %v", seed, err))
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"testing"
+	"time"
 
 	"wedgechain/internal/client"
 	"wedgechain/internal/cloud"
@@ -11,6 +12,7 @@ import (
 	"wedgechain/internal/faultnet"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/sim"
+	"wedgechain/internal/transport"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
@@ -18,9 +20,11 @@ import (
 // rworld is a replicated-shard cluster: one cloud, a three-member replica
 // group for chain "edge-1" (leader edge-1, followers edge-1.r1 and
 // edge-1.r2), and two clients. It shares world's fields and operation
-// helpers; world's edge is the initial leader.
+// helpers; world's edge is the initial leader. On TCP, world's sim is nil
+// and every node is reached through host.
 type rworld struct {
 	world
+	host   host
 	leader *edge.Node
 	r1, r2 *edge.Node
 	reg    *wcrypto.Registry // the key registry every node checks against
@@ -33,21 +37,23 @@ type rworldOpts struct {
 	proofTO     int64
 	lease       int64
 	certTO      int64
-	fault       *faultnet.Net // chaos schedules applied to every sim frame
+	fault       *faultnet.Net // chaos schedules applied to every frame
+	tcp         bool          // host the nodes on loopback TCP, not the simulator
 	retryEvery  int64         // client transport-retry period (0 = off)
 	l0Thresh    int           // L0 merge trigger (default 100: no compaction)
 	metrics     *obs.Registry // registry the edges' series live in
 	// wrapCloud, when set, stands between the sim and the cloud node.
 	wrapCloud func(*cloud.Node) core.Handler
-	// tap, when set, sees every frame a node sends, as it leaves the node.
-	tap func(env wire.Envelope)
+	// tap, when set, sees every frame a node sends, as it leaves the node,
+	// in the node's turn.
+	tap func(h core.Handler, env wire.Envelope)
 }
 
-// frameTap stands between the sim and a node and shows see every frame
+// frameTap stands between the host and a node and shows see every frame
 // the node sends.
 type frameTap struct {
 	core.Handler
-	see func(env wire.Envelope)
+	see func(h core.Handler, env wire.Envelope)
 }
 
 func (f frameTap) Receive(now int64, env wire.Envelope) []wire.Envelope {
@@ -58,7 +64,7 @@ func (f frameTap) Tick(now int64) []wire.Envelope { return f.show(f.Handler.Tick
 
 func (f frameTap) show(out []wire.Envelope) []wire.Envelope {
 	for _, env := range out {
-		f.see(env)
+		f.see(f.Handler, env)
 	}
 	return out
 }
@@ -115,11 +121,25 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		}, d.Keys[id], d.Registry)
 	}
 	w.c1, w.c2 = mkClient("c1"), mkClient("c2")
-	w.sim = sim.New(sim.Config{
-		TickEvery:   5 * ms,
-		DefaultLink: sim.Link{Latency: 1 * ms},
-		Fault:       o.fault,
-	})
+	var add func(core.Handler)
+	if o.tcp {
+		// The endpoints tick as often as the simulator does.
+		lb := deploy.NewLoopback(transport.TCPConfig{TickEvery: 5 * time.Millisecond, Fault: o.fault})
+		t.Cleanup(lb.Close)
+		w.host = tcpHost{t: t, lb: lb, t0: time.Now().UnixNano()}
+		add = func(h core.Handler) {
+			if err := lb.Host(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else {
+		w.sim = sim.New(sim.Config{
+			TickEvery:   5 * ms,
+			DefaultLink: sim.Link{Latency: 1 * ms},
+			Fault:       o.fault,
+		})
+		w.host, add = simHost{w.sim}, w.sim.Add
+	}
 	var cloudNode core.Handler = w.cloud
 	if o.wrapCloud != nil {
 		cloudNode = o.wrapCloud(w.cloud)
@@ -128,7 +148,7 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		if o.tap != nil {
 			h = frameTap{h, o.tap}
 		}
-		w.sim.Add(h)
+		add(h)
 	}
 	return w
 }
@@ -138,7 +158,16 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 // whose triggers are timeouts that fire into silence).
 func (w *rworld) settle(t *testing.T, limit int64) {
 	t.Helper()
-	w.sim.RunUntil(w.sim.Now() + limit)
+	w.host.wait(limit)
+}
+
+// on runs fn as a turn of node id that sends nothing: how a scenario that
+// runs on either host reads a node's state.
+func (w *rworld) on(id wire.NodeID, fn func()) {
+	w.host.do(id, func(int64) []wire.Envelope {
+		fn()
+		return nil
+	})
 }
 
 // promoted returns the replica that currently leads the chain.

@@ -283,9 +283,10 @@ func levelKVs(lp *wire.LevelRangeProof, start, end []byte) []wire.KV {
 }
 
 // PointAnswer reads a get's answer out of a point-range response without
-// verifying any of it — what a light client settles on when it skips
-// verification: the newest window row, by the newest-wins rule Verify
-// applies, else the key's record in the first level cut that holds it.
+// verifying any of it — what the response claims, which tests compare
+// with what Verify derives: the newest window row, by the newest-wins rule
+// Verify applies, else the key's record in the first level cut that holds
+// it.
 func PointAnswer(m *wire.ScanResponse) (wire.KV, bool) {
 	kvs := mlsm.WindowKVs(m.Proof.L0Pruned)
 	for i := 0; len(kvs) == 0 && i < len(m.Proof.Levels); i++ {
