@@ -71,7 +71,9 @@ quick-diff:
 # memo kept whole triples) — the layer counterparts of the macro
 # benchmark's heap_bytes_per_put), and GetResponseCertified/PhaseI one
 # client get over four 100-entry blocks, all certified or the newest not:
-# the gap is the edge-signature check only a Phase I read pays.
+# the gap is the edge-signature check only a Phase I read pays; and
+# AssembleScanCertified/PhaseI the edge's answer to that get: the gap is
+# the signature only a Phase I answer costs the edge.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem $$(grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Benchmark' . | xargs -n1 dirname | sort -u | grep -vx '\.')
 
@@ -101,7 +103,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20557
+LOC_CEILING := 20586
 loc:
 	@sh scripts/loc.sh
 loc-check:

@@ -87,6 +87,36 @@ func TestCertifiedReadRunsNoEdgeCheck(t *testing.T) {
 	}
 }
 
+// TestStaleUnsignedCertifiedRetried: a certified scan outside the
+// freshness window is asked again at once, with no signature on it or a
+// bad one — a retry acts on nothing the edge vouched for — and nothing is
+// counted as a verification failure.
+func TestStaleUnsignedCertifiedRetried(t *testing.T) {
+	for _, bad := range []bool{false, true} {
+		sf := newScanFixture(t)
+		checks := sigCounter(sf.fixture)
+		op, req := sf.launchScan(t, []byte("k02"), []byte("k06"))
+		resp := scan.Assemble(req.Start, req.End, req.ReqID, mlsm.L0Source{}, sf.idx)
+		if bad {
+			resp.EdgeSig = make([]byte, 64)
+		}
+		warm(t, sf.fixture, resp)
+		sf.c.cfg.FreshnessWindow = 1 // the global root is signed at 5; it arrives at 20
+		before := checks()
+		outs := sf.deliver(t, false, resp)
+		if n := checks() - before; n != 0 {
+			t.Fatalf("bad=%v: stale certified scan ran %d edge checks, want 0", bad, n)
+		}
+		if len(outs) != 1 || outs[0].To != "edge-1" || outs[0].Msg.MsgKind() != wire.KindScanRequest {
+			t.Fatalf("bad=%v: stale scan answered with %v, want one retry to the edge", bad, outs)
+		}
+		st := sf.c.Stats()
+		if op.Done || st.Retries != 1 || st.StaleRejected != 1 || st.VerifyFailures != 0 {
+			t.Fatalf("bad=%v: done %v, %d retries, %d stale, %d verify failures", bad, op.Done, st.Retries, st.StaleRejected, st.VerifyFailures)
+		}
+	}
+}
+
 // phaseIGet starts a get of "other" and returns it with the edge's answer
 // over pruneBlocks' window with block 1 uncertified: its pinned digest is
 // Phase I evidence.

@@ -47,15 +47,34 @@ func (c *Core) handleScanResponse(now int64, from wire.NodeID, m *wire.ScanRespo
 		return nil
 	}
 	res, err := c.verifyRead(now, m)
-	if err == errEdgeSig {
+	switch {
+	case err == errEdgeSig:
 		return nil
+	case err == ErrStale || err == ErrRegression:
+		// Asked again at once: a retry acts on nothing the edge vouched
+		// for, so it needs no signature.
+		c.m.staleRejected.Inc()
+		if op.retries >= maxRetries {
+			c.settle(op, err)
+			return nil
+		}
+		op.retries++
+		c.m.retries.Inc()
+		return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: scanRequest(op)}}
 	}
 	// The evidence a dispute files: verifyRead checked its signature
 	// wherever one can follow.
 	op.scanEv = m
 	op.Edge = from
 	if err != nil {
-		return c.rejectRead(op, err, scanRequest(op), func() []wire.Envelope { return c.fileScanDispute(op, 0) })
+		// Any other defect is in self-contained evidence — the response
+		// echoes what it answers — so the op settles and the response is
+		// filed with the cloud, whose Judge re-runs the same verifier.
+		c.m.verifyFailures.Inc()
+		c.m.liesDetected.Inc()
+		out := c.fileScanDispute(op, 0)
+		c.settle(op, fmt.Errorf("%w: %v", ErrBadResponse, err))
+		return out
 	}
 	kvs := res.KVs
 	if op.ScanLimit > 0 && len(kvs) > op.ScanLimit {
@@ -77,11 +96,12 @@ var errEdgeSig = errors.New("edge signature does not verify")
 
 // verifyRead runs the read verifier over m and admits its snapshot. It
 // checks the edge's signature only before the client acts on the edge's
-// word: a defect to dispute, a stale or regressed snapshot to retry, an
-// uncertified block whose pinned digest is evidence. A valid response
-// whose every row is bound to a cloud signature (certified slices, the
-// signed global root) shows a snapshot the edge itself could serve, and
-// is never filed: it needs none.
+// word: a defect to dispute, or an uncertified block whose pinned digest
+// is evidence (scan.PinsDigest, the rule the edge signs by). A stale or
+// regressed snapshot is only retried, and a valid response whose every
+// row is bound to a cloud signature (certified slices, the signed global
+// root) shows a snapshot the edge itself could serve and is never filed:
+// neither needs one.
 func (c *Core) verifyRead(now int64, m *wire.ScanResponse) (scan.Result, error) {
 	verifyStart := time.Now()
 	res, err := scan.Verify(c.readParams(now), m)
@@ -90,7 +110,7 @@ func (c *Core) verifyRead(now int64, m *wire.ScanResponse) (scan.Result, error) 
 	c.m.verifyNanos.Add(uint64(verifyDur))
 	c.m.verify.Observe(verifyDur.Seconds())
 	err = c.snapshotErr(res, err)
-	if (err != nil || len(res.Uncertified) > 0) && !c.edgeSigned(m) {
+	if err != ErrStale && err != ErrRegression && (err != nil || scan.PinsDigest(m)) && !c.edgeSigned(m) {
 		return res, errEdgeSig
 	}
 	if err == nil && c.cfg.Session {

@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"errors"
-	"fmt"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/scan"
@@ -105,30 +104,6 @@ func (c *Core) handleDenial(now int64, op *Op, m *wire.ReadResponse) []wire.Enve
 	op.retries++
 	c.m.retries.Inc()
 	return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: &wire.ReadRequest{BID: op.BID, ReqID: op.ReqID}}}
-}
-
-// rejectRead answers a get or scan whose verification failed. A stale
-// snapshot, or one behind what this session already observed, is retried
-// with req. Any other defect is in edge-signed, self-contained evidence —
-// the response echoes what it answers — so the op settles and the
-// response is filed with the cloud, whose Judge re-runs the same
-// verifier.
-func (c *Core) rejectRead(op *Op, err error, req wire.Message, dispute func() []wire.Envelope) []wire.Envelope {
-	if err == ErrStale || err == ErrRegression {
-		c.m.staleRejected.Inc()
-		if op.retries >= maxRetries {
-			c.settle(op, err)
-			return nil
-		}
-		op.retries++
-		c.m.retries.Inc()
-		return []wire.Envelope{{From: c.cfg.ID, To: c.cfg.Edge, Msg: req}}
-	}
-	c.m.verifyFailures.Inc()
-	c.m.liesDetected.Inc()
-	out := dispute()
-	c.settle(op, fmt.Errorf("%w: %v", ErrBadResponse, err))
-	return out
 }
 
 // awaitRead completes a verified get or scan: at once when its whole L0

@@ -136,8 +136,9 @@ func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeart
 // chain's gets the current one: a named leader that missed its promotion
 // adopts it and leads. The exception is a named leader that recognises no
 // leader at all: it restarted blank, must never lead from its empty log,
-// and is left to its lease. An in-group follower whose mirror trails the
-// certified frontier gets the signed frontier, which it turns into
+// and is left to its lease. An in-group follower whose certified prefix
+// trails the certified frontier — its mirror is short, or a certificate
+// frame was lost — gets the signed frontier, which it turns into
 // catch-up. Answers to a member are rate-limited to one per LeaseTimeout.
 func (n *Node) answerHeartbeat(now int64, from, chain wire.NodeID, st *chainState, mem *memberState, m *wire.ReplicaHeartbeat) []wire.Envelope {
 	if st.dead {
@@ -150,7 +151,7 @@ func (n *Node) answerHeartbeat(now int64, from, chain wire.NodeID, st *chainStat
 		return n.readmit(now, chain, st, from)
 	}
 	current := m.Epoch == st.epoch && m.Leader == st.leader
-	if current && (from == st.leader || m.Blocks >= n.certs.Blocks(chain)) {
+	if current && (from == st.leader || m.Certified >= n.certs.Blocks(chain)) {
 		return nil
 	}
 	if (from == st.leader && m.Leader == "") || now-mem.answered < n.cfg.LeaseTimeout {

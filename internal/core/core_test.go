@@ -240,6 +240,38 @@ func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 	}
 }
 
+// TestJudgeRefusesUnsignedScanEvidence: an honest edge leaves a certified
+// answer unsigned, so anyone holding one could cut a defect into it. The
+// Judge refuses a scan-lie dispute built from an unsigned response; the
+// same defect under the edge's signature convicts.
+func TestJudgeRefusesUnsignedScanEvidence(t *testing.T) {
+	keys, reg := testKeys(t)
+	ct := NewCertTable()
+	blk := wire.Block{
+		Edge: "edge-1", ID: 0,
+		Entries: []wire.Entry{{Client: "c1", Seq: 1, Key: []byte("a"), Value: []byte("v")}, {Client: "c1", Seq: 2, Key: []byte("b"), Value: []byte("w")}},
+	}
+	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: wcrypto.BlockDigest(&blk)}
+	cert.CloudSig = wcrypto.SignMsg(keys["cloud"], &cert)
+	ct.Certify("edge-1", 0, cert.Digest, 1)
+	resp := scan.Assemble(nil, nil, 1, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}))
+	if scan.PinsDigest(resp) || len(resp.EdgeSig) != 0 {
+		t.Fatal("certified answer pins a digest or carries a signature")
+	}
+	// Alter a row: the slice no longer folds to the certified digest.
+	resp.Proof.L0Pruned[0].Rows[0].Entry.Value = []byte("forged")
+	judge := func() wire.Verdict {
+		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 0, resp))
+	}
+	if v := judge(); v.Guilty || v.Reason != "dispute rejected: evidence not signed by edge" {
+		t.Fatalf("unsigned evidence: guilty %v, %s", v.Guilty, v.Reason)
+	}
+	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
+	if v := judge(); !v.Guilty {
+		t.Fatalf("signed defect acquitted: %s", v.Reason)
+	}
+}
+
 func TestJudgeOmission(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()

@@ -818,8 +818,9 @@ func (n *Node) awaitProof(bid uint64, client wire.NodeID) {
 }
 
 // handleRead serves read(bid) with the paper's three cases: not available
-// (signed denial), Phase II read (block + proof), Phase I read (block, no
-// proof yet; the proof is forwarded when it arrives). On a persistent node
+// (signed denial), Phase II read (block + proof, unsigned: the proof binds
+// the block), Phase I read (signed block, no proof yet; the proof is
+// forwarded when it arrives). On a persistent node
 // a block no successful sync covers yet is not durable, so its response
 // joins the held outputs and leaves with the next sync.
 func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wire.Envelope {
@@ -850,7 +851,11 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 			n.awaitProof(m.BID, from)
 		}
 	}
-	if resp.OK && !tampered(n.cfg.Fault, from) {
+	switch {
+	case resp.HasProof && n.cfg.Fault == nil:
+		// Phase II read: the proof binds the block, so nothing is signed
+		// (a faulty node signs every answer).
+	case resp.OK && !tampered(n.cfg.Fault, from):
 		// Honest serve: sign with the digest cached at block cut instead
 		// of re-hashing the block per read (same O(1) signing the write
 		// acks use). Tampered and denial responses go through the
@@ -860,8 +865,10 @@ func (n *Node) handleRead(now int64, from wire.NodeID, m *wire.ReadRequest) []wi
 			panic(fmt.Sprintf("edge: served block has no digest: %v", derr))
 		}
 		resp.EdgeSig = wcrypto.SignReadResponse(n.key, resp, digest)
-	} else {
+		n.m.readSigs.Inc()
+	default:
 		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
+		n.m.readSigs.Inc()
 	}
 	out := []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 	if resp.OK && n.store != nil && !n.store.Covers(m.BID) {

@@ -18,7 +18,7 @@ type fixture struct {
 	reg  *wcrypto.Registry
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	reg := wcrypto.NewRegistry()
 	keys := map[wire.NodeID]wcrypto.KeyPair{}
@@ -173,7 +173,7 @@ func TestFullDataCertCarriesBody(t *testing.T) {
 	t.Fatal("no certify emitted")
 }
 
-func (f *fixture) certifyBlock(t *testing.T, bid uint64) *wire.BlockProof {
+func (f *fixture) certifyBlock(t testing.TB, bid uint64) *wire.BlockProof {
 	t.Helper()
 	digest, err := f.node.Log().Digest(bid)
 	if err != nil {

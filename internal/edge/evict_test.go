@@ -122,7 +122,11 @@ func TestDurableLeaderEvictsAfterFirstMerge(t *testing.T) {
 	if !resp.OK || !resp.HasProof || !bytes.Equal(resp.Block.Canonical(), cut[0]) {
 		t.Fatalf("read of a compacted block: ok %v proof %v", resp.OK, resp.HasProof)
 	}
-	if err := wcrypto.VerifyReadResponse(r.reg, "edge-1", resp, wcrypto.RecomputedBlockDigest(&resp.Block)); err != nil {
+	// The certificate binds the read-back block; the edge signs nothing.
+	if !bytes.Equal(resp.Proof.Digest, wcrypto.RecomputedBlockDigest(&resp.Block)) || len(resp.EdgeSig) != 0 {
+		t.Fatalf("read of a compacted block: proof digest does not bind the block, or %d-byte edge signature", len(resp.EdgeSig))
+	}
+	if err := wcrypto.VerifyMsg(r.reg, "cloud", &resp.Proof, resp.Proof.CloudSig); err != nil {
 		t.Fatal(err)
 	}
 	if reads := r.segmentReads("edge-1"); reads != 1 {

@@ -40,6 +40,13 @@ func newMergeRig(t *testing.T) *mergeRig {
 // — a MergeRequest when the block crossed the L0 threshold.
 func (r *mergeRig) putBlock(t *testing.T, k1, k2 string) []wire.Envelope {
 	t.Helper()
+	return r.certify(r.writeBlock(t, k1, k2))
+}
+
+// writeBlock writes one block of two puts through the leader and returns
+// its certification request, undelivered.
+func (r *mergeRig) writeBlock(t *testing.T, k1, k2 string) wire.Envelope {
+	t.Helper()
 	var certify wire.Envelope
 	for _, k := range []string{k1, k2} {
 		r.now++
@@ -54,6 +61,12 @@ func (r *mergeRig) putBlock(t *testing.T, k1, k2 string) []wire.Envelope {
 	if certify.Msg == nil {
 		t.Fatal("no block cut")
 	}
+	return certify
+}
+
+// certify delivers a certification request to the cloud and the cloud's
+// answer to the leader, and returns what the leader emitted on it.
+func (r *mergeRig) certify(certify wire.Envelope) []wire.Envelope {
 	var out []wire.Envelope
 	for _, env := range r.cloud.Receive(r.now, certify) {
 		if env.To == "edge-1" {

@@ -15,6 +15,7 @@ type metrics struct {
 	reads        *obs.Counter
 	gets         *obs.Counter
 	scans        *obs.Counter
+	readSigs     *obs.Counter
 	merges       *obs.Counter
 	bytesToCloud *obs.Counter
 	shed         *obs.Counter
@@ -60,6 +61,7 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.reads = c("wedge_edge_reads_total", "read(bid) requests served")
 	m.gets = c("wedge_edge_gets_total", "get(key) requests served")
 	m.scans = c("wedge_edge_scans_total", "scan requests served")
+	m.readSigs = c("wedge_edge_read_signatures_total", "read, get and scan answers signed: a denial and a Phase I answer; a certified one proves itself")
 	m.merges = c("wedge_edge_merges_total", "compaction merges requested")
 	m.bytesToCloud = c("wedge_edge_cloud_bytes_total", "bytes sent on the edge-cloud coordination channel")
 	m.shed = c("wedge_edge_shed_writes_total", "writes shed by the MaxUncertified backpressure cap")

@@ -43,9 +43,11 @@ func (n *Node) awaitProofs(reader wire.NodeID, window []wire.L0Slice) {
 	}
 }
 
-// AssembleScan builds and signs a scan response locally, outside any
-// transport — what handleScan sends, and the edge half of the read path
-// (a get's over its point range) for benchmarks and direct measurement.
+// AssembleScan builds a scan response locally, outside any transport —
+// what handleScan sends, and the edge half of the read path (a get's over
+// its point range) for benchmarks and direct measurement. It signs only
+// an answer the client can need as evidence (scan.PinsDigest), or every
+// answer on a faulty node, so each lie it tells convicts.
 func (n *Node) AssembleScan(start, end []byte, reqID uint64) (*wire.ScanResponse, error) {
 	src, err := n.l0Window()
 	if err != nil {
@@ -54,7 +56,10 @@ func (n *Node) AssembleScan(start, end []byte, reqID uint64) (*wire.ScanResponse
 	resp := scan.Assemble(start, end, reqID, n.cfg.Fault.hideVictim(src), n.idx)
 	n.cfg.Fault.stopShort(src, resp.Proof.L0Pruned, start, end)
 	n.applyScanFault(src, resp)
-	resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
+	if n.cfg.Fault != nil || scan.PinsDigest(resp) {
+		resp.EdgeSig = wcrypto.SignMsg(n.key, resp)
+		n.m.readSigs.Inc()
+	}
 	return resp, nil
 }
 

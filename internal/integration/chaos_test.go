@@ -210,19 +210,21 @@ func chaosRun(t *testing.T, tcp bool, seed int64, rounds int) error {
 		}
 	}
 
-	// Convergence: after the drain every member holds the leader's log,
-	// and a leader the partitions demoted rebuilt it through certified
-	// catch-up. Certified prefixes are not compared: a member that missed
-	// a certificate frame is never sent it again (ROADMAP item 19).
+	// Convergence: after the drain every member holds the leader's log
+	// and its certified prefix, and a leader the partitions demoted
+	// rebuilt it through certified catch-up.
 	var leader wire.NodeID
 	w.on(deploy.CloudID, func() { leader = w.cloud.ChainLeader("edge-1") })
-	blocks, catchUps := map[wire.NodeID]uint64{}, map[wire.NodeID]uint64{}
+	blocks, certified, catchUps := map[wire.NodeID]uint64{}, map[wire.NodeID]uint64{}, map[wire.NodeID]uint64{}
 	for _, n := range []*edge.Node{w.leader, w.r1, w.r2} {
-		w.on(n.ID(), func() { blocks[n.ID()], catchUps[n.ID()] = n.LogBlocks(), n.Stats().CatchUps })
+		w.on(n.ID(), func() {
+			blocks[n.ID()], certified[n.ID()], catchUps[n.ID()] = n.LogBlocks(), n.CertifiedBlocks(), n.Stats().CatchUps
+		})
 	}
 	for _, id := range []wire.NodeID{"edge-1", "edge-1.r1", "edge-1.r2"} {
-		if blocks[id] != blocks[leader] {
-			return fmt.Errorf("%s did not converge: holds %d blocks, leader %s holds %d", id, blocks[id], leader, blocks[leader])
+		if blocks[id] != blocks[leader] || certified[id] != certified[leader] {
+			return fmt.Errorf("%s did not converge: holds %d blocks, %d certified; leader %s holds %d, %d",
+				id, blocks[id], certified[id], leader, blocks[leader], certified[leader])
 		}
 	}
 	if leader != "edge-1" && catchUps["edge-1"] == 0 {

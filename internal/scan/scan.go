@@ -85,6 +85,19 @@ func Assemble(start, end []byte, reqID uint64, l0 mlsm.L0Source, idx *mlsm.Index
 	return resp
 }
 
+// PinsDigest reports whether m's L0 window pins a digest on the edge's
+// word: some slice carries no certificate. Only such an answer can become
+// evidence, so an honest edge signs exactly these and a client checks the
+// signature on exactly these; cloud signatures bind every other answer.
+func PinsDigest(m *wire.ScanResponse) bool {
+	for i := range m.Proof.L0Pruned {
+		if len(m.Proof.L0Pruned[i].CertSig) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Params configures verification: whose evidence is being judged, against
 // which registry, and under what freshness bound. A zero FreshnessWindow
 // disables the staleness check — the cloud adjudicating a dispute sets it

@@ -124,7 +124,9 @@ type ReadResponse struct {
 	Block    Block
 	HasProof bool
 	Proof    BlockProof // valid only when HasProof
-	EdgeSig  []byte
+	// EdgeSig signs a denial and a Phase I read. A Phase II read, whose
+	// Proof binds Block, is unsigned unless the edge is faulty.
+	EdgeSig []byte
 
 	encSize int // cached encoded size; see sizeMemoized
 }

@@ -127,14 +127,18 @@ func (sp *ScanProof) DecodeFrom(d *Decoder) {
 }
 
 // ScanResponse answers a ScanRequest with the full ScanProof. Start and
-// End echo the request bounds under the edge's signature, making the
+// End echo the request bounds under the edge's signature, making a signed
 // response self-contained dispute evidence: the cloud can re-verify the
 // whole proof against the signed bounds without ever seeing the request.
 type ScanResponse struct {
-	ReqID   uint64
-	Start   []byte
-	End     []byte
-	Proof   ScanProof
+	ReqID uint64
+	Start []byte
+	End   []byte
+	Proof ScanProof
+	// EdgeSig is the edge's signature over the rest, present only where
+	// the window pins a digest (scan.PinsDigest) or the edge is faulty.
+	// An answer whose every row cloud signatures bind proves itself and
+	// carries none.
 	EdgeSig []byte
 }
 

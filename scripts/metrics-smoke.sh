@@ -59,6 +59,10 @@ echo "metrics-smoke: writing through the client"
 "$WORK/wedge-client" -id c1 -listen ":$CLIENT_PORT" \
     -peers "cloud=localhost:$CLOUD_PORT,edge-1=localhost:$EDGE_PORT" \
     -edge edge-1 -wait2 put smoke-key smoke-value >"$WORK/client.log" 2>&1
+# A get of the certified key, which the edge answers without signing.
+"$WORK/wedge-client" -id c1 -listen ":$CLIENT_PORT" \
+    -peers "cloud=localhost:$CLOUD_PORT,edge-1=localhost:$EDGE_PORT" \
+    -edge edge-1 get smoke-key >>"$WORK/client.log" 2>&1
 
 curl -fsS "http://$EDGE_METRICS/metrics" >"$WORK/edge.metrics"
 curl -fsS "http://$CLOUD_METRICS/metrics" >"$WORK/cloud.metrics"
@@ -96,6 +100,10 @@ require edge 'wedge_edge_ack_hold_seconds_count{node="edge-1"} [1-9]'
 require edge 'wedge_wcrypto_verify_memo_misses_total{node="edge-1"} [1-9]'
 require edge 'wedge_wcrypto_verify_memo_hits_total{node="edge-1"}'
 require edge 'wedge_wcrypto_bad_signatures_total{node="edge-1"}'
+# Reads: the one get found its block certified, so the edge signed no
+# read answer.
+require edge 'wedge_edge_gets_total{node="edge-1"} 1$'
+require edge 'wedge_edge_read_signatures_total{node="edge-1"} 0$'
 # Cloud: certification, proof cache, disputes by verdict.
 require cloud 'wedge_certifies_total{node="cloud"} [1-9]'
 require cloud 'wedge_certify_seconds_count{node="cloud"} [1-9]'
