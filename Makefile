@@ -71,7 +71,10 @@ quick-diff:
 # memo kept whole triples) — the layer counterparts of the macro
 # benchmark's heap_bytes_per_put), and GetResponseCertified/PhaseI one
 # client get over four 100-entry blocks, all certified or the newest not:
-# the gap is the edge-signature check only a Phase I read pays; and
+# the gap is the edge-signature check only a Phase I read pays;
+# GetResponseCertifiedColdCerts the certified get with the window's two
+# newest certificates not yet in the session's memo: the gap is the two
+# Ed25519 checks the leader's certificate push moves off a get; and
 # AssembleScanCertified/PhaseI the edge's answer to that get: the gap is
 # the signature only a Phase I answer costs the edge.
 bench-micro:
@@ -103,7 +106,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20586
+LOC_CEILING := 20650
 loc:
 	@sh scripts/loc.sh
 loc-check:

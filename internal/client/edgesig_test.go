@@ -272,8 +272,10 @@ func windowBlocks(f *fixture, n int) ([]wire.Block, []wire.BlockProof) {
 // key in the oldest of four 100-entry blocks, each answered by a freshly
 // signed response. With certified false the newest block is uncertified,
 // so the client checks the edge's signature and pins the block's digest;
-// its proof is delivered outside the timer.
-func benchGetResponse(b *testing.B, certified bool) {
+// its proof is delivered outside the timer. With cold > 0 the session's
+// registry is replaced outside the timer by one whose memo holds every
+// certificate but the cold newest, so the get runs cold Ed25519 checks.
+func benchGetResponse(b *testing.B, certified bool, cold int) {
 	f := newFixture(b)
 	blocks, certs := windowBlocks(f, 4)
 	served := certs
@@ -286,6 +288,9 @@ func benchGetResponse(b *testing.B, certified bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		if cold > 0 {
+			f.c.reg = memoOf(b, f, certs[:len(certs)-cold])
+		}
 		op, envs := f.c.Get(10, []byte("key00042"))
 		req := envs[0].Msg.(*wire.ScanRequest)
 		resp := scan.Assemble(req.Start, req.End, req.ReqID, src, idx)
@@ -303,11 +308,32 @@ func benchGetResponse(b *testing.B, certified bool) {
 	}
 }
 
+// memoOf is a registry of f's keys whose memo holds exactly certs.
+func memoOf(b *testing.B, f *fixture, certs []wire.BlockProof) *wcrypto.Registry {
+	reg := wcrypto.NewRegistry()
+	for id, k := range f.keys {
+		reg.Register(id, k.Pub)
+	}
+	for i := range certs {
+		if err := wcrypto.VerifyMsg(reg, "cloud", &certs[i], certs[i].CloudSig); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return reg
+}
+
 // BenchmarkGetResponseCertified is a get whose every row is bound to a
-// cloud signature: no edge-signature check.
-func BenchmarkGetResponseCertified(b *testing.B) { benchGetResponse(b, true) }
+// cloud signature: no edge-signature check, and every certificate found
+// in the session's memo.
+func BenchmarkGetResponseCertified(b *testing.B) { benchGetResponse(b, true, 0) }
+
+// BenchmarkGetResponseCertifiedColdCerts is the same get with the window's
+// two newest certificates not yet in the memo: two Ed25519 checks. The gap
+// to BenchmarkGetResponseCertified is what a reader saves on a get when
+// the leader has pushed those certificates to it first.
+func BenchmarkGetResponseCertifiedColdCerts(b *testing.B) { benchGetResponse(b, true, 2) }
 
 // BenchmarkGetResponsePhaseI is the same get with the newest block
 // uncertified: one edge-signature check. The gap to
 // BenchmarkGetResponseCertified is that check.
-func BenchmarkGetResponsePhaseI(b *testing.B) { benchGetResponse(b, false) }
+func BenchmarkGetResponsePhaseI(b *testing.B) { benchGetResponse(b, false, 0) }

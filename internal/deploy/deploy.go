@@ -47,6 +47,8 @@ type Topology struct {
 	// Faults makes the edges it names byzantine.
 	Faults map[wire.NodeID]*edge.Fault
 	// DataDir, when set, gives every edge a durable store in DataDir/<id>.
+	// Only tests set it today: durable sim worlds are built on it, and so
+	// is the durable arm of the release auditor ROADMAP item 2 plans.
 	DataDir string
 	// Key makes a node's key pair; nil means wcrypto.DeterministicKey.
 	Key func(wire.NodeID) (wcrypto.KeyPair, error)

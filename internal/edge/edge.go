@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -339,15 +340,6 @@ func (n *Node) CloseStore() error {
 // ID implements core.Handler.
 func (n *Node) ID() wire.NodeID { return n.cfg.ID }
 
-// StoreSyncs reports the fsyncs issued by the persistent store (0 for
-// in-memory nodes) — the denominator of group-commit amortization.
-func (n *Node) StoreSyncs() uint64 {
-	if n.store == nil {
-		return 0
-	}
-	return n.store.Syncs()
-}
-
 // Log exposes the underlying log for tests and local measurement.
 func (n *Node) Log() *wlog.Log { return n.log }
 
@@ -401,7 +393,7 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return nil
 	}
 	n.turnStart = time.Now()
-	return n.releaseDue(now, n.receive(now, env))
+	return n.endTurn(now, n.receive(now, env))
 }
 
 // receive dispatches env to its handler.
@@ -475,8 +467,8 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 }
 
 // Tick implements core.Handler: flush partial blocks that have waited
-// past FlushEvery, and release group-commit acknowledgements whose sync
-// window elapsed.
+// past FlushEvery, release group-commit acknowledgements whose sync
+// window elapsed, and send the certificate pushes queued in earlier turns.
 func (n *Node) Tick(now int64) []wire.Envelope {
 	if n.killed {
 		return nil
@@ -492,7 +484,7 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 		n.lastHB = now
 		out = append(out, n.heartbeat(now))
 	}
-	return n.releaseDue(now, append(out, n.tickHealing(now)...))
+	return n.endTurn(now, append(out, n.tickHealing(now)...))
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
@@ -630,7 +622,7 @@ func (n *Node) shedSignal(now int64, client wire.NodeID, seq, backlog uint64) []
 // responses plus the data-free certification request. A persistent node
 // withholds the outputs until a group-commit fsync covers the block: the
 // one that ends this turn when the window has elapsed, else the one that
-// ends the first turn past it (releaseDue). Nothing reaches a client, a
+// ends the first turn past it (endTurn). Nothing reaches a client, a
 // follower or the cloud before durability.
 func (n *Node) emitBlock(now int64, blk *wire.Block) []wire.Envelope {
 	n.m.blocksCut.Inc()
@@ -664,14 +656,25 @@ func (n *Node) syncDue(now int64) bool {
 	return n.cfg.SyncEvery <= 0 || n.lastSync == noSync || now-n.lastSync >= n.cfg.SyncEvery
 }
 
-// releaseDue ends a turn: when outputs are withheld and the group-commit
+// endTurn ends a turn: when outputs are withheld and the group-commit
 // window has elapsed, it syncs and puts them ahead of the turn's own out.
-// A node that died in this turn releases nothing more.
-func (n *Node) releaseDue(now int64, out []wire.Envelope) []wire.Envelope {
-	if n.killed || n.lead == nil || len(n.lead.pendingAcks)+len(n.lead.heldCuts) == 0 || !n.syncDue(now) {
+// The certificate pushes queued in the previous turn follow out, and this
+// turn's wait for the next, so a reader's check of a certificate never
+// contends with its writers' own. A node that died in this turn releases
+// nothing more.
+func (n *Node) endTurn(now int64, out []wire.Envelope) []wire.Envelope {
+	l := n.lead
+	if n.killed || l == nil {
 		return out
 	}
-	return append(n.flushPending(now), out...)
+	if len(l.pendingAcks)+len(l.heldCuts) > 0 && n.syncDue(now) {
+		out = append(n.flushPending(now), out...)
+	}
+	for _, cp := range l.duePushes {
+		out = n.pushCert(out, cp)
+	}
+	l.duePushes, l.pushes = l.pushes, nil
+	return out
 }
 
 // flushPending issues the shared group-commit fsync and releases every
@@ -768,7 +771,11 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 }
 
 // handleProof installs the cloud's block-proof (Phase II) and forwards it
-// to every client that contributed to or read the block.
+// to every client that contributed to or read the block. A proof that
+// leaves no cut block uncertified is also queued for the leader's readers
+// (pushCert): with a backlog, writes are waiting on the cloud, the
+// pushed checks would compete with them for the processor, and a push
+// only moves a check that a later read would make anyway.
 func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wire.Envelope {
 	if from != n.cfg.Cloud {
 		return nil
@@ -801,10 +808,38 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 	for _, c := range waiting {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: cloneProof(p)})
 	}
+	if n.log.CertifiedBlocks() == n.log.NumBlocks() {
+		n.lead.pushes = append(n.lead.pushes, certPush{cloneProof(p), waiting})
+	}
 	// The table's floor chases the certified frontier, so its live window
 	// stays as small as the uncertified suffix.
 	n.lead.waiters.Advance(n.CertifiedBlocks())
 	out = append(out, n.maybeStartMerge(now)...)
+	return out
+}
+
+// pushCert appends to out a copy of a certificate queued in the previous
+// turn for every reader that can still cite it and has not checked it: not
+// one of its waiters, and not one whose last answer carried it. A block
+// the L0 merge in flight ships goes to nobody: it leaves the window when
+// the merge installs, within a cloud round trip. Readers are served in
+// name order, so a simulated run stays deterministic.
+func (n *Node) pushCert(out []wire.Envelope, cp certPush) []wire.Envelope {
+	l, bid := n.lead, cp.proof.BID
+	if m := l.merging; bid < n.l0From || m != nil && len(m.L0Blocks) > 0 && bid <= m.L0Blocks[len(m.L0Blocks)-1].ID {
+		return out
+	}
+	var to []wire.NodeID
+	for r, seen := range l.readers {
+		if seen <= bid && !slices.Contains(cp.waiting, r) {
+			to = append(to, r)
+		}
+	}
+	slices.Sort(to)
+	for _, r := range to {
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: r, Msg: cloneProof(cp.proof)})
+	}
+	n.m.certPushes.Add(uint64(len(to)))
 	return out
 }
 
@@ -1013,6 +1048,12 @@ func (n *Node) handleMergeResponse(now int64, from wire.NodeID, m *wire.MergeRes
 		return nil
 	}
 	if m.FromLevel == 0 {
+		if l := n.lead; l != nil {
+			// A reader that has not read since the previous L0 merge
+			// started reads too seldom to cite a pushed certificate before
+			// its block leaves the window.
+			maps.DeleteFunc(l.readers, func(_ wire.NodeID, seen uint64) bool { return seen < n.l0From })
+		}
 		n.l0From = m.ConsumedTo + 1
 		n.log.Release(n.l0From)
 	} else if err := n.idx.ClearLevel(int(m.FromLevel)); err != nil {

@@ -16,6 +16,7 @@ type metrics struct {
 	gets         *obs.Counter
 	scans        *obs.Counter
 	readSigs     *obs.Counter
+	certPushes   *obs.Counter
 	merges       *obs.Counter
 	bytesToCloud *obs.Counter
 	shed         *obs.Counter
@@ -62,6 +63,7 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.gets = c("wedge_edge_gets_total", "get(key) requests served")
 	m.scans = c("wedge_edge_scans_total", "scan requests served")
 	m.readSigs = c("wedge_edge_read_signatures_total", "read, get and scan answers signed: a denial and a Phase I answer; a certified one proves itself")
+	m.certPushes = c("wedge_edge_cert_pushes_total", "block proofs pushed to recent readers beyond the block's waiters, one turn after the waiters'")
 	m.merges = c("wedge_edge_merges_total", "compaction merges requested")
 	m.bytesToCloud = c("wedge_edge_cloud_bytes_total", "bytes sent on the edge-cloud coordination channel")
 	m.shed = c("wedge_edge_shed_writes_total", "writes shed by the MaxUncertified backpressure cap")

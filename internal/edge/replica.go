@@ -34,6 +34,16 @@ type leaderRole struct {
 	// those served it by a read, get, scan or re-ack. Its floor chases the
 	// certified frontier — a certified block registers no waiter.
 	waiters core.Window[[]wire.NodeID]
+	// readers maps each session that sent a ScanRequest to the certified
+	// frontier its last one saw: that answer carried every certificate
+	// below it. The leader pushes the certificates it installs to its
+	// readers too (pushCert), so a later get or scan citing the block
+	// finds it checked. An L0 install drops the readers that have not
+	// read since the previous L0 merge started.
+	readers map[wire.NodeID]uint64
+	// pushes are the certificates queued in this turn; at its end they
+	// become duePushes, which leave at the end of the next turn (endTurn).
+	pushes, duePushes []certPush
 	// merging is the merge request in flight (at most one), kept whole:
 	// the response carries no pages, so the merged level is re-derived
 	// from its blocks, which the log holds anyway, and the index's levels,
@@ -53,13 +63,20 @@ type leaderRole struct {
 	certStallSince   int64
 }
 
+// certPush is a certificate queued for the leader's readers, with the
+// waiters it was forwarded to at once.
+type certPush struct {
+	proof   *wire.BlockProof
+	waiting []wire.NodeID
+}
+
 // newLeaderRole starts leading on log with the view's followers (self
 // left out). Whatever the log holds was acknowledged before this role —
 // cut in an earlier life, recovered, or mirrored — so nothing behind its
 // frontier has a submitter, and nothing behind the certified frontier a
 // waiter.
 func newLeaderRole(self wire.NodeID, followers []wire.NodeID, log *wlog.Log) *leaderRole {
-	r := &leaderRole{followers: fanOut(self, followers)}
+	r := &leaderRole{followers: fanOut(self, followers), readers: map[wire.NodeID]uint64{}}
 	r.reqs.Advance(log.NextPos())
 	r.waiters.Advance(log.CertifiedBlocks())
 	return r

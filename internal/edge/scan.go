@@ -29,6 +29,7 @@ func (n *Node) handleScan(now int64, from wire.NodeID, m *wire.ScanRequest) []wi
 		return nil
 	}
 	n.awaitProofs(from, resp.Proof.L0Pruned)
+	n.lead.readers[from] = n.CertifiedBlocks()
 	return []wire.Envelope{{From: n.cfg.ID, To: from, Msg: resp}}
 }
 

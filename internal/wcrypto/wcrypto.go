@@ -120,8 +120,9 @@ func fingerprintOf(pub ed25519.PublicKey, digest *[sha256.Size]byte, sig []byte)
 // remembers at most 2*memoGen fingerprints (about 0.17 MB at the cap). It
 // is sized from how far apart a statement is presented again, counted in
 // checks against the registry from its first verification to its last
-// memo hit: at most 432 on the macro benchmark's four workloads
-// (mixed_cluster's client sessions), 151 in the façade's tests, examples
+// memo hit: at most 371 on the macro benchmark's four workloads
+// (mixed_cluster's client sessions, with the leader pushing certificates
+// to its recent readers), 151 in the façade's tests, examples
 // and experiments outside chaos. memoGen is the first power of two at
 // least twice the larger. A hit carries its statement into the current
 // generation, so the bound is on the distance between two presentations,
