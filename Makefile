@@ -106,7 +106,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20650
+LOC_CEILING := 20638
 loc:
 	@sh scripts/loc.sh
 loc-check:

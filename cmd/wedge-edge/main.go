@@ -35,8 +35,6 @@ func main() {
 
 	// Robustness knobs (see docs/RUNBOOK.md "Chaos recipes").
 	flag.IntVar(&cfg.MaxUncertified, "max-uncertified", 0, "shed writes while more than this many blocks await certification (0 = no cap)")
-	cli.DurationVar(&cfg.CertRetryEvery, "cert-retry", "re-submit certification after the frontier stalls this `duration`, and a merge request unanswered this long (0 = the replica-group default, negative disables)")
-	cli.DurationVar(&cfg.CatchUpEvery, "catchup-every", "follower gap-driven catch-up period, a `duration` (0 = the replica-group default, negative disables)")
 	flag.Parse()
 
 	key, reg, err := node.Keys()

@@ -11,16 +11,18 @@ import (
 
 // TestFacadeShedLosesNoAckedWrite is admission control end to end: 16
 // sessions hammer an edge whose uncertified backlog is capped at two blocks
-// while certification crawls over a 5 ms cloud link. The edge sheds with
+// while certification crawls over a 5 ms cloud link, held for its first
+// 300 ms. The edge sheds with
 // signed overload signals; the sessions pace their re-sends by them and
 // surface ErrOverloaded once those run out, and the writers retry. Every
 // write the edge did acknowledge must still reach Phase II, and nobody is
 // convicted — shedding may reject, never lose.
 func TestFacadeShedLosesNoAckedWrite(t *testing.T) {
+	wan := NewChaos(1)
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 1, FlushEvery: time.Millisecond,
 		MaxUncertified: 2, RetryEvery: 20 * time.Millisecond, MaxAttempts: 6,
-		Chaos: cloudDelay(5 * time.Millisecond),
+		Chaos: wan,
 	})
 	const writers, perWriter = 16, 8
 	clients := make([]*Client, writers)
@@ -30,6 +32,14 @@ func TestFacadeShedLosesNoAckedWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The edge's frames to the cloud are held for the writers' first
+	// 300 ms, so the backlog passes the cap however fast the edge
+	// certifies; the first matching rule applies.
+	now, hold := time.Now().UnixNano(), int64(300*time.Millisecond)
+	wan.Add(ChaosRule{From: EdgeID(1), To: CloudID, FromT: now, ToT: now + hold, Faults: LinkFaults{DelayMin: hold, DelayMax: hold}})
+	delay := LinkFaults{DelayMin: int64(5 * time.Millisecond), DelayMax: int64(5 * time.Millisecond)}
+	wan.Add(ChaosRule{From: CloudID, Faults: delay})
+	wan.Add(ChaosRule{To: CloudID, Faults: delay})
 	var mu sync.Mutex
 	var acked []*Receipt
 	var overloaded, unavailable atomic.Int64

@@ -27,7 +27,7 @@ func refusedAndConvicted(t *testing.T, f *scanFixture, op *Op, msg wire.Message)
 	if !ok {
 		t.Fatalf("filed %T, not a dispute", outs[0].Msg)
 	}
-	if v := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d); !v.Guilty {
+	if v := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d, d.Edge); !v.Guilty {
 		t.Fatalf("judge acquitted: %s", v.Reason)
 	}
 }

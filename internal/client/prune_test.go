@@ -60,9 +60,9 @@ func deliverable(t *testing.T, framed bool, msg wire.Message) wire.Envelope {
 func judgeWith(f *fixture, d *wire.Dispute, certified ...*wire.Block) wire.Verdict {
 	certs := core.NewCertTable()
 	for _, b := range certified {
-		certs.Certify("edge-1", b.ID, wcrypto.RecomputedBlockDigest(b), 0)
+		certs.Certify("edge-1", b.ID, wcrypto.RecomputedBlockDigest(b))
 	}
-	return core.Judge(f.reg, certs, "cloud", "c1", d)
+	return core.Judge(f.reg, certs, "cloud", "c1", d, d.Edge)
 }
 
 // getOver assembles the edge's answer to a get (the scan of its point
@@ -470,7 +470,7 @@ func TestGetProofTimeoutDisputesPendingBid(t *testing.T) {
 		t.Fatalf("dispute names bid %d, want 5", d.BID)
 	}
 	// The Judge never saw block 5 certified: promised-but-never-certified.
-	verdict := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d)
+	verdict := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d, d.Edge)
 	if !verdict.Guilty {
 		t.Fatalf("judge acquitted: %s", verdict.Reason)
 	}

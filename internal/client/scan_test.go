@@ -113,7 +113,7 @@ func TestScanOmissionParityAndConviction(t *testing.T) {
 		if !ok || d.Kind != wire.DisputeScanLie {
 			t.Fatalf("framed=%v: wrong dispute: %+v", framed, outs[0].Msg)
 		}
-		verdict := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d)
+		verdict := core.Judge(f.reg, core.NewCertTable(), "cloud", "c1", d, d.Edge)
 		if !verdict.Guilty {
 			t.Fatalf("framed=%v: judge acquitted: %s", framed, verdict.Reason)
 		}

@@ -358,12 +358,7 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify) [
 // duplicate.
 func (n *Node) certifyOne(now int64, chain, from wire.NodeID, bid uint64, digest []byte) []wire.Envelope {
 	st := n.edge(chain)
-	// Data-free certification cannot know the entry count; edges report
-	// batch-sized blocks, so gossip uses block counts plus the certify
-	// message's implicit batch. We conservatively count entries at merge
-	// time; gossip LogSize uses certified entries recorded there. For
-	// block-level omission detection the Blocks counter suffices.
-	switch n.certs.Certify(chain, bid, digest, 0) {
+	switch n.certs.Certify(chain, bid, digest) {
 	case core.CertAccepted:
 		n.m.certifies.Inc()
 		proof := n.signedProof(st, chain, bid, digest)
@@ -486,8 +481,7 @@ func (n *Node) VerdictsFor(edge wire.NodeID) []wire.Verdict {
 // was first issued; a replay only re-delivers the same signed ruling.
 func (n *Node) handleDispute(now int64, from wire.NodeID, d *wire.Dispute) []wire.Envelope {
 	// The accused is a node; certificates, scan artifacts and gossip are
-	// keyed by its chain. For ungrouped edges the two coincide and
-	// JudgeForChain degenerates to the legacy Judge.
+	// keyed by its chain. For ungrouped edges the two coincide.
 	chain := n.chainOf(d.Edge)
 	// Claimant gate before any cache access: only well-signed disputes
 	// may read or seed memoized verdicts, so a forged accusation can
@@ -513,7 +507,7 @@ func (n *Node) handleDispute(now int64, from wire.NodeID, d *wire.Dispute) []wir
 		return append(out, n.attachProof(chain, d.BID, from)...)
 	}
 	n.m.judgeDecodes.Inc()
-	v := core.JudgeForChain(n.reg, n.certs, n.cfg.ID, from, d, chain)
+	v := core.Judge(n.reg, n.certs, n.cfg.ID, from, d, chain)
 	if v.Guilty {
 		n.m.disputesGuilty.Inc()
 	} else {

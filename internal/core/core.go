@@ -102,8 +102,9 @@ const (
 )
 
 // Certify records digest for (edge, bid), applying first-writer-wins.
-// entryCount is the number of entries in the block (for gossip log sizes).
-func (t *CertTable) Certify(edge wire.NodeID, bid uint64, digest []byte, entryCount uint64) CertResult {
+// Certification is data-free, so it credits no entries (AddEntries does,
+// at merge time).
+func (t *CertTable) Certify(edge wire.NodeID, bid uint64, digest []byte) CertResult {
 	m := t.digests[edge]
 	if m == nil {
 		m = make(map[uint64][]byte)
@@ -116,7 +117,6 @@ func (t *CertTable) Certify(edge wire.NodeID, bid uint64, digest []byte, entryCo
 		return CertConflict
 	}
 	m[bid] = append([]byte(nil), digest...)
-	t.entries[edge] += entryCount
 	t.blocks[edge]++
 	return CertAccepted
 }
@@ -261,18 +261,14 @@ func BuildOmissionDispute(key wcrypto.KeyPair, edge wire.NodeID, denial *wire.Re
 //     table refutes.
 //   - omission: guilty when the edge's signed denial is timestamped at or
 //     after cloud gossip covering the denied block.
-func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *wire.Dispute) wire.Verdict {
-	return JudgeForChain(reg, certs, self, from, d, d.Edge)
-}
-
-// JudgeForChain adjudicates like Judge, but resolves certified state under
-// the given chain identity while the accused node d.Edge remains the
-// evidence signer. In a replica-group deployment blocks, certificates,
+//
+// Certified state is resolved under chain, while the accused node d.Edge
+// remains the evidence signer: in a replica group, blocks, certificates,
 // roots and gossip are keyed by the chain (the shard's stable identity),
 // yet the promise under judgment was signed by whichever node served it —
-// leader today, a promoted follower tomorrow. Legacy single-node shards
-// pass chain == d.Edge and behave exactly as before.
-func JudgeForChain(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *wire.Dispute, chain wire.NodeID) wire.Verdict {
+// leader today, a promoted follower tomorrow. An unreplicated shard's chain
+// is d.Edge.
+func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *wire.Dispute, chain wire.NodeID) wire.Verdict {
 	verdict := wire.Verdict{Edge: d.Edge, BID: d.BID, Kind: d.Kind}
 	if err := wcrypto.VerifyMsg(reg, from, d, d.ClientSig); err != nil {
 		verdict.Reason = "dispute rejected: bad client signature"

@@ -26,13 +26,13 @@ func TestCertTableFirstWriterWins(t *testing.T) {
 	d1 := wcrypto.Digest([]byte("block-0-honest"))
 	d2 := wcrypto.Digest([]byte("block-0-forged"))
 
-	if got := ct.Certify("edge-1", 0, d1, 10); got != CertAccepted {
+	if got := ct.Certify("edge-1", 0, d1); got != CertAccepted {
 		t.Fatalf("first certify = %v", got)
 	}
-	if got := ct.Certify("edge-1", 0, d1, 10); got != CertDuplicate {
+	if got := ct.Certify("edge-1", 0, d1); got != CertDuplicate {
 		t.Fatalf("duplicate certify = %v", got)
 	}
-	if got := ct.Certify("edge-1", 0, d2, 10); got != CertConflict {
+	if got := ct.Certify("edge-1", 0, d2); got != CertConflict {
 		t.Fatalf("conflicting certify = %v", got)
 	}
 	// The original digest must survive the conflict attempt.
@@ -41,15 +41,15 @@ func TestCertTableFirstWriterWins(t *testing.T) {
 		t.Fatal("certified digest changed after conflict")
 	}
 	// Same bid on another edge is independent.
-	if got := ct.Certify("edge-2", 0, d2, 5); got != CertAccepted {
+	if got := ct.Certify("edge-2", 0, d2); got != CertAccepted {
 		t.Fatalf("other edge certify = %v", got)
 	}
 }
 
 func TestCertTableCounters(t *testing.T) {
 	ct := NewCertTable()
-	ct.Certify("e", 0, wcrypto.Digest([]byte("a")), 0)
-	ct.Certify("e", 1, wcrypto.Digest([]byte("b")), 0)
+	ct.Certify("e", 0, wcrypto.Digest([]byte("a")))
+	ct.Certify("e", 1, wcrypto.Digest([]byte("b")))
 	if ct.Blocks("e") != 2 {
 		t.Fatalf("Blocks = %d", ct.Blocks("e"))
 	}
@@ -94,14 +94,14 @@ func TestJudgeConvictsDigestMismatch(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	honest := testBlock()
-	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest), 1)
+	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest))
 
 	// The edge promised the client a different block.
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
 	lied.Entries[0].Value = []byte("tampered")
 	d := BuildAddLieDispute(keys["c1"], "edge-1", buildEvidence(keys, lied))
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if !v.Guilty {
 		t.Fatalf("verdict = %+v, want guilty", v)
 	}
@@ -111,10 +111,10 @@ func TestJudgeAcquitsMatchingDigest(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	honest := testBlock()
-	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest), 1)
+	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest))
 
 	d := BuildAddLieDispute(keys["c1"], "edge-1", buildEvidence(keys, honest))
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if v.Guilty {
 		t.Fatalf("verdict = %+v, want not guilty", v)
 	}
@@ -124,7 +124,7 @@ func TestJudgeConvictsNeverCertified(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	d := BuildAddLieDispute(keys["c1"], "edge-1", buildEvidence(keys, testBlock()))
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if !v.Guilty {
 		t.Fatalf("verdict = %+v, want guilty (promised but never certified)", v)
 	}
@@ -137,7 +137,7 @@ func TestJudgeRejectsForgedEvidence(t *testing.T) {
 	resp := &wire.PutResponse{BID: 0, Block: testBlock()}
 	resp.EdgeSig = wcrypto.SignMsg(keys["evil"], resp)
 	d := BuildAddLieDispute(keys["c1"], "edge-1", resp)
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if v.Guilty {
 		t.Fatal("forged evidence convicted the edge")
 	}
@@ -148,7 +148,7 @@ func TestJudgeRejectsBadClientSignature(t *testing.T) {
 	ct := NewCertTable()
 	d := BuildAddLieDispute(keys["c1"], "edge-1", buildEvidence(keys, testBlock()))
 	d.ClientSig[0] ^= 1
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if v.Guilty {
 		t.Fatal("tampered dispute convicted the edge")
 	}
@@ -158,7 +158,7 @@ func TestJudgeReadLie(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	honest := testBlock()
-	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest), 1)
+	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest))
 
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
@@ -167,7 +167,7 @@ func TestJudgeReadLie(t *testing.T) {
 	resp.EdgeSig = wcrypto.SignMsg(keys["edge-1"], resp)
 
 	d := BuildReadLieDispute(keys["c1"], "edge-1", resp)
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if !v.Guilty || v.Kind != wire.DisputeReadLie {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -186,7 +186,7 @@ func TestJudgeGetLie(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	honest := testBlock()
-	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest), 1)
+	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest))
 
 	lied := honest
 	lied.Entries = append([]wire.Entry(nil), honest.Entries...)
@@ -194,7 +194,7 @@ func TestJudgeGetLie(t *testing.T) {
 	resp := pointScan(keys, lied.Entries[0].Key, mlsm.L0Source{Blocks: []wire.Block{lied}}, mlsm.NewIndex([]int{10}))
 
 	d := BuildScanLieDispute(keys["c1"], "edge-1", 0, resp)
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if !v.Guilty || v.Kind != wire.DisputeScanLie {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -203,7 +203,7 @@ func TestJudgeGetLie(t *testing.T) {
 	// any evidence.
 	d.Kind = wire.DisputeGetLie
 	d.ClientSig = wcrypto.SignMsg(keys["c1"], d)
-	if v := Judge(reg, ct, "cloud", "c1", d); v.Guilty {
+	if v := Judge(reg, ct, "cloud", "c1", d, d.Edge); v.Guilty {
 		t.Fatalf("retired get-lie kind convicted: %s", v.Reason)
 	}
 	if wire.DisputeGetLie != 4 || wire.DisputeScanLie != 5 {
@@ -226,11 +226,11 @@ func TestJudgeGetL0HitNeedsNoIndexState(t *testing.T) {
 		Edge: "edge-1", ID: 45, StartPos: 90,
 		Entries: []wire.Entry{{Client: "c1", Seq: 1, Key: []byte("hot"), Value: []byte("v")}},
 	}
-	ct.Certify("edge-1", 45, wcrypto.BlockDigest(&blk), 1)
+	ct.Certify("edge-1", 45, wcrypto.BlockDigest(&blk))
 
 	dispute := func(key string) wire.Verdict {
 		resp := pointScan(keys, []byte(key), mlsm.L0Source{Blocks: []wire.Block{blk}}, mlsm.NewIndex([]int{10}))
-		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 45, resp))
+		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 45, resp), "edge-1")
 	}
 	if v := dispute("hot"); v.Guilty {
 		t.Fatalf("honest L0-hit get convicted: %s", v.Reason)
@@ -253,7 +253,7 @@ func TestJudgeRefusesUnsignedScanEvidence(t *testing.T) {
 	}
 	cert := wire.BlockProof{Edge: "edge-1", BID: 0, Digest: wcrypto.BlockDigest(&blk)}
 	cert.CloudSig = wcrypto.SignMsg(keys["cloud"], &cert)
-	ct.Certify("edge-1", 0, cert.Digest, 1)
+	ct.Certify("edge-1", 0, cert.Digest)
 	resp := scan.Assemble(nil, nil, 1, mlsm.L0Source{Blocks: []wire.Block{blk}, Certs: []wire.BlockProof{cert}}, mlsm.NewIndex([]int{10}))
 	if scan.PinsDigest(resp) || len(resp.EdgeSig) != 0 {
 		t.Fatal("certified answer pins a digest or carries a signature")
@@ -261,7 +261,7 @@ func TestJudgeRefusesUnsignedScanEvidence(t *testing.T) {
 	// Alter a row: the slice no longer folds to the certified digest.
 	resp.Proof.L0Pruned[0].Rows[0].Entry.Value = []byte("forged")
 	judge := func() wire.Verdict {
-		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 0, resp))
+		return Judge(reg, ct, "cloud", "c1", BuildScanLieDispute(keys["c1"], "edge-1", 0, resp), "edge-1")
 	}
 	if v := judge(); v.Guilty || v.Reason != "dispute rejected: evidence not signed by edge" {
 		t.Fatalf("unsigned evidence: guilty %v, %s", v.Guilty, v.Reason)
@@ -276,7 +276,7 @@ func TestJudgeOmission(t *testing.T) {
 	keys, reg := testKeys(t)
 	ct := NewCertTable()
 	honest := testBlock()
-	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest), 1)
+	ct.Certify("edge-1", 0, wcrypto.BlockDigest(&honest))
 
 	gossip := &wire.Gossip{Edge: "edge-1", Ts: 100, LogSize: 1, Blocks: 1}
 	gossip.CloudSig = wcrypto.SignMsg(keys["cloud"], gossip)
@@ -285,7 +285,7 @@ func TestJudgeOmission(t *testing.T) {
 	denial.EdgeSig = wcrypto.SignMsg(keys["edge-1"], denial)
 
 	d := BuildOmissionDispute(keys["c1"], "edge-1", denial, gossip)
-	v := Judge(reg, ct, "cloud", "c1", d)
+	v := Judge(reg, ct, "cloud", "c1", d, d.Edge)
 	if !v.Guilty || v.Kind != wire.DisputeOmission {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -294,7 +294,7 @@ func TestJudgeOmission(t *testing.T) {
 	early := &wire.ReadResponse{ReqID: 2, BID: 0, OK: false, Ts: 50}
 	early.EdgeSig = wcrypto.SignMsg(keys["edge-1"], early)
 	d2 := BuildOmissionDispute(keys["c1"], "edge-1", early, gossip)
-	if v := Judge(reg, ct, "cloud", "c1", d2); v.Guilty {
+	if v := Judge(reg, ct, "cloud", "c1", d2, d2.Edge); v.Guilty {
 		t.Fatal("pre-gossip denial convicted")
 	}
 
@@ -302,7 +302,7 @@ func TestJudgeOmission(t *testing.T) {
 	far := &wire.ReadResponse{ReqID: 3, BID: 9, OK: false, Ts: 150}
 	far.EdgeSig = wcrypto.SignMsg(keys["edge-1"], far)
 	d3 := BuildOmissionDispute(keys["c1"], "edge-1", far, gossip)
-	if v := Judge(reg, ct, "cloud", "c1", d3); v.Guilty {
+	if v := Judge(reg, ct, "cloud", "c1", d3, d3.Edge); v.Guilty {
 		t.Fatal("uncovered denial convicted")
 	}
 }
@@ -324,14 +324,14 @@ func TestJudgeOmissionRejectsGossipNotSignedByCloud(t *testing.T) {
 
 	forged := &wire.Gossip{Edge: "edge-1", Ts: 50, Blocks: 10}
 	forged.CloudSig = wcrypto.SignMsg(keys["c1"], forged)
-	v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, forged))
+	v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, forged), "edge-1")
 	if v.Guilty || v.Reason != "dispute rejected: gossip not signed by cloud" {
 		t.Fatalf("client-signed gossip: guilty=%v reason=%q", v.Guilty, v.Reason)
 	}
 
 	genuine := &wire.Gossip{Edge: "edge-1", Ts: 50, Blocks: 10}
 	genuine.CloudSig = wcrypto.SignMsg(keys["cloud-b"], genuine)
-	if v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, genuine)); !v.Guilty {
+	if v := Judge(reg, NewCertTable(), "cloud-b", "c1", BuildOmissionDispute(keys["c1"], "edge-1", denial, genuine), "edge-1"); !v.Guilty {
 		t.Fatalf("cloud-signed gossip acquitted: %s", v.Reason)
 	}
 }
@@ -341,7 +341,7 @@ func TestJudgeRejectsUndecodableEvidence(t *testing.T) {
 	ct := NewCertTable()
 	d := &wire.Dispute{Kind: wire.DisputeAddLie, Edge: "edge-1", BID: 0, Evidence: []byte{1, 2, 3}}
 	d.ClientSig = wcrypto.SignMsg(keys["c1"], d)
-	if v := Judge(reg, ct, "cloud", "c1", d); v.Guilty {
+	if v := Judge(reg, ct, "cloud", "c1", d, d.Edge); v.Guilty {
 		t.Fatal("garbage evidence convicted")
 	}
 }

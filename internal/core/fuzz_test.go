@@ -43,7 +43,7 @@ func fuzzWindow(data []byte, keys map[wire.NodeID]wcrypto.KeyPair) (*CertTable, 
 		digest := blk.BodyDigest()
 		cert := wire.BlockProof{}
 		if at(i)%3 != 0 {
-			certs.Certify("edge-1", blk.ID, digest, uint64(len(blk.Entries)))
+			certs.Certify("edge-1", blk.ID, digest)
 			cert = wire.BlockProof{Edge: "edge-1", BID: blk.ID, Digest: digest}
 			cert.CloudSig = wcrypto.SignMsg(keys["cloud"], &cert)
 		}
@@ -99,7 +99,7 @@ func FuzzL0Slice(f *testing.F) {
 		// Honest evidence from the same bytes: no verdict.
 		certs, resp, bid := fuzzWindow(data, keys)
 		d := BuildScanLieDispute(keys["c1"], "edge-1", bid, resp)
-		if v := Judge(reg, certs, "cloud", "c1", d); v.Guilty {
+		if v := Judge(reg, certs, "cloud", "c1", d, d.Edge); v.Guilty {
 			// An uncertified block was promised and never certified: that
 			// conviction is the protocol's, not a verifier defect.
 			if _, certified := certs.Lookup("edge-1", bid); certified {

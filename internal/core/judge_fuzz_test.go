@@ -50,7 +50,7 @@ func newJudgeWorld(tb testing.TB) *judgeWorld {
 		blk := wire.Block{Edge: "edge-1", ID: uint64(i), StartPos: pos, Ts: int64(i), Entries: entries}
 		pos += uint64(len(entries))
 		blk.Freeze()
-		w.certs.Certify("edge-1", blk.ID, wcrypto.BlockDigest(&blk), uint64(len(entries)))
+		w.certs.Certify("edge-1", blk.ID, wcrypto.BlockDigest(&blk))
 		w.blocks = append(w.blocks, blk)
 	}
 	var kvs []wire.KV
@@ -293,7 +293,7 @@ func FuzzJudge(f *testing.F) {
 	}
 	for _, name := range sortedKeys(lies) {
 		d := lies[name]
-		if v := Judge(w.reg, w.certs, "cloud", "c1", d); !v.Guilty {
+		if v := Judge(w.reg, w.certs, "cloud", "c1", d, d.Edge); !v.Guilty {
 			f.Fatalf("%s acquitted: %s", name, v.Reason)
 		}
 		add(d)
@@ -306,7 +306,7 @@ func FuzzJudge(f *testing.F) {
 			return
 		}
 		d.ClientSig = wcrypto.SignMsg(w.keys["c1"], d)
-		v := Judge(w.reg, w.certs, "cloud", "c1", d)
+		v := Judge(w.reg, w.certs, "cloud", "c1", d, d.Edge)
 		ev, err := wire.DecodeMessage(d.Evidence)
 		if err != nil {
 			return
@@ -323,7 +323,7 @@ func FuzzJudge(f *testing.F) {
 		forged := *d
 		forged.Evidence = wire.EncodeMessage(w.signed(other, ev))
 		forged.ClientSig = wcrypto.SignMsg(w.keys["c1"], &forged)
-		if v := Judge(w.reg, w.certs, "cloud", "c1", &forged); v.Guilty {
+		if v := Judge(w.reg, w.certs, "cloud", "c1", &forged, forged.Edge); v.Guilty {
 			t.Fatalf("%T signed by %s convicted %s: %s", ev, other, d.Edge, v.Reason)
 		}
 
@@ -334,7 +334,7 @@ func FuzzJudge(f *testing.F) {
 				forged := *d
 				forged.Evidence2 = wire.EncodeMessage(g)
 				forged.ClientSig = wcrypto.SignMsg(w.keys["c1"], &forged)
-				if v := Judge(w.reg, w.certs, "cloud", "c1", &forged); v.Guilty {
+				if v := Judge(w.reg, w.certs, "cloud", "c1", &forged, forged.Edge); v.Guilty {
 					t.Fatalf("gossip signed by edge-1 convicted: %s", v.Reason)
 				}
 			}

@@ -118,12 +118,11 @@ func (n *Node) handleCatchUpRequest(now int64, from wire.NodeID, m *wire.CatchUp
 // blocks the mirror already holds. Clients consume the same message for
 // freshness; an edge only acts on it as a follower.
 func (n *Node) handleGossip(now int64, from wire.NodeID, m *wire.Gossip) []wire.Envelope {
-	if n.follow == nil || from != n.cfg.Cloud || m.Edge != n.cfg.Chain ||
-		n.follow.leader == "" || n.cfg.CatchUpEvery <= 0 {
+	if n.follow == nil || from != n.cfg.Cloud || m.Edge != n.cfg.Chain || n.follow.leader == "" {
 		return nil
 	}
 	if (m.Blocks <= n.log.NumBlocks() && m.Blocks <= n.log.CertifiedBlocks()) ||
-		now-n.follow.lastCatchUp < n.cfg.CatchUpEvery {
+		now-n.follow.lastCatchUp < catchUpEvery {
 		return nil
 	}
 	if err := wcrypto.VerifyMsg(n.reg, n.cfg.Cloud, m, m.CloudSig); err != nil {

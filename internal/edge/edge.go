@@ -56,20 +56,6 @@ type Config struct {
 	// nanoseconds. 0 = the layer default in a replica group (Follower set
 	// or Followers non-empty), and no heartbeat outside one.
 	HeartbeatEvery int64
-	// CertRetryEvery re-submits certification for the uncertified backlog
-	// when the certified frontier has not advanced for this many
-	// nanoseconds — lost BlockCertify or BlockProof frames heal instead
-	// of wedging Phase II (the cloud answers duplicates with the cached
-	// proof, so retries are idempotent). A merge request whose response is
-	// overdue by the same period is re-sent too (the cloud answers a repeat
-	// with the response it already signed). 0 = the layer default, which
-	// is on in replica groups only; negative disables.
-	CertRetryEvery int64
-	// CatchUpEvery is how often a follower with a detected replication
-	// gap (stashed out-of-order blocks or early certificates) asks its
-	// leader for the missing run. 0 = the layer default, which is on in
-	// replica groups only; negative disables.
-	CatchUpEvery int64
 	// MaxUncertified sheds client writes while more than this many cut
 	// blocks await certification — explicit backpressure instead of an
 	// unbounded uncertified backlog when the cloud link degrades. 0
@@ -119,6 +105,14 @@ type Config struct {
 // reserveTTL bounds how long a reserved log position stays open (ns).
 const reserveTTL = int64(5e9)
 
+// Healing periods (ns), the same on every node (tickHealing), and the wait
+// an Overloaded signal asks of a shed client.
+const (
+	stallPeriod  = int64(1e9) // a stuck certified frontier re-certifies; an idle merge's first wait
+	catchUpEvery = int64(5e8) // a follower asks for a replication gap at most this often
+	retryAfter   = int64(1e8)
+)
+
 // fill replaces every zero knob with the layer default. It is the one
 // place those defaults are written, and it is idempotent: a negative
 // value (a mechanism turned off) passes through untouched.
@@ -126,16 +120,8 @@ func (c *Config) fill() {
 	if c.Chain == "" {
 		c.Chain = c.ID
 	}
-	if c.Follower || len(c.Followers) > 0 {
-		if c.HeartbeatEvery == 0 {
-			c.HeartbeatEvery = int64(2e8)
-		}
-		if c.CertRetryEvery == 0 {
-			c.CertRetryEvery = int64(1e9)
-		}
-		if c.CatchUpEvery == 0 {
-			c.CatchUpEvery = int64(5e8)
-		}
+	if c.HeartbeatEvery == 0 && (c.Follower || len(c.Followers) > 0) {
+		c.HeartbeatEvery = int64(2e8)
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
@@ -152,8 +138,8 @@ func (c *Config) fill() {
 }
 
 // Defaults returns a zero Config with every knob at its layer default:
-// the values a binary's flags start from. Knobs that run only in replica
-// groups stay 0 here, which New reads as their group default.
+// the values a binary's flags start from. The heartbeat, which runs only
+// in replica groups, stays 0 here, which New reads as its group default.
 func Defaults() (c Config) {
 	c.fill()
 	return c
@@ -488,20 +474,19 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
-// certification retry and overdue-merge retry, and the follower's
+// certification retry and idle-link merge retry, and the follower's
 // gap-driven catch-up.
 func (n *Node) tickHealing(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	if f := n.follow; f != nil {
-		if f.leader != "" && n.cfg.CatchUpEvery > 0 &&
-			(len(f.pendingRepl) > 0 || len(f.pendingCerts) > 0) &&
-			now-f.lastCatchUp >= n.cfg.CatchUpEvery {
+		if f.leader != "" && (len(f.pendingRepl) > 0 || len(f.pendingCerts) > 0) &&
+			now-f.lastCatchUp >= catchUpEvery {
 			out = append(out, n.requestCatchUp(now, n.log.NumBlocks()))
 		}
 		return out
 	}
 	l := n.lead
-	if n.cfg.CertRetryEvery > 0 && (n.cfg.Fault == nil || !n.cfg.Fault.DropCertify) {
+	if n.cfg.Fault == nil || !n.cfg.Fault.DropCertify {
 		var frontier uint64
 		if ct, ok := n.log.CertifiedThrough(); ok {
 			frontier = ct + 1
@@ -510,7 +495,7 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 			// No backlog, or the frontier moved: (re)arm the stall timer.
 			l.lastCertFrontier = frontier
 			l.certStallSince = now
-		} else if now-l.certStallSince >= n.cfg.CertRetryEvery {
+		} else if now-l.certStallSince >= stallPeriod {
 			// The backlog is stuck: the certify request or its proof was
 			// lost. Re-submit the whole uncertified tail — the cloud
 			// answers already-certified digests with the cached proof, so
@@ -524,13 +509,17 @@ func (n *Node) tickHealing(now int64) []wire.Envelope {
 			}
 		}
 	}
-	if l.merging != nil && n.cfg.CertRetryEvery > 0 && now-l.mergeSentAt >= n.cfg.CertRetryEvery {
-		// The request or its response was lost. If the cloud never saw
-		// the request it merges now; if it did, it replays the response it
-		// already signed — a repeat never merges twice.
-		n.m.mergeRetries.Inc()
-		n.logf("merge response overdue; re-sending request", "req", l.merging.ReqID)
-		out = append(out, n.sendMerge(now, l.merging))
+	if l.merging != nil {
+		if n.log.CertifiedBlocks() < n.log.NumBlocks() {
+			// A cut block awaits its certificate: a proof may yet bring the
+			// evidence of loss (handleProof), so the idle wait restarts.
+			l.mergeQuiet = now
+		} else if now-l.mergeQuiet >= l.mergeWait {
+			// No proof can show the loss. Doubling the wait re-sends a merge
+			// slower than it to cross the link a few times, not every period.
+			l.mergeWait *= 2
+			out = append(out, n.sendMerge(now, "merge unanswered on an idle link; re-sending request"))
+		}
 	}
 	return out
 }
@@ -599,21 +588,17 @@ const overloadMapCap = 4096
 // backoff to every write it has in flight here, so per-entry signals would
 // be redundant.
 func (n *Node) shedSignal(now int64, client wire.NodeID, seq, backlog uint64) []wire.Envelope {
-	hint := n.cfg.CertRetryEvery
-	if hint <= 0 {
-		hint = int64(1e8)
-	}
 	if n.lastOverload == nil {
 		n.lastOverload = make(map[wire.NodeID]int64)
 	} else if len(n.lastOverload) > overloadMapCap {
 		n.lastOverload = make(map[wire.NodeID]int64)
 	}
-	if last, ok := n.lastOverload[client]; ok && now-last < hint {
+	if last, ok := n.lastOverload[client]; ok && now-last < retryAfter {
 		return nil
 	}
 	n.lastOverload[client] = now
 	n.m.shedSignals.Inc()
-	m := &wire.Overloaded{Seq: seq, RetryAfter: hint, Backlog: backlog}
+	m := &wire.Overloaded{Seq: seq, RetryAfter: retryAfter, Backlog: backlog}
 	m.EdgeSig = wcrypto.SignMsg(n.key, m)
 	return []wire.Envelope{{From: n.cfg.ID, To: client, Msg: m}}
 }
@@ -804,6 +789,12 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 	n.m.certified.Inc()
 	n.m.markCertified(p.BID, now)
 	var out []wire.Envelope
+	if n.lead.merging != nil && p.BID >= n.lead.mergeCut {
+		// The cloud answers a link's frames in order, and this block's
+		// certify left after the merge request: the request or its answer
+		// was lost.
+		out = append(out, n.sendMerge(now, "merge answer overtaken by a later proof; re-sending request"))
+	}
 	waiting, _ := n.lead.waiters.Take(p.BID)
 	for _, c := range waiting {
 		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: cloneProof(p)})
@@ -975,16 +966,23 @@ func (n *Node) maybeStartMerge(now int64) []wire.Envelope {
 	}
 	req.ReqID = n.nextReqID()
 	req.EdgeSig = wcrypto.SignMergeRequest(n.key, req, l0Digests)
-	n.lead.merging = req
+	n.lead.merging, n.lead.mergeWait = req, stallPeriod
 	n.m.merges.Inc()
-	return []wire.Envelope{n.sendMerge(now, req)}
+	return []wire.Envelope{n.sendMerge(now, "")}
 }
 
-// sendMerge ships the in-flight merge request — first send or re-send —
-// and restarts its retry timer.
-func (n *Node) sendMerge(now int64, req *wire.MergeRequest) wire.Envelope {
-	n.lead.mergeSentAt = now
-	env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: req}
+// sendMerge ships the merge request in flight and notes what its re-send
+// rules count from: the blocks cut so far, and now. A re-send says why. If
+// the cloud never saw the request it merges now; if it did, it replays the
+// response it already signed — a repeat never merges twice.
+func (n *Node) sendMerge(now int64, resend string) wire.Envelope {
+	l := n.lead
+	if resend != "" {
+		n.m.mergeRetries.Inc()
+		n.logf(resend, "req", l.merging.ReqID)
+	}
+	l.mergeCut, l.mergeQuiet = n.log.NumBlocks(), now
+	env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: l.merging}
 	n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
 	return env
 }

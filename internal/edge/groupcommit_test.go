@@ -168,8 +168,10 @@ func testGroupCommit(t *testing.T, window int64) {
 		if got := r.syncs(func() { k = kindsOf(r.tick(t, ms(2000))) }); got != 1 {
 			t.Fatalf("flush issued %d fsyncs, want 1 shared", got)
 		}
-		if k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 3 {
-			t.Fatalf("flush released %v, want 3 add responses + 3 certifies", k)
+		// Block 0's certify went unanswered for the 2 s the clock jumped:
+		// the stall retry re-submits it alongside the three released.
+		if k[wire.KindPutResponse] != 3 || k[wire.KindBlockCertify] != 4 {
+			t.Fatalf("flush released %v, want 3 add responses + 3 certifies + block 0's retry", k)
 		}
 
 		// A fifth block cut a window after the last sync is synced and
@@ -265,7 +267,9 @@ func TestGroupCommitFailedSyncStartsNoWindow(t *testing.T) {
 	if out := r.write(t, ms(2), 2); out != nil {
 		t.Fatalf("write 2 acknowledged inside the window: %v", kindsOf(out))
 	}
-	if out := r.tick(t, ms(2000)); out != nil {
+	// Block 0's certify went unanswered for the 2 s the clock jumped: the
+	// stall retry re-submits it, and nothing else leaves.
+	if out := r.tick(t, ms(2000)); len(out) != 1 || out[0].Msg.(*wire.BlockCertify).BID != 0 {
 		t.Fatalf("a failed sync released %v", kindsOf(out))
 	}
 	if out := r.write(t, ms(2010), 2); out != nil {
@@ -404,11 +408,12 @@ func TestCatchUpRunStopsAtUnsyncedBlock(t *testing.T) {
 // TestStallRetryStopsAtUnsyncedBlock: the stall-gated certification retry
 // re-submits the synced part of the uncertified tail and stops at the
 // first block no sync covers; that block's certify leaves with its sync.
+// The window outlasts the stall period, so the retry's tick runs no sync.
 func TestStallRetryStopsAtUnsyncedBlock(t *testing.T) {
-	r := newGCRig(t, 100, func(c *Config) { c.CertRetryEvery = ms(1) })
+	r := newGCRig(t, 5000)
 	defer r.n.CloseStore()
 	r.heldBlock(t)
-	if c, _ := only[*wire.BlockCertify](t, r.tick(t, ms(3))); c.BID != 0 {
+	if c, _ := only[*wire.BlockCertify](t, r.tick(t, ms(1003))); c.BID != 0 {
 		t.Fatalf("the stalled retry certified block %d, want block 0", c.BID)
 	}
 }

@@ -249,8 +249,9 @@ func TestLeaderIgnoresResponseForAnotherRequest(t *testing.T) {
 	}
 }
 
-// TestOverdueMergeIsResent: a merge whose answer has not come within
-// CertRetryEvery is re-sent unchanged — first a lost request, then a lost
+// TestOverdueMergeIsResent: with no cut block awaiting its certificate, a
+// merge whose answer has not come within the stall period is re-sent
+// unchanged — first a lost request, then, after twice the wait, a lost
 // response — until the level installs; the cloud merges once.
 func TestOverdueMergeIsResent(t *testing.T) {
 	r := newMergeRig(t)
@@ -268,10 +269,10 @@ func TestOverdueMergeIsResent(t *testing.T) {
 	if !lost.OK {
 		t.Fatalf("merge rejected: %s", lost.Reason)
 	}
-	if out := r.leader.Tick(r.now + second/2); kindsOf(out)[wire.KindMergeRequest] != 0 {
-		t.Fatal("retry timer not restarted by the re-send")
+	if out := r.leader.Tick(r.now + 3*second/2); kindsOf(out)[wire.KindMergeRequest] != 0 {
+		t.Fatal("retry wait not doubled by the re-send")
 	}
-	r.now += second
+	r.now += 2 * second
 	_, third := only[*wire.MergeRequest](t, r.leader.Tick(r.now))
 	replay, _ := only[*wire.MergeResponse](t, r.cloud.Receive(r.now, third))
 	if !replay.OK || !bytes.Equal(replay.CloudSig, lost.CloudSig) {

@@ -46,11 +46,14 @@ type leaderRole struct {
 	pushes, duePushes []certPush
 	// merging is the merge request in flight (at most one), kept whole:
 	// the response carries no pages, so the merged level is re-derived
-	// from its blocks, which the log holds anyway, and the index's levels,
-	// and tickHealing re-sends it when the answer is overdue since
-	// mergeSentAt.
-	merging     *wire.MergeRequest
-	mergeSentAt int64
+	// from its blocks, which the log holds anyway, and the index's levels.
+	// It is re-sent on a proof for block mergeCut or later, cut after it
+	// last left, and mergeWait after mergeQuiet, the later of that
+	// departure and the last tick a cut block awaited its certificate.
+	merging    *wire.MergeRequest
+	mergeCut   uint64
+	mergeQuiet int64
+	mergeWait  int64
 	// Group commit: outputs of persisted-but-unsynced blocks (and re-acks
 	// and reads of them), withheld until the shared fsync, and the cut
 	// times of those blocks.

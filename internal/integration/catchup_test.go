@@ -109,8 +109,8 @@ func TestCatchUpRestartedFollower(t *testing.T) {
 // drains it run after run: each time its mirror reaches the end of the run
 // it asked for while the frames' Through says the leader holds more, it
 // asks for the next run at once instead of waiting for its catch-up timer.
-// Three runs of certified blocks land within one CatchUpEvery of the first
-// request, one request per run.
+// Three runs of certified blocks land within one catch-up period (500 ms)
+// of the first request, one request per run.
 func TestCatchUpSpansRuns(t *testing.T) {
 	const blocks = 40 // three runs of at most 16
 	w := newRWorld(t, rworldOpts{})
@@ -131,7 +131,7 @@ func TestCatchUpSpansRuns(t *testing.T) {
 	first := w.sim.Now()
 	caughtUp := func() bool { return w.r1.CertifiedBlocks() == blocks }
 	if !w.sim.RunWhile(func() bool { return !caughtUp() }, first+500*ms) {
-		t.Fatalf("after one CatchUpEvery: %d blocks mirrored, %d certified, want %d",
+		t.Fatalf("after one catch-up period: %d blocks mirrored, %d certified, want %d",
 			w.r1.LogBlocks(), w.r1.CertifiedBlocks(), blocks)
 	}
 	if got := w.r1.LogBlocks(); got != blocks {

@@ -37,11 +37,12 @@ type rworldOpts struct {
 	proofTO     int64
 	lease       int64
 	certTO      int64
-	fault       *faultnet.Net // chaos schedules applied to every frame
-	tcp         bool          // host the nodes on loopback TCP, not the simulator
-	retryEvery  int64         // client transport-retry period (0 = off)
-	l0Thresh    int           // L0 merge trigger (default 100: no compaction)
-	metrics     *obs.Registry // registry the edges' series live in
+	fault       *faultnet.Net               // chaos schedules applied to every frame
+	tcp         bool                        // host the nodes on loopback TCP, not the simulator
+	retryEvery  int64                       // client transport-retry period (0 = off)
+	l0Thresh    int                         // L0 merge trigger (default 100: no compaction)
+	metrics     *obs.Registry               // registry the edges' series live in
+	links       map[[2]wire.NodeID]sim.Link // per-link paths on the simulator; nil = 1 ms everywhere
 	// wrapCloud, when set, stands between the sim and the cloud node.
 	wrapCloud func(*cloud.Node) core.Handler
 	// tap, when set, sees every frame a node sends, as it leaves the node,
@@ -136,6 +137,7 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 		w.sim = sim.New(sim.Config{
 			TickEvery:   5 * ms,
 			DefaultLink: sim.Link{Latency: 1 * ms},
+			Links:       o.links,
 			Fault:       o.fault,
 		})
 		w.host, add = simHost{w.sim}, w.sim.Add

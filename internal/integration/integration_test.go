@@ -15,6 +15,7 @@ import (
 	"wedgechain/internal/deploy"
 	"wedgechain/internal/edge"
 	"wedgechain/internal/faultnet"
+	"wedgechain/internal/obs"
 	"wedgechain/internal/sim"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
@@ -44,6 +45,9 @@ type worldOpts struct {
 	retry     int64                       // client RetryEvery; 0 = no transport retry
 	net       *faultnet.Net               // link faults; nil = a clean network
 	links     map[[2]wire.NodeID]sim.Link // per-link paths; nil = 1 ms everywhere
+	metrics   *obs.Registry               // registry the edge's series live in
+	// wrapCloud, when set, stands between the sim and the cloud node.
+	wrapCloud func(*cloud.Node) core.Handler
 }
 
 func newWorld(t *testing.T, o worldOpts) *world {
@@ -68,6 +72,7 @@ func newWorld(t *testing.T, o worldOpts) *world {
 			L0Threshold:     o.l0Thresh,
 			FlushEvery:      -1,
 			LevelThresholds: []int{2, 4, 8},
+			Metrics:         o.metrics,
 		},
 		Faults: map[wire.NodeID]*edge.Fault{"edge-1": o.fault},
 	})
@@ -91,7 +96,11 @@ func newWorld(t *testing.T, o worldOpts) *world {
 		Links:       o.links,
 		Fault:       o.net,
 	})
-	for _, h := range []core.Handler{w.cloud, w.edge, w.c1, w.c2} {
+	var cloudNode core.Handler = w.cloud
+	if o.wrapCloud != nil {
+		cloudNode = o.wrapCloud(w.cloud)
+	}
+	for _, h := range []core.Handler{cloudNode, w.edge, w.c1, w.c2} {
 		w.sim.Add(h)
 	}
 	return w

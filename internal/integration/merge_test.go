@@ -62,9 +62,11 @@ func sameIndex(a, b *edge.Node) error {
 // TestLostMergeMessagesHeal: one lost merge message used to wedge
 // compaction for good — a lost request left the leader waiting forever, a
 // lost response left the cloud one merge ahead of an edge whose every
-// later request it then rejected as out of order. Now the leader re-sends
-// the overdue request and the cloud answers a repeat with the response it
-// already signed. Lose the first request, then the first response:
+// later request it then rejected as out of order. Now a leader with no
+// cut block awaiting its certificate re-sends the unanswered request after
+// the stall period, then after twice that, and the cloud answers a repeat
+// with the response it already signed. Lose the first request, then the
+// first response, with no write after the loss:
 // compaction resumes, the cloud merged once per request, nobody is
 // convicted, followers mirror the same levels — and a follower promoted
 // afterwards serves verified reads from them and keeps compacting.
@@ -97,8 +99,9 @@ func TestLostMergeMessagesHeal(t *testing.T) {
 	if w.leader.Index().Global().Epoch != 0 {
 		t.Fatal("leader installed a response that was lost")
 	}
-	// The second retry is a duplicate at the cloud: replayed, not re-merged.
-	w.settle(t, 1*s)
+	// The second retry, twice the wait later, is a duplicate at the cloud:
+	// replayed, not re-merged.
+	w.settle(t, 2*s)
 	if got := w.cloud.Stats().Merges; got != 1 || retries() != 2 {
 		t.Fatalf("after second retry: cloud merges %d, retries %d", got, retries())
 	}
