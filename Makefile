@@ -76,7 +76,10 @@ quick-diff:
 # newest certificates not yet in the session's memo: the gap is the two
 # Ed25519 checks the leader's certificate push moves off a get; and
 # AssembleScanCertified/PhaseI the edge's answer to that get: the gap is
-# the signature only a Phase I answer costs the edge.
+# the signature only a Phase I answer costs the edge; and TickPendingOps
+# one client tick with 1,000 unanswered writes between their re-send
+# marks (9-12 ns: the retry pass walks the client's windows only when the
+# earliest mark is due).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem $$(grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Benchmark' . | xargs -n1 dirname | sort -u | grep -vx '\.')
 
@@ -106,7 +109,7 @@ flagdoc-check:
 # number the code diet (ROADMAP item 8) is judged by. loc-check is the
 # ratchet CI runs: it fails above LOC_CEILING, the total as of the last PR
 # that moved it, so a PR that grows the tree says so in its diff.
-LOC_CEILING := 20638
+LOC_CEILING := 20596
 loc:
 	@sh scripts/loc.sh
 loc-check:

@@ -246,8 +246,6 @@ func (c *Cluster) NewClient(name string, edgeID NodeID) (*Client, error) {
 		ProofTimeout:    c.cfg.ProofTimeout.Nanoseconds(),
 		FreshnessWindow: c.cfg.FreshnessWindow.Nanoseconds(),
 		Session:         c.cfg.SessionConsistency,
-		RetryEvery:      c.cfg.RetryEvery.Nanoseconds(),
-		MaxAttempts:     c.cfg.MaxAttempts,
 		Metrics:         c.cfg.Metrics,
 	}, ring, k, c.d.Registry)
 	cl := newClient(c, id, session)

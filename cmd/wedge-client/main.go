@@ -44,13 +44,6 @@ func main() {
 	wait2 := flag.Bool("wait2", false, "also wait for Phase II certification")
 	timeout := flag.Duration("timeout", 30*time.Second, "operation timeout")
 
-	// Transport retry (see docs/RUNBOOK.md "Chaos recipes"): re-send
-	// unacknowledged ops with backoff+jitter instead of hanging; after
-	// -max-attempts total sends the op fails with a typed unavailable
-	// error.
-	cli.DurationVar(&ccfg.RetryEvery, "retry-every", "re-send an unacknowledged op after this `duration` (0 disables retry)")
-	flag.IntVar(&ccfg.MaxAttempts, "max-attempts", ccfg.MaxAttempts, "total sends per op when -retry-every is set")
-
 	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing.
 	sessions := flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
 	flag.Parse()

@@ -21,7 +21,7 @@ func TestFacadeShedLosesNoAckedWrite(t *testing.T) {
 	wan := NewChaos(1)
 	c := newTestCluster(t, Config{
 		Edges: 1, BatchSize: 1, FlushEvery: time.Millisecond,
-		MaxUncertified: 2, RetryEvery: 20 * time.Millisecond, MaxAttempts: 6,
+		MaxUncertified: 2, ProofTimeout: time.Second,
 		Chaos: wan,
 	})
 	const writers, perWriter = 16, 8

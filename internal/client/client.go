@@ -33,9 +33,8 @@ var (
 	ErrStale = errors.New("client: response outside freshness window")
 	// ErrUnavailable reports an operation the edge would not or could
 	// not serve: a read denied with no gossip contradicting the denial,
-	// or an op still unacknowledged after MaxAttempts jittered re-sends
-	// (with Config.RetryEvery) or after the proof timeout (without) — the
-	// load-shed/partition case.
+	// or an op still unacknowledged a proof timeout after it started (or
+	// was rebound), three jittered re-sends later — the partition case.
 	ErrUnavailable = errors.New("client: block not available")
 	// ErrEdgeLied reports an operation whose evidence contradicts the
 	// certified state; a dispute was filed.
@@ -132,13 +131,16 @@ type Op struct {
 	retries     int
 	Verdict     *wire.Verdict
 
-	// Transport-retry state (Config.RetryEvery): sends so far and the
-	// deadline for the next re-send. overloaded marks an op the edge
-	// explicitly shed (signed Overloaded), so exhaustion settles with
-	// ErrOverloaded instead of ErrUnavailable. pos is the wire.Entry.Pos an
-	// AddAt writes for (reserved position + 1), which every re-send keeps.
+	// Re-send state (retry.go): the time the op's budget counts from (its
+	// start or its last rebind), its next mark (0 = not yet scheduled) and
+	// when the next re-send or the deadline falls. overloaded marks an op
+	// the edge explicitly shed (signed Overloaded), so the deadline settles
+	// it with ErrOverloaded instead of ErrUnavailable. pos is the
+	// wire.Entry.Pos an AddAt writes for (reserved position + 1), which
+	// every re-send keeps.
 	pos        uint64
-	attempts   int
+	budgetFrom int64
+	mark       int
 	nextResend int64
 	overloaded bool
 }
@@ -164,7 +166,9 @@ type Config struct {
 	Chain wire.NodeID
 	// ProofTimeout is how long a Phase I operation waits for its block
 	// proof before filing a dispute with the cloud (ns); 0 = the layer
-	// default.
+	// default. It is also the budget of an op the edge never answers: it
+	// is re-sent at an eighth, a quarter and half of it, and settles with
+	// ErrUnavailable when it runs out (retry.go).
 	ProofTimeout int64
 	// FreshnessWindow bounds get staleness (Section V-D); 0 disables.
 	FreshnessWindow int64
@@ -174,16 +178,6 @@ type Config struct {
 	// rejects any get served from an older snapshot, giving monotonic
 	// reads without synchronized clocks.
 	Session bool
-	// RetryEvery enables transparent re-send of operations the edge never
-	// acknowledged: an op still short of Phase I after RetryEvery ns is
-	// re-sent with exponential backoff and jitter (see retry.go), and
-	// after MaxAttempts total sends settles with ErrUnavailable. 0
-	// disables re-sends: an op still short of Phase I ProofTimeout ns
-	// after it started then settles with ErrUnavailable.
-	RetryEvery int64
-	// MaxAttempts bounds total sends per op when RetryEvery > 0, counting
-	// the initial send; 0 = the layer default.
-	MaxAttempts int
 	// Metrics is the registry this core's counters and op-tracing
 	// histograms (trust lag, ack latency, verify CPU) register into; nil
 	// keeps them on a private registry.
@@ -202,9 +196,6 @@ func (c *Config) fill() {
 	}
 	if c.ProofTimeout <= 0 {
 		c.ProofTimeout = int64(10e9)
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
 	}
 }
 
@@ -254,10 +245,10 @@ type Core struct {
 	epoch   uint64
 	formers map[wire.NodeID]bool
 
-	expireAt int64         // with retry off, when the next unanswered op is due (retry.go)
-	pending  int           // started ops not yet settled
-	banned   *wire.Verdict // guilty verdict against my edge, once known
-	m        *metrics
+	retryAt int64         // when the retry pass next walks the windows (retry.go)
+	pending int           // started ops not yet settled
+	banned  *wire.Verdict // guilty verdict against my edge, once known
+	m       *metrics
 }
 
 // Stats are client counters.
@@ -268,7 +259,7 @@ type Stats struct {
 	Retries        uint64
 	VerifyFailures uint64
 	Failovers      uint64
-	// Resends counts transport-level retry re-sends (Config.RetryEvery);
+	// Resends counts transport-level re-sends of unanswered ops (retry.go);
 	// Retries above counts verification-driven retries (stale gets,
 	// contradicted denials) — different layers, kept separate.
 	Resends uint64
@@ -539,8 +530,8 @@ func (c *Core) Receive(now int64, env wire.Envelope) []wire.Envelope {
 }
 
 // Tick files disputes for Phase I operations whose proof timed out, and
-// runs the transport-retry pass for ops the edge never acknowledged, or,
-// with retry off, settles those the proof timeout has passed.
+// runs the retry pass for ops the edge never acknowledged: it re-sends
+// them, or settles those whose proof timeout has passed.
 func (c *Core) Tick(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	c.byBID.Each(func(_ uint64, ops []*Op) {
@@ -554,9 +545,7 @@ func (c *Core) Tick(now int64) []wire.Envelope {
 			out = append(out, c.fileDispute(op)...)
 		}
 	})
-	if c.cfg.RetryEvery <= 0 {
-		c.expire(now)
-	} else if c.banned == nil {
+	if c.banned == nil {
 		out = append(out, c.tickRetry(now)...)
 	}
 	return out

@@ -64,10 +64,11 @@ func (c *Core) handleTransfer(now int64, from wire.NodeID, m *wire.LeadershipTra
 //     appended fresh. An AddAt re-submits for the position it reserved,
 //     never for another: reservations die with the old leader,
 //     so a successor that does not hold the slot refuses the entry and the
-//     op fails (ErrUnavailable under RetryEvery) instead of landing where
+//     op fails (ErrUnavailable at its deadline) instead of landing where
 //     the caller did not ask.
-//   - Phase I ops get their proof clock restarted, so time lost to the
-//     outage does not count against the proof timeout.
+//   - Every op's clock restarts, so time lost to the outage does not count
+//     against the proof timeout: a Phase I op's wait for its proof, and an
+//     unanswered op's re-send schedule and deadline (retry.go).
 //   - Reads, gets and scans are re-requested under their original request
 //     id. A read that already holds Phase I evidence only harvests the
 //     certificate from the re-serve (see handleReadResponse); gets and
@@ -84,12 +85,7 @@ func (c *Core) rebind(now int64) []wire.Envelope {
 		if op.Phase == core.PhaseI {
 			op.PhaseIAt = now
 		}
-		if c.cfg.RetryEvery > 0 {
-			// New edge, fresh retry budget: the old attempts were spent
-			// against a leader that no longer serves.
-			op.attempts = 1
-			op.nextResend = now + c.retryDelay(op, 1)
-		}
+		c.restartSchedule(op, now)
 		live = append(live, op)
 	}
 	c.bySeq.Each(collect)

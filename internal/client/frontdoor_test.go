@@ -11,7 +11,7 @@ import (
 
 // overloadFixture builds a core with explicit front-door config, in a
 // deployment of two edges, so a rebind finds edge-2's key.
-func overloadFixture(t *testing.T, cfg Config) *fixture {
+func overloadFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	keys, reg, _ := deploy.Keys(deploy.Topology{Edges: 2, Clients: 1})
 	cfg.ID, cfg.Edge, cfg.Cloud = "c1", "edge-1", "cloud"
@@ -28,7 +28,7 @@ func (f *fixture) signedOverload(seq uint64, hint int64) *wire.Overloaded {
 }
 
 func TestOverloadedPacesRetryThenSettlesTyped(t *testing.T) {
-	f := overloadFixture(t, Config{RetryEvery: 100, MaxAttempts: 2})
+	f := overloadFixture(t, Config{ProofTimeout: 1600})
 	op, _ := f.c.Put(10, []byte("k"), []byte("v"))
 
 	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: f.signedOverload(op.Seq, 1000)})
@@ -42,7 +42,8 @@ func TestOverloadedPacesRetryThenSettlesTyped(t *testing.T) {
 		t.Fatalf("nextResend = %d, want pushed past the hint (>= 1020)", op.nextResend)
 	}
 
-	// The hinted deadline passes: one more re-send is allowed...
+	// The hinted deadline passes: one more re-send, the last its marks
+	// leave room for, goes out...
 	f.c.Tick(op.nextResend + 1)
 	if op.Done {
 		t.Fatal("op settled with an attempt left")
@@ -50,7 +51,7 @@ func TestOverloadedPacesRetryThenSettlesTyped(t *testing.T) {
 	if f.c.Stats().Resends != 1 {
 		t.Fatalf("Resends = %d, want 1", f.c.Stats().Resends)
 	}
-	// ...and exhaustion surfaces the typed overload error, not the
+	// ...and the deadline surfaces the typed overload error, not the
 	// generic unavailable.
 	f.c.Tick(op.nextResend + 1)
 	if !op.Done || !errors.Is(op.Err, ErrOverloaded) {
@@ -58,17 +59,8 @@ func TestOverloadedPacesRetryThenSettlesTyped(t *testing.T) {
 	}
 }
 
-func TestOverloadedWithoutRetrySettlesImmediately(t *testing.T) {
-	f := overloadFixture(t, Config{})
-	op, _ := f.c.Put(10, []byte("k"), []byte("v"))
-	f.c.Receive(20, wire.Envelope{From: "edge-1", To: "c1", Msg: f.signedOverload(op.Seq, 1000)})
-	if !op.Done || !errors.Is(op.Err, ErrOverloaded) {
-		t.Fatalf("op without retry machinery: done=%v err=%v, want immediate ErrOverloaded", op.Done, op.Err)
-	}
-}
-
 func TestOverloadedForgedOrForeignIgnored(t *testing.T) {
-	f := overloadFixture(t, Config{RetryEvery: 100, MaxAttempts: 4})
+	f := overloadFixture(t, Config{})
 	op, _ := f.c.Put(10, []byte("k"), []byte("v"))
 
 	forged := f.signedOverload(op.Seq, 1000)

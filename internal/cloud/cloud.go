@@ -305,13 +305,7 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 		if _, banned := n.punish.Banned(n.leaderOf(edgeID)); banned {
 			continue
 		}
-		g := &wire.Gossip{
-			Edge:    edgeID,
-			Ts:      now,
-			LogSize: n.certs.Entries(edgeID),
-			Blocks:  n.certs.Blocks(edgeID),
-		}
-		g.CloudSig = wcrypto.SignMsg(n.key, g)
+		g := n.frontier(now, edgeID)
 		for _, to := range n.cfg.GossipTo {
 			out = append(out, wire.Envelope{From: n.cfg.ID, To: to, Msg: g})
 			n.m.gossipsSent.Inc()

@@ -775,8 +775,14 @@ func (n *Node) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 		// leader with its own replication stream.
 		return n.followerApplyCert(*p)
 	}
-	if err := n.log.SetCert(*p); err != nil {
+	fresh, err := n.log.SetCert(*p)
+	if err != nil {
 		n.logf("block-proof does not match local block", "bid", p.BID, "err", err)
+		return nil
+	}
+	if !fresh {
+		// A second proof (a re-sent certify's answer): the first one
+		// counted, stored and delivered the certificate already.
 		return nil
 	}
 	if n.store != nil {

@@ -370,7 +370,8 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 		n.follow.pendingCerts[p.BID] = p
 		return nil
 	}
-	if err := n.log.SetCert(p); err != nil {
+	fresh, err := n.log.SetCert(p)
+	if err != nil {
 		blk, berr := n.log.Block(p.BID)
 		sig := n.replSigs[p.BID]
 		if berr != nil || sig == nil {
@@ -383,6 +384,9 @@ func (n *Node) followerApplyCert(p wire.BlockProof) []wire.Envelope {
 		n.poisoned[p.BID] = true
 		return n.convictLeader(p.BID, *blk, sig,
 			"certificate contradicts replicated block; convicting leader")
+	}
+	if !fresh {
+		return nil // installed and synced when it first arrived
 	}
 	n.m.certified.Inc()
 	// The replication signature's evidentiary job is done: the cert

@@ -149,10 +149,7 @@ func TestCatchUpSpansRuns(t *testing.T) {
 // certified blocks, and rejoins as a promotable follower.
 func TestCatchUpDemotedExLeader(t *testing.T) {
 	fn := faultnet.New(7)
-	w := newRWorld(t, rworldOpts{
-		fault:      fn,
-		retryEvery: 150 * ms,
-	})
+	w := newRWorld(t, rworldOpts{fault: fn})
 
 	// Block 0 certifies under the original leader.
 	op0 := w.add(w.c1, "m0")
@@ -247,10 +244,7 @@ func TestCatchUpDemotedExLeader(t *testing.T) {
 // bans the liar and transfers leadership — after which catch-up resumes
 // against the honest successor and the cluster still heals.
 func TestCatchUpLyingSyncPeerConvicted(t *testing.T) {
-	w := newRWorld(t, rworldOpts{
-		leaderFault: &edge.Fault{TamperCatchUp: true},
-		retryEvery:  150 * ms,
-	})
+	w := newRWorld(t, rworldOpts{leaderFault: &edge.Fault{TamperCatchUp: true}})
 
 	// The fault only bites the catch-up serving path, so normal
 	// replication certifies two blocks cleanly first.

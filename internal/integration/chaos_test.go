@@ -100,11 +100,10 @@ func chaosRun(t *testing.T, tcp bool, seed int64, rounds int) error {
 	fn := faultnet.New(seed)
 	blame := newBlame()
 	w := newRWorld(t, rworldOpts{
-		fault:      fn,
-		tcp:        tcp,
-		retryEvery: 150 * ms,
-		gossip:     200 * ms,
-		tap:        blame.see,
+		fault:  fn,
+		tcp:    tcp,
+		gossip: 200 * ms,
+		tap:    blame.see,
 	})
 	// Partitions always precede the background noise rule (Partition
 	// prepends; first match wins). The first window cuts the initial
@@ -341,7 +340,7 @@ func TestChaosSmoke(t *testing.T) {
 // arm first logs the trust lag a fault-free group shows on real sockets.
 func TestChaosSmokeTCP(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
-		w := newRWorld(t, rworldOpts{tcp: true, retryEvery: 150 * ms, gossip: 200 * ms})
+		w := newRWorld(t, rworldOpts{tcp: true, gossip: 200 * ms})
 		writes := w.writeRounds(t, 8)
 		w.settle(t, 2*s)
 		p50, p99, n := w.trustLag(writes)

@@ -39,7 +39,6 @@ type rworldOpts struct {
 	certTO      int64
 	fault       *faultnet.Net               // chaos schedules applied to every frame
 	tcp         bool                        // host the nodes on loopback TCP, not the simulator
-	retryEvery  int64                       // client transport-retry period (0 = off)
 	l0Thresh    int                         // L0 merge trigger (default 100: no compaction)
 	metrics     *obs.Registry               // registry the edges' series live in
 	links       map[[2]wire.NodeID]sim.Link // per-link paths on the simulator; nil = 1 ms everywhere
@@ -118,7 +117,6 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 			Edge:         "edge-1",
 			Cloud:        "cloud",
 			ProofTimeout: o.proofTO,
-			RetryEvery:   o.retryEvery,
 		}, d.Keys[id], d.Registry)
 	}
 	w.c1, w.c2 = mkClient("c1"), mkClient("c2")
@@ -255,14 +253,20 @@ func TestFailoverKillLeaderMidBatch(t *testing.T) {
 // TestPromotionLearnedAfterClientResend: the cloud's frames to the
 // followers are slow across the failover window, so a rebound client's
 // re-sends reach the promoted replica before its own transfer does. The
-// replica holds them until the transfer arrives and handles them then;
-// the clients here never retry, so a dropped re-send would strand its
-// write.
+// replica holds them until the transfer arrives and handles them then:
+// each client sends the promoted replica its rebind's write alone, and no
+// re-send of the retry pass follows it.
 func TestPromotionLearnedAfterClientResend(t *testing.T) {
 	net := faultnet.New(11)
+	toReplica := map[wire.NodeID]int{} // the simulator runs one turn at a time
 	w := newRWorld(t, rworldOpts{
 		leaderFault: &edge.Fault{KillMidBatch: true, KillAtBID: 1},
 		fault:       net,
+		tap: func(h core.Handler, env wire.Envelope) {
+			if _, ok := env.Msg.(*wire.PutBatch); ok && env.To != "edge-1" {
+				toReplica[env.From]++
+			}
+		},
 	})
 	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
 	w.settle(t, 1*s)
@@ -285,6 +289,9 @@ func TestPromotionLearnedAfterClientResend(t *testing.T) {
 			t.Fatalf("op%d phase = %v err = %v, want Phase II", i+2, op.Phase, op.Err)
 		}
 	}
+	if toReplica["c1"] != 1 || toReplica["c2"] != 1 {
+		t.Fatalf("write batches sent to the promoted replica = %v, want the rebind's one per client", toReplica)
+	}
 }
 
 // TestFailoverHealsLostPromotion: the leader dies mid-batch and, for 600
@@ -298,7 +305,6 @@ func TestFailoverHealsLostPromotion(t *testing.T) {
 	w := newRWorld(t, rworldOpts{
 		leaderFault: &edge.Fault{KillMidBatch: true, KillAtBID: 1},
 		fault:       net,
-		retryEvery:  150 * ms,
 	})
 	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
 	w.settle(t, 1*s)
@@ -322,7 +328,7 @@ func TestFailoverHealsLostPromotion(t *testing.T) {
 // restarted node follows it, and both writes reach Phase II. The blank
 // node never cuts a block.
 func TestFailoverRestartedLeaderNeverLeadsBlank(t *testing.T) {
-	w := newRWorld(t, rworldOpts{retryEvery: 150 * ms})
+	w := newRWorld(t, rworldOpts{})
 	op0, op1 := w.add(w.c1, "m0"), w.add(w.c2, "m1")
 	w.settle(t, 1*s)
 	if op0.Phase != core.PhaseII || op1.Phase != core.PhaseII {

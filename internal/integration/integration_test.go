@@ -42,7 +42,6 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
-	retry     int64                       // client RetryEvery; 0 = no transport retry
 	net       *faultnet.Net               // link faults; nil = a clean network
 	links     map[[2]wire.NodeID]sim.Link // per-link paths; nil = 1 ms everywhere
 	metrics   *obs.Registry               // registry the edge's series live in
@@ -86,7 +85,6 @@ func newWorld(t *testing.T, o worldOpts) *world {
 			Cloud:           "cloud",
 			ProofTimeout:    o.proofTO,
 			FreshnessWindow: o.freshness,
-			RetryEvery:      o.retry,
 		}, d.Keys[id], d.Registry)
 	}
 	w := &world{cloud: d.Cloud, edge: d.Chains[0][0], c1: mkClient("c1"), c2: mkClient("c2")}
@@ -494,12 +492,12 @@ func TestReservationMakesAddsIdempotent(t *testing.T) {
 }
 
 // TestResentReservedAddLandsInItsSlot: the first send of an AddAt is lost;
-// the client's retry re-sends it for the position it reserved, so it fills
+// the client's retry pass re-sends it for the position it reserved, so it fills
 // that slot — behind which later appends were already queued — instead of
 // joining the end of the log while the reservation blocks every cut until
 // it expires into a no-op.
 func TestResentReservedAddLandsInItsSlot(t *testing.T) {
-	w := newWorld(t, worldOpts{batch: 3, retry: 50 * ms})
+	w := newWorld(t, worldOpts{batch: 3})
 	var start uint64
 	w.c1.SetReserveHandler(func(s uint64, n uint32) { start = s })
 	reserve, err := w.c1.Reserve(w.sim.Now(), 1)
@@ -524,6 +522,18 @@ func TestResentReservedAddLandsInItsSlot(t *testing.T) {
 	}
 	if len(blk.Entries) != 3 || w.edge.Log().BufferLen() != 0 {
 		t.Fatalf("block holds %d entries, %d still buffered: the entry landed elsewhere", len(blk.Entries), w.edge.Log().BufferLen())
+	}
+}
+
+// TestDroppedWriteHealsByDefault: a client with no retry setting of any
+// kind loses the first frame of a write; the re-send its proof timeout
+// schedules reaches the edge, and the write is certified.
+func TestDroppedWriteHealsByDefault(t *testing.T) {
+	w := newWorld(t, worldOpts{batch: 1})
+	op, _ := w.c1.Put(w.sim.Now(), []byte("k"), []byte("v")) // never injected: lost
+	w.sim.RunUntil(w.sim.Now() + 1*s)
+	if op.Phase != core.PhaseII || op.Err != nil {
+		t.Fatalf("dropped write: phase %v, err %v after %d re-sends", op.Phase, op.Err, w.c1.Stats().Resends)
 	}
 }
 

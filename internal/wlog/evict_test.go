@@ -38,7 +38,7 @@ func durableLog(t *testing.T, dir string, keys map[wire.NodeID]wcrypto.KeyPair, 
 		d, _ := l.Digest(uint64(bid))
 		p := wire.BlockProof{Edge: "edge-1", BID: uint64(bid), Digest: d}
 		p.CloudSig = wcrypto.SignMsg(keys["cloud"], &p)
-		if err := l.SetCert(p); err != nil {
+		if _, err := l.SetCert(p); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.AppendCertBuffered(&p); err != nil {

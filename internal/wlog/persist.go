@@ -355,7 +355,7 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 				f.Close()
 				return nil, nil, 0, 0, fmt.Errorf("%w: cert signature: %v", ErrCorrupt, err)
 			}
-			if err := l.SetCert(p); err != nil {
+			if _, err := l.SetCert(p); err != nil {
 				f.Close()
 				return nil, nil, 0, 0, fmt.Errorf("%w: cert: %v", ErrCorrupt, err)
 			}

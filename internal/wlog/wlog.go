@@ -442,22 +442,24 @@ func (l *Log) Digest(bid uint64) ([]byte, error) {
 }
 
 // SetCert records the cloud's block-proof for a block, upgrading it to
-// Phase II. The proof's digest must match the locally computed digest.
-func (l *Log) SetCert(p wire.BlockProof) error {
+// Phase II, and reports whether the block was uncertified until now: a
+// second proof for a certified block changes nothing. The proof's digest
+// must match the locally computed digest.
+func (l *Log) SetCert(p wire.BlockProof) (fresh bool, err error) {
 	d, err := l.Digest(p.BID)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !bytes.Equal(d, p.Digest) {
-		return ErrCertDigest
+		return false, ErrCertDigest
 	}
 	if _, dup := l.certs[p.BID]; dup {
-		return nil // idempotent
+		return false, nil
 	}
 	l.certs[p.BID] = p
 	l.certifiedBlocks++
 	l.certifiedEntries += uint64(l.blocks[p.BID].Len())
-	return nil
+	return true, nil
 }
 
 // Cert returns the block-proof for bid if the block is certified.

@@ -96,8 +96,8 @@ func TestCertLifecycle(t *testing.T) {
 		t.Fatal("uncertified block has a cert")
 	}
 	proof := wire.BlockProof{Edge: "edge-1", BID: blk.ID, Digest: d}
-	if err := l.SetCert(proof); err != nil {
-		t.Fatal(err)
+	if fresh, err := l.SetCert(proof); err != nil || !fresh {
+		t.Fatalf("first SetCert = %v, %v, want fresh", fresh, err)
 	}
 	if _, ok := l.Cert(blk.ID); !ok {
 		t.Fatal("cert not stored")
@@ -105,9 +105,9 @@ func TestCertLifecycle(t *testing.T) {
 	if l.CertifiedEntries() != 2 || l.CertifiedBlocks() != 1 {
 		t.Fatalf("certified counts = %d/%d", l.CertifiedEntries(), l.CertifiedBlocks())
 	}
-	// Idempotent re-set must not double-count.
-	if err := l.SetCert(proof); err != nil {
-		t.Fatal(err)
+	// Idempotent re-set must not double-count, and says so.
+	if fresh, err := l.SetCert(proof); err != nil || fresh {
+		t.Fatalf("second SetCert = %v, %v, want a duplicate", fresh, err)
 	}
 	if l.CertifiedEntries() != 2 {
 		t.Fatalf("re-cert double counted: %d", l.CertifiedEntries())
@@ -119,14 +119,14 @@ func TestSetCertRejectsWrongDigest(t *testing.T) {
 	l.Append(entry("c", 1), 0)
 	blk := l.TryCut(0, false)
 	bad := wire.BlockProof{Edge: "edge-1", BID: blk.ID, Digest: wcrypto.Digest([]byte("other"))}
-	if err := l.SetCert(bad); !errors.Is(err, ErrCertDigest) {
+	if _, err := l.SetCert(bad); !errors.Is(err, ErrCertDigest) {
 		t.Fatalf("err = %v, want ErrCertDigest", err)
 	}
 }
 
 func TestSetCertUnknownBlock(t *testing.T) {
 	l := New("edge-1", 1)
-	err := l.SetCert(wire.BlockProof{BID: 7})
+	_, err := l.SetCert(wire.BlockProof{BID: 7})
 	if !errors.Is(err, ErrNoSuchBlock) {
 		t.Fatalf("err = %v", err)
 	}
@@ -143,7 +143,7 @@ func TestCertifiedThrough(t *testing.T) {
 	}
 	cert := func(bid uint64) {
 		d, _ := l.Digest(bid)
-		if err := l.SetCert(wire.BlockProof{Edge: "edge-1", BID: bid, Digest: d}); err != nil {
+		if _, err := l.SetCert(wire.BlockProof{Edge: "edge-1", BID: bid, Digest: d}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func certify(t *testing.T, l *Log, bid uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SetCert(wire.BlockProof{Edge: l.Edge(), BID: bid, Digest: d}); err != nil {
+	if _, err := l.SetCert(wire.BlockProof{Edge: l.Edge(), BID: bid, Digest: d}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -460,7 +460,7 @@ func BenchmarkCertifiedThrough(b *testing.B) {
 		l.Append(entry("c", i+1), 0)
 		l.TryCut(0, false)
 		d, _ := l.Digest(i)
-		if err := l.SetCert(wire.BlockProof{Edge: "edge-1", BID: i, Digest: d}); err != nil {
+		if _, err := l.SetCert(wire.BlockProof{Edge: "edge-1", BID: i, Digest: d}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,10 @@ type Config struct {
 	// (negative disables).
 	GossipEvery time.Duration
 	// ProofTimeout is how long clients wait for Phase II before filing
-	// a dispute.
+	// a dispute. It is also the budget of an operation the edge never
+	// answers: clients re-send it at an eighth, a quarter and half of the
+	// timeout, and it settles with ErrUnavailable when the timeout runs
+	// out (ErrOverloaded if the edge shed it).
 	ProofTimeout time.Duration
 	// FreshnessWindow bounds get staleness (Section V-D); 0 disables.
 	FreshnessWindow time.Duration
@@ -154,27 +157,19 @@ type Config struct {
 	// snapshot they observed and reject any get served from an older
 	// one, yielding monotonic reads.
 	SessionConsistency bool
-	// RetryEvery enables client transport retries: an operation the edge
-	// never acknowledged is re-sent with exponential backoff and jitter,
-	// and settles with an unavailable error after MaxAttempts total
-	// sends. 0 disables — unanswered ops then wait out the proof timeout.
-	RetryEvery time.Duration
-	// MaxAttempts bounds total sends per operation when RetryEvery > 0,
-	// counting the initial send.
-	MaxAttempts int
 	// MaxUncertified caps a leader's uncertified block backlog: past the
 	// cap new writes are shed (not acknowledged) until certification
 	// catches up, turning a degraded cloud link into bounded
 	// backpressure instead of an unbounded Phase II promise. Shed writes
 	// are answered with a signed overload signal carrying a retry-after
 	// hint; clients pace their re-sends by it and surface ErrOverloaded
-	// if the edge never reopens. 0 disables.
+	// if the edge does not reopen within the proof timeout. 0 disables.
 	MaxUncertified int
 	// Chaos, when set, subjects every frame between two nodes to the
 	// chaos network's seeded fault schedules — drops, delays, duplicates
 	// and partitions per link. A WAN is a delay-only rule on the links to
-	// and from CloudID. Combine with RetryEvery, MaxUncertified and
-	// replicated shards to exercise the healing paths; see
+	// and from CloudID. Combine with MaxUncertified and replicated
+	// shards to exercise the healing paths; see
 	// internal/integration/chaos_test.go.
 	Chaos *ChaosNet
 	// EdgeFaults makes selected edges byzantine (for demonstrations and
@@ -244,14 +239,10 @@ func (c *Config) Validate() error {
 		{"HeartbeatEvery", c.HeartbeatEvery},
 		{"ProofTimeout", c.ProofTimeout},
 		{"FreshnessWindow", c.FreshnessWindow},
-		{"RetryEvery", c.RetryEvery},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("wedgechain: %s must not be negative, got %v", d.name, d.v)
 		}
-	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("wedgechain: MaxAttempts must be >= 0, got %d", c.MaxAttempts)
 	}
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("wedgechain: MaxUncertified must be >= 0, got %d", c.MaxUncertified)
