@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments quick-diff metrics-smoke flagdoc-check loc loc-check chaos chaos-tcp fmt fmt-check vet doc-check ci
+.PHONY: build test race macro-check bench bench-micro fuzz-smoke experiments quick-diff pairs metrics-smoke flagdoc-check loc loc-check chaos chaos-tcp fmt fmt-check vet doc-check ci
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ experiments:
 # (F5d) is only reported. `make quick-diff BASE=HEAD~1`.
 quick-diff:
 	sh scripts/quick-diff.sh $(BASE)
+
+# Alternating macro-benchmark pairs, BASE against the working tree: per
+# end-to-end metric the two medians, each side's IQR, wins k/N and the check
+# against BENCHMARK.json's bound, plus ops_per_s and cpu_us_per_op normalised
+# by each run's ref_verify_us. `make pairs BASE=HEAD~1 WORKLOADS=mixed_cluster
+# N=5 SEEDS=101-105` (SECS= shortens each run). Every result line is kept in
+# pairs.jsonl.
+pairs:
+	bash scripts/pairs.sh "$(BASE)" "$(WORKLOADS)" "$(N)" "$(SEEDS)" "$(SECS)"
 
 # Micro-benchmarks: every package outside benchmark/ with a Benchmark
 # function, found by name as fuzz-smoke finds its targets, except the root
