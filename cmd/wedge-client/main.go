@@ -42,7 +42,7 @@ func main() {
 	flag.StringVar((*string)(&ccfg.Chain), "chain", "", "chain identity the edge serves (defaults to -edge; set when -edge names a promoted follower)")
 	flag.StringVar((*string)(&ccfg.Cloud), "cloud", "cloud", "cloud node identity")
 	wait2 := flag.Bool("wait2", false, "also wait for Phase II certification")
-	timeout := flag.Duration("timeout", 30*time.Second, "operation timeout")
+	timeout := flag.Duration("timeout", time.Duration(ccfg.ProofTimeout), "proof timeout: an op unanswered this long fails as unavailable, a Phase I write uncertified this long is disputed")
 
 	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing.
 	sessions := flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
@@ -63,6 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ccfg.ID = wire.NodeID(node.ID)
+	ccfg.ProofTimeout = timeout.Nanoseconds()
 	cc := client.New(ccfg, key, reg)
 	t := transport.NewTCP(cc, node.TCP)
 
@@ -161,8 +162,10 @@ func main() {
 	}
 
 	// Poll the op under the transport mutex until it reaches the desired
-	// state.
-	deadline := time.Now().Add(*timeout)
+	// state. The core settles it within the proof timeout of its start, or
+	// of its Phase I when -wait2 waits for the certificate; the deadline is
+	// only a backstop.
+	deadline := time.Now().Add(2 * *timeout)
 	for {
 		var phase core.Phase
 		var done bool

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"wedgechain/internal/core"
 	"wedgechain/internal/obs"
@@ -121,13 +122,20 @@ type Op struct {
 	ScanLimit int
 	ScanKVs   []wire.KV
 
-	// Evidence held for dispute filing.
-	digest      []byte // digest of the block accepted at Phase I
+	// Evidence held for dispute filing. A write acknowledged by a run ack
+	// holds the run (checked at once) and, once its block is cut, the
+	// block ack (putEvidence) and its digest; that block ack's signature
+	// is checked only when it is filed (evidence). A write acknowledged by
+	// its block holds only the block ack, checked on arrival.
+	digest      []byte // digest of the block holding the write
 	putEvidence *wire.PutResponse
+	run         *wire.PutResponse
 	readEv      *wire.ReadResponse
 	scanEv      *wire.ScanResponse
 	pendingBIDs map[uint64][]byte // get/scan: uncertified bid -> expected digest
 	disputed    bool
+	unchecked   bool // putEvidence's signature is not checked yet
+	runRebound  bool // a failover rebind came after the run ack
 	retries     int
 	Verdict     *wire.Verdict
 
@@ -221,8 +229,11 @@ type Core struct {
 	bySeq   core.Window[*Op]
 	byReq   core.Window[*Op]
 	byBID   core.Window[[]*Op]
-	accused []*Op        // ops with a filed dispute awaiting a verdict
-	gossip  *wire.Gossip // latest gossip for my edge
+	accused []*Op // ops with a filed dispute awaiting a verdict
+	// gossip is the newest gossip for my chain whose cloud signature was
+	// checked; heard the newest since, unchecked until a read denial needs
+	// it (checkedGossip).
+	gossip, heard *wire.Gossip
 
 	// Session-consistency watermarks: newest index epoch and L0
 	// frontier (one past the highest block id) observed in verified
@@ -318,8 +329,9 @@ func (c *Core) Epoch() uint64 { return c.epoch }
 // settled (reached Phase II, a verified result, or a terminal error).
 func (c *Core) Pending() int { return c.pending }
 
-// Gossip returns the latest cloud gossip seen for this client's edge.
-func (c *Core) Gossip() *wire.Gossip { return c.gossip }
+// Gossip returns the latest cloud gossip seen for this client's edge
+// whose signature checks out.
+func (c *Core) Gossip() *wire.Gossip { return c.checkedGossip() }
 
 // Banned returns the guilty verdict against this core's edge, or nil
 // while the edge is in good standing.
@@ -608,8 +620,12 @@ func (c *Core) phaseII(now int64, op *Op) {
 }
 
 // handlePutResponse implements Algorithm 1 lines 3-5 for every write: verify
-// the edge's signature, verify my entries are in the block as I sent them,
-// mark Phase I.
+// the edge's signature, verify my entries are in the block (or run) as I
+// sent them, mark Phase I. A block that arrives for a write its run ack
+// already took to Phase I is checked against the run instead: my entries
+// must sit at the promised positions of the promised block. Then its
+// digest is kept for the certificate and its signature left unchecked
+// until it is needed as evidence.
 func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutResponse) []wire.Envelope {
 	if from != c.cfg.Edge {
 		return nil
@@ -618,25 +634,47 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 		c.m.verifyFailures.Inc()
 		return nil
 	}
+	if m.Run {
+		return c.handleRun(now, from, m)
+	}
 	// One hash serves both checks: the recomputed digest is the signable
 	// body of the block-ack signature AND the value compared against the
-	// cloud's certification later.
+	// cloud's certification later. The signature is checked once, when
+	// first needed.
 	digest := m.Block.BodyDigest()
-	if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
-		c.m.verifyFailures.Inc()
-		return nil
+	checked := false
+	check := func() bool {
+		if !checked {
+			checked = true
+			if err := wcrypto.VerifyBlockAck(c.reg, c.cfg.Edge, m.BID, digest, m.EdgeSig); err != nil {
+				c.m.verifyFailures.Inc()
+				m = nil
+			}
+		}
+		return m != nil
 	}
+	var out []wire.Envelope
 	for i := range m.Block.Entries {
 		e := &m.Block.Entries[i]
 		if e.Client != c.cfg.ID {
 			continue
 		}
 		op, ok := c.bySeq.Get(e.Seq)
-		if !ok || op.Phase >= core.PhaseI {
+		if !ok || op.Phase >= core.PhaseI && (op.run == nil || op.digest != nil) {
 			continue
 		}
-		if !bytes.Equal(e.Value, op.Value) || !bytes.Equal(e.Key, op.Key) || e.Pos != op.pos ||
-			(op.pos > 0 && m.Block.StartPos+uint64(i) != op.pos-1) {
+		pos := m.Block.StartPos + uint64(i)
+		if op.run != nil {
+			out = append(out, c.runBlock(op, m, pos, digest, check)...)
+			if m == nil {
+				return out
+			}
+			continue
+		}
+		if !check() {
+			return out
+		}
+		if !sameEntry(e, op) || (op.pos > 0 && pos != op.pos-1) {
 			// The block misrepresents my entry, or holds a reserved write
 			// outside its slot: reject outright. Entries carry no signature
 			// of their own, so this is what binds the stored entry to the
@@ -649,7 +687,104 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 		op.Edge = from
 		c.phaseI(now, op, m.BID, digest)
 	}
+	return out
+}
+
+// sameEntry reports whether e is the entry op sent.
+func sameEntry(e *wire.Entry, op *Op) bool {
+	return bytes.Equal(e.Value, op.Value) && bytes.Equal(e.Key, op.Key) && e.Pos == op.pos
+}
+
+// handleRun takes every write of mine in a run ack to Phase I, once the
+// run's signature checks out. The run is the evidence until the block
+// arrives.
+func (c *Core) handleRun(now int64, from wire.NodeID, m *wire.PutResponse) []wire.Envelope {
+	if err := wcrypto.VerifyMsg(c.reg, from, m, m.EdgeSig); err != nil {
+		c.m.verifyFailures.Inc()
+		return nil
+	}
+	for i := range m.Block.Entries {
+		e := &m.Block.Entries[i]
+		if e.Client != c.cfg.ID {
+			continue
+		}
+		op, ok := c.bySeq.Get(e.Seq)
+		if !ok || op.Phase >= core.PhaseI {
+			continue
+		}
+		if !sameEntry(e, op) || (op.pos > 0 && m.Block.StartPos+uint64(i) != op.pos-1) {
+			c.m.verifyFailures.Inc()
+			c.settle(op, ErrBadResponse)
+			continue
+		}
+		op.run, op.Edge, op.BID = m, from, m.BID
+		c.phaseI(now, op, m.BID, nil)
+		c.addByBID(m.BID, op)
+	}
 	return nil
+}
+
+// runPos returns the log position op's run ack promised its entry. A run
+// may hold other writers' entries too.
+func (c *Core) runPos(op *Op) uint64 {
+	for i := range op.run.Block.Entries {
+		if e := &op.run.Block.Entries[i]; e.Seq == op.Seq && e.Client == c.cfg.ID {
+			return op.run.Block.StartPos + uint64(i)
+		}
+	}
+	return 0
+}
+
+// runBlock takes in the block ack m for op, a write its run ack took to
+// Phase I, whose entry m holds at pos: kept unchecked when it sits where
+// the run promised; otherwise, once its signature checks out, a dispute
+// when the node that promised the run signed it, and the op's new block
+// when a failover moved the write to another node or this node was
+// rebound to since the promise (the run was lost with its leader and the
+// write re-sent). check verifies m's signature once and clears m on
+// failure.
+func (c *Core) runBlock(op *Op, m *wire.PutResponse, pos uint64, digest []byte, check func() bool) []wire.Envelope {
+	if m.BID == op.run.BID && pos == c.runPos(op) {
+		op.putEvidence, op.digest, op.unchecked = m, digest, true
+		return nil
+	}
+	if !check() {
+		return nil
+	}
+	if op.Edge == c.cfg.Edge && !op.runRebound {
+		c.m.liesDetected.Inc()
+		return c.accuse(op, op.run.BID, core.BuildRunLieDispute(c.key, op.Edge, op.run, m))
+	}
+	c.dropByBID(op.BID, op)
+	op.run, op.runRebound = nil, false
+	op.putEvidence, op.digest, op.unchecked, op.Edge, op.BID = m, digest, false, c.cfg.Edge, m.BID
+	c.addByBID(m.BID, op)
+	return nil
+}
+
+// dropByBID stops op awaiting the proof of bid.
+func (c *Core) dropByBID(bid uint64, op *Op) {
+	ops, _ := c.byBID.Get(bid)
+	if ops = slices.DeleteFunc(ops, func(o *Op) bool { return o == op }); len(ops) == 0 {
+		c.byBID.Delete(bid)
+	} else {
+		c.byBID.Set(bid, ops)
+	}
+}
+
+// blockEvidence returns op's block ack once its signature checks out, or
+// nil: an unchecked block ack is checked here, when it is first needed as
+// evidence, and forgotten with its digest if it fails.
+func (c *Core) blockEvidence(op *Op) *wire.PutResponse {
+	if op.unchecked {
+		op.unchecked = false
+		m := op.putEvidence
+		if err := wcrypto.VerifyBlockAck(c.reg, op.Edge, m.BID, op.digest, m.EdgeSig); err != nil {
+			c.m.verifyFailures.Inc()
+			op.putEvidence, op.digest = nil, nil
+		}
+	}
+	return op.putEvidence
 }
 
 // handleProof upgrades every Phase I operation on the block to Phase II —
@@ -685,14 +820,23 @@ func (c *Core) handleProof(now int64, from wire.NodeID, p *wire.BlockProof) []wi
 			}
 			continue
 		}
-		if bytes.Equal(op.digest, digest) {
+		if op.digest != nil && bytes.Equal(op.digest, digest) {
 			c.phaseII(now, op)
 			continue
 		}
-		// The certified block differs from what I was promised/served.
-		c.m.liesDetected.Inc()
-		out = append(out, c.fileDispute(op)...)
 		remaining = append(remaining, op)
+		if op.digest != nil && c.blockEvidence(op) != nil {
+			// The certified block differs from what I was promised/served.
+			c.m.liesDetected.Inc()
+			out = append(out, c.fileDispute(op)...)
+			continue
+		}
+		if op.run != nil && !op.disputed {
+			// The block of my run is certified but no signed block of it
+			// reached me: re-send the write, and the edge re-acks it with
+			// the block that holds it.
+			out = append(out, c.submit(now, []*Op{op})...)
+		}
 	}
 	if len(remaining) == 0 {
 		c.byBID.Delete(bid)
@@ -748,11 +892,15 @@ func (c *Core) fileDispute(op *Op) []wire.Envelope {
 	}
 	var d *wire.Dispute
 	switch {
-	case op.putEvidence != nil:
+	case op.putEvidence != nil && c.blockEvidence(op) != nil:
 		d = core.BuildAddLieDispute(c.key, op.Edge, op.putEvidence)
+	case op.run != nil:
+		// No signed block of the run reached me: the run is the evidence of
+		// the promise, which convicts when its block was never certified.
+		d = core.BuildAddLieDispute(c.key, op.Edge, op.run)
 	case op.readEv != nil && op.readEv.OK:
 		d = core.BuildReadLieDispute(c.key, op.Edge, op.readEv)
-	case op.readEv != nil && !op.readEv.OK && c.gossip != nil:
+	case op.readEv != nil && !op.readEv.OK && c.checkedGossip() != nil:
 		d = core.BuildOmissionDispute(c.key, op.Edge, op.readEv, c.gossip)
 	case op.scanEv != nil:
 		// Dispute the lowest still-pending block (reads never set op.BID):
@@ -861,16 +1009,27 @@ func (c *Core) handleVerdict(now int64, v *wire.Verdict) []wire.Envelope {
 	return nil
 }
 
+// handleGossip keeps the newest gossip for my chain. Only a read denial
+// uses gossip, as the evidence that the denied block exists, so its
+// signature is checked then (checkedGossip), not on every arrival.
 func (c *Core) handleGossip(now int64, g *wire.Gossip) []wire.Envelope {
-	if g.Edge != c.cfg.Chain {
-		return nil
-	}
-	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, g, g.CloudSig); err != nil {
-		c.m.verifyFailures.Inc()
-		return nil
-	}
-	if c.gossip == nil || g.Ts > c.gossip.Ts {
-		c.gossip = g
+	if g.Edge == c.cfg.Chain && (c.heard == nil || g.Ts > c.heard.Ts) {
+		c.heard = g
 	}
 	return nil
+}
+
+// checkedGossip returns the newest gossip whose cloud signature checks
+// out, checking the one heard last first. A forged one is dropped, and the
+// next arrival is heard again.
+func (c *Core) checkedGossip() *wire.Gossip {
+	if g := c.heard; g != nil {
+		c.heard = nil
+		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, g, g.CloudSig); err != nil {
+			c.m.verifyFailures.Inc()
+		} else if c.gossip == nil || g.Ts > c.gossip.Ts {
+			c.gossip = g
+		}
+	}
+	return c.gossip
 }

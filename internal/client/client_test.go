@@ -440,3 +440,33 @@ func TestDuplicateSeqDistinctClientsIndependent(t *testing.T) {
 		t.Fatal("expected identical seqs on distinct cores")
 	}
 }
+
+// TestSharedRunFindsMyEntry: a run ack can hold the runs of several
+// writers, whose seqs repeat across them. The writer finds its own entry
+// by its identity and seq, takes the block that holds it at the promised
+// position without checking that block's signature, and reaches Phase II
+// on the block's certificate, with no dispute.
+func TestSharedRunFindsMyEntry(t *testing.T) {
+	f := newFixture(t)
+	op, envs := f.c.Put(10, []byte("k"), []byte("v"))
+	mine := entryOf(t, envs)
+	other := wire.Entry{Client: "c2", Seq: mine.Seq, Key: []byte("k2"), Value: []byte("w")}
+	run := &wire.PutResponse{BID: 0, Run: true, Block: wire.Block{Edge: "edge-1", ID: 0, StartPos: 5, Entries: []wire.Entry{other, mine}}}
+	run.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], run)
+	f.c.Receive(20, overTheWire(t, "edge-1", run))
+	if op.Phase != core.PhaseI || op.BID != 0 {
+		t.Fatalf("after the run ack: phase %v, block %d", op.Phase, op.BID)
+	}
+	blk := wire.Block{Edge: "edge-1", ID: 0, StartPos: 4, Entries: []wire.Entry{{Client: "c3", Seq: 9}, other, mine}}
+	ack := &wire.PutResponse{BID: 0, Block: blk, EdgeSig: make([]byte, 64)} // not a valid signature: never checked
+	f.c.Receive(30, overTheWire(t, "edge-1", ack))
+	p := &wire.BlockProof{Edge: "edge-1", BID: 0, Digest: blk.BodyDigest()}
+	p.CloudSig = wcrypto.SignMsg(f.keys["cloud"], p)
+	f.c.Receive(40, overTheWire(t, "cloud", p))
+	if op.Phase != core.PhaseII || op.Err != nil {
+		t.Fatalf("after the certificate: phase %v, err %v", op.Phase, op.Err)
+	}
+	if st := f.c.Stats(); st.Disputes != 0 || st.VerifyFailures != 0 {
+		t.Fatalf("stats %+v, want no dispute and no failed check", st)
+	}
+}

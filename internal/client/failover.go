@@ -84,6 +84,7 @@ func (c *Core) rebind(now int64) []wire.Envelope {
 		}
 		if op.Phase == core.PhaseI {
 			op.PhaseIAt = now
+			op.runRebound = op.run != nil
 		}
 		c.restartSchedule(op, now)
 		live = append(live, op)

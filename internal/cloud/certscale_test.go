@@ -14,11 +14,11 @@ import (
 
 // TestCertifyHistogramObservesBothPaths: the certify-latency histogram
 // records a sample for a certify the cloud signs and for one it drops on
-// a bad signature.
+// a bad MAC.
 func TestCertifyHistogramObservesBothPaths(t *testing.T) {
 	f := newFixture(t, Config{}) // Metrics nil: private-registry fallback
 	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: wcrypto.Digest([]byte("b0"))}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+	m.MAC = f.mac(t, "edge-1", m)
 	if out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m}); len(out) != 1 {
 		t.Fatalf("signed certify: %d outputs, want the proof", len(out))
 	}
@@ -26,8 +26,8 @@ func TestCertifyHistogramObservesBothPaths(t *testing.T) {
 		t.Fatalf("certify histogram count after a signed certify = %d, want 1", got)
 	}
 	m2 := &wire.BlockCertify{Edge: "edge-1", BID: 1, Digest: wcrypto.Digest([]byte("b1"))}
-	m2.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m2)
-	m2.EdgeSig[0] ^= 1
+	m2.MAC = f.mac(t, "edge-1", m2)
+	m2.MAC[0] ^= 1
 	if out := f.node.Receive(2, wire.Envelope{From: "edge-1", To: "cloud", Msg: m2}); len(out) != 0 {
 		t.Fatalf("badly signed certify answered: %v", out)
 	}
@@ -111,13 +111,13 @@ func TestForgedDisputeCannotTouchCache(t *testing.T) {
 
 // TestCertifyAnsweredInSameTurn: certification runs on the node's own
 // turn, so the certificate is among the outputs of the Receive that
-// carried the certify, its signature checked on that turn too.
+// carried the certify, its MAC checked on that turn too.
 // CertWorkers and CertBatch are set to show that nothing reads them.
 func TestCertifyAnsweredInSameTurn(t *testing.T) {
 	f := newFixture(t, Config{CertWorkers: 2, CertBatch: 4})
 	for bid := uint64(0); bid < 2; bid++ {
 		m := &wire.BlockCertify{Edge: "edge-1", BID: bid, Digest: wcrypto.Digest([]byte{byte(bid)})}
-		m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+		m.MAC = f.mac(t, "edge-1", m)
 		out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
 		if len(out) != 1 {
 			t.Fatalf("block %d: %d outputs, want the proof", bid, len(out))

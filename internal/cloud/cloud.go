@@ -328,8 +328,8 @@ func (n *Node) applyCertify(now int64, from wire.NodeID, m *wire.BlockCertify) [
 	if _, banned := n.punish.Banned(from); banned {
 		return nil
 	}
-	if wcrypto.VerifyMsg(n.reg, from, m, m.EdgeSig) != nil {
-		n.logf("dropping certify with bad signature", "edge", from)
+	if wcrypto.VerifyMAC(n.reg, n.key, from, n.cfg.ID, m, m.MAC) != nil {
+		n.logf("dropping certify with bad MAC", "edge", from)
 		return nil
 	}
 	if len(m.Body) > 0 && !fullDataBodyMatches(m) {

@@ -35,10 +35,21 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	return &fixture{node: New(cfg, keys["cloud"], reg), keys: keys, reg: reg}
 }
 
+// mac returns the MAC edge puts on certify m, under the key it shares with
+// the cloud.
+func (f *fixture) mac(t testing.TB, edge wire.NodeID, m *wire.BlockCertify) []byte {
+	t.Helper()
+	mac, err := wcrypto.MAC(f.reg, f.keys[edge], edge, "cloud", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mac
+}
+
 func (f *fixture) certify(t testing.TB, bid uint64, digest []byte) []wire.Envelope {
 	t.Helper()
 	m := &wire.BlockCertify{Edge: "edge-1", BID: bid, Digest: digest}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+	m.MAC = f.mac(t, "edge-1", m)
 	return f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
 }
 
@@ -136,7 +147,11 @@ func TestCertifyConflictConvicts(t *testing.T) {
 func TestCertifyRejectsBadSignature(t *testing.T) {
 	f := newFixture(t, Config{})
 	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: wcrypto.Digest([]byte("x"))}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["c1"], m) // wrong signer
+	mac, err := wcrypto.MAC(f.reg, f.keys["c1"], "c1", "cloud", m) // another pair's key
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MAC = mac
 	out := f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
 	if out != nil {
 		t.Fatal("forged certify accepted")
@@ -146,7 +161,7 @@ func TestCertifyRejectsBadSignature(t *testing.T) {
 func TestCertifySpoofedFromIgnored(t *testing.T) {
 	f := newFixture(t, Config{})
 	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: wcrypto.Digest([]byte("x"))}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+	m.MAC = f.mac(t, "edge-1", m)
 	if out := f.node.Receive(1, wire.Envelope{From: "c1", To: "cloud", Msg: m}); out != nil {
 		t.Fatal("certify with mismatched From accepted")
 	}
@@ -159,7 +174,7 @@ func TestFullDataCertifyBodyMismatchConvicts(t *testing.T) {
 		Digest: wcrypto.Digest([]byte("claimed")),
 		Body:   []byte("actual-different-content"),
 	}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], m)
+	m.MAC = f.mac(t, "edge-1", m)
 	f.node.Receive(1, wire.Envelope{From: "edge-1", To: "cloud", Msg: m})
 	if _, banned := f.node.Flagged("edge-1"); !banned {
 		t.Fatal("digest/body mismatch not convicted")
@@ -766,7 +781,7 @@ func TestHeartbeatAnsweredWithCurrentView(t *testing.T) {
 
 	d := wcrypto.Digest([]byte("block-0"))
 	m := &wire.BlockCertify{Edge: "edge-1", BID: 0, Digest: d}
-	m.EdgeSig = wcrypto.SignMsg(f.keys["edge-2"], m)
+	m.MAC = f.mac(t, "edge-2", m)
 	f.node.Receive(410, wire.Envelope{From: "edge-2", To: "cloud", Msg: m})
 	out := f.heartbeat(t, 420, "edge-3", 1, "edge-2", 0)
 	g, ok := out[0].Msg.(*wire.Gossip)

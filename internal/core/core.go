@@ -199,6 +199,22 @@ func BuildAddLieDispute(key wcrypto.KeyPair, edge wire.NodeID, resp *wire.PutRes
 	return d
 }
 
+// BuildRunLieDispute packages a signed run ack and a signed block ack of the
+// same node whose block contradicts it: the block the run was promised into
+// does not hold the run at its promised positions, or another block holds
+// one of them.
+func BuildRunLieDispute(key wcrypto.KeyPair, edge wire.NodeID, run, block *wire.PutResponse) *wire.Dispute {
+	d := &wire.Dispute{
+		Kind:      wire.DisputeAddLie,
+		Edge:      edge,
+		BID:       run.BID,
+		Evidence:  wire.EncodeMessage(run),
+		Evidence2: wire.EncodeMessage(block),
+	}
+	d.ClientSig = wcrypto.SignMsg(key, d)
+	return d
+}
+
 // BuildReadLieDispute packages a signed ReadResponse whose block content
 // contradicts the certified digest.
 func BuildReadLieDispute(key wcrypto.KeyPair, edge wire.NodeID, resp *wire.ReadResponse) *wire.Dispute {
@@ -255,6 +271,9 @@ func BuildOmissionDispute(key wcrypto.KeyPair, edge wire.NodeID, denial *wire.Re
 //     from the certified digest, or when no digest was ever certified for
 //     that block id (the edge promised a block it never reported; disputes
 //     arrive only after the client's generous proof timeout).
+//   - add-lie on a run ack: guilty when the second evidence, a block ack the
+//     same node signed, contradicts the run (runContradicted), or, with no
+//     second evidence, when the run's block id was never certified.
 //   - scan-lie (a get is a point-range scan): guilty when the response
 //     fails the read verifier the client ran (scan.Verify, freshness
 //     exempt), or when the disputed block's slice folds to a digest the
@@ -293,6 +312,9 @@ func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *w
 		if resp.BID != d.BID {
 			verdict.Reason = "dispute rejected: evidence bid mismatch"
 			return verdict
+		}
+		if resp.Run {
+			return judgeRun(reg, certs, chain, verdict, resp, d)
 		}
 		return judgeDigest(certs, chain, verdict, &resp.Block)
 	case wire.DisputeReadLie:
@@ -383,6 +405,59 @@ func Judge(reg *wcrypto.Registry, certs *CertTable, self, from wire.NodeID, d *w
 		verdict.Reason = "dispute rejected: unknown kind"
 		return verdict
 	}
+}
+
+// judgeRun rules on a run ack, whose signature Judge has checked: against
+// the block ack in d.Evidence2 when there is one, else against the
+// certification table, which can say only whether the run's block was
+// certified (the cloud never sees a block's content).
+func judgeRun(reg *wcrypto.Registry, certs *CertTable, chain wire.NodeID, verdict wire.Verdict, run *wire.PutResponse, d *wire.Dispute) wire.Verdict {
+	if len(d.Evidence2) == 0 {
+		if _, ok := certs.Lookup(chain, run.BID); !ok {
+			verdict.Guilty = true
+			verdict.Reason = fmt.Sprintf("block %d promised but never certified", run.BID)
+			return verdict
+		}
+		verdict.Reason = "not guilty: the run's block is certified and no block of it is in evidence"
+		return verdict
+	}
+	ev, err := wire.DecodeMessage(d.Evidence2)
+	blk, ok := ev.(*wire.PutResponse)
+	if err != nil || !ok || blk.Run {
+		verdict.Reason = "dispute rejected: second evidence is not a block ack"
+		return verdict
+	}
+	if err := wcrypto.VerifyMsg(reg, d.Edge, blk, blk.EdgeSig); err != nil || blk.Block.Edge != run.Block.Edge {
+		verdict.Reason = "dispute rejected: second evidence not signed by edge"
+		return verdict
+	}
+	if runContradicted(&run.Block, &blk.Block) {
+		verdict.Guilty = true
+		verdict.Reason = fmt.Sprintf("block %d contradicts run promise", blk.BID)
+		return verdict
+	}
+	verdict.Reason = "not guilty: the block holds the promised run"
+	return verdict
+}
+
+// runContradicted reports whether block blk breaks the promise of run: it is
+// the run's block and does not hold every run entry at its promised
+// position, or it is another block and holds one of those positions.
+func runContradicted(run, blk *wire.Block) bool {
+	end := run.StartPos + uint64(len(run.Entries))
+	blkEnd := blk.StartPos + uint64(len(blk.Entries))
+	if blk.ID != run.ID {
+		return run.StartPos < blkEnd && blk.StartPos < end
+	}
+	if run.StartPos < blk.StartPos || end > blkEnd {
+		return true
+	}
+	for i := range run.Entries {
+		if !run.Entries[i].Equal(&blk.Entries[run.StartPos-blk.StartPos+uint64(i)]) {
+			return true
+		}
+	}
+	return false
 }
 
 // judgeSlice finds the disputed block in a window that already verified

@@ -259,6 +259,10 @@ type Stats struct {
 	// Truncated counts blocks discarded from the uncertified tail on
 	// demotion — divergent or abandoned history replaced by catch-up.
 	Truncated uint64
+	// RunAcks counts run acks: runs signed and given their Phase I promise
+	// before the block that holds them was cut, each covering the write
+	// batches of one block held since the previous release.
+	RunAcks uint64
 }
 
 // New constructs an in-memory edge node with the given key and registry.
@@ -350,6 +354,7 @@ func (n *Node) Stats() Stats {
 		CatchUps:     n.m.catchUps.Value(),
 		ShedSignals:  n.m.shedSignals.Value(),
 		Truncated:    n.m.truncated.Value(),
+		RunAcks:      n.m.runAcks.Value(),
 	}
 }
 
@@ -379,7 +384,14 @@ func (n *Node) Receive(now int64, env wire.Envelope) []wire.Envelope {
 		return nil
 	}
 	n.turnStart = time.Now()
-	return n.endTurn(now, n.receive(now, env))
+	out := n.receive(now, env)
+	switch env.Msg.(type) {
+	case *wire.ScanRequest, *wire.ReadRequest:
+		// A read does not wait on its writers' fsync: the held outputs
+		// leave with the next write, proof or tick turn past the window.
+		return n.endTurn(now, out, false)
+	}
+	return n.endTurn(now, out, true)
 }
 
 // receive dispatches env to its handler.
@@ -410,9 +422,11 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 			return nil
 		}
 		var out []wire.Envelope
+		first := n.log.NextPos()
 		for i := range m.Entries {
 			out = append(out, n.handleWrite(now, env.From, m.Entries[i])...)
 		}
+		n.holdRun(now, env.From, first)
 		return out
 	case *wire.ReadRequest:
 		t0 := time.Now()
@@ -470,7 +484,7 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 		n.lastHB = now
 		out = append(out, n.heartbeat(now))
 	}
-	return n.endTurn(now, append(out, n.tickHealing(now)...))
+	return n.endTurn(now, append(out, n.tickHealing(now)...), true)
 }
 
 // tickHealing runs the self-healing timers: the leader's stall-gated
@@ -575,6 +589,83 @@ func (n *Node) handleWrite(now int64, from wire.NodeID, e wire.Entry) []wire.Env
 	return n.emitBlock(now, blk)
 }
 
+// heldRun is the part of a write batch left in the cut buffer after its
+// turn: positions [first, end) of block bid, written by client.
+type heldRun struct {
+	client     wire.NodeID
+	bid        uint64
+	first, end uint64
+}
+
+// holdRun notes the entries a write batch appended from position first on
+// and left in the cut buffer, for their Phase I promise when the turn ends
+// (ackRuns). Nothing is held unless they land in the next block whatever
+// cuts it (wlog.Log.RunFits): they then wait for the block ack at the cut,
+// as do the entries of every batch that fills its block in its own turn.
+func (n *Node) holdRun(now int64, client wire.NodeID, first uint64) {
+	first = max(first, n.log.BufStart())
+	if end := n.log.NextPos(); first < end && n.log.RunFits(end, now) {
+		n.lead.runs = append(n.lead.runs, heldRun{client, n.log.NumBlocks(), first, end})
+	}
+}
+
+// ackRuns gives the runs held since the last release their Phase I
+// promise: an in-memory node at the end of the turn that held them, a
+// durable one at the group-commit sync that releases them. Runs of one
+// block that follow each other make one run ack, signed once over the
+// chain, the BID, the first position, the count and the entry hashes,
+// whose Block holds exactly that run: every writer in it gets it, and the
+// same signature mirrors it to the followers. A durable node records it
+// first, for the sync to cover. A run whose block was cut since it was
+// held gets nothing here: its writers have the block ack. The writers get
+// the signed block at the cut all the same.
+func (n *Node) ackRuns() []wire.Envelope {
+	l := n.lead
+	var out []wire.Envelope
+	for i := 0; i < len(l.runs); {
+		g, clients := l.runs[i], []wire.NodeID{l.runs[i].client}
+		for i++; i < len(l.runs) && l.runs[i].bid == g.bid && l.runs[i].first == g.end; i++ {
+			g.end = l.runs[i].end
+			if !slices.Contains(clients, l.runs[i].client) {
+				clients = append(clients, l.runs[i].client)
+			}
+		}
+		if g.bid == n.log.NumBlocks() {
+			out = append(out, n.ackRun(g, clients)...)
+		}
+	}
+	l.runs = l.runs[:0]
+	return out
+}
+
+// ackRun builds, records and addresses the run ack of run g.
+func (n *Node) ackRun(g heldRun, clients []wire.NodeID) []wire.Envelope {
+	ack := &wire.PutResponse{BID: g.bid, Run: true, Block: wire.Block{
+		Edge: n.cfg.Chain, ID: g.bid, StartPos: g.first, Entries: n.log.Run(g.first, g.end),
+	}}
+	if f := n.cfg.Fault; f != nil && f.MisplaceRuns {
+		ack.Block.StartPos++
+	}
+	ack.EdgeSig = wcrypto.SignMsg(n.key, ack)
+	if n.store != nil {
+		if err := n.store.AppendRunBuffered(&ack.Block); err != nil {
+			n.logf("persisting run failed; withholding its ack", "bid", ack.BID, "err", err)
+			return nil
+		}
+	}
+	n.m.runAcks.Inc()
+	out := make([]wire.Envelope, 0, len(clients)+len(n.lead.followers))
+	for _, c := range clients {
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: c, Msg: ack})
+	}
+	for _, f := range n.lead.followers {
+		out = append(out, wire.Envelope{From: n.cfg.ID, To: f, Msg: &wire.ReplicateBlock{
+			Chain: n.cfg.Chain, Leader: n.cfg.ID, Block: ack.Block, LeaderSig: ack.EdgeSig, Run: true,
+		}})
+	}
+	return out
+}
+
 // overloadMapCap bounds the per-client shed rate-limit map; exceeding it
 // clears the map wholesale (the cost is one extra signal per client).
 const overloadMapCap = 4096
@@ -641,18 +732,21 @@ func (n *Node) syncDue(now int64) bool {
 	return n.cfg.SyncEvery <= 0 || n.lastSync == noSync || now-n.lastSync >= n.cfg.SyncEvery
 }
 
-// endTurn ends a turn: when outputs are withheld and the group-commit
-// window has elapsed, it syncs and puts them ahead of the turn's own out.
-// The certificate pushes queued in the previous turn follow out, and this
-// turn's wait for the next, so a reader's check of a certificate never
-// contends with its writers' own. A node that died in this turn releases
-// nothing more.
-func (n *Node) endTurn(now int64, out []wire.Envelope) []wire.Envelope {
+// endTurn ends a turn: when outputs are withheld, the group-commit window
+// has elapsed and the turn may sync, it syncs and puts them ahead of the
+// turn's own out. The certificate pushes queued in the previous turn
+// follow out, and this turn's wait for the next, so a reader's check of a
+// certificate never contends with its writers' own. A node that died in
+// this turn releases nothing more.
+func (n *Node) endTurn(now int64, out []wire.Envelope, maySync bool) []wire.Envelope {
 	l := n.lead
 	if n.killed || l == nil {
 		return out
 	}
-	if len(l.pendingAcks)+len(l.heldCuts) > 0 && n.syncDue(now) {
+	if n.store == nil {
+		out = append(out, n.ackRuns()...)
+	} else if maySync && len(l.pendingAcks)+len(l.heldCuts)+len(l.runs) > 0 && n.syncDue(now) {
+		l.pendingAcks = append(l.pendingAcks, n.ackRuns()...)
 		out = append(n.flushPending(now), out...)
 	}
 	for _, cp := range l.duePushes {
@@ -737,22 +831,32 @@ func (n *Node) blockOutputs(now int64, blk *wire.Block) []wire.Envelope {
 
 	// Data-free certification: only the digest travels to the cloud.
 	if n.cfg.Fault == nil || !n.cfg.Fault.DropCertify {
-		cert := &wire.BlockCertify{Edge: n.cfg.Chain, BID: blk.ID, Digest: digest}
+		var body []byte
 		if n.cfg.FullDataCert {
-			cert.Body = blk.Canonical()
+			body = blk.Canonical()
 		}
-		cert.EdgeSig = wcrypto.SignMsg(n.key, cert)
-		env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: cert}
-		n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
-		out = append(out, env)
+		out = n.certify(out, blk.ID, digest, body)
 		if n.cfg.Fault != nil && n.cfg.Fault.DoubleCertify {
 			// Equivocation at certify time: a second, conflicting digest.
-			forged := &wire.BlockCertify{Edge: n.cfg.Chain, BID: blk.ID, Digest: wcrypto.Digest(digest)}
-			forged.EdgeSig = wcrypto.SignMsg(n.key, forged)
-			out = append(out, wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: forged})
+			out = n.certify(out, blk.ID, wcrypto.Digest(digest), nil)
 		}
 	}
 	return out
+}
+
+// certify appends to out the data-free certification request for block
+// bid, MACed under the key this node shares with the cloud. A cloud whose
+// key is not registered gets nothing: it would drop the request unread.
+func (n *Node) certify(out []wire.Envelope, bid uint64, digest, body []byte) []wire.Envelope {
+	cert := &wire.BlockCertify{Edge: n.cfg.Chain, BID: bid, Digest: digest, Body: body}
+	var err error
+	if cert.MAC, err = wcrypto.MAC(n.reg, n.key, n.cfg.ID, n.cfg.Cloud, cert); err != nil {
+		n.logf("cannot authenticate certify to the cloud", "bid", bid, "err", err)
+		return out
+	}
+	env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: cert}
+	n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
+	return append(out, env)
 }
 
 // handleProof installs the cloud's block-proof (Phase II) and forwards it

@@ -82,18 +82,37 @@ func kindsOf(envs []wire.Envelope) map[wire.Kind]int {
 	return out
 }
 
+// TestWriteBuffersUntilBatch: a write that leaves its block unfilled gets
+// only its run ack — the promise of its position in the next block — and
+// the block is cut, acked and certified when a write fills it; the
+// filling write, cut in its own turn, gets the block ack alone.
 func TestWriteBuffersUntilBatch(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 3})
-	if out := f.add(t, 1, "c1", 1, "a"); out != nil {
-		t.Fatalf("first write produced output: %v", kindsOf(out))
-	}
-	if out := f.add(t, 2, "c1", 2, "b"); out != nil {
-		t.Fatalf("second write produced output: %v", kindsOf(out))
+	for seq := uint64(1); seq <= 2; seq++ {
+		out := f.add(t, int64(seq), "c1", seq, "ab"[seq-1:seq])
+		if len(out) != 1 {
+			t.Fatalf("write %d produced %v, want one run ack", seq, kindsOf(out))
+		}
+		r, ok := out[0].Msg.(*wire.PutResponse)
+		if !ok || !r.Run || r.BID != 0 || r.Block.StartPos != seq-1 || len(r.Block.Entries) != 1 {
+			t.Fatalf("write %d answered with %+v, want the run ack of position %d in block 0", seq, out[0].Msg, seq-1)
+		}
+		if err := wcrypto.VerifyMsg(f.reg, "edge-1", r, r.EdgeSig); err != nil {
+			t.Fatalf("run ack %d: %v", seq, err)
+		}
 	}
 	out := f.add(t, 3, "c2", 1, "c")
 	k := kindsOf(out)
 	if k[wire.KindPutResponse] != 2 {
 		t.Fatalf("want 2 responses (one per client), got %v", k)
+	}
+	for _, env := range out {
+		if r, ok := env.Msg.(*wire.PutResponse); ok && (r.Run || len(r.Block.Entries) != 3) {
+			t.Fatalf("the filling write's turn sent %+v, want block acks only", r)
+		}
+	}
+	if f.node.Stats().RunAcks != 2 {
+		t.Fatalf("RunAcks = %d, want 2", f.node.Stats().RunAcks)
 	}
 	if k[wire.KindBlockCertify] != 1 {
 		t.Fatalf("want 1 certify, got %v", k)
@@ -145,8 +164,8 @@ func TestCertifyIsDataFree(t *testing.T) {
 	if !bytes.Equal(certify.Digest, wcrypto.BlockDigest(&resp.Block)) {
 		t.Fatal("certify digest does not match the response block")
 	}
-	if err := wcrypto.VerifyMsg(f.reg, "edge-1", certify, certify.EdgeSig); err != nil {
-		t.Fatalf("certify signature: %v", err)
+	if err := wcrypto.VerifyMAC(f.reg, f.keys["cloud"], "edge-1", "cloud", certify, certify.MAC); err != nil {
+		t.Fatalf("certify MAC: %v", err)
 	}
 }
 

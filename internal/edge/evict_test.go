@@ -87,7 +87,7 @@ func (r *durableRig) putBlocks(t *testing.T, n int) [][]byte {
 		r.seq++
 		e := wire.Entry{Client: "c1", Seq: r.seq, Key: []byte{'k', byte('a' + r.seq%5)}, Value: bytes.Repeat([]byte{byte(r.seq)}, 40)}
 		for _, env := range r.pump(t, put(r.keys["c1"], e)) {
-			if m, ok := env.Msg.(*wire.ReplicateBlock); ok && env.To == "edge-1.r1" && m.Cert == nil {
+			if m, ok := env.Msg.(*wire.ReplicateBlock); ok && env.To == "edge-1.r1" && m.Cert == nil && !m.Run {
 				cut = append(cut, bytes.Clone(m.Block.Canonical()))
 			}
 		}

@@ -31,6 +31,10 @@ type Fault struct {
 	// DropCertify: blocks are never certified, starving Phase II and
 	// triggering client dispute timeouts.
 	DropCertify bool
+	// MisplaceRuns: every run ack promises its entries one position past
+	// where the block cut later holds them. The run verifies on its own;
+	// the signed block the writer gets at the cut contradicts it.
+	MisplaceRuns bool
 	// HideL0 and HideL0From: gets are served from a stale snapshot that
 	// pretends blocks with id >= HideL0From do not exist (stale-read
 	// attack bounded by the freshness window).

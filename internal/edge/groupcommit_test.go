@@ -8,6 +8,7 @@ import (
 	"wedgechain/internal/obs"
 	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
+	"wedgechain/internal/wlog"
 )
 
 // A persistent edge syncs at most once per group-commit window, counted
@@ -79,7 +80,9 @@ func (r *gcRig) durable(t *testing.T, out []wire.Envelope) []wire.Envelope {
 		var bids []uint64
 		switch m := env.Msg.(type) {
 		case *wire.PutResponse:
-			bids = append(bids, m.BID)
+			if !m.Run { // a run ack is covered by its run record (TestRunAckContract)
+				bids = append(bids, m.BID)
+			}
 		case *wire.ReadResponse:
 			if m.OK {
 				bids = append(bids, m.BID)
@@ -89,7 +92,9 @@ func (r *gcRig) durable(t *testing.T, out []wire.Envelope) []wire.Envelope {
 				bids = append(bids, s.ID)
 			}
 		case *wire.ReplicateBlock:
-			bids = append(bids, m.Block.ID)
+			if !m.Run {
+				bids = append(bids, m.Block.ID)
+			}
 		case *wire.BlockCertify:
 			bids = append(bids, m.BID)
 		}
@@ -226,8 +231,10 @@ func TestGroupCommitOneSyncPerTurn(t *testing.T) {
 }
 
 // TestGroupCommitReleasedByReceivePastWindow: held outputs need no Tick.
-// The first turn past the window — here a scan — syncs once and puts
-// them ahead of its own response.
+// The first turn past the window that is not a read — here a write —
+// syncs once and puts them ahead of its own outputs. A read's turn never
+// syncs, inside the window or past it: it does not wait on its writers'
+// fsync.
 func TestGroupCommitReleasedByReceivePastWindow(t *testing.T) {
 	r := newGCRig(t, 100)
 	defer r.n.CloseStore()
@@ -238,17 +245,22 @@ func TestGroupCommitReleasedByReceivePastWindow(t *testing.T) {
 	scan := func(now int64) []wire.Envelope {
 		return r.durable(t, r.n.Receive(now, wire.Envelope{From: "c1", To: "edge-1", Msg: &wire.ScanRequest{ReqID: uint64(now)}}))
 	}
-	if out := scan(ms(50)); len(out) != 1 || out[0].Msg.MsgKind() != wire.KindScanResponse {
-		t.Fatalf("a scan inside the window released %v, want its response alone", kindsOf(out))
+	for _, at := range []int64{50, 2000} {
+		var out []wire.Envelope
+		if got := r.syncs(func() { out = scan(ms(at)) }); got != 0 || len(out) != 1 || out[0].Msg.MsgKind() != wire.KindScanResponse {
+			t.Fatalf("a scan at %d ms released %v after %d fsyncs, want its response alone and none", at, kindsOf(out), got)
+		}
 	}
 	var out []wire.Envelope
-	if got := r.syncs(func() { out = scan(ms(2000)) }); got != 1 {
-		t.Fatalf("the scan past the window issued %d fsyncs, want 1", got)
+	if got := r.syncs(func() { out = r.write(t, ms(2001), 3) }); got != 1 {
+		t.Fatalf("the write past the window issued %d fsyncs, want 1", got)
 	}
 	k := kindsOf(out)
-	if k[wire.KindPutResponse] != 1 || k[wire.KindBlockCertify] != 1 || k[wire.KindScanResponse] != 1 ||
-		out[len(out)-1].Msg.MsgKind() != wire.KindScanResponse {
-		t.Fatalf("the scan past the window released %v, want write 2's outputs ahead of the scan response", k)
+	if k[wire.KindPutResponse] != 2 || k[wire.KindBlockCertify] != 2 {
+		t.Fatalf("the write past the window released %v, want write 2's and its own outputs", k)
+	}
+	if r, ok := out[0].Msg.(*wire.PutResponse); !ok || r.BID != 1 {
+		t.Fatalf("the write past the window released %v first, want write 2's ack", out[0].Msg)
 	}
 }
 
@@ -415,5 +427,97 @@ func TestStallRetryStopsAtUnsyncedBlock(t *testing.T) {
 	r.heldBlock(t)
 	if c, _ := only[*wire.BlockCertify](t, r.tick(t, ms(1003))); c.BID != 0 {
 		t.Fatalf("the stalled retry certified block %d, want block 0", c.BID)
+	}
+}
+
+// TestRunAckContract pins what the macro benchmark reads of the write path
+// and its durability check. In a run ack, Block.StartPos + i is the log
+// position of Block.Entries[i]: the position the cut block holds it at. A
+// run ack leaves only once a sync covers its run record. With run records
+// in the segment, wlog.Recover counts exactly the blocks the leader cut
+// (Stats().BlocksCut), and a leader restarted after a synced run ack cuts
+// the recovered run at its promised positions.
+func TestRunAckContract(t *testing.T) {
+	r := newGCRig(t, 0, func(c *Config) { c.BatchSize = 4 })
+	entry := func(seq uint64) wire.Entry { return wire.Entry{Client: "c1", Seq: seq, Value: []byte{byte(seq)}} }
+	var runs []*wire.PutResponse
+	for i, batch := range [][]wire.Entry{{entry(1)}, {entry(2), entry(3)}} {
+		syncs := r.n.store.Syncs()
+		out := r.durable(t, r.n.Receive(ms(int64(1+i)), put(r.keys["c1"], batch...)))
+		run, _ := only[*wire.PutResponse](t, out)
+		if !run.Run || len(run.Block.Entries) != len(batch) || r.n.store.Syncs() != syncs+1 {
+			t.Fatalf("batch %d: %v after %d syncs, want its run ack after one", i, kindsOf(out), r.n.store.Syncs()-syncs)
+		}
+		runs = append(runs, run)
+	}
+	out := r.durable(t, r.n.Tick(ms(500))) // the idle flush cuts block 0
+	blk, _ := only[*wire.PutResponse](t, out)
+	if blk.Run || blk.BID != 0 {
+		t.Fatalf("the flush released %v, want block 0's ack", kindsOf(out))
+	}
+	for _, run := range runs {
+		for i := range run.Block.Entries {
+			pos := run.Block.StartPos + uint64(i)
+			if e, ok := r.n.Log().EntryAt(pos); !ok || !e.Equal(&run.Block.Entries[i]) || !blk.Block.Entries[pos-blk.Block.StartPos].Equal(&e) {
+				t.Fatalf("run entry %d is not at its promised position %d", i, pos)
+			}
+		}
+	}
+	out = r.durable(t, r.n.Receive(ms(501), put(r.keys["c1"], entry(4))))
+	promise, _ := only[*wire.PutResponse](t, out)
+	if !promise.Run || promise.BID != 1 || promise.Block.StartPos != 3 {
+		t.Fatalf("write 4 released %v, want the run ack of position 3 in block 1", kindsOf(out))
+	}
+	// The leader stops here: block 1 is never cut, its run is synced.
+	cut := r.n.Stats().BlocksCut
+	if err := r.n.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, blocks, _, err := wlog.Recover(r.dir, "edge-1", 4, r.reg, "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if uint64(blocks) != cut || cut != 1 {
+		t.Fatalf("the leader cut %d blocks and %d recovered", cut, blocks)
+	}
+	n, _, err := NewPersistent(r.cfg, r.keys["edge-1"], r.reg, r.dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.n = n
+	defer n.CloseStore()
+	out = r.durable(t, n.Tick(ms(1000)))
+	blk, _ = only[*wire.PutResponse](t, out)
+	if blk.Run || blk.BID != 1 || blk.Block.StartPos != 3 || !blk.Block.Entries[0].Equal(&promise.Block.Entries[0]) {
+		t.Fatalf("the restarted leader released %v, want block 1 holding write 4 at position 3", kindsOf(out))
+	}
+}
+
+// TestHeldRunsShareOneAck: the runs of one block held inside a window are
+// released together by the sync past it, as one run ack signed once and
+// sent to each of their writers, mirrored once.
+func TestHeldRunsShareOneAck(t *testing.T) {
+	r := newGCRig(t, 100, func(c *Config) { c.BatchSize, c.FlushEvery = 4, -1 })
+	defer r.n.CloseStore()
+	c2 := wcrypto.DeterministicKey("c2")
+	r.reg.Register("c2", c2.Pub)
+	r.write(t, ms(1), 1) // the first sync: run acked in its own turn
+	if out := r.durable(t, r.n.Receive(ms(2), put(c2, wire.Entry{Client: "c2", Seq: 1}))); out != nil {
+		t.Fatalf("a run inside the window released %v", kindsOf(out))
+	}
+	if out := r.write(t, ms(3), 2); out != nil {
+		t.Fatalf("a run inside the window released %v", kindsOf(out))
+	}
+	out := r.tick(t, ms(2000))
+	if len(out) != 2 {
+		t.Fatalf("the sync past the window released %v, want one run ack for each writer", kindsOf(out))
+	}
+	a, b := out[0].Msg.(*wire.PutResponse), out[1].Msg.(*wire.PutResponse)
+	if a != b || !a.Run || a.Block.StartPos != 1 || len(a.Block.Entries) != 2 || out[0].To == out[1].To {
+		t.Fatalf("released %+v to %s and %+v to %s, want one run of positions 1-2 to both writers", a, out[0].To, b, out[1].To)
+	}
+	if got := r.n.Stats().RunAcks; got != 2 {
+		t.Fatalf("RunAcks = %d, want 2", got)
 	}
 }

@@ -26,6 +26,7 @@ type metrics struct {
 	shedSignals  *obs.Counter
 	truncated    *obs.Counter
 	replicated   *obs.Counter
+	runAcks      *obs.Counter
 	segmentReads *obs.Counter
 	residentLog  *obs.Gauge
 
@@ -73,6 +74,7 @@ func newMetrics(reg *obs.Registry, node string) *metrics {
 	m.shedSignals = c("wedge_edge_shed_signals_total", "signed Overloaded signals sent to clients")
 	m.truncated = c("wedge_edge_truncated_blocks_total", "uncertified blocks discarded on demotion")
 	m.replicated = c("wedge_edge_replicated_blocks_total", "block copies streamed to followers (fan-out)")
+	m.runAcks = c("wedge_edge_run_acks_total", "runs signed as Phase I acks before their block was cut: the write batches of one block held since the previous release")
 	m.segmentReads = c("wedge_wlog_segment_reads_total", "compacted blocks read back from the durable segment")
 	m.residentLog = reg.GaugeVec("wedge_wlog_resident_block_bytes", "canonical block bytes the log holds in memory", "node").With(node)
 	h := func(name, help string, buckets []float64) *obs.Histogram {

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 
 	"wedgechain/internal/core"
@@ -56,9 +57,10 @@ type leaderRole struct {
 	mergeWait  int64
 	// Group commit: outputs of persisted-but-unsynced blocks (and re-acks
 	// and reads of them), withheld until the shared fsync, and the cut
-	// times of those blocks.
+	// times of those blocks; and the runs held for their run ack (ackRuns).
 	pendingAcks []wire.Envelope
 	heldCuts    []int64
+	runs        []heldRun
 	// certStallSince tracks how long the certified frontier
 	// (lastCertFrontier) has been stuck with an uncertified backlog — the
 	// stall-gated cert retry trigger.
@@ -75,14 +77,26 @@ type certPush struct {
 
 // newLeaderRole starts leading on log with the view's followers (self
 // left out). Whatever the log holds was acknowledged before this role —
-// cut in an earlier life, recovered, or mirrored — so nothing behind its
-// frontier has a submitter, and nothing behind the certified frontier a
-// waiter.
+// cut in an earlier life, recovered, or mirrored — so nothing behind the
+// cut has a submitter, and nothing behind the certified frontier a waiter.
+// An entry still in the cut buffer (a recovered run) gets its block ack
+// at the cut, addressed to its writer.
 func newLeaderRole(self wire.NodeID, followers []wire.NodeID, log *wlog.Log) *leaderRole {
 	r := &leaderRole{followers: fanOut(self, followers), readers: map[wire.NodeID]uint64{}}
-	r.reqs.Advance(log.NextPos())
+	r.reqs.Advance(log.BufStart())
+	r.awaitCut(log, log.BufStart())
 	r.waiters.Advance(log.CertifiedBlocks())
 	return r
+}
+
+// awaitCut registers the writer of every buffered entry from position
+// from on for its block ack.
+func (r *leaderRole) awaitCut(log *wlog.Log, from uint64) {
+	for p := from; p < log.NextPos(); p++ {
+		if e, ok := log.EntryAt(p); ok && !wlog.IsNoop(&e) {
+			r.reqs.Set(p, e.Client)
+		}
+	}
 }
 
 // fanOut is a view's followers without self, in a slice of its own.
@@ -111,6 +125,10 @@ type followerRole struct {
 	// their block.
 	pendingRepl  map[uint64]stashedBlock
 	pendingCerts map[uint64]wire.BlockProof
+	// runs are the mirrored run acks of blocks not mirrored yet, at most
+	// pendingWindow of them, their signatures unchecked until a promotion
+	// cuts them (cutRuns).
+	runs []*wire.ReplicateBlock
 	// lastCatchUp rate-limits gap-driven catch-up requests; catchUpEnd is
 	// the end of the run last asked for (0 once that run is in).
 	lastCatchUp int64
@@ -236,6 +254,12 @@ func (n *Node) handleReplicate(now int64, from wire.NodeID, m *wire.ReplicateBlo
 	if m.Block.Edge != n.cfg.Chain {
 		return nil
 	}
+	if m.Run {
+		if f := n.follow; m.Block.ID >= n.log.NumBlocks() && len(f.runs) < pendingWindow {
+			f.runs = append(f.runs, m)
+		}
+		return nil
+	}
 	bid := m.Block.ID
 	// One digest serves the signature check, the certificate and duplicate
 	// comparisons and the install.
@@ -334,6 +358,7 @@ func (n *Node) installReplicated(m *wire.ReplicateBlock, digest []byte) []wire.E
 		n.logf("mirror install failed", "bid", bid, "err", err)
 		return nil
 	}
+	n.follow.runs = slices.DeleteFunc(n.follow.runs, func(r *wire.ReplicateBlock) bool { return r.Block.ID <= bid })
 	if n.replSigs == nil {
 		n.replSigs = make(map[uint64][]byte)
 	}
@@ -495,6 +520,7 @@ func (n *Node) adoptView(now int64, from wire.NodeID, v *wire.LeadershipTransfer
 // mirrored log and LSMerkle, re-certifies any uncertified tail, and (if
 // faulty) starts hiding the tail it was told to serve.
 func (n *Node) promote(now int64, v *wire.LeadershipTransfer) []wire.Envelope {
+	runs := n.follow.runs
 	n.follow = nil
 	n.lead = newLeaderRole(n.cfg.ID, v.Followers, n.log)
 	if f := n.cfg.Fault; f != nil && f.PromoteStale {
@@ -512,7 +538,44 @@ func (n *Node) promote(now int64, v *wire.LeadershipTransfer) []wire.Envelope {
 		f.HideL0From = f.PromoteStaleFrom
 	}
 	n.logf("promoted to leader", "chain", n.cfg.Chain, "epoch", v.Epoch, "followers", len(n.lead.followers))
-	return n.certifyTail(now)
+	return append(n.certifyTail(now), n.cutRuns(now, runs)...)
+}
+
+// cutRuns puts the runs a promoted follower mirrored back in its cut
+// buffer, in log order and as far as they continue its log, and cuts every
+// block they make, so each promise its old leader made lands at its
+// promised position. A run whose leader signature does not check out ends
+// the refill: it is no promise, and nothing after it can be placed.
+func (n *Node) cutRuns(now int64, runs []*wire.ReplicateBlock) []wire.Envelope {
+	slices.SortStableFunc(runs, func(a, b *wire.ReplicateBlock) int { return cmp.Compare(a.Block.StartPos, b.Block.StartPos) })
+	var out []wire.Envelope
+	cut := func() {
+		if blk := n.log.TryCut(now, true); blk != nil {
+			out = append(out, n.emitBlock(now, blk)...)
+		}
+	}
+	for _, r := range runs {
+		if r.Block.ID > n.log.NumBlocks() && n.log.BufferLen() > 0 {
+			cut()
+		}
+		if r.Block.StartPos+uint64(len(r.Block.Entries)) <= n.log.NextPos() {
+			continue // held already
+		}
+		if err := wcrypto.VerifyMsg(n.reg, r.Leader, r, r.LeaderSig); err != nil {
+			n.logf("mirrored run has a bad leader signature", "bid", r.Block.ID, "err", err)
+			break
+		}
+		from := n.log.NextPos()
+		if err := n.log.Refill(&r.Block); err != nil {
+			n.logf("mirrored run does not continue the log", "bid", r.Block.ID, "err", err)
+			break
+		}
+		n.lead.awaitCut(n.log, from)
+	}
+	if n.log.BufferLen() > 0 {
+		cut()
+	}
+	return out
 }
 
 // demote makes the node a mirroring follower of v's leader and discards
@@ -602,11 +665,7 @@ func (n *Node) certifyTail(now int64) []wire.Envelope {
 		if err != nil {
 			continue
 		}
-		cert := &wire.BlockCertify{Edge: n.cfg.Chain, BID: bid, Digest: digest}
-		cert.EdgeSig = wcrypto.SignMsg(n.key, cert)
-		env := wire.Envelope{From: n.cfg.ID, To: n.cfg.Cloud, Msg: cert}
-		n.m.bytesToCloud.Add(uint64(wire.EncodedSize(env)))
-		out = append(out, env)
+		out = n.certify(out, bid, digest, nil)
 	}
 	return out
 }

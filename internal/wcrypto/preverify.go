@@ -16,13 +16,11 @@ func PreVerify(r *Registry, env wire.Envelope) bool {
 	case *wire.PutRequest:
 		// Kept only because benchmark/ reads it: no node sends the kind.
 		return VerifyMsg(r, m.Entry.Client, &m.Entry, m.Entry.Sig) == nil
-	case *wire.PutBatch:
-		// Kept only because benchmark/ reads it: a batch carries a
-		// pairwise MAC (VerifyMAC), which a registry of public keys
-		// cannot check, so the case always reports false.
+	case *wire.PutBatch, *wire.BlockCertify:
+		// Kept only because benchmark/ reads them: a batch and a certify
+		// carry a pairwise MAC (VerifyMAC), which a registry of public
+		// keys cannot check, so these cases always report false.
 		return false
-	case *wire.BlockCertify:
-		return VerifyMsg(r, env.From, m, m.EdgeSig) == nil
 	case *wire.ReplicateBlock:
 		return VerifyBlockAck(r, m.Leader, m.Block.ID, m.Block.BodyDigest(), m.LeaderSig) == nil
 	default:

@@ -213,6 +213,21 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
+// trailingFlag reads an optional last byte that is present only when set:
+// true when it is there (it must be 1), false at the end of the input.
+func (d *Decoder) trailingFlag() bool {
+	if d.err != nil || d.off == len(d.buf) {
+		return false
+	}
+	if !d.Bool() {
+		if d.err == nil {
+			d.err = errors.New("wire: a trailing flag is written only when set")
+		}
+		return false
+	}
+	return true
+}
+
 func (d *Decoder) fail() {
 	if d.err == nil {
 		d.err = ErrTruncated

@@ -22,10 +22,23 @@ func (m *PutRequest) DecodeFrom(d *Decoder) { m.Entry.DecodeFrom(d) }
 // PutResponse is the edge node's signed promise that the client's entries
 // are part of block BID. It is the client's Phase I commit evidence: if the
 // certified block BID turns out to differ, this message convicts the edge.
+//
+// It comes in two shapes. A block ack (Run false) carries the whole cut
+// block and signs the block-ack body (AppendBlockAckBody). A run ack (Run
+// true) is the promise a leader makes for the entries of one write batch
+// still waiting for their block: Block holds exactly that run — Edge the
+// chain, ID the BID it will be cut into (equal to BID), StartPos its first
+// log position, Entries its entries — and EdgeSig signs AppendRunAckBody.
+// Either way Block.StartPos + i is the log position of Block.Entries[i]:
+// the macro benchmark (benchmark/) reads each write's version from it.
+//
+// Run is encoded as a trailing byte present only on a run ack, so a block
+// ack's bytes are those it had before runs existed.
 type PutResponse struct {
 	BID     uint64
 	Block   Block
 	EdgeSig []byte
+	Run     bool
 
 	encSize int // cached encoded size; see sizeMemoized
 }
@@ -38,11 +51,19 @@ func (m *PutResponse) EncodeTo(e *Encoder) {
 	e.U64(m.BID)
 	m.Block.EncodeTo(e)
 	e.Blob(m.EdgeSig)
+	if m.Run {
+		e.Bool(true)
+	}
 }
 
 // AppendBody appends the signable body: the size-independent block-ack
-// body (BID + block digest), not the shipped encoding.
+// body (BID + block digest) of a block ack, the run-ack body of a run ack;
+// never the shipped encoding.
 func (m *PutResponse) AppendBody(e *Encoder) {
+	if m.Run {
+		AppendRunAckBody(e, m.Block.Edge, m.BID, m.Block.StartPos, m.Block.Entries)
+		return
+	}
 	AppendBlockAckBody(e, m.BID, m.Block.BodyDigest())
 }
 
@@ -51,6 +72,7 @@ func (m *PutResponse) DecodeFrom(d *Decoder) {
 	m.BID = d.U64()
 	m.Block.DecodeFrom(d)
 	m.EdgeSig = d.Blob()
+	m.Run = d.trailingFlag()
 	m.encSize = 0
 }
 

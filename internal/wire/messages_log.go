@@ -16,6 +16,29 @@ func AppendBlockAckBody(e *Encoder, bid uint64, digest []byte) {
 	e.Blob(digest)
 }
 
+// runAckTag starts every run-ack body, so no other signed statement of a
+// node reads as a run promise.
+const runAckTag = "wedgechain/run/v1"
+
+// AppendRunAckBody appends the signable body of a run promise: the chain,
+// the BID the run will be cut into, its first log position, its entry
+// count and the SHA-256 of each entry's canonical encoding, in log order.
+// A run ack (PutResponse.Run) and its mirror to the followers
+// (ReplicateBlock.Run) carry one signature over it.
+func AppendRunAckBody(e *Encoder, chain NodeID, bid, first uint64, entries []Entry) {
+	e.Str(runAckTag)
+	e.ID(chain)
+	e.U64(bid)
+	e.U64(first)
+	e.U32(uint32(len(entries)))
+	scratch := GetEncoder()
+	for i := range entries {
+		h := entryHash(scratch, &entries[i])
+		e.Raw(h[:])
+	}
+	PutEncoder(scratch)
+}
+
 // BlockCertify is the data-free certification request from edge to cloud:
 // only the digest crosses the WAN link, never the block contents. Agreement
 // on the digest implies agreement on the block because the digest is a
@@ -24,12 +47,16 @@ func AppendBlockAckBody(e *Encoder, bid uint64, digest []byte) {
 // Body is normally empty. The full-data ablation (DESIGN.md A1) sets it to
 // the block's canonical bytes, modeling a system without data-free
 // certification; the cloud then recomputes and checks the digest.
+//
+// MAC authenticates the request under the pair key the sending edge node
+// shares with the cloud (wcrypto.MAC), as PutBatch's does under a client's:
+// only the cloud checks a certify, and what it decides is cloud-signed.
 type BlockCertify struct {
-	Edge    NodeID
-	BID     uint64
-	Digest  []byte
-	Body    []byte
-	EdgeSig []byte
+	Edge   NodeID
+	BID    uint64
+	Digest []byte
+	Body   []byte
+	MAC    []byte
 }
 
 // MsgKind implements Message.
@@ -38,10 +65,10 @@ func (*BlockCertify) MsgKind() Kind { return KindBlockCertify }
 // EncodeTo implements Message.
 func (m *BlockCertify) EncodeTo(e *Encoder) {
 	m.AppendBody(e)
-	e.Blob(m.EdgeSig)
+	e.Blob(m.MAC)
 }
 
-// AppendBody appends the bytes the edge signs.
+// AppendBody appends the bytes the MAC covers.
 func (m *BlockCertify) AppendBody(e *Encoder) {
 	e.ID(m.Edge)
 	e.U64(m.BID)
@@ -55,7 +82,7 @@ func (m *BlockCertify) DecodeFrom(d *Decoder) {
 	m.BID = d.U64()
 	m.Digest = d.Blob()
 	m.Body = d.Blob()
-	m.EdgeSig = d.Blob()
+	m.MAC = d.Blob()
 }
 
 // BlockProof is the cloud's signed certification of block BID's digest — the

@@ -26,6 +26,11 @@ import "errors"
 // before installing and advances its certified prefix without a cloud
 // round-trip. Neither field is signed by the leader: Through is a hint,
 // and the certificate carries the cloud's own signature.
+//
+// Run marks the mirror of a run ack: Block holds the run as the writer's
+// PutResponse does, LeaderSig is the same run-ack signature, and Through
+// and Cert are unset. It is encoded in the certificate flag (2), so a
+// block frame's bytes are those it had before runs existed.
 type ReplicateBlock struct {
 	Chain     NodeID // chain (shard) identity the block belongs to
 	Leader    NodeID // serving node that cut and signed the block
@@ -33,6 +38,7 @@ type ReplicateBlock struct {
 	LeaderSig []byte
 	Through   uint64
 	Cert      *BlockProof // nil when the frame carries no certificate
+	Run       bool
 
 	encSize int // cached encoded size; see sizeMemoized
 }
@@ -47,17 +53,24 @@ func (m *ReplicateBlock) EncodeTo(e *Encoder) {
 	m.Block.EncodeTo(e)
 	e.Blob(m.LeaderSig)
 	e.U64(m.Through)
-	if m.Cert == nil {
+	switch {
+	case m.Run:
+		e.U32(2)
+	case m.Cert == nil:
 		e.U32(0)
-		return
+	default:
+		e.U32(1)
+		m.Cert.EncodeTo(e)
 	}
-	e.U32(1)
-	m.Cert.EncodeTo(e)
 }
 
-// AppendBody appends the signable body: the size-independent block-ack
-// body shared with PutResponse.
+// AppendBody appends the signable body shared with PutResponse: the
+// size-independent block-ack body, or the run-ack body of a run.
 func (m *ReplicateBlock) AppendBody(e *Encoder) {
+	if m.Run {
+		AppendRunAckBody(e, m.Block.Edge, m.Block.ID, m.Block.StartPos, m.Block.Entries)
+		return
+	}
 	AppendBlockAckBody(e, m.Block.ID, m.Block.BodyDigest())
 }
 
@@ -68,9 +81,11 @@ func (m *ReplicateBlock) DecodeFrom(d *Decoder) {
 	m.Block.DecodeFrom(d)
 	m.LeaderSig = d.Blob()
 	m.Through = d.U64()
-	m.Cert = nil
+	m.Cert, m.Run = nil, false
 	switch d.U32() {
 	case 0:
+	case 2:
+		m.Run = true
 	case 1:
 		m.Cert = new(BlockProof)
 		m.Cert.DecodeFrom(d)

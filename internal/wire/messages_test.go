@@ -77,7 +77,7 @@ func sampleMessages() []Message {
 	proof := BlockProof{Edge: "edge-1", BID: 12, Digest: randBytes(32), CloudSig: randBytes(64)}
 	global := SignedRoot{Edge: "edge-1", Epoch: 3, Root: randBytes(32), Ts: 123, CloudSig: randBytes(64)}
 	return []Message{
-		&BlockCertify{Edge: "edge-1", BID: 12, Digest: randBytes(32), EdgeSig: randBytes(64)},
+		&BlockCertify{Edge: "edge-1", BID: 12, Digest: randBytes(32), MAC: randBytes(32)},
 		&proof,
 		&ReadRequest{BID: 12, ReqID: 9},
 		&ReadResponse{ReqID: 9, BID: 12, OK: true, Ts: 77, Block: blk, HasProof: true, Proof: proof, EdgeSig: randBytes(64)},
@@ -391,8 +391,8 @@ var _ = [...]BodyAppender{
 }
 
 func TestSignableBodyExcludesSignature(t *testing.T) {
-	m1 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, EdgeSig: []byte{9}}
-	m2 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, EdgeSig: []byte{8, 8, 8}}
+	m1 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, MAC: []byte{9}}
+	m2 := &BlockCertify{Edge: "e", BID: 1, Digest: []byte{1, 2}, MAC: []byte{8, 8, 8}}
 	if !bytes.Equal(BodyBytes(m1), BodyBytes(m2)) {
 		t.Fatal("signable body depends on signature")
 	}
@@ -511,7 +511,7 @@ func TestBlockCanonicalStable(t *testing.T) {
 }
 
 func TestMessageSizeAccounting(t *testing.T) {
-	small := Envelope{From: "a", To: "b", Msg: &BlockCertify{Edge: "e", BID: 1, Digest: randBytes(32), EdgeSig: randBytes(64)}}
+	small := Envelope{From: "a", To: "b", Msg: &BlockCertify{Edge: "e", BID: 1, Digest: randBytes(32), MAC: randBytes(32)}}
 	big := Envelope{From: "a", To: "b", Msg: &PutResponse{BID: 1, Block: sampleBlock(), EdgeSig: randBytes(64)}}
 	if EncodedSize(small) >= EncodedSize(big) {
 		t.Fatalf("digest-only certify (%d B) should be smaller than block response (%d B)",

@@ -24,7 +24,7 @@ func FuzzRecover(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "wedgelog.seg"), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, st, blocks, certs, err := Recover(dir, "edge-1", 10, reg, "cloud")
+		l, st, blocks, certs, err := Recover(dir, "edge-1", 10, reg, "cloud")
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormat) {
 				t.Fatalf("Recover: %v", err)
@@ -32,20 +32,22 @@ func FuzzRecover(f *testing.F) {
 			return
 		}
 		st.Close()
-		_, st, blocks2, certs2, err := Recover(dir, "edge-1", 10, reg, "cloud")
+		l2, st, blocks2, certs2, err := Recover(dir, "edge-1", 10, reg, "cloud")
 		if err != nil {
 			t.Fatalf("second recovery: %v", err)
 		}
 		st.Close()
-		if blocks2 != blocks || certs2 != certs {
-			t.Fatalf("second recovery %d blocks / %d certs, first %d / %d", blocks2, certs2, blocks, certs)
+		if blocks2 != blocks || certs2 != certs || l2.BufferLen() != l.BufferLen() {
+			t.Fatalf("second recovery %d blocks / %d certs / %d buffered, first %d / %d / %d",
+				blocks2, certs2, l2.BufferLen(), blocks, certs, l.BufferLen())
 		}
 	})
 }
 
 // recoverSeeds returns segments the real Store wrote: blocks with
 // cloud-signed certificates, the same history after a ResetTo rewrite and
-// a continued append, and that segment with a torn tail.
+// a continued append, that segment with a torn tail, and it with run
+// records: one its block covers and one no block covers yet.
 func recoverSeeds(f *testing.F, keys map[wire.NodeID]wcrypto.KeyPair, reg *wcrypto.Registry) [][]byte {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "wedgelog.seg")
@@ -81,5 +83,24 @@ func recoverSeeds(f *testing.F, keys map[wire.NodeID]wcrypto.KeyPair, reg *wcryp
 	if err != nil {
 		f.Fatal(err)
 	}
-	return [][]byte{written, reset, reset[:len(reset)-3], nil}
+	st, err = OpenStore(dir, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, run := range []wire.Block{
+		{Edge: "edge-1", ID: 2, StartPos: 2, Entries: []wire.Entry{e}},
+		{Edge: "edge-1", ID: 3, StartPos: 3, Entries: []wire.Entry{{Client: "c1", Seq: 101, Value: []byte("run")}, {Client: "c1", Seq: 102}}},
+	} {
+		if err := st.AppendRunBuffered(&run); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	runs, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return [][]byte{written, reset, reset[:len(reset)-3], runs, runs[:len(runs)-2], nil}
 }

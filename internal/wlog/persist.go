@@ -13,8 +13,9 @@ import (
 	"wedgechain/internal/wire"
 )
 
-// Persistence: an append-only segment file durably storing cut blocks and
-// their cloud certificates, with crash recovery. The format is
+// Persistence: an append-only segment file durably storing cut blocks, the
+// runs a leader promised before their block was cut, and the blocks' cloud
+// certificates, with crash recovery. The format is
 // length-prefixed records over the canonical wire encoding:
 //
 //	record := kind(1) length(4, big-endian) payload(length) crc-free
@@ -22,7 +23,7 @@ import (
 // Torn tails (a partial final record after a crash) are truncated on
 // recovery — exactly the blocks whose Phase I responses may not have been
 // sent yet, so nothing acknowledged is lost: a block is only acknowledged
-// after the Sync covering its record returns.
+// after the Sync covering its record returns, and so is a run.
 //
 // Records are self-authenticating on recovery: block digests are
 // recomputed and certificates re-verified against the cloud's key, so a
@@ -31,11 +32,14 @@ import (
 // Record kinds in the segment file. A block record does not store the
 // block's digest — recovery recomputes it — so the kind is what names the
 // digest format the segment's certificates were issued under: kind 1 held
-// blocks of the flat-hash digest, and is answered with ErrFormat.
+// blocks of the flat-hash digest, and is answered with ErrFormat. A run
+// record holds a run ack's Block: the chain, the BID the run is promised
+// into, its first position and its entries.
 const (
 	recBlockV1 byte = 1
 	recCert    byte = 2
 	recBlock   byte = 3
+	recRun     byte = 4
 )
 
 // ErrCorrupt reports an unrecoverable store inconsistency (as opposed to
@@ -139,6 +143,17 @@ func (s *Store) AppendBlockBuffered(b *wire.Block) error {
 	if err == nil && b.ID == uint64(len(s.blocks)) {
 		s.blocks = append(s.blocks, at)
 	}
+	return err
+}
+
+// AppendRunBuffered records a promised run without forcing it to disk; the
+// caller must not send the run's acknowledgement before a later Sync
+// returns. Recovery puts a run no block covers back into the cut buffer.
+func (s *Store) AppendRunBuffered(run *wire.Block) error {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	run.EncodeToUncached(e)
+	_, err := s.append(recRun, e.Bytes())
 	return err
 }
 
@@ -271,13 +286,15 @@ func syncDir(dir string) error {
 // Recover replays the segment into a fresh Log, verifying digests and
 // certificate signatures against the registry (the cloud's identity is
 // taken from each certificate's signer field recorded at write time).
-// A torn final record is truncated. Returns the number of blocks and
-// certificates recovered.
+// A torn final record is truncated. The runs no recovered block covers go
+// back into the cut buffer, in order, as far as they continue the log.
+// Returns the number of blocks and certificates recovered.
 func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry, cloud wire.NodeID) (*Log, *Store, int, int, error) {
 	path := filepath.Join(dir, segName)
 	l := New(edge, batchSize)
 	blocks, certs := 0, 0
 	var spans []span
+	var runs []wire.Block
 
 	// A new segment ResetTo was writing when the node stopped: the live
 	// segment is whole, so the half-written one goes.
@@ -360,6 +377,15 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 				return nil, nil, 0, 0, fmt.Errorf("%w: cert: %v", ErrCorrupt, err)
 			}
 			certs++
+		case recRun:
+			var run wire.Block
+			d := wire.NewDecoder(payload)
+			run.DecodeFrom(d)
+			if err := d.Finish(); err != nil || run.Edge != edge {
+				f.Close()
+				return nil, nil, 0, 0, fmt.Errorf("%w: run record of %q: %v", ErrCorrupt, run.Edge, err)
+			}
+			runs = append(runs, run)
 		default:
 			f.Close()
 			return nil, nil, 0, 0, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, hdr[0])
@@ -367,6 +393,11 @@ func Recover(dir string, edge wire.NodeID, batchSize int, reg *wcrypto.Registry,
 		validLen += 5 + int64(n)
 	}
 	f.Close()
+	for i := range runs {
+		if l.Refill(&runs[i]) != nil {
+			break // a run the segment lost the start of cannot be placed
+		}
+	}
 
 	// Repair a torn tail before reopening for append.
 	if size > validLen {

@@ -359,3 +359,47 @@ func TestRecoverTornLengthAllocatesNothing(t *testing.T) {
 		t.Fatalf("segment is %d bytes after recovery, want %d", info2.Size(), info.Size())
 	}
 }
+
+// TestRecoverRefillsUncutRuns: the runs a leader promised and recorded
+// before their block was cut go back into the cut buffer at their promised
+// positions, marked seen; a run its block covers is not refilled, and a
+// run that does not continue the log ends the refill. The block count is
+// the blocks' alone.
+func TestRecoverRefillsUncutRuns(t *testing.T) {
+	keys, reg := persistKeys(t)
+	dir := t.TempDir()
+	blocks := buildSegment(t, dir, keys, 2, 2)
+	st, err := OpenStore(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := wire.Block{Edge: "edge-1", ID: 1, StartPos: 1, Entries: blocks[1].Entries}
+	next := wire.Block{Edge: "edge-1", ID: 2, StartPos: 2, Entries: []wire.Entry{{Client: "c1", Seq: 10, Value: []byte("a")}, {Client: "c1", Seq: 11}}}
+	after := wire.Block{Edge: "edge-1", ID: 2, StartPos: 4, Entries: []wire.Entry{{Client: "c1", Seq: 12}}}
+	gap := wire.Block{Edge: "edge-1", ID: 2, StartPos: 9, Entries: []wire.Entry{{Client: "c1", Seq: 13}}}
+	for _, run := range []*wire.Block{&covered, &next, &after, &gap} {
+		if err := st.AppendRunBuffered(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, st, n, _, err := Recover(dir, "edge-1", 10, reg, "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n != 2 || l.NumBlocks() != 2 || l.BufferLen() != 3 {
+		t.Fatalf("recovered %d blocks, log %d blocks and %d buffered; want 2, 2 and 3", n, l.NumBlocks(), l.BufferLen())
+	}
+	for i, e := range append(next.Entries, after.Entries...) {
+		got, ok := l.EntryAt(2 + uint64(i))
+		if pos, seen := l.SeenPos(e.Client, e.Seq); !ok || !got.Equal(&e) || !seen || pos != 2+uint64(i) {
+			t.Fatalf("position %d holds %+v (seen at %d, %v), want %+v", 2+i, got, pos, seen, e)
+		}
+	}
+	if _, seen := l.SeenPos("c1", 13); seen {
+		t.Fatal("a run past a gap was refilled")
+	}
+}

@@ -329,6 +329,52 @@ func noopEntry() wire.Entry { return wire.Entry{} }
 // IsNoop reports whether an entry is a reservation-expiry filler.
 func IsNoop(e *wire.Entry) bool { return e.Client == "" }
 
+// BufStart returns the absolute position of the first buffered (uncut)
+// slot: where the next block starts.
+func (l *Log) BufStart() uint64 { return l.bufStart }
+
+// RunFits reports whether buffered positions up to end belong to the next
+// block whatever cuts it: they fit in one block and every slot before end
+// is filled or an expired reservation at now. Slots stay filled, so a later
+// cut, full or forced, takes at least that prefix.
+func (l *Log) RunFits(end uint64, now int64) bool {
+	n := end - l.bufStart
+	return end > l.bufStart && n <= uint64(l.batchSize) && uint64(l.cutEligible(now)) >= n
+}
+
+// Run returns copies of the buffered entries at positions [first, end).
+func (l *Log) Run(first, end uint64) []wire.Entry {
+	out := make([]wire.Entry, 0, end-first)
+	for p := first; p < end; p++ {
+		out = append(out, l.buf[p-l.bufStart].entry)
+	}
+	return out
+}
+
+// Refill puts a promised run back into the cut buffer: a recovered run no
+// block covers, or a run a promoted follower mirrored. It must be the next
+// block's and start at the next position; a run the log already holds is
+// skipped.
+func (l *Log) Refill(run *wire.Block) error {
+	end := run.StartPos + uint64(len(run.Entries))
+	if end <= l.NextPos() {
+		return nil
+	}
+	if run.ID != l.NumBlocks() || run.StartPos != l.NextPos() || int(end-l.bufStart) > l.batchSize {
+		return fmt.Errorf("%w: run of block %d at %d does not continue the log (block %d, position %d)",
+			ErrPositionInvalid, run.ID, run.StartPos, l.NumBlocks(), l.NextPos())
+	}
+	for i := range run.Entries {
+		e := run.Entries[i]
+		if _, dup := l.SeenPos(e.Client, e.Seq); dup {
+			return fmt.Errorf("%w: %s/%d", ErrDuplicateEntry, e.Client, e.Seq)
+		}
+		l.buf = append(l.buf, slot{entry: e, filled: true})
+		l.markSeen(&e, run.StartPos+uint64(i))
+	}
+	return nil
+}
+
 // cutEligible reports how many leading buffer slots can form a block at
 // time now: a prefix where every slot is filled or an expired reservation.
 func (l *Log) cutEligible(now int64) int {

@@ -60,7 +60,13 @@ func TestShardedScanGloballyOrdered(t *testing.T) {
 		key := fmt.Sprintf("scan-%03d", i)
 		val := fmt.Sprintf("val-%03d-new", i)
 		model[key] = val
-		if _, err := cl.Put([]byte(key), []byte(val)); err != nil {
+		r, err := cl.Put([]byte(key), []byte(val))
+		if err != nil {
+			t.Fatalf("overwrite %s: %v", key, err)
+		}
+		// A write acknowledged by its run is read once its block is cut;
+		// its certificate says it was.
+		if err := r.WaitPhaseII(15 * time.Second); err != nil {
 			t.Fatalf("overwrite %s: %v", key, err)
 		}
 	}
