@@ -665,7 +665,7 @@ func (c *Core) handlePutResponse(now int64, from wire.NodeID, m *wire.PutRespons
 		}
 		pos := m.Block.StartPos + uint64(i)
 		if op.run != nil {
-			out = append(out, c.runBlock(op, m, pos, digest, check)...)
+			out = append(out, c.runBlock(op, m, e, pos, digest, check)...)
 			if m == nil {
 				return out
 			}
@@ -736,15 +736,15 @@ func (c *Core) runPos(op *Op) uint64 {
 }
 
 // runBlock takes in the block ack m for op, a write its run ack took to
-// Phase I, whose entry m holds at pos: kept unchecked when it sits where
-// the run promised; otherwise, once its signature checks out, a dispute
+// Phase I, whose entry e m holds at pos: kept unchecked when e is the entry
+// op sent and sits where the run promised; otherwise, once its signature checks out, a dispute
 // when the node that promised the run signed it, and the op's new block
 // when a failover moved the write to another node or this node was
 // rebound to since the promise (the run was lost with its leader and the
 // write re-sent). check verifies m's signature once and clears m on
 // failure.
-func (c *Core) runBlock(op *Op, m *wire.PutResponse, pos uint64, digest []byte, check func() bool) []wire.Envelope {
-	if m.BID == op.run.BID && pos == c.runPos(op) {
+func (c *Core) runBlock(op *Op, m *wire.PutResponse, e *wire.Entry, pos uint64, digest []byte, check func() bool) []wire.Envelope {
+	if m.BID == op.run.BID && pos == c.runPos(op) && sameEntry(e, op) {
 		op.putEvidence, op.digest, op.unchecked = m, digest, true
 		return nil
 	}

@@ -80,14 +80,15 @@ type Config struct {
 	FullDataCert bool
 	// SyncEvery is the group-commit window of a persistent node: it syncs
 	// at most once per window, counted from the return of the last
-	// successful sync. A block cut when that sync is at least SyncEvery
-	// old (or none has run yet) is synced and released in the turn that
-	// cut it, by one sync at the end of that turn; blocks cut sooner share
-	// the sync that ends the first turn past the window. A block's Phase I
-	// acknowledgements, replication and certification request are
-	// withheld until a sync covers it, so nothing is acknowledged before
-	// it is durable. 0 (or negative) is a zero window: each block's sync
-	// runs in the turn that cut it.
+	// successful sync. A block cut (or a run held) when that sync is at
+	// least SyncEvery old (or none has run yet) is synced and released in
+	// the turn that cut it, by one sync at the end of that turn; those cut
+	// sooner share the sync that ends the first turn past the window that
+	// is not a read (a ScanRequest or ReadRequest never syncs). A block's
+	// Phase I acknowledgements, replication and certification request, and
+	// a run's ack and mirror, are withheld until a sync covers their
+	// record, so nothing is acknowledged before it is durable. 0 (or
+	// negative) is a zero window: each sync runs in the turn that needs it.
 	SyncEvery int64
 	// CertBatch is read by nothing: every cut block is certified by its
 	// own BlockCertify. The field remains only because the macro
