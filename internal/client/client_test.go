@@ -470,3 +470,27 @@ func TestSharedRunFindsMyEntry(t *testing.T) {
 		t.Fatalf("stats %+v, want no dispute and no failed check", st)
 	}
 }
+
+// TestRunBlockWithAlteredEntryIsDisputed: a block ack that holds the
+// writer's seq at the promised position but not the entry it sent
+// contradicts the run: once its signature checks out, the writer files
+// both.
+func TestRunBlockWithAlteredEntryIsDisputed(t *testing.T) {
+	f := newFixture(t)
+	op, envs := f.c.Put(10, []byte("k"), []byte("v"))
+	mine := entryOf(t, envs)
+	run := &wire.PutResponse{BID: 0, Run: true, Block: wire.Block{Edge: "edge-1", ID: 0, StartPos: 0, Entries: []wire.Entry{mine}}}
+	run.EdgeSig = wcrypto.SignMsg(f.keys["edge-1"], run)
+	f.c.Receive(20, overTheWire(t, "edge-1", run))
+	altered := mine
+	altered.Value = []byte("not v")
+	blk := f.signedAddResponse(blockWith(0, altered))
+	out := f.c.Receive(30, overTheWire(t, "edge-1", blk))
+	if len(out) != 1 || f.c.Stats().Disputes != 1 {
+		t.Fatalf("outputs %v, disputes %d; want one dispute", out, f.c.Stats().Disputes)
+	}
+	d, ok := out[0].Msg.(*wire.Dispute)
+	if !ok || d.Kind != wire.DisputeAddLie || len(d.Evidence2) == 0 || op.Phase != core.PhaseI {
+		t.Fatalf("filed %+v, op phase %v; want the run with the block as second evidence", out[0].Msg, op.Phase)
+	}
+}
