@@ -20,7 +20,7 @@ func main() {
 	cfg := edge.Defaults()
 	flag.StringVar((*string)(&cfg.Cloud), "cloud", "cloud", "cloud node identity")
 	flag.IntVar(&cfg.BatchSize, "batch", cfg.BatchSize, "entries per block")
-	cli.DurationVar(&cfg.FlushEvery, "flush", "force-cut a partial block after this idle `duration` (negative disables)")
+	cli.DurationVar(&cfg.FlushEvery, "flush", "force-cut a partial block after this idle `duration`, and one holding a run ack ten of them after that ack (negative disables both, and run acks)")
 	flag.IntVar(&cfg.L0Threshold, "l0", cfg.L0Threshold, "L0 blocks before compaction")
 	cli.IntsVar(&cfg.LevelThresholds, "levels", "comma-separated `list` of level page thresholds")
 	evil := flag.String("evil", "", "byzantine mode: tamper-add=<victim>|omit=<bid>|double-certify|drop-certify|false-exclude=<key>|tamper-slice=<key>|equivocate-repl|promote-stale=<bid>")

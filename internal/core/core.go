@@ -415,7 +415,7 @@ func judgeRun(reg *wcrypto.Registry, certs *CertTable, chain wire.NodeID, verdic
 	if len(d.Evidence2) == 0 {
 		if _, ok := certs.Lookup(chain, run.BID); !ok {
 			verdict.Guilty = true
-			verdict.Reason = fmt.Sprintf("block %d promised but never certified", run.BID)
+			verdict.Reason = fmt.Sprintf("block %d promised by a run ack but never certified", run.BID)
 			return verdict
 		}
 		verdict.Reason = "not guilty: the run's block is certified and no block of it is in evidence"

@@ -65,7 +65,11 @@ type Config struct {
 	// the layer default.
 	BatchSize int
 	// FlushEvery force-cuts a partial block after this many idle
-	// nanoseconds. 0 = the layer default; negative disables flushing.
+	// nanoseconds, and a block holding a run ack runCutFlushes of them
+	// after its first run ack left, idle or not: a writer whose
+	// ProofTimeout exceeds that plus a certification round trip never
+	// disputes an honest run. 0 = the layer default; negative disables
+	// flushing and run acks, so every write waits for its block.
 	FlushEvery int64
 	// L0Threshold is the number of certified, uncompacted blocks that
 	// triggers an L0 -> L1 merge (the paper's level-0 page threshold);
@@ -113,6 +117,11 @@ const (
 	catchUpEvery = int64(5e8) // a follower asks for a replication gap at most this often
 	retryAfter   = int64(1e8)
 )
+
+// runCutFlushes is how many FlushEvery periods a block may wait for its
+// cut after its first run ack: long enough that a block filling at a
+// steady rate is not cut short, short against a client's ProofTimeout.
+const runCutFlushes = 10
 
 // fill replaces every zero knob with the layer default. It is the one
 // place those defaults are written, and it is idempotent: a negative
@@ -427,7 +436,7 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 		for i := range m.Entries {
 			out = append(out, n.handleWrite(now, env.From, m.Entries[i])...)
 		}
-		n.holdRun(now, env.From, first)
+		n.holdRun(env.From, first)
 		return out
 	case *wire.ReadRequest:
 		t0 := time.Now()
@@ -468,7 +477,7 @@ func (n *Node) receive(now int64, env wire.Envelope) []wire.Envelope {
 }
 
 // Tick implements core.Handler: flush partial blocks that have waited
-// past FlushEvery, release group-commit acknowledgements whose sync
+// past FlushEvery, or whose run ack is due its cut, release group-commit acknowledgements whose sync
 // window elapsed, and send the certificate pushes queued in earlier turns.
 func (n *Node) Tick(now int64) []wire.Envelope {
 	if n.killed {
@@ -476,7 +485,8 @@ func (n *Node) Tick(now int64) []wire.Envelope {
 	}
 	n.turnStart = time.Now()
 	var out []wire.Envelope
-	if n.cfg.FlushEvery > 0 && n.log.BufferLen() > 0 && now-n.lastArrival >= n.cfg.FlushEvery {
+	idle := n.cfg.FlushEvery > 0 && now-n.lastArrival >= n.cfg.FlushEvery
+	if n.log.BufferLen() > 0 && (idle || n.runCutDue(now)) {
 		if blk := n.log.TryCut(now, true); blk != nil {
 			out = append(out, n.emitBlock(now, blk)...)
 		}
@@ -600,14 +610,27 @@ type heldRun struct {
 
 // holdRun notes the entries a write batch appended from position first on
 // and left in the cut buffer, for their Phase I promise when the turn ends
-// (ackRuns). Nothing is held unless they land in the next block whatever
-// cuts it (wlog.Log.RunFits): they then wait for the block ack at the cut,
-// as do the entries of every batch that fills its block in its own turn.
-func (n *Node) holdRun(now int64, client wire.NodeID, first uint64) {
+// (ackRuns). Only a run that starts the buffer or continues the last one
+// held is held, so the runs of a block cover its buffer from its start
+// with no gap, and recovery and promotion, which refill the buffer from
+// runs alone, put each at its promised position. The next cut, full or
+// forced, takes them all: every slot they cover is filled. A write whose
+// batch is not held waits for the block ack at the cut, as does every
+// write of a batch that fills its block in its own turn.
+func (n *Node) holdRun(client wire.NodeID, first uint64) {
+	l := n.lead
 	first = max(first, n.log.BufStart())
-	if end := n.log.NextPos(); first < end && n.log.RunFits(end, now) {
-		n.lead.runs = append(n.lead.runs, heldRun{client, n.log.NumBlocks(), first, end})
+	if end := n.log.NextPos(); n.cfg.FlushEvery > 0 && first < end && first == max(n.log.BufStart(), l.runEnd) {
+		l.runs = append(l.runs, heldRun{client, n.log.NumBlocks(), first, end})
+		l.runEnd = end
 	}
+}
+
+// runCutDue reports whether the block being filled holds a run ack whose
+// cut is due.
+func (n *Node) runCutDue(now int64) bool {
+	l := n.lead
+	return l != nil && l.runCutBy != 0 && l.runBID == n.log.NumBlocks() && now >= l.runCutBy
 }
 
 // ackRuns gives the runs held since the last release their Phase I
@@ -619,8 +642,9 @@ func (n *Node) holdRun(now int64, client wire.NodeID, first uint64) {
 // same signature mirrors it to the followers. A durable node records it
 // first, for the sync to cover. A run whose block was cut since it was
 // held gets nothing here: its writers have the block ack. The writers get
-// the signed block at the cut all the same.
-func (n *Node) ackRuns() []wire.Envelope {
+// the signed block at the cut all the same, which comes at the latest
+// runCutFlushes flush periods after the block's first run ack (Tick).
+func (n *Node) ackRuns(now int64) []wire.Envelope {
 	l := n.lead
 	var out []wire.Envelope
 	for i := 0; i < len(l.runs); {
@@ -633,6 +657,9 @@ func (n *Node) ackRuns() []wire.Envelope {
 		}
 		if g.bid == n.log.NumBlocks() {
 			out = append(out, n.ackRun(g, clients)...)
+			if l.runBID != g.bid || l.runCutBy == 0 {
+				l.runBID, l.runCutBy = g.bid, now+runCutFlushes*n.cfg.FlushEvery
+			}
 		}
 	}
 	l.runs = l.runs[:0]
@@ -745,9 +772,9 @@ func (n *Node) endTurn(now int64, out []wire.Envelope, maySync bool) []wire.Enve
 		return out
 	}
 	if n.store == nil {
-		out = append(out, n.ackRuns()...)
+		out = append(out, n.ackRuns(now)...)
 	} else if maySync && len(l.pendingAcks)+len(l.heldCuts)+len(l.runs) > 0 && n.syncDue(now) {
-		l.pendingAcks = append(l.pendingAcks, n.ackRuns()...)
+		l.pendingAcks = append(l.pendingAcks, n.ackRuns(now)...)
 		out = append(n.flushPending(now), out...)
 	}
 	for _, cp := range l.duePushes {

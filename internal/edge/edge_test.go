@@ -119,6 +119,74 @@ func TestWriteBuffersUntilBatch(t *testing.T) {
 	}
 }
 
+// TestRunAckedBlockCutInTime: a trickle that arrives faster than the
+// idle flush never lets it fire, so a block holding a run ack is cut at
+// the latest runCutFlushes flush periods after its first run ack left,
+// and the writer's proof clock, started by that ack, is not run down by
+// the wait for writes that would fill the block.
+func TestRunAckedBlockCutInTime(t *testing.T) {
+	const flush = 100
+	f := newFixture(t, Config{BatchSize: 100, FlushEvery: flush})
+	due := int64(1000 + runCutFlushes*flush)
+	for now, seq := int64(1000), uint64(1); now < due; now, seq = now+flush/2, seq+1 {
+		out := f.add(t, now, "c1", seq, "x")
+		if r, _ := only[*wire.PutResponse](t, out); !r.Run || r.BID != 0 {
+			t.Fatalf("write %d: %+v, want a run ack in block 0", seq, r)
+		}
+		if out := f.node.Tick(now + flush/4); out != nil {
+			t.Fatalf("tick %d cut early: %v", now+flush/4, kindsOf(out))
+		}
+	}
+	blk, _ := only[*wire.PutResponse](t, f.node.Tick(due))
+	if blk.Run || blk.BID != 0 || len(blk.Block.Entries) != int(runCutFlushes*2) {
+		t.Fatalf("the tick at the run's deadline released %+v, want block 0 holding the trickle", blk)
+	}
+}
+
+// TestNoRunAckWithoutFlush: with the idle flush off, nothing bounds when a
+// partial block is cut, so no write is promised before its block: a write
+// that leaves its block unfilled gets no answer until a write fills it.
+func TestNoRunAckWithoutFlush(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 2, FlushEvery: -1})
+	if out := f.add(t, 1, "c1", 1, "a"); out != nil {
+		t.Fatalf("the unfilled block's write released %v", kindsOf(out))
+	}
+	if k := kindsOf(f.add(t, 2, "c2", 1, "b")); k[wire.KindPutResponse] != 2 || f.node.Stats().RunAcks != 0 {
+		t.Fatalf("the filling write released %v after %d run acks, want two block acks", k, f.node.Stats().RunAcks)
+	}
+}
+
+// TestNoRunAckBehindReservation: a run is promised only where the runs
+// before it cover the cut buffer from its start, since recovery and
+// promotion refill the buffer from runs alone. A write behind a
+// reservation, filled or still open, waits for its block ack; the
+// block after it is run-acked again.
+func TestNoRunAckBehindReservation(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 4})
+	req := &wire.ReserveRequest{Client: "c1", Count: 1, ReqID: 7}
+	req.ClientSig = wcrypto.SignMsg(f.keys["c1"], req)
+	f.node.Receive(1, wire.Envelope{From: "c1", To: "edge-1", Msg: req})
+	if out := f.add(t, 2, "c2", 1, "behind"); out != nil {
+		t.Fatalf("a write behind a reservation released %v", kindsOf(out))
+	}
+	reserved := f.entry("c1", 1, "", "reserved")
+	reserved.Pos = 1
+	if out := f.put(3, "c1", reserved); out != nil {
+		t.Fatalf("the reserved write released %v", kindsOf(out))
+	}
+	if out := f.add(t, 4, "c2", 2, "after"); out != nil {
+		t.Fatalf("a write behind a filled reservation released %v", kindsOf(out))
+	}
+	k := kindsOf(f.node.Tick(int64(time.Second)))
+	if k[wire.KindPutResponse] != 2 || f.node.Stats().RunAcks != 0 {
+		t.Fatalf("the flush released %v after %d run acks, want both writers' block acks", k, f.node.Stats().RunAcks)
+	}
+	r, _ := only[*wire.PutResponse](t, f.add(t, int64(time.Second)+1, "c2", 3, "next"))
+	if !r.Run || r.BID != 1 || r.Block.StartPos != 3 {
+		t.Fatalf("the next block's first write got %+v, want its run ack", r)
+	}
+}
+
 func TestWriteRejectsBadSignature(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1})
 	env := put(f.keys["c1"], f.entry("c1", 1, "", "data"))

@@ -494,11 +494,47 @@ func TestRunAckContract(t *testing.T) {
 	}
 }
 
+// TestRecoverBehindExpiredReservation: a reservation left to expire sits
+// ahead of a later write in the cut buffer and becomes a no-op only at the
+// cut, so the write is not run-acked: no record promises a position that
+// recovery, refilling the buffer from run records alone, could not put
+// back. A leader that stops there recovers its cut blocks and an empty
+// buffer, and the next block's first write is run-acked and recovered at
+// its promised position.
+func TestRecoverBehindExpiredReservation(t *testing.T) {
+	r := newGCRig(t, 0, func(c *Config) { c.BatchSize = 4 })
+	req := &wire.ReserveRequest{Client: "c1", Count: 1, ReqID: 7}
+	req.ClientSig = wcrypto.SignMsg(r.keys["c1"], req)
+	r.durable(t, r.n.Receive(ms(1), wire.Envelope{From: "c1", To: "edge-1", Msg: req}))
+	expired := ms(1) + reserveTTL + 1
+	if out := r.write(t, expired, 1); out != nil || r.n.Stats().RunAcks != 0 {
+		t.Fatalf("a write behind an expired reservation released %v", kindsOf(out))
+	}
+	if blk, _ := only[*wire.PutResponse](t, r.tick(t, expired+ms(500))); blk.Run || blk.BID != 0 || blk.Block.Len() != 2 {
+		t.Fatalf("the flush released %+v, want block 0: the no-op and the write", blk)
+	}
+	promise, _ := only[*wire.PutResponse](t, r.write(t, expired+ms(501), 2))
+	if !promise.Run || promise.BID != 1 || promise.Block.StartPos != 2 {
+		t.Fatalf("write 2 got %+v, want the run ack of position 2 in block 1", promise)
+	}
+	if err := r.n.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	l, st, blocks, _, err := wlog.Recover(r.dir, "edge-1", 4, r.reg, "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if e, ok := l.EntryAt(2); blocks != 1 || l.BufferLen() != 1 || !ok || !e.Equal(&promise.Block.Entries[0]) {
+		t.Fatalf("recovered %d blocks and %d buffered, want block 0 and write 2 at position 2", blocks, l.BufferLen())
+	}
+}
+
 // TestHeldRunsShareOneAck: the runs of one block held inside a window are
 // released together by the sync past it, as one run ack signed once and
 // sent to each of their writers, mirrored once.
 func TestHeldRunsShareOneAck(t *testing.T) {
-	r := newGCRig(t, 100, func(c *Config) { c.BatchSize, c.FlushEvery = 4, -1 })
+	r := newGCRig(t, 100, func(c *Config) { c.BatchSize, c.FlushEvery = 4, ms(10000) })
 	defer r.n.CloseStore()
 	c2 := wcrypto.DeterministicKey("c2")
 	r.reg.Register("c2", c2.Pub)

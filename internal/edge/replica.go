@@ -61,6 +61,12 @@ type leaderRole struct {
 	pendingAcks []wire.Envelope
 	heldCuts    []int64
 	runs        []heldRun
+	// runEnd is one past the last position held for a run (holdRun), and
+	// runCutBy when block runBID, once its first run ack left, is due its
+	// cut (0: no run ack yet).
+	runEnd   uint64
+	runBID   uint64
+	runCutBy int64
 	// certStallSince tracks how long the certified frontier
 	// (lastCertFrontier) has been stuck with an uncertified backlog — the
 	// stall-gated cert retry trigger.
@@ -79,12 +85,16 @@ type certPush struct {
 // left out). Whatever the log holds was acknowledged before this role —
 // cut in an earlier life, recovered, or mirrored — so nothing behind the
 // cut has a submitter, and nothing behind the certified frontier a waiter.
-// An entry still in the cut buffer (a recovered run) gets its block ack
-// at the cut, addressed to its writer.
+// An entry still in the cut buffer (a recovered run) was promised in an
+// earlier life: its block is due its cut at once, and it gets its block
+// ack there, addressed to its writer.
 func newLeaderRole(self wire.NodeID, followers []wire.NodeID, log *wlog.Log) *leaderRole {
 	r := &leaderRole{followers: fanOut(self, followers), readers: map[wire.NodeID]uint64{}}
 	r.reqs.Advance(log.BufStart())
 	r.awaitCut(log, log.BufStart())
+	if log.BufferLen() > 0 {
+		r.runBID, r.runCutBy = log.NumBlocks(), 1
+	}
 	r.waiters.Advance(log.CertifiedBlocks())
 	return r
 }

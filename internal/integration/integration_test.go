@@ -42,6 +42,7 @@ type worldOpts struct {
 	gossip    int64
 	freshness int64
 	proofTO   int64
+	flush     int64                       // the edge's FlushEvery; 0 = off (no flush, no run ack)
 	net       *faultnet.Net               // link faults; nil = a clean network
 	links     map[[2]wire.NodeID]sim.Link // per-link paths; nil = 1 ms everywhere
 	metrics   *obs.Registry               // registry the edge's series live in
@@ -63,13 +64,16 @@ func newWorld(t *testing.T, o worldOpts) *world {
 	if o.gossip == 0 {
 		o.gossip = -1 // no gossip unless the test asks for it
 	}
+	if o.flush == 0 {
+		o.flush = -1
+	}
 	d, err := deploy.Build(deploy.Topology{
 		Clients: 2,
 		Cloud:   cloud.Config{Levels: 3, PageCap: 4, GossipEvery: o.gossip},
 		Edge: edge.Config{
 			BatchSize:       o.batch,
 			L0Threshold:     o.l0Thresh,
-			FlushEvery:      -1,
+			FlushEvery:      o.flush,
 			LevelThresholds: []int{2, 4, 8},
 			Metrics:         o.metrics,
 		},

@@ -2,12 +2,14 @@ package integration
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
 	"wedgechain/internal/edge"
+	"wedgechain/internal/faultnet"
 	"wedgechain/internal/wire"
 )
 
@@ -17,7 +19,7 @@ import (
 // block ack of a run-acked write: its writer holds the block for its
 // digest only.
 func TestRunAckedWriteReachesBothPhases(t *testing.T) {
-	w := newWorld(t, worldOpts{})
+	w := newWorld(t, worldOpts{flush: 100 * ms, proofTO: 2 * s})
 	op1 := w.add(w.c1, "m0")
 	w.settle(t, 50*ms)
 	if op1.Phase != core.PhaseI || w.edge.LogBlocks() != 0 || w.edge.Stats().RunAcks != 1 {
@@ -43,7 +45,7 @@ func TestRunAckedWriteReachesBothPhases(t *testing.T) {
 // edge cuts and signs holds the write elsewhere. The writer files both
 // signed statements and the edge is convicted.
 func TestBlockContradictingRunConvicts(t *testing.T) {
-	w := newWorld(t, worldOpts{fault: &edge.Fault{MisplaceRuns: true}})
+	w := newWorld(t, worldOpts{flush: 100 * ms, fault: &edge.Fault{MisplaceRuns: true}})
 	op := w.add(w.c1, "victim")
 	w.settle(t, 50*ms)
 	if op.Phase != core.PhaseI {
@@ -62,20 +64,83 @@ func TestBlockContradictingRunConvicts(t *testing.T) {
 	}
 }
 
-// The second new lie: a run ack whose block is never certified. The block
-// is never cut either, so the writer's only evidence is the run, and at
-// the proof timeout it convicts the edge.
-func TestUncertifiedRunConvictsAtProofTimeout(t *testing.T) {
-	w := newWorld(t, worldOpts{fault: &edge.Fault{DropCertify: true}, proofTO: 100 * ms})
-	op := w.add(w.c1, "m0")
-	w.sim.RunUntil(w.sim.Now() + 2*s)
-	if w.edge.LogBlocks() != 0 {
-		t.Fatalf("the edge cut %d blocks; the run's block must stay uncut", w.edge.LogBlocks())
+// trickle writes from both clients every 10 ms for a second into 100-entry
+// blocks, in a world whose idle flush (20 ms) never fires while it lasts:
+// only the run-cut deadline, ten flush periods after a block's first run
+// ack, cuts the blocks, well inside the 500 ms proof timeout.
+func trickle(t *testing.T, fault *edge.Fault) (*world, []*client.Op) {
+	t.Helper()
+	w := newWorld(t, worldOpts{batch: 100, flush: 20 * ms, proofTO: 500 * ms, fault: fault})
+	var ops []*client.Op
+	for i := range 100 {
+		ops = append(ops, w.add([]*client.Core{w.c1, w.c2}[i%2], fmt.Sprintf("t%d", i)))
+		w.sim.RunUntil(w.sim.Now() + 10*ms)
 	}
+	w.sim.RunUntil(w.sim.Now() + 2*s)
+	return w, ops
+}
+
+// An honest edge under a trickle that never fills a block within a proof
+// timeout: every run-acked write reaches Phase II, no one disputes, and
+// the blocks are cut by the run's deadline, not when they fill.
+func TestTrickledRunsReachPhaseII(t *testing.T) {
+	w, ops := trickle(t, nil)
+	for i, op := range ops {
+		if op.Phase != core.PhaseII || op.Err != nil {
+			t.Fatalf("op %d: phase %v, err %v; want phase-II", i, op.Phase, op.Err)
+		}
+	}
+	if st := w.edge.Stats(); st.RunAcks < 90 || st.BlocksCut < 4 {
+		t.Fatalf("%d run acks, %d blocks; want nearly every write run-acked and blocks cut by the deadline", st.RunAcks, st.BlocksCut)
+	}
+	for _, c := range []*client.Core{w.c1, w.c2} {
+		if st := c.Stats(); st.Disputes != 0 {
+			t.Fatalf("honest trickle: %+v", st)
+		}
+	}
+	if _, flagged := w.cloud.Flagged("edge-1"); flagged {
+		t.Fatal("honest edge convicted")
+	}
+}
+
+// The second new lie: a run promise whose block is never certified. The
+// trickle's blocks are cut and their block acks reach the writers, so each
+// writer files the block it holds; the Judge finds no certificate for it
+// at the proof timeout and convicts.
+func TestUncertifiedRunConvictsAtProofTimeout(t *testing.T) {
+	w, ops := trickle(t, &edge.Fault{DropCertify: true})
+	op := ops[0]
 	if !errors.Is(op.Err, client.ErrEdgeLied) || op.Verdict == nil || !op.Verdict.Guilty {
 		t.Fatalf("op err %v, verdict %+v; want a guilty verdict", op.Err, op.Verdict)
 	}
 	if !strings.Contains(op.Verdict.Reason, "promised but never certified") {
+		t.Fatalf("verdict reason %q", op.Verdict.Reason)
+	}
+	if _, flagged := w.cloud.Flagged("edge-1"); !flagged {
+		t.Fatal("cloud did not punish the edge")
+	}
+}
+
+// The same lie with only the run in the writer's hands: the block ack of
+// the run's block is lost on the way, so the writer files the run ack
+// alone, and the Judge convicts on the missing certificate.
+func TestUncertifiedRunAloneConvicts(t *testing.T) {
+	net := faultnet.New(1)
+	w := newWorld(t, worldOpts{flush: 20 * ms, net: net, fault: &edge.Fault{DropCertify: true}})
+	op := w.add(w.c1, "m0")
+	w.sim.RunUntil(w.sim.Now() + 5*ms)
+	if op.Phase != core.PhaseI || w.edge.LogBlocks() != 0 {
+		t.Fatalf("phase %v with %d blocks cut; want the run ack alone", op.Phase, w.edge.LogBlocks())
+	}
+	net.Add(faultnet.Rule{From: "edge-1", To: "c1", FromT: w.sim.Now(), ToT: w.sim.Now() + 10*s, Faults: faultnet.LinkFaults{Drop: 1}})
+	w.sim.RunUntil(w.sim.Now() + 2*s)
+	if w.edge.LogBlocks() != 1 {
+		t.Fatalf("the edge cut %d blocks, want the run's", w.edge.LogBlocks())
+	}
+	if !errors.Is(op.Err, client.ErrEdgeLied) || op.Verdict == nil || !op.Verdict.Guilty {
+		t.Fatalf("op err %v, verdict %+v; want a guilty verdict", op.Err, op.Verdict)
+	}
+	if !strings.Contains(op.Verdict.Reason, "promised by a run ack but never certified") {
 		t.Fatalf("verdict reason %q", op.Verdict.Reason)
 	}
 }

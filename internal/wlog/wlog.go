@@ -333,15 +333,6 @@ func IsNoop(e *wire.Entry) bool { return e.Client == "" }
 // slot: where the next block starts.
 func (l *Log) BufStart() uint64 { return l.bufStart }
 
-// RunFits reports whether buffered positions up to end belong to the next
-// block whatever cuts it: they fit in one block and every slot before end
-// is filled or an expired reservation at now. Slots stay filled, so a later
-// cut, full or forced, takes at least that prefix.
-func (l *Log) RunFits(end uint64, now int64) bool {
-	n := end - l.bufStart
-	return end > l.bufStart && n <= uint64(l.batchSize) && uint64(l.cutEligible(now)) >= n
-}
-
 // Run returns copies of the buffered entries at positions [first, end).
 func (l *Log) Run(first, end uint64) []wire.Entry {
 	out := make([]wire.Entry, 0, end-first)

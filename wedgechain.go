@@ -133,8 +133,9 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// BatchSize is the entries per block.
 	BatchSize int
-	// FlushEvery force-cuts partial blocks after this idle duration
-	// (negative disables).
+	// FlushEvery force-cuts partial blocks after this idle duration, and a
+	// block holding a run ack ten of them after that ack (negative
+	// disables both, and run acks: every Put then waits for its block).
 	FlushEvery time.Duration
 	// L0Threshold, LevelThresholds and PageCap configure LSMerkle
 	// (PageCap 0 = BatchSize).
