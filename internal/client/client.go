@@ -229,8 +229,11 @@ type Core struct {
 	bySeq   core.Window[*Op]
 	byReq   core.Window[*Op]
 	byBID   core.Window[[]*Op]
-	accused []*Op        // ops with a filed dispute awaiting a verdict
-	gossip  *wire.Gossip // latest gossip for my edge
+	accused []*Op // ops with a filed dispute awaiting a verdict
+	// gossip is the newest gossip for my chain whose cloud signature was
+	// checked; heard the newest since, unchecked until a read denial needs
+	// it (checkedGossip).
+	gossip, heard *wire.Gossip
 
 	// Session-consistency watermarks: newest index epoch and L0
 	// frontier (one past the highest block id) observed in verified
@@ -326,8 +329,9 @@ func (c *Core) Epoch() uint64 { return c.epoch }
 // settled (reached Phase II, a verified result, or a terminal error).
 func (c *Core) Pending() int { return c.pending }
 
-// Gossip returns the latest cloud gossip seen for this client's edge.
-func (c *Core) Gossip() *wire.Gossip { return c.gossip }
+// Gossip returns the latest cloud gossip seen for this client's edge
+// whose signature checks out.
+func (c *Core) Gossip() *wire.Gossip { return c.checkedGossip() }
 
 // Banned returns the guilty verdict against this core's edge, or nil
 // while the edge is in good standing.
@@ -896,7 +900,7 @@ func (c *Core) fileDispute(op *Op) []wire.Envelope {
 		d = core.BuildAddLieDispute(c.key, op.Edge, op.run)
 	case op.readEv != nil && op.readEv.OK:
 		d = core.BuildReadLieDispute(c.key, op.Edge, op.readEv)
-	case op.readEv != nil && !op.readEv.OK && c.gossip != nil:
+	case op.readEv != nil && !op.readEv.OK && c.checkedGossip() != nil:
 		d = core.BuildOmissionDispute(c.key, op.Edge, op.readEv, c.gossip)
 	case op.scanEv != nil:
 		// Dispute the lowest still-pending block (reads never set op.BID):
@@ -1005,16 +1009,27 @@ func (c *Core) handleVerdict(now int64, v *wire.Verdict) []wire.Envelope {
 	return nil
 }
 
+// handleGossip keeps the newest gossip for my chain. Only a read denial
+// uses gossip, as the evidence that the denied block exists, so its
+// signature is checked then (checkedGossip), not on every arrival.
 func (c *Core) handleGossip(now int64, g *wire.Gossip) []wire.Envelope {
-	if g.Edge != c.cfg.Chain {
-		return nil
-	}
-	if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, g, g.CloudSig); err != nil {
-		c.m.verifyFailures.Inc()
-		return nil
-	}
-	if c.gossip == nil || g.Ts > c.gossip.Ts {
-		c.gossip = g
+	if g.Edge == c.cfg.Chain && (c.heard == nil || g.Ts > c.heard.Ts) {
+		c.heard = g
 	}
 	return nil
+}
+
+// checkedGossip returns the newest gossip whose cloud signature checks
+// out, checking the one heard last first. A forged one is dropped, and the
+// next arrival is heard again.
+func (c *Core) checkedGossip() *wire.Gossip {
+	if g := c.heard; g != nil {
+		c.heard = nil
+		if err := wcrypto.VerifyMsg(c.reg, c.cfg.Cloud, g, g.CloudSig); err != nil {
+			c.m.verifyFailures.Inc()
+		} else if c.gossip == nil || g.Ts > c.gossip.Ts {
+			c.gossip = g
+		}
+	}
+	return c.gossip
 }

@@ -78,7 +78,7 @@ func (c *Core) handleReadResponse(now int64, from wire.NodeID, m *wire.ReadRespo
 // timestamp is a provable omission; a denial predating the gossip triggers
 // a retry (the edge may honestly not have had the block yet).
 func (c *Core) handleDenial(now int64, op *Op, m *wire.ReadResponse) []wire.Envelope {
-	g := c.gossip
+	g := c.checkedGossip()
 	if g == nil || m.BID >= g.Blocks {
 		// No evidence the block exists; accept unavailability.
 		c.settle(op, ErrUnavailable)

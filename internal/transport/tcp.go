@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -499,8 +500,11 @@ func (t *TCP) read(ctx context.Context, conn net.Conn, done func()) {
 		delete(t.accepted, conn)
 		t.acceptMu.Unlock()
 	}()
+	// Buffered: one read syscall takes in every frame the peer has written
+	// so far, not two per frame (header, then body).
+	r := bufio.NewReader(conn)
 	for {
-		env, err := ReadFrame(conn)
+		env, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
