@@ -8,7 +8,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -500,11 +499,8 @@ func (t *TCP) read(ctx context.Context, conn net.Conn, done func()) {
 		delete(t.accepted, conn)
 		t.acceptMu.Unlock()
 	}()
-	// Buffered: one read syscall takes in every frame the peer has written
-	// so far, not two per frame (header, then body).
-	r := bufio.NewReader(conn)
 	for {
-		env, err := ReadFrame(r)
+		env, err := ReadFrame(conn)
 		if err != nil {
 			return
 		}
