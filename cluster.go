@@ -60,7 +60,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			PageCap:      cfg.PageCap,
 			GossipEvery:  cfg.GossipEvery.Nanoseconds(),
 			LeaseTimeout: cfg.LeaseTimeout.Nanoseconds(),
-			CertTimeout:  cfg.CertTimeout.Nanoseconds(),
 			Metrics:      cfg.Metrics,
 		},
 		Edge: edge.Config{

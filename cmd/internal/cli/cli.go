@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"wedgechain/internal/core"
-	"wedgechain/internal/faultnet"
 	"wedgechain/internal/obs"
 	"wedgechain/internal/transport"
 	"wedgechain/internal/wcrypto"
@@ -30,8 +29,8 @@ import (
 )
 
 // NodeFlags are the flags every wedge binary shares, bound into the
-// transport config they set: -id, -listen, -peers, -sched-lanes,
-// -max-inflight and, on a serving node, -metrics-addr and the chaos flags.
+// transport config they set: -id, -listen, -peers and, on a serving
+// node, -metrics-addr.
 type NodeFlags struct {
 	ID          string
 	MetricsAddr string
@@ -41,22 +40,18 @@ type NodeFlags struct {
 	Log     *slog.Logger
 	Metrics *obs.Registry
 	peers   string
-	chaos   *ChaosFlags
 }
 
 // RegisterNode installs the node flags on the default flag set. id and
-// listen are the binary's own defaults; the scheduler sizing defaults
-// come from the transport layer. A serving node is the cloud or an edge.
+// listen are the binary's own defaults. A serving node is the cloud or an
+// edge.
 func RegisterNode(id, listen string, serving bool) *NodeFlags {
-	n := &NodeFlags{TCP: transport.TCPDefaults()}
+	n := &NodeFlags{}
 	flag.StringVar(&n.ID, "id", id, "node identity")
 	flag.StringVar(&n.TCP.Listen, "listen", listen, "listen address")
 	flag.StringVar(&n.peers, "peers", "", "peer map: id=host:port,...")
-	flag.IntVar(&n.TCP.Lanes, "sched-lanes", n.TCP.Lanes, "writer lanes in the shared frame scheduler")
-	flag.IntVar(&n.TCP.LaneDepth, "max-inflight", n.TCP.LaneDepth, "max frames queued per writer lane before shedding")
 	if serving {
 		flag.StringVar(&n.MetricsAddr, "metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
-		n.chaos = RegisterChaos()
 		n.Log = slog.New(slog.NewTextHandler(os.Stderr, nil))
 		n.Metrics = obs.Default()
 	}
@@ -83,18 +78,13 @@ func (n *NodeFlags) Keys() (wcrypto.KeyPair, *wcrypto.Registry, error) {
 }
 
 // Serve runs a serving node's h on its endpoint until SIGINT or SIGTERM,
-// an orderly stop (nil). Outbound frames take the chaos flags' faults,
-// reg's signature-check counters join the node's metrics, and metrics are
-// served on -metrics-addr when it is set. role completes the log line.
+// an orderly stop (nil). reg's signature-check counters join the node's
+// metrics, and metrics are served on -metrics-addr when it is set. role
+// completes the log line.
 func (n *NodeFlags) Serve(bin, role string, h core.Handler, reg *wcrypto.Registry) error {
-	faultNet, err := n.chaos.Net()
-	if err != nil {
-		return err
-	}
-	faultNet.AttachMetrics(n.Metrics, n.ID)
 	reg.AttachMetrics(n.Metrics, n.ID)
 	cfg := n.TCP
-	cfg.Fault, cfg.Obs, cfg.Log = faultNet, n.Metrics, n.Log
+	cfg.Obs, cfg.Log = n.Metrics, n.Log
 	t := transport.NewTCP(h, cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -161,39 +151,4 @@ func Registry(self wire.NodeID, peers map[wire.NodeID]string) (wcrypto.KeyPair, 
 		reg.Register(id, k.Pub)
 	}
 	return selfKey, reg
-}
-
-// ChaosFlags is the shared chaos-injection flag set: every wedge binary
-// that owns a transport can subject its *outbound* frames to a seeded
-// fault schedule, so a multi-process demo cluster degrades exactly like
-// the in-process chaos tests (see docs/RUNBOOK.md "Chaos recipes").
-type ChaosFlags struct {
-	Seed   int64
-	Faults faultnet.LinkFaults
-}
-
-// RegisterChaos installs the chaos flags on the default flag set, bound
-// into the link faults they describe.
-func RegisterChaos() *ChaosFlags {
-	c := &ChaosFlags{}
-	flag.Int64Var(&c.Seed, "chaos-seed", 1, "seed for the deterministic chaos schedule")
-	flag.Float64Var(&c.Faults.Drop, "chaos-drop", 0, "probability an outbound frame is dropped")
-	flag.Float64Var(&c.Faults.Dup, "chaos-dup", 0, "probability an outbound frame is duplicated")
-	DurationVar(&c.Faults.DelayMax, "chaos-delay-max", "max extra latency injected per outbound frame, a `duration`")
-	return c
-}
-
-// Net builds the fault injector the flags describe, or nil when no fault
-// is set (the common, chaos-free case).
-func (c *ChaosFlags) Net() (*faultnet.Net, error) {
-	f := c.Faults
-	if f == (faultnet.LinkFaults{}) {
-		return nil, nil
-	}
-	if f.Drop < 0 || f.Drop > 1 || f.Dup < 0 || f.Dup > 1 || f.DelayMax < 0 {
-		return nil, fmt.Errorf("chaos flags out of range: drop=%v dup=%v delay-max=%v", f.Drop, f.Dup, time.Duration(f.DelayMax))
-	}
-	n := faultnet.New(c.Seed)
-	n.Add(faultnet.Rule{Faults: f})
-	return n, nil
 }

@@ -31,7 +31,6 @@ import (
 	"wedgechain/internal/client"
 	"wedgechain/internal/core"
 	"wedgechain/internal/transport"
-	"wedgechain/internal/wcrypto"
 	"wedgechain/internal/wire"
 )
 
@@ -43,19 +42,10 @@ func main() {
 	flag.StringVar((*string)(&ccfg.Cloud), "cloud", "cloud", "cloud node identity")
 	wait2 := flag.Bool("wait2", false, "also wait for Phase II certification")
 	timeout := flag.Duration("timeout", time.Duration(ccfg.ProofTimeout), "proof timeout: an op unanswered this long fails as unavailable, a Phase I write uncertified this long is disputed")
-
-	// Front door (see docs/RUNBOOK.md "Front door"): session multiplexing.
-	sessions := flag.Int("sessions-per-conn", 1, "run a get from this many sessions multiplexed over one connection (session ids <id>.s2.. must appear in every node's -peers, mapped to this client's address)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		log.Fatal("missing operation: add|read|put|get|scan")
-	}
-	if *sessions < 1 {
-		log.Fatal("-sessions-per-conn must be >= 1")
-	}
-	if *sessions > 1 && args[0] != "get" {
-		log.Fatal("-sessions-per-conn > 1 supports only get: other operations sign as the session identity, which must be provisioned at the edge")
 	}
 
 	key, reg, err := node.Keys()
@@ -66,21 +56,6 @@ func main() {
 	ccfg.ProofTimeout = timeout.Nanoseconds()
 	cc := client.New(ccfg, key, reg)
 	t := transport.NewTCP(cc, node.TCP)
-
-	// Extra sessions share the primary's socket: the transport routes
-	// inbound frames to them by envelope address, and every remote node
-	// dials them at this client's address, so N sessions ride one
-	// connection end to end.
-	extras := make([]*client.Core, 0, *sessions-1)
-	for i := 2; i <= *sessions; i++ {
-		scfg := ccfg
-		scfg.ID = wire.NodeID(fmt.Sprintf("%s.s%d", node.ID, i))
-		skey := wcrypto.DeterministicKey(scfg.ID)
-		reg.Register(scfg.ID, skey.Pub)
-		sc := client.New(scfg, skey, reg)
-		t.AddSession(sc)
-		extras = append(extras, sc)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -150,17 +125,6 @@ func main() {
 		log.Fatalf("unknown operation %q", args[0])
 	}
 
-	// Launch the same get from every extra multiplexed session.
-	extraOps := make([]*client.Op, len(extras))
-	for i, sc := range extras {
-		i, sc := i, sc
-		t.DoSession(sc.ID(), func(now int64) []wire.Envelope {
-			var envs []wire.Envelope
-			extraOps[i], envs = sc.Get(now, []byte(args[1]))
-			return envs
-		})
-	}
-
 	// Poll the op under the transport mutex until it reaches the desired
 	// state. The core settles it within the proof timeout of its start, or
 	// of its Phase I when -wait2 waits for the certificate; the deadline is
@@ -213,32 +177,6 @@ func main() {
 			log.Fatal("operation timed out")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Wait for the extra sessions' gets — all multiplexed over the same
-	// connection as the primary — before reporting.
-	for waiting := len(extras) > 0; waiting; {
-		done := 0
-		for i, sc := range extras {
-			i := i
-			t.DoSession(sc.ID(), func(now int64) []wire.Envelope {
-				if op := extraOps[i]; op != nil && op.Done {
-					if op.Err != nil {
-						log.Fatalf("session %s: %v", sc.ID(), op.Err)
-					}
-					done++
-				}
-				return nil
-			})
-		}
-		if done == len(extras) {
-			fmt.Printf("%d sessions settled over one multiplexed connection\n", len(extras)+1)
-			waiting = false
-		} else if time.Now().After(deadline) {
-			log.Fatal("multiplexed sessions timed out")
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
 	}
 
 	t.Do(func(now int64) []wire.Envelope {

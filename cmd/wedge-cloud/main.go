@@ -31,8 +31,7 @@ func main() {
 	cli.DurationVar(&ccfg.GossipEvery, "gossip", "gossip period, a `duration` (negative disables)")
 	// Replica-group failover (see docs/RUNBOOK.md "Replication & failover").
 	groups := flag.String("groups", "", "replica groups: leader=f1,f2[;leader2=...] (chain id = initial leader id)")
-	cli.DurationVar(&ccfg.LeaseTimeout, "lease", "leader lease: heartbeat silence beyond this `duration` transfers leadership")
-	cli.DurationVar(&ccfg.CertTimeout, "cert-timeout", "certification-stall bound (a `duration`) before leadership transfer")
+	cli.DurationVar(&ccfg.LeaseTimeout, "lease", "leader lease: heartbeat silence beyond this `duration` transfers leadership, and so does a mirrored backlog left uncertified for three of them")
 	flag.Parse()
 
 	key, reg, err := node.Keys()

@@ -33,7 +33,7 @@ func main() {
 	followers := flag.String("followers", "", "comma-separated follower ids this leader replicates cut blocks to")
 	cli.DurationVar(&cfg.HeartbeatEvery, "heartbeat", "replica liveness heartbeat period, a `duration` (0 = the replica-group default)")
 
-	// Robustness knobs (see docs/RUNBOOK.md "Chaos recipes").
+	// Write shedding under a certification backlog.
 	flag.IntVar(&cfg.MaxUncertified, "max-uncertified", 0, "shed writes while more than this many blocks await certification (0 = no cap)")
 	flag.Parse()
 

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"math"
 	"time"
 
 	"wedgechain/internal/core"
@@ -39,12 +40,8 @@ type Config struct {
 	// LeaseTimeout is how long a replica-group leader may go without a
 	// heartbeat before the cloud declares it dead and signs a leadership
 	// transfer. Only chains registered via RegisterGroup are tracked.
+	// It also sets the certification-stall bound, stallLeases of it.
 	LeaseTimeout int64
-	// CertTimeout bounds how long followers may mirror blocks the chain
-	// never certifies before the cloud treats the leader as stalled
-	// (crashed after replication, or deliberately starving Phase II) and
-	// fails over.
-	CertTimeout int64
 	// CertWorkers is read by nothing: certification, signature check
 	// included, runs on the node's own turn. The field remains
 	// only because the macro benchmark's harness still sets it.
@@ -76,9 +73,6 @@ func (c *Config) fill() {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = int64(1e9)
 	}
-	if c.CertTimeout <= 0 {
-		c.CertTimeout = int64(3e9)
-	}
 }
 
 // Defaults returns a zero Config with every knob at its layer default:
@@ -96,9 +90,9 @@ func (c *Config) Validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("cloud: config requires an ID")
 	}
-	if c.LeaseTimeout < 0 || c.CertTimeout < 0 {
-		return fmt.Errorf("cloud: negative interval (LeaseTimeout %d, CertTimeout %d)",
-			c.LeaseTimeout, c.CertTimeout)
+	if c.LeaseTimeout < 0 || c.LeaseTimeout > math.MaxInt64/stallLeases {
+		return fmt.Errorf("cloud: LeaseTimeout %d out of range (0 to %d, so that %d leases fit in int64)",
+			c.LeaseTimeout, int64(math.MaxInt64/stallLeases), stallLeases)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -574,6 +575,27 @@ func TestConfigZeroMeansLayerDefault(t *testing.T) {
 	f.certify(t, 0, wcrypto.Digest([]byte("b0")))
 	if out := f.node.Tick(int64(time.Hour)); out != nil {
 		t.Fatalf("negative GossipEvery still gossiped: %d messages", len(out))
+	}
+}
+
+// TestConfigValidate: Validate rejects a missing ID, a negative lease, and
+// a lease whose stall bound of stallLeases leases overflows int64, which
+// would wrap negative and transfer any backlog at once.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"zero lease", Config{ID: "cloud"}, true},
+		{"largest lease", Config{ID: "cloud", LeaseTimeout: math.MaxInt64 / stallLeases}, true},
+		{"no ID", Config{}, false},
+		{"negative lease", Config{ID: "cloud", LeaseTimeout: -1}, false},
+		{"stall bound overflows", Config{ID: "cloud", LeaseTimeout: int64(1000000 * time.Hour)}, false},
+	} {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 }
 

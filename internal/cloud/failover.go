@@ -20,6 +20,12 @@ import (
 // is as untrusted as its predecessor, policed by the same lazy
 // certification.
 
+// stallLeases is the certification-stall bound in leases: a follower's
+// mirrored backlog the chain has not certified for this many LeaseTimeouts
+// transfers leadership. At the default 1 s lease the 3 s bound leaves the
+// leader's 1 s certify re-send two tries before it is deposed.
+const stallLeases = 3
+
 // memberState is the cloud's liveness view of one replica-group member.
 type memberState struct {
 	leased    int64  // last heartbeat that renewed the lease (the named leader, leading at the current epoch)
@@ -93,7 +99,7 @@ func (n *Node) ChainEpoch(chain wire.NodeID) uint64 {
 // lease: a leader that missed its view, or restarted blank, lets it run
 // out. The certification-stall detector compares the followers' mirrored
 // frontier against the chain's certified block count: a backlog that
-// persists past CertTimeout means the leader replicates but does not
+// persists past stallLeases leases means the leader replicates but does not
 // certify — crashed mid-protocol or starving Phase II on purpose.
 func (n *Node) handleHeartbeat(now int64, from wire.NodeID, m *wire.ReplicaHeartbeat) []wire.Envelope {
 	if m.Node != from || n.nodeChain[from] != m.Chain {
@@ -228,7 +234,7 @@ func (n *Node) tickFailover(now int64) []wire.Envelope {
 			out = append(out, n.transfer(now, chain, st, fmt.Sprintf("leader %s lease expired", st.leader))...)
 			continue
 		}
-		if st.staleNow > 0 && now-st.staleNow > n.cfg.CertTimeout {
+		if st.staleNow > 0 && now-st.staleNow > stallLeases*n.cfg.LeaseTimeout {
 			out = append(out, n.transfer(now, chain, st, fmt.Sprintf("certification stalled under %s", st.leader))...)
 		}
 	}

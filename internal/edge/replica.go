@@ -644,11 +644,11 @@ func (n *Node) announceLeader(req wire.Envelope) []wire.Envelope {
 }
 
 // certifyTail re-submits certification for every mirrored-but-uncertified
-// block — the cert-timeout failover case, where the dead leader cut and
-// replicated blocks it never (successfully) certified. First-writer-wins
-// at the cloud makes re-submission idempotent. On a persistent node it
-// stops at the first block no successful sync covers: the cloud must not
-// certify what a crash can still lose.
+// block — the certification-stall failover case, where the dead leader
+// cut and replicated blocks it never (successfully) certified.
+// First-writer-wins at the cloud makes re-submission idempotent. On a
+// persistent node it stops at the first block no successful sync covers:
+// the cloud must not certify what a crash can still lose.
 func (n *Node) certifyTail(now int64) []wire.Envelope {
 	var out []wire.Envelope
 	start := uint64(0)

@@ -36,7 +36,6 @@ type rworldOpts struct {
 	gossip      int64
 	proofTO     int64
 	lease       int64
-	certTO      int64
 	fault       *faultnet.Net               // chaos schedules applied to every frame
 	tcp         bool                        // host the nodes on loopback TCP, not the simulator
 	l0Thresh    int                         // L0 merge trigger (default 100: no compaction)
@@ -77,9 +76,6 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 	if o.lease == 0 {
 		o.lease = 300 * ms
 	}
-	if o.certTO == 0 {
-		o.certTO = 1 * s
-	}
 	if o.l0Thresh == 0 {
 		o.l0Thresh = 100
 	}
@@ -94,7 +90,6 @@ func newRWorld(t *testing.T, o rworldOpts) *rworld {
 			PageCap:      4,
 			GossipEvery:  o.gossip,
 			LeaseTimeout: o.lease,
-			CertTimeout:  o.certTO,
 		},
 		Edge: edge.Config{
 			BatchSize:       2,
@@ -247,6 +242,38 @@ func TestFailoverKillLeaderMidBatch(t *testing.T) {
 	}
 	if r.Block == nil || len(r.Block.Entries) != 2 {
 		t.Fatalf("mirrored block = %+v", r.Block)
+	}
+}
+
+// TestFailoverCertStallTransfersAtThreeLeases: a leader that drops its
+// certifies but keeps heartbeating holds its lease, so only the
+// certification-stall bound of three leases (0.9 s here) deposes it. The
+// followers report the mirrored block from their first heartbeat: nothing
+// moves at 0.8 s, one transfer promotes edge-1.r1 after the bound, the
+// promoted replica certifies the block, and both writes reach Phase II
+// inside the clients' proof timeout, with no dispute and no verdict.
+func TestFailoverCertStallTransfersAtThreeLeases(t *testing.T) {
+	w := newRWorld(t, rworldOpts{leaderFault: &edge.Fault{DropCertify: true}})
+	op0 := w.add(w.c1, "m0")
+	op1 := w.add(w.c2, "m1")
+	w.settle(t, 800*ms)
+	if got := w.cloud.Stats().Transfers; got != 0 {
+		t.Fatalf("transfers at 0.8 s = %d, want 0", got)
+	}
+	if op0.Phase != core.PhaseI || op1.Phase != core.PhaseI {
+		t.Fatalf("phases at 0.8 s = %v / %v, want Phase I", op0.Phase, op1.Phase)
+	}
+	w.settle(t, 3*s)
+	if got, leader := w.cloud.Stats().Transfers, w.cloud.ChainLeader("edge-1"); got != 1 || leader != "edge-1.r1" {
+		t.Fatalf("transfers = %d to %q, want 1 to edge-1.r1", got, leader)
+	}
+	for i, op := range []*client.Op{op0, op1} {
+		if op.Err != nil || op.Phase != core.PhaseII || op.DisputeFiled() {
+			t.Fatalf("op%d phase = %v err = %v disputed = %v, want Phase II undisputed", i, op.Phase, op.Err, op.DisputeFiled())
+		}
+	}
+	if st := w.cloud.Stats(); st.Disputes != 0 || st.GuiltyEdges != 0 {
+		t.Fatalf("disputes = %d, guilty edges = %d; want 0, 0", st.Disputes, st.GuiltyEdges)
 	}
 }
 

@@ -94,9 +94,9 @@ func TestSlowMergeIsSentOnce(t *testing.T) {
 		l0Thresh: 2,
 		metrics:  metrics,
 		// The leader's heartbeats and certifies queue behind the merge:
-		// lease and certification deadlines outlast its crossing.
-		lease:  5 * s,
-		certTO: 5 * s,
+		// the lease, and the stall bound of three leases, outlast its
+		// crossing.
+		lease: 5 * s,
 		links: map[[2]wire.NodeID]sim.Link{
 			{"edge-1", "cloud"}: {Latency: 1 * ms, Bandwidth: 50e3},
 		},

@@ -139,8 +139,8 @@ func TestWriterLaneDropAccounting(t *testing.T) {
 	tr := NewTCP(h, TCPConfig{
 		Listen:    "127.0.0.1:0",
 		Peers:     map[wire.NodeID]string{"b": "127.0.0.1:1"},
-		Lanes:     1,
-		LaneDepth: 1,
+		lanes:     1,
+		laneDepth: 1,
 	})
 	// Hold the lane workers off so the queue never drains: the drop path
 	// is then deterministic.

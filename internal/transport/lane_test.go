@@ -20,7 +20,7 @@ func TestLaneStorageFollowsFrames(t *testing.T) {
 	sinkEP := serveEndpoint(t, ctx, sink, TCPConfig{})
 	tr := NewTCP(newOrderEcho("a"), TCPConfig{
 		Peers: map[wire.NodeID]string{"sink": sinkEP.Addr().String()},
-		Lanes: 1,
+		lanes: 1,
 	})
 	defer tr.stop1.Do(func() { close(tr.stopc) })
 	if n := tr.laneStorage(0); n != 0 {
@@ -59,15 +59,15 @@ func TestLaneStorageFollowsFrames(t *testing.T) {
 	}
 }
 
-// TestLaneDropsOnlyPastDepth: a burst of LaneDepth+10 frames at a
-// held-off lane queues LaneDepth and drops exactly 10, and the frame the
+// TestLaneDropsOnlyPastDepth: a burst of depth+10 frames at a
+// held-off lane of that depth queues depth and drops exactly 10, and the frame the
 // writer is busy with counts against the bound.
 func TestLaneDropsOnlyPastDepth(t *testing.T) {
 	const depth = 64
 	tr := NewTCP(newOrderEcho("a"), TCPConfig{
 		Peers:     map[wire.NodeID]string{"b": "127.0.0.1:1"},
-		Lanes:     1,
-		LaneDepth: depth,
+		lanes:     1,
+		laneDepth: depth,
 	})
 	tr.laneOnce.Do(func() {})
 	for i := 0; i < depth+10; i++ {

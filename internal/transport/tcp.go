@@ -30,6 +30,25 @@ import (
 // maxFrame bounds a single TCP frame (64 MiB) against hostile peers.
 const maxFrame = 64 << 20
 
+const (
+	// numLanes is the number of shared writer goroutines draining outbound
+	// frames. Peers hash to a lane by address, so one peer's frames stay
+	// FIFO and peers sharing an address share a connection; a stalled
+	// dial or write delays only its own lane.
+	numLanes = 4
+	// maxLaneDepth bounds each lane's frames, queued plus the one being
+	// written. A frame past it is dropped (counted in Stats.LaneDrops).
+	// It reserves nothing: queue storage follows the frames actually
+	// queued.
+	maxLaneDepth = 4096
+	// dialTimeout bounds outbound connection setup.
+	dialTimeout = 5 * time.Second
+	// writeTimeout bounds one frame write to a peer: a peer that stops
+	// reading fails its writes and is redialed on the next message
+	// instead of wedging the sender.
+	writeTimeout = 10 * time.Second
+)
+
 // TCPConfig parameterizes a TCP endpoint.
 type TCPConfig struct {
 	// Listen is the local address to accept peer connections on.
@@ -40,23 +59,6 @@ type TCPConfig struct {
 	Peers map[wire.NodeID]string
 	// TickEvery drives Handler.Tick; 0 defaults to 50ms.
 	TickEvery time.Duration
-	// DialTimeout bounds outbound connection setup; 0 defaults to 5s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write to a peer; 0 defaults to 10s.
-	// A peer that stops reading fails its writes and is redialed on the
-	// next message instead of wedging the sender.
-	WriteTimeout time.Duration
-	// Lanes is the number of shared writer goroutines draining outbound
-	// frames; 0 defaults to 4. Peers hash to a lane by address, so one
-	// peer's frames stay FIFO and peers sharing an address share a
-	// connection. More lanes reduce cross-peer head-of-line blocking
-	// (a stalled dial or write delays only its own lane).
-	Lanes int
-	// LaneDepth bounds each lane's frames, queued plus the one being
-	// written; 0 defaults to 4096. A frame past it is dropped (counted in
-	// Stats.LaneDrops). It reserves nothing: queue storage follows the
-	// frames actually queued.
-	LaneDepth int
 	// Registry and VerifyWorkers are read by nothing: every session
 	// checks signatures against its own registry on its own turn. They
 	// stay only because the macro benchmark (benchmark/cluster.go) still
@@ -75,6 +77,9 @@ type TCPConfig struct {
 	// Log receives the endpoint's structured warnings (lane-full drops).
 	// nil is silent — the default, keeping tests quiet.
 	Log *slog.Logger
+	// lanes and laneDepth override the package constants for tests that
+	// need one lane or a shallow one; 0 means the constant.
+	lanes, laneDepth int
 }
 
 // Stats counts an endpoint's frame-level events. All counters are
@@ -104,7 +109,7 @@ type Stats struct {
 // one goroutine per peer — so the goroutine count stays flat no matter how
 // many peers or sessions the endpoint serves. Peers hash to lanes by
 // address: one peer's frames stay FIFO, and a slow or dead peer can stall
-// only its own lane (bounded by DialTimeout/WriteTimeout), never the
+// only its own lane (bounded by dialTimeout/writeTimeout), never the
 // handlers or other lanes.
 type TCP struct {
 	cfg   TCPConfig
@@ -156,7 +161,7 @@ type tcpSession struct {
 
 // writeLane is one shared outbound worker: a FIFO of addressed frames
 // drained by a dedicated goroutine that owns the connections to every
-// peer hashed onto it. A lane holding LaneDepth frames, counting the one
+// peer hashed onto it. A lane holding maxLaneDepth frames, counting the one
 // being written, drops the next — the protocol's timeout and dispute
 // machinery owns recovery, mirroring the paper's asynchronous network
 // assumption. The queue's storage comes from queuePool when a frame
@@ -271,25 +276,12 @@ func (c *TCPConfig) fill() {
 	if c.TickEvery <= 0 {
 		c.TickEvery = 50 * time.Millisecond
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
+	if c.lanes <= 0 {
+		c.lanes = numLanes
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
+	if c.laneDepth <= 0 {
+		c.laneDepth = maxLaneDepth
 	}
-	if c.Lanes <= 0 {
-		c.Lanes = 4
-	}
-	if c.LaneDepth <= 0 {
-		c.LaneDepth = 4096
-	}
-}
-
-// TCPDefaults returns a zero TCPConfig with every knob at its layer
-// default: the values a binary's flags start from.
-func TCPDefaults() (c TCPConfig) {
-	c.fill()
-	return c
 }
 
 // NewTCP wraps a handler for TCP service.
@@ -307,7 +299,7 @@ func NewTCP(h core.Handler, cfg TCPConfig) *TCP {
 		primary:    prim,
 		peers:      peers,
 		dropLogged: make(map[wire.NodeID]struct{}),
-		lanes:      make([]*writeLane, cfg.Lanes),
+		lanes:      make([]*writeLane, cfg.lanes),
 		accepted:   make(map[net.Conn]struct{}),
 	}
 	for i := range t.lanes {
@@ -585,7 +577,7 @@ func (t *TCP) enqueue(env wire.Envelope) {
 	}
 	t.laneOnce.Do(t.startLanes)
 	ln := t.lanes[laneOf(addr, len(t.lanes))]
-	if !ln.push(laneItem{to: env.To, env: env}, t.cfg.LaneDepth) {
+	if !ln.push(laneItem{to: env.To, env: env}, t.cfg.laneDepth) {
 		// Lane full: peer is slow or dead; drop.
 		t.stLaneDrops.Add(1)
 		t.connMu.Lock()
@@ -617,7 +609,7 @@ func laneOf(addr string, n int) int {
 // laneLoop drains one lane's queue, owning the outbound connections (one
 // per distinct address) of every peer hashed onto the lane. It dials on
 // demand (re-resolving the peer address, so SetPeer takes effect), writes
-// each frame under WriteTimeout, and drops frames while a peer is
+// each frame under writeTimeout, and drops frames while a peer is
 // unreachable (counted in Stats.UnreachableDrops).
 //
 // Two mechanisms keep a peer restart (same identity, same address) from
@@ -675,7 +667,7 @@ func (t *TCP) write(conns map[string]*peerConn, it laneItem) bool {
 			conn = nil
 		}
 		if conn == nil {
-			c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				return false
 			}
@@ -683,7 +675,7 @@ func (t *TCP) write(conns map[string]*peerConn, it laneItem) bool {
 			conns[addr] = conn
 			t.stRedials.Add(1)
 		}
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := WriteFrame(conn, it.env); err == nil {
 			t.stFramesSent.Add(1)
 			return true

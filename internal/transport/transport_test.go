@@ -144,7 +144,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 // no response ever arrives.
 func TestRedialResendsAfterPeerRestart(t *testing.T) {
 	client := newEcho("client")
-	ct := NewTCP(client, TCPConfig{Listen: "127.0.0.1:0", DialTimeout: time.Second})
+	ct := NewTCP(client, TCPConfig{Listen: "127.0.0.1:0"})
 	if err := ct.Listen(); err != nil {
 		t.Fatal(err)
 	}

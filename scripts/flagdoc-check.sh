@@ -5,9 +5,8 @@
 # does not have, or a row's Default column disagrees with the flag's
 # "(default …)" in -help. A flag whose -help shows no default (a zero
 # value) needs `0`, `false`, `—` or the flag it falls back to (`-id`). A
-# row belongs to a binary when it sits under that binary's "## " heading,
-# or under a "### " heading that names the binary in backticks (the chaos
-# flags are shared by two of them).
+# row belongs to a binary when it sits under that binary's "## " heading;
+# each binary's table repeats the node flags it shares with the others.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,9 +33,8 @@ for bin in wedge-cloud wedge-edge wedge-client; do
         }
         END { emit() }' >"$WORK/$bin.have"
     awk -v bin="$bin" '
-        /^## /  { h2 = $0; h3 = "" }
-        /^### / { h3 = $0 }
-        /^\| `-/ && (h2 == "## " bin || index(h3, "`" bin "`")) {
+        /^## / { h2 = $0 }
+        /^\| `-/ && h2 == "## " bin {
             split($0, cell, "|")
             name = cell[2]; def = cell[3]
             gsub(/[ `]/, "", name); gsub(/`/, "", def); gsub(/^ +| +$/, "", def)

@@ -123,10 +123,9 @@ type Config struct {
 	ReplicasPerShard int
 	// LeaseTimeout is how long the cloud tolerates leader-heartbeat
 	// silence before transferring leadership (replicated shards only).
+	// A replicated-but-uncertified backlog may stall for three of them
+	// before the cloud transfers leadership too.
 	LeaseTimeout time.Duration
-	// CertTimeout is how long a replicated-but-uncertified backlog may
-	// stall before the cloud transfers leadership.
-	CertTimeout time.Duration
 	// HeartbeatEvery is the replica heartbeat period (0 = LeaseTimeout/4;
 	// replicated shards only). Must stay shorter than LeaseTimeout or a
 	// live leader would look dead to the cloud.
@@ -235,8 +234,6 @@ func (c *Config) Validate() error {
 		name string
 		v    time.Duration
 	}{
-		{"LeaseTimeout", c.LeaseTimeout},
-		{"CertTimeout", c.CertTimeout},
 		{"HeartbeatEvery", c.HeartbeatEvery},
 		{"ProofTimeout", c.ProofTimeout},
 		{"FreshnessWindow", c.FreshnessWindow},
@@ -244,6 +241,11 @@ func (c *Config) Validate() error {
 		if d.v < 0 {
 			return fmt.Errorf("wedgechain: %s must not be negative, got %v", d.name, d.v)
 		}
+	}
+	// The cloud owns the lease's range: its stall bound is a multiple of it.
+	lease := cloud.Config{ID: CloudID, LeaseTimeout: c.LeaseTimeout.Nanoseconds()}
+	if err := lease.Validate(); err != nil {
+		return fmt.Errorf("wedgechain: %w", err)
 	}
 	if c.MaxUncertified < 0 {
 		return fmt.Errorf("wedgechain: MaxUncertified must be >= 0, got %d", c.MaxUncertified)

@@ -329,3 +329,24 @@ func TestClusterCloseGoroutineHygiene(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestConfigValidateRejects: Validate refuses what fill cannot repair,
+// before any node starts.
+func TestConfigValidateRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative replicas", Config{ReplicasPerShard: -1}},
+		{"negative lease", Config{LeaseTimeout: -time.Second}},
+		{"stall bound overflows", Config{LeaseTimeout: 1000000 * time.Hour}},
+		{"heartbeat outlasts lease", Config{LeaseTimeout: time.Second, HeartbeatEvery: time.Second}},
+	} {
+		if err := c.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, c.cfg)
+		}
+	}
+	if err := (&Config{LeaseTimeout: 1000 * time.Hour}).Validate(); err != nil {
+		t.Errorf("a 1000 h lease rejected: %v", err)
+	}
+}
